@@ -12,11 +12,14 @@ from :class:`CedrApplication` and provides:
   application (including non-accelerable regions) carved into nodes.
 
 ``make_instance`` packages either form into a runtime-submittable
-:class:`~repro.runtime.app.AppInstance`.  The ``batch`` knob groups
-fine-grained kernel invocations (e.g. individual 1024-point FFT rows) into
-one schedulable task; ``batch=1`` reproduces the paper's task granularity
-exactly while larger values keep big sweeps tractable - see DESIGN.md's
-scale note.
+:class:`~repro.runtime.app.AppInstance`.  A timing-only run reads input
+*shapes*, never values, so there the forms get zero-storage stand-ins built
+from ``input_shapes``; the DAG form is a per-structure ``dag_program``
+(parsed once, shared by every instance) plus a per-instance ``dag_state``.
+The ``batch`` knob groups fine-grained kernel invocations (e.g. individual
+1024-point FFT rows) into one schedulable task; ``batch=1`` reproduces the
+paper's task granularity exactly while larger values keep big sweeps
+tractable - see DESIGN.md's scale note.
 """
 
 from __future__ import annotations
@@ -53,10 +56,27 @@ class CedrApplication(abc.ABC):
     #: whose phases fan out through the non-blocking APIs (Section II-C).
     default_variant: Variant = "blocking"
 
+    #: attributes that shape the DAG (node set, edges, node params); their
+    #: current values key the shared :meth:`dag_program`.  No default: an app
+    #: that forgot to declare them must not get a never-refreshed program.
+    dag_params: tuple[str, ...]
+
+    # the parsed program lives in a slot, not ``__dict__``: ``vars(app)`` is
+    # the app's observable state (the sweep cache keys on it) and must stay
+    # free of derived, closure-carrying data
+    __slots__ = ("_dag_cache",)
+
+    def __getstate__(self) -> dict[str, Any]:
+        return self.__dict__  # copies and pool workers rebuild the program
+
     @property
     @abc.abstractmethod
     def frame_mb(self) -> float:
         """Frame size in megabits (the paper's injection-rate unit)."""
+
+    @abc.abstractmethod
+    def input_shapes(self) -> dict[str, tuple[tuple[int, ...], Any]]:
+        """``{name: (shape, dtype)}`` of every array ``make_input`` returns."""
 
     @abc.abstractmethod
     def make_input(self, rng: np.random.Generator) -> dict[str, Any]:
@@ -73,8 +93,37 @@ class CedrApplication(abc.ABC):
         """CEDR-API ``main``: yields libCEDR requests, returns the result."""
 
     @abc.abstractmethod
+    def dag_program(self) -> DagProgram:
+        """DAG-based form: the parsed program for the current structure.
+
+        Holds no instance data - every ``cpu_op`` reads its frame from the
+        state dict - so one program serves all instances of this app.
+        """
+
+    @abc.abstractmethod
+    def dag_state(self, inputs: dict[str, Any]) -> dict[str, Any]:
+        """DAG-based form: the initial state dict for one frame."""
+
     def build_dag(self, inputs: dict[str, Any]) -> tuple[DagProgram, dict[str, Any]]:
-        """DAG-based form: (program, initial state) for one frame."""
+        """DAG-based form: (shared program, initial state) for one frame.
+
+        The program is re-parsed only when a ``dag_params`` attribute has
+        changed since the last call; the daemon's *simulated* parse charge
+        stays per arrival.
+        """
+        key = tuple(getattr(self, attr) for attr in self.dag_params)
+        cached = getattr(self, "_dag_cache", None)
+        if cached is None or cached[0] != key:
+            cached = self._dag_cache = (key, self.dag_program())
+        return cached[1], self.dag_state(inputs)
+
+    def shape_inputs(self) -> dict[str, np.ndarray]:
+        """Read-only zero-stride stand-ins for ``make_input``'s arrays:
+        right shape and dtype, one element of storage each."""
+        return {
+            name: np.broadcast_to(np.zeros((), dtype), shape)
+            for name, (shape, dtype) in self.input_shapes().items()
+        }
 
     # ------------------------------------------------------------------ #
 
@@ -84,20 +133,27 @@ class CedrApplication(abc.ABC):
         rng: np.random.Generator,
         variant: Optional[Variant] = None,
         inputs: Optional[dict[str, Any]] = None,
+        timing_only: bool = False,
     ) -> AppInstance:
         """Create a submittable instance of this application.
 
         ``mode`` is ``"dag"`` or ``"api"``; ``variant`` defaults to the
         app's :attr:`default_variant`; fresh input data is synthesized from
-        *rng* unless *inputs* is supplied.
+        *rng* unless *inputs* is supplied or the run is *timing_only*
+        (``execute_kernels=False``), which gets :meth:`shape_inputs` and an
+        instance the runtime refuses to execute functionally.
         """
         variant = variant or self.default_variant
-        inputs = inputs if inputs is not None else self.make_input(rng)
+        timing_only = timing_only and inputs is None
+        if timing_only:
+            inputs = self.shape_inputs()
+        elif inputs is None:
+            inputs = self.make_input(rng)
         if mode == DAG_MODE:
             program, state = self.build_dag(inputs)
             return AppInstance(
                 name=self.name, mode=DAG_MODE, frame_mb=self.frame_mb,
-                dag=program, initial_state=state,
+                dag=program, initial_state=state, timing_only=timing_only,
             )
         if mode == API_MODE:
             def main_factory(lib, _inputs=inputs, _variant=variant):
@@ -105,7 +161,7 @@ class CedrApplication(abc.ABC):
 
             return AppInstance(
                 name=self.name, mode=API_MODE, frame_mb=self.frame_mb,
-                main_factory=main_factory,
+                main_factory=main_factory, timing_only=timing_only,
             )
         raise ValueError(f"unknown mode {mode!r} (use 'dag' or 'api')")
 

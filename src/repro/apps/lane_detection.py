@@ -41,6 +41,7 @@ class LaneDetection(CedrApplication):
 
     name = "LD"
     default_variant = "nonblocking"
+    dag_params = ("height", "width", "batch", "tile")
 
     def __init__(self, height: int = 540, width: int = 960, batch: int = 64) -> None:
         self.height = height
@@ -59,6 +60,9 @@ class LaneDetection(CedrApplication):
     def frame_mb(self) -> float:
         """RGB byte frame in megabits (the camera's output)."""
         return self.height * self.width * 3 * 8 / 1e6
+
+    def input_shapes(self) -> dict[str, tuple[tuple[int, ...], Any]]:
+        return {"rgb": ((self.height, self.width, 3), np.float64)}
 
     def make_input(self, rng: np.random.Generator) -> dict[str, Any]:
         return {"rgb": vision.synthesize_road_frame(self.height, self.width, rng)}
@@ -231,11 +235,10 @@ class LaneDetection(CedrApplication):
         after: list[str],
     ) -> list[str]:
         """Emit nodes for one FFT-domain convolution stage."""
-        kernel = self.kernels[kernel_name]
 
-        def pad(st, prefix=prefix, src=src, kernel=kernel):
+        def pad(st, prefix=prefix, src=src):
             st[f"{prefix}_imgtile"] = self._pad_tile(st[src])
-            st[f"{prefix}_kertile"] = self._pad_tile(kernel)
+            st[f"{prefix}_kertile"] = self._pad_tile(self.kernels[kernel_name])
 
         b.cpu(f"{prefix}_pad", pad, work_for_elems(self.tile * self.tile), after=after)
         img_done = self._dag_fft2(
@@ -278,14 +281,16 @@ class LaneDetection(CedrApplication):
             [f"{prefix}_zjoin"], inverse=True,
         )
 
-        def crop(st, prefix=prefix, dst=dst, kernel=kernel):
-            st[dst] = self._crop(st[f"{prefix}_full"].real, kernel)
+        def crop(st, prefix=prefix, dst=dst):
+            st[dst] = self._crop(st[f"{prefix}_full"].real, self.kernels[kernel_name])
 
         b.cpu(f"{prefix}_crop", crop, work_for_elems(self.height * self.width), after=inv_done)
         return [f"{prefix}_crop"]
 
-    def build_dag(self, inputs: dict[str, Any]) -> tuple[DagProgram, dict[str, Any]]:
-        state: dict[str, Any] = {"rgb": inputs["rgb"]}
+    def dag_state(self, inputs: dict[str, Any]) -> dict[str, Any]:
+        return {"rgb": inputs["rgb"]}
+
+    def dag_program(self) -> DagProgram:
         b = DagBuilder("LD")
 
         def to_gray(st):
@@ -306,4 +311,4 @@ class LaneDetection(CedrApplication):
             st["lanes"] = self._postprocess(st["emphimg"])
 
         b.cpu("post", post, work_for_elems(self.height * self.width * 6), after=emph_done)
-        return b.build(), state
+        return b.build()

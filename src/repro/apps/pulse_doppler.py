@@ -33,6 +33,7 @@ class PulseDoppler(CedrApplication):
     """Pulse-Doppler radar frame processing."""
 
     name = "PD"
+    dag_params = ("geom", "batch")
 
     def __init__(
         self,
@@ -52,6 +53,13 @@ class PulseDoppler(CedrApplication):
     def frame_mb(self) -> float:
         """complex64 pulse matrix: P x N x 8 bytes, in megabits."""
         return self.geom.n_pulses * self.geom.n_fast * 8 * 8 / 1e6
+
+    def input_shapes(self) -> dict[str, tuple[tuple[int, ...], Any]]:
+        g = self.geom
+        return {
+            "pulses": ((g.n_pulses, g.n_fast), np.complex128),
+            "ref": ((g.n_fast,), np.complex128),
+        }
 
     def make_input(self, rng: np.random.Generator) -> dict[str, Any]:
         pulses, ref = radar.synthesize_returns(
@@ -138,17 +146,18 @@ class PulseDoppler(CedrApplication):
     # DAG-based form
     # ------------------------------------------------------------------ #
 
-    def build_dag(self, inputs: dict[str, Any]) -> tuple[DagProgram, dict[str, Any]]:
+    def dag_state(self, inputs: dict[str, Any]) -> dict[str, Any]:
         pulses = inputs["pulses"]
-        ref = inputs["ref"]
-        n_pulses, n_fast = pulses.shape
+        state: dict[str, Any] = {"ref": inputs["ref"]}
+        for i, sl in enumerate(chunk_slices(self.geom.n_pulses, self.batch)):
+            state[f"pulses_{i}"] = pulses[sl]
+        return state
+
+    def dag_program(self) -> DagProgram:
+        geom = self.geom
+        n_pulses, n_fast = geom.n_pulses, geom.n_fast
         slices = chunk_slices(n_pulses, self.batch)
         dop_slices = chunk_slices(n_fast, self.batch)
-        geom = self.geom
-
-        state: dict[str, Any] = {"ref": ref}
-        for i, sl in enumerate(slices):
-            state[f"pulses_{i}"] = pulses[sl]
 
         b = DagBuilder("PD")
         b.kernel("ref_fft", "fft", {"n": n_fast, "batch": 1}, ["ref"], "ref_spec")
@@ -201,4 +210,4 @@ class PulseDoppler(CedrApplication):
             st["detection"] = radar.detect_target(rd_map, geom)
 
         b.cpu("detect", detect, work_for_elems(n_pulses * n_fast), after=dop_names)
-        return b.build(), state
+        return b.build()

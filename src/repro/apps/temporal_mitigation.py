@@ -56,6 +56,7 @@ class TemporalMitigation(CedrApplication):
 
     name = "TM"
     default_variant = "blocking"
+    dag_params = ("n_blocks", "block_len", "n_lags")
 
     def __init__(
         self,
@@ -81,6 +82,10 @@ class TemporalMitigation(CedrApplication):
     # ------------------------------------------------------------------ #
     # input synthesis
     # ------------------------------------------------------------------ #
+
+    def input_shapes(self) -> dict[str, tuple[tuple[int, ...], Any]]:
+        frame = ((self.n_blocks, self.block_len), np.complex128)
+        return {"received": frame, "reference": frame, "truth": frame}
 
     def make_input(self, rng: np.random.Generator) -> dict[str, Any]:
         """Signal of interest + delayed/scaled interference + noise."""
@@ -216,19 +221,20 @@ class TemporalMitigation(CedrApplication):
     # DAG-based form
     # ------------------------------------------------------------------ #
 
-    def build_dag(self, inputs: dict[str, Any]) -> tuple[DagProgram, dict[str, Any]]:
-        received, reference = inputs["received"], inputs["reference"]
+    def dag_state(self, inputs: dict[str, Any]) -> dict[str, Any]:
+        return dict(inputs)
+
+    def dag_program(self) -> DagProgram:
         L, N = self.n_lags, self.block_len
-        state: dict[str, Any] = {"received": received, "inputs": inputs}
         b_ = DagBuilder("TM")
         final_names = []
         for b in range(self.n_blocks):
 
-            def prep(st, b=b, reference=reference, received=received):
-                T = self._lag_matrix(reference[b])
+            def prep(st, b=b):
+                T = self._lag_matrix(st["reference"][b])
                 st[f"T_{b}"] = T
                 st[f"Th_{b}"] = T.conj().T
-                st[f"sh_{b}"] = received[b].conj()[:, None]
+                st[f"sh_{b}"] = st["received"][b].conj()[:, None]
 
             b_.cpu(f"prep_{b}", prep, work_for_elems(L * N))
             b_.kernel(f"corrA_{b}", "gemm", self._gemm_params(L, N, L),
@@ -245,8 +251,8 @@ class TemporalMitigation(CedrApplication):
             b_.kernel(f"apply_{b}", "gemm", self._gemm_params(1, L, N),
                       [f"w_{b}", f"T_{b}"], f"corr_{b}", after=[f"solve_{b}"])
 
-            def subtract(st, b=b, received=received):
-                st[f"clean_{b}"] = received[b] - st[f"corr_{b}"][0]
+            def subtract(st, b=b):
+                st[f"clean_{b}"] = st["received"][b] - st[f"corr_{b}"][0]
 
             final_names.append(
                 b_.cpu(f"sub_{b}", subtract, work_for_elems(N), after=[f"apply_{b}"])
@@ -254,7 +260,7 @@ class TemporalMitigation(CedrApplication):
 
         def assemble(st, n_blocks=self.n_blocks):
             clean = np.stack([st[f"clean_{b}"] for b in range(n_blocks)])
-            st["result"] = self._score(clean, st["inputs"])
+            st["result"] = self._score(clean, st)
 
         b_.cpu("assemble", assemble, work_for_elems(self.n_blocks * N), after=final_names)
-        return b_.build(), state
+        return b_.build()

@@ -59,6 +59,7 @@ class WifiRx(CedrApplication):
 
     name = "RX"
     default_variant = "blocking"
+    dag_params = ("n_packets", "batch", "payload_bits")
 
     def __init__(
         self,
@@ -86,6 +87,13 @@ class WifiRx(CedrApplication):
     # ------------------------------------------------------------------ #
     # input synthesis: transmit + channel
     # ------------------------------------------------------------------ #
+
+    def input_shapes(self) -> dict[str, tuple[tuple[int, ...], Any]]:
+        samples = wifi.N_SUBCARRIERS + self.cp_len
+        return {
+            "rx": ((self.n_packets, samples), np.complex128),
+            "truth": ((self.n_packets, self.payload_bits), np.uint8),
+        }
 
     def make_input(self, rng: np.random.Generator) -> dict[str, Any]:
         """Synthesize a noisy received frame (the RF front-end stand-in)."""
@@ -183,13 +191,15 @@ class WifiRx(CedrApplication):
     # DAG-based form
     # ------------------------------------------------------------------ #
 
-    def build_dag(self, inputs: dict[str, Any]) -> tuple[DagProgram, dict[str, Any]]:
-        frame = inputs["rx"]
-        slices = chunk_slices(self.n_packets, self.batch)
+    def dag_state(self, inputs: dict[str, Any]) -> dict[str, Any]:
         state: dict[str, Any] = {"truth": inputs["truth"]}
-        no_cp = self._strip_cp(frame)
-        for i, sl in enumerate(slices):
+        no_cp = self._strip_cp(inputs["rx"])
+        for i, sl in enumerate(chunk_slices(self.n_packets, self.batch)):
             state[f"rx_{i}"] = no_cp[sl]
+        return state
+
+    def dag_program(self) -> DagProgram:
+        slices = chunk_slices(self.n_packets, self.batch)
 
         b = DagBuilder("RX")
         decode_names = []
@@ -213,4 +223,4 @@ class WifiRx(CedrApplication):
 
         b.cpu("assemble", assemble,
               work_for_elems(self.n_packets * self.payload_bits), after=decode_names)
-        return b.build(), state
+        return b.build()

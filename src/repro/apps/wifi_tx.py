@@ -34,6 +34,7 @@ class WifiTx(CedrApplication):
     """WiFi transmit chain for a frame of 64-bit packets."""
 
     name = "TX"
+    dag_params = ("n_packets", "batch", "cp_len", "payload_bits")
 
     def __init__(
         self,
@@ -57,6 +58,9 @@ class WifiTx(CedrApplication):
         """Transmitted complex64 samples per frame, in megabits."""
         samples = self.n_packets * (wifi.N_SUBCARRIERS + self.cp_len)
         return samples * 8 * 8 / 1e6
+
+    def input_shapes(self) -> dict[str, tuple[tuple[int, ...], Any]]:
+        return {"bits": ((self.n_packets, self.payload_bits), np.uint8)}
 
     def make_input(self, rng: np.random.Generator) -> dict[str, Any]:
         bits = rng.integers(0, 2, (self.n_packets, self.payload_bits)).astype(np.uint8)
@@ -125,13 +129,14 @@ class WifiTx(CedrApplication):
     # DAG-based form
     # ------------------------------------------------------------------ #
 
-    def build_dag(self, inputs: dict[str, Any]) -> tuple[DagProgram, dict[str, Any]]:
+    def dag_state(self, inputs: dict[str, Any]) -> dict[str, Any]:
         bits = inputs["bits"]
+        slices = chunk_slices(self.n_packets, self.batch)
+        return {f"bits_{i}": bits[sl] for i, sl in enumerate(slices)}
+
+    def dag_program(self) -> DagProgram:
         n = wifi.N_SUBCARRIERS
         slices = chunk_slices(self.n_packets, self.batch)
-        state: dict[str, Any] = {}
-        for i, sl in enumerate(slices):
-            state[f"bits_{i}"] = bits[sl]
 
         b = DagBuilder("TX")
         cp_names = []
@@ -161,4 +166,4 @@ class WifiTx(CedrApplication):
             st["frame"] = np.vstack([st[f"tx_{i}"] for i in range(n_chunks)])
 
         b.cpu("assemble", assemble, work_for_elems(self.n_packets * (n + self.cp_len)), after=cp_names)
-        return b.build(), state
+        return b.build()

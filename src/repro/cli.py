@@ -572,7 +572,9 @@ def _cmd_run(args) -> int:
         ),
     )
     runtime.start()
-    for app, arrival in workload.instantiate(args.mode, args.rate, args.seed):
+    for app, arrival in workload.instantiate(
+        args.mode, args.rate, args.seed, timing_only=not runtime.config.execute_kernels
+    ):
         runtime.submit(app, at=arrival)
     runtime.seal()
     runtime.run()

@@ -27,6 +27,7 @@ implementations, so the two stay consistent by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -66,10 +67,8 @@ class ApiSpec:
 
 
 def _fft_build(x: Any) -> tuple[dict, Any]:
-    arr = np.asarray(x)
-    n = arr.shape[-1]
-    batch = int(np.prod(arr.shape[:-1])) if arr.ndim > 1 else 1
-    return {"n": int(n), "batch": batch}, x
+    shape = x.shape if isinstance(x, np.ndarray) else np.asarray(x).shape
+    return {"n": int(shape[-1]), "batch": math.prod(shape[:-1])}, x
 
 
 def _zip_build(a: Any, b: Any) -> tuple[dict, Any]:

@@ -182,7 +182,9 @@ def run_once(
     instance = platform.build(seed=seed)
     runtime = CedrRuntime(instance, config)
     runtime.start()
-    for app, arrival in workload.instantiate(mode, rate_mbps, seed):
+    for app, arrival in workload.instantiate(
+        mode, rate_mbps, seed, timing_only=not config.execute_kernels
+    ):
         runtime.submit(app, at=arrival)
     runtime.seal()
     runtime.run()

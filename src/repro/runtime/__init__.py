@@ -1,6 +1,6 @@
 """The CEDR runtime: daemon, workers, tasks, configuration, logging."""
 
-from .app import API_MODE, DAG_MODE, AppInstance
+from .app import API_MODE, DAG_MODE, AppInstance, TimingOnlyAppError
 from .config import RuntimeConfig, RuntimeCosts
 from .daemon import CedrRuntime, EventQueue, RunMetrics
 from .logbook import AppRecord, Logbook, TaskRecord
@@ -11,6 +11,7 @@ from .worker import SHUTDOWN, worker_body
 
 __all__ = [
     "AppInstance",
+    "TimingOnlyAppError",
     "DAG_MODE",
     "API_MODE",
     "RuntimeConfig",

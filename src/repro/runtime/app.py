@@ -16,12 +16,24 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 if TYPE_CHECKING:  # pragma: no cover - repro.dag builds on repro.runtime.task
     from repro.dag.app import DagProgram
 
-__all__ = ["AppInstance", "DAG_MODE", "API_MODE"]
+__all__ = ["AppInstance", "TimingOnlyAppError", "DAG_MODE", "API_MODE"]
 
 DAG_MODE = "dag"
 API_MODE = "api"
 
 _app_ids = itertools.count()
+
+
+class TimingOnlyAppError(ValueError):
+    """A shape-only instance was submitted to a runtime that executes
+    kernels; ``app_name`` names the offending application."""
+
+    def __init__(self, app_name: str) -> None:
+        super().__init__(
+            f"app {app_name!r} carries shape-only inputs (timing_only=True) "
+            f"and cannot run with execute_kernels=True"
+        )
+        self.app_name = app_name
 
 
 @dataclass
@@ -41,6 +53,9 @@ class AppInstance:
     initial_state: Optional[dict[str, Any]] = None
     #: API mode: called with the app's CedrClient, returns the main generator.
     main_factory: Optional[Callable[[Any], Generator]] = None
+    #: built from shape-only stand-ins: valid for ``execute_kernels=False``
+    #: runs only (``CedrRuntime.submit`` enforces it)
+    timing_only: bool = False
 
     # runtime-assigned lifecycle fields
     app_id: int = field(default_factory=lambda: next(_app_ids))

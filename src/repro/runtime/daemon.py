@@ -63,7 +63,7 @@ from repro.simcore import Block, Compute, Request, SimQueue, SimThread, child_rn
 from repro.simcore.errors import SimStateError
 from repro.telemetry import CedrTelemetry, SnapshotSampler
 
-from .app import DAG_MODE, AppInstance
+from .app import DAG_MODE, AppInstance, TimingOnlyAppError
 from .config import RuntimeConfig
 from .logbook import AppRecord, Logbook
 from .perf_counters import PerfCounters
@@ -292,6 +292,8 @@ class CedrRuntime:
         """
         if self._sealed:
             raise RuntimeError("runtime already sealed; no further submissions")
+        if app.timing_only and self.config.execute_kernels:
+            raise TimingOnlyAppError(app.name)
         self._submitted += 1
         self.apps[app.app_id] = app
 

@@ -336,7 +336,10 @@ class ServeDriver:
     def _next_instance(self, state: _TenantRuntime):
         app = state.spec.apps[state.admit_seq % len(state.spec.apps)]
         state.admit_seq += 1
-        return app.make_instance(self.serve.mode, state.payload_rng)
+        return app.make_instance(
+            self.serve.mode, state.payload_rng,
+            timing_only=not self.runtime.config.execute_kernels,
+        )
 
     def _admit(
         self, tenant: str, instance: Any, offered_at: float, degraded: bool

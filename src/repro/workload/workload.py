@@ -101,14 +101,16 @@ class WorkloadSpec:
         return sum(e.count for e in self.entries)
 
     def instantiate(
-        self, mode: str, rate_mbps: float, seed: int
+        self, mode: str, rate_mbps: float, seed: int, timing_only: bool = False
     ) -> list[tuple[AppInstance, float]]:
         """Expand into (instance, arrival time) pairs for one run.
 
         Input data is synthesized from a per-(seed, stream) RNG so trials
         with different seeds see different noise/payloads but the same
         structure; Poisson gaps draw from a separate per-stream stream so
-        arrival randomness never perturbs payload synthesis.
+        arrival randomness never perturbs payload synthesis.  A
+        *timing_only* run (``execute_kernels=False``) reads shapes alone, so
+        its instances carry zero-storage stand-ins instead of payloads.
         """
         out: list[tuple[AppInstance, float]] = []
         for entry in self.entries:
@@ -133,7 +135,9 @@ class WorkloadSpec:
                 )
             rng = child_rng(seed, f"workload.{self.name}.{entry.app.name}")
             for j, t in enumerate(arrivals):
-                inst = entry.app.make_instance(mode, rng, variant=entry.variant)
+                inst = entry.app.make_instance(
+                    mode, rng, variant=entry.variant, timing_only=timing_only
+                )
                 out.append((inst, float(t)))
         out.sort(key=lambda pair: pair[1])
         return out
