@@ -10,11 +10,8 @@ buckets, cursor clamps, overflow spills, and rotations all run at scale.
 
 The throughput assertion rides the ``check_throughput`` fixture against
 the ``soak_event_throughput`` entry in ``baseline.json``: the soak rate
-must beat the PR-1 engine figure (497k events/s) by 2x.  A second compute
-soak runs the same campaign through the flat SoA loop
-(``core_impl="flat"``) against the ``soak_event_throughput_flat`` entry.
-CI smoke-runs 100k-event variants of both with ``REPRO_PERF_CHECK=0``
-(shape only, no ratio).
+must beat the PR-1 engine figure (497k events/s) by 2x.  CI smoke-runs a
+100k-event variant with ``REPRO_PERF_CHECK=0`` (shape only, no ratio).
 
 Env overrides:
 
@@ -33,9 +30,9 @@ SOAK_THREADS = 16
 SOAK_CORES = 4
 
 
-def _soak_run(core_impl: str = "objects") -> int:
+def _soak_run() -> int:
     """One soak campaign; returns the engine's dispatch-event count."""
-    eng = Engine(cores=SOAK_CORES, core_impl=core_impl)
+    eng = Engine(cores=SOAK_CORES)
     segments = SOAK_EVENTS // SOAK_THREADS
     # Requests are immutable value objects, so each worker reuses one
     # Compute - the bench then times the event core, not the allocator.
@@ -56,20 +53,6 @@ def test_soak_million_event_throughput(benchmark, check_throughput):
     events = benchmark.pedantic(_soak_run, rounds=3, iterations=1)
     assert events >= SOAK_EVENTS
     check_throughput("soak_event_throughput", benchmark, events)
-
-
-def test_soak_million_event_throughput_flat(benchmark, check_throughput):
-    """The same soak through the flat SoA loop (``core_impl="flat"``).
-
-    Proven bit-identical to the object loop elsewhere; here it must beat
-    the object loop's *recorded* rate (see the ``soak_event_throughput_
-    flat`` baseline entry for the honest same-window comparison numbers).
-    """
-    events = benchmark.pedantic(
-        _soak_run, args=("flat",), rounds=3, iterations=1
-    )
-    assert events >= SOAK_EVENTS
-    check_throughput("soak_event_throughput_flat", benchmark, events)
 
 
 def test_soak_timer_wheel_mix(benchmark):

@@ -12,9 +12,6 @@ indistinguishable -
 ``scalar``      scalar ``estimate(task, pe)`` vs vectorized columnar rounds
 ``telemetry``   telemetry off vs on (identical outside the snapshot field)
 ``audit``       online auditor off vs on
-``event_core``  calendar-queue timer wheel vs the reference binary heap
-``core_impl``   per-object reference main loop vs the flat
-                structure-of-arrays fast path (:mod:`repro.simcore.flatcore`)
 ``scenario``    flag-driven sweep vs the equivalent declarative
                 :class:`~repro.scenario.ScenarioSpec` (opt-in: pass a
                 ``scenario=`` template)
@@ -51,14 +48,12 @@ __all__ = [
 ]
 
 #: every paired configuration :func:`diff_run` knows how to produce.
-DEFAULT_VARIANTS = (
-    "jobs", "cache", "scalar", "telemetry", "audit", "event_core", "core_impl",
-)
+DEFAULT_VARIANTS = ("jobs", "cache", "scalar", "telemetry", "audit")
 
 #: the paired configurations :func:`diff_serve` covers.  ``telemetry`` is
 #: omitted: a serve cell's config carries no sampler by default and the
 #: embedded ``RunResult.telemetry`` field is the only thing it would touch.
-SERVE_VARIANTS = ("jobs", "cache", "scalar", "audit", "event_core", "core_impl")
+SERVE_VARIANTS = ("jobs", "cache", "scalar", "audit")
 
 _RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
 
@@ -321,20 +316,6 @@ def diff_run(
         elif variant == "audit":
             cfg = dataclasses.replace(base_config, audit=True)
             outcomes.append(_compare(variant, baseline, grid(cfg)))
-        elif variant == "event_core":
-            # Flip the simulator timer queue to the *other* implementation;
-            # heap and wheel pop in identical (when, seq) order by
-            # construction, so every cell must be bit-identical.
-            other = "heap" if base_config.event_core == "wheel" else "wheel"
-            cfg = base_config.with_event_core(other)
-            outcomes.append(_compare(variant, baseline, grid(cfg)))
-        elif variant == "core_impl":
-            # Flip the engine main loop to the *other* implementation; the
-            # flat SoA loop preserves float op order exactly, so every
-            # cell must be bit-identical.
-            other = "flat" if base_config.core_impl == "objects" else "objects"
-            cfg = base_config.with_core_impl(other)
-            outcomes.append(_compare(variant, baseline, grid(cfg)))
         elif variant == "scenario":
             from repro.scenario import run_scenario
 
@@ -473,14 +454,6 @@ def diff_serve(
             outcomes.append(_compare_serve(variant, baseline, grid(cfg)))
         elif variant == "audit":
             cfg = dataclasses.replace(base_config, audit=True)
-            outcomes.append(_compare_serve(variant, baseline, grid(cfg)))
-        elif variant == "event_core":
-            other = "heap" if base_config.event_core == "wheel" else "wheel"
-            cfg = base_config.with_event_core(other)
-            outcomes.append(_compare_serve(variant, baseline, grid(cfg)))
-        elif variant == "core_impl":
-            other = "flat" if base_config.core_impl == "objects" else "objects"
-            cfg = base_config.with_core_impl(other)
             outcomes.append(_compare_serve(variant, baseline, grid(cfg)))
         elif variant == "scenario":
             from repro.scenario import run_scenario

@@ -46,12 +46,6 @@ from repro.runtime import CedrRuntime, RuntimeConfig
 from repro.runtime.trace import write_chrome_trace
 from repro.sched import available_schedulers
 from repro.serve.admission import ADMISSION_POLICIES
-from repro.simcore import (
-    CORE_IMPLS,
-    DEFAULT_CORE_IMPL,
-    DEFAULT_EVENT_CORE,
-    EVENT_CORES,
-)
 from repro.workload import WorkloadEntry, WorkloadSpec
 
 __all__ = ["main", "build_parser"]
@@ -118,26 +112,6 @@ def _add_mode_option(parser) -> None:
     parser.add_argument("--mode", choices=MODES, default="api")
 
 
-def _add_event_core_option(parser, *, long_help: bool = False) -> None:
-    help_text = "simulator timer-queue implementation"
-    if long_help:
-        help_text += (": calendar-queue timer wheel (default) or the "
-                      "reference binary heap; results are bit-identical "
-                      "either way")
-    parser.add_argument("--event-core", choices=EVENT_CORES,
-                        default=DEFAULT_EVENT_CORE, help=help_text)
-
-
-def _add_core_impl_option(parser, *, long_help: bool = False) -> None:
-    help_text = "engine main-loop implementation"
-    if long_help:
-        help_text += (": the per-object reference loop (default) or the "
-                      "flat structure-of-arrays fast path; results are "
-                      "bit-identical either way")
-    parser.add_argument("--core-impl", choices=CORE_IMPLS,
-                        default=DEFAULT_CORE_IMPL, help=help_text)
-
-
 def _add_admission_options(parser, *, default: str = "shed",
                            caps: bool = True) -> None:
     """The admission-control block shared by serve and ``audit diff``."""
@@ -194,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--timing-only", action="store_true",
                      help="skip functional kernel execution")
-    _add_event_core_option(run, long_help=True)
-    _add_core_impl_option(run, long_help=True)
     run.add_argument("--energy", action="store_true", help="print an energy estimate")
     run.add_argument("--trace", metavar="PATH", default=None,
                      help="write a Chrome trace (chrome://tracing) to PATH")
@@ -261,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_option(serve)
     serve.add_argument("--scheduler", default="heft_rt")
     serve.add_argument("--seed", type=int, default=0)
-    _add_event_core_option(serve)
-    _add_core_impl_option(serve)
     serve.add_argument("--audit", action="store_true",
                        help="run with the online schedule auditor enabled")
 
@@ -274,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "With the literal target 'diff': run one sweep under "
                     "paired configurations (serial vs --jobs, cached vs "
                     "uncached, scalar vs vectorized estimates, telemetry "
-                    "on/off, audit on/off, heap vs wheel event core, "
-                    "object vs flat engine core, and optionally flag-built "
-                    "vs declarative scenario) and require bit-identical "
+                    "on/off, audit on/off, and optionally flag-built vs "
+                    "declarative scenario) and require bit-identical "
                     "results.",
     )
     audit.add_argument("target",
@@ -298,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--variants", default=None,
                        help="diff only: comma list of pairings to run "
                             "(default: all of jobs,cache,scalar,telemetry,"
-                            "audit,event_core,core_impl)")
+                            "audit)")
     audit.add_argument("--execute", action="store_true",
                        help="diff only: execute kernels functionally "
                             "instead of timing-only")
@@ -310,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--serve", action="store_true",
                        help="diff only: run the serve-mode oracle instead "
                             "of the batch one (pairings: "
-                            "jobs,cache,scalar,audit,event_core,core_impl)")
+                            "jobs,cache,scalar,audit)")
     audit.add_argument("--duration", type=float, default=0.2,
                        help="diff --serve only: service window, simulated "
                             "seconds")
@@ -524,8 +493,6 @@ def _cmd_list() -> int:
     print("arrivals   :", ", ".join(available_arrivals()))
     print("fault kinds:", ", ".join(available_fault_kinds()))
     print("admission  :", ", ".join(ADMISSION_POLICIES))
-    print("event cores:", ", ".join(EVENT_CORES))
-    print("core impls :", ", ".join(CORE_IMPLS))
     print("figures    :", ", ".join(available_figures()))
     return 0
 
@@ -567,8 +534,6 @@ def _cmd_run(args) -> int:
             faults=faults,
             telemetry=telemetry_cfg,
             audit=args.audit,
-            event_core=args.event_core,
-            core_impl=args.core_impl,
         ),
     )
     runtime.start()
@@ -691,8 +656,6 @@ def _cmd_serve(args) -> int:
         scheduler=args.scheduler,
         execute_kernels=False,
         audit=args.audit,
-        event_core=args.event_core,
-        core_impl=args.core_impl,
     )
     result = serve_once(_make_platform(args), serve, seed=args.seed, config=config)
 

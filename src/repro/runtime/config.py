@@ -118,27 +118,6 @@ class RuntimeConfig:
     #: construction (rows are priced by the scalar path) - this knob exists
     #: so the differential oracle can *prove* it per run.
     scalar_estimates: bool = False
-    #: simulator timer-queue implementation: ``"wheel"`` (calendar-queue
-    #: timer wheel, the default) or ``"heap"`` (the original global binary
-    #: heap).  Identical ``(when, seq)`` pop order by construction, hence
-    #: bit-identical results - the differential oracle's ``event_core``
-    #: variant axis proves it per run (``repro audit diff``).
-    event_core: str = "wheel"
-    #: simulator main-loop implementation: ``"objects"`` (the per-object
-    #: reference loop) or ``"flat"`` (the fused structure-of-arrays fast
-    #: path in :mod:`repro.simcore.flatcore`).  Same float ops in the same
-    #: order by construction, hence bit-identical results - the
-    #: differential oracle's ``core_impl`` variant axis proves it per run
-    #: (``repro audit diff``).
-    core_impl: str = "objects"
-
-    def with_event_core(self, kind: str) -> "RuntimeConfig":
-        """Copy of this config running on the given simulator event core."""
-        return replace(self, event_core=kind)
-
-    def with_core_impl(self, kind: str) -> "RuntimeConfig":
-        """Copy of this config running on the given engine main loop."""
-        return replace(self, core_impl=kind)
 
     def with_audit(self) -> "RuntimeConfig":
         """Copy of this config with online schedule auditing switched on."""

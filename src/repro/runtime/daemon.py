@@ -157,14 +157,6 @@ class CedrRuntime:
         self.platform = platform
         self.config = config
         self.engine = platform.engine
-        # Select the simulator timer-queue implementation before any timers
-        # exist (migration is exact either way, but this keeps it trivial).
-        if config.event_core != self.engine.event_core:
-            self.engine.set_event_core(config.event_core)
-        # Ditto the main-loop implementation: bit-identical either way
-        # (the oracle's ``core_impl`` variant is the enforcing proof).
-        if config.core_impl != self.engine.core_impl:
-            self.engine.set_core_impl(config.core_impl)
         self.scheduler: Scheduler = SCHEDULERS.create(config.scheduler)
         #: bookkeeping costs are referenced to the ZCU102's 1.2 GHz cores
         self.cost_scale = 1.2 / platform.timing.cpu_clock_ghz

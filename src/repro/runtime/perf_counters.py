@@ -58,7 +58,7 @@ class PerfCounters:
     wall_seconds: float = 0.0
 
     # -- simulator event core (repro.simcore timer queue) ----------------- #
-    #: which timer-queue implementation the engine ran on ("wheel"/"heap").
+    #: the engine's timer-queue kind (always "wheel"; kept in the schema).
     event_core: str = ""
     #: ``call_at`` timestamps in the past, clamped to now (late timers).
     late_timers: int = 0
@@ -70,8 +70,7 @@ class PerfCounters:
     timer_mean_batch: float = 0.0
     #: high-water mark of timers pending in the queue at once.
     timer_occupancy_hwm: int = 0
-    #: pushes that landed beyond the wheel horizon, into the overflow heap
-    #: (always 0 on the heap event core).
+    #: pushes that landed beyond the wheel horizon, into the overflow heap.
     overflow_spills: int = 0
 
     # -- fault injection + recovery (repro.faults) ------------------------ #

@@ -27,8 +27,6 @@ Document shape (TOML; JSON mirrors it)::
     name = "heft_rt"
 
     [engine]                     # optional
-    event_core = "wheel"         # "heap" or "wheel"
-    core_impl = "objects"        # "objects" or "flat"
     audit = false
 
     [telemetry]                  # optional; presence enables collection
@@ -82,12 +80,6 @@ from repro.runtime import RuntimeConfig
 from repro.sched import SCHEDULERS
 from repro.serve import ADMISSION_POLICIES, AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
 from repro.serve.arrival import ARRIVALS
-from repro.simcore import (
-    CORE_IMPLS,
-    DEFAULT_CORE_IMPL,
-    DEFAULT_EVENT_CORE,
-    EVENT_CORES,
-)
 from repro.workload import WORKLOADS, WorkloadEntry, WorkloadSpec
 
 __all__ = [
@@ -301,8 +293,6 @@ class ScenarioSpec:
     platform: str = "zcu102"
     platform_params: tuple[tuple[str, Any], ...] = ()
     scheduler: str = "heft_rt"
-    event_core: str = DEFAULT_EVENT_CORE
-    core_impl: str = DEFAULT_CORE_IMPL
     audit: bool = False
     telemetry_interval_s: Optional[float] = None
     # run kind ----------------------------------------------------------- #
@@ -332,16 +322,6 @@ class ScenarioSpec:
         if self.mode not in MODES:
             raise ScenarioError(
                 f"unknown mode {self.mode!r}; options: {', '.join(MODES)}"
-            )
-        if self.event_core not in EVENT_CORES:
-            raise ScenarioError(
-                f"unknown event core {self.event_core!r}; "
-                f"options: {', '.join(EVENT_CORES)}"
-            )
-        if self.core_impl not in CORE_IMPLS:
-            raise ScenarioError(
-                f"unknown core impl {self.core_impl!r}; "
-                f"options: {', '.join(CORE_IMPLS)}"
             )
         entry = PLATFORMS.get(self.platform)
         object.__setattr__(
@@ -410,9 +390,7 @@ class ScenarioSpec:
         scheduler = str(sched.get("name", "heft_rt"))
 
         engine = section("engine")
-        _unknown_keys(
-            engine, ("event_core", "core_impl", "audit"), f"{source} [engine]"
-        )
+        _unknown_keys(engine, ("audit",), f"{source} [engine]")
 
         telemetry = section("telemetry")
         _unknown_keys(telemetry, ("interval_s",), f"{source} [telemetry]")
@@ -430,8 +408,6 @@ class ScenarioSpec:
             platform=platform,
             platform_params=platform_params,
             scheduler=scheduler,
-            event_core=str(engine.get("event_core", DEFAULT_EVENT_CORE)),
-            core_impl=str(engine.get("core_impl", DEFAULT_CORE_IMPL)),
             audit=bool(engine.get("audit", False)),
             telemetry_interval_s=interval,
         )
@@ -566,11 +542,7 @@ class ScenarioSpec:
             },
             "platform": {"name": self.platform, **dict(self.platform_params)},
             "scheduler": {"name": self.scheduler},
-            "engine": {
-                "event_core": self.event_core,
-                "core_impl": self.core_impl,
-                "audit": self.audit,
-            },
+            "engine": {"audit": self.audit},
         }
         if self.telemetry_interval_s is not None:
             doc["telemetry"] = {"interval_s": self.telemetry_interval_s}
@@ -673,8 +645,6 @@ class ScenarioSpec:
             faults=self.faults,
             telemetry=telemetry,
             audit=self.audit,
-            event_core=self.event_core,
-            core_impl=self.core_impl,
         )
 
     def build_workload(self) -> WorkloadSpec:

@@ -22,7 +22,7 @@ the number of admitted-but-unfinished applications never exceeds
 overload factor.  The serve tests pin both high-water marks under a 2x
 overload.  Everything here is plain deterministic state driven by the
 virtual clock, so admission decisions replay bit-identically across
-``--jobs`` pools, cache hits, and event-core variants.
+``--jobs`` pools and cache hits.
 """
 
 from __future__ import annotations

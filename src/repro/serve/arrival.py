@@ -14,11 +14,10 @@ Determinism contract
 Every generator is a **pure function of ``(spec, rng state)``**: given an
 :class:`ArrivalSpec` and a freshly seeded ``numpy`` Generator (derive one
 with :func:`repro.simcore.child_rng`), it yields the exact same
-nondecreasing instant sequence on every call, in every process, under
-every event core.  Generators never read the engine clock, wall time, or
-any shared state - which is what keeps serve runs bit-identical across
-``--jobs`` pools, cache hits, and heap-vs-wheel event cores (the
-differential oracle's serve variants prove it per run).
+nondecreasing instant sequence on every call, in every process.
+Generators never read the engine clock, wall time, or any shared state -
+which is what keeps serve runs bit-identical across ``--jobs`` pools and
+cache hits (the differential oracle's serve variants prove it per run).
 
 Two bit-identity subtleties are load-bearing and pinned by tests:
 

@@ -7,7 +7,7 @@ CEDR runtimes execute.
 """
 
 from .cores import CompletionIndex, Core, Device
-from .engine import CORE_IMPLS, DEFAULT_CORE_IMPL, Engine
+from .engine import Engine
 from .errors import SimDeadlock, SimError, SimStateError, SimTimeError
 from .process import (
     AcquireDevice,
@@ -22,13 +22,7 @@ from .process import (
 )
 from .rng import child_rng, make_rng, spawn_rngs
 from .sync import Condition, Mutex, Semaphore, SimQueue
-from .timerwheel import (
-    DEFAULT_EVENT_CORE,
-    EVENT_CORES,
-    HeapTimerQueue,
-    TimerWheel,
-    make_timer_queue,
-)
+from .timerwheel import TimerWheel
 
 __all__ = [
     "Engine",
@@ -36,12 +30,6 @@ __all__ = [
     "CompletionIndex",
     "Device",
     "TimerWheel",
-    "HeapTimerQueue",
-    "make_timer_queue",
-    "EVENT_CORES",
-    "DEFAULT_EVENT_CORE",
-    "CORE_IMPLS",
-    "DEFAULT_CORE_IMPL",
     "SimThread",
     "ThreadState",
     "Request",

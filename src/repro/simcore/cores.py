@@ -45,8 +45,6 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from .errors import SimStateError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,21 +61,19 @@ WORK_EPSILON = 1e-12
 def completion_instant(core: "Core", now: float) -> Optional[float]:
     """Absolute wall-clock instant of *core*'s earliest completion, or None.
 
-    The one authoritative copy of the virtual-time -> wall-time conversion:
-    ``Core.completion_at``, ``CompletionIndex.refresh``, and the flat-core
-    fast path (:mod:`repro.simcore.flatcore`) all derive their instants from
-    this formula, so the mirrors cannot drift.  The float operations (the
-    ``k``-share rate product, then one subtraction, one division, one
-    addition - in that order) are the bit-identity contract: every caller
-    that inlines this for speed must preserve the exact op order.
+    The authoritative virtual-time -> wall-time conversion: one subtraction,
+    one division by :meth:`Core.share_rate`, one addition - in that order.
+    The engine loop performs the same three operations with the rate looked
+    up from its per-occupancy memo (a cache of ``share_rate`` results), so
+    cached and recomputed instants are bit-equal.  Reads the heap head, so
+    it is an *at-rest* query: while ``Engine.run`` is executing the pending
+    list is unordered and the head lives in ``Core._head``.
     """
     heap = core._finish_heap
     n = len(heap)
     if not n:
         return None
-    k = n + core._spinners
-    rate = core.speed / (k * (1.0 + core.cs_alpha * (k - 1)))
-    return now + (heap[0][0] - core._virtual) / rate
+    return now + (heap[0][0] - core._virtual) / core.share_rate(n + core._spinners)
 
 
 class Core:
@@ -89,8 +85,8 @@ class Core:
     cost model.
 
     ``cs_alpha`` is the context-switch/cache-thrash penalty: with ``k``
-    runnable threads the core's *aggregate* delivery rate degrades to
-    ``speed / (1 + cs_alpha * (k - 1))``.  Pure processor sharing is
+    sharers the core's *aggregate* delivery rate degrades by one ``cs_alpha``
+    per extra sharer (:meth:`share_rate`).  Pure processor sharing is
     work-conserving, which would hide the oversubscription cost the paper's
     scalability analysis (Fig. 10) attributes to "each thread waiting for
     longer periods to get access to the CPU core"; the penalty restores it.
@@ -120,7 +116,7 @@ class Core:
         "_completion_dirty",
         "_cidx",
         "_cpos",
-        "_flat_min",
+        "_head",
     )
 
     def __init__(
@@ -162,11 +158,11 @@ class Core:
         #: protocol described on :meth:`completion_at`.
         self._cidx: Optional["CompletionIndex"] = None
         self._cpos = 0
-        #: flat-core scratch: min pending finish virtual, maintained only
-        #: while :func:`repro.simcore.flatcore.flat_run` is driving this
-        #: core (its pending list is unordered there, so the heap head
-        #: lives here); meaningless - and recomputed on entry - otherwise.
-        self._flat_min = math.inf
+        #: engine-loop scratch: min pending finish virtual, maintained only
+        #: while ``Engine.run`` is driving this core (its pending list is
+        #: unordered there, so the heap head lives here); meaningless - and
+        #: recomputed on entry - otherwise.
+        self._head = math.inf
 
     # identity semantics: cores are placed in dicts/sets by the engine
     # (plain object hash/eq - no overrides needed on a non-dataclass)
@@ -202,7 +198,7 @@ class Core:
         really does land in a contended slot, which is why the 3-core
         ZCU102 squeezes application threads while the Jetson's spare cores
         do not (paper Figs 6 vs 8).  Derived live from the finish heap, so
-        it is correct even mid-batch inside the flat-core fast path."""
+        it is correct even mid-batch inside the engine loop."""
         return len(self._finish_heap) + self._spinners
 
     @property
@@ -233,20 +229,13 @@ class Core:
             raise KeyError(thread)
         return thread._finish_virtual - self._virtual
 
-    def _per_thread_rate(self) -> float:
-        """Dedicated-work seconds delivered per wall second to each of the
-        ``k`` runnable threads, including busy-polling spinners in the share
-        count and the context-switch penalty."""
-        k = len(self._finish_heap) + self._spinners
+    def share_rate(self, k: int) -> float:
+        """Dedicated-work seconds delivered per wall second to each of ``k``
+        sharers (runnable threads plus busy-polling spinners), context-switch
+        penalty included.  The only spelling of the processor-sharing rate
+        in the simulator: :func:`completion_instant`, :meth:`advance` and the
+        engine loop's per-occupancy memo all call it."""
         return self.speed / (k * (1.0 + self.cs_alpha * (k - 1)))
-
-    def next_completion_in(self) -> Optional[float]:
-        """Wall-seconds until the earliest segment here finishes, or None.
-
-        Delegates to :func:`completion_instant` (relative form) so the
-        wall-time conversion exists in exactly one place."""
-        at = completion_instant(self, 0.0)
-        return None if at is None else at
 
     def completion_at(self, now: float) -> Optional[float]:
         """Cached absolute instant of the earliest completion (None = idle).
@@ -267,7 +256,10 @@ class Core:
 
         Returns the threads whose segments completed.  The engine guarantees
         ``dt`` never overshoots the earliest completion, so remaining work
-        stays non-negative up to :data:`WORK_EPSILON`.
+        stays non-negative up to :data:`WORK_EPSILON`.  The engine loop
+        inlines this arithmetic (same float ops, same order, rate from its
+        memo) for whole-event advances and calls it for ``run(until=)``'s
+        partial advance; like :meth:`add` it expects the at-rest heap order.
         """
         if dt == 0.0:
             return []
@@ -279,8 +271,7 @@ class Core:
                 # power) even with no work item in flight
                 self.busy_time += dt
             return []
-        k = n + self._spinners
-        rate = self.speed / (k * (1.0 + self.cs_alpha * (k - 1)))
+        rate = self.share_rate(n + self._spinners)
         virtual = self._virtual + dt * rate
         self._virtual = virtual
         self.delivered += dt * rate * n
@@ -311,40 +302,29 @@ class Core:
 class CompletionIndex:
     """Cached absolute completion instants for a fixed set of cores.
 
-    The engine's advance loop needs "when does the earliest compute segment
-    anywhere finish?" on every iteration, and the audit/introspection layer
-    needs the batched form "which cores complete at or before ``t``?".
-    Before this index both were per-core method calls; now each core's
-    cached :meth:`Core.completion_at` value is mirrored into one flat table
-    and only the *dirty* cores (those whose runnable set or spinner count
-    changed since the last query - pushed by
-    :meth:`Core._mark_completion_dirty`) are re-read.
+    The engine loop needs "when does the earliest compute segment anywhere
+    finish?" on every iteration.  Each core's cached completion instant is
+    mirrored into one flat list (``inf`` = idle core) and only the *dirty*
+    cores - those whose runnable set or spinner count changed since the last
+    look, pushed by :meth:`Core._mark_completion_dirty` - are re-read.  A
+    plain Python list, not an ndarray: at the 3-9 cores of the modelled
+    platforms a bound C-loop ``min`` over a list is several times faster
+    than ufunc dispatch.
 
-    Two mirrors of the same instants are kept deliberately:
-
-    * a plain Python list backing :meth:`min_at` - for the small core
-      counts of real platforms (3-8) a bound C-loop ``min`` over a list is
-      ~5-9x faster than ``ndarray.min()``'s ufunc dispatch, and ``min_at``
-      runs once per engine iteration;
-    * :attr:`instants` - a NumPy float array (``inf`` = idle core)
-      answering the vectorized :meth:`due` query in one comparison pass.
-      It is synced from the list lazily, on access: per-element ndarray
-      stores in the per-iteration refresh would cost more than the whole
-      refresh loop, and the batched query runs far less often than the
-      engine advances.
+    ``Engine.run`` drives ``_instants_list``/``_dirty`` directly (it holds
+    the memoized rates the refresh needs); :meth:`refresh`/:meth:`min_at`
+    are the same protocol for callers outside a run.
 
     Attaching a core to a second index (e.g. sharing ``Core`` objects
     between two engines) re-points its back-reference; only the most
     recently attached index sees its invalidations.
     """
 
-    __slots__ = ("cores", "_instants_np", "_np_stale", "_instants_list", "_dirty")
+    __slots__ = ("cores", "_instants_list", "_dirty")
 
     def __init__(self, cores: Sequence[Core]) -> None:
         self.cores = list(cores)
         n = len(self.cores)
-        self._instants_np = np.full(n, np.inf)
-        self._np_stale = False
         self._instants_list: list[float] = [math.inf] * n
         self._dirty = list(range(n))
         for pos, core in enumerate(self.cores):
@@ -359,43 +339,15 @@ class CompletionIndex:
             cores = self.cores
             lst = self._instants_list
             for pos in dirty:
-                core = cores[pos]
-                # One shared recompute (completion_instant) instead of the
-                # old inlined copy of Core.completion_at: the two versions
-                # had drifted once already, and the call cost is paid only
-                # per *dirty* core per engine iteration.
-                if core._completion_dirty:
-                    core._completion_at = completion_instant(core, now)
-                    core._completion_dirty = False
-                at = core._completion_at
+                at = cores[pos].completion_at(now)
                 lst[pos] = math.inf if at is None else at
             dirty.clear()
-            self._np_stale = True
-
-    @property
-    def instants(self) -> np.ndarray:
-        """Absolute completion instants, ``inf`` for idle cores (NumPy
-        view; call :meth:`refresh` first to fold in pending changes)."""
-        if self._np_stale:
-            self._instants_np[:] = self._instants_list
-            self._np_stale = False
-        return self._instants_np
 
     def min_at(self, now: float) -> Optional[float]:
         """Earliest completion instant across all cores (None = all idle)."""
         self.refresh(now)
-        best = math.inf
-        for at in self._instants_list:
-            if at < best:
-                best = at
+        best = min(self._instants_list)
         return None if best == math.inf else best
-
-    def due(self, t: float, now: Optional[float] = None) -> np.ndarray:
-        """Positions of every core whose earliest completion is ``<= t``:
-        one vectorized NumPy pass over the cached instants (``now``
-        defaults to ``t`` for the refresh)."""
-        self.refresh(t if now is None else now)
-        return np.nonzero(self.instants <= t)[0]
 
 
 class Device:

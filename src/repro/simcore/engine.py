@@ -1,8 +1,8 @@
 """Event-driven simulation engine with processor-sharing cores.
 
-The engine owns the virtual clock, a pluggable timer queue (the *event
-core*), the set of CPU cores, and a dispatch queue of threads runnable
-*right now*.  Its main loop alternates two phases:
+The engine owns the virtual clock, the pending-timer wheel, the set of CPU
+cores, and a dispatch queue of threads runnable *right now*.  Its one main
+loop (:meth:`Engine.run`) alternates:
 
 1. **Dispatch** - resume every ready thread at the current instant, handling
    the request each one yields (compute, sleep, block, device use, ...).
@@ -14,32 +14,44 @@ core*), the set of CPU cores, and a dispatch queue of threads runnable
    reached instant fires in one batched drain (timers chained at the same
    instant from inside a callback join the same drain) before any woken
    thread dispatches.
+3. **Resume** - threads whose compute segment completed in the advance are
+   re-dispatched inline, in ``(finish, seq)`` order per core with cores in
+   index order, skipping the ready-deque round trip.
 
-Two structures keep both phases amortized O(1) per event at million-task
-scale (docs/INTERNALS.md, "Event core"):
+What keeps all three amortized O(1) per event at million-task scale
+(docs/INTERNALS.md, "The engine loop"):
 
-* timers live in a :mod:`~repro.simcore.timerwheel` queue - the default
-  calendar-queue wheel buckets the near future so pushes and same-instant
-  batch pops do not pay an O(log n) heap sift against far-future arrival
-  timers; ``event_core="heap"`` (or ``$REPRO_EVENT_CORE``) selects the
-  original global heap, kept bit-identical as the differential reference.
-  The earliest pending ``when`` is additionally tracked in
-  ``_timer_next`` (exact min maintenance on push/pop/cancel), so the main
-  loop reads it without touching the queue at all.
-* compute completions are mirrored in a
-  :class:`~repro.simcore.cores.CompletionIndex`: each core caches the
-  absolute instant of its earliest completion and pushes its position on
-  invalidation, so the per-iteration "next completion anywhere" scan only
-  re-reads cores whose composition actually changed - see
-  :meth:`repro.simcore.cores.Core.completion_at`.
+* timers live in a :class:`~repro.simcore.timerwheel.TimerWheel`, and the
+  earliest pending ``when`` is tracked exactly in ``_timer_next`` (min
+  maintenance on push/drain/cancel), so the loop never peeks the queue;
+* each core caches the absolute instant of its earliest completion and
+  pushes its position onto the :class:`~repro.simcore.cores.CompletionIndex`
+  dirty list on invalidation, so only cores whose composition changed are
+  re-read, with the per-thread rate memoized per occupancy ``k`` (the memo
+  caches *results* of :meth:`Core.share_rate`, never a second formula);
+* while ``run()`` executes, each core's pending list is *unordered* with
+  mutable-list entries: admissions are plain appends, the head lives in
+  ``Core._head``, a drain sorts once before consuming due entries (sorted
+  order IS heap-pop order because ``(finish, seq)`` keys are unique), and
+  a popped entry is reused in place for the thread's next segment.  One
+  run-wide sequence counter preserves the FIFO tie-break.  Every exit -
+  normal, ``until``, or an escaping exception - restores sorted tuple heaps
+  and per-core sequence counters, so between runs a core is an ordinary
+  :mod:`heapq` of tuples that :meth:`Core.add`/:meth:`Core.advance` accept.
+
+Observability contract: *mid-batch*, a thread between completion and
+re-dispatch keeps ``state == RUNNING`` and its ``_on_core`` pointer instead
+of bouncing through ``READY``/``None``; sibling threads resumed in the same
+batch therefore see each other pre-, not post-, pop.  Every completion's
+``cpu_time`` credit still lands before any timer fires or thread resumes,
+and state at every exit is exact.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
-from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from .cores import WORK_EPSILON, CompletionIndex, Core, Device
@@ -56,22 +68,14 @@ from .process import (
     Yield,
 )
 from .rng import make_rng
-from .timerwheel import DEFAULT_EVENT_CORE, TimerEntry, make_timer_queue
+from .timerwheel import TimerEntry, TimerWheel
 
-__all__ = ["Engine", "CORE_IMPLS", "DEFAULT_CORE_IMPL"]
+__all__ = ["Engine"]
 
 #: same-instant tolerance: timers within this window of the reached instant
 #: fire in the current drain (absorbs float round-off between a completion
 #: instant and a timer deadline computed from the same arithmetic).
 _INSTANT_EPSILON = 1e-15
-
-#: selectable main-loop implementations (``Engine(core_impl=...)``,
-#: ``$REPRO_CORE_IMPL``, ``repro run --core-impl``).  "objects" is the
-#: per-object reference loop below; "flat" is the fused structure-of-arrays
-#: fast path in :mod:`repro.simcore.flatcore`, proven bit-identical by the
-#: differential oracle's ``core_impl`` variant.
-CORE_IMPLS = ("objects", "flat")
-DEFAULT_CORE_IMPL = "objects"
 
 
 def _core_index(core: Core) -> int:
@@ -89,31 +93,9 @@ class Engine:
     seed:
         Seed for the engine-owned root RNG; subsystems derive child streams
         from it so whole experiments are reproducible bit-for-bit.
-    event_core:
-        Timer-queue implementation: ``"wheel"`` (calendar-queue timer
-        wheel, the default) or ``"heap"`` (the original global binary
-        heap, kept as the differential reference).  ``None`` reads
-        ``$REPRO_EVENT_CORE`` before falling back to the default.  Both
-        produce bit-identical schedules (``repro audit diff --variants
-        event_core`` is the enforcing oracle).
-    core_impl:
-        Main-loop implementation: ``"objects"`` (the per-object reference
-        loop in this module, the default) or ``"flat"`` (the fused
-        structure-of-arrays fast path in :mod:`repro.simcore.flatcore`).
-        ``None`` reads ``$REPRO_CORE_IMPL`` before falling back to the
-        default.  Both produce bit-identical results (``repro audit diff
-        --variants core_impl`` is the enforcing oracle); the flat loop
-        elides *mid-batch* thread-state churn, see INTERNALS "The flat
-        core" for the exact observability contract.
     """
 
-    def __init__(
-        self,
-        cores: int | Sequence[Core] = 1,
-        seed: int = 0,
-        event_core: Optional[str] = None,
-        core_impl: Optional[str] = None,
-    ) -> None:
+    def __init__(self, cores: int | Sequence[Core] = 1, seed: int = 0) -> None:
         if isinstance(cores, int):
             if cores < 1:
                 raise SimStateError("engine needs at least one core")
@@ -133,21 +115,7 @@ class Engine:
         self.current: Optional[SimThread] = None
         self.threads: list[SimThread] = []
         self._ready: deque[tuple[SimThread, Any]] = deque()
-        if event_core is None:
-            event_core = os.environ.get("REPRO_EVENT_CORE", DEFAULT_EVENT_CORE)
-        self._timerq = make_timer_queue(event_core, now=0.0)
-        if core_impl is None:
-            core_impl = os.environ.get("REPRO_CORE_IMPL", DEFAULT_CORE_IMPL)
-        if core_impl not in CORE_IMPLS:
-            raise SimStateError(
-                f"unknown core_impl {core_impl!r}; expected one of {sorted(CORE_IMPLS)}"
-            )
-        #: main-loop implementation ("objects" reference loop vs the fused
-        #: "flat" fast path).  Switchable between ``run()`` calls via
-        #: :meth:`set_core_impl`: the flat loop restores the object-engine
-        #: tuple-heap representation at every exit, so the choice only
-        #: matters while a ``run()`` is executing.
-        self.core_impl = core_impl
+        self._timerq = TimerWheel()
         #: exact earliest pending timer instant (None = no live timers);
         #: maintained on every push/drain/cancel so the main loop never
         #: pays a queue peek just to decide the next event.
@@ -196,46 +164,6 @@ class Engine:
         self._ready.append((thread, None))
         return thread
 
-    # ------------------------------------------------------------------ #
-    # event core selection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def event_core(self) -> str:
-        """The active timer-queue kind (``"wheel"`` or ``"heap"``)."""
-        return self._timerq.kind
-
-    def set_event_core(self, kind: str) -> None:
-        """Swap the timer queue for *kind*, migrating pending entries.
-
-        Entries keep their ``(when, seq)`` identity, so pop order - and
-        therefore every downstream result - is unchanged by the swap.
-        Timer handles issued before the swap go stale (they reference the
-        old queue) and must not be cancelled afterwards; the runtime swaps
-        only at construction, before any handle exists.
-        """
-        if kind == self._timerq.kind:
-            return
-        new = make_timer_queue(kind, now=self.now)
-        for when, seq, callback in self._timerq.entries():
-            new.push(when, seq, callback)
-        self._timerq = new
-        self._timer_next = new.peek()
-
-    def set_core_impl(self, kind: str) -> None:
-        """Select the main-loop implementation for subsequent ``run()`` calls.
-
-        Safe between runs: the flat loop's epilogue restores the exact
-        object-engine representation (sorted tuple heaps, synced per-core
-        sequence counters) at every exit, normal or exceptional, so the
-        two loops may be interleaved freely on one engine.
-        """
-        if kind not in CORE_IMPLS:
-            raise SimStateError(
-                f"unknown core_impl {kind!r}; expected one of {sorted(CORE_IMPLS)}"
-            )
-        self.core_impl = kind
-
     def event_core_stats(self) -> dict:
         """Event-core observability snapshot (``run --perf-json``)."""
         stats = self._timerq.stats()
@@ -261,8 +189,8 @@ class Engine:
         self._ready.append((thread, value))
 
     def _schedule_timer(self, delay: float, callback: Callable[[], None]) -> TimerEntry:
-        if delay < 0:
-            raise SimTimeError(f"negative timer delay: {delay}")
+        if not 0.0 <= delay < inf:
+            raise SimTimeError(f"timer delay must be finite and non-negative, got {delay}")
         when = self.now + delay
         if self._timer_next is None or when < self._timer_next:
             self._timer_next = when
@@ -277,6 +205,8 @@ class Engine:
         ``simcore_late_timers_total``) so schedule bugs that produce stale
         timestamps stay visible instead of silently reordering.
         """
+        if not -inf < when < inf:
+            raise SimTimeError(f"timer instant must be finite, got {when}")
         now = self.now
         if when < now:
             self.late_timers += 1
@@ -307,8 +237,7 @@ class Engine:
         if thread.affinity is not None:
             return thread.affinity
         # min(pool, key=lambda c: (c.load, c.index)) without the per-call
-        # lambda, tuple allocations, or property descriptor overhead - this
-        # runs once per floating compute segment.
+        # lambda, tuple allocations, or property descriptor overhead.
         best: Optional[Core] = None
         best_load = 0
         for core in self.floating_pool:
@@ -321,20 +250,10 @@ class Engine:
         return best
 
     def _dispatch_slow(self, thread: SimThread, request: Any) -> None:
-        """Act on a non-``Compute`` (or subclassed) request; the exact-type
-        ``Compute`` fast path lives inline in :meth:`run`."""
+        """Act on a non-``Compute`` request; ``Compute`` (exact type inline,
+        subclasses through :meth:`_compute_slow`) is handled by :meth:`run`."""
         cls = request.__class__
-        if isinstance(request, Compute):
-            if request.work <= 0.0:
-                # Zero-cost segment: skip the core entirely so it neither
-                # perturbs processor sharing nor inflates busy accounting.
-                thread.state = ThreadState.READY
-                self._ready.append((thread, None))
-            else:
-                core = self._pick_core(thread, request.core)
-                thread.state = ThreadState.RUNNING
-                core.add(thread, request.work)
-        elif cls is Block or isinstance(request, Block):
+        if cls is Block or isinstance(request, Block):
             thread.state = ThreadState.BLOCKED
         elif cls is Yield or isinstance(request, Yield):
             thread.state = ThreadState.READY
@@ -353,6 +272,37 @@ class Engine:
                 f"thread {thread.name!r} yielded unsupported request {request!r}"
             )
 
+    def _compute_slow(self, thread: SimThread, request: Compute, seq: int) -> int:
+        """Admit a *subclassed* ``Compute`` (the exact type is inlined in
+        :meth:`run`): same bookkeeping through :meth:`_pick_core`, appending
+        a run-format ``[finish, seq, thread, work]`` entry so the pending
+        lists stay homogeneous.  The caller has already cleared
+        ``thread._on_core``.  Returns the advanced sequence counter."""
+        work = request.work
+        if work <= 0.0:
+            thread.state = ThreadState.READY
+            self._ready.append((thread, None))
+            return seq
+        core = self._pick_core(thread, request.core)
+        if core._cidx is not self._completions:
+            # foreign core (not in this engine's completion index): it keeps
+            # the at-rest tuple-heap representation, the loop never pops it
+            core.add(thread, work)
+        else:
+            if thread._on_core is not None:
+                raise SimStateError(
+                    f"{thread.name!r} already running on core {thread._on_core.name!r}"
+                )
+            finish = core._virtual + work
+            thread._on_core = core
+            seq += 1
+            core._finish_heap.append([finish, seq, thread, work])
+            if finish < core._head:
+                core._head = finish
+            core._mark_completion_dirty()
+        thread.state = ThreadState.RUNNING
+        return seq
+
     def _finish(self, thread: SimThread, result: Any) -> None:
         thread.state = ThreadState.FINISHED
         thread.result = result
@@ -367,59 +317,6 @@ class Engine:
     # main loop
     # ------------------------------------------------------------------ #
 
-    def _next_compute_completion(self) -> Optional[float]:
-        """Wall-seconds until the earliest compute completion on any core.
-
-        Reads the completion index (dirty cores only); kept for
-        introspection and tests - the main loop uses the same index in
-        absolute time.
-        """
-        at = self._completions.min_at(self.now)
-        return None if at is None else at - self.now
-
-    def _next_completion_at(self) -> Optional[float]:
-        return self._completions.min_at(self.now)
-
-    def _advance(self, dt: float) -> None:
-        if dt < 0:
-            raise SimTimeError(f"attempted to advance time by {dt}")
-        if dt == 0.0:
-            return
-        self.now += dt
-        ready = self._ready
-        ready_state = ThreadState.READY
-        for core in self.cores:
-            # Inlined Core.advance (which stays in cores.py for direct
-            # callers; the virtual-time arithmetic must match it exactly):
-            # the method call plus completed-list round trip costs more
-            # than the advance itself at high event rates.
-            heap = core._finish_heap
-            n = len(heap)
-            if n:
-                k = n + core._spinners
-                rate = core.speed / (k * (1.0 + core.cs_alpha * (k - 1)))
-                virtual = core._virtual + dt * rate
-                core._virtual = virtual
-                core.delivered += dt * rate * n
-                core.busy_time += dt
-                limit = virtual + WORK_EPSILON
-                if heap[0][0] <= limit:
-                    while heap and heap[0][0] <= limit:
-                        _, _, thread, work = heappop(heap)
-                        thread._on_core = None
-                        thread.cpu_time += work
-                        thread.state = ready_state
-                        ready.append((thread, None))
-                    if not core._completion_dirty:
-                        core._completion_dirty = True
-                        cidx = core._cidx
-                        if cidx is not None:
-                            cidx._dirty.append(core._cpos)
-            elif core._spinners:
-                # a busy-polling thread keeps the core active with no work
-                # in flight
-                core.busy_time += dt
-
     def run(self, until: Optional[float] = None, strict: bool = True) -> float:
         """Run the simulation; return the final simulated time.
 
@@ -428,140 +325,354 @@ class Engine:
         are still blocked raises :class:`SimDeadlock` - a clean experiment
         must shut its runtime down so every thread finishes.
         """
-        if self.core_impl == "flat":
-            from .flatcore import flat_run
-
-            return flat_run(self, until, strict)
         ready = self._ready
         timerq = self._timerq
-        completions = self._completions
+        cidx = self._completions
+        comp = cidx._instants_list
+        dirty = cidx._dirty
+        cores = cidx.cores
+        #: per-core state indexed by completion-index position: the current
+        #: per-thread rate (valid while occupied) and the k -> rate memo
+        rates = [1.0] * len(cores)
+        memo: list[dict[int, float]] = [{} for _ in cores]
         ready_state = ThreadState.READY
         running_state = ThreadState.RUNNING
         # Least-loaded placement scans a copy of the floating pool sorted by
         # core index: iteration order then IS the tie-break order, so the
-        # scan needs one strict compare per core instead of three.  The
-        # cache refreshes whenever ``floating_pool`` is rebound (platforms
-        # and tests assign a new list; in-place mutation mid-run is not
-        # supported).
+        # scan needs one strict compare per core.  The cache refreshes
+        # whenever ``floating_pool`` is rebound (platforms and tests assign
+        # a new list; in-place mutation mid-run is not supported).
         pool_cache: Optional[list[Core]] = None
         pool_sorted: list[Core] = []
-        while True:
-            # Drain every thread runnable at the current instant (dispatch
-            # may append more same-instant work; the deque drains to a fixed
-            # point before time moves).  The exact-type Compute branch is
-            # inlined: it is by far the hottest path in the simulator and a
-            # method call per event costs ~15% of the whole loop.
-            events = 0
-            while ready:
-                thread, value = ready.popleft()
-                events += 1
-                # ``current`` is read only from inside gen.send (sync
-                # primitives asking "who is running?"), so it is cleared
-                # once after the drain instead of once per event; on an
-                # exception it is left pointing at the culprit thread.
-                self.current = thread
-                try:
-                    request = thread.gen.send(value)
-                except StopIteration as stop:
-                    self._finish(thread, stop.value)
-                    continue
-                if request.__class__ is Compute:
-                    work = request.work
-                    if work <= 0.0:
-                        # zero-cost segment: never touches a core
-                        thread.state = ready_state
-                        ready.append((thread, None))
+        resumes: list = []
+        done_i = -1
+        events = 0
+
+        # ---- prologue: pending entries become mutable lists, each core's
+        # head finish is interned in ``_head``, and the run-wide sequence
+        # counter starts past every live (finish, seq) key so new segments
+        # keep sorting after existing equal-finish ones.
+        seq = 0
+        for pos, core in enumerate(cores):
+            heap = core._finish_heap
+            heap[:] = [list(entry) for entry in heap]
+            core._head = heap[0][0] if heap else inf
+            seq = max(seq, core._seq, *(entry[1] for entry in heap))
+            # Queue every position for the first refresh so ``rates``/
+            # ``comp`` get populated - WITHOUT setting the dirty flag: a
+            # clean core's cached ``_completion_at`` must survive re-entry
+            # bit-for-bit (recomputing the same instant from the advanced
+            # ``now``/``_virtual`` lands an ulp away).
+            dirty.append(pos)
+
+        try:
+            while True:
+                # ---- dispatch drain: threads arriving through the ready
+                # deque (spawns, wakes, zero-work re-queues, timer wakes);
+                # dispatch may append more same-instant work, so the deque
+                # drains to a fixed point before time moves.
+                while ready:
+                    thread, value = ready.popleft()
+                    events += 1
+                    # ``current`` is read only from inside the generator
+                    # (sync primitives asking "who is running?"), so it is
+                    # cleared once after the drain; on an exception it is
+                    # left pointing at the culprit thread.
+                    self.current = thread
+                    try:
+                        request = thread._send(value)
+                    except StopIteration as stop:
+                        self._finish(thread, stop.value)
                         continue
-                    core = request.core
-                    if core is None:
-                        core = thread.affinity
+                    if request.__class__ is Compute:
+                        work = request.work
+                        if work <= 0.0:
+                            # zero-cost segment: never touches a core
+                            thread.state = ready_state
+                            ready.append((thread, None))
+                            continue
+                        core = request.core
+                        if core is not None and core._cidx is not cidx:
+                            # explicit override onto a foreign core: at-rest
+                            # tuple representation, the loop never pops it
+                            core.add(thread, work)
+                            thread.state = running_state
+                            continue
                         if core is None:
-                            pool = self.floating_pool
-                            if pool is not pool_cache:
-                                pool_cache = pool
-                                pool_sorted = sorted(pool, key=_core_index)
-                                if not pool_sorted:
-                                    raise SimStateError("engine has an empty floating pool")
-                            core = pool_sorted[0]
-                            best_load = len(core._finish_heap) + core._spinners
-                            for c in pool_sorted:
-                                load = len(c._finish_heap) + c._spinners
-                                if load < best_load:
-                                    core = c
-                                    best_load = load
-                    # Inlined Core.add (which stays in cores.py for direct
-                    # callers and the slow path; bookkeeping must match it
-                    # exactly): one method call per compute segment is the
-                    # single largest slice of the dispatch budget.
-                    if thread._on_core is not None:
-                        raise SimStateError(
-                            f"{thread.name!r} already running on core "
-                            f"{thread._on_core.name!r}"
-                        )
-                    finish = core._virtual + work
-                    thread._on_core = core
-                    thread._finish_virtual = finish
-                    seq = core._seq + 1
-                    core._seq = seq
-                    heappush(core._finish_heap, (finish, seq, thread, work))
-                    if not core._completion_dirty:
-                        core._completion_dirty = True
-                        cidx = core._cidx
-                        if cidx is not None:
-                            cidx._dirty.append(core._cpos)
-                    thread.state = running_state
+                            core = thread.affinity
+                            if core is None:
+                                pool = self.floating_pool
+                                if pool is not pool_cache:
+                                    pool_cache = pool
+                                    pool_sorted = sorted(pool, key=_core_index)
+                                    if not pool_sorted:
+                                        raise SimStateError(
+                                            "engine has an empty floating pool"
+                                        )
+                                core = pool_sorted[0]
+                                best_load = len(core._finish_heap) + core._spinners
+                                for c in pool_sorted:
+                                    load = len(c._finish_heap) + c._spinners
+                                    if load < best_load:
+                                        core = c
+                                        best_load = load
+                        if thread._on_core is not None:
+                            raise SimStateError(
+                                f"{thread.name!r} already running on core "
+                                f"{thread._on_core.name!r}"
+                            )
+                        finish = core._virtual + work
+                        thread._on_core = core
+                        seq += 1
+                        core._finish_heap.append([finish, seq, thread, work])
+                        if finish < core._head:
+                            core._head = finish
+                        if not core._completion_dirty:
+                            core._completion_dirty = True
+                            dirty.append(core._cpos)
+                        thread.state = running_state
+                    elif isinstance(request, Compute):
+                        seq = self._compute_slow(thread, request, seq)
+                    else:
+                        self._dispatch_slow(thread, request)
+                self.current = None
+                self._events_processed += events
+                events = 0
+
+                # ---- refresh dirty completion instants: the float ops of
+                # cores.completion_instant in the same order, with the rate
+                # looked up per occupancy k instead of re-derived.
+                if dirty:
+                    now = self.now
+                    for pos in dirty:
+                        core = cores[pos]
+                        n = len(core._finish_heap)
+                        if n:
+                            k = n + core._spinners
+                            rate = memo[pos].get(k)
+                            if rate is None:
+                                rate = memo[pos][k] = core.share_rate(k)
+                            rates[pos] = rate
+                            if core._completion_dirty:
+                                at = now + (core._head - core._virtual) / rate
+                                core._completion_at = at
+                                core._completion_dirty = False
+                            else:
+                                # an external completion_at() call already
+                                # refreshed the instant; only the rate
+                                # needed syncing
+                                at = core._completion_at
+                            comp[pos] = at
+                        else:
+                            core._completion_at = None
+                            core._completion_dirty = False
+                            comp[pos] = inf
+                    dirty.clear()
+
+                # ---- pick the next event instant
+                compute_at = inf
+                for at in comp:
+                    if at < compute_at:
+                        compute_at = at
+                timer_at = self._timer_next
+                if timer_at is None:
+                    if compute_at == inf:
+                        # Only materialize the blocked-thread list when
+                        # actually raising: this idle check runs on every
+                        # engine return.
+                        if strict and any(
+                            t.state is ThreadState.BLOCKED for t in self.threads
+                        ):
+                            blocked = self.blocked_threads()
+                            names = ", ".join(t.name for t in blocked[:12])
+                            raise SimDeadlock(
+                                f"no events remain but {len(blocked)} thread(s) "
+                                f"are blocked: {names}"
+                            )
+                        return self.now
+                    next_at = compute_at
+                elif timer_at <= compute_at:
+                    next_at = timer_at
                 else:
-                    self._dispatch_slow(thread, request)
-            self.current = None
-            self._events_processed += events
+                    next_at = compute_at
+                if until is not None and next_at > until:
+                    # partial advance, no event reached: Core.advance wants
+                    # heap order, and a sorted list is a valid binary heap
+                    dt = until - self.now
+                    if dt < 0:
+                        raise SimTimeError(f"attempted to advance time by {dt}")
+                    if dt != 0.0:
+                        self.now += dt
+                        for core in cores:
+                            core._finish_heap.sort()
+                            for thread in core.advance(dt):
+                                thread.state = ready_state
+                                ready.append((thread, None))
+                    return self.now
 
-            timer_at = self._timer_next
-            compute_at = completions.min_at(self.now)
+                # ---- advance: credit the interval to every occupied core
+                # and collect due completions into the resume batch, in
+                # core order.
+                dt = next_at - self.now
+                if dt != 0.0:
+                    if dt < 0:
+                        raise SimTimeError(f"attempted to advance time by {dt}")
+                    # += dt, NOT = next_at: ``now + (next_at - now)``
+                    # differs from ``next_at`` by an ulp when the
+                    # subtraction rounds, and the figures pin that bit.
+                    self.now += dt
+                    pos = 0
+                    for core in cores:
+                        heap = core._finish_heap
+                        n = len(heap)
+                        if n:
+                            rate = rates[pos]
+                            virtual = core._virtual + dt * rate
+                            core._virtual = virtual
+                            core.delivered += dt * rate * n
+                            core.busy_time += dt
+                            limit = virtual + WORK_EPSILON
+                            if core._head <= limit:
+                                # Due completions: sort the pending list and
+                                # credit each pop's exact work right here,
+                                # so it lands before timers fire or any
+                                # thread resumes, on exception paths too.
+                                heap.sort()
+                                if heap[-1][0] <= limit:
+                                    # whole list due (the common case under
+                                    # pinned homogeneous load): one batch move
+                                    for entry in heap:
+                                        entry[2].cpu_time += entry[3]
+                                    resumes += heap
+                                    heap.clear()
+                                    core._head = inf
+                                else:
+                                    i = 1
+                                    while heap[i][0] <= limit:
+                                        i += 1
+                                    due = heap[:i]
+                                    for entry in due:
+                                        entry[2].cpu_time += entry[3]
+                                    resumes += due
+                                    del heap[:i]
+                                    core._head = heap[0][0]
+                                if not core._completion_dirty:
+                                    core._completion_dirty = True
+                                    dirty.append(pos)
+                        elif core._spinners:
+                            # a busy-polling thread keeps the core active
+                            # with no work in flight
+                            core.busy_time += dt
+                        pos += 1
 
-            if timer_at is None and compute_at is None:
-                # Only materialize the blocked-thread list when actually
-                # raising: this idle check runs on every engine return and
-                # a full thread scan here is pure overhead on the happy path.
-                if strict and any(
-                    t.state is ThreadState.BLOCKED for t in self.threads
-                ):
-                    blocked = self.blocked_threads()
-                    names = ", ".join(t.name for t in blocked[:12])
-                    raise SimDeadlock(
-                        f"no events remain but {len(blocked)} thread(s) are blocked: {names}"
-                    )
-                return self.now
+                # ---- batched same-instant timer drain: every timer due at
+                # the reached instant fires before any completed or woken
+                # thread runs; callbacks that chain new timers due at this
+                # same instant join the drain (the re-pop loop).
+                deadline = self.now + _INSTANT_EPSILON
+                if timer_at is not None and timer_at <= deadline:
+                    fired = 0
+                    while True:
+                        batch = timerq.pop_due(deadline)
+                        if not batch:
+                            break
+                        fired += len(batch)
+                        for callback in batch:
+                            callback()
+                    self._timer_next = timerq.peek()
+                    if fired:
+                        self.timers_fired += fired
+                        self._drain_batches += 1
+                        self._drain_events += fired
 
-            if timer_at is None:
-                next_at = compute_at
-            elif compute_at is None:
-                next_at = timer_at
-            else:
-                next_at = timer_at if timer_at <= compute_at else compute_at
-            if until is not None and next_at > until:
-                self._advance(until - self.now)
-                return self.now
-
-            self._advance(next_at - self.now)
-            # Batched same-instant drain: every timer due at the reached
-            # instant fires before any woken thread dispatches; callbacks
-            # that chain new timers due at this same instant join the drain
-            # (the re-pop loop), matching the heap reference's semantics.
-            deadline = self.now + _INSTANT_EPSILON
-            if timer_at is not None and timer_at <= deadline:
-                fired = 0
-                while True:
-                    batch = timerq.pop_due(deadline)
-                    if not batch:
-                        break
-                    fired += len(batch)
-                    for callback in batch:
-                        callback()
-                self._timer_next = timerq.peek()
-                if fired:
-                    self.timers_fired += fired
-                    self._drain_batches += 1
-                    self._drain_events += fired
+                # ---- resume drain: completed threads re-dispatch inline.
+                if resumes:
+                    for done_i, entry in enumerate(resumes):
+                        thread = entry[2]
+                        self.current = thread
+                        try:
+                            request = thread._send(None)
+                        except StopIteration as stop:
+                            thread._on_core = None
+                            self._finish(thread, stop.value)
+                            continue
+                        if request.__class__ is Compute:
+                            work = request.work
+                            if work <= 0.0:
+                                thread._on_core = None
+                                thread.state = ready_state
+                                ready.append((thread, None))
+                                continue
+                            core = request.core
+                            if core is not None and core._cidx is not cidx:
+                                thread._on_core = None
+                                core.add(thread, work)
+                                continue
+                            if core is None:
+                                core = thread.affinity
+                                if core is None:
+                                    pool = self.floating_pool
+                                    if pool is not pool_cache:
+                                        pool_cache = pool
+                                        pool_sorted = sorted(pool, key=_core_index)
+                                        if not pool_sorted:
+                                            raise SimStateError(
+                                                "engine has an empty floating pool"
+                                            )
+                                    core = pool_sorted[0]
+                                    best_load = len(core._finish_heap) + core._spinners
+                                    for c in pool_sorted:
+                                        load = len(c._finish_heap) + c._spinners
+                                        if load < best_load:
+                                            core = c
+                                            best_load = load
+                            finish = core._virtual + work
+                            if thread._on_core is not core:
+                                thread._on_core = core
+                            seq += 1
+                            # reuse the popped entry in place: zero
+                            # allocation on the steady-state path
+                            entry[0] = finish
+                            entry[1] = seq
+                            entry[3] = work
+                            core._finish_heap.append(entry)
+                            if finish < core._head:
+                                core._head = finish
+                            if not core._completion_dirty:
+                                core._completion_dirty = True
+                                dirty.append(core._cpos)
+                        else:
+                            thread._on_core = None
+                            if isinstance(request, Compute):
+                                seq = self._compute_slow(thread, request, seq)
+                            else:
+                                self._dispatch_slow(thread, request)
+                    self.current = None
+                    self._events_processed += len(resumes)
+                    resumes.clear()
+                    done_i = -1
+        finally:
+            # Restore the at-rest invariants at every exit (normal return,
+            # ``until`` return, or an exception escaping user code).
+            # ``done_i`` is the entry whose resume raised (-1 when a timer
+            # callback raised before the drain began): everything after it
+            # was popped but never resumed, and goes back on the ready
+            # queue exactly as if it had completed and not yet dispatched.
+            for entry in resumes[done_i + 1 :]:
+                thread = entry[2]
+                thread._on_core = None
+                thread.state = ready_state
+                ready.append((thread, None))
+            for core in cores:
+                heap = core._finish_heap
+                # sorted tuples: a valid binary heap for Core.add/advance
+                heap.sort()
+                for e in heap:
+                    # the inline admission elides this per-event store
+                    e[2]._finish_virtual = e[0]
+                heap[:] = [tuple(e) for e in heap]
+                if core._seq < seq:
+                    core._seq = seq
 
     # ------------------------------------------------------------------ #
     # introspection

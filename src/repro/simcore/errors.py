@@ -32,4 +32,4 @@ class SimStateError(SimError):
 
 class SimTimeError(SimError):
     """Raised when a request would move simulated time backwards or uses a
-    negative duration/work amount."""
+    negative or non-finite (NaN, infinite) duration/work amount/instant."""

@@ -23,6 +23,7 @@ synchronization primitives in :mod:`repro.simcore.sync`.
 from __future__ import annotations
 
 import enum
+from math import inf
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from .errors import SimStateError, SimTimeError
@@ -69,8 +70,11 @@ class Compute(Request):
     __slots__ = ("work", "core")
 
     def __init__(self, work: float, core: "Optional[Core]" = None) -> None:
-        if work < 0:
-            raise SimTimeError(f"negative compute work: {work}")
+        # one chained compare rejects negatives, NaN and +inf: a NaN finish
+        # key would never become due and the run would end "normally" with
+        # the thread still RUNNING
+        if not 0.0 <= work < inf:
+            raise SimTimeError(f"compute work must be finite and non-negative, got {work}")
         self.work = work
         self.core = core
 
@@ -84,8 +88,8 @@ class Sleep(Request):
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise SimTimeError(f"negative sleep duration: {duration}")
+        if not 0.0 <= duration < inf:
+            raise SimTimeError(f"sleep duration must be finite and non-negative, got {duration}")
         self.duration = duration
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -119,8 +123,8 @@ class UseDevice(Request):
     __slots__ = ("device", "duration")
 
     def __init__(self, device: "Device", duration: float) -> None:
-        if duration < 0:
-            raise SimTimeError(f"negative device duration: {duration}")
+        if not 0.0 <= duration < inf:
+            raise SimTimeError(f"device duration must be finite and non-negative, got {duration}")
         self.device = device
         self.duration = duration
 
@@ -206,7 +210,7 @@ class SimThread:
         self._joiners: list["SimThread"] = []
         #: ``gen.send`` pre-bound at spawn: the engine resumes this thread
         #: up to a million times per run, and the two-attribute lookup per
-        #: resume is measurable on the flat-core fast path.
+        #: resume is measurable in the engine loop.
         self._send = gen.send
         #: Core-owned placement bookkeeping (set by Core.add, cleared on
         #: segment completion): which core holds this thread's active

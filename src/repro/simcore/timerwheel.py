@@ -1,42 +1,34 @@
-"""Pluggable timer queues: the binary-heap reference and a calendar-queue
-timer wheel.
+"""The engine's pending-timer set: a calendar-queue timer wheel.
 
-The engine's main loop needs three operations on its pending-timer set:
+The engine's main loop needs three operations on its pending timers:
 *push* an ``(when, seq, callback)`` entry, *peek* the earliest pending
 ``when``, and *pop everything due* at the instant the clock just reached.
-With a global binary heap every push and pop costs ``O(log n)`` where ``n``
+With one global binary heap every push and pop costs ``O(log n)`` where ``n``
 includes *every* pending timer - at million-task scale the far-future
 arrival timers inflate the heap and tax each microsecond-scale signal
 timer with a 15-20 level sift.  The classic fix (Brown's calendar queue,
 the kernel timer wheel; also the move DS3-style DSSoC simulators make to
 reach realistic injection rates) is to bucket the near future and keep
-only the far future in a heap:
+only the far future in a heap: :class:`TimerWheel` divides the *horizon*
+``[base, base + n*width)`` into ``n`` buckets of ``width`` simulated
+seconds.  A push lands in its bucket by one multiply (amortized O(1));
+entries beyond the horizon spill into an overflow heap whose size no longer
+taxes near-future traffic.  When the wheel drains past the horizon it
+*rotates*: the base jumps to the overflow head's page and every overflow
+entry inside the new horizon migrates into buckets (each migration is one
+heap pop it would have cost anyway).
 
-* :class:`TimerWheel` divides the *horizon* ``[base, base + n*width)``
-  into ``n`` buckets of ``width`` simulated seconds.  A push lands in its
-  bucket by one multiply (amortized O(1)); entries beyond the horizon
-  spill into an overflow heap whose size no longer taxes near-future
-  traffic.  When the wheel drains past the horizon it *rotates*: the base
-  jumps to the overflow head's page and every overflow entry inside the
-  new horizon migrates into buckets (each migration is one heap pop it
-  would have cost anyway).
-* :class:`HeapTimerQueue` wraps the original global ``heapq`` behind the
-  same interface and is kept, bit-for-bit, as the differential reference
-  (``repro audit diff --variants event_core``).
+Ordering contract: entries pop in exact ``(when, seq)`` order, the order a
+plain ``heapq`` of the same entries would give.  Bucket index is a monotone
+non-decreasing function of ``when`` (floor of a monotone float division),
+so bucket order can never contradict time order, and within a bucket
+entries sort by ``(when, seq)``.  The Hypothesis model test in
+``tests/simcore/test_timerwheel.py`` pins this against a transparent
+``heapq`` under arbitrary push/cancel/pop interleavings.
 
-Ordering contract (what makes the two interchangeable): entries pop in
-exact ``(when, seq)`` order.  Bucket index is a monotone non-decreasing
-function of ``when`` (floor of a monotone float division), so bucket order
-can never contradict time order, and within a bucket entries sort by the
-same ``(when, seq)`` key the heap uses.  The equal-``when`` tie-break is
-therefore identical to the heap's, which is what keeps wheel runs
-bit-identical to heap runs (pinned by the Hypothesis model test in
-``tests/simcore/test_timerwheel.py`` and the differential oracle).
-
-Cancellation is lazy: :meth:`cancel` blanks the entry's callback slot and
-the entry is discarded whenever a peek/pop/rotation next touches it -
-O(1) cancel without the tombstone bookkeeping an eager removal would need
-in either structure.
+Cancellation is lazy: :meth:`TimerWheel.cancel` blanks the entry's callback
+slot and the entry is discarded whenever a peek/pop/rotation next touches
+it - O(1) cancel without tombstone bookkeeping.
 
 Bucket width choice: timers in this simulator are bimodal - microsecond
 signal/dispatch latencies near ``now`` and millisecond-to-second arrival
@@ -51,20 +43,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional
 
-__all__ = [
-    "EVENT_CORES",
-    "DEFAULT_EVENT_CORE",
-    "DEFAULT_BUCKET_S",
-    "DEFAULT_N_BUCKETS",
-    "HeapTimerQueue",
-    "TimerWheel",
-    "make_timer_queue",
-]
-
-#: the selectable event-core kinds (``RuntimeConfig.event_core``,
-#: ``repro run --event-core``, ``$REPRO_EVENT_CORE``).
-EVENT_CORES = ("heap", "wheel")
-DEFAULT_EVENT_CORE = "wheel"
+__all__ = ["DEFAULT_BUCKET_S", "DEFAULT_N_BUCKETS", "TimerWheel"]
 
 #: default wheel geometry (see module docstring for the rationale).
 DEFAULT_BUCKET_S = 1e-5
@@ -74,81 +53,6 @@ DEFAULT_N_BUCKETS = 512
 #: :meth:`cancel` can blank the callback slot in place; ``(when, seq)`` is
 #: a unique prefix, so heap/sort comparisons never reach the callback.
 TimerEntry = List
-
-
-class HeapTimerQueue:
-    """The original global binary heap behind the timer-queue interface.
-
-    Kept verbatim as the differential reference: ``repro audit diff``
-    re-runs sweeps with ``event_core="heap"`` and requires bit-identical
-    results against the wheel.
-    """
-
-    kind = "heap"
-
-    __slots__ = ("_heap", "_live", "occupancy_hwm", "spills")
-
-    def __init__(self, now: float = 0.0) -> None:
-        self._heap: list[TimerEntry] = []
-        #: live (non-cancelled) entries currently stored.
-        self._live = 0
-        #: high-water mark of live entries (occupancy stat).
-        self.occupancy_hwm = 0
-        #: overflow spills - structurally impossible for a heap, reported
-        #: as 0 so the stats schema matches the wheel's.
-        self.spills = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(self, when: float, seq: int, callback: Callable[[], None]) -> TimerEntry:
-        entry = [when, seq, callback]
-        heapq.heappush(self._heap, entry)
-        self._live += 1
-        if self._live > self.occupancy_hwm:
-            self.occupancy_hwm = self._live
-        return entry
-
-    def cancel(self, entry: TimerEntry) -> bool:
-        """Blank *entry*'s callback; returns False if already fired/cancelled."""
-        if entry[2] is None:
-            return False
-        entry[2] = None
-        self._live -= 1
-        return True
-
-    def peek(self) -> Optional[float]:
-        """Earliest pending ``when``, or None.  Drops cancelled heads."""
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
-    def pop_due(self, deadline: float) -> list[Callable[[], None]]:
-        """Callbacks of every live entry with ``when <= deadline``, in
-        ``(when, seq)`` order; the entries leave the queue."""
-        out: list[Callable[[], None]] = []
-        heap = self._heap
-        while heap and heap[0][0] <= deadline:
-            entry = heapq.heappop(heap)
-            cb = entry[2]
-            if cb is not None:
-                out.append(cb)
-                self._live -= 1
-                entry[2] = None  # fired: cancel on this handle is now a no-op
-        return out
-
-    def entries(self) -> list[TimerEntry]:
-        """Live entries in ``(when, seq)`` order (event-core migration)."""
-        return sorted(e for e in self._heap if e[2] is not None)
-
-    def stats(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pending": self._live,
-            "occupancy_hwm": self.occupancy_hwm,
-            "overflow_spills": self.spills,
-        }
 
 
 class TimerWheel:
@@ -166,6 +70,8 @@ class TimerWheel:
       terminate; ``_live`` counts non-cancelled entries queue-wide.
     """
 
+    #: reported as ``kind`` in :meth:`stats` (the ``event_core`` block of
+    #: ``run --perf-json``)
     kind = "wheel"
 
     __slots__ = (
@@ -362,13 +268,6 @@ class TimerWheel:
                 self._rotate()
         return out
 
-    def entries(self) -> list[TimerEntry]:
-        """Live entries in ``(when, seq)`` order (event-core migration)."""
-        live = [e for b in self._buckets for e in b if e[2] is not None]
-        live.extend(e for e in self._overflow if e[2] is not None)
-        live.sort()
-        return live
-
     def stats(self) -> dict:
         return {
             "kind": self.kind,
@@ -376,14 +275,3 @@ class TimerWheel:
             "occupancy_hwm": self.occupancy_hwm,
             "overflow_spills": self.spills,
         }
-
-
-def make_timer_queue(kind: str, now: float = 0.0):
-    """Build the timer queue for *kind* (one of :data:`EVENT_CORES`)."""
-    if kind == "wheel":
-        return TimerWheel(now=now)
-    if kind == "heap":
-        return HeapTimerQueue(now=now)
-    raise ValueError(
-        f"unknown event core {kind!r}; available: {', '.join(EVENT_CORES)}"
-    )

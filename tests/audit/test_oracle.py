@@ -144,12 +144,12 @@ def test_scalar_estimate_path_matches_vectorized(result_pair):
     assert diff_results(a, scalar) == []
 
 
-def test_event_core_flip_matches_baseline_bit_for_bit(result_pair):
-    """The heap reference event core reproduces the wheel run exactly
-    (the (when, seq) ordering contract behind the tentpole)."""
-    wheel, _ = result_pair
-    heap = run_once(
+def test_audit_flip_matches_baseline_bit_for_bit(result_pair):
+    """An audited run reproduces the unaudited one exactly (the auditor
+    only observes)."""
+    plain, _ = result_pair
+    audited = run_once(
         zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, "eft", seed=2,
-        config=RuntimeConfig(scheduler="eft", execute_kernels=False).with_event_core("heap"),
+        config=RuntimeConfig(scheduler="eft", execute_kernels=False).with_audit(),
     )
-    assert_identical([[wheel], [heap]], ["wheel", "heap"])
+    assert_identical([[plain], [audited]], ["plain", "audited"])

@@ -241,32 +241,20 @@ def test_sched_period_ablation_knob(data):
 # simulator event core plumbing
 # --------------------------------------------------------------------- #
 
-def test_event_core_config_reaches_engine_and_counters(data, expected):
-    rt = build_runtime(event_core="heap")
-    assert rt.engine.event_core == "heap"
+def test_wheel_event_core_stats_in_perf_snapshot(data, expected):
+    rt = build_runtime()
     app = AppInstance(name="t", mode=DAG_MODE, frame_mb=0.1, dag=tiny_dag_program(data))
     rt.submit(app, at=0.0)
     rt.seal()
     rt.run()
     assert np.allclose(app.state["y"], expected, atol=1e-8)
     snap = rt.counters.snapshot()["event_core"]
-    assert snap["kind"] == "heap"
-    assert snap["timers_fired"] > 0
-    assert snap["overflow_spills"] == 0  # heaps cannot spill
-    assert snap["occupancy_hwm"] >= 1
-    assert snap["late_timers"] == 0
-
-
-def test_wheel_event_core_stats_in_perf_snapshot(data):
-    rt = build_runtime()  # default config: wheel
-    app = AppInstance(name="t", mode=DAG_MODE, frame_mb=0.1, dag=tiny_dag_program(data))
-    rt.submit(app, at=0.0)
-    rt.seal()
-    rt.run()
-    snap = rt.counters.snapshot()["event_core"]
     assert snap["kind"] == "wheel"
+    assert snap["timers_fired"] > 0
     assert snap["drain_batches"] > 0
     assert snap["mean_batch"] >= 1.0
+    assert snap["occupancy_hwm"] >= 1
+    assert snap["late_timers"] == 0
 
 
 def test_late_timer_clamps_bridge_into_telemetry(data):

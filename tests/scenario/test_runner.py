@@ -61,14 +61,15 @@ def test_run_scenario_bit_identical_to_flag_path():
     )
 
 
-def test_run_scenario_flat_core_bit_identical():
-    """A scenario with [engine] core_impl = "flat" reproduces the objects
-    run exactly - the scenario-kind leg of the core_impl identity proof."""
+@pytest.mark.no_auto_audit
+def test_run_scenario_audit_armed_bit_identical():
+    """A scenario with [engine] audit = true reproduces the unaudited run
+    exactly - the scenario-kind leg of the auditor's observe-only proof."""
     import dataclasses
 
-    objects = run_scenario(_spec())
-    flat = run_scenario(dataclasses.replace(_spec(), core_impl="flat"))
-    assert_identical([objects, flat], ["objects", "flat"])
+    plain = run_scenario(_spec())
+    audited = run_scenario(dataclasses.replace(_spec(), audit=True))
+    assert_identical([plain, audited], ["plain", "audited"])
 
 
 def test_run_scenario_shares_cache_with_flag_path(tmp_path):

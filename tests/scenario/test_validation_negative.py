@@ -45,9 +45,6 @@ UNKNOWN_NAMES = [
         "transient",
         id="fault-kind",
     ),
-    pytest.param(
-        _doc(engine={"event_core": "wheeel"}), "wheel", id="event-core"
-    ),
 ]
 
 
@@ -85,7 +82,7 @@ UNKNOWN_KEYS = [
         _doc(scheduler={"nam": "etf"}), "name", id="scheduler-key"
     ),
     pytest.param(
-        _doc(engine={"event_cor": "wheel"}), "event_core", id="engine-key"
+        _doc(engine={"audt": True}), "audit", id="engine-key"
     ),
     pytest.param(
         _doc(telemetry={"interval": 0.1}), "interval_s", id="telemetry-key"

@@ -41,19 +41,19 @@ def test_serve_parser_defaults():
     assert args.duration == 0.5
     assert args.admission == "shed"
     assert args.tenants == 1
-    assert args.event_core == "wheel"
+    assert args.audit is False
 
 
 def test_audit_diff_serve(capsys):
     rc = main([
         "audit", "diff", "--serve", "--duration", "0.08",
         "--arrival", "poisson:rate=150", "--trials", "1",
-        "--variants", "jobs,event_core", "--apps", "PD:1",
+        "--variants", "jobs,audit", "--apps", "PD:1",
     ])
     assert rc == 0
     out = capsys.readouterr().out
     assert "serve[" in out
-    assert "jobs" in out and "event_core" in out
+    assert "jobs" in out and "audit" in out
     assert "FAIL" not in out
 
 

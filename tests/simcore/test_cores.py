@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simcore import AcquireDevice, Compute, Engine, SimStateError, UseDevice
-from repro.simcore.cores import Core
+from repro.simcore.cores import Core, completion_instant
 
 
 def burn(amount):
@@ -70,7 +70,31 @@ def test_delivered_excludes_spinner_share():
 def test_core_advance_empty_returns_nothing():
     core = Core(name="c", index=0)
     assert core.advance(1.0) == []
-    assert core.next_completion_in() is None
+    assert completion_instant(core, 0.0) is None
+    assert core.busy_time == 0.0
+    core.spinners = 1  # a lone spinner keeps the core busy, finishes nothing
+    assert core.advance(1.0) == []
+    assert core.busy_time == 1.0
+
+
+def test_standalone_core_advance_completes_in_finish_order():
+    """Core.add/advance on a bare core (no engine): the at-rest heapq API
+    the engine's run(until=) partial advance goes through."""
+    eng = Engine(cores=1)  # only to mint SimThreads
+    a, b = eng.spawn(burn(0.2), "a"), eng.spawn(burn(0.1), "b")
+    core = Core(name="bare", index=0, cs_alpha=0.5)
+    core.add(a, 0.2)
+    core.add(b, 0.1)
+    assert core.share_rate(2) == pytest.approx(1 / 3)  # 1 / (2 * (1 + 0.5))
+    assert completion_instant(core, 1.0) == pytest.approx(1.3)
+    assert core.advance(0.15) == []
+    assert core.remaining_work(b) == pytest.approx(0.05)
+    assert core.advance(0.15) == [b]
+    assert b.cpu_time == 0.1 and b._on_core is None
+    assert completion_instant(core, 0.0) == pytest.approx(0.1)  # alone: full rate
+    assert core.advance(0.1) == [a]
+    assert core.delivered == pytest.approx(0.3)
+    assert core.busy_time == pytest.approx(0.4)
 
 
 def test_double_add_same_thread_rejected():

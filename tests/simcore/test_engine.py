@@ -298,6 +298,24 @@ def test_negative_sleep_rejected():
         Sleep(-0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_values_rejected_where_they_enter(bad):
+    """A NaN finish key never becomes due (the run used to end "normally"
+    with the thread still RUNNING) and a NaN timer died inside the wheel
+    with a bare ValueError; both are rejected at the door, by value."""
+    eng = Engine(cores=1)
+    for enter in (
+        lambda: Compute(bad),
+        lambda: Sleep(bad),
+        lambda: eng._schedule_timer(bad, lambda: None),
+        lambda: eng.call_at(bad, lambda: None),
+    ):
+        with pytest.raises(SimTimeError, match=str(bad)):
+            enter()
+    assert eng.run() == 0.0  # nothing was queued
+    assert eng.event_core_stats()["pending"] == 0
+
+
 def test_unknown_request_rejected():
     eng = Engine(cores=1)
 
@@ -339,33 +357,8 @@ def test_core_utilization_reported():
 
 
 # --------------------------------------------------------------------- #
-# pluggable event cores
+# timer wheel observability
 # --------------------------------------------------------------------- #
-
-def test_engine_event_core_selection_and_env_default(monkeypatch):
-    assert Engine(cores=1).event_core == "wheel"  # repo default
-    assert Engine(cores=1, event_core="heap").event_core == "heap"
-    monkeypatch.setenv("REPRO_EVENT_CORE", "heap")
-    assert Engine(cores=1).event_core == "heap"
-    with pytest.raises(ValueError, match="unknown event core"):
-        Engine(cores=1, event_core="skiplist")
-
-
-def test_set_event_core_migrates_pending_timers():
-    eng = Engine(cores=1)
-    hits = []
-    eng.call_at(0.2, lambda: hits.append("b"))
-    eng.call_at(0.1, lambda: hits.append("a"))
-    eng.call_at(0.2, lambda: hits.append("c"))  # equal-when tie via seq
-    cancelled = eng.call_at(0.15, lambda: hits.append("dead"))
-    eng.cancel_timer(cancelled)
-    eng.set_event_core("heap")
-    assert eng.event_core == "heap"
-    eng.set_event_core("heap")  # idempotent no-op
-    eng.run()
-    assert hits == ["a", "b", "c"]
-    assert eng.now == pytest.approx(0.2)
-
 
 def test_event_core_stats_schema_and_batching():
     eng = Engine(cores=1)
@@ -382,17 +375,3 @@ def test_event_core_stats_schema_and_batching():
     assert stats["drain_batches"] == 2
     assert stats["mean_batch"] == pytest.approx(2.0)
     assert hits == [pytest.approx(0.1)] * 3 + [pytest.approx(0.2)]
-
-
-def test_heap_and_wheel_fire_identical_schedules():
-    """The same timer program produces the same fire sequence on both
-    event cores, including equal-instant tie-breaks."""
-    def drive(kind):
-        eng = Engine(cores=1, event_core=kind)
-        log = []
-        for i, when in enumerate([0.3, 0.1, 0.3, 0.2, 0.1]):
-            eng.call_at(when, lambda i=i: log.append((eng.now, i)))
-        eng.run()
-        return log
-
-    assert drive("heap") == drive("wheel")

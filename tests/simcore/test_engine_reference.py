@@ -1,0 +1,297 @@
+"""The production engine loop vs the per-object reference loop, bit for bit.
+
+``Engine.run`` fuses completion, re-dispatch and admission into one batch
+and keeps pending lists unordered mid-run; ``ReferenceEngine`` (the loop it
+replaced, kept verbatim in ``reference_engine.py``, test-side only) bounces
+every completion through the ready deque and a tuple ``heapq``.  They must
+agree *bit-for-bit* - not approximately.  These tests run the same mixed
+workloads (pinned/floating compute, timers, mutex/condvar traffic,
+zero-work requeues, devices, spinners, ``until`` stepping) under both and
+compare float state by ``.hex()``, so a single-ulp drift fails loudly.
+"""
+
+import random
+
+import pytest
+
+from repro.simcore import (
+    AcquireDevice,
+    Compute,
+    Engine,
+    Condition,
+    Mutex,
+    SimDeadlock,
+    Sleep,
+    UseDevice,
+    Yield,
+)
+from reference_engine import ReferenceEngine
+
+ENGINES = {"reference": ReferenceEngine, "production": Engine}
+
+# --------------------------------------------------------------------- #
+# differential harness
+# --------------------------------------------------------------------- #
+
+
+def _mixed_workload(engine):
+    """A workload touching every dispatch path: pinned + floating compute,
+    sleeps, mutex/condvar chains, zero-work requeues, yields, devices."""
+    cores = engine.cores
+    mtx = Mutex(engine)
+    cv = Condition(mtx, signal_latency=1e-6)
+    shared = {"n": 0}
+
+    def worker(i):
+        r = random.Random(1000 + i)
+        for _ in range(30):
+            yield Compute(r.uniform(1e-6, 5e-4))
+            if r.random() < 0.3:
+                yield Sleep(r.uniform(1e-6, 1e-3))
+            if r.random() < 0.2:
+                yield from mtx.acquire()
+                shared["n"] += 1
+                if shared["n"] % 3 == 0:
+                    cv.notify_all()
+                mtx.release()
+            if r.random() < 0.1:
+                yield Compute(0.0)
+            if r.random() < 0.1:
+                yield Yield()
+        yield from mtx.acquire()
+        shared["n"] += 1
+        cv.notify_all()
+        mtx.release()
+        return i
+
+    def waiter():
+        for _ in range(4):
+            yield from mtx.acquire()
+            while shared["n"] < 8:
+                yield from cv.wait()
+            mtx.release()
+            yield Compute(2e-4)
+        return "w"
+
+    threads = []
+    for i in range(10):
+        aff = cores[i % len(cores)] if i % 3 == 0 else None
+        threads.append(engine.spawn(worker(i), name=f"w{i}", affinity=aff))
+    threads.append(engine.spawn(waiter(), name="waiter"))
+
+    dev = engine.add_device("fft")
+
+    def devuser(i):
+        r = random.Random(77 + i)
+        for _ in range(12):
+            yield Compute(r.uniform(1e-6, 1e-4))
+            yield UseDevice(dev, r.uniform(1e-5, 1e-4))
+        yield AcquireDevice(dev)
+        yield Compute(1e-5)
+        dev.release(engine.current)
+        return "d"
+
+    for i in range(2):
+        threads.append(engine.spawn(devuser(i), name=f"d{i}"))
+    return threads
+
+
+def _snapshot(engine, threads):
+    """Exact observable state: floats as hex so a one-ulp drift fails.
+
+    Heaps are compared as *sorted multisets* of ``(finish, name, work)``
+    - array order and the sequence-counter values are implementation
+    details (the production loop keeps pending lists unordered mid-run and
+    uses one run-wide counter), only entry identity and pop order are
+    observable.
+    """
+    return dict(
+        now=engine.now.hex(),
+        events=engine.events_processed,
+        timers=engine.timers_fired,
+        cpu=[t.cpu_time.hex() for t in threads],
+        states=[t.state.value for t in threads],
+        fin=[
+            (t.name, None if t.finished_at is None else t.finished_at.hex(), t.result)
+            for t in threads
+        ],
+        delivered=[c.delivered.hex() for c in engine.cores],
+        busy=[c.busy_time.hex() for c in engine.cores],
+        virt=[c._virtual.hex() for c in engine.cores],
+        heaps=[
+            sorted((e[0].hex(), e[2].name, e[3].hex()) for e in c._finish_heap)
+            for c in engine.cores
+        ],
+        late=engine.late_timers,
+    )
+
+
+@pytest.mark.parametrize("seed,ncores", [(7, 4), (11, 1), (13, 8)])
+def test_engine_matches_reference_bit_for_bit(seed, ncores):
+    snaps = {}
+    for impl, cls in ENGINES.items():
+        eng = cls(cores=ncores, seed=seed)
+        threads = _mixed_workload(eng)
+        eng.run()
+        snaps[impl] = _snapshot(eng, threads)
+    assert snaps["reference"] == snaps["production"]
+
+
+@pytest.mark.parametrize("step", [7.3e-4, 1.1e-5, 0.013])
+def test_engine_matches_reference_under_until_stepping(step):
+    """run(until=...) hands partial advances to Core.advance and re-enters
+    the loop with live heaps: every intermediate snapshot must agree, not
+    just the final state."""
+    trails = {}
+    for impl, cls in ENGINES.items():
+        eng = cls(cores=3, seed=9)
+        threads = _mixed_workload(eng)
+        t, trail = 0.0, []
+        while True:
+            t += step
+            eng.run(until=t)
+            trail.append(_snapshot(eng, threads))
+            if all(not th.alive for th in threads) or t > 10:
+                break
+        trails[impl] = trail
+    assert trails["reference"] == trails["production"]
+
+
+def test_engine_with_spinners_matches_reference():
+    """Worker spinners dilate the processor-sharing rate; the loop's
+    memoized rates must reproduce the contended arithmetic exactly."""
+    snaps = {}
+    for impl, cls in ENGINES.items():
+        eng = cls(cores=2, seed=3)
+        eng.cores[0].spinners = 2
+        eng.cores[1].spinners = 1
+
+        def burn(n, amount):
+            for _ in range(n):
+                yield Compute(amount)
+
+        threads = [
+            eng.spawn(burn(40, 3e-5), name=f"t{i}", affinity=eng.cores[i % 2])
+            for i in range(6)
+        ]
+        eng.run()
+        snaps[impl] = _snapshot(eng, threads)
+    assert snaps["reference"] == snaps["production"]
+
+
+def test_engine_restores_at_rest_representation_between_runs():
+    """The loop's epilogue restores sorted tuple heaps at every exit, so
+    between runs a core is an ordinary heapq: the reference loop can pick
+    the same engine up mid-flight (and direct Core.add calls work) without
+    moving a bit of the final state."""
+
+    def burn(n, amount):
+        for _ in range(n):
+            yield Compute(amount)
+
+    def drive(middle_leg):
+        eng = Engine(cores=2, seed=5)
+        eng.spawn(burn(10, 1e-4), name="a", affinity=eng.cores[0])
+        eng.spawn(burn(10, 1e-4), name="b")
+        eng.run(until=3e-4)
+        for core in eng.cores:
+            for entry in core._finish_heap:
+                assert type(entry) is tuple
+        eng.spawn(burn(5, 1e-4), name="c")
+        middle_leg(eng, until=6e-4)
+        eng.run()
+        assert all(not t.alive for t in eng.threads)
+        return _snapshot(eng, eng.threads)
+
+    def reference_leg(eng, until):
+        eng.__class__ = ReferenceEngine  # the per-object loop, same engine
+        try:
+            eng.run(until=until)
+        finally:
+            eng.__class__ = Engine
+
+    assert drive(reference_leg) == drive(Engine.run)
+
+
+def test_engine_slow_path_compute_matches_reference():
+    """Compute subclasses and per-segment ``core=`` overrides leave the
+    inlined exact-type admission for the slow path; same arithmetic."""
+
+    class Tagged(Compute):
+        __slots__ = ()
+
+    snaps = {}
+    for impl, cls in ENGINES.items():
+        eng = cls(cores=3, seed=2)
+
+        def mixed(i):
+            r = random.Random(i)
+            for _ in range(25):
+                yield Tagged(r.uniform(1e-6, 2e-4))
+                yield Compute(r.uniform(1e-6, 2e-4), core=eng.cores[r.randrange(3)])
+                yield Tagged(0.0)
+                yield Compute(r.uniform(1e-6, 2e-4))
+
+        threads = [
+            eng.spawn(mixed(i), name=f"m{i}", affinity=eng.cores[i % 3] if i % 2 else None)
+            for i in range(7)
+        ]
+        eng.run()
+        snaps[impl] = _snapshot(eng, threads)
+    assert snaps["reference"] == snaps["production"]
+
+
+def test_engine_deadlock_detection_matches_reference():
+    def blocker(engine, mtx):
+        yield from mtx.acquire()
+        yield Sleep(10.0)
+
+    def victim(mtx):
+        yield Compute(1e-6)
+        yield from mtx.acquire()
+
+    messages = {}
+    for impl, cls in ENGINES.items():
+        eng = cls(cores=1, seed=0)
+        mtx = Mutex(eng)
+        eng.spawn(blocker(eng, mtx), name="holder")
+        eng.spawn(victim(mtx), name="victim")
+        with pytest.raises(SimDeadlock) as exc:
+            eng.run()
+        messages[impl] = str(exc.value)
+    assert messages["reference"] == messages["production"]
+
+
+def test_engine_exception_escape_requeues_unresumed_threads():
+    """A thread body raising mid-resume-batch must leave the engine in the
+    same state the reference loop would: the raiser consumed, siblings whose
+    resume never ran back on the ready queue, heaps as tuples."""
+
+    class Boom(RuntimeError):
+        pass
+
+    def bomb():
+        yield Compute(1e-4)
+        raise Boom()
+
+    def burn(n, amount):
+        for _ in range(n):
+            yield Compute(amount)
+
+    states = {}
+    for impl, cls in ENGINES.items():
+        eng = cls(cores=1, seed=1)
+        eng.spawn(bomb(), name="bomb", affinity=eng.cores[0])
+        survivors = [
+            eng.spawn(burn(3, 1e-4), name=f"s{i}", affinity=eng.cores[0])
+            for i in range(3)
+        ]
+        with pytest.raises(Boom):
+            eng.run()
+        states[impl] = (
+            eng.now.hex(),
+            [t.state.value for t in survivors],
+            [t.cpu_time.hex() for t in survivors],
+            [type(e).__name__ for e in eng.cores[0]._finish_heap],
+        )
+    assert states["reference"] == states["production"]

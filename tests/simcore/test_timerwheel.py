@@ -1,10 +1,11 @@
-"""Timer-queue event cores: unit tests plus the heap-equivalence model.
+"""The timer wheel: unit tests plus the heap-equivalence model.
 
-The wheel's whole correctness argument is "pops in exactly the heap's
-``(when, seq)`` order"; the Hypothesis model test at the bottom drives both
-implementations through arbitrary interleavings of pushes (including
-equal-``when`` ties), cancellations, and partial ``pop_due`` drains and
-requires identical observable behaviour at every step.
+The wheel's whole correctness argument is "pops in exactly the ``(when,
+seq)`` order a plain heapq would"; the Hypothesis model test at the bottom
+drives the wheel and a transparent test-local heap through arbitrary
+interleavings of pushes (including equal-``when`` ties), cancellations, and
+partial ``pop_due`` drains and requires identical observable behaviour at
+every step.
 """
 
 import heapq
@@ -13,13 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import (
-    DEFAULT_EVENT_CORE,
-    EVENT_CORES,
-    HeapTimerQueue,
-    TimerWheel,
-    make_timer_queue,
-)
+from repro.simcore import TimerWheel
 from repro.simcore.timerwheel import DEFAULT_BUCKET_S, DEFAULT_N_BUCKETS
 
 
@@ -33,22 +28,14 @@ def _cb(tag):
     return lambda: tag
 
 
-@pytest.fixture(params=EVENT_CORES)
-def queue(request):
-    return make_timer_queue(request.param)
+@pytest.fixture
+def queue():
+    return TimerWheel()
 
 
 # --------------------------------------------------------------------- #
-# interface behaviour, both implementations
+# queue interface (default geometry)
 # --------------------------------------------------------------------- #
-
-
-def test_factory_builds_both_kinds_and_rejects_unknown():
-    assert isinstance(make_timer_queue("wheel"), TimerWheel)
-    assert isinstance(make_timer_queue("heap"), HeapTimerQueue)
-    assert DEFAULT_EVENT_CORE in EVENT_CORES
-    with pytest.raises(ValueError, match="unknown event core"):
-        make_timer_queue("skiplist")
 
 
 def test_pop_due_returns_when_seq_order(queue):
@@ -72,14 +59,6 @@ def test_cancel_is_lazy_and_idempotent(queue):
     assert len(queue) == 1
     assert queue.peek() == 2.0  # cancelled head skipped
     assert fired(queue, 5.0) == ["y"]
-
-
-def test_entries_lists_live_timers_sorted(queue):
-    queue.push(3.0, 2, _cb("c"))
-    queue.push(1.0, 0, _cb("a"))
-    dead = queue.push(2.0, 1, _cb("b"))
-    queue.cancel(dead)
-    assert [(e[0], e[1]) for e in queue.entries()] == [(1.0, 0), (3.0, 2)]
 
 
 def test_stats_schema_and_occupancy_hwm(queue):
@@ -185,7 +164,7 @@ class _HeapModel:
             entry = heapq.heappop(self.heap)
             if entry[2] is not None:
                 out.append(entry[2])
-                entry[2] = None  # fired (matches the real queues)
+                entry[2] = None  # fired (matches the wheel)
         return out
 
     def peek(self):
