@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(events processed per wall second)")
     run.add_argument("--perf-json", metavar="PATH", default=None,
                      help="dump the runtime's PerfCounters snapshot "
-                          "(incl. fault/retry counters) as JSON to PATH")
+                          "(incl. fault/retry counters and the host-time "
+                          "split by thread role) as JSON to PATH")
     run.add_argument("--fault-rate", type=float, default=0.0,
                      help="per-PE fault rate, faults per simulated second "
                           "(0 disables fault injection)")
@@ -536,6 +537,8 @@ def _cmd_run(args) -> int:
             audit=args.audit,
         ),
     )
+    if args.perf_json:
+        runtime.counters.attribute_host_time()
     runtime.start()
     for app, arrival in workload.instantiate(
         args.mode, args.rate, args.seed, timing_only=not runtime.config.execute_kernels

@@ -132,16 +132,19 @@ class CedrClient:
         copy_cost = payload_bytes(api, params) * costs.api_copy_ns_per_byte * 1e-9
         if copy_cost > 0.0:
             yield Compute(copy_cost * scale)  # stage operand buffers
-        handle = CompletionHandle(runtime.engine, label=f"app{self._app.app_id}.{name}")
-        handle.cond.signal_latency = runtime.config.signal_latency_s
+        # one interning per call: the row id rides on the task, so neither
+        # the ready-queue push nor the scheduling round looks the shape up again
+        row, rank = runtime.intern_shape(api, params)
         task = Task(
             api=api,
             params=params,
             app_id=self._app.app_id,
             name=name,
             payload=payload,
-            completion=handle,
-            rank=runtime.mean_estimate(api, params),
+            completion=CompletionHandle(runtime.engine, runtime.config.signal_latency_s),
+            rank=rank,
+            cost_row=row,
+            cost_token=runtime.cost_table.token,
         )
         self._app.tasks_total += 1
         yield Compute(costs.api_push_us * 1e-6 * scale)

@@ -154,9 +154,9 @@ def wait_any(requests: Iterable[Request]) -> Generator[SimRequest, Any, tuple[in
     # Nothing settled yet: every candidate is a CedrRequest with a live
     # completion handle.  Park this thread and let the first settling
     # handle's watcher wake it (honoring that handle's signal latency, the
-    # same futex-wake cost the blocking path pays via its condvar).
+    # same futex-wake cost the blocking path pays in ``wait``).
     handles = [req._task.completion for req in reqs]
-    engine = handles[0].mutex.engine
+    engine = handles[0].engine
     me = engine.current
     woken = [False]
 
@@ -165,18 +165,18 @@ def wait_any(requests: Iterable[Request]) -> Generator[SimRequest, Any, tuple[in
             woken[0] = True
             engine.wake(me)
 
-    def _make_watcher(cond):
+    def _make_watcher(handle):
         def _settled() -> None:
             if woken[0]:
                 return  # another request already won the race
-            if cond.signal_latency > 0.0:
-                engine.call_at(engine.now + cond.signal_latency, _wake)
+            if handle.signal_latency > 0.0:
+                engine.call_at(engine.now + handle.signal_latency, _wake)
             else:
                 _wake()
         return _settled
 
     for handle in handles:
-        handle.add_watcher(_make_watcher(handle.cond))
+        handle.add_watcher(_make_watcher(handle))
     yield Block()
     for i, req in enumerate(reqs):
         if req.test():

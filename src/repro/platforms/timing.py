@@ -257,6 +257,13 @@ class CostTable:
     computed once per row by the scalar reference path, so both paths see
     bit-identical floats.
 
+    Each row is also kept as plain Python values - a tuple of floats and the
+    tuple of supporting column indices (:meth:`scalar_row`) - for readers of
+    *one* cell or *one* row: :meth:`lookup`, and the schedulers' single-task
+    lane, where assembling NumPy columns for one task costs several times
+    the decision itself.  ``ndarray.tolist()`` is exact, so the tuples hold
+    the very floats of ``est[row]``.
+
     Row ids are cached on the tasks themselves (``task.cost_row``), guarded
     by a per-table token (``task.cost_token``) so a task interned by one
     runtime's table is safely re-interned by another's.
@@ -281,6 +288,8 @@ class CostTable:
         cap = 16
         self._est = np.full((cap, self.n_pes), np.inf)
         self._support = np.zeros((cap, self.n_pes), dtype=bool)
+        self._est_tuples: list[tuple[float, ...]] = []
+        self._support_cols: list[tuple[int, ...]] = []
 
     # -- interning ------------------------------------------------------- #
 
@@ -304,6 +313,8 @@ class CostTable:
             if pe.supports(api):
                 self._support[row, j] = True
                 self._est[row, j] = self.timing.estimate(api, params, pe)
+        self._est_tuples.append(tuple(self._est[row].tolist()))
+        self._support_cols.append(tuple(np.flatnonzero(self._support[row]).tolist()))
         self.n_rows += 1
         self._row_ids[key] = row
         return row
@@ -324,13 +335,17 @@ class CostTable:
 
     # -- batched access (the vectorized scheduler fast path) -------------- #
 
-    def estimate_rows(self, tasks: Sequence) -> np.ndarray:
-        """(n, p) float64 estimates for a ready batch; +inf = unsupported."""
-        return self._est[self.rows_for(tasks)]
+    def estimate_rows(self, tasks: Sequence, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """(n, p) float64 estimates for a ready batch; +inf = unsupported.
 
-    def support_rows(self, tasks: Sequence) -> np.ndarray:
-        """(n, p) boolean support mask for a ready batch."""
-        return self._support[self.rows_for(tasks)]
+        ``rows`` is the batch's :meth:`rows_for` vector when the caller
+        already gathered it (a round reads both arrays off one gather).
+        """
+        return self._est[self.rows_for(tasks) if rows is None else rows]
+
+    def support_rows(self, tasks: Sequence, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """(n, p) boolean support mask for a ready batch (``rows`` as above)."""
+        return self._support[self.rows_for(tasks) if rows is None else rows]
 
     def support_row(self, task) -> np.ndarray:
         """(p,) boolean support vector of one task (a read-only view)."""
@@ -352,15 +367,30 @@ class CostTable:
             raise ValueError(f"no PE supports API {api!r}")
         return float(np.mean(self._est[row][sup]))
 
-    # -- scalar reference path ------------------------------------------- #
+    # -- scalar access: one cell, or one row as plain Python values ------- #
+
+    def scalar_row(self, task) -> tuple[tuple[float, ...], tuple[int, ...]]:
+        """``(estimates per PE, supporting column indices)`` of one task.
+
+        What a single-task scheduling round reads instead of the batched
+        gathers (:func:`repro.sched.base.single_task_lane`).
+        """
+        if task.cost_token != self.token:
+            self.task_row(task)
+        row = task.cost_row
+        return self._est_tuples[row], self._support_cols[row]
 
     def lookup(self, task, pe_index: int) -> float:
-        """Scalar estimate by PE index (one array probe once interned)."""
-        return float(self._est[self.task_row(task), pe_index])
+        """Scalar estimate by PE index (one tuple probe once interned)."""
+        if task.cost_token != self.token:
+            self.task_row(task)
+        return self._est_tuples[task.cost_row][pe_index]
 
     def __call__(self, task, pe: PE) -> float:
         """EstimateFn-compatible scalar form used by the schedulers."""
-        return float(self._est[self.task_row(task), pe.index])
+        if task.cost_token != self.token:
+            self.task_row(task)
+        return self._est_tuples[task.cost_row][pe.index]
 
 
 def zcu102_timing() -> TimingModel:

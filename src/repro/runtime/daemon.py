@@ -59,7 +59,7 @@ from repro.platforms import PE, PEKind, PlatformInstance
 from repro.platforms.timing import CostTable
 from repro.sched import SCHEDULERS, Scheduler
 from repro.sched.heft_rt import upward_ranks
-from repro.simcore import Block, Compute, Request, SimQueue, SimThread, child_rng
+from repro.simcore import Block, Compute, Request, SimThread, child_rng
 from repro.simcore.errors import SimStateError
 from repro.telemetry import CedrTelemetry, SnapshotSampler
 
@@ -118,36 +118,53 @@ class RunMetrics:
 
 
 class EventQueue:
-    """Single-consumer event mailbox for the daemon.
+    """Single-consumer mailbox: the daemon's event queue and each worker's
+    task queue.
 
-    Producers (workers, application threads, IPC timers) call :meth:`post`
-    as a plain method - the cooperative simulator guarantees atomicity
-    within a dispatch - and the daemon drains everything available in one
-    :meth:`get_batch`, mirroring how the real main loop services multiple
-    pending events per wakeup.
+    Producers (workers, application threads, IPC timers, the daemon's
+    dispatch loop) call :meth:`post` as a plain method - the cooperative
+    simulator guarantees atomicity within a dispatch - which appends and
+    wakes the parked consumer directly.  The daemon drains everything
+    available in one :meth:`get_batch`, mirroring how the real main loop
+    services multiple pending events per wakeup; a worker takes one item at
+    a time with :meth:`get`, and ``len()`` is what is still queued.
     """
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self._items: list[tuple[str, Any]] = []
+        self._items: list[Any] = []
         self._waiter: Optional[SimThread] = None
 
-    def post(self, event: tuple[str, Any]) -> None:
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def post(self, event: Any) -> None:
         self._items.append(event)
         waiter = self._waiter
         if waiter is not None:
             self._waiter = None
             self.engine.wake(waiter)
 
-    def get_batch(self) -> Generator[Request, Any, list[tuple[str, Any]]]:
+    def _park(self) -> Block:
+        if self._waiter is not None:
+            raise SimStateError("EventQueue supports a single consumer")
+        self._waiter = self.engine.current
+        return Block()
+
+    def get_batch(self) -> Generator[Request, Any, list[Any]]:
         if not self._items:
-            if self._waiter is not None:
-                raise SimStateError("EventQueue supports a single consumer")
-            self._waiter = self.engine.current
-            yield Block()
+            yield self._park()
         batch = self._items
         self._items = []
         return batch
+
+    def get(self) -> Generator[Request, Any, Any]:
+        """Oldest queued item, parking until one is posted."""
+        if not self._items:
+            yield self._park()
+        # a mailbox holds at most one round's share of tasks, so the
+        # front-pop's shift is a few hundred pointers at the very most
+        return self._items.pop(0)
 
 
 class CedrRuntime:
@@ -163,7 +180,7 @@ class CedrRuntime:
         self.events = EventQueue(self.engine)
         self.ready: list[Task] = []
         self.apps: dict[int, AppInstance] = {}
-        self.mailboxes: dict[int, SimQueue] = {}
+        self.mailboxes: dict[int, EventQueue] = {}
         self.inflight: dict[int, int] = {}
         #: metric registry + instrumentation handles; ``None`` whenever the
         #: config carries no enabled telemetry (the byte-identical fast path).
@@ -254,14 +271,18 @@ class CedrRuntime:
             raise RuntimeError("runtime already started")
         self._started = True
         for pe in self.platform.pes:
-            self.mailboxes[pe.index] = SimQueue(self.engine, name=f"mbox.{pe.name}")
+            self.mailboxes[pe.index] = EventQueue(self.engine)
             self.inflight[pe.index] = 0
         self.daemon_thread = self.engine.spawn(
             self._daemon_body(), name="cedr-daemon", affinity=self.platform.runtime_core
         )
+        self.counters.watch_thread(self.daemon_thread, "daemon")
         for pe in self.platform.pes:
             affinity = pe.core if pe.kind is PEKind.CPU else pe.host_core
-            self.engine.spawn(worker_body(self, pe), name=f"worker-{pe.name}", affinity=affinity)
+            worker = self.engine.spawn(
+                worker_body(self, pe), name=f"worker-{pe.name}", affinity=affinity
+            )
+            self.counters.watch_thread(worker, "worker")
         if self.faults is not None:
             self.faults.arm()
         if self._sampler is not None:
@@ -364,23 +385,25 @@ class CedrRuntime:
             return 1.0
         return float(np.exp(self.noise_rng.normal(0.0, self._noise_sigma)))
 
-    def mean_estimate(self, api: str, params) -> float:
-        """Mean execution estimate over supporting PEs (HEFT_RT ranks).
+    def intern_shape(self, api: str, params) -> tuple[int, float]:
+        """Intern one ``(api, params)`` shape: ``(cost-table row id, mean
+        execution estimate over supporting PEs)``.
 
-        Memoized per cost-table row - the profiling-table lookup.
+        The profiling-table lookup a task pays once, at creation: the row id
+        is stamped on the task (``cost_row``/``cost_token``) and the mean -
+        memoized per row - seeds its HEFT_RT rank.
         """
         row = self.cost_table.row(api, params)
-        cached = self._mean_cache.get(row)
-        if cached is not None:
-            return cached
-        try:
-            value = self.cost_table.mean_estimate(api, params)
-        except ValueError:
-            raise ValueError(
-                f"no PE supports API {api!r} on {self.platform.config.name}"
-            ) from None
-        self._mean_cache[row] = value
-        return value
+        mean = self._mean_cache.get(row)
+        if mean is None:
+            try:
+                mean = self.cost_table.mean_estimate(api, params)
+            except ValueError:
+                raise ValueError(
+                    f"no PE supports API {api!r} on {self.platform.config.name}"
+                ) from None
+            self._mean_cache[row] = mean
+        return row, mean
 
     # ------------------------------------------------------------------ #
     # daemon internals
@@ -512,12 +535,16 @@ class CedrRuntime:
         else:
             yield self._charge(costs.app_launch_us)
             app.t_launch = self.engine.now
-            self.engine.spawn(self._app_thread(app), name=f"app-{app.app_id}-{app.name}")
+            thread = self.engine.spawn(self._app_thread(app), name=f"app-{app.app_id}-{app.name}")
+            self.counters.watch_thread(thread, "app")
 
     def _assign_dag_ranks(self, tasks: list[Task]) -> None:
-        for task in tasks:
-            self.cost_table.task_row(task)  # intern every shape at creation
-        ranks = upward_ranks(tasks, lambda t: self.mean_estimate(t.api, t.params))
+        token = self.cost_table.token
+        means: dict[Task, float] = {}
+        for task in tasks:  # intern every shape at creation, once
+            task.cost_row, means[task] = self.intern_shape(task.api, task.params)
+            task.cost_token = token
+        ranks = upward_ranks(tasks, means.__getitem__)
         for task in tasks:
             task.rank = ranks[task]
 
@@ -631,14 +658,14 @@ class CedrRuntime:
             task.est_used = self.cost_table.lookup(task, pe.index)
             pe.outstanding_est += task.est_used
             if self.faults is None:
-                self.mailboxes[pe.index].put_nowait(task)
+                self.mailboxes[pe.index].post(task)
             else:
                 # epoch-stamped dispatch: the worker compares its stamp
                 # against task.dispatch_epoch to detect invalidation, and
                 # the watchdog deadline covers queue wait + execution
                 task.pe = pe
                 task.dispatch_epoch += 1
-                self.mailboxes[pe.index].put_nowait((task, task.dispatch_epoch))
+                self.mailboxes[pe.index].post((task, task.dispatch_epoch))
                 if task.attempts > 0:
                     self.faults.retry_records.append(
                         (self.engine.now, task.tid, task.attempts, pe.name)
@@ -667,7 +694,7 @@ class CedrRuntime:
         for task in batch:
             app = self.apps[task.app_id]
             if app.cancelled or app.failed:
-                yield from self._drop_task(task)
+                self._drop_task(task)
                 continue
             # support is one interned-table row; quarantine/death triage is
             # a mask-row AND instead of rebuilding supporter lists per task
@@ -684,7 +711,7 @@ class CedrRuntime:
         for task in runnable:
             app = self.apps[task.app_id]
             if app.cancelled or app.failed:
-                yield from self._drop_task(task)
+                self._drop_task(task)
             else:
                 out.append(task)
         return out
@@ -769,7 +796,7 @@ class CedrRuntime:
             self._quarantine(pe)
         app = self.apps[task.app_id]
         if app.cancelled or app.failed:
-            yield from self._drop_task(task)
+            self._drop_task(task)
             return
         if task.attempts >= cfg.max_retries:
             yield from self._task_lost(task)
@@ -790,7 +817,7 @@ class CedrRuntime:
         self._retry_limbo -= 1
         app = self.apps[task.app_id]
         if app.cancelled or app.failed:
-            yield from self._drop_task(task)
+            self._drop_task(task)
             return
         yield self._charge(self.config.costs.queue_push_us)
         task.state = TaskState.READY
@@ -828,13 +855,13 @@ class CedrRuntime:
         """A fail-stop fault landed; re-triage every parked task."""
         parked, self._parked = self._parked, []
         pes = self.platform.pes
+        alive = np.fromiter((not pe.dead for pe in pes), dtype=bool, count=len(pes))
         for task in parked:
             app = self.apps[task.app_id]
             if app.cancelled or app.failed:
-                yield from self._drop_task(task)
+                self._drop_task(task)
                 continue
-            supporters = [p for p in pes if p.supports(task.api)]
-            if all(p.dead for p in supporters):
+            if not (self.cost_table.support_row(task) & alive).any():
                 yield from self._task_lost(task)
             else:
                 self._parked.append(task)
@@ -849,7 +876,7 @@ class CedrRuntime:
         """
         app = self.apps[task.app_id]
         if app.cancelled or app.failed or app.finished:
-            yield from self._drop_task(task)
+            self._drop_task(task)
             return
         self.counters.record_task_lost()
         app.failed = True
@@ -865,18 +892,18 @@ class CedrRuntime:
         for t in dropped:
             yield self._charge(costs.queue_pop_us)
             if t.completion is not None and not t.completion.done:
-                yield from t.completion.fail(error)
+                t.completion.fail(error)
         if app.mode == DAG_MODE:
             yield from self._finish_app(app)
         elif task.completion is not None and not task.completion.done:
             # wake the application thread wherever it blocks; _app_thread
             # catches the raise and posts app_done
-            yield from task.completion.fail(error)
+            task.completion.fail(error)
 
-    def _drop_task(self, task: Task) -> Generator[Request, Any, None]:
+    def _drop_task(self, task: Task) -> None:
         """Drop a task of a cancelled/failed app, settling any open handle."""
         if task.completion is not None and not task.completion.done:
-            yield from task.completion.fail(
+            task.completion.fail(
                 TaskLostError(
                     f"task {task.tid} ({task.api}:{task.name}) dropped: "
                     f"application {task.app_id} was cancelled or failed"
@@ -892,4 +919,4 @@ class CedrRuntime:
 
     def _shutdown_workers(self) -> None:
         for pe in self.platform.pes:
-            self.mailboxes[pe.index].put_nowait(SHUTDOWN)
+            self.mailboxes[pe.index].post(SHUTDOWN)

@@ -16,9 +16,11 @@ bridge fires even when the legacy counters themselves are disabled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.simcore import SimThread
     from repro.telemetry import CedrTelemetry
 
 __all__ = ["PECounters", "PerfCounters"]
@@ -56,6 +58,15 @@ class PerfCounters:
     #: pytest-benchmark (see benchmarks/baseline.json).
     engine_events: int = 0
     wall_seconds: float = 0.0
+    #: where ``wall_seconds`` went, by the role of the thread the engine was
+    #: resuming: host nanoseconds inside ``daemon`` / ``worker`` / ``app``
+    #: generator bodies (everything they call included) and how many
+    #: resumptions each role took; :meth:`snapshot` adds the rest of the run
+    #: - the engine loop itself and its timer callbacks - as ``loop``.
+    #: ``None`` unless :meth:`attribute_host_time` armed it (``repro run
+    #: --perf-json``).
+    host_ns_by_role: Optional[dict[str, int]] = None
+    resumes_by_role: Optional[dict[str, int]] = None
 
     # -- simulator event core (repro.simcore timer queue) ----------------- #
     #: the engine's timer-queue kind (always "wheel"; kept in the schema).
@@ -118,6 +129,34 @@ class PerfCounters:
             return
         self.wall_seconds += wall_seconds
         self.engine_events = engine_events
+
+    def attribute_host_time(self) -> None:
+        """Arm the per-role host-time split; threads handed to
+        :meth:`watch_thread` from here on are timed."""
+        self.host_ns_by_role = {"daemon": 0, "worker": 0, "app": 0}
+        self.resumes_by_role = {"daemon": 0, "worker": 0, "app": 0}
+
+    def watch_thread(self, thread: "SimThread", role: str) -> None:
+        """Charge every resumption of *thread* to *role* (no-op unless armed).
+
+        The engine resumes a thread through its pre-bound ``_send``; timing
+        that one callable attributes the run without a branch in the engine
+        loop, so unarmed runs - and the bare-engine soak - pay nothing.
+        """
+        host_ns, resumes = self.host_ns_by_role, self.resumes_by_role
+        if host_ns is None:
+            return
+        send = thread._send
+
+        def timed_send(value):
+            t0 = perf_counter_ns()
+            try:
+                return send(value)
+            finally:
+                host_ns[role] += perf_counter_ns() - t0
+                resumes[role] += 1
+
+        thread._send = timed_send
 
     def record_event_core(self, stats: dict) -> None:
         """Absorb :meth:`repro.simcore.Engine.event_core_stats` output."""
@@ -203,6 +242,10 @@ class PerfCounters:
 
     def snapshot(self) -> dict:
         """JSON-compatible dump for the shutdown log."""
+        host_ns = self.host_ns_by_role
+        if host_ns is not None:
+            loop = round(self.wall_seconds * 1e9) - sum(host_ns.values())
+            host_ns = {**host_ns, "loop": loop}
         return {
             "per_pe": {
                 name: {"tasks": c.tasks, "busy_seconds": c.busy_seconds, "by_api": dict(c.by_api)}
@@ -216,6 +259,8 @@ class PerfCounters:
             "engine_events": self.engine_events,
             "wall_seconds": self.wall_seconds,
             "events_per_wall_sec": self.events_per_wall_sec,
+            "host_ns_by_role": host_ns,
+            "resumes_by_role": self.resumes_by_role,
             "event_core": {
                 "kind": self.event_core,
                 "late_timers": self.late_timers,

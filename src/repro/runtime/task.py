@@ -9,8 +9,8 @@ the (API, PE kind) registry - the "dynamically updates that task's function
 pointer" step of Section II-A.
 
 Tasks double as the synchronization anchor for API mode: a
-:class:`CompletionHandle` carries the pthread-style mutex/condvar pair of
-Fig. 4 that the application thread sleeps on and the worker signals.
+:class:`CompletionHandle` is the Fig.-4 condition the application thread
+sleeps on and the worker signals.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Optional
 
-from repro.simcore import Condition, Mutex, Request
+from repro.simcore import Block, Request, SimStateError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platforms import PE
-    from repro.simcore import Engine
+    from repro.simcore import Engine, SimThread
 
 __all__ = ["TaskState", "Task", "CompletionHandle"]
 
@@ -40,22 +41,41 @@ class TaskState(enum.Enum):
 
 
 class CompletionHandle:
-    """The Fig.-4 synchronization pair for one blocking/non-blocking call.
+    """The Fig.-4 synchronization point of one blocking/non-blocking call.
 
-    The application thread initializes mutex + condition before dispatch,
-    sleeps in :meth:`wait`, and the executing worker thread fires
-    :meth:`complete`, which stores the result and signals the condition.
+    The application thread creates the handle before dispatch and sleeps in
+    :meth:`wait`; the executing worker thread fires :meth:`complete`, which
+    stores the result and wakes every waiter after ``signal_latency``
+    simulated seconds (the futex-wake cost of ``pthread_cond_signal``).
+
+    This *is* the mutex/condvar pair of the paper, with the parts that can
+    never act removed.  The pair's mutex was only ever held between two
+    points of one dispatch - ``wait`` released it before parking, and
+    ``complete`` took, signalled and released it without yielding - and the
+    simulator runs one dispatch at a time, so no ``acquire`` could ever find
+    it held: it ordered nothing and cost no simulated event.  What remains
+    is the condvar's observable behaviour: a FIFO waiter list, one ``Block``
+    per sleeping waiter, and one latency timer per waiter scheduled in FIFO
+    order when the handle settles.  ``tests/runtime/reference_handle.py``
+    keeps the literal ``Mutex`` + ``Condition`` form and the suite requires
+    both to produce identical runs, event for event.
     """
 
-    def __init__(self, engine: "Engine", label: str) -> None:
-        self.mutex = Mutex(engine, name=f"{label}.mtx")
-        self.cond = Condition(self.mutex, name=f"{label}.cv")
+    __slots__ = (
+        "engine", "signal_latency", "done", "result", "error", "_waiters", "_watchers",
+    )
+
+    def __init__(self, engine: "Engine", signal_latency: float = 0.0) -> None:
+        self.engine = engine
+        #: simulated seconds between settling and a waiter becoming runnable
+        self.signal_latency = signal_latency
         self.done = False
         self.result: Any = None
         #: set instead of ``result`` when the runtime declares the task
         #: lost (retry budget exhausted); :meth:`wait` re-raises it on the
         #: application thread.
         self.error: Optional[BaseException] = None
+        self._waiters: list["SimThread"] = []
         #: settle callbacks (plain callables, no simulated cost) fired once
         #: when the handle completes or fails - the hook behind
         #: :func:`repro.core.handles.wait_any` and the client's
@@ -74,11 +94,6 @@ class CompletionHandle:
         else:
             self._watchers.append(callback)
 
-    def _fire_watchers(self) -> None:
-        watchers, self._watchers = self._watchers, []
-        for callback in watchers:
-            callback()
-
     def wait(self) -> Generator[Request, Any, Any]:
         """Block until :meth:`complete` or :meth:`fail` fires.
 
@@ -87,31 +102,48 @@ class CompletionHandle:
         application blocks, not inside the daemon.  Idempotent: waiting on
         an already-settled handle returns (or re-raises) at once.
         """
-        yield from self.mutex.acquire()
         while not self.done:
-            yield from self.cond.wait()
-        self.mutex.release()
+            me = self.engine.current
+            if me is None:
+                raise SimStateError(
+                    "CompletionHandle.wait may only be used from inside a simulated thread"
+                )
+            self._waiters.append(me)
+            yield Block()
         if self.error is not None:
             raise self.error
         return self.result
 
-    def complete(self, result: Any) -> Generator[Request, Any, None]:
+    def complete(self, result: Any) -> None:
         """Worker-side: publish *result* and wake the waiting app thread."""
-        yield from self.mutex.acquire()
-        self.done = True
         self.result = result
-        self.cond.notify_all()
-        self.mutex.release()
-        self._fire_watchers()
+        self._settle()
 
-    def fail(self, error: BaseException) -> Generator[Request, Any, None]:
+    def fail(self, error: BaseException) -> None:
         """Daemon-side: settle the handle with *error* and wake the waiter."""
-        yield from self.mutex.acquire()
-        self.done = True
         self.error = error
-        self.cond.notify_all()
-        self.mutex.release()
-        self._fire_watchers()
+        self._settle()
+
+    def _settle(self) -> None:
+        """Wake the waiters (FIFO, each after the signal latency), then fire
+        the watchers - the order ``notify_all`` then ``_fire_watchers`` had,
+        so the timer sequence numbers are the condvar's."""
+        self.done = True
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            engine = self.engine
+            latency = self.signal_latency
+            for waiter in waiters:
+                if latency > 0.0:
+                    engine.call_at(engine.now + latency, partial(engine.wake, waiter))
+                else:
+                    engine.wake(waiter)
+        watchers = self._watchers
+        if watchers:
+            self._watchers = []
+            for callback in watchers:
+                callback()
 
 
 @dataclass

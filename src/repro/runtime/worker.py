@@ -213,6 +213,6 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
         if task.completion is not None:
             # Fig. 4: worker wakes the application thread directly.
             yield Compute(costs.completion_signal_us * 1e-6 * runtime.cost_scale)
-            yield from task.completion.complete(result)
+            task.completion.complete(result)
 
         runtime.post(("task_done", task))

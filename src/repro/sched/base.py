@@ -20,6 +20,21 @@ interface of :class:`~repro.platforms.timing.CostTable`
 ndarrays), the batched helpers below gather whole rounds as NumPy arrays
 and the heuristics lose their per-task Python inner loops; a plain callable
 falls back to the scalar reference path with identical results.
+
+Two lanes, selected by the batch size the round observes
+--------------------------------------------------------
+
+Under CEDR-API the ready queue holds only in-flight libCEDR calls, so most
+rounds carry exactly one task - and assembling NumPy columns for one row
+costs several times the decision.  A round with ``len(ready) == 1`` whose
+provider exposes ``scalar_row(task)`` (the table does; a plain callable or
+the runtime's scalar-oracle wrapper does not) therefore takes
+:func:`single_task_lane`: the same three :meth:`Scheduler.compatible`
+filters over one row of plain Python floats, then each heuristic's pick with
+float ``max`` / ``+`` / ``<`` - the very IEEE operations ``np.maximum``,
+the vector add and first-``argmin`` perform, so placements, ``expected_free``
+and cursor state are bit-identical to the batched kernels.  ``len(ready) >
+1`` stays on the batched lane.  Nothing selects a lane but the batch size.
 """
 
 from __future__ import annotations
@@ -42,8 +57,11 @@ __all__ = [
     "SCHEDULERS",
     "candidate_mask",
     "estimate_matrix",
+    "round_matrices",
     "free_vector",
     "greedy_earliest_finish",
+    "single_task_lane",
+    "earliest_finish_one",
     "register_scheduler",
     "make_scheduler",
     "available_schedulers",
@@ -54,6 +72,20 @@ EstimateFn = Callable[["Task", "PE"], float]
 
 class SchedulerError(Exception):
     """Raised when no valid assignment exists (e.g. unsupported API)."""
+
+
+def _unsupported(task: "Task") -> SchedulerError:
+    return SchedulerError(
+        f"no PE supports API {task.api!r} (task {task.tid}); "
+        "check the platform's accelerator composition"
+    )
+
+
+def _none_live(task: "Task") -> SchedulerError:
+    return SchedulerError(
+        f"no live PE for API {task.api!r} (task {task.tid}); "
+        "the daemon should have parked this task until a PE revives"
+    )
 
 
 class Scheduler(abc.ABC):
@@ -103,16 +135,10 @@ class Scheduler(abc.ABC):
         """
         options = [pe for pe in pes if pe.supports(task.api)]
         if not options:
-            raise SchedulerError(
-                f"no PE supports API {task.api!r} (task {task.tid}); "
-                "check the platform's accelerator composition"
-            )
+            raise _unsupported(task)
         live = [pe for pe in options if pe.available]
         if not live:
-            raise SchedulerError(
-                f"no live PE for API {task.api!r} (task {task.tid}); "
-                "the daemon should have parked this task until a PE revives"
-            )
+            raise _none_live(task)
         if task.banned_pes:
             unbanned = [pe for pe in live if pe.index not in task.banned_pes]
             if unbanned:
@@ -120,8 +146,70 @@ class Scheduler(abc.ABC):
         return live
 
 
-def candidate_mask(
+def single_task_lane(
     ready: Sequence["Task"], pes: Sequence["PE"], estimate: EstimateFn
+) -> Optional[tuple["Task", tuple[float, ...], Sequence[int]]]:
+    """The scalar lane: ``(task, est, cols)`` for a one-task round, else ``None``.
+
+    ``est`` is the task's estimate row as plain floats and ``cols`` its
+    candidate PE columns in ascending order, filtered with
+    :meth:`Scheduler.compatible` semantics - support, the live mask, retry
+    bans with the keep-all fallback - raising the same two
+    :class:`SchedulerError` cases.  ``None`` (more than one task, or a
+    provider without ``scalar_row``) sends the round to the batched lane.
+    """
+    if len(ready) != 1:
+        return None
+    scalar_row = getattr(estimate, "scalar_row", None)
+    if scalar_row is None:
+        return None
+    task = ready[0]
+    est, cols = scalar_row(task)
+    if not cols:
+        raise _unsupported(task)
+    live = cols
+    for j in cols:
+        if not pes[j].available:  # a quarantined or dead PE: fault runs only
+            live = [j for j in cols if pes[j].available]
+            if not live:
+                raise _none_live(task)
+            break
+    banned = task.banned_pes
+    if banned:
+        unbanned = [j for j in live if pes[j].index not in banned]
+        if unbanned:  # else: every candidate is banned - keep them all
+            live = unbanned
+    return task, est, live
+
+
+def earliest_finish_one(
+    lane: tuple["Task", Sequence[float], Sequence[int]],
+    pes: Sequence["PE"],
+    now: float,
+) -> list[tuple["Task", "PE"]]:
+    """Scalar-lane earliest finish: first minimum of ``max(free, now) + est``
+    over the candidate columns, committed to ``pe.expected_free``.
+
+    What one row of :func:`greedy_earliest_finish` - and ETF's pair scan
+    over a single task - computes.
+    """
+    task, est, cols = lane
+    best, pick = float("inf"), cols[0]
+    for j in cols:
+        free = pes[j].expected_free
+        finish = (free if free > now else now) + est[j]  # max(), minus the call
+        if finish < best:
+            best, pick = finish, j
+    pe = pes[pick]
+    pe.expected_free = best
+    return [(task, pe)]
+
+
+def candidate_mask(
+    ready: Sequence["Task"],
+    pes: Sequence["PE"],
+    estimate: EstimateFn,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """(n, p) boolean candidate matrix with :meth:`Scheduler.compatible`
     semantics, built in one pass per round.
@@ -132,11 +220,13 @@ def candidate_mask(
     a columnar estimate provider the support rows are one table gather;
     otherwise support vectors are memoized per API within the round, so the
     scalar fallback also stops paying a set rebuild per ready task.
+    ``rows`` is the batch's row-id vector when the caller gathered it
+    already (:func:`round_matrices`).
     """
     n, p = len(ready), len(pes)
     support_rows = getattr(estimate, "support_rows", None)
     if support_rows is not None:
-        cand = support_rows(ready)
+        cand = support_rows(ready) if rows is None else support_rows(ready, rows)
     else:
         cand = np.empty((n, p), dtype=bool)
         by_api: dict[str, np.ndarray] = {}
@@ -150,21 +240,13 @@ def candidate_mask(
             cand[i] = row
     supported = cand.any(axis=1)
     if not supported.all():
-        task = ready[int(np.argmin(supported))]
-        raise SchedulerError(
-            f"no PE supports API {task.api!r} (task {task.tid}); "
-            "check the platform's accelerator composition"
-        )
+        raise _unsupported(ready[int(np.argmin(supported))])
     live = np.fromiter((pe.available for pe in pes), dtype=bool, count=p)
     if not live.all():
         cand = cand & live
         alive = cand.any(axis=1)
         if not alive.all():
-            task = ready[int(np.argmin(alive))]
-            raise SchedulerError(
-                f"no live PE for API {task.api!r} (task {task.tid}); "
-                "the daemon should have parked this task until a PE revives"
-            )
+            raise _none_live(ready[int(np.argmin(alive))])
     banned_cols: Optional[dict] = None
     for i, task in enumerate(ready):
         if task.banned_pes:
@@ -185,22 +267,39 @@ def estimate_matrix(
     pes: Sequence["PE"],
     estimate: EstimateFn,
     mask: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """(n, p) float64 estimates with ``+inf`` at every non-candidate cell.
 
-    The columnar path gathers interned table rows; the fallback calls the
-    scalar ``estimate`` exactly where the old per-task loops did (masked
-    cells only), so both paths produce bit-identical matrices.
+    The columnar path gathers interned table rows (``rows`` as in
+    :func:`candidate_mask`); the fallback calls the scalar ``estimate``
+    exactly where the old per-task loops did (masked cells only), so both
+    paths produce bit-identical matrices.
     """
     estimate_rows = getattr(estimate, "estimate_rows", None)
     if estimate_rows is not None:
-        est = estimate_rows(ready)
+        est = estimate_rows(ready) if rows is None else estimate_rows(ready, rows)
         return np.where(mask, est, np.inf)
     est = np.full((len(ready), len(pes)), np.inf)
     for i, task in enumerate(ready):
         for j in np.flatnonzero(mask[i]):
             est[i, j] = estimate(task, pes[j])
     return est
+
+
+def round_matrices(
+    ready: Sequence["Task"], pes: Sequence["PE"], estimate: EstimateFn
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(mask, est)`` of one batched round off a single row-id gather.
+
+    :func:`candidate_mask` + :func:`estimate_matrix`, with a columnar
+    provider's ``rows_for(batch)`` vector taken once and indexed into both
+    of its arrays.
+    """
+    rows_for = getattr(estimate, "rows_for", None)
+    rows = rows_for(ready) if rows_for is not None else None
+    mask = candidate_mask(ready, pes, estimate, rows)
+    return mask, estimate_matrix(ready, pes, estimate, mask, rows)
 
 
 def free_vector(pes: Sequence["PE"], now: float) -> np.ndarray:
@@ -228,8 +327,10 @@ def greedy_earliest_finish(
     """
     if not ready:
         return []
-    mask = candidate_mask(ready, pes, estimate)
-    est = estimate_matrix(ready, pes, estimate, mask)
+    lane = single_task_lane(ready, pes, estimate)
+    if lane is not None:
+        return earliest_finish_one(lane, pes, now)
+    _, est = round_matrices(ready, pes, estimate)
     free = free_vector(pes, now)
     assignments = []
     for i, task in enumerate(ready):

@@ -25,10 +25,11 @@ import numpy as np
 from .base import (
     EstimateFn,
     Scheduler,
-    candidate_mask,
-    estimate_matrix,
+    earliest_finish_one,
     free_vector,
     register_scheduler,
+    round_matrices,
+    single_task_lane,
 )
 
 __all__ = ["EarliestTaskFirst"]
@@ -47,12 +48,15 @@ class EarliestTaskFirst(Scheduler):
         n, p = len(ready), len(pes)
         if n == 0:
             return []
+        lane = single_task_lane(ready, pes, estimate)
+        if lane is not None:
+            # one task: the global pair scan is one row's earliest finish
+            return earliest_finish_one(lane, pes, now)
         # Candidate cells honour the fault subsystem's availability and ban
         # masks (with the same ban fallback as Scheduler.compatible);
         # everything else stays +inf so the argmin never commits to an
         # excluded PE.  One columnar gather replaces the old per-task loops.
-        mask = candidate_mask(ready, pes, estimate)
-        est = estimate_matrix(ready, pes, estimate, mask)
+        _, est = round_matrices(ready, pes, estimate)
         free = free_vector(pes, now)
         # Ready tasks collapse into equivalence classes with bitwise-equal
         # estimate rows (shape interning keeps the count to a handful per

@@ -68,8 +68,9 @@ class HeftRT(Scheduler):
         self.cost_per_eval_us = cost_per_eval_us
 
     def schedule(self, ready, pes: Sequence, now: float, estimate: EstimateFn):
-        ordered = sorted(ready, key=lambda t: getattr(t, "rank", 0.0), reverse=True)
-        return greedy_earliest_finish(ordered, pes, now, estimate)
+        if len(ready) > 1:
+            ready = sorted(ready, key=lambda t: getattr(t, "rank", 0.0), reverse=True)
+        return greedy_earliest_finish(ready, pes, now, estimate)
 
     def round_cost(self, n_ready: int, n_pes: int) -> float:
         if n_ready == 0:

@@ -18,9 +18,9 @@ import numpy as np
 from .base import (
     EstimateFn,
     Scheduler,
-    candidate_mask,
-    estimate_matrix,
     register_scheduler,
+    round_matrices,
+    single_task_lane,
 )
 
 __all__ = ["MinimumExecutionTime"]
@@ -39,22 +39,33 @@ class MinimumExecutionTime(Scheduler):
     def schedule(self, ready, pes: Sequence, now: float, estimate: EstimateFn):
         if not ready:
             return []
-        mask = candidate_mask(ready, pes, estimate)
-        est = estimate_matrix(ready, pes, estimate, mask)
+        lane = single_task_lane(ready, pes, estimate)
+        if lane is not None:
+            task, row, cols = lane
+            best = min([row[j] for j in cols])
+            band = best * (1 + 1e-12)
+            j = self._rotate(best, [j for j in cols if row[j] <= band])
+            pe = pes[j]
+            pe.expected_free = max(pe.expected_free, now) + row[j]
+            return [(task, pe)]
+        _, est = round_matrices(ready, pes, estimate)
         assignments = []
         for i, task in enumerate(ready):
             row = est[i]
             best = float(row.min())
             # excluded cells are +inf, so the epsilon tie-band only ever
             # matches candidate PEs, in PE order like the old list filter
-            fastest = np.flatnonzero(row <= best * (1 + 1e-12))
-            cursor = self._cursor.get(best, 0)
-            j = int(fastest[cursor % len(fastest)])
-            self._cursor[best] = cursor + 1
+            j = int(self._rotate(best, np.flatnonzero(row <= best * (1 + 1e-12))))
             pe = pes[j]
             assignments.append((task, pe))
             pe.expected_free = max(pe.expected_free, now) + float(row[j])
         return assignments
+
+    def _rotate(self, best: float, fastest) -> int:
+        """Round-robin over the PEs tied at the estimate *best*."""
+        cursor = self._cursor.get(best, 0)
+        self._cursor[best] = cursor + 1
+        return fastest[cursor % len(fastest)]
 
     def round_cost(self, n_ready: int, n_pes: int) -> float:
         return self.cost_per_eval_us * 1e-6 * n_ready * n_pes

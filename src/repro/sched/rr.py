@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .base import EstimateFn, Scheduler, candidate_mask, register_scheduler
+from .base import (
+    EstimateFn,
+    Scheduler,
+    candidate_mask,
+    register_scheduler,
+    single_task_lane,
+)
 
 __all__ = ["RoundRobin"]
 
@@ -29,6 +35,14 @@ class RoundRobin(Scheduler):
     def schedule(self, ready, pes: Sequence, now: float, estimate: EstimateFn):
         if not ready:
             return []
+        n = len(pes)
+        lane = single_task_lane(ready, pes, estimate)
+        if lane is not None:
+            task, est, cols = lane
+            j = self._advance(cols.__contains__, n)
+            pe = pes[j]
+            pe.expected_free = max(pe.expected_free, now) + est[j]
+            return [(task, pe)]
         # One candidate matrix per round replaces the old per-task
         # compatible() set rebuild; compatibility still composes the live
         # support matrix *and* the fault subsystem's availability/ban masks,
@@ -36,19 +50,20 @@ class RoundRobin(Scheduler):
         # quarantined or dead PEs exactly like CEDR's dispatch loop.
         mask = candidate_mask(ready, pes, estimate)
         assignments = []
-        n = len(pes)
         for i, task in enumerate(ready):
-            allowed = mask[i]
-            # advance the cursor until a compatible PE comes up
-            for _ in range(n):
-                j = self._cursor % n
-                self._cursor += 1
-                if allowed[j]:
-                    break
-            pe = pes[j]
+            pe = pes[self._advance(mask[i].__getitem__, n)]
             assignments.append((task, pe))
             pe.expected_free = max(pe.expected_free, now) + estimate(task, pe)
         return assignments
+
+    def _advance(self, allowed, n: int) -> int:
+        """Step the cursor until ``allowed(column)``; returns that column."""
+        for _ in range(n):
+            j = self._cursor % n
+            self._cursor += 1
+            if allowed(j):
+                break
+        return j
 
     def round_cost(self, n_ready: int, n_pes: int) -> float:
         return self.cost_per_task_us * 1e-6 * n_ready

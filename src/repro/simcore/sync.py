@@ -188,9 +188,11 @@ class Semaphore:
 class SimQueue:
     """Unbounded FIFO queue between simulated threads (condvar-based).
 
-    This is the building block for the CEDR ready queue and the per-worker
-    task mailboxes; ``get`` blocks the consumer exactly like a worker thread
-    sleeping on its queue's condition variable.
+    The literal pthread form of a worker's task queue: ``get`` blocks the
+    consumer exactly like a worker thread sleeping on its queue's condition
+    variable.  The runtime's own mailboxes are single-consumer and use the
+    lighter :class:`repro.runtime.daemon.EventQueue`; this class serves
+    multi-consumer queues in user and test code.
     """
 
     def __init__(self, engine: "Engine", name: str = "queue") -> None:
@@ -211,7 +213,8 @@ class SimQueue:
         self.mutex.release()
 
     def put_nowait(self, item: Any) -> None:
-        """Non-thread insertion for test scaffolding and arrival callbacks."""
+        """Insertion from outside any simulated thread - test scaffolding
+        and timer callbacks (nothing in the runtime dispatches through it)."""
         self._items.append(item)
         self.total_put += 1
         self.max_depth = max(self.max_depth, len(self._items))

@@ -31,6 +31,33 @@ def run_api_app(main_factory, scheduler="eft", seed=3, **cfg):
 # blocking APIs
 # --------------------------------------------------------------------- #
 
+def test_each_call_interns_its_shape_once(rng, monkeypatch):
+    """The submit path looks a call's (api, params) shape up once: the row id
+    rides on the task through the ready-queue push and the scheduling round."""
+    from repro.platforms.timing import CostTable
+
+    x = rng.normal(size=64) + 0j
+    lookups = []
+    row = CostTable.row
+    monkeypatch.setattr(
+        CostTable, "row", lambda self, api, params: lookups.append(api) or row(self, api, params)
+    )
+
+    def main(lib):
+        for _ in range(4):
+            spec = yield from lib.fft(x)
+        reqs = []
+        for _ in range(3):
+            reqs.append((yield from lib.zip_nb(spec, spec)))
+        yield from wait_all(reqs)
+
+    _, runtime = run_api_app(main)
+    assert runtime.counters.tasks_completed == 7
+    # one per call, plus one inside ``mean_estimate`` the first time a shape
+    # is seen (two shapes here)
+    assert len(lookups) == 7 + 2
+
+
 def test_every_blocking_api_roundtrips(rng):
     x = rng.normal(size=64) + 1j * rng.normal(size=64)
     a = rng.normal(size=(6, 4))

@@ -48,6 +48,23 @@ def test_perf_json_works_without_faults(tmp_path, capsys):
     assert snap["tasks_completed"] > 0
 
 
+def test_perf_json_attributes_host_time_by_role(tmp_path):
+    """--perf-json arms the per-role split: every engine resumption is
+    charged to exactly one role, and the roles plus the loop remainder
+    account for the whole of ``wall_seconds``."""
+    path = tmp_path / "perf.json"
+    assert main(["run", "--apps", "TX:1", "--timing-only", "--mode", "api",
+                 "--perf-json", str(path)]) == 0
+    snap = json.loads(path.read_text())
+    host_ns, resumes = snap["host_ns_by_role"], snap["resumes_by_role"]
+    assert set(host_ns) == {"daemon", "worker", "app", "loop"}
+    assert set(resumes) == {"daemon", "worker", "app"}
+    assert all(count > 0 for count in resumes.values())
+    assert sum(resumes.values()) == snap["engine_events"]
+    assert all(ns > 0 for ns in host_ns.values())
+    assert sum(host_ns.values()) == round(snap["wall_seconds"] * 1e9)
+
+
 def test_fault_runs_are_deterministic_via_cli(tmp_path):
     def snapshot(name):
         path = tmp_path / name
@@ -59,6 +76,7 @@ def test_fault_runs_are_deterministic_via_cli(tmp_path):
     a, b = snapshot("a.json"), snapshot("b.json")
     a.pop("wall_seconds", None), b.pop("wall_seconds", None)
     a.pop("events_per_wall_sec", None), b.pop("events_per_wall_sec", None)
+    a.pop("host_ns_by_role"), b.pop("host_ns_by_role")  # host time, like the two above
     assert a == b
 
 

@@ -3,10 +3,10 @@
 import numpy as np
 
 from repro.apps import PulseDoppler, WifiTx
-from repro.faults import FaultConfig, FaultKind, FaultSpec
+from repro.faults import FaultConfig, FaultKind, FaultSpec, TaskLostError
 from repro.metrics import RunResult
 from repro.platforms import zcu102
-from repro.runtime import CedrRuntime, RuntimeConfig
+from repro.runtime import AppInstance, CedrRuntime, CompletionHandle, RuntimeConfig, Task
 
 
 def build_runtime(config, scheduler="rr", seed=3, n_cpu=3, n_fft=1):
@@ -173,3 +173,34 @@ def test_stochastic_run_terminates_and_recovers():
     assert len(finished) == 3
     result = RunResult.from_runtime(runtime)
     assert result.n_apps + result.n_failed == 3
+
+
+# -- fail-stop re-triage of parked tasks --------------------------------- #
+
+def test_pe_death_retriages_parked_tasks_by_support_row():
+    """A fail-stop re-triages what is parked: a task with a surviving
+    (merely quarantined) supporter stays parked, a task whose every
+    supporter is now dead is lost with its application - decided from the
+    interned support row, like the pre-round partition."""
+    runtime = build_runtime(FaultConfig(rate=1.0, seed=0), n_cpu=2, n_fft=1)
+    main = lambda lib: iter(())  # never runs: the apps are only registered
+    keeps = AppInstance(name="keeps", mode="api", frame_mb=0.1, main_factory=main)
+    loses = AppInstance(name="loses", mode="api", frame_mb=0.1, main_factory=main)
+    runtime.apps.update({keeps.app_id: keeps, loses.app_id: loses})
+    engine = runtime.engine
+    on_fft = Task(api="fft", params={"n": 64, "batch": 1}, app_id=keeps.app_id,
+                  completion=CompletionHandle(engine))
+    cpu_only = Task(api="zip", params={"n": 64}, app_id=loses.app_id,
+                    completion=CompletionHandle(engine))
+    runtime._parked = [on_fft, cpu_only]
+    for pe in runtime.platform.pes:
+        pe.available = False                      # all quarantined ...
+        pe.dead = pe.name.startswith("cpu")       # ... and both CPUs gone
+
+    for _ in runtime._handle_pe_dead(runtime.platform.pes[0]):
+        pass  # bookkeeping charges; nothing here needs the engine to run
+
+    assert runtime._parked == [on_fft]            # fft0 may yet revive
+    assert not on_fft.completion.done and not keeps.failed
+    assert loses.failed and runtime.counters.tasks_lost == 1
+    assert isinstance(cpu_only.completion.error, TaskLostError)

@@ -1,8 +1,14 @@
-"""EventQueue tests: the daemon's single-consumer mailbox."""
+"""EventQueue tests: the single-consumer mailbox of the daemon and of
+every worker."""
 
+import numpy as np
 import pytest
 
+from repro.apps import PulseDoppler
+from repro.platforms import zcu102
+from repro.runtime import CedrRuntime, RuntimeConfig, Task
 from repro.runtime.daemon import EventQueue
+from repro.runtime.worker import SHUTDOWN
 from repro.simcore import Compute, Engine, SimStateError
 
 
@@ -74,3 +80,95 @@ def test_second_consumer_rejected():
     eng.spawn(consumer(), "daemon2")
     with pytest.raises(SimStateError, match="single consumer"):
         eng.run()
+
+
+# --------------------------------------------------------------------- #
+# the worker-mailbox face: get() one item at a time, len() for the drain
+# --------------------------------------------------------------------- #
+
+
+def test_get_returns_items_in_fifo_order_one_at_a_time():
+    eng = Engine(cores=1)
+    q = EventQueue(eng)
+    got = []
+
+    def worker():
+        while True:
+            item = yield from q.get()
+            if item is SHUTDOWN:
+                return
+            got.append((item, len(q)))
+            yield Compute(0.25)  # busy: later posts queue up behind
+
+    eng.spawn(worker(), "worker")
+    q.post("a")
+    q.post("b")
+    eng.call_at(0.1, lambda: q.post("c"))
+    eng.call_at(0.9, lambda: q.post("d"))  # worker is parked again by then
+    eng.call_at(0.9, lambda: q.post(SHUTDOWN))
+    eng.run()
+    # (item, what was still queued when it was taken)
+    assert got == [("a", 1), ("b", 1), ("c", 0), ("d", 1)]
+    assert len(q) == 0
+
+
+def test_get_wakes_the_parked_consumer_once_per_post_burst():
+    """Two posts while the consumer is parked: one wake, the second item is
+    found queued - the engine would reject a second wake of a ready thread."""
+    eng = Engine(cores=1)
+    q = EventQueue(eng)
+    got = []
+
+    def worker():
+        for _ in range(2):
+            got.append((yield from q.get()))
+
+    eng.spawn(worker(), "worker")
+
+    def burst():
+        q.post(1)
+        q.post(2)
+
+    eng.call_at(0.5, burst)
+    eng.run()
+    assert got == [1, 2]
+
+
+def test_second_get_consumer_rejected():
+    eng = Engine(cores=2)
+    q = EventQueue(eng)
+
+    def worker():
+        yield from q.get()
+
+    eng.spawn(worker(), "worker1")
+    eng.spawn(worker(), "worker2")
+    with pytest.raises(SimStateError, match="single consumer"):
+        eng.run()
+
+
+def _runtime():
+    runtime = CedrRuntime(zcu102(n_cpu=2, n_fft=1).build(seed=0),
+                          RuntimeConfig(scheduler="rr", execute_kernels=False))
+    runtime.start()
+    return runtime
+
+
+def test_work_in_flight_sees_tasks_still_queued_in_a_mailbox():
+    runtime = _runtime()
+    assert not runtime._work_in_flight()
+    pe = runtime.platform.pes[0]
+    runtime.mailboxes[pe.index].post(Task(api="zip", params={"n": 64}, app_id=0))
+    assert len(runtime.mailboxes[pe.index]) == 1
+    assert runtime._work_in_flight()
+
+
+def test_shutdown_sentinel_drains_every_worker():
+    runtime = _runtime()
+    app = PulseDoppler(batch=16).make_instance("api", np.random.default_rng(0), timing_only=True)
+    runtime.submit(app, at=0.0)
+    runtime.seal()
+    runtime.run()
+    assert app.finished
+    assert runtime.engine.alive_threads() == []  # every worker took SHUTDOWN
+    assert all(len(box) == 0 for box in runtime.mailboxes.values())

@@ -39,7 +39,7 @@ def test_timing_properties():
 def test_completion_handle_fig4_protocol():
     """App thread sleeps in wait(); worker signals via complete()."""
     eng = Engine(cores=2)
-    handle = CompletionHandle(eng, "t")
+    handle = CompletionHandle(eng)
     events = []
 
     def app_thread():
@@ -48,7 +48,7 @@ def test_completion_handle_fig4_protocol():
 
     def worker_thread():
         yield Compute(0.3)
-        yield from handle.complete("result!")
+        handle.complete("result!")
 
     eng.spawn(app_thread(), "app")
     eng.spawn(worker_thread(), "worker")
@@ -58,10 +58,11 @@ def test_completion_handle_fig4_protocol():
 
 def test_completion_wait_after_complete_is_immediate():
     eng = Engine(cores=1)
-    handle = CompletionHandle(eng, "t")
+    handle = CompletionHandle(eng)
 
     def worker():
-        yield from handle.complete(42)
+        handle.complete(42)
+        yield Compute(0.0)
 
     def late_waiter():
         yield Compute(0.5)
@@ -77,10 +78,11 @@ def test_completion_wait_after_complete_is_immediate():
 
 def test_completion_wait_is_idempotent():
     eng = Engine(cores=1)
-    handle = CompletionHandle(eng, "t")
+    handle = CompletionHandle(eng)
 
     def worker():
-        yield from handle.complete("x")
+        handle.complete("x")
+        yield Compute(0.0)
 
     def waiter():
         a = yield from handle.wait()
@@ -95,7 +97,7 @@ def test_completion_wait_is_idempotent():
 
 def test_multiple_waiters_all_wake():
     eng = Engine(cores=4)
-    handle = CompletionHandle(eng, "t")
+    handle = CompletionHandle(eng)
     woke = []
 
     def waiter(i):
@@ -104,7 +106,7 @@ def test_multiple_waiters_all_wake():
 
     def worker():
         yield Compute(0.1)
-        yield from handle.complete(None)
+        handle.complete(None)
 
     for i in range(3):
         eng.spawn(waiter(i), f"w{i}")

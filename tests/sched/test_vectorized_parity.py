@@ -17,9 +17,13 @@ import pytest
 from repro.platforms import PE, PEDescriptor, PEKind, jetson, zcu102
 from repro.platforms.timing import CostTable, zcu102_timing
 from repro.runtime.task import Task
-from repro.sched import SchedulerError, make_scheduler
+from repro.sched import SCHEDULERS, SchedulerError
 
-SCHEDULERS = ("rr", "eft", "etf", "met", "heft_rt", "random")
+#: this file alone used to raise 120 of tier-1's 170 DeprecationWarnings
+#: (``make_scheduler()``); any deprecated call here is now an error
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+
+SCHEDULER_NAMES = ("rr", "eft", "etf", "met", "heft_rt", "random")
 
 PLATFORMS = {
     "zcu102": lambda: zcu102(n_cpu=3, n_fft=1, n_mmult=1),
@@ -80,7 +84,7 @@ def _run_path(sched_name: str, platform_key: str, scenario: str, columnar: bool)
         def estimate(task, pe):
             return timing.estimate(task.api, task.params, pe)
 
-    scheduler = make_scheduler(sched_name)
+    scheduler = SCHEDULERS.create(sched_name)
     position = {id(t): i for i, t in enumerate(tasks)}
     out = scheduler.schedule(tasks, pes, now=0.5, estimate=estimate)
     order = [(position[id(task)], pe.index) for task, pe in out]
@@ -89,7 +93,7 @@ def _run_path(sched_name: str, platform_key: str, scenario: str, columnar: bool)
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("platform_key", sorted(PLATFORMS))
-@pytest.mark.parametrize("sched_name", SCHEDULERS)
+@pytest.mark.parametrize("sched_name", SCHEDULER_NAMES)
 def test_columnar_equals_scalar(sched_name, platform_key, scenario):
     columnar = _run_path(sched_name, platform_key, scenario, columnar=True)
     scalar = _run_path(sched_name, platform_key, scenario, columnar=False)
@@ -104,7 +108,7 @@ def _fft_only_pes():
 
 
 @pytest.mark.parametrize("columnar", (False, True), ids=("scalar", "columnar"))
-@pytest.mark.parametrize("sched_name", SCHEDULERS)
+@pytest.mark.parametrize("sched_name", SCHEDULER_NAMES)
 def test_unsupported_api_error_parity(sched_name, columnar):
     """No supporting PE raises the same SchedulerError through both paths."""
     pes = _fft_only_pes()
@@ -113,11 +117,11 @@ def test_unsupported_api_error_parity(sched_name, columnar):
         CostTable(zcu102_timing(), pes) if columnar else (lambda t, p: 1.0)
     )
     with pytest.raises(SchedulerError, match="no PE supports"):
-        make_scheduler(sched_name).schedule(tasks, pes, 0.0, estimate)
+        SCHEDULERS.create(sched_name).schedule(tasks, pes, 0.0, estimate)
 
 
 @pytest.mark.parametrize("columnar", (False, True), ids=("scalar", "columnar"))
-@pytest.mark.parametrize("sched_name", SCHEDULERS)
+@pytest.mark.parametrize("sched_name", SCHEDULER_NAMES)
 def test_no_live_pe_error_parity(sched_name, columnar):
     """All-quarantined candidates raise identically through both paths."""
     instance = zcu102(n_cpu=2, n_fft=1).build(seed=0)
@@ -133,7 +137,7 @@ def test_no_live_pe_error_parity(sched_name, columnar):
         else (lambda t, p: timing.estimate(t.api, t.params, p))
     )
     with pytest.raises(SchedulerError, match="no live PE"):
-        make_scheduler(sched_name).schedule(tasks, pes, 0.0, estimate)
+        SCHEDULERS.create(sched_name).schedule(tasks, pes, 0.0, estimate)
 
 
 def test_cost_table_requires_aligned_indices():
