@@ -3,7 +3,7 @@
 The audit layer's cost contract (docs/INTERNALS.md): arming
 ``RuntimeConfig(audit=True)`` may not slow a scheduling round by more than
 10% at the acceptance depth of 128.  This benchmark times the exact pair
-the daemon runs - one ETF round through the columnar
+the daemon runs - one ETF round through the runtime's
 :class:`~repro.platforms.timing.CostTable`, with and without the
 :class:`~repro.audit.OnlineAuditor.on_round` hook behind it - and asserts
 the audited/plain ratio against ``max_overhead_ratio`` in
@@ -24,7 +24,7 @@ from repro.audit import OnlineAuditor
 from repro.platforms import zcu102
 from repro.platforms.timing import CostTable
 from repro.runtime.task import Task
-from repro.sched import make_scheduler
+from repro.sched import SCHEDULERS
 
 #: same shape mixture as test_scheduler_rounds - a handful of interned
 #: cost rows repeated across the batch, the regime the support memo exploits
@@ -59,7 +59,7 @@ def _harness():
     ]
     platform = zcu102(n_cpu=3, n_fft=1).build(seed=0)
     table = CostTable(platform.timing, platform.pes)
-    scheduler = make_scheduler("etf")
+    scheduler = SCHEDULERS.create("etf")
     pes = platform.pes
     auditor = OnlineAuditor(_BareRuntime(table, platform))
 

@@ -3,11 +3,12 @@
 The paper's headline mechanism (Fig. 7) is scheduler decision cost at
 realistic queue depths, and full figure sweeps spend most of their
 wall-clock inside ``Scheduler.schedule``.  These benchmarks time single
-scheduling rounds over deep ready queues through the runtime's columnar
+scheduling rounds over deep ready queues through the runtime's
 :class:`~repro.platforms.timing.CostTable` - the exact configuration the
 daemon uses - and assert against the recorded trajectory in
-``baseline.json``: the vectorized ETF round must stay at least 3x the
-recorded pre-columnar (per-task Python loops) rate.  Set
+``baseline.json``: the ETF round (interned rows + equivalence-class pair
+scan) must stay at least 3x the recorded pre-table rate (per-task dict
+lookups and set rebuilds).  Set
 ``REPRO_PERF_CHECK=0`` to skip the ratio check on slower hosts.
 """
 
@@ -18,11 +19,11 @@ import numpy as np
 from repro.platforms import zcu102
 from repro.platforms.timing import CostTable
 from repro.runtime.task import Task
-from repro.sched import make_scheduler
+from repro.sched import SCHEDULERS
 
 #: ready-queue shapes drawn from the paper workloads (radar + comms mix):
 #: a handful of distinct (api, params) rows, repeated across many tasks -
-#: exactly the regime the columnar table interns.
+#: exactly the regime the cost table interns.
 _SHAPES = (
     ("fft", {"n": 128, "batch": 1}),
     ("fft", {"n": 256, "batch": 1}),
@@ -47,7 +48,7 @@ def _round_harness(depth: int, scheduler_name: str):
     """(run callable, events per call) timing one full scheduling round."""
     platform = zcu102(n_cpu=3, n_fft=1).build(seed=0)
     table = CostTable(platform.timing, platform.pes)
-    scheduler = make_scheduler(scheduler_name)
+    scheduler = SCHEDULERS.create(scheduler_name)
     ready = _ready_batch(depth)
     pes = platform.pes
 

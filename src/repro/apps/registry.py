@@ -16,6 +16,7 @@ usable in ``repro run --apps``, serve tenant mixes, and scenario specs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.registry import Registry
@@ -71,28 +72,22 @@ def available_apps() -> tuple[str, ...]:
 
 
 # CLI-sized defaults: small batches keep interactive runs snappy; the
-# figure drivers construct the paper-sized apps directly.
+# figure drivers construct the paper-sized apps directly.  Partials keep
+# each class's own signature visible, which is what the scenario layer
+# validates parameter overrides against.
 
-@register_app("PD", summary="Pulse-Doppler radar (FFT-heavy)")
-def _pd(**params) -> PulseDoppler:
-    return PulseDoppler(**{"batch": 8, **params})
-
-
-@register_app("TX", summary="WiFi transmitter baseband chain")
-def _tx(**params) -> WifiTx:
-    return WifiTx(**{"batch": 5, **params})
-
-
-@register_app("RX", summary="WiFi receiver baseband chain (CPU-heavy)")
-def _rx(**params) -> WifiRx:
-    return WifiRx(**{"batch": 5, **params})
-
-
-@register_app("LD", summary="Lane detection vision pipeline")
-def _ld(**params) -> LaneDetection:
-    return LaneDetection(**{"height": 135, "width": 240, "batch": 32, **params})
-
-
-@register_app("TM", summary="Temporal interference mitigation (GEMM/MMULT)")
-def _tm(**params) -> TemporalMitigation:
-    return TemporalMitigation(**{"n_blocks": 32, **params})
+register_app("PD", summary="Pulse-Doppler radar (FFT-heavy)")(
+    partial(PulseDoppler, batch=8)
+)
+register_app("TX", summary="WiFi transmitter baseband chain")(
+    partial(WifiTx, batch=5)
+)
+register_app("RX", summary="WiFi receiver baseband chain (CPU-heavy)")(
+    partial(WifiRx, batch=5)
+)
+register_app("LD", summary="Lane detection vision pipeline")(
+    partial(LaneDetection, height=135, width=240, batch=32)
+)
+register_app("TM", summary="Temporal interference mitigation (GEMM/MMULT)")(
+    partial(TemporalMitigation, n_blocks=32)
+)

@@ -11,7 +11,7 @@ later.  At shutdown :meth:`final_check` replays the full offline catalog
 Cost discipline: the per-round check memoizes verified support cells.  A
 round's batch draws from a handful of interned cost rows crossed with a
 handful of PEs, so after the first probe of each ``(cost_row, pe)`` cell
-against the cost table's support matrix, every later occurrence costs one
+against the cost table's row columns, every later occurrence costs one
 set-membership test; the memo is invalidated wholesale whenever the table
 re-interns (its token moves).  The depth-128 audit-overhead benchmark pins
 the total at <= 10% of an ETF round
@@ -24,8 +24,6 @@ runs byte-identical to the pre-audit runtime.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from .invariants import EPS, AuditReport, AuditViolation, audit_runtime
 
@@ -122,9 +120,7 @@ class OnlineAuditor:
                 )
             cell = task.cost_row * n_pes + pe.index
             if cell not in ok_cells:
-                if not table.support_cells(
-                    np.intp(task.cost_row), np.intp(pe.index)
-                ):
+                if pe.index not in table.scalar_row(task)[1]:
                     raise AuditViolation(
                         "pe-support",
                         f"scheduler assigned {task.name} ({task.api}) to "

@@ -2,14 +2,12 @@
 
 The sweep machinery promises that a run is a *pure function* of its cell
 tuple - which is what licenses the process pool, the content-addressed
-cache, the columnar scheduler fast paths, and telemetry's observe-only
-contract.  This module tests that promise by construction: it runs the
-same (rate x trial) grid under paired configurations that must be
-indistinguishable -
+cache, and telemetry's and the auditor's observe-only contracts.  This
+module tests that promise by construction: it runs the same (rate x trial)
+grid under paired configurations that must be indistinguishable -
 
 ``jobs``        serial vs ``--jobs`` process-pool sharding
 ``cache``       uncached vs cold-store vs warm-hit sweep cache
-``scalar``      scalar ``estimate(task, pe)`` vs vectorized columnar rounds
 ``telemetry``   telemetry off vs on (identical outside the snapshot field)
 ``audit``       online auditor off vs on
 ``scenario``    flag-driven sweep vs the equivalent declarative
@@ -48,12 +46,12 @@ __all__ = [
 ]
 
 #: every paired configuration :func:`diff_run` knows how to produce.
-DEFAULT_VARIANTS = ("jobs", "cache", "scalar", "telemetry", "audit")
+DEFAULT_VARIANTS = ("jobs", "cache", "telemetry", "audit")
 
 #: the paired configurations :func:`diff_serve` covers.  ``telemetry`` is
 #: omitted: a serve cell's config carries no sampler by default and the
 #: embedded ``RunResult.telemetry`` field is the only thing it would touch.
-SERVE_VARIANTS = ("jobs", "cache", "scalar", "audit")
+SERVE_VARIANTS = ("jobs", "cache", "audit")
 
 _RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
 
@@ -219,7 +217,7 @@ def diff_run(
 ) -> OracleReport:
     """Run one grid under every paired configuration and diff the results.
 
-    The baseline is the plain serial, uncached, telemetry-free, scalar-free
+    The baseline is the plain serial, uncached, telemetry-free, unaudited
     sweep; each variant flips exactly one knob and must reproduce it
     bit-for-bit.  The ``cache`` variant additionally audits the cache's own
     books: a cold pass must miss-and-store every cell, a warm pass must hit
@@ -303,9 +301,6 @@ def diff_run(
                         mismatches=outcome.mismatches + warm_outcome.mismatches,
                     )
                 )
-        elif variant == "scalar":
-            cfg = dataclasses.replace(base_config, scalar_estimates=True)
-            outcomes.append(_compare(variant, baseline, grid(cfg)))
         elif variant == "telemetry":
             cfg = base_config.with_telemetry(0.0)
             outcomes.append(
@@ -449,9 +444,6 @@ def diff_serve(
                         mismatches=outcome.mismatches + warm_outcome.mismatches,
                     )
                 )
-        elif variant == "scalar":
-            cfg = dataclasses.replace(base_config, scalar_estimates=True)
-            outcomes.append(_compare_serve(variant, baseline, grid(cfg)))
         elif variant == "audit":
             cfg = dataclasses.replace(base_config, audit=True)
             outcomes.append(_compare_serve(variant, baseline, grid(cfg)))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Optional, Sequence
 
 from repro.apps import APPS, available_apps
@@ -58,30 +57,6 @@ AUDIT_PLATFORM_PARAMS = {
     "jetson": (("cpu", 3),),
     "zcu102-biglittle": (("cpu", 3), ("fft", 1), ("little", 4), ("mmult", 0)),
 }
-
-_DEPRECATED_ATTRS = {
-    "APP_FACTORIES": "repro.apps.APPS",
-    "PLATFORM_NAMES": "repro.platforms.available_platforms()",
-    "FIGURE_IDS": "repro.experiments.available_figures()",
-}
-
-
-def __getattr__(name: str):
-    """Deprecated module constants, now thin views over the registries."""
-    if name in _DEPRECATED_ATTRS:
-        warnings.warn(
-            f"repro.cli.{name} is deprecated; use {_DEPRECATED_ATTRS[name]}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name == "APP_FACTORIES":
-            return {app: entry.factory for app, entry in APPS.items()}
-        if name == "PLATFORM_NAMES":
-            return tuple(available_platforms())
-        from repro.experiments import available_figures
-
-        return tuple(available_figures())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --------------------------------------------------------------------- #
@@ -145,6 +120,7 @@ def _add_cache_options(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.audit import DEFAULT_VARIANTS, SERVE_VARIANTS
     from repro.experiments import available_figures
 
     parser = argparse.ArgumentParser(
@@ -242,12 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit a saved logbook, or diff paired sweep configurations",
         description="With a logbook path: replay the invariant catalog "
                     "over a saved run ('repro audit out/logbook.json'). "
-                    "With the literal target 'diff': run one sweep under "
-                    "paired configurations (serial vs --jobs, cached vs "
-                    "uncached, scalar vs vectorized estimates, telemetry "
-                    "on/off, audit on/off, and optionally flag-built vs "
-                    "declarative scenario) and require bit-identical "
-                    "results.",
+                    "With the literal target 'diff': run one sweep plain, "
+                    "then once per pairing (%s; with --scenario also the "
+                    "declarative-spec route) and require bit-identical "
+                    "results." % ", ".join(DEFAULT_VARIANTS),
     )
     audit.add_argument("target",
                        help="path to a logbook JSON dump, or 'diff' to run "
@@ -267,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "pairing")
     audit.add_argument("--variants", default=None,
                        help="diff only: comma list of pairings to run "
-                            "(default: all of jobs,cache,scalar,telemetry,"
-                            "audit)")
+                            "(default: all of %s)" % ",".join(DEFAULT_VARIANTS))
     audit.add_argument("--execute", action="store_true",
                        help="diff only: execute kernels functionally "
                             "instead of timing-only")
@@ -279,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "bit-for-bit")
     audit.add_argument("--serve", action="store_true",
                        help="diff only: run the serve-mode oracle instead "
-                            "of the batch one (pairings: "
-                            "jobs,cache,scalar,audit)")
+                            "of the batch one (pairings: %s)"
+                            % ",".join(SERVE_VARIANTS))
     audit.add_argument("--duration", type=float, default=0.2,
                        help="diff --serve only: service window, simulated "
                             "seconds")

@@ -22,7 +22,14 @@ from .energy import (
     PowerModel,
     estimate_energy,
 )
-from .timing import AccelCost, CostTable, TimingModel, jetson_timing, zcu102_timing
+from .timing import (
+    AccelCost,
+    CostTable,
+    ShapeOutsideEnvelope,
+    TimingModel,
+    jetson_timing,
+    zcu102_timing,
+)
 
 __all__ = [
     "PE",
@@ -43,6 +50,7 @@ __all__ = [
     "TimingModel",
     "AccelCost",
     "CostTable",
+    "ShapeOutsideEnvelope",
     "zcu102_timing",
     "jetson_timing",
     "PowerModel",

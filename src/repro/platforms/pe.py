@@ -106,7 +106,7 @@ class PE:
     stats: dict = field(default_factory=dict)
 
     # -- fault-injection state (repro.faults); inert without faults -------- #
-    #: live mask consulted by the schedulers via ``Scheduler.compatible``:
+    #: live mask consulted by the schedulers via ``live_columns``:
     #: False while the PE is quarantined after a detected failure or dead.
     available: bool = True
     #: fail-stop death: permanent, ``available`` never returns to True.

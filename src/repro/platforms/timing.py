@@ -48,7 +48,14 @@ import numpy as np
 
 from .pe import PE, PEKind
 
-__all__ = ["AccelCost", "TimingModel", "CostTable", "zcu102_timing", "jetson_timing"]
+__all__ = [
+    "AccelCost",
+    "ShapeOutsideEnvelope",
+    "TimingModel",
+    "CostTable",
+    "zcu102_timing",
+    "jetson_timing",
+]
 
 #: bytes per complex128 element streamed to/from an accelerator
 _BYTES_PER_ELEM = 16.0
@@ -70,6 +77,17 @@ class AccelCost:
     @property
     def total(self) -> float:
         return self.setup + self.busy + self.teardown
+
+
+class ShapeOutsideEnvelope(ValueError):
+    """An accelerator kind supports the API but not at this shape.
+
+    Support is per (API, PE kind); an IP block's configuration can still
+    exclude individual shapes (the FFT IP tops out at
+    ``fft_accel_max_points``).  :class:`CostTable` leaves such a PE out of
+    the shape's row, so the task runs elsewhere - as on real CEDR, where an
+    oversized FFT falls back to the CPU implementation.
+    """
 
 
 def _log2(n: float) -> float:
@@ -160,7 +178,7 @@ class TimingModel:
         if kind is PEKind.FFT and api in ("fft", "ifft"):
             n = float(params["n"])
             if n > self.fft_accel_max_points:
-                raise ValueError(
+                raise ShapeOutsideEnvelope(
                     f"{int(n)}-point FFT exceeds the {self.fft_accel_max_points}-point "
                     "FFT IP configuration"
                 )
@@ -239,30 +257,21 @@ _table_tokens = itertools.count()
 
 
 class CostTable:
-    """Columnar profile table: per-(api, params) rows of per-PE estimates.
+    """Profile table: one interned row of per-PE estimates per (api, params).
 
     Real CEDR consults static execution-time profiling tables; this is the
-    columnar analogue for the simulated schedulers.  Each unique
-    ``(api, params)`` shape is *interned* to a row id, and two parallel
-    arrays hold the row data:
+    analogue for the simulated schedulers.  Each unique ``(api, params)``
+    shape is *interned* to a row id, and a row is two plain tuples:
 
-    * ``est[row]`` - float64 vector of :meth:`TimingModel.estimate` values
-      per PE, ``+inf`` where the PE kind does not support the API;
-    * ``support[row]`` - boolean vector of the (API, PE-kind) matrix.
+    * ``est`` - the :meth:`TimingModel.estimate` value per PE, ``+inf``
+      where the PE cannot run the shape;
+    * ``cols`` - the ascending indices of the PEs that can: the PE kind
+      supports the API (the support matrix) *and* the shape lies inside the
+      device's envelope (:class:`ShapeOutsideEnvelope`).
 
-    Batched gathers (:meth:`estimate_rows` / :meth:`support_rows`) feed the
-    vectorized scheduler rounds; the instance is also callable as a scalar
-    ``estimate(task, pe)`` so it plugs into the existing
-    :class:`~repro.sched.base.Scheduler` interface unchanged.  Values are
-    computed once per row by the scalar reference path, so both paths see
-    bit-identical floats.
-
-    Each row is also kept as plain Python values - a tuple of floats and the
-    tuple of supporting column indices (:meth:`scalar_row`) - for readers of
-    *one* cell or *one* row: :meth:`lookup`, and the schedulers' single-task
-    lane, where assembling NumPy columns for one task costs several times
-    the decision itself.  ``ndarray.tolist()`` is exact, so the tuples hold
-    the very floats of ``est[row]``.
+    :meth:`scalar_row` hands both to a scheduling round, :meth:`lookup`
+    reads one cell, and the instance is callable as ``estimate(task, pe)``,
+    the :class:`~repro.sched.base.Scheduler` estimate interface.
 
     Row ids are cached on the tasks themselves (``task.cost_row``), guarded
     by a per-table token (``task.cost_token``) so a task interned by one
@@ -284,12 +293,8 @@ class CostTable:
         self.n_pes = len(self.pes)
         self.token = next(_table_tokens)
         self._row_ids: dict[tuple, int] = {}
-        self.n_rows = 0
-        cap = 16
-        self._est = np.full((cap, self.n_pes), np.inf)
-        self._support = np.zeros((cap, self.n_pes), dtype=bool)
-        self._est_tuples: list[tuple[float, ...]] = []
-        self._support_cols: list[tuple[int, ...]] = []
+        self._rows: list[tuple[tuple[float, ...], tuple[int, ...]]] = []
+        self._means: list[Optional[float]] = []
 
     # -- interning ------------------------------------------------------- #
 
@@ -302,22 +307,27 @@ class CostTable:
         return row
 
     def _add_row(self, api: str, params: Mapping[str, float], key: tuple) -> int:
-        row = self.n_rows
-        if row == len(self._est):
-            grown_est = np.full((2 * row, self.n_pes), np.inf)
-            grown_est[:row] = self._est
-            grown_sup = np.zeros((2 * row, self.n_pes), dtype=bool)
-            grown_sup[:row] = self._support
-            self._est, self._support = grown_est, grown_sup
+        est = [math.inf] * self.n_pes
+        cols = []
         for j, pe in enumerate(self.pes):
             if pe.supports(api):
-                self._support[row, j] = True
-                self._est[row, j] = self.timing.estimate(api, params, pe)
-        self._est_tuples.append(tuple(self._est[row].tolist()))
-        self._support_cols.append(tuple(np.flatnonzero(self._support[row]).tolist()))
-        self.n_rows += 1
-        self._row_ids[key] = row
+                try:
+                    est[j] = self.timing.estimate(api, params, pe)
+                except ShapeOutsideEnvelope:
+                    continue
+                cols.append(j)
+        row = self._row_ids[key] = len(self._rows)
+        self._rows.append((tuple(est), tuple(cols)))
+        # np.mean, not sum()/n: pairwise summation differs from both sum()
+        # and math.fsum() in the last bit once >= 8 PEs support a shape,
+        # which would move HEFT_RT ranks
+        self._means.append(float(np.mean([est[j] for j in cols])) if cols else None)
         return row
+
+    @property
+    def n_rows(self) -> int:
+        """Shapes interned so far."""
+        return len(self._rows)
 
     def task_row(self, task) -> int:
         """Row id for *task*, interning and stamping it on first sight."""
@@ -326,71 +336,30 @@ class CostTable:
             task.cost_token = self.token
         return task.cost_row
 
-    def rows_for(self, tasks: Sequence) -> np.ndarray:
-        """Row-id vector for a ready batch (interning as needed)."""
-        task_row = self.task_row
-        return np.fromiter(
-            (task_row(t) for t in tasks), dtype=np.intp, count=len(tasks)
-        )
+    def row_mean(self, row: int) -> Optional[float]:
+        """Mean estimate over the row's PEs (HEFT_RT rank seed); ``None``
+        when no PE can run the shape."""
+        return self._means[row]
 
-    # -- batched access (the vectorized scheduler fast path) -------------- #
-
-    def estimate_rows(self, tasks: Sequence, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """(n, p) float64 estimates for a ready batch; +inf = unsupported.
-
-        ``rows`` is the batch's :meth:`rows_for` vector when the caller
-        already gathered it (a round reads both arrays off one gather).
-        """
-        return self._est[self.rows_for(tasks) if rows is None else rows]
-
-    def support_rows(self, tasks: Sequence, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """(n, p) boolean support mask for a ready batch (``rows`` as above)."""
-        return self._support[self.rows_for(tasks) if rows is None else rows]
-
-    def support_row(self, task) -> np.ndarray:
-        """(p,) boolean support vector of one task (a read-only view)."""
-        return self._support[self.task_row(task)]
-
-    def support_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Element-wise support probe: ``support[rows[i], cols[i]]``.
-
-        One fancy-indexed gather - the online auditor validates a whole
-        round's (task row, PE column) pairs at vector speed with it.
-        """
-        return self._support[rows, cols]
-
-    def mean_estimate(self, api: str, params: Mapping[str, float]) -> float:
-        """Mean estimate over supporting PEs (HEFT_RT rank seed)."""
-        row = self.row(api, params)
-        sup = self._support[row]
-        if not sup.any():
-            raise ValueError(f"no PE supports API {api!r}")
-        return float(np.mean(self._est[row][sup]))
-
-    # -- scalar access: one cell, or one row as plain Python values ------- #
+    # -- reads: one row, or one cell ------------------------------------- #
 
     def scalar_row(self, task) -> tuple[tuple[float, ...], tuple[int, ...]]:
-        """``(estimates per PE, supporting column indices)`` of one task.
-
-        What a single-task scheduling round reads instead of the batched
-        gathers (:func:`repro.sched.base.single_task_lane`).
-        """
+        """``(est, cols)`` of one task - what a scheduling round reads."""
         if task.cost_token != self.token:
             self.task_row(task)
-        row = task.cost_row
-        return self._est_tuples[row], self._support_cols[row]
+        return self._rows[task.cost_row]
 
     def lookup(self, task, pe_index: int) -> float:
         """Scalar estimate by PE index (one tuple probe once interned)."""
         if task.cost_token != self.token:
             self.task_row(task)
-        return self._est_tuples[task.cost_row][pe_index]
+        return self._rows[task.cost_row][0][pe_index]
 
     def __call__(self, task, pe: PE) -> float:
         """EstimateFn-compatible scalar form used by the schedulers."""
         if task.cost_token != self.token:
             self.task_row(task)
-        return self._est_tuples[task.cost_row][pe.index]
+        return self._rows[task.cost_row][0][pe.index]
 
 
 def zcu102_timing() -> TimingModel:

@@ -51,7 +51,7 @@ _MISSING = object()
 class RegistryError(KeyError, ValueError):
     """An unknown name was looked up in a :class:`Registry`.
 
-    Subclasses both :class:`KeyError` (the historical ``make_scheduler``
+    Subclasses both :class:`KeyError` (the historical scheduler-lookup
     contract) and :class:`ValueError` (the historical ``ArrivalSpec`` /
     ``FaultConfig.parse_kinds`` contract), so every pre-registry caller
     keeps catching what it caught.
@@ -68,8 +68,8 @@ class Registry(Generic[T]):
 
     ``kind`` is the human-readable singular ("scheduler", "platform",
     "arrival process") used in every error message.  ``normalize``
-    canonicalizes lookup keys (default: lowercase, preserving the
-    case-insensitive ``make_scheduler("RR")`` contract; the app registry
+    canonicalizes lookup keys (default: lowercase, so schedulers resolve
+    case-insensitively - ``SCHEDULERS.create("RR")``; the app registry
     passes ``str.upper`` so ``pd`` and ``PD`` are the same application).
     """
 

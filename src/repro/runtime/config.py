@@ -73,7 +73,7 @@ class RuntimeCosts:
 class RuntimeConfig:
     """Per-run configuration of the CEDR daemon.
 
-    ``scheduler`` is a name resolved through :func:`repro.sched.make_scheduler`.
+    ``scheduler`` is a name resolved through ``repro.sched.SCHEDULERS``.
     ``execute_kernels=False`` turns off functional kernel execution for
     timing-only sweeps (results become ``None``; all queueing behaviour is
     unchanged) - the large figure benchmarks use this, integration tests run
@@ -113,11 +113,6 @@ class RuntimeConfig:
     #: produce bit-identical results; ``False`` constructs no auditor and
     #: keeps the hot paths on one ``is None`` test each.
     audit: bool = False
-    #: force the schedulers onto the scalar ``estimate(task, pe)`` reference
-    #: path instead of the columnar batched gathers.  Same floats by
-    #: construction (rows are priced by the scalar path) - this knob exists
-    #: so the differential oracle can *prove* it per run.
-    scalar_estimates: bool = False
 
     def with_audit(self) -> "RuntimeConfig":
         """Copy of this config with online schedule auditing switched on."""

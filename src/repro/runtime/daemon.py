@@ -40,7 +40,7 @@ bit-identical to the pre-fault runtime:
   is declared lost;
 * failed PEs are *quarantined* (``pe.available = False``, revived by
   timer) so schedulers see a live PE mask through
-  ``Scheduler.compatible``; fail-stop PEs never revive;
+  ``repro.sched.base.live_columns``; fail-stop PEs never revive;
 * before each round the ready batch is partitioned: tasks with no live
   candidate PE are *parked* until a revival, tasks whose every supporting
   PE is dead are lost immediately.
@@ -74,26 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore import Engine
 
 __all__ = ["CedrRuntime", "RunMetrics", "EventQueue"]
-
-
-class _ScalarEstimate:
-    """Columnar-interface-free view of a :class:`CostTable`.
-
-    Schedulers probe their ``estimate`` argument for ``estimate_rows`` /
-    ``support_rows`` and take the vectorized fast path when present; this
-    wrapper hides both, forcing the scalar ``estimate(task, pe)`` reference
-    path (``RuntimeConfig.scalar_estimates`` - the differential oracle's
-    scalar-vs-vectorized pairing).  Same table, same interned rows, same
-    floats.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: CostTable) -> None:
-        self._table = table
-
-    def __call__(self, task: Task, pe: PE) -> float:
-        return self._table(task, pe)
 
 
 @dataclass
@@ -214,19 +194,11 @@ class CedrRuntime:
         self._last_round_at = -float("inf")
         self._round_timer_pending = False
         self._round_due = False
-        #: columnar profile table: every task shape is interned to a row of
-        #: per-PE estimates when the task first enters the ready queue, and
-        #: the schedulers' batched helpers gather whole rounds from it.  The
-        #: table doubles as the scalar estimate(task, pe) callable.
+        #: profile table: every task shape is interned to a row of per-PE
+        #: estimates when the task is created, and scheduling rounds read
+        #: those rows.  The table is also the estimate(task, pe) callable
+        #: the schedulers receive.
         self.cost_table = CostTable(platform.timing, platform.pes)
-        #: what the schedulers see: the table itself (columnar fast paths)
-        #: or a wrapper that forces the scalar reference path.
-        self._sched_estimate = (
-            _ScalarEstimate(self.cost_table)
-            if config.scalar_estimates
-            else self.cost_table
-        )
-        self._mean_cache: dict[int, float] = {}
         self.daemon_thread: Optional[SimThread] = None
         #: online invariant checking (repro.audit); ``None`` keeps the
         #: dispatch and completion hot paths on one ``is None`` test each.
@@ -391,18 +363,14 @@ class CedrRuntime:
 
         The profiling-table lookup a task pays once, at creation: the row id
         is stamped on the task (``cost_row``/``cost_token``) and the mean -
-        memoized per row - seeds its HEFT_RT rank.
+        computed with the row - seeds its HEFT_RT rank.
         """
         row = self.cost_table.row(api, params)
-        mean = self._mean_cache.get(row)
+        mean = self.cost_table.row_mean(row)
         if mean is None:
-            try:
-                mean = self.cost_table.mean_estimate(api, params)
-            except ValueError:
-                raise ValueError(
-                    f"no PE supports API {api!r} on {self.platform.config.name}"
-                ) from None
-            self._mean_cache[row] = mean
+            raise ValueError(
+                f"no PE supports API {api!r} on {self.platform.config.name}"
+            )
         return row, mean
 
     # ------------------------------------------------------------------ #
@@ -416,7 +384,7 @@ class CedrRuntime:
         return Compute(seconds)
 
     def _estimate(self, task: Task, pe: PE) -> float:
-        """Profiled execution estimate: one columnar-table probe.
+        """Profiled execution estimate: one table probe.
 
         Workloads repeat identical kernel shapes thousands of times; the
         interned row matches how real CEDR consults a static profiling
@@ -643,7 +611,7 @@ class CedrRuntime:
         self.logbook.record_round(now, len(batch))
         for pe in pes:
             pe.expected_free = now + pe.outstanding_est * pe.slowdown
-        assignments = self.scheduler.schedule(batch, pes, now, self._sched_estimate)
+        assignments = self.scheduler.schedule(batch, pes, now, self.cost_table)
         if self.auditor is not None:
             # validate the round before its assignments are committed, so a
             # violation names the scheduler's decision, not its aftermath
@@ -683,25 +651,22 @@ class CedrRuntime:
         candidate PE are parked until a revival, tasks whose every
         supporting PE is dead are lost outright.  Only tasks with at least
         one live candidate reach the scheduling heuristic - which is what
-        lets ``Scheduler.compatible`` treat an all-unavailable candidate
-        set as a runtime bug.
+        lets the schedulers' ``live_columns`` treat an all-unavailable
+        candidate set as a runtime bug.
         """
         pes = self.platform.pes
         table = self.cost_table
-        live = np.fromiter((pe.available for pe in pes), dtype=bool, count=len(pes))
-        alive = np.fromiter((not pe.dead for pe in pes), dtype=bool, count=len(pes))
         runnable: list[Task] = []
         for task in batch:
             app = self.apps[task.app_id]
             if app.cancelled or app.failed:
                 self._drop_task(task)
                 continue
-            # support is one interned-table row; quarantine/death triage is
-            # a mask-row AND instead of rebuilding supporter lists per task
-            support = table.support_row(task)
-            if (support & live).any():
+            # the PEs that can run the task are its interned row's columns
+            _, cols = table.scalar_row(task)
+            if any(pes[j].available for j in cols):
                 runnable.append(task)
-            elif (support & alive).any():
+            elif any(not pes[j].dead for j in cols):
                 self._parked.append(task)
             else:
                 yield from self._task_lost(task)
@@ -855,16 +820,16 @@ class CedrRuntime:
         """A fail-stop fault landed; re-triage every parked task."""
         parked, self._parked = self._parked, []
         pes = self.platform.pes
-        alive = np.fromiter((not pe.dead for pe in pes), dtype=bool, count=len(pes))
         for task in parked:
             app = self.apps[task.app_id]
             if app.cancelled or app.failed:
                 self._drop_task(task)
                 continue
-            if not (self.cost_table.support_row(task) & alive).any():
-                yield from self._task_lost(task)
-            else:
+            _, cols = self.cost_table.scalar_row(task)
+            if any(not pes[j].dead for j in cols):
                 self._parked.append(task)
+            else:
+                yield from self._task_lost(task)
 
     def _task_lost(self, task: Task) -> Generator[Request, Any, None]:
         """Retry budget exhausted (or no PE left): fail the application.

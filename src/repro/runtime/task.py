@@ -194,8 +194,9 @@ class Task:
     # -- fault-recovery bookkeeping (repro.faults); inert without faults -- #
     #: completed retry attempts so far (0 = first dispatch).
     attempts: int = 0
-    #: PE indices this task already failed on; ``Scheduler.compatible``
-    #: avoids them unless that would leave no candidate at all.
+    #: PE indices this task already failed on; the schedulers' shared
+    #: filter (``repro.sched.base.live_columns``) avoids them unless that
+    #: would leave no candidate at all.
     banned_pes: frozenset[int] = frozenset()
     #: bumped by the daemon at every dispatch; a worker holding a copy with
     #: an older epoch knows its dispatch was invalidated (watchdog fired or

@@ -57,9 +57,10 @@ Document shape (TOML; JSON mirrors it)::
     policy = "shed"
     max_in_system = 32
 
-Unknown sections, unknown keys, and unknown registry names all fail
-validation with the available entries and a did-you-mean hint - a typo'd
-scheduler name dies at ``repro scenario validate``, not three sweeps in.
+Unknown sections, unknown keys (an app's parameter overrides included),
+and unknown registry names all fail validation with the available entries
+and a did-you-mean hint - a typo'd scheduler name dies at ``repro scenario
+validate``, not three sweeps in.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -187,6 +189,15 @@ def _params_tuple(value, where: str) -> tuple[tuple[str, Any], ...]:
     return tuple(sorted((str(k), v) for k, v in value.items()))
 
 
+def _factory_keys(factory) -> Optional[set[str]]:
+    """Keyword names an app factory takes; ``None`` for a ``**`` catch-all,
+    whose signature does not say."""
+    params = inspect.signature(factory).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return None
+    return {p.name for p in params}
+
+
 @dataclass(frozen=True)
 class AppCount:
     """One application stream: registered name, instance count, overrides."""
@@ -203,6 +214,10 @@ class AppCount:
                 f"app {self.name!r} count must be >= 1, got {self.count}"
             )
         object.__setattr__(self, "params", tuple(sorted(self.params)))
+        if self.params:
+            accepted = _factory_keys(entry.factory)
+            if accepted is not None:
+                _unknown_keys(dict(self.params), accepted, f"app {self.name!r}")
 
 
 def _parse_app_list(value, where: str) -> tuple[AppCount, ...]:

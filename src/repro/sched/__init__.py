@@ -8,19 +8,13 @@ benches.  Importing this package registers everything in
 instantiate by name through ``SCHEDULERS.create(name, ...)``.  Third-party
 packages plug in via :func:`register_scheduler` or the
 ``repro.schedulers`` entry-point group.
-
-``PAPER_SCHEDULERS`` / ``EXTRA_SCHEDULERS`` / ``make_scheduler`` remain as
-deprecated shims over the registry.
 """
-
-import warnings
 
 from .base import (
     SCHEDULERS,
     Scheduler,
     SchedulerError,
     available_schedulers,
-    make_scheduler,
     register_scheduler,
 )
 from .eft import EarliestFinishTime
@@ -49,31 +43,11 @@ def extra_schedulers() -> tuple[str, ...]:
     return tuple(name for name in SCHEDULERS.names() if name not in paper)
 
 
-_DEPRECATED_TUPLES = {
-    "PAPER_SCHEDULERS": paper_schedulers,
-    "EXTRA_SCHEDULERS": extra_schedulers,
-}
-
-
-def __getattr__(name):
-    fn = _DEPRECATED_TUPLES.get(name)
-    if fn is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"repro.sched.{name} is deprecated; use "
-        f"repro.sched.{fn.__name__}()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return fn()
-
-
 __all__ = [
     "Scheduler",
     "SchedulerError",
     "SCHEDULERS",
     "register_scheduler",
-    "make_scheduler",
     "available_schedulers",
     "paper_schedulers",
     "extra_schedulers",
@@ -84,6 +58,4 @@ __all__ = [
     "MinimumExecutionTime",
     "RandomScheduler",
     "upward_ranks",
-    "PAPER_SCHEDULERS",
-    "EXTRA_SCHEDULERS",
 ]

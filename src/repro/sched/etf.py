@@ -10,26 +10,23 @@ of milliseconds per application deciding, collapsing to ~1 ms/app under the
 API-based runtime whose queue holds only in-flight libCEDR calls.
 
 The *simulated* decision cost is charged analytically via
-:meth:`round_cost`; the *functional* selection below is vectorized with
-NumPy (estimate matrix + masked argmin per commitment) so simulating an
-ETF round over hundreds of ready tasks stays fast even though the modeled
-algorithm is O(q^2 x PEs).
+:meth:`round_cost`; the *functional* selection below scans equivalence
+classes of ready tasks instead of tasks, so simulating an ETF round over
+hundreds of ready tasks stays fast even though the modeled algorithm is
+O(q^2 x PEs).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .base import (
     EstimateFn,
     Scheduler,
-    earliest_finish_one,
-    free_vector,
+    greedy_earliest_finish,
+    live_columns,
     register_scheduler,
-    round_matrices,
-    single_task_lane,
+    round_rows,
 )
 
 __all__ = ["EarliestTaskFirst"]
@@ -37,7 +34,7 @@ __all__ = ["EarliestTaskFirst"]
 
 @register_scheduler
 class EarliestTaskFirst(Scheduler):
-    """O(ready^2 x PEs) pair scans per round (cost model); vectorized impl."""
+    """O(ready^2 x PEs) pair scans per round (cost model); class-scan impl."""
 
     name = "etf"
 
@@ -45,57 +42,53 @@ class EarliestTaskFirst(Scheduler):
         self.cost_per_pair_us = cost_per_pair_us
 
     def schedule(self, ready, pes: Sequence, now: float, estimate: EstimateFn):
-        n, p = len(ready), len(pes)
-        if n == 0:
-            return []
-        lane = single_task_lane(ready, pes, estimate)
-        if lane is not None:
+        n = len(ready)
+        if n <= 1:
             # one task: the global pair scan is one row's earliest finish
-            return earliest_finish_one(lane, pes, now)
-        # Candidate cells honour the fault subsystem's availability and ban
-        # masks (with the same ban fallback as Scheduler.compatible);
-        # everything else stays +inf so the argmin never commits to an
-        # excluded PE.  One columnar gather replaces the old per-task loops.
-        _, est = round_matrices(ready, pes, estimate)
-        free = free_vector(pes, now)
-        # Ready tasks collapse into equivalence classes with bitwise-equal
-        # estimate rows (shape interning keeps the count to a handful per
-        # round), and ETF's global pair scan only ever needs one
-        # representative per class: identical rows share a finish vector, so
-        # the flat argmin always lands on the class member with the lowest
-        # queue position.  Scanning classes instead of tasks turns each of
-        # the n commits into O(classes) work with an O(PEs) rescan only for
-        # classes whose cached best column just got busier (a later column
-        # can never *improve* a cached minimum).  Tie-breaking matches a
-        # flat argmin over the full matrix exactly: commits within a class
-        # go in queue order, and ties *across* classes fall to the class
-        # whose head task sits earliest in the queue.
-        row_bytes = est.tobytes()
-        stride = est.itemsize * p
-        class_of: dict[bytes, int] = {}
+            return greedy_earliest_finish(ready, pes, now, estimate)
+        # Ready tasks collapse into equivalence classes with equal rows
+        # (shape interning keeps the count to a handful per round), and
+        # ETF's global pair scan only ever needs one representative per
+        # class: identical rows share a finish vector, so the flat argmin
+        # always lands on the class member with the lowest queue position.
+        # Scanning classes instead of tasks turns each of the n commits into
+        # O(classes) work with an O(PEs) rescan only for classes whose
+        # cached best column just got busier (a later column can never
+        # *improve* a cached minimum).  Tie-breaking matches a flat argmin
+        # over the full (task, PE) matrix exactly: commits within a class go
+        # in queue order, and ties *across* classes fall to the class whose
+        # head task sits earliest in the queue - so a partition finer than
+        # "equal estimates on the candidate columns" changes nothing.
+        row_of, degraded = round_rows(pes, estimate)
+        class_of: dict[tuple, int] = {}
         members: list[list[int]] = []
-        for i in range(n):
-            key = row_bytes[i * stride:(i + 1) * stride]
+        gest: list[Sequence[float]] = []  # per class: the estimate row
+        gcols: list[Sequence[int]] = []   # ... and its candidate columns
+        for i, task in enumerate(ready):
+            est, cols = row_of(task)
+            if degraded or task.banned_pes or not cols:
+                # the fault subsystem's availability and ban masks: the
+                # scan below never sees an excluded column
+                cols = live_columns(task, cols, pes)
+            key = (tuple(est), tuple(cols))
             g = class_of.setdefault(key, len(members))
             if g == len(members):
                 members.append([i])
+                gest.append(est)
+                gcols.append(cols)
             else:
                 members[g].append(i)
         n_cls = len(members)
-        # plain Python lists from here: the per-commit state is a handful of
-        # scalars, where numpy's per-call overhead would dominate
-        gest = [est[m[0]].tolist() for m in members]
-        free_l = free.tolist()
+        free_l = [max(pe.expected_free, now) for pe in pes]
         heads = [m[0] for m in members]
         cursor = [0] * n_cls
         inf = float("inf")
-        cols = range(p)
         best_v = [0.0] * n_cls  # cached earliest finish of each class head
         best_j = [0] * n_cls    # ... and its (first-minimum) PE column
         for k in range(n_cls):
             row = gest[k]
             mv, mj = inf, 0
-            for jj in cols:
+            for jj in gcols[k]:
                 t = row[jj] + free_l[jj]
                 if t < mv:
                     mv, mj = t, jj
@@ -126,7 +119,7 @@ class EarliestTaskFirst(Scheduler):
                 if best_j[m_] == j:
                     row = gest[m_]
                     mv, mj = inf, 0
-                    for jj in cols:
+                    for jj in gcols[m_]:
                         t = row[jj] + free_l[jj]
                         if t < mv:
                             mv, mj = t, jj

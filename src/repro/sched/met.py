@@ -13,15 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from .base import (
-    EstimateFn,
-    Scheduler,
-    register_scheduler,
-    round_matrices,
-    single_task_lane,
-)
+from .base import EstimateFn, Scheduler, live_columns, register_scheduler, round_rows
 
 __all__ = ["MinimumExecutionTime"]
 
@@ -37,35 +29,23 @@ class MinimumExecutionTime(Scheduler):
         self._cursor: dict[float, int] = {}
 
     def schedule(self, ready, pes: Sequence, now: float, estimate: EstimateFn):
-        if not ready:
-            return []
-        lane = single_task_lane(ready, pes, estimate)
-        if lane is not None:
-            task, row, cols = lane
-            best = min([row[j] for j in cols])
-            band = best * (1 + 1e-12)
-            j = self._rotate(best, [j for j in cols if row[j] <= band])
-            pe = pes[j]
-            pe.expected_free = max(pe.expected_free, now) + row[j]
-            return [(task, pe)]
-        _, est = round_matrices(ready, pes, estimate)
+        row_of, degraded = round_rows(pes, estimate)
         assignments = []
-        for i, task in enumerate(ready):
-            row = est[i]
-            best = float(row.min())
-            # excluded cells are +inf, so the epsilon tie-band only ever
-            # matches candidate PEs, in PE order like the old list filter
-            j = int(self._rotate(best, np.flatnonzero(row <= best * (1 + 1e-12))))
+        for task in ready:
+            est, cols = row_of(task)
+            if degraded or task.banned_pes or not cols:
+                cols = live_columns(task, cols, pes)
+            best = min([est[j] for j in cols])
+            band = best * (1 + 1e-12)
+            fastest = [j for j in cols if est[j] <= band]
+            # round-robin over the PEs tied at the estimate *best*
+            cursor = self._cursor.get(best, 0)
+            self._cursor[best] = cursor + 1
+            j = fastest[cursor % len(fastest)]
             pe = pes[j]
+            pe.expected_free = max(pe.expected_free, now) + est[j]
             assignments.append((task, pe))
-            pe.expected_free = max(pe.expected_free, now) + float(row[j])
         return assignments
-
-    def _rotate(self, best: float, fastest) -> int:
-        """Round-robin over the PEs tied at the estimate *best*."""
-        cursor = self._cursor.get(best, 0)
-        self._cursor[best] = cursor + 1
-        return fastest[cursor % len(fastest)]
 
     def round_cost(self, n_ready: int, n_pes: int) -> float:
         return self.cost_per_eval_us * 1e-6 * n_ready * n_pes

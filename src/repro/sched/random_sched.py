@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import EstimateFn, Scheduler, register_scheduler
+from .base import EstimateFn, Scheduler, live_columns, register_scheduler, round_rows
 
 __all__ = ["RandomScheduler"]
 
@@ -32,12 +32,16 @@ class RandomScheduler(Scheduler):
         self.cost_per_task_us = cost_per_task_us
 
     def schedule(self, ready, pes: Sequence, now: float, estimate: EstimateFn):
+        row_of, degraded = round_rows(pes, estimate)
         assignments = []
         for task in ready:
-            candidates = self.compatible(task, pes)
-            pe = candidates[int(self.rng.integers(len(candidates)))]
+            est, cols = row_of(task)
+            if degraded or task.banned_pes or not cols:
+                cols = live_columns(task, cols, pes)
+            j = cols[int(self.rng.integers(len(cols)))]
+            pe = pes[j]
+            pe.expected_free = max(pe.expected_free, now) + est[j]
             assignments.append((task, pe))
-            pe.expected_free = max(pe.expected_free, now) + estimate(task, pe)
         return assignments
 
     def round_cost(self, n_ready: int, n_pes: int) -> float:

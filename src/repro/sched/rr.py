@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .base import (
-    EstimateFn,
-    Scheduler,
-    candidate_mask,
-    register_scheduler,
-    single_task_lane,
-)
+from .base import EstimateFn, Scheduler, live_columns, register_scheduler, round_rows
 
 __all__ = ["RoundRobin"]
 
@@ -33,37 +27,25 @@ class RoundRobin(Scheduler):
         self.cost_per_task_us = cost_per_task_us
 
     def schedule(self, ready, pes: Sequence, now: float, estimate: EstimateFn):
-        if not ready:
-            return []
         n = len(pes)
-        lane = single_task_lane(ready, pes, estimate)
-        if lane is not None:
-            task, est, cols = lane
-            j = self._advance(cols.__contains__, n)
+        row_of, degraded = round_rows(pes, estimate)
+        assignments = []
+        for task in ready:
+            est, cols = row_of(task)
+            if degraded or task.banned_pes or not cols:
+                cols = live_columns(task, cols, pes)
+            # step the cursor to the next column that may run the task: a
+            # ZIP task skips over FFT accelerators and everything skips
+            # quarantined or dead PEs exactly like CEDR's dispatch loop
+            for _ in range(n):
+                j = self._cursor % n
+                self._cursor += 1
+                if j in cols:
+                    break
             pe = pes[j]
             pe.expected_free = max(pe.expected_free, now) + est[j]
-            return [(task, pe)]
-        # One candidate matrix per round replaces the old per-task
-        # compatible() set rebuild; compatibility still composes the live
-        # support matrix *and* the fault subsystem's availability/ban masks,
-        # so a ZIP task skips over FFT accelerators and everything skips
-        # quarantined or dead PEs exactly like CEDR's dispatch loop.
-        mask = candidate_mask(ready, pes, estimate)
-        assignments = []
-        for i, task in enumerate(ready):
-            pe = pes[self._advance(mask[i].__getitem__, n)]
             assignments.append((task, pe))
-            pe.expected_free = max(pe.expected_free, now) + estimate(task, pe)
         return assignments
-
-    def _advance(self, allowed, n: int) -> int:
-        """Step the cursor until ``allowed(column)``; returns that column."""
-        for _ in range(n):
-            j = self._cursor % n
-            self._cursor += 1
-            if allowed(j):
-                break
-        return j
 
     def round_cost(self, n_ready: int, n_pes: int) -> float:
         return self.cost_per_task_us * 1e-6 * n_ready

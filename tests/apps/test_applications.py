@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import LaneDetection, PulseDoppler, WifiTx, chunk_slices
 from repro.core import run_standalone
+from repro.kernels.radar import PDGeometry
 from repro.platforms import zcu102
 from repro.runtime import CedrRuntime, RuntimeConfig
 
@@ -84,6 +85,34 @@ def test_pd_task_count_scales_with_batch(rng):
     fft_nodes = [n for n, v in fine.spec["nodes"].items()
                  if v["api"] in ("fft", "ifft")]
     assert len(fft_nodes) == 513       # paper's "FFTs scaling to 512"
+
+
+@pytest.mark.parametrize("mode", ["api", "dag"])
+def test_pd_fft_beyond_the_accelerator_envelope_runs_on_cpus(rng, mode):
+    """A 4096-point range FFT exceeds the 2048-point FFT IP: with an FFT
+    accelerator on the platform those tasks run on the CPUs (as on real
+    CEDR) instead of killing the run; the 16-point Doppler FFTs still use
+    the accelerator.  rr spreads over every candidate, audited."""
+    app = PulseDoppler(geom=PDGeometry(n_fast=4096, n_pulses=16), batch=4)
+    platform = zcu102(n_cpu=3, n_fft=1).build(seed=0)
+    config = RuntimeConfig(scheduler="rr", execute_kernels=False).with_audit()
+    runtime = CedrRuntime(platform, config)
+    runtime.start()
+    runtime.submit(app.make_instance(mode, rng, timing_only=True), at=0.0)
+    runtime.seal()
+    runtime.run()
+    (inst,) = runtime.apps.values()
+    assert inst.finished and not inst.failed
+    table = runtime.cost_table
+    interned = table.n_rows
+    oversized = {
+        table.row(api, {"n": 4096, "batch": batch})
+        for api, batch in (("fft", 1), ("fft", 4), ("ifft", 4))
+    }
+    ran = [rec for rec in runtime.logbook.tasks if rec.cost_row in oversized]
+    assert len(ran) == 9 and table.n_rows == interned  # the run's own rows
+    assert {rec.pe_kind for rec in ran} == {"cpu"}
+    assert any(rec.pe == "fft0" for rec in runtime.logbook.tasks)
 
 
 # --------------------------------------------------------------------- #

@@ -3,8 +3,8 @@
 ``diff_results``/``assert_identical`` are the helpers the suite's
 bit-identity tests now build on; ``diff_run`` is the full paired-run
 driver behind ``repro audit diff``.  The small end-to-end grids here pin
-the real property on both platforms: serial, pooled, cached, scalar-path,
-telemetry-on, and audit-on sweeps all produce the same RunResults.
+the real property on both platforms: serial, pooled, cached, telemetry-on,
+and audit-on sweeps all produce the same RunResults.
 """
 
 import dataclasses
@@ -98,12 +98,12 @@ def test_variant_outcome_describe_both_ways():
 def test_oracle_report_summary_lists_every_variant():
     report = OracleReport(
         label="zcu102/tiny/api/etf", cells=4,
-        outcomes=(VariantOutcome("jobs", 4), VariantOutcome("scalar", 4)),
+        outcomes=(VariantOutcome("jobs", 4), VariantOutcome("audit", 4)),
     )
     assert report.ok
     text = report.summary()
     assert "4 cells x 2 variants" in text
-    assert "jobs" in text and "scalar" in text
+    assert "jobs" in text and "audit" in text
 
 
 # --------------------------------------------------------------------- #
@@ -130,18 +130,6 @@ def test_diff_run_all_variants_bit_identical(platform):
     assert report.cells == 4
     assert set(o.variant for o in report.outcomes) == set(DEFAULT_VARIANTS)
     assert report.ok, report.summary()
-
-
-def test_scalar_estimate_path_matches_vectorized(result_pair):
-    """RuntimeConfig(scalar_estimates=True) forces the schedulers onto the
-    scalar reference path; the columnar fast path must price identically."""
-    a, _ = result_pair
-    scalar = run_once(
-        zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, "eft", seed=2,
-        config=RuntimeConfig(scheduler="eft", execute_kernels=False,
-                             scalar_estimates=True),
-    )
-    assert diff_results(a, scalar) == []
 
 
 def test_audit_flip_matches_baseline_bit_for_bit(result_pair):

@@ -53,9 +53,9 @@ def test_each_call_interns_its_shape_once(rng, monkeypatch):
 
     _, runtime = run_api_app(main)
     assert runtime.counters.tasks_completed == 7
-    # one per call, plus one inside ``mean_estimate`` the first time a shape
-    # is seen (two shapes here)
-    assert len(lookups) == 7 + 2
+    # exactly one per call: the HEFT_RT rank seed (the row's mean) is
+    # computed with the row, not by a second lookup
+    assert len(lookups) == 7
 
 
 def test_every_blocking_api_roundtrips(rng):

@@ -4,14 +4,15 @@ import json
 
 import pytest
 
-from repro.cli import APP_FACTORIES, _parse_apps, build_parser, main
+from repro.apps import available_apps
+from repro.cli import _parse_apps, build_parser, main
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "zcu102" in out and "jetson" in out
-    for app in APP_FACTORIES:
+    for app in available_apps():
         assert app in out
     assert "heft_rt" in out
 

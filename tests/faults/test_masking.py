@@ -1,4 +1,5 @@
-"""Scheduler live-mask tests: Scheduler.compatible and end-to-end masking."""
+"""Scheduler live-mask tests: the shared ``live_columns`` filter and
+end-to-end masking."""
 
 import numpy as np
 import pytest
@@ -6,16 +7,23 @@ import pytest
 from repro.apps import PulseDoppler
 from repro.faults import FaultConfig, FaultKind, FaultSpec
 from repro.metrics import RunResult
-from repro.platforms import zcu102
+from repro.platforms import CostTable, zcu102, zcu102_timing
 from repro.runtime import CedrRuntime, RuntimeConfig
 from repro.runtime.task import Task
 from repro.sched import available_schedulers
-from repro.sched.base import Scheduler, SchedulerError
+from repro.sched.base import SchedulerError, live_columns
 
 
 @pytest.fixture
 def pes():
     return zcu102(n_cpu=3, n_fft=1).build(seed=0).pes
+
+
+def compatible(task, pes):
+    """The PEs a scheduling round may pick from: the task's interned row
+    columns through the one filter every heuristic shares."""
+    _, cols = CostTable(zcu102_timing(), pes).scalar_row(task)
+    return [pes[j] for j in live_columns(task, cols, pes)]
 
 
 def fft_task(**kwargs):
@@ -26,33 +34,33 @@ def fft_task(**kwargs):
 
 
 def test_compatible_defaults_to_support_filter(pes):
-    got = Scheduler.compatible(fft_task(), pes)
+    got = compatible(fft_task(), pes)
     assert got == [pe for pe in pes if pe.supports("fft")]
 
 
 def test_compatible_drops_unavailable_pes(pes):
     pes[0].available = False
-    got = Scheduler.compatible(fft_task(), pes)
+    got = compatible(fft_task(), pes)
     assert pes[0] not in got
     assert all(pe.available for pe in got)
 
 
 def test_compatible_raises_when_no_pe_supports(pes):
     with pytest.raises(SchedulerError, match="no PE supports"):
-        Scheduler.compatible(Task(api="warp_drive", params={}, app_id=0), pes)
+        compatible(Task(api="warp_drive", params={}, app_id=0), pes)
 
 
 def test_compatible_raises_when_all_supporters_down(pes):
     for pe in pes:
         pe.available = False
     with pytest.raises(SchedulerError, match="no live PE"):
-        Scheduler.compatible(fft_task(), pes)
+        compatible(fft_task(), pes)
 
 
 def test_compatible_honors_retry_bans(pes):
     supporters = [pe for pe in pes if pe.supports("fft")]
     banned = frozenset({supporters[0].index})
-    got = Scheduler.compatible(fft_task(banned_pes=banned), pes)
+    got = compatible(fft_task(banned_pes=banned), pes)
     assert supporters[0] not in got
     assert got
 
@@ -62,7 +70,7 @@ def test_compatible_ban_fallback_keeps_task_runnable(pes):
     # than leaving the task unschedulable
     supporters = [pe for pe in pes if pe.supports("fft")]
     banned = frozenset(pe.index for pe in supporters)
-    got = Scheduler.compatible(fft_task(banned_pes=banned), pes)
+    got = compatible(fft_task(banned_pes=banned), pes)
     assert got == supporters
 
 

@@ -181,7 +181,7 @@ def test_pe_death_retriages_parked_tasks_by_support_row():
     """A fail-stop re-triages what is parked: a task with a surviving
     (merely quarantined) supporter stays parked, a task whose every
     supporter is now dead is lost with its application - decided from the
-    interned support row, like the pre-round partition."""
+    interned row's supporting columns, like the pre-round partition."""
     runtime = build_runtime(FaultConfig(rate=1.0, seed=0), n_cpu=2, n_fft=1)
     main = lambda lib: iter(())  # never runs: the apps are only registered
     keeps = AppInstance(name="keeps", mode="api", frame_mb=0.1, main_factory=main)

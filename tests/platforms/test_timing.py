@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.platforms import PE, PEDescriptor, PEKind, jetson_timing, zcu102_timing
+from repro.platforms import (
+    PE,
+    CostTable,
+    PEDescriptor,
+    PEKind,
+    ShapeOutsideEnvelope,
+    jetson_timing,
+    zcu102,
+    zcu102_timing,
+)
+from repro.runtime.task import Task
+from repro.sched import SCHEDULERS, SchedulerError
 
 pow2 = st.sampled_from([64, 128, 256, 512, 1024])
 
@@ -57,6 +68,34 @@ def test_fft_ip_point_limit():
     t.accel_parts("fft", {"n": 2048}, PEKind.FFT)
     with pytest.raises(ValueError, match="2048-point"):
         t.accel_parts("fft", {"n": 4096}, PEKind.FFT)
+    with pytest.raises(ShapeOutsideEnvelope):  # the dedicated type, a ValueError
+        t.estimate("ifft", {"n": 4096, "batch": 2}, make_pe(PEKind.FFT))
+
+
+def test_shape_outside_the_envelope_leaves_the_column_out_of_the_row():
+    """Support is a property of the row: a 4096-point FFT keeps its CPU
+    columns and drops the FFT accelerator, a 2048-point one keeps all."""
+    instance = zcu102(n_cpu=3, n_fft=1).build(seed=0)
+    pes, timing = instance.pes, instance.timing
+    table = CostTable(timing, pes)
+    cpus = tuple(pe.index for pe in pes if pe.kind is PEKind.CPU)
+    (fft0,) = (pe.index for pe in pes if pe.kind is PEKind.FFT)
+    big = Task(api="fft", params={"n": 4096, "batch": 4}, app_id=0)
+    fits = Task(api="fft", params={"n": 2048, "batch": 4}, app_id=0)
+    est, cols = table.scalar_row(big)
+    assert cols == cpus and est[fft0] == float("inf")
+    assert table.row_mean(big.cost_row) == timing.cpu_seconds("fft", big.params)
+    assert table.scalar_row(fits)[1] == (*cpus, fft0)
+
+
+@pytest.mark.parametrize("sched_name", sorted(SCHEDULERS.names()))
+def test_row_with_no_column_left_is_the_unsupported_api_error(sched_name):
+    pes = [make_pe(PEKind.FFT, "fft0")]
+    table = CostTable(zcu102_timing(), pes)
+    task = Task(api="fft", params={"n": 4096, "batch": 1}, app_id=0)
+    assert table.scalar_row(task)[1] == () and table.row_mean(task.cost_row) is None
+    with pytest.raises(SchedulerError, match="no PE supports API 'fft'"):
+        SCHEDULERS.create(sched_name).schedule([task], pes, 0.0, table)
 
 
 def test_accel_parts_all_positive():

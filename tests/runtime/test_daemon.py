@@ -12,7 +12,7 @@ from repro.runtime import (
     CedrRuntime,
     RuntimeConfig,
 )
-from repro.sched import PAPER_SCHEDULERS
+from repro.sched import paper_schedulers
 
 
 def tiny_dag_program(data):
@@ -50,7 +50,7 @@ def expected(data):
     return np.fft.ifft(np.fft.fft(data) ** 2)
 
 
-@pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
+@pytest.mark.parametrize("scheduler", paper_schedulers())
 def test_dag_mode_executes_correctly(scheduler, data, expected):
     rt = build_runtime(scheduler)
     app = AppInstance(name="t", mode=DAG_MODE, frame_mb=0.1, dag=tiny_dag_program(data))
@@ -62,7 +62,7 @@ def test_dag_mode_executes_correctly(scheduler, data, expected):
     assert app.tasks_done == app.tasks_total == 4
 
 
-@pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
+@pytest.mark.parametrize("scheduler", paper_schedulers())
 def test_api_mode_executes_correctly(scheduler, data, expected):
     rt = build_runtime(scheduler)
     app = AppInstance(name="t", mode=API_MODE, frame_mb=0.1,

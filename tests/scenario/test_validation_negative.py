@@ -132,6 +132,24 @@ def test_unknown_platform_parameter_lists_accepted():
         )
 
 
+def test_unknown_app_parameter_lists_accepted():
+    """An override the app factory does not take dies at validation, not as
+    a bare TypeError out of ``build_workload``."""
+    apps = [{"name": "PD", "count": 1, "n_samples": 4096}, {"name": "TX", "batc": 2}]
+    with pytest.raises(ScenarioError) as ei:
+        ScenarioSpec.from_mapping(_doc(workload={"apps": apps[:1]}), source="<test>")
+    message = str(ei.value)
+    assert "app 'PD'" in message and "unknown key(s) 'n_samples'" in message
+    assert message.endswith(
+        "allowed: batch, geom, snr_db, target_range_bin, target_velocity"
+    )
+    with pytest.raises(ScenarioError, match="did you mean 'batch'"):
+        ScenarioSpec.from_mapping(_doc(workload={"apps": apps[1:]}), source="<test>")
+    # accepted overrides still build
+    ok = _doc(workload={"apps": [{"name": "PD", "batch": 4}]})
+    ScenarioSpec.from_mapping(ok, source="<test>").build_workload()
+
+
 def test_kind_mismatched_sections_rejected():
     doc = _doc()
     doc["scenario"]["kind"] = "serve"

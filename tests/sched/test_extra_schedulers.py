@@ -4,7 +4,7 @@ import pytest
 
 from repro.platforms import PE, PEDescriptor, PEKind
 from repro.runtime.task import Task
-from repro.sched import EXTRA_SCHEDULERS, SchedulerError, make_scheduler
+from repro.sched import SCHEDULERS, SchedulerError, extra_schedulers
 
 
 def make_pes(*kinds):
@@ -24,12 +24,12 @@ def accel_fast(task, pe):
 
 
 def test_extra_schedulers_registered():
-    for name in EXTRA_SCHEDULERS:
-        assert make_scheduler(name).name == name
+    for name in extra_schedulers():
+        assert SCHEDULERS.create(name).name == name
 
 
 def test_met_picks_fastest_pe_type():
-    sched = make_scheduler("met")
+    sched = SCHEDULERS.create("met")
     pes = make_pes(PEKind.CPU, PEKind.CPU, PEKind.FFT)
     out = sched.schedule(make_tasks("fft"), pes, 0.0, accel_fast)
     assert out[0][1].kind is PEKind.FFT
@@ -37,7 +37,7 @@ def test_met_picks_fastest_pe_type():
 
 def test_met_is_queue_blind():
     """MET ignores backlog entirely - its defining (mis)feature."""
-    sched = make_scheduler("met")
+    sched = SCHEDULERS.create("met")
     pes = make_pes(PEKind.CPU, PEKind.FFT)
     pes[1].expected_free = 100.0  # hopelessly backlogged accelerator
     out = sched.schedule(make_tasks("fft"), pes, 0.0, accel_fast)
@@ -45,7 +45,7 @@ def test_met_is_queue_blind():
 
 
 def test_met_round_robins_over_equal_replicas():
-    sched = make_scheduler("met")
+    sched = SCHEDULERS.create("met")
     pes = make_pes(PEKind.CPU, PEKind.FFT, PEKind.FFT, PEKind.FFT)
     tasks = make_tasks("fft", "fft", "fft", "fft", "fft", "fft")
     out = sched.schedule(tasks, pes, 0.0, accel_fast)
@@ -56,13 +56,13 @@ def test_met_round_robins_over_equal_replicas():
 
 
 def test_met_unsupported_api_raises():
-    sched = make_scheduler("met")
+    sched = SCHEDULERS.create("met")
     with pytest.raises(SchedulerError):
         sched.schedule(make_tasks("zip"), make_pes(PEKind.FFT), 0.0, accel_fast)
 
 
 def test_random_only_picks_supporting_pes():
-    sched = make_scheduler("random", seed=42)
+    sched = SCHEDULERS.create("random", seed=42)
     pes = make_pes(PEKind.CPU, PEKind.FFT, PEKind.MMULT)
     tasks = make_tasks(*(["zip"] * 20))
     out = sched.schedule(tasks, pes, 0.0, accel_fast)
@@ -71,7 +71,7 @@ def test_random_only_picks_supporting_pes():
 
 def test_random_is_seed_reproducible():
     def run(seed):
-        sched = make_scheduler("random", seed=seed)
+        sched = SCHEDULERS.create("random", seed=seed)
         pes = make_pes(PEKind.CPU, PEKind.CPU, PEKind.FFT)
         return [pe.name for _, pe in
                 sched.schedule(make_tasks(*(["fft"] * 10)), pes, 0.0, accel_fast)]
@@ -81,7 +81,7 @@ def test_random_is_seed_reproducible():
 
 
 def test_random_eventually_uses_every_pe():
-    sched = make_scheduler("random", seed=0)
+    sched = SCHEDULERS.create("random", seed=0)
     pes = make_pes(PEKind.CPU, PEKind.CPU, PEKind.FFT)
     out = sched.schedule(make_tasks(*(["fft"] * 60)), pes, 0.0, accel_fast)
     assert {pe.name for _, pe in out} == {"cpu0", "cpu1", "fft2"}
@@ -100,7 +100,7 @@ def test_extra_schedulers_work_end_to_end(rng):
         spec = yield from lib.fft(data)
         return (yield from lib.ifft(spec))
 
-    for name in EXTRA_SCHEDULERS:
+    for name in extra_schedulers():
         platform = zcu102(n_cpu=3, n_fft=1).build(seed=0)
         runtime = CedrRuntime(platform, RuntimeConfig(scheduler=name))
         runtime.start()

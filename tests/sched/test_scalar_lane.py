@@ -1,26 +1,26 @@
-"""Scalar-lane vs batched-lane parity for single-task scheduling rounds.
+"""The one lane at ready depth 1, and the rows it reads.
 
-A round with exactly one ready task and a table-backed estimate provider
-takes ``single_task_lane`` (plain Python floats); everything else takes the
-batched columnar kernels.  The lane is an optimisation of *host* cost only:
-fed the same one-task round, both must return the same ``(task, pe)``,
-leave bit-identical ``pe.expected_free`` on every PE, and leave the
-scheduler's cursor state equal - round after round, with state carried
-across rounds, with fault masks active or not - and raise the same two
-``SchedulerError`` texts.
+Every production heuristic prices a round from the cost table's interned
+row tuples.  The partner here is ``reference_schedulers.py`` - per-task
+``compatible()`` list filters and one ``TimingModel.estimate`` call per
+cell, sharing no code with ``src/`` - and the two must agree on every
+single-task round: the same ``(task, pe)``, bit-identical
+``pe.expected_free`` on every PE and equal rr/met cursor state, round after
+round with state carried across rounds, with fault masks active or not; and
+they must raise the same two ``SchedulerError`` texts.  Deeper rounds are
+``test_vectorized_parity.py``'s.
 
-``BatchedOnly`` is how the batched kernels are called on a one-task input:
-it forwards the table's columnar interface and hides ``scalar_row``, which
-is the only thing the lane keys on besides ``len(ready) == 1``.
+(Several test names predate the one-lane change, when the partner was the
+batched NumPy lane; they are kept so test IDs stay comparable across PRs.)
 """
 
 from __future__ import annotations
 
 import pytest
 
+from reference_schedulers import REFERENCE, per_cell
 from repro.platforms import PE, PEDescriptor, PEKind, jetson, zcu102
 from repro.platforms.timing import CostTable, zcu102_timing
-from repro.runtime.daemon import _ScalarEstimate
 from repro.runtime.task import Task
 from repro.sched import SCHEDULERS, SchedulerError
 
@@ -40,40 +40,6 @@ _SHAPES = (
 
 SCENARIOS = ("clean", "quarantine", "bans", "all-banned", "quarantine+bans")
 
-#: the heuristics with a scalar lane (``random`` draws from
-#: ``Scheduler.compatible`` on every path and has nothing to select)
-LANED = ("rr", "eft", "etf", "heft_rt", "met")
-
-
-class BatchedOnly:
-    """The table's columnar interface without ``scalar_row``."""
-
-    def __init__(self, table: CostTable) -> None:
-        self._table = table
-        self.rows_for = table.rows_for
-        self.estimate_rows = table.estimate_rows
-        self.support_rows = table.support_rows
-
-    def __call__(self, task, pe):
-        return self._table(task, pe)
-
-
-class CountingTable(CostTable):
-    """A ``CostTable`` that counts its scalar-lane and gather reads."""
-
-    def __init__(self, timing, pes) -> None:
-        super().__init__(timing, pes)
-        self.scalar_reads = 0
-        self.gathers = 0
-
-    def scalar_row(self, task):
-        self.scalar_reads += 1
-        return super().scalar_row(task)
-
-    def rows_for(self, tasks):
-        self.gathers += 1
-        return super().rows_for(tasks)
-
 
 def _bans(scenario: str, round_no: int, pes: list[PE]) -> frozenset:
     cpu_idx = [pe.index for pe in pes if pe.kind is PEKind.CPU]
@@ -85,15 +51,14 @@ def _bans(scenario: str, round_no: int, pes: list[PE]) -> frozenset:
     return frozenset()
 
 
-def _side(platform_key: str, sched_name: str, scenario: str):
+def _side(platform_key: str, scenario: str):
     instance = PLATFORMS[platform_key]().build(seed=0)
     pes = instance.pes
     if "quarantine" in scenario:
         # one accelerator and one CPU out; every API keeps a live CPU
         pes[-1].available = False
         pes[1].available = False
-    table = CountingTable(instance.timing, pes)
-    return pes, table, SCHEDULERS.create(sched_name)
+    return pes, instance.timing
 
 
 def _cursor_state(scheduler):
@@ -104,9 +69,10 @@ def _cursor_state(scheduler):
 @pytest.mark.parametrize("platform_key", sorted(PLATFORMS))
 @pytest.mark.parametrize("sched_name", sorted(SCHEDULERS.names()))
 def test_single_task_rounds_match_the_batched_kernels(sched_name, platform_key, scenario):
-    pes_a, table_a, sched_a = _side(platform_key, sched_name, scenario)
-    pes_b, table_b, sched_b = _side(platform_key, sched_name, scenario)
-    batched = BatchedOnly(table_b)
+    pes_a, timing_a = _side(platform_key, scenario)
+    pes_b, timing_b = _side(platform_key, scenario)
+    sched_a, table = SCHEDULERS.create(sched_name), CostTable(timing_a, pes_a)
+    sched_b, cells = REFERENCE[sched_name](), per_cell(timing_b)
     # 18 consecutive rounds, nothing reset in between: expected_free and
     # the rr/met cursors carry from round to round on both sides
     for round_no in range(18):
@@ -117,8 +83,8 @@ def test_single_task_rounds_match_the_batched_kernels(sched_name, platform_key, 
         task_a.banned_pes = _bans(scenario, round_no, pes_a)
         task_b.banned_pes = _bans(scenario, round_no, pes_b)
 
-        ((got_a, pe_a),) = sched_a.schedule([task_a], pes_a, now, table_a)
-        ((got_b, pe_b),) = sched_b.schedule([task_b], pes_b, now, batched)
+        ((got_a, pe_a),) = sched_a.schedule([task_a], pes_a, now, table)
+        ((got_b, pe_b),) = sched_b.schedule([task_b], pes_b, now, cells)
 
         assert got_a is task_a and got_b is task_b
         assert pe_a.index == pe_b.index, f"round {round_no}: placement diverged"
@@ -128,35 +94,6 @@ def test_single_task_rounds_match_the_batched_kernels(sched_name, platform_key, 
         assert _cursor_state(sched_a) == _cursor_state(sched_b), (
             f"round {round_no}: cursor state diverged"
         )
-    if sched_name in LANED:
-        # side A really took the scalar lane, side B really did not
-        assert table_a.scalar_reads == 18 and table_a.gathers == 0
-        assert table_b.scalar_reads == 0 and table_b.gathers == 18
-
-
-@pytest.mark.parametrize("sched_name", LANED)
-def test_lane_is_selected_by_batch_size_alone(sched_name):
-    """Two ready tasks go batched; so does one task behind a provider that
-    hides the table (the scalar-oracle wrapper, a plain callable)."""
-    pes, table, scheduler = _side("zcu102", sched_name, "clean")
-    tasks = [Task(api="fft", params={"n": 128, "batch": 1}, app_id=i) for i in range(2)]
-    assert len(scheduler.schedule(tasks, pes, 0.0, table)) == 2
-    assert table.scalar_reads == 0
-    oracle = _ScalarEstimate(table)
-    assert not hasattr(oracle, "scalar_row")
-    scheduler.schedule(tasks[:1], pes, 0.0, oracle)
-    assert table.scalar_reads == 0
-    scheduler.schedule(tasks[:1], pes, 0.0, table)
-    assert table.scalar_reads == 1
-
-
-@pytest.mark.parametrize("sched_name", ("eft", "etf", "heft_rt", "met"))
-def test_batched_round_gathers_row_ids_once(sched_name):
-    """estimate and support arrays are indexed off one ``rows_for`` vector."""
-    pes, table, scheduler = _side("zcu102", sched_name, "clean")
-    tasks = [Task(api=api, params=params, app_id=i) for i, (api, params) in enumerate(_SHAPES)]
-    scheduler.schedule(tasks, pes, 0.0, table)
-    assert table.gathers == 1
 
 
 def _error_text(scheduler, tasks, pes, estimate) -> str:
@@ -169,11 +106,11 @@ def _error_text(scheduler, tasks, pes, estimate) -> str:
 def test_unsupported_api_error_text_matches(sched_name):
     desc = PEDescriptor(name="fft0", kind=PEKind.FFT, clock_ghz=0.3)
     pes = [PE(index=0, desc=desc)]
-    table = CostTable(zcu102_timing(), pes)
+    timing = zcu102_timing()
     tasks = [Task(api="zip", params={"n": 64}, app_id=0)]
-    lane = _error_text(SCHEDULERS.create(sched_name), tasks, pes, table)
-    batched = _error_text(SCHEDULERS.create(sched_name), tasks, pes, BatchedOnly(table))
-    assert lane == batched
+    lane = _error_text(SCHEDULERS.create(sched_name), tasks, pes, CostTable(timing, pes))
+    reference = _error_text(REFERENCE[sched_name](), tasks, pes, per_cell(timing))
+    assert lane == reference
     assert lane.startswith("no PE supports API 'zip'")
 
 
@@ -184,22 +121,47 @@ def test_no_live_pe_error_text_matches(sched_name):
     for pe in pes:
         if pe.kind is PEKind.CPU:
             pe.available = False
-    table = CostTable(instance.timing, pes)
+    timing = instance.timing
     tasks = [Task(api="zip", params={"n": 64}, app_id=0)]  # CPU-only API
-    lane = _error_text(SCHEDULERS.create(sched_name), tasks, pes, table)
-    batched = _error_text(SCHEDULERS.create(sched_name), tasks, pes, BatchedOnly(table))
-    assert lane == batched
+    lane = _error_text(SCHEDULERS.create(sched_name), tasks, pes, CostTable(timing, pes))
+    reference = _error_text(REFERENCE[sched_name](), tasks, pes, per_cell(timing))
+    assert lane == reference
     assert lane.startswith("no live PE for API 'zip'")
 
 
-def test_row_tuples_are_the_array_rows():
-    """``scalar_row`` and ``lookup`` read the very floats of ``est[row]``."""
+def test_row_tuples_are_the_timing_model_cells():
+    """``scalar_row``, ``lookup`` and the callable form read the very floats
+    ``TimingModel.estimate`` returns, cell by cell; unsupported cells are
+    ``+inf`` and absent from ``cols``."""
     instance = zcu102(n_cpu=3, n_fft=1, n_mmult=1).build(seed=0)
-    table = CostTable(instance.timing, instance.pes)
-    for i, (api, params) in enumerate(_SHAPES * 4):  # past the first growth
+    pes, timing = instance.pes, instance.timing
+    table = CostTable(timing, pes)
+    for i, (api, params) in enumerate(_SHAPES * 4):
         task = Task(api=api, params={**params, "pad": i}, app_id=i)
         est, cols = table.scalar_row(task)
-        row = table.estimate_rows([task])[0]
-        assert [value.hex() for value in est] == [float(v).hex() for v in row]
-        assert list(cols) == [j for j, ok in enumerate(table.support_row(task)) if ok]
-        assert all(table.lookup(task, j) == est[j] for j in range(table.n_pes))
+        assert list(cols) == [pe.index for pe in pes if pe.supports(api)]
+        assert [est[j].hex() for j in cols] == [
+            timing.estimate(api, task.params, pes[j]).hex() for j in cols
+        ]
+        assert all(est[j] == float("inf") for j in range(len(pes)) if j not in cols)
+        assert all(table.lookup(task, j) == est[j] == table(task, pes[j]) for j in cols)
+    assert table.n_rows == 4 * len(_SHAPES)
+
+
+@pytest.mark.parametrize(
+    "platform, n, supporters, mean_hex",
+    [
+        # np.mean sums pairwise: sum()/n gives ...037p-16 on the first row,
+        # sum()/n ...9bdp-14 and math.fsum()/n ...9c0p-14 on the second -
+        # a last bit that would move HEFT_RT ranks
+        (jetson(n_cpu=7), 64, 8, "0x1.1610090747038p-16"),
+        (zcu102(n_cpu=3, n_fft=8), 128, 11, "0x1.ea10c68efc9bfp-14"),
+    ],
+    ids=("jetson-7cpu+gpu", "zcu102-3cpu+8fft"),
+)
+def test_row_mean_is_pinned_by_hex(platform, n, supporters, mean_hex):
+    instance = platform.build(seed=0)
+    table = CostTable(instance.timing, instance.pes)
+    task = Task(api="fft", params={"n": n, "batch": 1}, app_id=0)
+    assert len(table.scalar_row(task)[1]) == supporters
+    assert table.row_mean(task.cost_row).hex() == mean_hex

@@ -5,12 +5,14 @@ import pytest
 from repro.platforms import PE, PEDescriptor, PEKind
 from repro.runtime.task import Task
 from repro.sched import (
-    PAPER_SCHEDULERS,
+    SCHEDULERS,
     SchedulerError,
     available_schedulers,
-    make_scheduler,
+    paper_schedulers,
     upward_ranks,
 )
+
+PAPER_SCHEDULERS = paper_schedulers()
 
 
 def make_pes(*kinds):
@@ -38,16 +40,16 @@ def test_registry_contains_paper_schedulers():
 
 def test_make_scheduler_unknown_name():
     with pytest.raises(KeyError, match="unknown scheduler"):
-        make_scheduler("fifo")
+        SCHEDULERS.create("fifo")
 
 
 def test_make_scheduler_case_insensitive():
-    assert make_scheduler("RR").name == "rr"
+    assert SCHEDULERS.create("RR").name == "rr"
 
 
 @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
 def test_every_assignment_is_supported(name):
-    sched = make_scheduler(name)
+    sched = SCHEDULERS.create(name)
     pes = make_pes(PEKind.CPU, PEKind.CPU, PEKind.FFT, PEKind.MMULT)
     tasks = make_tasks("fft", "zip", "gemm", "fft", "ifft", "zip")
     out = sched.schedule(tasks, pes, now=0.0, estimate=flat_estimate)
@@ -59,7 +61,7 @@ def test_every_assignment_is_supported(name):
 
 @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
 def test_unsupported_api_raises(name):
-    sched = make_scheduler(name)
+    sched = SCHEDULERS.create(name)
     pes = make_pes(PEKind.FFT)  # no CPU: zip has nowhere to go
     tasks = make_tasks("zip")
     with pytest.raises(SchedulerError):
@@ -69,7 +71,7 @@ def test_unsupported_api_raises(name):
 @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
 def test_determinism(name):
     def run():
-        sched = make_scheduler(name)
+        sched = SCHEDULERS.create(name)
         pes = make_pes(PEKind.CPU, PEKind.CPU, PEKind.FFT)
         tasks = make_tasks("fft", "fft", "zip", "ifft", "fft")
         return [(t.name, pe.name) for t, pe in
@@ -79,7 +81,7 @@ def test_determinism(name):
 
 
 def test_rr_cycles_over_supporting_pes():
-    sched = make_scheduler("rr")
+    sched = SCHEDULERS.create("rr")
     pes = make_pes(PEKind.CPU, PEKind.CPU, PEKind.FFT)
     tasks = make_tasks("fft", "fft", "fft", "fft", "fft", "fft")
     out = sched.schedule(tasks, pes, 0.0, flat_estimate)
@@ -88,7 +90,7 @@ def test_rr_cycles_over_supporting_pes():
 
 
 def test_rr_skips_incompatible_pes():
-    sched = make_scheduler("rr")
+    sched = SCHEDULERS.create("rr")
     pes = make_pes(PEKind.CPU, PEKind.FFT)
     tasks = make_tasks("zip", "zip", "zip")
     out = sched.schedule(tasks, pes, 0.0, flat_estimate)
@@ -96,7 +98,7 @@ def test_rr_skips_incompatible_pes():
 
 
 def test_eft_picks_earliest_finish():
-    sched = make_scheduler("eft")
+    sched = SCHEDULERS.create("eft")
     pes = make_pes(PEKind.CPU, PEKind.FFT)
     pes[0].expected_free = 10.0  # CPU backlogged
     tasks = make_tasks("fft")
@@ -105,7 +107,7 @@ def test_eft_picks_earliest_finish():
 
 
 def test_eft_accumulates_backlog_within_round():
-    sched = make_scheduler("eft")
+    sched = SCHEDULERS.create("eft")
     pes = make_pes(PEKind.CPU, PEKind.CPU)
     tasks = make_tasks("fft", "fft", "fft", "fft")
     out = sched.schedule(tasks, pes, 0.0, flat_estimate)
@@ -117,7 +119,7 @@ def test_eft_accumulates_backlog_within_round():
 
 
 def test_etf_commits_globally_earliest_pair_first():
-    sched = make_scheduler("etf")
+    sched = SCHEDULERS.create("etf")
     pes = make_pes(PEKind.CPU, PEKind.FFT)
 
     def estimate(task, pe):
@@ -132,7 +134,7 @@ def test_etf_commits_globally_earliest_pair_first():
 
 
 def test_etf_spreads_after_committing():
-    sched = make_scheduler("etf")
+    sched = SCHEDULERS.create("etf")
     pes = make_pes(PEKind.CPU, PEKind.CPU)
     tasks = make_tasks("fft", "fft")
     out = sched.schedule(tasks, pes, 0.0, flat_estimate)
@@ -140,7 +142,7 @@ def test_etf_spreads_after_committing():
 
 
 def test_heft_orders_by_rank():
-    sched = make_scheduler("heft_rt")
+    sched = SCHEDULERS.create("heft_rt")
     pes = make_pes(PEKind.CPU)
     tasks = make_tasks("fft", "fft", "fft")
     tasks[0].rank = 1.0
@@ -151,10 +153,10 @@ def test_heft_orders_by_rank():
 
 
 def test_round_costs_scale_as_documented():
-    rr = make_scheduler("rr")
-    eft = make_scheduler("eft")
-    etf = make_scheduler("etf")
-    heft = make_scheduler("heft_rt")
+    rr = SCHEDULERS.create("rr")
+    eft = SCHEDULERS.create("eft")
+    etf = SCHEDULERS.create("etf")
+    heft = SCHEDULERS.create("heft_rt")
     assert rr.round_cost(100, 5) == pytest.approx(10 * rr.round_cost(10, 5))
     assert eft.round_cost(100, 5) == pytest.approx(10 * eft.round_cost(10, 5))
     # ETF is quadratic in queue depth
@@ -167,8 +169,8 @@ def test_round_costs_scale_as_documented():
 def test_etf_queue_cost_dwarfs_others_at_dag_depths():
     """The Fig.-7 mechanism: at DAG-mode queue depths ETF's decision cost
     is orders of magnitude above the linear heuristics'."""
-    etf = make_scheduler("etf")
-    eft = make_scheduler("eft")
+    etf = SCHEDULERS.create("etf")
+    eft = SCHEDULERS.create("eft")
     assert etf.round_cost(300, 5) > 50 * eft.round_cost(300, 5)
 
 
