@@ -10,9 +10,6 @@ grid under paired configurations that must be indistinguishable -
 ``cache``       uncached vs cold-store vs warm-hit sweep cache
 ``telemetry``   telemetry off vs on (identical outside the snapshot field)
 ``audit``       online auditor off vs on
-``scenario``    flag-driven sweep vs the equivalent declarative
-                :class:`~repro.scenario.ScenarioSpec` (opt-in: pass a
-                ``scenario=`` template)
 
 - and diffs every :class:`~repro.metrics.RunResult` field-by-field,
 bit-exactly.  :func:`diff_results` / :func:`assert_identical` are the
@@ -23,8 +20,9 @@ full paired-run driver behind ``repro audit diff``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tempfile
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.experiments.cache import SweepCache
 from repro.experiments.common import run_trials
@@ -176,27 +174,68 @@ class OracleReport:
         return "\n".join([head, *(f"  {o.describe()}" for o in self.outcomes)])
 
 
-def _compare(
-    variant: str,
-    baseline: list[RunResult],
-    candidate: list[RunResult],
-    *,
-    ignore: Sequence[str] = (),
-    notes: Sequence[str] = (),
-) -> VariantOutcome:
-    mismatches = []
-    for i, (a, b) in enumerate(zip(baseline, candidate)):
-        fields = diff_results(a, b, ignore=ignore)
-        if fields:
-            mismatches.append((i, tuple(fields)))
-    if len(candidate) != len(baseline):
-        notes = (*notes, f"{len(candidate)} cells vs {len(baseline)}")
-    return VariantOutcome(
-        variant=variant,
-        cells=len(baseline),
-        mismatches=tuple(mismatches),
-        notes=tuple(notes),
-    )
+def _diff_grid(
+    label: str,
+    grid: Callable[..., list],
+    differ: Callable[..., list[str]],
+    base_config: RuntimeConfig,
+    variants: Sequence[str],
+    available: Sequence[str],
+    jobs: int,
+    cache_dir: Optional[str],
+) -> OracleReport:
+    """The variant loop shared by :func:`diff_run` and :func:`diff_serve`.
+
+    ``grid(config, n_jobs=1, cache=False)`` runs the whole cell grid once;
+    ``differ(a, b)`` names the drifted fields of one cell pair.  The
+    baseline is the plain serial, uncached, telemetry-free, unaudited
+    sweep; each variant flips exactly one knob and must reproduce it
+    bit-for-bit.  The ``cache`` variant additionally audits the cache's own
+    books: a cold pass must miss-and-store every cell, a warm pass must hit
+    every cell without simulating anything.
+    """
+    unknown = set(variants) - set(available)
+    if unknown:
+        raise KeyError(
+            f"unknown oracle variant(s) {sorted(unknown)}; "
+            f"available: {tuple(available)}"
+        )
+    baseline = grid(base_config)
+    n = len(baseline)
+    outcomes: list[VariantOutcome] = []
+    for variant in variants:
+        notes: list[str] = []
+        cell_differ = differ
+        if variant == "jobs":
+            runs = [grid(base_config, n_jobs=jobs)]
+        elif variant == "cache":
+            with tempfile.TemporaryDirectory() as scratch:
+                cold = SweepCache(cache_dir or scratch)
+                warm = SweepCache(cache_dir or scratch)
+                runs = [grid(base_config, cache=cold), grid(base_config, cache=warm)]
+            if not cold.stats.misses == cold.stats.stores == n:
+                notes.append(
+                    f"cold pass expected {n} misses+stores, saw {cold.stats}"
+                )
+            if warm.stats.hits != n or warm.stats.misses != 0:
+                notes.append(f"warm pass expected {n} pure hits, saw {warm.stats}")
+        elif variant == "telemetry":
+            runs = [grid(base_config.with_telemetry(0.0))]
+            cell_differ = functools.partial(differ, ignore=("telemetry",))
+        else:  # "audit"
+            runs = [grid(base_config.with_audit())]
+        mismatches = []
+        for run in runs:
+            for i, (a, b) in enumerate(zip(baseline, run)):
+                fields = cell_differ(a, b)
+                if fields:
+                    mismatches.append((i, tuple(fields)))
+            if len(run) != n:
+                notes.append(f"{len(run)} cells vs {n}")
+        outcomes.append(
+            VariantOutcome(variant, n, tuple(mismatches), tuple(notes))
+        )
+    return OracleReport(label=label, cells=n, outcomes=tuple(outcomes))
 
 
 def diff_run(
@@ -213,47 +252,14 @@ def diff_run(
     jobs: int = 2,
     cache_dir: Optional[str] = None,
     variants: Sequence[str] = DEFAULT_VARIANTS,
-    scenario=None,
 ) -> OracleReport:
-    """Run one grid under every paired configuration and diff the results.
+    """Run one (rate x trial) grid under every paired configuration in
+    *variants* and diff each :class:`~repro.metrics.RunResult` against the
+    serial baseline (see :func:`_diff_grid`)."""
+    if config is None:
+        config = RuntimeConfig(scheduler=scheduler, execute_kernels=execute)
 
-    The baseline is the plain serial, uncached, telemetry-free, unaudited
-    sweep; each variant flips exactly one knob and must reproduce it
-    bit-for-bit.  The ``cache`` variant additionally audits the cache's own
-    books: a cold pass must miss-and-store every cell, a warm pass must hit
-    every cell without simulating anything.
-
-    The opt-in ``scenario`` variant takes a run-kind
-    :class:`~repro.scenario.ScenarioSpec` template, sweeps it across the
-    same rate grid via :func:`~repro.scenario.run_scenario`, and requires
-    the declarative route to reproduce the flag-built baseline bit-for-bit
-    - the proof behind ``repro audit diff --scenario``.
-    """
-    unknown = set(variants) - set(DEFAULT_VARIANTS) - {"scenario"}
-    if unknown:
-        raise KeyError(
-            f"unknown oracle variant(s) {sorted(unknown)}; "
-            f"available: {(*DEFAULT_VARIANTS, 'scenario')}"
-        )
-    if "scenario" in variants:
-        if scenario is None:
-            raise ValueError(
-                "the 'scenario' variant needs a ScenarioSpec template "
-                "(pass scenario=...)"
-            )
-        if scenario.kind != "run":
-            raise ValueError(
-                f"diff_run needs a run-kind scenario, got {scenario.kind!r}"
-            )
-    base_config = (
-        config
-        if config is not None
-        else RuntimeConfig(scheduler=scheduler, execute_kernels=execute)
-    )
-
-    def grid(
-        cfg: RuntimeConfig, n_jobs: int = 1, cache=False
-    ) -> list[RunResult]:
+    def grid(cfg: RuntimeConfig, n_jobs: int = 1, cache=False) -> list[RunResult]:
         out: list[RunResult] = []
         for rate in rates:
             out.extend(
@@ -265,88 +271,9 @@ def diff_run(
             )
         return out
 
-    baseline = grid(base_config)
-    outcomes: list[VariantOutcome] = []
-    for variant in variants:
-        if variant == "jobs":
-            outcomes.append(
-                _compare(variant, baseline, grid(base_config, n_jobs=jobs))
-            )
-        elif variant == "cache":
-            with tempfile.TemporaryDirectory() as scratch:
-                root = cache_dir or scratch
-                cold_cache = SweepCache(root)
-                cold = grid(base_config, cache=cold_cache)
-                warm_cache = SweepCache(root)
-                warm = grid(base_config, cache=warm_cache)
-                notes = []
-                n = len(baseline)
-                if not (
-                    cold_cache.stats.misses == cold_cache.stats.stores == n
-                ):
-                    notes.append(
-                        f"cold pass expected {n} misses+stores, saw "
-                        f"{cold_cache.stats}"
-                    )
-                if warm_cache.stats.hits != n or warm_cache.stats.misses != 0:
-                    notes.append(
-                        f"warm pass expected {n} pure hits, saw "
-                        f"{warm_cache.stats}"
-                    )
-                outcome = _compare(variant, baseline, cold, notes=notes)
-                warm_outcome = _compare(variant, baseline, warm)
-                outcomes.append(
-                    dataclasses.replace(
-                        outcome,
-                        mismatches=outcome.mismatches + warm_outcome.mismatches,
-                    )
-                )
-        elif variant == "telemetry":
-            cfg = base_config.with_telemetry(0.0)
-            outcomes.append(
-                _compare(
-                    variant, baseline, grid(cfg), ignore=("telemetry",)
-                )
-            )
-        elif variant == "audit":
-            cfg = dataclasses.replace(base_config, audit=True)
-            outcomes.append(_compare(variant, baseline, grid(cfg)))
-        elif variant == "scenario":
-            from repro.scenario import run_scenario
-
-            declarative: list[RunResult] = []
-            for rate in rates:
-                cell = dataclasses.replace(scenario, rate_mbps=float(rate))
-                declarative.extend(
-                    run_scenario(cell, trials=trials, base_seed=base_seed)
-                )
-            outcomes.append(_compare(variant, baseline, declarative))
-    return OracleReport(
-        label=f"{platform.name}/{workload.name}/{mode}/{scheduler}",
-        cells=len(baseline),
-        outcomes=tuple(outcomes),
-    )
-
-
-def _compare_serve(
-    variant: str,
-    baseline: list,
-    candidate: list,
-    *,
-    notes: Sequence[str] = (),
-) -> VariantOutcome:
-    mismatches = []
-    for i, (a, b) in enumerate(zip(baseline, candidate)):
-        fields = diff_serve_results(a, b)
-        if fields:
-            mismatches.append((i, tuple(fields)))
-    if len(candidate) != len(baseline):
-        notes = (*notes, f"{len(candidate)} cells vs {len(baseline)}")
-    return VariantOutcome(
-        variant=variant,
-        cells=len(baseline),
-        mismatches=tuple(mismatches),
-        notes=tuple(notes),
+    return _diff_grid(
+        f"{platform.name}/{workload.name}/{mode}/{scheduler}",
+        grid, diff_results, config, variants, DEFAULT_VARIANTS, jobs, cache_dir,
     )
 
 
@@ -360,7 +287,6 @@ def diff_serve(
     jobs: int = 2,
     cache_dir: Optional[str] = None,
     variants: Sequence[str] = SERVE_VARIANTS,
-    scenario=None,
 ) -> OracleReport:
     """The serve-mode differential oracle behind ``repro audit diff --serve``.
 
@@ -372,34 +298,11 @@ def diff_serve(
     *variants* and diffs each :class:`~repro.serve.driver.ServeResult` -
     SLO ledger and embedded batch result both - bit-exactly against the
     serial baseline.
-
-    Like :func:`diff_run`, the opt-in ``scenario`` variant replays a
-    serve-kind :class:`~repro.scenario.ScenarioSpec` template over the
-    same trial grid and requires bit-identity with the flag-built config.
     """
     from repro.serve.driver import serve_trials
 
-    unknown = set(variants) - set(SERVE_VARIANTS) - {"scenario"}
-    if unknown:
-        raise KeyError(
-            f"unknown serve oracle variant(s) {sorted(unknown)}; "
-            f"available: {(*SERVE_VARIANTS, 'scenario')}"
-        )
-    if "scenario" in variants:
-        if scenario is None:
-            raise ValueError(
-                "the 'scenario' variant needs a ScenarioSpec template "
-                "(pass scenario=...)"
-            )
-        if scenario.kind != "serve":
-            raise ValueError(
-                f"diff_serve needs a serve-kind scenario, got {scenario.kind!r}"
-            )
-    base_config = (
-        config
-        if config is not None
-        else RuntimeConfig(scheduler=serve.scheduler, execute_kernels=False)
-    )
+    if config is None:
+        config = RuntimeConfig(scheduler=serve.scheduler, execute_kernels=False)
 
     def grid(cfg: RuntimeConfig, n_jobs: int = 1, cache=False) -> list:
         return serve_trials(
@@ -408,55 +311,8 @@ def diff_serve(
             config=cfg, n_jobs=n_jobs, cache=cache,
         )
 
-    baseline = grid(base_config)
-    outcomes: list[VariantOutcome] = []
-    for variant in variants:
-        if variant == "jobs":
-            outcomes.append(
-                _compare_serve(variant, baseline, grid(base_config, n_jobs=jobs))
-            )
-        elif variant == "cache":
-            with tempfile.TemporaryDirectory() as scratch:
-                root = cache_dir or scratch
-                cold_cache = SweepCache(root)
-                cold = grid(base_config, cache=cold_cache)
-                warm_cache = SweepCache(root)
-                warm = grid(base_config, cache=warm_cache)
-                notes = []
-                n = len(baseline)
-                if not (
-                    cold_cache.stats.misses == cold_cache.stats.stores == n
-                ):
-                    notes.append(
-                        f"cold pass expected {n} misses+stores, saw "
-                        f"{cold_cache.stats}"
-                    )
-                if warm_cache.stats.hits != n or warm_cache.stats.misses != 0:
-                    notes.append(
-                        f"warm pass expected {n} pure hits, saw "
-                        f"{warm_cache.stats}"
-                    )
-                outcome = _compare_serve(variant, baseline, cold, notes=notes)
-                warm_outcome = _compare_serve(variant, baseline, warm)
-                outcomes.append(
-                    dataclasses.replace(
-                        outcome,
-                        mismatches=outcome.mismatches + warm_outcome.mismatches,
-                    )
-                )
-        elif variant == "audit":
-            cfg = dataclasses.replace(base_config, audit=True)
-            outcomes.append(_compare_serve(variant, baseline, grid(cfg)))
-        elif variant == "scenario":
-            from repro.scenario import run_scenario
-
-            declarative = run_scenario(
-                scenario, trials=trials, base_seed=base_seed
-            )
-            outcomes.append(_compare_serve(variant, baseline, declarative))
     tenant_names = "+".join(t.name for t in serve.tenants)
-    return OracleReport(
-        label=f"{platform.name}/serve[{tenant_names}]/{serve.scheduler}",
-        cells=len(baseline),
-        outcomes=tuple(outcomes),
+    return _diff_grid(
+        f"{platform.name}/serve[{tenant_names}]/{serve.scheduler}",
+        grid, diff_serve_results, config, variants, SERVE_VARIANTS, jobs, cache_dir,
     )

@@ -25,6 +25,10 @@ presets, schedulers, arrival processes, fault kinds, figures - is driven
 by the corresponding :mod:`repro.registry` registry, so argparse choices,
 ``repro list`` output, and dispatch are all one table, and third-party
 plugins appear everywhere at once.
+
+``run``, ``serve`` and ``audit diff`` construct nothing themselves: their
+flags lower to a :class:`~repro.scenario.ScenarioSpec` (:func:`_lower`) and
+the spec's ``build_*`` methods are the one construction route.
 """
 
 from __future__ import annotations
@@ -33,19 +37,12 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.apps import APPS, available_apps
+from repro.apps import available_apps
 from repro.metrics import RunResult
-from repro.platforms import (
-    PLATFORMS,
-    available_platforms,
-    estimate_energy,
-    make_platform,
-)
-from repro.runtime import CedrRuntime, RuntimeConfig
+from repro.platforms import PLATFORMS, available_platforms, estimate_energy
 from repro.runtime.trace import write_chrome_trace
 from repro.sched import available_schedulers
 from repro.serve.admission import ADMISSION_POLICIES
-from repro.workload import WorkloadEntry, WorkloadSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -53,9 +50,9 @@ MODES = ("dag", "api")
 
 #: platform parameters the oracle sweeps use (match the figure configs)
 AUDIT_PLATFORM_PARAMS = {
-    "zcu102": (("cpu", 3), ("fft", 1)),
-    "jetson": (("cpu", 3),),
-    "zcu102-biglittle": (("cpu", 3), ("fft", 1), ("little", 4), ("mmult", 0)),
+    "zcu102": {"cpu": 3, "fft": 1},
+    "jetson": {"cpu": 3},
+    "zcu102-biglittle": {"cpu": 3, "fft": 1, "little": 4, "mmult": 0},
 }
 
 
@@ -130,10 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list every registered plugin axis "
-                                "(platforms, apps, schedulers, ...)")
+    lst = sub.add_parser("list", help="list every registered plugin axis "
+                                      "(platforms, apps, schedulers, ...)")
+    lst.set_defaults(func=_cmd_list)
 
     run = sub.add_parser("run", help="run a workload and print its metrics")
+    run.set_defaults(func=_cmd_run)
     _add_platform_options(run)
     run.add_argument("--apps", default="PD:2,TX:2",
                      help="comma list of NAME:COUNT (apps: %s)"
@@ -192,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulated seconds, then drains gracefully and prints "
                     "the per-tenant SLO ledger.",
     )
+    serve.set_defaults(func=_cmd_serve)
     _add_platform_options(serve)
     serve.add_argument("--apps", default="PD:1,TX:1",
                        help="app mix cycled round-robin per tenant, comma "
@@ -219,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="With a logbook path: replay the invariant catalog "
                     "over a saved run ('repro audit out/logbook.json'). "
                     "With the literal target 'diff': run one sweep plain, "
-                    "then once per pairing (%s; with --scenario also the "
-                    "declarative-spec route) and require bit-identical "
+                    "then once per pairing (%s) and require bit-identical "
                     "results." % ", ".join(DEFAULT_VARIANTS),
     )
+    audit.set_defaults(func=_cmd_audit)
     audit.add_argument("target",
                        help="path to a logbook JSON dump, or 'diff' to run "
                             "the differential oracle")
@@ -245,11 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--execute", action="store_true",
                        help="diff only: execute kernels functionally "
                             "instead of timing-only")
-    audit.add_argument("--scenario", action="store_true",
-                       help="diff only: add the 'scenario' pairing - build "
-                            "the equivalent declarative ScenarioSpec and "
-                            "require it to reproduce the flag-built sweep "
-                            "bit-for-bit")
     audit.add_argument("--serve", action="store_true",
                        help="diff only: run the serve-mode oracle instead "
                             "of the batch one (pairings: %s)"
@@ -266,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry",
         help="print the telemetry metric catalog (names, types, buckets)",
     )
+    tel.set_defaults(func=_cmd_telemetry)
     tel.add_argument("--json", action="store_true",
                      help="emit the catalog as JSON instead of a table")
 
@@ -275,11 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scenario documents (.toml/.json) name platform + "
                     "workload + scheduler + faults + admission + telemetry "
                     "+ seeds declaratively; 'run' executes one through the "
-                    "exact same code paths as the flag-driven commands "
-                    "(bit-identical, per 'repro audit diff --scenario').",
+                    "one run path (the run/serve/audit-diff flags lower to "
+                    "the same spec).",
     )
     scn_sub = scenario.add_subparsers(dest="scenario_command", required=True)
     scn_run = scn_sub.add_parser("run", help="execute one scenario document")
+    scn_run.set_defaults(func=_cmd_scenario_run)
     scn_run.add_argument("spec", help="path to a .toml/.json scenario document")
     scn_run.add_argument("--trials", type=int, default=None,
                          help="override the spec's trial count")
@@ -295,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_options(scn_run)
     scn_validate = scn_sub.add_parser(
         "validate", help="validate scenario documents without running them")
+    scn_validate.set_defaults(func=_cmd_scenario_validate)
     scn_validate.add_argument("specs", nargs="+",
                               help="scenario document paths")
     scn_list = scn_sub.add_parser(
         "list", help="list scenario documents with digests")
+    scn_list.set_defaults(func=_cmd_scenario_list)
     scn_list.add_argument("paths", nargs="*", default=["examples/scenarios"],
                           help="spec files or directories to scan "
                                "(default: examples/scenarios)")
@@ -332,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cor_gen = cor_sub.add_parser(
         "generate", help="emit corpus spec documents (JSON)")
+    cor_gen.set_defaults(func=_cmd_corpus_generate)
     _add_generate_options(cor_gen)
     cor_gen.add_argument("--out", default=None,
                          help="directory for one .json document per spec "
@@ -339,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cor_run = cor_sub.add_parser(
         "run", help="run every scheduler over a corpus, auditor armed")
+    cor_run.set_defaults(func=_cmd_corpus_run)
     _add_generate_options(cor_run)
     cor_run.add_argument("--specs", default=None,
                          help="directory (or file) of scenario documents to "
@@ -365,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cor_rep = cor_sub.add_parser(
         "report", help="summarize a saved corpus report")
+    cor_rep.set_defaults(func=_cmd_corpus_report)
     cor_rep.add_argument("report", help="path to a corpus-report.json")
     cor_rep.add_argument("--json", action="store_true",
                          help="re-emit the normalized JSON instead of the "
@@ -372,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cor_min = cor_sub.add_parser(
         "minimize", help="shrink one failing spec to a counterexample")
+    cor_min.set_defaults(func=_cmd_corpus_minimize)
     cor_min.add_argument("spec", help="path to a .toml/.json scenario "
                                       "document that fails under audit")
     cor_min.add_argument("--scheduler", default=None,
@@ -383,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max probes (default 200)")
 
     fig = sub.add_parser("figure", help="regenerate one evaluation figure")
+    fig.set_defaults(func=_cmd_figure)
     fig.add_argument("id", choices=available_figures())
     fig.add_argument("--rates", type=int, default=6, help="injection-rate grid points")
     fig.add_argument("--trials", type=int, default=1)
@@ -405,56 +409,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_apps(spec: str) -> list[tuple[str, int]]:
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, count = part.partition(":")
-        name = name.upper()
-        if name not in APPS:
-            raise SystemExit(
-                f"unknown application {name!r}; options: {sorted(APPS.names())}"
-            )
-        try:
-            n = int(count) if count else 1
-        except ValueError:
-            raise SystemExit(f"bad count in {part!r}") from None
-        if n < 1:
-            raise SystemExit(f"count must be >= 1 in {part!r}")
-        out.append((name, n))
-    if not out:
-        raise SystemExit("empty --apps specification")
-    return out
+def _platform_params(args) -> dict:
+    """The ``--cpu/--fft/...`` flags this platform accepts and that were given.
 
-
-def _make_platform(args) -> object:
-    """Build the platform from the shared ``--platform`` option group.
-
-    Only the flags the registered platform actually accepts are forwarded
-    (``--fft`` exists for every subcommand but only reaches platforms that
-    declare an ``fft`` parameter), so plugin platforms work with the stock
+    ``--fft`` exists for every subcommand but only reaches platforms that
+    declare an ``fft`` parameter, so plugin platforms work with the stock
     option group.
     """
-    entry = PLATFORMS.get(args.platform)
-    flags = {
-        "cpu": args.cpu,
-        "fft": args.fft,
-        "mmult": args.mmult,
-        "little": args.little,
-        "gpu": getattr(args, "gpu", None),
-    }
-    params = {
-        k: v for k, v in flags.items() if k in entry.params and v is not None
+    accepted = PLATFORMS.get(args.platform).params
+    flags = {"cpu": args.cpu, "fft": args.fft, "mmult": args.mmult,
+             "little": args.little, "gpu": args.gpu}
+    return {k: v for k, v in flags.items() if k in accepted and v is not None}
+
+
+def _lower(args, *, name="cli", platform_params=None, trials=1, **sections):
+    """Lower a flag namespace to a validated ``ScenarioSpec``.
+
+    The one construction route: flags become a scenario document, the
+    document becomes a spec, and only the spec's ``build_*`` methods make
+    objects.  Every validation failure (``ScenarioError`` and
+    ``RegistryError`` are both ``ValueError``) exits on one line.
+    """
+    from repro.scenario import ScenarioSpec
+
+    if platform_params is None:
+        platform_params = _platform_params(args)
+    doc = {
+        "scenario": {"name": name, "kind": "serve" if "serve" in sections else "run",
+                     "seed": args.seed, "trials": trials},
+        "platform": {"name": args.platform, **platform_params},
+        "scheduler": {"name": args.scheduler},
+        **sections,
     }
     try:
-        return entry.build_config(**params)
+        return ScenarioSpec.from_mapping(doc, source=f"repro {args.command}")
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
 
-def _cmd_list() -> int:
+def _run_spec(args):
+    """``repro run`` flags as a run-kind spec."""
+    sections = {
+        "engine": {"audit": args.audit},
+        "workload": {"apps": args.apps},
+        "run": {"mode": args.mode, "rate_mbps": args.rate,
+                "execute": not args.timing_only},
+    }
+    if args.fault_rate > 0.0:
+        sections["faults"] = {"rate": args.fault_rate, "seed": args.fault_seed,
+                              "kinds": args.fault_kinds,
+                              "max_retries": args.max_retries}
+    if args.metrics_out or args.metrics_interval > 0.0:
+        sections["telemetry"] = {"interval_s": args.metrics_interval}
+    return _lower(args, **sections)
+
+
+def _serve_section(args, **extra) -> dict:
+    """The ``[serve]`` keys ``repro serve`` and ``audit diff --serve`` share."""
+    return {"duration": args.duration, "arrival": args.arrival,
+            "slo_ms": args.slo_ms, "apps": args.apps, "mode": args.mode, **extra}
+
+
+def _serve_spec(args):
+    """``repro serve`` flags as a serve-kind spec."""
+    admission = {"policy": args.admission, "max_in_system": args.max_in_system,
+                 "queue_cap": args.queue_cap, "quota_rate": args.quota_rate}
+    return _lower(
+        args,
+        engine={"audit": args.audit},
+        serve=_serve_section(args, tenants=args.tenants, admission=admission),
+    )
+
+
+def _cmd_list(args) -> int:
     from repro.experiments import available_figures
     from repro.faults import available_fault_kinds
     from repro.serve import available_arrivals
@@ -472,53 +499,18 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args) -> int:
-    entries = tuple(
-        WorkloadEntry(APPS.get(name).factory(), count)
-        for name, count in _parse_apps(args.apps)
-    )
-    workload = WorkloadSpec(name="cli", entries=entries)
-    platform_cfg = _make_platform(args)
-    platform = platform_cfg.build(seed=args.seed)
-    faults = None
-    if args.fault_rate > 0.0:
-        from repro.faults import FaultConfig
+    from repro.experiments import run_to_completion
 
-        try:
-            faults = FaultConfig(
-                rate=args.fault_rate,
-                seed=args.fault_seed,
-                kinds=FaultConfig.parse_kinds(args.fault_kinds),
-                max_retries=args.max_retries,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    telemetry_cfg = None
-    if args.metrics_out or args.metrics_interval > 0.0:
-        from repro.telemetry import TelemetryConfig
-
-        try:
-            telemetry_cfg = TelemetryConfig(sample_interval_s=args.metrics_interval)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    runtime = CedrRuntime(
-        platform,
-        RuntimeConfig(
-            scheduler=args.scheduler,
-            execute_kernels=not args.timing_only,
-            faults=faults,
-            telemetry=telemetry_cfg,
-            audit=args.audit,
-        ),
+    spec = _run_spec(args)
+    platform_cfg = spec.build_platform()
+    # the finished runtime, not just its RunResult: trace, Gantt, logbook,
+    # metrics, perf and energy outputs all read the live object (which is
+    # also why this verb does not go through the sweep cache)
+    runtime = run_to_completion(
+        platform_cfg, spec.build_workload(), spec.mode, spec.rate_mbps,
+        spec.scheduler, seed=spec.seed, execute=spec.execute,
+        config=spec.build_config(), attribute_host_time=bool(args.perf_json),
     )
-    if args.perf_json:
-        runtime.counters.attribute_host_time()
-    runtime.start()
-    for app, arrival in workload.instantiate(
-        args.mode, args.rate, args.seed, timing_only=not runtime.config.execute_kernels
-    ):
-        runtime.submit(app, at=arrival)
-    runtime.seal()
-    runtime.run()
     result = RunResult.from_runtime(runtime)
 
     print(f"platform  : {platform_cfg.name}  mode={args.mode}  "
@@ -534,13 +526,13 @@ def _cmd_run(args) -> int:
           f"({result.sched_rounds} rounds, ready depth mean "
           f"{result.ready_depth_mean:.1f} / max {result.ready_depth_max})")
     print(f"placement : {result.pe_task_histogram}")
-    if faults is not None:
+    if spec.faults is not None:
         print(f"faults    : {result.faults_injected} injected, "
               f"{result.task_failures} task failures, {result.retries} retries, "
               f"{result.tasks_lost} tasks lost, {result.n_failed} apps failed "
               f"(goodput {result.goodput:.2f}, MTTR "
               f"{result.mean_time_to_recovery * 1e3:.2f} ms)")
-    if args.audit:
+    if runtime.config.audit:  # --audit or $REPRO_AUDIT
         # the run drained without the online auditor raising; count the
         # checks it performed so "nothing fired" is distinguishable from
         # "nothing ran"
@@ -567,7 +559,7 @@ def _cmd_run(args) -> int:
               f"{counters.wall_seconds * 1e3:.1f} ms wall "
               f"({counters.events_per_wall_sec:,.0f} events/s)")
     if args.energy:
-        energy = estimate_energy(platform)
+        energy = estimate_energy(runtime.platform)
         print(f"energy    : {energy.total_j:.2f} J "
               f"(cpu {energy.cpu_j:.2f} + little {energy.little_j:.2f} + "
               f"accel {energy.accel_j:.2f} + static {energy.static_j:.2f}), "
@@ -583,57 +575,15 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _serve_config_from_args(args):
-    """Build the ServeConfig shared by ``repro serve`` and ``audit --serve``."""
-    from repro.serve import AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
-
-    try:
-        arrival = ArrivalSpec.parse(args.arrival)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"bad --arrival: {exc}") from None
-    apps = tuple(
-        APPS.get(name).factory()
-        for name, count in _parse_apps(args.apps)
-        for _ in range(count)
-    )
-    n_tenants = getattr(args, "tenants", 1)
-    if n_tenants < 1:
-        raise SystemExit(f"--tenants must be >= 1, got {n_tenants}")
-    admission = AdmissionConfig(
-        policy=getattr(args, "admission", "shed"),
-        max_in_system=getattr(args, "max_in_system", 32),
-        queue_cap=getattr(args, "queue_cap", 16),
-        quota_rate=getattr(args, "quota_rate", 0.0),
-    )
-    try:
-        return ServeConfig(
-            tenants=tuple(
-                TenantSpec(
-                    f"tenant{i}" if n_tenants > 1 else "tenant",
-                    arrival, apps=apps, slo_s=args.slo_ms / 1e3,
-                )
-                for i in range(n_tenants)
-            ),
-            duration=args.duration,
-            admission=admission,
-            mode=getattr(args, "mode", "api"),
-            scheduler=getattr(args, "scheduler", "heft_rt"),
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-
-
 def _cmd_serve(args) -> int:
     """Run one open-stream service window and print the SLO ledger."""
-    from repro.serve import serve_once
+    from repro.scenario import run_scenario
 
-    serve = _serve_config_from_args(args)
-    config = RuntimeConfig(
-        scheduler=args.scheduler,
-        execute_kernels=False,
-        audit=args.audit,
+    spec = _serve_spec(args)
+    serve = spec.build_serve()  # for the header lines below
+    (result,) = run_scenario(
+        spec, trials=1, base_seed=spec.seed, n_jobs=1, cache=False
     )
-    result = serve_once(_make_platform(args), serve, seed=args.seed, config=config)
 
     print(f"platform  : {args.platform}  mode={args.mode}  "
           f"scheduler={args.scheduler}  window {serve.duration:g} s")
@@ -664,10 +614,9 @@ def _cmd_serve(args) -> int:
 
 def _cmd_telemetry(args) -> int:
     """Print the metric catalog the telemetry subsystem exports."""
-    from repro.telemetry import CedrTelemetry, TelemetryConfig
+    from repro.telemetry import CedrTelemetry
 
-    telemetry = CedrTelemetry(TelemetryConfig(), pe_names=())
-    families = telemetry.registry.families()
+    families = CedrTelemetry().registry.families()
     if args.json:
         import json
 
@@ -713,59 +662,13 @@ def _cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
-def _audit_scenario_template(args):
-    """The declarative twin of the flag-built oracle sweep.
-
-    Field-for-field mirror of what ``_cmd_audit_diff`` /
-    ``_cmd_audit_diff_serve`` build from flags, as a
-    :class:`~repro.scenario.ScenarioSpec` - the oracle's ``scenario``
-    variant then proves the two routes bit-identical.
-    """
-    from repro.scenario import AppCount, ScenarioSpec, ServeSection
-
-    apps = tuple(AppCount(name, count) for name, count in _parse_apps(args.apps))
-    common = dict(
-        name="audit-diff",
-        seed=args.seed,
-        trials=args.trials,
-        platform=args.platform,
-        platform_params=AUDIT_PLATFORM_PARAMS[args.platform],
-        scheduler=args.scheduler,
-        mode=args.mode,
-    )
-    if args.serve:
-        return ScenarioSpec(
-            kind="serve",
-            serve=ServeSection(
-                duration=args.duration,
-                arrival=args.arrival,
-                tenants=1,
-                slo_ms=args.slo_ms,
-                apps=apps,
-                policy=args.admission,
-            ),
-            **common,
-        )
-    return ScenarioSpec(
-        kind="run",
-        workload_name="audit-diff",
-        apps=apps,
-        execute=args.execute,
-        **common,
-    )
-
-
 def _cmd_audit_diff(args) -> int:
     """Run the differential oracle and print its per-variant verdicts."""
-    from repro.audit import DEFAULT_VARIANTS, SERVE_VARIANTS, diff_run
+    from repro.audit import DEFAULT_VARIANTS, SERVE_VARIANTS, diff_run, diff_serve
     from repro.workload import paper_injection_rates
 
-    available = SERVE_VARIANTS if args.serve else DEFAULT_VARIANTS
-    if args.scenario:
-        available = (*available, "scenario")
-    if args.variants is None:
-        variants = available
-    else:
+    variants = available = SERVE_VARIANTS if args.serve else DEFAULT_VARIANTS
+    if args.variants is not None:
         variants = tuple(
             v.strip() for v in args.variants.split(",") if v.strip()
         )
@@ -775,58 +678,43 @@ def _cmd_audit_diff(args) -> int:
                 f"unknown variant(s) {sorted(unknown)}; "
                 f"options: {','.join(available)}"
             )
-        if args.scenario and "scenario" not in variants:
-            variants = (*variants, "scenario")
-    scenario = _audit_scenario_template(args) if args.scenario else None
+    # platform parameters match the figure configs, not the flag defaults
+    common = dict(
+        name="audit-diff",
+        platform_params=AUDIT_PLATFORM_PARAMS.get(args.platform, {}),
+        trials=args.trials,
+    )
+    grid = dict(
+        trials=args.trials, base_seed=args.seed, jobs=args.jobs, variants=variants
+    )
     if args.serve:
-        return _cmd_audit_diff_serve(args, variants, scenario)
-    entries = tuple(
-        WorkloadEntry(APPS.get(name).factory(), count)
-        for name, count in _parse_apps(args.apps)
-    )
-    workload = WorkloadSpec(name="audit-diff", entries=entries)
-    report = diff_run(
-        _make_audit_platform(args.platform),
-        workload,
-        args.mode,
-        list(paper_injection_rates(n=args.rates)),
-        args.scheduler,
-        trials=args.trials,
-        base_seed=args.seed,
-        execute=args.execute,
-        jobs=args.jobs,
-        variants=variants,
-        scenario=scenario,
-    )
+        spec = _lower(
+            args,
+            serve=_serve_section(args, admission={"policy": args.admission}),
+            **common,
+        )
+        report = diff_serve(
+            spec.build_platform(), spec.build_serve(),
+            config=spec.build_config(), **grid,
+        )
+    else:
+        spec = _lower(
+            args,
+            workload={"name": "audit-diff", "apps": args.apps},
+            run={"mode": args.mode, "execute": args.execute},
+            **common,
+        )
+        report = diff_run(
+            spec.build_platform(), spec.build_workload(), spec.mode,
+            list(paper_injection_rates(n=args.rates)), spec.scheduler,
+            execute=spec.execute, config=spec.build_config(), **grid,
+        )
     print(report.summary())
     return 0 if report.ok else 1
-
-
-def _cmd_audit_diff_serve(args, variants, scenario=None) -> int:
-    """The serve-mode leg of ``repro audit diff`` (``--serve``)."""
-    from repro.audit import diff_serve
-
-    serve = _serve_config_from_args(args)
-    report = diff_serve(
-        _make_audit_platform(args.platform),
-        serve,
-        trials=args.trials,
-        base_seed=args.seed,
-        jobs=args.jobs,
-        variants=variants,
-        scenario=scenario,
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-def _make_audit_platform(name: str):
-    """Platform defaults for the oracle sweep (match the figure configs)."""
-    return make_platform(name, **dict(AUDIT_PLATFORM_PARAMS[name]))
 
 
 def _scenario_paths(raw_paths) -> list:
-    """Expand ``scenario list`` arguments into spec files, sorted."""
+    """Expand spec-file-or-directory arguments into spec files, sorted."""
     from pathlib import Path
 
     out = []
@@ -840,6 +728,16 @@ def _scenario_paths(raw_paths) -> list:
     return out
 
 
+def _load_spec(path):
+    """``load_scenario``, a validation failure ending in a one-line exit."""
+    from repro.scenario import ScenarioError, load_scenario
+
+    try:
+        return load_scenario(path)
+    except ScenarioError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _cmd_scenario_validate(args) -> int:
     from repro.scenario import ScenarioError, load_scenario
 
@@ -848,7 +746,7 @@ def _cmd_scenario_validate(args) -> int:
         try:
             spec = load_scenario(raw)
         except ScenarioError as exc:
-            print(f"FAIL {raw}: {exc}")
+            print(f"FAIL {exc}")  # every ScenarioError names its document
             failed += 1
             continue
         print(f"ok   {raw}: {spec.describe()}  [digest {spec.digest()[:12]}]")
@@ -877,25 +775,12 @@ def _cmd_scenario_list(args) -> int:
 def _cmd_scenario_run(args) -> int:
     import dataclasses
 
-    from repro.experiments import SweepCache, resolve_cache
-    from repro.scenario import ScenarioError, load_scenario, run_scenario
+    from repro.scenario import run_scenario
 
-    try:
-        spec = load_scenario(args.spec)
-    except ScenarioError as exc:
-        raise SystemExit(str(exc)) from None
+    spec = _load_spec(args.spec)
     if args.audit:
         spec = dataclasses.replace(spec, audit=True)
-    if args.no_cache:
-        if args.cache_dir is not None:
-            raise SystemExit("--cache-dir conflicts with --no-cache")
-        cache = False
-    elif args.cache_dir is not None:
-        cache = SweepCache(args.cache_dir)
-    elif args.cache:
-        cache = SweepCache()
-    else:
-        cache = resolve_cache(None)
+    cache = _resolve_cache(args)
     trials = spec.trials if args.trials is None else args.trials
     base_seed = spec.seed if args.seed is None else args.seed
     results = run_scenario(
@@ -941,18 +826,6 @@ def _cmd_scenario_run(args) -> int:
         print(f"cache     : {cache.stats.summary()} "
               f"({cache.stats.stores} stored in {cache.root})")
     return 0
-
-
-def _cmd_scenario(args) -> int:
-    if args.scenario_command == "run":
-        return _cmd_scenario_run(args)
-    if args.scenario_command == "validate":
-        return _cmd_scenario_validate(args)
-    if args.scenario_command == "list":
-        return _cmd_scenario_list(args)
-    raise AssertionError(
-        f"unhandled scenario command {args.scenario_command!r}"
-    )  # pragma: no cover
 
 
 CORPUS_N_ENV = "REPRO_CORPUS_N"
@@ -1011,26 +884,10 @@ def _cmd_corpus_generate(args) -> int:
 
 
 def _corpus_load_specs(path_arg: str):
-    from pathlib import Path
-
-    from repro.scenario import ScenarioError, load_scenario
-
-    path = Path(path_arg)
-    if path.is_dir():
-        paths = sorted(
-            p for p in path.iterdir() if p.suffix.lower() in (".toml", ".json")
-        )
-    else:
-        paths = [path]
+    paths = _scenario_paths([path_arg])
     if not paths:
-        raise SystemExit(f"no scenario documents under {path}")
-    specs = []
-    for p in paths:
-        try:
-            specs.append(load_scenario(p))
-        except ScenarioError as exc:
-            raise SystemExit(str(exc)) from None
-    return specs
+        raise SystemExit(f"no scenario documents under {path_arg}")
+    return [_load_spec(p) for p in paths]
 
 
 def _cmd_corpus_run(args) -> int:
@@ -1096,15 +953,10 @@ def _cmd_corpus_report(args) -> int:
 
 def _cmd_corpus_minimize(args) -> int:
     from repro.corpus import minimize_spec, write_artifacts
-    from repro.scenario import ScenarioError, load_scenario
 
     try:
-        spec = load_scenario(args.spec)
-    except ScenarioError as exc:
-        raise SystemExit(str(exc)) from None
-    try:
         result = minimize_spec(
-            spec, scheduler=args.scheduler, budget=args.budget
+            _load_spec(args.spec), scheduler=args.scheduler, budget=args.budget
         )
     except ValueError as exc:  # spec does not fail
         raise SystemExit(str(exc)) from None
@@ -1119,22 +971,8 @@ def _cmd_corpus_minimize(args) -> int:
     return 0
 
 
-def _cmd_corpus(args) -> int:
-    if args.corpus_command == "generate":
-        return _cmd_corpus_generate(args)
-    if args.corpus_command == "run":
-        return _cmd_corpus_run(args)
-    if args.corpus_command == "report":
-        return _cmd_corpus_report(args)
-    if args.corpus_command == "minimize":
-        return _cmd_corpus_minimize(args)
-    raise AssertionError(
-        f"unhandled corpus command {args.corpus_command!r}"
-    )  # pragma: no cover
-
-
-def _resolve_figure_cache(args):
-    """Translate the figure cache flags into a SweepCache / False / None."""
+def _resolve_cache(args):
+    """Translate the ``_add_cache_options`` flags into a SweepCache / False / None."""
     from repro.experiments import SweepCache, resolve_cache
 
     if args.no_cache:
@@ -1146,7 +984,7 @@ def _resolve_figure_cache(args):
     if args.cache:
         return SweepCache()
     # no explicit flag: honour $REPRO_CACHE, but pin one handle for the whole
-    # figure so hit/miss counters aggregate across its nested sweeps
+    # command so hit/miss counters aggregate across its nested sweeps
     return resolve_cache(None)
 
 
@@ -1155,7 +993,7 @@ def _cmd_figure(args) -> int:
 
     from repro.experiments import AUDIT_ENV, FIGURES, configure_cache
 
-    cache = _resolve_figure_cache(args)
+    cache = _resolve_cache(args)
     # pin the handle process-wide so every sweep a figure driver makes goes
     # through it (and its hit/miss counters), then restore on the way out
     previous_cache = configure_cache(cache)
@@ -1181,23 +1019,7 @@ def _cmd_figure(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "telemetry":
-        return _cmd_telemetry(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "corpus":
-        return _cmd_corpus(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,14 +15,16 @@ networkx:
 Weights come from a platform timing model so the analysis answers concrete
 questions ("how many FFT accelerators could LD's DAG even use?"), not just
 structural ones.
+
+networkx is imported inside the three functions that use it: nothing on
+the CLI's import path calls them, and the import alone was a third of
+``import repro.cli``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
-
-import networkx as nx
 
 from repro.platforms.timing import TimingModel
 
@@ -38,6 +40,8 @@ def to_networkx(spec: Mapping[str, Any], timing: Optional[TimingModel] = None) -
     ``work`` (the node's CPU seconds on that platform, the conventional
     weight for work/span analysis).
     """
+    import networkx as nx
+
     validate_spec(spec)
     graph = nx.DiGraph(name=spec["name"])
     for name, node in spec["nodes"].items():
@@ -57,6 +61,8 @@ def critical_path(
     Returns ``(node names, span seconds)``; with ``timing=None`` every node
     weighs 1 and the span is the depth in nodes.
     """
+    import networkx as nx
+
     graph = to_networkx(spec, timing)
     # longest path under *node* weights: push each node's work onto its
     # incoming edges, then add the (unique) source-node weight afterwards.
@@ -79,6 +85,8 @@ def parallelism_profile(spec: Mapping[str, Any]) -> list[int]:
     """Node count per dependency level (level = longest hop-distance from
     any source).  ``max(profile)`` bounds the instantaneous ready-queue
     width a perfectly fast runtime would ever see for one instance."""
+    import networkx as nx
+
     graph = to_networkx(spec)
     level: dict[str, int] = {}
     for name in nx.topological_sort(graph):

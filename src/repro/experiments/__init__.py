@@ -14,7 +14,9 @@ from .common import (
     configure_cache,
     resolve_cache,
     resolve_jobs,
+    run_cells,
     run_once,
+    run_to_completion,
     run_trials,
     sweep_rates,
 )
@@ -37,7 +39,9 @@ __all__ = [
     "FigureEntry",
     "register_figure",
     "available_figures",
+    "run_to_completion",
     "run_once",
+    "run_cells",
     "run_trials",
     "sweep_rates",
     "resolve_jobs",

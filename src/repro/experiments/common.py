@@ -45,16 +45,18 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.experiments.cache import DEFAULT_CACHE_DIR, SweepCache
+from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCodec, SweepCache
 from repro.metrics import RunResult, TrialStats, aggregate_trials
 from repro.platforms import PlatformConfig
 from repro.runtime import CedrRuntime, RuntimeConfig
 from repro.workload import WorkloadSpec
 
 __all__ = [
+    "run_to_completion",
     "run_once",
+    "run_cells",
     "run_trials",
     "RateSweep",
     "sweep_rates",
@@ -162,6 +164,46 @@ def audit_from_env() -> bool:
     return raw not in ("", "0", "false", "off", "no")
 
 
+def run_to_completion(
+    platform: PlatformConfig,
+    workload: WorkloadSpec,
+    mode: str,
+    rate_mbps: float,
+    scheduler: str,
+    seed: int = 0,
+    execute: bool = False,
+    config: Optional[RuntimeConfig] = None,
+    *,
+    attribute_host_time: bool = False,
+) -> CedrRuntime:
+    """Build, submit and drain one batch run; returns the finished runtime.
+
+    The one spelling of the batch submit loop.  :func:`run_once` reduces
+    the runtime to its :class:`RunResult`; ``repro run`` keeps the live
+    object because its trace/Gantt/logbook/metrics/perf outputs read it.
+    ``attribute_host_time`` arms the per-role host-time split, which has to
+    happen before ``start()``.
+    """
+    if config is None:
+        config = RuntimeConfig(scheduler=scheduler, execute_kernels=execute)
+    else:
+        config = config.with_scheduler(scheduler)
+    if not config.audit and audit_from_env():
+        config = config.with_audit()
+    instance = platform.build(seed=seed)
+    runtime = CedrRuntime(instance, config)
+    if attribute_host_time:
+        runtime.counters.attribute_host_time()
+    runtime.start()
+    for app, arrival in workload.instantiate(
+        mode, rate_mbps, seed, timing_only=not config.execute_kernels
+    ):
+        runtime.submit(app, at=arrival)
+    runtime.seal()
+    runtime.run()
+    return runtime
+
+
 def run_once(
     platform: PlatformConfig,
     workload: WorkloadSpec,
@@ -173,22 +215,12 @@ def run_once(
     config: Optional[RuntimeConfig] = None,
 ) -> RunResult:
     """One complete simulated run; returns its measurements."""
-    if config is None:
-        config = RuntimeConfig(scheduler=scheduler, execute_kernels=execute)
-    else:
-        config = config.with_scheduler(scheduler)
-    if not config.audit and audit_from_env():
-        config = config.with_audit()
-    instance = platform.build(seed=seed)
-    runtime = CedrRuntime(instance, config)
-    runtime.start()
-    for app, arrival in workload.instantiate(
-        mode, rate_mbps, seed, timing_only=not config.execute_kernels
-    ):
-        runtime.submit(app, at=arrival)
-    runtime.seal()
-    runtime.run()
-    return RunResult.from_runtime(runtime)
+    return RunResult.from_runtime(
+        run_to_completion(
+            platform, workload, mode, rate_mbps, scheduler,
+            seed=seed, execute=execute, config=config,
+        )
+    )
 
 
 def _run_cell(cell: tuple) -> RunResult:
@@ -204,45 +236,57 @@ def _run_cell(cell: tuple) -> RunResult:
     )
 
 
-def _run_cells(
+def run_cells(
     cells: list[tuple],
-    n_jobs: int,
-    cache: Optional[SweepCache] = None,
-) -> list[RunResult]:
+    n_jobs: Optional[int] = None,
+    cache: CacheArg = None,
+    *,
+    worker: Callable[[tuple], Any] = _run_cell,
+    codec: Optional[ResultCodec] = None,
+) -> list:
     """Run grid cells, serially or across a process pool, in grid order.
 
-    The executor path uses ``map`` so results come back in submission order
-    regardless of completion order - determinism does not depend on worker
-    scheduling.  With a cache, hits are satisfied in the parent before any
-    sharding and only the missing cells reach the pool; the final list is
-    reassembled in grid order either way, so caching never perturbs output
-    ordering (or bits - a hit is the stored ``RunResult``, exactly).
+    The one cached, sharded cell runner: batch sweeps use the defaults,
+    the serve tier passes its own picklable ``worker`` and cache ``codec``.
+    ``n_jobs`` / ``cache`` resolve as in :func:`resolve_jobs` /
+    :func:`resolve_cache`.  With a cache, hits are satisfied in the parent
+    before any sharding and only the missing cells reach the pool; the
+    final list is reassembled in grid order either way, so caching never
+    perturbs output ordering (or bits - a hit is the stored result,
+    exactly).
     """
+    n_jobs = resolve_jobs(n_jobs)
+    cache = resolve_cache(cache)
     if cache is None:
-        return _simulate_cells(cells, n_jobs)
+        return _simulate_cells(cells, n_jobs, worker)
     # each cell is keyed exactly once: get and put share the probe, so a
     # digest can never drift between lookup and store within one sweep
     probes = [cache.probe(cell) for cell in cells]
-    results: list[Optional[RunResult]] = [
-        cache.get(cell, probe) for cell, probe in zip(cells, probes)
+    results = [
+        cache.get(cell, probe, codec=codec) for cell, probe in zip(cells, probes)
     ]
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:
-        fresh = _simulate_cells([cells[i] for i in missing], n_jobs)
+        fresh = _simulate_cells([cells[i] for i in missing], n_jobs, worker)
         for i, result in zip(missing, fresh):
-            cache.put(cells[i], result, probes[i])
+            cache.put(cells[i], result, probes[i], codec=codec)
             results[i] = result
     return results
 
 
-def _simulate_cells(cells: list[tuple], n_jobs: int) -> list[RunResult]:
-    """The raw (cache-free) execution path behind :func:`_run_cells`."""
+def _simulate_cells(cells: list[tuple], n_jobs: int, worker) -> list:
+    """The raw (cache-free) execution path behind :func:`run_cells`.
+
+    The executor path uses ``map`` so results come back in submission order
+    regardless of completion order - determinism does not depend on worker
+    scheduling.
+    """
     if n_jobs <= 1 or len(cells) <= 1:
-        return [_run_cell(c) for c in cells]
+        return [worker(c) for c in cells]
     workers = min(n_jobs, len(cells))
     chunksize = max(1, len(cells) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cells, chunksize=chunksize))
+        return list(pool.map(worker, cells, chunksize=chunksize))
 
 
 def trial_seeds(trials: int, base_seed: int = 0) -> list[int]:
@@ -275,7 +319,7 @@ def run_trials(
         (platform, workload, mode, rate_mbps, scheduler, seed, execute, config)
         for seed in trial_seeds(trials, base_seed)
     ]
-    return _run_cells(cells, resolve_jobs(n_jobs), resolve_cache(cache))
+    return run_cells(cells, n_jobs, cache)
 
 
 @dataclass(frozen=True)
@@ -321,7 +365,7 @@ def sweep_rates(
         for rate in rates
         for seed in seeds
     ]
-    results = _run_cells(cells, resolve_jobs(n_jobs), resolve_cache(cache))
+    results = run_cells(cells, n_jobs, cache)
     per_metric: dict[str, list[TrialStats]] = {}
     for i, rate in enumerate(rates):
         rate_results = results[i * trials:(i + 1) * trials]

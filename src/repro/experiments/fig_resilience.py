@@ -37,7 +37,7 @@ from repro.runtime import RuntimeConfig
 from repro.sched import paper_schedulers
 from repro.workload import radar_comms_workload
 
-from .common import _run_cells, resolve_cache, resolve_jobs, trial_seeds
+from .common import run_cells, trial_seeds
 
 __all__ = ["run_fig_resilience", "FAULT_RATES", "RESILIENCE_RATE_MBPS"]
 
@@ -86,7 +86,7 @@ def run_fig_resilience(
                  s, False, config)
                 for s in seeds
             )
-        results = _run_cells(cells, resolve_jobs(n_jobs), resolve_cache(None))
+        results = run_cells(cells, n_jobs)
         exec_ys, goodput_ys = [], []
         for i in range(len(fault_rates)):
             stats = aggregate_trials(results[i * trials:(i + 1) * trials])

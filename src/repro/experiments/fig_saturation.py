@@ -33,9 +33,9 @@ from repro.apps import PulseDoppler, WifiTx
 from repro.metrics import FigureSeries
 from repro.platforms import zcu102
 from repro.serve import AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
-from repro.serve.driver import _serve_cells
+from repro.serve.driver import serve_cell, serve_codec
 
-from .common import resolve_cache, resolve_jobs, trial_seeds
+from .common import run_cells, trial_seeds
 
 __all__ = [
     "run_fig_saturation",
@@ -136,7 +136,7 @@ def run_fig_saturation(
         for load in loads
         for s in trial_seeds(trials, seed)
     ]
-    results = _serve_cells(cells, resolve_jobs(n_jobs), resolve_cache(None))
+    results = run_cells(cells, n_jobs, worker=serve_cell, codec=serve_codec())
     throughput_ys, p99_ys = [], []
     for i in range(len(loads)):
         chunk = results[i * trials:(i + 1) * trials]

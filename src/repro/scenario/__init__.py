@@ -1,12 +1,12 @@
 """repro.scenario - declarative experiment specs over the plugin registries.
 
 A scenario is one TOML/JSON document naming platform + workload +
-scheduler + faults + admission + telemetry + seeds.  ``repro scenario
-run spec.toml`` executes it through the exact same code paths as the
-flag-driven commands (proven bit-identical by the ``scenario`` variant
-of ``repro audit diff``), and its canonical form content-addresses into
-the sweep cache alongside flag-driven cells.  See docs/INTERNALS.md,
-"Plugin registries & scenario specs".
+scheduler + faults + admission + telemetry + seeds.  It is the one run
+path: ``repro scenario run spec.toml`` executes a document, and the
+flag verbs (``repro run`` / ``serve`` / ``audit diff``) lower their flags
+to the same :class:`ScenarioSpec` before anything is constructed.  Its
+canonical form content-addresses into the sweep cache alongside figure
+sweeps.  See docs/INTERNALS.md, "Plugin registries & scenario specs".
 """
 
 from .runner import run_scenario

@@ -4,11 +4,10 @@ There is deliberately nothing scenario-specific about *execution*: a run
 scenario goes through :func:`repro.experiments.run_trials` and a serve
 scenario through :func:`repro.serve.serve_trials`, with the platform,
 workload, and :class:`~repro.runtime.RuntimeConfig` built by the spec's
-own builders.  That is the whole bit-identity argument - the flag-driven
-CLI and the scenario path construct equal objects and call the same pure
-functions, and the ``scenario`` variant of ``repro audit diff`` checks
-the conclusion on every CI run.  It also means scenario sweeps share the
-content-addressed cell cache with flag sweeps for free.
+own builders - the only construction route there is (``repro serve`` is
+``run_scenario(lowered_spec, trials=1)[0]``).  The builders produce
+objects equal to hand-built library ones, so scenario sweeps share the
+content-addressed cell cache with figure sweeps for free.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ def run_scenario(
     ``list[ServeResult]`` for serve-kind ones, in seed order - exactly
     what ``run_trials`` / ``serve_trials`` would hand back for the same
     arguments.  ``trials`` / ``base_seed`` override the spec's values
-    (the differential oracle uses this to sweep a spec across its trial
-    grid without editing the document).
+    (``repro scenario run --trials/--seed`` and the benchmark harness
+    sweep a spec without editing the document).
     """
     if not isinstance(spec, ScenarioSpec):
         spec = load_scenario(spec)

@@ -2,14 +2,13 @@
 
 A :class:`ScenarioSpec` names everything a run needs - platform, workload
 or serve tenants, scheduler, faults, admission, telemetry, seeds - as
-*data*, validated against the plugin registries and executed through the
-exact same :class:`~repro.runtime.RuntimeConfig` / serve paths as the
-flag-driven ``repro run`` / ``repro serve`` commands.  The differential
-oracle's ``scenario`` variant proves the two routes bit-identical, and
-because the builders below construct the same platform/workload/config
-objects the flag path does, the PR 4 sweep cache content-addresses
-scenario cells for free (a flag-driven sweep warms the cache for the
-equivalent scenario and vice versa).
+*data*, validated against the plugin registries.  It is the one
+construction route: ``repro run`` / ``repro serve`` / ``repro audit diff``
+lower their flags to a spec (``repro.cli._lower``) and only the builders
+below turn a spec into platform/workload/config objects, so a flag-path
+bug is a spec-path bug.  The builders produce objects equal to hand-built
+library ones (``WorkloadSpec(...)``, ``ServeConfig(...)``), hence the
+sweep cache content-addresses scenario cells together with figure sweeps.
 
 Document shape (TOML; JSON mirrors it)::
 
@@ -60,7 +59,10 @@ Document shape (TOML; JSON mirrors it)::
 Unknown sections, unknown keys (an app's parameter overrides included),
 and unknown registry names all fail validation with the available entries
 and a did-you-mean hint - a typo'd scheduler name dies at ``repro scenario
-validate``, not three sweeps in.
+validate``, not three sweeps in.  Validation rejects what the builders
+would: the small frozen configs (platform, telemetry, admission) are
+constructed when the spec is, and rates/windows/SLOs must be finite and
+positive.  Application objects are not instantiated until ``build_*``.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ from repro.faults import FAULT_KINDS, FaultConfig
 from repro.platforms import PLATFORMS, PlatformConfig
 from repro.runtime import RuntimeConfig
 from repro.sched import SCHEDULERS
-from repro.serve import ADMISSION_POLICIES, AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
+from repro.serve import AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
 from repro.serve.arrival import ARRIVALS
+from repro.telemetry import TelemetryConfig
 from repro.workload import WORKLOADS, WorkloadEntry, WorkloadSpec
 
 __all__ = [
@@ -112,6 +115,11 @@ def _unknown_keys(given, allowed, where: str) -> None:
         f"{where}: unknown key(s) {', '.join(hints)}; "
         f"allowed: {', '.join(sorted(allowed))}"
     )
+
+
+def _positive(value: float, where: str) -> None:
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise ScenarioError(f"{where} must be finite and positive, got {value}")
 
 
 def _toml_scalar(value: Any, where: str) -> str:
@@ -278,12 +286,13 @@ class ServeSection:
     def __post_init__(self) -> None:
         ArrivalSpec.parse(self.arrival)  # validates kind + parameter shape
         if self.tenants < 1:
-            raise ScenarioError(f"tenants must be >= 1, got {self.tenants}")
-        if self.policy not in ADMISSION_POLICIES:
-            raise ScenarioError(
-                f"unknown admission policy {self.policy!r}; "
-                f"options: {', '.join(ADMISSION_POLICIES)}"
-            )
+            raise ScenarioError(f"[serve] tenants must be >= 1, got {self.tenants}")
+        _positive(self.duration, "[serve] duration")
+        _positive(self.slo_ms, "[serve] slo_ms")
+        try:
+            self.admission_config()
+        except ValueError as exc:
+            raise ScenarioError(f"[serve.admission] {exc}") from None
 
     def admission_config(self) -> AdmissionConfig:
         return AdmissionConfig(
@@ -311,9 +320,9 @@ class ScenarioSpec:
     audit: bool = False
     telemetry_interval_s: Optional[float] = None
     # run kind ----------------------------------------------------------- #
-    #: RNG label of the workload; "cli" matches the flag-driven ``repro
-    #: run`` path bit-for-bit (the name participates in arrival/payload
-    #: stream derivation, so it is part of the determinism contract)
+    #: RNG label of the workload; "cli" is what ``repro run`` lowers to
+    #: (the name participates in arrival/payload stream derivation, so it
+    #: is part of the determinism contract)
     workload_name: str = "cli"
     preset: Optional[str] = None
     preset_params: tuple[tuple[str, Any], ...] = ()
@@ -338,22 +347,23 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"unknown mode {self.mode!r}; options: {', '.join(MODES)}"
             )
-        entry = PLATFORMS.get(self.platform)
         object.__setattr__(
             self, "platform_params", tuple(sorted(self.platform_params))
         )
-        unknown = set(dict(self.platform_params)) - set(entry.params)
-        if unknown:
-            raise ScenarioError(
-                f"platform {entry.name!r} does not take parameter(s) "
-                f"{sorted(unknown)}; accepts: {', '.join(entry.params)}"
-            )
+        # the small frozen configs are constructed here, so validation
+        # rejects what build_platform/build_config would
+        try:
+            self.build_platform()
+        except (TypeError, ValueError) as exc:  # unknown, wrong type, out of range
+            raise ScenarioError(f"[platform] {exc}") from None
+        if self.telemetry_interval_s is not None:
+            try:
+                TelemetryConfig(sample_interval_s=self.telemetry_interval_s)
+            except ValueError as exc:
+                raise ScenarioError(f"[telemetry] interval_s: {exc}") from None
         SCHEDULERS.get(self.scheduler)
         if self.kind == "run":
-            if self.rate_mbps <= 0:
-                raise ScenarioError(
-                    f"rate_mbps must be positive, got {self.rate_mbps}"
-                )
+            _positive(self.rate_mbps, "[run] rate_mbps")
             ARRIVALS.get(self.arrival)
             if self.preset is not None:
                 WORKLOADS.get(self.preset)
@@ -433,8 +443,8 @@ class ScenarioSpec:
         srv = section("serve")
         # registry lookups inside section parsing (app names, fault kinds,
         # arrival specs) raise RegistryError/ValueError - surface every one
-        # as a ScenarioError so ``repro scenario validate`` reports it
-        # instead of crashing with a traceback
+        # as a ScenarioError naming the document, so ``repro scenario
+        # validate`` reports it instead of crashing with a traceback
         try:
             if kind == "serve":
                 for label, body in (
@@ -455,7 +465,7 @@ class ScenarioSpec:
                 cls._parse_run(wl, run, faults, source, fields)
             return cls(**fields)
         except ValueError as exc:
-            if isinstance(exc, ScenarioError):
+            if isinstance(exc, ScenarioError) and str(exc).startswith(source):
                 raise
             raise ScenarioError(f"{source}: {exc}") from exc
 
@@ -639,7 +649,7 @@ class ScenarioSpec:
         return path
 
     # ------------------------------------------------------------------ #
-    # builders: the same objects the flag-driven CLI constructs
+    # builders: the only place a run's objects are constructed
     # ------------------------------------------------------------------ #
 
     def build_platform(self) -> PlatformConfig:
@@ -650,8 +660,6 @@ class ScenarioSpec:
     def build_config(self) -> RuntimeConfig:
         telemetry = None
         if self.telemetry_interval_s is not None:
-            from repro.telemetry import TelemetryConfig
-
             telemetry = TelemetryConfig(sample_interval_s=self.telemetry_interval_s)
         return RuntimeConfig(
             scheduler=self.scheduler,
@@ -688,8 +696,8 @@ class ScenarioSpec:
             for a in serve.apps
             for _ in range(a.count)
         )
-        # tenant naming matches _serve_config_from_args: "tenant" when
-        # single, "tenant<i>" otherwise - names feed RNG labels downstream
+        # "tenant" when single, "tenant<i>" otherwise - the names feed RNG
+        # labels downstream, so they are part of the determinism contract
         return ServeConfig(
             tenants=tuple(
                 TenantSpec(

@@ -65,6 +65,7 @@ __all__ = [
     "ServeResult",
     "ServeDriver",
     "serve_once",
+    "serve_cell",
     "serve_trials",
     "serve_codec",
 ]
@@ -465,7 +466,7 @@ def serve_once(
     return driver.result()
 
 
-def _serve_cell(cell: tuple) -> ServeResult:
+def serve_cell(cell: tuple) -> ServeResult:
     """Picklable pool-worker entry for one (serve config, seed) cell."""
     platform, serve, seed, config = cell
     return serve_once(platform, serve, seed=seed, config=config)
@@ -551,34 +552,6 @@ def serve_codec():
     )
 
 
-def _serve_cells(cells: list, n_jobs: int, cache) -> list[ServeResult]:
-    """Serve-cell analogue of the batch ``_run_cells`` (hits in-parent)."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    def simulate(pending: list) -> list[ServeResult]:
-        if n_jobs <= 1 or len(pending) <= 1:
-            return [_serve_cell(c) for c in pending]
-        workers = min(n_jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_serve_cell, pending))
-
-    if cache is None:
-        return simulate(cells)
-    codec = serve_codec()
-    probes = [cache.probe(cell) for cell in cells]
-    results = [
-        cache.get(cell, probe, codec=codec)
-        for cell, probe in zip(cells, probes)
-    ]
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:
-        fresh = simulate([cells[i] for i in missing])
-        for i, result in zip(missing, fresh):
-            cache.put(cells[i], result, probes[i], codec=codec)
-            results[i] = result
-    return results
-
-
 def serve_trials(
     platform: Any,
     serve: ServeConfig,
@@ -594,7 +567,7 @@ def serve_trials(
     repeats from the content-addressed sweep cache, exactly like
     ``run_trials`` - both bit-identical to the serial path.
     """
-    from repro.experiments.common import resolve_cache, resolve_jobs, trial_seeds
+    from repro.experiments.common import run_cells, trial_seeds
 
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -602,4 +575,4 @@ def serve_trials(
         (platform, serve, seed, config)
         for seed in trial_seeds(trials, base_seed)
     ]
-    return _serve_cells(cells, resolve_jobs(n_jobs), resolve_cache(cache))
+    return run_cells(cells, n_jobs, cache, worker=serve_cell, codec=serve_codec())

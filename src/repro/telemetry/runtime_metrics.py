@@ -38,6 +38,7 @@ docs/INTERNALS.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -79,16 +80,19 @@ class TelemetryConfig:
     sample_interval_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sample_interval_s < 0:
+        if not 0 <= self.sample_interval_s < math.inf:  # NaN fails both
             raise ValueError(
-                f"sample_interval_s must be >= 0, got {self.sample_interval_s}"
+                f"sample_interval_s must be finite and >= 0, "
+                f"got {self.sample_interval_s}"
             )
 
 
 class CedrTelemetry:
     """Registry plus pre-bound metric handles for one runtime instance."""
 
-    def __init__(self, config: TelemetryConfig, pe_names: Sequence[str] = ()) -> None:
+    def __init__(
+        self, config: TelemetryConfig = TelemetryConfig(), pe_names: Sequence[str] = ()
+    ) -> None:
         self.config = config
         self.registry = r = MetricRegistry()
         #: flattened periodic snapshots, ``{"t": sim_seconds, "values": {...}}``.

@@ -1,6 +1,6 @@
 """Determinism of the process-pool sweep path.
 
-A run is a pure function of its cell tuple, and ``_run_cells`` collects
+A run is a pure function of its cell tuple, and ``run_cells`` collects
 results in grid order, so a parallel sweep must be *indistinguishable* from
 a serial one - not statistically close: identical.  These tests pin that
 property (the whole point of ``n_jobs``: speed without changing a single
@@ -115,7 +115,7 @@ def test_single_cell_grid_stays_serial():
     platform = zcu102(n_cpu=3, n_fft=1)
     workload = radar_comms_workload()
     with pytest.MonkeyPatch.context() as mp:
-        # poison the pool: if _run_cells ever builds one for a single cell,
+        # poison the pool: if run_cells ever builds one for a single cell,
         # this import-time substitute blows up
         import repro.experiments.common as common
 

@@ -1,0 +1,193 @@
+"""Flags compile to a spec: the lowered ``ScenarioSpec`` builds objects equal
+to hand-built library ones, and the verbs print the numbers the library
+gives for those objects.
+
+``repro run`` / ``repro serve`` used to wire platform, workload,
+``RuntimeConfig`` and ``ServeConfig`` from argparse themselves; they now
+lower the namespace to a spec and only ``spec.build_*`` construct.  These
+cases pin the flag -> spec-field mapping against the library API, which
+did not move.
+"""
+
+import pytest
+
+from repro.apps import APPS
+from repro.cli import _run_spec, _serve_spec, build_parser, main
+from repro.experiments import cell_digest, run_once
+from repro.faults import FaultConfig, FaultKind
+from repro.platforms import jetson, zcu102, zcu102_biglittle
+from repro.runtime import RuntimeConfig
+from repro.scenario import load_scenario
+from repro.serve import (
+    AdmissionConfig,
+    ArrivalSpec,
+    ServeConfig,
+    TenantSpec,
+    serve_once,
+)
+from repro.telemetry import TelemetryConfig
+from repro.workload import WorkloadEntry, WorkloadSpec
+
+#: the registered application builds (``repro list`` names them PD and TX)
+PD, TX = APPS.get("PD").factory, APPS.get("TX").factory
+#: what ``--apps PD:2,TX:2`` (the run default) means; "cli" is an RNG label
+CLI_WORKLOAD = WorkloadSpec(
+    name="cli", entries=(WorkloadEntry(PD(), 2), WorkloadEntry(TX(), 2))
+)
+ZCU = zcu102(n_cpu=3, n_fft=1, n_mmult=0)
+
+
+def _key(obj) -> str:
+    """Content address of one cell component.  Application objects have no
+    ``__eq__``, so "equal" for anything holding them means what it means to
+    the sweep cache: the same canonical encoding, field by field."""
+    return cell_digest((obj,))[0]
+
+
+def _config(**overrides) -> RuntimeConfig:
+    return RuntimeConfig(scheduler="heft_rt", execute_kernels=True, **overrides)
+
+
+#: (flags after ``run``, platform, config, mode) - the library-side twin
+RUN_LINES = [
+    pytest.param([], ZCU, _config(), "api", id="defaults"),
+    pytest.param(
+        ["--platform", "zcu102-biglittle", "--fft", "2", "--little", "2"],
+        zcu102_biglittle(n_big=3, n_little=2, n_fft=2, n_mmult=0),
+        _config(), "api", id="biglittle",
+    ),
+    pytest.param(
+        ["--platform", "jetson", "--gpu", "1", "--cpu", "5"],
+        jetson(n_cpu=5, n_gpu=1), _config(), "api", id="jetson",
+    ),
+    pytest.param(
+        ["--fault-rate", "25", "--fault-kinds", "transient,hang",
+         "--max-retries", "2", "--fault-seed", "7"],
+        ZCU,
+        _config(faults=FaultConfig(
+            rate=25.0, seed=7, kinds=(FaultKind.TRANSIENT, FaultKind.HANG),
+            max_retries=2,
+        )),
+        "api", id="faults",
+    ),
+    pytest.param(
+        ["--metrics-interval", "0.005"], ZCU,
+        _config(telemetry=TelemetryConfig(sample_interval_s=0.005)),
+        "api", id="telemetry",
+    ),
+    pytest.param(
+        ["--mode", "dag", "--timing-only"], ZCU,
+        RuntimeConfig(scheduler="heft_rt", execute_kernels=False),
+        "dag", id="dag-timing-only",
+    ),
+]
+
+
+@pytest.mark.no_auto_audit
+@pytest.mark.parametrize("flags,platform,config,mode", RUN_LINES)
+def test_run_flags_lower_to_library_objects(flags, platform, config, mode, capsys):
+    argv = ["run", *flags]
+    spec = _run_spec(build_parser().parse_args(argv))
+    assert spec.kind == "run" and spec.mode == mode and spec.seed == 0
+    assert spec.build_platform() == platform
+    assert _key(spec.build_workload()) == _key(CLI_WORKLOAD)
+    assert spec.build_config() == config
+
+    result = run_once(
+        platform, CLI_WORKLOAD, mode, 200.0, "heft_rt",
+        seed=0, execute=config.execute_kernels, config=config,
+    )
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"platform  : {platform.name}  mode={mode}  " in out
+    assert (f"apps      : {result.n_apps} completed, {result.tasks_completed} "
+            f"tasks, makespan {result.makespan * 1e3:.2f} ms") in out
+    assert f"exec time : {result.mean_exec_time * 1e3:.2f} ms/app" in out
+    assert (f"overheads : runtime {result.runtime_overhead_per_app * 1e3:.3f} "
+            f"ms/app, scheduling {result.sched_overhead_per_app * 1e3:.3f} "
+            f"ms/app ({result.sched_rounds} rounds") in out
+    assert f"placement : {result.pe_task_histogram}" in out
+    if config.faults is not None:
+        assert (f"faults    : {result.faults_injected} injected, "
+                f"{result.task_failures} task failures, {result.retries} "
+                f"retries") in out
+
+
+def test_cli_default_is_its_declarative_twin(repo_root):
+    """``examples/scenarios/radar_zcu102.toml`` calls itself "the declarative
+    twin of the CLI default" (``repro run --timing-only``): same objects."""
+    twin = load_scenario(repo_root / "examples/scenarios/radar_zcu102.toml")
+    spec = _run_spec(build_parser().parse_args(["run", "--timing-only"]))
+    assert spec.build_platform() == twin.build_platform() == ZCU
+    assert _key(spec.build_workload()) == _key(twin.build_workload()) == _key(CLI_WORKLOAD)
+    assert spec.build_config() == twin.build_config()
+    assert (spec.mode, spec.rate_mbps, spec.scheduler) == (
+        twin.mode, twin.rate_mbps, twin.scheduler
+    )
+
+
+def _serve_config(n_tenants: int, admission: AdmissionConfig) -> ServeConfig:
+    arrival = ArrivalSpec.parse("poisson:rate=100")
+    apps = (PD(), TX())
+    return ServeConfig(
+        tenants=tuple(
+            # the names feed RNG labels: "tenant" alone, "tenant<i>" in a crowd
+            TenantSpec(f"tenant{i}" if n_tenants > 1 else "tenant", arrival,
+                       apps=apps, slo_s=50.0 / 1e3)
+            for i in range(n_tenants)
+        ),
+        duration=0.5,
+        admission=admission,
+        mode="api",
+        scheduler="heft_rt",
+    )
+
+
+SERVE_LINES = [
+    pytest.param([], _serve_config(1, AdmissionConfig(policy="shed")), id="defaults"),
+    pytest.param(
+        ["--tenants", "3", "--admission", "block", "--queue-cap", "4",
+         "--quota-rate", "50"],
+        _serve_config(3, AdmissionConfig(
+            policy="block", max_in_system=32, queue_cap=4, quota_rate=50.0,
+        )),
+        id="three-tenants-block",
+    ),
+]
+
+
+@pytest.mark.no_auto_audit
+@pytest.mark.parametrize("flags,serve", SERVE_LINES)
+def test_serve_flags_lower_to_library_objects(flags, serve, capsys):
+    argv = ["serve", *flags]
+    spec = _serve_spec(build_parser().parse_args(argv))
+    config = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
+    assert spec.kind == "serve"
+    assert spec.build_platform() == ZCU
+    assert _key(spec.build_serve()) == _key(serve)
+    assert spec.build_config() == config
+    expected_names = ["tenant"] if len(serve.tenants) == 1 else [
+        f"tenant{i}" for i in range(len(serve.tenants))
+    ]
+    assert [t.name for t in spec.build_serve().tenants] == expected_names
+
+    result = serve_once(ZCU, serve, seed=0, config=config)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert (f"service   : {result.offered} offered, {result.admitted} admitted, "
+            f"{result.shed} shed, {result.degraded} degraded, "
+            f"{result.completed} completed") in out
+    assert (f"slo       : p99 response {result.p99_response_s * 1e3:.2f} ms, "
+            f"{result.slo_violations} violations") in out
+    assert f"makespan {result.run.makespan * 1e3:.2f} ms" in out
+    for tenant in result.tenants:
+        assert f"  {tenant.name:<10} offered {tenant.offered:>4}" in out
+
+
+def test_audit_diff_lowers_with_the_figure_platform_params(capsys):
+    """``audit diff`` takes ``AUDIT_PLATFORM_PARAMS``, not the ``--fft``
+    family, and labels its workload "audit-diff" (an RNG label)."""
+    assert main(["audit", "diff", "--rates", "2", "--trials", "1",
+                 "--variants", "audit"]) == 0
+    out = capsys.readouterr().out
+    assert f"[{ZCU.name}/audit-diff/api/etf]: 2 cells x 1 variants" in out

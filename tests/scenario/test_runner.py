@@ -1,9 +1,10 @@
-"""run_scenario: bit-identity with the flag path, cache sharing, oracle."""
+"""run_scenario: the builders against hand-built library objects (what the
+retired ``scenario`` oracle variant proved end to end), cache sharing."""
 
 import pytest
 
 from repro.apps import APPS
-from repro.audit import assert_identical, diff_run, diff_serve
+from repro.audit import assert_identical
 from repro.experiments import SweepCache, run_trials
 from repro.runtime import RuntimeConfig
 from repro.scenario import AppCount, ScenarioSpec, ServeSection, run_scenario
@@ -21,7 +22,7 @@ TRIALS = 2
 
 
 def _flag_objects():
-    """What the flag-driven CLI builds for PD:1,TX:1 on the zcu102."""
+    """Hand-built library objects for PD:1,TX:1 on the zcu102."""
     from repro.platforms import make_platform
 
     platform = make_platform("zcu102", cpu=3, fft=1)
@@ -142,83 +143,6 @@ def test_serve_scenario_bit_identical_to_flag_path():
     )
     scenario_results = run_scenario(spec)
     assert scenario_results == flag_results
-
-
-def test_oracle_scenario_variant_run():
-    platform, workload, config = _flag_objects()
-    workload = WorkloadSpec(name="audit-diff", entries=workload.entries)
-    template = ScenarioSpec(
-        name="audit-diff",
-        trials=1,
-        platform="zcu102",
-        platform_params=(("cpu", 3), ("fft", 1)),
-        scheduler="etf",
-        workload_name="audit-diff",
-        apps=(AppCount("PD"), AppCount("TX")),
-        execute=False,
-    )
-    report = diff_run(
-        _flag_objects()[0], workload, "api", [100.0, 300.0], "etf",
-        trials=1, base_seed=0,
-        variants=("scenario",), scenario=template,
-    )
-    assert report.ok, report.summary()
-    (outcome,) = report.outcomes
-    assert outcome.variant == "scenario" and outcome.cells == 2
-
-
-def test_oracle_scenario_variant_serve():
-    from repro.platforms import make_platform
-
-    arrival = ArrivalSpec.parse("poisson:rate=150")
-    apps = (APPS.get("PD").factory(),)
-    serve = ServeConfig(
-        tenants=(TenantSpec("tenant", arrival, apps=apps, slo_s=0.05),),
-        duration=0.15,
-        admission=AdmissionConfig(policy="block"),
-        mode="api",
-        scheduler="etf",
-    )
-    template = ScenarioSpec(
-        name="audit-diff",
-        kind="serve",
-        platform="zcu102",
-        platform_params=(("cpu", 3), ("fft", 1)),
-        scheduler="etf",
-        serve=ServeSection(
-            duration=0.15,
-            arrival="poisson:rate=150",
-            tenants=1,
-            slo_ms=50.0,
-            apps=(AppCount("PD"),),
-            policy="block",
-        ),
-    )
-    report = diff_serve(
-        make_platform("zcu102", cpu=3, fft=1), serve,
-        trials=1, base_seed=0,
-        variants=("scenario",), scenario=template,
-    )
-    assert report.ok, report.summary()
-
-
-def test_oracle_scenario_variant_requires_template():
-    platform, workload, _ = _flag_objects()
-    with pytest.raises(ValueError, match="needs a ScenarioSpec template"):
-        diff_run(
-            platform, workload, "api", [100.0], "etf",
-            trials=1, variants=("scenario",),
-        )
-
-
-def test_oracle_scenario_variant_requires_matching_kind():
-    platform, workload, _ = _flag_objects()
-    with pytest.raises(ValueError, match="run-kind scenario"):
-        diff_run(
-            platform, workload, "api", [100.0], "etf",
-            trials=1, variants=("scenario",),
-            scenario=ScenarioSpec(name="x", kind="serve"),
-        )
 
 
 def test_faulty_scenario_runs(repo_root):

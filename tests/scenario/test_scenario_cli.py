@@ -1,4 +1,4 @@
-"""The ``repro scenario`` verbs: validate, list, run, and audit --scenario."""
+"""The ``repro scenario`` verbs: validate, list, run."""
 
 import pytest
 
@@ -144,23 +144,3 @@ def test_scenario_run_serve_kind(tmp_path, capsys):
     assert "cli-serve [serve]" in out
     assert "poisson:rate=100" in out
     assert "slo" in out
-
-
-def test_audit_diff_scenario_variant_run(capsys):
-    rc = main([
-        "audit", "diff", "--rates", "2", "--trials", "1",
-        "--variants", "jobs", "--scenario",
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "scenario" in out and "bit-identical" in out
-
-
-def test_audit_diff_scenario_variant_serve(capsys):
-    rc = main([
-        "audit", "diff", "--serve", "--duration", "0.15", "--trials", "1",
-        "--variants", "jobs", "--scenario",
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "scenario" in out and "bit-identical" in out

@@ -2,6 +2,8 @@
 across every registry axis, all surfacing as ScenarioError (so the CLI
 reports them instead of crashing)."""
 
+import json
+
 import pytest
 
 from repro.scenario import ScenarioError, ScenarioSpec
@@ -159,6 +161,91 @@ def test_kind_mismatched_sections_rejected():
         ScenarioSpec.from_mapping(
             _doc(serve={"duration": 0.1}), source="<test>"
         )
+
+
+# ------------------------------------------------------------------ #
+# numeric fields: validate rejects what build_* (or the run) would
+# ------------------------------------------------------------------ #
+
+
+def _serve_doc(**serve):
+    return {"scenario": {"name": "neg", "kind": "serve"}, "serve": serve}
+
+
+#: each of these printed "ok ... [digest ...]" (or crashed validate with a
+#: bare ValueError out of canonical()) before the small frozen configs were
+#: constructed with the spec; the message names section and key
+BAD_NUMBERS = [
+    pytest.param(_doc(run={"rate_mbps": float("nan")}), "[run] rate_mbps",
+                 id="run-rate-nan"),
+    pytest.param(_doc(run={"rate_mbps": 0.0}), "[run] rate_mbps", id="run-rate-zero"),
+    pytest.param(_serve_doc(duration=float("inf")), "[serve] duration",
+                 id="serve-duration-inf"),
+    pytest.param(_serve_doc(duration=-0.5), "[serve] duration",
+                 id="serve-duration-negative"),
+    pytest.param(_serve_doc(slo_ms=-5), "[serve] slo_ms", id="serve-slo-negative"),
+    pytest.param(_serve_doc(tenants=0), "[serve] tenants", id="serve-tenants-zero"),
+    pytest.param(_serve_doc(admission={"max_in_system": -3}),
+                 "[serve.admission] max_in_system", id="admission-cap-negative"),
+    pytest.param(_serve_doc(admission={"quota_rate": -1.0}),
+                 "[serve.admission] token-bucket quota", id="admission-quota-negative"),
+    pytest.param(_doc(telemetry={"interval_s": -1}), "[telemetry] interval_s",
+                 id="telemetry-interval-negative"),
+    pytest.param(_doc(telemetry={"interval_s": float("nan")}),
+                 "[telemetry] interval_s", id="telemetry-interval-nan"),
+    pytest.param(_doc(platform={"name": "zcu102", "fft": 9}), "[platform]",
+                 id="platform-fft-range"),
+    pytest.param(_doc(platform={"name": "jetson", "cpu": 0}), "[platform]",
+                 id="platform-cpu-range"),
+]
+
+
+@pytest.mark.parametrize("doc,where", BAD_NUMBERS)
+def test_bad_number_is_scenario_error_naming_section_and_key(doc, where):
+    with pytest.raises(ScenarioError) as ei:
+        ScenarioSpec.from_mapping(doc, source="<test>")
+    message = str(ei.value)
+    assert message.startswith("<test>") and where in message
+    assert "\n" not in message
+
+
+def test_bad_number_rejected_on_direct_construction_too():
+    """The checks live in ``__post_init__``, so ``dataclasses.replace`` and
+    hand-built specs (corpus generator, minimizer) get them as well."""
+    import dataclasses
+
+    from repro.scenario import ServeSection
+
+    spec = ScenarioSpec(name="neg")
+    with pytest.raises(ScenarioError, match="rate_mbps"):
+        dataclasses.replace(spec, rate_mbps=float("inf"))
+    with pytest.raises(ScenarioError, match="interval_s"):
+        dataclasses.replace(spec, telemetry_interval_s=-1.0)
+    with pytest.raises(ScenarioError, match="max_in_system"):
+        ServeSection(max_in_system=0)
+
+
+def test_validate_cli_fails_hostile_numbers_without_traceback(tmp_path, capsys):
+    """The five documents of the issue, through the verb: exit 1, one FAIL
+    line each, and no digest printed for any of them."""
+    from repro.cli import main
+
+    docs = {
+        "rate": _doc(run={"rate_mbps": float("nan")}),
+        "duration": _serve_doc(duration=float("inf")),
+        "interval": _doc(telemetry={"interval_s": -1}),
+        "cap": _serve_doc(admission={"max_in_system": -3}),
+        "slo": _serve_doc(slo_ms=-5),
+    }
+    paths = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))  # json spells them NaN / Infinity
+        paths.append(str(path))
+    assert main(["scenario", "validate", *paths]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(docs)
+    assert all(line.startswith("FAIL ") and "digest" not in line for line in lines)
 
 
 def test_validate_cli_reports_unknown_app(tmp_path, capsys):
