@@ -1,9 +1,10 @@
 """The audit layer's invariant catalog: what a correct CEDR run looks like.
 
 CEDR's correctness contract - every submitted task runs exactly once, on a
-PE that supports its API, after its dependencies, with the bookkeeping
-streams (logbook, performance counters, telemetry) all telling the same
-story - is stated here as ~a dozen machine-verifiable invariants over an
+PE that supports its API, after its dependencies, with the rows of the run
+record (tasks, apps, rounds, fault-layer incidents) and the metric registry
+all telling the same story - is stated here as a dozen machine-verifiable
+invariants over an
 :class:`AuditView`: a uniform snapshot of a finished run assembled either
 from a live :class:`~repro.runtime.CedrRuntime` (:meth:`AuditView.
 from_runtime`) or from a saved :class:`~repro.runtime.Logbook` dump
@@ -15,25 +16,24 @@ exceptions (code + offending task/PE/timestamps) rather than raising, so
 auditor (:mod:`repro.audit.online`) raises the first violation it sees
 instead, which is what turns every test-suite run into an invariant check.
 
-The catalog is deliberately conservative about *when* a check applies: a
-view built from a ``log_tasks=False`` run has no task rows, a
-``enable_perf_counters=False`` run has no counters, an offline dump has no
-cost-table token - each invariant states its inputs and skips cleanly when
-they are absent, so auditing never manufactures false alarms out of
-missing instrumentation.
+The catalog is deliberately conservative about *when* a check applies: an
+offline dump has no cost-table token, core loads or registry values, and a
+schema 1 / 2 dump has no incident rows - each invariant states its inputs
+and skips cleanly when they are absent, so auditing never manufactures
+false alarms out of missing columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.platforms.pe import SUPPORT_MATRIX
-from repro.runtime.logbook import AppRecord, Logbook, TaskRecord
+from repro.runtime.logbook import AppRecord, Incident, Logbook, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.daemon import CedrRuntime
-    from repro.runtime.perf_counters import PerfCounters
 
 __all__ = [
     "EPS",
@@ -107,43 +107,39 @@ class CoreLoad:
 class AuditView:
     """Uniform audit input: everything the catalog can be asked about.
 
-    Optional fields are ``None``/empty when the corresponding
-    instrumentation was off (or unavailable offline); invariants that need
-    them skip.
+    The four row tuples are the run record; the optional fields exist only
+    for a live runtime (or, for ``incidents``, a schema >= 3 dump) and the
+    invariants that need them skip when they are ``None``/empty.
     """
 
     tasks: tuple[TaskRecord, ...] = ()
     apps: tuple[AppRecord, ...] = ()
-    rounds: tuple[tuple[float, int], ...] = ()
+    #: ``(t, depth, cost, t_begin)`` per scheduling round.
+    rounds: tuple[tuple[float, int, float, float], ...] = ()
+    #: fault-layer events; ``None`` when the dump predates them (schema
+    #: 1 / 2), which is "unknown", not "none happened".
+    incidents: Optional[tuple[Incident, ...]] = None
     makespan: Optional[float] = None
-    counters: Optional["PerfCounters"] = None
     #: final flattened telemetry values (:meth:`CedrTelemetry.flat_values`).
     telemetry: Optional[dict[str, float]] = None
     #: live cost-table identity; ``None`` for offline (saved-dump) views.
     cost_table_token: Optional[int] = None
     cost_table_rows: Optional[int] = None
     core_loads: tuple[CoreLoad, ...] = ()
-    #: whether per-task logging was on - without it the task tuple is
-    #: legitimately empty and count-based checks must not fire.
-    log_enabled: bool = True
 
     @classmethod
     def from_runtime(cls, runtime: "CedrRuntime") -> "AuditView":
-        """Snapshot a finished runtime (the online auditor's final pass)."""
-        counters = runtime.counters if runtime.counters.enabled else None
-        telemetry = (
-            runtime.telemetry.flat_values()
-            if runtime.telemetry is not None
-            else None
-        )
+        """Snapshot a finished runtime (the online auditor's final pass):
+        the logbook view plus what only a live runtime knows."""
         cores = [*runtime.platform.worker_cores, runtime.platform.runtime_core]
-        return cls(
-            tasks=tuple(runtime.logbook.tasks),
-            apps=tuple(runtime.logbook.apps.values()),
-            rounds=tuple(runtime.logbook.rounds),
+        return replace(
+            cls.from_logbook(runtime.logbook),
             makespan=runtime.metrics.makespan,
-            counters=counters,
-            telemetry=telemetry,
+            telemetry=(
+                runtime.telemetry.flat_values()
+                if runtime.telemetry is not None
+                else None
+            ),
             cost_table_token=runtime.cost_table.token,
             cost_table_rows=runtime.cost_table.n_rows,
             core_loads=tuple(
@@ -155,20 +151,19 @@ class AuditView:
                 )
                 for core in cores
             ),
-            log_enabled=runtime.logbook.enabled,
         )
 
     @classmethod
     def from_logbook(cls, logbook: Logbook) -> "AuditView":
-        """Offline view over a saved dump: logbook streams only."""
+        """The run record as an audit view (all an offline dump offers)."""
         finishes = [a.t_finish for a in logbook.apps.values() if a.t_finish is not None]
         finishes.extend(rec.t_finish for rec in logbook.tasks)
         return cls(
             tasks=tuple(logbook.tasks),
             apps=tuple(logbook.apps.values()),
             rounds=tuple(logbook.rounds),
+            incidents=tuple(logbook.incidents) if logbook.schema >= 3 else None,
             makespan=max(finishes) if finishes else None,
-            log_enabled=True,
         )
 
 
@@ -219,40 +214,32 @@ def _check_exactly_once(view: AuditView) -> Iterator[AuditViolation]:
 
 
 def _check_task_conservation(view: AuditView) -> Iterator[AuditViolation]:
-    counters = view.counters
-    if counters is None:
+    if view.incidents is None:
         return
-    if view.log_enabled and counters.tasks_completed != len(view.tasks):
+    counts = Counter(incident.kind for incident in view.incidents)
+    recorded_attempts = sum(rec.attempts for rec in view.tasks)
+    if recorded_attempts > counts["retry"]:
         yield AuditViolation(
             "task-conservation",
-            f"counters saw {counters.tasks_completed} completions but the "
-            f"logbook recorded {len(view.tasks)} - a task was lost or "
-            f"double-counted",
+            f"completed tasks carry {recorded_attempts} retry attempts "
+            f"but only {counts['retry']} retries were issued",
         )
-    if view.log_enabled:
-        recorded_attempts = sum(rec.attempts for rec in view.tasks)
-        if recorded_attempts > counters.retries:
-            yield AuditViolation(
-                "task-conservation",
-                f"completed tasks carry {recorded_attempts} retry attempts "
-                f"but only {counters.retries} retries were issued",
-            )
     failed_apps = sum(1 for app in view.apps if app.failed)
-    if counters.tasks_lost != failed_apps:
+    if counts["lost"] != failed_apps:
         yield AuditViolation(
             "task-conservation",
-            f"{counters.tasks_lost} tasks were declared lost but "
+            f"{counts['lost']} tasks were declared lost but "
             f"{failed_apps} applications are marked failed - exactly one "
             f"lost task fails exactly one application",
         )
     # every retry is issued in response to a detected failure; losses are
     # NOT bounded by failures (a task whose every supporting PE fail-stopped
     # is lost at triage without a per-task failure event)
-    if counters.task_failures < counters.retries:
+    if counts["failure"] < counts["retry"]:
         yield AuditViolation(
             "task-conservation",
-            f"failure ledger short: {counters.task_failures} detected "
-            f"failures cannot cover {counters.retries} retries",
+            f"failure ledger short: {counts['failure']} detected "
+            f"failures cannot cover {counts['retry']} retries",
         )
 
 
@@ -264,14 +251,6 @@ def _check_app_accounting(view: AuditView) -> Iterator[AuditViolation]:
                 f"app {app.name}#{app.app_id} never terminated",
                 t=app.t_arrival,
             )
-    if view.counters is not None and view.counters.apps_completed != len(view.apps):
-        yield AuditViolation(
-            "app-accounting",
-            f"counters terminated {view.counters.apps_completed} apps but "
-            f"the logbook tracked {len(view.apps)}",
-        )
-    if not view.log_enabled:
-        return
     per_app: dict[int, int] = {}
     for rec in view.tasks:
         per_app[rec.app_id] = per_app.get(rec.app_id, 0) + 1
@@ -388,7 +367,7 @@ def _check_clock_monotonic(view: AuditView) -> Iterator[AuditViolation]:
 
 def _check_round_monotonic(view: AuditView) -> Iterator[AuditViolation]:
     last = 0.0
-    for when, depth in view.rounds:
+    for when, depth, _, _ in view.rounds:
         if when < last - EPS:
             yield AuditViolation(
                 "round-monotonic",
@@ -412,82 +391,47 @@ def _check_round_monotonic(view: AuditView) -> Iterator[AuditViolation]:
             )
 
 
-def _check_queue_accounting(view: AuditView) -> Iterator[AuditViolation]:
-    counters = view.counters
-    if counters is None or not view.log_enabled:
-        return
-    depths = [depth for _, depth in view.rounds]
-    if len(depths) != counters.sched_rounds:
-        yield AuditViolation(
-            "queue-accounting",
-            f"logbook recorded {len(depths)} scheduling rounds, counters "
-            f"{counters.sched_rounds}",
-        )
-    if sum(depths) != counters.ready_depth_sum:
-        yield AuditViolation(
-            "queue-accounting",
-            f"ready-depth totals disagree: logbook {sum(depths)}, counters "
-            f"{counters.ready_depth_sum}",
-        )
-    if max(depths, default=0) != counters.ready_depth_max:
-        yield AuditViolation(
-            "queue-accounting",
-            f"ready-depth high-water marks disagree: logbook "
-            f"{max(depths, default=0)}, counters {counters.ready_depth_max}",
-        )
-    hist: dict[str, int] = {}
-    for rec in view.tasks:
-        hist[rec.pe] = hist.get(rec.pe, 0) + 1
-    for pe, pc in counters.per_pe.items():
-        if hist.get(pe, 0) != pc.tasks:
-            yield AuditViolation(
-                "queue-accounting",
-                f"PE {pe} counted {pc.tasks} completions but the logbook "
-                f"holds {hist.get(pe, 0)} rows for it",
-                pe=pe,
-            )
-    if sum(pc.tasks for pc in counters.per_pe.values()) != counters.tasks_completed:
-        yield AuditViolation(
-            "queue-accounting",
-            "per-PE completion tallies do not sum to tasks_completed",
-        )
+def _checked_online(view: AuditView) -> Iterator[AuditViolation]:
+    """Nothing to replay: the invariant is about a decision in flight and
+    :class:`~repro.audit.online.OnlineAuditor` raises its code at the
+    round.  The catalog keeps the entry so reports tally every code."""
+    return iter(())
 
 
 def _check_telemetry_consistency(view: AuditView) -> Iterator[AuditViolation]:
-    tel, counters = view.telemetry, view.counters
-    if tel is None or counters is None:
+    tel = view.telemetry
+    if tel is None:
         return
+    counts = Counter(incident.kind for incident in view.incidents or ())
     scalar = (
-        ("cedr_tasks_completed", counters.tasks_completed),
-        ("cedr_sched_rounds", counters.sched_rounds),
-        ("cedr_apps_completed", counters.apps_completed),
-        ("cedr_task_retries_total", counters.retries),
-        ("cedr_tasks_lost_total", counters.tasks_lost),
-        ("cedr_stale_dispatches_total", counters.stale_dispatches),
-        ("cedr_pe_quarantines_total", counters.pe_quarantines),
-        ("cedr_pe_revivals_total", counters.pe_revivals),
+        ("cedr_tasks_completed", len(view.tasks)),
+        ("cedr_sched_rounds", len(view.rounds)),
+        ("cedr_apps_completed", sum(1 for a in view.apps if a.t_finish is not None)),
+        ("cedr_task_retries_total", counts["retry"]),
+        ("cedr_tasks_lost_total", counts["lost"]),
+        ("cedr_stale_dispatches_total", counts["stale"]),
+        ("cedr_pe_quarantines_total", counts["quarantine"]),
+        ("cedr_pe_revivals_total", counts["revival"]),
     )
     for name, expected in scalar:
         got = tel.get(name)
         if got is not None and got != expected:
             yield AuditViolation(
                 "telemetry-consistency",
-                f"{name} reports {got} but the perf counters hold {expected}",
+                f"{name} reports {got} but the run record holds {expected}",
             )
-    for pe, pc in counters.per_pe.items():
+    for pe, tasks in Counter(rec.pe for rec in view.tasks).items():
         got = tel.get(f"cedr_pe_dispatch_total{{pe={pe}}}")
-        if got is not None and got != pc.tasks:
+        if got is not None and got != tasks:
             yield AuditViolation(
                 "telemetry-consistency",
                 f"cedr_pe_dispatch_total for {pe} reports {got} but the "
-                f"perf counters hold {pc.tasks}",
+                f"run record holds {tasks} rows for it",
                 pe=pe,
             )
 
 
 def _check_cost_row_fresh(view: AuditView) -> Iterator[AuditViolation]:
-    if not view.log_enabled:
-        return
     # offline dumps carry no live table: all rows must still agree on one
     # token (a single table priced the whole run)
     tokens = {rec.cost_token for rec in view.tasks}
@@ -542,8 +486,8 @@ CATALOG: tuple[Invariant, ...] = (
     ),
     Invariant(
         "task-conservation",
-        "completions == log rows; sum(attempts) <= retries; "
-        "tasks_lost == failed apps; failures >= retries",
+        "task / app rows against incident rows: sum(attempts) <= retries; "
+        "tasks lost == failed apps; failures >= retries",
         _check_task_conservation,
     ),
     Invariant(
@@ -579,12 +523,13 @@ CATALOG: tuple[Invariant, ...] = (
     ),
     Invariant(
         "queue-accounting",
-        "logbook round/depth/per-PE streams equal the perf-counter tallies",
-        _check_queue_accounting,
+        "every round's assignments are exactly its ready batch (checked "
+        "online, at the round)",
+        _checked_online,
     ),
     Invariant(
         "telemetry-consistency",
-        "final telemetry values equal the perf-counter tallies they mirror",
+        "final registry values equal the run-record rows they were fed from",
         _check_telemetry_consistency,
     ),
     Invariant(

@@ -198,12 +198,12 @@ class OnlineAuditor:
         if self._finalized:
             return audit_runtime(runtime)
         self._finalized = True
-        counters = runtime.counters
-        if counters.enabled and counters.tasks_completed != len(self._completed):
+        rows = len(runtime.logbook.tasks)
+        if rows != len(self._completed):
             raise AuditViolation(
                 "task-conservation",
                 f"online ledger saw {len(self._completed)} completions but "
-                f"the counters report {counters.tasks_completed}",
+                f"the logbook holds {rows} task rows",
             )
         report = audit_runtime(runtime)
         report.raise_if_failed()

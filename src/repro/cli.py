@@ -550,7 +550,9 @@ def _cmd_run(args) -> int:
     if args.perf_json:
         import json
 
-        with open(args.perf_json, "w", encoding="utf-8") as fh:
+        from repro.atomic import atomic_write
+
+        with atomic_write(args.perf_json) as fh:
             json.dump(runtime.counters.snapshot(), fh, indent=2, sort_keys=True)
         print(f"perf json : wrote {args.perf_json}")
     if args.verbose:
@@ -657,6 +659,12 @@ def _cmd_audit(args) -> int:
         raise SystemExit(f"cannot load {args.target!r}: {exc}") from None
     report = audit_logbook(logbook)
     print(report.summary())
+    if logbook.schema >= 3:
+        print(f"  task-conservation: checked against "
+              f"{len(logbook.incidents)} incident rows")
+    else:
+        print(f"  task-conservation: skipped (a schema {logbook.schema} dump "
+              f"carries no incident rows)")
     for violation in report.violations:
         print(f"  - {violation}")
     return 0 if report.ok else 1

@@ -41,13 +41,13 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.metrics import RunResult
 
 __all__ = [
@@ -344,18 +344,8 @@ class SweepCache:
         if codec.kind != RUN_CODEC.kind:
             entry["kind"] = codec.kind
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(digest)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
-            os.replace(tmp, path)  # atomic: readers see old or new, never torn
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self._path(digest)) as fh:
+            json.dump(entry, fh, separators=(",", ":"))
         self.stats.stores += 1
         return True
 

@@ -8,7 +8,7 @@ retries, PE quarantine/revival) lives in the runtime daemon and workers.
 See docs/INTERNALS.md, "Fault model & recovery".
 """
 
-from .inject import FaultInjector, RetryRecord
+from .inject import FaultInjector
 from .registry import (
     FAULT_KINDS,
     FaultKindEntry,
@@ -36,7 +36,6 @@ __all__ = [
     "FaultSpec",
     "FaultRecord",
     "FaultInjector",
-    "RetryRecord",
     "TaskLostError",
     "DEFAULT_FAULT_KINDS",
     "fault_stream",

@@ -23,27 +23,23 @@ Faults landing on an already-dead PE are dropped, and stream transients/
 hangs landing on an *idle* PE are dropped too (there is no live task state
 to corrupt).  Scripted faults are forced: their effect is left pending for
 the next task on the PE, which makes deterministic recovery tests easy to
-write.  The injector also keeps
-the run's fault log (``records``) and retry re-dispatch log
-(``retry_records``, appended by the daemon) that the Chrome-trace exporter
-turns into instant events.
+write.  Every applied fault is one ``fault`` incident in the run's
+:class:`~repro.runtime.Logbook` (the Chrome-trace exporter turns those, and
+the daemon's ``redispatch`` incidents, into instant events).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from .model import FaultConfig, FaultKind, FaultRecord, fault_stream
+from .model import FaultConfig, FaultKind, fault_stream
 from .registry import FAULT_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platforms import PE
     from repro.runtime.daemon import CedrRuntime
 
-__all__ = ["FaultInjector", "RetryRecord"]
-
-#: (time, task id, attempt, target PE) of one retry re-dispatch.
-RetryRecord = tuple[float, int, int, str]
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -52,10 +48,6 @@ class FaultInjector:
     def __init__(self, runtime: "CedrRuntime", config: FaultConfig) -> None:
         self.runtime = runtime
         self.config = config
-        #: faults actually applied, in injection order.
-        self.records: list[FaultRecord] = []
-        #: retry re-dispatches, appended by the daemon's scheduling round.
-        self.retry_records: list[RetryRecord] = []
         self._stopped = False
 
     def arm(self) -> None:
@@ -118,9 +110,9 @@ class FaultInjector:
             # task to arrive - in practice the workload's last stragglers,
             # which then exhaust any retry budget no matter how generous.
             return
-        now = runtime.engine.now
-        self.records.append(FaultRecord(at=now, pe=pe.name, kind=kind))
-        runtime.counters.record_fault(kind.value)
+        runtime.logbook.record_incident(
+            runtime.engine.now, "fault", kind.value, pe=pe.name
+        )
         entry.apply(self, pe)
 
     def end_slowdown(self, pe: "PE", epoch: int) -> None:

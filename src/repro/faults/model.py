@@ -105,7 +105,8 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultRecord:
-    """One fault as applied during a run (the injector's log row)."""
+    """One fault of a previewed schedule (:func:`preview_schedule`); faults
+    applied during a run are ``fault`` incidents in its logbook."""
 
     at: float
     pe: str

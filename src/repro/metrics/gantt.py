@@ -47,7 +47,7 @@ def render_gantt(
         raise ValueError(f"width must be >= 8 columns, got {width}")
     records = runtime.logbook.tasks
     if not records:
-        return "(no task records - was log_tasks enabled?)"
+        return "(no task records)"
     t_end = t_end if t_end is not None else runtime.metrics.makespan or max(
         r.t_finish for r in records
     )
@@ -64,7 +64,7 @@ def render_gantt(
     for rec in records:
         if rec.pe not in slices:
             continue
-        app = runtime.apps.get(rec.app_id)
+        app = runtime.logbook.apps.get(rec.app_id)
         label = (app.name if app else "?")[:1].upper() or "?"
         app_names[label] = app.name if app else "?"
         first = max(0, int((rec.t_start - t_start) / dt))

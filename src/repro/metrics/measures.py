@@ -71,7 +71,10 @@ class RunResult:
         by_app: dict[str, list[float]] = {}
         for a in apps:
             by_app.setdefault(a.name, []).append(a.execution_time)
-        counters = runtime.counters
+        # every simulated tally is a read of the run record (the counters
+        # are a view of the same logbook); one pass counts the incidents
+        counters, logbook = runtime.counters, runtime.logbook
+        incidents = logbook.incident_counts()
         return cls(
             n_apps=len(apps),
             n_cancelled=sum(1 for a in finished if a.cancelled),
@@ -84,12 +87,12 @@ class RunResult:
             ready_depth_max=counters.ready_depth_max,
             makespan=runtime.metrics.makespan,
             tasks_completed=counters.tasks_completed,
-            pe_task_histogram=runtime.logbook.tasks_by_pe(),
+            pe_task_histogram=logbook.tasks_by_pe(),
             n_failed=sum(1 for a in finished if a.failed and not a.cancelled),
-            faults_injected=counters.faults_injected,
-            task_failures=counters.task_failures,
-            retries=counters.retries,
-            tasks_lost=counters.tasks_lost,
+            faults_injected=incidents["fault"],
+            task_failures=incidents["failure"],
+            retries=incidents["retry"],
+            tasks_lost=incidents["lost"],
             mean_time_to_recovery=counters.mean_time_to_recovery,
             telemetry=(
                 runtime.telemetry.export_state()

@@ -129,7 +129,7 @@ class TimingModel:
     #: handful of kernel shapes across thousands of tasks, and the worker
     #: threads re-derive the analytic cost for every single dispatch; the
     #: cache turns that into one dict probe (the profiling-table analogue of
-    #: :meth:`CedrRuntime._estimate`, but shared by *all* consumers of the
+    #: :meth:`CostTable.lookup`, but shared by *all* consumers of the
     #: model).  Excluded from eq/hash/repr: it is pure memoization state.
     _cost_cache: dict = field(default_factory=dict, compare=False, repr=False)
 

@@ -3,8 +3,8 @@
 from .app import API_MODE, DAG_MODE, AppInstance, TimingOnlyAppError
 from .config import RuntimeConfig, RuntimeCosts
 from .daemon import CedrRuntime, EventQueue, RunMetrics
-from .logbook import AppRecord, Logbook, TaskRecord
-from .perf_counters import PECounters, PerfCounters
+from .logbook import AppRecord, Incident, Logbook, TaskRecord
+from .perf_counters import PerfCounters
 from .task import CompletionHandle, Task, TaskState
 from .trace import to_chrome_trace, write_chrome_trace
 from .worker import SHUTDOWN, worker_body
@@ -25,8 +25,8 @@ __all__ = [
     "Logbook",
     "TaskRecord",
     "AppRecord",
+    "Incident",
     "PerfCounters",
-    "PECounters",
     "SHUTDOWN",
     "worker_body",
     "to_chrome_trace",

@@ -1,8 +1,7 @@
 """Runtime Configuration: the knobs a CEDR user sets per run.
 
 Mirrors the "Runtime Configuration" input of the paper's Fig. 1: which
-scheduling heuristic to use, whether performance counters are collected,
-plus the daemon-side cost constants that the runtime-overhead metric
+scheduling heuristic to use, plus the daemon-side cost constants that the runtime-overhead metric
 measures.  The cost constants are the microsecond-scale prices of the
 bookkeeping steps the paper enumerates when explaining Fig. 5 ("receiving
 and parsing application DAG files via IPC ..., parsing shared object,
@@ -83,8 +82,6 @@ class RuntimeConfig:
     scheduler: str = "rr"
     execute_kernels: bool = True
     cost_noise_sigma: float = 0.0
-    enable_perf_counters: bool = True
-    log_tasks: bool = True
     #: condvar wake latency (Fig. 4 path); seconds.
     signal_latency_s: float = 2.0e-6
     #: minimum spacing between scheduling rounds.  The default 0 models
@@ -126,6 +123,3 @@ class RuntimeConfig:
 
     def with_scheduler(self, name: str) -> "RuntimeConfig":
         return replace(self, scheduler=name)
-
-    def timing_only(self) -> "RuntimeConfig":
-        return replace(self, execute_kernels=False, log_tasks=False)

@@ -65,7 +65,7 @@ from repro.telemetry import CedrTelemetry, SnapshotSampler
 
 from .app import DAG_MODE, AppInstance, TimingOnlyAppError
 from .config import RuntimeConfig
-from .logbook import AppRecord, Logbook
+from .logbook import Logbook
 from .perf_counters import PerfCounters
 from .task import Task, TaskState
 from .worker import SHUTDOWN, worker_body
@@ -89,12 +89,6 @@ class RunMetrics:
     sched_overhead_s: float = 0.0
     makespan: float = 0.0
     apps_completed: int = 0
-
-    def runtime_overhead_per_app(self) -> float:
-        return self.runtime_overhead_s / max(1, self.apps_completed)
-
-    def sched_overhead_per_app(self) -> float:
-        return self.sched_overhead_s / max(1, self.apps_completed)
 
 
 class EventQueue:
@@ -174,14 +168,16 @@ class CedrRuntime:
             if self.telemetry is not None and config.telemetry.sample_interval_s > 0
             else None
         )
-        self.counters = PerfCounters(
-            enabled=config.enable_perf_counters, telemetry=self.telemetry
-        )
         if self.telemetry is not None:
             # Bridge engine-side late-timer clamps into the metric registry.
             # Plain state mutation (no events), so runs stay bit-identical.
             self.engine.on_late_timer = self.telemetry.late_timers.inc
-        self.logbook = Logbook(enabled=config.log_tasks)
+        #: the run record: every completion, round, app open / close and
+        #: fault-layer event is written here once (and feeds the registry
+        #: from inside the same call); ``counters`` keeps the host-side
+        #: measurements and reads its simulated numbers back from it.
+        self.logbook = Logbook(self.telemetry)
+        self.counters = PerfCounters(self.logbook)
         self.metrics = RunMetrics()
         self.noise_rng = (
             child_rng(self.engine.seed, "cost-noise") if config.cost_noise_sigma > 0 else None
@@ -383,15 +379,6 @@ class CedrRuntime:
         self.metrics.runtime_overhead_s += seconds
         return Compute(seconds)
 
-    def _estimate(self, task: Task, pe: PE) -> float:
-        """Profiled execution estimate: one table probe.
-
-        Workloads repeat identical kernel shapes thousands of times; the
-        interned row matches how real CEDR consults a static profiling
-        table.
-        """
-        return self.cost_table.lookup(task, pe.index)
-
     def _daemon_body(self) -> Generator[Request, Any, None]:
         while True:
             batch = yield from self.events.get_batch()
@@ -483,9 +470,7 @@ class CedrRuntime:
         costs = self.config.costs
         yield self._charge(costs.ipc_receive_us)
         yield self._charge(costs.so_parse_us)
-        self.logbook.open_app(
-            AppRecord(app_id=app.app_id, name=app.name, mode=app.mode, t_arrival=app.t_arrival)
-        )
+        self.logbook.open_app(app)
         if app.mode == DAG_MODE:
             yield self._charge(
                 costs.dag_parse_base_us + costs.dag_parse_per_node_us * app.dag.n_nodes
@@ -556,7 +541,10 @@ class CedrRuntime:
         if self.faults is not None and task.t_first_failure >= 0.0:
             # the task failed earlier and has now completed successfully:
             # one recovery, measured first-failure -> completion
-            self.counters.record_recovery(self.engine.now - task.t_first_failure)
+            now = self.engine.now
+            self.logbook.record_incident(
+                now, "recovery", tid=task.tid, seconds=now - task.t_first_failure
+            )
         if app.cancelled or app.failed:
             return  # straggler from a killed/failed app: log-only
         if app.mode == DAG_MODE:
@@ -577,14 +565,7 @@ class CedrRuntime:
     def _finish_app(self, app: AppInstance) -> Generator[Request, Any, None]:
         yield self._charge(self.config.costs.app_terminate_us)
         app.t_finish = self.engine.now
-        record = self.logbook.close_app(app.app_id, self.engine.now)
-        record.t_launch = app.t_launch
-        record.n_tasks = app.tasks_total
-        record.cancelled = app.cancelled
-        record.failed = app.failed
-        self.counters.apps_completed += 1
-        if self.telemetry is not None:
-            self.telemetry.record_app_completed()
+        self.logbook.close_app(app)
         self._completed += 1
         if self.on_app_finished is not None:
             self.on_app_finished(app)
@@ -598,9 +579,11 @@ class CedrRuntime:
         pes = self.platform.pes
         cost = self.scheduler.round_cost(len(batch), len(pes))
         self.metrics.sched_overhead_s += cost
-        self.counters.record_round(len(batch))
+        t_begin = self.engine.now
         if self.telemetry is not None:
-            self.telemetry.record_round(self.engine.now, len(batch), cost)
+            # fed as the decision begins, not with the row below: a sampler
+            # tick inside the decision window already counts this round
+            self.telemetry.record_round(len(batch), cost)
         if cost > 0.0:
             yield Compute(cost)
         # Rebuild each PE's expected-free instant from its outstanding
@@ -608,7 +591,7 @@ class CedrRuntime:
         # tasks - the runtime analogue of CEDR consulting its execution-time
         # profiles plus the live queue state.
         now = self.engine.now
-        self.logbook.record_round(now, len(batch))
+        self.logbook.record_round(now, len(batch), cost, t_begin)
         for pe in pes:
             pe.expected_free = now + pe.outstanding_est * pe.slowdown
         assignments = self.scheduler.schedule(batch, pes, now, self.cost_table)
@@ -635,8 +618,8 @@ class CedrRuntime:
                 task.dispatch_epoch += 1
                 self.mailboxes[pe.index].post((task, task.dispatch_epoch))
                 if task.attempts > 0:
-                    self.faults.retry_records.append(
-                        (self.engine.now, task.tid, task.attempts, pe.name)
+                    self.logbook.record_incident(
+                        now, "redispatch", pe=pe.name, tid=task.tid, attempt=task.attempts
                     )
                 self._arm_watchdog(task, pe)
 
@@ -711,7 +694,9 @@ class CedrRuntime:
         yield self._charge(self.config.costs.queue_pop_us)
         if task.dispatch_epoch != epoch or task.state is TaskState.DONE:
             # the watchdog got here first and already re-dispatched
-            self.counters.record_stale_dispatch()
+            self.logbook.record_incident(
+                self.engine.now, "stale", pe=pe.name, tid=task.tid
+            )
             return
         yield from self._recover(task, pe, kind)
 
@@ -748,7 +733,9 @@ class CedrRuntime:
         """Shared failure tail: quarantine the PE, then retry or give up."""
         cfg = self.faults.config
         now = self.engine.now
-        self.counters.record_task_failure(kind)
+        self.logbook.record_incident(
+            now, "failure", kind, pe=pe.name if pe is not None else "", tid=task.tid
+        )
         if task.t_first_failure < 0.0:
             task.t_first_failure = now
         if pe is not None and not pe.dead and kind != "watchdog":
@@ -767,7 +754,7 @@ class CedrRuntime:
             yield from self._task_lost(task)
             return
         task.attempts += 1
-        self.counters.record_retry()
+        self.logbook.record_incident(now, "retry", tid=task.tid, attempt=task.attempts)
         if cfg.exclude_failed_pe and pe is not None:
             task.banned_pes = task.banned_pes | frozenset((pe.index,))
         task.state = TaskState.CREATED  # retry limbo until the backoff fires
@@ -797,7 +784,7 @@ class CedrRuntime:
         epoch = pe.quarantine_epoch
         if pe.available:
             pe.available = False
-            self.counters.record_quarantine()
+            self.logbook.record_incident(self.engine.now, "quarantine", pe=pe.name)
         self.engine.call_at(
             self.engine.now + cfg.quarantine_s,
             lambda: self.events.post(("pe_revive", (pe, epoch))),
@@ -809,7 +796,7 @@ class CedrRuntime:
             return  # died meanwhile, or re-quarantined (newer timer owns it)
         if not pe.available:
             pe.available = True
-            self.counters.record_revival()
+            self.logbook.record_incident(self.engine.now, "revival", pe=pe.name)
         if self._parked:
             # parked tasks get another shot now that the mask grew back
             self.ready.extend(self._parked)
@@ -843,7 +830,7 @@ class CedrRuntime:
         if app.cancelled or app.failed or app.finished:
             self._drop_task(task)
             return
-        self.counters.record_task_lost()
+        self.logbook.record_incident(self.engine.now, "lost", tid=task.tid)
         app.failed = True
         costs = self.config.costs
         error = TaskLostError(

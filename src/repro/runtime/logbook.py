@@ -1,36 +1,86 @@
-"""Execution logging: the records CEDR serializes at shutdown.
+"""The run record: the one book a CEDR run writes.
 
-The real runtime collects per-task execution logs and performance-counter
-measurements during a run and writes them out when the shutdown IPC command
-arrives "for later offline analysis by the user".  :class:`Logbook` plays
-that role: task rows accumulate during the run and :meth:`serialize`
-produces the JSON-compatible structure an analysis notebook would consume.
+The real runtime keeps one execution log per run - per-task rows plus the
+performance-counter readings - and writes it out when the shutdown IPC
+command arrives "for later offline analysis by the user".  :class:`Logbook`
+is that log: four append-only row lists, one row per *entity* (a completed
+task is one :class:`TaskRecord` carrying its four instants, not four
+events):
+
+=============  ======================================  ===================
+``tasks``      one :class:`TaskRecord` per completion  written by workers
+``apps``       one :class:`AppRecord` per submission   opened / closed by
+                                                       the daemon
+``rounds``     ``(t, depth, cost, t_begin)`` per       written by the
+               scheduling round                        daemon
+``incidents``  one :class:`Incident` per fault-layer   written by the
+               event (see :data:`INCIDENT_KINDS`)      injector, daemon and
+                                                       workers
+=============  ======================================  ===================
+
+Daemon, workers and the fault injector record each happening exactly once,
+here; when the run carries a metric registry (:mod:`repro.telemetry`) the
+same call feeds it (rounds excepted - see :meth:`Logbook.record_round`).
+Everything else - :class:`~repro.runtime.PerfCounters`' simulated tallies,
+:class:`~repro.metrics.RunResult`, the Chrome trace, the Gantt chart, the
+audit view - is a read of these rows.
 
 The dump is schema-versioned (:data:`SCHEMA_VERSION`) and round-trips:
 :meth:`Logbook.load` rebuilds a logbook from a saved dump so ``repro audit
 <logbook.json>`` can replay the invariant catalog (:mod:`repro.audit`)
-against a run that finished in another process, or last week.  Version 1
-dumps (pre-audit, without the attempt/cost-row/successor columns) still
-load; the missing columns take their documented defaults and the audit
+against a run that finished in another process, or last week.  Older dumps
+still load; columns they lack take their documented defaults and the audit
 checks that need them skip.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from collections import Counter
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
+
+from repro.atomic import atomic_write
 
 from .task import Task
 
-__all__ = ["TaskRecord", "AppRecord", "Logbook", "SCHEMA_VERSION"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry import CedrTelemetry
+
+    from .app import AppInstance
+
+__all__ = [
+    "TaskRecord",
+    "AppRecord",
+    "Incident",
+    "INCIDENT_KINDS",
+    "Logbook",
+    "SCHEMA_VERSION",
+]
 
 #: current on-disk dump format.  2 added ``attempts``/``cost_row``/
 #: ``cost_token``/``successors`` to task rows and ``cancelled``/``failed``
 #: to app rows (the columns the audit layer's conservation, causality, and
-#: cost-row-freshness invariants consume).
-SCHEMA_VERSION = 2
+#: cost-row-freshness invariants consume).  3 added the ``incidents``
+#: section and widened round rows from ``[t, depth]`` to ``[t, depth,
+#: cost, t_begin]``; a 2-column round loads with ``cost = 0.0`` and
+#: ``t_begin = t``, and a schema 1 / 2 book has *unknown* (not zero)
+#: incidents - see :attr:`Logbook.schema`.
+SCHEMA_VERSION = 3
+
+#: the fault layer's closed event taxonomy (:attr:`Incident.kind`).
+INCIDENT_KINDS = (
+    "fault",        # injector applied a fault; detail = fault kind, pe
+    "failure",      # failed attempt detected; detail = detection kind, pe, tid
+    "retry",        # recovery issued a retry; tid, attempt
+    "redispatch",   # a retried task was handed to a worker again; tid, attempt, pe
+    "lost",         # retry budget exhausted / no PE left; tid
+    "stale",        # an invalidated dispatch was discarded; tid, pe
+    "quarantine",   # PE pulled from the live mask; pe
+    "revival",      # PE returned to the live mask; pe
+    "recovery",     # a failed task completed; tid, seconds since first failure
+)
 
 
 @dataclass(frozen=True)
@@ -110,49 +160,160 @@ class AppRecord:
         return self.t_finish - self.t_arrival
 
 
-def _load_record(cls, row: dict[str, Any]):
-    """Build a record dataclass from a dump row, tolerating old schemas.
+@dataclass(slots=True)
+class Incident:
+    """One fault-layer event; which columns are set depends on ``kind``.
+
+    Written once and never updated; ``slots`` rather than ``frozen`` because
+    a faulty run records more of these than task rows and a frozen
+    dataclass's ``__init__`` costs five times a plain one's.
+    """
+
+    t: float
+    kind: str
+    #: fault kind (``fault``) or detection kind (``failure``: "transient",
+    #: "hang", "failstop", "watchdog").
+    detail: str = ""
+    pe: str = ""
+    tid: int = -1
+    attempt: int = 0
+    #: first-failure -> completion interval (``recovery``).
+    seconds: float = 0.0
+
+
+#: JSON types a dump column may hold, keyed by the record classes' field
+#: annotations.
+_COLUMN_TYPES = {
+    "int": int,
+    "float": (int, float),
+    "str": str,
+    "bool": bool,
+    "Optional[float]": (int, float, type(None)),
+    "tuple[int, ...]": (list, tuple),
+}
+
+
+def _load_record(cls, where: str, row: Any):
+    """Build a record dataclass from the dump row at *where*.
 
     Unknown keys (a *newer* dump than this code) are rejected - silently
     dropping columns would let an audit pass on data it never saw - while
-    missing keys fall back to the dataclass defaults (older dumps).
+    missing optional keys fall back to the dataclass defaults (older
+    dumps).  Missing required and mistyped columns are named.
     """
-    known = {f.name for f in fields(cls)}
-    unknown = set(row) - known
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: expected an object, got {type(row).__name__}")
+    columns = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(row) - set(columns))
     if unknown:
         raise ValueError(
-            f"{cls.__name__} dump carries unknown columns {sorted(unknown)}; "
+            f"{where}: {cls.__name__} dump carries unknown columns {unknown}; "
             f"refusing to audit a newer schema than this build understands"
+        )
+    missing = [n for n, f in columns.items() if f.default is MISSING and n not in row]
+    mistyped = [
+        n for n, v in row.items() if not isinstance(v, _COLUMN_TYPES[columns[n].type])
+    ]
+    if missing or mistyped:
+        raise ValueError(
+            f"{where}: missing columns {missing}, mistyped columns {mistyped}"
         )
     return cls(**row)
 
 
-class Logbook:
-    """In-memory log store with shutdown-time serialization."""
+def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
+    """A round row: ``[t, depth, cost, t_begin]``, or the ``[t, depth]`` of
+    schemas 1 / 2 (no recorded cost; the decision began at dispatch)."""
+    if not (
+        isinstance(row, list)
+        and len(row) in (2, 4)
+        and type(row[1]) is int
+        and all(type(v) in (int, float) for v in row)
+    ):
+        raise ValueError(
+            f"{where}: expected [t, depth] or [t, depth, cost, t_begin] "
+            f"with an integer depth, got {row!r}"
+        )
+    t, depth, cost, t_begin = row if len(row) == 4 else (*row, 0.0, row[0])
+    return (float(t), depth, float(cost), float(t_begin))
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+
+class Logbook:
+    """The run record: in-memory rows with shutdown-time serialization."""
+
+    def __init__(self, telemetry: Optional["CedrTelemetry"] = None) -> None:
         self.tasks: list[TaskRecord] = []
+        #: keyed by app id; insertion order is arrival order.
         self.apps: dict[int, AppRecord] = {}
-        #: (time, ready-queue depth) per scheduling round - the trace
-        #: exporter renders this as a Perfetto counter track.
-        self.rounds: list[tuple[float, int]] = []
+        #: ``(t, depth, cost, t_begin)`` per scheduling round: the dispatch
+        #: instant, the ready batch the heuristic saw, its decision cost in
+        #: seconds and the instant the decision began (``t`` is ``t_begin``
+        #: plus the cost as the runtime core delivered it).
+        self.rounds: list[tuple[float, int, float, float]] = []
+        self.incidents: list[Incident] = []
+        #: dump format the rows came from (live books are current).  A
+        #: schema 1 / 2 dump predates ``incidents``: its list is empty
+        #: because nothing was recorded, not because nothing happened, so
+        #: readers that count incidents must skip such a book.
+        self.schema = SCHEMA_VERSION
+        #: optional metric registry, fed from inside the ``record_*`` calls.
+        self.telemetry = telemetry
+
+    # ------------------------------------------------------------------ #
+    # the write side: one call per happening
+    # ------------------------------------------------------------------ #
 
     def record_task(self, task: Task) -> None:
-        if self.enabled:
-            self.tasks.append(TaskRecord.from_task(task))
+        """A worker completed *task* (``task.pe`` and its instants are set)."""
+        self.tasks.append(TaskRecord.from_task(task))
+        if self.telemetry is not None:
+            self.telemetry.record_task(task.pe.name, task.service_time)
 
-    def record_round(self, now: float, ready_depth: int) -> None:
-        if self.enabled:
-            self.rounds.append((now, ready_depth))
+    def record_round(self, now: float, ready_depth: int, cost: float, t_begin: float) -> None:
+        """One scheduling round dispatched at *now*.
 
-    def open_app(self, record: AppRecord) -> None:
-        self.apps[record.app_id] = record
+        The registry's round series are fed by the daemon when the decision
+        *begins*, not here: a sampler tick inside the decision window must
+        already see the round.
+        """
+        self.rounds.append((now, ready_depth, cost, t_begin))
 
-    def close_app(self, app_id: int, t_finish: float) -> AppRecord:
-        record = self.apps[app_id]
-        record.t_finish = t_finish
-        return record
+    def open_app(self, app: "AppInstance") -> None:
+        """*app* arrived over IPC."""
+        self.apps[app.app_id] = AppRecord(
+            app_id=app.app_id, name=app.name, mode=app.mode, t_arrival=app.t_arrival
+        )
+
+    def close_app(self, app: "AppInstance") -> None:
+        """*app* terminated (finished, cancelled or failed) at ``app.t_finish``."""
+        record = self.apps[app.app_id]
+        record.t_finish = app.t_finish
+        record.t_launch = app.t_launch
+        record.n_tasks = app.tasks_total
+        record.cancelled = app.cancelled
+        record.failed = app.failed
+        if self.telemetry is not None:
+            self.telemetry.record_app_completed()
+
+    def record_incident(
+        self,
+        t: float,
+        kind: str,
+        detail: str = "",
+        *,
+        pe: str = "",
+        tid: int = -1,
+        attempt: int = 0,
+        seconds: float = 0.0,
+    ) -> None:
+        """One fault-layer event of :data:`INCIDENT_KINDS` at instant *t*."""
+        self.incidents.append(Incident(t, kind, detail, pe, tid, attempt, seconds))
+        if self.telemetry is not None:
+            self.telemetry.record_incident(kind, detail, seconds)
+
+    # ------------------------------------------------------------------ #
+    # the shutdown dump
+    # ------------------------------------------------------------------ #
 
     def serialize(self) -> dict[str, Any]:
         """JSON-compatible dump (what CEDR writes at shutdown)."""
@@ -161,40 +322,65 @@ class Logbook:
             "tasks": [asdict(t) for t in self.tasks],
             "apps": [asdict(a) for a in self.apps.values()],
             "rounds": [list(r) for r in self.rounds],
+            "incidents": [asdict(i) for i in self.incidents],
         }
 
     def save(self, path) -> str:
         """Write :meth:`serialize` as JSON to *path* (the shutdown dump)."""
-        path = Path(path)
-        path.write_text(json.dumps(self.serialize(), indent=2), encoding="utf-8")
+        text = json.dumps(self.serialize(), indent=2)
+        with atomic_write(path) as fh:
+            fh.write(text)
         return str(path)
 
     @classmethod
-    def from_dict(cls, dump: dict[str, Any]) -> "Logbook":
-        """Rebuild a logbook from a :meth:`serialize` dump."""
+    def from_dict(cls, dump: Any) -> "Logbook":
+        """Rebuild a logbook from a :meth:`serialize` dump.
+
+        Raises :class:`ValueError` naming the section, row and columns of
+        the first thing that is not a dump of a schema this build reads.
+        """
+        if not isinstance(dump, dict):
+            raise ValueError(
+                f"not a logbook dump: expected a JSON object, got {type(dump).__name__}"
+            )
         schema = dump.get("schema", 1)  # v1 dumps predate the version key
-        if not isinstance(schema, int) or schema < 1 or schema > SCHEMA_VERSION:
+        if type(schema) is not int or schema < 1 or schema > SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported logbook schema {schema!r} "
                 f"(this build reads 1..{SCHEMA_VERSION})"
             )
-        book = cls(enabled=True)
-        for row in dump.get("tasks", []):
-            row = dict(row)
-            if "successors" in row:
-                row["successors"] = tuple(row["successors"])
-            book.tasks.append(_load_record(TaskRecord, row))
-        for row in dump.get("apps", []):
-            record = _load_record(AppRecord, dict(row))
+        rows = {}
+        for name in ("tasks", "apps", "rounds", "incidents"):
+            rows[name] = dump.get(name, [])
+            if not isinstance(rows[name], list):
+                raise ValueError(
+                    f"{name}: expected a list of rows, got {type(rows[name]).__name__}"
+                )
+        book = cls()
+        book.schema = schema
+        for i, row in enumerate(rows["tasks"]):
+            rec = _load_record(TaskRecord, f"tasks[{i}]", row)
+            book.tasks.append(replace(rec, successors=tuple(rec.successors)))
+        for i, row in enumerate(rows["apps"]):
+            record = _load_record(AppRecord, f"apps[{i}]", row)
             book.apps[record.app_id] = record
-        book.rounds = [(float(t), int(d)) for t, d in dump.get("rounds", [])]
+        book.rounds = [_load_round(f"rounds[{i}]", row) for i, row in enumerate(rows["rounds"])]
+        if schema >= 3:  # older dumps predate the section: see ``schema``
+            for i, row in enumerate(rows["incidents"]):
+                incident = _load_record(Incident, f"incidents[{i}]", row)
+                if incident.kind not in INCIDENT_KINDS:
+                    raise ValueError(f"incidents[{i}]: unknown kind {incident.kind!r}")
+                book.incidents.append(incident)
         return book
 
     @classmethod
     def load(cls, path) -> "Logbook":
         """Read a :meth:`save` dump back; inverse of the shutdown write."""
-        dump = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(dump)
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+    # ------------------------------------------------------------------ #
+    # reads
+    # ------------------------------------------------------------------ #
 
     def tasks_by_pe(self) -> dict[str, int]:
         """Per-PE executed-task histogram (quick load-balance view)."""
@@ -202,3 +388,7 @@ class Logbook:
         for rec in self.tasks:
             hist[rec.pe] = hist.get(rec.pe, 0) + 1
         return hist
+
+    def incident_counts(self) -> Counter:
+        """Incidents per kind of :data:`INCIDENT_KINDS` (absent kinds read 0)."""
+        return Counter(incident.kind for incident in self.incidents)

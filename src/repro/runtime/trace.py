@@ -8,10 +8,13 @@ and Perfetto), which is the most practical way to *see* a schedule:
 * one trace "process" per PE, with each executed task as a complete event
   (queue wait rendered as a preceding half-opacity span);
 * one process for applications, with an arrival-to-completion span per app;
-* a counter track of the ready-queue depth per scheduling round;
-* with fault injection active, instant events mark every injected fault on
-  its PE's row and every retry re-dispatch on the target PE's row, so
-  Perfetto shows recovery visually.
+* a counter track of the ready-queue depth per scheduling round, and one of
+  the scheduler's cumulative decisions and per-round decision cost;
+* instant events mark every injected fault on its PE's row and every retry
+  re-dispatch on the target PE's row, so Perfetto shows recovery visually.
+
+Every simulated number comes from the run's logbook rows; the runtime
+contributes only the PE list and the platform / scheduler names.
 
 All emitted numbers are sanitized: non-finite floats (NaN/inf) become
 ``null`` so the JSON stays loadable by strict parsers (``json.dump`` runs
@@ -29,6 +32,8 @@ from __future__ import annotations
 import json
 import math
 from typing import TYPE_CHECKING, Any, Optional
+
+from repro.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover
     from .daemon import CedrRuntime
@@ -113,48 +118,49 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
         })
 
     # -- ready-queue depth counter track -------------------------------- #
-    for t, depth in runtime.logbook.rounds:
+    rounds = runtime.logbook.rounds
+    for t, depth, _, _ in rounds:
         events.append({
             "ph": "C", "name": "ready queue", "pid": RUNTIME_PID, "tid": 0,
             "ts": _us(t), "args": {"depth": depth},
         })
 
-    # -- scheduler-decision counter track (repro.telemetry) ------------- #
-    # With telemetry active the daemon logs every scheduling round's batch
-    # size and heuristic decision cost; rendered as a counter track next to
-    # the ready-queue depth so Perfetto shows decision cost growing with
-    # queue pressure (the paper's Fig. 7 mechanism, visually).
-    if runtime.telemetry is not None:
-        decisions = 0
-        for t, batch, cost in runtime.telemetry.round_log:
-            decisions += batch
-            events.append({
-                "ph": "C", "name": "sched decisions", "pid": RUNTIME_PID, "tid": 0,
-                "ts": _us(t),
-                "args": {"decided": decisions, "decision_cost_us": _us(cost)},
-            })
+    # -- scheduler-decision counter track ------------------------------- #
+    # Each round's batch size and heuristic decision cost, stamped where
+    # the decision began; rendered next to the ready-queue depth so
+    # Perfetto shows decision cost growing with queue pressure (the
+    # paper's Fig. 7 mechanism, visually).
+    decisions = 0
+    for _, batch, cost, t_begin in rounds:
+        decisions += batch
+        events.append({
+            "ph": "C", "name": "sched decisions", "pid": RUNTIME_PID, "tid": 0,
+            "ts": _us(t_begin),
+            "args": {"decided": decisions, "decision_cost_us": _us(cost)},
+        })
 
     # -- fault injections + retry re-dispatches (instant events) -------- #
-    if runtime.faults is not None:
-        for fault in runtime.faults.records:
-            pid = pe_pids.get(fault.pe)
-            if pid is None:
-                continue
-            events.append({
-                "ph": "i", "name": f"fault:{fault.kind.value}", "cat": "fault",
-                "pid": pid, "tid": 0, "ts": _us(fault.at), "s": "p",
-                "args": {"kind": fault.kind.value},
-            })
-        for t, tid, attempt, pe_name in runtime.faults.retry_records:
-            pid = pe_pids.get(pe_name)
-            if pid is None:
-                continue
-            events.append({
-                "ph": "i", "name": "retry", "cat": "fault",
-                "pid": pid, "tid": 0, "ts": _us(t), "s": "p",
-                "args": {"task": tid, "attempt": attempt},
-            })
+    incidents = runtime.logbook.incidents
+    for fault in incidents:
+        pid = pe_pids.get(fault.pe)
+        if fault.kind != "fault" or pid is None:
+            continue
+        events.append({
+            "ph": "i", "name": f"fault:{fault.detail}", "cat": "fault",
+            "pid": pid, "tid": 0, "ts": _us(fault.t), "s": "p",
+            "args": {"kind": fault.detail},
+        })
+    for retry in incidents:
+        pid = pe_pids.get(retry.pe)
+        if retry.kind != "redispatch" or pid is None:
+            continue
+        events.append({
+            "ph": "i", "name": "retry", "cat": "fault",
+            "pid": pid, "tid": 0, "ts": _us(retry.t), "s": "p",
+            "args": {"task": retry.tid, "attempt": retry.attempt},
+        })
 
+    counts = runtime.logbook.incident_counts()
     return _sanitize({
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -163,9 +169,9 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
             "scheduler": runtime.scheduler.name,
             "makespan_ms": runtime.metrics.makespan * 1e3,
             "apps": runtime.metrics.apps_completed,
-            "tasks": runtime.counters.tasks_completed,
-            "faults": runtime.counters.faults_injected,
-            "retries": runtime.counters.retries,
+            "tasks": len(runtime.logbook.tasks),
+            "faults": counts["fault"],
+            "retries": counts["retry"],
         },
     })
 
@@ -173,6 +179,6 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
 def write_chrome_trace(path: str, runtime: "CedrRuntime", indent: Optional[int] = None) -> str:
     """Serialize :func:`to_chrome_trace` to *path*; returns the path."""
     trace = to_chrome_trace(runtime)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(trace, fh, indent=indent, allow_nan=False)
     return path

@@ -119,7 +119,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 # the daemon would otherwise block on its event queue forever
                 # instead of re-checking its shutdown condition.
                 runtime.inflight[pe.index] -= 1
-                runtime.counters.record_stale_dispatch()
+                runtime.logbook.record_incident(engine.now, "stale", pe=pe.name, tid=task.tid)
                 runtime.post(("kick", None))
                 continue
             if pe.dead:
@@ -163,7 +163,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 # the watchdog gave up on this dispatch mid-flight; the est
                 # backlog was reclaimed by the daemon when it re-dispatched
                 runtime.inflight[pe.index] -= 1
-                runtime.counters.record_stale_dispatch()
+                runtime.logbook.record_incident(engine.now, "stale", pe=pe.name, tid=task.tid)
                 runtime.post(("kick", None))  # wake the shutdown drain check
                 continue
             if pe.dead:
@@ -176,7 +176,9 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 yield Sleep(faults.hang_s)
                 if my_epoch != task.dispatch_epoch:
                     runtime.inflight[pe.index] -= 1
-                    runtime.counters.record_stale_dispatch()
+                    runtime.logbook.record_incident(
+                        engine.now, "stale", pe=pe.name, tid=task.tid
+                    )
                     runtime.post(("kick", None))  # wake the shutdown drain check
                     continue
                 failure = "hang"
@@ -202,9 +204,6 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
         if task.est_used > 0.0:
             observed = task.service_time / task.est_used
             pe.slowdown += 0.1 * (observed - pe.slowdown)
-        runtime.counters.record_task(pe.name, task.api, task.service_time)
-        if runtime.telemetry is not None:
-            runtime.telemetry.record_task(pe.name, task.service_time)
         if runtime.auditor is not None:
             # exactly-once / overlap / timestamp checks at the source
             runtime.auditor.on_complete(task, pe, engine.now)

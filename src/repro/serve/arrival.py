@@ -33,10 +33,8 @@ Two bit-identity subtleties are load-bearing and pinned by tests:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -335,11 +333,15 @@ def _trace_times(spec: ArrivalSpec) -> list[float]:
         else:
             times = [float(part) for part in str(literal).split(";") if part.strip()]
     else:
-        dump = json.loads(Path(str(path)).read_text(encoding="utf-8"))
-        apps = dump.get("apps")
-        if apps is None:
-            raise ValueError(f"{path}: not a logbook dump (no 'apps' key)")
-        times = [float(row["t_arrival"]) for row in apps]
+        # Imported here: the serve tier sits beside the runtime package,
+        # and only a replay needs its dump reader.
+        from repro.runtime.logbook import Logbook
+
+        try:
+            book = Logbook.load(str(path))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        times = [float(app.t_arrival) for app in book.apps.values()]
     if not times:
         raise ValueError("trace replay needs at least one arrival instant")
     times.sort()

@@ -22,6 +22,8 @@ import json
 import os
 from typing import TYPE_CHECKING, Any
 
+from repro.atomic import atomic_write
+
 if TYPE_CHECKING:  # pragma: no cover
     from .registry import MetricRegistry
     from .runtime_metrics import CedrTelemetry
@@ -88,13 +90,13 @@ def to_json_dict(telemetry: "CedrTelemetry") -> dict[str, Any]:
 
 
 def write_prometheus(path: str, registry: "MetricRegistry") -> str:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(to_prometheus_text(registry))
     return path
 
 
 def write_json(path: str, telemetry: "CedrTelemetry") -> str:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(to_json_dict(telemetry), fh, indent=2, sort_keys=True, allow_nan=False)
     return path
 

@@ -6,26 +6,30 @@ pre-registers the full metric set at construction, so the catalog (names,
 types, bucket ladders) is identical for every run - a zero-task run and a
 saturated sweep export the same families, just with different values.
 
-Instrumentation points (who writes what):
+Instrumentation points (who feeds what):
 
 =====================  ==================================================
-daemon                 ``cedr_ready_queue_depth``, ``cedr_sched_rounds``,
-                       ``cedr_sched_decision_seconds``,
-                       ``cedr_sched_batch_tasks``,
+the run record         :class:`~repro.runtime.Logbook` feeds the registry
+                       from inside its own write calls - ``record_task``:
+                       ``cedr_pe_dispatch_total``, ``cedr_pe_busy_
+                       seconds_total``, ``cedr_tasks_completed``;
+                       ``close_app``: ``cedr_apps_completed``;
+                       ``record_incident``: ``cedr_faults_injected_
+                       total``, ``cedr_task_failures_total``, ``cedr_
+                       task_retries_total``, ``cedr_tasks_lost_total``,
+                       ``cedr_stale_dispatches_total``, ``cedr_pe_
+                       quarantines_total``, ``cedr_pe_revivals_total``,
+                       ``cedr_task_recovery_seconds``
+daemon                 at the *start* of a scheduling decision (a sampler
+                       tick inside the decision window already sees the
+                       round): ``cedr_ready_queue_depth``, ``cedr_sched_
+                       rounds``, ``cedr_sched_decision_seconds``,
+                       ``cedr_sched_batch_tasks``; per assignment:
                        ``cedr_sched_latency_seconds`` (doorbell to
-                       dispatch, per task), ``cedr_apps_completed``
-workers                ``cedr_pe_dispatch_total``,
-                       ``cedr_pe_busy_seconds_total``,
-                       ``cedr_tasks_completed``
+                       dispatch)
 libCEDR client         ``cedr_api_calls_total``,
                        ``cedr_api_call_latency_seconds`` (blocking and
                        non-blocking), ``cedr_api_inflight_requests``
-fault layer (bridged   ``cedr_faults_injected_total``,
-via PerfCounters)      ``cedr_task_failures_total``, ``cedr_task_
-                       retries_total``, ``cedr_tasks_lost_total``,
-                       ``cedr_pe_quarantines_total``,
-                       ``cedr_pe_revivals_total``,
-                       ``cedr_task_recovery_seconds``
 sampler                ``cedr_pe_utilization`` (derived at snapshot time)
 engine (bridged via    ``simcore_late_timers_total``
 ``Engine.on_late_timer``)
@@ -97,9 +101,6 @@ class CedrTelemetry:
         self.registry = r = MetricRegistry()
         #: flattened periodic snapshots, ``{"t": sim_seconds, "values": {...}}``.
         self.samples: list[dict[str, Any]] = []
-        #: (time, batch size, decision seconds) per scheduling round; the
-        #: Chrome-trace exporter renders these as counter events.
-        self.round_log: list[tuple[float, int, float]] = []
 
         # -- daemon --------------------------------------------------------- #
         self.queue_depth = r.gauge(
@@ -158,7 +159,7 @@ class CedrTelemetry:
             "libCEDR calls submitted but not yet completed",
         )
 
-        # -- fault layer (bridged from PerfCounters) ------------------------- #
+        # -- fault layer (fed by Logbook.record_incident) -------------------- #
         self.faults_injected = r.counter(
             "cedr_faults_injected_total", "Faults applied by the injector",
             labels=("kind",),
@@ -186,6 +187,15 @@ class CedrTelemetry:
             "cedr_task_recovery_seconds", RECOVERY_BUCKETS,
             "First failure to successful completion, per recovered task",
         )
+        #: incident kind -> the plain counter it bumps; "fault" / "failure"
+        #: carry a label and "recovery" a value, "redispatch" feeds nothing
+        self._incident_counters = {
+            "retry": self.task_retries,
+            "lost": self.tasks_lost,
+            "stale": self.stale_dispatches,
+            "quarantine": self.pe_quarantines,
+            "revival": self.pe_revivals,
+        }
 
         # -- simulator event core (bridged from the engine) ------------------ #
         self.late_timers = r.counter(
@@ -215,13 +225,12 @@ class CedrTelemetry:
     # instrumentation entry points
     # ------------------------------------------------------------------ #
 
-    def record_round(self, now: float, batch: int, decision_seconds: float) -> None:
-        """One scheduling round: depth gauge, counters, trace-merge log."""
+    def record_round(self, batch: int, decision_seconds: float) -> None:
+        """One scheduling decision beginning: depth gauge and counters."""
         self.queue_depth.set(batch)
         self.sched_rounds.inc()
         self.sched_decision_seconds.inc(decision_seconds)
         self.sched_batch.observe(batch)
-        self.round_log.append((now, batch, decision_seconds))
 
     def record_sched_latency(self, seconds: float) -> None:
         """Doorbell-to-dispatch interval for one task assignment."""
@@ -242,6 +251,18 @@ class CedrTelemetry:
 
     def record_app_completed(self) -> None:
         self.apps_completed.inc()
+
+    def record_incident(self, kind: str, detail: str, seconds: float) -> None:
+        """One fault-layer event (``repro.runtime.logbook.INCIDENT_KINDS``)."""
+        counter = self._incident_counters.get(kind)
+        if counter is not None:
+            counter.inc()
+        elif kind == "fault":
+            self.faults_injected.labels(detail).inc()
+        elif kind == "failure":
+            self.task_failures.labels(detail).inc()
+        elif kind == "recovery":
+            self.task_recovery.observe(seconds)
 
     def record_api_call(self, api: str, mode: str, latency_seconds: float) -> None:
         """One libCEDR call settled (mode: ``blocking``/``nonblocking``)."""

@@ -26,8 +26,7 @@ from repro.audit import (
 from repro.audit.invariants import CoreLoad
 from repro.platforms import zcu102
 from repro.runtime import CedrRuntime, RuntimeConfig
-from repro.runtime.logbook import AppRecord, Logbook, TaskRecord
-from repro.runtime.perf_counters import PECounters, PerfCounters
+from repro.runtime.logbook import AppRecord, Incident, Logbook, TaskRecord
 
 TOKEN = 7       # the synthetic run's one cost-table token
 N_ROWS = 64     # and its table size
@@ -68,19 +67,16 @@ def _clean_tasks():
     )
 
 
-def _clean_counters():
-    return PerfCounters(
-        per_pe={"fft0": PECounters(tasks=2), "cpu0": PECounters(tasks=1)},
-        ready_depth_max=2, ready_depth_sum=3, sched_rounds=2,
-        tasks_completed=3, apps_completed=1,
-    )
-
-
 def _clean_view(**kw):
+    """Fault-free and from a current-schema record: ``incidents`` is the
+    empty tuple (known: none), not ``None`` (a pre-incident dump)."""
     tasks = _clean_tasks()
     apps = (AppRecord(app_id=1, name="app", mode="dag", t_arrival=0.0,
                       t_launch=0.0, t_finish=0.7, n_tasks=3),)
-    defaults = dict(rounds=((0.05, 1), (0.35, 2)), makespan=0.7)
+    defaults = dict(
+        rounds=((0.05, 1, 0.0, 0.05), (0.35, 2, 0.0, 0.35)),
+        incidents=(), makespan=0.7,
+    )
     defaults.update(kw)
     return make_view(tasks, apps, **defaults)
 
@@ -91,7 +87,6 @@ def _clean_view(**kw):
 
 def test_clean_view_passes_whole_catalog():
     view = _clean_view(
-        counters=_clean_counters(),
         telemetry={
             "cedr_tasks_completed": 3, "cedr_sched_rounds": 2,
             "cedr_apps_completed": 1, "cedr_task_retries_total": 0,
@@ -216,19 +211,21 @@ def test_clock_monotonic_excuses_cancelled_apps_from_launch_ordering():
 
 
 def test_round_monotonic_fires_on_time_travel():
-    view = make_view(_clean_tasks(), rounds=((0.5, 1), (0.2, 1)), makespan=0.7)
+    view = make_view(
+        _clean_tasks(), rounds=((0.5, 1, 0.0, 0.5), (0.2, 1, 0.0, 0.2)), makespan=0.7
+    )
     assert audit_view(view).codes == {"round-monotonic"}
 
 
 def test_round_monotonic_fires_on_empty_round():
-    view = make_view(_clean_tasks(), rounds=((0.05, 0),), makespan=0.7)
+    view = make_view(_clean_tasks(), rounds=((0.05, 0, 0.0, 0.05),), makespan=0.7)
     report = audit_view(view)
     assert report.codes == {"round-monotonic"}
     assert "ready depth" in str(report.violations[0])
 
 
 def test_round_monotonic_fires_on_round_beyond_makespan():
-    view = make_view(_clean_tasks(), rounds=((0.9, 1),), makespan=0.7)
+    view = make_view(_clean_tasks(), rounds=((0.9, 1, 0.0, 0.9),), makespan=0.7)
     assert audit_view(view).codes == {"round-monotonic"}
 
 
@@ -258,25 +255,20 @@ def test_app_accounting_skips_cancelled_and_failed_apps():
     assert audit_view(make_view([], apps)).ok
 
 
-def test_app_accounting_fires_on_counter_mismatch():
-    counters = _clean_counters()
-    counters.apps_completed = 2
-    report = audit_view(_clean_view(counters=counters),
-                        codes=["app-accounting"])
-    assert report.codes == {"app-accounting"}
-
-
 def test_task_conservation_fires_on_counter_log_mismatch():
-    counters = _clean_counters()
-    counters.tasks_completed = 2
-    report = audit_view(_clean_view(counters=counters),
-                        codes=["task-conservation"])
-    assert report.codes == {"task-conservation"}
-    assert "lost or" in str(report.violations[0])
+    """The one surviving count-versus-rows check: the online auditor's own
+    completion ledger against the logbook's task rows, at shutdown."""
+    runtime = _pd_run(seed=5)
+    runtime.logbook.tasks.pop()      # a completion the record lost
+    runtime.auditor._finalized = False
+    with pytest.raises(AuditViolation) as ei:
+        runtime.auditor.final_check(runtime)
+    assert ei.value.code == "task-conservation"
+    assert "task rows" in str(ei.value)
 
 
 def test_task_conservation_fires_on_unbacked_retry_attempts():
-    view = _clean_view(counters=_clean_counters())
+    view = _clean_view()
     view.tasks = (dataclasses.replace(view.tasks[0], attempts=2),
                   *view.tasks[1:])
     report = audit_view(view, codes=["task-conservation"])
@@ -285,66 +277,52 @@ def test_task_conservation_fires_on_unbacked_retry_attempts():
 
 
 def test_task_conservation_fires_on_orphan_lost_task():
-    counters = _clean_counters()
-    counters.tasks_lost = 1          # ... but no app is marked failed
-    counters.task_failures = 1
-    report = audit_view(_clean_view(counters=counters),
+    incidents = (            # a task was lost ... but no app is marked failed
+        Incident(0.2, "failure", "transient", pe="cpu0", tid=2),
+        Incident(0.2, "lost", tid=2),
+    )
+    report = audit_view(_clean_view(incidents=incidents),
                         codes=["task-conservation"])
     assert report.codes == {"task-conservation"}
     assert "failed" in str(report.violations[0])
 
 
 def test_task_conservation_fires_on_short_failure_ledger():
-    counters = _clean_counters()
-    counters.retries = 2             # retries without recorded failures
-    report = audit_view(_clean_view(counters=counters),
+    incidents = (            # retries without recorded failures
+        Incident(0.2, "retry", tid=2, attempt=1),
+        Incident(0.3, "retry", tid=2, attempt=2),
+    )
+    report = audit_view(_clean_view(incidents=incidents),
                         codes=["task-conservation"])
     assert report.codes == {"task-conservation"}
     assert "ledger short" in str(report.violations[0])
 
 
-def test_queue_accounting_fires_on_round_count_mismatch():
-    counters = _clean_counters()
-    counters.sched_rounds = 5
-    report = audit_view(_clean_view(counters=counters),
-                        codes=["queue-accounting"])
-    assert report.codes == {"queue-accounting"}
+def test_task_conservation_skips_a_dump_without_incident_rows():
+    """Schema 1 / 2 dumps predate ``incidents``: retry attempts on their
+    task rows have nothing to be checked against, and must not fire."""
+    view = _clean_view(incidents=None)
+    view.tasks = (dataclasses.replace(view.tasks[0], attempts=2),
+                  *view.tasks[1:])
+    assert audit_view(view, codes=["task-conservation"]).ok
 
 
-def test_queue_accounting_fires_on_depth_sum_and_max_mismatch():
-    counters = _clean_counters()
-    counters.ready_depth_sum = 9
-    counters.ready_depth_max = 7
-    report = audit_view(_clean_view(counters=counters),
-                        codes=["queue-accounting"])
-    assert len(report.violations) == 2
-    assert report.codes == {"queue-accounting"}
-
-
-def test_queue_accounting_fires_on_per_pe_histogram_mismatch():
-    counters = _clean_counters()
-    counters.per_pe["fft0"].tasks = 1
-    counters.per_pe["cpu0"].tasks = 2
-    report = audit_view(_clean_view(counters=counters),
-                        codes=["queue-accounting"])
-    assert report.codes == {"queue-accounting"}
-    assert any(v.pe == "fft0" for v in report.violations)
+def test_queue_accounting_has_no_offline_replay():
+    """The code stays in the catalog (reports tally every code; the online
+    auditor raises it at the round) but replays nothing over a finished
+    run - there is no second tally left for the rows to disagree with."""
+    assert "queue-accounting" in {inv.code for inv in CATALOG}
+    assert audit_view(_clean_view(rounds=()), codes=["queue-accounting"]).ok
 
 
 def test_telemetry_consistency_fires_on_drifted_gauge():
-    view = _clean_view(
-        counters=_clean_counters(),
-        telemetry={"cedr_tasks_completed": 4},
-    )
+    view = _clean_view(telemetry={"cedr_tasks_completed": 4})
     report = audit_view(view, codes=["telemetry-consistency"])
     assert report.codes == {"telemetry-consistency"}
 
 
 def test_telemetry_consistency_fires_on_per_pe_drift():
-    view = _clean_view(
-        counters=_clean_counters(),
-        telemetry={"cedr_pe_dispatch_total{pe=fft0}": 9},
-    )
+    view = _clean_view(telemetry={"cedr_pe_dispatch_total{pe=fft0}": 9})
     report = audit_view(view, codes=["telemetry-consistency"])
     assert report.codes == {"telemetry-consistency"}
     assert report.violations[0].pe == "fft0"
@@ -377,15 +355,6 @@ def test_cost_row_fresh_fires_offline_on_mixed_tokens():
     report = audit_view(view)
     assert report.codes == {"cost-row-fresh"}
     assert "2 different cost" in str(report.violations[0])
-
-
-def test_checks_skip_when_task_logging_was_off():
-    """log_tasks=False legitimately empties the task stream: the
-    count-based invariants must not report the silence as loss."""
-    counters = _clean_counters()
-    view = _clean_view(counters=counters, log_enabled=False)
-    view.tasks = ()
-    assert audit_view(view).ok
 
 
 # --------------------------------------------------------------------- #
@@ -423,20 +392,24 @@ def test_violation_message_carries_location_fields():
 # corrupting a *real* run's logbook
 # --------------------------------------------------------------------- #
 
-@pytest.fixture(scope="module")
-def real_run():
+def _pd_run(seed):
     """One deterministic audited run: two Pulse Doppler instances."""
-    platform = zcu102(n_cpu=3, n_fft=1).build(seed=11)
+    platform = zcu102(n_cpu=3, n_fft=1).build(seed=seed)
     config = RuntimeConfig(scheduler="etf", execute_kernels=False, audit=True)
     runtime = CedrRuntime(platform, config)
     runtime.start()
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     pd = PulseDoppler(batch=16)
     runtime.submit(pd.make_instance("dag", rng), at=0.0)
     runtime.submit(pd.make_instance("api", rng), at=0.002)
     runtime.seal()
     runtime.run()
     return runtime
+
+
+@pytest.fixture(scope="module")
+def real_run():
+    return _pd_run(seed=11)
 
 
 def _rebuild(runtime, tasks):

@@ -3,9 +3,13 @@
 ``repro audit <logbook.json>`` replays the invariant catalog against a
 dump written by another process (or another week), so the dump format is a
 contract: it must round-trip losslessly, version itself, tolerate older
-schemas, and *refuse* newer ones.  The checked-in golden file pins schema
-v2 byte-for-byte - regenerate it deliberately (see ``_golden_run``) if the
-format ever changes, and bump :data:`SCHEMA_VERSION` when you do.
+schemas, and *refuse* newer ones.  ``golden_logbook_v3.json`` pins the
+current schema byte-for-byte on a faulty run (every incident kind present)
+- regenerate it deliberately (``python tests/audit/test_logbook_roundtrip.py``
+rewrites it from ``_golden_run``) if the format ever changes, and bump
+:data:`SCHEMA_VERSION` when you do.  ``golden_logbook_v2.json`` is the file a
+schema-2 build wrote for the same workload without faults; it stays as the
+back-compat fixture and is never regenerated.
 """
 
 import json
@@ -16,11 +20,19 @@ import pytest
 
 from repro.apps import PulseDoppler
 from repro.audit import audit_logbook
+from repro.faults import FaultConfig, FaultKind
 from repro.platforms import zcu102
 from repro.runtime import CedrRuntime, RuntimeConfig
-from repro.runtime.logbook import SCHEMA_VERSION, AppRecord, Logbook, TaskRecord
+from repro.runtime.logbook import (
+    INCIDENT_KINDS,
+    SCHEMA_VERSION,
+    AppRecord,
+    Logbook,
+    TaskRecord,
+)
 
-GOLDEN = Path(__file__).parent / "golden_logbook_v2.json"
+GOLDEN = Path(__file__).parent / "golden_logbook_v3.json"
+GOLDEN_V2 = Path(__file__).parent / "golden_logbook_v2.json"
 
 #: columns v2 added on top of the v1 dump format.
 V2_TASK_COLUMNS = ("attempts", "cost_row", "cost_token", "successors")
@@ -28,15 +40,24 @@ V2_APP_COLUMNS = ("cancelled", "failed")
 
 
 def _golden_run():
-    """The exact deterministic run the golden file was generated from."""
-    platform = zcu102(n_cpu=2, n_fft=1).build(seed=3)
-    config = RuntimeConfig(scheduler="etf", execute_kernels=False, audit=True)
+    """The exact deterministic run the golden file was generated from: three
+    Pulse Doppler instances under a fault stream harsh enough to produce
+    every incident kind and lose one application."""
+    platform = zcu102(n_cpu=2, n_fft=1).build(seed=32)
+    faults = FaultConfig(
+        rate=40.0, max_retries=2,
+        kinds=(FaultKind.TRANSIENT, FaultKind.HANG, FaultKind.SLOWDOWN),
+    )
+    config = RuntimeConfig(
+        scheduler="etf", execute_kernels=False, audit=True, faults=faults
+    )
     runtime = CedrRuntime(platform, config)
     runtime.start()
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(32)
     pd = PulseDoppler(batch=32)
     runtime.submit(pd.make_instance("dag", rng), at=0.0)
     runtime.submit(pd.make_instance("api", rng), at=0.001)
+    runtime.submit(pd.make_instance("api", rng), at=0.002)
     runtime.seal()
     runtime.run()
     return runtime
@@ -48,17 +69,19 @@ def golden_runtime():
 
 
 # --------------------------------------------------------------------- #
-# the golden file: schema v2, byte for byte
+# the golden file: current schema, byte for byte
 # --------------------------------------------------------------------- #
 
 def test_golden_file_is_current_schema():
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert dump["schema"] == SCHEMA_VERSION == 2
-    assert dump["tasks"] and dump["apps"] and dump["rounds"]
+    assert dump["schema"] == SCHEMA_VERSION == 3
+    assert dump["tasks"] and dump["apps"] and dump["rounds"] and dump["incidents"]
     for col in V2_TASK_COLUMNS:
         assert col in dump["tasks"][0]
     for col in V2_APP_COLUMNS:
         assert col in dump["apps"][0]
+    assert all(len(row) == 4 for row in dump["rounds"])
+    assert {row["kind"] for row in dump["incidents"]} == set(INCIDENT_KINDS)
 
 
 def test_golden_file_round_trips_exactly():
@@ -77,7 +100,10 @@ def _normalize_ids(dump):
     (their *absolute* values depend on how many runtimes ran earlier in the
     process); everything else in a dump is a pure function of the run.
     """
-    tmap = {t: i for i, t in enumerate(sorted(r["tid"] for r in dump["tasks"]))}
+    # tids are handed out in creation order within the run, so rebasing on
+    # the smallest one keeps incident rows of never-completed tasks aligned
+    base = min(r["tid"] for r in dump["tasks"] + dump["incidents"] if r["tid"] >= 0)
+    tmap = {base + i: i for i in range(10_000)}
     amap = {a: i for i, a in enumerate(sorted(r["app_id"] for r in dump["apps"]))}
     kmap = {
         k: i
@@ -91,6 +117,8 @@ def _normalize_ids(dump):
         row["successors"] = [tmap.get(s, s) for s in row["successors"]]
     for row in out["apps"]:
         row["app_id"] = amap[row["app_id"]]
+    for row in out["incidents"]:
+        row["tid"] = tmap.get(row["tid"], row["tid"])
     return out
 
 
@@ -106,7 +134,60 @@ def test_golden_file_matches_a_fresh_simulation(golden_runtime):
 def test_golden_file_audits_clean_offline():
     report = audit_logbook(Logbook.load(GOLDEN))
     assert report.ok, report.summary()
+    assert report.tasks == 59 and report.apps == 3
+
+
+def test_offline_audit_checks_conservation_against_incident_rows():
+    """The three cross-row ``task-conservation`` clauses run offline: each
+    fires once the incident rows it leans on are taken out of the dump."""
+    dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+    def audit_without(kind):
+        cut = dict(dump, incidents=[r for r in dump["incidents"] if r["kind"] != kind])
+        report = audit_logbook(Logbook.from_dict(cut))
+        assert report.codes == {"task-conservation"}, (kind, report.summary())
+        return " ".join(str(v) for v in report.violations)
+
+    assert "retry attempts" in audit_without("retry")      # sum(attempts) <= retries
+    assert "marked failed" in audit_without("lost")        # lost == failed apps
+    assert "ledger short" in audit_without("failure")      # failures >= retries
+    # one row is enough: the run recovered every retried task but one
+    retries = [r for r in dump["incidents"] if r["kind"] == "retry"]
+    attempts = sum(t["attempts"] for t in dump["tasks"])
+    keep = retries[: attempts - 1]
+    cut = dict(dump, incidents=[
+        r for r in dump["incidents"] if r["kind"] not in ("retry", "failure")
+    ] + keep)
+    assert "retry attempts" in str(audit_logbook(Logbook.from_dict(cut)).violations[0])
+
+
+# --------------------------------------------------------------------- #
+# the back-compat fixture: a file a schema-2 build wrote
+# --------------------------------------------------------------------- #
+
+def test_v2_golden_loads_with_documented_defaults():
+    dump = json.loads(GOLDEN_V2.read_text(encoding="utf-8"))
+    assert dump["schema"] == 2 and "incidents" not in dump
+    book = Logbook.load(GOLDEN_V2)
+    assert book.schema == 2
+    assert len(book.tasks) == 48 and len(book.apps) == 2
+    # 2-column rounds: no recorded decision cost, decision began at dispatch
+    assert [(t, depth) for t, depth, _, _ in book.rounds] == [
+        tuple(row) for row in dump["rounds"]
+    ]
+    assert all(cost == 0.0 and t_begin == t for t, _, cost, t_begin in book.rounds)
+    assert book.incidents == []
+
+
+def test_v2_golden_audits_clean_with_conservation_skipped():
+    book = Logbook.load(GOLDEN_V2)
+    report = audit_logbook(book)
+    assert report.ok, report.summary()
     assert report.tasks == 48 and report.apps == 2
+    # its incidents are unknown, not empty: retry attempts on a schema-2
+    # task row have nothing to be checked against and must not fire
+    book.tasks[0] = TaskRecord(**{**vars(book.tasks[0]), "attempts": 3})
+    assert audit_logbook(book).ok
 
 
 # --------------------------------------------------------------------- #
@@ -121,6 +202,8 @@ def test_save_load_round_trip_preserves_every_record(golden_runtime, tmp_path):
     assert loaded.tasks == book.tasks
     assert loaded.apps == book.apps
     assert loaded.rounds == book.rounds
+    assert loaded.incidents == book.incidents and loaded.incidents
+    assert loaded.schema == SCHEMA_VERSION
     assert loaded.tasks_by_pe() == book.tasks_by_pe()
 
 
@@ -153,7 +236,7 @@ def _as_v1(dump):
 
 
 def test_v1_dump_loads_with_documented_defaults():
-    dump = _as_v1(json.loads(GOLDEN.read_text(encoding="utf-8")))
+    dump = _as_v1(json.loads(GOLDEN_V2.read_text(encoding="utf-8")))
     book = Logbook.from_dict(dump)
     assert len(book.tasks) == 48
     for rec in book.tasks:
@@ -168,7 +251,7 @@ def test_v1_dump_audits_with_freshness_checks_skipped():
     """Missing v2 columns must not manufacture violations: cost_row=-1
     only fires when a live table token exists, and v1 offline views carry
     a single (default) token."""
-    dump = _as_v1(json.loads(GOLDEN.read_text(encoding="utf-8")))
+    dump = _as_v1(json.loads(GOLDEN_V2.read_text(encoding="utf-8")))
     report = audit_logbook(Logbook.from_dict(dump))
     # causality/freshness data is gone, but nothing false-alarms...
     assert "cost-row-fresh" not in report.codes
@@ -199,6 +282,64 @@ def test_unsupported_schema_versions_are_rejected(schema):
 def test_empty_dump_loads_as_empty_book():
     book = Logbook.from_dict({"schema": SCHEMA_VERSION})
     assert book.tasks == [] and book.apps == {} and book.rounds == []
+    assert book.incidents == []
+
+
+#: valid JSON that is not a dump -> the one-line ValueError naming where
+_TASK = {"tid": 1, "app_id": 1, "api": "fft", "name": "t", "pe": "cpu0",
+         "pe_kind": "cpu", "t_release": 0.0, "t_scheduled": 0.0,
+         "t_start": 0.0, "t_finish": 0.1}
+MALFORMED = [
+    pytest.param([1, 2], "expected a JSON object, got list", id="not-an-object"),
+    pytest.param({"schema": 3, "tasks": {"tid": 1}},
+                 "tasks: expected a list of rows, got dict", id="section-not-a-list"),
+    pytest.param({"schema": 2, "tasks": [{"tid": 1}]},
+                 r"tasks\[0\]: missing columns \['app_id', 'api', .*'t_finish'\], mistyped",
+                 id="task-missing-columns"),
+    pytest.param({"schema": 3, "tasks": [_TASK, [1, 2]]},
+                 r"tasks\[1\]: expected an object, got list", id="task-row-not-an-object"),
+    pytest.param({"schema": 3, "tasks": [{**_TASK, "t_start": "noon", "tid": None}]},
+                 r"tasks\[0\]: missing columns \[\], mistyped columns \['tid', 't_start'\]",
+                 id="task-mistyped"),
+    pytest.param({"schema": 3, "tasks": [{**_TASK, "successors": "2,3"}]},
+                 r"tasks\[0\]: .*mistyped columns \['successors'\]", id="successors-mistyped"),
+    pytest.param({"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api"}]},
+                 r"apps\[0\]: missing columns \['t_arrival'\]", id="app-missing-arrival"),
+    pytest.param({"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api",
+                                         "t_arrival": 0.0, "failed": "no"}]},
+                 r"apps\[0\]: .*mistyped columns \['failed'\]", id="app-mistyped"),
+    pytest.param({"schema": 3, "rounds": [[0.1, 1, 0.0, 0.1], [0.2, 1, 0.0]]},
+                 r"rounds\[1\]: expected \[t, depth\] or \[t, depth, cost, t_begin\]",
+                 id="round-three-columns"),
+    pytest.param({"schema": 3, "rounds": [[0.1, 1.5, 0.0, 0.1]]},
+                 r"rounds\[0\]: .*integer depth", id="round-fractional-depth"),
+    pytest.param({"schema": 3, "rounds": [{"t": 0.1}]},
+                 r"rounds\[0\]: expected", id="round-not-a-list"),
+    pytest.param({"schema": 3, "incidents": [{"kind": "fault"}]},
+                 r"incidents\[0\]: missing columns \['t'\]", id="incident-missing-t"),
+    pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "fault", "tid": "7"}]},
+                 r"incidents\[0\]: .*mistyped columns \['tid'\]", id="incident-mistyped"),
+    pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "meltdown"}]},
+                 r"incidents\[0\]: unknown kind 'meltdown'", id="incident-unknown-kind"),
+    pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "fault", "severity": 9}]},
+                 r"incidents\[0\]: Incident.*unknown columns \['severity'\]",
+                 id="incident-unknown-column"),
+]
+
+
+@pytest.mark.parametrize("dump,message", MALFORMED)
+def test_malformed_dumps_are_rejected_by_name(dump, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=message):
+        Logbook.from_dict(dump)
+    # and the verb turns that into one line and a non-zero exit
+    from repro.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dump), encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["audit", str(path)])
+    assert str(err.value).startswith(f"cannot load {str(path)!r}: ")
+    assert "\n" not in str(err.value)
 
 
 # --------------------------------------------------------------------- #
@@ -219,3 +360,8 @@ def test_app_record_execution_time_requires_finish():
         _ = app.execution_time
     app.t_finish = 2.0
     assert app.execution_time == pytest.approx(1.5)
+
+
+if __name__ == "__main__":  # deliberate regeneration of the current golden
+    _golden_run().logbook.save(GOLDEN)
+    print(f"wrote {GOLDEN}")

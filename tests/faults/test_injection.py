@@ -98,12 +98,14 @@ def test_slowdown_stretches_makespan():
 
 def test_injector_logs_applied_faults():
     runtime = run_pd(scripted(*all_pe_specs(FaultKind.TRANSIENT), max_retries=8))
-    records = runtime.faults.records
-    assert records, "forced scripted faults must be logged"
-    assert all(r.kind is FaultKind.TRANSIENT for r in records)
-    assert runtime.faults.retry_records, "a retry re-dispatch must be logged"
-    t, tid, attempt, pe_name = runtime.faults.retry_records[0]
-    assert attempt >= 1 and t >= 0.0
+    incidents = runtime.logbook.incidents
+    faults = [i for i in incidents if i.kind == "fault"]
+    assert faults, "forced scripted faults must be logged"
+    assert all(i.detail == FaultKind.TRANSIENT.value and i.pe for i in faults)
+    redispatches = [i for i in incidents if i.kind == "redispatch"]
+    assert redispatches, "a retry re-dispatch must be logged"
+    first = redispatches[0]
+    assert first.attempt >= 1 and first.t >= 0.0 and first.tid >= 0 and first.pe
 
 
 def test_scripted_fault_on_unknown_pe_is_rejected():

@@ -25,6 +25,7 @@ from repro.dag import DagBuilder
 from repro.faults import FaultConfig
 from repro.platforms import zcu102
 from repro.runtime import API_MODE, AppInstance, CedrRuntime, RuntimeConfig
+from repro.telemetry import TelemetryConfig
 
 N = 32  # vector length for all kernel payloads
 
@@ -217,8 +218,12 @@ def test_random_fault_streams_hold_the_invariant_catalog(
         kinds=FaultConfig.parse_kinds(",".join(sorted(kinds))),
     )
     platform = zcu102(n_cpu=3, n_fft=1).build(seed=seed)
+    # telemetry on (no sampler, so no extra events): the catalog's
+    # telemetry-consistency clause then checks the metric registry against
+    # the run record's rows under every fault mix
     config = RuntimeConfig(scheduler=scheduler, execute_kernels=False,
-                           audit=True, faults=faults)
+                           audit=True, faults=faults,
+                           telemetry=TelemetryConfig())
     runtime = CedrRuntime(platform, config)
     runtime.start()
     rng = np.random.default_rng(seed)
@@ -235,3 +240,4 @@ def test_random_fault_streams_hold_the_invariant_catalog(
     counters = runtime.counters
     failed = sum(1 for a in runtime.apps.values() if a.failed)
     assert counters.tasks_lost == failed
+    assert runtime.telemetry.flat_values()["cedr_tasks_lost_total"] == failed

@@ -60,7 +60,7 @@ def test_gantt_sub_window(runtime):
 
 def test_gantt_without_logs():
     platform = zcu102(n_cpu=3).build(seed=0)
-    rt = CedrRuntime(platform, RuntimeConfig(scheduler="rr", log_tasks=False))
+    rt = CedrRuntime(platform, RuntimeConfig(scheduler="rr"))
     rt.start()
     rt.seal()
     rt.run()

@@ -1,0 +1,120 @@
+"""The deletion stays deleted: one book per run.
+
+A task completion used to be written four times in a row
+(``counters.record_task``, ``telemetry.record_task``, the auditor, the
+logbook), a scheduling round three times, a fault event into three stores,
+and four audit clauses existed only to check the copies agreed - all held up
+by two ``RuntimeConfig`` switches nothing ever turned off.  The ``Logbook``
+is now the only record a run writes; ``PerfCounters``' simulated numbers,
+``RunResult``, the trace, the Gantt chart and the audit view are reads of
+it.  These checks fail the moment a second tally, its switch or its
+reconciliation clause creeps back in, and pin the view's numbers to the
+ones the stored tallies gave at the parent commit.
+"""
+
+import dataclasses
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.faults
+import repro.runtime
+from repro.audit import AuditView
+from repro.faults import FaultInjector
+from repro.runtime import Logbook, PerfCounters, RunMetrics, RuntimeConfig
+from repro.telemetry import CedrTelemetry
+
+from one_book_cells import CELLS, record
+
+SRC = Path(repro.__file__).parent
+GOLDEN = Path(__file__).parent / "golden_one_book.json"
+
+#: every simulated number ``PerfCounters`` answers for - now read-only
+SIMULATED = (
+    "tasks_completed", "apps_completed", "per_pe", "sched_rounds",
+    "ready_depth_sum", "ready_depth_max", "ready_depth_mean",
+    "faults_injected", "faults_by_kind", "task_failures", "failures_by_kind",
+    "retries", "tasks_lost", "stale_dispatches", "pe_quarantines",
+    "pe_revivals", "recoveries", "mean_time_to_recovery",
+)
+
+
+def test_the_switches_and_second_tallies_are_gone():
+    names = {f.name for f in dataclasses.fields(RuntimeConfig)}
+    assert not names & {"enable_perf_counters", "log_tasks"}
+    assert len(names) == 9
+    assert not hasattr(RuntimeConfig, "timing_only")
+    assert not hasattr(repro.runtime, "PECounters")
+    assert not hasattr(repro.faults, "RetryRecord")
+    assert not {"records", "retry_records"} & set(vars(FaultInjector(None, None)))
+    assert not hasattr(CedrTelemetry(), "round_log")
+    assert not hasattr(Logbook(), "enabled")
+    assert not {"enabled", "telemetry"} & {f.name for f in dataclasses.fields(PerfCounters)}
+    assert not {"log_enabled", "counters"} & {f.name for f in dataclasses.fields(AuditView)}
+    for name in ("runtime_overhead_per_app", "sched_overhead_per_app"):
+        assert not hasattr(RunMetrics, name)
+
+
+def test_removed_names_appear_nowhere_under_src():
+    pattern = re.compile(
+        r"enable_perf_counters|log_tasks|log_enabled|PECounters|retry_records"
+        r"|round_log|counters\.record_task|counters\.record_round"
+    )
+    hits = [
+        f"{path.relative_to(SRC)}:{n}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
+
+
+def test_counters_keep_only_host_side_writes():
+    """``record_run`` / ``record_event_core`` are the counters' whole write
+    side; daemon and workers name no other ``counters.record_``."""
+    for module in ("runtime/daemon.py", "runtime/worker.py", "faults/inject.py"):
+        calls = set(re.findall(r"counters\.(record_\w+)", (SRC / module).read_text()))
+        assert calls <= {"record_run", "record_event_core"}, (module, calls)
+    writers = {name for name in vars(PerfCounters) if name.startswith("record_")}
+    assert writers == {"record_run", "record_event_core"}
+
+
+@pytest.mark.parametrize("name", SIMULATED)
+def test_counters_have_no_settable_simulated_field(name):
+    counters = PerfCounters(Logbook())
+    assert name not in {f.name for f in dataclasses.fields(PerfCounters)}
+    with pytest.raises(AttributeError):
+        setattr(counters, name, 1)
+
+
+@pytest.mark.parametrize("module,call,times", [
+    ("runtime/worker.py", "logbook.record_task(", 1),
+    ("runtime/daemon.py", "logbook.record_round(", 1),
+    ("runtime/daemon.py", "logbook.open_app(", 1),
+    ("runtime/daemon.py", "logbook.close_app(", 1),
+    ("faults/inject.py", "logbook.record_incident(", 1),
+])
+def test_each_happening_is_written_at_one_site(module, call, times):
+    assert (SRC / module).read_text().count(call) == times
+
+
+@pytest.mark.no_auto_audit
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_view_reproduces_the_stored_tallies_of_the_parent_commit(cell):
+    """``golden_one_book.json`` was recorded where ``PerfCounters`` counted
+    for itself: the logbook-derived snapshot and the whole ``RunResult``
+    (telemetry samples included) are equal to it, value for value."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[cell]
+    got = record(cell)
+    assert got["counters"] == golden["counters"]
+    assert got["result"] == golden["result"]
+    if cell == "jetson-etf-faulty":  # the cell is worth pinning: every tally moves
+        faults = got["counters"]["faults"]
+        assert all(faults[k] for k in (
+            "injected", "task_failures", "retries", "tasks_lost",
+            "stale_dispatches", "pe_quarantines", "pe_revivals", "recoveries",
+        ))
+        assert got["result"]["telemetry"]["samples"]

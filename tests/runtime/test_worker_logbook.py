@@ -5,7 +5,7 @@ import pytest
 
 from repro.platforms import PEKind, zcu102
 from repro.runtime import API_MODE, AppInstance, CedrRuntime, RuntimeConfig
-from repro.runtime.logbook import AppRecord
+from repro.runtime.logbook import AppRecord, Logbook, TaskRecord
 from repro.runtime.perf_counters import PerfCounters
 
 
@@ -89,21 +89,6 @@ def test_logbook_serialization_roundtrip():
     assert dump["apps"][0]["t_finish"] is not None
 
 
-def test_logbook_disabled_keeps_no_tasks():
-    platform = zcu102(n_cpu=3, n_fft=0).build(seed=1)
-    runtime = CedrRuntime(platform, RuntimeConfig(scheduler="rr", log_tasks=False))
-    runtime.start()
-    rng = np.random.default_rng(0)
-    data = rng.normal(size=64) + 0j
-    app = AppInstance(name="t", mode=API_MODE, frame_mb=0.1,
-                      main_factory=fft_burst_factory(data, 3))
-    runtime.submit(app, at=0.0)
-    runtime.seal()
-    runtime.run()
-    assert runtime.logbook.tasks == []
-    assert runtime.counters.tasks_completed == 3  # counters stay on
-
-
 def test_app_record_execution_time_guard():
     rec = AppRecord(app_id=0, name="x", mode="api", t_arrival=0.0)
     with pytest.raises(ValueError, match="never finished"):
@@ -111,25 +96,26 @@ def test_app_record_execution_time_guard():
 
 
 def test_perf_counters_aggregation():
-    c = PerfCounters()
-    c.record_task("cpu0", "fft", 0.01)
-    c.record_task("cpu0", "zip", 0.02)
-    c.record_task("fft0", "fft", 0.005)
-    c.record_round(3)
-    c.record_round(5)
+    """The counters store no simulated tally: they aggregate logbook rows."""
+    book = Logbook()
+    c = PerfCounters(book)
+    assert c.tasks_completed == 0 and c.sched_rounds == 0
+    for tid, (pe, api, service) in enumerate(
+        [("cpu0", "fft", 0.01), ("cpu0", "zip", 0.02), ("fft0", "fft", 0.005)]
+    ):
+        book.tasks.append(TaskRecord(
+            tid=tid, app_id=0, api=api, name=f"t{tid}", pe=pe, pe_kind="cpu",
+            t_release=0.0, t_scheduled=0.0, t_start=1.0, t_finish=1.0 + service,
+        ))
+    book.record_round(0.1, 3, 1e-6, 0.1)
+    book.record_round(0.2, 5, 1e-6, 0.2)
     snap = c.snapshot()
     assert snap["per_pe"]["cpu0"]["tasks"] == 2
     assert snap["per_pe"]["cpu0"]["by_api"] == {"fft": 1, "zip": 1}
+    assert snap["per_pe"]["cpu0"]["busy_seconds"] == pytest.approx(0.03)
     assert snap["ready_depth_max"] == 5
     assert c.ready_depth_mean == pytest.approx(4.0)
-
-
-def test_perf_counters_disabled_noop():
-    c = PerfCounters(enabled=False)
-    c.record_task("cpu0", "fft", 0.01)
-    c.record_round(3)
-    assert c.tasks_completed == 0
-    assert c.sched_rounds == 0
+    assert c.tasks_completed == 3 and c.sched_rounds == 2
 
 
 def test_logbook_save_roundtrip(tmp_path):

@@ -174,6 +174,24 @@ class TestTrace:
         stream = make_arrival_stream(spec, np.random.default_rng(0))
         assert list(stream) == [0.0, 0.013, 0.021]
 
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api"}]}',
+         r"apps\[0\]: missing columns \['t_arrival'\]"),
+        ('{"schema": 3, "apps": {"t_arrival": 0.1}}', "apps: expected a list"),
+        ('{"schema": 3, "apps": []}', "at least one arrival instant"),
+        ("{nope", "Expecting property name"),
+    ])
+    def test_malformed_replay_file_is_one_valueerror(self, tmp_path, text, message):
+        """The replay file goes through ``Logbook.load``: valid JSON that is
+        not a dump names the file and the offending row, no traceback type."""
+        path = tmp_path / "replay.json"
+        path.write_text(text, encoding="utf-8")
+        spec = ArrivalSpec.make("trace", path=str(path))
+        with pytest.raises(ValueError, match=message) as err:
+            next(make_arrival_stream(spec, np.random.default_rng(0)))
+        assert "replay.json" in str(err.value) or "arrival instant" in str(err.value)
+
 
 class TestArrivalRate:
     def test_periodic_and_poisson(self):
