@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
+from repro.platforms.timing import UNPRICED
 from repro.runtime.task import CompletionHandle, Task
 from repro.simcore import Compute, Request
 
@@ -124,17 +125,32 @@ class CedrClient:
         (processor-shared on the worker-core pool), not the daemon.
         """
         runtime = self._runtime
-        costs = runtime.config.costs
-        scale = runtime.cost_scale
+        call, push, kick = runtime.api_charges
         self._calls += 1
         name = f"{api}#{self._calls}"
-        yield Compute(costs.api_call_us * 1e-6 * scale)  # alloc + cond/mutex init
-        copy_cost = payload_bytes(api, params) * costs.api_copy_ns_per_byte * 1e-9
-        if copy_cost > 0.0:
-            yield Compute(copy_cost * scale)  # stage operand buffers
-        # one interning per call: the row id rides on the task, so neither
-        # the ready-queue push nor the scheduling round looks the shape up again
-        row, rank = runtime.intern_shape(api, params)
+        yield call  # alloc + cond/mutex init
+        # one key, one probe: everything the call needs of its shape - row
+        # id, rank seed, the operand-copy request - sits with the interned
+        # row, and the row id rides on the task, so neither the ready-queue
+        # push nor the scheduling round looks the shape up again
+        table = runtime.cost_table
+        row = table.row_ids.get((api, tuple(sorted(params.items()))))
+        copy = UNPRICED if row is None else table.copy[row]
+        if copy is UNPRICED:
+            # first call of the shape: price the copy, charge it, and only
+            # then intern (the point at which the row id was always taken)
+            costs = runtime.config.costs
+            copy_cost = payload_bytes(api, params) * costs.api_copy_ns_per_byte * 1e-9
+            copy = Compute(copy_cost * runtime.cost_scale) if copy_cost > 0.0 else None
+            if copy is not None:
+                yield copy  # stage operand buffers
+            row, rank = runtime.intern_shape(api, params)
+            table = runtime.cost_table  # the table that just interned it
+            table.copy[row] = copy
+        else:
+            if copy is not None:
+                yield copy
+            rank = table.means[row]
         task = Task(
             api=api,
             params=params,
@@ -144,12 +160,12 @@ class CedrClient:
             completion=CompletionHandle(runtime.engine, runtime.config.signal_latency_s),
             rank=rank,
             cost_row=row,
-            cost_token=runtime.cost_table.token,
+            cost_token=table.token,
         )
         self._app.tasks_total += 1
-        yield Compute(costs.api_push_us * 1e-6 * scale)
+        yield push
         runtime.push_ready_from_app(task)
-        yield Compute(costs.api_kick_us * 1e-6 * scale)
+        yield kick
         runtime.post(("kick", None))
         return task
 

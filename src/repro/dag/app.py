@@ -11,6 +11,7 @@ that dict (the analogue of the shared-object's buffers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from repro.platforms.pe import CPU_ONLY_API
@@ -23,13 +24,52 @@ __all__ = ["DagProgram", "parse_dag"]
 
 @dataclass
 class DagProgram:
-    """A validated DAG application, ready to instantiate per submission."""
+    """A validated DAG application, ready to instantiate per submission.
+
+    One program is shared by identity across every instance of an
+    application structure, so what :meth:`instantiate` needs of the spec is
+    read once, at construction, into a node template; treat ``spec``,
+    ``bindings`` and ``topo_order`` as frozen afterwards.
+    """
 
     name: str
     spec: Mapping[str, Any]
     bindings: Mapping[str, Callable] = field(default_factory=dict)
     #: topological order of node names (computed at parse time)
     topo_order: list[str] = field(default_factory=list)
+    #: per node, in topological order: ``(api, params, name, input_keys,
+    #: output_key, cpu_fn, n_deps, successor indices)``.  ``params`` is one
+    #: read-only mapping shared by the node's task in every instance.
+    _template: tuple = field(init=False, repr=False, compare=False)
+    #: indices of the nodes with no dependencies
+    _heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nodes = self.spec["nodes"]
+        index = {name: i for i, name in enumerate(self.topo_order)}
+        preds = [set(nodes[name].get("after", [])) for name in self.topo_order]
+        # successors in topological order: the order add_successor calls
+        # made while walking the nodes in that order
+        succs: list[list[int]] = [[] for _ in self.topo_order]
+        for i, after in enumerate(preds):
+            for pred in after:
+                succs[index[pred]].append(i)
+        template = []
+        for i, name in enumerate(self.topo_order):
+            node = nodes[name]
+            api = node["api"]
+            template.append((
+                api,
+                MappingProxyType(dict(node.get("params", {}))),
+                name,
+                tuple(node.get("inputs", ())),
+                node.get("output"),
+                self.bindings.get(name) if api == CPU_ONLY_API else None,
+                len(preds[i]),
+                tuple(succs[i]),
+            ))
+        self._template = tuple(template)
+        self._heads = tuple(i for i, after in enumerate(preds) if not after)
 
     @property
     def n_nodes(self) -> int:
@@ -41,29 +81,28 @@ class DagProgram:
         """Build the task graph for one submission.
 
         Returns ``(all_tasks, head_tasks, state)`` where heads have no
-        unmet dependencies and go straight to the ready queue.
+        unmet dependencies and go straight to the ready queue; ``all_tasks``
+        is in topological order.
         """
-        nodes = self.spec["nodes"]
         state: dict[str, Any] = dict(initial_state or {})
-        tasks: dict[str, Task] = {}
-        for node_name in self.topo_order:
-            node = nodes[node_name]
-            api = node["api"]
-            task = Task(
+        template = self._template
+        tasks = [
+            Task(
                 api=api,
-                params=dict(node.get("params", {})),
+                params=params,
                 app_id=app_id,
-                name=node_name,
-                input_keys=tuple(node.get("inputs", ())),
-                output_key=node.get("output"),
-                cpu_fn=self.bindings.get(node_name) if api == CPU_ONLY_API else None,
+                name=name,
+                input_keys=input_keys,
+                output_key=output_key,
+                cpu_fn=cpu_fn,
+                n_deps=n_deps,
             )
-            tasks[node_name] = task
-            for pred in set(node.get("after", [])):
-                tasks[pred].add_successor(task)
-        all_tasks = [tasks[n] for n in self.topo_order]
-        heads = [t for t in all_tasks if t.n_deps == 0]
-        return all_tasks, heads, state
+            for api, params, name, input_keys, output_key, cpu_fn, n_deps, _ in template
+        ]
+        for task, node in zip(tasks, template):
+            if node[7]:
+                task.successors = [tasks[k] for k in node[7]]
+        return tasks, [tasks[i] for i in self._heads], state
 
 
 def parse_dag(spec: Mapping[str, Any], bindings: Mapping[str, Callable] | None = None) -> DagProgram:

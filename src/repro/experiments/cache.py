@@ -95,7 +95,7 @@ def _canon(obj: Any) -> Any:
         return {"!enum": f"{cls.__module__}.{cls.__qualname__}", "name": obj.name}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # compare=False fields are excluded, mirroring dataclass equality:
-        # derived memo tables (e.g. TimingModel._cost_cache) are not
+        # derived state (e.g. DagProgram's node template) is not
         # observable state and must not perturb the digest
         cls = type(obj)
         return {

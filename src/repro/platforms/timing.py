@@ -53,6 +53,7 @@ __all__ = [
     "ShapeOutsideEnvelope",
     "TimingModel",
     "CostTable",
+    "UNPRICED",
     "zcu102_timing",
     "jetson_timing",
 ]
@@ -125,26 +126,15 @@ class TimingModel:
     #: multiplicative log-normal jitter for *sampled* costs; 0 disables.
     noise_sigma: float = 0.0
 
-    #: memoized (api, params, kind) -> cost lookups.  Workloads repeat a
-    #: handful of kernel shapes across thousands of tasks, and the worker
-    #: threads re-derive the analytic cost for every single dispatch; the
-    #: cache turns that into one dict probe (the profiling-table analogue of
-    #: :meth:`CostTable.lookup`, but shared by *all* consumers of the
-    #: model).  Excluded from eq/hash/repr: it is pure memoization state.
-    _cost_cache: dict = field(default_factory=dict, compare=False, repr=False)
-
     # ------------------------------------------------------------------ #
 
     def cpu_seconds(self, api: str, params: Mapping[str, float]) -> float:
-        """Dedicated-core seconds for *api* on this platform's CPU (memoized)."""
-        key = (api, tuple(sorted(params.items())), PEKind.CPU)
-        cached = self._cost_cache.get(key)
-        if cached is None:
-            cached = self._cpu_seconds(api, params)
-            self._cost_cache[key] = cached
-        return cached
+        """Dedicated-core seconds for *api* on this platform's CPU.
 
-    def _cpu_seconds(self, api: str, params: Mapping[str, float]) -> float:
+        A pure function of the coefficients, so a ``dataclasses.replace``d
+        model prices with its own; the per-task readers go through the rows
+        :class:`CostTable` interns, not through here.
+        """
         ghz = self.cpu_clock_ghz
         if api in ("fft", "ifft"):
             n = float(params["n"])
@@ -165,16 +155,7 @@ class TimingModel:
         raise KeyError(f"no CPU cost model for API {api!r}")
 
     def accel_parts(self, api: str, params: Mapping[str, float], kind: PEKind) -> AccelCost:
-        """Management-thread dispatch cost of *api* on accelerator *kind*
-        (memoized per (api, params, kind))."""
-        key = (api, tuple(sorted(params.items())), kind)
-        cached = self._cost_cache.get(key)
-        if cached is None:
-            cached = self._accel_parts(api, params, kind)
-            self._cost_cache[key] = cached
-        return cached
-
-    def _accel_parts(self, api: str, params: Mapping[str, float], kind: PEKind) -> AccelCost:
+        """Management-thread dispatch cost of *api* on accelerator *kind*."""
         if kind is PEKind.FFT and api in ("fft", "ifft"):
             n = float(params["n"])
             if n > self.fft_accel_max_points:
@@ -255,13 +236,19 @@ class TimingModel:
 #: interned them so a stale row id from another table is never trusted.
 _table_tokens = itertools.count()
 
+#: :attr:`CostTable.copy` entry of a row no libCEDR call has priced yet.
+UNPRICED = object()
+
 
 class CostTable:
-    """Profile table: one interned row of per-PE estimates per (api, params).
+    """Profile table: one interned row per (api, params) shape, holding
+    everything that is a pure function of the shape.
 
     Real CEDR consults static execution-time profiling tables; this is the
-    analogue for the simulated schedulers.  Each unique ``(api, params)``
-    shape is *interned* to a row id, and a row is two plain tuples:
+    analogue for the simulated runtime.  Each unique ``(api, params)``
+    shape is *interned* to a row id on first sight, and every later task of
+    that shape reads the row by ``task.cost_row``.  The row proper is two
+    plain tuples, what the schedulers read:
 
     * ``est`` - the :meth:`TimingModel.estimate` value per PE, ``+inf``
       where the PE cannot run the shape;
@@ -269,9 +256,14 @@ class CostTable:
       supports the API (the support matrix) *and* the shape lies inside the
       device's envelope (:class:`ShapeOutsideEnvelope`).
 
-    :meth:`scalar_row` hands both to a scheduling round, :meth:`lookup`
-    reads one cell, and the instance is callable as ``estimate(task, pe)``,
-    the :class:`~repro.sched.base.Scheduler` estimate interface.
+    What the other readers need sits in parallel lists indexed by row id -
+    :attr:`means`, :attr:`work`, :attr:`copy` - so ``scalar_row`` stays
+    ``(est, cols)``.
+
+    :meth:`scalar_row` hands ``(est, cols)`` to a scheduling round,
+    :meth:`lookup` reads one cell, and the instance is callable as
+    ``estimate(task, pe)``, the :class:`~repro.sched.base.Scheduler`
+    estimate interface.
 
     Row ids are cached on the tasks themselves (``task.cost_row``), guarded
     by a per-table token (``task.cost_token``) so a task interned by one
@@ -292,36 +284,67 @@ class CostTable:
                 )
         self.n_pes = len(self.pes)
         self.token = next(_table_tokens)
-        self._row_ids: dict[tuple, int] = {}
+        #: shape key ``(api, tuple(sorted(params.items())))`` -> row id.
+        #: Read it with ``.get``; only :meth:`row` adds to it.
+        self.row_ids: dict[tuple, int] = {}
         self._rows: list[tuple[tuple[float, ...], tuple[int, ...]]] = []
-        self._means: list[Optional[float]] = []
+        #: per row: mean of ``est`` over ``cols`` (the HEFT_RT rank seed),
+        #: ``None`` when no PE can run the shape.
+        self.means: list[Optional[float]] = []
+        #: per row, per PE index: what the PE's worker charges for one task
+        #: of the shape - :meth:`TimingModel.cpu_seconds` for a CPU column,
+        #: the :class:`AccelCost` for an accelerator column, ``None``
+        #: outside ``cols``.
+        self.work: list[tuple] = []
+        #: per row: the operand-copy request a libCEDR call of the shape
+        #: yields (``None`` = nothing to stage).  The byte model and the
+        #: copy constant are the client's, so it fills the entry on the
+        #: first call of the shape; until then it reads :data:`UNPRICED`.
+        self.copy: list = []
 
     # -- interning ------------------------------------------------------- #
 
     def row(self, api: str, params: Mapping[str, float]) -> int:
         """Intern one (api, params) shape; returns its row id."""
         key = (api, tuple(sorted(params.items())))
-        row = self._row_ids.get(key)
+        row = self.row_ids.get(key)
         if row is None:
             row = self._add_row(api, params, key)
         return row
 
     def _add_row(self, api: str, params: Mapping[str, float], key: tuple) -> int:
+        timing = self.timing
         est = [math.inf] * self.n_pes
+        work: list = [None] * self.n_pes
         cols = []
+        charges: dict = {}  # the model is evaluated once per PE kind
         for j, pe in enumerate(self.pes):
-            if pe.supports(api):
+            if not pe.supports(api):
+                continue
+            kind = pe.kind
+            if kind not in charges:
                 try:
-                    est[j] = self.timing.estimate(api, params, pe)
+                    charges[kind] = (
+                        timing.cpu_seconds(api, params)
+                        if kind is PEKind.CPU
+                        else timing.accel_parts(api, params, kind)
+                    )
                 except ShapeOutsideEnvelope:
-                    continue
-                cols.append(j)
-        row = self._row_ids[key] = len(self._rows)
+                    charges[kind] = None
+            charge = charges[kind]
+            if charge is None:
+                continue
+            work[j] = charge
+            est[j] = charge if kind is PEKind.CPU else charge.total
+            cols.append(j)
+        row = self.row_ids[key] = len(self._rows)
         self._rows.append((tuple(est), tuple(cols)))
         # np.mean, not sum()/n: pairwise summation differs from both sum()
         # and math.fsum() in the last bit once >= 8 PEs support a shape,
         # which would move HEFT_RT ranks
-        self._means.append(float(np.mean([est[j] for j in cols])) if cols else None)
+        self.means.append(float(np.mean([est[j] for j in cols])) if cols else None)
+        self.work.append(tuple(work))
+        self.copy.append(UNPRICED)
         return row
 
     @property
@@ -339,7 +362,7 @@ class CostTable:
     def row_mean(self, row: int) -> Optional[float]:
         """Mean estimate over the row's PEs (HEFT_RT rank seed); ``None``
         when no PE can run the shape."""
-        return self._means[row]
+        return self.means[row]
 
     # -- reads: one row, or one cell ------------------------------------- #
 

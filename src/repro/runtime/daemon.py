@@ -71,9 +71,14 @@ from .task import Task, TaskState
 from .worker import SHUTDOWN, worker_body
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.dag.app import DagProgram
     from repro.simcore import Engine
 
 __all__ = ["CedrRuntime", "RunMetrics", "EventQueue"]
+
+#: what a consumer parked on an empty :class:`EventQueue` yields; a
+#: ``Block`` carries no state, so every park shares this one
+_PARK = Block()
 
 
 @dataclass
@@ -123,7 +128,7 @@ class EventQueue:
         if self._waiter is not None:
             raise SimStateError("EventQueue supports a single consumer")
         self._waiter = self.engine.current
-        return Block()
+        return _PARK
 
     def get_batch(self) -> Generator[Request, Any, list[Any]]:
         if not self._items:
@@ -195,6 +200,23 @@ class CedrRuntime:
         #: those rows.  The table is also the estimate(task, pe) callable
         #: the schedulers receive.
         self.cost_table = CostTable(platform.timing, platform.pes)
+        #: the daemon's bookkeeping charges, one shared request per distinct
+        #: ``us`` (see :meth:`_charge`)
+        self._charges: dict[float, Compute] = {}
+        costs, scale = config.costs, self.cost_scale
+        #: the ``(api_call, api_push, api_kick)`` requests every libCEDR
+        #: call yields on its application thread - shared values, like every
+        #: request: never mutate one
+        self.api_charges = (
+            Compute(costs.api_call_us * 1e-6 * scale),
+            Compute(costs.api_push_us * 1e-6 * scale),
+            Compute(costs.api_kick_us * 1e-6 * scale),
+        )
+        #: ``id(program)`` -> ``(program, table token, [(cost_row, rank)
+        #: per node])``: what :meth:`_assign_dag_ranks` derived on the
+        #: program's first arrival.  The entry keeps the program alive, so
+        #: its id cannot be reused; the token drops plans of a replaced table.
+        self._dag_plans: dict[int, tuple] = {}
         self.daemon_thread: Optional[SimThread] = None
         #: online invariant checking (repro.audit); ``None`` keeps the
         #: dispatch and completion hot paths on one ``is None`` test each.
@@ -341,8 +363,9 @@ class CedrRuntime:
     def push_ready_from_app(self, task: Task) -> None:
         """API mode: the application thread pushes its task directly into
         the ready queue (paper: 'pushing tasks to the ready queue ... is
-        handled by the application thread')."""
-        self.cost_table.task_row(task)  # intern the shape at creation
+        handled by the application thread').  The libCEDR submit path has
+        stamped the task's cost row; one that arrives unstamped is interned
+        by the round that schedules it."""
         task.state = TaskState.READY
         task.t_release = self.engine.now
         self.ready.append(task)
@@ -374,10 +397,16 @@ class CedrRuntime:
     # ------------------------------------------------------------------ #
 
     def _charge(self, us: float) -> Compute:
-        """One runtime-overhead bookkeeping step on the runtime core."""
-        seconds = us * self.cost_scale * 1e-6
-        self.metrics.runtime_overhead_s += seconds
-        return Compute(seconds)
+        """One runtime-overhead bookkeeping step on the runtime core.
+
+        The costs are a handful of constants, so the request for each
+        distinct ``us`` is built (and validated) once and shared.
+        """
+        request = self._charges.get(us)
+        if request is None:
+            request = self._charges[us] = Compute(us * self.cost_scale * 1e-6)
+        self.metrics.runtime_overhead_s += request.work
+        return request
 
     def _daemon_body(self) -> Generator[Request, Any, None]:
         while True:
@@ -478,7 +507,7 @@ class CedrRuntime:
             tasks, heads, state = app.dag.instantiate(app.app_id, app.initial_state)
             app.state = state
             app.tasks_total = len(tasks)
-            self._assign_dag_ranks(tasks)
+            self._assign_dag_ranks(app.dag, tasks)
             app.t_launch = self.engine.now
             for task in heads:
                 task.state = TaskState.READY
@@ -491,15 +520,29 @@ class CedrRuntime:
             thread = self.engine.spawn(self._app_thread(app), name=f"app-{app.app_id}-{app.name}")
             self.counters.watch_thread(thread, "app")
 
-    def _assign_dag_ranks(self, tasks: list[Task]) -> None:
+    def _assign_dag_ranks(self, program: "DagProgram", tasks: list[Task]) -> None:
+        """Stamp ``cost_row`` / ``cost_token`` / ``rank`` on one instance.
+
+        Rows and upward ranks depend on the program and the cost table
+        only, so the program's first arrival interns its shapes (in
+        topological order, which fixes the row ids) and ranks the graph;
+        later instances are stamped from that plan.
+        """
         token = self.cost_table.token
-        means: dict[Task, float] = {}
-        for task in tasks:  # intern every shape at creation, once
-            task.cost_row, means[task] = self.intern_shape(task.api, task.params)
+        plan = self._dag_plans.get(id(program))
+        if plan is None or plan[1] != token:
+            means: dict[Task, float] = {}
+            rows = []
+            for task in tasks:
+                row, means[task] = self.intern_shape(task.api, task.params)
+                rows.append(row)
+            ranks = upward_ranks(tasks, means.__getitem__)
+            plan = (program, token, [(row, ranks[task]) for row, task in zip(rows, tasks)])
+            self._dag_plans[id(program)] = plan
+        for task, (row, rank) in zip(tasks, plan[2]):
+            task.cost_row = row
             task.cost_token = token
-        ranks = upward_ranks(tasks, means.__getitem__)
-        for task in tasks:
-            task.rank = ranks[task]
+            task.rank = rank
 
     def _app_thread(self, app: AppInstance) -> Generator[Request, Any, None]:
         # Imported here: repro.core builds on the runtime package, so a

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -83,9 +83,15 @@ INCIDENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TaskRecord:
-    """One completed task, flattened for offline analysis."""
+    """One completed task, flattened for offline analysis.
+
+    Written once, by :meth:`Logbook.record_task`, and never updated - but
+    not ``frozen``: a frozen 14-field ``__init__`` is six times the cost of
+    a plain one and this is the row a run writes most.  Rows still compare
+    and hash by value.
+    """
 
     tid: int
     app_id: int
@@ -114,25 +120,6 @@ class TaskRecord:
     @property
     def service_time(self) -> float:
         return self.t_finish - self.t_start
-
-    @classmethod
-    def from_task(cls, task: Task) -> "TaskRecord":
-        return cls(
-            tid=task.tid,
-            app_id=task.app_id,
-            api=task.api,
-            name=task.name,
-            pe=task.pe.name if task.pe else "?",
-            pe_kind=task.pe.kind.value if task.pe else "?",
-            t_release=task.t_release,
-            t_scheduled=task.t_scheduled,
-            t_start=task.t_start,
-            t_finish=task.t_finish,
-            attempts=task.attempts,
-            cost_row=task.cost_row,
-            cost_token=task.cost_token,
-            successors=tuple(s.tid for s in task.successors),
-        )
 
 
 @dataclass
@@ -265,9 +252,26 @@ class Logbook:
 
     def record_task(self, task: Task) -> None:
         """A worker completed *task* (``task.pe`` and its instants are set)."""
-        self.tasks.append(TaskRecord.from_task(task))
+        pe = task.pe.desc
+        successors = task.successors
+        self.tasks.append(TaskRecord(  # positional, in field order
+            task.tid,
+            task.app_id,
+            task.api,
+            task.name,
+            pe.name,
+            pe.kind.value,
+            task.t_release,
+            task.t_scheduled,
+            task.t_start,
+            task.t_finish,
+            task.attempts,
+            task.cost_row,
+            task.cost_token,
+            tuple([s.tid for s in successors]) if successors else (),
+        ))
         if self.telemetry is not None:
-            self.telemetry.record_task(task.pe.name, task.service_time)
+            self.telemetry.record_task(pe.name, task.service_time)
 
     def record_round(self, now: float, ready_depth: int, cost: float, t_begin: float) -> None:
         """One scheduling round dispatched at *now*.
@@ -360,7 +364,8 @@ class Logbook:
         book.schema = schema
         for i, row in enumerate(rows["tasks"]):
             rec = _load_record(TaskRecord, f"tasks[{i}]", row)
-            book.tasks.append(replace(rec, successors=tuple(rec.successors)))
+            rec.successors = tuple(rec.successors)
+            book.tasks.append(rec)
         for i, row in enumerate(rows["apps"]):
             record = _load_record(AppRecord, f"apps[{i}]", row)
             book.apps[record.app_id] = record

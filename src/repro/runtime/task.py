@@ -31,6 +31,10 @@ __all__ = ["TaskState", "Task", "CompletionHandle"]
 
 _task_ids = itertools.count()
 
+#: what a waiter yields in :meth:`CompletionHandle.wait`; a ``Block``
+#: carries no state, so every wait shares this one
+_WAIT = Block()
+
 
 class TaskState(enum.Enum):
     CREATED = "created"      # built but dependencies outstanding (DAG mode)
@@ -109,7 +113,7 @@ class CompletionHandle:
                     "CompletionHandle.wait may only be used from inside a simulated thread"
                 )
             self._waiters.append(me)
-            yield Block()
+            yield _WAIT
         if self.error is not None:
             raise self.error
         return self.result

@@ -57,9 +57,8 @@ SHUTDOWN = object()
 
 
 def _execute_functional(runtime: "CedrRuntime", task: Task, pe: "PE") -> Any:
-    """Run the task's actual kernel (or cpu_op callable) and return result."""
-    if not runtime.config.execute_kernels:
-        return None
+    """Run the task's actual kernel (or cpu_op callable) and return result
+    (``execute_kernels`` runs only)."""
     if task.api == CPU_ONLY_API:
         state = runtime.apps[task.app_id].state
         return task.cpu_fn(state) if task.cpu_fn else None
@@ -85,10 +84,15 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
     """
     mailbox = runtime.mailboxes[pe.index]
     costs = runtime.config.costs
-    timing = runtime.platform.timing
     engine = runtime.engine
-    host_core = pe.core if pe.kind is PEKind.CPU else pe.host_core
+    is_cpu = pe.kind is PEKind.CPU
+    host_core = pe.core if is_cpu else pe.host_core
     faults = runtime.faults.config if runtime.faults is not None else None
+    executes = runtime.config.execute_kernels
+    noisy = runtime.noise_rng is not None
+    # the two bookkeeping charges are constants: one shared request each
+    dispatch = Compute(costs.worker_dispatch_us * 1e-6 * runtime.cost_scale)
+    signal = Compute(costs.completion_signal_us * 1e-6 * runtime.cost_scale)
 
     while True:
         # CEDR workers busy-poll their queues: an idle worker occupies a full
@@ -106,7 +110,6 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
             task, my_epoch = item, 0
         else:
             task, my_epoch = item
-        assert isinstance(task, Task)
         # in-flight from the instant the task leaves the mailbox, so the
         # daemon's shutdown drain check never races the dispatch segment
         runtime.inflight[pe.index] += 1
@@ -129,32 +132,44 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 pe.outstanding_est = max(0.0, pe.outstanding_est - task.est_used)
                 runtime.post(("task_failed", (task, pe, my_epoch, "failstop")))
                 continue
-        yield Compute(costs.worker_dispatch_us * 1e-6 * runtime.cost_scale)
+        yield dispatch
 
         task.state = TaskState.RUNNING
         task.t_start = engine.now
 
+        # this PE's charge for the task's shape, read from its interned row
+        table = runtime.cost_table
+        if task.cost_token != table.token:
+            table.task_row(task)
+        charge = table.work[task.cost_row][pe.index]
         slow = pe.fault_slow_factor if faults is not None else 1.0
-        if pe.kind is PEKind.CPU:
-            work = timing.cpu_seconds(task.api, task.params)
+        if is_cpu:
+            work = charge
             if slow != 1.0:
                 work *= slow
-            yield Compute(work * runtime.sample_noise())
+            if noisy:
+                work *= runtime.sample_noise()
+            yield Compute(work)
         else:
             # Polling dispatch (see TimingModel docstring): every phase is
             # CPU work on the host core; the device is held exclusively
             # through the DMA/poll and completion phases, so its occupancy
             # stretches with host-core contention exactly like the real
             # driverless-MMIO management threads.
-            parts = timing.accel_parts(task.api, task.params, pe.kind)
-            setup, busy, teardown = parts.setup, parts.busy, parts.teardown
+            setup, busy, teardown = charge.setup, charge.busy, charge.teardown
             if slow != 1.0:
                 setup, busy, teardown = setup * slow, busy * slow, teardown * slow
-            yield Compute(setup * runtime.sample_noise())
+            if noisy:  # one draw per phase, in phase order
+                setup *= runtime.sample_noise()
+            yield Compute(setup)
             yield AcquireDevice(pe.device)
             me = engine.current  # the worker thread itself
-            yield Compute(busy * runtime.sample_noise())
-            yield Compute(teardown * runtime.sample_noise())
+            if noisy:
+                busy *= runtime.sample_noise()
+            yield Compute(busy)
+            if noisy:
+                teardown *= runtime.sample_noise()
+            yield Compute(teardown)
             pe.device.release(me)
 
         if faults is not None:
@@ -191,7 +206,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 runtime.post(("task_failed", (task, pe, my_epoch, failure)))
                 continue
 
-        result = _execute_functional(runtime, task, pe)
+        result = _execute_functional(runtime, task, pe) if executes else None
         task.result = result
         task.t_finish = engine.now
         task.state = TaskState.DONE
@@ -211,7 +226,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
 
         if task.completion is not None:
             # Fig. 4: worker wakes the application thread directly.
-            yield Compute(costs.completion_signal_us * 1e-6 * runtime.cost_scale)
+            yield signal
             task.completion.complete(result)
 
         runtime.post(("task_done", task))

@@ -36,20 +36,27 @@ def upward_ranks(tasks, mean_cost) -> dict:
     """
     ranks: dict = {}
 
-    order = list(tasks)
-    # reverse-topological sweep: repeatedly resolve tasks whose successors
-    # are all ranked. DAG validity is the caller's responsibility.
-    pending = set(order)
+    def resolve(task) -> bool:
+        succs = task.successors
+        try:
+            top = max([ranks[s] for s in succs]) if succs else 0.0
+        except KeyError:  # a successor is not ranked yet
+            return False
+        ranks[task] = mean_cost(task) + top
+        return True
+
+    # One reverse pass resolves everything when ``tasks`` is topologically
+    # ordered (what ``DagProgram.instantiate`` returns).  Whatever it leaves
+    # goes to the fixpoint sweep: repeatedly resolve tasks whose successors
+    # are all ranked.  A rank is ``mean + max(successor ranks)`` whatever
+    # the visiting order, so both give the same floats.  DAG validity is
+    # the caller's responsibility.
+    pending = [task for task in reversed(list(tasks)) if not resolve(task)]
     while pending:
-        progressed = False
-        for task in list(pending):
-            if all(s in ranks for s in task.successors):
-                succ_max = max((ranks[s] for s in task.successors), default=0.0)
-                ranks[task] = mean_cost(task) + succ_max
-                pending.discard(task)
-                progressed = True
-        if not progressed:
+        left = [task for task in pending if not resolve(task)]
+        if len(left) == len(pending):
             raise ValueError("cycle detected while computing upward ranks")
+        pending = left
     return ranks
 
 

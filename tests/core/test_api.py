@@ -32,7 +32,8 @@ def run_api_app(main_factory, scheduler="eft", seed=3, **cfg):
 # --------------------------------------------------------------------- #
 
 def test_each_call_interns_its_shape_once(rng, monkeypatch):
-    """The submit path looks a call's (api, params) shape up once: the row id
+    """The submit path interns a call's (api, params) shape on the shape's
+    first call only - later calls probe the interned row - and the row id
     rides on the task through the ready-queue push and the scheduling round."""
     from repro.platforms.timing import CostTable
 
@@ -53,9 +54,10 @@ def test_each_call_interns_its_shape_once(rng, monkeypatch):
 
     _, runtime = run_api_app(main)
     assert runtime.counters.tasks_completed == 7
-    # exactly one per call: the HEFT_RT rank seed (the row's mean) is
-    # computed with the row, not by a second lookup
-    assert len(lookups) == 7
+    # seven calls, two shapes: one interning per shape, and nothing after
+    # the submit path (push, round, worker) looks a shape up again
+    assert lookups == ["fft", "zip"]
+    assert {rec.cost_row for rec in runtime.logbook.tasks} == {0, 1}
 
 
 def test_every_blocking_api_roundtrips(rng):

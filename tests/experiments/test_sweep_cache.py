@@ -109,14 +109,15 @@ def test_ndarray_app_state_is_cacheable_and_keyed():
 
 
 def test_memo_state_does_not_perturb_digest():
-    """TimingModel's _cost_cache is compare=False memoization; filling it
-    (as every simulated run does) must leave the digest untouched."""
-    cell = _cell()
+    """Running a cell derives state from it - the app's parsed DagProgram and
+    its node template; the cost-table rows and DAG plans die with the
+    runtime - and all of it sits outside the key: the digest is untouched.
+    (TimingModel carries no memo any more; see test_timing.py.)"""
+    cell = _cell(mode="dag")
     before = cell_digest(cell)[0]
-    platform = cell[0]
-    platform.timing.estimate("fft", {"n": 128, "batch": 1},
-                             platform.build(seed=0).pes[0])
-    assert platform.timing._cost_cache  # the memo actually filled
+    run_once(*cell[:5], seed=0)
+    program = cell[1].entries[0].app._dag_cache[1]
+    assert program._template  # the derived state actually filled
     assert cell_digest(cell)[0] == before
 
 

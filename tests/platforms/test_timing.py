@@ -25,6 +25,25 @@ def make_pe(kind, name="pe"):
     return PE(index=0, desc=PEDescriptor(name=name, kind=kind, clock_ghz=1.0))
 
 
+def test_replaced_model_prices_with_its_own_coefficients():
+    """Regression: the model used to carry a memo as an ``init=True`` field,
+    so ``dataclasses.replace`` (and ``with_noise``) handed the old model's
+    cached costs to the new one - a 2.4 GHz copy priced at 1.2 GHz."""
+    import dataclasses
+
+    base = zcu102_timing()
+    shape = ("fft", {"n": 1024, "batch": 4})
+    slow = base.cpu_seconds(*shape)
+    accel = base.accel_parts(*shape, PEKind.FFT)
+    fast = dataclasses.replace(base, cpu_clock_ghz=2.4)
+    assert fast.cpu_seconds(*shape) == slow / 2 == pytest.approx(0.0016384)
+    assert dataclasses.replace(base, fabric_setup_us=36.0).accel_parts(
+        *shape, PEKind.FFT
+    ).setup == 2 * accel.setup
+    assert base.with_noise(0.1).cpu_seconds(*shape) == slow
+    assert not [f.name for f in dataclasses.fields(base) if not f.compare]  # no memo field
+
+
 def test_cpu_fft_scales_with_n_log_n():
     t = zcu102_timing()
     c256 = t.cpu_seconds("fft", {"n": 256})

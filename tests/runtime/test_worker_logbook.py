@@ -95,6 +95,39 @@ def test_app_record_execution_time_guard():
         rec.execution_time
 
 
+def test_record_task_fills_every_column_in_field_order():
+    """``record_task`` builds the row positionally, so a reordered field
+    would land values in the wrong column: every column is given a distinct
+    value here and checked by name.  The row is a plain (not frozen)
+    dataclass that still compares and hashes by value."""
+    import dataclasses
+
+    from repro.platforms import PE, PEDescriptor
+    from repro.runtime import Task
+
+    succ = Task(api="zip", params={"n": 8}, app_id=3)
+    task = Task(
+        api="fft", params={"n": 64}, app_id=3, name="node", attempts=2,
+        cost_row=5, cost_token=9, t_release=0.1, t_scheduled=0.2, t_start=0.3, t_finish=0.4,
+    )
+    task.add_successor(succ)
+    task.pe = PE(index=1, desc=PEDescriptor(name="fft0", kind=PEKind.FFT, clock_ghz=0.3))
+    book = Logbook()
+    book.record_task(task)
+    want = TaskRecord(
+        tid=task.tid, app_id=3, api="fft", name="node", pe="fft0", pe_kind="fft",
+        t_release=0.1, t_scheduled=0.2, t_start=0.3, t_finish=0.4, attempts=2,
+        cost_row=5, cost_token=9, successors=(succ.tid,),
+    )
+    (row,) = book.tasks
+    assert row == want and hash(row) == hash(want)
+    assert vars(row) == vars(want) and list(vars(row)) == [f.name for f in dataclasses.fields(row)]
+    assert not TaskRecord.__dataclass_params__.frozen
+    succ.pe = task.pe
+    book.record_task(succ)
+    assert book.tasks[1].successors == ()
+
+
 def test_perf_counters_aggregation():
     """The counters store no simulated tally: they aggregate logbook rows."""
     book = Logbook()
