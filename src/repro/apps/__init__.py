@@ -15,9 +15,6 @@ from .temporal_mitigation import TemporalMitigation, TMResult
 from .wifi_rx import RxResult, WifiRx
 from .wifi_tx import WifiTx
 
-#: the applications the paper's figures use
-PAPER_APPS = ("PD", "TX", "LD")
-
 __all__ = [
     "APPS",
     "AppEntry",
@@ -35,5 +32,4 @@ __all__ = [
     "LaneDetection",
     "TemporalMitigation",
     "TMResult",
-    "PAPER_APPS",
 ]

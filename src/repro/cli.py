@@ -808,7 +808,7 @@ def _cmd_scenario_run(args) -> int:
     if spec.kind == "serve":
         print(f"service   : {spec.serve.arrival} x {spec.serve.tenants} "
               f"tenant(s), {spec.serve.duration:g} s window, "
-              f"admission {spec.serve.policy}")
+              f"admission {spec.serve.admission.policy}")
         print(f"per trial : offered {mean([r.offered for r in results]):.1f}, "
               f"admitted {mean([r.admitted for r in results]):.1f}, "
               f"shed {mean([r.shed for r in results]):.1f}, "

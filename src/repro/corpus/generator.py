@@ -29,7 +29,7 @@ from repro.faults import FaultConfig, FaultKind
 from repro.platforms import PLATFORMS
 from repro.scenario import AppCount, ScenarioSpec, ServeSection
 from repro.sched import SCHEDULERS
-from repro.serve import ADMISSION_POLICIES
+from repro.serve import ADMISSION_POLICIES, AdmissionConfig
 from repro.simcore import child_rng
 
 __all__ = ["CorpusConfig", "generate_corpus", "generate_spec"]
@@ -221,9 +221,11 @@ def _draw_serve(
         tenants=int(rng.integers(1, config.max_tenants + 1)),
         slo_ms=float(_choice(rng, (20.0, 40.0, 60.0, 80.0))),
         apps=serve_apps,
-        policy=_choice(rng, ADMISSION_POLICIES),
-        max_in_system=int(rng.integers(8, 33)),
-        queue_cap=int(rng.integers(4, 17)),
+        admission=AdmissionConfig(
+            policy=_choice(rng, ADMISSION_POLICIES),
+            max_in_system=int(rng.integers(8, 33)),
+            queue_cap=int(rng.integers(4, 17)),
+        ),
     )
 
 

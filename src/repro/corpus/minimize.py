@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
-from repro.scenario import AppCount, ScenarioSpec, ServeSection
+from repro.scenario import AppCount, ScenarioSpec
+from repro.serve import AdmissionConfig
 
 from .parity import CellOutcome, run_cell
 
@@ -129,19 +130,11 @@ def _serve_candidates(spec: ScenarioSpec) -> Iterator[tuple[str, ScenarioSpec]]:
             "arrival -> periodic:rate=100",
             replace(spec, serve=replace(serve, arrival="periodic:rate=100")),
         )
-    defaults = ServeSection()
-    calm = replace(
-        serve,
-        policy=defaults.policy,
-        max_in_system=defaults.max_in_system,
-        queue_cap=defaults.queue_cap,
-        quota_rate=defaults.quota_rate,
-        quota_burst=defaults.quota_burst,
-        ready_depth_limit=defaults.ready_depth_limit,
-        p99_limit_s=defaults.p99_limit_s,
-    )
-    if calm != serve:
-        yield ("admission -> defaults", replace(spec, serve=calm))
+    if serve.admission != AdmissionConfig():
+        yield (
+            "admission -> defaults",
+            replace(spec, serve=replace(serve, admission=AdmissionConfig())),
+        )
 
 
 def _candidates(spec: ScenarioSpec) -> Iterator[tuple[str, ScenarioSpec]]:

@@ -1,6 +1,5 @@
 """DAG-based CEDR application format: schema, parser, builder, transforms."""
 
-from .analysis import DagSummary, critical_path, parallelism_profile, summarize, to_networkx
 from .app import DagProgram, parse_dag
 from .builder import DagBuilder
 from .collapse import collapse_subgraph
@@ -9,11 +8,6 @@ from .schema import KNOWN_APIS, DagValidationError, validate_spec
 
 __all__ = [
     "DagProgram",
-    "DagSummary",
-    "critical_path",
-    "parallelism_profile",
-    "summarize",
-    "to_networkx",
     "parse_dag",
     "DagBuilder",
     "collapse_subgraph",

@@ -70,10 +70,6 @@ class DagBuilder:
             raise ValueError(f"duplicate node name {name!r} in DAG {self.name!r}")
         self._nodes[name] = node
 
-    @property
-    def node_names(self) -> list[str]:
-        return list(self._nodes)
-
     def spec(self) -> dict[str, Any]:
         """The raw JSON-compatible spec (pre-validation)."""
         return {"name": self.name, "nodes": {k: dict(v) for k, v in self._nodes.items()}}

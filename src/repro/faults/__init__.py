@@ -19,7 +19,6 @@ from .model import (
     DEFAULT_FAULT_KINDS,
     FaultConfig,
     FaultKind,
-    FaultRecord,
     FaultSpec,
     TaskLostError,
     fault_stream,
@@ -34,7 +33,6 @@ __all__ = [
     "FaultConfig",
     "FaultKind",
     "FaultSpec",
-    "FaultRecord",
     "FaultInjector",
     "TaskLostError",
     "DEFAULT_FAULT_KINDS",

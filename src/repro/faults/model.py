@@ -57,7 +57,6 @@ __all__ = [
     "FaultKind",
     "FaultSpec",
     "FaultConfig",
-    "FaultRecord",
     "TaskLostError",
     "DEFAULT_FAULT_KINDS",
     "fault_stream",
@@ -101,16 +100,6 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.at < 0:
             raise ValueError(f"fault time must be >= 0, got {self.at}")
-
-
-@dataclass(frozen=True)
-class FaultRecord:
-    """One fault of a previewed schedule (:func:`preview_schedule`); faults
-    applied during a run are ``fault`` incidents in its logbook."""
-
-    at: float
-    pe: str
-    kind: FaultKind
 
 
 @dataclass(frozen=True)
@@ -228,20 +217,20 @@ def preview_schedule(
     config: FaultConfig,
     horizon: float,
     engine_seed: int = 0,
-) -> list[FaultRecord]:
+) -> list[FaultSpec]:
     """The fault schedule up to ``horizon``, without running anything.
 
     Pure function of (PE names, config, seed); sorted by time.  Useful for
     tests and for eyeballing a schedule before committing to a sweep.
     """
-    events: list[FaultRecord] = []
+    events: list[FaultSpec] = []
     for name in pe_names:
         for t, kind in fault_stream(name, config, engine_seed):
             if t > horizon:
                 break
-            events.append(FaultRecord(at=t, pe=name, kind=kind))
+            events.append(FaultSpec(at=t, pe=name, kind=kind))
     for spec in config.script:
         if spec.at <= horizon:
-            events.append(FaultRecord(at=spec.at, pe=spec.pe, kind=spec.kind))
+            events.append(spec)
     events.sort(key=lambda e: (e.at, e.pe))
     return events

@@ -80,7 +80,7 @@ class EnergyBreakdown:
                 f"accel {self.accel_j:.2f} + static {self.static_j:.2f})>")
 
 
-def default_power_model(platform: PlatformInstance) -> PowerModel:
+def _default_power_model(platform: PlatformInstance) -> PowerModel:
     """Pick the preset matching the platform's accelerator mix."""
     kinds = {pe.kind for pe in platform.accel_pes}
     return JETSON_POWER if PEKind.GPU in kinds else ZCU102_POWER
@@ -98,7 +98,7 @@ def estimate_energy(
     spinners count as busy, matching their real power draw); device
     occupancy from the device bookkeeping.
     """
-    power = power or default_power_model(platform)
+    power = power or _default_power_model(platform)
     t_end = makespan if makespan is not None else platform.engine.now
     if t_end < 0:
         raise ValueError(f"negative makespan: {t_end}")

@@ -101,7 +101,6 @@ class PE:
     #: slowdown in is what lets EFT/ETF/HEFT avoid oversubscribed PEs better
     #: than Round Robin (paper Fig. 10a ordering).
     slowdown: float = 1.0
-    tasks_executed: int = 0
     busy_until: float = 0.0
     stats: dict = field(default_factory=dict)
 

@@ -181,10 +181,6 @@ class PlatformInstance:
         return self.worker_cores[self.config.n_worker_cores:]
 
     @property
-    def cpu_pes(self) -> list[PE]:
-        return [pe for pe in self.pes if pe.kind is PEKind.CPU]
-
-    @property
     def accel_pes(self) -> list[PE]:
         return [pe for pe in self.pes if pe.kind.is_accelerator]
 

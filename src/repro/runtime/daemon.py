@@ -93,7 +93,6 @@ class RunMetrics:
     runtime_overhead_s: float = 0.0
     sched_overhead_s: float = 0.0
     makespan: float = 0.0
-    apps_completed: int = 0
 
 
 class EventQueue:
@@ -483,7 +482,6 @@ class CedrRuntime:
             self._sampler.disarm()
         self._shutdown_workers()
         self.metrics.makespan = self.engine.now
-        self.metrics.apps_completed = self._completed
         if self.telemetry is not None:
             # end-of-run snapshot: always present, even with sampling off
             self.telemetry.sample(self.engine.now)

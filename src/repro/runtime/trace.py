@@ -168,7 +168,7 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
             "platform": runtime.platform.config.name,
             "scheduler": runtime.scheduler.name,
             "makespan_ms": runtime.metrics.makespan * 1e3,
-            "apps": runtime.metrics.apps_completed,
+            "apps": runtime.counters.apps_completed,
             "tasks": len(runtime.logbook.tasks),
             "faults": counts["fault"],
             "retries": counts["retry"],

@@ -211,7 +211,6 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
         task.t_finish = engine.now
         task.state = TaskState.DONE
         task.pe = pe
-        pe.tasks_executed += 1
         runtime.inflight[pe.index] -= 1
         # Backlog + slowdown feedback for the scheduling heuristics: how
         # much slower did this task run than its profile said (contention)?

@@ -77,15 +77,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from repro.apps import APPS
+from repro.apps import APPS, make_app
 from repro.faults import FAULT_KINDS, FaultConfig
-from repro.platforms import PLATFORMS, PlatformConfig
+from repro.platforms import PlatformConfig, make_platform
 from repro.runtime import RuntimeConfig
 from repro.sched import SCHEDULERS
 from repro.serve import AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
 from repro.serve.arrival import ARRIVALS
 from repro.telemetry import TelemetryConfig
-from repro.workload import WORKLOADS, WorkloadEntry, WorkloadSpec
+from repro.workload import WORKLOADS, WorkloadEntry, WorkloadSpec, make_workload
 
 __all__ = [
     "AppCount",
@@ -275,13 +275,7 @@ class ServeSection:
     tenants: int = 1
     slo_ms: float = 50.0
     apps: tuple[AppCount, ...] = (AppCount("PD"), AppCount("TX"))
-    policy: str = "shed"
-    max_in_system: int = 32
-    queue_cap: int = 16
-    quota_rate: float = 0.0
-    quota_burst: float = 8.0
-    ready_depth_limit: int = 0
-    p99_limit_s: float = 0.0
+    admission: AdmissionConfig = AdmissionConfig()
 
     def __post_init__(self) -> None:
         ArrivalSpec.parse(self.arrival)  # validates kind + parameter shape
@@ -289,21 +283,6 @@ class ServeSection:
             raise ScenarioError(f"[serve] tenants must be >= 1, got {self.tenants}")
         _positive(self.duration, "[serve] duration")
         _positive(self.slo_ms, "[serve] slo_ms")
-        try:
-            self.admission_config()
-        except ValueError as exc:
-            raise ScenarioError(f"[serve.admission] {exc}") from None
-
-    def admission_config(self) -> AdmissionConfig:
-        return AdmissionConfig(
-            policy=self.policy,
-            max_in_system=self.max_in_system,
-            queue_cap=self.queue_cap,
-            quota_rate=self.quota_rate,
-            quota_burst=self.quota_burst,
-            ready_depth_limit=self.ready_depth_limit,
-            p99_limit_s=self.p99_limit_s,
-        )
 
 
 @dataclass(frozen=True)
@@ -528,7 +507,10 @@ class ScenarioSpec:
             raise ScenarioError(f"{source}: [serve.admission] must be a table")
         adm_allowed = tuple(f.name for f in dataclasses.fields(AdmissionConfig))
         _unknown_keys(admission, adm_allowed, f"{source} [serve.admission]")
-        kwargs: dict[str, Any] = dict(admission)
+        try:
+            kwargs: dict[str, Any] = {"admission": AdmissionConfig(**admission)}
+        except ValueError as exc:
+            raise ScenarioError(f"[serve.admission] {exc}") from None
         if "duration" in srv:
             kwargs["duration"] = float(srv["duration"])
         if "arrival" in srv:
@@ -608,7 +590,7 @@ class ScenarioSpec:
                     {"name": a.name, "count": a.count, **dict(a.params)}
                     for a in serve.apps
                 ],
-                "admission": dataclasses.asdict(serve.admission_config()),
+                "admission": dataclasses.asdict(serve.admission),
             }
         return doc
 
@@ -653,9 +635,7 @@ class ScenarioSpec:
     # ------------------------------------------------------------------ #
 
     def build_platform(self) -> PlatformConfig:
-        return PLATFORMS.get(self.platform).build_config(
-            **dict(self.platform_params)
-        )
+        return make_platform(self.platform, **dict(self.platform_params))
 
     def build_config(self) -> RuntimeConfig:
         telemetry = None
@@ -674,9 +654,9 @@ class ScenarioSpec:
         if self.kind != "run":
             raise ScenarioError(f"scenario {self.name!r} is serve-kind")
         if self.preset is not None:
-            return WORKLOADS.get(self.preset)(**dict(self.preset_params))
+            return make_workload(self.preset, **dict(self.preset_params))
         entries = tuple(
-            WorkloadEntry(APPS.get(a.name).factory(**dict(a.params)), a.count)
+            WorkloadEntry(make_app(a.name, **dict(a.params)), a.count)
             for a in self.apps
         )
         return WorkloadSpec(
@@ -692,7 +672,7 @@ class ScenarioSpec:
         serve = self.serve
         arrival = ArrivalSpec.parse(serve.arrival)
         apps = tuple(
-            APPS.get(a.name).factory(**dict(a.params))
+            make_app(a.name, **dict(a.params))
             for a in serve.apps
             for _ in range(a.count)
         )
@@ -709,7 +689,7 @@ class ScenarioSpec:
                 for i in range(serve.tenants)
             ),
             duration=serve.duration,
-            admission=serve.admission_config(),
+            admission=serve.admission,
             mode=self.mode,
             scheduler=self.scheduler,
         )

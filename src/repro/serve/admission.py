@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Optional
 
 __all__ = [
@@ -72,13 +73,19 @@ class AdmissionConfig:
             )
         if self.queue_cap < 0:
             raise ValueError(f"queue_cap must be >= 0, got {self.queue_cap}")
-        if self.quota_rate < 0 or self.quota_burst < 0:
+        # chained compares also reject NaN and +inf: a NaN rate refills the
+        # bucket to ``burst`` on every take, i.e. silently means "unlimited"
+        if not (0 <= self.quota_rate < inf and 0 <= self.quota_burst < inf):
             raise ValueError(
-                f"token-bucket quota must be nonnegative, got "
+                f"token-bucket quota must be finite and nonnegative, got "
                 f"rate={self.quota_rate}, burst={self.quota_burst}"
             )
-        if self.ready_depth_limit < 0 or self.p99_limit_s < 0:
-            raise ValueError("backpressure limits must be nonnegative")
+        if not (0 <= self.ready_depth_limit < inf and 0 <= self.p99_limit_s < inf):
+            raise ValueError(
+                f"backpressure limits must be finite and nonnegative, got "
+                f"ready_depth_limit={self.ready_depth_limit}, "
+                f"p99_limit_s={self.p99_limit_s}"
+            )
 
 
 class TokenBucket:

@@ -17,10 +17,8 @@ from .process import (
     Sleep,
     SimThread,
     ThreadState,
-    UseDevice,
-    Yield,
 )
-from .rng import child_rng, make_rng, spawn_rngs
+from .rng import child_rng, make_rng
 from .sync import Condition, Mutex, Semaphore, SimQueue
 from .timerwheel import TimerWheel
 
@@ -36,8 +34,6 @@ __all__ = [
     "Compute",
     "Sleep",
     "Block",
-    "Yield",
-    "UseDevice",
     "AcquireDevice",
     "Mutex",
     "Condition",
@@ -49,5 +45,4 @@ __all__ = [
     "SimTimeError",
     "make_rng",
     "child_rng",
-    "spawn_rngs",
 ]

@@ -143,9 +143,9 @@ class Core:
         #: segment, so ``len(_finish_heap)`` *is* the occupancy - the old
         #: ``_nrun``/``_load`` twin counters were redundant mirrors of it
         #: (and two attribute writes per event on the hot path).  The thread
-        #: -> finish-virtual mapping lives on the threads themselves
-        #: (``SimThread._on_core`` / ``_finish_virtual``) plus this heap, so
-        #: the hot add/complete path never touches a dict.
+        #: -> core mapping lives on the threads themselves
+        #: (``SimThread._on_core``) plus this heap, so the hot add/complete
+        #: path never touches a dict.
         self._finish_heap: list[tuple[float, int, "SimThread", float]] = []
         self._seq = 0
         #: cached absolute wall-clock instant of the earliest completion
@@ -201,16 +201,6 @@ class Core:
         it is correct even mid-batch inside the engine loop."""
         return len(self._finish_heap) + self._spinners
 
-    @property
-    def running(self) -> dict["SimThread", float]:
-        """Snapshot of thread -> finish-virtual for the active segments.
-
-        Rebuilt from the finish heap on access (each heap entry is exactly
-        one active segment); the hot path keeps only the heap and the
-        per-thread slots, so this is an introspection view, not storage.
-        """
-        return {entry[2]: entry[0] for entry in self._finish_heap}
-
     def add(self, thread: "SimThread", work: float) -> None:
         if thread._on_core is not None:
             raise SimStateError(
@@ -218,16 +208,9 @@ class Core:
             )
         finish = self._virtual + work
         thread._on_core = self
-        thread._finish_virtual = finish
         self._seq += 1
         heapq.heappush(self._finish_heap, (finish, self._seq, thread, work))
         self._mark_completion_dirty()
-
-    def remaining_work(self, thread: "SimThread") -> float:
-        """Dedicated-core seconds left in *thread*'s current segment."""
-        if thread._on_core is not self:
-            raise KeyError(thread)
-        return thread._finish_virtual - self._virtual
 
     def share_rate(self, k: int) -> float:
         """Dedicated-work seconds delivered per wall second to each of ``k``
@@ -353,17 +336,13 @@ class CompletionIndex:
 class Device:
     """An exclusive, FIFO-queued accelerator device.
 
-    Two occupancy styles, never mixed on one device by the runtime:
-
-    * **Timed** (:class:`~repro.simcore.process.UseDevice`): the thread
-      blocks and the device auto-releases after a fixed duration - a
-      fire-and-forget interrupt-driven dispatch.
-    * **Held** (:class:`~repro.simcore.process.AcquireDevice` +
-      :meth:`release`): the thread owns the device across its own compute
-      segments.  This is how CEDR's driverless MMIO management threads work:
-      the mgmt thread *polls* the accelerator, so the device stays occupied
-      for as long as the (processor-shared, possibly slowed-down) polling
-      loop takes - the contention coupling the paper's Fig. 10 exposes.
+    Occupancy is *held* (:class:`~repro.simcore.process.AcquireDevice` +
+    :meth:`release`): the thread owns the device across its own compute
+    segments and sleeps.  This is how CEDR's driverless MMIO management
+    threads work: the mgmt thread *polls* the accelerator, so the device
+    stays occupied for as long as the (processor-shared, possibly
+    slowed-down) polling loop takes - the contention coupling the paper's
+    Fig. 10 exposes.
 
     The wait queue is a :class:`~collections.deque`: accelerator queues grow
     deep at high injection rates (every frame of every app funnels through
@@ -377,8 +356,8 @@ class Device:
         self.name = name
         self.engine = engine
         self.occupant: Optional["SimThread"] = None
-        #: waiting (thread, duration-or-None) pairs; None = held-style acquire
-        self.queue: deque[tuple["SimThread", Optional[float]]] = deque()
+        #: threads waiting for ownership, in arrival order
+        self.queue: deque["SimThread"] = deque()
         self.busy_time: float = 0.0
         self.served: int = 0
         self._busy_since: float = 0.0
@@ -387,45 +366,31 @@ class Device:
     def busy(self) -> bool:
         return self.occupant is not None
 
-    def request(self, thread: "SimThread", duration: Optional[float]) -> None:
-        """Enqueue *thread*; ``duration=None`` means held-style acquire."""
+    def request(self, thread: "SimThread") -> None:
+        """Grant *thread* ownership now if the device is free, else queue it."""
         if self.occupant is None:
-            self._start(thread, duration)
+            self._grant(thread)
         else:
-            self.queue.append((thread, duration))
+            self.queue.append(thread)
 
-    def _start(self, thread: "SimThread", duration: Optional[float]) -> None:
+    def _grant(self, thread: "SimThread") -> None:
         self.occupant = thread
         self._busy_since = self.engine.now
-        if duration is None:
-            # held-style: grant immediately; owner releases explicitly
-            self.engine.wake(thread)
-        else:
-            self.engine._schedule_timer(duration, self._timed_complete)
-
-    def _timed_complete(self) -> None:
-        thread = self.occupant
-        if thread is None:  # pragma: no cover - engine invariant
-            raise SimStateError(f"device {self.name!r} completed with no occupant")
-        self._finish()
         self.engine.wake(thread)
 
     def release(self, thread: "SimThread") -> None:
-        """Held-style release by the current occupant (synchronous call)."""
+        """Release by the current occupant (synchronous call); ownership
+        passes to the longest-waiting thread."""
         if self.occupant is not thread:
             raise SimStateError(
                 f"{thread.name!r} released device {self.name!r} held by "
                 f"{self.occupant.name if self.occupant else None!r}"
             )
-        self._finish()
-
-    def _finish(self) -> None:
         self.occupant = None
         self.busy_time += self.engine.now - self._busy_since
         self.served += 1
         if self.queue:
-            nxt, dur = self.queue.popleft()
-            self._start(nxt, dur)
+            self._grant(self.queue.popleft())
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of wall time the device spent occupied."""

@@ -5,7 +5,7 @@ cores, and a dispatch queue of threads runnable *right now*.  Its one main
 loop (:meth:`Engine.run`) alternates:
 
 1. **Dispatch** - resume every ready thread at the current instant, handling
-   the request each one yields (compute, sleep, block, device use, ...).
+   the request each one yields (compute, sleep, block, device acquire).
    Dispatching may make further threads ready at the same instant (condition
    signals, device grants), so this phase drains to a fixed point.
 2. **Advance** - jump the clock to the next event: either a timer or the
@@ -64,8 +64,6 @@ from .process import (
     Sleep,
     SimThread,
     ThreadState,
-    UseDevice,
-    Yield,
 )
 from .rng import make_rng
 from .timerwheel import TimerEntry, TimerWheel
@@ -133,7 +131,6 @@ class Engine:
         self.timers_fired = 0
         self._drain_batches = 0
         self._drain_events = 0
-        self.trace: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -218,90 +215,28 @@ class Engine:
             self._timer_next = when
         return self._timerq.push(when, next(self._timer_seq), callback)
 
-    def cancel_timer(self, handle: TimerEntry) -> bool:
-        """Cancel a pending timer returned by :meth:`call_at` /
-        :meth:`_schedule_timer`; returns False if it already fired or was
-        already cancelled."""
-        cancelled = self._timerq.cancel(handle)
-        if cancelled and handle[0] == self._timer_next:
-            self._timer_next = self._timerq.peek()
-        return cancelled
-
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
 
-    def _pick_core(self, thread: SimThread, override: Optional[Core]) -> Core:
-        if override is not None:
-            return override
-        if thread.affinity is not None:
-            return thread.affinity
-        # min(pool, key=lambda c: (c.load, c.index)) without the per-call
-        # lambda, tuple allocations, or property descriptor overhead.
-        best: Optional[Core] = None
-        best_load = 0
-        for core in self.floating_pool:
-            load = len(core._finish_heap) + core._spinners
-            if best is None or load < best_load or (load == best_load and core.index < best.index):
-                best = core
-                best_load = load
-        if best is None:
-            raise SimStateError("engine has an empty floating pool")
-        return best
-
     def _dispatch_slow(self, thread: SimThread, request: Any) -> None:
-        """Act on a non-``Compute`` request; ``Compute`` (exact type inline,
-        subclasses through :meth:`_compute_slow`) is handled by :meth:`run`."""
+        """Act on a ``Block``, ``Sleep`` or ``AcquireDevice``; ``Compute`` is
+        handled inline by :meth:`run`.  The vocabulary is closed and matched
+        by exact class: anything else - a subclass of one of the four, a bare
+        ``Request``, a non-request object - is an error naming the thread."""
         cls = request.__class__
-        if cls is Block or isinstance(request, Block):
+        if cls is Block:
             thread.state = ThreadState.BLOCKED
-        elif cls is Yield or isinstance(request, Yield):
-            thread.state = ThreadState.READY
-            self._ready.append((thread, None))
-        elif cls is Sleep or isinstance(request, Sleep):
+        elif cls is Sleep:
             thread.state = ThreadState.SLEEPING
             self._schedule_timer(request.duration, lambda t=thread: self.wake(t))
-        elif isinstance(request, UseDevice):
+        elif cls is AcquireDevice:
             thread.state = ThreadState.BLOCKED
-            request.device.request(thread, request.duration)
-        elif isinstance(request, AcquireDevice):
-            thread.state = ThreadState.BLOCKED
-            request.device.request(thread, None)
+            request.device.request(thread)
         else:
             raise SimStateError(
                 f"thread {thread.name!r} yielded unsupported request {request!r}"
             )
-
-    def _compute_slow(self, thread: SimThread, request: Compute, seq: int) -> int:
-        """Admit a *subclassed* ``Compute`` (the exact type is inlined in
-        :meth:`run`): same bookkeeping through :meth:`_pick_core`, appending
-        a run-format ``[finish, seq, thread, work]`` entry so the pending
-        lists stay homogeneous.  The caller has already cleared
-        ``thread._on_core``.  Returns the advanced sequence counter."""
-        work = request.work
-        if work <= 0.0:
-            thread.state = ThreadState.READY
-            self._ready.append((thread, None))
-            return seq
-        core = self._pick_core(thread, request.core)
-        if core._cidx is not self._completions:
-            # foreign core (not in this engine's completion index): it keeps
-            # the at-rest tuple-heap representation, the loop never pops it
-            core.add(thread, work)
-        else:
-            if thread._on_core is not None:
-                raise SimStateError(
-                    f"{thread.name!r} already running on core {thread._on_core.name!r}"
-                )
-            finish = core._virtual + work
-            thread._on_core = core
-            seq += 1
-            core._finish_heap.append([finish, seq, thread, work])
-            if finish < core._head:
-                core._head = finish
-            core._mark_completion_dirty()
-        thread.state = ThreadState.RUNNING
-        return seq
 
     def _finish(self, thread: SimThread, result: Any) -> None:
         thread.state = ThreadState.FINISHED
@@ -310,8 +245,6 @@ class Engine:
         for joiner in thread._joiners:
             self.wake(joiner)
         thread._joiners.clear()
-        if self.trace is not None:
-            self.trace("thread_finished", thread=thread, time=self.now)
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -391,31 +324,23 @@ class Engine:
                             thread.state = ready_state
                             ready.append((thread, None))
                             continue
-                        core = request.core
-                        if core is not None and core._cidx is not cidx:
-                            # explicit override onto a foreign core: at-rest
-                            # tuple representation, the loop never pops it
-                            core.add(thread, work)
-                            thread.state = running_state
-                            continue
+                        core = thread.affinity
                         if core is None:
-                            core = thread.affinity
-                            if core is None:
-                                pool = self.floating_pool
-                                if pool is not pool_cache:
-                                    pool_cache = pool
-                                    pool_sorted = sorted(pool, key=_core_index)
-                                    if not pool_sorted:
-                                        raise SimStateError(
-                                            "engine has an empty floating pool"
-                                        )
-                                core = pool_sorted[0]
-                                best_load = len(core._finish_heap) + core._spinners
-                                for c in pool_sorted:
-                                    load = len(c._finish_heap) + c._spinners
-                                    if load < best_load:
-                                        core = c
-                                        best_load = load
+                            pool = self.floating_pool
+                            if pool is not pool_cache:
+                                pool_cache = pool
+                                pool_sorted = sorted(pool, key=_core_index)
+                                if not pool_sorted:
+                                    raise SimStateError(
+                                        "engine has an empty floating pool"
+                                    )
+                            core = pool_sorted[0]
+                            best_load = len(core._finish_heap) + core._spinners
+                            for c in pool_sorted:
+                                load = len(c._finish_heap) + c._spinners
+                                if load < best_load:
+                                    core = c
+                                    best_load = load
                         if thread._on_core is not None:
                             raise SimStateError(
                                 f"{thread.name!r} already running on core "
@@ -431,8 +356,6 @@ class Engine:
                             core._completion_dirty = True
                             dirty.append(core._cpos)
                         thread.state = running_state
-                    elif isinstance(request, Compute):
-                        seq = self._compute_slow(thread, request, seq)
                     else:
                         self._dispatch_slow(thread, request)
                 self.current = None
@@ -603,29 +526,23 @@ class Engine:
                                 thread.state = ready_state
                                 ready.append((thread, None))
                                 continue
-                            core = request.core
-                            if core is not None and core._cidx is not cidx:
-                                thread._on_core = None
-                                core.add(thread, work)
-                                continue
+                            core = thread.affinity
                             if core is None:
-                                core = thread.affinity
-                                if core is None:
-                                    pool = self.floating_pool
-                                    if pool is not pool_cache:
-                                        pool_cache = pool
-                                        pool_sorted = sorted(pool, key=_core_index)
-                                        if not pool_sorted:
-                                            raise SimStateError(
-                                                "engine has an empty floating pool"
-                                            )
-                                    core = pool_sorted[0]
-                                    best_load = len(core._finish_heap) + core._spinners
-                                    for c in pool_sorted:
-                                        load = len(c._finish_heap) + c._spinners
-                                        if load < best_load:
-                                            core = c
-                                            best_load = load
+                                pool = self.floating_pool
+                                if pool is not pool_cache:
+                                    pool_cache = pool
+                                    pool_sorted = sorted(pool, key=_core_index)
+                                    if not pool_sorted:
+                                        raise SimStateError(
+                                            "engine has an empty floating pool"
+                                        )
+                                core = pool_sorted[0]
+                                best_load = len(core._finish_heap) + core._spinners
+                                for c in pool_sorted:
+                                    load = len(c._finish_heap) + c._spinners
+                                    if load < best_load:
+                                        core = c
+                                        best_load = load
                             finish = core._virtual + work
                             if thread._on_core is not core:
                                 thread._on_core = core
@@ -643,10 +560,7 @@ class Engine:
                                 dirty.append(core._cpos)
                         else:
                             thread._on_core = None
-                            if isinstance(request, Compute):
-                                seq = self._compute_slow(thread, request, seq)
-                            else:
-                                self._dispatch_slow(thread, request)
+                            self._dispatch_slow(thread, request)
                     self.current = None
                     self._events_processed += len(resumes)
                     resumes.clear()
@@ -667,9 +581,6 @@ class Engine:
                 heap = core._finish_heap
                 # sorted tuples: a valid binary heap for Core.add/advance
                 heap.sort()
-                for e in heap:
-                    # the inline admission elides this per-event store
-                    e[2]._finish_virtual = e[0]
                 heap[:] = [tuple(e) for e in heap]
                 if core._seq < seq:
                     core._seq = seq
@@ -682,14 +593,7 @@ class Engine:
         """Threads currently parked on a mutex/condvar/device/join."""
         return [t for t in self.threads if t.state is ThreadState.BLOCKED]
 
-    def alive_threads(self) -> list[SimThread]:
-        return [t for t in self.threads if t.alive]
-
     @property
     def events_processed(self) -> int:
         """Number of dispatch events handled so far (progress metric)."""
         return self._events_processed
-
-    def core_utilization(self) -> dict[str, float]:
-        """Per-core busy fraction over the elapsed simulated time."""
-        return {c.name: c.utilization(self.now) for c in self.cores}

@@ -37,8 +37,6 @@ __all__ = [
     "Compute",
     "Sleep",
     "Block",
-    "Yield",
-    "UseDevice",
     "AcquireDevice",
     "ThreadState",
     "SimThread",
@@ -46,7 +44,10 @@ __all__ = [
 
 
 class Request:
-    """Base class for everything a simulated thread may yield."""
+    """Base class of the four requests a simulated thread may yield:
+    :class:`Compute`, :class:`Sleep`, :class:`Block`, :class:`AcquireDevice`.
+    The vocabulary is closed - the engine dispatches on the exact class and
+    raises :class:`SimStateError` for anything else, subclasses included."""
 
     __slots__ = ()
 
@@ -56,30 +57,28 @@ class Compute(Request):
 
     On a core shared by ``k`` runnable threads the request takes
     ``work * k / core.speed`` seconds of simulated wall time (processor
-    sharing).  ``core`` overrides the thread's affinity for this one segment,
-    which the runtime uses to charge accelerator-management work to the
-    management thread's host core.
+    sharing).  The segment runs on the thread's affinity core, or on the
+    least-loaded core of the floating pool when it has none.  Zero work
+    never touches a core: the thread re-queues behind whatever is ready at
+    the current instant (the ``sched_yield`` of this vocabulary).
 
-    Requests are plain slotted classes rather than frozen dataclasses: one
-    is allocated per simulated event, and a frozen dataclass ``__init__``
-    (one ``object.__setattr__`` per field) is several times the cost of
-    ordinary attribute assignment on this path.  Treat instances as
-    immutable value objects all the same.
+    Requests are plain slotted classes rather than frozen dataclasses.
+    They are shared values - the runtime builds one per distinct charge and
+    yields it many times - so treat instances as immutable.
     """
 
-    __slots__ = ("work", "core")
+    __slots__ = ("work",)
 
-    def __init__(self, work: float, core: "Optional[Core]" = None) -> None:
+    def __init__(self, work: float) -> None:
         # one chained compare rejects negatives, NaN and +inf: a NaN finish
         # key would never become due and the run would end "normally" with
         # the thread still RUNNING
         if not 0.0 <= work < inf:
             raise SimTimeError(f"compute work must be finite and non-negative, got {work}")
         self.work = work
-        self.core = core
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Compute(work={self.work!r}, core={self.core!r})"
+        return f"Compute(work={self.work!r})"
 
 
 class Sleep(Request):
@@ -104,32 +103,6 @@ class Block(Request):
     """
 
     __slots__ = ()
-
-
-class Yield(Request):
-    """Relinquish control for one dispatch round at the current time."""
-
-    __slots__ = ()
-
-
-class UseDevice(Request):
-    """Occupy an exclusive device (accelerator) for ``duration`` seconds.
-
-    The requesting thread blocks while the device works; requests queue FIFO
-    when the device is busy.  This models an interrupt-driven dispatch where
-    the management thread truly sleeps while the FPGA/GPU runs.
-    """
-
-    __slots__ = ("device", "duration")
-
-    def __init__(self, device: "Device", duration: float) -> None:
-        if not 0.0 <= duration < inf:
-            raise SimTimeError(f"device duration must be finite and non-negative, got {duration}")
-        self.device = device
-        self.duration = duration
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"UseDevice(device={self.device!r}, duration={self.duration!r})"
 
 
 class AcquireDevice(Request):
@@ -188,7 +161,6 @@ class SimThread:
         "_joiners",
         "_send",
         "_on_core",
-        "_finish_virtual",
     )
 
     def __init__(
@@ -214,10 +186,9 @@ class SimThread:
         self._send = gen.send
         #: Core-owned placement bookkeeping (set by Core.add, cleared on
         #: segment completion): which core holds this thread's active
-        #: segment, and the virtual-clock instant it finishes.  Storing
-        #: these on the thread lets cores drop their per-thread dicts.
+        #: segment.  Storing it on the thread lets cores drop their
+        #: per-thread dicts.
         self._on_core: "Optional[Core]" = None
-        self._finish_virtual: float = 0.0
 
     @property
     def alive(self) -> bool:

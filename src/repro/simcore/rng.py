@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["make_rng", "child_rng", "spawn_rngs"]
+__all__ = ["make_rng", "child_rng"]
 
 
 def make_rng(seed: int | None = 0) -> np.random.Generator:
@@ -34,9 +34,3 @@ def child_rng(seed: int, key: str) -> np.random.Generator:
     never perturbs the other.
     """
     return np.random.default_rng([seed & 0x7FFFFFFF, zlib.crc32(key.encode("utf-8"))])
-
-
-def spawn_rngs(parent: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Spawn *n* statistically independent child generators from *parent*."""
-    seq = parent.bit_generator.seed_seq  # type: ignore[attr-defined]
-    return [np.random.default_rng(s) for s in seq.spawn(n)]

@@ -84,10 +84,6 @@ class Mutex:
         else:
             self.owner = None
 
-    @property
-    def locked(self) -> bool:
-        return self.owner is not None
-
 
 @dataclass
 class Condition:

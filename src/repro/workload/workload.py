@@ -96,10 +96,6 @@ class WorkloadSpec:
                 f"available: {available_arrivals()}"
             )
 
-    @property
-    def total_instances(self) -> int:
-        return sum(e.count for e in self.entries)
-
     def instantiate(
         self, mode: str, rate_mbps: float, seed: int, timing_only: bool = False
     ) -> list[tuple[AppInstance, float]]:

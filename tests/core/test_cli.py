@@ -68,9 +68,8 @@ def test_bad_flag_exits_on_one_line(argv, needle):
 
 def test_cli_import_stays_light():
     """``import repro.cli`` is all of a command's ``setup_s``: it must not
-    drag in networkx (181 of 489 ms before the import moved into the three
-    ``repro.dag.analysis`` functions that use it) nor the layers the verbs
-    import on demand."""
+    drag in networkx (181 of 489 ms when ``repro.dag`` imported it; no
+    longer a dependency) nor the layers the verbs import on demand."""
     import subprocess
     import sys
     from pathlib import Path

@@ -6,7 +6,7 @@ from repro.experiments.fig9_versatility import av_workload_scaled
 
 def test_av_workload_scaled_composition():
     wl = av_workload_scaled(ld_batch=64, app_batch=8)
-    assert wl.total_instances == 11
+    assert sum(e.count for e in wl.entries) == 11
     by_name = {e.app.name: e for e in wl.entries}
     assert by_name["LD"].app.batch == 64
     assert by_name["PD"].app.batch == 8

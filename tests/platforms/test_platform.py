@@ -94,7 +94,7 @@ def test_build_creates_engine_cores_devices():
     assert len(inst.engine.cores) == 4
     assert len(inst.engine.devices) == 3
     assert len(inst.pes) == 6
-    assert len(inst.cpu_pes) == 3
+    assert sum(pe.kind is PEKind.CPU for pe in inst.pes) == 3
     assert len(inst.accel_pes) == 3
     # floating pool excludes the reserved runtime core
     assert inst.runtime_core not in inst.engine.floating_pool

@@ -122,7 +122,7 @@ def test_overheads_accumulate(data):
     assert rt.metrics.runtime_overhead_s > 0
     assert rt.metrics.sched_overhead_s > 0
     assert rt.metrics.makespan > 0
-    assert rt.metrics.apps_completed == 1
+    assert rt.counters.apps_completed == 1
 
 
 def test_all_threads_finish_on_shutdown(data):
@@ -156,7 +156,7 @@ def test_empty_workload_shuts_down_cleanly():
     rt = build_runtime()
     rt.seal()
     assert rt.run() >= 0.0
-    assert rt.metrics.apps_completed == 0
+    assert rt.counters.apps_completed == 0
 
 
 def test_timing_only_mode_skips_execution(data):

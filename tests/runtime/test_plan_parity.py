@@ -39,13 +39,13 @@ def observed(monkeypatch):
         task_init(self, *args, **kwargs)
         created.append(self)
 
-    def recording_compute(work, core=None):
+    def recording_compute(work):
         # called from worker_body's own frame: its locals name the task the
         # segment belongs to and the slowdown factor read for this attempt
         scope = sys._getframe(1).f_locals
         if "task" in scope:  # not the two constants built above the loop
             charges.append((scope["pe"], scope["task"], scope["slow"], work))
-        return real_compute(work, core)
+        return real_compute(work)
 
     real_compute = worker_module.Compute
     monkeypatch.setattr(Task, "__init__", recording_init)

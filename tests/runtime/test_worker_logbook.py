@@ -51,7 +51,8 @@ def test_accelerator_device_occupied_while_polled():
 
 def test_worker_backlog_feedback_drains_and_learns():
     runtime, _, platform = run_burst(count=12, scheduler="rr")
-    used = [pe for pe in platform.pes if pe.tasks_executed > 0]
+    by_pe = runtime.logbook.tasks_by_pe()
+    used = [pe for pe in platform.pes if by_pe.get(pe.name, 0) > 0]
     assert used
     for pe in used:
         # the backlog estimate must fully drain by shutdown
@@ -60,7 +61,7 @@ def test_worker_backlog_feedback_drains_and_learns():
     # the FFT accelerator's polling dispatch contends with CPU work, so its
     # observed slowdown moves above the profile's dedicated-core assumption
     fft_pe = next(pe for pe in platform.pes if pe.kind is PEKind.FFT)
-    if fft_pe.tasks_executed:
+    if by_pe.get(fft_pe.name, 0):
         assert fft_pe.slowdown > 1.0
 
 

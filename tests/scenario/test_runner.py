@@ -138,7 +138,7 @@ def test_serve_scenario_bit_identical_to_flag_path():
             tenants=1,
             slo_ms=50.0,
             apps=(AppCount("PD"), AppCount("TX")),
-            policy="block",
+            admission=AdmissionConfig(policy="block"),
         ),
     )
     scenario_results = run_scenario(spec)

@@ -75,7 +75,7 @@ def test_load_serve_toml(tmp_path):
     serve = spec.serve
     assert serve.duration == 0.25
     assert serve.tenants == 2
-    assert serve.policy == "block" and serve.queue_cap == 8
+    assert serve.admission.policy == "block" and serve.admission.queue_cap == 8
     config = spec.build_serve()
     assert [t.name for t in config.tenants] == ["tenant0", "tenant1"]
     assert config.tenants[0].slo_s == pytest.approx(0.04)

@@ -189,6 +189,16 @@ BAD_NUMBERS = [
                  "[serve.admission] max_in_system", id="admission-cap-negative"),
     pytest.param(_serve_doc(admission={"quota_rate": -1.0}),
                  "[serve.admission] token-bucket quota", id="admission-quota-negative"),
+    # non-finite quotas / limits built, validated and got a digest, to_toml()
+    # raised on them, and a NaN quota_rate ran as "unlimited"
+    pytest.param(_serve_doc(admission={"quota_rate": float("nan")}),
+                 "[serve.admission] token-bucket quota", id="admission-quota-rate-nan"),
+    pytest.param(_serve_doc(admission={"quota_rate": float("inf")}),
+                 "[serve.admission] token-bucket quota", id="admission-quota-rate-inf"),
+    pytest.param(_serve_doc(admission={"quota_burst": float("inf")}),
+                 "[serve.admission] token-bucket quota", id="admission-quota-burst-inf"),
+    pytest.param(_serve_doc(admission={"p99_limit_s": float("nan")}),
+                 "[serve.admission] backpressure limits", id="admission-p99-nan"),
     pytest.param(_doc(telemetry={"interval_s": -1}), "[telemetry] interval_s",
                  id="telemetry-interval-negative"),
     pytest.param(_doc(telemetry={"interval_s": float("nan")}),
@@ -214,15 +224,17 @@ def test_bad_number_rejected_on_direct_construction_too():
     hand-built specs (corpus generator, minimizer) get them as well."""
     import dataclasses
 
-    from repro.scenario import ServeSection
+    from repro.serve import AdmissionConfig
 
     spec = ScenarioSpec(name="neg")
     with pytest.raises(ScenarioError, match="rate_mbps"):
         dataclasses.replace(spec, rate_mbps=float("inf"))
     with pytest.raises(ScenarioError, match="interval_s"):
         dataclasses.replace(spec, telemetry_interval_s=-1.0)
-    with pytest.raises(ScenarioError, match="max_in_system"):
-        ServeSection(max_in_system=0)
+    with pytest.raises(ValueError, match="max_in_system"):
+        AdmissionConfig(max_in_system=0)  # what ServeSection.admission holds
+    with pytest.raises(ValueError, match="finite"):
+        AdmissionConfig(quota_rate=float("nan"))
 
 
 def test_validate_cli_fails_hostile_numbers_without_traceback(tmp_path, capsys):

@@ -19,18 +19,6 @@ from repro.simcore.engine import _INSTANT_EPSILON, _core_index
 
 
 class ReferenceEngine(Engine):
-    def _dispatch_slow(self, thread, request) -> None:
-        if isinstance(request, Compute):  # subclassed Compute
-            if request.work <= 0.0:
-                thread.state = ThreadState.READY
-                self._ready.append((thread, None))
-            else:
-                core = self._pick_core(thread, request.core)
-                thread.state = ThreadState.RUNNING
-                core.add(thread, request.work)
-        else:
-            super()._dispatch_slow(thread, request)
-
     def _advance(self, dt: float) -> None:
         if dt < 0:
             raise SimTimeError(f"attempted to advance time by {dt}")
@@ -90,23 +78,21 @@ class ReferenceEngine(Engine):
                         thread.state = ready_state
                         ready.append((thread, None))
                         continue
-                    core = request.core
+                    core = thread.affinity
                     if core is None:
-                        core = thread.affinity
-                        if core is None:
-                            pool = self.floating_pool
-                            if pool is not pool_cache:
-                                pool_cache = pool
-                                pool_sorted = sorted(pool, key=_core_index)
-                                if not pool_sorted:
-                                    raise SimStateError("engine has an empty floating pool")
-                            core = pool_sorted[0]
-                            best_load = len(core._finish_heap) + core._spinners
-                            for c in pool_sorted:
-                                load = len(c._finish_heap) + c._spinners
-                                if load < best_load:
-                                    core = c
-                                    best_load = load
+                        pool = self.floating_pool
+                        if pool is not pool_cache:
+                            pool_cache = pool
+                            pool_sorted = sorted(pool, key=_core_index)
+                            if not pool_sorted:
+                                raise SimStateError("engine has an empty floating pool")
+                        core = pool_sorted[0]
+                        best_load = len(core._finish_heap) + core._spinners
+                        for c in pool_sorted:
+                            load = len(c._finish_heap) + c._spinners
+                            if load < best_load:
+                                core = c
+                                best_load = load
                     if thread._on_core is not None:
                         raise SimStateError(
                             f"{thread.name!r} already running on core "
@@ -114,7 +100,6 @@ class ReferenceEngine(Engine):
                         )
                     finish = core._virtual + work
                     thread._on_core = core
-                    thread._finish_virtual = finish
                     seq = core._seq + 1
                     core._seq = seq
                     heappush(core._finish_heap, (finish, seq, thread, work))

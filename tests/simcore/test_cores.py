@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import AcquireDevice, Compute, Engine, SimStateError, UseDevice
+from repro.simcore import AcquireDevice, Compute, Engine, SimStateError, Sleep
 from repro.simcore.cores import Core, completion_instant
 
 
@@ -88,7 +88,6 @@ def test_standalone_core_advance_completes_in_finish_order():
     assert core.share_rate(2) == pytest.approx(1 / 3)  # 1 / (2 * (1 + 0.5))
     assert completion_instant(core, 1.0) == pytest.approx(1.3)
     assert core.advance(0.15) == []
-    assert core.remaining_work(b) == pytest.approx(0.05)
     assert core.advance(0.15) == [b]
     assert b.cpu_time == 0.1 and b._on_core is None
     assert completion_instant(core, 0.0) == pytest.approx(0.1)  # alone: full rate
@@ -110,8 +109,14 @@ def test_double_add_same_thread_rejected():
 
 
 # --------------------------------------------------------------------- #
-# Devices: timed (UseDevice) mode
+# Devices: timed occupancy is AcquireDevice + Sleep + release
 # --------------------------------------------------------------------- #
+
+def occupy(eng, dev, duration):
+    yield AcquireDevice(dev)
+    yield Sleep(duration)
+    dev.release(eng.current)
+
 
 def test_timed_device_serializes_fifo():
     eng = Engine(cores=1)
@@ -119,7 +124,7 @@ def test_timed_device_serializes_fifo():
     finishes = {}
 
     def user(name):
-        yield UseDevice(dev, 0.3)
+        yield from occupy(eng, dev, 0.3)
         finishes[name] = eng.now
 
     eng.spawn(user("a"), "a")
@@ -147,7 +152,7 @@ def test_deep_device_queue_drains_in_fifo_order():
     order = []
 
     def user(i):
-        yield UseDevice(dev, 1e-3)
+        yield from occupy(eng, dev, 1e-3)
         order.append(i)
 
     for i in range(n):
@@ -164,10 +169,16 @@ def test_device_utilization():
 
     def user():
         yield Compute(0.5)
-        yield UseDevice(dev, 0.5)
+        yield AcquireDevice(dev)
+        yield Sleep(0.25)
+        seen.append(dev.utilization(eng.now))  # an occupant counts up to now
+        yield Sleep(0.25)
+        dev.release(eng.current)
 
+    seen = []
     eng.spawn(user(), "u")
     eng.run()
+    assert seen == [pytest.approx(1 / 3)]
     assert dev.utilization(eng.now) == pytest.approx(0.5)
 
 

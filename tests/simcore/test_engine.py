@@ -12,7 +12,6 @@ from repro.simcore import (
     SimTimeError,
     Sleep,
     ThreadState,
-    Yield,
 )
 
 
@@ -105,16 +104,18 @@ def test_zero_work_compute_is_instant():
 
 
 def test_yield_reschedules_without_time_passing():
+    """``Compute(0.0)`` is the vocabulary's yield: the thread re-queues
+    behind whatever else is ready at this instant."""
     order = []
 
     def a():
         order.append("a1")
-        yield Yield()
+        yield Compute(0.0)
         order.append("a2")
 
     def b():
         order.append("b1")
-        yield Yield()
+        yield Compute(0.0)
         order.append("b2")
 
     eng = Engine(cores=1)
@@ -351,7 +352,7 @@ def test_core_utilization_reported():
     eng = Engine(cores=2)
     eng.spawn(burn(1.0), "a", affinity=eng.cores[0])
     eng.run()
-    util = eng.core_utilization()
+    util = {c.name: c.utilization(eng.now) for c in eng.cores}
     assert util["cpu0"] == pytest.approx(1.0)
     assert util["cpu1"] == 0.0
 

@@ -5,9 +5,11 @@ and keeps pending lists unordered mid-run; ``ReferenceEngine`` (the loop it
 replaced, kept verbatim in ``reference_engine.py``, test-side only) bounces
 every completion through the ready deque and a tuple ``heapq``.  They must
 agree *bit-for-bit* - not approximately.  These tests run the same mixed
-workloads (pinned/floating compute, timers, mutex/condvar traffic,
-zero-work requeues, devices, spinners, ``until`` stepping) under both and
-compare float state by ``.hex()``, so a single-ulp drift fails loudly.
+workloads over the whole request vocabulary - ``Compute`` (pinned,
+floating, and zero-work re-queues), ``Sleep``, ``Block`` (mutex/condvar
+traffic) and ``AcquireDevice`` (held across sleeps and compute) - plus
+spinners and ``until`` stepping under both and compare float state by
+``.hex()``, so a single-ulp drift fails loudly.
 """
 
 import random
@@ -20,10 +22,10 @@ from repro.simcore import (
     Engine,
     Condition,
     Mutex,
+    Request,
     SimDeadlock,
+    SimStateError,
     Sleep,
-    UseDevice,
-    Yield,
 )
 from reference_engine import ReferenceEngine
 
@@ -36,7 +38,7 @@ ENGINES = {"reference": ReferenceEngine, "production": Engine}
 
 def _mixed_workload(engine):
     """A workload touching every dispatch path: pinned + floating compute,
-    sleeps, mutex/condvar chains, zero-work requeues, yields, devices."""
+    sleeps, mutex/condvar chains, zero-work requeues, held devices."""
     cores = engine.cores
     mtx = Mutex(engine)
     cv = Condition(mtx, signal_latency=1e-6)
@@ -54,10 +56,8 @@ def _mixed_workload(engine):
                 if shared["n"] % 3 == 0:
                     cv.notify_all()
                 mtx.release()
-            if r.random() < 0.1:
-                yield Compute(0.0)
-            if r.random() < 0.1:
-                yield Yield()
+            if r.random() < 0.2:
+                yield Compute(0.0)  # zero-work re-queue: the vocabulary's yield
         yield from mtx.acquire()
         shared["n"] += 1
         cv.notify_all()
@@ -85,7 +85,9 @@ def _mixed_workload(engine):
         r = random.Random(77 + i)
         for _ in range(12):
             yield Compute(r.uniform(1e-6, 1e-4))
-            yield UseDevice(dev, r.uniform(1e-5, 1e-4))
+            yield AcquireDevice(dev)
+            yield Sleep(r.uniform(1e-5, 1e-4))  # timed occupancy
+            dev.release(engine.current)
         yield AcquireDevice(dev)
         yield Compute(1e-5)
         dev.release(engine.current)
@@ -213,32 +215,45 @@ def test_engine_restores_at_rest_representation_between_runs():
     assert drive(reference_leg) == drive(Engine.run)
 
 
-def test_engine_slow_path_compute_matches_reference():
-    """Compute subclasses and per-segment ``core=`` overrides leave the
-    inlined exact-type admission for the slow path; same arithmetic."""
+class _Tagged(Compute):
+    __slots__ = ()
 
-    class Tagged(Compute):
-        __slots__ = ()
 
-    snaps = {}
-    for impl, cls in ENGINES.items():
-        eng = cls(cores=3, seed=2)
+@pytest.mark.parametrize("impl", sorted(ENGINES))
+@pytest.mark.parametrize(
+    "bad", [_Tagged(1e-4), Request(), "not a request"], ids=["subclass", "bare", "non-request"]
+)
+@pytest.mark.parametrize("after_compute", [False, True], ids=["ready", "resume"])
+def test_unsupported_request_names_the_thread_and_leaves_engine_at_rest(
+    impl, bad, after_compute
+):
+    """The vocabulary is closed and matched by exact class: a ``Compute``
+    subclass, a bare ``Request`` and a non-request object each raise
+    ``SimStateError`` naming the thread - from the ready drain and from the
+    resume drain - and the exit restores the at-rest invariants: tuple heaps,
+    unresumed siblings back on the ready queue, so the run can continue."""
 
-        def mixed(i):
-            r = random.Random(i)
-            for _ in range(25):
-                yield Tagged(r.uniform(1e-6, 2e-4))
-                yield Compute(r.uniform(1e-6, 2e-4), core=eng.cores[r.randrange(3)])
-                yield Tagged(0.0)
-                yield Compute(r.uniform(1e-6, 2e-4))
+    def rogue():
+        if after_compute:
+            yield Compute(1e-4)
+        yield bad
 
-        threads = [
-            eng.spawn(mixed(i), name=f"m{i}", affinity=eng.cores[i % 3] if i % 2 else None)
-            for i in range(7)
-        ]
+    def burn(n, amount):
+        for _ in range(n):
+            yield Compute(amount)
+
+    eng = ENGINES[impl](cores=1, seed=1)
+    eng.spawn(rogue(), name="rogue", affinity=eng.cores[0])
+    survivors = [
+        eng.spawn(burn(3, 1e-4), name=f"s{i}", affinity=eng.cores[0]) for i in range(3)
+    ]
+    with pytest.raises(SimStateError, match="'rogue' yielded unsupported request"):
         eng.run()
-        snaps[impl] = _snapshot(eng, threads)
-    assert snaps["reference"] == snaps["production"]
+    assert all(type(e) is tuple for core in eng.cores for e in core._finish_heap)
+    queued = {t for t, _ in eng._ready} | {e[2] for e in eng.cores[0]._finish_heap}
+    assert queued == set(survivors)
+    eng.run()
+    assert all(not t.alive and t.cpu_time == pytest.approx(3e-4) for t in survivors)
 
 
 def test_engine_deadlock_detection_matches_reference():

@@ -68,14 +68,14 @@ def test_workload_entry_validation():
 
 def test_radar_comms_composition():
     wl = radar_comms_workload()
-    assert wl.total_instances == 10
+    assert sum(e.count for e in wl.entries) == 10
     names = {e.app.name for e in wl.entries}
     assert names == {"PD", "TX"}
 
 
 def test_av_workload_composition():
     wl = autonomous_vehicle_workload()
-    assert wl.total_instances == 11
+    assert sum(e.count for e in wl.entries) == 11
     assert {e.app.name for e in wl.entries} == {"LD", "PD", "TX"}
 
 
