@@ -21,6 +21,8 @@ __all__ = ["atomic_write"]
 def atomic_write(path) -> Iterator[TextIO]:
     """Open a UTF-8 text file that replaces *path* only on a clean exit."""
     path = Path(path)
+    # ``--perf-json out/perf.json`` in a fresh checkout: make the directory
+    path.parent.mkdir(parents=True, exist_ok=True)
     # pid-unique, so pool workers storing the same cache entry do not share
     # a temporary; opened normally so the artifact keeps umask permissions
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

@@ -259,6 +259,7 @@ class CedrRuntime:
         if self._started:
             raise RuntimeError("runtime already started")
         self._started = True
+        self.counters.watch_timers(self.engine)
         for pe in self.platform.pes:
             self.mailboxes[pe.index] = EventQueue(self.engine)
             self.inflight[pe.index] = 0

@@ -19,21 +19,29 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Optional
 
 from .logbook import Logbook
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simcore import SimThread
+    from repro.simcore import Engine, SimThread
 
 __all__ = ["PerfCounters"]
 
 #: the ``event_core`` snapshot section before any run
 _EVENT_CORE_ZERO = {
-    "kind": "", "late_timers": 0, "timers_fired": 0, "drain_batches": 0,
-    "mean_batch": 0.0, "occupancy_hwm": 0, "overflow_spills": 0,
+    "late_timers": 0, "timers_fired": 0, "drain_batches": 0,
+    "mean_batch": 0.0, "occupancy_hwm": 0,
 }
+
+
+def _owner(callback) -> str:
+    """Qualified name a timer callback is charged to: the wrapped function
+    of a ``partial`` (``Engine.wake``), else the callable's own."""
+    target = callback.func if isinstance(callback, partial) else callback
+    return getattr(target, "__qualname__", type(target).__qualname__)
 
 
 def _incident_count(kind: str, doc: str) -> property:
@@ -53,22 +61,24 @@ class PerfCounters:
     #: pytest-benchmark (see benchmarks/baseline.json).
     engine_events: int = 0
     wall_seconds: float = 0.0
-    #: where ``wall_seconds`` went, by the role of the thread the engine was
-    #: resuming: host nanoseconds inside ``daemon`` / ``worker`` / ``app``
-    #: generator bodies (everything they call included) and how many
-    #: resumptions each role took; :meth:`snapshot` adds the rest of the run
-    #: - the engine loop itself and its timer callbacks - as ``loop``.
-    #: ``None`` unless :meth:`attribute_host_time` armed it (``repro run
-    #: --perf-json``).
+    #: where ``wall_seconds`` went: host nanoseconds inside ``daemon`` /
+    #: ``worker`` / ``app`` generator bodies and inside ``timers``
+    #: callbacks (everything they call included), and how many resumptions
+    #: / callbacks each role took; :meth:`snapshot` adds the rest of the
+    #: run - the engine loop itself - as ``loop``.  ``None`` unless
+    #: :meth:`attribute_host_time` armed it (``repro run --perf-json``).
     host_ns_by_role: Optional[dict[str, int]] = None
     resumes_by_role: Optional[dict[str, int]] = None
+    #: the ``timers`` role split by the callback's qualified name
+    #: (``Engine.wake`` for signal-latency wakes, the daemon's watchdog and
+    #: arrival closures, the sampler tick, ...); ``None`` unless armed.
+    timer_ns_by_owner: Optional[dict[str, int]] = None
 
-    #: the simulator event core's timer-queue statistics, as
+    #: the simulator event core's timer statistics, as
     #: :meth:`repro.simcore.Engine.event_core_stats` reported them after the
-    #: last run: queue ``kind`` (always "wheel"; kept in the schema),
-    #: ``late_timers`` clamped to now, ``timers_fired``, same-instant
-    #: ``drain_batches`` and their ``mean_batch``, the pending-timer
-    #: ``occupancy_hwm`` and ``overflow_spills`` beyond the wheel horizon.
+    #: last run: ``late_timers`` clamped to now, ``timers_fired``,
+    #: same-instant ``drain_batches`` and their ``mean_batch``, and the
+    #: pending-timer ``occupancy_hwm``.
     event_core: dict = field(default_factory=lambda: dict(_EVENT_CORE_ZERO))
 
     # ------------------------------------------------------------------ #
@@ -82,9 +92,11 @@ class PerfCounters:
 
     def attribute_host_time(self) -> None:
         """Arm the per-role host-time split; threads handed to
-        :meth:`watch_thread` from here on are timed."""
-        self.host_ns_by_role = {"daemon": 0, "worker": 0, "app": 0}
-        self.resumes_by_role = {"daemon": 0, "worker": 0, "app": 0}
+        :meth:`watch_thread` and engines handed to :meth:`watch_timers`
+        from here on are timed."""
+        self.host_ns_by_role = {"daemon": 0, "worker": 0, "app": 0, "timers": 0}
+        self.resumes_by_role = {"daemon": 0, "worker": 0, "app": 0, "timers": 0}
+        self.timer_ns_by_owner = {}
 
     def watch_thread(self, thread: "SimThread", role: str) -> None:
         """Charge every resumption of *thread* to *role* (no-op unless armed).
@@ -107,6 +119,39 @@ class PerfCounters:
                 resumes[role] += 1
 
         thread._send = timed_send
+
+    def watch_timers(self, engine: "Engine") -> None:
+        """Charge every timer callback scheduled on *engine* from here on to
+        the ``timers`` role and to its owner (no-op unless armed).
+
+        Shadows ``call_at`` / ``_schedule_timer`` on the engine instance so
+        each callback is pushed already wrapped; like :meth:`watch_thread`,
+        the engine loop has no branch for it and unarmed runs pay nothing.
+        """
+        host_ns, calls, by_owner = (
+            self.host_ns_by_role, self.resumes_by_role, self.timer_ns_by_owner
+        )
+        if host_ns is None:
+            return
+        call_at, schedule = engine.call_at, engine._schedule_timer
+
+        def timed(callback):
+            owner = _owner(callback)
+
+            def timed_callback():
+                t0 = perf_counter_ns()
+                try:
+                    callback()
+                finally:
+                    ns = perf_counter_ns() - t0
+                    host_ns["timers"] += ns
+                    calls["timers"] += 1
+                    by_owner[owner] = by_owner.get(owner, 0) + ns
+
+            return timed_callback
+
+        engine.call_at = lambda when, callback: call_at(when, timed(callback))
+        engine._schedule_timer = lambda delay, callback: schedule(delay, timed(callback))
 
     def record_event_core(self, stats: dict) -> None:
         """Absorb :meth:`repro.simcore.Engine.event_core_stats` output."""
@@ -219,6 +264,7 @@ class PerfCounters:
             "events_per_wall_sec": self.events_per_wall_sec,
             "host_ns_by_role": host_ns,
             "resumes_by_role": self.resumes_by_role,
+            "timer_ns_by_owner": self.timer_ns_by_owner,
             "event_core": dict(self.event_core),
             "faults": {
                 "injected": self.faults_injected,

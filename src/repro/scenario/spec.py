@@ -83,7 +83,6 @@ from repro.platforms import PlatformConfig, make_platform
 from repro.runtime import RuntimeConfig
 from repro.sched import SCHEDULERS
 from repro.serve import AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
-from repro.serve.arrival import ARRIVALS
 from repro.telemetry import TelemetryConfig
 from repro.workload import WORKLOADS, WorkloadEntry, WorkloadSpec, make_workload
 
@@ -278,7 +277,7 @@ class ServeSection:
     admission: AdmissionConfig = AdmissionConfig()
 
     def __post_init__(self) -> None:
-        ArrivalSpec.parse(self.arrival)  # validates kind + parameter shape
+        ArrivalSpec.parse(self.arrival)  # validates kind, shape and numbers
         if self.tenants < 1:
             raise ScenarioError(f"[serve] tenants must be >= 1, got {self.tenants}")
         _positive(self.duration, "[serve] duration")
@@ -343,7 +342,7 @@ class ScenarioSpec:
         SCHEDULERS.get(self.scheduler)
         if self.kind == "run":
             _positive(self.rate_mbps, "[run] rate_mbps")
-            ARRIVALS.get(self.arrival)
+            ArrivalSpec(self.arrival, self.arrival_params)  # kind + parameter numbers
             if self.preset is not None:
                 WORKLOADS.get(self.preset)
             # AppCount validates each name on construction

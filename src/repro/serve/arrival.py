@@ -61,6 +61,11 @@ ARRIVALS: Registry[ArrivalFn] = Registry(
     "arrival process", entry_point_group="repro.arrivals"
 )
 
+#: the builtins' rates, periods and lengths: each must be > 0 when given
+_POSITIVE_PARAMS = frozenset({"rate", "period", "cycle", "burst_len", "loop"})
+#: every numeric parameter of the builtins (a string there is an error)
+_NUMBER_PARAMS = _POSITIVE_PARAMS | {"idle_len", "floor", "phase"}
+
 
 @dataclass(frozen=True)
 class ArrivalSpec:
@@ -83,6 +88,21 @@ class ArrivalSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate arrival parameter in {names}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
+        # numbers are checked here, not when a generator first runs, so spec
+        # validation and ``repro serve --arrival`` reject them before a run
+        for name, value in self.params:
+            if isinstance(value, str):
+                if name in _NUMBER_PARAMS:
+                    raise ValueError(f"arrival parameter {name}={value!r} must be numeric")
+                continue
+            if not math.isfinite(value):
+                raise ValueError(f"arrival parameter {name} must be finite, got {value}")
+            if name in _POSITIVE_PARAMS and value <= 0:
+                raise ValueError(f"arrival parameter {name} must be positive, got {value}")
+            if name == "idle_len" and value < 0:
+                raise ValueError(f"arrival parameter idle_len must be >= 0, got {value}")
+            if name == "floor" and not 0.0 <= value <= 1.0:
+                raise ValueError(f"arrival parameter floor must be in [0, 1], got {value}")
 
     @classmethod
     def make(cls, kind: str, **params: Union[float, str]) -> "ArrivalSpec":
@@ -180,11 +200,7 @@ def _period_of(spec: ArrivalSpec) -> float:
                 f"arrival process {spec.kind!r} needs a rate= (arrivals/s) "
                 f"or period= (seconds) parameter"
             )
-        if rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {rate}")
         period = 1.0 / rate
-    if period <= 0:
-        raise ValueError(f"arrival period must be positive, got {period}")
     return period
 
 
@@ -261,11 +277,6 @@ def _bursty(spec: ArrivalSpec, rng: np.random.Generator) -> Iterator[float]:
     mean_gap = _period_of(spec)
     burst_len = spec.number("burst_len", _BURST_LEN_DEFAULT)
     idle_len = spec.number("idle_len", _IDLE_LEN_DEFAULT)
-    if burst_len <= 0 or idle_len < 0:
-        raise ValueError(
-            f"bursty needs burst_len > 0 and idle_len >= 0, "
-            f"got burst_len={burst_len}, idle_len={idle_len}"
-        )
     t = 0.0           # candidate arrival clock
     phase_end = 0.0   # end of the current ON phase
     while True:
@@ -304,10 +315,6 @@ def _diurnal(spec: ArrivalSpec, rng: np.random.Generator) -> Iterator[float]:
     mean_gap = _period_of(spec)   # candidate gap at the *peak* rate
     floor = spec.number("floor", _DIURNAL_FLOOR_DEFAULT)
     cycle = spec.number("cycle", _DIURNAL_PERIOD_DEFAULT)
-    if not 0.0 <= floor <= 1.0:
-        raise ValueError(f"diurnal floor must be in [0, 1], got {floor}")
-    if cycle <= 0:
-        raise ValueError(f"diurnal cycle must be positive, got {cycle}")
     t = 0.0
     while True:
         t += float(rng.exponential(mean_gap))
@@ -366,8 +373,6 @@ def _trace(spec: ArrivalSpec, rng: np.random.Generator) -> Iterator[float]:
     if loop is None:
         yield from times
         return
-    if loop <= 0:
-        raise ValueError(f"trace loop period must be positive, got {loop}")
     if times[-1] >= loop:
         raise ValueError(
             f"trace instants must fit inside the loop period "

@@ -20,14 +20,12 @@ from .process import (
 )
 from .rng import child_rng, make_rng
 from .sync import Condition, Mutex, Semaphore, SimQueue
-from .timerwheel import TimerWheel
 
 __all__ = [
     "Engine",
     "Core",
     "CompletionIndex",
     "Device",
-    "TimerWheel",
     "SimThread",
     "ThreadState",
     "Request",

@@ -1,11 +1,12 @@
 """Event-driven simulation engine with processor-sharing cores.
 
-The engine owns the virtual clock, the pending-timer wheel, the set of CPU
+The engine owns the virtual clock, the pending-timer heap, the set of CPU
 cores, and a dispatch queue of threads runnable *right now*.  Its one main
 loop (:meth:`Engine.run`) alternates:
 
 1. **Dispatch** - resume every ready thread at the current instant, handling
-   the request each one yields (compute, sleep, block, device acquire).
+   the request each one yields (compute, sleep, block, device acquire;
+   ``Compute`` and ``Block`` inline, the other two in :meth:`_dispatch_slow`).
    Dispatching may make further threads ready at the same instant (condition
    signals, device grants), so this phase drains to a fixed point.
 2. **Advance** - jump the clock to the next event: either a timer or the
@@ -21,9 +22,10 @@ loop (:meth:`Engine.run`) alternates:
 What keeps all three amortized O(1) per event at million-task scale
 (docs/INTERNALS.md, "The engine loop"):
 
-* timers live in a :class:`~repro.simcore.timerwheel.TimerWheel`, and the
-  earliest pending ``when`` is tracked exactly in ``_timer_next`` (min
-  maintenance on push/drain/cancel), so the loop never peeks the queue;
+* timers live in one :mod:`heapq` list of ``(when, seq, callback)``
+  tuples; the loop reads the head ``when`` directly.  The workloads hold a
+  handful of pending timers (4 on ``serve_knee``, 82 on ``faulty_jetson``
+  at most), where a bare heap push + pop is cheaper than a bucketed wheel;
 * each core caches the absolute instant of its earliest completion and
   pushes its position onto the :class:`~repro.simcore.cores.CompletionIndex`
   dirty list on invalidation, so only cores whose composition changed are
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 from math import inf
 from typing import Any, Callable, Generator, Optional, Sequence
 
@@ -66,7 +69,6 @@ from .process import (
     ThreadState,
 )
 from .rng import make_rng
-from .timerwheel import TimerEntry, TimerWheel
 
 __all__ = ["Engine"]
 
@@ -113,12 +115,13 @@ class Engine:
         self.current: Optional[SimThread] = None
         self.threads: list[SimThread] = []
         self._ready: deque[tuple[SimThread, Any]] = deque()
-        self._timerq = TimerWheel()
-        #: exact earliest pending timer instant (None = no live timers);
-        #: maintained on every push/drain/cancel so the main loop never
-        #: pays a queue peek just to decide the next event.
-        self._timer_next: Optional[float] = None
+        #: pending timers, a heapq of ``(when, seq, callback)``: ``(when,
+        #: seq)`` is unique, so comparisons never reach the callback
+        self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._timer_seq = itertools.count()
+        #: pending-timer high-water mark, sampled before each drain batch
+        #: pops (the heap only shrinks there, so that is where it peaks)
+        self._timer_hwm = 0
         self._completions = CompletionIndex(self.cores)
         self._events_processed = 0
         #: ``call_at`` timestamps already in the past, clamped to now
@@ -163,14 +166,17 @@ class Engine:
 
     def event_core_stats(self) -> dict:
         """Event-core observability snapshot (``run --perf-json``)."""
-        stats = self._timerq.stats()
-        stats["late_timers"] = self.late_timers
-        stats["timers_fired"] = self.timers_fired
-        stats["drain_batches"] = self._drain_batches
-        stats["mean_batch"] = (
-            self._drain_events / self._drain_batches if self._drain_batches else 0.0
-        )
-        return stats
+        pending = len(self._timers)
+        return {
+            "pending": pending,
+            "occupancy_hwm": max(self._timer_hwm, pending),
+            "late_timers": self.late_timers,
+            "timers_fired": self.timers_fired,
+            "drain_batches": self._drain_batches,
+            "mean_batch": (
+                self._drain_events / self._drain_batches if self._drain_batches else 0.0
+            ),
+        }
 
     # ------------------------------------------------------------------ #
     # scheduling primitives (used by sync/device layers)
@@ -185,15 +191,12 @@ class Engine:
         thread.state = ThreadState.READY
         self._ready.append((thread, value))
 
-    def _schedule_timer(self, delay: float, callback: Callable[[], None]) -> TimerEntry:
+    def _schedule_timer(self, delay: float, callback: Callable[[], None]) -> None:
         if not 0.0 <= delay < inf:
             raise SimTimeError(f"timer delay must be finite and non-negative, got {delay}")
-        when = self.now + delay
-        if self._timer_next is None or when < self._timer_next:
-            self._timer_next = when
-        return self._timerq.push(when, next(self._timer_seq), callback)
+        heappush(self._timers, (self.now + delay, next(self._timer_seq), callback))
 
-    def call_at(self, when: float, callback: Callable[[], None]) -> TimerEntry:
+    def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Run *callback* at absolute simulated time ``when``.
 
         A ``when`` already in the past is clamped to now - it fires in the
@@ -211,23 +214,20 @@ class Engine:
             if hook is not None:
                 hook()
             when = now
-        if self._timer_next is None or when < self._timer_next:
-            self._timer_next = when
-        return self._timerq.push(when, next(self._timer_seq), callback)
+        heappush(self._timers, (when, next(self._timer_seq), callback))
 
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
 
     def _dispatch_slow(self, thread: SimThread, request: Any) -> None:
-        """Act on a ``Block``, ``Sleep`` or ``AcquireDevice``; ``Compute`` is
-        handled inline by :meth:`run`.  The vocabulary is closed and matched
-        by exact class: anything else - a subclass of one of the four, a bare
-        ``Request``, a non-request object - is an error naming the thread."""
+        """Act on a ``Sleep`` or ``AcquireDevice``; ``Compute`` and ``Block``
+        are handled inline by :meth:`run`.  The vocabulary is closed and
+        matched by exact class: anything else - a subclass of one of the
+        four, a bare ``Request``, a non-request object - is an error naming
+        the thread."""
         cls = request.__class__
-        if cls is Block:
-            thread.state = ThreadState.BLOCKED
-        elif cls is Sleep:
+        if cls is Sleep:
             thread.state = ThreadState.SLEEPING
             self._schedule_timer(request.duration, lambda t=thread: self.wake(t))
         elif cls is AcquireDevice:
@@ -259,7 +259,7 @@ class Engine:
         must shut its runtime down so every thread finishes.
         """
         ready = self._ready
-        timerq = self._timerq
+        timers = self._timers
         cidx = self._completions
         comp = cidx._instants_list
         dirty = cidx._dirty
@@ -270,6 +270,7 @@ class Engine:
         memo: list[dict[int, float]] = [{} for _ in cores]
         ready_state = ThreadState.READY
         running_state = ThreadState.RUNNING
+        blocked_state = ThreadState.BLOCKED
         # Least-loaded placement scans a copy of the floating pool sorted by
         # core index: iteration order then IS the tie-break order, so the
         # scan needs one strict compare per core.  The cache refreshes
@@ -317,7 +318,8 @@ class Engine:
                     except StopIteration as stop:
                         self._finish(thread, stop.value)
                         continue
-                    if request.__class__ is Compute:
+                    cls = request.__class__
+                    if cls is Compute:
                         work = request.work
                         if work <= 0.0:
                             # zero-cost segment: never touches a core
@@ -356,6 +358,10 @@ class Engine:
                             core._completion_dirty = True
                             dirty.append(core._cpos)
                         thread.state = running_state
+                    elif cls is Block:
+                        # the park behind every EventQueue.get and
+                        # CompletionHandle.wait: a wake() re-readies it
+                        thread.state = blocked_state
                     else:
                         self._dispatch_slow(thread, request)
                 self.current = None
@@ -397,14 +403,17 @@ class Engine:
                 for at in comp:
                     if at < compute_at:
                         compute_at = at
-                timer_at = self._timer_next
-                if timer_at is None:
+                if timers:
+                    timer_at = timers[0][0]
+                    next_at = timer_at if timer_at <= compute_at else compute_at
+                else:
+                    timer_at = inf
                     if compute_at == inf:
                         # Only materialize the blocked-thread list when
                         # actually raising: this idle check runs on every
                         # engine return.
                         if strict and any(
-                            t.state is ThreadState.BLOCKED for t in self.threads
+                            t.state is blocked_state for t in self.threads
                         ):
                             blocked = self.blocked_threads()
                             names = ", ".join(t.name for t in blocked[:12])
@@ -413,10 +422,6 @@ class Engine:
                                 f"are blocked: {names}"
                             )
                         return self.now
-                    next_at = compute_at
-                elif timer_at <= compute_at:
-                    next_at = timer_at
-                else:
                     next_at = compute_at
                 if until is not None and next_at > until:
                     # partial advance, no event reached: Core.advance wants
@@ -490,23 +495,31 @@ class Engine:
 
                 # ---- batched same-instant timer drain: every timer due at
                 # the reached instant fires before any completed or woken
-                # thread runs; callbacks that chain new timers due at this
-                # same instant join the drain (the re-pop loop).
+                # thread runs.  Each pass pops everything due, then calls it
+                # in (when, seq) order; timers the callbacks chain at this
+                # same instant join the drain as the next pass.
                 deadline = self.now + _INSTANT_EPSILON
-                if timer_at is not None and timer_at <= deadline:
+                if timer_at <= deadline:
                     fired = 0
                     while True:
-                        batch = timerq.pop_due(deadline)
-                        if not batch:
-                            break
-                        fired += len(batch)
-                        for callback in batch:
+                        if len(timers) > self._timer_hwm:
+                            self._timer_hwm = len(timers)
+                        callback = heappop(timers)[2]
+                        if timers and timers[0][0] <= deadline:
+                            batch = [callback]
+                            while timers and timers[0][0] <= deadline:
+                                batch.append(heappop(timers)[2])
+                            fired += len(batch)
+                            for callback in batch:
+                                callback()
+                        else:
+                            fired += 1
                             callback()
-                    self._timer_next = timerq.peek()
-                    if fired:
-                        self.timers_fired += fired
-                        self._drain_batches += 1
-                        self._drain_events += fired
+                        if not timers or timers[0][0] > deadline:
+                            break
+                    self.timers_fired += fired
+                    self._drain_batches += 1
+                    self._drain_events += fired
 
                 # ---- resume drain: completed threads re-dispatch inline.
                 if resumes:
@@ -560,7 +573,10 @@ class Engine:
                                 dirty.append(core._cpos)
                         else:
                             thread._on_core = None
-                            self._dispatch_slow(thread, request)
+                            if request.__class__ is Block:
+                                thread.state = blocked_state
+                            else:
+                                self._dispatch_slow(thread, request)
                     self.current = None
                     self._events_processed += len(resumes)
                     resumes.clear()

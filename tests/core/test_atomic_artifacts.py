@@ -57,6 +57,13 @@ def test_atomic_write_replaces_on_clean_exit_only(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
+def test_atomic_write_creates_the_parent_directory(tmp_path):
+    path = tmp_path / "out" / "perf.json"
+    with atomic_write(path) as fh:
+        fh.write("{}")
+    assert path.read_text(encoding="utf-8") == "{}"
+
+
 def test_logbook_save_survives_a_failing_serialiser(runtime, tmp_path, monkeypatch):
     path = tmp_path / "logbook.json"
     path.write_text(PREVIOUS, encoding="utf-8")

@@ -50,19 +50,27 @@ def test_perf_json_works_without_faults(tmp_path, capsys):
 
 def test_perf_json_attributes_host_time_by_role(tmp_path):
     """--perf-json arms the per-role split: every engine resumption is
-    charged to exactly one role, and the roles plus the loop remainder
-    account for the whole of ``wall_seconds``."""
+    charged to exactly one thread role, every timer callback to ``timers``
+    and to its owner, and the roles plus the loop remainder account for
+    the whole of ``wall_seconds``."""
     path = tmp_path / "perf.json"
     assert main(["run", "--apps", "TX:1", "--timing-only", "--mode", "api",
                  "--perf-json", str(path)]) == 0
     snap = json.loads(path.read_text())
     host_ns, resumes = snap["host_ns_by_role"], snap["resumes_by_role"]
-    assert set(host_ns) == {"daemon", "worker", "app", "loop"}
-    assert set(resumes) == {"daemon", "worker", "app"}
+    by_owner = snap["timer_ns_by_owner"]
+    assert set(host_ns) == {"daemon", "worker", "app", "timers", "loop"}
+    assert set(resumes) == {"daemon", "worker", "app", "timers"}
     assert all(count > 0 for count in resumes.values())
-    assert sum(resumes.values()) == snap["engine_events"]
+    assert sum(resumes.values()) - resumes["timers"] == snap["engine_events"]
+    assert resumes["timers"] == snap["event_core"]["timers_fired"]
     assert all(ns > 0 for ns in host_ns.values())
     assert sum(host_ns.values()) == round(snap["wall_seconds"] * 1e9)
+    # signal-latency wakes are partial(engine.wake, waiter): charged to
+    # Engine.wake; the arrival closure is the daemon's own
+    assert "Engine.wake" in by_owner
+    assert any(owner.endswith("_arrive") for owner in by_owner)
+    assert sum(by_owner.values()) == host_ns["timers"]
 
 
 def test_fault_runs_are_deterministic_via_cli(tmp_path):
@@ -76,7 +84,8 @@ def test_fault_runs_are_deterministic_via_cli(tmp_path):
     a, b = snapshot("a.json"), snapshot("b.json")
     a.pop("wall_seconds", None), b.pop("wall_seconds", None)
     a.pop("events_per_wall_sec", None), b.pop("events_per_wall_sec", None)
-    a.pop("host_ns_by_role"), b.pop("host_ns_by_role")  # host time, like the two above
+    for key in ("host_ns_by_role", "timer_ns_by_owner"):  # host time, like the two above
+        a.pop(key), b.pop(key)
     assert a == b
 
 

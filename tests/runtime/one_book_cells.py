@@ -41,6 +41,7 @@ CELLS = {
 
 HOST_TIME_KEYS = (
     "wall_seconds", "events_per_wall_sec", "host_ns_by_role", "resumes_by_role",
+    "timer_ns_by_owner",
 )
 
 

@@ -207,6 +207,24 @@ BAD_NUMBERS = [
                  id="platform-fft-range"),
     pytest.param(_doc(platform={"name": "jetson", "cpu": 0}), "[platform]",
                  id="platform-cpu-range"),
+    # arrival numbers validated with a digest and failed only mid-run (a NaN
+    # rate reached the engine as a NaN timer instant)
+    pytest.param(_serve_doc(arrival="poisson:rate=nan"),
+                 "[serve]: arrival parameter rate must be finite", id="arrival-rate-nan"),
+    pytest.param(_serve_doc(arrival="poisson:rate=0"),
+                 "[serve]: arrival parameter rate must be positive", id="arrival-rate-zero"),
+    pytest.param(_serve_doc(arrival="periodic:period=0"),
+                 "[serve]: arrival parameter period must be positive",
+                 id="arrival-period-zero"),
+    pytest.param(_serve_doc(arrival="bursty:rate=10,burst_len=0"),
+                 "[serve]: arrival parameter burst_len must be positive",
+                 id="arrival-burst-len-zero"),
+    pytest.param(_serve_doc(arrival="diurnal:rate=10,floor=2"),
+                 "[serve]: arrival parameter floor must be in [0, 1]",
+                 id="arrival-floor-range"),
+    pytest.param(_doc(workload={"apps": "PD:1", "arrival": "bursty",
+                                "arrival_params": {"idle_len": -1.0}}),
+                 "arrival parameter idle_len must be >= 0", id="run-arrival-idle-negative"),
 ]
 
 
@@ -258,6 +276,18 @@ def test_validate_cli_fails_hostile_numbers_without_traceback(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(docs)
     assert all(line.startswith("FAIL ") and "digest" not in line for line in lines)
+
+
+def test_serve_flag_with_bad_arrival_number_exits_on_one_line():
+    """``repro serve --arrival poisson:rate=nan`` used to die mid-run with
+    the engine's ``SimTimeError``; it now fails while the flags lower."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as ei:
+        main(["serve", "--duration", "0.05", "--arrival", "poisson:rate=nan"])
+    message = str(ei.value.code)
+    assert message.startswith("repro serve [serve]: arrival parameter rate")
+    assert "must be finite" in message and "\n" not in message
 
 
 def test_validate_cli_reports_unknown_app(tmp_path, capsys):

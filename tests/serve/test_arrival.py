@@ -57,9 +57,23 @@ class TestArrivalSpec:
             next(make_arrival_stream(spec, np.random.default_rng(0)))
 
     def test_nonpositive_rate_rejected(self):
-        spec = ArrivalSpec.make("periodic", rate=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            next(make_arrival_stream(spec, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="rate must be positive"):
+            ArrivalSpec.make("periodic", rate=0.0)
+
+    @pytest.mark.parametrize("text,message", [
+        ("poisson:rate=nan", "rate must be finite, got nan"),
+        ("poisson:rate=inf", "rate must be finite, got inf"),
+        ("periodic:period=0", "period must be positive"),
+        ("periodic:rate=100,phase=nan", "phase must be finite"),
+        ("diurnal:rate=10,cycle=-1", "cycle must be positive"),
+        ("bursty:rate=10,idle_len=-0.1", "idle_len must be >= 0"),
+        ("trace:times=0.1;0.2,loop=0", "loop must be positive"),
+        ("poisson:rate=fast", "rate='fast' must be numeric"),
+    ])
+    def test_bad_numbers_rejected_at_construction(self, text, message):
+        """A spec that would fail inside a running engine never builds."""
+        with pytest.raises(ValueError, match=message):
+            ArrivalSpec.parse(text)
 
 
 class TestBuiltins:
@@ -101,14 +115,12 @@ class TestBuiltins:
         assert all(b >= a for a, b in zip(got, got[1:]))
 
     def test_bursty_validates_dwells(self):
-        spec = ArrivalSpec.make("bursty", rate=10.0, burst_len=0.0)
         with pytest.raises(ValueError, match="burst_len"):
-            next(make_arrival_stream(spec, np.random.default_rng(0)))
+            ArrivalSpec.make("bursty", rate=10.0, burst_len=0.0)
 
     def test_diurnal_validates_envelope(self):
-        spec = ArrivalSpec.make("diurnal", rate=10.0, floor=1.5)
         with pytest.raises(ValueError, match="floor"):
-            next(make_arrival_stream(spec, np.random.default_rng(0)))
+            ArrivalSpec.make("diurnal", rate=10.0, floor=1.5)
 
     def test_diurnal_thins_the_offpeak(self):
         # with floor=0 the first half-cycle starts near rate 0: far fewer

@@ -13,7 +13,15 @@ proof rather than a tautology.  Imported by tests only.
 from heapq import heappop, heappush
 from typing import Optional
 
-from repro.simcore import Compute, Engine, SimDeadlock, SimStateError, SimTimeError, ThreadState
+from repro.simcore import (
+    Block,
+    Compute,
+    Engine,
+    SimDeadlock,
+    SimStateError,
+    SimTimeError,
+    ThreadState,
+)
 from repro.simcore.cores import WORK_EPSILON, Core
 from repro.simcore.engine import _INSTANT_EPSILON, _core_index
 
@@ -55,7 +63,7 @@ class ReferenceEngine(Engine):
 
     def run(self, until: Optional[float] = None, strict: bool = True) -> float:
         ready = self._ready
-        timerq = self._timerq
+        timers = self._timers
         completions = self._completions
         ready_state = ThreadState.READY
         running_state = ThreadState.RUNNING
@@ -109,12 +117,14 @@ class ReferenceEngine(Engine):
                         if cidx is not None:
                             cidx._dirty.append(core._cpos)
                     thread.state = running_state
+                elif request.__class__ is Block:
+                    thread.state = ThreadState.BLOCKED
                 else:
                     self._dispatch_slow(thread, request)
             self.current = None
             self._events_processed += events
 
-            timer_at = self._timer_next
+            timer_at = timers[0][0] if timers else None
             compute_at = completions.min_at(self.now)
 
             if timer_at is None and compute_at is None:
@@ -142,15 +152,14 @@ class ReferenceEngine(Engine):
             deadline = self.now + _INSTANT_EPSILON
             if timer_at is not None and timer_at <= deadline:
                 fired = 0
-                while True:
-                    batch = timerq.pop_due(deadline)
-                    if not batch:
-                        break
+                while timers and timers[0][0] <= deadline:
+                    self._timer_hwm = max(self._timer_hwm, len(timers))
+                    batch = []
+                    while timers and timers[0][0] <= deadline:
+                        batch.append(heappop(timers)[2])
                     fired += len(batch)
                     for callback in batch:
                         callback()
-                self._timer_next = timerq.peek()
-                if fired:
-                    self.timers_fired += fired
-                    self._drain_batches += 1
-                    self._drain_events += fired
+                self.timers_fired += fired
+                self._drain_batches += 1
+                self._drain_events += fired

@@ -13,11 +13,13 @@ spinners and ``until`` stepping under both and compare float state by
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.simcore import (
     AcquireDevice,
+    Block,
     Compute,
     Engine,
     Condition,
@@ -254,6 +256,36 @@ def test_unsupported_request_names_the_thread_and_leaves_engine_at_rest(
     assert queued == set(survivors)
     eng.run()
     assert all(not t.alive and t.cpu_time == pytest.approx(3e-4) for t in survivors)
+
+
+class _TaggedBlock(Block):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("impl", sorted(ENGINES))
+@pytest.mark.parametrize(
+    "bad", [_TaggedBlock(), Request(), "not a request"],
+    ids=["block-subclass", "bare", "non-request"],
+)
+@pytest.mark.parametrize("after_compute", [False, True], ids=["ready", "resume"])
+def test_unsupported_request_after_block_names_the_thread(impl, bad, after_compute):
+    """``Block`` is parked inline beside ``Compute``; a thread that parks,
+    is woken by a timer and then yields something outside the vocabulary -
+    a ``Block`` subclass included - still gets the named-thread error."""
+
+    def rogue():
+        if after_compute:
+            yield Compute(1e-4)
+        yield Block()
+        yield bad
+
+    eng = ENGINES[impl](cores=1, seed=1)
+    thread = eng.spawn(rogue(), name="rogue")
+    eng.call_at(1e-3, partial(eng.wake, thread))
+    with pytest.raises(SimStateError, match="'rogue' yielded unsupported request"):
+        eng.run()
+    assert eng.now == pytest.approx(1e-3)
+    assert eng.timers_fired == 1
 
 
 def test_engine_deadlock_detection_matches_reference():

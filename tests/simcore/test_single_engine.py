@@ -1,8 +1,9 @@
 """The deletion stays deleted: one engine, one rate formula, no selectors.
 
 The simulator used to ship {heap, wheel} x {objects, flat}, each axis
-selectable six ways, with the processor-sharing rate spelled in six mirrors.
-These checks fail the moment a second copy or a selector creeps back in.
+selectable six ways, with the processor-sharing rate spelled in six mirrors,
+and later a timer wheel beside the heap it was proven equal to.  These
+checks fail the moment a second copy or a selector creeps back in.
 """
 
 import dataclasses
@@ -32,6 +33,17 @@ def test_ps_rate_formula_is_spelled_once():
     ]
     assert hits == [("cores.py", "alpha * (k - 1)")], hits
     assert "def share_rate" in SOURCES["cores.py"]
+
+
+def test_timers_are_one_heap_the_engine_owns():
+    """The calendar-queue wheel and the engine's earliest-timer cache are
+    gone: pending timers are the engine's own heapq list."""
+    assert "timerwheel.py" not in SOURCES
+    assert not hasattr(repro.simcore, "TimerWheel")
+    for name, text in SOURCES.items():
+        assert "_timer_next" not in text and "TimerWheel" not in text, name
+    engine = Engine()
+    assert type(engine._timers) is list and not hasattr(engine, "_timer_next")
 
 
 def test_engine_constructor_takes_cores_and_seed_only():
