@@ -2,7 +2,8 @@
 torn one.
 
 Every file a run leaves behind - logbook dumps, Chrome traces, metric
-exports, ``--perf-json``, sweep-cache entries - is written to a temporary
+exports, ``--perf-json``, sweep-cache entries, scenario documents, corpus
+reports, minimizer artifacts, DAG spec files - is written to a temporary
 sibling and moved over the target with :func:`os.replace`, so Ctrl-C or a
 serialiser error part-way leaves whatever was there before, byte for byte.
 """

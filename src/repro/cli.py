@@ -42,65 +42,96 @@ from repro.metrics import RunResult
 from repro.platforms import PLATFORMS, available_platforms, estimate_energy
 from repro.runtime.trace import write_chrome_trace
 from repro.sched import available_schedulers
+from repro.scenario_keys import KEYS
 from repro.serve.admission import ADMISSION_POLICIES
 
 __all__ = ["main", "build_parser"]
 
-MODES = ("dag", "api")
-
-#: platform parameters the oracle sweeps use (match the figure configs)
-AUDIT_PLATFORM_PARAMS = {
-    "zcu102": {"cpu": 3, "fft": 1},
-    "jetson": {"cpu": 3},
-    "zcu102-biglittle": {"cpu": 3, "fft": 1, "little": 4, "mmult": 0},
+#: what ``audit diff`` lowers to where the document defaults do not apply:
+#: the oracle sweeps the figure grid, so its flag defaults and (per
+#: platform, not flags) its platform parameters match the figure configs
+AUDIT_DEFAULTS = {
+    "scheduler": "etf", "apps": "PD:1,TX:1", "trials": 2, "duration": 0.2,
+    "arrival": "poisson:rate=150", "admission": "block",
+    "platform_params": {
+        "zcu102": {"cpu": 3, "fft": 1},
+        "jetson": {"cpu": 3},
+        "zcu102-biglittle": {"cpu": 3, "fft": 1, "little": 4, "mmult": 0},
+    },
 }
 
 
 # --------------------------------------------------------------------- #
-# shared option groups (one definition, every subcommand)
+# spec flags: declared and lowered from the key table
 # --------------------------------------------------------------------- #
 
 
-def _add_platform_options(parser, *, params: bool = True,
-                          help: str = "") -> None:
-    """The ``--platform`` family shared by run/serve/audit."""
-    parser.add_argument("--platform", choices=available_platforms(),
-                        default="zcu102", help=help or None)
-    if not params:
-        return
-    parser.add_argument("--cpu", type=int, default=None,
-                        help="CPU worker PEs (platform default if omitted)")
-    parser.add_argument("--fft", type=int, default=1,
-                        help="FFT accelerators (ZCU102)")
-    parser.add_argument("--mmult", type=int, default=0,
-                        help="MMULT accelerators (ZCU102)")
-    parser.add_argument("--little", type=int, default=4,
-                        help="LITTLE cores (zcu102-biglittle only)")
-    parser.add_argument("--gpu", type=int, default=None,
-                        help="GPU accelerators (jetson only)")
+def _add_spec_flags(parser, verb: str) -> None:
+    """Declare every key-table flag *verb* exposes (one per spelling)."""
+    from repro.faults import available_fault_kinds
+    from repro.serve import available_arrivals
+
+    lists = {"apps": ",".join(available_apps()),
+             "arrivals": ", ".join(available_arrivals()),
+             "fault_kinds": ",".join(available_fault_kinds())}
+    defaults = AUDIT_DEFAULTS if verb == "audit" else {}
+    declared = set()
+    for row in KEYS:
+        if verb not in row.verbs or row.flag in declared:
+            continue
+        declared.add(row.flag)
+        help = ("diff only: " if verb == "audit" else "") + row.help.format(**lists)
+        if row.type == "bool":
+            parser.add_argument(row.flag, action="store_true", help=help)
+            continue
+        default = defaults.get(row.dest, row.default)
+        if row.type == "kinds":
+            default = ",".join(kind.value for kind in default)
+        choices = row.choices() if row.choices else (
+            row.check if isinstance(row.check, tuple) else None)
+        parser.add_argument(row.flag, default=default, choices=choices, help=help,
+                            type={"int": int, "int?": int, "float": float}.get(row.type))
 
 
-def _add_mode_option(parser) -> None:
-    parser.add_argument("--mode", choices=MODES, default="api")
+def _lower(args):
+    """Lower a flag namespace to a validated ``ScenarioSpec``: each key-table
+    flag of the verb becomes its ``[section] key`` of a scenario document.
+    Every validation failure (``ScenarioError`` and ``RegistryError`` are
+    both ``ValueError``) exits on one line."""
+    from repro.scenario import ScenarioSpec
+
+    verb = args.command
+    kind = "serve" if verb == "serve" or getattr(args, "serve", False) else "run"
+    doc = {"scenario": {"name": "audit-diff" if verb == "audit" else "cli",
+                        "kind": kind}}
+    accepted = PLATFORMS.get(args.platform).params
+    for row in KEYS:
+        if verb not in row.verbs or not row.in_scope(kind):
+            continue
+        value = getattr(args, row.dest)
+        if row.attr.startswith("platform_params.") and (
+                row.key not in accepted or value is None):
+            continue  # --fft reaches only platforms that take an fft
+        row.place(doc, value)
+    # the flags that are not "this key = this value"
+    if verb == "run":
+        doc["run"]["execute"] = not args.timing_only
+        if not args.fault_rate > 0.0:
+            del doc["faults"]
+        if not (args.metrics_out or args.metrics_interval > 0.0):
+            del doc["telemetry"]
+    if verb == "audit":
+        doc["platform"].update(AUDIT_DEFAULTS["platform_params"].get(args.platform, {}))
+        if kind == "run":
+            doc["workload"]["name"] = "audit-diff"  # an RNG label
+    try:
+        return ScenarioSpec.from_mapping(doc, source=f"repro {verb}")
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
-def _add_admission_options(parser, *, default: str = "shed",
-                           caps: bool = True) -> None:
-    """The admission-control block shared by serve and ``audit diff``."""
-    parser.add_argument("--admission", choices=ADMISSION_POLICIES,
-                        default=default,
-                        help="policy for arrivals the system cannot take")
-    parser.add_argument("--slo-ms", type=float, default=50.0,
-                        help="per-tenant response-time objective, ms")
-    if not caps:
-        return
-    parser.add_argument("--max-in-system", type=int, default=32,
-                        help="admitted-but-unfinished cap across tenants")
-    parser.add_argument("--queue-cap", type=int, default=16,
-                        help="per-tenant hold-queue bound (block policy)")
-    parser.add_argument("--quota-rate", type=float, default=0.0,
-                        help="per-tenant token-bucket refill, arrivals/s "
-                             "(0 = unlimited)")
+#: ``repro run`` / ``repro serve`` flags as a run- / serve-kind spec
+_run_spec = _serve_spec = _lower
 
 
 def _add_cache_options(parser) -> None:
@@ -133,14 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a workload and print its metrics")
     run.set_defaults(func=_cmd_run)
-    _add_platform_options(run)
-    run.add_argument("--apps", default="PD:2,TX:2",
-                     help="comma list of NAME:COUNT (apps: %s)"
-                          % ",".join(available_apps()))
-    _add_mode_option(run)
-    run.add_argument("--scheduler", default="heft_rt")
-    run.add_argument("--rate", type=float, default=200.0, help="injection rate, Mbps")
-    run.add_argument("--seed", type=int, default=0)
+    _add_spec_flags(run, "run")
     run.add_argument("--timing-only", action="store_true",
                      help="skip functional kernel execution")
     run.add_argument("--energy", action="store_true", help="print an energy estimate")
@@ -155,28 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dump the runtime's PerfCounters snapshot "
                           "(incl. fault/retry counters and the host-time "
                           "split by thread role) as JSON to PATH")
-    run.add_argument("--fault-rate", type=float, default=0.0,
-                     help="per-PE fault rate, faults per simulated second "
-                          "(0 disables fault injection)")
-    run.add_argument("--fault-seed", type=int, default=None,
-                     help="fault-schedule seed (default: derive from --seed)")
-    run.add_argument("--fault-kinds", default="transient,hang,slowdown",
-                     help="comma list of fault kinds to inject "
-                          "(transient,hang,failstop,slowdown)")
-    run.add_argument("--max-retries", type=int, default=3,
-                     help="per-task retry budget before the app is failed")
     run.add_argument("--metrics-out", metavar="BASE", default=None,
                      help="enable telemetry and write BASE.json + BASE.prom "
                           "(Prometheus exposition format) at shutdown")
-    run.add_argument("--metrics-interval", type=float, default=0.0,
-                     help="periodic telemetry snapshot interval, simulated "
-                          "seconds (0 = final snapshot only; implies "
-                          "telemetry collection even without --metrics-out)")
-    run.add_argument("--audit", action="store_true",
-                     help="enable the online schedule auditor: every "
-                          "scheduling round and task completion is checked "
-                          "against the invariant catalog as it happens, and "
-                          "the full catalog replays at shutdown")
     run.add_argument("--logbook", metavar="PATH", default=None,
                      help="write the run's logbook dump (schema-versioned "
                           "JSON) to PATH; audit it later with "
@@ -192,26 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the per-tenant SLO ledger.",
     )
     serve.set_defaults(func=_cmd_serve)
-    _add_platform_options(serve)
-    serve.add_argument("--apps", default="PD:1,TX:1",
-                       help="app mix cycled round-robin per tenant, comma "
-                            "list of NAME:COUNT (apps: %s)"
-                            % ",".join(available_apps()))
-    serve.add_argument("--duration", type=float, default=0.5,
-                       help="service window, simulated seconds")
-    serve.add_argument("--arrival", default="poisson:rate=100",
-                       help="arrival process per tenant, KIND:k=v,... "
-                            "(kinds: poisson, periodic, bursty, diurnal, "
-                            "trace); each tenant gets an independent stream "
-                            "of this process")
-    serve.add_argument("--tenants", type=int, default=1,
-                       help="number of identically configured tenants")
-    _add_admission_options(serve, default="shed")
-    _add_mode_option(serve)
-    serve.add_argument("--scheduler", default="heft_rt")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--audit", action="store_true",
-                       help="run with the online schedule auditor enabled")
+    _add_spec_flags(serve, "serve")
 
     audit = sub.add_parser(
         "audit",
@@ -226,36 +212,19 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("target",
                        help="path to a logbook JSON dump, or 'diff' to run "
                             "the differential oracle")
-    _add_platform_options(audit, params=False,
-                          help="diff only: platform for the oracle sweep")
-    audit.add_argument("--apps", default="PD:1,TX:1",
-                       help="diff only: workload, comma list of NAME:COUNT")
-    _add_mode_option(audit)
-    audit.add_argument("--scheduler", default="etf")
+    _add_spec_flags(audit, "audit")
     audit.add_argument("--rates", type=int, default=4,
                        help="diff only: injection-rate grid points")
-    audit.add_argument("--trials", type=int, default=2)
-    audit.add_argument("--seed", type=int, default=0)
     audit.add_argument("--jobs", type=int, default=2,
                        help="diff only: worker processes for the --jobs "
                             "pairing")
     audit.add_argument("--variants", default=None,
                        help="diff only: comma list of pairings to run "
                             "(default: all of %s)" % ",".join(DEFAULT_VARIANTS))
-    audit.add_argument("--execute", action="store_true",
-                       help="diff only: execute kernels functionally "
-                            "instead of timing-only")
     audit.add_argument("--serve", action="store_true",
                        help="diff only: run the serve-mode oracle instead "
                             "of the batch one (pairings: %s)"
                             % ",".join(SERVE_VARIANTS))
-    audit.add_argument("--duration", type=float, default=0.2,
-                       help="diff --serve only: service window, simulated "
-                            "seconds")
-    audit.add_argument("--arrival", default="poisson:rate=150",
-                       help="diff --serve only: arrival process, "
-                            "KIND:k=v,...")
-    _add_admission_options(audit, default="block", caps=False)
 
     tel = sub.add_parser(
         "telemetry",
@@ -409,78 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _platform_params(args) -> dict:
-    """The ``--cpu/--fft/...`` flags this platform accepts and that were given.
-
-    ``--fft`` exists for every subcommand but only reaches platforms that
-    declare an ``fft`` parameter, so plugin platforms work with the stock
-    option group.
-    """
-    accepted = PLATFORMS.get(args.platform).params
-    flags = {"cpu": args.cpu, "fft": args.fft, "mmult": args.mmult,
-             "little": args.little, "gpu": args.gpu}
-    return {k: v for k, v in flags.items() if k in accepted and v is not None}
-
-
-def _lower(args, *, name="cli", platform_params=None, trials=1, **sections):
-    """Lower a flag namespace to a validated ``ScenarioSpec``.
-
-    The one construction route: flags become a scenario document, the
-    document becomes a spec, and only the spec's ``build_*`` methods make
-    objects.  Every validation failure (``ScenarioError`` and
-    ``RegistryError`` are both ``ValueError``) exits on one line.
-    """
-    from repro.scenario import ScenarioSpec
-
-    if platform_params is None:
-        platform_params = _platform_params(args)
-    doc = {
-        "scenario": {"name": name, "kind": "serve" if "serve" in sections else "run",
-                     "seed": args.seed, "trials": trials},
-        "platform": {"name": args.platform, **platform_params},
-        "scheduler": {"name": args.scheduler},
-        **sections,
-    }
-    try:
-        return ScenarioSpec.from_mapping(doc, source=f"repro {args.command}")
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-
-
-def _run_spec(args):
-    """``repro run`` flags as a run-kind spec."""
-    sections = {
-        "engine": {"audit": args.audit},
-        "workload": {"apps": args.apps},
-        "run": {"mode": args.mode, "rate_mbps": args.rate,
-                "execute": not args.timing_only},
-    }
-    if args.fault_rate > 0.0:
-        sections["faults"] = {"rate": args.fault_rate, "seed": args.fault_seed,
-                              "kinds": args.fault_kinds,
-                              "max_retries": args.max_retries}
-    if args.metrics_out or args.metrics_interval > 0.0:
-        sections["telemetry"] = {"interval_s": args.metrics_interval}
-    return _lower(args, **sections)
-
-
-def _serve_section(args, **extra) -> dict:
-    """The ``[serve]`` keys ``repro serve`` and ``audit diff --serve`` share."""
-    return {"duration": args.duration, "arrival": args.arrival,
-            "slo_ms": args.slo_ms, "apps": args.apps, "mode": args.mode, **extra}
-
-
-def _serve_spec(args):
-    """``repro serve`` flags as a serve-kind spec."""
-    admission = {"policy": args.admission, "max_in_system": args.max_in_system,
-                 "queue_cap": args.queue_cap, "quota_rate": args.quota_rate}
-    return _lower(
-        args,
-        engine={"audit": args.audit},
-        serve=_serve_section(args, tenants=args.tenants, admission=admission),
-    )
-
-
 def _cmd_list(args) -> int:
     from repro.experiments import available_figures
     from repro.faults import available_fault_kinds
@@ -501,7 +398,7 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     from repro.experiments import run_to_completion
 
-    spec = _run_spec(args)
+    spec = _lower(args)
     platform_cfg = spec.build_platform()
     # the finished runtime, not just its RunResult: trace, Gantt, logbook,
     # metrics, perf and energy outputs all read the live object (which is
@@ -581,11 +478,9 @@ def _cmd_serve(args) -> int:
     """Run one open-stream service window and print the SLO ledger."""
     from repro.scenario import run_scenario
 
-    spec = _serve_spec(args)
+    spec = _lower(args)
     serve = spec.build_serve()  # for the header lines below
-    (result,) = run_scenario(
-        spec, trials=1, base_seed=spec.seed, n_jobs=1, cache=False
-    )
+    (result,) = run_scenario(spec, trials=1, base_seed=spec.seed, n_jobs=1, cache=False)
 
     print(f"platform  : {args.platform}  mode={args.mode}  "
           f"scheduler={args.scheduler}  window {serve.duration:g} s")
@@ -686,36 +581,16 @@ def _cmd_audit_diff(args) -> int:
                 f"unknown variant(s) {sorted(unknown)}; "
                 f"options: {','.join(available)}"
             )
-    # platform parameters match the figure configs, not the flag defaults
-    common = dict(
-        name="audit-diff",
-        platform_params=AUDIT_PLATFORM_PARAMS.get(args.platform, {}),
-        trials=args.trials,
-    )
-    grid = dict(
-        trials=args.trials, base_seed=args.seed, jobs=args.jobs, variants=variants
-    )
+    spec = _lower(args)
+    grid = dict(trials=args.trials, base_seed=args.seed, jobs=args.jobs,
+                variants=variants, config=spec.build_config())
     if args.serve:
-        spec = _lower(
-            args,
-            serve=_serve_section(args, admission={"policy": args.admission}),
-            **common,
-        )
-        report = diff_serve(
-            spec.build_platform(), spec.build_serve(),
-            config=spec.build_config(), **grid,
-        )
+        report = diff_serve(spec.build_platform(), spec.build_serve(), **grid)
     else:
-        spec = _lower(
-            args,
-            workload={"name": "audit-diff", "apps": args.apps},
-            run={"mode": args.mode, "execute": args.execute},
-            **common,
-        )
         report = diff_run(
             spec.build_platform(), spec.build_workload(), spec.mode,
             list(paper_injection_rates(n=args.rates)), spec.scheduler,
-            execute=spec.execute, config=spec.build_config(), **grid,
+            execute=spec.execute, **grid,
         )
     print(report.summary())
     return 0 if report.ok else 1
@@ -746,38 +621,33 @@ def _load_spec(path):
         raise SystemExit(str(exc)) from None
 
 
-def _cmd_scenario_validate(args) -> int:
+def _report_specs(paths, ok: str, fail: str) -> int:
+    """Load each document and print one line for it; 1 if any failed."""
     from repro.scenario import ScenarioError, load_scenario
 
-    failed = 0
-    for raw in args.specs:
-        try:
-            spec = load_scenario(raw)
-        except ScenarioError as exc:
-            print(f"FAIL {exc}")  # every ScenarioError names its document
-            failed += 1
-            continue
-        print(f"ok   {raw}: {spec.describe()}  [digest {spec.digest()[:12]}]")
-    return 1 if failed else 0
-
-
-def _cmd_scenario_list(args) -> int:
-    from repro.scenario import ScenarioError, load_scenario
-
-    paths = _scenario_paths(args.paths)
-    if not paths:
-        print(f"no scenario documents found under: {', '.join(args.paths)}")
-        return 1
     rc = 0
     for path in paths:
         try:
             spec = load_scenario(path)
-        except ScenarioError as exc:
-            print(f"{path}: INVALID ({exc})")
+        except ScenarioError as exc:  # every ScenarioError names its document
+            print(fail.format(path=path, exc=exc))
             rc = 1
             continue
-        print(f"{path}: {spec.describe()}  [digest {spec.digest()[:12]}]")
+        line = f"{spec.describe()}  [digest {spec.digest()[:12]}]"
+        print(ok.format(path=path, line=line))
     return rc
+
+
+def _cmd_scenario_validate(args) -> int:
+    return _report_specs(args.specs, "ok   {path}: {line}", "FAIL {exc}")
+
+
+def _cmd_scenario_list(args) -> int:
+    paths = _scenario_paths(args.paths)
+    if not paths:
+        print(f"no scenario documents found under: {', '.join(args.paths)}")
+        return 1
+    return _report_specs(paths, "{path}: {line}", "{path}: INVALID ({exc})")
 
 
 def _cmd_scenario_run(args) -> int:
@@ -891,19 +761,14 @@ def _cmd_corpus_generate(args) -> int:
     return 0
 
 
-def _corpus_load_specs(path_arg: str):
-    paths = _scenario_paths([path_arg])
-    if not paths:
-        raise SystemExit(f"no scenario documents under {path_arg}")
-    return [_load_spec(p) for p in paths]
-
-
 def _cmd_corpus_run(args) -> int:
     from repro.corpus import minimize_spec, run_corpus, write_artifacts
 
     if args.specs is not None:
-        specs = _corpus_load_specs(args.specs)
-        seed = None
+        paths = _scenario_paths([args.specs])
+        if not paths:
+            raise SystemExit(f"no scenario documents under {args.specs}")
+        specs, seed = [_load_spec(p) for p in paths], None
     else:
         specs = _corpus_generate(args)
         seed = args.seed
@@ -911,13 +776,8 @@ def _cmd_corpus_run(args) -> int:
     if args.schedulers:
         schedulers = [s.strip() for s in args.schedulers.split(",") if s.strip()]
     try:
-        report = run_corpus(
-            specs,
-            schedulers,
-            n_jobs=args.jobs,
-            anomaly_factor=args.anomaly_factor,
-            seed=seed,
-        )
+        report = run_corpus(specs, schedulers, n_jobs=args.jobs,
+                            anomaly_factor=args.anomaly_factor, seed=seed)
     except ValueError as exc:  # unknown scheduler, bad job count
         raise SystemExit(str(exc)) from None
     path = report.save(args.report)
@@ -932,16 +792,11 @@ def _cmd_corpus_run(args) -> int:
             if key in minimized:
                 continue
             minimized.add(key)
-            result = minimize_spec(
-                by_spec[cell.digest],
-                scheduler=cell.scheduler,
-                budget=args.minimize_budget,
-            )
+            result = minimize_spec(by_spec[cell.digest], scheduler=cell.scheduler,
+                                   budget=args.minimize_budget)
             cell_dir = write_artifacts(result, args.artifacts)
-            print(
-                f"minimized : {cell.name} x {cell.scheduler} "
-                f"[{result.status} {result.code}] -> {cell_dir}"
-            )
+            print(f"minimized : {cell.name} x {cell.scheduler} "
+                  f"[{result.status} {result.code}] -> {cell_dir}")
     return 1 if failures else 0
 
 
@@ -963,9 +818,8 @@ def _cmd_corpus_minimize(args) -> int:
     from repro.corpus import minimize_spec, write_artifacts
 
     try:
-        result = minimize_spec(
-            _load_spec(args.spec), scheduler=args.scheduler, budget=args.budget
-        )
+        result = minimize_spec(_load_spec(args.spec), scheduler=args.scheduler,
+                               budget=args.budget)
     except ValueError as exc:  # spec does not fail
         raise SystemExit(str(exc)) from None
     cell_dir = write_artifacts(result, args.artifacts)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
+from repro.atomic import atomic_write
 from repro.scenario import AppCount, ScenarioSpec
 from repro.serve import AdmissionConfig
 
@@ -222,5 +223,6 @@ def write_artifacts(
         "reproduce with:",
         f"  {command}",
     ]
-    (cell_dir / "repro.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(cell_dir / "repro.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     return cell_dir

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
+from repro.atomic import atomic_write
 from repro.audit import CATALOG, AuditViolation
 from repro.experiments.common import resolve_jobs
 from repro.metrics import RunResult
@@ -319,8 +320,8 @@ class CorpusReport:
 
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(), encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(self.to_json())
         return path
 
     @classmethod

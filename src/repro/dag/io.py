@@ -15,6 +15,8 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
+from repro.atomic import atomic_write
+
 from .app import DagProgram, parse_dag
 from .schema import DagValidationError, validate_spec
 
@@ -34,7 +36,8 @@ def save_spec(path: str | Path, spec: Mapping[str, Any], indent: int = 2) -> Pat
         text = json.dumps(spec, indent=indent, allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise DagValidationError(f"spec is not JSON-serializable: {exc}") from exc
-    path.write_text(text, encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(text)
     return path
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator, Optional, Sequence
 
 from repro.simcore import child_rng
@@ -98,8 +99,8 @@ class FaultSpec:
     kind: FaultKind
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at}")
+        if not 0 <= self.at < inf:  # NaN fails both comparisons
+            raise ValueError(f"fault time must be finite and >= 0, got {self.at}")
 
 
 @dataclass(frozen=True)
@@ -138,22 +139,39 @@ class FaultConfig:
     watchdog_grace_s: float = 5e-3
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"fault rate must be >= 0, got {self.rate}")
+        # chained compares also reject NaN and +inf: a NaN rate, hang or
+        # watchdog factor would reach the engine as a NaN timer instant
+        if not 0 <= self.rate < inf:
+            raise ValueError(f"fault rate must be finite and >= 0, got {self.rate}")
         if not self.kinds:
             raise ValueError("fault config needs at least one fault kind")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_s < 0 or self.retry_backoff_cap_s < 0:
-            raise ValueError("retry backoff values must be >= 0")
-        if self.hang_s <= 0 or self.slowdown_s <= 0:
-            raise ValueError("hang_s and slowdown_s must be > 0")
-        if self.slowdown_factor < 1.0:
+        if not (0 <= self.retry_backoff_s < inf and 0 <= self.retry_backoff_cap_s < inf):
             raise ValueError(
-                f"slowdown_factor is a slowdown (>= 1), got {self.slowdown_factor}"
+                f"retry backoff values must be finite and >= 0, got "
+                f"retry_backoff_s={self.retry_backoff_s}, "
+                f"retry_backoff_cap_s={self.retry_backoff_cap_s}"
             )
-        if self.watchdog_factor <= 0 or self.watchdog_grace_s < 0:
-            raise ValueError("watchdog parameters must be positive")
+        if not 0 <= self.quarantine_s < inf:
+            raise ValueError(
+                f"quarantine_s must be finite and >= 0, got {self.quarantine_s}"
+            )
+        if not (0 < self.hang_s < inf and 0 < self.slowdown_s < inf):
+            raise ValueError(
+                f"hang_s and slowdown_s must be finite and > 0, got "
+                f"hang_s={self.hang_s}, slowdown_s={self.slowdown_s}"
+            )
+        if not 1.0 <= self.slowdown_factor < inf:
+            raise ValueError(
+                f"slowdown_factor is a finite slowdown (>= 1), got {self.slowdown_factor}"
+            )
+        if not (0 < self.watchdog_factor < inf and 0 <= self.watchdog_grace_s < inf):
+            raise ValueError(
+                f"watchdog parameters must be finite and positive, got "
+                f"watchdog_factor={self.watchdog_factor}, "
+                f"watchdog_grace_s={self.watchdog_grace_s}"
+            )
 
     @property
     def active(self) -> bool:

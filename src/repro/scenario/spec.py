@@ -10,77 +10,46 @@ bug is a spec-path bug.  The builders produce objects equal to hand-built
 library ones (``WorkloadSpec(...)``, ``ServeConfig(...)``), hence the
 sweep cache content-addresses scenario cells together with figure sweeps.
 
-Document shape (TOML; JSON mirrors it)::
+A document is one TOML (or JSON) table per section; every key, its type,
+default and check is one row of the key table,
+:data:`repro.scenario_keys.KEYS`, and ``examples/scenarios/*.toml`` shows
+both kinds::
 
     [scenario]
-    name = "radar-zcu102"        # required
-    kind = "run"                 # "run" (default) or "serve"
-    seed = 0
-    trials = 1
+    name = "radar-zcu102"        # required; kind = "run" (default) or "serve"
 
-    [platform]
-    name = "zcu102"              # any registered platform
-    fft = 1                      # params the platform entry accepts
-
-    [scheduler]
-    name = "heft_rt"
-
-    [engine]                     # optional
-    audit = false
-
-    [telemetry]                  # optional; presence enables collection
-    interval_s = 0.01
-
-    [workload]                   # run kind
+    [workload]                   # run kind; [serve] for the serve kind
     apps = [ {name = "PD", count = 2}, {name = "TX", count = 2} ]
-    # or: preset = "radar-comms" (+ params = {n_pd = 5})
-    arrival = "periodic"         # any registered arrival process
-
-    [run]                        # run kind
-    mode = "api"
-    rate_mbps = 200.0
-    execute = true
-
-    [faults]                     # optional, run kind
-    rate = 25.0
-    kinds = ["transient", "hang"]
-
-    [serve]                      # serve kind
-    duration = 0.5
-    arrival = "poisson:rate=100"
-    tenants = 1
-    slo_ms = 50.0
-    apps = "PD:1,TX:1"
-
-    [serve.admission]
-    policy = "shed"
-    max_in_system = 32
 
 Unknown sections, unknown keys (an app's parameter overrides included),
-and unknown registry names all fail validation with the available entries
-and a did-you-mean hint - a typo'd scheduler name dies at ``repro scenario
-validate``, not three sweeps in.  Validation rejects what the builders
-would: the small frozen configs (platform, telemetry, admission) are
-constructed when the spec is, and rates/windows/SLOs must be finite and
-positive.  Application objects are not instantiated until ``build_*``.
+values of the wrong type and unknown registry names all fail validation
+naming the section and key, with the available entries and a did-you-mean
+hint - a typo'd scheduler name dies at ``repro scenario validate``, not
+three sweeps in.  Validation rejects what the builders would: the small
+frozen configs (platform, faults, admission) are constructed when the spec
+is, and the table's checks (rates/windows/SLOs finite and positive, counts
+>= 1) run in ``__post_init__``.  Application objects are not instantiated
+until ``build_*``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import difflib
 import hashlib
 import inspect
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from repro.apps import APPS, make_app
+from repro.atomic import atomic_write
 from repro.faults import FAULT_KINDS, FaultConfig
 from repro.platforms import PlatformConfig, make_platform
 from repro.runtime import RuntimeConfig
+from repro.scenario_keys import KEYS, SECTIONS, coerce
 from repro.sched import SCHEDULERS
 from repro.serve import AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
 from repro.telemetry import TelemetryConfig
@@ -95,14 +64,11 @@ __all__ = [
     "load_scenario",
 ]
 
-MODES = ("dag", "api")
-
-
 class ScenarioError(ValueError):
     """A scenario document failed validation (shape or registry names)."""
 
 
-def _unknown_keys(given, allowed, where: str) -> None:
+def _unknown_keys(given, allowed, where: str = "") -> None:
     unknown = sorted(set(given) - set(allowed))
     if not unknown:
         return
@@ -111,30 +77,21 @@ def _unknown_keys(given, allowed, where: str) -> None:
         close = difflib.get_close_matches(key, sorted(allowed), n=1)
         hints.append(f"{key!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
     raise ScenarioError(
-        f"{where}: unknown key(s) {', '.join(hints)}; "
+        f"{where}{': ' if where else ''}unknown key(s) {', '.join(hints)}; "
         f"allowed: {', '.join(sorted(allowed))}"
     )
 
 
-def _positive(value: float, where: str) -> None:
-    if not 0 < value < math.inf:  # NaN fails both comparisons
-        raise ScenarioError(f"{where} must be finite and positive, got {value}")
-
-
-def _toml_scalar(value: Any, where: str) -> str:
+def _toml_scalar(value: Any) -> str:
     """Render one scalar as TOML.  Floats use ``repr`` - exact round-trip."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ScenarioError(f"{where}: non-finite float {value!r}")
+    if isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)):
         return repr(value)
     if isinstance(value, str):
         # JSON string escaping is a subset of TOML basic-string syntax
         return json.dumps(value)
-    raise ScenarioError(f"{where}: cannot render {type(value).__name__} as TOML")
+    raise ScenarioError(f"cannot render {value!r} as TOML")
 
 
 def dump_toml(doc: Mapping[str, Any]) -> str:
@@ -148,52 +105,52 @@ def dump_toml(doc: Mapping[str, Any]) -> str:
     """
     lines: list[str] = []
 
-    def is_scalar_list(value: Any) -> bool:
-        return isinstance(value, (list, tuple)) and not any(
-            isinstance(item, Mapping) for item in value
-        )
-
-    def emit_table(path: str, table: Mapping[str, Any], *, array: bool = False) -> None:
-        if path:
-            if lines:
-                lines.append("")
-            lines.append(f"[[{path}]]" if array else f"[{path}]")
-        nested: list[tuple[str, Any]] = []
+    def emit_table(path: str, table: Mapping[str, Any], header: str) -> None:
+        if header:
+            lines.extend(["", header] if lines else [header])
+        nested = []
         for key, value in table.items():
-            where = f"{path or '<root>'}.{key}"
-            if value is None:
-                continue
-            if isinstance(value, Mapping):
-                nested.append((key, value))
-            elif is_scalar_list(value):
-                items = ", ".join(_toml_scalar(v, where) for v in value)
-                lines.append(f"{key} = [{items}]")
+            if isinstance(value, Mapping) or (
+                isinstance(value, list) and any(isinstance(v, Mapping) for v in value)
+            ):
+                nested.append((f"{path}.{key}" if path else key, value))
             elif isinstance(value, (list, tuple)):
-                nested.append((key, value))
-            else:
-                lines.append(f"{key} = {_toml_scalar(value, where)}")
-        for key, value in nested:
-            sub = f"{path}.{key}" if path else key
+                lines.append(f"{key} = [{', '.join(map(_toml_scalar, value))}]")
+            elif value is not None:
+                lines.append(f"{key} = {_toml_scalar(value)}")
+        for sub, value in nested:
             if isinstance(value, Mapping):
-                emit_table(sub, value)
+                emit_table(sub, value, f"[{sub}]")
             else:
                 for item in value:
-                    if not isinstance(item, Mapping):
-                        raise ScenarioError(
-                            f"{sub}: mixed scalar/table list is not TOML-able"
-                        )
-                    emit_table(sub, item, array=True)
+                    emit_table(sub, item, f"[[{sub}]]")
 
-    emit_table("", doc)
+    emit_table("", doc, "")
     return "\n".join(lines) + "\n"
 
 
-def _params_tuple(value, where: str) -> tuple[tuple[str, Any], ...]:
+def _checked(where: str, build, *args, **kwargs):
+    """``build(...)``, a failure re-raised as a ``ScenarioError`` after *where*."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where} {exc}".lstrip()) from None
+
+
+def _params_tuple(value) -> tuple[tuple[str, Any], ...]:
     if value is None:
         return ()
     if not isinstance(value, Mapping):
-        raise ScenarioError(f"{where} must be a table of name = value pairs")
+        raise ScenarioError("must be a table of name = value pairs")
     return tuple(sorted((str(k), v) for k, v in value.items()))
+
+
+def _parse_kinds(value) -> tuple:
+    if isinstance(value, str):
+        return FaultConfig.parse_kinds(value)
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"expected a list of fault kinds, got {value!r}")
+    return tuple(FAULT_KINDS.get(str(k)).kind for k in value)
 
 
 def _factory_keys(factory) -> Optional[set[str]]:
@@ -217,9 +174,7 @@ class AppCount:
         entry = APPS.get(self.name)  # RegistryError lists + suggests
         object.__setattr__(self, "name", entry.name)
         if self.count < 1:
-            raise ScenarioError(
-                f"app {self.name!r} count must be >= 1, got {self.count}"
-            )
+            raise ScenarioError(f"app {self.name!r} count must be >= 1, got {self.count}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
         if self.params:
             accepted = _factory_keys(entry.factory)
@@ -227,7 +182,7 @@ class AppCount:
                 _unknown_keys(dict(self.params), accepted, f"app {self.name!r}")
 
 
-def _parse_app_list(value, where: str) -> tuple[AppCount, ...]:
+def _parse_app_list(value) -> tuple[AppCount, ...]:
     """Parse ``apps`` - a CLI-style string or a list of app tables."""
     if isinstance(value, str):
         out = []
@@ -239,35 +194,32 @@ def _parse_app_list(value, where: str) -> tuple[AppCount, ...]:
             try:
                 n = int(count) if count else 1
             except ValueError:
-                raise ScenarioError(f"{where}: bad count in {part!r}") from None
+                raise ScenarioError(f"bad count in {part!r}") from None
             out.append(AppCount(name.strip(), n))
         if not out:
-            raise ScenarioError(f"{where}: empty app list")
+            raise ScenarioError("empty app list")
         return tuple(out)
     if not isinstance(value, (list, tuple)) or not value:
         raise ScenarioError(
-            f"{where}: apps must be a non-empty list of app tables "
-            f'or a "NAME:COUNT,..." string'
+            'must be a non-empty list of app tables or a "NAME:COUNT,..." string'
         )
     out = []
     for i, item in enumerate(value):
-        if isinstance(item, AppCount):
-            out.append(item)
-            continue
         if not isinstance(item, Mapping):
-            raise ScenarioError(f"{where}[{i}]: each app must be a table")
+            raise ScenarioError(f"entry {i}: each app must be a table")
         row = dict(item)
         name = row.pop("name", None)
         if name is None:
-            raise ScenarioError(f"{where}[{i}]: app table needs a name")
-        count = row.pop("count", 1)
-        out.append(AppCount(str(name), int(count), tuple(sorted(row.items()))))
+            raise ScenarioError(f"entry {i}: app table needs a name")
+        count = _checked(f"entry {i} count:", coerce, "int", row.pop("count", 1))
+        out.append(AppCount(str(name), count, tuple(sorted(row.items()))))
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class ServeSection:
-    """The serve-kind half of a spec: tenants, window, admission."""
+    """The serve-kind half of a spec: tenants, window, admission.  Its keys
+    are checked by the :class:`ScenarioSpec` that holds it."""
 
     duration: float = 0.5
     arrival: str = "poisson:rate=100"
@@ -276,12 +228,88 @@ class ServeSection:
     apps: tuple[AppCount, ...] = (AppCount("PD"), AppCount("TX"))
     admission: AdmissionConfig = AdmissionConfig()
 
-    def __post_init__(self) -> None:
-        ArrivalSpec.parse(self.arrival)  # validates kind, shape and numbers
-        if self.tenants < 1:
-            raise ScenarioError(f"[serve] tenants must be >= 1, got {self.tenants}")
-        _positive(self.duration, "[serve] duration")
-        _positive(self.slo_ms, "[serve] slo_ms")
+
+#: key type -> parser: the structured types here, the scalar ones ``coerce``
+_PARSE = {"apps": _parse_app_list, "params": _params_tuple, "kinds": _parse_kinds,
+          **{name: partial(coerce, name) for name in ("bool", "int", "int?", "float", "str")}}
+_ROWS = {(row.section, row.key): row for row in KEYS}
+_ALLOWED = {s: {row.key for row in KEYS if row.section == s} for s in SECTIONS}
+_ALLOWED["serve"].add("admission")
+#: rows with a spec-side check, run by ``ScenarioSpec.__post_init__``
+_CHECKED = tuple(row for row in KEYS if row.check is not None)
+#: the dotted attributes below a spec field, innermost first, and what
+#: their collected keys construct; ``platform_params`` is open - undeclared
+#: ``[platform]`` keys are the platform entry's to accept or reject
+_NESTED = (
+    ("platform_params", lambda **params: tuple(params.items())),
+    ("faults", FaultConfig),
+    ("serve.admission", AdmissionConfig),
+    ("serve", ServeSection),
+)
+_ABSENT = object()
+
+
+def _attr(obj, path: str):
+    """The value at a dotted attribute path; ``_ABSENT`` below a ``None``."""
+    for name in path.split("."):
+        if obj is None:
+            return _ABSENT
+        obj = getattr(obj, name)
+    return obj
+
+
+def _read_section(section: str, body, kind: str, groups: dict) -> None:
+    """Coerce one section's keys into ``groups`` (attribute prefix -> name -> value)."""
+    if body is None:
+        return
+    if not isinstance(body, Mapping):
+        raise ScenarioError(f"[{section}] must be a table")
+    scope = SECTIONS[section]
+    if scope not in (None, kind):
+        if body:
+            raise ScenarioError(
+                f"[{section}] is a {scope}-kind section; this scenario is kind = {kind!r}"
+            )
+        return
+    if section != "platform":
+        _unknown_keys(body, _ALLOWED[section], f"[{section}]")
+    for key, value in body.items():
+        if section == "serve" and key == "admission":
+            _read_section("serve.admission", value, kind, groups)
+            continue
+        row = _ROWS.get((section, key))
+        if row is None:  # an undeclared platform parameter
+            groups.setdefault("platform_params", {})[key] = value
+            continue
+        prefix, _, name = row.attr.rpartition(".")
+        value = _checked(f"[{section}] {key}:", _PARSE[row.type], value)
+        groups.setdefault(prefix, {})[name] = value
+
+
+def _read_document(data) -> dict:
+    """Walk a document against the key table: ``ScenarioSpec`` keyword arguments."""
+    if not isinstance(data, Mapping):
+        raise ScenarioError("scenario document must be a table")
+    _unknown_keys(data, [s for s in SECTIONS if "." not in s])
+    values: dict[str, Any] = {}
+    groups = {"": values}
+    _read_section("scenario", data.get("scenario"), "", groups)
+    kind = values.get("kind", "run")
+    _ROWS["scenario", "kind"].validate(kind)  # scopes the other sections
+    if not values.get("name"):
+        raise ScenarioError("[scenario] needs a name")
+    for section, body in data.items():  # [scenario] again: the same values
+        _read_section(section, body, kind, groups)
+    if "telemetry" in data:  # the section's presence enables collection
+        values.setdefault("telemetry_interval_s", 0.0)
+    if "preset" in values and "apps" in values:
+        raise ScenarioError("[workload]: give either preset or apps, not both")
+    for prefix, build in _NESTED:
+        if prefix in groups:
+            parent, _, name = prefix.rpartition(".")
+            value = _checked(f"[{prefix}]", build, **groups.pop(prefix))
+            groups.setdefault(parent, {})[name] = value
+    return values
 
 
 @dataclass(frozen=True)
@@ -315,221 +343,40 @@ class ScenarioSpec:
     serve: Optional[ServeSection] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("run", "serve"):
-            raise ScenarioError(
-                f"scenario kind must be 'run' or 'serve', got {self.kind!r}"
-            )
-        if self.trials < 1:
-            raise ScenarioError(f"trials must be >= 1, got {self.trials}")
-        if self.mode not in MODES:
-            raise ScenarioError(
-                f"unknown mode {self.mode!r}; options: {', '.join(MODES)}"
-            )
-        object.__setattr__(
-            self, "platform_params", tuple(sorted(self.platform_params))
-        )
-        # the small frozen configs are constructed here, so validation
-        # rejects what build_platform/build_config would
-        try:
-            self.build_platform()
-        except (TypeError, ValueError) as exc:  # unknown, wrong type, out of range
-            raise ScenarioError(f"[platform] {exc}") from None
-        if self.telemetry_interval_s is not None:
-            try:
-                TelemetryConfig(sample_interval_s=self.telemetry_interval_s)
-            except ValueError as exc:
-                raise ScenarioError(f"[telemetry] interval_s: {exc}") from None
+        object.__setattr__(self, "platform_params", tuple(sorted(self.platform_params)))
+        if self.kind == "serve" and self.serve is None:
+            object.__setattr__(self, "serve", ServeSection())
+        # the key table's checks (the kind row first), on this kind's keys
+        for row in _CHECKED:
+            if row.in_scope(self.kind):
+                value = _attr(self, row.attr)
+                if value is not None:  # an unset telemetry interval
+                    _checked("", row.validate, value)
+        # the platform config is constructed here, so validation rejects
+        # what build_platform would (unknown, wrong type, out of range)
+        _checked("[platform]", self.build_platform)
         SCHEDULERS.get(self.scheduler)
         if self.kind == "run":
-            _positive(self.rate_mbps, "[run] rate_mbps")
-            ArrivalSpec(self.arrival, self.arrival_params)  # kind + parameter numbers
+            # kind + parameter numbers; AppCount validates each app name
+            _checked("[workload]:", ArrivalSpec, self.arrival, self.arrival_params)
             if self.preset is not None:
                 WORKLOADS.get(self.preset)
-            # AppCount validates each name on construction
-        elif self.serve is None:
-            object.__setattr__(self, "serve", ServeSection())
-
-    # ------------------------------------------------------------------ #
-    # parsing
-    # ------------------------------------------------------------------ #
-
-    _SECTIONS = (
-        "scenario", "platform", "scheduler", "engine",
-        "telemetry", "workload", "run", "faults", "serve",
-    )
+        else:
+            _checked("[serve]:", ArrivalSpec.parse, self.serve.arrival)
 
     @classmethod
-    def from_mapping(
-        cls, data: Mapping[str, Any], *, source: str = "<mapping>"
-    ) -> "ScenarioSpec":
-        """Build a validated spec from a parsed TOML/JSON document."""
-        if not isinstance(data, Mapping):
-            raise ScenarioError(f"{source}: scenario document must be a table")
-        _unknown_keys(data, cls._SECTIONS, source)
+    def from_mapping(cls, data: Mapping[str, Any], *, source: str = "<mapping>") -> "ScenarioSpec":
+        """Build a validated spec from a parsed TOML/JSON document.
 
-        def section(name: str) -> dict:
-            value = data.get(name)
-            if value is None:
-                return {}
-            if not isinstance(value, Mapping):
-                raise ScenarioError(f"{source}: [{name}] must be a table")
-            return dict(value)
-
-        scn = section("scenario")
-        _unknown_keys(scn, ("name", "kind", "seed", "trials"), f"{source} [scenario]")
-        name = scn.get("name")
-        if not name:
-            raise ScenarioError(f"{source}: [scenario] needs a name")
-        kind = str(scn.get("kind", "run"))
-
-        plat = section("platform")
-        platform = str(plat.pop("name", "zcu102"))
-        # remaining platform keys ARE the factory parameters; the entry
-        # validates them in __post_init__
-        platform_params = tuple(sorted(plat.items()))
-
-        sched = section("scheduler")
-        _unknown_keys(sched, ("name",), f"{source} [scheduler]")
-        scheduler = str(sched.get("name", "heft_rt"))
-
-        engine = section("engine")
-        _unknown_keys(engine, ("audit",), f"{source} [engine]")
-
-        telemetry = section("telemetry")
-        _unknown_keys(telemetry, ("interval_s",), f"{source} [telemetry]")
-        interval = telemetry.get("interval_s") if "telemetry" in data else None
-        if interval is not None:
-            interval = float(interval)
-        elif "telemetry" in data:
-            interval = 0.0  # section present, default = final snapshot only
-
-        fields: dict[str, Any] = dict(
-            name=str(name),
-            kind=kind,
-            seed=int(scn.get("seed", 0)),
-            trials=int(scn.get("trials", 1)),
-            platform=platform,
-            platform_params=platform_params,
-            scheduler=scheduler,
-            audit=bool(engine.get("audit", False)),
-            telemetry_interval_s=interval,
-        )
-
-        wl = section("workload")
-        run = section("run")
-        faults = section("faults")
-        srv = section("serve")
-        # registry lookups inside section parsing (app names, fault kinds,
-        # arrival specs) raise RegistryError/ValueError - surface every one
-        # as a ScenarioError naming the document, so ``repro scenario
-        # validate`` reports it instead of crashing with a traceback
+        Every failure - shape, type, range or registry name - is one
+        ``ScenarioError`` naming the document (and its section and key),
+        so ``repro scenario validate`` reports it instead of crashing.
+        """
         try:
-            if kind == "serve":
-                for label, body in (
-                    ("workload", wl), ("run", run), ("faults", faults)
-                ):
-                    if body:
-                        raise ScenarioError(
-                            f"{source}: [{label}] is a run-kind section; "
-                            f"this scenario is kind = 'serve'"
-                        )
-                fields["serve"] = cls._parse_serve(srv, source, fields)
-            else:
-                if srv:
-                    raise ScenarioError(
-                        f"{source}: [serve] is a serve-kind section; "
-                        f"this scenario is kind = 'run'"
-                    )
-                cls._parse_run(wl, run, faults, source, fields)
-            return cls(**fields)
+            return cls(**_read_document(data))
         except ValueError as exc:
-            if isinstance(exc, ScenarioError) and str(exc).startswith(source):
-                raise
-            raise ScenarioError(f"{source}: {exc}") from exc
-
-    @classmethod
-    def _parse_run(cls, wl, run, faults, source, fields) -> None:
-        _unknown_keys(
-            wl,
-            ("name", "preset", "params", "apps", "arrival", "arrival_params"),
-            f"{source} [workload]",
-        )
-        if "preset" in wl and "apps" in wl:
-            raise ScenarioError(
-                f"{source} [workload]: give either preset or apps, not both"
-            )
-        fields["workload_name"] = str(wl.get("name", "cli"))
-        if "preset" in wl:
-            fields["preset"] = str(wl["preset"])
-            fields["preset_params"] = _params_tuple(
-                wl.get("params"), f"{source} [workload] params"
-            )
-        elif "apps" in wl:
-            fields["apps"] = _parse_app_list(wl["apps"], f"{source} [workload] apps")
-        fields["arrival"] = str(wl.get("arrival", "periodic"))
-        fields["arrival_params"] = _params_tuple(
-            wl.get("arrival_params"), f"{source} [workload] arrival_params"
-        )
-
-        _unknown_keys(run, ("mode", "rate_mbps", "execute"), f"{source} [run]")
-        fields["mode"] = str(run.get("mode", "api"))
-        fields["rate_mbps"] = float(run.get("rate_mbps", 200.0))
-        fields["execute"] = bool(run.get("execute", True))
-
-        if faults:
-            allowed = tuple(
-                f.name for f in dataclasses.fields(FaultConfig) if f.name != "script"
-            )
-            _unknown_keys(faults, allowed, f"{source} [faults]")
-            kinds = faults.pop("kinds", None)
-            if kinds is not None:
-                if isinstance(kinds, str):
-                    kinds = FaultConfig.parse_kinds(kinds)
-                else:
-                    kinds = tuple(FAULT_KINDS.get(str(k)).kind for k in kinds)
-                faults["kinds"] = kinds
-            try:
-                fields["faults"] = FaultConfig(**faults)
-            except ValueError as exc:
-                raise ScenarioError(f"{source} [faults]: {exc}") from exc
-
-    @classmethod
-    def _parse_serve(cls, srv, source, fields) -> ServeSection:
-        allowed = (
-            "duration", "arrival", "tenants", "slo_ms", "apps", "mode", "admission",
-        )
-        _unknown_keys(srv, allowed, f"{source} [serve]")
-        if "mode" in srv:
-            fields["mode"] = str(srv["mode"])
-        admission = srv.get("admission") or {}
-        if not isinstance(admission, Mapping):
-            raise ScenarioError(f"{source}: [serve.admission] must be a table")
-        adm_allowed = tuple(f.name for f in dataclasses.fields(AdmissionConfig))
-        _unknown_keys(admission, adm_allowed, f"{source} [serve.admission]")
-        try:
-            kwargs: dict[str, Any] = {"admission": AdmissionConfig(**admission)}
-        except ValueError as exc:
-            raise ScenarioError(f"[serve.admission] {exc}") from None
-        if "duration" in srv:
-            kwargs["duration"] = float(srv["duration"])
-        if "arrival" in srv:
-            kwargs["arrival"] = str(srv["arrival"])
-        if "tenants" in srv:
-            kwargs["tenants"] = int(srv["tenants"])
-        if "slo_ms" in srv:
-            kwargs["slo_ms"] = float(srv["slo_ms"])
-        if "apps" in srv:
-            kwargs["apps"] = _parse_app_list(srv["apps"], f"{source} [serve] apps")
-        try:
-            return ServeSection(**kwargs)
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(f"{source} [serve]: {exc}") from exc
-
-    # ------------------------------------------------------------------ #
-    # canonical form
-    # ------------------------------------------------------------------ #
+            sep = " " if str(exc).startswith("[") else ": "  # "<doc> [section] key ..."
+            raise ScenarioError(f"{source}{sep}{exc}") from exc
 
     def canonical(self) -> dict:
         """Fully resolved, JSON-able form: every default explicit.
@@ -539,58 +386,22 @@ class ScenarioSpec:
         the experiment, not the document.  Only kind-relevant sections
         appear - a run spec's digest does not move when serve defaults do.
         """
-        doc: dict[str, Any] = {
-            "scenario": {
-                "name": self.name,
-                "kind": self.kind,
-                "seed": self.seed,
-                "trials": self.trials,
-            },
-            "platform": {"name": self.platform, **dict(self.platform_params)},
-            "scheduler": {"name": self.scheduler},
-            "engine": {"audit": self.audit},
-        }
-        if self.telemetry_interval_s is not None:
-            doc["telemetry"] = {"interval_s": self.telemetry_interval_s}
-        if self.kind == "run":
-            workload: dict[str, Any] = {"name": self.workload_name}
-            if self.preset is not None:
-                workload["preset"] = self.preset
-                if self.preset_params:
-                    workload["params"] = dict(self.preset_params)
-            else:
-                workload["apps"] = [
-                    {"name": a.name, "count": a.count, **dict(a.params)}
-                    for a in self.apps
-                ]
-            workload["arrival"] = self.arrival
-            if self.arrival_params:
-                workload["arrival_params"] = dict(self.arrival_params)
-            doc["workload"] = workload
-            doc["run"] = {
-                "mode": self.mode,
-                "rate_mbps": self.rate_mbps,
-                "execute": self.execute,
-            }
-            if self.faults is not None:
-                row = dataclasses.asdict(self.faults)
-                row["kinds"] = [k.value for k in self.faults.kinds]
-                row.pop("script", None)
-                doc["faults"] = row
-        else:
-            serve = self.serve
-            doc["serve"] = {
-                "duration": serve.duration,
-                "arrival": serve.arrival,
-                "tenants": serve.tenants,
-                "slo_ms": serve.slo_ms,
-                "mode": self.mode,
-                "apps": [
-                    {"name": a.name, "count": a.count, **dict(a.params)}
-                    for a in serve.apps
-                ],
-                "admission": dataclasses.asdict(serve.admission),
-            }
+        doc: dict[str, Any] = {}
+        for row in KEYS:
+            if not row.in_scope(self.kind) or row.attr.startswith("platform_params."):
+                continue
+            value = _attr(self, row.attr)  # _ABSENT: no [faults]
+            empty = value is _ABSENT or (row.optional and value in (None, ()))
+            if empty or (row.attr == "apps" and self.preset is not None):
+                continue
+            if row.type == "apps":
+                value = [{"name": a.name, "count": a.count, **dict(a.params)} for a in value]
+            elif row.type == "params":
+                value = dict(value)
+            elif row.type == "kinds":
+                value = [k.value for k in value]
+            row.place(doc, value)
+        doc["platform"].update(self.platform_params)
         return doc
 
     def digest(self) -> str:
@@ -607,26 +418,16 @@ class ScenarioSpec:
         return json.dumps(self.canonical(), indent=indent, sort_keys=True) + "\n"
 
     def to_toml(self) -> str:
-        """The canonical form as a TOML document (parses back bit-identically).
-
-        ``None`` values (e.g. an unset fault seed) are omitted - TOML has
-        no null - and parse back to the same ``None`` default.
-        """
+        """The canonical form as a TOML document (parses back bit-identically;
+        an unset fault seed is omitted - TOML has no null)."""
         return dump_toml(self.canonical())
 
     def save(self, path: Union[str, Path]) -> Path:
         """Write the canonical form to ``path`` (.toml or .json by suffix)."""
         path = Path(path)
-        suffix = path.suffix.lower()
-        if suffix == ".toml":
-            text = self.to_toml()
-        elif suffix == ".json":
-            text = self.to_json()
-        else:
-            raise ScenarioError(
-                f"{path}: unknown scenario format {suffix!r} (use .toml or .json)"
-            )
-        path.write_text(text, encoding="utf-8")
+        text = self.to_toml() if _format(path) == ".toml" else self.to_json()
+        with atomic_write(path) as fh:
+            fh.write(text)
         return path
 
     # ------------------------------------------------------------------ #
@@ -679,12 +480,8 @@ class ScenarioSpec:
         # labels downstream, so they are part of the determinism contract
         return ServeConfig(
             tenants=tuple(
-                TenantSpec(
-                    f"tenant{i}" if serve.tenants > 1 else "tenant",
-                    arrival,
-                    apps=apps,
-                    slo_s=serve.slo_ms / 1e3,
-                )
+                TenantSpec(f"tenant{i}" if serve.tenants > 1 else "tenant", arrival,
+                           apps=apps, slo_s=serve.slo_ms / 1e3)
                 for i in range(serve.tenants)
             ),
             duration=serve.duration,
@@ -696,18 +493,20 @@ class ScenarioSpec:
     def describe(self) -> str:
         """One summary line for CLI listings."""
         if self.kind == "serve":
-            body = (
-                f"{self.serve.arrival} x {self.serve.tenants} tenant(s), "
-                f"{self.serve.duration:g} s window"
-            )
+            serve = self.serve
+            body = f"{serve.arrival} x {serve.tenants} tenant(s), {serve.duration:g} s window"
         else:
-            workload = self.preset or ",".join(
-                f"{a.name}:{a.count}" for a in self.apps
-            )
+            workload = self.preset or ",".join(f"{a.name}:{a.count}" for a in self.apps)
             body = f"{workload} @ {self.rate_mbps:g} Mbps {self.mode}"
-        return (
-            f"{self.name} [{self.kind}] {self.platform}/{self.scheduler}: {body}"
-        )
+        return f"{self.name} [{self.kind}] {self.platform}/{self.scheduler}: {body}"
+
+
+def _format(path: Path) -> str:
+    """The document format a path names by its suffix."""
+    suffix = path.suffix.lower()
+    if suffix not in (".toml", ".json"):
+        raise ScenarioError(f"{path}: unknown scenario format {suffix!r} (use .toml or .json)")
+    return suffix
 
 
 def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
@@ -717,8 +516,9 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
         raw = path.read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    suffix = path.suffix.lower()
-    if suffix == ".toml":
+    if _format(path) == ".json":
+        parse, errors, name = json.loads, json.JSONDecodeError, "JSON"
+    else:
         try:
             import tomllib
         except ModuleNotFoundError:  # pragma: no cover - Python 3.10
@@ -726,17 +526,9 @@ def load_scenario(path: Union[str, Path]) -> ScenarioSpec:
                 f"{path}: TOML scenario specs need Python >= 3.11 "
                 f"(or rewrite the spec as JSON)"
             ) from None
-        try:
-            data = tomllib.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
-            raise ScenarioError(f"{path}: invalid TOML: {exc}") from exc
-    elif suffix == ".json":
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
-    else:
-        raise ScenarioError(
-            f"{path}: unknown scenario format {suffix!r} (use .toml or .json)"
-        )
+        parse, errors, name = tomllib.loads, tomllib.TOMLDecodeError, "TOML"
+    try:
+        data = parse(raw.decode("utf-8"))
+    except (UnicodeDecodeError, errors) as exc:
+        raise ScenarioError(f"{path}: invalid {name}: {exc}") from exc
     return ScenarioSpec.from_mapping(data, source=str(path))

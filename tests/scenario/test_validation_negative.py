@@ -225,6 +225,20 @@ BAD_NUMBERS = [
     pytest.param(_doc(workload={"apps": "PD:1", "arrival": "bursty",
                                 "arrival_params": {"idle_len": -1.0}}),
                  "arrival parameter idle_len must be >= 0", id="run-arrival-idle-negative"),
+    # NaN fault knobs constructed (ordered compares are all false for NaN),
+    # and nothing checked quarantine_s at all
+    pytest.param(_doc(faults={"rate": float("nan")}), "[faults] fault rate",
+                 id="faults-rate-nan"),
+    pytest.param(_doc(faults={"rate": 5.0, "hang_s": float("nan")}),
+                 "[faults] hang_s", id="faults-hang-nan"),
+    pytest.param(_doc(faults={"rate": 5.0, "slowdown_s": float("nan")}),
+                 "[faults] hang_s and slowdown_s", id="faults-slowdown-s-nan"),
+    pytest.param(_doc(faults={"rate": 5.0, "slowdown_factor": float("nan")}),
+                 "[faults] slowdown_factor", id="faults-slowdown-factor-nan"),
+    pytest.param(_doc(faults={"rate": 5.0, "watchdog_factor": float("nan")}),
+                 "[faults] watchdog parameters", id="faults-watchdog-nan"),
+    pytest.param(_doc(faults={"rate": 5.0, "quarantine_s": -1.0}),
+                 "[faults] quarantine_s", id="faults-quarantine-negative"),
 ]
 
 
@@ -253,6 +267,49 @@ def test_bad_number_rejected_on_direct_construction_too():
         AdmissionConfig(max_in_system=0)  # what ServeSection.admission holds
     with pytest.raises(ValueError, match="finite"):
         AdmissionConfig(quota_rate=float("nan"))
+
+
+def test_scripted_fault_at_nan_is_rejected():
+    from repro.faults import FaultKind, FaultSpec
+
+    with pytest.raises(ValueError, match="fault time must be finite"):
+        FaultSpec(at=float("nan"), pe="cpu0", kind=FaultKind.HANG)
+
+
+#: each of these once validated - a string bool read as true, a float count
+#: truncated - or named no key, or crashed validate with a traceback; the
+#: key table's typed coercion rejects each on one line naming section and key
+BAD_TYPES = [
+    pytest.param(_doc(engine={"audit": "false"}), "[engine] audit", id="audit-string"),
+    pytest.param(_doc(run={"execute": "no"}), "[run] execute", id="execute-string"),
+    pytest.param(_doc(scenario={"name": "neg", "trials": 2.7}), "[scenario] trials",
+                 id="trials-float"),
+    pytest.param(_doc(scenario={"name": "neg", "seed": 1.9}), "[scenario] seed",
+                 id="seed-float"),
+    pytest.param(_doc(workload={"apps": [{"name": "PD", "count": 1.5}]}),
+                 "[workload] apps", id="app-count-float"),
+    pytest.param(_serve_doc(tenants=2.5), "[serve] tenants", id="tenants-float"),
+    pytest.param(_doc(run={"rate_mbps": "fast"}), "[run] rate_mbps", id="rate-string"),
+    pytest.param(_doc(telemetry={"interval_s": "x"}), "[telemetry] interval_s",
+                 id="interval-string"),
+]
+
+
+@pytest.mark.parametrize("doc,where", BAD_TYPES)
+def test_bad_type_is_scenario_error_naming_section_and_key(doc, where):
+    with pytest.raises(ScenarioError) as ei:
+        ScenarioSpec.from_mapping(doc, source="<test>")
+    message = str(ei.value)
+    assert message.startswith(f"<test> {where}") and "expected" in message
+    assert "\n" not in message
+
+
+def test_whole_numbers_keep_their_float_digest():
+    """A float key stores a float: ``rate_mbps = 200`` is ``200.0``."""
+    assert (
+        ScenarioSpec.from_mapping(_doc(run={"rate_mbps": 200})).digest()
+        == ScenarioSpec.from_mapping(_doc(run={"rate_mbps": 200.0})).digest()
+    )
 
 
 def test_validate_cli_fails_hostile_numbers_without_traceback(tmp_path, capsys):
