@@ -8,8 +8,9 @@ preserves every trend and runs in minutes.  Environment overrides:
 
 * ``REPRO_BENCH_RATES``  - number of injection-rate points (default 6)
 * ``REPRO_BENCH_TRIALS`` - trials per point (default 2)
-* ``REPRO_BENCH_LD_BATCH`` - Lane Detection rows per task (default 64;
-  1 = the paper's exact task granularity, much slower)
+* ``REPRO_BENCH_LD_BATCH`` - Lane Detection rows per task in the ablation
+  benches (default 64; 1 = the paper's exact task granularity, much
+  slower); the Fig 9/10 rows of the figure table fix it at 64
 * ``REPRO_PERF_CHECK`` - set to 0 to skip throughput-vs-baseline.json
   assertions (for CI or hosts slower than the recording machine)
 """

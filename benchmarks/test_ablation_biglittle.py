@@ -14,9 +14,9 @@ cores - at a modest energy cost, and the "more accelerators is worse"
 trend of Fig. 10(a) flattens.
 """
 
-from repro.experiments.fig9_versatility import av_workload_scaled
 from repro.platforms import estimate_energy, zcu102, zcu102_biglittle
 from repro.runtime import CedrRuntime, RuntimeConfig
+from repro.workload import av_workload_scaled
 
 RATE = 300.0
 

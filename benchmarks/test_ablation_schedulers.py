@@ -10,8 +10,8 @@ accelerator-management threads.
 """
 
 from repro.experiments import run_once
-from repro.experiments.fig9_versatility import av_workload_scaled
 from repro.platforms import zcu102
+from repro.workload import av_workload_scaled
 
 ALL_SCHEDULERS = ("rr", "eft", "etf", "heft_rt", "met", "random")
 RATE = 300.0

@@ -11,16 +11,17 @@ Paper results asserted here:
   first, worker/application-thread crowding after.
 """
 
-from repro.experiments import run_fig10a, run_fig10b
+from repro.experiments import run_figure
 from repro.metrics import print_series_table
 
 
-def test_fig10a_zcu_fft_scaling(benchmark, ld_batch):
+def test_fig10a_zcu_fft_scaling(benchmark):
     fig = benchmark.pedantic(
-        run_fig10a,
-        kwargs={"fft_counts": [0, 1, 2, 4, 8], "trials": 1, "ld_batch": ld_batch},
+        run_figure,
+        args=("fig10a",),
+        kwargs={"xs": [0, 1, 2, 4, 8], "trials": 1},
         rounds=1, iterations=1,
-    )
+    )["fig10a"]
     print_series_table(fig, y_scale=1e3, y_fmt="{:10.1f}")
 
     for sched in ("RR", "EFT", "ETF", "HEFT_RT"):
@@ -39,12 +40,13 @@ def test_fig10a_zcu_fft_scaling(benchmark, ld_batch):
           "management-thread contention")
 
 
-def test_fig10b_jetson_cpu_scaling(benchmark, ld_batch):
+def test_fig10b_jetson_cpu_scaling(benchmark):
     fig = benchmark.pedantic(
-        run_fig10b,
-        kwargs={"cpu_counts": [1, 2, 3, 4, 5, 6, 7], "trials": 1, "ld_batch": ld_batch},
+        run_figure,
+        args=("fig10b",),
+        kwargs={"xs": [1, 2, 3, 4, 5, 6, 7], "trials": 1},
         rounds=1, iterations=1,
-    )
+    )["fig10b"]
     print_series_table(fig, y_scale=1e3, y_fmt="{:10.1f}")
 
     # RR shows the paper's clean polynomial: an interior minimum

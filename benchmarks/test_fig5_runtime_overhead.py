@@ -6,16 +6,17 @@ DAG-based one.  The bench asserts the decreasing shape and a saturated
 reduction in the 10-35% band, and prints the regenerated series.
 """
 
-from repro.experiments import SATURATION_MBPS, run_fig5, saturated_reduction
+from repro.experiments import SATURATION_MBPS, run_figure, saturated_reduction
 from repro.metrics import print_series_table, saturated_mean
 
 
 def test_fig5_runtime_overhead(benchmark, bench_rates, bench_trials):
     fig = benchmark.pedantic(
-        run_fig5,
-        kwargs={"rates": bench_rates, "trials": bench_trials},
+        run_figure,
+        args=("fig5",),
+        kwargs={"xs": bench_rates, "trials": bench_trials},
         rounds=1, iterations=1,
-    )
+    )["fig5"]
     print_series_table(fig, y_scale=1e3, y_fmt="{:10.4f}")
 
     for label in ("DAG-based", "API-based"):

@@ -13,7 +13,7 @@ Paper results asserted here (saturated region):
   cheap in both.
 """
 
-from repro.experiments import run_fig6_fig7
+from repro.experiments import run_figure
 from repro.metrics import print_series_table, saturated_mean
 
 SAT = 200.0
@@ -25,8 +25,9 @@ def sat(series):
 
 def test_fig6_fig7_exec_and_sched_overhead(benchmark, bench_rates, bench_trials):
     panels = benchmark.pedantic(
-        run_fig6_fig7,
-        kwargs={"rates": bench_rates, "trials": bench_trials},
+        run_figure,
+        args=("fig67",),
+        kwargs={"xs": bench_rates, "trials": bench_trials},
         rounds=1, iterations=1,
     )
     for pid in ("fig6a", "fig6b"):

@@ -7,7 +7,7 @@ opposite of the ZCU102's Fig. 6.  The bench asserts that flip for the fair
 (RR) scheduler and that both modes stay well below the ZCU102 magnitudes.
 """
 
-from repro.experiments import run_fig8
+from repro.experiments import run_figure
 from repro.metrics import print_series_table, saturated_mean
 
 SAT = 200.0
@@ -19,8 +19,9 @@ def sat(series):
 
 def test_fig8_jetson_execution_time(benchmark, bench_rates, bench_trials):
     panels = benchmark.pedantic(
-        run_fig8,
-        kwargs={"rates": bench_rates, "trials": bench_trials},
+        run_figure,
+        args=("fig8",),
+        kwargs={"xs": bench_rates, "trials": bench_trials},
         rounds=1, iterations=1,
     )
     for pid in ("fig8a", "fig8b"):

@@ -10,15 +10,16 @@ Paper results asserted here:
   richer PE pool.
 """
 
-from repro.experiments import run_fig9
+from repro.experiments import run_figure
 from repro.metrics import print_series_table
 
 
-def test_fig9_av_workload(benchmark, bench_trials, ld_batch):
+def test_fig9_av_workload(benchmark):
     rates = [20.0, 60.0, 150.0, 400.0, 1000.0]
     panels = benchmark.pedantic(
-        run_fig9,
-        kwargs={"rates": rates, "trials": 1, "ld_batch": ld_batch},
+        run_figure,
+        args=("fig9",),
+        kwargs={"xs": rates, "trials": 1},
         rounds=1, iterations=1,
     )
     for pid in ("fig9a", "fig9b"):

@@ -15,10 +15,10 @@ energy for each, quantifying the paper's hypothesis inside the model.
 Run:  python examples/biglittle_futurework.py
 """
 
-from repro.experiments.fig9_versatility import av_workload_scaled
 from repro.metrics import RunResult
 from repro.platforms import estimate_energy, zcu102, zcu102_biglittle
 from repro.runtime import CedrRuntime, RuntimeConfig
+from repro.workload import av_workload_scaled
 
 RATE_MBPS = 300.0
 

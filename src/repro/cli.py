@@ -856,8 +856,8 @@ def _cmd_figure(args) -> int:
     from repro.experiments import AUDIT_ENV, FIGURES, configure_cache
 
     cache = _resolve_cache(args)
-    # pin the handle process-wide so every sweep a figure driver makes goes
-    # through it (and its hit/miss counters), then restore on the way out
+    # pin the handle process-wide so every cell the figure runs goes through
+    # it (and its hit/miss counters), then restore on the way out
     previous_cache = configure_cache(cache)
     previous_audit = os.environ.get(AUDIT_ENV)
     if args.audit:

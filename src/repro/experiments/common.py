@@ -1,12 +1,12 @@
-"""Shared experiment machinery: single runs, trials, and rate sweeps.
+"""Shared experiment machinery: single runs, trials, and grids of cells.
 
-Every figure driver funnels through :func:`run_once`: build the platform,
-start a CEDR runtime with the requested scheduler/mode, submit the workload
-at the requested injection rate, run the simulation to completion, and
-extract a :class:`~repro.metrics.RunResult`.  Sweeps layer trials and rate
-grids on top.
+Every figure funnels through :func:`run_once`: build the platform, start a
+CEDR runtime with the requested scheduler/mode, submit the workload at the
+requested injection rate, run the simulation to completion, and extract a
+:class:`~repro.metrics.RunResult`.  A figure is a list of such cells
+(:mod:`repro.experiments.figures`) handed to :func:`run_cells`.
 
-Figure benchmarks run timing-only (``execute=False``): kernels are not
+Figure sweeps run timing-only (``execute=False``): kernels are not
 numerically evaluated, which changes nothing about queueing or contention
 (all costs come from the timing model) but keeps full sweeps fast.
 Integration tests run the same paths with ``execute=True`` to pin the
@@ -17,9 +17,9 @@ Parallel sweeps
 
 A run is a pure function of ``(platform, workload, mode, rate, scheduler,
 seed, execute, config)``: the engine owns its RNG, seeded from ``seed``, and
-no state leaks between runs.  :func:`run_trials` and :func:`sweep_rates`
-therefore accept ``n_jobs`` and shard their (rate, trial-seed) cells across
-a :class:`~concurrent.futures.ProcessPoolExecutor` - results are collected
+no state leaks between runs.  :func:`run_cells` (and :func:`run_trials` on
+top of it) therefore accept ``n_jobs`` and shard cells across a
+:class:`~concurrent.futures.ProcessPoolExecutor` - results are collected
 in grid order, so the output is **bit-identical** to the serial path (a
 property the determinism tests pin).  ``n_jobs=None`` reads the
 ``REPRO_JOBS`` environment variable (default 1, i.e. serial); ``n_jobs<=-1``
@@ -35,7 +35,7 @@ cell is looked up by content digest before any work is sharded to the
 pool, and only the missing cells are simulated (then stored).  Enable it
 with ``REPRO_CACHE=1`` (or a directory path), the ``--cache``/
 ``--cache-dir`` CLI flags, or by passing ``cache=SweepCache(...)`` to
-:func:`run_trials`/:func:`sweep_rates`.  Hits return the bit-identical
+:func:`run_cells`/:func:`run_trials`.  Hits return the bit-identical
 ``RunResult`` the simulation would have produced, so cached, parallel,
 and serial sweeps all agree byte-for-byte.
 """
@@ -44,11 +44,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Union
+from dataclasses import replace
+from typing import Any, Callable, Optional, Union
 
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCodec, SweepCache
-from repro.metrics import RunResult, TrialStats, aggregate_trials
+from repro.metrics import RunResult
 from repro.platforms import PlatformConfig
 from repro.runtime import CedrRuntime, RuntimeConfig
 from repro.workload import WorkloadSpec
@@ -58,8 +58,6 @@ __all__ = [
     "run_once",
     "run_cells",
     "run_trials",
-    "RateSweep",
-    "sweep_rates",
     "resolve_jobs",
     "configure_cache",
     "resolve_cache",
@@ -124,7 +122,7 @@ def configure_cache(cache: CacheArg) -> CacheArg:
     forces caching off regardless of the environment; a
     :class:`SweepCache` instance is used by every sweep that does not pass
     its own ``cache`` argument (this is how the CLI threads one handle -
-    and one set of hit/miss counters - through nested figure drivers).
+    and one set of hit/miss counters - through a whole figure).
     """
     global _cache_override
     previous = _cache_override
@@ -182,12 +180,13 @@ def run_to_completion(
     the runtime to its :class:`RunResult`; ``repro run`` keeps the live
     object because its trace/Gantt/logbook/metrics/perf outputs read it.
     ``attribute_host_time`` arms the per-role host-time split, which has to
-    happen before ``start()``.
+    happen before ``start()``.  ``scheduler`` and ``execute`` override
+    the ``scheduler`` / ``execute_kernels`` of a passed ``config``.
     """
     if config is None:
         config = RuntimeConfig(scheduler=scheduler, execute_kernels=execute)
     else:
-        config = config.with_scheduler(scheduler)
+        config = replace(config, scheduler=scheduler, execute_kernels=execute)
     if not config.audit and audit_from_env():
         config = config.with_audit()
     instance = platform.build(seed=seed)
@@ -320,58 +319,3 @@ def run_trials(
         for seed in trial_seeds(trials, base_seed)
     ]
     return run_cells(cells, n_jobs, cache)
-
-
-@dataclass(frozen=True)
-class RateSweep:
-    """Aggregated metric statistics across an injection-rate grid."""
-
-    rates: tuple[float, ...]
-    #: metric name -> per-rate TrialStats, aligned with ``rates``
-    stats: dict[str, tuple[TrialStats, ...]]
-
-    def series(self, metric: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(xs, mean ys) for one metric - plot-ready."""
-        per_rate = self.stats[metric]
-        return self.rates, tuple(s.mean for s in per_rate)
-
-
-def sweep_rates(
-    platform: PlatformConfig,
-    workload: WorkloadSpec,
-    mode: str,
-    rates: Sequence[float],
-    scheduler: str,
-    trials: int = 3,
-    base_seed: int = 0,
-    execute: bool = False,
-    config: Optional[RuntimeConfig] = None,
-    n_jobs: Optional[int] = None,
-    cache: CacheArg = None,
-) -> RateSweep:
-    """Run the workload across an injection-rate grid with trials.
-
-    With ``n_jobs`` > 1 every (rate, trial) cell of the grid is an
-    independent unit of work sharded across one process pool, so the
-    speedup scales with ``rates x trials`` rather than ``trials`` alone.
-    With a cache (``REPRO_CACHE=1`` or an explicit handle), previously
-    simulated cells are loaded instead of re-run, so regenerating a figure
-    after a parameter tweak costs only the new cells.
-    """
-    rates = tuple(float(r) for r in rates)
-    seeds = trial_seeds(trials, base_seed)
-    cells = [
-        (platform, workload, mode, rate, scheduler, seed, execute, config)
-        for rate in rates
-        for seed in seeds
-    ]
-    results = run_cells(cells, n_jobs, cache)
-    per_metric: dict[str, list[TrialStats]] = {}
-    for i, rate in enumerate(rates):
-        rate_results = results[i * trials:(i + 1) * trials]
-        for name, stat in aggregate_trials(rate_results).items():
-            per_metric.setdefault(name, []).append(stat)
-    return RateSweep(
-        rates=rates,
-        stats={name: tuple(stats) for name, stats in per_metric.items()},
-    )

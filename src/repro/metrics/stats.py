@@ -2,7 +2,8 @@
 
 :class:`TrialStats` summarizes one metric across repeated runs (mean, std,
 confidence half-width); :func:`aggregate_trials` reduces a list of
-:class:`~repro.metrics.measures.RunResult` objects to per-metric statistics.
+:class:`~repro.metrics.measures.RunResult` objects to per-metric statistics;
+:func:`saturated_mean` and :func:`detect_knee` read a swept series.
 Benchmarks use fewer trials than the paper (documented per bench) - the
 interfaces are count-agnostic.
 """
@@ -10,13 +11,13 @@ interfaces are count-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .measures import RunResult
 
-__all__ = ["TrialStats", "aggregate_trials", "saturated_mean"]
+__all__ = ["TrialStats", "aggregate_trials", "saturated_mean", "detect_knee"]
 
 
 @dataclass(frozen=True)
@@ -83,3 +84,35 @@ def saturated_mean(xs: Sequence[float], ys: Sequence[float], x_from: float) -> f
     if not mask.any():
         raise ValueError(f"no points at or beyond x={x_from}")
     return float(ys[mask].mean())
+
+
+def detect_knee(xs: Sequence[float], ys: Sequence[float]) -> Optional[int]:
+    """Index of the knee of a saturating curve (kneedle-style), or None.
+
+    The knee is the point of maximum perpendicular distance from the chord
+    joining the curve's endpoints - robust for monotone curves that bend
+    once, which is exactly the throughput-vs-offered-load shape.  Both
+    axes are normalized to [0, 1] first so the answer does not depend on
+    units.  Returns ``None`` for degenerate inputs (fewer than three
+    points, or a flat/linear curve with no interior point off the chord).
+    """
+    n = len(xs)
+    if n != len(ys):
+        raise ValueError(f"length mismatch: {n} xs vs {len(ys)} ys")
+    if n < 3:
+        return None
+    x_span = xs[-1] - xs[0]
+    y_span = max(ys) - min(ys)
+    if x_span <= 0 or y_span <= 0:
+        return None
+    xn = [(x - xs[0]) / x_span for x in xs]
+    yn = [(y - min(ys)) / y_span for y in ys]
+    # distance from (x, y) to the chord through (xn[0], yn[0])-(xn[-1], yn[-1]),
+    # up to a constant factor common to every point
+    dx, dy = xn[-1] - xn[0], yn[-1] - yn[0]
+    best_i, best_d = None, 0.0
+    for i in range(1, n - 1):
+        d = abs(dy * (xn[i] - xn[0]) - dx * (yn[i] - yn[0]))
+        if d > best_d:
+            best_i, best_d = i, d
+    return best_i

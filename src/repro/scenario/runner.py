@@ -6,8 +6,9 @@ scenario through :func:`repro.serve.serve_trials`, with the platform,
 workload, and :class:`~repro.runtime.RuntimeConfig` built by the spec's
 own builders - the only construction route there is (``repro serve`` is
 ``run_scenario(lowered_spec, trials=1)[0]``).  The builders produce
-objects equal to hand-built library ones, so scenario sweeps share the
-content-addressed cell cache with figure sweeps for free.
+objects equal to hand-built library ones, so a scenario and the same run
+spelled as flags share content-addressed cache cells.  Figure cells carry
+``config=None`` instead of the resolved config, so their keys differ.
 """
 
 from __future__ import annotations

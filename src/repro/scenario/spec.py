@@ -7,8 +7,10 @@ construction route: ``repro run`` / ``repro serve`` / ``repro audit diff``
 lower their flags to a spec (``repro.cli._lower``) and only the builders
 below turn a spec into platform/workload/config objects, so a flag-path
 bug is a spec-path bug.  The builders produce objects equal to hand-built
-library ones (``WorkloadSpec(...)``, ``ServeConfig(...)``), hence the
-sweep cache content-addresses scenario cells together with figure sweeps.
+library ones (``WorkloadSpec(...)``, ``ServeConfig(...)``), so a scenario
+cell and the same run spelled as ``repro run`` flags share one sweep-cache
+key.  Figure cells do not: they carry ``config=None`` where a spec cell
+carries the equal resolved ``RuntimeConfig``.
 
 A document is one TOML (or JSON) table per section; every key, its type,
 default and check is one row of the key table,

@@ -11,6 +11,7 @@ from .workload import (
     WorkloadEntry,
     WorkloadSpec,
     autonomous_vehicle_workload,
+    av_workload_scaled,
     available_workloads,
     make_workload,
     radar_comms_workload,
@@ -30,4 +31,5 @@ __all__ = [
     "available_workloads",
     "radar_comms_workload",
     "autonomous_vehicle_workload",
+    "av_workload_scaled",
 ]

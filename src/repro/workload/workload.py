@@ -7,7 +7,8 @@ paper's two workloads are provided as constructors:
 
 * :func:`radar_comms_workload` - 5x PD + 5x TX (Figs 5-8);
 * :func:`autonomous_vehicle_workload` - 1x LD (long-latency, continuous)
-  plus dynamically arriving PD and TX instances (Figs 9-10).
+  plus dynamically arriving PD and TX instances (Figs 9-10), and
+  :func:`av_workload_scaled`, the same at a coarser task granularity.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "available_workloads",
     "radar_comms_workload",
     "autonomous_vehicle_workload",
+    "av_workload_scaled",
 ]
 
 #: named workload presets - factories returning a :class:`WorkloadSpec`.
@@ -175,4 +177,20 @@ def autonomous_vehicle_workload(
             WorkloadEntry(pd or PulseDoppler(), n_pd),
             WorkloadEntry(tx or WifiTx(), n_tx),
         ),
+    )
+
+
+def av_workload_scaled(ld_batch: int = 64, app_batch: int = 4) -> WorkloadSpec:
+    """The autonomous-vehicle workload with adjustable task granularity.
+
+    Lane Detection's 1-D FFT rows are batched ``ld_batch`` rows per task
+    and ``app_batch`` groups PD/TX kernel rows; the paper's granularity is
+    1 for both (see DESIGN.md scale note).  The heavy LD workload makes
+    batch=1 sweeps expensive, and the Fig. 9/10 trends are insensitive to
+    PD/TX granularity.
+    """
+    return autonomous_vehicle_workload(
+        ld=LaneDetection(batch=ld_batch),
+        pd=PulseDoppler(batch=app_batch),
+        tx=WifiTx(batch=app_batch),
     )

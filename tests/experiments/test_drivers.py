@@ -1,24 +1,39 @@
-"""Experiment-driver tests on miniature grids (fast, shape-focused)."""
+"""Experiment-runner tests on miniature grids (fast, shape-focused)."""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.apps import PulseDoppler, WifiTx
 from repro.experiments import (
-    run_fig5,
-    run_fig6_fig7,
+    run_cells,
+    run_figure,
     run_once,
+    run_to_completion,
     run_trials,
     saturated_reduction,
-    sweep_rates,
 )
-from repro.workload import WorkloadEntry, WorkloadSpec
+from repro.faults import FaultConfig
+from repro.metrics import RunResult, aggregate_trials
+from repro.platforms import zcu102
+from repro.runtime import RuntimeConfig
+from repro.workload import WorkloadEntry, WorkloadSpec, radar_comms_workload
 
-#: small fast workload for driver-mechanics tests (the real paper workload
+#: small fast workload for runner-mechanics tests (the real paper workload
 #: is exercised by the benchmarks)
 TINY = WorkloadSpec(
     "tiny",
     (WorkloadEntry(PulseDoppler(batch=32), 2), WorkloadEntry(WifiTx(batch=20), 2)),
 )
+
+#: the mini-grid panels (``FigureSeries.as_dict()``) each figure produced
+#: before figures became table rows
+GOLDEN = json.loads(Path(__file__).with_name("golden_figure_panels.json").read_text())
+
+
+def as_dicts(panels):
+    return {pid: fig.as_dict() for pid, fig in panels.items()}
 
 
 def test_run_once_returns_complete_result(zcu_small):
@@ -43,17 +58,33 @@ def test_run_trials_vary_with_seed(zcu_small):
         run_trials(zcu_small, TINY, "api", 100.0, "rr", trials=0)
 
 
-def test_sweep_rates_shapes(zcu_small):
-    sweep = sweep_rates(zcu_small, TINY, "api", [50.0, 500.0], "rr", trials=1)
-    xs, ys = sweep.series("exec_time")
-    assert xs == (50.0, 500.0)
+def test_run_cells_rate_grid_shapes(zcu_small):
+    rates = [50.0, 500.0]
+    results = run_cells([(zcu_small, TINY, "api", r, "rr", 0, False, None) for r in rates])
+    ys = [aggregate_trials([r])["exec_time"].mean for r in results]
     assert len(ys) == 2
     assert all(y > 0 for y in ys)
-    assert set(sweep.stats) >= {"exec_time", "runtime_overhead", "sched_overhead"}
+    assert set(aggregate_trials(results)) >= {"exec_time", "runtime_overhead", "sched_overhead"}
+
+
+def test_cell_execute_overrides_config():
+    """A cell's ``execute`` wins over its config's ``execute_kernels``, as
+    its ``scheduler`` does: a resilience-figure cell (``execute=False``
+    with a fault config) runs timing-only, and gives the same result as
+    the kernel-executing run."""
+    cell = (zcu102(n_cpu=3, n_fft=1), radar_comms_workload(), "api", 200.0, "rr")
+    config = RuntimeConfig(scheduler="rr", faults=FaultConfig(rate=10.0))
+    runtime = run_to_completion(*cell, seed=0, execute=False, config=config)
+    assert runtime.config.execute_kernels is False
+    assert all(app.timing_only for app in runtime.apps.values())
+    executed = run_once(*cell, seed=0, execute=True, config=config)
+    assert RunResult.from_runtime(runtime) == executed
 
 
 def test_fig5_driver_mini_grid():
-    fig = run_fig5(rates=[50.0, 400.0, 1500.0], trials=1)
+    panels = run_figure("fig5", xs=[50.0, 400.0, 1500.0], trials=1)
+    assert as_dicts(panels) == GOLDEN["fig5"]
+    fig = panels["fig5"]
     assert {s.label for s in fig.series} == {"DAG-based", "API-based"}
     for s in fig.series:
         assert len(s.xs) == 3
@@ -64,7 +95,8 @@ def test_fig5_driver_mini_grid():
 
 
 def test_fig67_driver_mini_grid():
-    panels = run_fig6_fig7(rates=[100.0, 1000.0], trials=1, schedulers=("rr", "etf"))
+    panels = run_figure("fig67", xs=[100.0, 1000.0], trials=1, schedulers=("rr", "etf"))
+    assert as_dicts(panels) == GOLDEN["fig67"]
     assert set(panels) == {"fig6a", "fig6b", "fig7a", "fig7b"}
     for panel in panels.values():
         assert {s.label for s in panel.series} == {"RR", "ETF"}
@@ -72,3 +104,10 @@ def test_fig67_driver_mini_grid():
     dag_etf = panels["fig7a"].get("ETF").ys[-1]
     api_etf = panels["fig7b"].get("ETF").ys[-1]
     assert dag_etf > 5 * api_etf
+
+
+def test_run_figure_rejects_unknown_rows_and_zero_trials():
+    with pytest.raises(KeyError, match="fig55"):
+        run_figure("fig55")
+    with pytest.raises(ValueError, match="trial"):
+        run_figure("fig5", trials=0)

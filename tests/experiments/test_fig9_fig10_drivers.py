@@ -1,7 +1,18 @@
-"""Small-grid tests of the fig9/fig10 drivers (bench-independent coverage)."""
+"""Small-grid tests of the fig9/fig10 table rows (bench-independent coverage)."""
 
-from repro.experiments import run_fig9, run_fig10a, run_fig10b
-from repro.experiments.fig9_versatility import av_workload_scaled
+import json
+from pathlib import Path
+
+from repro.experiments import run_figure
+from repro.workload import av_workload_scaled
+
+#: the mini-grid panels (``FigureSeries.as_dict()``) each figure produced
+#: before figures became table rows
+GOLDEN = json.loads(Path(__file__).with_name("golden_figure_panels.json").read_text())
+
+
+def as_dicts(panels):
+    return {pid: fig.as_dict() for pid, fig in panels.items()}
 
 
 def test_av_workload_scaled_composition():
@@ -14,7 +25,8 @@ def test_av_workload_scaled_composition():
 
 
 def test_fig9_driver_mini_grid():
-    panels = run_fig9(rates=[100.0, 600.0], trials=1, schedulers=("rr", "heft_rt"))
+    panels = run_figure("fig9", xs=[100.0, 600.0], trials=1, schedulers=("rr", "heft_rt"))
+    assert as_dicts(panels) == GOLDEN["fig9"]
     assert set(panels) == {"fig9a", "fig9b"}
     for panel in panels.values():
         assert {s.label for s in panel.series} == {"RR", "HEFT_RT"}
@@ -28,14 +40,16 @@ def test_fig9_driver_mini_grid():
 
 
 def test_fig10a_driver_mini_grid():
-    fig = run_fig10a(fft_counts=[0, 8], trials=1, schedulers=("rr",))
-    series = fig.get("RR")
+    panels = run_figure("fig10a", xs=[0, 8], trials=1, schedulers=("rr",))
+    assert as_dicts(panels) == GOLDEN["fig10a"]
+    series = panels["fig10a"].get("RR")
     assert series.xs == (0.0, 8.0)
     assert series.ys[1] > series.ys[0]  # more FFTs, worse exec time
 
 
 def test_fig10b_driver_mini_grid():
-    fig = run_fig10b(cpu_counts=[1, 5, 7], trials=1, schedulers=("rr",))
-    series = fig.get("RR")
+    panels = run_figure("fig10b", xs=[1, 5, 7], trials=1, schedulers=("rr",))
+    assert as_dicts(panels) == GOLDEN["fig10b"]
+    series = panels["fig10b"].get("RR")
     assert series.y_at(5.0) < series.y_at(1.0)
     assert series.y_at(5.0) < series.y_at(7.0)

@@ -10,8 +10,8 @@ figure value) plus the ``n_jobs`` resolution rules.
 import pytest
 
 from repro.audit import assert_identical
-from repro.experiments import resolve_jobs, run_trials, sweep_rates
-from repro.experiments.common import JOBS_ENV
+from repro.experiments import resolve_jobs, run_cells, run_trials
+from repro.experiments.common import JOBS_ENV, trial_seeds
 from repro.platforms import zcu102
 from repro.workload import radar_comms_workload
 
@@ -71,23 +71,22 @@ def test_resolve_jobs_rejects_garbage_env(monkeypatch):
 # --------------------------------------------------------------------- #
 
 def test_parallel_sweep_identical_to_serial():
-    """sweep_rates(n_jobs=4) equals the serial sweep on the fig5 workload.
+    """run_cells(n_jobs=4) equals the serial run of a fig5-workload grid.
 
-    Equality is exact (frozen-dataclass ``==`` over every TrialStats of
-    every metric), not approximate - floating-point results must come from
-    the same operations in the same order regardless of sharding.
+    Equality is exact (frozen-dataclass ``==`` over every RunResult of the
+    (rate, trial) grid), not approximate - floating-point results must come
+    from the same operations in the same order regardless of sharding.
     """
     platform = zcu102(n_cpu=3, n_fft=1)
     workload = radar_comms_workload()
-    rates = [10.0, 100.0, 300.0]
-    serial = sweep_rates(
-        platform, workload, "api", rates, "rr", trials=2, base_seed=7, n_jobs=1
-    )
-    parallel = sweep_rates(
-        platform, workload, "api", rates, "rr", trials=2, base_seed=7, n_jobs=4
-    )
-    assert parallel.rates == serial.rates
-    assert set(parallel.stats) == set(serial.stats)
+    cells = [
+        (platform, workload, "api", rate, "rr", seed, False, None)
+        for rate in (10.0, 100.0, 300.0)
+        for seed in trial_seeds(2, 7)
+    ]
+    serial = run_cells(cells, n_jobs=1)
+    parallel = run_cells(cells, n_jobs=4)
+    assert len(parallel) == len(serial) == 6
     assert parallel == serial
     # belt and braces: the rendered representation is byte-identical too
     assert repr(parallel) == repr(serial)

@@ -21,10 +21,11 @@ from repro.experiments import (
     cell_digest,
     configure_cache,
     resolve_cache,
+    run_cells,
     run_once,
-    sweep_rates,
 )
 from repro.experiments.cache import DEFAULT_CACHE_DIR, UncacheableCell
+from repro.experiments.common import trial_seeds
 from repro.platforms import zcu102
 from repro.runtime import RuntimeConfig
 from repro.workload import WorkloadEntry, WorkloadSpec
@@ -194,21 +195,25 @@ def test_mismatched_key_degrades_to_miss(tmp_path):
 # sweep integration
 # --------------------------------------------------------------------- #
 
+def _grid(platform, workload, rates, trials=2) -> list[tuple]:
+    """The (rate, trial) cells of one api/rr sweep, rate-major."""
+    return [
+        (platform, workload, "api", rate, "rr", seed, False, None)
+        for rate in rates
+        for seed in trial_seeds(trials)
+    ]
+
+
 def test_warm_sweep_re_simulates_nothing_and_matches_serial(tmp_path):
-    platform = zcu102(n_cpu=2, n_fft=1)
-    workload = _workload()
-    rates = [100.0, 300.0]
+    cells = _grid(zcu102(n_cpu=2, n_fft=1), _workload(), [100.0, 300.0])
     cold_cache = SweepCache(tmp_path)
-    cold = sweep_rates(platform, workload, "api", rates, "rr",
-                       trials=2, cache=cold_cache)
+    cold = run_cells(cells, cache=cold_cache)
     assert cold_cache.stats.misses == 4 and cold_cache.stats.stores == 4
     warm_cache = SweepCache(tmp_path)
-    warm = sweep_rates(platform, workload, "api", rates, "rr",
-                       trials=2, cache=warm_cache)
+    warm = run_cells(cells, cache=warm_cache)
     assert warm_cache.stats.hits == 4
     assert warm_cache.stats.misses == 0, "warm sweep re-simulated cells"
-    uncached = sweep_rates(platform, workload, "api", rates, "rr",
-                           trials=2, cache=False)
+    uncached = run_cells(cells, cache=False)
     assert warm == cold == uncached
     assert repr(warm) == repr(uncached)
 
@@ -217,29 +222,21 @@ def test_grid_growth_costs_only_new_cells(tmp_path):
     """Adding a rate point to a cached grid only simulates the new column."""
     platform = zcu102(n_cpu=2, n_fft=1)
     workload = _workload()
-    sweep_rates(platform, workload, "api", [100.0], "rr",
-                trials=2, cache=SweepCache(tmp_path))
+    run_cells(_grid(platform, workload, [100.0]), cache=SweepCache(tmp_path))
     grown_cache = SweepCache(tmp_path)
-    sweep_rates(platform, workload, "api", [100.0, 300.0], "rr",
-                trials=2, cache=grown_cache)
+    run_cells(_grid(platform, workload, [100.0, 300.0]), cache=grown_cache)
     assert grown_cache.stats.hits == 2 and grown_cache.stats.misses == 2
 
 
 def test_cached_parallel_sweep_identical_to_cold_serial(tmp_path):
     """Cache + process pool together still reproduce the serial bits."""
-    platform = zcu102(n_cpu=2, n_fft=1)
-    workload = _workload()
-    rates = [100.0, 300.0]
-    serial = sweep_rates(platform, workload, "api", rates, "rr",
-                         trials=2, n_jobs=1, cache=False)
-    cached_parallel = sweep_rates(platform, workload, "api", rates, "rr",
-                                  trials=2, n_jobs=3,
-                                  cache=SweepCache(tmp_path))
+    cells = _grid(zcu102(n_cpu=2, n_fft=1), _workload(), [100.0, 300.0])
+    serial = run_cells(cells, n_jobs=1, cache=False)
+    cached_parallel = run_cells(cells, n_jobs=3, cache=SweepCache(tmp_path))
     assert cached_parallel == serial
     # second parallel pass: all hits, still identical
     warm_cache = SweepCache(tmp_path)
-    warm = sweep_rates(platform, workload, "api", rates, "rr",
-                       trials=2, n_jobs=3, cache=warm_cache)
+    warm = run_cells(cells, n_jobs=3, cache=warm_cache)
     assert warm_cache.stats.misses == 0
     assert warm == serial
 

@@ -9,9 +9,8 @@ overhead charging) is caught immediately.
 import pytest
 
 from repro.experiments import run_once
-from repro.experiments.fig9_versatility import av_workload_scaled
 from repro.platforms import jetson, zcu102
-from repro.workload import radar_comms_workload
+from repro.workload import av_workload_scaled, radar_comms_workload
 
 RC = radar_comms_workload()
 SAT_RATE = 1000.0  # comfortably in the oversubscribed region

@@ -1,12 +1,20 @@
 """Saturation figure: knee detection, serve codec, sweep-cache reuse."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.experiments import SweepCache, detect_knee, run_fig_saturation
+from repro.experiments import SweepCache, run_figure
+from repro.metrics import detect_knee
 from repro.experiments.cache import RUN_CODEC
 from repro.serve import ArrivalSpec, ServeConfig, TenantSpec, serve_codec, serve_once
 
 LOADS = (40.0, 120.0, 360.0)
+
+#: the mini-grid panels (``FigureSeries.as_dict()``) the saturation figure
+#: produced before figures became table rows
+GOLDEN = json.loads(Path(__file__).with_name("golden_saturation_panels.json").read_text())
 
 
 class TestDetectKnee:
@@ -31,7 +39,8 @@ class TestDetectKnee:
 
 class TestFigure:
     def test_panels_and_knee(self):
-        panels = run_fig_saturation(loads=LOADS, duration=0.1, trials=1)
+        panels = run_figure("saturation", xs=LOADS, duration=0.1, trials=1)
+        assert {pid: fig.as_dict() for pid, fig in panels.items()} == GOLDEN["mini"]
         throughput = panels["saturation_throughput"].get("SHED")
         p99 = panels["saturation_p99"].get("SHED")
         assert throughput.xs == LOADS and p99.xs == LOADS
@@ -42,8 +51,8 @@ class TestFigure:
             assert knee_x in LOADS
 
     def test_figure_is_deterministic(self):
-        a = run_fig_saturation(loads=LOADS, duration=0.1, trials=1)
-        b = run_fig_saturation(loads=LOADS, duration=0.1, trials=1)
+        a = run_figure("saturation", xs=LOADS, duration=0.1, trials=1)
+        b = run_figure("saturation", xs=LOADS, duration=0.1, trials=1)
         assert a["saturation_throughput"].as_dict() == b["saturation_throughput"].as_dict()
 
 
