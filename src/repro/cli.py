@@ -118,8 +118,8 @@ def _lower(args):
         doc["run"]["execute"] = not args.timing_only
         if not args.fault_rate > 0.0:
             del doc["faults"]
-        if not (args.metrics_out or args.metrics_interval > 0.0):
-            del doc["telemetry"]
+        if not args.metrics_out and args.metrics_interval == 0.0:
+            del doc["telemetry"]  # a bad interval stays, so the key's check sees it
     if verb == "audit":
         doc["platform"].update(AUDIT_DEFAULTS["platform_params"].get(args.platform, {}))
         if kind == "run":

@@ -74,13 +74,15 @@ class PEDescriptor:
         return api in SUPPORT_MATRIX[self.kind]
 
 
-@dataclass
+@dataclass(slots=True)
 class PE:
     """A live PE inside a built platform instance.
 
     For CPU PEs, ``core`` is the simulated core the worker owns and
     ``device`` is ``None``; for accelerators it is the reverse, plus
-    ``host_core`` locating the management thread.
+    ``host_core`` locating the management thread.  Slotted: the schedulers
+    and workers read and write its backlog fields on every task, and it
+    takes no attribute beyond the fields below.
     """
 
     index: int

@@ -56,7 +56,11 @@ class PlatformConfig:
     def __post_init__(self) -> None:
         if self.n_worker_cores < 1:
             raise ValueError("platform needs at least one worker core")
-        if not 0 <= self.n_cpu_workers <= self.n_worker_cores:
+        if self.n_cpu_workers < 1:
+            # some APIs run on CPUs only (cpu_op everywhere, zip on the
+            # ZCU102): without one a run fails mid-simulation, not here
+            raise ValueError(f"platform needs at least one CPU worker, got {self.n_cpu_workers}")
+        if self.n_cpu_workers > self.n_worker_cores:
             raise ValueError(
                 f"{self.n_cpu_workers} CPU workers do not fit "
                 f"{self.n_worker_cores} worker cores"

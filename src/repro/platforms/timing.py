@@ -46,6 +46,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.simcore import Compute
+
 from .pe import PE, PEKind
 
 __all__ = [
@@ -291,10 +293,12 @@ class CostTable:
         #: per row: mean of ``est`` over ``cols`` (the HEFT_RT rank seed),
         #: ``None`` when no PE can run the shape.
         self.means: list[Optional[float]] = []
-        #: per row, per PE index: what the PE's worker charges for one task
-        #: of the shape - :meth:`TimingModel.cpu_seconds` for a CPU column,
-        #: the :class:`AccelCost` for an accelerator column, ``None``
-        #: outside ``cols``.
+        #: per row, per PE index: the request(s) the PE's worker yields for
+        #: one task of the shape - one ``Compute`` of
+        #: :meth:`TimingModel.cpu_seconds` for a CPU column, a ``Compute``
+        #: per :class:`AccelCost` phase (setup, busy, teardown) for an
+        #: accelerator column, ``None`` outside ``cols``.  Shared values,
+        #: like every request: never mutate one.
         self.work: list[tuple] = []
         #: per row: the operand-copy request a libCEDR call of the shape
         #: yields (``None`` = nothing to stage).  The byte model and the
@@ -317,25 +321,28 @@ class CostTable:
         est = [math.inf] * self.n_pes
         work: list = [None] * self.n_pes
         cols = []
-        charges: dict = {}  # the model is evaluated once per PE kind
+        # the model is evaluated, and its requests built, once per PE kind
+        charges: dict = {}
         for j, pe in enumerate(self.pes):
             if not pe.supports(api):
                 continue
             kind = pe.kind
             if kind not in charges:
                 try:
-                    charges[kind] = (
-                        timing.cpu_seconds(api, params)
-                        if kind is PEKind.CPU
-                        else timing.accel_parts(api, params, kind)
-                    )
+                    if kind is PEKind.CPU:
+                        seconds = timing.cpu_seconds(api, params)
+                        charges[kind] = (seconds, Compute(seconds))
+                    else:
+                        parts = timing.accel_parts(api, params, kind)
+                        charges[kind] = (parts.total, (
+                            Compute(parts.setup), Compute(parts.busy), Compute(parts.teardown)
+                        ))
                 except ShapeOutsideEnvelope:
                     charges[kind] = None
             charge = charges[kind]
             if charge is None:
                 continue
-            work[j] = charge
-            est[j] = charge if kind is PEKind.CPU else charge.total
+            est[j], work[j] = charge
             cols.append(j)
         row = self.row_ids[key] = len(self._rows)
         self._rows.append((tuple(est), tuple(cols)))

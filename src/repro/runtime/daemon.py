@@ -80,6 +80,14 @@ __all__ = ["CedrRuntime", "RunMetrics", "EventQueue"]
 #: ``Block`` carries no state, so every park shares this one
 _PARK = Block()
 
+# task states, bound once: on CPython 3.11 a member read through its enum
+# class is a metaclass lookup, tens of times dearer than a module global,
+# and the daemon writes one per task hop
+_CREATED, _READY, _SCHEDULED, _RUNNING, _DONE = (
+    TaskState.CREATED, TaskState.READY, TaskState.SCHEDULED, TaskState.RUNNING,
+    TaskState.DONE,
+)
+
 
 @dataclass
 class RunMetrics:
@@ -202,6 +210,9 @@ class CedrRuntime:
         #: the daemon's bookkeeping charges, one shared request per distinct
         #: ``us`` (see :meth:`_charge`)
         self._charges: dict[float, Compute] = {}
+        #: the scheduling rounds' decision costs, one shared request per
+        #: distinct cost (see :meth:`_schedule_round`)
+        self._round_charges: dict[float, Compute] = {}
         costs, scale = config.costs, self.cost_scale
         #: the ``(api_call, api_push, api_kick)`` requests every libCEDR
         #: call yields on its application thread - shared values, like every
@@ -366,7 +377,7 @@ class CedrRuntime:
         handled by the application thread').  The libCEDR submit path has
         stamped the task's cost row; one that arrives unstamped is interned
         by the round that schedules it."""
-        task.state = TaskState.READY
+        task.state = _READY
         task.t_release = self.engine.now
         self.ready.append(task)
 
@@ -509,7 +520,7 @@ class CedrRuntime:
             self._assign_dag_ranks(app.dag, tasks)
             app.t_launch = self.engine.now
             for task in heads:
-                task.state = TaskState.READY
+                task.state = _READY
                 task.t_release = self.engine.now
                 self.ready.append(task)
                 yield self._charge(costs.queue_push_us)
@@ -594,7 +605,7 @@ class CedrRuntime:
                 yield self._charge(costs.dep_update_us)
                 succ.n_deps -= 1
                 if succ.n_deps == 0:
-                    succ.state = TaskState.READY
+                    succ.state = _READY
                     succ.t_release = self.engine.now
                     self.ready.append(succ)
                     yield self._charge(costs.queue_push_us)
@@ -627,7 +638,12 @@ class CedrRuntime:
             # tick inside the decision window already counts this round
             self.telemetry.record_round(len(batch), cost)
         if cost > 0.0:
-            yield Compute(cost)
+            # a round's cost is a function of (depth, PE count), so the
+            # request for each distinct cost is built once and shared
+            request = self._round_charges.get(cost)
+            if request is None:
+                request = self._round_charges[cost] = Compute(cost)
+            yield request
         # Rebuild each PE's expected-free instant from its outstanding
         # backlog, scaled by the contention slowdown observed on completed
         # tasks - the runtime analogue of CEDR consulting its execution-time
@@ -643,7 +659,7 @@ class CedrRuntime:
             self.auditor.on_round(batch, assignments, now)
         telemetry = self.telemetry
         for task, pe in assignments:
-            task.state = TaskState.SCHEDULED
+            task.state = _SCHEDULED
             task.t_scheduled = self.engine.now
             if telemetry is not None:
                 # doorbell-to-dispatch: ready-queue entry to PE assignment
@@ -734,7 +750,7 @@ class CedrRuntime:
         """A worker detected a failed attempt (transient/hang/fail-stop)."""
         task, pe, epoch, kind = payload
         yield self._charge(self.config.costs.queue_pop_us)
-        if task.dispatch_epoch != epoch or task.state is TaskState.DONE:
+        if task.dispatch_epoch != epoch or task.state is _DONE:
             # the watchdog got here first and already re-dispatched
             self.logbook.record_incident(
                 self.engine.now, "stale", pe=pe.name, tid=task.tid
@@ -745,16 +761,10 @@ class CedrRuntime:
     def _handle_watchdog(self, payload: tuple) -> Generator[Request, Any, None]:
         """A per-dispatch deadline expired; recover unless already settled."""
         task, epoch = payload
-        if task.dispatch_epoch != epoch or task.state not in (
-            TaskState.SCHEDULED,
-            TaskState.RUNNING,
-        ):
+        if task.dispatch_epoch != epoch or task.state not in (_SCHEDULED, _RUNNING):
             return  # completed, failed, or re-dispatched in time: benign
         yield self._charge(self.config.costs.queue_pop_us)
-        if task.dispatch_epoch != epoch or task.state not in (
-            TaskState.SCHEDULED,
-            TaskState.RUNNING,
-        ):
+        if task.dispatch_epoch != epoch or task.state not in (_SCHEDULED, _RUNNING):
             # The charge above is simulated time: the worker can complete
             # (or fail) the very dispatch this deadline suspects while the
             # daemon pays the queue-pop cost.  Recovering anyway would arm
@@ -799,7 +809,7 @@ class CedrRuntime:
         self.logbook.record_incident(now, "retry", tid=task.tid, attempt=task.attempts)
         if cfg.exclude_failed_pe and pe is not None:
             task.banned_pes = task.banned_pes | frozenset((pe.index,))
-        task.state = TaskState.CREATED  # retry limbo until the backoff fires
+        task.state = _CREATED  # retry limbo until the backoff fires
         self._retry_limbo += 1
         self.engine.call_at(
             now + cfg.backoff(task.attempts),
@@ -814,7 +824,7 @@ class CedrRuntime:
             self._drop_task(task)
             return
         yield self._charge(self.config.costs.queue_push_us)
-        task.state = TaskState.READY
+        task.state = _READY
         task.t_release = self.engine.now
         self.ready.append(task)
         self._round_due = True

@@ -260,7 +260,7 @@ class Logbook:
             task.api,
             task.name,
             pe.name,
-            pe.kind.value,
+            pe.kind._value_,  # ``.value`` is a Python-level enum.property
             task.t_release,
             task.t_scheduled,
             task.t_start,

@@ -33,7 +33,7 @@ __all__ = ["PerfCounters"]
 #: the ``event_core`` snapshot section before any run
 _EVENT_CORE_ZERO = {
     "late_timers": 0, "timers_fired": 0, "drain_batches": 0,
-    "mean_batch": 0.0, "occupancy_hwm": 0,
+    "mean_batch": 0.0, "occupancy_hwm": 0, "instants": 0,
 }
 
 
@@ -77,8 +77,9 @@ class PerfCounters:
     #: the simulator event core's timer statistics, as
     #: :meth:`repro.simcore.Engine.event_core_stats` reported them after the
     #: last run: ``late_timers`` clamped to now, ``timers_fired``,
-    #: same-instant ``drain_batches`` and their ``mean_batch``, and the
-    #: pending-timer ``occupancy_hwm``.
+    #: same-instant ``drain_batches`` and their ``mean_batch``, the
+    #: pending-timer ``occupancy_hwm``, and the distinct ``instants`` the
+    #: clock advanced to (``engine_events / instants`` is events per instant).
     event_core: dict = field(default_factory=lambda: dict(_EVENT_CORE_ZERO))
 
     # ------------------------------------------------------------------ #

@@ -150,7 +150,7 @@ class CompletionHandle:
                 callback()
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One schedulable unit plus its lifecycle bookkeeping.
 
@@ -159,6 +159,9 @@ class Task:
     kernels actually execute, or ``None`` in timing-only runs.  DAG-mode
     tasks carry dataflow through the per-app ``state`` dict via
     ``input_keys``/``output_key`` or an arbitrary ``cpu_fn``.
+
+    Slotted: one is built per kernel call and read on every hop of its
+    lifecycle, so it takes no attribute beyond the fields below.
     """
 
     api: str
@@ -191,7 +194,7 @@ class Task:
     est_used: float = 0.0
 
     state: TaskState = TaskState.CREATED
-    tid: int = field(default_factory=lambda: next(_task_ids))
+    tid: int = field(default_factory=_task_ids.__next__)
     pe: Optional["PE"] = None
     result: Any = None
 

@@ -55,6 +55,23 @@ __all__ = ["SHUTDOWN", "worker_body"]
 #: Mailbox sentinel telling a worker to exit (the shutdown IPC command).
 SHUTDOWN = object()
 
+# the task states a worker writes per task, bound once: on CPython 3.11 a
+# member read through its enum class is a metaclass lookup, tens of times
+# dearer than a module global
+_RUNNING, _DONE = TaskState.RUNNING, TaskState.DONE
+
+
+def _rebuilt(request: Compute, slow: float, noisy: bool, runtime: "CedrRuntime") -> Compute:
+    """A fresh request for one segment of a stretched or jittered attempt:
+    the shared request's work times the fault slowdown, then times one
+    noise draw - the multiplies, and the draw, of the per-task model."""
+    work = request.work
+    if slow != 1.0:
+        work *= slow
+    if noisy:
+        work *= runtime.sample_noise()
+    return Compute(work)
+
 
 def _execute_functional(runtime: "CedrRuntime", task: Task, pe: "PE") -> Any:
     """Run the task's actual kernel (or cpu_op callable) and return result
@@ -90,9 +107,11 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
     faults = runtime.faults.config if runtime.faults is not None else None
     executes = runtime.config.execute_kernels
     noisy = runtime.noise_rng is not None
-    # the two bookkeeping charges are constants: one shared request each
+    # the two bookkeeping charges and the device grab are constants: one
+    # shared request each
     dispatch = Compute(costs.worker_dispatch_us * 1e-6 * runtime.cost_scale)
     signal = Compute(costs.completion_signal_us * 1e-6 * runtime.cost_scale)
+    acquire = None if is_cpu else AcquireDevice(pe.device)
 
     while True:
         # CEDR workers busy-poll their queues: an idle worker occupies a full
@@ -134,47 +153,38 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 continue
         yield dispatch
 
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
         task.t_start = engine.now
 
-        # this PE's charge for the task's shape, read from its interned row
+        # this PE's requests for the task's shape, read from its interned
+        # row; a stretched or jittered attempt rebuilds each segment from
+        # them at the instant the segment starts
         table = runtime.cost_table
         if task.cost_token != table.token:
             table.task_row(task)
-        charge = table.work[task.cost_row][pe.index]
+        requests = table.work[task.cost_row][pe.index]
         slow = pe.fault_slow_factor if faults is not None else 1.0
+        perturbed = noisy or slow != 1.0
         if is_cpu:
-            work = charge
-            if slow != 1.0:
-                work *= slow
-            if noisy:
-                work *= runtime.sample_noise()
-            yield Compute(work)
+            yield _rebuilt(requests, slow, noisy, runtime) if perturbed else requests
         else:
             # Polling dispatch (see TimingModel docstring): every phase is
             # CPU work on the host core; the device is held exclusively
             # through the DMA/poll and completion phases, so its occupancy
             # stretches with host-core contention exactly like the real
-            # driverless-MMIO management threads.
-            setup, busy, teardown = charge.setup, charge.busy, charge.teardown
-            if slow != 1.0:
-                setup, busy, teardown = setup * slow, busy * slow, teardown * slow
-            if noisy:  # one draw per phase, in phase order
-                setup *= runtime.sample_noise()
-            yield Compute(setup)
-            yield AcquireDevice(pe.device)
+            # driverless-MMIO management threads.  One noise draw per
+            # phase, in phase order.
+            setup, busy, teardown = requests
+            yield _rebuilt(setup, slow, noisy, runtime) if perturbed else setup
+            yield acquire
             me = engine.current  # the worker thread itself
-            if noisy:
-                busy *= runtime.sample_noise()
-            yield Compute(busy)
-            if noisy:
-                teardown *= runtime.sample_noise()
-            yield Compute(teardown)
+            yield _rebuilt(busy, slow, noisy, runtime) if perturbed else busy
+            yield _rebuilt(teardown, slow, noisy, runtime) if perturbed else teardown
             pe.device.release(me)
 
         if faults is not None:
             failure = None
-            if my_epoch != task.dispatch_epoch or task.state is TaskState.DONE:
+            if my_epoch != task.dispatch_epoch or task.state is _DONE:
                 # the watchdog gave up on this dispatch mid-flight; the est
                 # backlog was reclaimed by the daemon when it re-dispatched
                 runtime.inflight[pe.index] -= 1
@@ -209,12 +219,13 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
         result = _execute_functional(runtime, task, pe) if executes else None
         task.result = result
         task.t_finish = engine.now
-        task.state = TaskState.DONE
+        task.state = _DONE
         task.pe = pe
         runtime.inflight[pe.index] -= 1
         # Backlog + slowdown feedback for the scheduling heuristics: how
         # much slower did this task run than its profile said (contention)?
-        pe.outstanding_est = max(0.0, pe.outstanding_est - task.est_used)
+        left = pe.outstanding_est - task.est_used
+        pe.outstanding_est = left if left > 0.0 else 0.0  # max(0.0, left), minus the call
         if task.est_used > 0.0:
             observed = task.service_time / task.est_used
             pe.slowdown += 0.1 * (observed - pe.slowdown)

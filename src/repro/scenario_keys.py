@@ -136,7 +136,7 @@ _APPS = "comma list of NAME:COUNT (apps: {apps})"
 KEYS: tuple[Key, ...] = (
     Key("scenario", "name", "str", None, "name"),
     Key("scenario", "kind", "str", "run", "kind", ("run", "serve")),
-    Key("scenario", "seed", "int", 0, "seed", flag="--seed", verbs=_R + _S + _A,
+    Key("scenario", "seed", "int", 0, "seed", "nonnegative", flag="--seed", verbs=_R + _S + _A,
         help="base seed of the run's random streams"),
     Key("scenario", "trials", "int", 1, "trials", "at_least_1", flag="--trials",
         verbs=_A, help="trials per cell"),

@@ -43,7 +43,8 @@ class RoundRobin(Scheduler):
                 if j in cols:
                     break
             pe = pes[j]
-            pe.expected_free = max(pe.expected_free, now) + est[j]
+            free = pe.expected_free
+            pe.expected_free = (now if now > free else free) + est[j]  # max(), minus the call
             assignments.append((task, pe))
         return assignments
 

@@ -77,6 +77,14 @@ __all__ = ["Engine"]
 #: instant and a timer deadline computed from the same arithmetic).
 _INSTANT_EPSILON = 1e-15
 
+# thread states, bound once: on CPython 3.11 a member read through its enum
+# class is a metaclass lookup, tens of times dearer than a module global,
+# and wake() runs once per park
+_READY, _RUNNING, _SLEEPING, _BLOCKED, _FINISHED = (
+    ThreadState.READY, ThreadState.RUNNING, ThreadState.SLEEPING, ThreadState.BLOCKED,
+    ThreadState.FINISHED,
+)
+
 
 def _core_index(core: Core) -> int:
     return core.index
@@ -134,6 +142,10 @@ class Engine:
         self.timers_fired = 0
         self._drain_batches = 0
         self._drain_events = 0
+        #: distinct instants the loop advanced the clock to (``until``
+        #: stops excepted); events per instant is how many resumptions one
+        #: pass of the loop's fixed cost is spread over
+        self._instants = 0
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -176,6 +188,7 @@ class Engine:
             "mean_batch": (
                 self._drain_events / self._drain_batches if self._drain_batches else 0.0
             ),
+            "instants": self._instants,
         }
 
     # ------------------------------------------------------------------ #
@@ -184,11 +197,12 @@ class Engine:
 
     def wake(self, thread: SimThread, value: Any = None) -> None:
         """Move a blocked/sleeping thread back to the dispatch queue."""
-        if thread.state is ThreadState.FINISHED:
-            raise SimStateError(f"cannot wake finished thread {thread.name!r}")
-        if thread.state in (ThreadState.READY, ThreadState.RUNNING):
-            raise SimStateError(f"thread {thread.name!r} is not blocked (state={thread.state})")
-        thread.state = ThreadState.READY
+        state = thread.state
+        if state is not _BLOCKED and state is not _SLEEPING:
+            if state is _FINISHED:
+                raise SimStateError(f"cannot wake finished thread {thread.name!r}")
+            raise SimStateError(f"thread {thread.name!r} is not blocked (state={state})")
+        thread.state = _READY
         self._ready.append((thread, value))
 
     def _schedule_timer(self, delay: float, callback: Callable[[], None]) -> None:
@@ -228,10 +242,10 @@ class Engine:
         the thread."""
         cls = request.__class__
         if cls is Sleep:
-            thread.state = ThreadState.SLEEPING
+            thread.state = _SLEEPING
             self._schedule_timer(request.duration, lambda t=thread: self.wake(t))
         elif cls is AcquireDevice:
-            thread.state = ThreadState.BLOCKED
+            thread.state = _BLOCKED
             request.device.request(thread)
         else:
             raise SimStateError(
@@ -239,7 +253,7 @@ class Engine:
             )
 
     def _finish(self, thread: SimThread, result: Any) -> None:
-        thread.state = ThreadState.FINISHED
+        thread.state = _FINISHED
         thread.result = result
         thread.finished_at = self.now
         for joiner in thread._joiners:
@@ -281,6 +295,7 @@ class Engine:
         resumes: list = []
         done_i = -1
         events = 0
+        instants = 0
 
         # ---- prologue: pending entries become mutable lists, each core's
         # head finish is interned in ``_head``, and the run-wide sequence
@@ -445,6 +460,7 @@ class Engine:
                 if dt != 0.0:
                     if dt < 0:
                         raise SimTimeError(f"attempted to advance time by {dt}")
+                    instants += 1
                     # += dt, NOT = next_at: ``now + (next_at - now)``
                     # differs from ``next_at`` by an ulp when the
                     # subtraction rounds, and the figures pin that bit.
@@ -582,6 +598,7 @@ class Engine:
                     resumes.clear()
                     done_i = -1
         finally:
+            self._instants += instants
             # Restore the at-rest invariants at every exit (normal return,
             # ``until`` return, or an exception escaping user code).
             # ``done_i`` is the entry whose resume raised (-1 when a timer

@@ -58,6 +58,8 @@ def record(name, runtime=None):
     snapshot = runtime.counters.snapshot()
     for key in HOST_TIME_KEYS:
         snapshot.pop(key)
+    # counted since the golden was recorded (test_daemon pins its range)
+    snapshot["event_core"].pop("instants")
     result = dataclasses.asdict(RunResult.from_runtime(runtime))
     # through JSON: tuples become lists on both sides of the comparison
     return json.loads(json.dumps({"counters": snapshot, "result": result}))

@@ -248,10 +248,13 @@ def test_event_core_stats_in_perf_snapshot(data, expected):
     rt.seal()
     rt.run()
     assert np.allclose(app.state["y"], expected, atol=1e-8)
-    snap = rt.counters.snapshot()["event_core"]
+    snapshot = rt.counters.snapshot()
+    snap = snapshot["event_core"]
     assert set(snap) == {
         "late_timers", "timers_fired", "drain_batches", "mean_batch", "occupancy_hwm",
+        "instants",
     }
+    assert 0 < snap["instants"] <= snapshot["engine_events"]
     assert snap["timers_fired"] > 0
     assert snap["drain_batches"] > 0
     assert snap["mean_batch"] >= 1.0

@@ -1,62 +1,96 @@
 """Stored plans equal a from-scratch derivation, bit for bit.
 
-Tasks are stamped (``cost_row``, ``rank``) and charged (the worker's
-compute segments, ``est_used``) from stores filled on first sight.  For the
-three cells ``test_one_book.py`` pins, every stamped and charged value must
-equal what ``reference_plans`` derives per task from the public model - by
-``float.hex()``.  (The two goldens those cells and the audit round-trip are
-compared against, ``golden_one_book.json`` and ``golden_logbook_v3.json``,
-are untouched by the stores; their own tests fail if a byte moves.)
+Tasks are stamped (``cost_row``, ``rank``) and charged (the requests a
+worker yields for its kernel segments, ``est_used``) from stores filled on
+first sight.  For the three cells ``test_one_book.py`` pins, plus one with
+cost noise (every segment rebuilt from the stored request), every stamped
+and charged value must equal what ``reference_plans`` derives per task from
+the public model - by ``float.hex()``.  (The two goldens those cells and the
+audit round-trip are compared against, ``golden_one_book.json`` and
+``golden_logbook_v3.json``, are untouched by the stores; their own tests
+fail if a byte moves.)
 """
 
-import sys
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-import repro.runtime.worker as worker_module
+import repro.runtime.daemon as daemon_module
 from repro.apps import APPS
+from repro.experiments import run_to_completion
 from repro.platforms.timing import UNPRICED, CostTable
 from repro.runtime import (
     API_MODE, DAG_MODE, AppInstance, CedrRuntime, RuntimeConfig, Task, TaskState,
 )
+from repro.simcore import Compute, child_rng
 
-from one_book_cells import CELLS, ZCU, run_cell
+from one_book_cells import CELLS, WORKLOAD, ZCU, run_cell
 from reference_plans import (
     reference_graph, reference_ranks, reference_row, reference_work, shape_key,
 )
+
+#: a cell with cost noise beside the pinned three: one draw per segment
+NOISY = {"zcu102-rr-api-noisy": (ZCU, "api", "rr", 1, {"cost_noise_sigma": 0.1})}
+
+
+def _run(name):
+    if name in CELLS:
+        return run_cell(name)
+    platform, mode, scheduler, seed, extra = NOISY[name]
+    config = RuntimeConfig(scheduler=scheduler, execute_kernels=False, **extra)
+    return run_to_completion(platform, WORKLOAD, mode, 200.0, scheduler, seed=seed, config=config)
 
 
 @pytest.fixture
 def observed(monkeypatch):
     """``(created, charges)``: every Task in construction (= tid) order, and
-    every kernel segment a worker charged as ``(pe, task, slow, work)``."""
-    created, charges = [], []
+    every kernel segment a worker yielded, in yield order, as ``(pe, task,
+    slow, draw, request)``.  ``draw`` is the noise factor a from-scratch
+    replay of the run's noise stream gives the segment (``None`` without
+    noise): one draw per segment, in the order segments start."""
+    created, charges, replays = [], [], {}
     task_init = Task.__init__
+    real_body = daemon_module.worker_body
 
     def recording_init(self, *args, **kwargs):
         task_init(self, *args, **kwargs)
         created.append(self)
 
-    def recording_compute(work):
-        # called from worker_body's own frame: its locals name the task the
-        # segment belongs to and the slowdown factor read for this attempt
-        scope = sys._getframe(1).f_locals
-        if "task" in scope:  # not the two constants built above the loop
-            charges.append((scope["pe"], scope["task"], scope["slow"], work))
-        return real_compute(work)
+    def recording_body(runtime, pe):
+        body = real_body(runtime, pe)
+        noise = None
+        if runtime.noise_rng is not None:  # one stream per run, shared by its workers
+            if runtime not in replays:
+                sigma = runtime.config.cost_noise_sigma
+                replay = child_rng(runtime.engine.seed, "cost-noise")
+                replays[runtime] = lambda: float(np.exp(replay.normal(0.0, sigma)))
+            noise = replays[runtime]
+        value = None
+        while True:
+            try:
+                request = body.send(value)
+            except StopIteration:
+                return
+            # the worker's own locals name the task the segment belongs to,
+            # the slowdown factor read for this attempt and the two
+            # bookkeeping constants, which are not kernel segments
+            scope = body.gi_frame.f_locals
+            if request.__class__ is Compute and request is not scope["dispatch"] \
+                    and request is not scope["signal"]:
+                draw = noise() if noise is not None else None
+                charges.append((pe, scope["task"], scope["slow"], draw, request))
+            value = yield request
 
-    real_compute = worker_module.Compute
     monkeypatch.setattr(Task, "__init__", recording_init)
-    monkeypatch.setattr(worker_module, "Compute", recording_compute)
+    monkeypatch.setattr(daemon_module, "worker_body", recording_body)
     return created, charges
 
 
-@pytest.mark.parametrize("name", CELLS)
+@pytest.mark.parametrize("name", [*CELLS, *NOISY])
 def test_stamped_and_charged_values_equal_a_fresh_derivation(name, observed):
     created, charges = observed
-    runtime = run_cell(name)
+    runtime = _run(name)
     timing, pes, table = runtime.platform.timing, runtime.platform.pes, runtime.cost_table
     assert [t.tid for t in created] == sorted(t.tid for t in created)
 
@@ -86,22 +120,31 @@ def test_stamped_and_charged_values_equal_a_fresh_derivation(name, observed):
             want = programs[id(app.dag)]
             assert [t.rank.hex() for t in by_app[app.app_id]] == [r.hex() for r in want]
 
-    # charges: each worker's segments, attempt by attempt
+    # charges: each worker's segments, attempt by attempt; an unperturbed
+    # segment is the table's shared request itself
     per_pe = defaultdict(list)
-    for pe, task, slow, work in charges:
-        per_pe[pe.index].append((task, slow, work))
+    for pe, task, slow, draw, request in charges:
+        per_pe[pe.index].append((task, slow, draw, request))
     assert sum(map(len, per_pe.values())) >= len(runtime.logbook.tasks)
     for index, segments in per_pe.items():
         i = 0
         while i < len(segments):
-            task, slow, _ = segments[i]
+            task, slow, _, _ = segments[i]
             want = reference_work(timing, pes[index], task.api, task.params, slow)
             got = segments[i:i + len(want)]
-            assert all(t is task for t, _, _ in got)
-            assert [w.hex() for _, _, w in got] == [w.hex() for w in want]
+            assert all(t is task for t, _, _, _ in got)
+            assert [r.work.hex() for _, _, _, r in got] == [
+                (w if d is None else w * d).hex() for w, (_, _, d, _) in zip(want, got)
+            ]
+            stored = table.work[task.cost_row][index]
+            stored = [stored] if len(want) == 1 else list(stored)
+            for (_, s, d, request), shared in zip(got, stored):
+                assert (request is shared) == (s == 1.0 and d is None)
             i += len(want)
     if runtime.faults is not None:  # the faulty cell does stretch some attempts
-        assert any(slow != 1.0 for _, _, slow, _ in charges)
+        assert any(slow != 1.0 for _, _, slow, _, _ in charges)
+    if name in NOISY:  # every segment drew, so none is the shared request
+        assert charges and all(draw is not None for _, _, _, draw, _ in charges)
 
 
 @pytest.mark.parametrize("name", sorted(APPS.names()))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.platforms import zcu102
 from repro.runtime.task import CompletionHandle, Task, TaskState
 from repro.simcore import Compute, Engine
 
@@ -27,6 +28,17 @@ def test_add_successor_bumps_deps():
     a.add_successor(b)
     assert b.n_deps == 1
     assert a.successors == [b]
+
+
+def test_task_and_pe_take_no_ad_hoc_attributes():
+    """The per-task records are slotted: a stray attribute is an error, not
+    a silent ``__dict__`` entry."""
+    task = Task(api="fft", params={"n": 64}, app_id=0)
+    pe = zcu102().build().pes[0]
+    for record in (task, pe):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_timing_properties():

@@ -207,6 +207,12 @@ BAD_NUMBERS = [
                  id="platform-fft-range"),
     pytest.param(_doc(platform={"name": "jetson", "cpu": 0}), "[platform]",
                  id="platform-cpu-range"),
+    # a negative seed died in make_rng with NumPy's error; a ZCU102 with no
+    # CPU worker built, then died mid-run on the first CPU-only call
+    pytest.param(_doc(scenario={"name": "neg", "seed": -1}), "[scenario] seed",
+                 id="seed-negative"),
+    pytest.param(_doc(platform={"name": "zcu102", "cpu": 0}),
+                 "[platform] platform needs at least one CPU worker", id="zcu102-cpu-zero"),
     # arrival numbers validated with a digest and failed only mid-run (a NaN
     # rate reached the engine as a NaN timer instant)
     pytest.param(_serve_doc(arrival="poisson:rate=nan"),
@@ -345,6 +351,27 @@ def test_serve_flag_with_bad_arrival_number_exits_on_one_line():
     message = str(ei.value.code)
     assert message.startswith("repro serve [serve]: arrival parameter rate")
     assert "must be finite" in message and "\n" not in message
+
+
+@pytest.mark.parametrize("argv,where", [
+    pytest.param(["run", "--seed", "-1"], "repro run [scenario] seed", id="run-seed"),
+    pytest.param(["serve", "--seed", "-1"], "repro serve [scenario] seed", id="serve-seed"),
+    pytest.param(["run", "--cpu", "0"], "repro run [platform]", id="run-cpu-zero"),
+    # without --metrics-out these ran with telemetry silently off
+    pytest.param(["run", "--metrics-interval", "-1"], "repro run [telemetry] interval_s",
+                 id="run-interval-negative"),
+    pytest.param(["run", "--metrics-interval", "nan"], "repro run [telemetry] interval_s",
+                 id="run-interval-nan"),
+])
+def test_bad_run_or_serve_flag_exits_on_one_line(argv, where):
+    """Each of these ended in a traceback or was dropped; now the flags
+    lower to a spec that fails its check on one line."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    message = str(ei.value.code)
+    assert message.startswith(where) and "\n" not in message
 
 
 def test_validate_cli_reports_unknown_app(tmp_path, capsys):

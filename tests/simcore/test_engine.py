@@ -289,6 +289,24 @@ def test_wake_finished_thread_rejected():
         eng.wake(t)
 
 
+@pytest.mark.parametrize("state,until,message", [
+    (ThreadState.READY, None, "thread 't' is not blocked (state=ThreadState.READY)"),
+    (ThreadState.RUNNING, 0.05, "thread 't' is not blocked (state=ThreadState.RUNNING)"),
+    (ThreadState.FINISHED, 1.0, "cannot wake finished thread 't'"),
+])
+def test_wake_of_an_unwakeable_thread_keeps_its_message(state, until, message):
+    """``wake`` tests the two wakeable states first; the other three keep
+    the messages they had when each state was tested in turn."""
+    eng = Engine(cores=1)
+    t = eng.spawn(burn(0.1), "t")
+    if until is not None:
+        eng.run(until=until)
+    assert t.state is state
+    with pytest.raises(SimStateError) as ei:
+        eng.wake(t)
+    assert str(ei.value) == message
+
+
 def test_negative_compute_rejected():
     with pytest.raises(SimTimeError):
         Compute(-1.0)
@@ -371,8 +389,9 @@ def test_event_core_stats_schema_and_batching():
     stats = eng.event_core_stats()
     assert set(stats) == {
         "pending", "occupancy_hwm", "late_timers", "timers_fired",
-        "drain_batches", "mean_batch",
+        "drain_batches", "mean_batch", "instants",
     }
+    assert stats["instants"] == 2  # 0.1 and 0.2; the start instant is not an advance
     assert stats["pending"] == 0
     assert stats["timers_fired"] == 4
     assert stats["late_timers"] == 0
