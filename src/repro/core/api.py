@@ -107,10 +107,12 @@ class CedrClient:
         self._app = app
         self._calls = 0
         self.executes = runtime.config.execute_kernels
-
-    @property
-    def engine(self):
-        return self._runtime.engine
+        #: the engine this client's calls run on
+        self.engine = runtime.engine
+        # fixed for the client's life and read on every call: bound once
+        self._app_id = app.app_id
+        self._signal_latency = runtime.config.signal_latency_s
+        self._post = runtime.events.post
 
     # ------------------------------------------------------------------ #
     # dispatch plumbing
@@ -154,10 +156,10 @@ class CedrClient:
         task = Task(
             api=api,
             params=params,
-            app_id=self._app.app_id,
+            app_id=self._app_id,
             name=name,
             payload=payload,
-            completion=CompletionHandle(runtime.engine, runtime.config.signal_latency_s),
+            completion=CompletionHandle(self.engine, self._signal_latency),
             rank=rank,
             cost_row=row,
             cost_token=table.token,
@@ -166,12 +168,12 @@ class CedrClient:
         yield push
         runtime.push_ready_from_app(task)
         yield kick
-        runtime.post(("kick", None))
+        self._post(("kick", None))
         return task
 
     def _call_blocking(self, api: str, params: dict, payload: Any):
         telemetry = self._runtime.telemetry
-        t0 = self._runtime.engine.now
+        t0 = self.engine.now
         if telemetry is not None:
             telemetry.api_inflight.inc()
         task = yield from self._submit(api, params, payload)
@@ -180,18 +182,16 @@ class CedrClient:
         finally:
             if telemetry is not None:
                 telemetry.api_inflight.dec()
-                telemetry.record_api_call(
-                    api, "blocking", self._runtime.engine.now - t0
-                )
+                telemetry.record_api_call(api, "blocking", self.engine.now - t0)
         return result
 
     def _call_nb(self, api: str, params: dict, payload: Any):
         telemetry = self._runtime.telemetry
-        t0 = self._runtime.engine.now
+        t0 = self.engine.now
         task = yield from self._submit(api, params, payload)
         if telemetry is not None:
             telemetry.api_inflight.inc()
-            engine = self._runtime.engine
+            engine = self.engine
 
             def _settled() -> None:
                 # fires on the worker/daemon thread the instant the handle

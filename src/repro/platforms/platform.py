@@ -22,6 +22,7 @@ Core-placement policy, copied from the paper's description:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,6 +70,8 @@ class PlatformConfig:
             raise ValueError("negative LITTLE core count")
         if not 0.0 < self.little_speed <= 1.0:
             raise ValueError(f"little_speed must be in (0, 1], got {self.little_speed}")
+        if not 0.0 <= self.cs_alpha < math.inf:
+            raise ValueError(f"cs_alpha must be finite and >= 0, got {self.cs_alpha}")
         for kind in self.accelerators:
             if not kind.is_accelerator:
                 raise ValueError(f"{kind} is not an accelerator kind")

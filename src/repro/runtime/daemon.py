@@ -423,10 +423,14 @@ class CedrRuntime:
         while True:
             batch = yield from self.events.get_batch()
             for kind, payload in batch:
-                if kind == "arrival":
-                    yield from self._handle_arrival(payload)
-                elif kind == "task_done":
+                # the two per-task kinds first: a completion, and the
+                # doorbell every libCEDR call rings
+                if kind == "task_done":
                     yield from self._handle_task_done(payload)
+                elif kind == "kick":
+                    pass  # doorbell: fall through to the scheduling round
+                elif kind == "arrival":
+                    yield from self._handle_arrival(payload)
                 elif kind == "app_done":
                     yield from self._handle_app_done(payload)
                 elif kind == "cancel":
@@ -441,9 +445,7 @@ class CedrRuntime:
                     yield from self._handle_pe_dead(payload)
                 elif kind == "pe_revive":
                     self._handle_pe_revive(payload)
-                elif kind == "kick":
-                    pass  # doorbell: fall through to the scheduling round
-                else:  # pragma: no cover - internal protocol
+                else:
                     raise SimStateError(f"unknown daemon event {kind!r}")
             # Scheduling rounds are periodic (sched_period_s): tasks batch up
             # between rounds, so the heuristic sees realistic queue depths.

@@ -140,7 +140,9 @@ class CompletionHandle:
             latency = self.signal_latency
             for waiter in waiters:
                 if latency > 0.0:
-                    engine.call_at(engine.now + latency, partial(engine.wake, waiter))
+                    # the instant call_at(now + latency) would push, without
+                    # its late-instant check: this one is never in the past
+                    engine._schedule_timer(latency, partial(engine.wake, waiter))
                 else:
                     engine.wake(waiter)
         watchers = self._watchers

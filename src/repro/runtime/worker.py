@@ -103,7 +103,10 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
     costs = runtime.config.costs
     engine = runtime.engine
     is_cpu = pe.kind is PEKind.CPU
-    host_core = pe.core if is_cpu else pe.host_core
+    # bound once: a park / unpark is one Core.spin call, and every event
+    # goes straight onto the daemon's queue
+    spin = (pe.core if is_cpu else pe.host_core).spin
+    post = runtime.events.post
     faults = runtime.faults.config if runtime.faults is not None else None
     executes = runtime.config.execute_kernels
     noisy = runtime.noise_rng is not None
@@ -118,11 +121,11 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
         # processor-sharing slot on its core until a task (or shutdown)
         # arrives.  This spinning is what squeezes application threads and
         # makes every added accelerator-management thread costly (Fig. 10).
-        host_core.spinners += 1
+        spin(1)
         try:
             item = yield from mailbox.get()
         finally:
-            host_core.spinners -= 1
+            spin(-1)
         if item is SHUTDOWN:
             return
         if faults is None:
@@ -142,14 +145,14 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 # instead of re-checking its shutdown condition.
                 runtime.inflight[pe.index] -= 1
                 runtime.logbook.record_incident(engine.now, "stale", pe=pe.name, tid=task.tid)
-                runtime.post(("kick", None))
+                post(("kick", None))
                 continue
             if pe.dead:
                 # fail-stop bounce: no cycles spent, straight back to the
                 # daemon for re-scheduling on a live PE
                 runtime.inflight[pe.index] -= 1
                 pe.outstanding_est = max(0.0, pe.outstanding_est - task.est_used)
-                runtime.post(("task_failed", (task, pe, my_epoch, "failstop")))
+                post(("task_failed", (task, pe, my_epoch, "failstop")))
                 continue
         yield dispatch
 
@@ -189,7 +192,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 # backlog was reclaimed by the daemon when it re-dispatched
                 runtime.inflight[pe.index] -= 1
                 runtime.logbook.record_incident(engine.now, "stale", pe=pe.name, tid=task.tid)
-                runtime.post(("kick", None))  # wake the shutdown drain check
+                post(("kick", None))  # wake the shutdown drain check
                 continue
             if pe.dead:
                 failure = "failstop"
@@ -204,7 +207,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                     runtime.logbook.record_incident(
                         engine.now, "stale", pe=pe.name, tid=task.tid
                     )
-                    runtime.post(("kick", None))  # wake the shutdown drain check
+                    post(("kick", None))  # wake the shutdown drain check
                     continue
                 failure = "hang"
             elif pe.transient_pending > 0:
@@ -213,7 +216,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
             if failure is not None:
                 runtime.inflight[pe.index] -= 1
                 pe.outstanding_est = max(0.0, pe.outstanding_est - task.est_used)
-                runtime.post(("task_failed", (task, pe, my_epoch, failure)))
+                post(("task_failed", (task, pe, my_epoch, failure)))
                 continue
 
         result = _execute_functional(runtime, task, pe) if executes else None
@@ -227,7 +230,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
         left = pe.outstanding_est - task.est_used
         pe.outstanding_est = left if left > 0.0 else 0.0  # max(0.0, left), minus the call
         if task.est_used > 0.0:
-            observed = task.service_time / task.est_used
+            observed = (task.t_finish - task.t_start) / task.est_used  # service_time
             pe.slowdown += 0.1 * (observed - pe.slowdown)
         if runtime.auditor is not None:
             # exactly-once / overlap / timestamp checks at the source
@@ -239,4 +242,4 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
             yield signal
             task.completion.complete(result)
 
-        runtime.post(("task_done", task))
+        post(("task_done", task))

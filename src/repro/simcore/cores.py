@@ -117,6 +117,8 @@ class Core:
         "_cidx",
         "_cpos",
         "_head",
+        "_rate",
+        "_memo",
     )
 
     def __init__(
@@ -127,6 +129,16 @@ class Core:
         cs_alpha: float = 0.0,
         spinners: int = 0,
     ) -> None:
+        # chained compares: NaN fails both, so a bad parameter stops here
+        # instead of stalling or dividing by zero mid-run
+        if not 0.0 < speed < math.inf:
+            raise SimStateError(f"core {name!r}: speed must be finite and > 0, got {speed}")
+        if not 0.0 <= cs_alpha < math.inf:
+            raise SimStateError(
+                f"core {name!r}: cs_alpha must be finite and >= 0, got {cs_alpha}"
+            )
+        if spinners < 0:
+            raise SimStateError(f"core {name!r}: spinner count must be >= 0, got {spinners}")
         self.name = name
         self.index = index
         self.speed = speed
@@ -163,6 +175,12 @@ class Core:
         #: unordered there, so the heap head lives here); meaningless - and
         #: recomputed on entry - otherwise.
         self._head = math.inf
+        #: engine-loop scratch, like ``_head``: the per-thread rate while
+        #: occupied (written by the dirty refresh, read by the advance) and
+        #: the occupancy ``k`` -> :meth:`share_rate` memo, emptied on every
+        #: ``Engine.run`` entry.
+        self._rate = 1.0
+        self._memo: dict[int, float] = {}
 
     # identity semantics: cores are placed in dicts/sets by the engine
     # (plain object hash/eq - no overrides needed on a non-dataclass)
@@ -173,11 +191,31 @@ class Core:
 
     @spinners.setter
     def spinners(self, value: int) -> None:
-        # A spinner arriving/leaving changes the share count, hence the
-        # per-thread rate, hence every pending completion instant.
         if value != self._spinners:
-            self._spinners = value
-            self._mark_completion_dirty()
+            self.spin(value - self._spinners)
+
+    def spin(self, delta: int) -> None:
+        """Add *delta* busy-polling spinners (negative: remove them).
+
+        A spinner arriving or leaving changes the share count, hence the
+        per-thread rate, hence every pending completion instant: the core
+        goes dirty (pushed onto the engine's dirty list once per clean->dirty
+        transition, as :meth:`_mark_completion_dirty` does).  The one
+        mutation path of the count - the ``spinners`` setter routes through
+        it - and one call per worker park and unpark.
+        """
+        spinners = self._spinners + delta
+        if spinners < 0:
+            raise SimStateError(
+                f"core {self.name!r}: spinner count cannot go below zero "
+                f"({self._spinners} {delta:+})"
+            )
+        self._spinners = spinners
+        if not self._completion_dirty:
+            self._completion_dirty = True
+            idx = self._cidx
+            if idx is not None:
+                idx._dirty.append(self._cpos)
 
     def _mark_completion_dirty(self) -> None:
         """Invalidate the cached completion instant and notify the engine's
@@ -226,8 +264,8 @@ class Core:
         While the core's composition is unchanged the per-thread rate is
         constant, so the earliest finish is a fixed wall-clock instant no
         matter when it is queried; the cache is invalidated by :meth:`add`,
-        by completions inside :meth:`advance`, and by the ``spinners``
-        setter.
+        by completions inside :meth:`advance`, and by :meth:`spin` (the
+        ``spinners`` setter included).
         """
         if self._completion_dirty:
             self._completion_at = completion_instant(self, now)
@@ -289,13 +327,13 @@ class CompletionIndex:
     finish?" on every iteration.  Each core's cached completion instant is
     mirrored into one flat list (``inf`` = idle core) and only the *dirty*
     cores - those whose runnable set or spinner count changed since the last
-    look, pushed by :meth:`Core._mark_completion_dirty` - are re-read.  A
-    plain Python list, not an ndarray: at the 3-9 cores of the modelled
-    platforms a bound C-loop ``min`` over a list is several times faster
-    than ufunc dispatch.
+    look, pushed by :meth:`Core._mark_completion_dirty` or :meth:`Core.spin`
+    - are re-read.  A plain Python list, not an ndarray: at the 3-9 cores of
+    the modelled platforms a bound C-loop ``min`` over a list is several
+    times faster than ufunc dispatch.
 
-    ``Engine.run`` drives ``_instants_list``/``_dirty`` directly (it holds
-    the memoized rates the refresh needs); :meth:`refresh`/:meth:`min_at`
+    ``Engine.run`` drives ``_instants_list``/``_dirty`` directly (its refresh
+    reads each core's ``_memo`` of rates); :meth:`refresh`/:meth:`min_at`
     are the same protocol for callers outside a run.
 
     Attaching a core to a second index (e.g. sharing ``Core`` objects

@@ -29,8 +29,10 @@ What keeps all three amortized O(1) per event at million-task scale
 * each core caches the absolute instant of its earliest completion and
   pushes its position onto the :class:`~repro.simcore.cores.CompletionIndex`
   dirty list on invalidation, so only cores whose composition changed are
-  re-read, with the per-thread rate memoized per occupancy ``k`` (the memo
-  caches *results* of :meth:`Core.share_rate`, never a second formula);
+  re-read, with the per-thread rate memoized per occupancy ``k`` in the
+  core's ``_memo`` (it caches *results* of :meth:`Core.share_rate`, never a
+  second formula) and kept in ``Core._rate`` for the advance, which then
+  costs one multiply per occupied core;
 * while ``run()`` executes, each core's pending list is *unordered* with
   mutable-list entries: admissions are plain appends, the head lives in
   ``Core._head``, a drain sorts once before consuming due entries (sorted
@@ -54,7 +56,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappop, heappush
-from math import inf
+from math import inf, isnan
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from .cores import WORK_EPSILON, CompletionIndex, Core, Device
@@ -272,16 +274,16 @@ class Engine:
         are still blocked raises :class:`SimDeadlock` - a clean experiment
         must shut its runtime down so every thread finishes.
         """
+        if until is not None and isnan(until):
+            raise SimTimeError("run(until=nan): the stop instant must be a number")
         ready = self._ready
         timers = self._timers
         cidx = self._completions
         comp = cidx._instants_list
         dirty = cidx._dirty
         cores = cidx.cores
-        #: per-core state indexed by completion-index position: the current
-        #: per-thread rate (valid while occupied) and the k -> rate memo
-        rates = [1.0] * len(cores)
-        memo: list[dict[int, float]] = [{} for _ in cores]
+        work_epsilon = WORK_EPSILON
+        instant_epsilon = _INSTANT_EPSILON
         ready_state = ThreadState.READY
         running_state = ThreadState.RUNNING
         blocked_state = ThreadState.BLOCKED
@@ -298,16 +300,21 @@ class Engine:
         instants = 0
 
         # ---- prologue: pending entries become mutable lists, each core's
-        # head finish is interned in ``_head``, and the run-wide sequence
-        # counter starts past every live (finish, seq) key so new segments
-        # keep sorting after existing equal-finish ones.
+        # head finish is interned in ``_head``, its rate memo starts empty
+        # (``speed`` / ``cs_alpha`` may have changed since the last run), and
+        # the run-wide sequence counter starts past every live (finish, seq)
+        # key so new segments keep sorting after existing equal-finish ones.
+        # ``current`` is cleared here once (an escaped exception leaves it
+        # on the culprit); the drains clear it only after dispatching.
+        self.current = None
         seq = 0
         for pos, core in enumerate(cores):
             heap = core._finish_heap
             heap[:] = [list(entry) for entry in heap]
             core._head = heap[0][0] if heap else inf
+            core._memo.clear()
             seq = max(seq, core._seq, *(entry[1] for entry in heap))
-            # Queue every position for the first refresh so ``rates``/
+            # Queue every position for the first refresh so ``_rate``/
             # ``comp`` get populated - WITHOUT setting the dirty flag: a
             # clean core's cached ``_completion_at`` must survive re-entry
             # bit-for-bit (recomputing the same instant from the advanced
@@ -325,8 +332,8 @@ class Engine:
                     events += 1
                     # ``current`` is read only from inside the generator
                     # (sync primitives asking "who is running?"), so it is
-                    # cleared once after the drain; on an exception it is
-                    # left pointing at the culprit thread.
+                    # cleared once after a drain that dispatched; on an
+                    # exception it is left pointing at the culprit thread.
                     self.current = thread
                     try:
                         request = thread._send(value)
@@ -379,13 +386,15 @@ class Engine:
                         thread.state = blocked_state
                     else:
                         self._dispatch_slow(thread, request)
-                self.current = None
-                self._events_processed += events
-                events = 0
+                if events:
+                    self.current = None
+                    self._events_processed += events
+                    events = 0
 
                 # ---- refresh dirty completion instants: the float ops of
                 # cores.completion_instant in the same order, with the rate
-                # looked up per occupancy k instead of re-derived.
+                # looked up per occupancy k in the core's memo instead of
+                # re-derived.
                 if dirty:
                     now = self.now
                     for pos in dirty:
@@ -393,10 +402,10 @@ class Engine:
                         n = len(core._finish_heap)
                         if n:
                             k = n + core._spinners
-                            rate = memo[pos].get(k)
+                            rate = core._memo.get(k)
                             if rate is None:
-                                rate = memo[pos][k] = core.share_rate(k)
-                            rates[pos] = rate
+                                rate = core._memo[k] = core.share_rate(k)
+                            core._rate = rate
                             if core._completion_dirty:
                                 at = now + (core._head - core._virtual) / rate
                                 core._completion_at = at
@@ -465,17 +474,17 @@ class Engine:
                     # differs from ``next_at`` by an ulp when the
                     # subtraction rounds, and the figures pin that bit.
                     self.now += dt
-                    pos = 0
                     for core in cores:
                         heap = core._finish_heap
-                        n = len(heap)
-                        if n:
-                            rate = rates[pos]
-                            virtual = core._virtual + dt * rate
+                        if heap:
+                            # one multiply: ``dt * rate * n`` evaluates as
+                            # ``(dt * rate) * n``, so ``d * n`` is its bits
+                            d = dt * core._rate
+                            virtual = core._virtual + d
                             core._virtual = virtual
-                            core.delivered += dt * rate * n
+                            core.delivered += d * len(heap)
                             core.busy_time += dt
-                            limit = virtual + WORK_EPSILON
+                            limit = virtual + work_epsilon
                             if core._head <= limit:
                                 # Due completions: sort the pending list and
                                 # credit each pop's exact work right here,
@@ -502,19 +511,18 @@ class Engine:
                                     core._head = heap[0][0]
                                 if not core._completion_dirty:
                                     core._completion_dirty = True
-                                    dirty.append(pos)
+                                    dirty.append(core._cpos)
                         elif core._spinners:
                             # a busy-polling thread keeps the core active
                             # with no work in flight
                             core.busy_time += dt
-                        pos += 1
 
                 # ---- batched same-instant timer drain: every timer due at
                 # the reached instant fires before any completed or woken
                 # thread runs.  Each pass pops everything due, then calls it
                 # in (when, seq) order; timers the callbacks chain at this
                 # same instant join the drain as the next pass.
-                deadline = self.now + _INSTANT_EPSILON
+                deadline = self.now + instant_epsilon
                 if timer_at <= deadline:
                     fired = 0
                     while True:

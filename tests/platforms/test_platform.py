@@ -68,6 +68,17 @@ def test_accelerator_needs_clock():
         )
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), -2.0, float("inf")], ids=["nan", "neg", "inf"])
+def test_cs_alpha_validated(alpha):
+    """Checked beside ``little_speed``: a NaN penalty used to stall every
+    core's clock, and a negative one failed mid-run."""
+    with pytest.raises(ValueError, match="cs_alpha must be finite and >= 0"):
+        PlatformConfig(
+            name="bad", n_worker_cores=2, n_cpu_workers=2,
+            accelerators=(), timing=zcu102_timing(), cs_alpha=alpha,
+        )
+
+
 def test_describe_pes_placement_zcu():
     """FFT management threads round-robin over the three worker cores."""
     cfg = zcu102(n_cpu=3, n_fft=4)

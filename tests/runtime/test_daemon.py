@@ -13,6 +13,7 @@ from repro.runtime import (
     RuntimeConfig,
 )
 from repro.sched import paper_schedulers
+from repro.simcore import SimStateError
 
 
 def tiny_dag_program(data):
@@ -157,6 +158,19 @@ def test_empty_workload_shuts_down_cleanly():
     rt.seal()
     assert rt.run() >= 0.0
     assert rt.counters.apps_completed == 0
+
+
+@pytest.mark.parametrize("after_kick", [False, True], ids=["alone", "after-kick"])
+def test_unknown_daemon_event_kind_raises(after_kick):
+    """The daemon tests ``task_done`` and ``kick`` first; a kind outside the
+    protocol still ends in the error, alone or behind a doorbell."""
+    rt = build_runtime()
+    if after_kick:
+        rt.events.post(("kick", None))
+    rt.events.post(("bogus", None))
+    rt.seal()
+    with pytest.raises(SimStateError, match="unknown daemon event 'bogus'"):
+        rt.run()
 
 
 def test_timing_only_mode_skips_execution(data):

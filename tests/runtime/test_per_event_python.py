@@ -1,10 +1,13 @@
-"""Per-event code binds enum members once.
+"""Per-event code pays no host-only detour.
 
 On CPython 3.11 an enum member read through its class (``TaskState.READY``)
 goes through the enum metaclass and costs several times a module global, and
 the functions below run once per event or per task.  Each reads the members
 it needs from module-level names bound at import; this guard fails if a
-class-qualified read creeps back into one of them.
+class-qualified read creeps back into one of them.  Two more guards: a
+worker's park / unpark is one ``Core.spin`` call, not the ``spinners``
+property's getter and setter, and the engine loop keeps its per-core scratch
+on the cores, not in per-run lists indexed by position.
 """
 
 import ast
@@ -39,3 +42,24 @@ def test_hot_function_reads_no_enum_member_through_its_class(name):
         and node.value.id in ("ThreadState", "TaskState")
     ]
     assert reads == []
+
+
+def test_worker_toggles_spinners_through_spin_only():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(worker_body)))
+    touches = [
+        f"{type(node.ctx).__name__} line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "spinners"
+    ]
+    assert touches == []
+    spins = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "spin"
+    ]
+    assert len(spins) == 2  # spin(1) on park, spin(-1) on unpark
+
+
+def test_engine_loop_keeps_no_per_position_scratch_lists():
+    """The rate and its memo live on ``Core`` (``_rate`` / ``_memo``)."""
+    assert {"rates", "memo"}.isdisjoint(Engine.run.__code__.co_varnames)

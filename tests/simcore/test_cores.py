@@ -67,6 +67,63 @@ def test_delivered_excludes_spinner_share():
     assert core.busy_time == pytest.approx(2.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs,what", [
+    ({"speed": NAN}, "speed"), ({"speed": 0.0}, "speed"), ({"speed": -1.0}, "speed"),
+    ({"speed": INF}, "speed"), ({"cs_alpha": NAN}, "cs_alpha"),
+    ({"cs_alpha": -2.0}, "cs_alpha"), ({"cs_alpha": INF}, "cs_alpha"),
+    ({"spinners": -1}, "spinner count"),
+], ids=["speed-nan", "speed-0", "speed-neg", "speed-inf", "alpha-nan", "alpha-neg",
+        "alpha-inf", "spinners-neg"])
+def test_bad_core_parameters_rejected_naming_the_core(kwargs, what):
+    """speed=nan / cs_alpha=nan used to end a run "normally" at 0.0 with its
+    threads still RUNNING, speed=0 raised ZeroDivisionError, and negative
+    values failed mid-run; each now stops at construction."""
+    with pytest.raises(SimStateError, match=f"core 'x': {what}"):
+        Core("x", 0, **kwargs)
+
+
+def _clean(eng):
+    """Refresh every completion instant so no core is dirty."""
+    eng._completions.refresh(eng.now)
+    assert eng._completions._dirty == []
+
+
+def test_spin_and_setter_push_once_per_clean_to_dirty_transition():
+    eng = Engine(cores=2)
+    core, dirty = eng.cores[1], eng._completions._dirty
+    _clean(eng)
+    core.spin(1)
+    core.spin(1)
+    core.spinners = 5
+    core.spin(-2)
+    assert (core.spinners, dirty) == (3, [1])
+    _clean(eng)
+    core.spinners = 3  # no change: the cached instant stays valid
+    assert dirty == []
+    core.spinners = 0
+    core.spin(1)
+    assert (core.spinners, dirty) == (1, [1])
+
+
+def test_spinner_count_cannot_go_below_zero():
+    """``spinners = -1`` used to be stored, and a later refresh at k = 0
+    divided by zero; both spellings go through ``spin`` and refuse it."""
+    eng = Engine(cores=1)
+    core = eng.cores[0]
+    core.spin(1)
+    _clean(eng)
+    with pytest.raises(SimStateError, match="core 'cpu0': spinner count cannot go below zero"):
+        core.spin(-2)
+    with pytest.raises(SimStateError, match="below zero"):
+        core.spinners = -1
+    assert core.spinners == 1 and eng._completions._dirty == []  # nothing changed
+    core.spin(-1)
+    assert core.spinners == 0
+
+
 def test_core_advance_empty_returns_nothing():
     core = Core(name="c", index=0)
     assert core.advance(1.0) == []

@@ -197,6 +197,38 @@ def test_run_until_pauses_and_resumes():
     assert t.finished_at == pytest.approx(1.0)
 
 
+def test_run_until_nan_rejected_and_inf_legal():
+    """``next_at > nan`` is never true, so ``until=nan`` used to be ignored
+    and the run went to completion; it is refused before anything moves."""
+    eng = Engine(cores=1)
+    t = eng.spawn(burn(1.0), "t")
+    with pytest.raises(SimTimeError, match="until=nan"):
+        eng.run(until=float("nan"))
+    assert eng.now == 0.0 and eng.events_processed == 0 and t.alive
+    assert eng.run(until=float("inf")) == pytest.approx(1.0)
+    assert not t.alive
+
+
+def test_current_is_cleared_on_reentry_after_an_escape():
+    """An escaping exception leaves ``current`` on the culprit; the next
+    ``run()`` clears it on entry, so a timer firing before any dispatch
+    sees no running thread."""
+    eng = Engine(cores=1)
+
+    def bomb():
+        yield Compute(0.1)
+        raise RuntimeError("boom")
+
+    culprit = eng.spawn(bomb(), "bomb")
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run()
+    assert eng.current is culprit
+    seen = []
+    eng.call_at(0.5, lambda: seen.append(eng.current))
+    eng.run()
+    assert seen == [None] and eng.current is None
+
+
 def test_call_at_fires_in_order():
     eng = Engine(cores=1)
     hits = []

@@ -21,6 +21,7 @@ from repro.simcore import (
     AcquireDevice,
     Block,
     Compute,
+    Core,
     Engine,
     Condition,
     Mutex,
@@ -28,6 +29,7 @@ from repro.simcore import (
     SimDeadlock,
     SimStateError,
     Sleep,
+    ThreadState,
 )
 from reference_engine import ReferenceEngine
 
@@ -181,6 +183,87 @@ def test_engine_with_spinners_matches_reference():
         eng.run()
         snaps[impl] = _snapshot(eng, threads)
     assert snaps["reference"] == snaps["production"]
+
+
+def test_core_parameters_changed_between_runs_match_reference():
+    """``speed`` / ``cs_alpha`` written between two ``run(until=)`` calls
+    take effect from the next run: the production loop empties each core's
+    ``k -> rate`` memo on entry, the reference re-derives the rate on every
+    advance.  The pauses fall while every thread sleeps, so no cached
+    completion instant spans a change."""
+
+    def phases(i):
+        for _ in range(3):
+            for _ in range(5):
+                yield Compute(1e-4 * (i + 1))
+            yield Sleep(1.0)
+
+    changes = [(0.5, (2.0, 0.3), (0.5, 0.0)), (1.5, (0.75, 0.0), (1.25, 0.2))]
+    trails = {}
+    for impl, cls in ENGINES.items():
+        eng = cls(cores=[Core("c0", 0, cs_alpha=0.1), Core("c1", 1, speed=0.5)], seed=2)
+        eng.cores[1].spinners = 1
+        threads = [
+            eng.spawn(phases(i), name=f"p{i}", affinity=eng.cores[i % 2]) for i in range(4)
+        ]
+        trail = []
+        for until, *params in changes:
+            eng.run(until=until)
+            assert all(t.state is ThreadState.SLEEPING for t in threads)
+            for core, (speed, alpha) in zip(eng.cores, params):
+                core.speed, core.cs_alpha = speed, alpha
+            trail.append(_snapshot(eng, threads))
+        eng.run()
+        trail.append(_snapshot(eng, threads))
+        trails[impl] = trail
+    assert trails["reference"] == trails["production"]
+
+
+def _bump(core, delta):
+    core.spinners = core.spinners + delta  # through the setter
+
+
+def test_spin_toggles_and_outside_spinner_writes_match_reference():
+    """Worker-style ``spin(+1)`` / ``spin(-1)`` around each park, mixed with
+    ``spinners = ...`` writes from timer callbacks and between ``until``
+    steps: every write re-rates its core, and the loops agree state by
+    state."""
+
+    def poller(core, i):
+        r = random.Random(50 + i)
+        for _ in range(25):
+            core.spin(1)  # parked busy-polling, as a worker on its mailbox
+            yield Sleep(r.uniform(1e-5, 3e-4))
+            core.spin(-1)
+            yield Compute(r.uniform(1e-6, 2e-4))
+
+    def burner(i):
+        r = random.Random(90 + i)
+        for _ in range(30):
+            yield Compute(r.uniform(1e-6, 3e-4))
+
+    trails = {}
+    for impl, cls in ENGINES.items():
+        eng = cls(cores=3, seed=4)
+        cores = eng.cores
+        threads = [
+            eng.spawn(poller(cores[i % 3], i), name=f"p{i}", affinity=cores[i % 3])
+            for i in range(4)
+        ] + [eng.spawn(burner(i), name=f"b{i}") for i in range(4)]
+        r = random.Random(7)
+        for j in range(20):
+            delta = r.choice((1, 2))
+            eng.call_at(r.uniform(0.0, 3e-3), partial(_bump, cores[j % 3], delta))
+            eng.call_at(r.uniform(3e-3, 6e-3), partial(_bump, cores[j % 3], -delta))
+        trail, t, step = [], 0.0, 4.1e-4
+        while not all(not th.alive for th in threads) and t < 1.0:
+            t += step
+            eng.run(until=t)
+            cores[1].spinners += 1 if len(trail) % 2 == 0 else -1
+            trail.append((_snapshot(eng, threads), [c.spinners for c in cores]))
+        trails[impl] = trail
+    assert len(trails["production"]) > 10
+    assert trails["reference"] == trails["production"]
 
 
 def test_engine_restores_at_rest_representation_between_runs():
