@@ -42,7 +42,7 @@ from repro.metrics import RunResult
 from repro.platforms import PLATFORMS, available_platforms, estimate_energy
 from repro.runtime.trace import write_chrome_trace
 from repro.sched import available_schedulers
-from repro.scenario_keys import KEYS
+from repro.scenario_keys import CHECKS, KEYS
 from repro.serve.admission import ADMISSION_POLICIES
 
 __all__ = ["main", "build_parser"]
@@ -653,8 +653,10 @@ def _cmd_scenario_list(args) -> int:
 def _cmd_scenario_run(args) -> int:
     import dataclasses
 
+    from repro.experiments import seed_invariant
     from repro.scenario import run_scenario
 
+    _check_counts(args, "scenario run")
     spec = _load_spec(args.spec)
     if args.audit:
         spec = dataclasses.replace(spec, audit=True)
@@ -665,12 +667,15 @@ def _cmd_scenario_run(args) -> int:
         spec, trials=trials, base_seed=base_seed, n_jobs=args.jobs, cache=cache
     )
     n = len(results)
+    once = n > 1 and spec.kind == "run" and seed_invariant(
+        spec.build_workload(), spec.execute, spec.build_config())
     print(f"scenario  : {spec.name} [{spec.kind}]  digest {spec.digest()[:12]}"
           f"  ({args.spec})")
     print(f"platform  : {spec.platform}  mode={spec.mode}  "
           f"scheduler={spec.scheduler}")
     print(f"trials    : {n} (base seed {base_seed}"
-          + (", audited" if spec.audit else "") + ")")
+          + (", audited" if spec.audit else "") + ")"
+          + ("; the cell cannot read its seed and runs once" if once else ""))
 
     def mean(xs):
         return sum(xs) / n
@@ -850,11 +855,32 @@ def _resolve_cache(args):
     return resolve_cache(None)
 
 
+#: the count flags of ``figure`` / ``scenario run``: dest -> (passes, what
+#: a passing value is); an unset flag (``None``) is not checked
+_COUNTS = {
+    "trials": CHECKS["at_least_1"],
+    "rates": CHECKS["at_least_1"],
+    "seed": CHECKS["nonnegative"],
+    "fault_seed": CHECKS["nonnegative"],
+    "jobs": (lambda v: v != 0, "must be >= 1, or <= -1 for every core"),
+}
+
+
+def _check_counts(args, verb: str) -> None:
+    """Exit on one line naming the first count flag out of range."""
+    for dest, (ok, must) in _COUNTS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            flag = "--" + dest.replace("_", "-")
+            raise SystemExit(f"repro {verb} {flag} {must}, got {value}")
+
+
 def _cmd_figure(args) -> int:
     import os
 
     from repro.experiments import AUDIT_ENV, FIGURES, configure_cache
 
+    _check_counts(args, "figure")
     cache = _resolve_cache(args)
     # pin the handle process-wide so every cell the figure runs goes through
     # it (and its hit/miss counters), then restore on the way out

@@ -18,6 +18,7 @@ from .common import (
     run_once,
     run_to_completion,
     run_trials,
+    seed_invariant,
 )
 from .figures import (
     FAULT_RATES,
@@ -45,6 +46,7 @@ __all__ = [
     "run_once",
     "run_cells",
     "run_trials",
+    "seed_invariant",
     "resolve_jobs",
     "SweepCache",
     "CacheStats",

@@ -2,7 +2,7 @@
 
 A grid cell is a pure function of its inputs - ``(platform, workload, mode,
 rate, scheduler, seed, execute, config)`` fully determine the
-:class:`~repro.metrics.RunResult` (the engine owns its RNG, seeded from
+:class:`~repro.metrics.RunResult` (every random stream is keyed on
 ``seed``; nothing leaks between runs).  That purity is what makes parallel
 sweeps bit-identical to serial ones, and it equally makes every cell
 *memoizable*: hash the inputs, look the digest up on disk, and only

@@ -16,8 +16,8 @@ Parallel sweeps
 ---------------
 
 A run is a pure function of ``(platform, workload, mode, rate, scheduler,
-seed, execute, config)``: the engine owns its RNG, seeded from ``seed``, and
-no state leaks between runs.  :func:`run_cells` (and :func:`run_trials` on
+seed, execute, config)``: every random stream is a ``child_rng`` of ``seed``,
+and no state leaks between runs.  :func:`run_cells` (and :func:`run_trials` on
 top of it) therefore accept ``n_jobs`` and shard cells across a
 :class:`~concurrent.futures.ProcessPoolExecutor` - results are collected
 in grid order, so the output is **bit-identical** to the serial path (a
@@ -42,6 +42,7 @@ and serial sweeps all agree byte-for-byte.
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -51,6 +52,7 @@ from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCodec, SweepCache
 from repro.metrics import RunResult
 from repro.platforms import PlatformConfig
 from repro.runtime import CedrRuntime, RuntimeConfig
+from repro.serve.arrival import SEED_FREE_ARRIVALS
 from repro.workload import WorkloadSpec
 
 __all__ = [
@@ -58,6 +60,7 @@ __all__ = [
     "run_once",
     "run_cells",
     "run_trials",
+    "seed_invariant",
     "resolve_jobs",
     "configure_cache",
     "resolve_cache",
@@ -235,6 +238,44 @@ def _run_cell(cell: tuple) -> RunResult:
     )
 
 
+def seed_invariant(
+    workload: WorkloadSpec, execute: bool, config: Optional[RuntimeConfig]
+) -> bool:
+    """Whether a batch cell with these parts gives the same result at every seed.
+
+    A seed reaches a batch run through four ``child_rng`` streams: arrivals,
+    payloads, cost noise and unpinned faults (docs/INTERNALS.md
+    "Determinism"; ``tests/experiments/test_seed_invariant.py`` pins them).
+    A timing-only cell with ``SEED_FREE_ARRIVALS``, no cost noise and faults
+    off or pinned draws from none of them.
+    """
+    if execute or workload.arrival_process not in SEED_FREE_ARRIVALS:
+        return False
+    if config is None:
+        return True
+    faults = config.faults
+    return config.cost_noise_sigma == 0 and (
+        faults is None or faults.rate == 0 or faults.seed is not None
+    )
+
+
+def _stand_ins(cells: list[tuple]) -> list[int]:
+    """For each batch cell, the index of the cell whose simulation it takes:
+    its own, or the lowest-seed seed-invariant cell equal to it but for the
+    seed.  Cells are bucketed on their hashable parts and the rest compared
+    by ``==`` (platforms and configs hold dicts, so a cell does not hash)."""
+    stand_in = list(range(len(cells)))
+    buckets: dict[tuple, list[int]] = {}
+    for i in sorted(stand_in, key=lambda i: cells[i][5]):
+        cell = cells[i]
+        if seed_invariant(cell[1], cell[6], cell[7]):
+            rest, bucket = cell[:5] + cell[6:], buckets.setdefault(cell[2:5], [])
+            stand_in[i] = next((j for j in bucket if cells[j][:5] + cells[j][6:] == rest), i)
+            if stand_in[i] == i:
+                bucket.append(i)
+    return stand_in
+
+
 def run_cells(
     cells: list[tuple],
     n_jobs: Optional[int] = None,
@@ -252,12 +293,14 @@ def run_cells(
     before any sharding and only the missing cells reach the pool; the
     final list is reassembled in grid order either way, so caching never
     perturbs output ordering (or bits - a hit is the stored result,
-    exactly).
+    exactly).  Under the batch worker, the :func:`seed_invariant` cells
+    to simulate that differ only in their seed are simulated once, at the
+    lowest seed; each missing cell is still stored under its own key.
     """
     n_jobs = resolve_jobs(n_jobs)
     cache = resolve_cache(cache)
     if cache is None:
-        return _simulate_cells(cells, n_jobs, worker)
+        return _simulate_unique(cells, n_jobs, worker)
     # each cell is keyed exactly once: get and put share the probe, so a
     # digest can never drift between lookup and store within one sweep
     probes = [cache.probe(cell) for cell in cells]
@@ -266,11 +309,23 @@ def run_cells(
     ]
     missing = [i for i, r in enumerate(results) if r is None]
     if missing:
-        fresh = _simulate_cells([cells[i] for i in missing], n_jobs, worker)
+        fresh = _simulate_unique([cells[i] for i in missing], n_jobs, worker)
         for i, result in zip(missing, fresh):
             cache.put(cells[i], result, probes[i], codec=codec)
             results[i] = result
     return results
+
+
+def _simulate_unique(cells: list[tuple], n_jobs: int, worker) -> list:
+    """:func:`_simulate_cells` over each group of seed-invariant batch cells
+    once; every other slot of a group gets its own deep copy, so mutating
+    one result's dicts never reaches a sibling."""
+    if worker is not _run_cell:
+        return _simulate_cells(cells, n_jobs, worker)
+    stand_in = _stand_ins(cells)
+    unique = sorted(set(stand_in))
+    fresh = dict(zip(unique, _simulate_cells([cells[i] for i in unique], n_jobs, worker)))
+    return [fresh[j] if i == j else copy.deepcopy(fresh[j]) for i, j in enumerate(stand_in)]
 
 
 def _simulate_cells(cells: list[tuple], n_jobs: int, worker) -> list:

@@ -44,7 +44,7 @@ from repro.workload import (
     reduced_injection_rates,
 )
 
-from .common import _run_cell, run_cells, trial_seeds
+from .common import _run_cell, run_cells, seed_invariant, trial_seeds
 
 __all__ = [
     "FIGURES",
@@ -374,6 +374,24 @@ _TABLE = {row.name: row for row in (
 )}
 
 
+def _grid(row: _Row, xs, trials, seed, schedulers, fault_seed, duration) -> tuple:
+    """``(xs, opts, series, cells)`` of one run of *row*; cells in (series,
+    x, trial) order."""
+    xs = tuple(row.xs if xs is None else xs)
+    opts = {"fault_seed": fault_seed,
+            "duration": SATURATION_DURATION if duration is None else duration}
+    pairs = row.series or [
+        (s.upper(), s)
+        for s in (paper_schedulers() if schedulers is None else schedulers)
+    ]
+    series = [(group, label, key) for group in row.groups for label, key in pairs]
+    cells = [row.cell(group, key, x, s, opts)
+             for group, _, key in series
+             for x in xs
+             for s in trial_seeds(trials, seed)]
+    return xs, opts, series, cells
+
+
 def run_figure(
     name: str,
     *,
@@ -398,18 +416,7 @@ def run_figure(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     row = _TABLE[name]
-    xs = tuple(row.xs if xs is None else xs)
-    opts = {"fault_seed": fault_seed,
-            "duration": SATURATION_DURATION if duration is None else duration}
-    pairs = row.series or [
-        (s.upper(), s)
-        for s in (paper_schedulers() if schedulers is None else schedulers)
-    ]
-    series = [(group, label, key) for group in row.groups for label, key in pairs]
-    cells = [row.cell(group, key, x, s, opts)
-             for group, _, key in series
-             for x in xs
-             for s in trial_seeds(trials, seed)]
+    xs, opts, series, cells = _grid(row, xs, trials, seed, schedulers, fault_seed, duration)
     results = run_cells(cells, n_jobs, worker=row.worker, codec=row.codec)
     chunks = [results[i:i + trials] for i in range(0, len(results), trials)]
     panels = {}
@@ -425,10 +432,17 @@ def run_figure(
 
 
 def _render(row: _Row, args) -> int:
-    """``repro figure <row>``: run the row, print its panels and footer."""
+    """``repro figure <row>``: run the row, print its panels and footer,
+    after a line counting the cells whose trials run once."""
+    xs = paper_injection_rates(n=args.rates) if row.rate_axis else None
+    if args.trials > 1 and row.worker is _run_cell:
+        *_, cells = _grid(row, xs, 1, args.seed, None, args.fault_seed, args.duration)
+        once = sum(seed_invariant(c[1], c[6], c[7]) for c in cells)
+        if once:
+            print(f"trials    : {args.trials} seeds per cell; {once} of {len(cells)} "
+                  f"cells cannot read their seed and run once")
     panels = run_figure(
-        row.name,
-        xs=paper_injection_rates(n=args.rates) if row.rate_axis else None,
+        row.name, xs=xs,
         trials=args.trials, seed=args.seed, n_jobs=args.jobs,
         fault_seed=args.fault_seed, duration=args.duration,
     )

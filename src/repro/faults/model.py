@@ -143,6 +143,8 @@ class FaultConfig:
         # watchdog factor would reach the engine as a NaN timer instant
         if not 0 <= self.rate < inf:
             raise ValueError(f"fault rate must be finite and >= 0, got {self.rate}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"fault seed must be >= 0, got {self.seed}")
         if not self.kinds:
             raise ValueError("fault config needs at least one fault kind")
         if self.max_retries < 0:

@@ -43,6 +43,7 @@ from repro.registry import Registry
 
 __all__ = [
     "ARRIVALS",
+    "SEED_FREE_ARRIVALS",
     "ArrivalSpec",
     "register_arrival",
     "available_arrivals",
@@ -60,6 +61,11 @@ ArrivalFn = Callable[["ArrivalSpec", np.random.Generator], Iterator[float]]
 ARRIVALS: Registry[ArrivalFn] = Registry(
     "arrival process", entry_point_group="repro.arrivals"
 )
+
+#: the builtins that never draw from their rng: a stream of one of these is
+#: the same for every seed.  Any other process, plug-ins included, is taken
+#: to read it (``repro.experiments.seed_invariant``).
+SEED_FREE_ARRIVALS = frozenset({"periodic", "trace"})
 
 #: the builtins' rates, periods and lengths: each must be > 0 when given
 _POSITIVE_PARAMS = frozenset({"rate", "period", "cycle", "burst_len", "loop"})

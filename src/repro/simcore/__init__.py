@@ -18,7 +18,7 @@ from .process import (
     SimThread,
     ThreadState,
 )
-from .rng import child_rng, make_rng
+from .rng import child_rng
 from .sync import Condition, Mutex, Semaphore, SimQueue
 
 __all__ = [
@@ -41,6 +41,5 @@ __all__ = [
     "SimDeadlock",
     "SimStateError",
     "SimTimeError",
-    "make_rng",
     "child_rng",
 ]

@@ -70,7 +70,6 @@ from .process import (
     SimThread,
     ThreadState,
 )
-from .rng import make_rng
 
 __all__ = ["Engine"]
 
@@ -101,8 +100,9 @@ class Engine:
         Either an integer (that many unit-speed cores are created) or a
         sequence of pre-built :class:`Core` objects.
     seed:
-        Seed for the engine-owned root RNG; subsystems derive child streams
-        from it so whole experiments are reproducible bit-for-bit.
+        The run's seed (>= 0).  The engine draws nothing from it; the
+        subsystems that randomise (cost noise, unpinned faults) key their
+        ``child_rng`` streams on it, so a run reproduces bit-for-bit.
     """
 
     def __init__(self, cores: int | Sequence[Core] = 1, seed: int = 0) -> None:
@@ -119,8 +119,9 @@ class Engine:
         #: shrink this to the worker pool so floating application threads
         #: never land on the reserved runtime core.
         self.floating_pool: list[Core] = list(self.cores)
+        if seed < 0:
+            raise SimStateError(f"engine seed must be >= 0, got {seed}")
         self.seed = seed
-        self.rng = make_rng(seed)
         self.now: float = 0.0
         self.current: Optional[SimThread] = None
         self.threads: list[SimThread] = []

@@ -14,16 +14,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["make_rng", "child_rng"]
-
-
-def make_rng(seed: int | None = 0) -> np.random.Generator:
-    """Create the root generator for a simulation run.
-
-    ``seed=None`` yields OS entropy; every experiment driver in this
-    repository passes an explicit integer so results are reproducible.
-    """
-    return np.random.default_rng(seed)
+__all__ = ["child_rng"]
 
 
 def child_rng(seed: int, key: str) -> np.random.Generator:
@@ -31,6 +22,8 @@ def child_rng(seed: int, key: str) -> np.random.Generator:
 
     The key is CRC-hashed into the seed sequence, so cost-noise and
     data-synthesis streams stay decoupled: drawing more numbers from one
-    never perturbs the other.
+    never perturbs the other.  Every seed >= 0 is its own stream (a seed
+    at or above 2**31 is not folded onto a lower one); a negative one
+    raises ``ValueError``.
     """
-    return np.random.default_rng([seed & 0x7FFFFFFF, zlib.crc32(key.encode("utf-8"))])
+    return np.random.default_rng([seed, zlib.crc32(key.encode("utf-8"))])

@@ -94,6 +94,20 @@ def test_scenario_run_trial_and_seed_overrides(good_spec, capsys):
     assert "trials    : 2 (base seed 9)" in capsys.readouterr().out
 
 
+def test_scenario_run_names_a_collapsed_trial_axis(good_spec, tmp_path, capsys):
+    """A periodic timing-only cell says its trials run once; a Poisson one,
+    and a single trial, print the line as before."""
+    assert main(["scenario", "run", str(good_spec), "--trials", "2", "--no-cache"]) == 0
+    assert ("trials    : 2 (base seed 0); the cell cannot read its seed and runs once\n"
+            in capsys.readouterr().out)
+    assert main(["scenario", "run", str(good_spec), "--no-cache"]) == 0
+    assert "trials    : 1 (base seed 0)\n" in capsys.readouterr().out
+    poisson = tmp_path / "poisson.toml"
+    poisson.write_text(GOOD_TOML.replace("[workload]", '[workload]\narrival = "poisson"'))
+    assert main(["scenario", "run", str(poisson), "--trials", "2", "--no-cache"]) == 0
+    assert "trials    : 2 (base seed 0)\n" in capsys.readouterr().out
+
+
 def test_scenario_run_audited(good_spec, capsys):
     rc = main(["scenario", "run", str(good_spec), "--audit", "--no-cache"])
     assert rc == 0

@@ -374,6 +374,52 @@ def test_bad_run_or_serve_flag_exits_on_one_line(argv, where):
     assert message.startswith(where) and "\n" not in message
 
 
+@pytest.mark.parametrize("argv,where", [
+    pytest.param(["figure", "fig5", "--trials", "0"], "repro figure --trials must be >= 1",
+                 id="figure-trials-zero"),
+    pytest.param(["figure", "fig5", "--trials", "-3"], "repro figure --trials must be >= 1",
+                 id="figure-trials-negative"),
+    pytest.param(["figure", "fig5", "--rates", "0"], "repro figure --rates must be >= 1",
+                 id="figure-rates-zero"),
+    pytest.param(["figure", "fig5", "--jobs", "0"], "repro figure --jobs must be >= 1",
+                 id="figure-jobs-zero"),
+    pytest.param(["figure", "resilience", "--fault-seed", "-1"],
+                 "repro figure --fault-seed must be finite and >= 0", id="figure-fault-seed"),
+    pytest.param(["scenario", "run", "examples/scenarios/fig5_cell_zcu102.toml", "--trials",
+                  "0"], "repro scenario run --trials must be >= 1", id="scenario-trials-zero"),
+    pytest.param(["scenario", "run", "examples/scenarios/fig5_cell_zcu102.toml", "--jobs",
+                  "0"], "repro scenario run --jobs must be >= 1", id="scenario-jobs-zero"),
+])
+def test_bad_count_flag_exits_on_one_line(argv, where):
+    """Each of these printed a ValueError traceback from inside the sweep."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    message = str(ei.value.code)
+    assert message.startswith(where) and "\n" not in message
+
+
+def test_negative_seeds_fail_where_they_are_built():
+    """A negative seed used to fail only by accident, inside NumPy (or be
+    masked into 2**31 - 1 for a fault seed)."""
+    from repro.faults import FaultConfig
+    from repro.simcore import Engine, SimStateError
+
+    with pytest.raises(SimStateError, match="engine seed must be >= 0"):
+        Engine(seed=-1)
+    with pytest.raises(ValueError, match="fault seed must be >= 0"):
+        FaultConfig(rate=5.0, seed=-1)
+
+
+def test_seeds_past_2_31_are_their_own_streams():
+    """``child_rng`` used to mask the seed to 31 bits, so 2**31 was seed 0."""
+    from repro.simcore import child_rng
+
+    assert child_rng(2**31, "x").random() != child_rng(0, "x").random()
+    assert child_rng(2**31 - 1, "x").random() != child_rng(2**32 - 1, "x").random()
+
+
 def test_validate_cli_reports_unknown_app(tmp_path, capsys):
     """End to end: the CLI prints FAIL for a bad app name, exit code 1."""
     from repro.cli import main
