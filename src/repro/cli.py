@@ -34,6 +34,7 @@ the spec's ``build_*`` methods are the one construction route.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -85,6 +86,8 @@ def _add_spec_flags(parser, verb: str) -> None:
             parser.add_argument(row.flag, action="store_true", help=help)
             continue
         default = defaults.get(row.dest, row.default)
+        if row.attr.startswith("platform_params."):
+            default = None  # so _lower tells a given flag from an omitted one
         if row.type == "kinds":
             default = ",".join(kind.value for kind in default)
         choices = row.choices() if row.choices else (
@@ -96,8 +99,10 @@ def _add_spec_flags(parser, verb: str) -> None:
 def _lower(args):
     """Lower a flag namespace to a validated ``ScenarioSpec``: each key-table
     flag of the verb becomes its ``[section] key`` of a scenario document.
-    Every validation failure (``ScenarioError`` and ``RegistryError`` are
-    both ``ValueError``) exits on one line."""
+    Every given flag is placed and checked - a platform parameter the
+    platform does not take, or a bad ``--fault-*`` value at rate 0, fails
+    like the same document key.  Every validation failure (``ScenarioError``
+    and ``RegistryError`` are both ``ValueError``) exits on one line."""
     from repro.scenario import ScenarioSpec
 
     verb = args.command
@@ -109,15 +114,15 @@ def _lower(args):
         if verb not in row.verbs or not row.in_scope(kind):
             continue
         value = getattr(args, row.dest)
-        if row.attr.startswith("platform_params.") and (
-                row.key not in accepted or value is None):
-            continue  # --fft reaches only platforms that take an fft
+        if row.attr.startswith("platform_params.") and value is None:
+            # omitted: the row default, only on a platform that takes the key
+            if row.key not in accepted or row.default is None:
+                continue
+            value = row.default
         row.place(doc, value)
     # the flags that are not "this key = this value"
     if verb == "run":
         doc["run"]["execute"] = not args.timing_only
-        if not args.fault_rate > 0.0:
-            del doc["faults"]
         if not args.metrics_out and args.metrics_interval == 0.0:
             del doc["telemetry"]  # a bad interval stays, so the key's check sees it
     if verb == "audit":
@@ -125,9 +130,12 @@ def _lower(args):
         if kind == "run":
             doc["workload"]["name"] = "audit-diff"  # an RNG label
     try:
-        return ScenarioSpec.from_mapping(doc, source=f"repro {verb}")
+        spec = ScenarioSpec.from_mapping(doc, source=f"repro {verb}")
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    if spec.faults is not None and spec.faults.rate == 0.0:
+        spec = dataclasses.replace(spec, faults=None)  # checked, then off
+    return spec
 
 
 #: ``repro run`` / ``repro serve`` flags as a run- / serve-kind spec

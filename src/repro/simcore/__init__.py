@@ -6,7 +6,7 @@ CPU cores, and accelerator devices on which both the DAG-based and API-based
 CEDR runtimes execute.
 """
 
-from .cores import CompletionIndex, Core, Device
+from .cores import Core, Device
 from .engine import Engine
 from .errors import SimDeadlock, SimError, SimStateError, SimTimeError
 from .process import (
@@ -24,7 +24,6 @@ from .sync import Condition, Mutex, Semaphore, SimQueue
 __all__ = [
     "Engine",
     "Core",
-    "CompletionIndex",
     "Device",
     "SimThread",
     "ThreadState",

@@ -19,16 +19,15 @@ the dedicated-work seconds delivered to each occupant since the core was
 created.  A segment of ``w`` work admitted at virtual time ``V0`` finishes
 when ``V`` reaches ``V0 + w``; advancing the wall clock by ``dt`` moves
 ``V`` by ``dt * rate`` once, regardless of how many threads share the core.
-Finish instants live in a per-core min-heap, so an advance costs
-O(1 + completions log n) instead of O(runnable).
 
 Because the per-thread rate is constant while the core's composition
-(runnable set + spinner count) is unchanged, the *absolute* wall-clock
-instant of the earliest completion is also constant.  Each core caches it
-(:meth:`Core.completion_at`) and invalidates only when a segment is added,
-a segment finishes, or the spinner count changes - the invalidation
-protocol the engine's advance loop relies on (see docs/INTERNALS.md,
-"Performance").
+(runnable set + spinner count) and its parameters are unchanged, the
+*absolute* wall-clock instant of the earliest completion is also constant.
+The engine caches it per core and re-reads a core only after it went dirty:
+a segment added or finished, a spinner parked or left, or ``speed`` /
+``cs_alpha`` assigned (see docs/INTERNALS.md, "Performance").  The pending
+segments themselves are the engine loop's: an unordered list per core,
+driven only by :meth:`Engine.run <repro.simcore.engine.Engine.run>`.
 
 Devices (FFT/MMULT accelerators, the GPU) are exclusive FIFO servers: one
 occupant at a time, queued requests served in arrival order.  The CPU-side
@@ -40,10 +39,9 @@ scalability results.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from .errors import SimStateError
 
@@ -51,29 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
     from .process import SimThread
 
-__all__ = ["Core", "CompletionIndex", "Device", "completion_instant"]
+__all__ = ["Core", "Device"]
 
 #: Remaining-work threshold below which a compute segment counts as finished.
 #: Guards against float round-off leaving 1e-18 core-seconds of zombie work.
 WORK_EPSILON = 1e-12
-
-
-def completion_instant(core: "Core", now: float) -> Optional[float]:
-    """Absolute wall-clock instant of *core*'s earliest completion, or None.
-
-    The authoritative virtual-time -> wall-time conversion: one subtraction,
-    one division by :meth:`Core.share_rate`, one addition - in that order.
-    The engine loop performs the same three operations with the rate looked
-    up from its per-occupancy memo (a cache of ``share_rate`` results), so
-    cached and recomputed instants are bit-equal.  Reads the heap head, so
-    it is an *at-rest* query: while ``Engine.run`` is executing the pending
-    list is unordered and the head lives in ``Core._head``.
-    """
-    heap = core._finish_heap
-    n = len(heap)
-    if not n:
-        return None
-    return now + (heap[0][0] - core._virtual) / core.share_rate(n + core._spinners)
 
 
 class Core:
@@ -104,21 +84,19 @@ class Core:
     __slots__ = (
         "name",
         "index",
-        "speed",
-        "cs_alpha",
+        "_speed",
+        "_cs_alpha",
         "_spinners",
         "delivered",
         "busy_time",
         "_virtual",
-        "_finish_heap",
-        "_seq",
-        "_completion_at",
-        "_completion_dirty",
-        "_cidx",
-        "_cpos",
+        "_pending",
         "_head",
         "_rate",
         "_memo",
+        "_completion_dirty",
+        "_dirty",
+        "_cpos",
     )
 
     def __init__(
@@ -129,20 +107,10 @@ class Core:
         cs_alpha: float = 0.0,
         spinners: int = 0,
     ) -> None:
-        # chained compares: NaN fails both, so a bad parameter stops here
-        # instead of stalling or dividing by zero mid-run
-        if not 0.0 < speed < math.inf:
-            raise SimStateError(f"core {name!r}: speed must be finite and > 0, got {speed}")
-        if not 0.0 <= cs_alpha < math.inf:
-            raise SimStateError(
-                f"core {name!r}: cs_alpha must be finite and >= 0, got {cs_alpha}"
-            )
         if spinners < 0:
             raise SimStateError(f"core {name!r}: spinner count must be >= 0, got {spinners}")
         self.name = name
         self.index = index
-        self.speed = speed
-        self.cs_alpha = cs_alpha
         self._spinners = spinners
         #: total dedicated-core-seconds delivered (for utilization accounting)
         self.delivered: float = 0.0
@@ -150,40 +118,62 @@ class Core:
         self.busy_time: float = 0.0
         #: dedicated-work seconds delivered per occupant since creation
         self._virtual: float = 0.0
-        #: (finish_virtual, seq, thread, work) min-heap of pending segments.
-        #: Doubles as the runnable count: every entry is exactly one active
-        #: segment, so ``len(_finish_heap)`` *is* the occupancy - the old
-        #: ``_nrun``/``_load`` twin counters were redundant mirrors of it
-        #: (and two attribute writes per event on the hot path).  The thread
-        #: -> core mapping lives on the threads themselves
-        #: (``SimThread._on_core``) plus this heap, so the hot add/complete
-        #: path never touches a dict.
-        self._finish_heap: list[tuple[float, int, "SimThread", float]] = []
-        self._seq = 0
-        #: cached absolute wall-clock instant of the earliest completion
-        #: (None = idle); valid while the runnable set and spinner count are
-        #: unchanged, recomputed lazily otherwise.
-        self._completion_at: Optional[float] = None
-        self._completion_dirty = True
-        #: back-reference into the engine's :class:`CompletionIndex` (None
-        #: for standalone cores); the dirty-push half of the invalidation
-        #: protocol described on :meth:`completion_at`.
-        self._cidx: Optional["CompletionIndex"] = None
-        self._cpos = 0
-        #: engine-loop scratch: min pending finish virtual, maintained only
-        #: while ``Engine.run`` is driving this core (its pending list is
-        #: unordered there, so the heap head lives here); meaningless - and
-        #: recomputed on entry - otherwise.
+        #: pending segments, one mutable ``[finish_virtual, seq, thread,
+        #: work]`` entry each, in no particular order (``Engine.run`` appends
+        #: admissions and sorts only when some are due).  Its length is the
+        #: runnable count; the thread -> core mapping lives on the threads
+        #: (``SimThread._on_core``) plus this list.
+        self._pending: list[list] = []
+        #: minimum pending finish virtual (inf when idle)
         self._head = math.inf
-        #: engine-loop scratch, like ``_head``: the per-thread rate while
-        #: occupied (written by the dirty refresh, read by the advance) and
-        #: the occupancy ``k`` -> :meth:`share_rate` memo, emptied on every
-        #: ``Engine.run`` entry.
+        #: the per-thread rate at the current occupancy (written by the
+        #: engine's dirty refresh, read by its advance) and the occupancy
+        #: ``k`` -> :meth:`share_rate` memo, emptied when the rate changes
         self._rate = 1.0
         self._memo: dict[int, float] = {}
+        #: whether the engine's cached completion instant for this core is
+        #: stale; ``_dirty`` is the engine's dirty list (None standalone),
+        #: which gets ``_cpos`` once per clean -> dirty transition
+        self._completion_dirty = True
+        self._dirty: Optional[list[int]] = None
+        self._cpos = 0
+        self._set_rate(speed, cs_alpha)
 
     # identity semantics: cores are placed in dicts/sets by the engine
     # (plain object hash/eq - no overrides needed on a non-dataclass)
+
+    @property
+    def speed(self) -> float:
+        return self._speed
+
+    @speed.setter
+    def speed(self, value: float) -> None:
+        self._set_rate(value, self._cs_alpha)
+
+    @property
+    def cs_alpha(self) -> float:
+        return self._cs_alpha
+
+    @cs_alpha.setter
+    def cs_alpha(self, value: float) -> None:
+        self._set_rate(self._speed, value)
+
+    def _set_rate(self, speed: float, cs_alpha: float) -> None:
+        """Check and store the rate parameters, then re-rate the core: the
+        memo empties and the core goes dirty, so segments already pending
+        finish at the new rate from now on."""
+        # chained compares: NaN fails both, so a bad parameter stops here
+        # instead of stalling or dividing by zero mid-run
+        if not 0.0 < speed < math.inf:
+            raise SimStateError(f"core {self.name!r}: speed must be finite and > 0, got {speed}")
+        if not 0.0 <= cs_alpha < math.inf:
+            raise SimStateError(
+                f"core {self.name!r}: cs_alpha must be finite and >= 0, got {cs_alpha}"
+            )
+        self._speed = speed
+        self._cs_alpha = cs_alpha
+        self._memo.clear()
+        self.spin(0)
 
     @property
     def spinners(self) -> int:
@@ -200,9 +190,9 @@ class Core:
         A spinner arriving or leaving changes the share count, hence the
         per-thread rate, hence every pending completion instant: the core
         goes dirty (pushed onto the engine's dirty list once per clean->dirty
-        transition, as :meth:`_mark_completion_dirty` does).  The one
-        mutation path of the count - the ``spinners`` setter routes through
-        it - and one call per worker park and unpark.
+        transition).  The one mutation path of the count - the ``spinners``
+        setter routes through it - and one call per worker park and unpark;
+        ``spin(0)`` is the rate setters' re-rate.
         """
         spinners = self._spinners + delta
         if spinners < 0:
@@ -213,20 +203,9 @@ class Core:
         self._spinners = spinners
         if not self._completion_dirty:
             self._completion_dirty = True
-            idx = self._cidx
-            if idx is not None:
-                idx._dirty.append(self._cpos)
-
-    def _mark_completion_dirty(self) -> None:
-        """Invalidate the cached completion instant and notify the engine's
-        :class:`CompletionIndex` (dirty positions are pushed exactly once
-        per clean->dirty transition, so the index refresh touches only the
-        cores whose composition actually changed)."""
-        if not self._completion_dirty:
-            self._completion_dirty = True
-            idx = self._cidx
-            if idx is not None:
-                idx._dirty.append(self._cpos)
+            dirty = self._dirty
+            if dirty is not None:
+                dirty.append(self._cpos)
 
     @property
     def load(self) -> int:
@@ -235,82 +214,17 @@ class Core:
         thread migrating onto a core occupied by a spinning CEDR worker
         really does land in a contended slot, which is why the 3-core
         ZCU102 squeezes application threads while the Jetson's spare cores
-        do not (paper Figs 6 vs 8).  Derived live from the finish heap, so
+        do not (paper Figs 6 vs 8).  Derived live from the pending list, so
         it is correct even mid-batch inside the engine loop."""
-        return len(self._finish_heap) + self._spinners
-
-    def add(self, thread: "SimThread", work: float) -> None:
-        if thread._on_core is not None:
-            raise SimStateError(
-                f"{thread.name!r} already running on core {thread._on_core.name!r}"
-            )
-        finish = self._virtual + work
-        thread._on_core = self
-        self._seq += 1
-        heapq.heappush(self._finish_heap, (finish, self._seq, thread, work))
-        self._mark_completion_dirty()
+        return len(self._pending) + self._spinners
 
     def share_rate(self, k: int) -> float:
         """Dedicated-work seconds delivered per wall second to each of ``k``
         sharers (runnable threads plus busy-polling spinners), context-switch
         penalty included.  The only spelling of the processor-sharing rate
-        in the simulator: :func:`completion_instant`, :meth:`advance` and the
-        engine loop's per-occupancy memo all call it."""
-        return self.speed / (k * (1.0 + self.cs_alpha * (k - 1)))
-
-    def completion_at(self, now: float) -> Optional[float]:
-        """Cached absolute instant of the earliest completion (None = idle).
-
-        While the core's composition is unchanged the per-thread rate is
-        constant, so the earliest finish is a fixed wall-clock instant no
-        matter when it is queried; the cache is invalidated by :meth:`add`,
-        by completions inside :meth:`advance`, and by :meth:`spin` (the
-        ``spinners`` setter included).
-        """
-        if self._completion_dirty:
-            self._completion_at = completion_instant(self, now)
-            self._completion_dirty = False
-        return self._completion_at
-
-    def advance(self, dt: float) -> list["SimThread"]:
-        """Progress all runnable threads by ``dt`` wall-seconds.
-
-        Returns the threads whose segments completed.  The engine guarantees
-        ``dt`` never overshoots the earliest completion, so remaining work
-        stays non-negative up to :data:`WORK_EPSILON`.  The engine loop
-        inlines this arithmetic (same float ops, same order, rate from its
-        memo) for whole-event advances and calls it for ``run(until=)``'s
-        partial advance; like :meth:`add` it expects the at-rest heap order.
-        """
-        if dt == 0.0:
-            return []
-        heap = self._finish_heap
-        n = len(heap)
-        if not n:
-            if self._spinners:
-                # a busy-polling thread keeps the core active (and drawing
-                # power) even with no work item in flight
-                self.busy_time += dt
-            return []
-        rate = self.share_rate(n + self._spinners)
-        virtual = self._virtual + dt * rate
-        self._virtual = virtual
-        self.delivered += dt * rate * n
-        self.busy_time += dt
-        if heap[0][0] > virtual + WORK_EPSILON:
-            return []
-        done: list["SimThread"] = []
-        limit = virtual + WORK_EPSILON
-        while heap and heap[0][0] <= limit:
-            _, _, thread, work = heapq.heappop(heap)
-            thread._on_core = None
-            # Credit the segment's exact work on completion (rather than
-            # drip-feeding partial grants every advance): cheaper and free
-            # of per-advance rounding drift.
-            thread.cpu_time += work
-            done.append(thread)
-        self._mark_completion_dirty()
-        return done
+        in the simulator: the engine loop's per-occupancy memo caches its
+        results."""
+        return self._speed / (k * (1.0 + self._cs_alpha * (k - 1)))
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of wall time this core had runnable work."""
@@ -318,57 +232,6 @@ class Core:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Core {self.name} load={self.load}>"
-
-
-class CompletionIndex:
-    """Cached absolute completion instants for a fixed set of cores.
-
-    The engine loop needs "when does the earliest compute segment anywhere
-    finish?" on every iteration.  Each core's cached completion instant is
-    mirrored into one flat list (``inf`` = idle core) and only the *dirty*
-    cores - those whose runnable set or spinner count changed since the last
-    look, pushed by :meth:`Core._mark_completion_dirty` or :meth:`Core.spin`
-    - are re-read.  A plain Python list, not an ndarray: at the 3-9 cores of
-    the modelled platforms a bound C-loop ``min`` over a list is several
-    times faster than ufunc dispatch.
-
-    ``Engine.run`` drives ``_instants_list``/``_dirty`` directly (its refresh
-    reads each core's ``_memo`` of rates); :meth:`refresh`/:meth:`min_at`
-    are the same protocol for callers outside a run.
-
-    Attaching a core to a second index (e.g. sharing ``Core`` objects
-    between two engines) re-points its back-reference; only the most
-    recently attached index sees its invalidations.
-    """
-
-    __slots__ = ("cores", "_instants_list", "_dirty")
-
-    def __init__(self, cores: Sequence[Core]) -> None:
-        self.cores = list(cores)
-        n = len(self.cores)
-        self._instants_list: list[float] = [math.inf] * n
-        self._dirty = list(range(n))
-        for pos, core in enumerate(self.cores):
-            core._cidx = self
-            core._cpos = pos
-            core._completion_dirty = True
-
-    def refresh(self, now: float) -> None:
-        """Re-read every dirty core's cached completion instant."""
-        dirty = self._dirty
-        if dirty:
-            cores = self.cores
-            lst = self._instants_list
-            for pos in dirty:
-                at = cores[pos].completion_at(now)
-                lst[pos] = math.inf if at is None else at
-            dirty.clear()
-
-    def min_at(self, now: float) -> Optional[float]:
-        """Earliest completion instant across all cores (None = all idle)."""
-        self.refresh(now)
-        best = min(self._instants_list)
-        return None if best == math.inf else best
 
 
 class Device:

@@ -26,22 +26,21 @@ What keeps all three amortized O(1) per event at million-task scale
   tuples; the loop reads the head ``when`` directly.  The workloads hold a
   handful of pending timers (4 on ``serve_knee``, 82 on ``faulty_jetson``
   at most), where a bare heap push + pop is cheaper than a bucketed wheel;
-* each core caches the absolute instant of its earliest completion and
-  pushes its position onto the :class:`~repro.simcore.cores.CompletionIndex`
-  dirty list on invalidation, so only cores whose composition changed are
-  re-read, with the per-thread rate memoized per occupancy ``k`` in the
-  core's ``_memo`` (it caches *results* of :meth:`Core.share_rate`, never a
+* the engine caches each core's absolute earliest-completion instant in
+  one list, and a core pushes its position onto the engine's dirty list
+  when its composition or rate changes, so only those cores are re-read,
+  with the per-thread rate memoized per occupancy ``k`` in the core's
+  ``_memo`` (it caches *results* of :meth:`Core.share_rate`, never a
   second formula) and kept in ``Core._rate`` for the advance, which then
   costs one multiply per occupied core;
-* while ``run()`` executes, each core's pending list is *unordered* with
-  mutable-list entries: admissions are plain appends, the head lives in
-  ``Core._head``, a drain sorts once before consuming due entries (sorted
-  order IS heap-pop order because ``(finish, seq)`` keys are unique), and
-  a popped entry is reused in place for the thread's next segment.  One
-  run-wide sequence counter preserves the FIFO tie-break.  Every exit -
-  normal, ``until``, or an escaping exception - restores sorted tuple heaps
-  and per-core sequence counters, so between runs a core is an ordinary
-  :mod:`heapq` of tuples that :meth:`Core.add`/:meth:`Core.advance` accept.
+* each core's pending list is *unordered* with mutable-list entries:
+  admissions are plain appends, the head lives in ``Core._head``, a drain
+  sorts once before consuming due entries (sorted order IS heap-pop order
+  because ``(finish, seq)`` keys are unique), and a popped entry is reused
+  in place for the thread's next segment.  One engine-wide sequence
+  counter preserves the FIFO tie-break.  This is the cores' only form, in
+  and out of ``run()``: ``run(until=t)`` stops by clamping the next
+  instant to ``t`` and taking the same advance.
 
 Observability contract: *mid-batch*, a thread between completion and
 re-dispatch keeps ``state == RUNNING`` and its ``_on_core`` pointer instead
@@ -59,7 +58,7 @@ from heapq import heappop, heappush
 from math import inf, isnan
 from typing import Any, Callable, Generator, Optional, Sequence
 
-from .cores import WORK_EPSILON, CompletionIndex, Core, Device
+from .cores import WORK_EPSILON, Core, Device
 from .errors import SimDeadlock, SimStateError, SimTimeError
 from .process import (
     AcquireDevice,
@@ -133,7 +132,21 @@ class Engine:
         #: pending-timer high-water mark, sampled before each drain batch
         #: pops (the heap only shrinks there, so that is where it peaks)
         self._timer_hwm = 0
-        self._completions = CompletionIndex(self.cores)
+        #: per-core cached absolute instant of the earliest completion (inf
+        #: = idle), indexed by ``Core._cpos``.  It persists between runs, so
+        #: a clean core's instant survives re-entry bit for bit (recomputing
+        #: it from the advanced ``now`` / ``_virtual`` lands an ulp away).
+        self._completion_at: list[float] = [inf] * len(self.cores)
+        #: positions whose instant is stale, each pushed once per clean ->
+        #: dirty transition: a segment added or finished, ``Core.spin``, or a
+        #: ``speed`` / ``cs_alpha`` assignment
+        self._dirty: list[int] = list(range(len(self.cores)))
+        for pos, core in enumerate(self.cores):
+            core._dirty = self._dirty
+            core._cpos = pos
+            core._completion_dirty = True
+        #: segment sequence counter: the FIFO tie-break among equal finishes
+        self._seq = 0
         self._events_processed = 0
         #: ``call_at`` timestamps already in the past, clamped to now
         #: (mirrored to the ``simcore_late_timers_total`` telemetry counter
@@ -270,19 +283,25 @@ class Engine:
     def run(self, until: Optional[float] = None, strict: bool = True) -> float:
         """Run the simulation; return the final simulated time.
 
-        Stops when no further events exist, or at time ``until`` if given.
+        Stops when no further events exist, or at time ``until`` if given
+        (``until`` before ``now`` is refused before anything dispatches).
         With ``strict=True`` (default), running out of events while threads
         are still blocked raises :class:`SimDeadlock` - a clean experiment
         must shut its runtime down so every thread finishes.
         """
-        if until is not None and isnan(until):
+        if until is None:
+            until = inf
+        elif isnan(until):
             raise SimTimeError("run(until=nan): the stop instant must be a number")
+        elif until < self.now:
+            raise SimTimeError(
+                f"run(until={until}): the stop instant is before now ({self.now})"
+            )
         ready = self._ready
         timers = self._timers
-        cidx = self._completions
-        comp = cidx._instants_list
-        dirty = cidx._dirty
-        cores = cidx.cores
+        comp = self._completion_at
+        dirty = self._dirty
+        cores = self.cores
         work_epsilon = WORK_EPSILON
         instant_epsilon = _INSTANT_EPSILON
         ready_state = ThreadState.READY
@@ -299,29 +318,11 @@ class Engine:
         done_i = -1
         events = 0
         instants = 0
-
-        # ---- prologue: pending entries become mutable lists, each core's
-        # head finish is interned in ``_head``, its rate memo starts empty
-        # (``speed`` / ``cs_alpha`` may have changed since the last run), and
-        # the run-wide sequence counter starts past every live (finish, seq)
-        # key so new segments keep sorting after existing equal-finish ones.
+        seq = self._seq
+        until_stop = False
         # ``current`` is cleared here once (an escaped exception leaves it
         # on the culprit); the drains clear it only after dispatching.
         self.current = None
-        seq = 0
-        for pos, core in enumerate(cores):
-            heap = core._finish_heap
-            heap[:] = [list(entry) for entry in heap]
-            core._head = heap[0][0] if heap else inf
-            core._memo.clear()
-            seq = max(seq, core._seq, *(entry[1] for entry in heap))
-            # Queue every position for the first refresh so ``_rate``/
-            # ``comp`` get populated - WITHOUT setting the dirty flag: a
-            # clean core's cached ``_completion_at`` must survive re-entry
-            # bit-for-bit (recomputing the same instant from the advanced
-            # ``now``/``_virtual`` lands an ulp away).
-            dirty.append(pos)
-
         try:
             while True:
                 # ---- dispatch drain: threads arriving through the ready
@@ -360,9 +361,9 @@ class Engine:
                                         "engine has an empty floating pool"
                                     )
                             core = pool_sorted[0]
-                            best_load = len(core._finish_heap) + core._spinners
+                            best_load = len(core._pending) + core._spinners
                             for c in pool_sorted:
-                                load = len(c._finish_heap) + c._spinners
+                                load = len(c._pending) + c._spinners
                                 if load < best_load:
                                     core = c
                                     best_load = load
@@ -374,7 +375,7 @@ class Engine:
                         finish = core._virtual + work
                         thread._on_core = core
                         seq += 1
-                        core._finish_heap.append([finish, seq, thread, work])
+                        core._pending.append([finish, seq, thread, work])
                         if finish < core._head:
                             core._head = finish
                         if not core._completion_dirty:
@@ -392,34 +393,23 @@ class Engine:
                     self._events_processed += events
                     events = 0
 
-                # ---- refresh dirty completion instants: the float ops of
-                # cores.completion_instant in the same order, with the rate
-                # looked up per occupancy k in the core's memo instead of
-                # re-derived.
+                # ---- refresh dirty completion instants: one subtraction,
+                # one division by the rate, one addition, with the rate
+                # looked up per occupancy k in the core's memo.
                 if dirty:
                     now = self.now
                     for pos in dirty:
                         core = cores[pos]
-                        n = len(core._finish_heap)
+                        core._completion_dirty = False
+                        n = len(core._pending)
                         if n:
                             k = n + core._spinners
                             rate = core._memo.get(k)
                             if rate is None:
                                 rate = core._memo[k] = core.share_rate(k)
                             core._rate = rate
-                            if core._completion_dirty:
-                                at = now + (core._head - core._virtual) / rate
-                                core._completion_at = at
-                                core._completion_dirty = False
-                            else:
-                                # an external completion_at() call already
-                                # refreshed the instant; only the rate
-                                # needed syncing
-                                at = core._completion_at
-                            comp[pos] = at
+                            comp[pos] = now + (core._head - core._virtual) / rate
                         else:
-                            core._completion_at = None
-                            core._completion_dirty = False
                             comp[pos] = inf
                     dirty.clear()
 
@@ -448,20 +438,14 @@ class Engine:
                             )
                         return self.now
                     next_at = compute_at
-                if until is not None and next_at > until:
-                    # partial advance, no event reached: Core.advance wants
-                    # heap order, and a sorted list is a valid binary heap
-                    dt = until - self.now
-                    if dt < 0:
-                        raise SimTimeError(f"attempted to advance time by {dt}")
-                    if dt != 0.0:
-                        self.now += dt
-                        for core in cores:
-                            core._finish_heap.sort()
-                            for thread in core.advance(dt):
-                                thread.state = ready_state
-                                ready.append((thread, None))
-                    return self.now
+                if next_at > until:
+                    # until stop: advance to ``until`` like any instant, then
+                    # return before either drain; the ``finally`` re-queues
+                    # what completed, in collection order.  Not an instant.
+                    if until == self.now:
+                        return self.now
+                    next_at = until
+                    until_stop = True
 
                 # ---- advance: credit the interval to every occupied core
                 # and collect due completions into the resume batch, in
@@ -470,20 +454,19 @@ class Engine:
                 if dt != 0.0:
                     if dt < 0:
                         raise SimTimeError(f"attempted to advance time by {dt}")
-                    instants += 1
                     # += dt, NOT = next_at: ``now + (next_at - now)``
                     # differs from ``next_at`` by an ulp when the
                     # subtraction rounds, and the figures pin that bit.
                     self.now += dt
                     for core in cores:
-                        heap = core._finish_heap
-                        if heap:
+                        pending = core._pending
+                        if pending:
                             # one multiply: ``dt * rate * n`` evaluates as
                             # ``(dt * rate) * n``, so ``d * n`` is its bits
                             d = dt * core._rate
                             virtual = core._virtual + d
                             core._virtual = virtual
-                            core.delivered += d * len(heap)
+                            core.delivered += d * len(pending)
                             core.busy_time += dt
                             limit = virtual + work_epsilon
                             if core._head <= limit:
@@ -491,25 +474,25 @@ class Engine:
                                 # credit each pop's exact work right here,
                                 # so it lands before timers fire or any
                                 # thread resumes, on exception paths too.
-                                heap.sort()
-                                if heap[-1][0] <= limit:
+                                pending.sort()
+                                if pending[-1][0] <= limit:
                                     # whole list due (the common case under
                                     # pinned homogeneous load): one batch move
-                                    for entry in heap:
+                                    for entry in pending:
                                         entry[2].cpu_time += entry[3]
-                                    resumes += heap
-                                    heap.clear()
+                                    resumes += pending
+                                    pending.clear()
                                     core._head = inf
                                 else:
                                     i = 1
-                                    while heap[i][0] <= limit:
+                                    while pending[i][0] <= limit:
                                         i += 1
-                                    due = heap[:i]
+                                    due = pending[:i]
                                     for entry in due:
                                         entry[2].cpu_time += entry[3]
                                     resumes += due
-                                    del heap[:i]
-                                    core._head = heap[0][0]
+                                    del pending[:i]
+                                    core._head = pending[0][0]
                                 if not core._completion_dirty:
                                     core._completion_dirty = True
                                     dirty.append(core._cpos)
@@ -517,6 +500,9 @@ class Engine:
                             # a busy-polling thread keeps the core active
                             # with no work in flight
                             core.busy_time += dt
+                    if until_stop:
+                        return self.now
+                    instants += 1
 
                 # ---- batched same-instant timer drain: every timer due at
                 # the reached instant fires before any completed or woken
@@ -575,9 +561,9 @@ class Engine:
                                             "engine has an empty floating pool"
                                         )
                                 core = pool_sorted[0]
-                                best_load = len(core._finish_heap) + core._spinners
+                                best_load = len(core._pending) + core._spinners
                                 for c in pool_sorted:
-                                    load = len(c._finish_heap) + c._spinners
+                                    load = len(c._pending) + c._spinners
                                     if load < best_load:
                                         core = c
                                         best_load = load
@@ -590,7 +576,7 @@ class Engine:
                             entry[0] = finish
                             entry[1] = seq
                             entry[3] = work
-                            core._finish_heap.append(entry)
+                            core._pending.append(entry)
                             if finish < core._head:
                                 core._head = finish
                             if not core._completion_dirty:
@@ -608,24 +594,17 @@ class Engine:
                     done_i = -1
         finally:
             self._instants += instants
-            # Restore the at-rest invariants at every exit (normal return,
-            # ``until`` return, or an exception escaping user code).
-            # ``done_i`` is the entry whose resume raised (-1 when a timer
-            # callback raised before the drain began): everything after it
-            # was popped but never resumed, and goes back on the ready
-            # queue exactly as if it had completed and not yet dispatched.
+            self._seq = seq
+            # At every exit (normal return, ``until`` stop, or an exception
+            # escaping user code) ``done_i`` is the entry whose resume raised
+            # (-1 when no resume ran): everything after it was popped but
+            # never resumed, and goes back on the ready queue exactly as if
+            # it had completed and not yet dispatched.
             for entry in resumes[done_i + 1 :]:
                 thread = entry[2]
                 thread._on_core = None
                 thread.state = ready_state
                 ready.append((thread, None))
-            for core in cores:
-                heap = core._finish_heap
-                # sorted tuples: a valid binary heap for Core.add/advance
-                heap.sort()
-                heap[:] = [tuple(e) for e in heap]
-                if core._seq < seq:
-                    core._seq = seq
 
     # ------------------------------------------------------------------ #
     # introspection

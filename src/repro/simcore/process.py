@@ -184,8 +184,8 @@ class SimThread:
         #: up to a million times per run, and the two-attribute lookup per
         #: resume is measurable in the engine loop.
         self._send = gen.send
-        #: Core-owned placement bookkeeping (set by Core.add, cleared on
-        #: segment completion): which core holds this thread's active
+        #: placement bookkeeping (set when the engine admits a segment,
+        #: cleared on its completion): which core holds this thread's active
         #: segment.  Storing it on the thread lets cores drop their
         #: per-thread dicts.
         self._on_core: "Optional[Core]" = None

@@ -362,6 +362,24 @@ def test_serve_flag_with_bad_arrival_number_exits_on_one_line():
                  id="run-interval-negative"),
     pytest.param(["run", "--metrics-interval", "nan"], "repro run [telemetry] interval_s",
                  id="run-interval-nan"),
+    # these ran fault-free, or without the device, and exited 0
+    pytest.param(["run", "--fault-rate", "-1"], "repro run [faults] fault rate",
+                 id="run-fault-rate-negative"),
+    pytest.param(["run", "--fault-rate", "nan"], "repro run [faults] fault rate",
+                 id="run-fault-rate-nan"),
+    pytest.param(["run", "--fault-rate", "0", "--fault-kinds", "bogus"],
+                 "repro run [faults] kinds", id="run-fault-kinds-at-rate-0"),
+    pytest.param(["run", "--fault-rate", "0", "--max-retries", "-1"],
+                 "repro run [faults] max_retries", id="run-max-retries-at-rate-0"),
+    pytest.param(["run", "--platform", "jetson", "--fft", "2"],
+                 "repro run [platform] platform 'jetson' does not take parameter(s) ['fft']",
+                 id="run-jetson-fft"),
+    pytest.param(["run", "--platform", "zcu102", "--gpu", "1"],
+                 "repro run [platform] platform 'zcu102' does not take parameter(s) ['gpu']",
+                 id="run-zcu102-gpu"),
+    pytest.param(["run", "--platform", "zcu102", "--little", "1"],
+                 "repro run [platform] platform 'zcu102' does not take parameter(s) ['little']",
+                 id="run-zcu102-little"),
 ])
 def test_bad_run_or_serve_flag_exits_on_one_line(argv, where):
     """Each of these ended in a traceback or was dropped; now the flags

@@ -2,15 +2,18 @@
 
 ``ReferenceEngine.run`` is the pre-merge ``Engine.run``/``_advance`` pair
 kept verbatim (comments trimmed): ready-deque round trip for every
-completion, tuple heaps with per-core sequence counters, ``heappush``/
-``heappop`` per segment, completion instants through
-``CompletionIndex.min_at``, and its own independent spelling of the
-processor-sharing rate.  It shares no loop code with ``Engine.run``, which
-is what makes the hex-float comparisons in ``test_engine_reference.py`` a
-proof rather than a tautology.  Imported by tests only.
+completion, tuple heaps, ``heappush``/``heappop`` per segment, a scan of
+every core for the earliest completion instant, and its own independent
+spelling of the processor-sharing rate, re-derived on every advance.  It
+shares no loop code with ``Engine.run``, which is what makes the hex-float
+comparisons in ``test_engine_reference.py`` a proof rather than a
+tautology.  It takes the production form (unordered pending lists) in on
+entry and gives it back on exit, so the two loops can drive one engine in
+turns.  Imported by tests only.
 """
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Optional
 
 from repro.simcore import (
@@ -26,7 +29,41 @@ from repro.simcore.cores import WORK_EPSILON, Core
 from repro.simcore.engine import _INSTANT_EPSILON, _core_index
 
 
+def _mark_dirty(engine, core) -> None:
+    if not core._completion_dirty:
+        core._completion_dirty = True
+        engine._dirty.append(core._cpos)
+
+
+def _rate(core, n: int) -> float:
+    k = n + core._spinners
+    return core.speed / (k * (1.0 + core.cs_alpha * (k - 1)))
+
+
 class ReferenceEngine(Engine):
+    def _completion_min(self) -> Optional[float]:
+        """Earliest completion instant over every core, or None.
+
+        A core's instant is constant while it stays clean, and recomputing
+        it from a later ``now`` / ``_virtual`` lands an ulp away, so the
+        scan recomputes (one subtraction, one division, one addition) only
+        the cores flagged dirty and keeps the engine's cache and
+        ``Core._rate`` as the production loop would leave them.
+        """
+        comp = self._completion_at
+        for core in self.cores:
+            if core._completion_dirty:
+                core._completion_dirty = False
+                heap = core._pending
+                if heap:
+                    core._rate = rate = _rate(core, len(heap))
+                    comp[core._cpos] = self.now + (heap[0][0] - core._virtual) / rate
+                else:
+                    comp[core._cpos] = inf
+        self._dirty.clear()
+        best = min(comp)
+        return None if best == inf else best
+
     def _advance(self, dt: float) -> None:
         if dt < 0:
             raise SimTimeError(f"attempted to advance time by {dt}")
@@ -36,11 +73,10 @@ class ReferenceEngine(Engine):
         ready = self._ready
         ready_state = ThreadState.READY
         for core in self.cores:
-            heap = core._finish_heap
+            heap = core._pending
             n = len(heap)
             if n:
-                k = n + core._spinners
-                rate = core.speed / (k * (1.0 + core.cs_alpha * (k - 1)))
+                rate = _rate(core, n)
                 virtual = core._virtual + dt * rate
                 core._virtual = virtual
                 core.delivered += dt * rate * n
@@ -53,18 +89,26 @@ class ReferenceEngine(Engine):
                         thread.cpu_time += work
                         thread.state = ready_state
                         ready.append((thread, None))
-                    if not core._completion_dirty:
-                        core._completion_dirty = True
-                        cidx = core._cidx
-                        if cidx is not None:
-                            cidx._dirty.append(core._cpos)
+                    _mark_dirty(self, core)
             elif core._spinners:
                 core.busy_time += dt
 
     def run(self, until: Optional[float] = None, strict: bool = True) -> float:
+        for core in self.cores:
+            heap = core._pending
+            heap[:] = [tuple(entry) for entry in heap]
+            heapify(heap)
+        try:
+            return self._run(until, strict)
+        finally:
+            for core in self.cores:
+                heap = core._pending
+                heap[:] = [list(entry) for entry in heap]
+                core._head = heap[0][0] if heap else inf
+
+    def _run(self, until: Optional[float], strict: bool) -> float:
         ready = self._ready
         timers = self._timers
-        completions = self._completions
         ready_state = ThreadState.READY
         running_state = ThreadState.RUNNING
         pool_cache: Optional[list[Core]] = None
@@ -95,9 +139,9 @@ class ReferenceEngine(Engine):
                             if not pool_sorted:
                                 raise SimStateError("engine has an empty floating pool")
                         core = pool_sorted[0]
-                        best_load = len(core._finish_heap) + core._spinners
+                        best_load = len(core._pending) + core._spinners
                         for c in pool_sorted:
-                            load = len(c._finish_heap) + c._spinners
+                            load = len(c._pending) + c._spinners
                             if load < best_load:
                                 core = c
                                 best_load = load
@@ -108,14 +152,9 @@ class ReferenceEngine(Engine):
                         )
                     finish = core._virtual + work
                     thread._on_core = core
-                    seq = core._seq + 1
-                    core._seq = seq
-                    heappush(core._finish_heap, (finish, seq, thread, work))
-                    if not core._completion_dirty:
-                        core._completion_dirty = True
-                        cidx = core._cidx
-                        if cidx is not None:
-                            cidx._dirty.append(core._cpos)
+                    self._seq += 1
+                    heappush(core._pending, (finish, self._seq, thread, work))
+                    _mark_dirty(self, core)
                     thread.state = running_state
                 elif request.__class__ is Block:
                     thread.state = ThreadState.BLOCKED
@@ -125,7 +164,7 @@ class ReferenceEngine(Engine):
             self._events_processed += events
 
             timer_at = timers[0][0] if timers else None
-            compute_at = completions.min_at(self.now)
+            compute_at = self._completion_min()
 
             if timer_at is None and compute_at is None:
                 if strict and any(

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.simcore import AcquireDevice, Compute, Engine, SimStateError, Sleep
-from repro.simcore.cores import Core, completion_instant
+from repro.simcore import AcquireDevice, Compute, Core, Engine, SimStateError, Sleep
 
 
 def burn(amount):
@@ -85,15 +84,45 @@ def test_bad_core_parameters_rejected_naming_the_core(kwargs, what):
         Core("x", 0, **kwargs)
 
 
+@pytest.mark.parametrize("attr,value,finishes", [
+    ("speed", 2.0, [0.75]), ("speed", 0.5, [1.5]), ("cs_alpha", 1.0, [3.5, 3.5]),
+], ids=["speed-up", "slow-down", "alpha-up"])
+def test_rate_change_with_work_pending_moves_the_finish(attr, value, finishes):
+    """Half of each 1.0 segment is done at 0.5 when the rate changes; the
+    cached finish instant used to go stale (speed 2.0 finished at 1.0, and
+    speed 0.5 or cs_alpha 1.0 never returned from ``run()``)."""
+    eng = Engine(cores=1)
+    threads = [eng.spawn(burn(1.0), f"t{i}") for i in range(len(finishes))]
+    eng.run(until=0.5)
+    setattr(eng.cores[0], attr, value)
+    eng.run()
+    assert [t.finished_at for t in threads] == [pytest.approx(f) for f in finishes]
+
+
+@pytest.mark.parametrize("attr,value", [
+    ("speed", NAN), ("speed", 0.0), ("cs_alpha", -1.0), ("cs_alpha", INF),
+], ids=["speed-nan", "speed-0", "alpha-neg", "alpha-inf"])
+def test_rate_setter_checks_like_the_constructor(attr, value):
+    eng = Engine(cores=1)
+    core = eng.cores[0]
+    t = eng.spawn(burn(1.0), "t")
+    eng.run(until=0.5)
+    with pytest.raises(SimStateError, match=f"core 'cpu0': {attr}"):
+        setattr(core, attr, value)
+    assert (core.speed, core.cs_alpha) == (1.0, 0.0)
+    eng.run()
+    assert t.finished_at == pytest.approx(1.0)
+
+
 def _clean(eng):
     """Refresh every completion instant so no core is dirty."""
-    eng._completions.refresh(eng.now)
-    assert eng._completions._dirty == []
+    eng.run()
+    assert eng._dirty == []
 
 
 def test_spin_and_setter_push_once_per_clean_to_dirty_transition():
     eng = Engine(cores=2)
-    core, dirty = eng.cores[1], eng._completions._dirty
+    core, dirty = eng.cores[1], eng._dirty
     _clean(eng)
     core.spin(1)
     core.spin(1)
@@ -106,6 +135,10 @@ def test_spin_and_setter_push_once_per_clean_to_dirty_transition():
     core.spinners = 0
     core.spin(1)
     assert (core.spinners, dirty) == (1, [1])
+    _clean(eng)
+    core.speed = 2.0  # a rate setter is the fourth trigger
+    core.cs_alpha = 0.5
+    assert dirty == [1]
 
 
 def test_spinner_count_cannot_go_below_zero():
@@ -119,36 +152,40 @@ def test_spinner_count_cannot_go_below_zero():
         core.spin(-2)
     with pytest.raises(SimStateError, match="below zero"):
         core.spinners = -1
-    assert core.spinners == 1 and eng._completions._dirty == []  # nothing changed
+    assert core.spinners == 1 and eng._dirty == []  # nothing changed
     core.spin(-1)
     assert core.spinners == 0
 
 
 def test_core_advance_empty_returns_nothing():
-    core = Core(name="c", index=0)
-    assert core.advance(1.0) == []
-    assert completion_instant(core, 0.0) is None
+    """An idle core's advance finishes nothing and books no busy time; a
+    lone spinner keeps it busy without finishing anything."""
+    eng = Engine(cores=1)
+    core = eng.cores[0]
+    eng.call_at(2.0, lambda: None)  # an instant for the clock to reach
+    assert eng.run(until=1.0) == 1.0
+    assert eng._completion_at == [INF]
     assert core.busy_time == 0.0
-    core.spinners = 1  # a lone spinner keeps the core busy, finishes nothing
-    assert core.advance(1.0) == []
-    assert core.busy_time == 1.0
+    core.spinners = 1
+    eng.run()
+    assert (eng.now, core.busy_time, core.delivered) == (2.0, 1.0, 0.0)
 
 
 def test_standalone_core_advance_completes_in_finish_order():
-    """Core.add/advance on a bare core (no engine): the at-rest heapq API
-    the engine's run(until=) partial advance goes through."""
-    eng = Engine(cores=1)  # only to mint SimThreads
+    """Two segments share a ``cs_alpha`` core: the shorter finishes first at
+    the contended rate, the longer then runs alone at full rate; the until
+    stop at 0.3 completes ``b`` through the same advance as any instant."""
+    core = Core(name="c", index=0, cs_alpha=0.5)
+    eng = Engine(cores=[core])
     a, b = eng.spawn(burn(0.2), "a"), eng.spawn(burn(0.1), "b")
-    core = Core(name="bare", index=0, cs_alpha=0.5)
-    core.add(a, 0.2)
-    core.add(b, 0.1)
     assert core.share_rate(2) == pytest.approx(1 / 3)  # 1 / (2 * (1 + 0.5))
-    assert completion_instant(core, 1.0) == pytest.approx(1.3)
-    assert core.advance(0.15) == []
-    assert core.advance(0.15) == [b]
-    assert b.cpu_time == 0.1 and b._on_core is None
-    assert completion_instant(core, 0.0) == pytest.approx(0.1)  # alone: full rate
-    assert core.advance(0.1) == [a]
+    eng.run(until=0.15)
+    assert eng._completion_at == [pytest.approx(0.3)]
+    assert (a.cpu_time, b.cpu_time, core.load) == (0.0, 0.0, 2)
+    eng.run(until=0.3)
+    assert b.cpu_time == 0.1 and b._on_core is None and a.cpu_time == 0.0
+    eng.run()
+    assert (b.finished_at, a.finished_at) == (pytest.approx(0.3), pytest.approx(0.4))
     assert core.delivered == pytest.approx(0.3)
     assert core.busy_time == pytest.approx(0.4)
 
@@ -158,11 +195,13 @@ def test_double_add_same_thread_rejected():
 
     def t():
         yield Compute(1.0)
+        yield Compute(1.0)
 
     thread = eng.spawn(t(), "t")
     eng.run(until=0.1)
-    with pytest.raises(SimStateError):
-        eng.cores[0].add(thread, 1.0)
+    eng._ready.append((thread, None))  # dispatched again while on its core
+    with pytest.raises(SimStateError, match="'t' already running on core 'cpu0'"):
+        eng.run()
 
 
 # --------------------------------------------------------------------- #

@@ -209,6 +209,24 @@ def test_run_until_nan_rejected_and_inf_legal():
     assert not t.alive
 
 
+@pytest.mark.parametrize("work", [True, False], ids=["pending", "idle"])
+def test_run_until_before_now_refused_before_dispatch(work):
+    """``until < now`` used to dispatch the ready threads first and only then
+    fail on a negative advance (or, on an idle engine, return silently); it
+    is refused up front, naming both instants, and nothing moves."""
+    eng = Engine(cores=1)
+    eng.call_at(1.0, lambda: None)
+    eng.run(until=0.5)
+    t = eng.spawn(burn(1.0), "t") if work else None
+    with pytest.raises(SimTimeError, match=r"run\(until=0.25\): .* before now \(0.5\)"):
+        eng.run(until=0.25)
+    assert (eng.now, eng.events_processed, eng.timers_fired) == (0.5, 0, 0)
+    assert t is None or (t.state is ThreadState.READY and t._on_core is None)
+    assert eng.run(until=0.5) == 0.5  # until == now stays legal
+    eng.run()
+    assert eng.now == pytest.approx(1.5 if work else 1.0)
+
+
 def test_current_is_cleared_on_reentry_after_an_escape():
     """An escaping exception leaves ``current`` on the culprit; the next
     ``run()`` clears it on entry, so a timer firing before any dispatch

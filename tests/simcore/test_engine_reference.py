@@ -105,11 +105,10 @@ def _mixed_workload(engine):
 def _snapshot(engine, threads):
     """Exact observable state: floats as hex so a one-ulp drift fails.
 
-    Heaps are compared as *sorted multisets* of ``(finish, name, work)``
-    - array order and the sequence-counter values are implementation
-    details (the production loop keeps pending lists unordered mid-run and
-    uses one run-wide counter), only entry identity and pop order are
-    observable.
+    Pending segments are compared as *sorted multisets* of ``(finish,
+    name, work)`` - list order and the sequence-counter values are
+    implementation details (the production loop keeps pending lists
+    unordered), only entry identity and pop order are observable.
     """
     return dict(
         now=engine.now.hex(),
@@ -125,7 +124,7 @@ def _snapshot(engine, threads):
         busy=[c.busy_time.hex() for c in engine.cores],
         virt=[c._virtual.hex() for c in engine.cores],
         heaps=[
-            sorted((e[0].hex(), e[2].name, e[3].hex()) for e in c._finish_heap)
+            sorted((e[0].hex(), e[2].name, e[3].hex()) for e in c._pending)
             for c in engine.cores
         ],
         late=engine.late_timers,
@@ -145,9 +144,9 @@ def test_engine_matches_reference_bit_for_bit(seed, ncores):
 
 @pytest.mark.parametrize("step", [7.3e-4, 1.1e-5, 0.013])
 def test_engine_matches_reference_under_until_stepping(step):
-    """run(until=...) hands partial advances to Core.advance and re-enters
-    the loop with live heaps: every intermediate snapshot must agree, not
-    just the final state."""
+    """run(until=...) stops through the loop's own advance and re-enters
+    with segments pending: every intermediate snapshot must agree, not just
+    the final state."""
     trails = {}
     for impl, cls in ENGINES.items():
         eng = cls(cores=3, seed=9)
@@ -187,10 +186,10 @@ def test_engine_with_spinners_matches_reference():
 
 def test_core_parameters_changed_between_runs_match_reference():
     """``speed`` / ``cs_alpha`` written between two ``run(until=)`` calls
-    take effect from the next run: the production loop empties each core's
-    ``k -> rate`` memo on entry, the reference re-derives the rate on every
-    advance.  The pauses fall while every thread sleeps, so no cached
-    completion instant spans a change."""
+    take effect from that instant: the setters empty the core's ``k -> rate``
+    memo and mark it dirty, the reference re-derives the rate on every
+    advance.  Two pauses fall while every thread sleeps, two while segments
+    are pending, so a cached completion instant spans those changes."""
 
     def phases(i):
         for _ in range(3):
@@ -198,7 +197,12 @@ def test_core_parameters_changed_between_runs_match_reference():
                 yield Compute(1e-4 * (i + 1))
             yield Sleep(1.0)
 
-    changes = [(0.5, (2.0, 0.3), (0.5, 0.0)), (1.5, (0.75, 0.0), (1.25, 0.2))]
+    changes = [
+        (0.5, (2.0, 0.3), (0.5, 0.0)),
+        (1.012, (0.6, 0.0), (1.5, 0.4)),
+        (1.5, (0.75, 0.0), (1.25, 0.2)),
+        (2.0035, (1.7, 0.05), (0.4, 0.0)),
+    ]
     trails = {}
     for impl, cls in ENGINES.items():
         eng = cls(cores=[Core("c0", 0, cs_alpha=0.1), Core("c1", 1, speed=0.5)], seed=2)
@@ -206,16 +210,17 @@ def test_core_parameters_changed_between_runs_match_reference():
         threads = [
             eng.spawn(phases(i), name=f"p{i}", affinity=eng.cores[i % 2]) for i in range(4)
         ]
-        trail = []
+        trail, pending = [], []
         for until, *params in changes:
             eng.run(until=until)
-            assert all(t.state is ThreadState.SLEEPING for t in threads)
+            pending.append(sum(len(core._pending) for core in eng.cores))
             for core, (speed, alpha) in zip(eng.cores, params):
                 core.speed, core.cs_alpha = speed, alpha
             trail.append(_snapshot(eng, threads))
         eng.run()
         trail.append(_snapshot(eng, threads))
         trails[impl] = trail
+        assert pending[0] == pending[2] == 0 and pending[1] and pending[3], pending
     assert trails["reference"] == trails["production"]
 
 
@@ -266,10 +271,16 @@ def test_spin_toggles_and_outside_spinner_writes_match_reference():
     assert trails["reference"] == trails["production"]
 
 
-def test_engine_restores_at_rest_representation_between_runs():
-    """The loop's epilogue restores sorted tuple heaps at every exit, so
-    between runs a core is an ordinary heapq: the reference loop can pick
-    the same engine up mid-flight (and direct Core.add calls work) without
+def _assert_one_form(eng):
+    """Pending segments are mutable lists and ``_head`` is their minimum."""
+    for core in eng.cores:
+        assert all(type(e) is list for e in core._pending)
+        assert core._head == min((e[0] for e in core._pending), default=float("inf"))
+
+
+def test_engine_keeps_one_form_between_runs():
+    """A core has one form in and out of ``run()``, so the reference loop
+    can pick the same engine up mid-flight (and hand it back) without
     moving a bit of the final state."""
 
     def burn(n, amount):
@@ -281,11 +292,10 @@ def test_engine_restores_at_rest_representation_between_runs():
         eng.spawn(burn(10, 1e-4), name="a", affinity=eng.cores[0])
         eng.spawn(burn(10, 1e-4), name="b")
         eng.run(until=3e-4)
-        for core in eng.cores:
-            for entry in core._finish_heap:
-                assert type(entry) is tuple
+        _assert_one_form(eng)
         eng.spawn(burn(5, 1e-4), name="c")
         middle_leg(eng, until=6e-4)
+        _assert_one_form(eng)
         eng.run()
         assert all(not t.alive for t in eng.threads)
         return _snapshot(eng, eng.threads)
@@ -315,8 +325,9 @@ def test_unsupported_request_names_the_thread_and_leaves_engine_at_rest(
     """The vocabulary is closed and matched by exact class: a ``Compute``
     subclass, a bare ``Request`` and a non-request object each raise
     ``SimStateError`` naming the thread - from the ready drain and from the
-    resume drain - and the exit restores the at-rest invariants: tuple heaps,
-    unresumed siblings back on the ready queue, so the run can continue."""
+    resume drain - and the exit leaves the engine consistent: pending lists in
+    the one form, unresumed siblings back on the ready queue, so the run can
+    continue."""
 
     def rogue():
         if after_compute:
@@ -334,8 +345,8 @@ def test_unsupported_request_names_the_thread_and_leaves_engine_at_rest(
     ]
     with pytest.raises(SimStateError, match="'rogue' yielded unsupported request"):
         eng.run()
-    assert all(type(e) is tuple for core in eng.cores for e in core._finish_heap)
-    queued = {t for t, _ in eng._ready} | {e[2] for e in eng.cores[0]._finish_heap}
+    _assert_one_form(eng)
+    queued = {t for t, _ in eng._ready} | {e[2] for e in eng.cores[0]._pending}
     assert queued == set(survivors)
     eng.run()
     assert all(not t.alive and t.cpu_time == pytest.approx(3e-4) for t in survivors)
@@ -395,7 +406,7 @@ def test_engine_deadlock_detection_matches_reference():
 def test_engine_exception_escape_requeues_unresumed_threads():
     """A thread body raising mid-resume-batch must leave the engine in the
     same state the reference loop would: the raiser consumed, siblings whose
-    resume never ran back on the ready queue, heaps as tuples."""
+    resume never ran back on the ready queue, pending lists in the one form."""
 
     class Boom(RuntimeError):
         pass
@@ -422,6 +433,6 @@ def test_engine_exception_escape_requeues_unresumed_threads():
             eng.now.hex(),
             [t.state.value for t in survivors],
             [t.cpu_time.hex() for t in survivors],
-            [type(e).__name__ for e in eng.cores[0]._finish_heap],
+            [type(e).__name__ for e in eng.cores[0]._pending],
         )
     assert states["reference"] == states["production"]
