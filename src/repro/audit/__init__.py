@@ -2,17 +2,16 @@
 
 Three surfaces over one invariant catalog:
 
-* :mod:`repro.audit.invariants` - ~a dozen machine-verifiable properties
+* :mod:`repro.audit.invariants` - eleven machine-verifiable properties
   of a finished run (causality, exactly-once, conservation under faults,
-  PE support/exclusivity, capacity, clock/queue/telemetry consistency,
-  cost-row freshness), checked over an :class:`AuditView` built from a
+  PE support/exclusivity, capacity, clock/queue consistency, cost-row
+  freshness), checked over an :class:`AuditView` built from a
   live runtime or a saved :class:`~repro.runtime.Logbook` dump;
 * :mod:`repro.audit.online` - the same properties enforced *during* the
   run, hooked into the daemon's dispatch path and the workers' completion
   path behind ``RuntimeConfig(audit=True)`` / ``repro run --audit``;
 * :mod:`repro.audit.oracle` - differential validation: paired
-  configurations (serial/jobs, cached/uncached, telemetry on/off,
-  audit on/off) that must produce bit-identical
+  configurations (serial/jobs, cached/uncached, audit on/off) that must produce bit-identical
   ``RunResult``s, exposed as ``repro audit diff``.
 """
 
@@ -30,7 +29,6 @@ from .invariants import (
 from .online import OnlineAuditor
 from .oracle import (
     DEFAULT_VARIANTS,
-    SERVE_VARIANTS,
     OracleReport,
     VariantOutcome,
     assert_identical,
@@ -59,5 +57,4 @@ __all__ = [
     "OracleReport",
     "VariantOutcome",
     "DEFAULT_VARIANTS",
-    "SERVE_VARIANTS",
 ]

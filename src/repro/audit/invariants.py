@@ -2,9 +2,8 @@
 
 CEDR's correctness contract - every submitted task runs exactly once, on a
 PE that supports its API, after its dependencies, with the rows of the run
-record (tasks, apps, rounds, fault-layer incidents) and the metric registry
-all telling the same story - is stated here as a dozen machine-verifiable
-invariants over an
+record (tasks, apps, rounds, fault-layer incidents) telling one consistent
+story - is stated here as eleven machine-verifiable invariants over an
 :class:`AuditView`: a uniform snapshot of a finished run assembled either
 from a live :class:`~repro.runtime.CedrRuntime` (:meth:`AuditView.
 from_runtime`) or from a saved :class:`~repro.runtime.Logbook` dump
@@ -17,7 +16,7 @@ auditor (:mod:`repro.audit.online`) raises the first violation it sees
 instead, which is what turns every test-suite run into an invariant check.
 
 The catalog is deliberately conservative about *when* a check applies: an
-offline dump has no cost-table token, core loads or registry values, and a
+offline dump has no cost-table token or core loads, and a
 schema 1 / 2 dump has no incident rows - each invariant states its inputs
 and skips cleanly when they are absent, so auditing never manufactures
 false alarms out of missing columns.
@@ -120,8 +119,6 @@ class AuditView:
     #: 1 / 2), which is "unknown", not "none happened".
     incidents: Optional[tuple[Incident, ...]] = None
     makespan: Optional[float] = None
-    #: final flattened telemetry values (:meth:`CedrTelemetry.flat_values`).
-    telemetry: Optional[dict[str, float]] = None
     #: live cost-table identity; ``None`` for offline (saved-dump) views.
     cost_table_token: Optional[int] = None
     cost_table_rows: Optional[int] = None
@@ -135,11 +132,6 @@ class AuditView:
         return replace(
             cls.from_logbook(runtime.logbook),
             makespan=runtime.metrics.makespan,
-            telemetry=(
-                runtime.telemetry.flat_values()
-                if runtime.telemetry is not None
-                else None
-            ),
             cost_table_token=runtime.cost_table.token,
             cost_table_rows=runtime.cost_table.n_rows,
             core_loads=tuple(
@@ -398,39 +390,6 @@ def _checked_online(view: AuditView) -> Iterator[AuditViolation]:
     return iter(())
 
 
-def _check_telemetry_consistency(view: AuditView) -> Iterator[AuditViolation]:
-    tel = view.telemetry
-    if tel is None:
-        return
-    counts = Counter(incident.kind for incident in view.incidents or ())
-    scalar = (
-        ("cedr_tasks_completed", len(view.tasks)),
-        ("cedr_sched_rounds", len(view.rounds)),
-        ("cedr_apps_completed", sum(1 for a in view.apps if a.t_finish is not None)),
-        ("cedr_task_retries_total", counts["retry"]),
-        ("cedr_tasks_lost_total", counts["lost"]),
-        ("cedr_stale_dispatches_total", counts["stale"]),
-        ("cedr_pe_quarantines_total", counts["quarantine"]),
-        ("cedr_pe_revivals_total", counts["revival"]),
-    )
-    for name, expected in scalar:
-        got = tel.get(name)
-        if got is not None and got != expected:
-            yield AuditViolation(
-                "telemetry-consistency",
-                f"{name} reports {got} but the run record holds {expected}",
-            )
-    for pe, tasks in Counter(rec.pe for rec in view.tasks).items():
-        got = tel.get(f"cedr_pe_dispatch_total{{pe={pe}}}")
-        if got is not None and got != tasks:
-            yield AuditViolation(
-                "telemetry-consistency",
-                f"cedr_pe_dispatch_total for {pe} reports {got} but the "
-                f"run record holds {tasks} rows for it",
-                pe=pe,
-            )
-
-
 def _check_cost_row_fresh(view: AuditView) -> Iterator[AuditViolation]:
     # offline dumps carry no live table: all rows must still agree on one
     # token (a single table priced the whole run)
@@ -526,11 +485,6 @@ CATALOG: tuple[Invariant, ...] = (
         "every round's assignments are exactly its ready batch (checked "
         "online, at the round)",
         _checked_online,
-    ),
-    Invariant(
-        "telemetry-consistency",
-        "final registry values equal the run-record rows they were fed from",
-        _check_telemetry_consistency,
     ),
     Invariant(
         "cost-row-fresh",

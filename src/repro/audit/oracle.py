@@ -2,13 +2,12 @@
 
 The sweep machinery promises that a run is a *pure function* of its cell
 tuple - which is what licenses the process pool, the content-addressed
-cache, and telemetry's and the auditor's observe-only contracts.  This
+cache, and the auditor's observe-only contract.  This
 module tests that promise by construction: it runs the same (rate x trial)
 grid under paired configurations that must be indistinguishable -
 
 ``jobs``        serial vs ``--jobs`` process-pool sharding
 ``cache``       uncached vs cold-store vs warm-hit sweep cache
-``telemetry``   telemetry off vs on (identical outside the snapshot field)
 ``audit``       online auditor off vs on
 
 - and diffs every :class:`~repro.metrics.RunResult` field-by-field,
@@ -20,7 +19,6 @@ full paired-run driver behind ``repro audit diff``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import tempfile
 from typing import Callable, Optional, Sequence
 
@@ -38,18 +36,13 @@ __all__ = [
     "VariantOutcome",
     "OracleReport",
     "DEFAULT_VARIANTS",
-    "SERVE_VARIANTS",
     "diff_run",
     "diff_serve",
 ]
 
-#: every paired configuration :func:`diff_run` knows how to produce.
-DEFAULT_VARIANTS = ("jobs", "cache", "telemetry", "audit")
-
-#: the paired configurations :func:`diff_serve` covers.  ``telemetry`` is
-#: omitted: a serve cell's config carries no sampler by default and the
-#: embedded ``RunResult.telemetry`` field is the only thing it would touch.
-SERVE_VARIANTS = ("jobs", "cache", "audit")
+#: every paired configuration :func:`diff_run` and :func:`diff_serve` know
+#: how to produce.
+DEFAULT_VARIANTS = ("jobs", "cache", "audit")
 
 _RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
 
@@ -65,7 +58,7 @@ def diff_results(
     Frozen-dataclass ``==`` answers *whether* two results drifted; this
     answers *where*, which is what a failing determinism test needs to
     print.  ``ignore`` excludes fields that differ by design (the
-    ``telemetry`` snapshot when comparing an instrumented run against a
+    ``telemetry`` export when comparing a run with a registry against a
     bare one).
     """
     unknown = set(ignore) - set(_RESULT_FIELDS)
@@ -180,7 +173,6 @@ def _diff_grid(
     differ: Callable[..., list[str]],
     base_config: RuntimeConfig,
     variants: Sequence[str],
-    available: Sequence[str],
     jobs: int,
     cache_dir: Optional[str],
 ) -> OracleReport:
@@ -188,24 +180,23 @@ def _diff_grid(
 
     ``grid(config, n_jobs=1, cache=False)`` runs the whole cell grid once;
     ``differ(a, b)`` names the drifted fields of one cell pair.  The
-    baseline is the plain serial, uncached, telemetry-free, unaudited
+    baseline is the plain serial, uncached, unaudited
     sweep; each variant flips exactly one knob and must reproduce it
     bit-for-bit.  The ``cache`` variant additionally audits the cache's own
     books: a cold pass must miss-and-store every cell, a warm pass must hit
     every cell without simulating anything.
     """
-    unknown = set(variants) - set(available)
+    unknown = set(variants) - set(DEFAULT_VARIANTS)
     if unknown:
         raise KeyError(
             f"unknown oracle variant(s) {sorted(unknown)}; "
-            f"available: {tuple(available)}"
+            f"available: {DEFAULT_VARIANTS}"
         )
     baseline = grid(base_config)
     n = len(baseline)
     outcomes: list[VariantOutcome] = []
     for variant in variants:
         notes: list[str] = []
-        cell_differ = differ
         if variant == "jobs":
             runs = [grid(base_config, n_jobs=jobs)]
         elif variant == "cache":
@@ -219,15 +210,12 @@ def _diff_grid(
                 )
             if warm.stats.hits != n or warm.stats.misses != 0:
                 notes.append(f"warm pass expected {n} pure hits, saw {warm.stats}")
-        elif variant == "telemetry":
-            runs = [grid(base_config.with_telemetry(0.0))]
-            cell_differ = functools.partial(differ, ignore=("telemetry",))
         else:  # "audit"
             runs = [grid(base_config.with_audit())]
         mismatches = []
         for run in runs:
             for i, (a, b) in enumerate(zip(baseline, run)):
-                fields = cell_differ(a, b)
+                fields = differ(a, b)
                 if fields:
                     mismatches.append((i, tuple(fields)))
             if len(run) != n:
@@ -273,7 +261,7 @@ def diff_run(
 
     return _diff_grid(
         f"{platform.name}/{workload.name}/{mode}/{scheduler}",
-        grid, diff_results, config, variants, DEFAULT_VARIANTS, jobs, cache_dir,
+        grid, diff_results, config, variants, jobs, cache_dir,
     )
 
 
@@ -286,7 +274,7 @@ def diff_serve(
     config: Optional[RuntimeConfig] = None,
     jobs: int = 2,
     cache_dir: Optional[str] = None,
-    variants: Sequence[str] = SERVE_VARIANTS,
+    variants: Sequence[str] = DEFAULT_VARIANTS,
 ) -> OracleReport:
     """The serve-mode differential oracle behind ``repro audit diff --serve``.
 
@@ -314,5 +302,5 @@ def diff_serve(
     tenant_names = "+".join(t.name for t in serve.tenants)
     return _diff_grid(
         f"{platform.name}/serve[{tenant_names}]/{serve.scheduler}",
-        grid, diff_serve_results, config, variants, SERVE_VARIANTS, jobs, cache_dir,
+        grid, diff_serve_results, config, variants, jobs, cache_dir,
     )

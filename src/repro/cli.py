@@ -156,7 +156,7 @@ def _add_cache_options(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.audit import DEFAULT_VARIANTS, SERVE_VARIANTS
+    from repro.audit import DEFAULT_VARIANTS
     from repro.experiments import available_figures
 
     parser = argparse.ArgumentParser(
@@ -231,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: all of %s)" % ",".join(DEFAULT_VARIANTS))
     audit.add_argument("--serve", action="store_true",
                        help="diff only: run the serve-mode oracle instead "
-                            "of the batch one (pairings: %s)"
-                            % ",".join(SERVE_VARIANTS))
+                            "of the batch one (same pairings)")
 
     tel = sub.add_parser(
         "telemetry",
@@ -406,16 +405,21 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     from repro.experiments import run_to_completion
 
+    from repro.telemetry import SampleCapError
+
     spec = _lower(args)
     platform_cfg = spec.build_platform()
     # the finished runtime, not just its RunResult: trace, Gantt, logbook,
     # metrics, perf and energy outputs all read the live object (which is
     # also why this verb does not go through the sweep cache)
-    runtime = run_to_completion(
-        platform_cfg, spec.build_workload(), spec.mode, spec.rate_mbps,
-        spec.scheduler, seed=spec.seed, execute=spec.execute,
-        config=spec.build_config(), attribute_host_time=bool(args.perf_json),
-    )
+    try:
+        runtime = run_to_completion(
+            platform_cfg, spec.build_workload(), spec.mode, spec.rate_mbps,
+            spec.scheduler, seed=spec.seed, execute=spec.execute,
+            config=spec.build_config(), attribute_host_time=bool(args.perf_json),
+        )
+    except SampleCapError as exc:
+        raise SystemExit(f"repro run {exc}") from None
     result = RunResult.from_runtime(runtime)
 
     print(f"platform  : {platform_cfg.name}  mode={args.mode}  "
@@ -575,19 +579,19 @@ def _cmd_audit(args) -> int:
 
 def _cmd_audit_diff(args) -> int:
     """Run the differential oracle and print its per-variant verdicts."""
-    from repro.audit import DEFAULT_VARIANTS, SERVE_VARIANTS, diff_run, diff_serve
+    from repro.audit import DEFAULT_VARIANTS, diff_run, diff_serve
     from repro.workload import paper_injection_rates
 
-    variants = available = SERVE_VARIANTS if args.serve else DEFAULT_VARIANTS
+    variants = DEFAULT_VARIANTS
     if args.variants is not None:
         variants = tuple(
             v.strip() for v in args.variants.split(",") if v.strip()
         )
-        unknown = set(variants) - set(available)
+        unknown = set(variants) - set(DEFAULT_VARIANTS)
         if unknown:
             raise SystemExit(
                 f"unknown variant(s) {sorted(unknown)}; "
-                f"options: {','.join(available)}"
+                f"options: {','.join(DEFAULT_VARIANTS)}"
             )
     spec = _lower(args)
     grid = dict(trials=args.trials, base_seed=args.seed, jobs=args.jobs,
@@ -663,6 +667,7 @@ def _cmd_scenario_run(args) -> int:
 
     from repro.experiments import seed_invariant
     from repro.scenario import run_scenario
+    from repro.telemetry import SampleCapError
 
     _check_counts(args, "scenario run")
     spec = _load_spec(args.spec)
@@ -671,9 +676,12 @@ def _cmd_scenario_run(args) -> int:
     cache = _resolve_cache(args)
     trials = spec.trials if args.trials is None else args.trials
     base_seed = spec.seed if args.seed is None else args.seed
-    results = run_scenario(
-        spec, trials=trials, base_seed=base_seed, n_jobs=args.jobs, cache=cache
-    )
+    try:
+        results = run_scenario(
+            spec, trials=trials, base_seed=base_seed, n_jobs=args.jobs, cache=cache
+        )
+    except SampleCapError as exc:
+        raise SystemExit(f"repro scenario run {exc}") from None
     n = len(results)
     once = n > 1 and spec.kind == "run" and seed_invariant(
         spec.build_workload(), spec.execute, spec.build_config())

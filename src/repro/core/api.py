@@ -22,14 +22,14 @@ kernel declares the parameter builder, payload builder, and marshalled-byte
 model, and :func:`~repro.core.spec.install_api_methods` stamps out both
 variants with the public signatures of old.  Adding a kernel API is now one
 table row - the blocking variant, the ``_nb`` variant, standalone-mode
-parity, and telemetry instrumentation all follow.
+parity, and the call's row in the run record all follow.
 
-With telemetry enabled on the runtime
-(:class:`~repro.telemetry.TelemetryConfig`), every call is instrumented for
-free: per-API/mode call counters and latency histograms
-(``cedr_api_call_latency_seconds``: submission to completion, for blocking
-*and* non-blocking calls) plus the in-flight request gauge
-(``cedr_api_inflight_requests``).
+Every call writes one :class:`~repro.runtime.logbook.CallRecord` when it
+settles - a blocking call as its thread wakes, a non-blocking one as its
+handle settles - carrying the instants the call began, counted as in
+flight, and finished.  The telemetry registry's call counters, latency
+histograms and in-flight gauge are a fold of those rows
+(:meth:`repro.telemetry.CedrTelemetry.fold`).
 
 The same application source also runs against
 :class:`~repro.core.standalone.StandaloneCedr` ("treating libCEDR like any
@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.platforms.timing import UNPRICED
+from repro.runtime.logbook import CallRecord
 from repro.runtime.task import CompletionHandle, Task
 from repro.simcore import Compute, Request
 
@@ -113,6 +114,7 @@ class CedrClient:
         self._app_id = app.app_id
         self._signal_latency = runtime.config.signal_latency_s
         self._post = runtime.events.post
+        self._call_rows = runtime.logbook.calls
 
     # ------------------------------------------------------------------ #
     # dispatch plumbing
@@ -172,35 +174,23 @@ class CedrClient:
         return task
 
     def _call_blocking(self, api: str, params: dict, payload: Any):
-        telemetry = self._runtime.telemetry
-        t0 = self.engine.now
-        if telemetry is not None:
-            telemetry.api_inflight.inc()
+        t_call = self.engine.now
         task = yield from self._submit(api, params, payload)
         try:
-            result = yield from task.completion.wait()
-        finally:
-            if telemetry is not None:
-                telemetry.api_inflight.dec()
-                telemetry.record_api_call(api, "blocking", self.engine.now - t0)
-        return result
+            return (yield from task.completion.wait())
+        finally:  # a lost task raises out of the wait: still one row
+            self._call_rows.append(
+                CallRecord(api, "blocking", t_call, t_call, self.engine.now)
+            )
 
     def _call_nb(self, api: str, params: dict, payload: Any):
-        telemetry = self._runtime.telemetry
-        t0 = self.engine.now
+        t_call = self.engine.now
         task = yield from self._submit(api, params, payload)
-        if telemetry is not None:
-            telemetry.api_inflight.inc()
-            engine = self.engine
-
-            def _settled() -> None:
-                # fires on the worker/daemon thread the instant the handle
-                # settles - latency covers submission to completion even if
-                # the application never waits on the request
-                telemetry.api_inflight.dec()
-                telemetry.record_api_call(api, "nonblocking", engine.now - t0)
-
-            task.completion.add_watcher(_settled)
+        # the settling thread stamps ``t_done`` and appends the row, even if
+        # the application never waits on the request
+        task.completion.call = (
+            self._call_rows, CallRecord(api, "nonblocking", t_call, self.engine.now, 0.0)
+        )
         return CedrRequest(task)
 
     # ------------------------------------------------------------------ #

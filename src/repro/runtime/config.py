@@ -98,10 +98,9 @@ class RuntimeConfig:
     #: runtime on the exact pre-fault code paths: no injector, no watchdog
     #: timers, no extra events, bit-identical behaviour.
     faults: Optional[FaultConfig] = None
-    #: telemetry registry configuration (repro.telemetry).  ``None`` (or
-    #: ``enabled=False``) keeps every hot path on a single ``is None`` test
-    #: and schedules no sampler timers - runs without telemetry are
-    #: byte-identical to the pre-telemetry runtime.
+    #: telemetry registry configuration (repro.telemetry).  The registry
+    #: is folded from the logbook at shutdown, so a run is the same with or
+    #: without it; ``None`` builds no registry.
     telemetry: Optional[TelemetryConfig] = None
     #: online schedule auditing (repro.audit): every scheduling round and
     #: task completion is checked against the invariant catalog as it
@@ -114,12 +113,6 @@ class RuntimeConfig:
     def with_audit(self) -> "RuntimeConfig":
         """Copy of this config with online schedule auditing switched on."""
         return replace(self, audit=True)
-
-    def with_telemetry(self, sample_interval_s: float = 0.0) -> "RuntimeConfig":
-        """Copy of this config with telemetry collection switched on."""
-        return replace(
-            self, telemetry=TelemetryConfig(sample_interval_s=sample_interval_s)
-        )
 
     def with_scheduler(self, name: str) -> "RuntimeConfig":
         return replace(self, scheduler=name)

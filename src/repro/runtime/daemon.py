@@ -61,7 +61,7 @@ from repro.sched import SCHEDULERS, Scheduler
 from repro.sched.heft_rt import upward_ranks
 from repro.simcore import Block, Compute, Request, SimThread, child_rng
 from repro.simcore.errors import SimStateError
-from repro.telemetry import CedrTelemetry, SnapshotSampler
+from repro.telemetry import CedrTelemetry
 
 from .app import DAG_MODE, AppInstance, TimingOnlyAppError
 from .config import RuntimeConfig
@@ -95,7 +95,9 @@ class RunMetrics:
 
     ``runtime_overhead_s`` is main-thread time spent receiving, managing,
     and terminating applications (excludes scheduling);
-    ``sched_overhead_s`` is time spent inside scheduling rounds.
+    ``sched_overhead_s`` is time spent inside scheduling rounds, summed
+    over the logbook's round rows at shutdown, where ``makespan`` is
+    stamped too.
     """
 
     runtime_overhead_s: float = 0.0
@@ -168,27 +170,14 @@ class CedrRuntime:
         self.apps: dict[int, AppInstance] = {}
         self.mailboxes: dict[int, EventQueue] = {}
         self.inflight: dict[int, int] = {}
-        #: metric registry + instrumentation handles; ``None`` whenever the
-        #: config carries no enabled telemetry (the byte-identical fast path).
-        self.telemetry: Optional[CedrTelemetry] = (
-            CedrTelemetry(config.telemetry, [pe.name for pe in platform.pes])
-            if config.telemetry is not None and config.telemetry.enabled
-            else None
-        )
-        self._sampler: Optional[SnapshotSampler] = (
-            SnapshotSampler(self.engine, self.telemetry, config.telemetry.sample_interval_s)
-            if self.telemetry is not None and config.telemetry.sample_interval_s > 0
-            else None
-        )
-        if self.telemetry is not None:
-            # Bridge engine-side late-timer clamps into the metric registry.
-            # Plain state mutation (no events), so runs stay bit-identical.
-            self.engine.on_late_timer = self.telemetry.late_timers.inc
-        #: the run record: every completion, round, app open / close and
-        #: fault-layer event is written here once (and feeds the registry
-        #: from inside the same call); ``counters`` keeps the host-side
-        #: measurements and reads its simulated numbers back from it.
-        self.logbook = Logbook(self.telemetry)
+        #: the metric registry, folded from the logbook at shutdown when the
+        #: config carries telemetry (``None`` until then, and without it)
+        self.telemetry: Optional[CedrTelemetry] = None
+        #: the run record: every completion, round, app open / close,
+        #: libCEDR call and fault-layer event is written here once;
+        #: ``counters`` keeps the host-side measurements and reads its
+        #: simulated numbers back from it, and the registry is a fold of it.
+        self.logbook = Logbook()
         self.counters = PerfCounters(self.logbook)
         self.metrics = RunMetrics()
         self.noise_rng = (
@@ -286,8 +275,6 @@ class CedrRuntime:
             self.counters.watch_thread(worker, "worker")
         if self.faults is not None:
             self.faults.arm()
-        if self._sampler is not None:
-            self._sampler.arm()
 
     def submit(self, app: AppInstance, at: float) -> None:
         """Schedule *app* to arrive over IPC at simulated time ``at``.
@@ -300,7 +287,7 @@ class CedrRuntime:
         (timers pop in ``(when, seq)`` order, and a clamped timer gets a
         fresh seq) - so late submissions never jump ahead of same-instant
         work, and submission order is preserved among them.  Every clamp is
-        counted in ``engine.late_timers`` and, with telemetry enabled, the
+        counted in ``engine.late_timers`` and, with telemetry on, the
         ``simcore_late_timers_total`` metric (pinned by the late-submit
         regression tests).
         """
@@ -491,14 +478,18 @@ class CedrRuntime:
             # one-timer-ahead chain keeps the engine's timer heap populated
             # forever and the simulation never terminates.
             self.faults.disarm()
-        if self._sampler is not None:
-            # same one-timer-ahead chain, same termination requirement
-            self._sampler.disarm()
         self._shutdown_workers()
-        self.metrics.makespan = self.engine.now
-        if self.telemetry is not None:
-            # end-of-run snapshot: always present, even with sampling off
-            self.telemetry.sample(self.engine.now)
+        now = self.metrics.makespan = self.engine.now
+        book = self.logbook
+        book.late_timers = list(self.engine.late_at)
+        sched = 0.0
+        for row in book.rounds:
+            sched += row[2]  # a plain loop: sum() is compensated from 3.12
+        self.metrics.sched_overhead_s = sched
+        if self.config.telemetry:
+            self.telemetry = CedrTelemetry.fold(
+                book, self.config.telemetry, [pe.name for pe in self.platform.pes], now
+            )
         # Idle-poll accounting: the main loop spins whenever it is not doing
         # bookkeeping or scheduling.  The runtime core is reserved, so this
         # changes no thread's timing - only the overhead measurement - and
@@ -633,12 +624,7 @@ class CedrRuntime:
                 return
         pes = self.platform.pes
         cost = self.scheduler.round_cost(len(batch), len(pes))
-        self.metrics.sched_overhead_s += cost
         t_begin = self.engine.now
-        if self.telemetry is not None:
-            # fed as the decision begins, not with the row below: a sampler
-            # tick inside the decision window already counts this round
-            self.telemetry.record_round(len(batch), cost)
         if cost > 0.0:
             # a round's cost is a function of (depth, PE count), so the
             # request for each distinct cost is built once and shared
@@ -651,7 +637,6 @@ class CedrRuntime:
         # tasks - the runtime analogue of CEDR consulting its execution-time
         # profiles plus the live queue state.
         now = self.engine.now
-        self.logbook.record_round(now, len(batch), cost, t_begin)
         for pe in pes:
             pe.expected_free = now + pe.outstanding_est * pe.slowdown
         assignments = self.scheduler.schedule(batch, pes, now, self.cost_table)
@@ -659,13 +644,12 @@ class CedrRuntime:
             # validate the round before its assignments are committed, so a
             # violation names the scheduler's decision, not its aftermath
             self.auditor.on_round(batch, assignments, now)
-        telemetry = self.telemetry
+        self.logbook.record_round(
+            now, len(batch), cost, t_begin, [task.t_release for task, _ in assignments]
+        )
         for task, pe in assignments:
             task.state = _SCHEDULED
-            task.t_scheduled = self.engine.now
-            if telemetry is not None:
-                # doorbell-to-dispatch: ready-queue entry to PE assignment
-                telemetry.record_sched_latency(task.t_scheduled - task.t_release)
+            task.t_scheduled = now
             task.est_used = self.cost_table.lookup(task, pe.index)
             pe.outstanding_est += task.est_used
             if self.faults is None:

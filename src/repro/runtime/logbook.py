@@ -3,27 +3,32 @@
 The real runtime keeps one execution log per run - per-task rows plus the
 performance-counter readings - and writes it out when the shutdown IPC
 command arrives "for later offline analysis by the user".  :class:`Logbook`
-is that log: four append-only row lists, one row per *entity* (a completed
+is that log: append-only row lists, one row per *entity* (a completed
 task is one :class:`TaskRecord` carrying its four instants, not four
 events):
 
-=============  ======================================  ===================
-``tasks``      one :class:`TaskRecord` per completion  written by workers
-``apps``       one :class:`AppRecord` per submission   opened / closed by
-                                                       the daemon
-``rounds``     ``(t, depth, cost, t_begin)`` per       written by the
-               scheduling round                        daemon
-``incidents``  one :class:`Incident` per fault-layer   written by the
-               event (see :data:`INCIDENT_KINDS`)      injector, daemon and
-                                                       workers
-=============  ======================================  ===================
+===============  ======================================  ====================
+``tasks``        one :class:`TaskRecord` per completion  written by workers
+``apps``         one :class:`AppRecord` per submission   opened / closed by
+                                                         the daemon
+``rounds``       ``(t, depth, cost, t_begin)`` per       written by the
+                 scheduling round                        daemon
+``releases``     the ``t_release`` of each task a        written by the
+                 round assigned, round after round       daemon
+``incidents``    one :class:`Incident` per fault-layer   written by the
+                 event (see :data:`INCIDENT_KINDS`)      injector, daemon and
+                                                         workers
+``calls``        one :class:`CallRecord` per libCEDR     written by the
+                 call, when it settles                   libCEDR client
+``late_timers``  the instant of each ``call_at`` the     copied from the
+                 engine clamped to now                   engine at shutdown
+===============  ======================================  ====================
 
-Daemon, workers and the fault injector record each happening exactly once,
-here; when the run carries a metric registry (:mod:`repro.telemetry`) the
-same call feeds it (rounds excepted - see :meth:`Logbook.record_round`).
-Everything else - :class:`~repro.runtime.PerfCounters`' simulated tallies,
-:class:`~repro.metrics.RunResult`, the Chrome trace, the Gantt chart, the
-audit view - is a read of these rows.
+Daemon, workers, the libCEDR client and the fault injector record each
+happening exactly once, here.  Everything else - :class:`~repro.runtime.
+PerfCounters`' simulated tallies, :class:`~repro.metrics.RunResult`, the
+metric registry (:meth:`repro.telemetry.CedrTelemetry.fold`), the Chrome
+trace, the Gantt chart, the audit view - is a read of these rows.
 
 The dump is schema-versioned (:data:`SCHEMA_VERSION`) and round-trips:
 :meth:`Logbook.load` rebuilds a logbook from a saved dump so ``repro audit
@@ -46,14 +51,13 @@ from repro.atomic import atomic_write
 from .task import Task
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry import CedrTelemetry
-
     from .app import AppInstance
 
 __all__ = [
     "TaskRecord",
     "AppRecord",
     "Incident",
+    "CallRecord",
     "INCIDENT_KINDS",
     "Logbook",
     "SCHEMA_VERSION",
@@ -66,8 +70,9 @@ __all__ = [
 #: section and widened round rows from ``[t, depth]`` to ``[t, depth,
 #: cost, t_begin]``; a 2-column round loads with ``cost = 0.0`` and
 #: ``t_begin = t``, and a schema 1 / 2 book has *unknown* (not zero)
-#: incidents - see :attr:`Logbook.schema`.
-SCHEMA_VERSION = 3
+#: incidents - see :attr:`Logbook.schema`.  4 added the ``releases``,
+#: ``calls`` and ``late_timers`` sections, which an older dump loads empty.
+SCHEMA_VERSION = 4
 
 #: the fault layer's closed event taxonomy (:attr:`Incident.kind`).
 INCIDENT_KINDS = (
@@ -168,6 +173,28 @@ class Incident:
     seconds: float = 0.0
 
 
+@dataclass(slots=True)
+class CallRecord:
+    """One libCEDR call, appended once, when it settles.
+
+    A blocking call is written by its application thread as it wakes; a
+    non-blocking one by whoever settles its handle (the worker signalling
+    completion, or the daemon failing it), whether or not the application
+    ever waits on it.  So rows run in settle order, not call order.
+    """
+
+    api: str
+    #: ``"blocking"`` or ``"nonblocking"``.
+    mode: str
+    #: the application thread entered the call.
+    t_call: float
+    #: the call counted as in flight: ``t_call`` for a blocking call, the
+    #: return from submission for a non-blocking one.
+    t_enter: float
+    #: the blocking call's wake, or the non-blocking handle's settle.
+    t_done: float
+
+
 #: JSON types a dump column may hold, keyed by the record classes' field
 #: annotations.
 _COLUMN_TYPES = {
@@ -228,7 +255,7 @@ def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
 class Logbook:
     """The run record: in-memory rows with shutdown-time serialization."""
 
-    def __init__(self, telemetry: Optional["CedrTelemetry"] = None) -> None:
+    def __init__(self) -> None:
         self.tasks: list[TaskRecord] = []
         #: keyed by app id; insertion order is arrival order.
         self.apps: dict[int, AppRecord] = {}
@@ -237,14 +264,20 @@ class Logbook:
         #: seconds and the instant the decision began (``t`` is ``t_begin``
         #: plus the cost as the runtime core delivered it).
         self.rounds: list[tuple[float, int, float, float]] = []
+        #: the ``t_release`` of each task a round assigned, in assignment
+        #: order, rounds in order: a round assigns its whole ready batch,
+        #: so round *k*'s ``depth`` entries follow round *k - 1*'s.  Flat
+        #: rather than a round column: one pointer per assignment.
+        self.releases: list[float] = []
         self.incidents: list[Incident] = []
+        self.calls: list[CallRecord] = []
+        self.late_timers: list[float] = []
         #: dump format the rows came from (live books are current).  A
         #: schema 1 / 2 dump predates ``incidents``: its list is empty
         #: because nothing was recorded, not because nothing happened, so
-        #: readers that count incidents must skip such a book.
+        #: readers that count incidents must skip such a book.  The same
+        #: holds for ``releases``, ``calls`` and ``late_timers`` below 4.
         self.schema = SCHEMA_VERSION
-        #: optional metric registry, fed from inside the ``record_*`` calls.
-        self.telemetry = telemetry
 
     # ------------------------------------------------------------------ #
     # the write side: one call per happening
@@ -270,17 +303,15 @@ class Logbook:
             task.cost_token,
             tuple([s.tid for s in successors]) if successors else (),
         ))
-        if self.telemetry is not None:
-            self.telemetry.record_task(pe.name, task.service_time)
 
-    def record_round(self, now: float, ready_depth: int, cost: float, t_begin: float) -> None:
-        """One scheduling round dispatched at *now*.
-
-        The registry's round series are fed by the daemon when the decision
-        *begins*, not here: a sampler tick inside the decision window must
-        already see the round.
-        """
+    def record_round(
+        self, now: float, ready_depth: int, cost: float, t_begin: float,
+        releases: list[float],
+    ) -> None:
+        """One scheduling round dispatched at *now*, with the release
+        instants of the *ready_depth* tasks it assigned."""
         self.rounds.append((now, ready_depth, cost, t_begin))
+        self.releases += releases
 
     def open_app(self, app: "AppInstance") -> None:
         """*app* arrived over IPC."""
@@ -296,8 +327,6 @@ class Logbook:
         record.n_tasks = app.tasks_total
         record.cancelled = app.cancelled
         record.failed = app.failed
-        if self.telemetry is not None:
-            self.telemetry.record_app_completed()
 
     def record_incident(
         self,
@@ -312,8 +341,6 @@ class Logbook:
     ) -> None:
         """One fault-layer event of :data:`INCIDENT_KINDS` at instant *t*."""
         self.incidents.append(Incident(t, kind, detail, pe, tid, attempt, seconds))
-        if self.telemetry is not None:
-            self.telemetry.record_incident(kind, detail, seconds)
 
     # ------------------------------------------------------------------ #
     # the shutdown dump
@@ -326,7 +353,10 @@ class Logbook:
             "tasks": [asdict(t) for t in self.tasks],
             "apps": [asdict(a) for a in self.apps.values()],
             "rounds": [list(r) for r in self.rounds],
+            "releases": list(self.releases),
             "incidents": [asdict(i) for i in self.incidents],
+            "calls": [asdict(c) for c in self.calls],
+            "late_timers": list(self.late_timers),
         }
 
     def save(self, path) -> str:
@@ -354,7 +384,8 @@ class Logbook:
                 f"(this build reads 1..{SCHEMA_VERSION})"
             )
         rows = {}
-        for name in ("tasks", "apps", "rounds", "incidents"):
+        for name in ("tasks", "apps", "rounds", "releases", "incidents", "calls",
+                     "late_timers"):
             rows[name] = dump.get(name, [])
             if not isinstance(rows[name], list):
                 raise ValueError(
@@ -376,6 +407,19 @@ class Logbook:
                 if incident.kind not in INCIDENT_KINDS:
                     raise ValueError(f"incidents[{i}]: unknown kind {incident.kind!r}")
                 book.incidents.append(incident)
+        for i, row in enumerate(rows["calls"]):
+            book.calls.append(_load_record(CallRecord, f"calls[{i}]", row))
+        for name in ("releases", "late_timers"):
+            for i, t in enumerate(rows[name]):
+                if type(t) not in (int, float):
+                    raise ValueError(f"{name}[{i}]: expected an instant, got {t!r}")
+                getattr(book, name).append(float(t))
+        assigned = sum(row[1] for row in book.rounds)
+        if schema >= 4 and len(book.releases) != assigned:
+            raise ValueError(
+                f"releases: {len(book.releases)} instants for the {assigned} "
+                f"tasks the rounds assigned"
+            )
         return book
 
     @classmethod

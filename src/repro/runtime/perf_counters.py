@@ -71,7 +71,7 @@ class PerfCounters:
     resumes_by_role: Optional[dict[str, int]] = None
     #: the ``timers`` role split by the callback's qualified name
     #: (``Engine.wake`` for signal-latency wakes, the daemon's watchdog and
-    #: arrival closures, the sampler tick, ...); ``None`` unless armed.
+    #: arrival closures, the fault streams, ...); ``None`` unless armed.
     timer_ns_by_owner: Optional[dict[str, int]] = None
 
     #: the simulator event core's timer statistics, as

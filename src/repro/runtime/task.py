@@ -67,6 +67,7 @@ class CompletionHandle:
 
     __slots__ = (
         "engine", "signal_latency", "done", "result", "error", "_waiters", "_watchers",
+        "call",
     )
 
     def __init__(self, engine: "Engine", signal_latency: float = 0.0) -> None:
@@ -82,9 +83,11 @@ class CompletionHandle:
         self._waiters: list["SimThread"] = []
         #: settle callbacks (plain callables, no simulated cost) fired once
         #: when the handle completes or fails - the hook behind
-        #: :func:`repro.core.handles.wait_any` and the client's
-        #: non-blocking-call latency telemetry.
+        #: :func:`repro.core.handles.wait_any`.
         self._watchers: list[Callable[[], None]] = []
+        #: a non-blocking libCEDR call's ``(rows, record)``: settling stamps
+        #: the record's ``t_done`` and appends it to the logbook's rows.
+        self.call: Optional[tuple[list, Any]] = None
 
     def add_watcher(self, callback: Callable[[], None]) -> None:
         """Invoke *callback* once when the handle settles (now if it has).
@@ -145,6 +148,11 @@ class CompletionHandle:
                     engine._schedule_timer(latency, partial(engine.wake, waiter))
                 else:
                     engine.wake(waiter)
+        call = self.call
+        if call is not None:
+            rows, record = call
+            record.t_done = self.engine.now
+            rows.append(record)
         watchers = self._watchers
         if watchers:
             self._watchers = []

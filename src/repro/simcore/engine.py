@@ -148,12 +148,10 @@ class Engine:
         #: segment sequence counter: the FIFO tie-break among equal finishes
         self._seq = 0
         self._events_processed = 0
-        #: ``call_at`` timestamps already in the past, clamped to now
-        #: (mirrored to the ``simcore_late_timers_total`` telemetry counter
-        #: through :attr:`on_late_timer`).
-        self.late_timers = 0
-        #: optional zero-argument hook invoked on each late ``call_at``.
-        self.on_late_timer: Optional[Callable[[], None]] = None
+        #: the instant of each ``call_at`` whose timestamp was already in
+        #: the past and was clamped to now (the runtime's logbook copies it
+        #: at shutdown; telemetry folds it into ``simcore_late_timers_total``).
+        self.late_at: list[float] = []
         #: timers fired so far (separate from dispatch-event accounting).
         self.timers_fired = 0
         self._drain_batches = 0
@@ -198,7 +196,7 @@ class Engine:
         return {
             "pending": pending,
             "occupancy_hwm": max(self._timer_hwm, pending),
-            "late_timers": self.late_timers,
+            "late_timers": len(self.late_at),
             "timers_fired": self.timers_fired,
             "drain_batches": self._drain_batches,
             "mean_batch": (
@@ -231,18 +229,15 @@ class Engine:
 
         A ``when`` already in the past is clamped to now - it fires in the
         very next timer drain rather than at some arbitrary later one - and
-        is counted in :attr:`late_timers` (exported as
-        ``simcore_late_timers_total``) so schedule bugs that produce stale
-        timestamps stay visible instead of silently reordering.
+        is kept in :attr:`late_at` (exported as ``simcore_late_timers_total``)
+        so schedule bugs that produce stale timestamps stay visible instead
+        of silently reordering.
         """
         if not -inf < when < inf:
             raise SimTimeError(f"timer instant must be finite, got {when}")
         now = self.now
         if when < now:
-            self.late_timers += 1
-            hook = self.on_late_timer
-            if hook is not None:
-                hook()
+            self.late_at.append(now)
             when = now
         heappush(self._timers, (when, next(self._timer_seq), callback))
 
@@ -613,6 +608,11 @@ class Engine:
     def blocked_threads(self) -> list[SimThread]:
         """Threads currently parked on a mutex/condvar/device/join."""
         return [t for t in self.threads if t.state is ThreadState.BLOCKED]
+
+    @property
+    def late_timers(self) -> int:
+        """``call_at`` timestamps clamped to now so far."""
+        return len(self.late_at)
 
     @property
     def events_processed(self) -> int:

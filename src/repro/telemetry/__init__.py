@@ -1,10 +1,10 @@
 """repro.telemetry: deterministic runtime metrics for the CEDR reproduction.
 
 A central registry of counters, gauges, and fixed-bucket histograms,
-instrumented across the daemon, workers, libCEDR client, and the fault
-layer; periodic snapshots driven by simulator timers; Prometheus-text and
-JSON exporters.  See docs/INTERNALS.md ("Telemetry") for metric names,
-bucket ladders, and the determinism contract.
+folded from the run record (:class:`~repro.runtime.Logbook`) at shutdown,
+periodic snapshots included; Prometheus-text and JSON exporters.  See
+docs/INTERNALS.md ("Telemetry") for metric names, bucket ladders, the fold
+and the determinism contract.
 """
 
 from .exporters import (
@@ -18,11 +18,12 @@ from .registry import Counter, Gauge, Histogram, MetricFamily, MetricRegistry
 from .runtime_metrics import (
     DEPTH_BUCKETS,
     LATENCY_BUCKETS,
+    MAX_SAMPLES,
     RECOVERY_BUCKETS,
     CedrTelemetry,
+    SampleCapError,
     TelemetryConfig,
 )
-from .sampler import SnapshotSampler
 
 __all__ = [
     "Counter",
@@ -32,7 +33,8 @@ __all__ = [
     "MetricRegistry",
     "CedrTelemetry",
     "TelemetryConfig",
-    "SnapshotSampler",
+    "SampleCapError",
+    "MAX_SAMPLES",
     "LATENCY_BUCKETS",
     "DEPTH_BUCKETS",
     "RECOVERY_BUCKETS",

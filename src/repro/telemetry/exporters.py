@@ -1,7 +1,7 @@
 """Metric exporters: Prometheus exposition text and JSON dumps.
 
 Both exporters are pure functions of a :class:`~repro.telemetry.registry.
-MetricRegistry` (plus, for the JSON form, the sampler's snapshot series),
+MetricRegistry` (plus, for the JSON form, the fold's snapshot series),
 and both are deterministic byte-for-byte: family order is registration
 order, series order is sorted label order, and floats are rendered with
 Python ``repr`` (shortest round-trip form).  A golden-file test pins the

@@ -2,8 +2,9 @@
 
 This is the reproduction's stand-in for CEDR's "performance monitoring
 hooks" (Mack et al., arXiv:2204.08962): a central registry of named metric
-families the runtime, workers, libCEDR client, and fault layer all write
-into.  Three properties matter and are pinned by tests:
+families, filled by folding the run record at shutdown
+(:meth:`repro.telemetry.CedrTelemetry.fold`).  Three properties matter and
+are pinned by tests:
 
 * **Determinism** - metrics are a pure function of the simulated run.  No
   wall-clock reads, no process ids, no iteration over unordered containers
@@ -12,9 +13,9 @@ into.  Three properties matter and are pinned by tests:
 * **Fixed buckets** - histograms use explicit upper-bound ladders declared
   at registration time, never adaptive buckets (adaptive boundaries would
   make two runs' exports incomparable).
-* **Zero timing impact** - recording is plain Python state mutation; it
-  charges no simulated cost and schedules no events, so enabling telemetry
-  never changes what a run computes, only what it reports.
+* **Zero timing impact** - the registry is filled after the run from its
+  record; it charges no simulated cost and schedules no events, so enabling
+  telemetry never changes what a run computes, only what it reports.
 
 The label model follows Prometheus: a *family* (``cedr_pe_busy_seconds``,
 labelled by ``pe``) owns one child metric per label-value tuple, created on

@@ -6,49 +6,68 @@ pre-registers the full metric set at construction, so the catalog (names,
 types, bucket ladders) is identical for every run - a zero-task run and a
 saturated sweep export the same families, just with different values.
 
-Instrumentation points (who feeds what):
+The registry is a read of the run record, like every other number a run
+reports: :meth:`CedrTelemetry.fold` replays the
+:class:`~repro.runtime.Logbook` rows in time order through the
+``record_*`` steps below, taking the periodic samples on the way, and the
+daemon runs it once, at shutdown.  Nothing in the runtime calls into a
+registry while the run is live, so telemetry cannot perturb the run it
+measures.
 
-=====================  ==================================================
-the run record         :class:`~repro.runtime.Logbook` feeds the registry
-                       from inside its own write calls - ``record_task``:
-                       ``cedr_pe_dispatch_total``, ``cedr_pe_busy_
-                       seconds_total``, ``cedr_tasks_completed``;
-                       ``close_app``: ``cedr_apps_completed``;
-                       ``record_incident``: ``cedr_faults_injected_
-                       total``, ``cedr_task_failures_total``, ``cedr_
-                       task_retries_total``, ``cedr_tasks_lost_total``,
-                       ``cedr_stale_dispatches_total``, ``cedr_pe_
-                       quarantines_total``, ``cedr_pe_revivals_total``,
-                       ``cedr_task_recovery_seconds``
-daemon                 at the *start* of a scheduling decision (a sampler
-                       tick inside the decision window already sees the
-                       round): ``cedr_ready_queue_depth``, ``cedr_sched_
-                       rounds``, ``cedr_sched_decision_seconds``,
-                       ``cedr_sched_batch_tasks``; per assignment:
-                       ``cedr_sched_latency_seconds`` (doorbell to
-                       dispatch)
-libCEDR client         ``cedr_api_calls_total``,
-                       ``cedr_api_call_latency_seconds`` (blocking and
-                       non-blocking), ``cedr_api_inflight_requests``
-sampler                ``cedr_pe_utilization`` (derived at snapshot time)
-engine (bridged via    ``simcore_late_timers_total``
-``Engine.on_late_timer``)
-=====================  ==================================================
+Which row each series folds, and the instant it counts at:
 
-All recording is plain state mutation - no simulated cost, no events - so
-telemetry never perturbs the run it measures (the determinism contract in
-docs/INTERNALS.md).
+=========================  ===============================================
+``rounds``                 at ``t_begin``: ``cedr_ready_queue_depth``
+                           (depth of the last round begun), ``cedr_sched_
+                           rounds``, ``cedr_sched_decision_seconds``,
+                           ``cedr_sched_batch_tasks``; at ``t``, once per
+                           task the round assigned, with its entry of
+                           ``releases``: ``cedr_sched_latency_seconds``
+                           (``t - release``, doorbell to dispatch)
+``tasks``                  at ``t_finish``: ``cedr_pe_dispatch_total``,
+                           ``cedr_pe_busy_seconds_total``, ``cedr_tasks_
+                           completed``
+``apps``                   at ``t_finish`` (the close): ``cedr_apps_
+                           completed``
+``incidents``              at ``t``: ``cedr_faults_injected_total``,
+                           ``cedr_task_failures_total``, ``cedr_task_
+                           retries_total``, ``cedr_tasks_lost_total``,
+                           ``cedr_stale_dispatches_total``, ``cedr_pe_
+                           quarantines_total``, ``cedr_pe_revivals_total``,
+                           ``cedr_task_recovery_seconds``
+``calls``                  at ``t_done``: ``cedr_api_calls_total``,
+                           ``cedr_api_call_latency_seconds`` (``t_done -
+                           t_call``); ``cedr_api_inflight_requests`` up at
+                           ``t_enter``, down at ``t_done``
+``late_timers``            at the instant: ``simcore_late_timers_total``
+each sample                ``cedr_pe_utilization`` (busy seconds / ``t``)
+=========================  ===============================================
+
+A row stamped exactly at a sample instant counts in that sample.  This is
+the order the retired live sampler produced for every tie that happens in
+practice: its tick was a timer armed one interval ahead, so a timer due at
+the same instant and armed earlier - a scripted fault, a pre-scheduled
+submission - fired first, and a thread's row can only land on the grid by
+float coincidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from itertools import islice
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .registry import MetricRegistry
 
-__all__ = ["TelemetryConfig", "CedrTelemetry", "LATENCY_BUCKETS", "DEPTH_BUCKETS", "RECOVERY_BUCKETS"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime import Logbook
+
+__all__ = [
+    "TelemetryConfig", "CedrTelemetry", "SampleCapError", "MAX_SAMPLES",
+    "LATENCY_BUCKETS", "DEPTH_BUCKETS", "RECOVERY_BUCKETS",
+]
 
 #: latency ladder (seconds): 1-2.5-5 steps per decade, 1 us .. 1 s.
 LATENCY_BUCKETS: tuple[float, ...] = (
@@ -67,20 +86,29 @@ DEPTH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 #: first-failure -> successful-completion ladder (seconds).
 RECOVERY_BUCKETS: tuple[float, ...] = (1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0, 10.0)
 
+#: the most periodic samples one fold takes: an interval that would take
+#: more is refused before the first sample (see :class:`SampleCapError`)
+MAX_SAMPLES = 100_000
+
+
+class SampleCapError(ValueError):
+    """A sampling interval too fine for the run: more than :data:`MAX_SAMPLES`
+    samples between start and makespan."""
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """Per-run telemetry knobs (attach to ``RuntimeConfig.telemetry``).
+    """Per-run telemetry knobs (attach to ``RuntimeConfig.telemetry``;
+    ``None`` there means no registry).
 
-    ``sample_interval_s > 0`` arms the periodic snapshot sampler: a
-    simulator timer fires every interval and appends a flattened snapshot
-    to :attr:`CedrTelemetry.samples`.  Snapshots are driven purely by the
-    virtual clock, so they are bit-identical between serial and process-
-    pool (``--jobs``) sweeps.  ``0`` disables sampling; the shutdown-time
-    final sample is always taken.
+    ``sample_interval_s > 0`` asks the fold for a flattened snapshot of the
+    registry every interval of simulated time, appended to
+    :attr:`CedrTelemetry.samples`.  Snapshots are a function of the run
+    record alone, so they are bit-identical between serial and process-
+    pool (``--jobs``) sweeps.  ``0`` takes no periodic samples; the final
+    sample at the makespan is always taken.
     """
 
-    enabled: bool = True
     sample_interval_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -197,7 +225,7 @@ class CedrTelemetry:
             "revival": self.pe_revivals,
         }
 
-        # -- simulator event core (bridged from the engine) ------------------ #
+        # -- simulator event core (the engine's clamped timers) -------------- #
         self.late_timers = r.counter(
             "simcore_late_timers_total",
             "call_at timestamps in the past, clamped to the current instant",
@@ -221,8 +249,71 @@ class CedrTelemetry:
         #: but still pay ``labels()`` once per distinct pair, not per call.
         self._api_children: dict[tuple[str, str], tuple[Any, Any]] = {}
 
+    @classmethod
+    def fold(
+        cls, book: "Logbook", config: TelemetryConfig, pe_names: Sequence[str],
+        end: float,
+    ) -> "CedrTelemetry":
+        """The registry of the run *book* records, sampled every
+        ``config.sample_interval_s`` from 0 and once more at *end* (the
+        makespan).
+
+        Each row becomes one ``record_*`` step at the instant its series
+        counts (the module table); the steps run in time order, ties in row
+        order, so every float sum accumulates in the order the run produced
+        its rows.  Sample instants repeat the float additions a timer chain
+        would make (``t = interval``, then ``t += interval``), and a step
+        at exactly a sample instant runs before that sample.
+        """
+        interval = config.sample_interval_s
+        instants: list[float] = []
+        if interval > 0.0:
+            if end / interval > MAX_SAMPLES:
+                raise SampleCapError(
+                    f"[telemetry] interval_s / --metrics-interval {interval!r} would take "
+                    f"{end / interval:.3g} samples over a {end:.6g} s run; the cap is "
+                    f"{MAX_SAMPLES}"
+                )
+            t = interval
+            while t <= end:
+                instants.append(t)
+                t += interval
+        tel = cls(config, pe_names)
+        steps: list[tuple[float, Any, tuple]] = []
+        add = steps.append
+        releases = iter(book.releases)  # empty below schema 4: no latencies
+        for t, depth, cost, t_begin in book.rounds:
+            add((t_begin, tel.record_round, (depth, cost)))
+            for release in islice(releases, depth):
+                add((t, tel.record_sched_latency, (t - release,)))
+        for rec in book.tasks:
+            add((rec.t_finish, tel.record_task, (rec.pe, rec.service_time)))
+        for app in book.apps.values():
+            if app.t_finish is not None:
+                add((app.t_finish, tel.record_app_completed, ()))
+        for incident in book.incidents:
+            add((incident.t, tel.record_incident,
+                 (incident.kind, incident.detail, incident.seconds)))
+        for call in book.calls:
+            add((call.t_enter, tel.api_inflight.inc, ()))
+            add((call.t_done, tel.record_api_call,
+                 (call.api, call.mode, call.t_done - call.t_call)))
+        for t in book.late_timers:
+            add((t, tel.late_timers.inc, ()))
+        steps.sort(key=itemgetter(0))  # stable: ties keep row order
+        i, n = 0, len(steps)
+        for instant in instants:
+            while i < n and steps[i][0] <= instant:
+                steps[i][1](*steps[i][2])
+                i += 1
+            tel.sample(instant)
+        for _, step, args in steps[i:]:
+            step(*args)
+        tel.sample(end)
+        return tel
+
     # ------------------------------------------------------------------ #
-    # instrumentation entry points
+    # the fold's steps: one call per row (see :meth:`fold`)
     # ------------------------------------------------------------------ #
 
     def record_round(self, batch: int, decision_seconds: float) -> None:
@@ -265,7 +356,8 @@ class CedrTelemetry:
             self.task_recovery.observe(seconds)
 
     def record_api_call(self, api: str, mode: str, latency_seconds: float) -> None:
-        """One libCEDR call settled (mode: ``blocking``/``nonblocking``)."""
+        """One libCEDR call settled (mode: ``blocking``/``nonblocking``);
+        it leaves the in-flight gauge."""
         pair = self._api_children.get((api, mode))
         if pair is None:
             pair = (
@@ -275,6 +367,7 @@ class CedrTelemetry:
             self._api_children[(api, mode)] = pair
         pair[0].inc()
         pair[1].observe(latency_seconds)
+        self.api_inflight.dec()
 
     # ------------------------------------------------------------------ #
     # snapshot sampling

@@ -87,12 +87,6 @@ def _clean_view(**kw):
 
 def test_clean_view_passes_whole_catalog():
     view = _clean_view(
-        telemetry={
-            "cedr_tasks_completed": 3, "cedr_sched_rounds": 2,
-            "cedr_apps_completed": 1, "cedr_task_retries_total": 0,
-            "cedr_pe_dispatch_total{pe=fft0}": 2,
-            "cedr_pe_dispatch_total{pe=cpu0}": 1,
-        },
         core_loads=(CoreLoad("cpu0", speed=1.0, delivered=0.3, busy_time=0.4),),
     )
     report = audit_view(view)
@@ -313,19 +307,6 @@ def test_queue_accounting_has_no_offline_replay():
     run - there is no second tally left for the rows to disagree with."""
     assert "queue-accounting" in {inv.code for inv in CATALOG}
     assert audit_view(_clean_view(rounds=()), codes=["queue-accounting"]).ok
-
-
-def test_telemetry_consistency_fires_on_drifted_gauge():
-    view = _clean_view(telemetry={"cedr_tasks_completed": 4})
-    report = audit_view(view, codes=["telemetry-consistency"])
-    assert report.codes == {"telemetry-consistency"}
-
-
-def test_telemetry_consistency_fires_on_per_pe_drift():
-    view = _clean_view(telemetry={"cedr_pe_dispatch_total{pe=fft0}": 9})
-    report = audit_view(view, codes=["telemetry-consistency"])
-    assert report.codes == {"telemetry-consistency"}
-    assert report.violations[0].pe == "fft0"
 
 
 def test_cost_row_fresh_fires_on_stale_token():

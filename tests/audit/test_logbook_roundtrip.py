@@ -3,13 +3,14 @@
 ``repro audit <logbook.json>`` replays the invariant catalog against a
 dump written by another process (or another week), so the dump format is a
 contract: it must round-trip losslessly, version itself, tolerate older
-schemas, and *refuse* newer ones.  ``golden_logbook_v3.json`` pins the
+schemas, and *refuse* newer ones.  ``golden_logbook_v4.json`` pins the
 current schema byte-for-byte on a faulty run (every incident kind present)
 - regenerate it deliberately (``python tests/audit/test_logbook_roundtrip.py``
 rewrites it from ``_golden_run``) if the format ever changes, and bump
-:data:`SCHEMA_VERSION` when you do.  ``golden_logbook_v2.json`` is the file a
-schema-2 build wrote for the same workload without faults; it stays as the
-back-compat fixture and is never regenerated.
+:data:`SCHEMA_VERSION` when you do.  ``golden_logbook_v3.json`` is the file a
+schema-3 build wrote for the same run, and ``golden_logbook_v2.json`` the file
+a schema-2 build wrote for the same workload without faults; both stay as
+back-compat fixtures and are never regenerated.
 """
 
 import json
@@ -31,7 +32,8 @@ from repro.runtime.logbook import (
     TaskRecord,
 )
 
-GOLDEN = Path(__file__).parent / "golden_logbook_v3.json"
+GOLDEN = Path(__file__).parent / "golden_logbook_v4.json"
+GOLDEN_V3 = Path(__file__).parent / "golden_logbook_v3.json"
 GOLDEN_V2 = Path(__file__).parent / "golden_logbook_v2.json"
 
 #: columns v2 added on top of the v1 dump format.
@@ -74,8 +76,10 @@ def golden_runtime():
 
 def test_golden_file_is_current_schema():
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert dump["schema"] == SCHEMA_VERSION == 3
+    assert dump["schema"] == SCHEMA_VERSION == 4
     assert dump["tasks"] and dump["apps"] and dump["rounds"] and dump["incidents"]
+    assert dump["calls"] and dump["late_timers"] == []
+    assert len(dump["releases"]) == sum(depth for _, depth, _, _ in dump["rounds"])
     for col in V2_TASK_COLUMNS:
         assert col in dump["tasks"][0]
     for col in V2_APP_COLUMNS:
@@ -162,8 +166,25 @@ def test_offline_audit_checks_conservation_against_incident_rows():
 
 
 # --------------------------------------------------------------------- #
-# the back-compat fixture: a file a schema-2 build wrote
+# the back-compat fixtures: files schema-3 and schema-2 builds wrote
 # --------------------------------------------------------------------- #
+
+def test_v3_golden_is_the_current_golden_without_the_schema_4_columns():
+    """Same run, written before the ``releases`` / ``calls`` /
+    ``late_timers`` sections: every other row is unchanged, and the
+    missing sections load empty."""
+    v3 = json.loads(GOLDEN_V3.read_text(encoding="utf-8"))
+    v4 = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert v3["schema"] == 3 and "calls" not in v3
+    new = ("releases", "calls", "late_timers")
+    assert _normalize_ids(v3) == _normalize_ids(
+        {**{k: v for k, v in v4.items() if k not in new}, "schema": 3}
+    )
+    book = Logbook.load(GOLDEN_V3)
+    assert book.schema == 3
+    assert book.releases == [] and book.calls == [] and book.late_timers == []
+    assert audit_logbook(book).ok
+
 
 def test_v2_golden_loads_with_documented_defaults():
     dump = json.loads(GOLDEN_V2.read_text(encoding="utf-8"))
@@ -202,7 +223,10 @@ def test_save_load_round_trip_preserves_every_record(golden_runtime, tmp_path):
     assert loaded.tasks == book.tasks
     assert loaded.apps == book.apps
     assert loaded.rounds == book.rounds
+    assert loaded.releases == book.releases and loaded.releases
     assert loaded.incidents == book.incidents and loaded.incidents
+    assert loaded.calls == book.calls and loaded.calls
+    assert loaded.late_timers == book.late_timers
     assert loaded.schema == SCHEMA_VERSION
     assert loaded.tasks_by_pe() == book.tasks_by_pe()
 
@@ -315,6 +339,13 @@ MALFORMED = [
                  r"rounds\[0\]: .*integer depth", id="round-fractional-depth"),
     pytest.param({"schema": 3, "rounds": [{"t": 0.1}]},
                  r"rounds\[0\]: expected", id="round-not-a-list"),
+    pytest.param({"schema": 4, "rounds": [[0.1, 2, 0.0, 0.1]], "releases": [0.0]},
+                 r"releases: 1 instants for the 2 tasks the rounds assigned",
+                 id="releases-misaligned"),
+    pytest.param({"schema": 4, "calls": [{"api": "fft", "mode": "blocking", "t_call": 0.0}]},
+                 r"calls\[0\]: missing columns \['t_enter', 't_done'\]", id="call-missing-columns"),
+    pytest.param({"schema": 4, "late_timers": [0.1, "soon"]},
+                 r"late_timers\[1\]: expected an instant", id="late-timer-not-an-instant"),
     pytest.param({"schema": 3, "incidents": [{"kind": "fault"}]},
                  r"incidents\[0\]: missing columns \['t'\]", id="incident-missing-t"),
     pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "fault", "tid": "7"}]},

@@ -18,7 +18,7 @@ from repro.atomic import atomic_write
 from repro.cli import main
 from repro.platforms import zcu102
 from repro.runtime import CedrRuntime, PerfCounters, RuntimeConfig, write_chrome_trace
-from repro.telemetry import write_metrics
+from repro.telemetry import TelemetryConfig, write_metrics
 
 PREVIOUS = '{"previous": "artifact"}\n'
 
@@ -27,7 +27,7 @@ PREVIOUS = '{"previous": "artifact"}\n'
 def runtime():
     rt = CedrRuntime(
         zcu102(n_cpu=2, n_fft=1).build(seed=1),
-        RuntimeConfig(scheduler="rr", execute_kernels=False).with_telemetry(),
+        RuntimeConfig(scheduler="rr", execute_kernels=False, telemetry=TelemetryConfig()),
     )
     rt.start()
     rt.submit(PulseDoppler(batch=32).make_instance("api", np.random.default_rng(1)), at=0.0)

@@ -33,6 +33,7 @@ from repro.faults import FaultConfig
 from repro.platforms import zcu102
 from repro.runtime import RuntimeConfig
 from repro.scenario import load_scenario
+from repro.telemetry import TelemetryConfig
 from repro.workload import WorkloadEntry, WorkloadSpec
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -236,7 +237,7 @@ def test_pool_gets_only_the_unique_cells_and_equals_serial(monkeypatch):
 
 
 def test_slots_of_one_collapsed_cell_do_not_alias(counted):
-    config = RuntimeConfig().with_telemetry()
+    config = RuntimeConfig(telemetry=TelemetryConfig())
     results = run_cells(_trials(_small_cell(config=config)), cache=False)
     assert counted == [0]
     assert results[0].telemetry is not None

@@ -218,9 +218,8 @@ def test_random_fault_streams_hold_the_invariant_catalog(
         kinds=FaultConfig.parse_kinds(",".join(sorted(kinds))),
     )
     platform = zcu102(n_cpu=3, n_fft=1).build(seed=seed)
-    # telemetry on (no sampler, so no extra events): the catalog's
-    # telemetry-consistency clause then checks the metric registry against
-    # the run record's rows under every fault mix
+    # telemetry on: the registry folded from the rows at shutdown still
+    # counts every loss under every fault mix
     config = RuntimeConfig(scheduler=scheduler, execute_kernels=False,
                            audit=True, faults=faults,
                            telemetry=TelemetryConfig())

@@ -3,8 +3,10 @@
 ``record(name)`` reduces one finished run to JSON: the deterministic part
 of ``counters.snapshot()`` (host wall-time fields popped) and the whole
 ``RunResult``.  ``golden_one_book.json`` is this function's output at the
-last commit where ``PerfCounters`` still kept its own tallies; the test
-checks that the logbook-derived view reproduces it value for value.
+last commit where ``PerfCounters`` still kept its own tallies (its
+``jetson-etf-faulty`` entry re-recorded once telemetry sampling stopped
+adding timers to the run); the test checks that the logbook-derived view
+reproduces it value for value.
 """
 
 import dataclasses
@@ -45,9 +47,12 @@ HOST_TIME_KEYS = (
 )
 
 
-def run_cell(name):
+def run_cell(name, **overrides):
+    """Run cell *name*; *overrides* replace its extra ``RuntimeConfig`` fields."""
     platform, mode, scheduler, seed, extra = CELLS[name]
-    config = RuntimeConfig(scheduler=scheduler, execute_kernels=False, **extra)
+    config = RuntimeConfig(
+        scheduler=scheduler, execute_kernels=False, **{**extra, **overrides}
+    )
     return run_to_completion(
         platform, WORKLOAD, mode, 200.0, scheduler, seed=seed, config=config
     )

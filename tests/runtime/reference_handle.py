@@ -46,6 +46,7 @@ class ReferenceHandle:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._watchers: list[Callable[[], None]] = []
+        self.call = None
 
     @property
     def engine(self) -> Engine:
@@ -62,6 +63,10 @@ class ReferenceHandle:
             self._watchers.append(callback)
 
     def _fire_watchers(self) -> None:
+        if self.call is not None:
+            rows, record = self.call
+            record.t_done = self.engine.now
+            rows.append(record)
         watchers, self._watchers = self._watchers, []
         for callback in watchers:
             callback()

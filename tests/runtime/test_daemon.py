@@ -276,7 +276,9 @@ def test_event_core_stats_in_perf_snapshot(data, expected):
     assert snap["late_timers"] == 0
 
 
-def test_late_timer_clamps_bridge_into_telemetry(data):
+def test_late_timer_clamps_after_shutdown_leave_the_registry_alone(data):
+    """The registry is a fold of the logbook taken at shutdown: a clamp the
+    engine counts afterwards is in neither."""
     from repro.telemetry import TelemetryConfig
 
     rt = build_runtime(telemetry=TelemetryConfig())
@@ -288,4 +290,5 @@ def test_late_timer_clamps_bridge_into_telemetry(data):
     assert eng.now > 0.0
     eng.call_at(0.0, lambda: None)  # in the past: clamped + counted
     assert eng.late_timers == 1
-    assert rt.telemetry.flat_values()["simcore_late_timers_total"] == 1
+    assert rt.logbook.late_timers == []
+    assert rt.telemetry.flat_values()["simcore_late_timers_total"] == 0

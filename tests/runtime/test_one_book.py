@@ -9,7 +9,8 @@ is now the only record a run writes; ``PerfCounters``' simulated numbers,
 ``RunResult``, the trace, the Gantt chart and the audit view are reads of
 it.  These checks fail the moment a second tally, its switch or its
 reconciliation clause creeps back in, and pin the view's numbers to the
-ones the stored tallies gave at the parent commit.
+ones the stored tallies gave at the parent commit.  The metric registry is
+a read too: a fold of the rows at shutdown, with no live feed.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import pytest
 import repro
 import repro.faults
 import repro.runtime
+import repro.telemetry
 from repro.audit import AuditView
 from repro.faults import FaultInjector
 from repro.runtime import Logbook, PerfCounters, RunMetrics, RuntimeConfig
@@ -56,6 +58,20 @@ def test_the_switches_and_second_tallies_are_gone():
     assert not {"log_enabled", "counters"} & {f.name for f in dataclasses.fields(AuditView)}
     for name in ("runtime_overhead_per_app", "sched_overhead_per_app"):
         assert not hasattr(RunMetrics, name)
+
+
+def test_the_registry_has_no_live_feed():
+    """Nothing in the runtime writes a registry while the run is live: no
+    sampler, no ``telemetry.`` call in the daemon, workers, client or
+    logbook, no engine hook, no audit clause comparing the two."""
+    assert not hasattr(repro.telemetry, "SnapshotSampler")
+    assert not hasattr(Logbook(), "telemetry")
+    assert not hasattr(RuntimeConfig, "with_telemetry")
+    for module in ("runtime/daemon.py", "runtime/worker.py", "runtime/logbook.py",
+                   "core/api.py", "simcore/engine.py"):
+        text = (SRC / module).read_text()
+        assert not re.search(r"telemetry\.(record_|sample|api_|late_)|on_late_timer", text), module
+    assert "telemetry-consistency" not in (SRC / "audit/invariants.py").read_text()
 
 
 def test_removed_names_appear_nowhere_under_src():
@@ -96,6 +112,8 @@ def test_counters_have_no_settable_simulated_field(name):
     ("runtime/daemon.py", "logbook.open_app(", 1),
     ("runtime/daemon.py", "logbook.close_app(", 1),
     ("faults/inject.py", "logbook.record_incident(", 1),
+    ("core/api.py", "_call_rows.append(", 1),  # a blocking call, as it wakes
+    ("runtime/task.py", "rows.append(record)", 1),  # a non-blocking one, as it settles
 ])
 def test_each_happening_is_written_at_one_site(module, call, times):
     assert (SRC / module).read_text().count(call) == times
@@ -106,7 +124,10 @@ def test_each_happening_is_written_at_one_site(module, call, times):
 def test_view_reproduces_the_stored_tallies_of_the_parent_commit(cell):
     """``golden_one_book.json`` was recorded where ``PerfCounters`` counted
     for itself: the logbook-derived snapshot and the whole ``RunResult``
-    (telemetry samples included) are equal to it, value for value."""
+    (telemetry samples included) are equal to it, value for value.  The
+    ``jetson-etf-faulty`` entry was re-recorded when the timer sampler went:
+    it equals that commit's run of the cell with sampling off in every
+    simulated field and final metric, and differs only in its samples."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[cell]
     got = record(cell)
     assert got["counters"] == golden["counters"]

@@ -5,19 +5,22 @@ whose nominal arrival instant is already in the past.  ``Daemon.submit``
 documents clamp-to-now semantics for those: the arrival fires at the
 current instant, strictly after same-instant scheduled work, preserving
 submission order among late submissions, with every clamp counted in
-``engine.late_timers`` and the ``simcore_late_timers_total`` metric.
+``engine.late_timers`` and folded into the ``simcore_late_timers_total``
+metric.
 """
 
 import pytest
 
 from repro.metrics import RunResult
 from repro.runtime import CedrRuntime, RuntimeConfig
+from repro.telemetry import TelemetryConfig
 
 
 def make_runtime(zcu_small, telemetry=False):
-    config = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
-    if telemetry:
-        config = config.with_telemetry(0.0)
+    config = RuntimeConfig(
+        scheduler="heft_rt", execute_kernels=False,
+        telemetry=TelemetryConfig() if telemetry else None,
+    )
     return CedrRuntime(zcu_small.build(seed=0), config)
 
 
@@ -64,12 +67,13 @@ def test_submission_order_preserved_among_late_arrivals(
     assert order == [apps[0].app_id, apps[1].app_id, apps[2].app_id]
 
 
-def test_late_timers_bridge_to_telemetry(zcu_small, tx_small, rng):
+def test_late_timers_fold_into_telemetry(zcu_small, tx_small, rng):
     runtime = make_runtime(zcu_small, telemetry=True)
     apps = [tx_small.make_instance("api", rng) for _ in range(3)]
     run_with_late_submissions(runtime, apps)
     family = runtime.telemetry.registry.get("simcore_late_timers_total")
     assert family.labels().value == 2
+    assert runtime.logbook.late_timers == [0.005, 0.005]
 
 
 def test_on_time_submissions_never_count_late(zcu_small, tx_small, rng):

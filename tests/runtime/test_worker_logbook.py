@@ -141,8 +141,8 @@ def test_perf_counters_aggregation():
             tid=tid, app_id=0, api=api, name=f"t{tid}", pe=pe, pe_kind="cpu",
             t_release=0.0, t_scheduled=0.0, t_start=1.0, t_finish=1.0 + service,
         ))
-    book.record_round(0.1, 3, 1e-6, 0.1)
-    book.record_round(0.2, 5, 1e-6, 0.2)
+    book.record_round(0.1, 3, 1e-6, 0.1, [0.0, 0.0, 0.0])
+    book.record_round(0.2, 5, 1e-6, 0.2, [0.1] * 5)
     snap = c.snapshot()
     assert snap["per_pe"]["cpu0"]["tasks"] == 2
     assert snap["per_pe"]["cpu0"]["by_api"] == {"fft": 1, "zip": 1}

@@ -17,7 +17,7 @@ import repro
 import repro.audit.oracle
 import repro.cli
 import repro.serve.driver
-from repro.audit import DEFAULT_VARIANTS, SERVE_VARIANTS, diff_run, diff_serve
+from repro.audit import DEFAULT_VARIANTS, diff_run, diff_serve
 from repro.cli import main
 from repro.platforms import zcu102
 from repro.workload import radar_comms_workload
@@ -72,7 +72,7 @@ def test_cli_rejects_the_scenario_variant(extra):
 
 
 def test_oracle_drivers_take_no_scenario_template():
-    assert "scenario" not in DEFAULT_VARIANTS + SERVE_VARIANTS
+    assert "scenario" not in DEFAULT_VARIANTS
     platform = zcu102(n_cpu=3, n_fft=1)
     with pytest.raises(TypeError, match="scenario"):
         diff_run(platform, radar_comms_workload(), "api", [100.0], "etf",

@@ -418,6 +418,42 @@ def test_bad_count_flag_exits_on_one_line(argv, where):
     assert message.startswith(where) and "\n" not in message
 
 
+@pytest.mark.parametrize("interval,samples", [
+    pytest.param("1e-300", "1.72e+299", id="interval-1e-300"),
+    pytest.param("1e-6", "1.72e+05", id="interval-1e-6"),
+])
+def test_too_fine_metrics_interval_is_refused_on_one_line(tmp_path, interval, samples):
+    """``1e-300`` used to hang the run (the sampler re-armed its timer at the
+    same instant for ever) and ``1e-6`` wrote a 373 MB export: the fold now
+    counts the samples from the makespan first and refuses past the cap,
+    writing nothing."""
+    from repro.cli import main
+    from repro.telemetry import MAX_SAMPLES
+
+    base = tmp_path / "m"
+    with pytest.raises(SystemExit) as ei:
+        main(["run", "--metrics-out", str(base), "--metrics-interval", interval])
+    message = str(ei.value.code)
+    assert message.startswith(
+        f"repro run [telemetry] interval_s / --metrics-interval {float(interval)!r} "
+        f"would take {samples} samples"
+    )
+    assert message.endswith(f"the cap is {MAX_SAMPLES}") and "\n" not in message
+    assert not list(tmp_path.iterdir())
+
+
+def test_too_fine_scenario_interval_is_refused_on_one_line(tmp_path):
+    from repro.cli import main
+
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(_doc(telemetry={"interval_s": 1e-300})))
+    with pytest.raises(SystemExit) as ei:
+        main(["scenario", "run", str(path), "--trials", "1", "--no-cache"])
+    message = str(ei.value.code)
+    assert message.startswith("repro scenario run [telemetry] interval_s")
+    assert "\n" not in message
+
+
 def test_negative_seeds_fail_where_they_are_built():
     """A negative seed used to fail only by accident, inside NumPy (or be
     masked into 2**31 - 1 for a fault seed)."""

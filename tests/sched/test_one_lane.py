@@ -15,7 +15,7 @@ import pytest
 
 import repro.sched
 import repro.sched.base
-from repro.audit import DEFAULT_VARIANTS, SERVE_VARIANTS
+from repro.audit import DEFAULT_VARIANTS
 from repro.cli import main
 from repro.platforms import CostTable
 from repro.runtime import RuntimeConfig
@@ -65,8 +65,8 @@ def test_cost_table_keeps_no_array_mirror():
 def test_no_estimate_path_selector():
     names = {f.name for f in dataclasses.fields(RuntimeConfig)}
     assert "scalar_estimates" not in names
-    assert "scalar" not in DEFAULT_VARIANTS and "scalar" not in SERVE_VARIANTS
-    assert len(DEFAULT_VARIANTS) == 4 and len(SERVE_VARIANTS) == 3
+    assert "scalar" not in DEFAULT_VARIANTS
+    assert len(DEFAULT_VARIANTS) == 3
 
 
 @pytest.mark.parametrize("extra", ([], ["--serve"]), ids=("run", "serve"))

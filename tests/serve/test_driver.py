@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.audit import SERVE_VARIANTS, diff_serve
+from repro.audit import DEFAULT_VARIANTS, diff_serve
 from repro.runtime import CedrRuntime, RuntimeConfig
 from repro.serve import (
     AdmissionConfig,
@@ -183,7 +183,7 @@ class TestServeDeterminism:
         serve = config(pd_small, tx_small, rate=200.0, duration=0.1,
                        policy="block", max_in_system=6, queue_cap=4)
         report = diff_serve(zcu_small, serve, trials=2)
-        assert tuple(o.variant for o in report.outcomes) == SERVE_VARIANTS
+        assert tuple(o.variant for o in report.outcomes) == DEFAULT_VARIANTS
         assert report.ok, report.summary()
 
     def test_trials_vary_by_seed_only(self, zcu_small, pd_small, tx_small):

@@ -57,7 +57,7 @@ def test_audit_diff_serve(capsys):
     assert "FAIL" not in out
 
 
-def test_audit_diff_serve_rejects_batch_only_variants():
+def test_audit_diff_serve_rejects_unknown_variants():
     with pytest.raises(SystemExit, match="unknown variant"):
         main(["audit", "diff", "--serve", "--variants", "telemetry"])
 

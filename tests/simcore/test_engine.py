@@ -269,17 +269,16 @@ def test_call_at_in_the_past_clamps_to_now_and_counts():
     assert eng.now == pytest.approx(0.5)
 
 
-def test_late_call_at_invokes_telemetry_hook():
+def test_late_call_at_keeps_its_instant():
     eng = Engine(cores=1)
-    lates = []
-    eng.on_late_timer = lambda: lates.append(eng.now)
     eng.call_at(0.5, lambda: None)
     eng.run()
     eng.call_at(0.25, lambda: None)
     eng.call_at(0.75, lambda: None)  # future timestamps are not late
     eng.run()
     assert eng.late_timers == 1
-    assert lates == [pytest.approx(0.5)]
+    assert eng.late_at == [0.5]
+    assert not hasattr(eng, "on_late_timer")
 
 
 def test_strict_run_raises_on_blocked_threads():

@@ -1,0 +1,57 @@
+"""The fold reproduces the live feed it replaced, byte for byte.
+
+``fold_fixture_logbook.json`` and ``fold_fixture_metrics.{json,prom}`` were
+recorded together from one run of the last build whose registry was fed
+live (from the daemon, the libCEDR client, ``Logbook.record_*`` and a timer
+sampler), with that build's logbook writing the schema 4 columns as well.
+The cell, on ``zcu102(n_cpu=2, n_fft=1).build(seed=32)`` under etf,
+timing-only, sampled every 20 ms:
+
+* faults at 40/s/PE (transient, hang, slowdown), ``max_retries=1``, plus a
+  scripted transient on ``cpu1`` at 0.02 s - exactly the first sample;
+* Pulse Doppler (batch 32) non-blocking API at 0 s and DAG at 0.5 ms;
+* at 0.04 s - exactly the second sample - a timer submits Wi-Fi TX
+  (batch 8, blocking API) and Pulse Doppler (non-blocking API) with past
+  arrival instants (0.039 s, 0.001 s), so both clamp as late timers.
+
+It holds retries, lost tasks (two applications fail), stale dispatches,
+recoveries, blocking and non-blocking calls, and rows stamped exactly at
+a sample instant, which pin the tie rule: such a row counts in the sample.
+"""
+
+import json
+from pathlib import Path
+
+from repro.runtime import Logbook
+from repro.telemetry import CedrTelemetry, TelemetryConfig, to_json_dict, to_prometheus_text
+
+HERE = Path(__file__).parent
+EXPORT = json.loads((HERE / "fold_fixture_metrics.json").read_text(encoding="utf-8"))
+BOOK = Logbook.load(HERE / "fold_fixture_logbook.json")
+
+
+def _fold() -> CedrTelemetry:
+    pes = [s["labels"]["pe"] for s in EXPORT["metrics"]["cedr_pe_dispatch_total"]["series"]]
+    makespan = EXPORT["samples"][-1]["t"]
+    return CedrTelemetry.fold(BOOK, TelemetryConfig(EXPORT["sample_interval_s"]), pes, makespan)
+
+
+def test_fixture_covers_what_the_fold_must_read():
+    kinds = BOOK.incident_counts()
+    assert kinds["retry"] and kinds["lost"] and kinds["stale"] and kinds["recovery"]
+    assert {call.mode for call in BOOK.calls} == {"blocking", "nonblocking"}
+    assert any(row[1] > 1 for row in BOOK.rounds)
+    assert len(BOOK.releases) == sum(row[1] for row in BOOK.rounds)
+    instants = [s["t"] for s in EXPORT["samples"][:-1]]
+    assert 0.02 in instants and 0.04 in instants
+    assert BOOK.late_timers == [0.04, 0.04]
+    assert any(i.t == 0.02 and i.kind == "fault" for i in BOOK.incidents)
+
+
+def test_fold_reproduces_the_live_export_byte_for_byte():
+    telemetry = _fold()
+    text = json.dumps(to_json_dict(telemetry), indent=2, sort_keys=True, allow_nan=False)
+    assert text == (HERE / "fold_fixture_metrics.json").read_text(encoding="utf-8")
+    assert to_prometheus_text(telemetry.registry) == (
+        HERE / "fold_fixture_metrics.prom"
+    ).read_text(encoding="utf-8")
