@@ -1,18 +1,17 @@
 """repro.audit - the run-validation layer: every run self-verifying.
 
-Three surfaces over one invariant catalog:
+Two surfaces over one invariant catalog:
 
 * :mod:`repro.audit.invariants` - eleven machine-verifiable properties
   of a finished run (causality, exactly-once, conservation under faults,
   PE support/exclusivity, capacity, clock/queue consistency, cost-row
   freshness), checked over an :class:`AuditView` built from a
-  live runtime or a saved :class:`~repro.runtime.Logbook` dump;
-* :mod:`repro.audit.online` - the same properties enforced *during* the
-  run, hooked into the daemon's dispatch path and the workers' completion
-  path behind ``RuntimeConfig(audit=True)`` / ``repro run --audit``;
+  live runtime or a saved :class:`~repro.runtime.Logbook` dump.  An
+  audited run (``RuntimeConfig(audit=True)`` / ``repro run --audit``)
+  folds the catalog over its book at shutdown;
 * :mod:`repro.audit.oracle` - differential validation: paired
-  configurations (serial/jobs, cached/uncached, audit on/off) that must produce bit-identical
-  ``RunResult``s, exposed as ``repro audit diff``.
+  configurations (serial/jobs, cached/uncached) that must produce
+  bit-identical ``RunResult``s, exposed as ``repro audit diff``.
 """
 
 from .invariants import (
@@ -22,11 +21,11 @@ from .invariants import (
     AuditView,
     AuditViolation,
     Invariant,
+    OnlineAuditor,
     audit_logbook,
     audit_runtime,
     audit_view,
 )
-from .online import OnlineAuditor
 from .oracle import (
     DEFAULT_VARIANTS,
     OracleReport,

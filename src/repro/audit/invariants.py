@@ -11,15 +11,18 @@ from_runtime`) or from a saved :class:`~repro.runtime.Logbook` dump
 
 Each invariant is a generator yielding structured :class:`AuditViolation`
 exceptions (code + offending task/PE/timestamps) rather than raising, so
-:func:`audit_view` can collect the complete damage report; the online
-auditor (:mod:`repro.audit.online`) raises the first violation it sees
-instead, which is what turns every test-suite run into an invariant check.
+:func:`audit_view` can collect the complete damage report.  An audited
+run (``RuntimeConfig(audit=True)``) folds the catalog over its book once,
+at shutdown, and raises :class:`AuditError` on damage; the one contract
+that needs a decision in flight - a round assigns exactly its ready batch,
+each task to a PE that can run it - the daemon enforces on every run,
+raising the catalog's :class:`AuditViolation` at the offending round.
 
 The catalog is deliberately conservative about *when* a check applies: an
-offline dump has no cost-table token or core loads, and a
-schema 1 / 2 dump has no incident rows - each invariant states its inputs
-and skips cleanly when they are absent, so auditing never manufactures
-false alarms out of missing columns.
+offline dump has no cost-table token or core loads, a schema 1 / 2 dump
+has no incident rows and one below schema 4 no release instants - each
+invariant states its inputs and skips cleanly when they are absent, so
+auditing never manufactures false alarms out of missing columns.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.daemon import CedrRuntime
 
 __all__ = [
-    "EPS",
     "AuditViolation",
     "AuditError",
     "CoreLoad",
@@ -46,6 +48,7 @@ __all__ = [
     "audit_view",
     "audit_runtime",
     "audit_logbook",
+    "OnlineAuditor",
 ]
 
 #: timestamp slack for float comparisons (the engine's event times are
@@ -118,6 +121,9 @@ class AuditView:
     #: fault-layer events; ``None`` when the dump predates them (schema
     #: 1 / 2), which is "unknown", not "none happened".
     incidents: Optional[tuple[Incident, ...]] = None
+    #: the release instant of each task the rounds assigned; ``None``
+    #: when the dump predates the section (schema < 4).
+    releases: Optional[tuple[float, ...]] = None
     makespan: Optional[float] = None
     #: live cost-table identity; ``None`` for offline (saved-dump) views.
     cost_table_token: Optional[int] = None
@@ -126,7 +132,7 @@ class AuditView:
 
     @classmethod
     def from_runtime(cls, runtime: "CedrRuntime") -> "AuditView":
-        """Snapshot a finished runtime (the online auditor's final pass):
+        """Snapshot a finished runtime (an audited run's shutdown fold):
         the logbook view plus what only a live runtime knows."""
         cores = [*runtime.platform.worker_cores, runtime.platform.runtime_core]
         return replace(
@@ -155,6 +161,7 @@ class AuditView:
             apps=tuple(logbook.apps.values()),
             rounds=tuple(logbook.rounds),
             incidents=tuple(logbook.incidents) if logbook.schema >= 3 else None,
+            releases=tuple(logbook.releases) if logbook.schema >= 4 else None,
             makespan=max(finishes) if finishes else None,
         )
 
@@ -383,11 +390,18 @@ def _check_round_monotonic(view: AuditView) -> Iterator[AuditViolation]:
             )
 
 
-def _checked_online(view: AuditView) -> Iterator[AuditViolation]:
-    """Nothing to replay: the invariant is about a decision in flight and
-    :class:`~repro.audit.online.OnlineAuditor` raises its code at the
-    round.  The catalog keeps the entry so reports tally every code."""
-    return iter(())
+def _check_queue_accounting(view: AuditView) -> Iterator[AuditViolation]:
+    # each round records its depth and one release instant per assignment,
+    # so the totals agree exactly when every round assigned its whole batch
+    if view.releases is None:
+        return  # pre-v4 dump: no release instants to count
+    depth = sum(row[1] for row in view.rounds)
+    if depth != len(view.releases):
+        yield AuditViolation(
+            "queue-accounting",
+            f"rounds saw {depth} ready tasks but assigned "
+            f"{len(view.releases)} - tasks were dropped or invented",
+        )
 
 
 def _check_cost_row_fresh(view: AuditView) -> Iterator[AuditViolation]:
@@ -482,9 +496,9 @@ CATALOG: tuple[Invariant, ...] = (
     ),
     Invariant(
         "queue-accounting",
-        "every round's assignments are exactly its ready batch (checked "
-        "online, at the round)",
-        _checked_online,
+        "every round's assignments are exactly its ready batch: "
+        "sum(depth over rounds) == len(releases)",
+        _check_queue_accounting,
     ),
     Invariant(
         "cost-row-fresh",
@@ -557,3 +571,18 @@ def audit_runtime(runtime: "CedrRuntime") -> AuditReport:
 def audit_logbook(logbook: Logbook) -> AuditReport:
     """Audit a saved (or reconstructed) logbook offline."""
     return audit_view(AuditView.from_logbook(logbook))
+
+
+class OnlineAuditor:
+    """The shutdown fold of an audited run, as a class.
+
+    Stateless: it stays only so the ``audit.online`` span of
+    ``benchmarks/e2e/tracing.py`` has a target to time.
+    """
+
+    @staticmethod
+    def final_check(runtime: "CedrRuntime") -> AuditReport:
+        """Fold the catalog over a drained runtime; raises on damage."""
+        report = audit_runtime(runtime)
+        report.raise_if_failed()
+        return report

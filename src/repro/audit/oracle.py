@@ -1,14 +1,13 @@
 """Differential oracle: one workload, paired configurations, zero drift.
 
 The sweep machinery promises that a run is a *pure function* of its cell
-tuple - which is what licenses the process pool, the content-addressed
-cache, and the auditor's observe-only contract.  This
-module tests that promise by construction: it runs the same (rate x trial)
-grid under paired configurations that must be indistinguishable -
+tuple - which is what licenses the process pool and the content-addressed
+cache.  This module tests that promise by construction: it runs the same
+(rate x trial) grid under paired configurations that must be
+indistinguishable -
 
 ``jobs``        serial vs ``--jobs`` process-pool sharding
 ``cache``       uncached vs cold-store vs warm-hit sweep cache
-``audit``       online auditor off vs on
 
 - and diffs every :class:`~repro.metrics.RunResult` field-by-field,
 bit-exactly.  :func:`diff_results` / :func:`assert_identical` are the
@@ -42,7 +41,7 @@ __all__ = [
 
 #: every paired configuration :func:`diff_run` and :func:`diff_serve` know
 #: how to produce.
-DEFAULT_VARIANTS = ("jobs", "cache", "audit")
+DEFAULT_VARIANTS = ("jobs", "cache")
 
 _RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
 
@@ -180,7 +179,7 @@ def _diff_grid(
 
     ``grid(config, n_jobs=1, cache=False)`` runs the whole cell grid once;
     ``differ(a, b)`` names the drifted fields of one cell pair.  The
-    baseline is the plain serial, uncached, unaudited
+    baseline is the plain serial, uncached
     sweep; each variant flips exactly one knob and must reproduce it
     bit-for-bit.  The ``cache`` variant additionally audits the cache's own
     books: a cold pass must miss-and-store every cell, a warm pass must hit
@@ -199,7 +198,7 @@ def _diff_grid(
         notes: list[str] = []
         if variant == "jobs":
             runs = [grid(base_config, n_jobs=jobs)]
-        elif variant == "cache":
+        else:  # "cache"
             with tempfile.TemporaryDirectory() as scratch:
                 cold = SweepCache(cache_dir or scratch)
                 warm = SweepCache(cache_dir or scratch)
@@ -210,8 +209,6 @@ def _diff_grid(
                 )
             if warm.stats.hits != n or warm.stats.misses != 0:
                 notes.append(f"warm pass expected {n} pure hits, saw {warm.stats}")
-        else:  # "audit"
-            runs = [grid(base_config.with_audit())]
         mismatches = []
         for run in runs:
             for i, (a, b) in enumerate(zip(baseline, run)):

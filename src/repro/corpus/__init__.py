@@ -6,7 +6,7 @@ scenarios we didn't - random app mixes, PE pools, arrival processes, and
 fault storms, all as valid :class:`~repro.scenario.ScenarioSpec`
 documents and all a pure function of ``(CorpusConfig, seed)``.  The
 parity layer runs every registered scheduler over the same corpus cells
-with the online auditor armed and reports dominance tables, metric
+with the audit armed and reports dominance tables, metric
 deltas, and per-invariant violation tallies; failing cells feed a
 delta-debugging minimizer that shrinks the spec while the failure still
 reproduces.  See docs/INTERNALS.md, "The adversarial scenario corpus".

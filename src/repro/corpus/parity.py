@@ -1,13 +1,14 @@
 """Cross-scheduler parity over a corpus: run, tally, compare.
 
 Every ``(spec, scheduler)`` pair is one *cell*: the spec is re-pointed at
-the scheduler with the online auditor armed and executed through the
+the scheduler with the audit armed and executed through the
 standard :func:`~repro.scenario.run_scenario` path (which routes into
 ``run_trials`` / ``serve_trials``).  A cell ends in one of three states:
 
 * ``ok`` - metrics recorded;
-* ``violation`` - an audit invariant tripped (``code`` is the catalog
-  code, e.g. ``queue-accounting``);
+* ``violation`` - an audit invariant tripped, at a round or in the
+  shutdown fold (``code`` is the catalog code of the first violation,
+  e.g. ``queue-accounting``);
 * ``error`` - any other exception (``code`` is the exception type).
 
 The report aggregates cells into per-scheduler metric means, pairwise
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.atomic import atomic_write
-from repro.audit import CATALOG, AuditViolation
+from repro.audit import CATALOG, AuditError, AuditViolation
 from repro.experiments.common import resolve_jobs
 from repro.metrics import RunResult
 from repro.scenario import ScenarioSpec, run_scenario
@@ -87,7 +88,7 @@ def _serve_metrics(results) -> tuple[tuple[str, float], ...]:
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """One (spec, scheduler) execution under the armed auditor."""
+    """One (spec, scheduler) execution under the armed audit."""
 
     digest: str  # digest of the *base* corpus spec
     name: str
@@ -125,7 +126,7 @@ class CellOutcome:
 
 
 def run_cell(spec: ScenarioSpec, scheduler: Optional[str] = None) -> CellOutcome:
-    """Run ``spec`` under ``scheduler`` with the auditor armed."""
+    """Run ``spec`` under ``scheduler`` with the audit armed."""
     scheduler = scheduler or spec.scheduler
     probe = replace(spec, scheduler=scheduler, audit=True)
     base = dict(
@@ -140,6 +141,9 @@ def run_cell(spec: ScenarioSpec, scheduler: Optional[str] = None) -> CellOutcome
         results = run_scenario(probe, n_jobs=1, cache=False)
     except AuditViolation as exc:
         return CellOutcome(status="violation", code=exc.code, message=str(exc), **base)
+    except AuditError as exc:
+        code = exc.violations[0].code
+        return CellOutcome(status="violation", code=code, message=str(exc), **base)
     except Exception as exc:  # noqa: BLE001 - cell outcome, not control flow
         return CellOutcome(
             status="error", code=type(exc).__name__, message=str(exc), **base

@@ -70,13 +70,13 @@ __all__ = [
 #: environment variable holding the default worker-process count
 JOBS_ENV = "REPRO_JOBS"
 
-#: environment variable forcing the online schedule auditor on for every
-#: run ("1"/"true"/a path -> on, ""/"0"/"false"/"off"/"no" -> defer to the
+#: environment variable forcing the shutdown audit on for every run
+#: ("1"/"true"/a path -> on, ""/"0"/"false"/"off"/"no" -> defer to the
 #: per-run config).  Applied *inside* :func:`run_once`, after the cell
 #: tuple is formed: worker processes inherit it through the pool
 #: environment, and cache digests stay stable because cells still carry
-#: the original config (auditing only observes, so a cached result is the
-#: same bits an audited simulation would produce).
+#: the original config (the audit only reads the book, so a cached result
+#: is the same bits an audited simulation would produce).
 AUDIT_ENV = "REPRO_AUDIT"
 
 #: environment variable enabling the sweep cache ("1"/"true" -> default
@@ -160,7 +160,7 @@ def resolve_cache(cache: CacheArg = None) -> Optional[SweepCache]:
 
 
 def audit_from_env() -> bool:
-    """Whether ``REPRO_AUDIT`` asks for the online schedule auditor."""
+    """Whether ``REPRO_AUDIT`` asks for the shutdown audit."""
     raw = os.environ.get(AUDIT_ENV, "").strip().lower()
     return raw not in ("", "0", "false", "off", "no")
 

@@ -102,16 +102,15 @@ class RuntimeConfig:
     #: is folded from the logbook at shutdown, so a run is the same with or
     #: without it; ``None`` builds no registry.
     telemetry: Optional[TelemetryConfig] = None
-    #: online schedule auditing (repro.audit): every scheduling round and
-    #: task completion is checked against the invariant catalog as it
-    #: happens, and the full catalog replays at shutdown.  Auditing only
-    #: *observes* (it raises on damage, never mutates), so audited runs
-    #: produce bit-identical results; ``False`` constructs no auditor and
-    #: keeps the hot paths on one ``is None`` test each.
+    #: shutdown audit (repro.audit): a drained run folds the invariant
+    #: catalog over its logbook and raises on damage.  The fold only reads
+    #: the book, so audited runs produce bit-identical results.  The
+    #: scheduler contract (queue accounting, PE support) is checked at
+    #: every round whatever this says.
     audit: bool = False
 
     def with_audit(self) -> "RuntimeConfig":
-        """Copy of this config with online schedule auditing switched on."""
+        """Copy of this config with the shutdown audit switched on."""
         return replace(self, audit=True)
 
     def with_scheduler(self, name: str) -> "RuntimeConfig":

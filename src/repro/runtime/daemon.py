@@ -10,7 +10,11 @@ the platform's reserved runtime core and:
   thread, whose libCEDR calls later push tasks into the ready queue
   themselves (the overhead transfer behind the paper's Fig. 5);
 * runs scheduling rounds: charges the heuristic's decision cost to the
-  runtime core, then distributes the assignments to per-worker mailboxes;
+  runtime core, then distributes the assignments to per-worker mailboxes,
+  holding the scheduler to its contract on every run - a round assigns
+  exactly its ready batch, each task to a PE that can run it (and, under
+  faults, is live) - or raising the audit catalog's ``AuditViolation``
+  at the offending round;
 * on task completion performs DAG dependency updates and application
   termination, accumulating the *runtime overhead* and *scheduling
   overhead* metrics with exactly the paper's definitions.
@@ -48,6 +52,7 @@ bit-identical to the pre-fault runtime:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
@@ -87,6 +92,18 @@ _CREATED, _READY, _SCHEDULED, _RUNNING, _DONE = (
     TaskState.CREATED, TaskState.READY, TaskState.SCHEDULED, TaskState.RUNNING,
     TaskState.DONE,
 )
+
+#: a cost-table estimate outside the row's ``cols``: the PE cannot run it
+_INF = math.inf
+
+
+def _breach(code: str, message: str, **where: Any) -> Exception:
+    """The audit catalog's exception for a scheduler that broke *code*."""
+    # Imported here: repro.audit consumes runtime records, so a
+    # module-level import would be circular.
+    from repro.audit import AuditViolation
+
+    return AuditViolation(code, message, **where)
 
 
 @dataclass
@@ -217,18 +234,8 @@ class CedrRuntime:
         #: its id cannot be reused; the token drops plans of a replaced table.
         self._dag_plans: dict[int, tuple] = {}
         self.daemon_thread: Optional[SimThread] = None
-        #: online invariant checking (repro.audit); ``None`` keeps the
-        #: dispatch and completion hot paths on one ``is None`` test each.
-        if config.audit:
-            # Imported here: repro.audit consumes runtime records, so a
-            # module-level import would be circular.
-            from repro.audit.online import OnlineAuditor
-
-            self.auditor: Optional[OnlineAuditor] = OnlineAuditor(self)
-        else:
-            self.auditor = None
         #: True once the daemon drained cleanly (shutdown bookkeeping ran);
-        #: gates the end-of-run audit pass in :meth:`run`.
+        #: gates the end-of-run audit fold in :meth:`run`.
         self._drained = False
         #: fault injection + recovery state; ``None`` whenever the config
         #: carries no active fault model (the bit-identical fast path).
@@ -344,10 +351,12 @@ class CedrRuntime:
                 time.perf_counter() - t0, self.engine.events_processed
             )
             self.counters.record_event_core(self.engine.event_core_stats())
-        if self.auditor is not None and self._drained:
-            # the daemon drained cleanly: replay the full invariant catalog
-            # over the finished run (raises AuditError on damage)
-            self.auditor.final_check(self)
+        if self.config.audit and self._drained:
+            # the daemon drained cleanly: fold the invariant catalog over
+            # the book (raises AuditError on damage)
+            from repro.audit import OnlineAuditor
+
+            OnlineAuditor.final_check(self)
         return final_time
 
     # ------------------------------------------------------------------ #
@@ -640,21 +649,39 @@ class CedrRuntime:
         for pe in pes:
             pe.expected_free = now + pe.outstanding_est * pe.slowdown
         assignments = self.scheduler.schedule(batch, pes, now, self.cost_table)
-        if self.auditor is not None:
-            # validate the round before its assignments are committed, so a
-            # violation names the scheduler's decision, not its aftermath
-            self.auditor.on_round(batch, assignments, now)
+        if len(assignments) != len(batch):
+            raise _breach(
+                "queue-accounting",
+                f"scheduler returned {len(assignments)} assignments for a "
+                f"ready batch of {len(batch)} - tasks were dropped or invented",
+                t=now,
+            )
         self.logbook.record_round(
             now, len(batch), cost, t_begin, [task.t_release for task, _ in assignments]
         )
         for task, pe in assignments:
             task.state = _SCHEDULED
             task.t_scheduled = now
-            task.est_used = self.cost_table.lookup(task, pe.index)
-            pe.outstanding_est += task.est_used
+            task.est_used = est = self.cost_table.lookup(task, pe.index)
+            if est == _INF:
+                raise _breach(
+                    "pe-support",
+                    f"scheduler assigned {task.name} ({task.api}) to "
+                    f"{pe.name} ({pe.kind.value}), which does not support it",
+                    tid=task.tid, pe=pe.name, t=now,
+                )
+            pe.outstanding_est += est
             if self.faults is None:
                 self.mailboxes[pe.index].post(task)
             else:
+                if not pe.available:
+                    raise _breach(
+                        "pe-support",
+                        f"scheduler assigned {task.name} to {pe.name} while "
+                        f"it is {'dead' if pe.dead else 'quarantined'} "
+                        f"(quarantine epoch {pe.quarantine_epoch})",
+                        tid=task.tid, pe=pe.name, t=now,
+                    )
                 # epoch-stamped dispatch: the worker compares its stamp
                 # against task.dispatch_epoch to detect invalidation, and
                 # the watchdog deadline covers queue wait + execution

@@ -232,9 +232,6 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
         if task.est_used > 0.0:
             observed = (task.t_finish - task.t_start) / task.est_used  # service_time
             pe.slowdown += 0.1 * (observed - pe.slowdown)
-        if runtime.auditor is not None:
-            # exactly-once / overlap / timestamp checks at the source
-            runtime.auditor.on_complete(task, pe, engine.now)
         runtime.logbook.record_task(task)
 
         if task.completion is not None:

@@ -155,8 +155,8 @@ KEYS: tuple[Key, ...] = (
     Key("scheduler", "name", "str", "heft_rt", "scheduler", flag="--scheduler",
         verbs=_R + _S + _A, help="registered scheduler"),
     Key("engine", "audit", "bool", False, "audit", flag="--audit", verbs=_R + _S,
-        help="check every scheduling round and task completion against the "
-             "invariant catalog online, and replay it whole at shutdown"),
+        help="fold the invariant catalog over the run's logbook at shutdown "
+             "and fail on damage"),
     Key("telemetry", "interval_s", "float", 0.0, "telemetry_interval_s", "nonnegative",
         optional=True, flag="--metrics-interval", verbs=_R,
         help="periodic telemetry snapshot interval, simulated seconds (0 = final "

@@ -69,13 +69,14 @@ def _clean_tasks():
 
 def _clean_view(**kw):
     """Fault-free and from a current-schema record: ``incidents`` is the
-    empty tuple (known: none), not ``None`` (a pre-incident dump)."""
+    empty tuple (known: none), not ``None`` (a pre-incident dump), and
+    each round's depth is matched by its release instants."""
     tasks = _clean_tasks()
     apps = (AppRecord(app_id=1, name="app", mode="dag", t_arrival=0.0,
                       t_launch=0.0, t_finish=0.7, n_tasks=3),)
     defaults = dict(
         rounds=((0.05, 1, 0.0, 0.05), (0.35, 2, 0.0, 0.35)),
-        incidents=(), makespan=0.7,
+        releases=(0.0, 0.3, 0.3), incidents=(), makespan=0.7,
     )
     defaults.update(kw)
     return make_view(tasks, apps, **defaults)
@@ -249,18 +250,6 @@ def test_app_accounting_skips_cancelled_and_failed_apps():
     assert audit_view(make_view([], apps)).ok
 
 
-def test_task_conservation_fires_on_counter_log_mismatch():
-    """The one surviving count-versus-rows check: the online auditor's own
-    completion ledger against the logbook's task rows, at shutdown."""
-    runtime = _pd_run(seed=5)
-    runtime.logbook.tasks.pop()      # a completion the record lost
-    runtime.auditor._finalized = False
-    with pytest.raises(AuditViolation) as ei:
-        runtime.auditor.final_check(runtime)
-    assert ei.value.code == "task-conservation"
-    assert "task rows" in str(ei.value)
-
-
 def test_task_conservation_fires_on_unbacked_retry_attempts():
     view = _clean_view()
     view.tasks = (dataclasses.replace(view.tasks[0], attempts=2),
@@ -301,12 +290,17 @@ def test_task_conservation_skips_a_dump_without_incident_rows():
     assert audit_view(view, codes=["task-conservation"]).ok
 
 
-def test_queue_accounting_has_no_offline_replay():
-    """The code stays in the catalog (reports tally every code; the online
-    auditor raises it at the round) but replays nothing over a finished
-    run - there is no second tally left for the rows to disagree with."""
-    assert "queue-accounting" in {inv.code for inv in CATALOG}
-    assert audit_view(_clean_view(rounds=()), codes=["queue-accounting"]).ok
+def test_queue_accounting_fires_on_a_round_short_of_releases():
+    """Round depths against the assigned release instants: a round that
+    booked its batch but assigned one task fewer."""
+    report = audit_view(_clean_view(releases=(0.0, 0.3)))
+    assert report.codes == {"queue-accounting"}
+    assert "saw 3 ready tasks but assigned 2" in str(report.violations[0])
+
+
+def test_queue_accounting_skips_a_dump_without_releases():
+    """Below schema 4 the release instants are unknown, not absent."""
+    assert audit_view(_clean_view(releases=None), codes=["queue-accounting"]).ok
 
 
 def test_cost_row_fresh_fires_on_stale_token():

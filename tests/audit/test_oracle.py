@@ -98,12 +98,12 @@ def test_variant_outcome_describe_both_ways():
 def test_oracle_report_summary_lists_every_variant():
     report = OracleReport(
         label="zcu102/tiny/api/etf", cells=4,
-        outcomes=(VariantOutcome("jobs", 4), VariantOutcome("audit", 4)),
+        outcomes=(VariantOutcome("jobs", 4), VariantOutcome("cache", 4)),
     )
     assert report.ok
     text = report.summary()
     assert "4 cells x 2 variants" in text
-    assert "jobs" in text and "audit" in text
+    assert "jobs" in text and "cache" in text
 
 
 # --------------------------------------------------------------------- #
@@ -133,7 +133,7 @@ def test_diff_run_all_variants_bit_identical(platform):
 
 
 def test_audit_flip_matches_baseline_bit_for_bit(result_pair):
-    """An audited run reproduces the unaudited one exactly (the auditor
+    """An audited run reproduces the unaudited one exactly (the audit
     only observes)."""
     plain, _ = result_pair
     audited = run_once(

@@ -1,13 +1,14 @@
 """Shared fixtures for the reproduction's test suite.
 
 Besides the platform/application fixtures, this conftest installs the
-**suite-wide online auditor**: an autouse fixture rebuilds every
+**suite-wide audit**: an autouse fixture rebuilds every
 :class:`~repro.runtime.CedrRuntime` constructed by any test with
 ``RuntimeConfig(audit=True)``, so each of the suite's hundreds of simulated
-runs is also an invariant-checking run (causality, exactly-once, PE
-support/exclusivity, bookkeeping consistency - see ``repro.audit``).  A
-scheduling bug anywhere now fails loudly at its first dispatch instead of
-silently skewing a figure.  Tests that must control the audit flag
+runs that drains also folds the invariant catalog over its book
+(causality, exactly-once, PE support/exclusivity, bookkeeping consistency
+- see ``repro.audit``) and fails loudly instead of silently skewing a
+figure.  The scheduler contract needs no fixture: the daemon checks it at
+every round of every run.  Tests that must control the audit flag
 themselves (e.g. the disabled-run byte-identity pins) opt out with
 ``@pytest.mark.no_auto_audit``.
 """
@@ -28,7 +29,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "no_auto_audit: build CedrRuntimes with the config's own audit flag "
-        "instead of force-enabling the online auditor",
+        "instead of force-enabling the shutdown audit",
     )
 
 
@@ -37,13 +38,13 @@ _original_runtime_init = CedrRuntime.__init__
 
 @pytest.fixture(autouse=True)
 def _auto_audit(request, monkeypatch):
-    """Force the online schedule auditor on for every runtime in the suite.
+    """Force the shutdown audit on for every runtime in the suite.
 
     In-process only: runtimes built inside ``--jobs`` worker processes keep
     their cell's config (their results are diffed bit-exactly against
     audited in-process runs by the determinism tests, which is its own
-    check).  Auditing observes and raises - it never mutates - so forcing
-    it on cannot change any result a test asserts about.
+    check).  The audit reads the book and raises - it never mutates - so
+    forcing it on cannot change any result a test asserts about.
     """
     if request.node.get_closest_marker("no_auto_audit"):
         yield

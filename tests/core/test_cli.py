@@ -56,6 +56,14 @@ BAD_FLAG_LINES = [
     pytest.param(["serve", "--slo-ms", "-5"], "slo_ms", id="serve-slo-negative"),
     pytest.param(["serve", "--duration", "inf"], "duration", id="serve-duration-inf"),
     pytest.param(["audit", "diff", "--trials", "0"], "trials", id="audit-trials-0"),
+    pytest.param(["audit", "diff", "--jobs", "0"], "--jobs must be >= 1",
+                 id="audit-jobs-0"),
+    pytest.param(["audit", "diff", "--rates", "1"], "--rates must be >= 2",
+                 id="audit-rates-1"),
+    pytest.param(["figure", "fig5", "--rates", "1"], "--rates must be >= 2",
+                 id="figure-rates-1"),
+    pytest.param(["audit", "diff", "--variants", ","], "names no pairing",
+                 id="audit-variants-empty"),
 ]
 
 

@@ -14,8 +14,8 @@ class EvilDropScheduler:
     """ETF wrapper that silently drops the last assignment every round.
 
     The corpus registers this under a real scheduler name so the standard
-    ``SCHEDULERS.create`` path inside ``run_cell`` builds it - the online
-    auditor must then catch the dropped dispatch as ``queue-accounting``.
+    ``SCHEDULERS.create`` path inside ``run_cell`` builds it - the daemon
+    must then refuse the dropped dispatch as ``queue-accounting``.
     """
 
     def __init__(self):

@@ -91,6 +91,28 @@ def test_run_cell_records_violation(evil_scheduler, small_config):
     assert out.digest == spec.digest()
 
 
+def test_shutdown_fold_failure_is_tallied_as_a_violation(small_config, monkeypatch):
+    """A run that fails the catalog folded at shutdown (an ``AuditError``,
+    not a round's ``AuditViolation``) counts under its first code."""
+    import dataclasses
+
+    from repro.runtime import Logbook
+
+    original = Logbook.record_task
+
+    def doctored(self, task):
+        original(self, task)
+        if len(self.tasks) == 1:  # the first completion loses its cost row
+            self.tasks[0] = dataclasses.replace(self.tasks[0], cost_row=-1)
+
+    monkeypatch.setattr(Logbook, "record_task", doctored)
+    spec = generate_corpus(small_config, seed=0)[0]
+    out = run_cell(spec, "etf")
+    assert out.status == "violation"
+    assert out.code == "cost-row-fresh"
+    assert "audit failed" in out.message
+
+
 def test_violation_shows_up_in_report(evil_scheduler, small_config):
     specs = generate_corpus(small_config, seed=0)
     report = run_corpus(specs, ["rr", evil_scheduler])

@@ -2,8 +2,9 @@
 
 The heaviest coexistence test in the suite: every ``repro.apps``
 application runs *concurrently* in one workload at two injection rates on
-both platforms, with the online auditor checking every scheduling round
-and completion, and the content-addressed sweep cache layered on top.
+both platforms, audited (the scheduler contract at every round, the
+invariant catalog folded over the book at shutdown), and the
+content-addressed sweep cache layered on top.
 Cache bookkeeping is pinned exactly (cold pass = all misses + stores, warm
 pass = all hits) and cached results must match the uncached sweep
 bit-for-bit - the combination no single-app test exercises.

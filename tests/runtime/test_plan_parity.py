@@ -182,7 +182,7 @@ def _decoyed_table(platform) -> CostTable:
     return table
 
 
-@pytest.mark.no_auto_audit  # the auditor pins one table per run, by design
+@pytest.mark.no_auto_audit  # the audit pins one table per run, by design
 def test_replaced_table_does_not_serve_the_old_tables_dag_plan(observed):
     created, _ = observed
     platform = ZCU.build(seed=0)

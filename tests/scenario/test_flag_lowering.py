@@ -188,6 +188,6 @@ def test_audit_diff_lowers_with_the_figure_platform_params(capsys):
     """``audit diff`` takes ``AUDIT_PLATFORM_PARAMS``, not the ``--fft``
     family, and labels its workload "audit-diff" (an RNG label)."""
     assert main(["audit", "diff", "--rates", "2", "--trials", "1",
-                 "--variants", "audit"]) == 0
+                 "--variants", "cache"]) == 0
     out = capsys.readouterr().out
     assert f"[{ZCU.name}/audit-diff/api/etf]: 2 cells x 1 variants" in out

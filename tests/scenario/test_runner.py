@@ -65,7 +65,7 @@ def test_run_scenario_bit_identical_to_flag_path():
 @pytest.mark.no_auto_audit
 def test_run_scenario_audit_armed_bit_identical():
     """A scenario with [engine] audit = true reproduces the unaudited run
-    exactly - the scenario-kind leg of the auditor's observe-only proof."""
+    exactly - the scenario-kind leg of the audit's observe-only proof."""
     import dataclasses
 
     plain = run_scenario(_spec())

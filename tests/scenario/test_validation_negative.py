@@ -397,7 +397,7 @@ def test_bad_run_or_serve_flag_exits_on_one_line(argv, where):
                  id="figure-trials-zero"),
     pytest.param(["figure", "fig5", "--trials", "-3"], "repro figure --trials must be >= 1",
                  id="figure-trials-negative"),
-    pytest.param(["figure", "fig5", "--rates", "0"], "repro figure --rates must be >= 1",
+    pytest.param(["figure", "fig5", "--rates", "0"], "repro figure --rates must be >= 2",
                  id="figure-rates-zero"),
     pytest.param(["figure", "fig5", "--jobs", "0"], "repro figure --jobs must be >= 1",
                  id="figure-jobs-zero"),

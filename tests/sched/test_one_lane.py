@@ -66,7 +66,7 @@ def test_no_estimate_path_selector():
     names = {f.name for f in dataclasses.fields(RuntimeConfig)}
     assert "scalar_estimates" not in names
     assert "scalar" not in DEFAULT_VARIANTS
-    assert len(DEFAULT_VARIANTS) == 3
+    assert DEFAULT_VARIANTS == ("jobs", "cache")
 
 
 @pytest.mark.parametrize("extra", ([], ["--serve"]), ids=("run", "serve"))

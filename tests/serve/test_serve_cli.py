@@ -48,12 +48,12 @@ def test_audit_diff_serve(capsys):
     rc = main([
         "audit", "diff", "--serve", "--duration", "0.08",
         "--arrival", "poisson:rate=150", "--trials", "1",
-        "--variants", "jobs,audit", "--apps", "PD:1",
+        "--variants", "jobs,cache", "--apps", "PD:1",
     ])
     assert rc == 0
     out = capsys.readouterr().out
     assert "serve[" in out
-    assert "jobs" in out and "audit" in out
+    assert "jobs" in out and "cache" in out
     assert "FAIL" not in out
 
 
