@@ -49,7 +49,7 @@ def run_platform(platform_config, workload: WorkloadSpec, rate_mbps: float = 100
                          f"{np.degrees(right.theta):+.0f} deg")
         print(f"  {app.name}#{app.app_id}: exec {app.execution_time * 1e3:8.2f} ms{extra}")
     print(f"  tasks per PE: {runtime.logbook.tasks_by_pe()}")
-    util = {d.name: f"{d.utilization(runtime.metrics.makespan):.0%}"
+    util = {d.name: f"{d.utilization(runtime.logbook.makespan):.0%}"
             for d in platform.engine.devices}
     if util:
         print(f"  accelerator occupancy: {util}")

@@ -137,7 +137,6 @@ class AuditView:
         cores = [*runtime.platform.worker_cores, runtime.platform.runtime_core]
         return replace(
             cls.from_logbook(runtime.logbook),
-            makespan=runtime.metrics.makespan,
             cost_table_token=runtime.cost_table.token,
             cost_table_rows=runtime.cost_table.n_rows,
             core_loads=tuple(
@@ -154,15 +153,18 @@ class AuditView:
     @classmethod
     def from_logbook(cls, logbook: Logbook) -> "AuditView":
         """The run record as an audit view (all an offline dump offers)."""
-        finishes = [a.t_finish for a in logbook.apps.values() if a.t_finish is not None]
-        finishes.extend(rec.t_finish for rec in logbook.tasks)
+        makespan = logbook.makespan
+        if makespan is None:  # below schema 5, or never drained: the last finish
+            finishes = [a.t_finish for a in logbook.apps.values() if a.t_finish is not None]
+            finishes.extend(rec.t_finish for rec in logbook.tasks)
+            makespan = max(finishes) if finishes else None
         return cls(
             tasks=tuple(logbook.tasks),
             apps=tuple(logbook.apps.values()),
             rounds=tuple(logbook.rounds),
             incidents=tuple(logbook.incidents) if logbook.schema >= 3 else None,
             releases=tuple(logbook.releases) if logbook.schema >= 4 else None,
-            makespan=max(finishes) if finishes else None,
+            makespan=makespan,
         )
 
 

@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -151,91 +153,79 @@ def cell_digest(cell: tuple) -> tuple[str, Any]:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest(), key
 
 
-def _encode_result(result: RunResult) -> dict:
-    """JSON-ready encoding of a RunResult (telemetry-free by contract)."""
-    return {
-        "n_apps": result.n_apps,
-        "n_cancelled": result.n_cancelled,
-        "exec_times": list(result.exec_times),
-        "exec_times_by_app": {
-            k: list(v) for k, v in result.exec_times_by_app.items()
-        },
-        "runtime_overhead_s": result.runtime_overhead_s,
-        "sched_overhead_s": result.sched_overhead_s,
-        "sched_rounds": result.sched_rounds,
-        "ready_depth_mean": result.ready_depth_mean,
-        "ready_depth_max": result.ready_depth_max,
-        "makespan": result.makespan,
-        "tasks_completed": result.tasks_completed,
-        "pe_task_histogram": dict(result.pe_task_histogram),
-        "n_failed": result.n_failed,
-        "faults_injected": result.faults_injected,
-        "task_failures": result.task_failures,
-        "retries": result.retries,
-        "tasks_lost": result.tasks_lost,
-        "mean_time_to_recovery": result.mean_time_to_recovery,
-    }
+#: result fields no cache entry carries (see ``ResultCodec.cacheable``)
+_UNCACHED = ("telemetry",)
 
 
-def _decode_result(data: dict) -> RunResult:
-    """Inverse of :func:`_encode_result`; restores the tuple-typed fields."""
-    return RunResult(
-        n_apps=int(data["n_apps"]),
-        n_cancelled=int(data["n_cancelled"]),
-        exec_times=tuple(float(t) for t in data["exec_times"]),
-        exec_times_by_app={
-            str(k): tuple(float(t) for t in v)
-            for k, v in data["exec_times_by_app"].items()
-        },
-        runtime_overhead_s=float(data["runtime_overhead_s"]),
-        sched_overhead_s=float(data["sched_overhead_s"]),
-        sched_rounds=int(data["sched_rounds"]),
-        ready_depth_mean=float(data["ready_depth_mean"]),
-        ready_depth_max=int(data["ready_depth_max"]),
-        makespan=float(data["makespan"]),
-        tasks_completed=int(data["tasks_completed"]),
-        pe_task_histogram={
-            str(k): int(v) for k, v in data["pe_task_histogram"].items()
-        },
-        n_failed=int(data["n_failed"]),
-        faults_injected=int(data["faults_injected"]),
-        task_failures=int(data["task_failures"]),
-        retries=int(data["retries"]),
-        tasks_lost=int(data["tasks_lost"]),
-        mean_time_to_recovery=float(data["mean_time_to_recovery"]),
-        telemetry=None,
-    )
+def _encode_result(value: Any) -> Any:
+    """JSON-ready form of a frozen result dataclass, field by field: nested
+    results recurse, tuples become lists, :data:`_UNCACHED` fields drop."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _encode_result(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name not in _UNCACHED
+        }
+    if isinstance(value, (tuple, list)):
+        return [_encode_result(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode_result(v) for k, v in value.items()}
+    return value
+
+
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _decode_result(hint: Any, value: Any) -> Any:
+    """Inverse of :func:`_encode_result` for a value annotated *hint*: a
+    result dataclass field by field (left-out fields take their defaults),
+    tuples and dicts item by item, a scalar through its constructor."""
+    if dataclasses.is_dataclass(hint):
+        hints = _hints(hint)
+        return hint(**{
+            f.name: _decode_result(hints[f.name], value[f.name])
+            for f in dataclasses.fields(hint)
+            if f.name not in _UNCACHED
+        })
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return tuple(_decode_result(args[0], v) for v in value)
+    if typing.get_origin(hint) is dict:
+        return {_decode_result(args[0], k): _decode_result(args[1], v) for k, v in value.items()}
+    return hint(value)  # int, float, str
 
 
 @dataclass(frozen=True)
 class ResultCodec:
-    """How one result type round-trips through a cache entry.
+    """How one frozen result dataclass *cls* round-trips through a cache
+    entry: field by field, less :data:`_UNCACHED`.
 
-    The cache stores whatever a codec encodes; ``kind`` tags the entry so a
-    digest can never decode under the wrong codec (kind participates in the
-    load-time recheck, like the stored key).  ``cacheable`` is the storage
-    gate - results that would not survive a JSON round trip bit-identically
-    must return False and simply run every time.  The default
-    :data:`RUN_CODEC` handles batch :class:`RunResult` cells and keeps the
-    original entry layout exactly (its kind is the implicit default, so
-    pre-codec entries stay valid); the serve tier registers its own codec
+    ``kind`` tags the entry so a digest can never decode under the wrong
+    codec (kind participates in the load-time recheck, like the stored
+    key).  :data:`RUN_CODEC` handles batch :class:`RunResult` cells and
+    keeps the original entry layout exactly (its kind is the implicit
+    default, so pre-codec entries stay valid); the serve tier has its own
     for :class:`~repro.serve.driver.ServeResult` cells.
     """
 
     kind: str
-    encode: Any
-    decode: Any
-    cacheable: Any = staticmethod(lambda result: True)
+    cls: type
+
+    def encode(self, result: Any) -> dict:
+        return _encode_result(result)
+
+    def decode(self, data: dict) -> Any:
+        return _decode_result(self.cls, data)
+
+    def cacheable(self, result: Any) -> bool:
+        """The storage gate: a run carrying telemetry (a serve result's own
+        ``run`` included) would not come back bit-identical, so it reruns."""
+        return getattr(result, "run", result).telemetry is None
 
 
 #: the original batch-sweep codec; entries it writes omit the ``kind`` field
 #: so every pre-codec cache entry on disk still decodes under it.
-RUN_CODEC = ResultCodec(
-    kind="run/1",
-    encode=_encode_result,
-    decode=_decode_result,
-    cacheable=lambda result: result.telemetry is None,
-)
+RUN_CODEC = ResultCodec("run/1", RunResult)
 
 
 @dataclass

@@ -48,7 +48,7 @@ def render_gantt(
     records = runtime.logbook.tasks
     if not records:
         return "(no task records)"
-    t_end = t_end if t_end is not None else runtime.metrics.makespan or max(
+    t_end = t_end if t_end is not None else runtime.logbook.makespan or max(
         r.t_finish for r in records
     )
     if t_end <= t_start:

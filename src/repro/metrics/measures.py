@@ -13,13 +13,14 @@ Three metrics drive every figure (Section III):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.daemon import CedrRuntime
+    from repro.runtime.logbook import Logbook
 
 __all__ = ["RunResult"]
 
@@ -30,7 +31,7 @@ class RunResult:
 
     n_apps: int
     n_cancelled: int
-    exec_times: tuple[float, ...]          # per-app arrival->finish seconds
+    exec_times: tuple[float, ...]          # arrival->finish seconds, arrival order
     exec_times_by_app: dict[str, tuple[float, ...]]
     runtime_overhead_s: float
     sched_overhead_s: float
@@ -58,48 +59,58 @@ class RunResult:
     telemetry: Optional[dict] = None
 
     @classmethod
-    def from_runtime(cls, runtime: "CedrRuntime") -> "RunResult":
-        finished = [a for a in runtime.apps.values() if a.finished]
-        unfinished = [a for a in runtime.apps.values() if not a.finished]
-        if unfinished:
-            names = ", ".join(f"{a.name}#{a.app_id}" for a in unfinished[:8])
-            raise RuntimeError(f"run ended with unfinished applications: {names}")
-        # cancelled apps terminated early by the kill command, failed apps
-        # by the fault subsystem: both count separately and are excluded
-        # from the execution-time statistics
+    def from_logbook(cls, book: "Logbook") -> "RunResult":
+        """The result as a pure fold of a schema 5 run record, ``telemetry``
+        aside: execution times in the book's arrival order, both overheads
+        plain ``+=`` loops over their rows (``sum()`` is compensated from
+        CPython 3.12)."""
+        if book.schema < 5:
+            raise ValueError(f"logbook schema {book.schema} has no charges section")
+        finished = [a for a in book.apps.values() if a.t_finish is not None]
+        # cancelled (the kill command) and failed (the fault subsystem) apps
+        # count separately, outside the execution-time statistics
         apps = [a for a in finished if not a.cancelled and not a.failed]
         by_app: dict[str, list[float]] = {}
         for a in apps:
             by_app.setdefault(a.name, []).append(a.execution_time)
-        # every simulated tally is a read of the run record (the counters
-        # are a view of the same logbook); one pass counts the incidents
-        counters, logbook = runtime.counters, runtime.logbook
-        incidents = logbook.incident_counts()
+        runtime_overhead = sched_overhead = 0.0
+        for work in book.charges:
+            runtime_overhead += work
+        for row in book.rounds:
+            sched_overhead += row[2]
+        incidents, (depth_max, depth_mean) = book.incident_counts(), book.ready_depths()
         return cls(
             n_apps=len(apps),
             n_cancelled=sum(1 for a in finished if a.cancelled),
             exec_times=tuple(a.execution_time for a in apps),
             exec_times_by_app={k: tuple(v) for k, v in by_app.items()},
-            runtime_overhead_s=runtime.metrics.runtime_overhead_s,
-            sched_overhead_s=runtime.metrics.sched_overhead_s,
-            sched_rounds=counters.sched_rounds,
-            ready_depth_mean=counters.ready_depth_mean,
-            ready_depth_max=counters.ready_depth_max,
-            makespan=runtime.metrics.makespan,
-            tasks_completed=counters.tasks_completed,
-            pe_task_histogram=logbook.tasks_by_pe(),
+            runtime_overhead_s=runtime_overhead,
+            sched_overhead_s=sched_overhead,
+            sched_rounds=len(book.rounds),
+            ready_depth_mean=depth_mean,
+            ready_depth_max=depth_max,
+            makespan=book.makespan or 0.0,
+            tasks_completed=len(book.tasks),
+            pe_task_histogram=book.tasks_by_pe(),
             n_failed=sum(1 for a in finished if a.failed and not a.cancelled),
             faults_injected=incidents["fault"],
             task_failures=incidents["failure"],
             retries=incidents["retry"],
             tasks_lost=incidents["lost"],
-            mean_time_to_recovery=counters.mean_time_to_recovery,
-            telemetry=(
-                runtime.telemetry.export_state()
-                if runtime.telemetry is not None
-                else None
-            ),
+            mean_time_to_recovery=book.mean_time_to_recovery(),
         )
+
+    @classmethod
+    def from_runtime(cls, runtime: "CedrRuntime") -> "RunResult":
+        """:meth:`from_logbook` of a drained runtime, plus its telemetry."""
+        unfinished = [a for a in runtime.apps.values() if not a.finished]
+        if unfinished:
+            names = ", ".join(f"{a.name}#{a.app_id}" for a in unfinished[:8])
+            raise RuntimeError(f"run ended with unfinished applications: {names}")
+        result = cls.from_logbook(runtime.logbook)
+        if runtime.telemetry is None:
+            return result
+        return replace(result, telemetry=runtime.telemetry.export_state())
 
     # -- the paper's normalized metrics ------------------------------------ #
 

@@ -2,7 +2,7 @@
 
 from .app import API_MODE, DAG_MODE, AppInstance, TimingOnlyAppError
 from .config import RuntimeConfig, RuntimeCosts
-from .daemon import CedrRuntime, EventQueue, RunMetrics
+from .daemon import CedrRuntime, EventQueue
 from .logbook import AppRecord, Incident, Logbook, TaskRecord
 from .perf_counters import PerfCounters
 from .task import CompletionHandle, Task, TaskState
@@ -17,7 +17,6 @@ __all__ = [
     "RuntimeConfig",
     "RuntimeCosts",
     "CedrRuntime",
-    "RunMetrics",
     "EventQueue",
     "Task",
     "TaskState",

@@ -16,8 +16,9 @@ the platform's reserved runtime core and:
   faults, is live) - or raising the audit catalog's ``AuditViolation``
   at the offending round;
 * on task completion performs DAG dependency updates and application
-  termination, accumulating the *runtime overhead* and *scheduling
-  overhead* metrics with exactly the paper's definitions.
+  termination, writing each bookkeeping charge to the logbook so the
+  *runtime overhead* and *scheduling overhead* metrics fold from it with
+  exactly the paper's definitions.
 
 The daemon exits once the runtime is sealed (no more submissions) and every
 submitted application has completed, then wakes all workers with a shutdown
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
@@ -79,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dag.app import DagProgram
     from repro.simcore import Engine
 
-__all__ = ["CedrRuntime", "RunMetrics", "EventQueue"]
+__all__ = ["CedrRuntime", "EventQueue"]
 
 #: what a consumer parked on an empty :class:`EventQueue` yields; a
 #: ``Block`` carries no state, so every park shares this one
@@ -104,22 +104,6 @@ def _breach(code: str, message: str, **where: Any) -> Exception:
     from repro.audit import AuditViolation
 
     return AuditViolation(code, message, **where)
-
-
-@dataclass
-class RunMetrics:
-    """Run-level aggregates with the paper's metric definitions.
-
-    ``runtime_overhead_s`` is main-thread time spent receiving, managing,
-    and terminating applications (excludes scheduling);
-    ``sched_overhead_s`` is time spent inside scheduling rounds, summed
-    over the logbook's round rows at shutdown, where ``makespan`` is
-    stamped too.
-    """
-
-    runtime_overhead_s: float = 0.0
-    sched_overhead_s: float = 0.0
-    makespan: float = 0.0
 
 
 class EventQueue:
@@ -196,13 +180,11 @@ class CedrRuntime:
         #: simulated numbers back from it, and the registry is a fold of it.
         self.logbook = Logbook()
         self.counters = PerfCounters(self.logbook)
-        self.metrics = RunMetrics()
         self.noise_rng = (
             child_rng(self.engine.seed, "cost-noise") if config.cost_noise_sigma > 0 else None
         )
         self._noise_sigma = config.cost_noise_sigma
         self._submitted = 0
-        self._completed = 0
         self._sealed = False
         self._started = False
         self._last_round_at = -float("inf")
@@ -214,7 +196,7 @@ class CedrRuntime:
         #: the schedulers receive.
         self.cost_table = CostTable(platform.timing, platform.pes)
         #: the daemon's bookkeeping charges, one shared request per distinct
-        #: ``us`` (see :meth:`_charge`)
+        #: ``us`` (see :meth:`_charge`), each written to the book's charges
         self._charges: dict[float, Compute] = {}
         #: the scheduling rounds' decision costs, one shared request per
         #: distinct cost (see :meth:`_schedule_round`)
@@ -412,7 +394,7 @@ class CedrRuntime:
         request = self._charges.get(us)
         if request is None:
             request = self._charges[us] = Compute(us * self.cost_scale * 1e-6)
-        self.metrics.runtime_overhead_s += request.work
+        self.logbook.charges.append(request.work)
         return request
 
     def _daemon_body(self) -> Generator[Request, Any, None]:
@@ -470,7 +452,7 @@ class CedrRuntime:
                 )
             if (
                 self._sealed
-                and self._completed == self._submitted
+                and len(self.logbook.closed) == self._submitted
                 and not self._work_in_flight()
                 and self._retry_limbo == 0
                 and not self._parked
@@ -488,13 +470,9 @@ class CedrRuntime:
             # forever and the simulation never terminates.
             self.faults.disarm()
         self._shutdown_workers()
-        now = self.metrics.makespan = self.engine.now
         book = self.logbook
+        now = book.makespan = self.engine.now
         book.late_timers = list(self.engine.late_at)
-        sched = 0.0
-        for row in book.rounds:
-            sched += row[2]  # a plain loop: sum() is compensated from 3.12
-        self.metrics.sched_overhead_s = sched
         if self.config.telemetry:
             self.telemetry = CedrTelemetry.fold(
                 book, self.config.telemetry, [pe.name for pe in self.platform.pes], now
@@ -503,8 +481,8 @@ class CedrRuntime:
         # bookkeeping or scheduling.  The runtime core is reserved, so this
         # changes no thread's timing - only the overhead measurement - and
         # can be charged analytically instead of as simulated events.
-        idle = max(0.0, self.metrics.makespan - self.platform.runtime_core.delivered)
-        self.metrics.runtime_overhead_s += self.config.costs.idle_poll_duty * idle
+        idle = max(0.0, now - self.platform.runtime_core.delivered)
+        book.charges.append(self.config.costs.idle_poll_duty * idle)
         self._drained = True
 
     def _handle_arrival(self, app: AppInstance) -> Generator[Request, Any, None]:
@@ -621,7 +599,6 @@ class CedrRuntime:
         yield self._charge(self.config.costs.app_terminate_us)
         app.t_finish = self.engine.now
         self.logbook.close_app(app)
-        self._completed += 1
         if self.on_app_finished is not None:
             self.on_app_finished(app)
 

@@ -22,13 +22,21 @@ events):
                  call, when it settles                   libCEDR client
 ``late_timers``  the instant of each ``call_at`` the     copied from the
                  engine clamped to now                   engine at shutdown
+``charges``      each runtime-core bookkeeping charge    written by the
+                 in seconds, then the idle-poll term     daemon
+``makespan``     the instant the daemon drained          stamped at shutdown
+``closed``       app ids in termination order            the daemon
+``admissions``   one :class:`AdmissionRecord` per        the serve driver,
+                 offered arrival; ``*_hwm`` stamps       which stamps at seal
 ===============  ======================================  ====================
 
-Daemon, workers, the libCEDR client and the fault injector record each
-happening exactly once, here.  Everything else - :class:`~repro.runtime.
-PerfCounters`' simulated tallies, :class:`~repro.metrics.RunResult`, the
-metric registry (:meth:`repro.telemetry.CedrTelemetry.fold`), the Chrome
-trace, the Gantt chart, the audit view - is a read of these rows.
+Daemon, workers, the libCEDR client, the fault injector and the serve
+driver record each happening exactly once, here.  Everything else -
+:class:`~repro.runtime.PerfCounters`' simulated tallies, the results
+(:meth:`repro.metrics.RunResult.from_logbook`,
+:meth:`repro.serve.ServeResult.from_logbook`), the metric registry
+(:meth:`repro.telemetry.CedrTelemetry.fold`), the Chrome trace, the Gantt
+chart, the audit view - is a read of these rows.
 
 The dump is schema-versioned (:data:`SCHEMA_VERSION`) and round-trips:
 :meth:`Logbook.load` rebuilds a logbook from a saved dump so ``repro audit
@@ -58,6 +66,7 @@ __all__ = [
     "AppRecord",
     "Incident",
     "CallRecord",
+    "AdmissionRecord",
     "INCIDENT_KINDS",
     "Logbook",
     "SCHEMA_VERSION",
@@ -72,7 +81,9 @@ __all__ = [
 #: ``t_begin = t``, and a schema 1 / 2 book has *unknown* (not zero)
 #: incidents - see :attr:`Logbook.schema`.  4 added the ``releases``,
 #: ``calls`` and ``late_timers`` sections, which an older dump loads empty.
-SCHEMA_VERSION = 4
+#: 5 added what the result folds read - ``charges``, ``makespan``, ``closed``,
+#: ``admissions``, the ``*_hwm`` stamps - which the folds require.
+SCHEMA_VERSION = 5
 
 #: the fault layer's closed event taxonomy (:attr:`Incident.kind`).
 INCIDENT_KINDS = (
@@ -195,6 +206,20 @@ class CallRecord:
     t_done: float
 
 
+@dataclass(slots=True)
+class AdmissionRecord:
+    """One offered serve arrival, appended as its fate settles: shed
+    (``t_admitted`` ``None``, ``app_id`` -1) or admitted - at once,
+    ``degraded`` (outside the SLO), or out of the hold queue (``held``)."""
+
+    tenant: str
+    t_offered: float
+    t_admitted: Optional[float]
+    app_id: int
+    held: bool = False
+    degraded: bool = False
+
+
 #: JSON types a dump column may hold, keyed by the record classes' field
 #: annotations.
 _COLUMN_TYPES = {
@@ -252,6 +277,13 @@ def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
     return (float(t), depth, float(cost), float(t_begin))
 
 
+def _typed(where: str, value: Any, types: tuple, what: str) -> Any:
+    """*value*, if its exact type is one of *types*; else the one-line error."""
+    if type(value) not in types:
+        raise ValueError(f"{where}: expected {what}, got {value!r}")
+    return value
+
+
 class Logbook:
     """The run record: in-memory rows with shutdown-time serialization."""
 
@@ -272,11 +304,21 @@ class Logbook:
         self.incidents: list[Incident] = []
         self.calls: list[CallRecord] = []
         self.late_timers: list[float] = []
+        #: each bookkeeping charge's ``work``, then the idle-poll term
+        self.charges: list[float] = []
+        self.makespan: Optional[float] = None  # stamped as the daemon drains
+        #: app ids in termination order (``t_finish`` can tie)
+        self.closed: list[int] = []
+        self.admissions: list[AdmissionRecord] = []
+        #: the admission controller's high-water marks, stamped at seal
+        self.in_system_hwm = 0
+        self.hold_hwm: dict[str, int] = {}
         #: dump format the rows came from (live books are current).  A
         #: schema 1 / 2 dump predates ``incidents``: its list is empty
         #: because nothing was recorded, not because nothing happened, so
         #: readers that count incidents must skip such a book.  The same
-        #: holds for ``releases``, ``calls`` and ``late_timers`` below 4.
+        #: holds for ``releases``, ``calls`` and ``late_timers`` below 4, and
+        #: for the schema 5 sections below 5.
         self.schema = SCHEMA_VERSION
 
     # ------------------------------------------------------------------ #
@@ -327,6 +369,7 @@ class Logbook:
         record.n_tasks = app.tasks_total
         record.cancelled = app.cancelled
         record.failed = app.failed
+        self.closed.append(app.app_id)
 
     def record_incident(
         self,
@@ -341,6 +384,10 @@ class Logbook:
     ) -> None:
         """One fault-layer event of :data:`INCIDENT_KINDS` at instant *t*."""
         self.incidents.append(Incident(t, kind, detail, pe, tid, attempt, seconds))
+
+    def record_admission(self, *columns: Any) -> None:
+        """A serve arrival's fate settled: :class:`AdmissionRecord` columns."""
+        self.admissions.append(AdmissionRecord(*columns))
 
     # ------------------------------------------------------------------ #
     # the shutdown dump
@@ -357,6 +404,12 @@ class Logbook:
             "incidents": [asdict(i) for i in self.incidents],
             "calls": [asdict(c) for c in self.calls],
             "late_timers": list(self.late_timers),
+            "charges": list(self.charges),
+            "makespan": self.makespan,
+            "closed": list(self.closed),
+            "admissions": [asdict(a) for a in self.admissions],
+            "in_system_hwm": self.in_system_hwm,
+            "hold_hwm": dict(self.hold_hwm),
         }
 
     def save(self, path) -> str:
@@ -385,7 +438,7 @@ class Logbook:
             )
         rows = {}
         for name in ("tasks", "apps", "rounds", "releases", "incidents", "calls",
-                     "late_timers"):
+                     "late_timers", "charges", "closed", "admissions"):
             rows[name] = dump.get(name, [])
             if not isinstance(rows[name], list):
                 raise ValueError(
@@ -409,11 +462,27 @@ class Logbook:
                 book.incidents.append(incident)
         for i, row in enumerate(rows["calls"]):
             book.calls.append(_load_record(CallRecord, f"calls[{i}]", row))
-        for name in ("releases", "late_timers"):
+        for name in ("releases", "late_timers", "charges"):
+            what = "a duration" if name == "charges" else "an instant"
             for i, t in enumerate(rows[name]):
-                if type(t) not in (int, float):
-                    raise ValueError(f"{name}[{i}]: expected an instant, got {t!r}")
-                getattr(book, name).append(float(t))
+                getattr(book, name).append(float(_typed(f"{name}[{i}]", t, (int, float), what)))
+        for i, app_id in enumerate(rows["closed"]):
+            book.closed.append(_typed(f"closed[{i}]", app_id, (int,), "an app id"))
+        if schema >= 5:  # the rows and stamps only the result folds read
+            book.admissions = [
+                _load_record(AdmissionRecord, f"admissions[{i}]", row)
+                for i, row in enumerate(rows["admissions"])
+            ]
+            makespan = _typed("makespan", dump.get("makespan"), (int, float, type(None)),
+                              "an instant or null")
+            book.makespan = None if makespan is None else float(makespan)
+            book.in_system_hwm = _typed("in_system_hwm", dump.get("in_system_hwm", 0), (int,),
+                                        "an integer")
+            holds = _typed("hold_hwm", dump.get("hold_hwm", {}), (dict,), "tenant -> integer")
+            book.hold_hwm = {
+                name: _typed(f"hold_hwm[{name!r}]", n, (int,), "an integer")
+                for name, n in holds.items()
+            }
         assigned = sum(row[1] for row in book.rounds)
         if schema >= 4 and len(book.releases) != assigned:
             raise ValueError(
@@ -441,3 +510,18 @@ class Logbook:
     def incident_counts(self) -> Counter:
         """Incidents per kind of :data:`INCIDENT_KINDS` (absent kinds read 0)."""
         return Counter(incident.kind for incident in self.incidents)
+
+    def ready_depths(self) -> tuple[int, float]:
+        """``(max, mean)`` of the ready batches the scheduling rounds saw."""
+        depths = [row[1] for row in self.rounds]
+        return max(depths, default=0), (sum(depths) / len(depths) if depths else 0.0)
+
+    def mean_time_to_recovery(self) -> float:
+        """Average first-failure -> completion interval of recovered tasks,
+        in a plain loop: ``sum()`` is compensated from CPython 3.12."""
+        total, n = 0.0, 0
+        for incident in self.incidents:
+            if incident.kind == "recovery":
+                total += incident.seconds
+                n += 1
+        return total / n if n else 0.0

@@ -200,13 +200,11 @@ class PerfCounters:
 
     @property
     def ready_depth_max(self) -> int:
-        return max((row[1] for row in self.logbook.rounds), default=0)
+        return self.logbook.ready_depths()[0]
 
     @property
     def ready_depth_mean(self) -> float:
-        """Average ready-queue depth seen at scheduling rounds."""
-        rounds = self.sched_rounds
-        return self.ready_depth_sum / rounds if rounds else 0.0
+        return self.logbook.ready_depths()[1]
 
     def _details(self, kind: str) -> dict[str, int]:
         """``detail`` histogram of one incident kind, first-seen order."""
@@ -243,9 +241,7 @@ class PerfCounters:
 
     @property
     def mean_time_to_recovery(self) -> float:
-        """Average first-failure -> completion interval of recovered tasks."""
-        intervals = [i.seconds for i in self.logbook.incidents if i.kind == "recovery"]
-        return sum(intervals) / len(intervals) if intervals else 0.0
+        return self.logbook.mean_time_to_recovery()
 
     def snapshot(self) -> dict:
         """JSON-compatible dump for the shutdown log."""

@@ -167,7 +167,7 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
         "otherData": {
             "platform": runtime.platform.config.name,
             "scheduler": runtime.scheduler.name,
-            "makespan_ms": runtime.metrics.makespan * 1e3,
+            "makespan_ms": (runtime.logbook.makespan or 0.0) * 1e3,
             "apps": runtime.counters.apps_completed,
             "tasks": len(runtime.logbook.tasks),
             "faults": counts["fault"],

@@ -35,22 +35,22 @@ Determinism
 
 A serve run is a pure function of ``(platform, serve config, seed,
 runtime config)``: arrival streams are pure in ``(spec, seed)``, admission
-decisions read only controller state and virtual-clock signals, and
-response accounting happens in completion order (an engine-determined
-order).  :func:`serve_trials` therefore shards serve cells across the same
-process pool and content-addressed cache as the batch sweeps, bit-
-identically - ``repro audit diff --serve`` proves it per run.
+decisions read only controller state and virtual-clock signals, and the
+ledger is a fold of the run's logbook (:meth:`ServeResult.from_logbook`:
+one admission row per arrival, responses in termination order).
+:func:`serve_trials` therefore shards serve cells across the same process
+pool and content-addressed cache as the batch sweeps, bit-identically -
+``repro audit diff --serve`` proves it per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
-
-import numpy as np
+from itertools import cycle
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.metrics import RunResult
-from repro.runtime import CedrRuntime, RuntimeConfig
+from repro.runtime import CedrRuntime, Logbook, RuntimeConfig
 from repro.simcore import child_rng
 from repro.telemetry.registry import Histogram
 from repro.telemetry.runtime_metrics import LATENCY_BUCKETS
@@ -121,6 +121,12 @@ class ServeConfig:
         return sum(arrival_rate(t.arrival) for t in self.tenants)
 
 
+def _p99(samples: Sequence[float]) -> float:
+    """Exact empirical p99 (nearest rank) of *samples*; 0.0 when empty."""
+    rank = max(0, -(-99 * len(samples) // 100) - 1)  # ceil, 0-based
+    return sorted(samples)[rank] if samples else 0.0
+
+
 @dataclass(frozen=True)
 class TenantStats:
     """One tenant's SLO ledger for one service run.
@@ -150,11 +156,7 @@ class TenantStats:
     @property
     def p99_response_s(self) -> float:
         """Exact empirical p99 (nearest-rank) over completed responses."""
-        if not self.response_times:
-            return 0.0
-        ordered = sorted(self.response_times)
-        rank = max(0, -(-99 * len(ordered) // 100) - 1)  # ceil, 0-based
-        return ordered[rank]
+        return _p99(self.response_times)
 
     @property
     def goodput(self) -> float:
@@ -184,6 +186,54 @@ class ServeResult:
     #: per-app execution times, PE histogram) - the oracle diffs this too.
     run: RunResult
 
+    @classmethod
+    def from_logbook(
+        cls, book: Logbook, serve: ServeConfig, run: Optional[RunResult] = None
+    ) -> "ServeResult":
+        """The service ledger as a pure fold of a schema 5 run record: tenant
+        admission rows, queue waits summed in admission order, responses in
+        termination order.  Apps without a row (a mixed runtime's batch
+        apps) count only in ``run``, by default ``RunResult.from_logbook``."""
+        if book.schema < 5:
+            raise ValueError(f"logbook schema {book.schema} has no admissions section")
+        tenants = []
+        for spec in serve.tenants:
+            own = [row for row in book.admissions if row.tenant == spec.name]
+            admitted = {row.app_id: row for row in own if row.t_admitted is not None}
+            wait, responses, failed, violations = 0.0, [], 0, 0
+            for row in admitted.values():  # admission order
+                wait += row.t_admitted - row.t_offered
+            for app in (book.apps[i] for i in book.closed if i in admitted):
+                row = admitted[app.app_id]
+                if app.failed or app.cancelled:
+                    failed += 1
+                else:
+                    responses.append(app.t_finish - row.t_offered)
+                    violations += not row.degraded and responses[-1] > spec.slo_s
+            tenants.append(TenantStats(
+                name=spec.name,
+                offered=len(own),
+                admitted=len(admitted),
+                shed=len(own) - len(admitted),
+                held=sum(row.held for row in own),
+                degraded=sum(row.degraded for row in own),
+                completed=len(responses),
+                failed=failed,
+                slo_violations=violations,
+                response_times=tuple(responses),
+                queue_wait_s=wait,
+                hold_hwm=book.hold_hwm.get(spec.name, 0),
+            ))
+        totals = ("offered", "admitted", "shed", "degraded", "completed", "slo_violations")
+        return cls(
+            duration=serve.duration,
+            **{name: sum(getattr(t, name) for t in tenants) for name in totals},
+            in_system_hwm=book.in_system_hwm,
+            late_arrivals=len(book.late_timers),
+            tenants=tuple(tenants),
+            run=RunResult.from_logbook(book) if run is None else run,
+        )
+
     @property
     def throughput(self) -> float:
         """Completed applications per simulated second of service."""
@@ -192,14 +242,7 @@ class ServeResult:
     @property
     def p99_response_s(self) -> float:
         """Exact p99 response time across every tenant's completions."""
-        merged: list[float] = []
-        for t in self.tenants:
-            merged.extend(t.response_times)
-        if not merged:
-            return 0.0
-        merged.sort()
-        rank = max(0, -(-99 * len(merged) // 100) - 1)
-        return merged[rank]
+        return _p99([x for t in self.tenants for x in t.response_times])
 
     @property
     def goodput(self) -> float:
@@ -209,35 +252,6 @@ class ServeResult:
             for t in self.tenants
         )
         return good / self.duration
-
-
-class _TenantRuntime:
-    """Mutable per-tenant serve state (streams, counters, ledger)."""
-
-    __slots__ = (
-        "spec", "stream", "payload_rng", "admit_seq",
-        "offered", "admitted", "shed", "held", "degraded",
-        "completed", "failed", "slo_violations",
-        "responses", "queue_wait_s",
-    )
-
-    def __init__(
-        self, spec: TenantSpec, stream: Iterator[float], payload_rng: np.random.Generator
-    ) -> None:
-        self.spec = spec
-        self.stream = stream
-        self.payload_rng = payload_rng
-        self.admit_seq = 0
-        self.offered = 0
-        self.admitted = 0
-        self.shed = 0
-        self.held = 0
-        self.degraded = 0
-        self.completed = 0
-        self.failed = 0
-        self.slo_violations = 0
-        self.responses: list[float] = []
-        self.queue_wait_s = 0.0
 
 
 class ServeDriver:
@@ -250,18 +264,18 @@ class ServeDriver:
         self.controller = AdmissionController(
             serve.admission, [(t.name, t.weight) for t in serve.tenants]
         )
-        self._tenants = {
-            t.name: _TenantRuntime(
-                t,
-                make_arrival_stream(
-                    t.arrival, child_rng(seed, f"serve.arrivals.{t.name}")
-                ),
-                child_rng(seed, f"serve.apps.{t.name}"),
-            )
+        #: per tenant, its arrival stream and its (app cycle, payload RNG):
+        #: no tallies - each arrival's fate is one logbook admission row
+        self._streams: dict[str, Iterator[float]] = {
+            t.name: make_arrival_stream(t.arrival, child_rng(seed, f"serve.arrivals.{t.name}"))
             for t in serve.tenants
         }
-        #: app_id -> (tenant name, offered instant, degraded flag)
-        self._records: dict[int, tuple[str, float, bool]] = {}
+        self._payloads = {
+            t.name: (cycle(t.apps), child_rng(seed, f"serve.apps.{t.name}"))
+            for t in serve.tenants
+        }
+        #: app_id -> (tenant name, offered instant) of admitted, unfinished apps
+        self._records: dict[int, tuple[str, float]] = {}
         #: online p99 signal for admission backpressure: a telemetry
         #: histogram over completed response times.  Plain state (no
         #: events), read by decide() through Histogram.quantile.
@@ -280,7 +294,7 @@ class ServeDriver:
         if self.runtime.on_app_finished is not None:
             raise RuntimeError("runtime already has an on_app_finished hook")
         self.runtime.on_app_finished = self._on_app_finished
-        for name in self._tenants:
+        for name in self._streams:
             self._arm_next(name)
         self.engine.call_at(self.serve.duration, self._on_expiry)
 
@@ -294,9 +308,8 @@ class ServeDriver:
         to the chain's progress - ``call_at`` clamps it to now and counts
         it (``Daemon.submit``'s documented late-admission semantics).
         """
-        state = self._tenants[tenant]
         try:
-            when = next(state.stream)
+            when = next(self._streams[tenant])
         except StopIteration:
             return  # finite trace exhausted
         if when >= self.serve.duration:
@@ -311,8 +324,6 @@ class ServeDriver:
     # -- arrivals ------------------------------------------------------- #
 
     def _on_arrival(self, tenant: str) -> None:
-        state = self._tenants[tenant]
-        state.offered += 1
         now = self.engine.now
         decision = self.controller.decide(
             tenant,
@@ -321,42 +332,42 @@ class ServeDriver:
             p99_s=self._response_hist.quantile(0.99),
         )
         if decision == "shed":
-            state.shed += 1
+            self._settle(tenant, now)
             return
-        instance = self._next_instance(state)
+        instance = self._next_instance(tenant)
         if decision == "hold":
-            state.held += 1
             self.controller.push(tenant, (instance, now))
             # capacity may already be free (held on a soft signal): a
             # release pass keeps "held implies at-capacity" invariant true
             self._drain_holds()
             return
-        self._admit(tenant, instance, offered_at=now,
-                    degraded=(decision == "degrade"))
+        self._settle(tenant, now, instance, degraded=(decision == "degrade"))
 
-    def _next_instance(self, state: _TenantRuntime):
-        app = state.spec.apps[state.admit_seq % len(state.spec.apps)]
-        state.admit_seq += 1
-        return app.make_instance(
-            self.serve.mode, state.payload_rng,
-            timing_only=not self.runtime.config.execute_kernels,
+    def _next_instance(self, tenant: str):
+        apps, payload_rng = self._payloads[tenant]
+        return next(apps).make_instance(
+            self.serve.mode, payload_rng, timing_only=not self.runtime.config.execute_kernels
         )
 
-    def _admit(
-        self, tenant: str, instance: Any, offered_at: float, degraded: bool
+    def _settle(
+        self, tenant: str, offered_at: float, instance: Any = None,
+        held: bool = False, degraded: bool = False,
     ) -> None:
-        state = self._tenants[tenant]
-        state.admitted += 1
-        if degraded:
-            state.degraded += 1
-        state.queue_wait_s += self.engine.now - offered_at
+        """Write the arrival's admission row; submit *instance* unless shed (None)."""
+        now = self.engine.now
+        app_id = -1 if instance is None else instance.app_id
+        self.runtime.logbook.record_admission(
+            tenant, offered_at, None if instance is None else now, app_id, held, degraded
+        )
+        if instance is None:
+            return
         self.controller.admitted(tenant)
-        self._records[instance.app_id] = (tenant, offered_at, degraded)
-        self.runtime.submit(instance, at=self.engine.now)
+        self._records[app_id] = (tenant, offered_at)
+        self.runtime.submit(instance, at=now)
 
     def _drain_holds(self) -> None:
         for tenant, (instance, offered_at) in self.controller.release():
-            self._admit(tenant, instance, offered_at=offered_at, degraded=False)
+            self._settle(tenant, offered_at, instance, held=True)
         self._maybe_seal()
 
     # -- completions / drain -------------------------------------------- #
@@ -365,18 +376,10 @@ class ServeDriver:
         record = self._records.pop(app.app_id, None)
         if record is None:   # not a serve submission (mixed-use runtime)
             return
-        tenant, offered_at, degraded = record
-        state = self._tenants[tenant]
+        tenant, offered_at = record
         self.controller.finished(tenant)
-        if app.failed or app.cancelled:
-            state.failed += 1
-        else:
-            response = self.engine.now - offered_at
-            state.completed += 1
-            state.responses.append(response)
-            self._response_hist.observe(response)
-            if not degraded and response > state.spec.slo_s:
-                state.slo_violations += 1
+        if not (app.failed or app.cancelled):
+            self._response_hist.observe(self.engine.now - offered_at)
         self._drain_holds()
 
     def _on_expiry(self) -> None:
@@ -386,6 +389,10 @@ class ServeDriver:
     def _maybe_seal(self) -> None:
         if self._expired and not self._sealed and self.controller.held() == 0:
             self._sealed = True
+            # nothing is admitted after the seal: the marks are final
+            book, controller = self.runtime.logbook, self.controller
+            book.in_system_hwm = controller.in_system_hwm
+            book.hold_hwm = {name: controller.hold_hwm(name) for name in self._streams}
             self.runtime.seal()
 
     # -- results -------------------------------------------------------- #
@@ -399,35 +406,8 @@ class ServeDriver:
             )
         if not self._sealed:
             raise RuntimeError("serve run never sealed - did the engine run?")
-        tenants = tuple(
-            TenantStats(
-                name=name,
-                offered=s.offered,
-                admitted=s.admitted,
-                shed=s.shed,
-                held=s.held,
-                degraded=s.degraded,
-                completed=s.completed,
-                failed=s.failed,
-                slo_violations=s.slo_violations,
-                response_times=tuple(s.responses),
-                queue_wait_s=s.queue_wait_s,
-                hold_hwm=self.controller.hold_hwm(name),
-            )
-            for name, s in self._tenants.items()
-        )
-        return ServeResult(
-            duration=self.serve.duration,
-            offered=sum(t.offered for t in tenants),
-            admitted=sum(t.admitted for t in tenants),
-            shed=sum(t.shed for t in tenants),
-            degraded=sum(t.degraded for t in tenants),
-            completed=sum(t.completed for t in tenants),
-            slo_violations=sum(t.slo_violations for t in tenants),
-            in_system_hwm=self.controller.in_system_hwm,
-            late_arrivals=self.engine.late_timers,
-            tenants=tenants,
-            run=RunResult.from_runtime(self.runtime),
+        return ServeResult.from_logbook(
+            self.runtime.logbook, self.serve, run=RunResult.from_runtime(self.runtime)
         )
 
 
@@ -472,84 +452,11 @@ def serve_cell(cell: tuple) -> ServeResult:
     return serve_once(platform, serve, seed=seed, config=config)
 
 
-def _encode_serve(result: ServeResult) -> dict:
-    from repro.experiments.cache import _encode_result
-
-    return {
-        "duration": result.duration,
-        "offered": result.offered,
-        "admitted": result.admitted,
-        "shed": result.shed,
-        "degraded": result.degraded,
-        "completed": result.completed,
-        "slo_violations": result.slo_violations,
-        "in_system_hwm": result.in_system_hwm,
-        "late_arrivals": result.late_arrivals,
-        "tenants": [
-            {
-                "name": t.name,
-                "offered": t.offered,
-                "admitted": t.admitted,
-                "shed": t.shed,
-                "held": t.held,
-                "degraded": t.degraded,
-                "completed": t.completed,
-                "failed": t.failed,
-                "slo_violations": t.slo_violations,
-                "response_times": list(t.response_times),
-                "queue_wait_s": t.queue_wait_s,
-                "hold_hwm": t.hold_hwm,
-            }
-            for t in result.tenants
-        ],
-        "run": _encode_result(result.run),
-    }
-
-
-def _decode_serve(data: dict) -> ServeResult:
-    from repro.experiments.cache import _decode_result
-
-    return ServeResult(
-        duration=float(data["duration"]),
-        offered=int(data["offered"]),
-        admitted=int(data["admitted"]),
-        shed=int(data["shed"]),
-        degraded=int(data["degraded"]),
-        completed=int(data["completed"]),
-        slo_violations=int(data["slo_violations"]),
-        in_system_hwm=int(data["in_system_hwm"]),
-        late_arrivals=int(data["late_arrivals"]),
-        tenants=tuple(
-            TenantStats(
-                name=str(t["name"]),
-                offered=int(t["offered"]),
-                admitted=int(t["admitted"]),
-                shed=int(t["shed"]),
-                held=int(t["held"]),
-                degraded=int(t["degraded"]),
-                completed=int(t["completed"]),
-                failed=int(t["failed"]),
-                slo_violations=int(t["slo_violations"]),
-                response_times=tuple(float(x) for x in t["response_times"]),
-                queue_wait_s=float(t["queue_wait_s"]),
-                hold_hwm=int(t["hold_hwm"]),
-            )
-            for t in data["tenants"]
-        ),
-        run=_decode_result(data["run"]),
-    )
-
-
 def serve_codec():
     """The sweep-cache codec for :class:`ServeResult` cells."""
     from repro.experiments.cache import ResultCodec
 
-    return ResultCodec(
-        kind="serve/1",
-        encode=_encode_serve,
-        decode=_decode_serve,
-        cacheable=lambda r: r.run.telemetry is None,
-    )
+    return ResultCodec("serve/1", ServeResult)
 
 
 def serve_trials(

@@ -179,12 +179,10 @@ def test_serve_once_parity(monkeypatch, zcu_small, mode):
     lean = serve_once(zcu_small, serve, seed=5)
     assert lean.completed > len(apps)
 
-    def synthesizing(self, state):
-        app = state.spec.apps[state.admit_seq % len(state.spec.apps)]
-        state.admit_seq += 1
-        return app.make_instance(
-            self.serve.mode, state.payload_rng, inputs=app.make_input(state.payload_rng)
-        )
+    def synthesizing(self, tenant):
+        apps, payload_rng = self._payloads[tenant]
+        app = next(apps)
+        return app.make_instance(self.serve.mode, payload_rng, inputs=app.make_input(payload_rng))
 
     monkeypatch.setattr(ServeDriver, "_next_instance", synthesizing)
     assert hexed(serve_once(zcu_small, serve, seed=5)) == hexed(lean)

@@ -3,14 +3,15 @@
 ``repro audit <logbook.json>`` replays the invariant catalog against a
 dump written by another process (or another week), so the dump format is a
 contract: it must round-trip losslessly, version itself, tolerate older
-schemas, and *refuse* newer ones.  ``golden_logbook_v4.json`` pins the
+schemas, and *refuse* newer ones.  ``golden_logbook_v5.json`` pins the
 current schema byte-for-byte on a faulty run (every incident kind present)
 - regenerate it deliberately (``python tests/audit/test_logbook_roundtrip.py``
 rewrites it from ``_golden_run``) if the format ever changes, and bump
-:data:`SCHEMA_VERSION` when you do.  ``golden_logbook_v3.json`` is the file a
-schema-3 build wrote for the same run, and ``golden_logbook_v2.json`` the file
-a schema-2 build wrote for the same workload without faults; both stay as
-back-compat fixtures and are never regenerated.
+:data:`SCHEMA_VERSION` when you do.  ``golden_logbook_v4.json`` and
+``golden_logbook_v3.json`` are the files schema-4 and schema-3 builds wrote
+for the same run, and ``golden_logbook_v2.json`` the file a schema-2 build
+wrote for the same workload without faults; all three stay as back-compat
+fixtures and are never regenerated.
 """
 
 import json
@@ -22,8 +23,10 @@ import pytest
 from repro.apps import PulseDoppler
 from repro.audit import audit_logbook
 from repro.faults import FaultConfig, FaultKind
+from repro.metrics import RunResult
 from repro.platforms import zcu102
-from repro.runtime import CedrRuntime, RuntimeConfig
+from repro.runtime import CedrRuntime, PerfCounters, RuntimeConfig
+from repro.serve import ServeResult
 from repro.runtime.logbook import (
     INCIDENT_KINDS,
     SCHEMA_VERSION,
@@ -32,13 +35,16 @@ from repro.runtime.logbook import (
     TaskRecord,
 )
 
-GOLDEN = Path(__file__).parent / "golden_logbook_v4.json"
+GOLDEN = Path(__file__).parent / "golden_logbook_v5.json"
+GOLDEN_V4 = Path(__file__).parent / "golden_logbook_v4.json"
 GOLDEN_V3 = Path(__file__).parent / "golden_logbook_v3.json"
 GOLDEN_V2 = Path(__file__).parent / "golden_logbook_v2.json"
 
 #: columns v2 added on top of the v1 dump format.
 V2_TASK_COLUMNS = ("attempts", "cost_row", "cost_token", "successors")
 V2_APP_COLUMNS = ("cancelled", "failed")
+#: sections v5 added on top of the v4 dump format.
+V5_SECTIONS = ("charges", "makespan", "closed", "admissions", "in_system_hwm", "hold_hwm")
 
 
 def _golden_run():
@@ -76,9 +82,13 @@ def golden_runtime():
 
 def test_golden_file_is_current_schema():
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert dump["schema"] == SCHEMA_VERSION == 4
+    assert dump["schema"] == SCHEMA_VERSION == 5
     assert dump["tasks"] and dump["apps"] and dump["rounds"] and dump["incidents"]
     assert dump["calls"] and dump["late_timers"] == []
+    # a batch run: charges and the stamped makespan, no admission rows
+    assert dump["charges"] and dump["makespan"] >= max(t["t_finish"] for t in dump["tasks"])
+    assert sorted(dump["closed"]) == sorted(a["app_id"] for a in dump["apps"])
+    assert dump["admissions"] == [] and dump["in_system_hwm"] == 0 and dump["hold_hwm"] == {}
     assert len(dump["releases"]) == sum(depth for _, depth, _, _ in dump["rounds"])
     for col in V2_TASK_COLUMNS:
         assert col in dump["tasks"][0]
@@ -88,13 +98,15 @@ def test_golden_file_is_current_schema():
     assert {row["kind"] for row in dump["incidents"]} == set(INCIDENT_KINDS)
 
 
-def test_golden_file_round_trips_exactly():
-    """load() then serialize() reproduces the on-disk dump structure."""
+def test_golden_file_round_trips_exactly(tmp_path):
+    """load() then serialize() reproduces the on-disk dump structure, and
+    save() the file byte for byte."""
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
     book = Logbook.load(GOLDEN)
     out = book.serialize()
     # JSON has no tuples: compare through a json round trip
     assert json.loads(json.dumps(out)) == dump
+    assert Path(book.save(tmp_path / "again.json")).read_bytes() == GOLDEN.read_bytes()
 
 
 def _normalize_ids(dump):
@@ -123,6 +135,8 @@ def _normalize_ids(dump):
         row["app_id"] = amap[row["app_id"]]
     for row in out["incidents"]:
         row["tid"] = tmap.get(row["tid"], row["tid"])
+    if "closed" in out:
+        out["closed"] = [amap[a] for a in out["closed"]]
     return out
 
 
@@ -166,15 +180,35 @@ def test_offline_audit_checks_conservation_against_incident_rows():
 
 
 # --------------------------------------------------------------------- #
-# the back-compat fixtures: files schema-3 and schema-2 builds wrote
+# the back-compat fixtures: files schema-4, -3 and -2 builds wrote
 # --------------------------------------------------------------------- #
 
-def test_v3_golden_is_the_current_golden_without_the_schema_4_columns():
+def test_v4_golden_is_the_current_golden_without_the_schema_5_sections():
+    """Same run, written before the sections the result folds read: every
+    other row is unchanged, the missing sections load empty, and both
+    folds refuse the book on one line naming what is missing."""
+    v4 = json.loads(GOLDEN_V4.read_text(encoding="utf-8"))
+    v5 = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert v4["schema"] == 4 and "charges" not in v4
+    assert _normalize_ids(v4) == _normalize_ids(
+        {**{k: v for k, v in v5.items() if k not in V5_SECTIONS}, "schema": 4}
+    )
+    book = Logbook.load(GOLDEN_V4)
+    assert book.schema == 4 and book.charges == [] and book.closed == []
+    assert book.makespan is None and book.admissions == []
+    assert audit_logbook(book).ok
+    with pytest.raises(ValueError, match=r"^logbook schema 4 has no charges section"):
+        RunResult.from_logbook(book)
+    with pytest.raises(ValueError, match=r"^logbook schema 4 has no admissions section"):
+        ServeResult.from_logbook(book, None)
+
+
+def test_v3_golden_is_the_v4_golden_without_the_schema_4_columns():
     """Same run, written before the ``releases`` / ``calls`` /
     ``late_timers`` sections: every other row is unchanged, and the
     missing sections load empty."""
     v3 = json.loads(GOLDEN_V3.read_text(encoding="utf-8"))
-    v4 = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    v4 = json.loads(GOLDEN_V4.read_text(encoding="utf-8"))
     assert v3["schema"] == 3 and "calls" not in v3
     new = ("releases", "calls", "late_timers")
     assert _normalize_ids(v3) == _normalize_ids(
@@ -227,6 +261,9 @@ def test_save_load_round_trip_preserves_every_record(golden_runtime, tmp_path):
     assert loaded.incidents == book.incidents and loaded.incidents
     assert loaded.calls == book.calls and loaded.calls
     assert loaded.late_timers == book.late_timers
+    assert loaded.charges == book.charges and loaded.charges
+    assert loaded.makespan == book.makespan is not None
+    assert loaded.closed == book.closed and loaded.closed
     assert loaded.schema == SCHEMA_VERSION
     assert loaded.tasks_by_pe() == book.tasks_by_pe()
 
@@ -346,6 +383,19 @@ MALFORMED = [
                  r"calls\[0\]: missing columns \['t_enter', 't_done'\]", id="call-missing-columns"),
     pytest.param({"schema": 4, "late_timers": [0.1, "soon"]},
                  r"late_timers\[1\]: expected an instant", id="late-timer-not-an-instant"),
+    pytest.param({"schema": 5, "charges": [1e-6, None]},
+                 r"charges\[1\]: expected a duration", id="charge-not-a-duration"),
+    pytest.param({"schema": 5, "closed": [3, 4.0]},
+                 r"closed\[1\]: expected an app id", id="closed-not-an-id"),
+    pytest.param({"schema": 5, "makespan": "late"},
+                 r"makespan: expected an instant or null", id="makespan-mistyped"),
+    pytest.param({"schema": 5, "admissions": [{"tenant": "a", "t_offered": 0.1}]},
+                 r"admissions\[0\]: missing columns \['t_admitted', 'app_id'\]",
+                 id="admission-missing-columns"),
+    pytest.param({"schema": 5, "in_system_hwm": 2.5},
+                 r"in_system_hwm: expected an integer", id="hwm-mistyped"),
+    pytest.param({"schema": 5, "hold_hwm": {"a": "3"}},
+                 r"hold_hwm\['a'\]: expected an integer", id="hold-hwm-mistyped"),
     pytest.param({"schema": 3, "incidents": [{"kind": "fault"}]},
                  r"incidents\[0\]: missing columns \['t'\]", id="incident-missing-t"),
     pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "fault", "tid": "7"}]},
@@ -391,6 +441,31 @@ def test_app_record_execution_time_requires_finish():
         _ = app.execution_time
     app.t_finish = 2.0
     assert app.execution_time == pytest.approx(1.5)
+
+
+def test_mean_time_to_recovery_is_a_plain_loop():
+    """``sum()`` is compensated from CPython 3.12: the fold must add the
+    recovery intervals one by one on every interpreter."""
+    book = Logbook()
+    for seconds in [1.0] + [1e-16] * 10:
+        book.record_incident(0.0, "recovery", seconds=seconds)
+    plain = float.fromhex("0x1.745d1745d1746p-4")
+    assert book.mean_time_to_recovery() == plain
+    assert PerfCounters(book).mean_time_to_recovery == plain
+
+
+def test_offline_audit_reads_the_stamped_makespan(tmp_path, capsys):
+    """A task that finished after the run ended is visible offline: the
+    view takes the makespan the daemon stamped, not the last finish."""
+    from repro.cli import main
+
+    dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    last = max(dump["tasks"], key=lambda row: row["t_finish"])
+    last["t_finish"] = dump["makespan"] + 0.5
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(dump), encoding="utf-8")
+    assert main(["audit", str(path)]) == 1
+    assert "[clock-monotonic]" in capsys.readouterr().out
 
 
 if __name__ == "__main__":  # deliberate regeneration of the current golden

@@ -88,7 +88,7 @@ def test_slowdown_stretches_makespan():
                  slowdown_factor=8.0, slowdown_s=0.5),
         n_cpu=1, n_fft=0,
     )
-    assert slow.metrics.makespan > base.metrics.makespan * 1.5
+    assert slow.logbook.makespan > base.logbook.makespan * 1.5
     assert slow.counters.faults_by_kind.get("slowdown", 0) == 1
     # the degradation window ended (or the run outlived it): factor reset
     cpu0 = next(pe for pe in slow.platform.pes if pe.name == "cpu0")

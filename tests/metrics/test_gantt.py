@@ -53,7 +53,7 @@ def test_gantt_window_validation(runtime):
 
 
 def test_gantt_sub_window(runtime):
-    makespan = runtime.metrics.makespan
+    makespan = runtime.logbook.makespan
     chart = render_gantt(runtime, width=20, t_start=0.0, t_end=makespan / 2)
     assert f"{makespan / 2 * 1e3:.1f} ms" in chart
 

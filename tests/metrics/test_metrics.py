@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import PulseDoppler
+from repro.apps import PulseDoppler, WifiTx
 from repro.experiments import run_once
 from repro.metrics import (
     FigureSeries,
@@ -15,6 +15,7 @@ from repro.metrics import (
     saturated_mean,
 )
 from repro.platforms import zcu102
+from repro.runtime import CedrRuntime, RuntimeConfig
 from repro.workload import WorkloadEntry, WorkloadSpec
 
 
@@ -36,6 +37,26 @@ def test_run_result_fields(tiny_result):
     assert r.tasks_completed > 0
     assert r.mean_exec_time_of("PD") == r.mean_exec_time
     assert r.mean_exec_time_of("nope") == 0.0
+
+
+def test_exec_times_come_in_arrival_order():
+    """The fold reads the book's app rows, which the daemon opens as apps
+    arrive: a caller that submits ahead of time in another order gets
+    arrival order, not submission order."""
+    config = RuntimeConfig(scheduler="etf", execute_kernels=False)
+    runtime = CedrRuntime(zcu102(n_cpu=3, n_fft=1).build(seed=9), config)
+    runtime.start()
+    rng = np.random.default_rng(9)
+    pd, tx = PulseDoppler(batch=32), WifiTx(n_packets=20, batch=4)
+    late = pd.make_instance("dag", rng, timing_only=True)
+    early = tx.make_instance("dag", rng, timing_only=True)
+    runtime.submit(late, at=0.004)
+    runtime.submit(early, at=0.0)
+    runtime.seal()
+    runtime.run()
+    result = RunResult.from_runtime(runtime)
+    assert result.exec_times == (early.execution_time, late.execution_time)
+    assert list(result.exec_times_by_app) == ["TX", "PD"]
 
 
 def test_trial_stats_math():

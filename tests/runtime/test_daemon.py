@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dag import DagBuilder
+from repro.metrics import RunResult
 from repro.platforms import zcu102
 from repro.runtime import (
     API_MODE,
@@ -120,9 +121,10 @@ def test_overheads_accumulate(data):
     rt.submit(app, at=0.0)
     rt.seal()
     rt.run()
-    assert rt.metrics.runtime_overhead_s > 0
-    assert rt.metrics.sched_overhead_s > 0
-    assert rt.metrics.makespan > 0
+    result = RunResult.from_runtime(rt)
+    assert result.runtime_overhead_s > 0
+    assert result.sched_overhead_s > 0
+    assert result.makespan == rt.logbook.makespan > 0
     assert rt.counters.apps_completed == 1
 
 

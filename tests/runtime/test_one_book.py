@@ -10,7 +10,10 @@ is now the only record a run writes; ``PerfCounters``' simulated numbers,
 it.  These checks fail the moment a second tally, its switch or its
 reconciliation clause creeps back in, and pin the view's numbers to the
 ones the stored tallies gave at the parent commit.  The metric registry is
-a read too: a fold of the rows at shutdown, with no live feed.
+a read too: a fold of the rows at shutdown, with no live feed.  So are the
+results: ``RunResult.from_logbook`` and ``ServeResult.from_logbook`` fold
+a saved dump to the very result the live run returned, with no
+``RunMetrics`` and no serve-driver tallies left to keep in step.
 """
 
 import dataclasses
@@ -23,13 +26,16 @@ import pytest
 import repro
 import repro.faults
 import repro.runtime
+import repro.serve.driver
 import repro.telemetry
 from repro.audit import AuditView
 from repro.faults import FaultInjector
-from repro.runtime import Logbook, PerfCounters, RunMetrics, RuntimeConfig
+from repro.metrics import RunResult
+from repro.runtime import CedrRuntime, Logbook, PerfCounters, RuntimeConfig
+from repro.serve import ArrivalSpec, ServeConfig, ServeDriver, TenantSpec
 from repro.telemetry import CedrTelemetry
 
-from one_book_cells import CELLS, record
+from one_book_cells import CELLS, record, run_cell
 
 SRC = Path(repro.__file__).parent
 GOLDEN = Path(__file__).parent / "golden_one_book.json"
@@ -56,8 +62,25 @@ def test_the_switches_and_second_tallies_are_gone():
     assert not hasattr(Logbook(), "enabled")
     assert not {"enabled", "telemetry"} & {f.name for f in dataclasses.fields(PerfCounters)}
     assert not {"log_enabled", "counters"} & {f.name for f in dataclasses.fields(AuditView)}
-    for name in ("runtime_overhead_per_app", "sched_overhead_per_app"):
-        assert not hasattr(RunMetrics, name)
+
+
+def test_the_live_result_books_are_gone(zcu_small, pd_small):
+    """No ``RunMetrics`` beside the book, and no tally in the serve driver:
+    its per-tenant state is the arrival stream and the app cycle, and both
+    results are folds of the rows."""
+    assert not hasattr(repro.runtime, "RunMetrics")
+    runtime = CedrRuntime(zcu_small.build(seed=0), RuntimeConfig(execute_kernels=False))
+    assert not hasattr(runtime, "metrics")
+    assert not hasattr(repro.serve.driver, "_TenantRuntime")
+    tenant = TenantSpec("t", ArrivalSpec.make("poisson", rate=100.0), (pd_small,))
+    driver = ServeDriver(runtime, ServeConfig((tenant,), duration=0.05), seed=0)
+    tallies = {"offered", "admitted", "shed", "held", "degraded", "completed",
+               "failed", "slo_violations", "responses", "queue_wait_s"}
+    assert not tallies & {name.lstrip("_") for name in vars(driver)}
+    assert set(driver._streams) == set(driver._payloads) == {"t"}
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        assert "RunMetrics" not in text and "runtime_overhead_s +=" not in text, path
 
 
 def test_the_registry_has_no_live_feed():
@@ -114,6 +137,7 @@ def test_counters_have_no_settable_simulated_field(name):
     ("faults/inject.py", "logbook.record_incident(", 1),
     ("core/api.py", "_call_rows.append(", 1),  # a blocking call, as it wakes
     ("runtime/task.py", "rows.append(record)", 1),  # a non-blocking one, as it settles
+    ("serve/driver.py", "logbook.record_admission(", 1),
 ])
 def test_each_happening_is_written_at_one_site(module, call, times):
     assert (SRC / module).read_text().count(call) == times
@@ -139,3 +163,16 @@ def test_view_reproduces_the_stored_tallies_of_the_parent_commit(cell):
             "stale_dispatches", "pe_quarantines", "pe_revivals", "recoveries",
         ))
         assert got["result"]["telemetry"]["samples"]
+
+
+@pytest.mark.no_auto_audit
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_result_is_a_fold_of_the_saved_book(cell, tmp_path):
+    """``RunResult.from_logbook`` over the reloaded dump equals the live
+    result, telemetry aside (the fold never carries a registry)."""
+    runtime = run_cell(cell)
+    path = runtime.logbook.save(tmp_path / "book.json")
+    live = RunResult.from_runtime(runtime)
+    assert RunResult.from_logbook(Logbook.load(path)) == dataclasses.replace(
+        live, telemetry=None
+    )

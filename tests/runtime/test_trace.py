@@ -160,7 +160,7 @@ def test_sanitize_replaces_non_finite_values():
 def test_write_chrome_trace_is_strict_json(finished_runtime, tmp_path, monkeypatch):
     # poison a metric with NaN: the writer must sanitize instead of emitting
     # bare NaN tokens that strict JSON parsers reject
-    monkeypatch.setattr(finished_runtime.metrics, "makespan", float("nan"))
+    monkeypatch.setattr(finished_runtime.logbook, "makespan", float("nan"))
     path = tmp_path / "nan.trace.json"
     write_chrome_trace(str(path), finished_runtime)
     loaded = json.loads(path.read_text())
