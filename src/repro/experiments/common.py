@@ -42,8 +42,8 @@ and serial sweeps all agree byte-for-byte.
 
 from __future__ import annotations
 
-import copy
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable, Optional, Union
@@ -318,14 +318,17 @@ def run_cells(
 
 def _simulate_unique(cells: list[tuple], n_jobs: int, worker) -> list:
     """:func:`_simulate_cells` over each group of seed-invariant batch cells
-    once; every other slot of a group gets its own deep copy, so mutating
-    one result's dicts never reaches a sibling."""
+    once; every other slot of a group gets its own unpickled copy - the
+    object a pool worker would have returned - so mutating one result's
+    dicts never reaches a sibling."""
     if worker is not _run_cell:
         return _simulate_cells(cells, n_jobs, worker)
     stand_in = _stand_ins(cells)
     unique = sorted(set(stand_in))
     fresh = dict(zip(unique, _simulate_cells([cells[i] for i in unique], n_jobs, worker)))
-    return [fresh[j] if i == j else copy.deepcopy(fresh[j]) for i, j in enumerate(stand_in)]
+    shared = {j for i, j in enumerate(stand_in) if i != j}
+    blobs = {j: pickle.dumps(fresh[j], pickle.HIGHEST_PROTOCOL) for j in shared}
+    return [fresh[j] if i == j else pickle.loads(blobs[j]) for i, j in enumerate(stand_in)]
 
 
 def _simulate_cells(cells: list[tuple], n_jobs: int, worker) -> list:

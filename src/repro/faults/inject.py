@@ -54,6 +54,9 @@ class FaultInjector:
         """Schedule the first timer of every PE stream + all scripted faults."""
         engine = self.runtime.engine
         pes = {pe.name: pe for pe in self.runtime.platform.pes}
+        #: kind -> (registry entry, name), resolved here rather than per fault
+        self._kinds = {kind: (FAULT_KINDS.get(kind.value), kind.value)
+                       for kind in (*self.config.kinds, *(s.kind for s in self.config.script))}
         for pe in pes.values():
             self._arm_next(pe, fault_stream(pe.name, self.config, engine.seed))
         for spec in self.config.script:
@@ -97,7 +100,7 @@ class FaultInjector:
         if pe.dead:
             return  # a dead PE cannot fail any harder
         runtime = self.runtime
-        entry = FAULT_KINDS.get(kind.value)
+        entry, name = self._kinds[kind]
         if (
             not forced
             and entry.needs_live_task
@@ -111,7 +114,7 @@ class FaultInjector:
             # which then exhaust any retry budget no matter how generous.
             return
         runtime.logbook.record_incident(
-            runtime.engine.now, "fault", kind.value, pe=pe.name
+            runtime.engine.now, "fault", name, pe=pe.name
         )
         entry.apply(self, pe)
 

@@ -687,20 +687,27 @@ class CedrRuntime:
         """
         pes = self.platform.pes
         table = self.cost_table
+        # availability moves only as simulated time passes: after a lost task
+        available = {j for j, pe in enumerate(pes) if pe.available}
         runnable: list[Task] = []
+        lost = False
         for task in batch:
             app = self.apps[task.app_id]
             if app.cancelled or app.failed:
                 self._drop_task(task)
                 continue
             # the PEs that can run the task are its interned row's columns
-            _, cols = table.scalar_row(task)
-            if any(pes[j].available for j in cols):
+            cols = table.scalar_row(task)[1]
+            if not available.isdisjoint(cols):
                 runnable.append(task)
             elif any(not pes[j].dead for j in cols):
                 self._parked.append(task)
             else:
                 yield from self._task_lost(task)
+                lost = True
+                available = {j for j, pe in enumerate(pes) if pe.available}
+        if not lost:
+            return runnable
         # a lost task fails its whole application, which may invalidate
         # batch-mates already deemed runnable above
         out: list[Task] = []
@@ -722,15 +729,13 @@ class CedrRuntime:
         false positives from exhausting the retry budget while still
         detecting real hangs quickly on the first dispatch.
         """
-        cfg = self.faults.config
-        slack = (
-            cfg.watchdog_grace_s
-            + cfg.watchdog_factor * task.est_used * max(1.0, pe.slowdown)
+        cfg, slowdown, attempts = self.faults.config, pe.slowdown, task.attempts
+        free, now = pe.expected_free, self.engine.now
+        # ``b if b > a else a`` is ``max(a, b)`` bit for bit, NaN included
+        slack = cfg.watchdog_grace_s + cfg.watchdog_factor * task.est_used * (
+            slowdown if slowdown > 1.0 else 1.0
         )
-        deadline = (
-            max(pe.expected_free, self.engine.now)
-            + slack * (1 << min(task.attempts, 8))
-        )
+        deadline = (now if now > free else free) + slack * (1 << (8 if 8 < attempts else attempts))
         epoch = task.dispatch_epoch
         self.engine.call_at(
             deadline, lambda: self.events.post(("watchdog", (task, epoch)))
@@ -848,17 +853,8 @@ class CedrRuntime:
     def _handle_pe_dead(self, pe: PE) -> Generator[Request, Any, None]:
         """A fail-stop fault landed; re-triage every parked task."""
         parked, self._parked = self._parked, []
-        pes = self.platform.pes
-        for task in parked:
-            app = self.apps[task.app_id]
-            if app.cancelled or app.failed:
-                self._drop_task(task)
-                continue
-            _, cols = self.cost_table.scalar_row(task)
-            if any(not pes[j].dead for j in cols):
-                self._parked.append(task)
-            else:
-                yield from self._task_lost(task)
+        runnable = yield from self._filter_schedulable(parked)
+        self.ready += runnable  # none: a revival un-parks them all at once
 
     def _task_lost(self, task: Task) -> Generator[Request, Any, None]:
         """Retry budget exhausted (or no PE left): fail the application.

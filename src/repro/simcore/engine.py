@@ -155,7 +155,6 @@ class Engine:
         #: timers fired so far (separate from dispatch-event accounting).
         self.timers_fired = 0
         self._drain_batches = 0
-        self._drain_events = 0
         #: distinct instants the loop advanced the clock to (``until``
         #: stops excepted); events per instant is how many resumptions one
         #: pass of the loop's fixed cost is spread over
@@ -200,7 +199,7 @@ class Engine:
             "timers_fired": self.timers_fired,
             "drain_batches": self._drain_batches,
             "mean_batch": (
-                self._drain_events / self._drain_batches if self._drain_batches else 0.0
+                self.timers_fired / self._drain_batches if self._drain_batches else 0.0
             ),
             "instants": self._instants,
         }
@@ -311,7 +310,10 @@ class Engine:
         pool_sorted: list[Core] = []
         resumes: list = []
         done_i = -1
-        events = 0
+        # tallies folded in at every exit; ``popped[called]`` is the timer
+        # of a same-instant batch being called
+        events = fired = batches = called = 0
+        popped: list = []
         instants = 0
         seq = self._seq
         until_stop = False
@@ -329,8 +331,8 @@ class Engine:
                     events += 1
                     # ``current`` is read only from inside the generator
                     # (sync primitives asking "who is running?"), so it is
-                    # cleared once after a drain that dispatched; on an
-                    # exception it is left pointing at the culprit thread.
+                    # cleared once after the drain; on an exception it is
+                    # left pointing at the culprit thread.
                     self.current = thread
                     try:
                         request = thread._send(value)
@@ -383,10 +385,7 @@ class Engine:
                         thread.state = blocked_state
                     else:
                         self._dispatch_slow(thread, request)
-                if events:
-                    self.current = None
-                    self._events_processed += events
-                    events = 0
+                self.current = None
 
                 # ---- refresh dirty completion instants: one subtraction,
                 # one division by the rate, one addition, with the rate
@@ -506,26 +505,24 @@ class Engine:
                 # same instant join the drain as the next pass.
                 deadline = self.now + instant_epsilon
                 if timer_at <= deadline:
-                    fired = 0
+                    batches += 1
                     while True:
                         if len(timers) > self._timer_hwm:
                             self._timer_hwm = len(timers)
-                        callback = heappop(timers)[2]
+                        entry = heappop(timers)
                         if timers and timers[0][0] <= deadline:
-                            batch = [callback]
+                            popped.append(entry)
                             while timers and timers[0][0] <= deadline:
-                                batch.append(heappop(timers)[2])
-                            fired += len(batch)
-                            for callback in batch:
-                                callback()
+                                popped.append(heappop(timers))
+                            for called, entry in enumerate(popped):
+                                entry[2]()
+                            fired += len(popped)
+                            popped.clear()
                         else:
                             fired += 1
-                            callback()
+                            entry[2]()
                         if not timers or timers[0][0] > deadline:
                             break
-                    self.timers_fired += fired
-                    self._drain_batches += 1
-                    self._drain_events += fired
 
                 # ---- resume drain: completed threads re-dispatch inline.
                 if resumes:
@@ -584,10 +581,18 @@ class Engine:
                             else:
                                 self._dispatch_slow(thread, request)
                     self.current = None
-                    self._events_processed += len(resumes)
+                    events += len(resumes)
                     resumes.clear()
                     done_i = -1
         finally:
+            # a raising resume / timer counts; the timers after it go back
+            self._events_processed += events + done_i + 1
+            if popped:
+                fired += called + 1
+                for entry in popped[called + 1:]:
+                    heappush(timers, entry)
+            self.timers_fired += fired
+            self._drain_batches += batches
             self._instants += instants
             self._seq = seq
             # At every exit (normal return, ``until`` stop, or an exception

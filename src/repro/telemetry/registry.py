@@ -26,6 +26,8 @@ the bare metric directly, which keeps hot-path call sites free of lookups.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Iterable, Optional, Sequence
 
 __all__ = [
@@ -103,16 +105,22 @@ class Histogram:
         self.count: int = 0
 
     def observe(self, value: float) -> None:
-        # linear scan: bucket ladders here are short (< ~20) and observation
-        # values cluster in the low buckets, so bisect buys nothing
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        self.counts[idx] += 1
+        # the first bound >= value; past the last bound - NaN included, as
+        # it compares false - is the +Inf tail
+        bounds = self.bounds
+        self.counts[bisect_left(bounds, value) if value <= bounds[-1] else len(bounds)] += 1
         self.sum += value
         self.count += 1
+
+    def observe_all(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each of *values*, in order."""
+        bounds, counts, total = self.bounds, self.counts, self.sum
+        top, tail = bounds[-1], len(bounds)
+        for value in values:
+            counts[bisect_left(bounds, value) if value <= top else tail] += 1
+            total += value
+        self.sum = total
+        self.count += len(values)
 
     def cumulative(self) -> list[int]:
         """Counts cumulated in ``le`` order (last entry == ``count``)."""
@@ -180,6 +188,9 @@ class MetricFamily:
         self.label_names = label_names
         self.bounds = bounds
         self._children: dict[tuple[str, ...], Any] = {}
+        #: label values -> the ``(flat key, child, attribute)`` rows of
+        #: :meth:`MetricRegistry.flat`, keyed once, as the child is made
+        self._flat: dict[tuple[str, ...], list[tuple[str, Any, str]]] = {}
 
     def _make(self):
         if self.kind == "counter":
@@ -190,6 +201,9 @@ class MetricFamily:
 
     def labels(self, *values: str):
         """Child metric for one label-value tuple (created on first use)."""
+        child = self._children.get(values)  # labels already strings: one hit
+        if child is not None:
+            return child
         if len(values) != len(self.label_names):
             raise ValueError(
                 f"{self.name} expects labels {self.label_names}, got {values!r}"
@@ -197,8 +211,12 @@ class MetricFamily:
         key = tuple(str(v) for v in values)
         child = self._children.get(key)
         if child is None:
-            child = self._make()
-            self._children[key] = child
+            child = self._children[key] = self._make()
+            labels = ",".join(f"{k}={v}" for k, v in zip(self.label_names, key))
+            suffix = "{" + labels + "}" if key else ""
+            histogram = self.kind == "histogram"
+            parts = (("_count", "count"), ("_sum", "sum")) if histogram else (("", "value"),)
+            self._flat[key] = [(f"{self.name}{part}{suffix}", child, attr) for part, attr in parts]
         return child
 
     def series(self) -> list[tuple[tuple[str, ...], Any]]:
@@ -229,6 +247,8 @@ class MetricRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, MetricFamily] = {}
+        #: :meth:`flat`'s plan: child count, then its keys, metrics, attributes
+        self._plan: tuple[int, list, list, list] = (0, [], [], [])
 
     def _register(
         self,
@@ -267,6 +287,21 @@ class MetricRegistry:
 
     def get(self, name: str) -> MetricFamily:
         return self._families[name]
+
+    def flat(self) -> dict[str, float]:
+        """Scalar view of every series, for compact time-series samples.
+
+        Counters/gauges map to their value; histograms contribute
+        ``<name>_count`` and ``<name>_sum``.  Labelled series append a
+        ``{k=v,...}`` suffix in sorted label order.
+        """
+        size = sum(map(len, map(attrgetter("_children"), self._families.values())))
+        if size != self._plan[0]:  # children are only ever added
+            rows = [row for family in self._families.values()
+                    for key in sorted(family._flat) for row in family._flat[key]]
+            self._plan = (size, [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+        _, keys, metrics, attrs = self._plan
+        return dict(zip(keys, map(getattr, metrics, attrs)))
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-compatible dump of every family (deterministic ordering)."""

@@ -54,10 +54,10 @@ float coincidence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Sequence
+from operator import attrgetter, itemgetter, le, sub
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .registry import MetricRegistry
 
@@ -89,6 +89,15 @@ RECOVERY_BUCKETS: tuple[float, ...] = (1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 
 #: the most periodic samples one fold takes: an interval that would take
 #: more is refused before the first sample (see :class:`SampleCapError`)
 MAX_SAMPLES = 100_000
+
+
+def _stream(step: Callable, instants: Iterable[float], rows: Iterable) -> list:
+    """``[instants, rows, step, cursor]``, *rows* stably sorted by *instants*."""
+    instants, rows = list(instants), list(rows)
+    if not all(map(le, instants, instants[1:])):  # most tables come in order
+        order = sorted(range(len(instants)), key=instants.__getitem__)
+        instants, rows = [instants[k] for k in order], [rows[k] for k in order]
+    return [instants, rows, step, 0]
 
 
 class SampleCapError(ValueError):
@@ -233,20 +242,14 @@ class CedrTelemetry:
 
         # Pre-touch per-PE children so every PE appears (with zeros) even if
         # it never executes a task - keeps the export shape run-invariant -
-        # and pre-BIND them: ``record_task`` runs once per completed task,
-        # so the per-event ``labels()`` probe (tuple build + arity check +
-        # family dict lookup) collapses to one plain dict hit here.
-        self._pe_names = tuple(pe_names)
-        self._pe_dispatch_by_name: dict[str, Any] = {}
-        self._pe_busy_by_name: dict[str, Any] = {}
-        self._pe_util_by_name: dict[str, Any] = {}
-        for name in self._pe_names:
-            self._pe_dispatch_by_name[name] = self.pe_dispatch.labels(name)
-            self._pe_busy_by_name[name] = self.pe_busy.labels(name)
-            self._pe_util_by_name[name] = self.pe_util.labels(name)
+        # and pre-bind them: name -> (dispatch counter, busy counter).
+        self._pe_children = {n: (self.pe_dispatch.labels(n), self.pe_busy.labels(n))
+                             for n in pe_names}
+        #: (busy counter, utilization gauge) per PE, refreshed each sample
+        self._utilization = [(busy, self.pe_util.labels(n))
+                             for n, (_, busy) in self._pe_children.items()]
         #: (api, mode) -> (calls counter, latency histogram), bound on first
-        #: sight: the API name set is workload-defined, so these bind lazily
-        #: but still pay ``labels()`` once per distinct pair, not per call.
+        #: sight: the API name set is workload-defined.
         self._api_children: dict[tuple[str, str], tuple[Any, Any]] = {}
 
     @classmethod
@@ -258,15 +261,17 @@ class CedrTelemetry:
         ``config.sample_interval_s`` from 0 and once more at *end* (the
         makespan).
 
-        Each row becomes one ``record_*`` step at the instant its series
-        counts (the module table); the steps run in time order, ties in row
-        order, so every float sum accumulates in the order the run produced
-        its rows.  Sample instants repeat the float additions a timer chain
-        would make (``t = interval``, then ``t += interval``), and a step
-        at exactly a sample instant runs before that sample.
+        Each table becomes one stream of rows, stably sorted by the instant
+        its series count at (the module table; ties keep row order), and
+        each window between samples hands every stream's slice to its
+        ``record_*`` step.  No series is fed by two streams, so every float
+        sum accumulates in the order the run produced its rows.  Sample
+        instants repeat the float additions a timer chain would make
+        (``t = interval``, then ``t += interval``), and a row at exactly a
+        sample instant counts in that sample.
         """
         interval = config.sample_interval_s
-        instants: list[float] = []
+        bounds: list[float] = []
         if interval > 0.0:
             if end / interval > MAX_SAMPLES:
                 raise SampleCapError(
@@ -276,137 +281,119 @@ class CedrTelemetry:
                 )
             t = interval
             while t <= end:
-                instants.append(t)
+                bounds.append(t)
                 t += interval
+        bounds.append(math.inf)  # the last window: every row left, sampled at end
         tel = cls(config, pe_names)
-        steps: list[tuple[float, Any, tuple]] = []
-        add = steps.append
-        releases = iter(book.releases)  # empty below schema 4: no latencies
-        for t, depth, cost, t_begin in book.rounds:
-            add((t_begin, tel.record_round, (depth, cost)))
-            for release in islice(releases, depth):
-                add((t, tel.record_sched_latency, (t - release,)))
-        for rec in book.tasks:
-            add((rec.t_finish, tel.record_task, (rec.pe, rec.service_time)))
-        for app in book.apps.values():
-            if app.t_finish is not None:
-                add((app.t_finish, tel.record_app_completed, ()))
-        for incident in book.incidents:
-            add((incident.t, tel.record_incident,
-                 (incident.kind, incident.detail, incident.seconds)))
-        for call in book.calls:
-            add((call.t_enter, tel.api_inflight.inc, ()))
-            add((call.t_done, tel.record_api_call,
-                 (call.api, call.mode, call.t_done - call.t_call)))
-        for t in book.late_timers:
-            add((t, tel.late_timers.inc, ()))
-        steps.sort(key=itemgetter(0))  # stable: ties keep row order
-        i, n = 0, len(steps)
-        for instant in instants:
-            while i < n and steps[i][0] <= instant:
-                steps[i][1](*steps[i][2])
-                i += 1
-            tel.sample(instant)
-        for _, step, args in steps[i:]:
-            step(*args)
-        tel.sample(end)
+        rounds, tasks, incidents, calls = book.rounds, book.tasks, book.incidents, book.calls
+        # each round's ``t`` once per task it assigned (no releases below schema 4)
+        assigned = [row[0] for row in rounds for _ in range(row[1])] if book.releases else []
+        closes = [app.t_finish for app in book.apps.values() if app.t_finish is not None]
+        streams = [
+            _stream(tel.record_rounds, map(itemgetter(3), rounds), map(itemgetter(1, 2), rounds)),
+            _stream(tel.record_sched_latencies, assigned, map(sub, assigned, book.releases)),
+            _stream(tel.record_tasks, map(attrgetter("t_finish"), tasks),
+                    map(attrgetter("pe", "service_time"), tasks)),
+            _stream(tel.record_apps_completed, closes, closes),
+            _stream(tel.record_incidents, map(attrgetter("t"), incidents),
+                    map(attrgetter("kind", "detail", "seconds"), incidents)),
+            # entering (``None``) and settling, call by call
+            _stream(tel.record_api_calls, [t for c in calls for t in (c.t_enter, c.t_done)],
+                    [r for c in calls for r in (None, (c.api, c.mode, c.t_done - c.t_call))]),
+            _stream(tel.record_late_timers, book.late_timers, book.late_timers),
+        ]
+        streams = [stream for stream in streams if stream[0]]
+        for bound in bounds:
+            for stream in streams:
+                times, rows, step, i = stream
+                j = bisect_right(times, bound, i)
+                if j > i:
+                    step(rows[i:j])
+                    stream[3] = j
+            tel.sample(bound if bound < math.inf else end)
         return tel
 
     # ------------------------------------------------------------------ #
-    # the fold's steps: one call per row (see :meth:`fold`)
+    # the fold's steps: one call per stream per window, rows in order
     # ------------------------------------------------------------------ #
 
-    def record_round(self, batch: int, decision_seconds: float) -> None:
-        """One scheduling decision beginning: depth gauge and counters."""
-        self.queue_depth.set(batch)
-        self.sched_rounds.inc()
-        self.sched_decision_seconds.inc(decision_seconds)
-        self.sched_batch.observe(batch)
+    def record_rounds(self, rows: Sequence[tuple[int, float]]) -> None:
+        """Scheduling decisions beginning, ``(depth, decision seconds)``
+        each: depth gauge (the last round's), counters, batch histogram."""
+        inc = self.sched_decision_seconds.inc  # refuses a negative cost
+        for _, seconds in rows:
+            inc(seconds)
+        self.sched_batch.observe_all([depth for depth, _ in rows])
+        self.queue_depth.value = rows[-1][0]
+        self.sched_rounds.value += len(rows)
 
-    def record_sched_latency(self, seconds: float) -> None:
-        """Doorbell-to-dispatch interval for one task assignment."""
-        self.sched_latency.observe(seconds)
+    def record_sched_latencies(self, seconds: Sequence[float]) -> None:
+        """Doorbell-to-dispatch intervals, one per task assignment."""
+        self.sched_latency.observe_all(seconds)
 
-    def record_task(self, pe_name: str, service_seconds: float) -> None:
-        """Worker-side completion: per-PE dispatch count and busy seconds."""
-        dispatch = self._pe_dispatch_by_name.get(pe_name)
-        if dispatch is None:
-            # a PE unknown at construction (defensive; normal runs pre-bind
-            # every PE): bind its children once and proceed
-            dispatch = self._pe_dispatch_by_name[pe_name] = self.pe_dispatch.labels(pe_name)
-            self._pe_busy_by_name[pe_name] = self.pe_busy.labels(pe_name)
-            self._pe_util_by_name[pe_name] = self.pe_util.labels(pe_name)
-        dispatch.inc()
-        self._pe_busy_by_name[pe_name].inc(service_seconds)
-        self.tasks_completed.inc()
+    def record_tasks(self, rows: Sequence[tuple[str, float]]) -> None:
+        """Worker-side completions, ``(pe, service seconds)`` each: per-PE
+        dispatch count and busy seconds."""
+        children = self._pe_children
+        for name, service_seconds in rows:
+            pair = children.get(name)
+            if pair is None:  # a PE unknown at construction (defensive)
+                self.pe_util.labels(name)
+                pair = children[name] = (self.pe_dispatch.labels(name), self.pe_busy.labels(name))
+            pair[0].value += 1.0
+            pair[1].inc(service_seconds)  # refuses a negative service time
+        self.tasks_completed.value += len(rows)
 
-    def record_app_completed(self) -> None:
-        self.apps_completed.inc()
+    def record_apps_completed(self, closes: Sequence[float]) -> None:
+        self.apps_completed.value += len(closes)
 
-    def record_incident(self, kind: str, detail: str, seconds: float) -> None:
-        """One fault-layer event (``repro.runtime.logbook.INCIDENT_KINDS``)."""
-        counter = self._incident_counters.get(kind)
-        if counter is not None:
-            counter.inc()
-        elif kind == "fault":
-            self.faults_injected.labels(detail).inc()
-        elif kind == "failure":
-            self.task_failures.labels(detail).inc()
-        elif kind == "recovery":
-            self.task_recovery.observe(seconds)
+    def record_incidents(self, rows: Sequence[tuple[str, str, float]]) -> None:
+        """Fault-layer events, ``(kind, detail, seconds)`` each
+        (``repro.runtime.logbook.INCIDENT_KINDS``)."""
+        plain = self._incident_counters
+        for kind, detail, seconds in rows:
+            counter = plain.get(kind)
+            if counter is not None:
+                counter.value += 1.0
+            elif kind == "fault":
+                self.faults_injected.labels(detail).value += 1.0
+            elif kind == "failure":
+                self.task_failures.labels(detail).value += 1.0
+            elif kind == "recovery":
+                self.task_recovery.observe(seconds)
 
-    def record_api_call(self, api: str, mode: str, latency_seconds: float) -> None:
-        """One libCEDR call settled (mode: ``blocking``/``nonblocking``);
-        it leaves the in-flight gauge."""
-        pair = self._api_children.get((api, mode))
-        if pair is None:
-            pair = (
-                self.api_calls.labels(api, mode),
-                self.api_latency.labels(api, mode),
-            )
-            self._api_children[(api, mode)] = pair
-        pair[0].inc()
-        pair[1].observe(latency_seconds)
-        self.api_inflight.dec()
+    def record_api_calls(self, rows: Sequence[Optional[tuple[str, str, float]]]) -> None:
+        """libCEDR calls entering (``None``: the in-flight gauge rises) and
+        settling (``(api, mode, latency)``, mode ``blocking`` /
+        ``nonblocking``: counted, timed, and out of the gauge)."""
+        inflight, children = self.api_inflight, self._api_children
+        for row in rows:
+            if row is None:
+                inflight.value += 1.0
+                continue
+            api, mode, latency = row
+            key = (api, mode)
+            pair = children.get(key)
+            if pair is None:
+                pair = children[key] = (self.api_calls.labels(*key), self.api_latency.labels(*key))
+            pair[0].value += 1.0
+            pair[1].observe(latency)
+            inflight.value -= 1.0
+
+    def record_late_timers(self, instants: Sequence[float]) -> None:
+        self.late_timers.value += len(instants)
 
     # ------------------------------------------------------------------ #
     # snapshot sampling
     # ------------------------------------------------------------------ #
 
-    def _refresh_derived(self, now: float) -> None:
-        if now <= 0.0:
-            return
-        for name in self._pe_names:
-            busy = self._pe_busy_by_name[name].value
-            self._pe_util_by_name[name].set(busy / now)
-
-    def flat_values(self) -> dict[str, float]:
-        """Scalar view of every series, for compact time-series samples.
-
-        Counters/gauges map to their value; histograms contribute
-        ``<name>_count`` and ``<name>_sum``.  Labelled series append a
-        ``{k=v,...}`` suffix in sorted label order.
-        """
-        out: dict[str, float] = {}
-        for family in self.registry.families():
-            for values, metric in family.series():
-                suffix = (
-                    "{" + ",".join(
-                        f"{k}={v}" for k, v in zip(family.label_names, values)
-                    ) + "}"
-                    if values else ""
-                )
-                if family.kind == "histogram":
-                    out[f"{family.name}_count{suffix}"] = metric.count
-                    out[f"{family.name}_sum{suffix}"] = metric.sum
-                else:
-                    out[f"{family.name}{suffix}"] = metric.value
-        return out
-
     def sample(self, now: float) -> dict[str, Any]:
-        """Append (and return) one flattened snapshot stamped with sim time."""
-        self._refresh_derived(now)
-        snap = {"t": now, "values": self.flat_values()}
+        """Append (and return) one flattened snapshot stamped with sim time,
+        each PE's utilization derived for it (busy seconds / *now*)."""
+        if now > 0.0:
+            for busy, util in self._utilization:
+                util.value = busy.value / now
+        snap = {"t": now, "values": self.registry.flat()}
         self.samples.append(snap)
         return snap
 

@@ -249,6 +249,25 @@ def test_slots_of_one_collapsed_cell_do_not_alias(counted):
     assert diff_results(results[0], results[1]) == ["pe_task_histogram", "telemetry"]
 
 
+def test_collapsed_telemetry_slots_are_bit_equal_and_independent(counted):
+    """Four trials of a faulty Jetson cell with sampled telemetry and a
+    pinned fault seed: one simulation, every other slot its own unpickled
+    copy, equal to the float bit (``repr``) and sharing no dict."""
+    cell = _spec_cell(ROOT / "examples/scenarios/jetson_faults.toml")
+    assert cell[7].telemetry == TelemetryConfig(0.01) and cell[7].faults.seed is not None
+    cells = _trials(cell, (0, 1000, 2000, 3000))
+    results = run_cells(cells, n_jobs=1, cache=False)
+    assert counted == [0]
+    assert len(results[0].telemetry["samples"]) > 1
+    assert all(r == results[0] and repr(r) == repr(results[0]) for r in results[1:])
+    assert len({id(r.telemetry["samples"][0]["values"]) for r in results}) == 4
+    before = [copy.deepcopy(r) for r in results]
+    results[1].telemetry["samples"][0]["values"]["cedr_sched_rounds"] = -1.0
+    assert [r == b for r, b in zip(results, before)] == [True, False, True, True]
+    pooled = run_cells(cells, n_jobs=2, cache=False)
+    assert pooled == before and repr(pooled) == repr(before)
+
+
 # --------------------------------------------------------------------- #
 # the structural pin: every place a seed can enter a run
 # --------------------------------------------------------------------- #

@@ -240,4 +240,4 @@ def test_random_fault_streams_hold_the_invariant_catalog(
     counters = runtime.counters
     failed = sum(1 for a in runtime.apps.values() if a.failed)
     assert counters.tasks_lost == failed
-    assert runtime.telemetry.flat_values()["cedr_tasks_lost_total"] == failed
+    assert runtime.telemetry.registry.flat()["cedr_tasks_lost_total"] == failed

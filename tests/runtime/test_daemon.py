@@ -293,4 +293,4 @@ def test_late_timer_clamps_after_shutdown_leave_the_registry_alone(data):
     eng.call_at(0.0, lambda: None)  # in the past: clamped + counted
     assert eng.late_timers == 1
     assert rt.logbook.late_timers == []
-    assert rt.telemetry.flat_values()["simcore_late_timers_total"] == 0
+    assert rt.telemetry.registry.flat()["simcore_late_timers_total"] == 0

@@ -4,10 +4,12 @@ On CPython 3.11 an enum member read through its class (``TaskState.READY``)
 goes through the enum metaclass and costs several times a module global, and
 the functions below run once per event or per task.  Each reads the members
 it needs from module-level names bound at import; this guard fails if a
-class-qualified read creeps back into one of them.  Two more guards: a
-worker's park / unpark is one ``Core.spin`` call, not the ``spinners``
-property's getter and setter, and the engine loop keeps its per-core scratch
-on the cores, not in per-run lists indexed by position.
+class-qualified read creeps back into one of them.  The fault path's
+per-dispatch and per-fault functions also make no ``max`` / ``min`` builtin
+call and read no ``.value`` (on an enum member, a Python-level property).
+Two more guards: a worker's park / unpark is one ``Core.spin`` call, not the
+``spinners`` property's getter and setter, and the engine loop keeps its
+per-core scratch on the cores, not in per-run lists indexed by position.
 """
 
 import ast
@@ -16,6 +18,7 @@ import textwrap
 
 import pytest
 
+from repro.faults.inject import FaultInjector
 from repro.runtime.daemon import CedrRuntime
 from repro.runtime.logbook import Logbook
 from repro.runtime.worker import worker_body
@@ -30,10 +33,22 @@ HOT = {
     "Logbook.record_task": Logbook.record_task,
 }
 
+#: the fault path: once per round, per dispatch, per fault
+FAULT_PATH = {
+    "CedrRuntime._filter_schedulable": CedrRuntime._filter_schedulable,
+    "CedrRuntime._arm_watchdog": CedrRuntime._arm_watchdog,
+    "FaultInjector._fire": FaultInjector._fire,
+}
+HOT.update(FAULT_PATH)
+
+
+def _tree(fn):
+    return ast.parse(textwrap.dedent(inspect.getsource(fn)))
+
 
 @pytest.mark.parametrize("name", HOT)
 def test_hot_function_reads_no_enum_member_through_its_class(name):
-    tree = ast.parse(textwrap.dedent(inspect.getsource(HOT[name])))
+    tree = _tree(HOT[name])
     reads = [
         f"{node.value.id}.{node.attr} (line {node.lineno})"
         for node in ast.walk(tree)
@@ -42,6 +57,20 @@ def test_hot_function_reads_no_enum_member_through_its_class(name):
         and node.value.id in ("ThreadState", "TaskState")
     ]
     assert reads == []
+
+
+@pytest.mark.parametrize("name", FAULT_PATH)
+def test_fault_path_calls_no_max_or_min_and_reads_no_value(name):
+    detours = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(_tree(FAULT_PATH[name]))
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("max", "min")
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "value")
+    ]
+    assert detours == []
 
 
 def test_worker_toggles_spinners_through_spin_only():

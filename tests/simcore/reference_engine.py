@@ -201,4 +201,3 @@ class ReferenceEngine(Engine):
                         callback()
                 self.timers_fired += fired
                 self._drain_batches += 1
-                self._drain_events += fired

@@ -247,6 +247,77 @@ def test_current_is_cleared_on_reentry_after_an_escape():
     assert seen == [None] and eng.current is None
 
 
+def test_a_raise_in_the_dispatch_drain_keeps_its_sends_counted():
+    """The drain's tally is folded at every exit: three sends were made, the
+    third raising, so three events were processed."""
+    eng = Engine(cores=1)
+
+    def bomb():
+        raise RuntimeError("boom")
+        yield  # a generator that raises on its first send
+
+    eng.spawn(burn(1.0), "a")
+    eng.spawn(burn(1.0), "b")
+    eng.spawn(bomb(), "c")
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run()
+    assert eng.events_processed == 3
+
+
+def test_a_raise_in_the_resume_drain_keeps_its_sends_counted():
+    """Dispatch, first resume, second resume (raising): three sends."""
+    eng = Engine(cores=1)
+
+    def bomb():
+        yield Compute(0.1)
+        yield Compute(0.1)
+        raise RuntimeError("boom")
+
+    eng.spawn(bomb(), "bomb")
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run()
+    assert eng.events_processed == 3
+
+
+def test_a_raising_timer_keeps_the_rest_of_its_batch():
+    """Every same-instant timer is popped before any is called; when one
+    raises, it counts as fired and the ones after it go back on the heap at
+    their own keys, so a re-entered run calls them in order."""
+    eng = Engine(cores=1)
+    log = []
+
+    def boom():
+        log.append("boom")
+        raise RuntimeError("boom")
+
+    eng.call_at(1.0, lambda: log.append("first"))
+    eng.call_at(1.0, boom)
+    eng.call_at(1.0, lambda: log.append("third"))
+    eng.call_at(1.0, lambda: log.append("fourth"))
+    eng.call_at(2.0, lambda: log.append("later"))
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run()
+    assert log == ["first", "boom"]
+    assert eng.timers_fired == 2 and len(eng._timers) == 3
+    eng.run()
+    assert log == ["first", "boom", "third", "fourth", "later"]
+    assert eng.timers_fired == 5 and eng.now == 2.0
+
+
+def test_a_lone_raising_timer_counts_as_fired():
+    eng = Engine(cores=1)
+
+    def boom():
+        raise RuntimeError("boom")
+
+    eng.call_at(1.0, lambda: None)
+    eng.call_at(2.0, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run()
+    stats = eng.event_core_stats()
+    assert (stats["timers_fired"], stats["drain_batches"]) == (2, 2)
+
+
 def test_call_at_fires_in_order():
     eng = Engine(cores=1)
     hits = []

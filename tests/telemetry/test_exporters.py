@@ -53,7 +53,7 @@ def test_prometheus_histogram_invariants():
 
 def test_json_dump_shape():
     telemetry = CedrTelemetry(TelemetryConfig(), pe_names=("cpu0",))
-    telemetry.record_task("cpu0", 0.25)
+    telemetry.record_tasks([("cpu0", 0.25)])
     telemetry.sample(1.0)
     doc = to_json_dict(telemetry)
     assert doc["schema"] == "repro.telemetry/1"

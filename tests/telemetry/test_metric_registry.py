@@ -1,8 +1,18 @@
 """Unit tests for the metric primitives and the central registry."""
 
+import math
+
 import pytest
 
-from repro.telemetry import Counter, Gauge, Histogram, MetricRegistry
+from repro.telemetry import (
+    DEPTH_BUCKETS,
+    LATENCY_BUCKETS,
+    RECOVERY_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricRegistry,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -40,6 +50,55 @@ def test_histogram_bucketing_and_cumulation():
     assert h.cumulative() == [2, 3, 4, 6]
     assert h.count == 6
     assert h.sum == pytest.approx(5556.5)
+
+
+def _ladder_scan(bounds, value):
+    """The bucket rule as a linear scan: the first bound ``value <= bound``
+    holds for, else the +Inf tail."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+def _edge_values(bounds):
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf,
+              math.nextafter(bounds[0], -math.inf) / 2, bounds[-1] * 2]
+    for bound in bounds:
+        values += [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+    return values
+
+
+@pytest.mark.parametrize(
+    "bounds", [LATENCY_BUCKETS, DEPTH_BUCKETS, RECOVERY_BUCKETS, (1.0,)],
+    ids=["latency", "depth", "recovery", "one-bound"],
+)
+def test_histogram_bucket_search_matches_the_ladder_scan(bounds):
+    """Each bound exactly, one ulp either side, below the first, above the
+    last, both zeros, the infinities and NaN (the +Inf tail)."""
+    values = _edge_values(bounds)
+    h = Histogram(bounds)
+    for value in values:
+        before = list(h.counts)
+        h.observe(value)
+        bucket = _ladder_scan(h.bounds, value)
+        assert [b - a for a, b in zip(before, h.counts)] == [
+            int(i == bucket) for i in range(len(bounds) + 1)
+        ], value
+    assert h.count == len(values) and math.isnan(h.sum)
+    assert h.counts[-1] == 4  # NaN, +inf, one ulp past and twice the last bound
+    many = Histogram(bounds)
+    many.observe_all(values)
+    assert (many.counts, many.count) == (h.counts, h.count)
+
+
+def test_histogram_observe_all_sums_in_order():
+    values = [0.1, 1e16, -1e16, 0.2, 3.0]
+    one, many = Histogram(DEPTH_BUCKETS), Histogram(DEPTH_BUCKETS)
+    for value in values:
+        one.observe(value)
+    many.observe_all(values)
+    assert (one.sum.hex(), one.counts) == (many.sum.hex(), many.counts)
 
 
 def test_histogram_validates_bounds():
@@ -93,6 +152,20 @@ def test_labelled_family_children_and_sorted_series():
     assert fam.labels("zebra") is fam.labels("zebra")  # cached child
     keys = [key for key, _ in fam.series()]
     assert keys == [("alpha",), ("zebra",)]  # sorted, not first-use, order
+
+
+def test_flat_view_picks_up_children_added_after_a_read():
+    r = MetricRegistry()
+    fam = r.counter("per_pe_total", labels=("pe",))
+    hist = r.histogram("lat_seconds", (1.0,))
+    fam.labels("b").inc()
+    assert r.flat() == {"per_pe_total{pe=b}": 1.0, "lat_seconds_count": 0, "lat_seconds_sum": 0.0}
+    fam.labels("a").inc(2)
+    hist.observe(0.5)
+    assert list(r.flat().items()) == [
+        ("per_pe_total{pe=a}", 2.0), ("per_pe_total{pe=b}", 1.0),
+        ("lat_seconds_count", 1), ("lat_seconds_sum", 0.5),
+    ]
 
 
 def test_label_arity_enforced():
