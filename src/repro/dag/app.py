@@ -11,8 +11,9 @@ that dict (the analogue of the shared-object's buffers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.platforms.pe import CPU_ONLY_API
 from repro.runtime.task import Task
@@ -47,13 +48,14 @@ class DagProgram:
     def __post_init__(self) -> None:
         nodes = self.spec["nodes"]
         index = {name: i for i, name in enumerate(self.topo_order)}
-        preds = [set(nodes[name].get("after", [])) for name in self.topo_order]
+        preds = [set(nodes[name].get("after", ())) for name in self.topo_order]
         # successors in topological order: the order add_successor calls
         # made while walking the nodes in that order
         succs: list[list[int]] = [[] for _ in self.topo_order]
         for i, after in enumerate(preds):
             for pred in after:
                 succs[index[pred]].append(i)
+        bindings = self.bindings
         template = []
         for i, name in enumerate(self.topo_order):
             node = nodes[name]
@@ -64,7 +66,7 @@ class DagProgram:
                 name,
                 tuple(node.get("inputs", ())),
                 node.get("output"),
-                self.bindings.get(name) if api == CPU_ONLY_API else None,
+                bindings.get(name) if api == CPU_ONLY_API else None,
                 len(preds[i]),
                 tuple(succs[i]),
             ))
@@ -76,28 +78,27 @@ class DagProgram:
         return len(self.spec["nodes"])
 
     def instantiate(
-        self, app_id: int, initial_state: Mapping[str, Any] | None = None
+        self, app_id: int, initial_state: Mapping[str, Any] | None = None,
+        stamps: Sequence[tuple[float, int, int]] | None = None,
     ) -> tuple[list[Task], list[Task], dict[str, Any]]:
         """Build the task graph for one submission.
 
         Returns ``(all_tasks, head_tasks, state)`` where heads have no
         unmet dependencies and go straight to the ready queue; ``all_tasks``
-        is in topological order.
+        is in topological order.  *stamps*, the runtime's plan, gives each
+        node's task its ``(rank, cost_row, cost_token)``; without it they
+        are the unstamped ``(0.0, -1, -1)``.
         """
         state: dict[str, Any] = dict(initial_state or {})
         template = self._template
+        # positional: Task's fields in declaration order, up to cost_token
         tasks = [
             Task(
-                api=api,
-                params=params,
-                app_id=app_id,
-                name=name,
-                input_keys=input_keys,
-                output_key=output_key,
-                cpu_fn=cpu_fn,
-                n_deps=n_deps,
+                api, params, app_id, name, None, input_keys, output_key, cpu_fn, [], n_deps,
+                None, rank, row, token,
             )
-            for api, params, name, input_keys, output_key, cpu_fn, n_deps, _ in template
+            for (api, params, name, input_keys, output_key, cpu_fn, n_deps, _), (rank, row, token)
+            in zip(template, stamps or repeat((0.0, -1, -1)))
         ]
         for task, node in zip(tasks, template):
             if node[7]:
@@ -105,31 +106,16 @@ class DagProgram:
         return tasks, [tasks[i] for i in self._heads], state
 
 
-def parse_dag(spec: Mapping[str, Any], bindings: Mapping[str, Callable] | None = None) -> DagProgram:
+def parse_dag(
+    spec: Mapping[str, Any], bindings: Mapping[str, Callable] | None = None
+) -> DagProgram:
     """Validate and parse a (spec, bindings) pair into a :class:`DagProgram`.
 
     This is the functional half of what the daemon does on an ``arrival``
     event in DAG mode; the *time* it takes is charged separately by the
-    runtime from :class:`~repro.runtime.config.RuntimeCosts`.
+    runtime from :class:`~repro.runtime.config.RuntimeCosts`.  The order
+    is the one validation derived.
     """
     # bindings=None skips the binding-presence check (timing-only specs or
     # pure-kernel DAGs); an explicit mapping must cover every cpu_op node.
-    validate_spec(spec, bindings)
-    bindings = bindings or {}
-    nodes = spec["nodes"]
-    # Kahn order, deterministic by insertion order of the frontier.
-    indeg = {n: len(set(node.get("after", []))) for n, node in nodes.items()}
-    succs: dict[str, list[str]] = {n: [] for n in nodes}
-    for n, node in nodes.items():
-        for pred in set(node.get("after", [])):
-            succs[pred].append(n)
-    frontier = [n for n, d in indeg.items() if d == 0]
-    topo: list[str] = []
-    while frontier:
-        n = frontier.pop(0)
-        topo.append(n)
-        for s in succs[n]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                frontier.append(s)
-    return DagProgram(name=spec["name"], spec=spec, bindings=dict(bindings), topo_order=topo)
+    return DagProgram(spec["name"], spec, dict(bindings or {}), validate_spec(spec, bindings))

@@ -70,15 +70,13 @@ class DagBuilder:
             raise ValueError(f"duplicate node name {name!r} in DAG {self.name!r}")
         self._nodes[name] = node
 
-    def spec(self) -> dict[str, Any]:
-        """The raw JSON-compatible spec (pre-validation)."""
-        return {"name": self.name, "nodes": {k: dict(v) for k, v in self._nodes.items()}}
-
     def build(self) -> DagProgram:
-        """Validate and parse into a ready-to-submit :class:`DagProgram`."""
-        return parse_dag(self.spec(), self._bindings)
+        """Validate and parse into a ready-to-submit :class:`DagProgram`
+        (sharing the node dicts, which the builder never changes once added)."""
+        return parse_dag({"name": self.name, "nodes": dict(self._nodes)}, self._bindings)
 
     def build_raw(self) -> tuple[dict[str, Any], dict[str, Callable]]:
-        """Return (spec, bindings) without parsing - for transformation
-        passes such as :mod:`repro.dag.collapse`."""
-        return self.spec(), dict(self._bindings)
+        """Return a detached (spec, bindings) copy without parsing - for
+        transformation passes such as :mod:`repro.dag.collapse`."""
+        nodes = {k: dict(v) for k, v in self._nodes.items()}
+        return {"name": self.name, "nodes": nodes}, dict(self._bindings)

@@ -56,8 +56,13 @@ def collapse_subgraph(
             if pred not in member_set:
                 external_preds.add(pred)
     # Collapse-induced cycles (a member -> non-member -> member path) are
-    # caught by the re-validation of the rewritten spec at the end.
-    member_topo = _topo_of_members(nodes, members)
+    # caught by the re-validation of the rewritten spec at the end.  The
+    # members' order is the parse's FIFO Kahn order over their subgraph.
+    inner = {
+        m: {**nodes[m], "after": [p for p in nodes[m].get("after", ()) if p in member_set]}
+        for m in members
+    }
+    member_topo = validate_spec({"name": spec["name"], "nodes": inner}) if members else []
     total_work = sum(
         timing.cpu_seconds(nodes[m]["api"], nodes[m].get("params", {}))
         for m in member_topo
@@ -99,26 +104,3 @@ def collapse_subgraph(
     validate_spec(new_spec, new_bindings)  # catches collapse-induced cycles
     return new_spec, new_bindings
 
-
-def _topo_of_members(nodes: Mapping[str, Any], members: list[str]) -> list[str]:
-    member_set = set(members)
-    indeg = {
-        m: sum(1 for p in set(nodes[m].get("after", [])) if p in member_set) for m in members
-    }
-    succs: dict[str, list[str]] = {m: [] for m in members}
-    for m in members:
-        for p in set(nodes[m].get("after", [])):
-            if p in member_set:
-                succs[p].append(m)
-    frontier = [m for m in members if indeg[m] == 0]
-    topo: list[str] = []
-    while frontier:
-        m = frontier.pop(0)
-        topo.append(m)
-        for s in succs[m]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                frontier.append(s)
-    if len(topo) != len(members):
-        raise DagValidationError("member subgraph contains a cycle")
-    return topo

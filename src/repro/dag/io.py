@@ -43,13 +43,17 @@ def save_spec(path: str | Path, spec: Mapping[str, Any], indent: int = 2) -> Pat
 
 def load_spec(path: str | Path) -> dict[str, Any]:
     """Read and validate a spec JSON file."""
-    path = Path(path)
-    try:
-        spec = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DagValidationError(f"{path} is not valid JSON: {exc}") from exc
+    spec = _read(path)
     validate_spec(spec)
     return spec
+
+
+def _read(path: str | Path) -> Any:
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DagValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_program(
@@ -62,6 +66,6 @@ def load_program(
     a CEDR application).  Omitting it is fine for specs whose nodes are all
     kernels, or for timing-only runs where cpu_op bodies never execute —
     validation of binding presence happens at parse time only when
-    bindings are supplied.
+    bindings are supplied.  The spec is validated once, by the parse.
     """
-    return parse_dag(load_spec(path), bindings)
+    return parse_dag(_read(path), bindings)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
@@ -210,10 +211,16 @@ class CedrRuntime:
             Compute(costs.api_push_us * 1e-6 * scale),
             Compute(costs.api_kick_us * 1e-6 * scale),
         )
-        #: ``id(program)`` -> ``(program, table token, [(cost_row, rank)
-        #: per node])``: what :meth:`_assign_dag_ranks` derived on the
-        #: program's first arrival.  The entry keeps the program alive, so
-        #: its id cannot be reused; the token drops plans of a replaced table.
+        #: the ``(dep_update, queue_push)`` requests of a DAG release, shared
+        #: with :meth:`_charge`
+        self._release_charges = tuple(
+            self._charges.setdefault(us, Compute(us * scale * 1e-6))
+            for us in (costs.dep_update_us, costs.queue_push_us)
+        )
+        #: ``id(program)`` -> ``(program, table token, stamps)``: what
+        #: :meth:`_dag_plan` derived on the program's first arrival.  The
+        #: entry keeps the program alive, so its id cannot be reused; the
+        #: token drops plans of a replaced table.
         self._dag_plans: dict[int, tuple] = {}
         self.daemon_thread: Optional[SimThread] = None
         #: True once the daemon drained cleanly (shutdown bookkeeping ran);
@@ -494,45 +501,42 @@ class CedrRuntime:
             yield self._charge(
                 costs.dag_parse_base_us + costs.dag_parse_per_node_us * app.dag.n_nodes
             )
-            tasks, heads, state = app.dag.instantiate(app.app_id, app.initial_state)
+            plan = self._dag_plan(app.dag)
+            tasks, heads, state = app.dag.instantiate(app.app_id, app.initial_state, plan)
             app.state = state
             app.tasks_total = len(tasks)
-            self._assign_dag_ranks(app.dag, tasks)
             app.t_launch = self.engine.now
+            push = self._release_charges[1]
             for task in heads:
                 task.state = _READY
                 task.t_release = self.engine.now
                 self.ready.append(task)
-                yield self._charge(costs.queue_push_us)
+                self.logbook.charges.append(push.work)
+                yield push
         else:
             yield self._charge(costs.app_launch_us)
             app.t_launch = self.engine.now
             thread = self.engine.spawn(self._app_thread(app), name=f"app-{app.app_id}-{app.name}")
             self.counters.watch_thread(thread, "app")
 
-    def _assign_dag_ranks(self, program: "DagProgram", tasks: list[Task]) -> None:
-        """Stamp ``cost_row`` / ``cost_token`` / ``rank`` on one instance.
+    def _dag_plan(self, program: "DagProgram") -> tuple[tuple[float, int, int], ...]:
+        """Per node of *program*, in topological order, the ``(rank,
+        cost_row, cost_token)`` its task is built with.
 
         Rows and upward ranks depend on the program and the cost table
         only, so the program's first arrival interns its shapes (in
-        topological order, which fixes the row ids) and ranks the graph;
-        later instances are stamped from that plan.
+        topological order, which fixes the row ids) and ranks its nodes.
         """
         token = self.cost_table.token
         plan = self._dag_plans.get(id(program))
         if plan is None or plan[1] != token:
-            means: dict[Task, float] = {}
-            rows = []
-            for task in tasks:
-                row, means[task] = self.intern_shape(task.api, task.params)
-                rows.append(row)
-            ranks = upward_ranks(tasks, means.__getitem__)
-            plan = (program, token, [(row, ranks[task]) for row, task in zip(rows, tasks)])
-            self._dag_plans[id(program)] = plan
-        for task, (row, rank) in zip(tasks, plan[2]):
-            task.cost_row = row
-            task.cost_token = token
-            task.rank = rank
+            template = program._template
+            rows, means = zip(*[self.intern_shape(node[0], node[1]) for node in template])
+            nodes = range(len(template))
+            ranks = upward_ranks(nodes, means.__getitem__, lambda i: template[i][7])
+            stamps = tuple(zip([ranks[i] for i in nodes], rows, repeat(token)))
+            plan = self._dag_plans[id(program)] = (program, token, stamps)
+        return plan[2]
 
     def _app_thread(self, app: AppInstance) -> Generator[Request, Any, None]:
         # Imported here: repro.core builds on the runtime package, so a
@@ -567,8 +571,7 @@ class CedrRuntime:
         yield from self._finish_app(app)
 
     def _handle_task_done(self, task: Task) -> Generator[Request, Any, None]:
-        costs = self.config.costs
-        yield self._charge(costs.queue_pop_us)
+        yield self._charge(self.config.costs.queue_pop_us)
         app = self.apps[task.app_id]
         app.tasks_done += 1
         if self.faults is not None and task.t_first_failure >= 0.0:
@@ -581,14 +584,18 @@ class CedrRuntime:
         if app.cancelled or app.failed:
             return  # straggler from a killed/failed app: log-only
         if app.mode == DAG_MODE:
+            dep, push = self._release_charges
+            charges = self.logbook.charges
             for succ in task.successors:
-                yield self._charge(costs.dep_update_us)
+                charges.append(dep.work)
+                yield dep
                 succ.n_deps -= 1
                 if succ.n_deps == 0:
                     succ.state = _READY
                     succ.t_release = self.engine.now
                     self.ready.append(succ)
-                    yield self._charge(costs.queue_push_us)
+                    charges.append(push.work)
+                    yield push
             if app.tasks_done == app.tasks_total:
                 yield from self._finish_app(app)
 

@@ -19,6 +19,7 @@ its expected cost - the natural degeneration of upward rank).
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Sequence
 
 from .base import EstimateFn, Scheduler, greedy_earliest_finish, register_scheduler
@@ -26,18 +27,19 @@ from .base import EstimateFn, Scheduler, greedy_earliest_finish, register_schedu
 __all__ = ["HeftRT", "upward_ranks"]
 
 
-def upward_ranks(tasks, mean_cost) -> dict:
+def upward_ranks(tasks, mean_cost, successors=attrgetter("successors")) -> dict:
     """Upward rank of every task in a DAG: mean cost + max successor rank.
 
     ``tasks`` is any iterable of :class:`~repro.runtime.task.Task` wired via
     ``successors``; ``mean_cost(task)`` returns the task's mean execution
     estimate over supporting PEs.  Returns {task: rank}.  Communication
-    costs are zero in CEDR's shared-memory model.
+    costs are zero in CEDR's shared-memory model.  Other hashable nodes
+    (a program's node indices) work with a matching ``successors(node)``.
     """
     ranks: dict = {}
 
     def resolve(task) -> bool:
-        succs = task.successors
+        succs = successors(task)
         try:
             top = max([ranks[s] for s in succs]) if succs else 0.0
         except KeyError:  # a successor is not ranked yet

@@ -59,6 +59,27 @@ def test_load_rejects_invalid_spec(tmp_path):
         load_spec(path)
 
 
+def test_load_program_validates_once(tmp_path, monkeypatch):
+    import repro.dag.app as app_module
+    import repro.dag.io as io_module
+
+    calls = []
+    for module in (app_module, io_module):
+        real = module.validate_spec
+        monkeypatch.setattr(
+            module, "validate_spec",
+            lambda *args, real=real: calls.append(args) or real(*args),
+        )
+    path = save_spec(tmp_path / "app.json", kernel_only_spec())
+    calls.clear()
+    program = load_program(path)
+    assert len(calls) == 1 and program.topo_order == ["f", "i"]
+    path.write_text('{"name": "t", "nodes": {"a": {"api": "fft", "inputs": ["x"], '
+                    '"output": "y", "after": ["ghost"]}}}', encoding="utf-8")
+    with pytest.raises(DagValidationError, match="unknown node"):
+        load_program(path)
+
+
 def test_load_program_kernel_only_runs(tmp_path, rng):
     """A spec loaded from disk executes through the runtime untouched."""
     from repro.platforms import zcu102

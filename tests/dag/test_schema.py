@@ -124,3 +124,58 @@ def test_diamond_is_fine():
         },
     }
     validate_spec(spec)
+
+
+# --------------------------------------------------------------------- #
+# malformed fields are refused at parse, naming the node and the key
+# --------------------------------------------------------------------- #
+
+
+def two_nodes(**b_overrides):
+    """Nodes ``a`` and ``b`` - one-letter names, so a bare-string ``after``
+    read letter by letter would find them."""
+    spec = minimal_spec()
+    spec["nodes"] = {
+        "a": {"api": "fft", "params": {"n": 64}, "inputs": ["x"], "output": "y"},
+        "b": {"api": "fft", "params": {"n": 64}, "inputs": ["y"], "output": "z"},
+    }
+    spec["nodes"]["b"].update(b_overrides)
+    return spec
+
+
+def test_bare_string_inputs_rejected():
+    with pytest.raises(DagValidationError, match=r"^node 'n0' of 't' .*'inputs'.* got str$"):
+        validate_spec(minimal_spec(inputs="xyz"))
+
+
+def test_bare_string_after_naming_a_node_rejected():
+    # read letter by letter, "a" was a valid dependency
+    with pytest.raises(DagValidationError, match=r"^node 'b' of 't' 'after'.* got str$"):
+        validate_spec(two_nodes(after="a"))
+
+
+def test_bare_string_after_rejected_naming_the_key_not_a_letter():
+    with pytest.raises(DagValidationError) as exc:
+        validate_spec(two_nodes(after="xa"))
+    assert str(exc.value) == "node 'b' of 't' 'after' must be a list of node names, got str"
+
+
+@pytest.mark.parametrize("value", [-5.12e-06, -1, float("nan"), float("inf"), -float("inf")])
+def test_negative_or_non_finite_param_rejected(value):
+    with pytest.raises(DagValidationError, match=r"^node 'n0' of 't' params\['n'\] .*finite"):
+        validate_spec(minimal_spec(params={"n": value}))
+
+
+@pytest.mark.parametrize("value", [-5.12e-06, float("nan"), float("inf")])
+def test_negative_or_non_finite_work_rejected(value):
+    spec = {"name": "t", "nodes": {"c": {"api": "cpu_op", "params": {"work_1ghz": value}}}}
+    with pytest.raises(DagValidationError, match=r"^node 'c' of 't' params\['work_1ghz'\]"):
+        validate_spec(spec)
+
+
+def test_lists_and_tuples_of_strings_stay_legal():
+    validate_spec(two_nodes(after=["a"], inputs=["y"]))
+    validate_spec(two_nodes(after=("a",), inputs=("y",)))
+    validate_spec(minimal_spec(params={"n": 0, "batch": 2.5}))
+    spec = {"name": "t", "nodes": {"c": {"api": "cpu_op", "params": {"work_1ghz": 0.0}}}}
+    validate_spec(spec)

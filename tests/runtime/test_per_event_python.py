@@ -7,9 +7,10 @@ it needs from module-level names bound at import; this guard fails if a
 class-qualified read creeps back into one of them.  The fault path's
 per-dispatch and per-fault functions also make no ``max`` / ``min`` builtin
 call and read no ``.value`` (on an enum member, a Python-level property).
-Two more guards: a worker's park / unpark is one ``Core.spin`` call, not the
-``spinners`` property's getter and setter, and the engine loop keeps its
-per-core scratch on the cores, not in per-run lists indexed by position.
+Three more guards: a worker's park / unpark is one ``Core.spin`` call, not
+the ``spinners`` property's getter and setter, the engine loop keeps its
+per-core scratch on the cores, not in per-run lists indexed by position,
+and a DAG instance builds its tasks from positional arguments only.
 """
 
 import ast
@@ -18,6 +19,7 @@ import textwrap
 
 import pytest
 
+from repro.dag import DagProgram
 from repro.faults.inject import FaultInjector
 from repro.runtime.daemon import CedrRuntime
 from repro.runtime.logbook import Logbook
@@ -71,6 +73,18 @@ def test_fault_path_calls_no_max_or_min_and_reads_no_value(name):
         or (isinstance(node, ast.Attribute) and node.attr == "value")
     ]
     assert detours == []
+
+
+def test_dag_instances_build_their_tasks_positionally():
+    """A keyword call costs nearly twice a positional one per task;
+    ``tests/runtime/test_task.py`` pins the field order this relies on."""
+    calls = [
+        node for node in ast.walk(_tree(DagProgram.instantiate))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "Task"
+    ]
+    assert len(calls) == 1
+    assert [kw.arg for kw in calls[0].keywords] == []
 
 
 def test_worker_toggles_spinners_through_spin_only():

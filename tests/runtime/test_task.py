@@ -1,5 +1,7 @@
 """Task descriptor and completion-handle tests."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.platforms import zcu102
@@ -12,6 +14,22 @@ def test_task_defaults():
     assert t.state is TaskState.CREATED
     assert t.n_deps == 0
     assert t.successors == []
+
+
+#: the leading fields ``DagProgram.instantiate`` passes positionally, in
+#: declaration order: moving one would silently shift the values it gets
+POSITIONAL = (
+    "api", "params", "app_id", "name", "payload", "input_keys", "output_key", "cpu_fn",
+    "successors", "n_deps", "completion", "rank", "cost_row", "cost_token",
+)
+
+
+def test_positional_fields_keep_their_order():
+    assert tuple(f.name for f in fields(Task))[:len(POSITIONAL)] == POSITIONAL
+    values = ("fft", {"n": 64}, 3, "f", None, ("x",), "y", None, [], 2, None, 1.5, 4, 9)
+    task = Task(*values)
+    assert tuple(getattr(task, name) for name in POSITIONAL) == values
+    assert task.state is TaskState.CREATED and task.est_used == 0.0
 
 
 def test_task_ids_unique():
