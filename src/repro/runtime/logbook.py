@@ -49,10 +49,11 @@ checks that need them skip.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.atomic import atomic_write
 
@@ -257,7 +258,16 @@ def _load_record(cls, where: str, row: Any):
         raise ValueError(
             f"{where}: missing columns {missing}, mistyped columns {mistyped}"
         )
+    _refuse_nonfinite(where, row.items())
     return cls(**row)
+
+
+def _refuse_nonfinite(where: str, columns: Iterable[tuple[str, Any]]) -> None:
+    """The one-line error naming each ``(name, value)`` column that holds a
+    NaN or an infinity (``json.loads`` accepts both)."""
+    bad = [name for name, value in columns if type(value) is float and not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"{where}: non-finite columns {bad}")
 
 
 def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
@@ -273,13 +283,15 @@ def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
             f"{where}: expected [t, depth] or [t, depth, cost, t_begin] "
             f"with an integer depth, got {row!r}"
         )
+    _refuse_nonfinite(where, zip(("t", "depth", "cost", "t_begin"), row))
     t, depth, cost, t_begin = row if len(row) == 4 else (*row, 0.0, row[0])
     return (float(t), depth, float(cost), float(t_begin))
 
 
 def _typed(where: str, value: Any, types: tuple, what: str) -> Any:
-    """*value*, if its exact type is one of *types*; else the one-line error."""
-    if type(value) not in types:
+    """*value*, if its exact type is one of *types* and it is not a NaN or an
+    infinity; else the one-line error."""
+    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
         raise ValueError(f"{where}: expected {what}, got {value!r}")
     return value
 
@@ -414,7 +426,7 @@ class Logbook:
 
     def save(self, path) -> str:
         """Write :meth:`serialize` as JSON to *path* (the shutdown dump)."""
-        text = json.dumps(self.serialize(), indent=2)
+        text = json.dumps(self.serialize(), indent=2, allow_nan=False)
         with atomic_write(path) as fh:
             fh.write(text)
         return str(path)

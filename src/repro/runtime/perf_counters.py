@@ -2,17 +2,20 @@
 
 CEDR's Runtime Configuration lets users enable PAPI hardware counters per
 worker.  Real hardware counters have no meaning inside a behavioural
-simulator, so this module provides the software-visible equivalents the
-evaluation actually consumes: per-PE task/busy tallies, per-API histograms,
-ready-queue depth high-water marks, scheduling-round and fault-layer
-statistics.
+simulator, so :meth:`PerfCounters.snapshot` writes the software-visible
+equivalents the evaluation consumes (the ``--perf-json`` document): per-PE
+task/busy tallies and per-API histograms, ready-queue depths, scheduling
+rounds and fault-layer tallies.
 
 Only *host-side* measurements are stored here - wall seconds, engine
 events, the per-role host-time split, the event core's timer statistics.
-Every simulated number is a read-only property computed from the run's
+Every simulated number is a read of the run's
 :class:`~repro.runtime.logbook.Logbook`, the one record daemon, workers and
-the fault layer write; nothing is counted twice, so there is nothing to
-reconcile.
+the fault layer write: ``snapshot()`` reads the book directly, and the
+only simulated properties are the seven the benchmark tracer takes.  Any
+other tally is a ``Logbook`` read (``incident_counts()``,
+``ready_depths()``, ``mean_time_to_recovery()``, ``closed``); the class is
+slotted, so assigning one raises.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def _incident_count(kind: str, doc: str) -> property:
     return property(lambda self: self.logbook.incident_counts()[kind], doc=doc)
 
 
-@dataclass
+@dataclass(slots=True)
 class PerfCounters:
     """Run-wide counter set: host-side measurements plus a view of *logbook*."""
 
@@ -164,31 +167,12 @@ class PerfCounters:
         return self.engine_events / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     # ------------------------------------------------------------------ #
-    # simulated numbers: reads of the run record
+    # simulated numbers: the reads the benchmark tracer takes of the record
     # ------------------------------------------------------------------ #
 
     @property
     def tasks_completed(self) -> int:
         return len(self.logbook.tasks)
-
-    @property
-    def apps_completed(self) -> int:
-        """Applications terminated, whatever the outcome."""
-        return sum(1 for app in self.logbook.apps.values() if app.t_finish is not None)
-
-    @property
-    def per_pe(self) -> dict[str, dict]:
-        """Per PE, in first-completion order: ``tasks``, ``busy_seconds``
-        and the ``by_api`` completion histogram."""
-        out: dict[str, dict] = {}
-        for rec in self.logbook.tasks:
-            pe = out.get(rec.pe)
-            if pe is None:
-                pe = out[rec.pe] = {"tasks": 0, "busy_seconds": 0.0, "by_api": {}}
-            pe["tasks"] += 1
-            pe["busy_seconds"] += rec.service_time
-            pe["by_api"][rec.api] = pe["by_api"].get(rec.api, 0) + 1
-        return out
 
     @property
     def sched_rounds(self) -> int:
@@ -202,14 +186,6 @@ class PerfCounters:
     def ready_depth_max(self) -> int:
         return self.logbook.ready_depths()[0]
 
-    @property
-    def ready_depth_mean(self) -> float:
-        return self.logbook.ready_depths()[1]
-
-    def _details(self, kind: str) -> dict[str, int]:
-        """``detail`` histogram of one incident kind, first-seen order."""
-        return dict(Counter(i.detail for i in self.logbook.incidents if i.kind == kind))
-
     faults_injected = _incident_count("fault", "Faults applied by the injector.")
     task_failures = _incident_count(
         "failure",
@@ -217,45 +193,36 @@ class PerfCounters:
         '"watchdog" for missed-deadline recoveries).',
     )
     retries = _incident_count("retry", "Retry re-enqueues issued by the recovery policy.")
-    tasks_lost = _incident_count(
-        "lost",
-        "Tasks abandoned after exhausting their retry budget (their "
-        "applications are declared failed).",
-    )
-    stale_dispatches = _incident_count(
-        "stale",
-        "Invalidated dispatches discarded (the watchdog already re-dispatched "
-        "the task elsewhere).",
-    )
-    pe_quarantines = _incident_count("quarantine", "PEs pulled from the live mask.")
-    pe_revivals = _incident_count("revival", "PEs returned to the live mask.")
-    recoveries = _incident_count("recovery", "Tasks that failed and later completed.")
-
-    @property
-    def faults_by_kind(self) -> dict[str, int]:
-        return self._details("fault")
-
-    @property
-    def failures_by_kind(self) -> dict[str, int]:
-        return self._details("failure")
-
-    @property
-    def mean_time_to_recovery(self) -> float:
-        return self.logbook.mean_time_to_recovery()
 
     def snapshot(self) -> dict:
-        """JSON-compatible dump for the shutdown log."""
+        """JSON-compatible dump for the shutdown log: the host fields plus
+        the simulated tallies, each read from the book here."""
+        book = self.logbook
+        per_pe: dict[str, dict] = {}  # first-completion order
+        for rec in book.tasks:
+            pe = per_pe.get(rec.pe)
+            if pe is None:
+                pe = per_pe[rec.pe] = {"tasks": 0, "busy_seconds": 0.0, "by_api": {}}
+            pe["tasks"] += 1
+            pe["busy_seconds"] += rec.service_time
+            pe["by_api"][rec.api] = pe["by_api"].get(rec.api, 0) + 1
+        counts = book.incident_counts()
+        details = {"fault": Counter(), "failure": Counter()}  # first-seen order
+        for incident in book.incidents:
+            if incident.kind in details:
+                details[incident.kind][incident.detail] += 1
+        depth_max, depth_mean = book.ready_depths()
         host_ns = self.host_ns_by_role
         if host_ns is not None:
             loop = round(self.wall_seconds * 1e9) - sum(host_ns.values())
             host_ns = {**host_ns, "loop": loop}
         return {
-            "per_pe": self.per_pe,
-            "ready_depth_max": self.ready_depth_max,
-            "ready_depth_mean": self.ready_depth_mean,
-            "sched_rounds": self.sched_rounds,
-            "tasks_completed": self.tasks_completed,
-            "apps_completed": self.apps_completed,
+            "per_pe": per_pe,
+            "ready_depth_max": depth_max,
+            "ready_depth_mean": depth_mean,
+            "sched_rounds": len(book.rounds),
+            "tasks_completed": len(book.tasks),
+            "apps_completed": len(book.closed),
             "engine_events": self.engine_events,
             "wall_seconds": self.wall_seconds,
             "events_per_wall_sec": self.events_per_wall_sec,
@@ -264,16 +231,16 @@ class PerfCounters:
             "timer_ns_by_owner": self.timer_ns_by_owner,
             "event_core": dict(self.event_core),
             "faults": {
-                "injected": self.faults_injected,
-                "by_kind": self.faults_by_kind,
-                "task_failures": self.task_failures,
-                "failures_by_kind": self.failures_by_kind,
-                "retries": self.retries,
-                "tasks_lost": self.tasks_lost,
-                "stale_dispatches": self.stale_dispatches,
-                "pe_quarantines": self.pe_quarantines,
-                "pe_revivals": self.pe_revivals,
-                "recoveries": self.recoveries,
-                "mean_time_to_recovery": self.mean_time_to_recovery,
+                "injected": counts["fault"],
+                "by_kind": dict(details["fault"]),
+                "task_failures": counts["failure"],
+                "failures_by_kind": dict(details["failure"]),
+                "retries": counts["retry"],
+                "tasks_lost": counts["lost"],
+                "stale_dispatches": counts["stale"],
+                "pe_quarantines": counts["quarantine"],
+                "pe_revivals": counts["revival"],
+                "recoveries": counts["recovery"],
+                "mean_time_to_recovery": book.mean_time_to_recovery(),
             },
         }

@@ -168,7 +168,7 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
             "platform": runtime.platform.config.name,
             "scheduler": runtime.scheduler.name,
             "makespan_ms": (runtime.logbook.makespan or 0.0) * 1e3,
-            "apps": runtime.counters.apps_completed,
+            "apps": len(runtime.logbook.closed),
             "tasks": len(runtime.logbook.tasks),
             "faults": counts["fault"],
             "retries": counts["retry"],

@@ -84,8 +84,7 @@ def to_json_dict(telemetry: "CedrTelemetry") -> dict[str, Any]:
     return {
         "schema": "repro.telemetry/1",
         "sample_interval_s": telemetry.config.sample_interval_s,
-        "metrics": telemetry.registry.snapshot(),
-        "samples": list(telemetry.samples),
+        **telemetry.export_state(),
     }
 
 

@@ -66,15 +66,6 @@ class Gauge:
     def __init__(self) -> None:
         self.value: float = 0.0
 
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def state(self) -> dict[str, Any]:
         return {"value": self.value}
 

@@ -241,16 +241,10 @@ class CedrTelemetry:
         )
 
         # Pre-touch per-PE children so every PE appears (with zeros) even if
-        # it never executes a task - keeps the export shape run-invariant -
-        # and pre-bind them: name -> (dispatch counter, busy counter).
-        self._pe_children = {n: (self.pe_dispatch.labels(n), self.pe_busy.labels(n))
-                             for n in pe_names}
-        #: (busy counter, utilization gauge) per PE, refreshed each sample
-        self._utilization = [(busy, self.pe_util.labels(n))
-                             for n, (_, busy) in self._pe_children.items()]
-        #: (api, mode) -> (calls counter, latency histogram), bound on first
-        #: sight: the API name set is workload-defined.
-        self._api_children: dict[tuple[str, str], tuple[Any, Any]] = {}
+        # it never executes a task - keeps the export shape run-invariant.
+        for family in (self.pe_dispatch, self.pe_busy, self.pe_util):
+            for name in pe_names:
+                family.labels(name)
 
     @classmethod
     def fold(
@@ -334,14 +328,10 @@ class CedrTelemetry:
     def record_tasks(self, rows: Sequence[tuple[str, float]]) -> None:
         """Worker-side completions, ``(pe, service seconds)`` each: per-PE
         dispatch count and busy seconds."""
-        children = self._pe_children
+        dispatch, busy = self.pe_dispatch.labels, self.pe_busy.labels
         for name, service_seconds in rows:
-            pair = children.get(name)
-            if pair is None:  # a PE unknown at construction (defensive)
-                self.pe_util.labels(name)
-                pair = children[name] = (self.pe_dispatch.labels(name), self.pe_busy.labels(name))
-            pair[0].value += 1.0
-            pair[1].inc(service_seconds)  # refuses a negative service time
+            dispatch(name).value += 1.0
+            busy(name).inc(service_seconds)  # refuses a negative service time
         self.tasks_completed.value += len(rows)
 
     def record_apps_completed(self, closes: Sequence[float]) -> None:
@@ -366,18 +356,15 @@ class CedrTelemetry:
         """libCEDR calls entering (``None``: the in-flight gauge rises) and
         settling (``(api, mode, latency)``, mode ``blocking`` /
         ``nonblocking``: counted, timed, and out of the gauge)."""
-        inflight, children = self.api_inflight, self._api_children
+        inflight = self.api_inflight
+        calls, latencies = self.api_calls.labels, self.api_latency.labels
         for row in rows:
             if row is None:
                 inflight.value += 1.0
                 continue
             api, mode, latency = row
-            key = (api, mode)
-            pair = children.get(key)
-            if pair is None:
-                pair = children[key] = (self.api_calls.labels(*key), self.api_latency.labels(*key))
-            pair[0].value += 1.0
-            pair[1].observe(latency)
+            calls(api, mode).value += 1.0
+            latencies(api, mode).observe(latency)
             inflight.value -= 1.0
 
     def record_late_timers(self, instants: Sequence[float]) -> None:
@@ -390,9 +377,11 @@ class CedrTelemetry:
     def sample(self, now: float) -> dict[str, Any]:
         """Append (and return) one flattened snapshot stamped with sim time,
         each PE's utilization derived for it (busy seconds / *now*)."""
-        if now > 0.0:
-            for busy, util in self._utilization:
-                util.value = busy.value / now
+        util = self.pe_util.labels
+        for (name,), busy in self.pe_busy.series():
+            gauge = util(name)  # a PE first seen in a row gets its series here
+            if now > 0.0:
+                gauge.value = busy.value / now
         snap = {"t": now, "values": self.registry.flat()}
         self.samples.append(snap)
         return snap

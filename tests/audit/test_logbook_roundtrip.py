@@ -407,8 +407,45 @@ MALFORMED = [
                  id="incident-unknown-column"),
 ]
 
+#: ``json.loads`` reads ``NaN`` / ``Infinity`` (and ``1e400``) as floats, so a
+#: float column that type-checks can still hold no number at all
+_NAN, _INF = float("nan"), float("inf")
+NONFINITE = [
+    pytest.param({"schema": 3, "tasks": [{**_TASK, "t_finish": _NAN}]},
+                 r"tasks\[0\]: non-finite columns \['t_finish'\]", id="task-nan-finish"),
+    pytest.param({"schema": 3, "tasks": [{**_TASK, "t_start": _INF, "t_finish": _INF}]},
+                 r"tasks\[0\]: non-finite columns \['t_start', 't_finish'\]",
+                 id="task-inf-instants"),
+    pytest.param({"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api",
+                                         "t_arrival": 0.0, "t_finish": -_INF}]},
+                 r"apps\[0\]: non-finite columns \['t_finish'\]", id="app-inf-finish"),
+    pytest.param({"schema": 3, "rounds": [[_NAN, 1, 0.0, 0.1]]},
+                 r"rounds\[0\]: non-finite columns \['t'\]", id="round-nan-t"),
+    pytest.param({"schema": 3, "rounds": [[0.1, 1, 0.0, 0.1], [0.2, 1, _INF, 0.2]]},
+                 r"rounds\[1\]: non-finite columns \['cost'\]", id="round-inf-cost"),
+    pytest.param({"schema": 2, "rounds": [[0.1, 1], [_NAN, 1]]},
+                 r"rounds\[1\]: non-finite columns \['t'\]", id="round-v2-nan-t"),
+    pytest.param({"schema": 4, "rounds": [[0.1, 1, 0.0, 0.1]], "releases": [_NAN]},
+                 r"releases\[0\]: expected an instant, got nan", id="release-nan"),
+    pytest.param({"schema": 4, "late_timers": [0.1, _INF]},
+                 r"late_timers\[1\]: expected an instant, got inf", id="late-timer-inf"),
+    pytest.param({"schema": 5, "charges": [_NAN]},
+                 r"charges\[0\]: expected a duration, got nan", id="charge-nan"),
+    pytest.param({"schema": 5, "makespan": _INF},
+                 r"makespan: expected an instant or null, got inf", id="makespan-inf"),
+    pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "recovery", "seconds": _NAN}]},
+                 r"incidents\[0\]: non-finite columns \['seconds'\]", id="incident-nan-seconds"),
+    pytest.param({"schema": 4, "calls": [{"api": "fft", "mode": "blocking", "t_call": 0.0,
+                                          "t_enter": 0.0, "t_done": _INF}]},
+                 r"calls\[0\]: non-finite columns \['t_done'\]", id="call-inf-done"),
+    pytest.param({"schema": 5, "admissions": [{"tenant": "a", "t_offered": 0.1,
+                                               "t_admitted": _NAN, "app_id": 1}]},
+                 r"admissions\[0\]: non-finite columns \['t_admitted'\]",
+                 id="admission-nan-admitted"),
+]
 
-@pytest.mark.parametrize("dump,message", MALFORMED)
+
+@pytest.mark.parametrize("dump,message", MALFORMED + NONFINITE)
 def test_malformed_dumps_are_rejected_by_name(dump, message, tmp_path, capsys):
     with pytest.raises(ValueError, match=message):
         Logbook.from_dict(dump)
@@ -421,6 +458,32 @@ def test_malformed_dumps_are_rejected_by_name(dump, message, tmp_path, capsys):
         main(["audit", str(path)])
     assert str(err.value).startswith(f"cannot load {str(path)!r}: ")
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("path,column", [
+    pytest.param(("tasks", 3, "t_finish"), r"tasks\[3\]: non-finite columns \['t_finish'\]",
+                 id="task-finish"),
+    pytest.param(("charges", 0), r"charges\[0\]: expected a duration, got nan", id="charge"),
+    pytest.param(("rounds", 0, 0), r"rounds\[0\]: non-finite columns \['t'\]", id="round-t"),
+])
+def test_a_nan_in_a_real_dump_is_refused_not_audited(path, column):
+    """A NaN used to load, audit ``ok`` and fold to a ``nan`` overhead."""
+    dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    *section, last = path
+    row = dump
+    for key in section:
+        row = row[key]
+    row[last] = float("nan")
+    with pytest.raises(ValueError, match=column):
+        Logbook.from_dict(dump)
+
+
+def test_save_refuses_a_non_finite_value(tmp_path):
+    book = Logbook()
+    book.charges.append(float("inf"))
+    with pytest.raises(ValueError, match="Out of range float values"):
+        book.save(tmp_path / "book.json")
+    assert not (tmp_path / "book.json").exists()
 
 
 # --------------------------------------------------------------------- #
@@ -451,7 +514,7 @@ def test_mean_time_to_recovery_is_a_plain_loop():
         book.record_incident(0.0, "recovery", seconds=seconds)
     plain = float.fromhex("0x1.745d1745d1746p-4")
     assert book.mean_time_to_recovery() == plain
-    assert PerfCounters(book).mean_time_to_recovery == plain
+    assert PerfCounters(book).snapshot()["faults"]["mean_time_to_recovery"] == plain
 
 
 def test_offline_audit_reads_the_stamped_makespan(tmp_path, capsys):

@@ -42,7 +42,7 @@ def test_retry_exhaustion_fails_api_app():
     runtime.seal()
     runtime.run()
     assert app.finished and app.failed and not app.cancelled
-    assert runtime.counters.tasks_lost == 1
+    assert runtime.logbook.incident_counts()["lost"] == 1
     result = RunResult.from_runtime(runtime)
     assert result.n_failed == 1 and result.n_apps == 0
     assert result.goodput == 0.0
@@ -104,10 +104,10 @@ def test_quarantine_parks_and_revives_on_single_pe_platform():
     runtime.seal()
     runtime.run()
     assert app.finished and not app.failed
-    c = runtime.counters
-    assert c.pe_quarantines >= 1
-    assert c.pe_revivals >= 1
-    assert c.retries >= 1
+    counts = runtime.logbook.incident_counts()
+    assert counts["quarantine"] >= 1
+    assert counts["revival"] >= 1
+    assert runtime.counters.retries >= 1
 
 
 def test_watchdog_false_positive_does_not_quarantine():
@@ -122,9 +122,9 @@ def test_watchdog_false_positive_does_not_quarantine():
     runtime.seal()
     runtime.run()
     assert app.finished and not app.failed
-    c = runtime.counters
-    if c.failures_by_kind.get("watchdog"):
-        assert c.pe_quarantines == c.failures_by_kind.get("hang", 0)
+    failures = [i.detail for i in runtime.logbook.incidents if i.kind == "failure"]
+    if "watchdog" in failures:
+        assert runtime.logbook.incident_counts()["quarantine"] == failures.count("hang")
 
 
 # -- shutdown drain (regression: these hung before the drain fixes) ------- #
@@ -168,7 +168,7 @@ def test_stochastic_run_terminates_and_recovers():
     c = runtime.counters
     # dropped tasks of already-failed apps record a failure but neither a
     # retry nor a loss, so the identity is an inequality
-    assert c.retries + c.tasks_lost <= c.task_failures
+    assert c.retries + runtime.logbook.incident_counts()["lost"] <= c.task_failures
     finished = [a for a in runtime.apps.values() if a.finished]
     assert len(finished) == 3
     result = RunResult.from_runtime(runtime)
@@ -202,5 +202,5 @@ def test_pe_death_retriages_parked_tasks_by_support_row():
 
     assert runtime._parked == [on_fft]            # fft0 may yet revive
     assert not on_fft.completion.done and not keeps.failed
-    assert loses.failed and runtime.counters.tasks_lost == 1
+    assert loses.failed and runtime.logbook.incident_counts()["lost"] == 1
     assert isinstance(cpu_only.completion.error, TaskLostError)

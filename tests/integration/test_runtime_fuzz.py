@@ -237,7 +237,6 @@ def test_random_fault_streams_hold_the_invariant_catalog(
     assert report.ok, report.summary()
     assert runtime.logbook.rounds
     # under faults the ledger still balances: losses == failed apps
-    counters = runtime.counters
     failed = sum(1 for a in runtime.apps.values() if a.failed)
-    assert counters.tasks_lost == failed
+    assert runtime.logbook.incident_counts()["lost"] == failed
     assert runtime.telemetry.registry.flat()["cedr_tasks_lost_total"] == failed

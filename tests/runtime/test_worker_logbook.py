@@ -148,7 +148,7 @@ def test_perf_counters_aggregation():
     assert snap["per_pe"]["cpu0"]["by_api"] == {"fft": 1, "zip": 1}
     assert snap["per_pe"]["cpu0"]["busy_seconds"] == pytest.approx(0.03)
     assert snap["ready_depth_max"] == 5
-    assert c.ready_depth_mean == pytest.approx(4.0)
+    assert snap["ready_depth_mean"] == pytest.approx(4.0) == book.ready_depths()[1]
     assert c.tasks_completed == 3 and c.sched_rounds == 2
 
 

@@ -22,9 +22,9 @@ def small_registry() -> MetricRegistry:
     c.inc()
     c.inc(2.0)
     g = r.gauge("demo_depth", "Queue depth", labels=("queue",))
-    g.labels("ready").set(3)
-    g.labels("done").set(1.5)
-    g.labels('we"ird\\q').set(2)
+    g.labels("ready").value = 3
+    g.labels("done").value = 1.5
+    g.labels('we"ird\\q').value = 2
     h = r.histogram("demo_latency_seconds", (0.001, 0.01, 0.1), "Latency")
     for v in (0.0005, 0.002, 0.05, 2.0):
         h.observe(v)

@@ -30,11 +30,14 @@ def test_counter_accumulates_and_rejects_negative():
 
 
 def test_gauge_moves_both_ways():
+    """A gauge is its ``value``: the fold assigns and adjusts it in place
+    (there are no ``set`` / ``inc`` / ``dec`` wrappers to keep)."""
     g = Gauge()
-    g.set(4.0)
-    g.inc()
-    g.dec(2.0)
-    assert g.value == 3.0
+    g.value = 4.0
+    g.value += 1.0
+    g.value -= 2.0
+    assert g.value == 3.0 and g.state() == {"value": 3.0}
+    assert not {"set", "inc", "dec"} & set(dir(g))
 
 
 # --------------------------------------------------------------------- #

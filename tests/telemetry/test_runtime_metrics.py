@@ -122,21 +122,22 @@ def test_fault_layer_bridges_into_registry(zcu_small):
     assert retries["value"] == result.retries
 
 
-def test_labels_lookups_are_o1_per_run(zcu_small, monkeypatch):
-    """Hot paths pre-bind their label children: the number of
-    ``MetricFamily.labels()`` probes in a run is a function of the catalog
-    (PE names at construction, distinct (api, mode) pairs on first sight),
-    not of how many tasks or libCEDR calls the run processes."""
+def test_label_children_are_made_once_per_run(zcu_small, monkeypatch):
+    """The fold reads every child through ``MetricFamily.labels()``, one
+    dict hit once the child exists: the number of children *made* in a run
+    is a function of the catalog (PE names at construction, distinct
+    (api, mode) pairs on first sight), not of how many tasks or libCEDR
+    calls the run processes."""
     from repro.telemetry import registry as registry_mod
 
     counter = {"n": 0}
-    real = registry_mod.MetricFamily.labels
+    real = registry_mod.MetricFamily._make
 
-    def counted(self, *values):
+    def counted(self):
         counter["n"] += 1
-        return real(self, *values)
+        return real(self)
 
-    monkeypatch.setattr(registry_mod.MetricFamily, "labels", counted)
+    monkeypatch.setattr(registry_mod.MetricFamily, "_make", counted)
     small = WorkloadSpec("pd1", (WorkloadEntry(PulseDoppler(batch=8), 1),))
     big = WorkloadSpec("pd4", (WorkloadEntry(PulseDoppler(batch=8), 4),))
 
@@ -148,5 +149,17 @@ def test_labels_lookups_are_o1_per_run(zcu_small, monkeypatch):
     n_big = counter["n"]
 
     assert r_big.tasks_completed > r_small.tasks_completed
-    assert n_small > 0  # construction still binds through labels()
+    assert n_small > 0  # construction pre-touches every PE's children
     assert n_big == n_small
+
+
+def test_a_pe_first_seen_in_a_row_gets_every_per_pe_series():
+    """A PE missing from ``pe_names`` still gets its dispatch, busy and
+    utilization series, and each sample derives its utilization."""
+    t = CedrTelemetry(TelemetryConfig(), pe_names=("cpu0",))
+    t.record_tasks([("gpu0", 0.5)])
+    values = t.sample(2.0)["values"]
+    assert values["cedr_pe_dispatch_total{pe=gpu0}"] == 1.0
+    assert values["cedr_pe_busy_seconds_total{pe=gpu0}"] == 0.5
+    assert values["cedr_pe_utilization{pe=gpu0}"] == 0.25
+    assert values["cedr_pe_utilization{pe=cpu0}"] == 0.0
