@@ -34,7 +34,6 @@ from .oracle import (
     diff_results,
     diff_run,
     diff_serve,
-    diff_serve_results,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "audit_logbook",
     "OnlineAuditor",
     "diff_results",
-    "diff_serve_results",
     "assert_identical",
     "diff_run",
     "diff_serve",

@@ -9,16 +9,17 @@ indistinguishable -
 ``jobs``        serial vs ``--jobs`` process-pool sharding
 ``cache``       uncached vs cold-store vs warm-hit sweep cache
 
-- and diffs every :class:`~repro.metrics.RunResult` field-by-field,
-bit-exactly.  :func:`diff_results` / :func:`assert_identical` are the
-reusable helpers the bit-identity tests build on; :func:`diff_run` is the
-full paired-run driver behind ``repro audit diff``.
+- and diffs every :class:`~repro.metrics.RunResult` (or ``ServeResult``)
+field-by-field, bit-exactly.  :func:`diff_results` / :func:`assert_identical`
+are the reusable helpers the bit-identity tests build on; :func:`diff_run` is
+the full paired-run driver behind ``repro audit diff``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import tempfile
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from repro.experiments.cache import SweepCache
@@ -30,7 +31,6 @@ from repro.workload import WorkloadSpec
 
 __all__ = [
     "diff_results",
-    "diff_serve_results",
     "assert_identical",
     "VariantOutcome",
     "OracleReport",
@@ -43,31 +43,33 @@ __all__ = [
 #: how to produce.
 DEFAULT_VARIANTS = ("jobs", "cache")
 
-_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
-
-
-def diff_results(
-    a: RunResult,
-    b: RunResult,
-    *,
-    ignore: Sequence[str] = (),
-) -> list[str]:
-    """Names of ``RunResult`` fields where *a* and *b* differ, bit-exactly.
+def diff_results(a, b, *, ignore: Sequence[str] = ()) -> list[str]:
+    """Names of the fields where two results differ, bit-exactly.
 
     Frozen-dataclass ``==`` answers *whether* two results drifted; this
     answers *where*, which is what a failing determinism test needs to
-    print.  ``ignore`` excludes fields that differ by design (the
-    ``telemetry`` export when comparing a run with a registry against a
-    bare one).
+    print.  A field that is itself a :class:`~repro.metrics.RunResult` (a
+    ``ServeResult``'s ``run``) is descended into, so a serve drift names
+    the measurement (``run.makespan``) rather than ``run``.  ``ignore``
+    excludes top-level fields that differ by design (the ``telemetry``
+    export when comparing a run with a registry against a bare one).
     """
-    unknown = set(ignore) - set(_RESULT_FIELDS)
+    names = [f.name for f in dataclasses.fields(a)]
+    unknown = set(ignore) - set(names)
     if unknown:
-        raise KeyError(f"ignore names unknown RunResult fields: {sorted(unknown)}")
-    return [
-        name
-        for name in _RESULT_FIELDS
-        if name not in ignore and getattr(a, name) != getattr(b, name)
-    ]
+        raise KeyError(
+            f"ignore names unknown {type(a).__name__} fields: {sorted(unknown)}"
+        )
+    fields: list[str] = []
+    for name in names:
+        va, vb = getattr(a, name), getattr(b, name)
+        if name in ignore or va == vb:
+            continue
+        if isinstance(va, RunResult):
+            fields.extend(f"{name}.{sub}" for sub in diff_results(va, vb))
+        else:
+            fields.append(name)
+    return fields
 
 
 def assert_identical(
@@ -95,30 +97,10 @@ def assert_identical(
                 f"{label} drifted from {ref_label} at cell {i} in "
                 f"field(s) {fields}: "
                 + "; ".join(
-                    f"{name}: {getattr(a, name)!r} != {getattr(b, name)!r}"
+                    f"{name}: {attrgetter(name)(a)!r} != {attrgetter(name)(b)!r}"
                     for name in fields[:3]
                 )
             )
-
-
-def diff_serve_results(a, b) -> list[str]:
-    """Drifted field names between two ``ServeResult``s, bit-exactly.
-
-    The embedded batch result is descended into so a failure names the
-    actual drifted measurement (``run.makespan``) instead of just ``run``.
-    """
-    from repro.serve.driver import ServeResult
-
-    fields: list[str] = []
-    for f in dataclasses.fields(ServeResult):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if va == vb:
-            continue
-        if f.name == "run":
-            fields.extend(f"run.{name}" for name in diff_results(va, vb))
-        else:
-            fields.append(f.name)
-    return fields
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,17 +151,15 @@ class OracleReport:
 def _diff_grid(
     label: str,
     grid: Callable[..., list],
-    differ: Callable[..., list[str]],
-    base_config: RuntimeConfig,
     variants: Sequence[str],
     jobs: int,
     cache_dir: Optional[str],
 ) -> OracleReport:
     """The variant loop shared by :func:`diff_run` and :func:`diff_serve`.
 
-    ``grid(config, n_jobs=1, cache=False)`` runs the whole cell grid once;
-    ``differ(a, b)`` names the drifted fields of one cell pair.  The
-    baseline is the plain serial, uncached
+    ``grid(n_jobs=1, cache=False)`` runs the whole cell grid once under
+    its closed-over config, and :func:`diff_results` names the drifted
+    fields of one cell pair.  The baseline is the plain serial, uncached
     sweep; each variant flips exactly one knob and must reproduce it
     bit-for-bit.  The ``cache`` variant additionally audits the cache's own
     books: a cold pass must miss-and-store every cell, a warm pass must hit
@@ -191,18 +171,18 @@ def _diff_grid(
             f"unknown oracle variant(s) {sorted(unknown)}; "
             f"available: {DEFAULT_VARIANTS}"
         )
-    baseline = grid(base_config)
+    baseline = grid()
     n = len(baseline)
     outcomes: list[VariantOutcome] = []
     for variant in variants:
         notes: list[str] = []
         if variant == "jobs":
-            runs = [grid(base_config, n_jobs=jobs)]
+            runs = [grid(n_jobs=jobs)]
         else:  # "cache"
             with tempfile.TemporaryDirectory() as scratch:
                 cold = SweepCache(cache_dir or scratch)
                 warm = SweepCache(cache_dir or scratch)
-                runs = [grid(base_config, cache=cold), grid(base_config, cache=warm)]
+                runs = [grid(cache=cold), grid(cache=warm)]
             if not cold.stats.misses == cold.stats.stores == n:
                 notes.append(
                     f"cold pass expected {n} misses+stores, saw {cold.stats}"
@@ -212,7 +192,7 @@ def _diff_grid(
         mismatches = []
         for run in runs:
             for i, (a, b) in enumerate(zip(baseline, run)):
-                fields = differ(a, b)
+                fields = diff_results(a, b)
                 if fields:
                     mismatches.append((i, tuple(fields)))
             if len(run) != n:
@@ -244,21 +224,21 @@ def diff_run(
     if config is None:
         config = RuntimeConfig(scheduler=scheduler, execute_kernels=execute)
 
-    def grid(cfg: RuntimeConfig, n_jobs: int = 1, cache=False) -> list[RunResult]:
+    def grid(n_jobs: int = 1, cache=False) -> list[RunResult]:
         out: list[RunResult] = []
         for rate in rates:
             out.extend(
                 run_trials(
                     platform, workload, mode, rate, scheduler,
                     trials=trials, base_seed=base_seed, execute=execute,
-                    config=cfg, n_jobs=n_jobs, cache=cache,
+                    config=config, n_jobs=n_jobs, cache=cache,
                 )
             )
         return out
 
     return _diff_grid(
         f"{platform.name}/{workload.name}/{mode}/{scheduler}",
-        grid, diff_results, config, variants, jobs, cache_dir,
+        grid, variants, jobs, cache_dir,
     )
 
 
@@ -289,15 +269,15 @@ def diff_serve(
     if config is None:
         config = RuntimeConfig(scheduler=serve.scheduler, execute_kernels=False)
 
-    def grid(cfg: RuntimeConfig, n_jobs: int = 1, cache=False) -> list:
+    def grid(n_jobs: int = 1, cache=False) -> list:
         return serve_trials(
             platform, serve,
             trials=trials, base_seed=base_seed,
-            config=cfg, n_jobs=n_jobs, cache=cache,
+            config=config, n_jobs=n_jobs, cache=cache,
         )
 
     tenant_names = "+".join(t.name for t in serve.tenants)
     return _diff_grid(
         f"{platform.name}/serve[{tenant_names}]/{serve.scheduler}",
-        grid, diff_serve_results, config, variants, jobs, cache_dir,
+        grid, variants, jobs, cache_dir,
     )

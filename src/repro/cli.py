@@ -138,10 +138,6 @@ def _lower(args):
     return spec
 
 
-#: ``repro run`` / ``repro serve`` flags as a run- / serve-kind spec
-_run_spec = _serve_spec = _lower
-
-
 def _add_cache_options(parser) -> None:
     """The sweep-cache block shared by figure and ``scenario run``."""
     cache = parser.add_mutually_exclusive_group()

@@ -41,7 +41,6 @@ from repro.workload import (
     av_workload_scaled,
     paper_injection_rates,
     radar_comms_workload,
-    reduced_injection_rates,
 )
 
 from .common import _run_cell, run_cells, seed_invariant, trial_seeds
@@ -270,7 +269,7 @@ class _Row:
 
 _RATE = "injection rate (Mbps)"
 _EXEC = "execution time per app (s)"
-_RATES = tuple(float(r) for r in reduced_injection_rates())
+_RATES = tuple(float(r) for r in paper_injection_rates(n=8))
 _FAULTS = "ZCU102 3C+1FFT, 5xPD + 5xTX @ 200 Mbps, API mode"
 _LOAD = "offered load (apps/s)"
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -125,7 +125,8 @@ class TimingModel:
     gpu_zip_cycles_per_elem: float = 0.12
     gpu_teardown_us: float = 5.0
 
-    #: multiplicative log-normal jitter for *sampled* costs; 0 disables.
+    #: log-normal cost jitter; nothing draws from it (a runtime's jitter is
+    #: ``RuntimeConfig.cost_noise_sigma``), but sweep-cache keys encode it.
     noise_sigma: float = 0.0
 
     # ------------------------------------------------------------------ #
@@ -224,14 +225,6 @@ class TimingModel:
             return self.cpu_seconds(api, params)
         return self.accel_parts(api, params, pe.kind).total
 
-    def sample_factor(self, rng: Optional[np.random.Generator]) -> float:
-        """Draw the multiplicative jitter factor for one executed task."""
-        if rng is None or self.noise_sigma <= 0.0:
-            return 1.0
-        return float(np.exp(rng.normal(0.0, self.noise_sigma)))
-
-    def with_noise(self, sigma: float) -> "TimingModel":
-        return replace(self, noise_sigma=sigma)
 
 
 #: per-process CostTable serials; tasks stamp the serial of the table that
@@ -365,11 +358,6 @@ class CostTable:
             task.cost_row = self.row(task.api, task.params)
             task.cost_token = self.token
         return task.cost_row
-
-    def row_mean(self, row: int) -> Optional[float]:
-        """Mean estimate over the row's PEs (HEFT_RT rank seed); ``None``
-        when no PE can run the shape."""
-        return self.means[row]
 
     # -- reads: one row, or one cell ------------------------------------- #
 

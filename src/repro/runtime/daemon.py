@@ -381,7 +381,7 @@ class CedrRuntime:
         computed with the row - seeds its HEFT_RT rank.
         """
         row = self.cost_table.row(api, params)
-        mean = self.cost_table.row_mean(row)
+        mean = self.cost_table.means[row]
         if mean is None:
             raise ValueError(
                 f"no PE supports API {api!r} on {self.platform.config.name}"

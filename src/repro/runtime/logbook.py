@@ -233,6 +233,17 @@ _COLUMN_TYPES = {
 }
 
 
+def _mistyped(value: Any, kind: str) -> bool:
+    """Whether *value* cannot fill a column of annotation *kind*: ``True``
+    is an ``int`` to ``isinstance``, so only a bool column takes a bool, and
+    a successor list holds task ids only."""
+    if type(value) is bool:
+        return kind != "bool"
+    if kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
+        return any(type(tid) is not int for tid in value)
+    return not isinstance(value, _COLUMN_TYPES[kind])
+
+
 def _load_record(cls, where: str, row: Any):
     """Build a record dataclass from the dump row at *where*.
 
@@ -251,9 +262,7 @@ def _load_record(cls, where: str, row: Any):
             f"refusing to audit a newer schema than this build understands"
         )
     missing = [n for n, f in columns.items() if f.default is MISSING and n not in row]
-    mistyped = [
-        n for n, v in row.items() if not isinstance(v, _COLUMN_TYPES[columns[n].type])
-    ]
+    mistyped = [n for n, v in row.items() if _mistyped(v, columns[n].type)]
     if missing or mistyped:
         raise ValueError(
             f"{where}: missing columns {missing}, mistyped columns {mistyped}"
@@ -285,13 +294,19 @@ def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
         )
     _refuse_nonfinite(where, zip(("t", "depth", "cost", "t_begin"), row))
     t, depth, cost, t_begin = row if len(row) == 4 else (*row, 0.0, row[0])
+    if cost < 0:
+        raise ValueError(f"{where}: negative decision cost {cost!r}")
     return (float(t), depth, float(cost), float(t_begin))
 
 
-def _typed(where: str, value: Any, types: tuple, what: str) -> Any:
-    """*value*, if its exact type is one of *types* and it is not a NaN or an
-    infinity; else the one-line error."""
-    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+def _typed(where: str, value: Any, types: tuple, what: str, nonnegative: bool = False) -> Any:
+    """*value*, if its exact type is one of *types* and it is not a NaN, an
+    infinity or (when *nonnegative*) below zero; else the one-line error."""
+    if (
+        type(value) not in types
+        or (type(value) is float and not math.isfinite(value))
+        or (nonnegative and value is not None and value < 0)
+    ):
         raise ValueError(f"{where}: expected {what}, got {value!r}")
     return value
 
@@ -477,16 +492,25 @@ class Logbook:
         for name in ("releases", "late_timers", "charges"):
             what = "a duration" if name == "charges" else "an instant"
             for i, t in enumerate(rows[name]):
-                getattr(book, name).append(float(_typed(f"{name}[{i}]", t, (int, float), what)))
-        for i, app_id in enumerate(rows["closed"]):
-            book.closed.append(_typed(f"closed[{i}]", app_id, (int,), "an app id"))
+                getattr(book, name).append(float(_typed(
+                    f"{name}[{i}]", t, (int, float), what, nonnegative=name == "charges"
+                )))
+        book.closed = [
+            _typed(f"closed[{i}]", app_id, (int,), "an app id")
+            for i, app_id in enumerate(rows["closed"])
+        ]
+        seen: set[int] = set()  # an app terminates once, after it arrived
+        for i, app_id in enumerate(book.closed):
+            if app_id not in book.apps or app_id in seen:
+                raise ValueError(f"closed[{i}]: expected an app still open, got {app_id}")
+            seen.add(app_id)
         if schema >= 5:  # the rows and stamps only the result folds read
             book.admissions = [
                 _load_record(AdmissionRecord, f"admissions[{i}]", row)
                 for i, row in enumerate(rows["admissions"])
             ]
             makespan = _typed("makespan", dump.get("makespan"), (int, float, type(None)),
-                              "an instant or null")
+                              "an instant or null", nonnegative=True)
             book.makespan = None if makespan is None else float(makespan)
             book.in_system_hwm = _typed("in_system_hwm", dump.get("in_system_hwm", 0), (int,),
                                         "an integer")

@@ -19,7 +19,7 @@ from .process import (
     ThreadState,
 )
 from .rng import child_rng
-from .sync import Condition, Mutex, Semaphore, SimQueue
+from .sync import Condition, Mutex
 
 __all__ = [
     "Engine",
@@ -34,8 +34,6 @@ __all__ = [
     "AcquireDevice",
     "Mutex",
     "Condition",
-    "Semaphore",
-    "SimQueue",
     "SimError",
     "SimDeadlock",
     "SimStateError",

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
     from .process import SimThread
 
-__all__ = ["Mutex", "Condition", "Semaphore", "SimQueue"]
+__all__ = ["Mutex", "Condition"]
 
 
 def _current(engine: "Engine", op: str) -> "SimThread":
@@ -150,79 +150,3 @@ class Condition:
     @property
     def waiting(self) -> int:
         return len(self._waiters)
-
-
-@dataclass
-class Semaphore:
-    """Counting semaphore with FIFO wakeup."""
-
-    engine: "Engine"
-    value: int = 0
-    name: str = "sem"
-    _waiters: Deque["SimThread"] = field(default_factory=deque)
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise SimStateError(f"semaphore {self.name!r} initialized negative")
-
-    def acquire(self) -> Generator[Request, Any, None]:
-        me = _current(self.engine, "Semaphore.acquire")
-        if self.value > 0 and not self._waiters:
-            self.value -= 1
-            return
-        self._waiters.append(me)
-        yield Block()
-
-    def release(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._waiters:
-                self.engine.wake(self._waiters.popleft())
-            else:
-                self.value += 1
-
-
-class SimQueue:
-    """Unbounded FIFO queue between simulated threads (condvar-based).
-
-    The literal pthread form of a worker's task queue: ``get`` blocks the
-    consumer exactly like a worker thread sleeping on its queue's condition
-    variable.  The runtime's own mailboxes are single-consumer and use the
-    lighter :class:`repro.runtime.daemon.EventQueue`; this class serves
-    multi-consumer queues in user and test code.
-    """
-
-    def __init__(self, engine: "Engine", name: str = "queue") -> None:
-        self.engine = engine
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self.mutex = Mutex(engine, name=f"{name}.mtx")
-        self.not_empty = Condition(self.mutex, name=f"{name}.cv")
-        self.total_put = 0
-        self.max_depth = 0
-
-    def put(self, item: Any) -> Generator[Request, Any, None]:
-        yield from self.mutex.acquire()
-        self._items.append(item)
-        self.total_put += 1
-        self.max_depth = max(self.max_depth, len(self._items))
-        self.not_empty.notify()
-        self.mutex.release()
-
-    def put_nowait(self, item: Any) -> None:
-        """Insertion from outside any simulated thread - test scaffolding
-        and timer callbacks (nothing in the runtime dispatches through it)."""
-        self._items.append(item)
-        self.total_put += 1
-        self.max_depth = max(self.max_depth, len(self._items))
-        self.not_empty.notify()
-
-    def get(self) -> Generator[Request, Any, Any]:
-        yield from self.mutex.acquire()
-        while not self._items:
-            yield from self.not_empty.wait()
-        item = self._items.popleft()
-        self.mutex.release()
-        return item
-
-    def __len__(self) -> int:
-        return len(self._items)

@@ -1,11 +1,6 @@
 """Workload generation: injection rates, arrival schedules, app mixes."""
 
-from .injection import (
-    paper_injection_rates,
-    periodic_arrivals,
-    poisson_arrivals,
-    reduced_injection_rates,
-)
+from .injection import paper_injection_rates
 from .workload import (
     WORKLOADS,
     WorkloadEntry,
@@ -20,9 +15,6 @@ from .workload import (
 
 __all__ = [
     "paper_injection_rates",
-    "reduced_injection_rates",
-    "periodic_arrivals",
-    "poisson_arrivals",
     "WORKLOADS",
     "WorkloadEntry",
     "WorkloadSpec",

@@ -12,26 +12,22 @@ instance ``j`` of an application arrives at ``j * period``.
 
 The arrival *processes* themselves live in the arrival-generator registry
 (:mod:`repro.serve.arrival`) - one code path shared with the open-stream
-service mode.  :func:`periodic_arrivals` / :func:`poisson_arrivals` are
-kept as the closed-batch convenience API: they translate (frame, Mbps)
-into an :class:`~repro.serve.arrival.ArrivalSpec` and take the first
-``count`` instants of the stream, bit-identical to the vectorized
-schedules they used to compute inline (pinned by the workload tests).
+service mode.  :func:`stream_spec` translates (frame, Mbps) into an
+:class:`~repro.serve.arrival.ArrivalSpec`; a closed batch takes the first
+``count`` instants of ``make_arrival_stream(spec, rng)``, which for the
+periodic and Poisson processes are bit-identical to ``np.arange(count) *
+period`` and to the cumsum of ``rng.exponential(period, count)`` (pinned
+by the workload tests).
 """
 
 from __future__ import annotations
 
-from itertools import islice
-
 import numpy as np
 
-from repro.serve.arrival import ArrivalSpec, make_arrival_stream
+from repro.serve.arrival import ArrivalSpec
 
 __all__ = [
     "paper_injection_rates",
-    "reduced_injection_rates",
-    "periodic_arrivals",
-    "poisson_arrivals",
     "stream_spec",
 ]
 
@@ -49,11 +45,6 @@ def paper_injection_rates(
     if not 0 < lo < hi:
         raise ValueError(f"bad rate range [{lo}, {hi}]")
     return np.round(np.geomspace(lo, hi, n), 1)
-
-
-def reduced_injection_rates(n: int = 8) -> np.ndarray:
-    """Bench-default reduced grid over the same 10-2000 Mbps span."""
-    return paper_injection_rates(n=n)
 
 
 def stream_spec(
@@ -78,43 +69,3 @@ def stream_spec(
         raise ValueError(f"injection rate must be positive, got {rate_mbps}")
     period = frame_mb / rate_mbps
     return ArrivalSpec(kind, (("period", period), *extra))
-
-
-def _take(spec: ArrivalSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    if count < 0:
-        raise ValueError(f"negative instance count: {count}")
-    stream = make_arrival_stream(spec, rng)
-    return np.asarray(list(islice(stream, count)), dtype=np.float64)
-
-
-def periodic_arrivals(frame_mb: float, rate_mbps: float, count: int) -> np.ndarray:
-    """Arrival times of ``count`` periodic instances of one application.
-
-    The first instance arrives at t=0; subsequent ones every
-    ``frame_mb / rate_mbps`` seconds.  Routed through the ``periodic``
-    registry generator; bit-identical to ``np.arange(count) * period``.
-    """
-    spec = stream_spec("periodic", frame_mb, rate_mbps)
-    return _take(spec, count, np.random.default_rng(0))  # rng unused
-
-
-def poisson_arrivals(
-    frame_mb: float,
-    rate_mbps: float,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Arrival times of ``count`` Poisson-process instances at the same
-    *mean* rate as :func:`periodic_arrivals`.
-
-    CEDR supports arbitrary workload-injection traces beyond the paper's
-    periodic streams; Poisson arrivals are the standard bursty alternative
-    and feed the arrival-process ablations.  The first instance arrives
-    after an exponential gap (not pinned to t=0), so the mean inter-arrival
-    matches the periodic stream's ``frame_mb / rate_mbps``.  Routed
-    through the ``poisson`` registry generator, whose sequential scalar
-    gap draws are bit-identical to the historical vectorized
-    ``rng.exponential(mean, size=count)`` + ``cumsum`` schedule.
-    """
-    spec = stream_spec("poisson", frame_mb, rate_mbps)
-    return _take(spec, count, rng)

@@ -350,6 +350,7 @@ def test_empty_dump_loads_as_empty_book():
 _TASK = {"tid": 1, "app_id": 1, "api": "fft", "name": "t", "pe": "cpu0",
          "pe_kind": "cpu", "t_release": 0.0, "t_scheduled": 0.0,
          "t_start": 0.0, "t_finish": 0.1}
+_APP = {"app_id": 1, "name": "a", "mode": "api", "t_arrival": 0.0}
 MALFORMED = [
     pytest.param([1, 2], "expected a JSON object, got list", id="not-an-object"),
     pytest.param({"schema": 3, "tasks": {"tid": 1}},
@@ -405,6 +406,28 @@ MALFORMED = [
     pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "fault", "severity": 9}]},
                  r"incidents\[0\]: Incident.*unknown columns \['severity'\]",
                  id="incident-unknown-column"),
+    # rows that used to load and audit ok while the numbers lied
+    *(pytest.param({"schema": 3, "tasks": [{**_TASK, "successors": [2, entry]}]},
+                   r"tasks\[0\]: missing columns \[\], mistyped columns \['successors'\]",
+                   id=f"successor-{name}")
+      for name, entry in (("string", "x"), ("null", None), ("float", 1.5), ("bool", True))),
+    pytest.param({"schema": 3, "tasks": [{**_TASK, "tid": True}]},
+                 r"tasks\[0\]: missing columns \[\], mistyped columns \['tid'\]",
+                 id="task-bool-tid"),
+    pytest.param({"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api",
+                                         "t_arrival": False}]},
+                 r"apps\[0\]: missing columns \[\], mistyped columns \['t_arrival'\]",
+                 id="app-bool-arrival"),
+    pytest.param({"schema": 5, "apps": [_APP], "closed": [1, 1]},
+                 r"closed\[1\]: expected an app still open, got 1", id="closed-twice"),
+    pytest.param({"schema": 5, "apps": [_APP], "closed": [2]},
+                 r"closed\[0\]: expected an app still open, got 2", id="closed-unknown-app"),
+    pytest.param({"schema": 5, "charges": [1e-6, -0.5]},
+                 r"charges\[1\]: expected a duration, got -0.5", id="charge-negative"),
+    pytest.param({"schema": 3, "rounds": [[0.1, 1, -0.5, 0.1]]},
+                 r"rounds\[0\]: negative decision cost -0.5", id="round-negative-cost"),
+    pytest.param({"schema": 5, "makespan": -0.5},
+                 r"makespan: expected an instant or null, got -0.5", id="makespan-negative"),
 ]
 
 #: ``json.loads`` reads ``NaN`` / ``Infinity`` (and ``1e400``) as floats, so a

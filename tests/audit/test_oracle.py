@@ -64,6 +64,31 @@ def test_diff_results_rejects_unknown_ignore_names(result_pair):
         diff_results(a, b, ignore=("no_such_field",))
 
 
+def test_diff_results_descends_into_a_serve_results_run(pd_small, zcu_small):
+    """One differ serves both result kinds: a ``ServeResult``'s embedded
+    ``RunResult`` is diffed field by field, named under ``run.``."""
+    from repro.serve import ArrivalSpec, ServeConfig, TenantSpec, serve_once
+
+    serve = ServeConfig(
+        tenants=(
+            TenantSpec("a", ArrivalSpec.make("poisson", rate=100.0), (pd_small,)),
+            TenantSpec("b", ArrivalSpec.make("poisson", rate=50.0), (pd_small,)),
+        ),
+        duration=0.05,
+    )
+    a = serve_once(zcu_small, serve, seed=1)
+    assert diff_results(a, serve_once(zcu_small, serve, seed=1)) == []
+    first, *rest = a.tenants
+    drifted = dataclasses.replace(
+        a,
+        tenants=(dataclasses.replace(first, shed=first.shed + 1), *rest),
+        run=dataclasses.replace(a.run, makespan=a.run.makespan * 2.0),
+    )
+    assert diff_results(a, drifted) == ["tenants", "run.makespan"]
+    with pytest.raises(AssertionError, match=r"run\.makespan: "):
+        assert_identical([[a], [drifted]], ["serial", "pooled"])
+
+
 def test_assert_identical_passes_and_fails_with_context(result_pair):
     a, b = result_pair
     assert_identical([[a], [b]], ["serial", "pooled"])

@@ -27,7 +27,7 @@ def make_pe(kind, name="pe"):
 
 def test_replaced_model_prices_with_its_own_coefficients():
     """Regression: the model used to carry a memo as an ``init=True`` field,
-    so ``dataclasses.replace`` (and ``with_noise``) handed the old model's
+    so ``dataclasses.replace`` handed the old model's
     cached costs to the new one - a 2.4 GHz copy priced at 1.2 GHz."""
     import dataclasses
 
@@ -40,7 +40,7 @@ def test_replaced_model_prices_with_its_own_coefficients():
     assert dataclasses.replace(base, fabric_setup_us=36.0).accel_parts(
         *shape, PEKind.FFT
     ).setup == 2 * accel.setup
-    assert base.with_noise(0.1).cpu_seconds(*shape) == slow
+    assert dataclasses.replace(base, noise_sigma=0.1).cpu_seconds(*shape) == slow
     assert not [f.name for f in dataclasses.fields(base) if not f.compare]  # no memo field
 
 
@@ -103,7 +103,7 @@ def test_shape_outside_the_envelope_leaves_the_column_out_of_the_row():
     fits = Task(api="fft", params={"n": 2048, "batch": 4}, app_id=0)
     est, cols = table.scalar_row(big)
     assert cols == cpus and est[fft0] == float("inf")
-    assert table.row_mean(big.cost_row) == timing.cpu_seconds("fft", big.params)
+    assert table.means[big.cost_row] == timing.cpu_seconds("fft", big.params)
     assert table.scalar_row(fits)[1] == (*cpus, fft0)
 
 
@@ -112,7 +112,7 @@ def test_row_with_no_column_left_is_the_unsupported_api_error(sched_name):
     pes = [make_pe(PEKind.FFT, "fft0")]
     table = CostTable(zcu102_timing(), pes)
     task = Task(api="fft", params={"n": 4096, "batch": 1}, app_id=0)
-    assert table.scalar_row(task)[1] == () and table.row_mean(task.cost_row) is None
+    assert table.scalar_row(task)[1] == () and table.means[task.cost_row] is None
     with pytest.raises(SchedulerError, match="no PE supports API 'fft'"):
         SCHEDULERS.create(sched_name).schedule([task], pes, 0.0, table)
 
@@ -163,14 +163,20 @@ def test_mmult_and_gpu_zip_models():
 
 
 def test_noise_sampling():
-    t = zcu102_timing()
-    assert t.sample_factor(None) == 1.0
-    noisy = t.with_noise(0.1)
-    rng = np.random.default_rng(0)
-    draws = [noisy.sample_factor(rng) for _ in range(200)]
-    assert all(d > 0 for d in draws)
-    assert 0.9 < float(np.median(draws)) < 1.1
-    assert len(set(draws)) > 100  # actually random
+    """A runtime's cost jitter is its ``sample_noise`` draw: log-normal
+    around 1 at ``cost_noise_sigma > 0``, exactly 1.0 without noise."""
+    from repro.runtime import CedrRuntime, RuntimeConfig
+
+    def draws(sigma):
+        platform = zcu102(n_cpu=3, n_fft=1).build(seed=2)
+        runtime = CedrRuntime(platform, RuntimeConfig(cost_noise_sigma=sigma))
+        return [runtime.sample_noise() for _ in range(200)]
+
+    noisy = draws(0.1)
+    assert all(d > 0 for d in noisy)
+    assert 0.9 < float(np.median(noisy)) < 1.1
+    assert len(set(noisy)) > 100  # actually random
+    assert draws(0.0) == [1.0] * 200
 
 
 def test_conv2d_cost_model():

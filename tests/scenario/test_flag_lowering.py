@@ -12,7 +12,7 @@ did not move.
 import pytest
 
 from repro.apps import APPS
-from repro.cli import _run_spec, _serve_spec, build_parser, main
+from repro.cli import _lower, build_parser, main
 from repro.experiments import cell_digest, run_once
 from repro.faults import FaultConfig, FaultKind
 from repro.platforms import jetson, zcu102, zcu102_biglittle
@@ -87,7 +87,7 @@ RUN_LINES = [
 @pytest.mark.parametrize("flags,platform,config,mode", RUN_LINES)
 def test_run_flags_lower_to_library_objects(flags, platform, config, mode, capsys):
     argv = ["run", *flags]
-    spec = _run_spec(build_parser().parse_args(argv))
+    spec = _lower(build_parser().parse_args(argv))
     assert spec.kind == "run" and spec.mode == mode and spec.seed == 0
     assert spec.build_platform() == platform
     assert _key(spec.build_workload()) == _key(CLI_WORKLOAD)
@@ -117,7 +117,7 @@ def test_cli_default_is_its_declarative_twin(repo_root):
     """``examples/scenarios/radar_zcu102.toml`` calls itself "the declarative
     twin of the CLI default" (``repro run --timing-only``): same objects."""
     twin = load_scenario(repo_root / "examples/scenarios/radar_zcu102.toml")
-    spec = _run_spec(build_parser().parse_args(["run", "--timing-only"]))
+    spec = _lower(build_parser().parse_args(["run", "--timing-only"]))
     assert spec.build_platform() == twin.build_platform() == ZCU
     assert _key(spec.build_workload()) == _key(twin.build_workload()) == _key(CLI_WORKLOAD)
     assert spec.build_config() == twin.build_config()
@@ -160,7 +160,7 @@ SERVE_LINES = [
 @pytest.mark.parametrize("flags,serve", SERVE_LINES)
 def test_serve_flags_lower_to_library_objects(flags, serve, capsys):
     argv = ["serve", *flags]
-    spec = _serve_spec(build_parser().parse_args(argv))
+    spec = _lower(build_parser().parse_args(argv))
     config = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
     assert spec.kind == "serve"
     assert spec.build_platform() == ZCU

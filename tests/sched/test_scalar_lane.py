@@ -164,4 +164,4 @@ def test_row_mean_is_pinned_by_hex(platform, n, supporters, mean_hex):
     table = CostTable(instance.timing, instance.pes)
     task = Task(api="fft", params={"n": n, "batch": 1}, app_id=0)
     assert len(table.scalar_row(task)[1]) == supporters
-    assert table.row_mean(task.cost_row).hex() == mean_hex
+    assert table.means[task.cost_row].hex() == mean_hex

@@ -7,8 +7,6 @@ from repro.simcore import (
     Condition,
     Engine,
     Mutex,
-    Semaphore,
-    SimQueue,
     SimStateError,
 )
 
@@ -176,75 +174,3 @@ def test_signal_latency_delays_wakeup():
     eng.spawn(signaller(), "s")
     eng.run()
     assert times["woke"] == pytest.approx(0.15)
-
-
-def test_semaphore_bounds_concurrency():
-    eng = Engine(cores=4)
-    sem = Semaphore(eng, value=2)
-    active = {"now": 0, "max": 0}
-
-    def worker():
-        yield from sem.acquire()
-        active["now"] += 1
-        active["max"] = max(active["max"], active["now"])
-        yield Compute(0.1)
-        active["now"] -= 1
-        sem.release()
-
-    for i in range(5):
-        eng.spawn(worker(), f"w{i}")
-    eng.run()
-    assert active["max"] == 2
-
-
-def test_semaphore_negative_initial_rejected():
-    eng = Engine(cores=1)
-    with pytest.raises(SimStateError):
-        Semaphore(eng, value=-1)
-
-
-def test_simqueue_is_fifo_and_blocks_consumer():
-    eng = Engine(cores=1)
-    q = SimQueue(eng, "q")
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield from q.get()
-            got.append((item, eng.now))
-
-    def producer():
-        for i in range(3):
-            yield Compute(0.1)
-            yield from q.put(i)
-
-    eng.spawn(consumer(), "c")
-    eng.spawn(producer(), "p")
-    eng.run()
-    assert [g[0] for g in got] == [0, 1, 2]
-    assert got[0][1] == pytest.approx(0.1)
-
-
-def test_simqueue_put_nowait_wakes_consumer():
-    eng = Engine(cores=1)
-    q = SimQueue(eng, "q")
-
-    def consumer():
-        item = yield from q.get()
-        return item
-
-    c = eng.spawn(consumer(), "c")
-    eng.call_at(0.2, lambda: q.put_nowait("hello"))
-    eng.run()
-    assert c.result == "hello"
-    assert c.finished_at == pytest.approx(0.2)
-
-
-def test_simqueue_tracks_depth_stats():
-    eng = Engine(cores=1)
-    q = SimQueue(eng, "q")
-    for i in range(5):
-        q.put_nowait(i)
-    assert len(q) == 5
-    assert q.total_put == 5
-    assert q.max_depth == 5

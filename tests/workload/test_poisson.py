@@ -1,12 +1,21 @@
 """Poisson arrival-process tests."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import PulseDoppler, WifiTx
-from repro.workload import WorkloadEntry, WorkloadSpec, poisson_arrivals
+from repro.serve import make_arrival_stream
+from repro.workload import WorkloadEntry, WorkloadSpec
+from repro.workload.injection import stream_spec
+
+
+def take_poisson(frame_mb, rate, count, rng):
+    stream = make_arrival_stream(stream_spec("poisson", frame_mb, rate), rng)
+    return np.asarray(list(islice(stream, count)), dtype=np.float64)
 
 
 @given(
@@ -17,28 +26,28 @@ from repro.workload import WorkloadEntry, WorkloadSpec, poisson_arrivals
 @settings(max_examples=30, deadline=None)
 def test_poisson_arrivals_are_sorted_positive(frame_mb, rate, seed):
     rng = np.random.default_rng(seed)
-    arrivals = poisson_arrivals(frame_mb, rate, 30, rng)
+    arrivals = take_poisson(frame_mb, rate, 30, rng)
     assert len(arrivals) == 30
     assert (arrivals > 0).all()
     assert (np.diff(arrivals) >= 0).all()
+    # sequential registry draws equal the vectorized exponential + cumsum
+    ref = np.cumsum(np.random.default_rng(seed).exponential(frame_mb / rate, size=30))
+    assert np.array_equal(arrivals, ref)
 
 
 def test_poisson_mean_rate_matches_periodic():
     rng = np.random.default_rng(0)
     frame_mb, rate, n = 2.0, 100.0, 5000
-    arrivals = poisson_arrivals(frame_mb, rate, n, rng)
+    arrivals = take_poisson(frame_mb, rate, n, rng)
     mean_gap = arrivals[-1] / n
     assert mean_gap == pytest.approx(frame_mb / rate, rel=0.05)
 
 
 def test_poisson_validation():
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        poisson_arrivals(0.0, 10.0, 5, rng)
+        stream_spec("poisson", 0.0, 10.0)
     with pytest.raises(ValueError):
-        poisson_arrivals(1.0, -1.0, 5, rng)
-    with pytest.raises(ValueError):
-        poisson_arrivals(1.0, 1.0, -2, rng)
+        stream_spec("poisson", 1.0, -1.0)
 
 
 def test_workload_arrival_process_validation():

@@ -1,5 +1,7 @@
 """Workload and injection-rate machinery tests."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,17 @@ from repro.workload import (
     WorkloadEntry,
     autonomous_vehicle_workload,
     paper_injection_rates,
-    periodic_arrivals,
     radar_comms_workload,
-    reduced_injection_rates,
 )
+from repro.serve import make_arrival_stream
+from repro.workload.injection import stream_spec
+
+
+def take_periodic(frame_mb, rate, count):
+    stream = make_arrival_stream(
+        stream_spec("periodic", frame_mb, rate), np.random.default_rng(0)
+    )
+    return np.asarray(list(islice(stream, count)), dtype=np.float64)
 
 
 def test_paper_rates_match_section_iii():
@@ -25,7 +34,7 @@ def test_paper_rates_match_section_iii():
 
 
 def test_reduced_rates_span_same_range():
-    rates = reduced_injection_rates()
+    rates = paper_injection_rates(n=8)
     assert rates[0] == pytest.approx(10.0)
     assert rates[-1] == pytest.approx(2000.0)
     assert len(rates) < 29
@@ -45,20 +54,20 @@ def test_rate_grid_validation():
 )
 @settings(max_examples=50, deadline=None)
 def test_periodic_arrivals_properties(frame_mb, rate, count):
-    arrivals = periodic_arrivals(frame_mb, rate, count)
+    arrivals = take_periodic(frame_mb, rate, count)
     assert len(arrivals) == count
     if count:
         assert arrivals[0] == 0.0
         assert np.allclose(np.diff(arrivals), frame_mb / rate)
+    # the registry's periodic stream is the multiplicative schedule, bit for bit
+    assert np.array_equal(arrivals, np.arange(count) * (frame_mb / rate))
 
 
 def test_periodic_arrivals_validation():
     with pytest.raises(ValueError):
-        periodic_arrivals(0.0, 10.0, 5)
+        stream_spec("periodic", 0.0, 10.0)
     with pytest.raises(ValueError):
-        periodic_arrivals(1.0, 0.0, 5)
-    with pytest.raises(ValueError):
-        periodic_arrivals(1.0, 1.0, -1)
+        stream_spec("periodic", 1.0, 0.0)
 
 
 def test_workload_entry_validation():
