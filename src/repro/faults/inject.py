@@ -76,9 +76,11 @@ class FaultInjector:
         The daemon calls this at shutdown - the per-PE streams are infinite,
         so without it the one-timer-ahead chain would keep the engine's
         timer heap non-empty forever and :meth:`Engine.run` would never
-        terminate.
+        terminate.  It drops the runtime too (a cycle that would outlive the
+        run); a stopped :meth:`_fire` returns before it reads the runtime.
         """
         self._stopped = True
+        self.runtime = None
 
     def _arm_next(self, pe: "PE", stream: Iterator[tuple[float, FaultKind]]) -> None:
         if self._stopped:

@@ -242,8 +242,9 @@ class CedrRuntime:
         #: application's completion bookkeeping (normal finish, cancel, or
         #: failure).  The serve driver uses it for response-time accounting
         #: and to release admission hold queues; plain state mutation plus
-        #: (pre-seal) re-submission only, so the hook composes with the
-        #: drain condition instead of racing it.  ``None`` costs one test.
+        #: (pre-seal) re-submission only, so the hook composes with the drain
+        #: condition.  Reset to ``None`` at the drain, so a bound method does
+        #: not keep the finished run alive in a cycle.
         self.on_app_finished: Optional[Any] = None
 
     # ------------------------------------------------------------------ #
@@ -491,6 +492,7 @@ class CedrRuntime:
         idle = max(0.0, now - self.platform.runtime_core.delivered)
         book.charges.append(self.config.costs.idle_poll_duty * idle)
         self._drained = True
+        self.on_app_finished = None
 
     def _handle_arrival(self, app: AppInstance) -> Generator[Request, Any, None]:
         costs = self.config.costs

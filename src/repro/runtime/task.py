@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from copy import copy
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Optional
@@ -77,8 +78,8 @@ class CompletionHandle:
         self.done = False
         self.result: Any = None
         #: set instead of ``result`` when the runtime declares the task
-        #: lost (retry budget exhausted); :meth:`wait` re-raises it on the
-        #: application thread.
+        #: lost (retry budget exhausted); :meth:`wait` raises a copy of it on
+        #: the application thread, so this one never holds the thread's frames.
         self.error: Optional[BaseException] = None
         self._waiters: list["SimThread"] = []
         #: settle callbacks (plain callables, no simulated cost) fired once
@@ -118,7 +119,7 @@ class CompletionHandle:
             self._waiters.append(me)
             yield _WAIT
         if self.error is not None:
-            raise self.error
+            raise copy(self.error)
         return self.result
 
     def complete(self, result: Any) -> None:

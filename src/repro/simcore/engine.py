@@ -123,7 +123,7 @@ class Engine:
         self.seed = seed
         self.now: float = 0.0
         self.current: Optional[SimThread] = None
-        self.threads: list[SimThread] = []
+        self.threads: dict[SimThread, None] = {}  # live only, in spawn order
         self._ready: deque[tuple[SimThread, Any]] = deque()
         #: pending timers, a heapq of ``(when, seq, callback)``: ``(when,
         #: seq)`` is unique, so comparisons never reach the callback
@@ -185,7 +185,7 @@ class Engine:
             raise SimStateError(f"affinity core {affinity.name!r} is not part of this engine")
         thread = SimThread(name=name, gen=gen, engine=self, affinity=affinity)
         thread.started_at = self.now
-        self.threads.append(thread)
+        self.threads[thread] = None
         self._ready.append((thread, None))
         return thread
 
@@ -266,6 +266,7 @@ class Engine:
         thread.state = _FINISHED
         thread.result = result
         thread.finished_at = self.now
+        del self.threads[thread]
         for joiner in thread._joiners:
             self.wake(joiner)
         thread._joiners.clear()

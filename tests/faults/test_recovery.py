@@ -3,10 +3,13 @@
 import numpy as np
 
 from repro.apps import PulseDoppler, WifiTx
+from repro.core import wait_all
 from repro.faults import FaultConfig, FaultKind, FaultSpec, TaskLostError
 from repro.metrics import RunResult
 from repro.platforms import zcu102
-from repro.runtime import AppInstance, CedrRuntime, CompletionHandle, RuntimeConfig, Task
+from repro.runtime import (
+    API_MODE, AppInstance, CedrRuntime, CompletionHandle, RuntimeConfig, Task,
+)
 
 
 def build_runtime(config, scheduler="rr", seed=3, n_cpu=3, n_fft=1):
@@ -76,6 +79,70 @@ def test_failed_app_does_not_poison_others():
     result = RunResult.from_runtime(runtime)
     assert result.n_apps == 1 and result.n_failed == 1
     assert result.goodput == 0.5
+
+
+def test_lost_task_fails_app_and_late_waits_still_raise():
+    """A lost task fails its application with the same record and result
+    as when the stored error was raised itself, and a late ``wait()`` on
+    any settled handle still raises it.  What a waiter catches is a copy:
+    the stored error never carries an application thread's frames (they
+    reference the client, hence the runtime, which holds the handle)."""
+    runtime = build_runtime(
+        FaultConfig(script=all_pe_specs(FaultKind.TRANSIENT), max_retries=0)
+    )
+    vec = np.ones(64, dtype=complex)
+    handles = []
+
+    def main(lib):
+        for _ in range(6):
+            handles.append((yield from lib.zip_nb(vec, vec)))
+        yield from wait_all(handles)
+
+    app = AppInstance(name="lossy", mode=API_MODE, frame_mb=0.1, main_factory=main)
+    runtime.submit(app, at=0.0)
+    runtime.seal()
+    runtime.run()
+    assert app.finished and app.failed
+    first = handles[0]._task.tid
+    rows = [
+        (i.t.hex(), i.kind, i.detail, i.pe, i.tid - first if i.tid >= 0 else -1, i.attempt)
+        for i in runtime.logbook.incidents
+    ]
+    lost_at = "0x1.6bef4082e597bp-9"
+    assert rows == [("0x0.0p+0", "fault", "transient", pe, -1, 0)
+                    for pe in ("cpu0", "cpu1", "cpu2", "fft0")] + [
+        (lost_at, "failure", "transient", "cpu0", 0, 0),
+        (lost_at, "quarantine", "", "cpu0", -1, 0),
+        (lost_at, "lost", "", "", 0, 0),
+    ]
+    assert RunResult.from_runtime(runtime) == RunResult(
+        n_apps=0, n_cancelled=0, exec_times=(), exec_times_by_app={},
+        runtime_overhead_s=0.0027813726144, sched_overhead_s=1.8e-07,
+        sched_rounds=1, ready_depth_mean=1.0, ready_depth_max=1,
+        makespan=0.0030361004799999993, tasks_completed=0, pe_task_histogram={},
+        n_failed=1, faults_injected=4, task_failures=1, retries=0, tasks_lost=1,
+        mean_time_to_recovery=0.0,
+    )
+
+    late = {}
+
+    def late_wait(k):
+        try:
+            yield from handles[k].wait()
+        except TaskLostError as exc:
+            late[k] = str(exc)
+
+    for k in range(len(handles)):
+        runtime.engine.spawn(late_wait(k), name=f"late-{k}")
+    runtime.engine.run()
+    assert late == {
+        0: f"task {first} (zip:zip#1) of app lossy#{app.app_id} lost after 0 retries",
+        **{k: f"task {first + k} (zip:zip#{k + 1}) dropped: application "
+              f"{app.app_id} was cancelled or failed" for k in range(1, 6)},
+    }
+    stored = [h._task.completion.error for h in handles]
+    assert [str(e) for e in stored] == [late[k] for k in range(6)]
+    assert all(type(e) is TaskLostError and e.__traceback__ is None for e in stored)
 
 
 def test_goodput_counts_only_fault_failures():

@@ -170,5 +170,5 @@ def test_shutdown_sentinel_drains_every_worker():
     runtime.seal()
     runtime.run()
     assert app.finished
-    assert not any(t.alive for t in runtime.engine.threads)  # every worker took SHUTDOWN
+    assert not runtime.engine.threads  # every worker took SHUTDOWN and finished
     assert all(len(box) == 0 for box in runtime.mailboxes.values())

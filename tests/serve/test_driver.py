@@ -103,6 +103,36 @@ class TestGracefulDrain:
         driver = ServeDriver(runtime, config(pd_small, tx_small), seed=0)
         with pytest.raises(RuntimeError, match="already has an on_app_finished"):
             driver.arm()
+        # a driver's own hook holds the slot just the same while it is armed
+        runtime.on_app_finished = None
+        ServeDriver(runtime, config(pd_small, tx_small), seed=0).arm()
+        with pytest.raises(RuntimeError, match="already has an on_app_finished"):
+            ServeDriver(runtime, config(pd_small, tx_small), seed=0).arm()
+
+    def test_finish_hook_is_dropped_at_drain(self, zcu_small, pd_small, tx_small):
+        """The drained runtime lets go of the driver's bound method (a
+        runtime -> driver -> runtime cycle otherwise), and a second driver
+        armed on a fresh runtime serves the same result."""
+        serve = config(pd_small, tx_small)
+
+        def serve_on_fresh_runtime():
+            runtime = CedrRuntime(
+                zcu_small.build(seed=1),
+                RuntimeConfig(scheduler=serve.scheduler, execute_kernels=False),
+            )
+            runtime.start()
+            driver = ServeDriver(runtime, serve, seed=1)
+            driver.arm()
+            assert runtime.on_app_finished is not None
+            runtime.run()
+            result = driver.result()
+            assert runtime.on_app_finished is None
+            return result
+
+        first = serve_on_fresh_runtime()
+        assert first.completed > 0
+        assert serve_on_fresh_runtime() == first
+        assert serve_once(zcu_small, serve, seed=1) == first
 
     def test_result_requires_a_finished_run(self, zcu_small, pd_small, tx_small):
         platform = zcu_small.build(seed=0)

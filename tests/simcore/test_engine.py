@@ -383,6 +383,25 @@ def test_deadlock_message_names_blocked_threads():
     assert "consumer-b" in str(excinfo.value)
 
 
+def test_engine_holds_live_threads_only_in_spawn_order():
+    """A finished thread leaves ``Engine.threads``; the live ones keep
+    their spawn order, so the deadlock report lists them as spawned."""
+    eng = Engine(cores=1)
+
+    def stuck():
+        yield Block()
+
+    a = eng.spawn(stuck(), "consumer-a")
+    done = eng.spawn(burn(0.1), "done")
+    b = eng.spawn(stuck(), "consumer-b")
+    assert list(eng.threads) == [a, done, b]
+    with pytest.raises(SimDeadlock, match=r"2 thread\(s\) are blocked: consumer-a, consumer-b$"):
+        eng.run()
+    assert not done.alive and done.result is None
+    assert list(eng.threads) == [a, b]
+    assert eng.blocked_threads() == [a, b]
+
+
 def test_non_strict_run_returns_with_blocked_threads():
     eng = Engine(cores=1)
 

@@ -289,16 +289,19 @@ def test_engine_keeps_one_form_between_runs():
 
     def drive(middle_leg):
         eng = Engine(cores=2, seed=5)
-        eng.spawn(burn(10, 1e-4), name="a", affinity=eng.cores[0])
-        eng.spawn(burn(10, 1e-4), name="b")
+        threads = [
+            eng.spawn(burn(10, 1e-4), name="a", affinity=eng.cores[0]),
+            eng.spawn(burn(10, 1e-4), name="b"),
+        ]
         eng.run(until=3e-4)
         _assert_one_form(eng)
-        eng.spawn(burn(5, 1e-4), name="c")
+        threads.append(eng.spawn(burn(5, 1e-4), name="c"))
         middle_leg(eng, until=6e-4)
         _assert_one_form(eng)
         eng.run()
-        assert all(not t.alive for t in eng.threads)
-        return _snapshot(eng, eng.threads)
+        assert all(not t.alive for t in threads)
+        assert not eng.threads  # finished threads are dropped
+        return _snapshot(eng, threads)
 
     def reference_leg(eng, until):
         eng.__class__ = ReferenceEngine  # the per-object loop, same engine
