@@ -23,7 +23,6 @@ corpus is bit-identical.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -427,6 +426,8 @@ def run_corpus(
     cells = [(spec, sched) for spec in specs for sched in names]
     jobs = resolve_jobs(n_jobs)
     if jobs > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_cell_worker, cells, chunksize=1))
     else:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable, Optional, Union
 
@@ -340,6 +339,8 @@ def _simulate_cells(cells: list[tuple], n_jobs: int, worker) -> list:
     """
     if n_jobs <= 1 or len(cells) <= 1:
         return [worker(c) for c in cells]
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(n_jobs, len(cells))
     chunksize = max(1, len(cells) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -65,10 +65,11 @@ _BITS_PER_SYMBOL = {"bpsk": 1, "qpsk": 2, "16qam": 4}
 
 # Subcarrier plan: 64 data carriers and 4 pilots inside the 128-bin symbol,
 # leaving DC and band edges null (guard bands), in the spirit of 802.11a's
-# 48+4-of-64 layout scaled to the paper's 128-point transform.
+# 48+4-of-64 layout scaled to the paper's 128-point transform.  (Not
+# np.setdiff1d: it would load numpy.ma, ~1.3 MiB, for this one line.)
 PILOT_CARRIERS = np.array([11, 39, 89, 117])
 _used = np.r_[np.arange(6, 40), np.arange(40, 64), np.arange(65, 99), np.arange(99, 123)]
-DATA_CARRIERS = np.setdiff1d(_used, PILOT_CARRIERS)[:64]
+DATA_CARRIERS = np.array([c for c in _used if c not in PILOT_CARRIERS])[:64]
 PILOT_VALUE = 1.0 + 0j
 
 

@@ -23,10 +23,11 @@ Three properties matter:
   or the decorator form) and duplicate names fail loudly - two plugins
   silently shadowing each other is how extensible systems rot.
 * **Entry-point discovery** is *lazy*: a registry with an
-  ``entry_point_group`` scans ``importlib.metadata`` once, on the first
-  name lookup that needs it, so importing :mod:`repro` never pays for
-  plugin resolution and a broken third-party distribution degrades to a
-  warning instead of an import error.
+  ``entry_point_group`` imports and scans ``importlib.metadata`` once, on
+  the first miss or listing (``names()``, ``len()``); a hit (``get``,
+  ``in``) never scans.  So importing :mod:`repro` never pays for plugin
+  resolution (a tier-1 test imports every package in a fresh interpreter
+  and checks), and a broken third-party distribution only warns.
 * **Unknown names are diagnosable**: the error lists every available
   entry and suggests the nearest match ("did you mean 'etf'?").  It
   subclasses both :class:`KeyError` and :class:`ValueError` so the
@@ -36,9 +37,7 @@ Three properties matter:
 
 from __future__ import annotations
 
-import difflib
 import warnings
-from importlib import metadata
 from typing import Callable, Generic, Iterator, Optional, TypeVar
 
 __all__ = ["Registry", "RegistryError"]
@@ -46,6 +45,14 @@ __all__ = ["Registry", "RegistryError"]
 T = TypeVar("T")
 
 _MISSING = object()
+
+
+def did_you_mean(key: str, known: list[str]) -> str:
+    """`` (did you mean 'x'?)`` naming the nearest of *known*, or ``""``."""
+    import difflib  # error paths only: a lookup that hits never loads it
+
+    close = difflib.get_close_matches(key, known, n=1)
+    return f" (did you mean {close[0]!r}?)" if close else ""
 
 
 class RegistryError(KeyError, ValueError):
@@ -173,11 +180,7 @@ class Registry(Generic[T]):
     def _unknown(self, key: str) -> str:
         known = sorted(self._entries)
         listing = ", ".join(known) if known else "(none registered)"
-        message = f"unknown {self.kind} {key!r}; available: {listing}"
-        close = difflib.get_close_matches(key, known, n=1)
-        if close:
-            message += f" (did you mean {close[0]!r}?)"
-        return message
+        return f"unknown {self.kind} {key!r}; available: {listing}{did_you_mean(key, known)}"
 
     # ------------------------------------------------------------------ #
     # entry-point discovery
@@ -201,6 +204,8 @@ class Registry(Generic[T]):
         if not self._pending_discovery:
             return 0
         self._pending_discovery = False
+        from importlib import metadata
+
         try:
             points = metadata.entry_points(group=self.entry_point_group)
         except Exception as exc:  # pragma: no cover - metadata backend quirk

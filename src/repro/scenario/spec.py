@@ -36,7 +36,6 @@ until ``build_*``.
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import inspect
 import json
@@ -50,6 +49,7 @@ from repro.apps import APPS, make_app
 from repro.atomic import atomic_write
 from repro.faults import FAULT_KINDS, FaultConfig
 from repro.platforms import PlatformConfig, make_platform
+from repro.registry import did_you_mean
 from repro.runtime import RuntimeConfig
 from repro.scenario_keys import KEYS, SECTIONS, coerce
 from repro.sched import SCHEDULERS
@@ -74,10 +74,7 @@ def _unknown_keys(given, allowed, where: str = "") -> None:
     unknown = sorted(set(given) - set(allowed))
     if not unknown:
         return
-    hints = []
-    for key in unknown:
-        close = difflib.get_close_matches(key, sorted(allowed), n=1)
-        hints.append(f"{key!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
+    hints = [f"{key!r}{did_you_mean(key, sorted(allowed))}" for key in unknown]
     raise ScenarioError(
         f"{where}{': ' if where else ''}unknown key(s) {', '.join(hints)}; "
         f"allowed: {', '.join(sorted(allowed))}"

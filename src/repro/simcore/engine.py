@@ -113,7 +113,6 @@ class Engine:
             self.cores = list(cores)
             if not self.cores:
                 raise SimStateError("engine needs at least one core")
-        self.devices: list[Device] = []
         #: cores eligible to host floating (affinity-less) threads; platforms
         #: shrink this to the worker pool so floating application threads
         #: never land on the reserved runtime core.
@@ -165,10 +164,8 @@ class Engine:
     # ------------------------------------------------------------------ #
 
     def add_device(self, name: str) -> Device:
-        """Register a new exclusive accelerator device."""
-        dev = Device(name=name, engine=self)
-        self.devices.append(dev)
-        return dev
+        """A new exclusive accelerator device on this engine."""
+        return Device(name=name, engine=self)
 
     def spawn(
         self,

@@ -21,7 +21,7 @@ from itertools import islice
 from repro.apps import CedrApplication, LaneDetection, PulseDoppler, Variant, WifiTx
 from repro.registry import Registry
 from repro.runtime.app import AppInstance
-from repro.serve.arrival import available_arrivals, make_arrival_stream
+from repro.serve.arrival import ARRIVALS, make_arrival_stream
 from repro.simcore import child_rng
 
 from .injection import stream_spec
@@ -92,11 +92,8 @@ class WorkloadSpec:
     arrival_params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.arrival_process not in available_arrivals():
-            raise ValueError(
-                f"unknown arrival process {self.arrival_process!r}; "
-                f"available: {available_arrivals()}"
-            )
+        # a hit never scans entry points; a miss raises a did-you-mean error
+        ARRIVALS.get(self.arrival_process)
 
     def instantiate(
         self, mode: str, rate_mbps: float, seed: int, timing_only: bool = False

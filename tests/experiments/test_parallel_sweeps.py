@@ -115,14 +115,12 @@ def test_single_cell_grid_stays_serial():
     workload = radar_comms_workload()
     with pytest.MonkeyPatch.context() as mp:
         # poison the pool: if run_cells ever builds one for a single cell,
-        # this import-time substitute blows up
-        import repro.experiments.common as common
-
+        # this substitute (imported where the pool is built) blows up
         class _Boom:
             def __init__(self, *a, **k):
                 raise AssertionError("process pool built for a single cell")
 
-        mp.setattr(common, "ProcessPoolExecutor", _Boom)
+        mp.setattr("concurrent.futures.ProcessPoolExecutor", _Boom)
         result = run_trials(
             platform, workload, "api", 200.0, "rr", trials=1, n_jobs=8
         )

@@ -103,7 +103,9 @@ def test_build_creates_engine_cores_devices():
     assert len(inst.worker_cores) == 3
     assert inst.runtime_core.name == "runtime-core"
     assert len(inst.engine.cores) == 4
-    assert len(inst.engine.devices) == 3
+    devices = [pe.device for pe in inst.accel_pes]
+    assert len({id(dev) for dev in devices}) == 3
+    assert all(dev.engine is inst.engine for dev in devices)
     assert len(inst.pes) == 6
     assert sum(pe.kind is PEKind.CPU for pe in inst.pes) == 3
     assert len(inst.accel_pes) == 3

@@ -1,7 +1,13 @@
 """Core Registry facility: registration, lookup errors, lazy discovery."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.registry import Registry, RegistryError
 
 
@@ -126,11 +132,12 @@ def test_entry_point_discovery_is_lazy_and_one_shot(monkeypatch):
         return [_FakePoint("plug", obj="LOADED")]
 
     monkeypatch.setattr(
-        "repro.registry.metadata.entry_points", fake_entry_points
+        "importlib.metadata.entry_points", fake_entry_points
     )
     reg = Registry("widget", entry_point_group="repro.test_widgets")
     assert calls == []  # constructing (and registering) never scans
     reg.register("native", 1)
+    assert "native" in reg and reg.get("native") == 1  # hits never scan
     assert calls == []
     assert reg.get("plug") == "LOADED"  # first miss triggers the scan
     assert calls == ["repro.test_widgets"]
@@ -141,7 +148,7 @@ def test_entry_point_discovery_is_lazy_and_one_shot(monkeypatch):
 
 def test_entry_point_broken_plugin_degrades_to_warning(monkeypatch):
     monkeypatch.setattr(
-        "repro.registry.metadata.entry_points",
+        "importlib.metadata.entry_points",
         lambda *, group: [
             _FakePoint("broken", error=ImportError("boom")),
             _FakePoint("fine", obj="OK"),
@@ -155,7 +162,7 @@ def test_entry_point_broken_plugin_degrades_to_warning(monkeypatch):
 
 def test_in_process_registration_wins_over_entry_point(monkeypatch):
     monkeypatch.setattr(
-        "repro.registry.metadata.entry_points",
+        "importlib.metadata.entry_points",
         lambda *, group: [_FakePoint("plug", obj="FROM_EP")],
     )
     reg = Registry("widget", entry_point_group="repro.test_widgets")
@@ -168,9 +175,34 @@ def test_registries_without_group_never_scan(monkeypatch):
     def explode(*, group):  # pragma: no cover - must not be called
         raise AssertionError("scanned a group-less registry")
 
-    monkeypatch.setattr("repro.registry.metadata.entry_points", explode)
+    monkeypatch.setattr("importlib.metadata.entry_points", explode)
     reg = Registry("widget")
     reg.register("alpha", 1)
     assert reg.names() == ("alpha",)
     with pytest.raises(RegistryError):
         reg.get("beta")
+
+
+def test_importing_repro_discovers_nothing():
+    """Importing the packages (the CLI included) leaves every entry-point
+    registry's discovery pending and ``importlib.metadata`` unloaded: module
+    level code looks names up only by hit (a membership test or ``get`` of a
+    builtin), never by ``names()`` or a miss."""
+    src = str(Path(repro.__file__).parents[1])
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r})\n"
+        "import repro.experiments, repro.scenario, repro.corpus, repro.serve, repro.cli\n"
+        "from repro.registry import Registry\n"
+        "regs = {id(r): r for m in list(sys.modules.values())"
+        " if m and m.__name__.startswith('repro')"
+        " for r in vars(m).values() if isinstance(r, Registry)}\n"
+        "grouped = [r for r in regs.values() if r.entry_point_group]\n"
+        "print(json.dumps([len(grouped), sorted(r.kind for r in grouped if not r._pending_discovery),"
+        " 'importlib.metadata' in sys.modules]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    n_grouped, scanned, metadata_loaded = json.loads(out.stdout)
+    assert n_grouped == 7  # the seven axes of the table in repro.registry
+    assert scanned == [] and not metadata_loaded

@@ -1,13 +1,16 @@
 """A finished run is freed by reference counting alone.
 
 Each cell runs with the cycle collector off; afterwards no object of the
-run may still be alive - no runtime, logbook, record row, task, client or
-fault injector.  Three back-reference cycles used to keep whole runs alive
-until a full collection: the serve driver's finish hook (runtime -> driver
--> runtime), the fault injector (runtime -> injector -> runtime) and a lost
-task's stored error, whose traceback held the application thread's frames
-(error -> frames -> client -> runtime -> handle -> error).  The batch API
-and DAG cells never leaked; they keep the check honest for the plain path.
+run may still be alive - no runtime, logbook, record row, task, client,
+fault injector, engine, core or device.  Four back-reference cycles used to
+keep whole runs alive until a full collection: the serve finish hook (a
+bound method of the serve loop, which holds the runtime), the fault
+injector (runtime -> injector -> runtime), a lost task's stored error,
+whose traceback held the application thread's frames (error -> frames ->
+client -> runtime -> handle -> error), and the engine's device list
+(engine -> device -> engine, which kept the engine and its cores).  The
+batch API and DAG cells leaked only the engine; they keep the check honest
+for the plain path.
 """
 
 import gc
@@ -26,9 +29,13 @@ from repro.runtime import CedrRuntime, Logbook, RuntimeConfig, Task, TaskRecord
 from repro.runtime.logbook import CallRecord
 from repro.scenario import load_scenario
 from repro.serve import ArrivalSpec, ServeConfig, TenantSpec, serve_once
+from repro.simcore import Core, Device, Engine
 from repro.workload import WorkloadEntry, WorkloadSpec
 
-RUN_TYPES = (CedrRuntime, Logbook, TaskRecord, CallRecord, Task, CedrClient, FaultInjector)
+RUN_TYPES = (
+    CedrRuntime, Logbook, TaskRecord, CallRecord, Task, CedrClient, FaultInjector,
+    Engine, Core, Device,
+)
 
 ZCU = zcu102(n_cpu=3, n_fft=1)
 WORKLOAD = WorkloadSpec(

@@ -44,7 +44,7 @@ def test_rr_spreads_burst_across_pes():
 
 def test_accelerator_device_occupied_while_polled():
     runtime, app, platform = run_burst(count=8, scheduler="rr")
-    dev = platform.engine.devices[0]
+    dev = platform.accel_pes[0].device
     assert dev.served == runtime.logbook.tasks_by_pe().get("fft0", 0)
     assert dev.busy_time > 0
 
