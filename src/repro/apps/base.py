@@ -32,7 +32,7 @@ import numpy as np
 from repro.dag import DagProgram
 from repro.runtime.app import API_MODE, DAG_MODE, AppInstance
 
-__all__ = ["CedrApplication", "Variant", "chunk_slices"]
+__all__ = ["CedrApplication", "Variant", "chunk_slices", "stand_in", "work_for_elems"]
 
 Variant = Literal["blocking", "nonblocking"]
 
@@ -120,10 +120,7 @@ class CedrApplication(abc.ABC):
     def shape_inputs(self) -> dict[str, np.ndarray]:
         """Read-only zero-stride stand-ins for ``make_input``'s arrays:
         right shape and dtype, one element of storage each."""
-        return {
-            name: np.broadcast_to(np.zeros((), dtype), shape)
-            for name, (shape, dtype) in self.input_shapes().items()
-        }
+        return {name: stand_in(*spec) for name, spec in self.input_shapes().items()}
 
     # ------------------------------------------------------------------ #
 
@@ -178,10 +175,14 @@ class CedrApplication(abc.ABC):
         return f"<{type(self).__name__} {self.name} frame={self.frame_mb:.2f}Mb>"
 
 
+def stand_in(shape: tuple[int, ...], dtype: Any = np.complex128) -> np.ndarray:
+    """A read-only zero-stride array of *shape*: what a timing-only run
+    passes where a payload goes, one element of storage whatever its size."""
+    return np.broadcast_to(np.zeros((), dtype), shape)
+
+
 def work_for_elems(n_elems: float, ns_per_elem: float = 8.0) -> float:
     """Seconds-at-1GHz for a light per-element CPU pass (copies, transposes,
     thresholding).  Used by apps to cost their non-kernel regions."""
     return n_elems * ns_per_elem * 1e-9
 
-
-__all__.append("work_for_elems")

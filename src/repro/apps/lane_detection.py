@@ -31,7 +31,7 @@ from repro.dag import DagBuilder, DagProgram
 from repro.kernels import vision
 from repro.kernels.conv2d import conv2d_fft, next_pow2
 
-from .base import CedrApplication, Variant, chunk_slices, work_for_elems
+from .base import CedrApplication, Variant, chunk_slices, stand_in, work_for_elems
 
 __all__ = ["LaneDetection"]
 
@@ -131,9 +131,7 @@ class LaneDetection(CedrApplication):
     def _conv_api(self, lib, img: np.ndarray, kernel: np.ndarray, variant: Variant) -> Generator:
         ex = lib.executes
         yield from lib.local_work(work_for_elems(self.tile * self.tile))  # pad
-        img_tile = self._pad_tile(img) if ex else np.empty(
-            (self.tile, self.tile), dtype=np.complex128
-        )
+        img_tile = self._pad_tile(img) if ex else stand_in((self.tile, self.tile))
         ker_tile = self._pad_tile(kernel) if ex else img_tile
         img_spec = yield from self._fft2_api(lib, img_tile, variant)
         ker_spec = yield from self._fft2_api(lib, ker_tile, variant)

@@ -24,7 +24,7 @@ from repro.core.handles import wait_all
 from repro.dag import DagBuilder, DagProgram
 from repro.kernels import radar
 
-from .base import CedrApplication, Variant, chunk_slices, work_for_elems
+from .base import CedrApplication, Variant, chunk_slices, stand_in, work_for_elems
 
 __all__ = ["PulseDoppler"]
 
@@ -117,11 +117,7 @@ class PulseDoppler(CedrApplication):
 
         # corner turn: range-major matrix for the slow-time transforms
         yield from lib.local_work(work_for_elems(n_pulses * n_fast))
-        if ex:
-            comp = np.vstack(comp_chunks)
-            cols = np.ascontiguousarray(comp.T)  # (n_fast, n_pulses)
-        else:
-            cols = np.empty((n_fast, n_pulses), dtype=np.complex128)
+        cols = np.ascontiguousarray(np.vstack(comp_chunks).T) if ex else stand_in((n_fast, n_pulses))
 
         dop_slices = chunk_slices(n_fast, self.batch)
         if variant == "blocking":

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.dag import DagBuilder, DagProgram
 
-from .base import CedrApplication, Variant, work_for_elems
+from .base import CedrApplication, Variant, stand_in, work_for_elems
 
 __all__ = ["TemporalMitigation", "TMResult"]
 
@@ -159,22 +159,18 @@ class TemporalMitigation(CedrApplication):
         L, N = self.n_lags, self.block_len
 
         clean = np.empty_like(received) if ex else None
+        # the operands' shapes, which is all a timing-only run passes
+        lags, lags_h, col, row = map(stand_in, ((L, N), (N, L), (N, 1), (1, L)))
 
         def block_math(b):
             """Generator computing one block through libCEDR calls."""
             yield from lib.local_work(work_for_elems(L * N))  # build lag matrix
-            T = self._lag_matrix(reference[b]) if ex else np.empty((L, N), complex)
-            A = yield from lib.gemm(T, T.conj().T if ex else np.empty((N, L), complex))
-            c = yield from lib.gemm(
-                T, received[b].conj()[:, None] if ex else np.empty((N, 1), complex)
-            )
+            T = self._lag_matrix(reference[b]) if ex else lags
+            A = yield from lib.gemm(T, T.conj().T if ex else lags_h)
+            c = yield from lib.gemm(T, received[b].conj()[:, None] if ex else col)
             yield from lib.local_work(work_for_elems(L * L * L))  # tiny solve
-            if ex:
-                w = self._solve_weights(A, c[:, 0])
-                wrow = w.conj()[None, :]
-            else:
-                wrow = np.empty((1, L), dtype=np.complex128)
-            corr = yield from lib.gemm(wrow, T if ex else np.empty((L, N), complex))
+            wrow = self._solve_weights(A, c[:, 0]).conj()[None, :] if ex else row
+            corr = yield from lib.gemm(wrow, T)
             yield from lib.local_work(work_for_elems(N))  # subtract
             if ex:
                 clean[b] = received[b] - corr[0]
@@ -188,27 +184,17 @@ class TemporalMitigation(CedrApplication):
             corr_reqs = []
             for b in range(self.n_blocks):
                 yield from lib.local_work(work_for_elems(L * N))
-                T = self._lag_matrix(reference[b]) if ex else np.empty((L, N), complex)
-                a_req = yield from lib.gemm_nb(
-                    T, T.conj().T if ex else np.empty((N, L), complex)
-                )
-                c_req = yield from lib.gemm_nb(
-                    T, received[b].conj()[:, None] if ex else np.empty((N, 1), complex)
-                )
+                T = self._lag_matrix(reference[b]) if ex else lags
+                a_req = yield from lib.gemm_nb(T, T.conj().T if ex else lags_h)
+                c_req = yield from lib.gemm_nb(T, received[b].conj()[:, None] if ex else col)
                 corr_reqs.append((T, a_req, c_req))
             apply_reqs = []
             for b, (T, a_req, c_req) in enumerate(corr_reqs):
                 A = yield from a_req.wait()
                 c = yield from c_req.wait()
                 yield from lib.local_work(work_for_elems(L * L * L))
-                if ex:
-                    w = self._solve_weights(A, c[:, 0])
-                    wrow = w.conj()[None, :]
-                else:
-                    wrow = np.empty((1, L), dtype=np.complex128)
-                apply_reqs.append(
-                    (b, T, (yield from lib.gemm_nb(wrow, T if ex else np.empty((L, N), complex))))
-                )
+                wrow = self._solve_weights(A, c[:, 0]).conj()[None, :] if ex else row
+                apply_reqs.append((b, T, (yield from lib.gemm_nb(wrow, T))))
             for b, T, req in apply_reqs:
                 corr = yield from req.wait()
                 yield from lib.local_work(work_for_elems(N))

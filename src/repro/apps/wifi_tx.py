@@ -21,7 +21,7 @@ from repro.dag import DagBuilder, DagProgram
 from repro.kernels import wifi
 from repro.kernels.fft import ifft as cpu_ifft
 
-from .base import CedrApplication, Variant, chunk_slices, work_for_elems
+from .base import CedrApplication, Variant, chunk_slices, stand_in, work_for_elems
 
 __all__ = ["WifiTx"]
 
@@ -101,13 +101,10 @@ class WifiTx(CedrApplication):
         slices = chunk_slices(self.n_packets, self.batch)
 
         grid_chunks = []
+        blank = None if ex else stand_in((self.n_packets, n))  # one view, sliced per chunk
         for sl in slices:
-            count = sl.stop - sl.start
-            yield from lib.local_work(self._baseband_work(count))
-            if ex:
-                grid_chunks.append(self._grids(bits[sl]))
-            else:
-                grid_chunks.append(np.empty((count, n), dtype=np.complex128))
+            yield from lib.local_work(self._baseband_work(sl.stop - sl.start))
+            grid_chunks.append(self._grids(bits[sl]) if ex else blank[sl])
 
         if variant == "blocking":
             time_chunks = []

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.platforms.pe import SUPPORT_MATRIX
-from repro.runtime.logbook import AppRecord, Incident, Logbook, TaskRecord
+from repro.runtime.logbook import AppRecord, Incident, Logbook, Round, Table, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.daemon import CedrRuntime
@@ -109,21 +109,20 @@ class CoreLoad:
 class AuditView:
     """Uniform audit input: everything the catalog can be asked about.
 
-    The four row tuples are the run record; the optional fields exist only
-    for a live runtime (or, for ``incidents``, a schema >= 3 dump) and the
-    invariants that need them skip when they are ``None``/empty.
+    The run record (the book's own tables, read by column); the optional
+    fields exist only for a live runtime (or, for ``incidents``, a schema >= 3
+    dump) and the invariants that need them skip when they are ``None``/empty.
     """
 
-    tasks: tuple[TaskRecord, ...] = ()
+    tasks: Table = field(default_factory=lambda: Table(TaskRecord))
     apps: tuple[AppRecord, ...] = ()
-    #: ``(t, depth, cost, t_begin)`` per scheduling round.
-    rounds: tuple[tuple[float, int, float, float], ...] = ()
+    rounds: Table = field(default_factory=lambda: Table(Round))
     #: fault-layer events; ``None`` when the dump predates them (schema
     #: 1 / 2), which is "unknown", not "none happened".
     incidents: Optional[tuple[Incident, ...]] = None
     #: the release instant of each task the rounds assigned; ``None``
     #: when the dump predates the section (schema < 4).
-    releases: Optional[tuple[float, ...]] = None
+    releases: Optional[Sequence[float]] = None
     makespan: Optional[float] = None
     #: live cost-table identity; ``None`` for offline (saved-dump) views.
     cost_table_token: Optional[int] = None
@@ -140,13 +139,7 @@ class AuditView:
             cost_table_token=runtime.cost_table.token,
             cost_table_rows=runtime.cost_table.n_rows,
             core_loads=tuple(
-                CoreLoad(
-                    name=core.name,
-                    speed=core.speed,
-                    delivered=core.delivered,
-                    busy_time=core.busy_time,
-                )
-                for core in cores
+                CoreLoad(core.name, core.speed, core.delivered, core.busy_time) for core in cores
             ),
         )
 
@@ -156,14 +149,14 @@ class AuditView:
         makespan = logbook.makespan
         if makespan is None:  # below schema 5, or never drained: the last finish
             finishes = [a.t_finish for a in logbook.apps.values() if a.t_finish is not None]
-            finishes.extend(rec.t_finish for rec in logbook.tasks)
+            finishes.extend(logbook.tasks.column("t_finish"))
             makespan = max(finishes) if finishes else None
         return cls(
-            tasks=tuple(logbook.tasks),
+            tasks=logbook.tasks,
             apps=tuple(logbook.apps.values()),
-            rounds=tuple(logbook.rounds),
+            rounds=logbook.rounds,
             incidents=tuple(logbook.incidents) if logbook.schema >= 3 else None,
-            releases=tuple(logbook.releases) if logbook.schema >= 4 else None,
+            releases=logbook.releases if logbook.schema >= 4 else None,
             makespan=makespan,
         )
 
@@ -185,11 +178,14 @@ class Invariant:
 
 
 def _check_causality(view: AuditView) -> Iterator[AuditViolation]:
-    recs = {rec.tid: rec for rec in view.tasks}
-    for rec in view.tasks:
-        for succ_tid in rec.successors:
-            succ = recs.get(succ_tid)
-            if succ is not None and succ.t_start < rec.t_finish - EPS:
+    tasks = view.tasks
+    row_of = {tid: i for i, tid in enumerate(tasks.column("tid"))}  # the last row wins
+    starts, finishes = tasks.column("t_start"), tasks.column("t_finish")
+    for i, successors in enumerate(tasks.column("successors")):
+        for succ_tid in successors:
+            j = row_of.get(succ_tid)
+            if j is not None and starts[j] < finishes[i] - EPS:
+                rec, succ = tasks[i], tasks[j]
                 yield AuditViolation(
                     "causality",
                     f"task {succ.name} started at {succ.t_start} before its "
@@ -199,26 +195,24 @@ def _check_causality(view: AuditView) -> Iterator[AuditViolation]:
 
 
 def _check_exactly_once(view: AuditView) -> Iterator[AuditViolation]:
-    seen: dict[int, TaskRecord] = {}
-    for rec in view.tasks:
-        prior = seen.get(rec.tid)
-        if prior is not None:
+    first: dict[int, int] = {}  # tid -> its first row
+    for i, tid in enumerate(view.tasks.column("tid")):
+        j = first.setdefault(tid, i)
+        if j != i:
+            prior, rec = view.tasks[j], view.tasks[i]
             yield AuditViolation(
                 "exactly-once",
-                f"task {rec.name} completed twice "
-                f"(on {prior.pe} at {prior.t_finish} and on {rec.pe} at "
-                f"{rec.t_finish})",
+                f"task {rec.name} completed twice (on {prior.pe} at "
+                f"{prior.t_finish} and on {rec.pe} at {rec.t_finish})",
                 tid=rec.tid, pe=rec.pe, t=rec.t_finish,
             )
-        else:
-            seen[rec.tid] = rec
 
 
 def _check_task_conservation(view: AuditView) -> Iterator[AuditViolation]:
     if view.incidents is None:
         return
     counts = Counter(incident.kind for incident in view.incidents)
-    recorded_attempts = sum(rec.attempts for rec in view.tasks)
+    recorded_attempts = sum(view.tasks.column("attempts"))
     if recorded_attempts > counts["retry"]:
         yield AuditViolation(
             "task-conservation",
@@ -252,9 +246,7 @@ def _check_app_accounting(view: AuditView) -> Iterator[AuditViolation]:
                 f"app {app.name}#{app.app_id} never terminated",
                 t=app.t_arrival,
             )
-    per_app: dict[int, int] = {}
-    for rec in view.tasks:
-        per_app[rec.app_id] = per_app.get(rec.app_id, 0) + 1
+    per_app = Counter(view.tasks.column("app_id"))
     for app in view.apps:
         if app.cancelled or app.failed:
             continue  # dropped work is the *point* of those outcomes
@@ -269,37 +261,36 @@ def _check_app_accounting(view: AuditView) -> Iterator[AuditViolation]:
 
 
 def _check_pe_support(view: AuditView) -> Iterator[AuditViolation]:
-    for rec in view.tasks:
-        supported = _SUPPORT_BY_KIND.get(rec.pe_kind)
-        if supported is None:
-            yield AuditViolation(
-                "pe-support",
-                f"task {rec.name} ran on unknown PE kind {rec.pe_kind!r}",
-                tid=rec.tid, pe=rec.pe, t=rec.t_start,
-            )
-        elif rec.api not in supported:
-            yield AuditViolation(
-                "pe-support",
-                f"task {rec.name} ({rec.api}) ran on {rec.pe} "
-                f"({rec.pe_kind}), which supports only "
-                f"{sorted(supported)}",
-                tid=rec.tid, pe=rec.pe, t=rec.t_start,
-            )
+    tasks = view.tasks
+    for i, (api, kind) in enumerate(zip(tasks.column("api"), tasks.column("pe_kind"))):
+        supported = _SUPPORT_BY_KIND.get(kind)
+        if supported is not None and api in supported:
+            continue
+        rec = tasks[i]
+        yield AuditViolation(
+            "pe-support",
+            f"task {rec.name} ran on unknown PE kind {kind!r}" if supported is None else
+            f"task {rec.name} ({api}) ran on {rec.pe} ({kind}), which supports only "
+            f"{sorted(supported)}",
+            tid=rec.tid, pe=rec.pe, t=rec.t_start,
+        )
 
 
 def _check_pe_exclusive(view: AuditView) -> Iterator[AuditViolation]:
-    by_pe: dict[str, list[TaskRecord]] = {}
-    for rec in view.tasks:
-        by_pe.setdefault(rec.pe, []).append(rec)
-    for pe, recs in by_pe.items():
-        recs.sort(key=lambda r: (r.t_start, r.t_finish))
-        for prev, rec in zip(recs, recs[1:]):
-            if rec.t_start < prev.t_finish - EPS:
+    tasks = view.tasks
+    by_pe: dict[str, list[int]] = {}  # rows per PE
+    for i, pe in enumerate(tasks.column("pe")):
+        by_pe.setdefault(pe, []).append(i)
+    starts, finishes = tasks.column("t_start"), tasks.column("t_finish")
+    for pe, rows in by_pe.items():
+        rows.sort(key=lambda i: (starts[i], finishes[i]))
+        for p, i in zip(rows, rows[1:]):
+            if starts[i] < finishes[p] - EPS:
+                prev, rec = tasks[p], tasks[i]
                 yield AuditViolation(
                     "pe-exclusive",
-                    f"tasks {prev.name} [{prev.t_start}, {prev.t_finish}] "
-                    f"and {rec.name} [{rec.t_start}, {rec.t_finish}] "
-                    f"overlapped on {pe}",
+                    f"tasks {prev.name} [{prev.t_start}, {prev.t_finish}] and "
+                    f"{rec.name} [{rec.t_start}, {rec.t_finish}] overlapped on {pe}",
                     tid=rec.tid, pe=pe, t=rec.t_start,
                 )
 
@@ -328,11 +319,11 @@ def _check_core_capacity(view: AuditView) -> Iterator[AuditViolation]:
 
 
 def _check_clock_monotonic(view: AuditView) -> Iterator[AuditViolation]:
-    for rec in view.tasks:
-        chain = (rec.t_release, rec.t_scheduled, rec.t_start, rec.t_finish)
-        if rec.t_release < -EPS or any(
-            b < a - EPS for a, b in zip(chain, chain[1:])
-        ):
+    tasks = view.tasks
+    chains = zip(*map(tasks.column, ("t_release", "t_scheduled", "t_start", "t_finish")))
+    for i, chain in enumerate(chains):
+        if chain[0] < -EPS or any(b < a - EPS for a, b in zip(chain, chain[1:])):
+            rec = tasks[i]
             yield AuditViolation(
                 "clock-monotonic",
                 f"task {rec.name} timestamps regress: release "
@@ -340,7 +331,8 @@ def _check_clock_monotonic(view: AuditView) -> Iterator[AuditViolation]:
                 f"{rec.t_start} -> finish {rec.t_finish}",
                 tid=rec.tid, pe=rec.pe, t=rec.t_release,
             )
-        elif view.makespan is not None and rec.t_finish > view.makespan + EPS:
+        elif view.makespan is not None and chain[3] > view.makespan + EPS:
+            rec = tasks[i]
             yield AuditViolation(
                 "clock-monotonic",
                 f"task {rec.name} finished at {rec.t_finish}, after the "
@@ -368,7 +360,7 @@ def _check_clock_monotonic(view: AuditView) -> Iterator[AuditViolation]:
 
 def _check_round_monotonic(view: AuditView) -> Iterator[AuditViolation]:
     last = 0.0
-    for when, depth, _, _ in view.rounds:
+    for when, depth in zip(view.rounds.column("t"), view.rounds.column("depth")):
         if when < last - EPS:
             yield AuditViolation(
                 "round-monotonic",
@@ -397,7 +389,7 @@ def _check_queue_accounting(view: AuditView) -> Iterator[AuditViolation]:
     # so the totals agree exactly when every round assigned its whole batch
     if view.releases is None:
         return  # pre-v4 dump: no release instants to count
-    depth = sum(row[1] for row in view.rounds)
+    depth = sum(view.rounds.column("depth"))
     if depth != len(view.releases):
         yield AuditViolation(
             "queue-accounting",
@@ -409,42 +401,31 @@ def _check_queue_accounting(view: AuditView) -> Iterator[AuditViolation]:
 def _check_cost_row_fresh(view: AuditView) -> Iterator[AuditViolation]:
     # offline dumps carry no live table: all rows must still agree on one
     # token (a single table priced the whole run)
-    tokens = {rec.cost_token for rec in view.tasks}
-    if view.cost_table_token is None and tokens == {-1}:
+    tasks, token, n_rows = view.tasks, view.cost_table_token, view.cost_table_rows
+    rows, tokens = tasks.column("cost_row"), tasks.column("cost_token")
+    distinct = set(tokens)
+    if token is None and distinct == {-1}:
         return  # v1 dump: the freshness columns predate this schema - skip
-    if view.cost_table_token is None and len(tokens) > 1:
+    if token is None and len(distinct) > 1:
         yield AuditViolation(
             "cost-row-fresh",
-            f"task rows were priced against {len(tokens)} different cost "
-            f"tables ({sorted(tokens)}) within one run",
+            f"task rows were priced against {len(distinct)} different cost "
+            f"tables ({sorted(distinct)}) within one run",
         )
-    for rec in view.tasks:
-        if rec.cost_row < 0:
-            yield AuditViolation(
-                "cost-row-fresh",
-                f"task {rec.name} completed without an interned cost row",
-                tid=rec.tid, pe=rec.pe, t=rec.t_finish,
-            )
-        elif view.cost_table_token is not None:
-            if rec.cost_token != view.cost_table_token:
-                yield AuditViolation(
-                    "cost-row-fresh",
-                    f"task {rec.name} carries stale cost token "
-                    f"{rec.cost_token} (table token "
-                    f"{view.cost_table_token}) - its estimates came from "
-                    f"another table",
-                    tid=rec.tid, pe=rec.pe, t=rec.t_finish,
-                )
-            elif (
-                view.cost_table_rows is not None
-                and rec.cost_row >= view.cost_table_rows
-            ):
-                yield AuditViolation(
-                    "cost-row-fresh",
-                    f"task {rec.name} points at cost row {rec.cost_row} of "
-                    f"a {view.cost_table_rows}-row table",
-                    tid=rec.tid, pe=rec.pe, t=rec.t_finish,
-                )
+    for i, (row, row_token) in enumerate(zip(rows, tokens)):
+        if row < 0:
+            what = "completed without an interned cost row"
+        elif token is not None and row_token != token:
+            what = (f"carries stale cost token {row_token} (table token {token}) - "
+                    f"its estimates came from another table")
+        elif token is not None and n_rows is not None and row >= n_rows:
+            what = f"points at cost row {row} of a {n_rows}-row table"
+        else:
+            continue
+        rec = tasks[i]
+        yield AuditViolation(
+            "cost-row-fresh", f"task {rec.name} {what}", tid=rec.tid, pe=rec.pe, t=rec.t_finish
+        )
 
 
 #: the full catalog, in the order INTERNALS.md documents it.

@@ -24,7 +24,7 @@ variants with the public signatures of old.  Adding a kernel API is now one
 table row - the blocking variant, the ``_nb`` variant, standalone-mode
 parity, and the call's row in the run record all follow.
 
-Every call writes one :class:`~repro.runtime.logbook.CallRecord` when it
+Every call writes one :class:`~repro.runtime.logbook.CallRecord` row when it
 settles - a blocking call as its thread wakes, a non-blocking one as its
 handle settles - carrying the instants the call began, counted as in
 flight, and finished.  The telemetry registry's call counters, latency
@@ -39,10 +39,10 @@ correctness before ever involving the runtime.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.platforms.timing import UNPRICED
-from repro.runtime.logbook import CallRecord
 from repro.runtime.task import CompletionHandle, Task
 from repro.simcore import Compute, Request
 
@@ -114,7 +114,7 @@ class CedrClient:
         self._app_id = app.app_id
         self._signal_latency = runtime.config.signal_latency_s
         self._post = runtime.events.post
-        self._call_rows = runtime.logbook.calls
+        self._record_call = runtime.logbook.record_call
 
     # ------------------------------------------------------------------ #
     # dispatch plumbing
@@ -131,7 +131,7 @@ class CedrClient:
         runtime = self._runtime
         call, push, kick = runtime.api_charges
         self._calls += 1
-        name = f"{api}#{self._calls}"
+        name = sys.intern(f"{api}#{self._calls}")
         yield call  # alloc + cond/mutex init
         # one key, one probe: everything the call needs of its shape - row
         # id, rank seed, the operand-copy request - sits with the interned
@@ -179,18 +179,13 @@ class CedrClient:
         try:
             return (yield from task.completion.wait())
         finally:  # a lost task raises out of the wait: still one row
-            self._call_rows.append(
-                CallRecord(api, "blocking", t_call, t_call, self.engine.now)
-            )
+            self._record_call(api, "blocking", t_call, t_call, self.engine.now)
 
     def _call_nb(self, api: str, params: dict, payload: Any):
         t_call = self.engine.now
         task = yield from self._submit(api, params, payload)
-        # the settling thread stamps ``t_done`` and appends the row, even if
-        # the application never waits on the request
-        task.completion.call = (
-            self._call_rows, CallRecord(api, "nonblocking", t_call, self.engine.now, 0.0)
-        )
+        # the settling thread appends the row, waited on or not
+        task.completion.call = (self._record_call, (api, "nonblocking", t_call, self.engine.now))
         return CedrRequest(task)
 
     # ------------------------------------------------------------------ #

@@ -113,10 +113,9 @@ def synthesize_returns(
     echo *= doppler_phase[:, None]
 
     noise_power = 10.0 ** (-snr_db / 10.0)
-    noise = rng.normal(0.0, np.sqrt(noise_power / 2.0), echo.shape) + 1j * rng.normal(
-        0.0, np.sqrt(noise_power / 2.0), echo.shape
-    )
-    return echo + noise, reference
+    for part in (echo.real, echo.imag):  # complex white noise, added in place
+        part += rng.normal(0.0, np.sqrt(noise_power / 2.0), echo.shape)
+    return echo, reference
 
 
 def pulse_compress(

@@ -76,8 +76,8 @@ class RunResult:
         runtime_overhead = sched_overhead = 0.0
         for work in book.charges:
             runtime_overhead += work
-        for row in book.rounds:
-            sched_overhead += row[2]
+        for cost in book.rounds.column("cost"):
+            sched_overhead += cost
         incidents, (depth_max, depth_mean) = book.incident_counts(), book.ready_depths()
         return cls(
             n_apps=len(apps),

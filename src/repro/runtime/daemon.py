@@ -341,6 +341,8 @@ class CedrRuntime:
                 time.perf_counter() - t0, self.engine.events_processed
             )
             self.counters.record_event_core(self.engine.event_core_stats())
+        if self._drained:
+            self.counters.unwatch_timers(self.engine)
         if self.config.audit and self._drained:
             # the daemon drained cleanly: fold the invariant catalog over
             # the book (raises AuditError on damage)

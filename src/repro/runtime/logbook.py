@@ -3,16 +3,17 @@
 The real runtime keeps one execution log per run - per-task rows plus the
 performance-counter readings - and writes it out when the shutdown IPC
 command arrives "for later offline analysis by the user".  :class:`Logbook`
-is that log: append-only row lists, one row per *entity* (a completed
-task is one :class:`TaskRecord` carrying its four instants, not four
-events):
+is that log: append-only tables, one row per *entity* (a completed task is
+one :class:`TaskRecord` row carrying its four instants, not four events).
+The three tables a run writes once per task - ``tasks``, ``calls`` and
+``rounds`` - are :class:`Table` columns, not row objects:
 
 ===============  ======================================  ====================
 ``tasks``        one :class:`TaskRecord` per completion  written by workers
 ``apps``         one :class:`AppRecord` per submission   opened / closed by
                                                          the daemon
-``rounds``       ``(t, depth, cost, t_begin)`` per       written by the
-                 scheduling round                        daemon
+``rounds``       one :class:`Round` per scheduling        written by the
+                 round                                   daemon
 ``releases``     the ``t_release`` of each task a        written by the
                  round assigned, round after round       daemon
 ``incidents``    one :class:`Incident` per fault-layer   written by the
@@ -50,10 +51,12 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Optional
 
 from repro.atomic import atomic_write
 
@@ -68,6 +71,8 @@ __all__ = [
     "Incident",
     "CallRecord",
     "AdmissionRecord",
+    "Round",
+    "Table",
     "INCIDENT_KINDS",
     "Logbook",
     "SCHEMA_VERSION",
@@ -86,6 +91,9 @@ __all__ = [
 #: ``admissions``, the ``*_hwm`` stamps - which the folds require.
 SCHEMA_VERSION = 5
 
+#: a column's declaration that the loader refuses a negative value in it
+_NONNEGATIVE = {"nonnegative": True}
+
 #: the fault layer's closed event taxonomy (:attr:`Incident.kind`).
 INCIDENT_KINDS = (
     "fault",        # injector applied a fault; detail = fault kind, pe
@@ -102,13 +110,8 @@ INCIDENT_KINDS = (
 
 @dataclass(unsafe_hash=True)
 class TaskRecord:
-    """One completed task, flattened for offline analysis.
-
-    Written once, by :meth:`Logbook.record_task`, and never updated - but
-    not ``frozen``: a frozen 14-field ``__init__`` is six times the cost of
-    a plain one and this is the row a run writes most.  Rows still compare
-    and hash by value.
-    """
+    """One completed task, flattened for offline analysis: the row
+    ``Logbook.tasks`` yields (see :class:`Table`); compares and hashes by value."""
 
     tid: int
     app_id: int
@@ -121,7 +124,7 @@ class TaskRecord:
     t_start: float
     t_finish: float
     #: retry attempts the fault layer charged before this completion.
-    attempts: int = 0
+    attempts: int = field(default=0, metadata=_NONNEGATIVE)
     #: interned cost-table row + the table token guarding it (see
     #: :class:`repro.platforms.timing.CostTable`); ``-1`` = never interned.
     cost_row: int = -1
@@ -182,12 +185,13 @@ class Incident:
     tid: int = -1
     attempt: int = 0
     #: first-failure -> completion interval (``recovery``).
-    seconds: float = 0.0
+    seconds: float = field(default=0.0, metadata=_NONNEGATIVE)
 
 
 @dataclass(slots=True)
 class CallRecord:
-    """One libCEDR call, appended once, when it settles.
+    """One libCEDR call, appended once, when it settles (the row
+    ``Logbook.calls`` yields).
 
     A blocking call is written by its application thread as it wakes; a
     non-blocking one by whoever settles its handle (the worker signalling
@@ -221,36 +225,99 @@ class AdmissionRecord:
     degraded: bool = False
 
 
+#: one scheduling round (a ``Logbook.rounds`` row): the dispatch instant ``t``
+#: (``t_begin`` plus the decision ``cost`` in seconds as the runtime core
+#: delivered it) and the ready batch ``depth`` the heuristic saw.
+Round = NamedTuple("Round", [("t", float), ("depth", int), ("cost", float), ("t_begin", float)])
+
+
+class Table:
+    """A table of the run record kept as typed columns, not row objects.
+
+    The *row* type's ``int`` columns sit interleaved in ``ints``
+    (``array('q')``), its ``float`` columns in ``floats`` (``array('d')``)
+    and the rest (shared strings, successor tuples) in the list ``objs``,
+    each in field order, so a writer appends a row with one call per store
+    (docs/INTERNALS.md, "The record's bytes per task").  Iterating yields
+    *row* records one at a time; a fold reads :meth:`column` instead.
+    """
+
+    __slots__ = ("row", "names", "ints", "floats", "objs", "_plan", "_at")
+
+    def __init__(self, row: type, rows: Iterable = ()) -> None:
+        self.row, self.names = row, tuple(row.__annotations__)
+        self.ints, self.floats, self.objs = array("q"), array("d"), []
+        numeric = {int: self.ints, "int": self.ints, float: self.floats, "float": self.floats}
+        store_of = [numeric.get(getattr(kind, "__forward_arg__", kind), self.objs)
+                    for kind in row.__annotations__.values()]
+        #: each store with the fields it holds, and each field's (store, offset, stride)
+        plan = [(store, [i for i, s in enumerate(store_of) if s is store])
+                for store in (self.ints, self.floats, self.objs)]
+        self._plan = [(store, idx) for store, idx in plan if idx]
+        self._at = [(s, idx.index(i), len(idx)) for i, s in enumerate(store_of)
+                    for store, idx in self._plan if store is s]
+        for r in rows:
+            self.append(r)
+
+    def append(self, row: Any) -> None:
+        """Add one row: a record of the row type, or its values in field order."""
+        if not isinstance(row, (tuple, list)):
+            row = [getattr(row, name) for name in self.names]
+        for store, idx in self._plan:
+            store.extend([row[i] for i in idx])
+
+    def column(self, name: str) -> Any:
+        """Every row's *name*, in row order: an ``array`` copy for a numeric
+        column, a list otherwise."""
+        store, j, k = self._at[self.names.index(name)]
+        return store[j::k]
+
+    def values(self) -> Iterator[tuple]:
+        """The rows as plain tuples in field order."""
+        return zip(*map(self.column, self.names))
+
+    def __iter__(self) -> Iterator[Any]:
+        return starmap(self.row, self.values())
+
+    def __len__(self) -> int:
+        store, idx = self._plan[0]
+        return len(store) // len(idx)
+
+    def __getitem__(self, i: int) -> Any:
+        i = range(len(self))[i]
+        return self.row(*(store[i * k + j] for store, j, k in self._at))
+
+
 #: JSON types a dump column may hold, keyed by the record classes' field
 #: annotations.
 _COLUMN_TYPES = {
-    "int": int,
-    "float": (int, float),
-    "str": str,
-    "bool": bool,
-    "Optional[float]": (int, float, type(None)),
-    "tuple[int, ...]": (list, tuple),
+    "int": int, "float": (int, float), "str": str, "bool": bool,
+    "Optional[float]": (int, float, type(None)), "tuple[int, ...]": (list, tuple),
 }
 
 
 def _mistyped(value: Any, kind: str) -> bool:
     """Whether *value* cannot fill a column of annotation *kind*: ``True``
-    is an ``int`` to ``isinstance``, so only a bool column takes a bool, and
-    a successor list holds task ids only."""
+    is an ``int`` to ``isinstance``, so only a bool column takes a bool, a
+    successor list holds task ids only, and an integer fits ``array('q')``."""
     if type(value) is bool:
         return kind != "bool"
     if kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
         return any(type(tid) is not int for tid in value)
+    if kind == "int" and type(value) is int:
+        return not -(1 << 63) <= value < 1 << 63
     return not isinstance(value, _COLUMN_TYPES[kind])
 
 
-def _load_record(cls, where: str, row: Any):
-    """Build a record dataclass from the dump row at *where*.
+def _load_record(cls, where: str, row: Any) -> list:
+    """The values, in field order, of the dump row at *where* for record
+    class *cls* (what a :class:`Table` appends, or ``cls(*values)``).
 
     Unknown keys (a *newer* dump than this code) are rejected - silently
     dropping columns would let an audit pass on data it never saw - while
     missing optional keys fall back to the dataclass defaults (older
-    dumps).  Missing required and mistyped columns are named.
+    dumps).  Missing required, mistyped, non-finite and (where a column is
+    declared ``_NONNEGATIVE``) negative columns are named.
     """
     if not isinstance(row, dict):
         raise ValueError(f"{where}: expected an object, got {type(row).__name__}")
@@ -264,11 +331,12 @@ def _load_record(cls, where: str, row: Any):
     missing = [n for n, f in columns.items() if f.default is MISSING and n not in row]
     mistyped = [n for n, v in row.items() if _mistyped(v, columns[n].type)]
     if missing or mistyped:
-        raise ValueError(
-            f"{where}: missing columns {missing}, mistyped columns {mistyped}"
-        )
+        raise ValueError(f"{where}: missing columns {missing}, mistyped columns {mistyped}")
     _refuse_nonfinite(where, row.items())
-    return cls(**row)
+    negative = [n for n, v in row.items() if columns[n].metadata.get("nonnegative") and v < 0]
+    if negative:
+        raise ValueError(f"{where}: negative columns {negative}")
+    return [row.get(n, f.default) for n, f in columns.items()]
 
 
 def _refuse_nonfinite(where: str, columns: Iterable[tuple[str, Any]]) -> None:
@@ -282,16 +350,10 @@ def _refuse_nonfinite(where: str, columns: Iterable[tuple[str, Any]]) -> None:
 def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
     """A round row: ``[t, depth, cost, t_begin]``, or the ``[t, depth]`` of
     schemas 1 / 2 (no recorded cost; the decision began at dispatch)."""
-    if not (
-        isinstance(row, list)
-        and len(row) in (2, 4)
-        and type(row[1]) is int
-        and all(type(v) in (int, float) for v in row)
-    ):
-        raise ValueError(
-            f"{where}: expected [t, depth] or [t, depth, cost, t_begin] "
-            f"with an integer depth, got {row!r}"
-        )
+    if not (isinstance(row, list) and len(row) in (2, 4) and type(row[1]) is int
+            and abs(row[1]) < 1 << 63 and all(type(v) in (int, float) for v in row)):
+        raise ValueError(f"{where}: expected [t, depth] or [t, depth, cost, t_begin] "
+                         f"with an integer depth, got {row!r}")
     _refuse_nonfinite(where, zip(("t", "depth", "cost", "t_begin"), row))
     t, depth, cost, t_begin = row if len(row) == 4 else (*row, 0.0, row[0])
     if cost < 0:
@@ -315,21 +377,16 @@ class Logbook:
     """The run record: in-memory rows with shutdown-time serialization."""
 
     def __init__(self) -> None:
-        self.tasks: list[TaskRecord] = []
+        self.tasks = Table(TaskRecord)
         #: keyed by app id; insertion order is arrival order.
         self.apps: dict[int, AppRecord] = {}
-        #: ``(t, depth, cost, t_begin)`` per scheduling round: the dispatch
-        #: instant, the ready batch the heuristic saw, its decision cost in
-        #: seconds and the instant the decision began (``t`` is ``t_begin``
-        #: plus the cost as the runtime core delivered it).
-        self.rounds: list[tuple[float, int, float, float]] = []
+        self.rounds = Table(Round)
         #: the ``t_release`` of each task a round assigned, in assignment
         #: order, rounds in order: a round assigns its whole ready batch,
-        #: so round *k*'s ``depth`` entries follow round *k - 1*'s.  Flat
-        #: rather than a round column: one pointer per assignment.
-        self.releases: list[float] = []
+        #: so round *k*'s ``depth`` entries follow round *k - 1*'s.
+        self.releases = array("d")
         self.incidents: list[Incident] = []
-        self.calls: list[CallRecord] = []
+        self.calls = Table(CallRecord)
         self.late_timers: list[float] = []
         #: each bookkeeping charge's ``work``, then the idle-poll term
         self.charges: list[float] = []
@@ -353,34 +410,29 @@ class Logbook:
     # ------------------------------------------------------------------ #
 
     def record_task(self, task: Task) -> None:
-        """A worker completed *task* (``task.pe`` and its instants are set)."""
-        pe = task.pe.desc
-        successors = task.successors
-        self.tasks.append(TaskRecord(  # positional, in field order
-            task.tid,
-            task.app_id,
-            task.api,
-            task.name,
-            pe.name,
-            pe.kind._value_,  # ``.value`` is a Python-level enum.property
-            task.t_release,
-            task.t_scheduled,
-            task.t_start,
-            task.t_finish,
-            task.attempts,
-            task.cost_row,
-            task.cost_token,
+        """A worker completed *task* (``task.pe`` and its instants are set):
+        one call per store of :attr:`tasks`, each in field order - ``fromlist``
+        for the arrays, where ``extend`` converts item by item at twice the cost."""
+        pe, successors, tasks = task.pe.desc, task.successors, self.tasks
+        tasks.ints.fromlist([task.tid, task.app_id, task.attempts, task.cost_row, task.cost_token])
+        tasks.objs.extend((  # ``.value`` is a Python-level enum.property
+            task.api, task.name, pe.name, pe.kind._value_,
             tuple([s.tid for s in successors]) if successors else (),
         ))
+        tasks.floats.fromlist([task.t_release, task.t_scheduled, task.t_start, task.t_finish])
 
-    def record_round(
-        self, now: float, ready_depth: int, cost: float, t_begin: float,
-        releases: list[float],
-    ) -> None:
+    def record_round(self, now: float, ready_depth: int, cost: float, t_begin: float,
+                     releases: list[float]) -> None:
         """One scheduling round dispatched at *now*, with the release
         instants of the *ready_depth* tasks it assigned."""
-        self.rounds.append((now, ready_depth, cost, t_begin))
-        self.releases += releases
+        self.rounds.floats.fromlist([now, cost, t_begin])
+        self.rounds.ints.append(ready_depth)
+        self.releases.fromlist(releases)
+
+    def record_call(self, api: str, mode: str, t_call: float, t_enter: float, t_done: float):
+        """A libCEDR call settled (:class:`CallRecord` columns)."""
+        self.calls.objs.extend((api, mode))
+        self.calls.floats.fromlist([t_call, t_enter, t_done])
 
     def open_app(self, app: "AppInstance") -> None:
         """*app* arrived over IPC."""
@@ -398,17 +450,8 @@ class Logbook:
         record.failed = app.failed
         self.closed.append(app.app_id)
 
-    def record_incident(
-        self,
-        t: float,
-        kind: str,
-        detail: str = "",
-        *,
-        pe: str = "",
-        tid: int = -1,
-        attempt: int = 0,
-        seconds: float = 0.0,
-    ) -> None:
+    def record_incident(self, t: float, kind: str, detail: str = "", *, pe: str = "",
+                        tid: int = -1, attempt: int = 0, seconds: float = 0.0) -> None:
         """One fault-layer event of :data:`INCIDENT_KINDS` at instant *t*."""
         self.incidents.append(Incident(t, kind, detail, pe, tid, attempt, seconds))
 
@@ -424,12 +467,12 @@ class Logbook:
         """JSON-compatible dump (what CEDR writes at shutdown)."""
         return {
             "schema": SCHEMA_VERSION,
-            "tasks": [asdict(t) for t in self.tasks],
+            "tasks": [dict(zip(self.tasks.names, row)) for row in self.tasks.values()],
             "apps": [asdict(a) for a in self.apps.values()],
-            "rounds": [list(r) for r in self.rounds],
+            "rounds": [list(row) for row in self.rounds.values()],
             "releases": list(self.releases),
             "incidents": [asdict(i) for i in self.incidents],
-            "calls": [asdict(c) for c in self.calls],
+            "calls": [dict(zip(self.calls.names, row)) for row in self.calls.values()],
             "late_timers": list(self.late_timers),
             "charges": list(self.charges),
             "makespan": self.makespan,
@@ -454,36 +497,35 @@ class Logbook:
         the first thing that is not a dump of a schema this build reads.
         """
         if not isinstance(dump, dict):
-            raise ValueError(
-                f"not a logbook dump: expected a JSON object, got {type(dump).__name__}"
-            )
+            raise ValueError("not a logbook dump: expected a JSON object, "
+                             f"got {type(dump).__name__}")
         schema = dump.get("schema", 1)  # v1 dumps predate the version key
         if type(schema) is not int or schema < 1 or schema > SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported logbook schema {schema!r} "
-                f"(this build reads 1..{SCHEMA_VERSION})"
-            )
+            raise ValueError(f"unsupported logbook schema {schema!r} "
+                             f"(this build reads 1..{SCHEMA_VERSION})")
         rows = {}
         for name in ("tasks", "apps", "rounds", "releases", "incidents", "calls",
                      "late_timers", "charges", "closed", "admissions"):
             rows[name] = dump.get(name, [])
             if not isinstance(rows[name], list):
-                raise ValueError(
-                    f"{name}: expected a list of rows, got {type(rows[name]).__name__}"
-                )
+                raise ValueError(f"{name}: expected a list of rows, "
+                                 f"got {type(rows[name]).__name__}")
         book = cls()
         book.schema = schema
         for i, row in enumerate(rows["tasks"]):
-            rec = _load_record(TaskRecord, f"tasks[{i}]", row)
-            rec.successors = tuple(rec.successors)
-            book.tasks.append(rec)
+            values = _load_record(TaskRecord, f"tasks[{i}]", row)
+            values[-1] = tuple(values[-1])  # successors: a JSON list
+            book.tasks.append(values)
         for i, row in enumerate(rows["apps"]):
-            record = _load_record(AppRecord, f"apps[{i}]", row)
+            record = AppRecord(*_load_record(AppRecord, f"apps[{i}]", row))
+            if record.app_id in book.apps:
+                raise ValueError(f"apps[{i}]: app id {record.app_id} repeats an earlier row")
             book.apps[record.app_id] = record
-        book.rounds = [_load_round(f"rounds[{i}]", row) for i, row in enumerate(rows["rounds"])]
+        for i, row in enumerate(rows["rounds"]):
+            book.rounds.append(_load_round(f"rounds[{i}]", row))
         if schema >= 3:  # older dumps predate the section: see ``schema``
             for i, row in enumerate(rows["incidents"]):
-                incident = _load_record(Incident, f"incidents[{i}]", row)
+                incident = Incident(*_load_record(Incident, f"incidents[{i}]", row))
                 if incident.kind not in INCIDENT_KINDS:
                     raise ValueError(f"incidents[{i}]: unknown kind {incident.kind!r}")
                 book.incidents.append(incident)
@@ -495,10 +537,8 @@ class Logbook:
                 getattr(book, name).append(float(_typed(
                     f"{name}[{i}]", t, (int, float), what, nonnegative=name == "charges"
                 )))
-        book.closed = [
-            _typed(f"closed[{i}]", app_id, (int,), "an app id")
-            for i, app_id in enumerate(rows["closed"])
-        ]
+        book.closed = [_typed(f"closed[{i}]", app_id, (int,), "an app id")
+                       for i, app_id in enumerate(rows["closed"])]
         seen: set[int] = set()  # an app terminates once, after it arrived
         for i, app_id in enumerate(book.closed):
             if app_id not in book.apps or app_id in seen:
@@ -506,25 +546,23 @@ class Logbook:
             seen.add(app_id)
         if schema >= 5:  # the rows and stamps only the result folds read
             book.admissions = [
-                _load_record(AdmissionRecord, f"admissions[{i}]", row)
+                AdmissionRecord(*_load_record(AdmissionRecord, f"admissions[{i}]", row))
                 for i, row in enumerate(rows["admissions"])
             ]
             makespan = _typed("makespan", dump.get("makespan"), (int, float, type(None)),
                               "an instant or null", nonnegative=True)
             book.makespan = None if makespan is None else float(makespan)
             book.in_system_hwm = _typed("in_system_hwm", dump.get("in_system_hwm", 0), (int,),
-                                        "an integer")
+                                        "an integer >= 0", nonnegative=True)
             holds = _typed("hold_hwm", dump.get("hold_hwm", {}), (dict,), "tenant -> integer")
             book.hold_hwm = {
-                name: _typed(f"hold_hwm[{name!r}]", n, (int,), "an integer")
+                name: _typed(f"hold_hwm[{name!r}]", n, (int,), "an integer >= 0", nonnegative=True)
                 for name, n in holds.items()
             }
-        assigned = sum(row[1] for row in book.rounds)
+        assigned = sum(book.rounds.column("depth"))
         if schema >= 4 and len(book.releases) != assigned:
-            raise ValueError(
-                f"releases: {len(book.releases)} instants for the {assigned} "
-                f"tasks the rounds assigned"
-            )
+            raise ValueError(f"releases: {len(book.releases)} instants for the {assigned} "
+                             f"tasks the rounds assigned")
         return book
 
     @classmethod
@@ -538,10 +576,7 @@ class Logbook:
 
     def tasks_by_pe(self) -> dict[str, int]:
         """Per-PE executed-task histogram (quick load-balance view)."""
-        hist: dict[str, int] = {}
-        for rec in self.tasks:
-            hist[rec.pe] = hist.get(rec.pe, 0) + 1
-        return hist
+        return dict(Counter(self.tasks.column("pe")))
 
     def incident_counts(self) -> Counter:
         """Incidents per kind of :data:`INCIDENT_KINDS` (absent kinds read 0)."""
@@ -549,7 +584,7 @@ class Logbook:
 
     def ready_depths(self) -> tuple[int, float]:
         """``(max, mean)`` of the ready batches the scheduling rounds saw."""
-        depths = [row[1] for row in self.rounds]
+        depths = self.rounds.column("depth")
         return max(depths, default=0), (sum(depths) / len(depths) if depths else 0.0)
 
     def mean_time_to_recovery(self) -> float:

@@ -157,6 +157,12 @@ class PerfCounters:
         engine.call_at = lambda when, callback: call_at(when, timed(callback))
         engine._schedule_timer = lambda delay, callback: schedule(delay, timed(callback))
 
+    @staticmethod
+    def unwatch_timers(engine: "Engine") -> None:
+        """Drop :meth:`watch_timers`' shadows, which hold *engine* in a cycle."""
+        for name in ("call_at", "_schedule_timer"):
+            vars(engine).pop(name, None)
+
     def record_event_core(self, stats: dict) -> None:
         """Absorb :meth:`repro.simcore.Engine.event_core_stats` output."""
         self.event_core = {key: stats.get(key, zero) for key, zero in _EVENT_CORE_ZERO.items()}
@@ -180,7 +186,7 @@ class PerfCounters:
 
     @property
     def ready_depth_sum(self) -> int:
-        return sum(row[1] for row in self.logbook.rounds)
+        return sum(self.logbook.rounds.column("depth"))
 
     @property
     def ready_depth_max(self) -> int:
@@ -199,13 +205,14 @@ class PerfCounters:
         the simulated tallies, each read from the book here."""
         book = self.logbook
         per_pe: dict[str, dict] = {}  # first-completion order
-        for rec in book.tasks:
-            pe = per_pe.get(rec.pe)
+        rows = zip(*map(book.tasks.column, ("pe", "api", "t_start", "t_finish")))
+        for name, api, t_start, t_finish in rows:
+            pe = per_pe.get(name)
             if pe is None:
-                pe = per_pe[rec.pe] = {"tasks": 0, "busy_seconds": 0.0, "by_api": {}}
+                pe = per_pe[name] = {"tasks": 0, "busy_seconds": 0.0, "by_api": {}}
             pe["tasks"] += 1
-            pe["busy_seconds"] += rec.service_time
-            pe["by_api"][rec.api] = pe["by_api"].get(rec.api, 0) + 1
+            pe["busy_seconds"] += t_finish - t_start  # service_time
+            pe["by_api"][api] = pe["by_api"].get(api, 0) + 1
         counts = book.incident_counts()
         details = {"fault": Counter(), "failure": Counter()}  # first-seen order
         for incident in book.incidents:

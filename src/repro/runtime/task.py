@@ -86,9 +86,9 @@ class CompletionHandle:
         #: when the handle completes or fails - the hook behind
         #: :func:`repro.core.handles.wait_any`.
         self._watchers: list[Callable[[], None]] = []
-        #: a non-blocking libCEDR call's ``(rows, record)``: settling stamps
-        #: the record's ``t_done`` and appends it to the logbook's rows.
-        self.call: Optional[tuple[list, Any]] = None
+        #: a non-blocking libCEDR call's ``(record_call, columns)``: settling
+        #: records the call's row with ``t_done`` = now.
+        self.call: Optional[tuple[Callable, tuple]] = None
 
     def add_watcher(self, callback: Callable[[], None]) -> None:
         """Invoke *callback* once when the handle settles (now if it has).
@@ -151,9 +151,8 @@ class CompletionHandle:
                     engine.wake(waiter)
         call = self.call
         if call is not None:
-            rows, record = call
-            record.t_done = self.engine.now
-            rows.append(record)
+            record_call, columns = call
+            record_call(*columns, self.engine.now)
         watchers = self._watchers
         if watchers:
             self._watchers = []

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter, le, sub
+from operator import attrgetter, le, sub
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .registry import MetricRegistry
@@ -279,21 +279,25 @@ class CedrTelemetry:
                 t += interval
         bounds.append(math.inf)  # the last window: every row left, sampled at end
         tel = cls(config, pe_names)
-        rounds, tasks, incidents, calls = book.rounds, book.tasks, book.incidents, book.calls
+        rounds, tasks, incidents = book.rounds, book.tasks, book.incidents
+        depths, finishes = rounds.column("depth"), tasks.column("t_finish")
         # each round's ``t`` once per task it assigned (no releases below schema 4)
-        assigned = [row[0] for row in rounds for _ in range(row[1])] if book.releases else []
+        assigned = [
+            t for t, n in zip(rounds.column("t"), depths) for _ in range(n)
+        ] if book.releases else []
         closes = [app.t_finish for app in book.apps.values() if app.t_finish is not None]
         streams = [
-            _stream(tel.record_rounds, map(itemgetter(3), rounds), map(itemgetter(1, 2), rounds)),
+            _stream(tel.record_rounds, rounds.column("t_begin"), zip(depths, rounds.column("cost"))),
             _stream(tel.record_sched_latencies, assigned, map(sub, assigned, book.releases)),
-            _stream(tel.record_tasks, map(attrgetter("t_finish"), tasks),
-                    map(attrgetter("pe", "service_time"), tasks)),
+            _stream(tel.record_tasks, finishes,
+                    zip(tasks.column("pe"), map(sub, finishes, tasks.column("t_start")))),
             _stream(tel.record_apps_completed, closes, closes),
             _stream(tel.record_incidents, map(attrgetter("t"), incidents),
                     map(attrgetter("kind", "detail", "seconds"), incidents)),
             # entering (``None``) and settling, call by call
-            _stream(tel.record_api_calls, [t for c in calls for t in (c.t_enter, c.t_done)],
-                    [r for c in calls for r in (None, (c.api, c.mode, c.t_done - c.t_call))]),
+            _stream(tel.record_api_calls, [t for c in book.calls.values() for t in c[3:]],
+                    [r for api, mode, t_call, _, t_done in book.calls.values()
+                     for r in (None, (api, mode, t_done - t_call))]),
             _stream(tel.record_late_timers, book.late_timers, book.late_timers),
         ]
         streams = [stream for stream in streams if stream[0]]

@@ -26,7 +26,7 @@ from repro.audit import (
 from repro.audit.invariants import CoreLoad
 from repro.platforms import zcu102
 from repro.runtime import CedrRuntime, RuntimeConfig
-from repro.runtime.logbook import AppRecord, Incident, Logbook, TaskRecord
+from repro.runtime.logbook import AppRecord, Incident, Logbook, Round, Table, TaskRecord
 
 TOKEN = 7       # the synthetic run's one cost-table token
 N_ROWS = 64     # and its table size
@@ -44,14 +44,16 @@ def rec(tid, **kw):
 
 
 def make_view(tasks, apps=(), **kw):
-    """An AuditView over synthetic records with a live cost-table identity."""
+    """An AuditView over synthetic records with a live cost-table identity
+    (its task and round rows as the book's column tables)."""
     defaults = dict(
         cost_table_token=TOKEN,
         cost_table_rows=N_ROWS,
         makespan=max((t.t_finish for t in tasks), default=0.0),
     )
     defaults.update(kw)
-    return AuditView(tasks=tuple(tasks), apps=tuple(apps), **defaults)
+    defaults["rounds"] = Table(Round, defaults.get("rounds", ()))
+    return AuditView(tasks=Table(TaskRecord, tasks), apps=tuple(apps), **defaults)
 
 
 def _clean_tasks():
@@ -227,7 +229,7 @@ def test_round_monotonic_fires_on_round_beyond_makespan():
 def test_app_accounting_fires_on_lost_task():
     """Drop one completion record: the app's ledger no longer balances."""
     view = _clean_view()
-    view.tasks = view.tasks[:-1]
+    view.tasks = Table(TaskRecord, list(view.tasks)[:-1])
     report = audit_view(view)
     assert report.codes == {"app-accounting"}
     assert "2 completions" in str(report.violations[0])
@@ -252,8 +254,8 @@ def test_app_accounting_skips_cancelled_and_failed_apps():
 
 def test_task_conservation_fires_on_unbacked_retry_attempts():
     view = _clean_view()
-    view.tasks = (dataclasses.replace(view.tasks[0], attempts=2),
-                  *view.tasks[1:])
+    view.tasks = Table(TaskRecord, [dataclasses.replace(view.tasks[0], attempts=2),
+                                    *list(view.tasks)[1:]])
     report = audit_view(view, codes=["task-conservation"])
     assert report.codes == {"task-conservation"}
     assert "retry attempts" in str(report.violations[0])
@@ -285,8 +287,8 @@ def test_task_conservation_skips_a_dump_without_incident_rows():
     """Schema 1 / 2 dumps predate ``incidents``: retry attempts on their
     task rows have nothing to be checked against, and must not fire."""
     view = _clean_view(incidents=None)
-    view.tasks = (dataclasses.replace(view.tasks[0], attempts=2),
-                  *view.tasks[1:])
+    view.tasks = Table(TaskRecord, [dataclasses.replace(view.tasks[0], attempts=2),
+                                    *list(view.tasks)[1:]])
     assert audit_view(view, codes=["task-conservation"]).ok
 
 
@@ -389,9 +391,9 @@ def real_run():
 
 def _rebuild(runtime, tasks):
     book = Logbook()
-    book.tasks = list(tasks)
+    book.tasks = Table(TaskRecord, tasks)
     book.apps = dict(runtime.logbook.apps)
-    book.rounds = list(runtime.logbook.rounds)
+    book.rounds = runtime.logbook.rounds
     return book
 
 

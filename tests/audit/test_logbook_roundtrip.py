@@ -32,6 +32,7 @@ from repro.runtime.logbook import (
     SCHEMA_VERSION,
     AppRecord,
     Logbook,
+    Table,
     TaskRecord,
 )
 
@@ -216,7 +217,7 @@ def test_v3_golden_is_the_v4_golden_without_the_schema_4_columns():
     )
     book = Logbook.load(GOLDEN_V3)
     assert book.schema == 3
-    assert book.releases == [] and book.calls == [] and book.late_timers == []
+    assert not book.releases and not book.calls and book.late_timers == []
     assert audit_logbook(book).ok
 
 
@@ -241,7 +242,9 @@ def test_v2_golden_audits_clean_with_conservation_skipped():
     assert report.tasks == 48 and report.apps == 2
     # its incidents are unknown, not empty: retry attempts on a schema-2
     # task row have nothing to be checked against and must not fire
-    book.tasks[0] = TaskRecord(**{**vars(book.tasks[0]), "attempts": 3})
+    rows = list(book.tasks)
+    rows[0] = TaskRecord(**{**vars(rows[0]), "attempts": 3})
+    book.tasks = Table(TaskRecord, rows)
     assert audit_logbook(book).ok
 
 
@@ -254,12 +257,12 @@ def test_save_load_round_trip_preserves_every_record(golden_runtime, tmp_path):
     path = tmp_path / "dump.json"
     assert book.save(path) == str(path)
     loaded = Logbook.load(path)
-    assert loaded.tasks == book.tasks
+    assert list(loaded.tasks) == list(book.tasks)
     assert loaded.apps == book.apps
-    assert loaded.rounds == book.rounds
+    assert list(loaded.rounds) == list(book.rounds)
     assert loaded.releases == book.releases and loaded.releases
     assert loaded.incidents == book.incidents and loaded.incidents
-    assert loaded.calls == book.calls and loaded.calls
+    assert list(loaded.calls) == list(book.calls) and loaded.calls
     assert loaded.late_timers == book.late_timers
     assert loaded.charges == book.charges and loaded.charges
     assert loaded.makespan == book.makespan is not None
@@ -342,7 +345,7 @@ def test_unsupported_schema_versions_are_rejected(schema):
 
 def test_empty_dump_loads_as_empty_book():
     book = Logbook.from_dict({"schema": SCHEMA_VERSION})
-    assert book.tasks == [] and book.apps == {} and book.rounds == []
+    assert not book.tasks and book.apps == {} and not book.rounds
     assert book.incidents == []
 
 
@@ -499,6 +502,34 @@ def test_a_nan_in_a_real_dump_is_refused_not_audited(path, column):
     row[last] = float("nan")
     with pytest.raises(ValueError, match=column):
         Logbook.from_dict(dump)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(lambda d: d["apps"].append(dict(d["apps"][1])),
+                 r"apps\[3\]: app id 1 repeats an earlier row", id="duplicate-app"),
+    pytest.param(lambda d: d["incidents"][6].update(seconds=-1e-3),
+                 r"incidents\[6\]: negative columns \['seconds'\]", id="negative-recovery"),
+    pytest.param(lambda d: d.update(in_system_hwm=-1),
+                 r"in_system_hwm: expected an integer >= 0, got -1", id="negative-in-system-hwm"),
+    pytest.param(lambda d: d.update(hold_hwm={"radar": -2}),
+                 r"hold_hwm\['radar'\]: expected an integer >= 0, got -2", id="negative-hold-hwm"),
+    pytest.param(lambda d: d["tasks"][32].update(attempts=-1),
+                 r"tasks\[32\]: negative columns \['attempts'\]", id="negative-attempts"),
+])
+def test_a_mutated_golden_is_refused_on_one_line(mutate, message, tmp_path):
+    """Each used to load: a repeated app row overwrote the first, and a
+    negative recovery made the ``--perf-json`` MTTR negative."""
+    dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    mutate(dump)
+    with pytest.raises(ValueError, match=message):
+        Logbook.from_dict(dump)
+    from repro.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dump), encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["audit", str(path)])
+    assert "\n" not in str(err.value)
 
 
 def test_save_refuses_a_non_finite_value(tmp_path):

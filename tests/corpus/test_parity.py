@@ -94,16 +94,16 @@ def test_run_cell_records_violation(evil_scheduler, small_config):
 def test_shutdown_fold_failure_is_tallied_as_a_violation(small_config, monkeypatch):
     """A run that fails the catalog folded at shutdown (an ``AuditError``,
     not a round's ``AuditViolation``) counts under its first code."""
-    import dataclasses
-
     from repro.runtime import Logbook
 
     original = Logbook.record_task
 
     def doctored(self, task):
+        if self.tasks:
+            return original(self, task)
+        row, task.cost_row = task.cost_row, -1  # the first completion loses its cost row
         original(self, task)
-        if len(self.tasks) == 1:  # the first completion loses its cost row
-            self.tasks[0] = dataclasses.replace(self.tasks[0], cost_row=-1)
+        task.cost_row = row
 
     monkeypatch.setattr(Logbook, "record_task", doctored)
     spec = generate_corpus(small_config, seed=0)[0]

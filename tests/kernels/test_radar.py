@@ -96,3 +96,31 @@ def test_detection_reports_physical_units(rng):
     det = radar.detect_target(radar.doppler_process(radar.pulse_compress(pulses, ref)), geom)
     assert det.range_m == pytest.approx(det.range_bin * geom.range_resolution)
     assert det.snr_estimate_db > 10.0
+
+
+def _returns_with_a_noise_array(geom, target_range_bin, target_velocity, snr_db, rng):
+    """``synthesize_returns`` as it was before the noise was added in place:
+    the complex noise built whole (four payload-sized temporaries), then
+    added to the echo."""
+    chirp = radar.lfm_chirp(geom.n_chirp)
+    reference = np.zeros(geom.n_fast, dtype=np.complex128)
+    reference[: geom.n_chirp] = chirp
+    doppler_hz = 2.0 * target_velocity / (radar.C_LIGHT / geom.fc)
+    doppler_phase = np.exp(2j * np.pi * doppler_hz * np.arange(geom.n_pulses) / geom.prf)
+    echo = np.zeros((geom.n_pulses, geom.n_fast), dtype=np.complex128)
+    echo[:, target_range_bin : target_range_bin + geom.n_chirp] = chirp[None, :]
+    echo *= doppler_phase[:, None]
+    noise_power = 10.0 ** (-snr_db / 10.0)
+    noise = rng.normal(0.0, np.sqrt(noise_power / 2.0), echo.shape) + 1j * rng.normal(
+        0.0, np.sqrt(noise_power / 2.0), echo.shape
+    )
+    return echo + noise, reference
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_noise_added_in_place_is_bit_identical(seed):
+    geom = radar.PDGeometry()
+    args = (geom, 40 + seed, 15.0 - seed, 10.0 + seed % 7)
+    pulses, ref = radar.synthesize_returns(*args, np.random.default_rng(seed))
+    old_pulses, old_ref = _returns_with_a_noise_array(*args, np.random.default_rng(seed))
+    assert pulses.tobytes() == old_pulses.tobytes() and ref.tobytes() == old_ref.tobytes()

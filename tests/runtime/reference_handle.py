@@ -64,9 +64,8 @@ class ReferenceHandle:
 
     def _fire_watchers(self) -> None:
         if self.call is not None:
-            rows, record = self.call
-            record.t_done = self.engine.now
-            rows.append(record)
+            record_call, columns = self.call
+            record_call(*columns, self.engine.now)
         watchers, self._watchers = self._watchers, []
         for callback in watchers:
             callback()

@@ -135,8 +135,8 @@ def test_counters_have_no_settable_simulated_field(name):
     ("runtime/daemon.py", "logbook.open_app(", 1),
     ("runtime/daemon.py", "logbook.close_app(", 1),
     ("faults/inject.py", "logbook.record_incident(", 1),
-    ("core/api.py", "_call_rows.append(", 1),  # a blocking call, as it wakes
-    ("runtime/task.py", "rows.append(record)", 1),  # a non-blocking one, as it settles
+    ("core/api.py", "self._record_call(", 1),  # a blocking call, as it wakes
+    ("runtime/task.py", "record_call(*columns", 1),  # a non-blocking one, as it settles
     ("serve/driver.py", "logbook.record_admission(", 1),
 ])
 def test_each_happening_is_written_at_one_site(module, call, times):

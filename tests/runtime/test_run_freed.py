@@ -10,7 +10,10 @@ whose traceback held the application thread's frames (error -> frames ->
 client -> runtime -> handle -> error), and the engine's device list
 (engine -> device -> engine, which kept the engine and its cores).  The
 batch API and DAG cells leaked only the engine; they keep the check honest
-for the plain path.
+for the plain path.  A run armed for ``--perf-json`` kept its engine too,
+through the timer shadows ``PerfCounters.watch_timers`` sets on it
+(engine -> shadow -> bound ``call_at`` -> engine) until the drain dropped
+them.
 """
 
 import gc
@@ -23,17 +26,18 @@ from repro.apps import PulseDoppler, WifiTx
 from repro.core import CedrClient
 from repro.corpus.parity import run_cell
 from repro.experiments import run_once
+from repro.experiments.common import run_to_completion
 from repro.faults import FaultConfig, FaultInjector, FaultKind, FaultSpec
 from repro.platforms import zcu102
 from repro.runtime import CedrRuntime, Logbook, RuntimeConfig, Task, TaskRecord
-from repro.runtime.logbook import CallRecord
+from repro.runtime.logbook import CallRecord, Table
 from repro.scenario import load_scenario
 from repro.serve import ArrivalSpec, ServeConfig, TenantSpec, serve_once
 from repro.simcore import Core, Device, Engine
 from repro.workload import WorkloadEntry, WorkloadSpec
 
 RUN_TYPES = (
-    CedrRuntime, Logbook, TaskRecord, CallRecord, Task, CedrClient, FaultInjector,
+    CedrRuntime, Logbook, Table, TaskRecord, CallRecord, Task, CedrClient, FaultInjector,
     Engine, Core, Device,
 )
 
@@ -83,6 +87,14 @@ def test_batch_api_cell_is_freed():
 def test_dag_cell_is_freed():
     result = run_freed(lambda: run_once(ZCU, WORKLOAD, "dag", 200.0, "etf", seed=2))
     assert result.n_apps == 4
+
+
+def test_perf_json_armed_cell_is_freed():
+    snapshot = run_freed(lambda: run_to_completion(
+        ZCU, WORKLOAD, "api", 200.0, "rr", seed=4, attribute_host_time=True
+    ).counters.snapshot())
+    assert snapshot["host_ns_by_role"]["timers"] > 0
+    assert snapshot["resumes_by_role"]["timers"] == snapshot["event_core"]["timers_fired"]
 
 
 def test_serve_cell_is_freed():
