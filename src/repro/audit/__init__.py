@@ -5,8 +5,8 @@ Two surfaces over one invariant catalog:
 * :mod:`repro.audit.invariants` - eleven machine-verifiable properties
   of a finished run (causality, exactly-once, conservation under faults,
   PE support/exclusivity, capacity, clock/queue consistency, cost-row
-  freshness), checked over an :class:`AuditView` built from a
-  live runtime or a saved :class:`~repro.runtime.Logbook` dump.  An
+  freshness), checked over a :class:`~repro.runtime.Logbook`, live or
+  loaded from a saved dump.  An
   audited run (``RuntimeConfig(audit=True)`` / ``repro run --audit``)
   folds the catalog over its book at shutdown;
 * :mod:`repro.audit.oracle` - differential validation: paired
@@ -18,13 +18,10 @@ from .invariants import (
     CATALOG,
     AuditError,
     AuditReport,
-    AuditView,
     AuditViolation,
     Invariant,
     OnlineAuditor,
     audit_logbook,
-    audit_runtime,
-    audit_view,
 )
 from .oracle import (
     DEFAULT_VARIANTS,
@@ -39,12 +36,9 @@ from .oracle import (
 __all__ = [
     "AuditViolation",
     "AuditError",
-    "AuditView",
     "AuditReport",
     "Invariant",
     "CATALOG",
-    "audit_view",
-    "audit_runtime",
     "audit_logbook",
     "OnlineAuditor",
     "diff_results",

@@ -3,36 +3,30 @@
 CEDR's correctness contract - every submitted task runs exactly once, on a
 PE that supports its API, after its dependencies, with the rows of the run
 record (tasks, apps, rounds, fault-layer incidents) telling one consistent
-story - is stated here as eleven machine-verifiable invariants over an
-:class:`AuditView`: a uniform snapshot of a finished run assembled either
-from a live :class:`~repro.runtime.CedrRuntime` (:meth:`AuditView.
-from_runtime`) or from a saved :class:`~repro.runtime.Logbook` dump
-(:meth:`AuditView.from_logbook`, the ``repro audit <logbook.json>`` path).
+story - is stated here as eleven machine-verifiable invariants over a
+:class:`~repro.runtime.Logbook`: the live book of a drained run, or one
+loaded from a saved dump (the ``repro audit <logbook.json>`` path).  The
+book's header carries the core loads and the cost table's identity, so
+every check runs the same offline as live.
 
 Each invariant is a generator yielding structured :class:`AuditViolation`
 exceptions (code + offending task/PE/timestamps) rather than raising, so
-:func:`audit_view` can collect the complete damage report.  An audited
+:func:`audit_logbook` can collect the complete damage report.  An audited
 run (``RuntimeConfig(audit=True)``) folds the catalog over its book once,
 at shutdown, and raises :class:`AuditError` on damage; the one contract
 that needs a decision in flight - a round assigns exactly its ready batch,
 each task to a PE that can run it - the daemon enforces on every run,
 raising the catalog's :class:`AuditViolation` at the offending round.
-
-The catalog is deliberately conservative about *when* a check applies: an
-offline dump has no cost-table token or core loads, a schema 1 / 2 dump
-has no incident rows and one below schema 4 no release instants - each
-invariant states its inputs and skips cleanly when they are absent, so
-auditing never manufactures false alarms out of missing columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.platforms.pe import SUPPORT_MATRIX
-from repro.runtime.logbook import AppRecord, Incident, Logbook, Round, Table, TaskRecord
+from repro.runtime.logbook import Logbook
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.daemon import CedrRuntime
@@ -40,13 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "AuditViolation",
     "AuditError",
-    "CoreLoad",
-    "AuditView",
     "Invariant",
     "CATALOG",
     "AuditReport",
-    "audit_view",
-    "audit_runtime",
     "audit_logbook",
     "OnlineAuditor",
 ]
@@ -93,79 +83,11 @@ class AuditError(Exception):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class CoreLoad:
-    """Capacity accounting of one processor-sharing core at shutdown."""
-
-    name: str
-    speed: float
-    #: dedicated-core-seconds actually delivered to threads.
-    delivered: float
-    #: wall seconds the core had at least one runnable thread.
-    busy_time: float
-
-
-@dataclass
-class AuditView:
-    """Uniform audit input: everything the catalog can be asked about.
-
-    The run record (the book's own tables, read by column); the optional
-    fields exist only for a live runtime (or, for ``incidents``, a schema >= 3
-    dump) and the invariants that need them skip when they are ``None``/empty.
-    """
-
-    tasks: Table = field(default_factory=lambda: Table(TaskRecord))
-    apps: tuple[AppRecord, ...] = ()
-    rounds: Table = field(default_factory=lambda: Table(Round))
-    #: fault-layer events; ``None`` when the dump predates them (schema
-    #: 1 / 2), which is "unknown", not "none happened".
-    incidents: Optional[tuple[Incident, ...]] = None
-    #: the release instant of each task the rounds assigned; ``None``
-    #: when the dump predates the section (schema < 4).
-    releases: Optional[Sequence[float]] = None
-    makespan: Optional[float] = None
-    #: live cost-table identity; ``None`` for offline (saved-dump) views.
-    cost_table_token: Optional[int] = None
-    cost_table_rows: Optional[int] = None
-    core_loads: tuple[CoreLoad, ...] = ()
-
-    @classmethod
-    def from_runtime(cls, runtime: "CedrRuntime") -> "AuditView":
-        """Snapshot a finished runtime (an audited run's shutdown fold):
-        the logbook view plus what only a live runtime knows."""
-        cores = [*runtime.platform.worker_cores, runtime.platform.runtime_core]
-        return replace(
-            cls.from_logbook(runtime.logbook),
-            cost_table_token=runtime.cost_table.token,
-            cost_table_rows=runtime.cost_table.n_rows,
-            core_loads=tuple(
-                CoreLoad(core.name, core.speed, core.delivered, core.busy_time) for core in cores
-            ),
-        )
-
-    @classmethod
-    def from_logbook(cls, logbook: Logbook) -> "AuditView":
-        """The run record as an audit view (all an offline dump offers)."""
-        makespan = logbook.makespan
-        if makespan is None:  # below schema 5, or never drained: the last finish
-            finishes = [a.t_finish for a in logbook.apps.values() if a.t_finish is not None]
-            finishes.extend(logbook.tasks.column("t_finish"))
-            makespan = max(finishes) if finishes else None
-        return cls(
-            tasks=logbook.tasks,
-            apps=tuple(logbook.apps.values()),
-            rounds=logbook.rounds,
-            incidents=tuple(logbook.incidents) if logbook.schema >= 3 else None,
-            releases=logbook.releases if logbook.schema >= 4 else None,
-            makespan=makespan,
-        )
-
-
 # --------------------------------------------------------------------- #
 # the catalog
 # --------------------------------------------------------------------- #
 
-Check = Callable[[AuditView], Iterator[AuditViolation]]
+Check = Callable[[Logbook], Iterator[AuditViolation]]
 
 
 @dataclass(frozen=True)
@@ -177,8 +99,8 @@ class Invariant:
     check: Check = field(repr=False)
 
 
-def _check_causality(view: AuditView) -> Iterator[AuditViolation]:
-    tasks = view.tasks
+def _check_causality(book: Logbook) -> Iterator[AuditViolation]:
+    tasks = book.tasks
     row_of = {tid: i for i, tid in enumerate(tasks.column("tid"))}  # the last row wins
     starts, finishes = tasks.column("t_start"), tasks.column("t_finish")
     for i, successors in enumerate(tasks.column("successors")):
@@ -194,12 +116,12 @@ def _check_causality(view: AuditView) -> Iterator[AuditViolation]:
                 )
 
 
-def _check_exactly_once(view: AuditView) -> Iterator[AuditViolation]:
+def _check_exactly_once(book: Logbook) -> Iterator[AuditViolation]:
     first: dict[int, int] = {}  # tid -> its first row
-    for i, tid in enumerate(view.tasks.column("tid")):
+    for i, tid in enumerate(book.tasks.column("tid")):
         j = first.setdefault(tid, i)
         if j != i:
-            prior, rec = view.tasks[j], view.tasks[i]
+            prior, rec = book.tasks[j], book.tasks[i]
             yield AuditViolation(
                 "exactly-once",
                 f"task {rec.name} completed twice (on {prior.pe} at "
@@ -208,18 +130,16 @@ def _check_exactly_once(view: AuditView) -> Iterator[AuditViolation]:
             )
 
 
-def _check_task_conservation(view: AuditView) -> Iterator[AuditViolation]:
-    if view.incidents is None:
-        return
-    counts = Counter(incident.kind for incident in view.incidents)
-    recorded_attempts = sum(view.tasks.column("attempts"))
+def _check_task_conservation(book: Logbook) -> Iterator[AuditViolation]:
+    counts = book.incident_counts()
+    recorded_attempts = sum(book.tasks.column("attempts"))
     if recorded_attempts > counts["retry"]:
         yield AuditViolation(
             "task-conservation",
             f"completed tasks carry {recorded_attempts} retry attempts "
             f"but only {counts['retry']} retries were issued",
         )
-    failed_apps = sum(1 for app in view.apps if app.failed)
+    failed_apps = sum(1 for app in book.apps.values() if app.failed)
     if counts["lost"] != failed_apps:
         yield AuditViolation(
             "task-conservation",
@@ -238,16 +158,16 @@ def _check_task_conservation(view: AuditView) -> Iterator[AuditViolation]:
         )
 
 
-def _check_app_accounting(view: AuditView) -> Iterator[AuditViolation]:
-    for app in view.apps:
+def _check_app_accounting(book: Logbook) -> Iterator[AuditViolation]:
+    for app in book.apps.values():
         if app.t_finish is None:
             yield AuditViolation(
                 "app-accounting",
                 f"app {app.name}#{app.app_id} never terminated",
                 t=app.t_arrival,
             )
-    per_app = Counter(view.tasks.column("app_id"))
-    for app in view.apps:
+    per_app = Counter(book.tasks.column("app_id"))
+    for app in book.apps.values():
         if app.cancelled or app.failed:
             continue  # dropped work is the *point* of those outcomes
         done = per_app.get(app.app_id, 0)
@@ -260,8 +180,8 @@ def _check_app_accounting(view: AuditView) -> Iterator[AuditViolation]:
             )
 
 
-def _check_pe_support(view: AuditView) -> Iterator[AuditViolation]:
-    tasks = view.tasks
+def _check_pe_support(book: Logbook) -> Iterator[AuditViolation]:
+    tasks = book.tasks
     for i, (api, kind) in enumerate(zip(tasks.column("api"), tasks.column("pe_kind"))):
         supported = _SUPPORT_BY_KIND.get(kind)
         if supported is not None and api in supported:
@@ -276,8 +196,8 @@ def _check_pe_support(view: AuditView) -> Iterator[AuditViolation]:
         )
 
 
-def _check_pe_exclusive(view: AuditView) -> Iterator[AuditViolation]:
-    tasks = view.tasks
+def _check_pe_exclusive(book: Logbook) -> Iterator[AuditViolation]:
+    tasks = book.tasks
     by_pe: dict[str, list[int]] = {}  # rows per PE
     for i, pe in enumerate(tasks.column("pe")):
         by_pe.setdefault(pe, []).append(i)
@@ -295,31 +215,31 @@ def _check_pe_exclusive(view: AuditView) -> Iterator[AuditViolation]:
                 )
 
 
-def _check_core_capacity(view: AuditView) -> Iterator[AuditViolation]:
-    if view.makespan is None:
+def _check_core_capacity(book: Logbook) -> Iterator[AuditViolation]:
+    if book.makespan is None:
         return
     budget_scale = 1.0 + 1e-9  # float reassociation headroom
-    for load in view.core_loads:
-        budget = load.speed * view.makespan * budget_scale + EPS
+    for load in book.header.cores:
+        budget = load.speed * book.makespan * budget_scale + EPS
         if load.delivered > budget:
             yield AuditViolation(
                 "core-capacity",
                 f"core {load.name} delivered {load.delivered}s of dedicated "
-                f"compute in a {view.makespan}s run at speed {load.speed} - "
+                f"compute in a {book.makespan}s run at speed {load.speed} - "
                 f"more work than the share budget allows",
-                pe=load.name, t=view.makespan,
+                pe=load.name, t=book.makespan,
             )
-        if load.busy_time > view.makespan * budget_scale + EPS:
+        if load.busy_time > book.makespan * budget_scale + EPS:
             yield AuditViolation(
                 "core-capacity",
                 f"core {load.name} was busy {load.busy_time}s in a "
-                f"{view.makespan}s run",
-                pe=load.name, t=view.makespan,
+                f"{book.makespan}s run",
+                pe=load.name, t=book.makespan,
             )
 
 
-def _check_clock_monotonic(view: AuditView) -> Iterator[AuditViolation]:
-    tasks = view.tasks
+def _check_clock_monotonic(book: Logbook) -> Iterator[AuditViolation]:
+    tasks = book.tasks
     chains = zip(*map(tasks.column, ("t_release", "t_scheduled", "t_start", "t_finish")))
     for i, chain in enumerate(chains):
         if chain[0] < -EPS or any(b < a - EPS for a, b in zip(chain, chain[1:])):
@@ -331,15 +251,15 @@ def _check_clock_monotonic(view: AuditView) -> Iterator[AuditViolation]:
                 f"{rec.t_start} -> finish {rec.t_finish}",
                 tid=rec.tid, pe=rec.pe, t=rec.t_release,
             )
-        elif view.makespan is not None and chain[3] > view.makespan + EPS:
+        elif book.makespan is not None and chain[3] > book.makespan + EPS:
             rec = tasks[i]
             yield AuditViolation(
                 "clock-monotonic",
                 f"task {rec.name} finished at {rec.t_finish}, after the "
-                f"run's makespan {view.makespan}",
+                f"run's makespan {book.makespan}",
                 tid=rec.tid, pe=rec.pe, t=rec.t_finish,
             )
-    for app in view.apps:
+    for app in book.apps.values():
         if app.t_finish is None:
             continue  # app-accounting owns that failure
         # a kill command can land before the launch bookkeeping ran, so
@@ -358,9 +278,9 @@ def _check_clock_monotonic(view: AuditView) -> Iterator[AuditViolation]:
             )
 
 
-def _check_round_monotonic(view: AuditView) -> Iterator[AuditViolation]:
+def _check_round_monotonic(book: Logbook) -> Iterator[AuditViolation]:
     last = 0.0
-    for when, depth in zip(view.rounds.column("t"), view.rounds.column("depth")):
+    for when, depth in zip(book.rounds.column("t"), book.rounds.column("depth")):
         if when < last - EPS:
             yield AuditViolation(
                 "round-monotonic",
@@ -375,50 +295,37 @@ def _check_round_monotonic(view: AuditView) -> Iterator[AuditViolation]:
                 f"{depth} (rounds only run on non-empty queues)",
                 t=when,
             )
-        if view.makespan is not None and when > view.makespan + EPS:
+        if book.makespan is not None and when > book.makespan + EPS:
             yield AuditViolation(
                 "round-monotonic",
                 f"scheduling round at {when} lies beyond the makespan "
-                f"{view.makespan}",
+                f"{book.makespan}",
                 t=when,
             )
 
 
-def _check_queue_accounting(view: AuditView) -> Iterator[AuditViolation]:
+def _check_queue_accounting(book: Logbook) -> Iterator[AuditViolation]:
     # each round records its depth and one release instant per assignment,
     # so the totals agree exactly when every round assigned its whole batch
-    if view.releases is None:
-        return  # pre-v4 dump: no release instants to count
-    depth = sum(view.rounds.column("depth"))
-    if depth != len(view.releases):
+    depth = sum(book.rounds.column("depth"))
+    if depth != len(book.releases):
         yield AuditViolation(
             "queue-accounting",
             f"rounds saw {depth} ready tasks but assigned "
-            f"{len(view.releases)} - tasks were dropped or invented",
+            f"{len(book.releases)} - tasks were dropped or invented",
         )
 
 
-def _check_cost_row_fresh(view: AuditView) -> Iterator[AuditViolation]:
-    # offline dumps carry no live table: all rows must still agree on one
-    # token (a single table priced the whole run)
-    tasks, token, n_rows = view.tasks, view.cost_table_token, view.cost_table_rows
+def _check_cost_row_fresh(book: Logbook) -> Iterator[AuditViolation]:
+    tasks, (token, n_rows) = book.tasks, book.header.cost_table
     rows, tokens = tasks.column("cost_row"), tasks.column("cost_token")
-    distinct = set(tokens)
-    if token is None and distinct == {-1}:
-        return  # v1 dump: the freshness columns predate this schema - skip
-    if token is None and len(distinct) > 1:
-        yield AuditViolation(
-            "cost-row-fresh",
-            f"task rows were priced against {len(distinct)} different cost "
-            f"tables ({sorted(distinct)}) within one run",
-        )
     for i, (row, row_token) in enumerate(zip(rows, tokens)):
         if row < 0:
             what = "completed without an interned cost row"
-        elif token is not None and row_token != token:
+        elif row_token != token:
             what = (f"carries stale cost token {row_token} (table token {token}) - "
                     f"its estimates came from another table")
-        elif token is not None and n_rows is not None and row >= n_rows:
+        elif row >= n_rows:
             what = f"points at cost row {row} of a {n_rows}-row table"
         else:
             continue
@@ -523,8 +430,9 @@ class AuditReport:
         )
 
 
-def audit_view(view: AuditView, codes: Optional[list[str]] = None) -> AuditReport:
-    """Run the catalog (or the named subset) against one view."""
+def audit_logbook(book: Logbook, codes: Optional[list[str]] = None) -> AuditReport:
+    """Run the catalog (or the named subset) over a run record, live or
+    loaded from a dump."""
     if codes is None:
         invariants = CATALOG
     else:
@@ -537,23 +445,13 @@ def audit_view(view: AuditView, codes: Optional[list[str]] = None) -> AuditRepor
         invariants = tuple(_BY_CODE[c] for c in codes)
     violations: list[AuditViolation] = []
     for inv in invariants:
-        violations.extend(inv.check(view))
+        violations.extend(inv.check(book))
     return AuditReport(
         violations=violations,
         invariants_checked=len(invariants),
-        tasks=len(view.tasks),
-        apps=len(view.apps),
+        tasks=len(book.tasks),
+        apps=len(book.apps),
     )
-
-
-def audit_runtime(runtime: "CedrRuntime") -> AuditReport:
-    """Audit a finished runtime in place."""
-    return audit_view(AuditView.from_runtime(runtime))
-
-
-def audit_logbook(logbook: Logbook) -> AuditReport:
-    """Audit a saved (or reconstructed) logbook offline."""
-    return audit_view(AuditView.from_logbook(logbook))
 
 
 class OnlineAuditor:
@@ -565,7 +463,7 @@ class OnlineAuditor:
 
     @staticmethod
     def final_check(runtime: "CedrRuntime") -> AuditReport:
-        """Fold the catalog over a drained runtime; raises on damage."""
-        report = audit_runtime(runtime)
+        """Fold the catalog over a drained runtime's book; raises on damage."""
+        report = audit_logbook(runtime.logbook)
         report.raise_if_failed()
         return report

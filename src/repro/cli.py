@@ -438,11 +438,11 @@ def _cmd_run(args) -> int:
               f"(goodput {result.goodput:.2f}, MTTR "
               f"{result.mean_time_to_recovery * 1e3:.2f} ms)")
     if runtime.config.audit:  # --audit or $REPRO_AUDIT
-        from repro.audit import audit_runtime
+        from repro.audit import audit_logbook
 
         # the run's shutdown fold passed; fold again for what it covered, so
         # "nothing fired" is distinguishable from "nothing ran"
-        report = audit_runtime(runtime)
+        report = audit_logbook(runtime.logbook)
         print(f"audit     : ok ({report.invariants_checked} invariants over "
               f"{report.tasks} tasks, {report.apps} apps)")
     if args.logbook:
@@ -474,13 +474,13 @@ def _cmd_run(args) -> int:
               f"accel {energy.accel_j:.2f} + static {energy.static_j:.2f}), "
               f"avg {energy.average_power_w:.2f} W")
     if args.trace:
-        path = write_chrome_trace(args.trace, runtime)
+        path = write_chrome_trace(args.trace, runtime.logbook)
         print(f"trace     : wrote {path} (open in chrome://tracing or Perfetto)")
     if args.gantt:
         from repro.metrics import render_gantt
 
         print()
-        print(render_gantt(runtime))
+        print(render_gantt(runtime.logbook))
     return 0
 
 
@@ -564,15 +564,7 @@ def _cmd_audit(args) -> int:
         raise SystemExit(f"cannot load {args.target!r}: {exc}") from None
     report = audit_logbook(logbook)
     print(report.summary())
-    if logbook.schema >= 3:
-        print(f"  task-conservation: checked against "
-              f"{len(logbook.incidents)} incident rows")
-    else:
-        print(f"  task-conservation: skipped (a schema {logbook.schema} dump "
-              f"carries no incident rows)")
-    if logbook.schema < 4:
-        print(f"  queue-accounting: skipped (a schema {logbook.schema} dump "
-              f"carries no release instants)")
+    print(f"  task-conservation: checked against {len(logbook.incidents)} incident rows")
     for violation in report.violations:
         print(f"  - {violation}")
     return 0 if report.ok else 1

@@ -15,7 +15,7 @@ version for terminals and test logs.
 
 Example::
 
-    print(render_gantt(runtime))
+    print(render_gantt(runtime.logbook))
     cpu0  |PPPPPPPPTTTT..TTPPP...|
     cpu1  |PPPPPP..TTTTTTPP......|
     fft0  |..pp..PPPP...........p|
@@ -26,13 +26,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.daemon import CedrRuntime
+    from repro.runtime import Logbook
 
 __all__ = ["render_gantt"]
 
 
 def render_gantt(
-    runtime: "CedrRuntime",
+    book: "Logbook",
     width: int = 72,
     t_start: float = 0.0,
     t_end: Optional[float] = None,
@@ -40,31 +40,27 @@ def render_gantt(
     """Render the run's schedule as an ASCII Gantt chart.
 
     ``width`` is the number of time slices; the window defaults to
-    ``[0, makespan]``.  Returns a multi-line string (one row per PE plus a
-    legend and time axis).
+    ``[0, makespan]``.  Returns a multi-line string (one row per header PE
+    plus a legend and time axis).
     """
     if width < 8:
         raise ValueError(f"width must be >= 8 columns, got {width}")
-    records = runtime.logbook.tasks
+    records = book.tasks
     if not records:
         return "(no task records)"
-    t_end = t_end if t_end is not None else runtime.logbook.makespan or max(
-        r.t_finish for r in records
-    )
+    t_end = t_end if t_end is not None else book.makespan or max(records.column("t_finish"))
     if t_end <= t_start:
         raise ValueError(f"empty window [{t_start}, {t_end}]")
     dt = (t_end - t_start) / width
 
-    pe_names = [pe.name for pe in runtime.platform.pes]
+    pe_names = [name for name, _ in book.header.pes]
     # per-PE, per-slice: {app name: busy seconds}
     slices: dict[str, list[dict[str, float]]] = {
         name: [dict() for _ in range(width)] for name in pe_names
     }
     app_names = {}
     for rec in records:
-        if rec.pe not in slices:
-            continue
-        app = runtime.logbook.apps.get(rec.app_id)
+        app = book.apps.get(rec.app_id)
         label = (app.name if app else "?")[:1].upper() or "?"
         app_names[label] = app.name if app else "?"
         first = max(0, int((rec.t_start - t_start) / dt))

@@ -60,12 +60,10 @@ class RunResult:
 
     @classmethod
     def from_logbook(cls, book: "Logbook") -> "RunResult":
-        """The result as a pure fold of a schema 5 run record, ``telemetry``
-        aside: execution times in the book's arrival order, both overheads
-        plain ``+=`` loops over their rows (``sum()`` is compensated from
-        CPython 3.12)."""
-        if book.schema < 5:
-            raise ValueError(f"logbook schema {book.schema} has no charges section")
+        """The result as a pure fold of the run record, ``telemetry`` aside:
+        execution times in the book's arrival order, both overheads plain
+        ``+=`` loops over their rows (``sum()`` is compensated from CPython
+        3.12)."""
         finished = [a for a in book.apps.values() if a.t_finish is not None]
         # cancelled (the kill command) and failed (the fault subsystem) apps
         # count separately, outside the execution-time statistics

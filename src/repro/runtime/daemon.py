@@ -71,7 +71,7 @@ from repro.telemetry import CedrTelemetry
 
 from .app import DAG_MODE, AppInstance, TimingOnlyAppError
 from .config import RuntimeConfig
-from .logbook import Logbook
+from .logbook import CoreLoad, Header, Logbook
 from .perf_counters import PerfCounters
 from .task import Task, TaskState
 from .worker import SHUTDOWN, worker_body
@@ -176,10 +176,15 @@ class CedrRuntime:
         #: config carries telemetry (``None`` until then, and without it)
         self.telemetry: Optional[CedrTelemetry] = None
         #: the run record: every completion, round, app open / close,
-        #: libCEDR call and fault-layer event is written here once;
+        #: libCEDR call and fault-layer event is written here once, under a
+        #: header naming the platform, its PEs and the scheduler;
         #: ``counters`` keeps the host-side measurements and reads its
         #: simulated numbers back from it, and the registry is a fold of it.
         self.logbook = Logbook()
+        self.logbook.header = Header(  # a plug-in scheduler need not carry a name
+            platform.config.name, [(pe.name, pe.kind.value) for pe in platform.pes],
+            getattr(self.scheduler, "name", config.scheduler),
+        )
         self.counters = PerfCounters(self.logbook)
         self.noise_rng = (
             child_rng(self.engine.seed, "cost-noise") if config.cost_noise_sigma > 0 else None
@@ -480,18 +485,19 @@ class CedrRuntime:
             # forever and the simulation never terminates.
             self.faults.disarm()
         self._shutdown_workers()
-        book = self.logbook
+        book, platform = self.logbook, self.platform
         now = book.makespan = self.engine.now
         book.late_timers = list(self.engine.late_at)
+        book.header.cores = [CoreLoad(core.name, core.speed, core.delivered, core.busy_time)
+                             for core in (*platform.worker_cores, platform.runtime_core)]
+        book.header.cost_table = (self.cost_table.token, self.cost_table.n_rows)
         if self.config.telemetry:
-            self.telemetry = CedrTelemetry.fold(
-                book, self.config.telemetry, [pe.name for pe in self.platform.pes], now
-            )
+            self.telemetry = CedrTelemetry.fold(book, self.config.telemetry)
         # Idle-poll accounting: the main loop spins whenever it is not doing
         # bookkeeping or scheduling.  The runtime core is reserved, so this
         # changes no thread's timing - only the overhead measurement - and
         # can be charged analytically instead of as simulated events.
-        idle = max(0.0, now - self.platform.runtime_core.delivered)
+        idle = max(0.0, now - platform.runtime_core.delivered)
         book.charges.append(self.config.costs.idle_poll_duty * idle)
         self._drained = True
         self.on_app_finished = None

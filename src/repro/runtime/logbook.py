@@ -5,8 +5,8 @@ performance-counter readings - and writes it out when the shutdown IPC
 command arrives "for later offline analysis by the user".  :class:`Logbook`
 is that log: append-only tables, one row per *entity* (a completed task is
 one :class:`TaskRecord` row carrying its four instants, not four events).
-The three tables a run writes once per task - ``tasks``, ``calls`` and
-``rounds`` - are :class:`Table` columns, not row objects:
+The row tables - ``tasks``, ``rounds``, ``incidents`` and ``calls`` - are
+:class:`Table` columns, not row objects:
 
 ===============  ======================================  ====================
 ``tasks``        one :class:`TaskRecord` per completion  written by workers
@@ -29,6 +29,8 @@ The three tables a run writes once per task - ``tasks``, ``calls`` and
 ``closed``       app ids in termination order            the daemon
 ``admissions``   one :class:`AdmissionRecord` per        the serve driver,
                  offered arrival; ``*_hwm`` stamps       which stamps at seal
+``header``       the :class:`Header`: platform, PEs,     the daemon, as it is
+                 scheduler, core loads, cost table       built and drains
 ===============  ======================================  ====================
 
 Daemon, workers, the libCEDR client, the fault injector and the serve
@@ -37,14 +39,14 @@ driver record each happening exactly once, here.  Everything else -
 (:meth:`repro.metrics.RunResult.from_logbook`,
 :meth:`repro.serve.ServeResult.from_logbook`), the metric registry
 (:meth:`repro.telemetry.CedrTelemetry.fold`), the Chrome trace, the Gantt
-chart, the audit view - is a read of these rows.
+chart, the audit - is a read of these rows and the header, never of the
+live runtime.
 
-The dump is schema-versioned (:data:`SCHEMA_VERSION`) and round-trips:
-:meth:`Logbook.load` rebuilds a logbook from a saved dump so ``repro audit
-<logbook.json>`` can replay the invariant catalog (:mod:`repro.audit`)
-against a run that finished in another process, or last week.  Older dumps
-still load; columns they lack take their documented defaults and the audit
-checks that need them skip.
+The dump stands alone and round-trips: :meth:`Logbook.load` rebuilds a
+logbook from a saved dump, so ``repro audit <logbook.json>`` replays the
+invariant catalog (:mod:`repro.audit`) and every view reads a run that
+finished in another process, or last week, as it read the live one.  It
+reads one schema (:data:`SCHEMA_VERSION`), with every section and column.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Optional
@@ -71,6 +73,8 @@ __all__ = [
     "Incident",
     "CallRecord",
     "AdmissionRecord",
+    "CoreLoad",
+    "Header",
     "Round",
     "Table",
     "INCIDENT_KINDS",
@@ -78,18 +82,14 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-#: current on-disk dump format.  2 added ``attempts``/``cost_row``/
-#: ``cost_token``/``successors`` to task rows and ``cancelled``/``failed``
-#: to app rows (the columns the audit layer's conservation, causality, and
-#: cost-row-freshness invariants consume).  3 added the ``incidents``
-#: section and widened round rows from ``[t, depth]`` to ``[t, depth,
-#: cost, t_begin]``; a 2-column round loads with ``cost = 0.0`` and
-#: ``t_begin = t``, and a schema 1 / 2 book has *unknown* (not zero)
-#: incidents - see :attr:`Logbook.schema`.  4 added the ``releases``,
-#: ``calls`` and ``late_timers`` sections, which an older dump loads empty.
-#: 5 added what the result folds read - ``charges``, ``makespan``, ``closed``,
-#: ``admissions``, the ``*_hwm`` stamps - which the folds require.
-SCHEMA_VERSION = 5
+#: the one on-disk dump format this build writes and reads.
+SCHEMA_VERSION = 6
+
+#: a dump's sections beside ``schema``, each required: the lists of rows,
+#: then the header and the stamps
+_ROW_SECTIONS = ("tasks", "apps", "rounds", "releases", "incidents", "calls",
+                 "late_timers", "charges", "closed", "admissions")
+_SECTIONS = ("header", *_ROW_SECTIONS, "makespan", "in_system_hwm", "hold_hwm")
 
 #: a column's declaration that the loader refuses a negative value in it
 _NONNEGATIVE = {"nonnegative": True}
@@ -169,12 +169,8 @@ class AppRecord:
 
 @dataclass(slots=True)
 class Incident:
-    """One fault-layer event; which columns are set depends on ``kind``.
-
-    Written once and never updated; ``slots`` rather than ``frozen`` because
-    a faulty run records more of these than task rows and a frozen
-    dataclass's ``__init__`` costs five times a plain one's.
-    """
+    """One fault-layer event (the row ``Logbook.incidents`` yields); which
+    columns are set depends on ``kind``."""
 
     t: float
     kind: str
@@ -223,6 +219,33 @@ class AdmissionRecord:
     app_id: int
     held: bool = False
     degraded: bool = False
+
+
+@dataclass(frozen=True)
+class CoreLoad:
+    """Capacity accounting of one processor-sharing core as the run drained."""
+
+    name: str
+    speed: float = field(metadata=_NONNEGATIVE)
+    #: dedicated-core-seconds actually delivered to threads.
+    delivered: float = field(metadata=_NONNEGATIVE)
+    #: wall seconds the core had at least one runnable thread.
+    busy_time: float = field(metadata=_NONNEGATIVE)
+
+
+@dataclass
+class Header:
+    """What the views read beside the rows: the names the daemon stamps as
+    it is built, the core loads and cost-table identity it stamps as it drains."""
+
+    platform: str = ""
+    #: the PEs in index order, as ``(name, kind)``.
+    pes: list[tuple[str, str]] = field(default_factory=list)
+    scheduler: str = ""
+    #: the worker cores, then the runtime core.
+    cores: list[CoreLoad] = field(default_factory=list)
+    #: the cost table's ``(token, n_rows)``.
+    cost_table: tuple[int, int] = (-1, 0)
 
 
 #: one scheduling round (a ``Logbook.rounds`` row): the dispatch instant ``t``
@@ -290,20 +313,28 @@ class Table:
 
 #: JSON types a dump column may hold, keyed by the record classes' field
 #: annotations.
+_SEQ = (list, tuple)
 _COLUMN_TYPES = {
     "int": int, "float": (int, float), "str": str, "bool": bool,
-    "Optional[float]": (int, float, type(None)), "tuple[int, ...]": (list, tuple),
+    "Optional[float]": (int, float, type(None)), "tuple[int, ...]": _SEQ,
+    "list[tuple[str, str]]": _SEQ, "list[CoreLoad]": _SEQ, "tuple[int, int]": _SEQ,
 }
 
 
 def _mistyped(value: Any, kind: str) -> bool:
     """Whether *value* cannot fill a column of annotation *kind*: ``True``
-    is an ``int`` to ``isinstance``, so only a bool column takes a bool, a
-    successor list holds task ids only, and an integer fits ``array('q')``."""
+    is an ``int`` to ``isinstance``, so only a bool column takes a bool; a
+    successor list holds task ids only, a header PE is ``[name, kind]`` and
+    the cost table ``[token, n_rows]``; an integer fits ``array('q')``."""
     if type(value) is bool:
         return kind != "bool"
-    if kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
+    if kind == "tuple[int, ...]" and isinstance(value, _SEQ):
         return any(type(tid) is not int for tid in value)
+    if kind == "list[tuple[str, str]]" and isinstance(value, _SEQ):
+        return any(not isinstance(pe, _SEQ) or [type(s) for s in pe] != [str, str]
+                   for pe in value)
+    if kind == "tuple[int, int]" and isinstance(value, _SEQ):
+        return [type(v) for v in value] != [int, int]
     if kind == "int" and type(value) is int:
         return not -(1 << 63) <= value < 1 << 63
     return not isinstance(value, _COLUMN_TYPES[kind])
@@ -311,13 +342,13 @@ def _mistyped(value: Any, kind: str) -> bool:
 
 def _load_record(cls, where: str, row: Any) -> list:
     """The values, in field order, of the dump row at *where* for record
-    class *cls* (what a :class:`Table` appends, or ``cls(*values)``).
+    class *cls* (what a :class:`Table` appends, or ``cls(*values)``); a JSON
+    list comes back a tuple.
 
-    Unknown keys (a *newer* dump than this code) are rejected - silently
-    dropping columns would let an audit pass on data it never saw - while
-    missing optional keys fall back to the dataclass defaults (older
-    dumps).  Missing required, mistyped, non-finite and (where a column is
-    declared ``_NONNEGATIVE``) negative columns are named.
+    Missing, unknown (a *newer* dump than this code: silently dropping
+    columns would let an audit pass on data it never saw), mistyped,
+    non-finite and (where a column is declared ``_NONNEGATIVE``) negative
+    columns are named.
     """
     if not isinstance(row, dict):
         raise ValueError(f"{where}: expected an object, got {type(row).__name__}")
@@ -328,7 +359,7 @@ def _load_record(cls, where: str, row: Any) -> list:
             f"{where}: {cls.__name__} dump carries unknown columns {unknown}; "
             f"refusing to audit a newer schema than this build understands"
         )
-    missing = [n for n, f in columns.items() if f.default is MISSING and n not in row]
+    missing = [n for n in columns if n not in row]
     mistyped = [n for n, v in row.items() if _mistyped(v, columns[n].type)]
     if missing or mistyped:
         raise ValueError(f"{where}: missing columns {missing}, mistyped columns {mistyped}")
@@ -336,7 +367,7 @@ def _load_record(cls, where: str, row: Any) -> list:
     negative = [n for n, v in row.items() if columns[n].metadata.get("nonnegative") and v < 0]
     if negative:
         raise ValueError(f"{where}: negative columns {negative}")
-    return [row.get(n, f.default) for n, f in columns.items()]
+    return [tuple(row[n]) if type(row[n]) is list else row[n] for n in columns]
 
 
 def _refuse_nonfinite(where: str, columns: Iterable[tuple[str, Any]]) -> None:
@@ -348,17 +379,28 @@ def _refuse_nonfinite(where: str, columns: Iterable[tuple[str, Any]]) -> None:
 
 
 def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
-    """A round row: ``[t, depth, cost, t_begin]``, or the ``[t, depth]`` of
-    schemas 1 / 2 (no recorded cost; the decision began at dispatch)."""
-    if not (isinstance(row, list) and len(row) in (2, 4) and type(row[1]) is int
+    """A round row: ``[t, depth, cost, t_begin]``."""
+    if not (isinstance(row, list) and len(row) == 4 and type(row[1]) is int
             and abs(row[1]) < 1 << 63 and all(type(v) in (int, float) for v in row)):
-        raise ValueError(f"{where}: expected [t, depth] or [t, depth, cost, t_begin] "
+        raise ValueError(f"{where}: expected [t, depth, cost, t_begin] "
                          f"with an integer depth, got {row!r}")
-    _refuse_nonfinite(where, zip(("t", "depth", "cost", "t_begin"), row))
-    t, depth, cost, t_begin = row if len(row) == 4 else (*row, 0.0, row[0])
+    _refuse_nonfinite(where, zip(Round._fields, row))
+    t, depth, cost, t_begin = row
     if cost < 0:
         raise ValueError(f"{where}: negative decision cost {cost!r}")
     return (float(t), depth, float(cost), float(t_begin))
+
+
+def _load_header(header: Any) -> Header:
+    """The dump's :class:`Header`, its PE and core names each unique."""
+    platform, pes, scheduler, cores, cost_table = _load_record(Header, "header", header)
+    cores = [CoreLoad(*_load_record(CoreLoad, f"header.cores[{i}]", row))
+             for i, row in enumerate(cores)]
+    for where, names in (("pes", [name for name, _ in pes]), ("cores", [c.name for c in cores])):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"header.{where}: repeated names {repeated}")
+    return Header(platform, [tuple(pe) for pe in pes], scheduler, cores, cost_table)
 
 
 def _typed(where: str, value: Any, types: tuple, what: str, nonnegative: bool = False) -> Any:
@@ -377,6 +419,7 @@ class Logbook:
     """The run record: in-memory rows with shutdown-time serialization."""
 
     def __init__(self) -> None:
+        self.header = Header()
         self.tasks = Table(TaskRecord)
         #: keyed by app id; insertion order is arrival order.
         self.apps: dict[int, AppRecord] = {}
@@ -385,7 +428,7 @@ class Logbook:
         #: order, rounds in order: a round assigns its whole ready batch,
         #: so round *k*'s ``depth`` entries follow round *k - 1*'s.
         self.releases = array("d")
-        self.incidents: list[Incident] = []
+        self.incidents = Table(Incident)
         self.calls = Table(CallRecord)
         self.late_timers: list[float] = []
         #: each bookkeeping charge's ``work``, then the idle-poll term
@@ -397,13 +440,6 @@ class Logbook:
         #: the admission controller's high-water marks, stamped at seal
         self.in_system_hwm = 0
         self.hold_hwm: dict[str, int] = {}
-        #: dump format the rows came from (live books are current).  A
-        #: schema 1 / 2 dump predates ``incidents``: its list is empty
-        #: because nothing was recorded, not because nothing happened, so
-        #: readers that count incidents must skip such a book.  The same
-        #: holds for ``releases``, ``calls`` and ``late_timers`` below 4, and
-        #: for the schema 5 sections below 5.
-        self.schema = SCHEMA_VERSION
 
     # ------------------------------------------------------------------ #
     # the write side: one call per happening
@@ -453,7 +489,10 @@ class Logbook:
     def record_incident(self, t: float, kind: str, detail: str = "", *, pe: str = "",
                         tid: int = -1, attempt: int = 0, seconds: float = 0.0) -> None:
         """One fault-layer event of :data:`INCIDENT_KINDS` at instant *t*."""
-        self.incidents.append(Incident(t, kind, detail, pe, tid, attempt, seconds))
+        incidents = self.incidents
+        incidents.floats.fromlist([t, seconds])
+        incidents.objs.extend((kind, detail, pe))
+        incidents.ints.fromlist([tid, attempt])
 
     def record_admission(self, *columns: Any) -> None:
         """A serve arrival's fate settled: :class:`AdmissionRecord` columns."""
@@ -465,14 +504,18 @@ class Logbook:
 
     def serialize(self) -> dict[str, Any]:
         """JSON-compatible dump (what CEDR writes at shutdown)."""
+        def rows(table: Table) -> list[dict[str, Any]]:
+            return [dict(zip(table.names, row)) for row in table.values()]
+
         return {
             "schema": SCHEMA_VERSION,
-            "tasks": [dict(zip(self.tasks.names, row)) for row in self.tasks.values()],
+            "header": asdict(self.header),
+            "tasks": rows(self.tasks),
             "apps": [asdict(a) for a in self.apps.values()],
             "rounds": [list(row) for row in self.rounds.values()],
             "releases": list(self.releases),
-            "incidents": [asdict(i) for i in self.incidents],
-            "calls": [dict(zip(self.calls.names, row)) for row in self.calls.values()],
+            "incidents": rows(self.incidents),
+            "calls": rows(self.calls),
             "late_timers": list(self.late_timers),
             "charges": list(self.charges),
             "makespan": self.makespan,
@@ -494,73 +537,72 @@ class Logbook:
         """Rebuild a logbook from a :meth:`serialize` dump.
 
         Raises :class:`ValueError` naming the section, row and columns of
-        the first thing that is not a dump of a schema this build reads.
+        the first thing that is not a dump of :data:`SCHEMA_VERSION`.
         """
         if not isinstance(dump, dict):
             raise ValueError("not a logbook dump: expected a JSON object, "
                              f"got {type(dump).__name__}")
-        schema = dump.get("schema", 1)  # v1 dumps predate the version key
-        if type(schema) is not int or schema < 1 or schema > SCHEMA_VERSION:
+        schema = dump.get("schema")
+        if type(schema) is not int or schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported logbook schema {schema!r} "
-                             f"(this build reads 1..{SCHEMA_VERSION})")
-        rows = {}
-        for name in ("tasks", "apps", "rounds", "releases", "incidents", "calls",
-                     "late_timers", "charges", "closed", "admissions"):
-            rows[name] = dump.get(name, [])
-            if not isinstance(rows[name], list):
+                             f"(this build reads {SCHEMA_VERSION} only)")
+        missing = [name for name in _SECTIONS if name not in dump]
+        unknown = sorted(set(dump) - {"schema", *_SECTIONS})
+        if missing or unknown:
+            raise ValueError(f"missing sections {missing}, unknown sections {unknown}")
+        for name in _ROW_SECTIONS:
+            if not isinstance(dump[name], list):
                 raise ValueError(f"{name}: expected a list of rows, "
-                                 f"got {type(rows[name]).__name__}")
+                                 f"got {type(dump[name]).__name__}")
         book = cls()
-        book.schema = schema
-        for i, row in enumerate(rows["tasks"]):
-            values = _load_record(TaskRecord, f"tasks[{i}]", row)
-            values[-1] = tuple(values[-1])  # successors: a JSON list
-            book.tasks.append(values)
-        for i, row in enumerate(rows["apps"]):
+        book.header = _load_header(dump["header"])
+        for name, row_type in (("tasks", TaskRecord), ("incidents", Incident),
+                               ("calls", CallRecord)):
+            for i, row in enumerate(dump[name]):
+                getattr(book, name).append(_load_record(row_type, f"{name}[{i}]", row))
+        pes = set(book.header.pes)
+        for i, pe in enumerate(zip(book.tasks.column("pe"), book.tasks.column("pe_kind"))):
+            if pe not in pes:
+                raise ValueError(f"tasks[{i}]: PE {pe[0]!r} of kind {pe[1]!r} is not a header PE")
+        for i, kind in enumerate(book.incidents.column("kind")):
+            if kind not in INCIDENT_KINDS:
+                raise ValueError(f"incidents[{i}]: unknown kind {kind!r}")
+        for i, row in enumerate(dump["apps"]):
             record = AppRecord(*_load_record(AppRecord, f"apps[{i}]", row))
             if record.app_id in book.apps:
                 raise ValueError(f"apps[{i}]: app id {record.app_id} repeats an earlier row")
             book.apps[record.app_id] = record
-        for i, row in enumerate(rows["rounds"]):
+        for i, row in enumerate(dump["rounds"]):
             book.rounds.append(_load_round(f"rounds[{i}]", row))
-        if schema >= 3:  # older dumps predate the section: see ``schema``
-            for i, row in enumerate(rows["incidents"]):
-                incident = Incident(*_load_record(Incident, f"incidents[{i}]", row))
-                if incident.kind not in INCIDENT_KINDS:
-                    raise ValueError(f"incidents[{i}]: unknown kind {incident.kind!r}")
-                book.incidents.append(incident)
-        for i, row in enumerate(rows["calls"]):
-            book.calls.append(_load_record(CallRecord, f"calls[{i}]", row))
         for name in ("releases", "late_timers", "charges"):
             what = "a duration" if name == "charges" else "an instant"
-            for i, t in enumerate(rows[name]):
+            for i, t in enumerate(dump[name]):
                 getattr(book, name).append(float(_typed(
                     f"{name}[{i}]", t, (int, float), what, nonnegative=name == "charges"
                 )))
         book.closed = [_typed(f"closed[{i}]", app_id, (int,), "an app id")
-                       for i, app_id in enumerate(rows["closed"])]
+                       for i, app_id in enumerate(dump["closed"])]
         seen: set[int] = set()  # an app terminates once, after it arrived
         for i, app_id in enumerate(book.closed):
             if app_id not in book.apps or app_id in seen:
                 raise ValueError(f"closed[{i}]: expected an app still open, got {app_id}")
             seen.add(app_id)
-        if schema >= 5:  # the rows and stamps only the result folds read
-            book.admissions = [
-                AdmissionRecord(*_load_record(AdmissionRecord, f"admissions[{i}]", row))
-                for i, row in enumerate(rows["admissions"])
-            ]
-            makespan = _typed("makespan", dump.get("makespan"), (int, float, type(None)),
-                              "an instant or null", nonnegative=True)
-            book.makespan = None if makespan is None else float(makespan)
-            book.in_system_hwm = _typed("in_system_hwm", dump.get("in_system_hwm", 0), (int,),
-                                        "an integer >= 0", nonnegative=True)
-            holds = _typed("hold_hwm", dump.get("hold_hwm", {}), (dict,), "tenant -> integer")
-            book.hold_hwm = {
-                name: _typed(f"hold_hwm[{name!r}]", n, (int,), "an integer >= 0", nonnegative=True)
-                for name, n in holds.items()
-            }
+        book.admissions = [
+            AdmissionRecord(*_load_record(AdmissionRecord, f"admissions[{i}]", row))
+            for i, row in enumerate(dump["admissions"])
+        ]
+        makespan = _typed("makespan", dump["makespan"], (int, float, type(None)),
+                          "an instant or null", nonnegative=True)
+        book.makespan = None if makespan is None else float(makespan)
+        book.in_system_hwm = _typed("in_system_hwm", dump["in_system_hwm"], (int,),
+                                    "an integer >= 0", nonnegative=True)
+        holds = _typed("hold_hwm", dump["hold_hwm"], (dict,), "tenant -> integer")
+        book.hold_hwm = {
+            name: _typed(f"hold_hwm[{name!r}]", n, (int,), "an integer >= 0", nonnegative=True)
+            for name, n in holds.items()
+        }
         assigned = sum(book.rounds.column("depth"))
-        if schema >= 4 and len(book.releases) != assigned:
+        if len(book.releases) != assigned:
             raise ValueError(f"releases: {len(book.releases)} instants for the {assigned} "
                              f"tasks the rounds assigned")
         return book
@@ -580,7 +622,7 @@ class Logbook:
 
     def incident_counts(self) -> Counter:
         """Incidents per kind of :data:`INCIDENT_KINDS` (absent kinds read 0)."""
-        return Counter(incident.kind for incident in self.incidents)
+        return Counter(self.incidents.column("kind"))
 
     def ready_depths(self) -> tuple[int, float]:
         """``(max, mean)`` of the ready batches the scheduling rounds saw."""
@@ -591,8 +633,8 @@ class Logbook:
         """Average first-failure -> completion interval of recovered tasks,
         in a plain loop: ``sum()`` is compensated from CPython 3.12."""
         total, n = 0.0, 0
-        for incident in self.incidents:
-            if incident.kind == "recovery":
-                total += incident.seconds
+        for kind, seconds in zip(self.incidents.column("kind"), self.incidents.column("seconds")):
+            if kind == "recovery":
+                total += seconds
                 n += 1
         return total / n if n else 0.0

@@ -215,9 +215,9 @@ class PerfCounters:
             pe["by_api"][api] = pe["by_api"].get(api, 0) + 1
         counts = book.incident_counts()
         details = {"fault": Counter(), "failure": Counter()}  # first-seen order
-        for incident in book.incidents:
-            if incident.kind in details:
-                details[incident.kind][incident.detail] += 1
+        for kind, detail in zip(book.incidents.column("kind"), book.incidents.column("detail")):
+            if kind in details:
+                details[kind][detail] += 1
         depth_max, depth_mean = book.ready_depths()
         host_ns = self.host_ns_by_role
         if host_ns is not None:

@@ -13,8 +13,9 @@ and Perfetto), which is the most practical way to *see* a schedule:
 * instant events mark every injected fault on its PE's row and every retry
   re-dispatch on the target PE's row, so Perfetto shows recovery visually.
 
-Every simulated number comes from the run's logbook rows; the runtime
-contributes only the PE list and the platform / scheduler names.
+Everything comes from the run's logbook: its rows, and its header for the
+PE list and the platform / scheduler names - so a saved dump exports the
+same trace as the live run.
 
 All emitted numbers are sanitized: non-finite floats (NaN/inf) become
 ``null`` so the JSON stays loadable by strict parsers (``json.dump`` runs
@@ -23,7 +24,7 @@ with ``allow_nan=False``).
 Usage::
 
     runtime.run()
-    write_chrome_trace("run.trace.json", runtime)
+    write_chrome_trace("run.trace.json", runtime.logbook)
     # open chrome://tracing or https://ui.perfetto.dev and load the file
 """
 
@@ -31,12 +32,11 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from repro.atomic import atomic_write
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .daemon import CedrRuntime
+from .logbook import Logbook
 
 __all__ = ["to_chrome_trace", "write_chrome_trace"]
 
@@ -61,22 +61,21 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
-def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
+def to_chrome_trace(book: Logbook) -> dict[str, Any]:
     """Build the Chrome Trace Event JSON structure for one completed run."""
     events: list[dict[str, Any]] = []
 
     # -- metadata: name the PE rows ------------------------------------ #
     pe_pids: dict[str, int] = {}
-    for pe in runtime.platform.pes:
-        pid = 1000 + pe.index
-        pe_pids[pe.name] = pid
+    for index, (name, kind) in enumerate(book.header.pes):
+        pid = pe_pids[name] = 1000 + index
         events.append({
             "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-            "args": {"name": f"PE {pe.name} ({pe.kind.value})"},
+            "args": {"name": f"PE {name} ({kind})"},
         })
         events.append({
             "ph": "M", "name": "process_sort_index", "pid": pid, "tid": 0,
-            "args": {"sort_index": pe.index},
+            "args": {"sort_index": index},
         })
     events.append({
         "ph": "M", "name": "process_name", "pid": APP_PID, "tid": 0,
@@ -88,10 +87,8 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
     })
 
     # -- per-task execution + queue-wait spans -------------------------- #
-    for rec in runtime.logbook.tasks:
-        pid = pe_pids.get(rec.pe)
-        if pid is None:
-            continue
+    for rec in book.tasks:
+        pid = pe_pids[rec.pe]
         if rec.queue_wait > 0:
             events.append({
                 "ph": "X", "name": f"wait {rec.api}", "cat": "queue",
@@ -107,7 +104,7 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
         })
 
     # -- application lifetimes ------------------------------------------ #
-    for app in runtime.logbook.apps.values():
+    for app in book.apps.values():
         if app.t_finish is None:
             continue
         events.append({
@@ -118,7 +115,7 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
         })
 
     # -- ready-queue depth counter track -------------------------------- #
-    rounds = runtime.logbook.rounds
+    rounds = book.rounds
     for t, depth, _, _ in rounds:
         events.append({
             "ph": "C", "name": "ready queue", "pid": RUNTIME_PID, "tid": 0,
@@ -140,7 +137,7 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
         })
 
     # -- fault injections + retry re-dispatches (instant events) -------- #
-    incidents = runtime.logbook.incidents
+    incidents = list(book.incidents)
     for fault in incidents:
         pid = pe_pids.get(fault.pe)
         if fault.kind != "fault" or pid is None:
@@ -160,25 +157,25 @@ def to_chrome_trace(runtime: "CedrRuntime") -> dict[str, Any]:
             "args": {"task": retry.tid, "attempt": retry.attempt},
         })
 
-    counts = runtime.logbook.incident_counts()
+    counts = book.incident_counts()
     return _sanitize({
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
-            "platform": runtime.platform.config.name,
-            "scheduler": runtime.scheduler.name,
-            "makespan_ms": (runtime.logbook.makespan or 0.0) * 1e3,
-            "apps": len(runtime.logbook.closed),
-            "tasks": len(runtime.logbook.tasks),
+            "platform": book.header.platform,
+            "scheduler": book.header.scheduler,
+            "makespan_ms": (book.makespan or 0.0) * 1e3,
+            "apps": len(book.closed),
+            "tasks": len(book.tasks),
             "faults": counts["fault"],
             "retries": counts["retry"],
         },
     })
 
 
-def write_chrome_trace(path: str, runtime: "CedrRuntime", indent: Optional[int] = None) -> str:
+def write_chrome_trace(path: str, book: Logbook, indent: Optional[int] = None) -> str:
     """Serialize :func:`to_chrome_trace` to *path*; returns the path."""
-    trace = to_chrome_trace(runtime)
+    trace = to_chrome_trace(book)
     with atomic_write(path) as fh:
         json.dump(trace, fh, indent=indent, allow_nan=False)
     return path

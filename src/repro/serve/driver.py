@@ -190,12 +190,10 @@ class ServeResult:
     def from_logbook(
         cls, book: Logbook, serve: ServeConfig, run: Optional[RunResult] = None
     ) -> "ServeResult":
-        """The service ledger as a pure fold of a schema 5 run record: tenant
+        """The service ledger as a pure fold of the run record: tenant
         admission rows, queue waits summed in admission order, responses in
         termination order.  Apps without a row (a mixed runtime's batch
         apps) count only in ``run``, by default ``RunResult.from_logbook``."""
-        if book.schema < 5:
-            raise ValueError(f"logbook schema {book.schema} has no admissions section")
         tenants = []
         for spec in serve.tenants:
             own = [row for row in book.admissions if row.tenant == spec.name]

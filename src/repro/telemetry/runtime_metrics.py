@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, le, sub
+from operator import le, sub
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from .registry import MetricRegistry
@@ -247,13 +247,10 @@ class CedrTelemetry:
                 family.labels(name)
 
     @classmethod
-    def fold(
-        cls, book: "Logbook", config: TelemetryConfig, pe_names: Sequence[str],
-        end: float,
-    ) -> "CedrTelemetry":
-        """The registry of the run *book* records, sampled every
-        ``config.sample_interval_s`` from 0 and once more at *end* (the
-        makespan).
+    def fold(cls, book: "Logbook", config: TelemetryConfig) -> "CedrTelemetry":
+        """The registry of the run *book* records, one series per header PE,
+        sampled every ``config.sample_interval_s`` from 0 and once more at
+        the book's makespan.
 
         Each table becomes one stream of rows, stably sorted by the instant
         its series count at (the module table; ties keep row order), and
@@ -264,7 +261,7 @@ class CedrTelemetry:
         (``t = interval``, then ``t += interval``), and a row at exactly a
         sample instant counts in that sample.
         """
-        interval = config.sample_interval_s
+        interval, end = config.sample_interval_s, book.makespan
         bounds: list[float] = []
         if interval > 0.0:
             if end / interval > MAX_SAMPLES:
@@ -278,13 +275,11 @@ class CedrTelemetry:
                 bounds.append(t)
                 t += interval
         bounds.append(math.inf)  # the last window: every row left, sampled at end
-        tel = cls(config, pe_names)
+        tel = cls(config, [name for name, _ in book.header.pes])
         rounds, tasks, incidents = book.rounds, book.tasks, book.incidents
         depths, finishes = rounds.column("depth"), tasks.column("t_finish")
-        # each round's ``t`` once per task it assigned (no releases below schema 4)
-        assigned = [
-            t for t, n in zip(rounds.column("t"), depths) for _ in range(n)
-        ] if book.releases else []
+        # each round's ``t`` once per task it assigned
+        assigned = [t for t, n in zip(rounds.column("t"), depths) for _ in range(n)]
         closes = [app.t_finish for app in book.apps.values() if app.t_finish is not None]
         streams = [
             _stream(tel.record_rounds, rounds.column("t_begin"), zip(depths, rounds.column("cost"))),
@@ -292,8 +287,8 @@ class CedrTelemetry:
             _stream(tel.record_tasks, finishes,
                     zip(tasks.column("pe"), map(sub, finishes, tasks.column("t_start")))),
             _stream(tel.record_apps_completed, closes, closes),
-            _stream(tel.record_incidents, map(attrgetter("t"), incidents),
-                    map(attrgetter("kind", "detail", "seconds"), incidents)),
+            _stream(tel.record_incidents, incidents.column("t"),
+                    zip(*map(incidents.column, ("kind", "detail", "seconds")))),
             # entering (``None``) and settling, call by call
             _stream(tel.record_api_calls, [t for c in book.calls.values() for t in c[3:]],
                     [r for api, mode, t_call, _, t_done in book.calls.values()

@@ -20,21 +20,14 @@ import numpy as np
 import pytest
 
 from repro.apps import PulseDoppler, WifiTx
-from repro.audit import (
-    AuditError,
-    AuditViolation,
-    OnlineAuditor,
-    audit_logbook,
-    audit_runtime,
-)
+from repro.audit import AuditError, AuditViolation, OnlineAuditor, audit_logbook
 from repro.experiments import run_once
 from repro.faults import FaultConfig, FaultKind, FaultSpec
 from repro.platforms import jetson, zcu102
 from repro.runtime import CedrRuntime, Logbook, RuntimeConfig
 from repro.workload import radar_comms_workload
 
-GOLDEN_V3 = Path(__file__).parent / "golden_logbook_v3.json"
-GOLDEN_V4 = Path(__file__).parent / "golden_logbook_v4.json"
+GOLDEN = Path(__file__).parent / "golden_logbook_v6.json"
 
 
 def _runtime(audit, scheduler="etf", faults=None, seed=9):
@@ -179,7 +172,7 @@ def test_audited_run_raises_on_a_doctored_row(monkeypatch):
     plain = _runtime(audit=False)
     _submit_pd(plain)
     plain.run()
-    assert "exactly-once" in audit_runtime(plain).codes
+    assert "exactly-once" in audit_logbook(plain.logbook).codes
 
     audited = _runtime(audit=True)
     _submit_pd(audited)
@@ -191,18 +184,12 @@ def test_audited_run_raises_on_a_doctored_row(monkeypatch):
 def test_queue_accounting_fold_fires_on_a_lost_release():
     """A book with one release instant gone (``Logbook.load`` refuses such
     a file outright; the fold catches it in a book built any other way)."""
-    book = Logbook.load(GOLDEN_V4)
+    book = Logbook.load(GOLDEN)
     assert audit_logbook(book).ok
     book.releases.pop()
     report = audit_logbook(book)
     assert report.codes == {"queue-accounting"}
     assert "dropped or invented" in str(report.violations[0])
-
-
-def test_queue_accounting_fold_skips_a_dump_without_releases():
-    book = Logbook.load(GOLDEN_V3)
-    assert book.schema == 3 and not book.releases and book.rounds
-    assert audit_logbook(book).ok
 
 
 @pytest.mark.no_auto_audit

@@ -1,17 +1,14 @@
 """Logbook serialize/save/load round-trip and on-disk schema stability.
 
 ``repro audit <logbook.json>`` replays the invariant catalog against a
-dump written by another process (or another week), so the dump format is a
-contract: it must round-trip losslessly, version itself, tolerate older
-schemas, and *refuse* newer ones.  ``golden_logbook_v5.json`` pins the
-current schema byte-for-byte on a faulty run (every incident kind present)
-- regenerate it deliberately (``python tests/audit/test_logbook_roundtrip.py``
-rewrites it from ``_golden_run``) if the format ever changes, and bump
-:data:`SCHEMA_VERSION` when you do.  ``golden_logbook_v4.json`` and
-``golden_logbook_v3.json`` are the files schema-4 and schema-3 builds wrote
-for the same run, and ``golden_logbook_v2.json`` the file a schema-2 build
-wrote for the same workload without faults; all three stay as back-compat
-fixtures and are never regenerated.
+dump written by another process (or another week), and the trace and the
+Gantt chart read one too, so the dump format is a contract: it must
+round-trip losslessly, carry everything a view reads, version itself, and
+*refuse* any other schema.  ``golden_logbook_v6.json`` pins the schema
+byte-for-byte on a faulty run (every incident kind present) - regenerate it
+deliberately (``python tests/audit/test_logbook_roundtrip.py`` rewrites it
+from ``_golden_run``) if the format ever changes, and bump
+:data:`SCHEMA_VERSION` when you do.
 """
 
 import json
@@ -23,29 +20,18 @@ import pytest
 from repro.apps import PulseDoppler
 from repro.audit import audit_logbook
 from repro.faults import FaultConfig, FaultKind
-from repro.metrics import RunResult
+from repro.metrics import render_gantt
 from repro.platforms import zcu102
-from repro.runtime import CedrRuntime, PerfCounters, RuntimeConfig
-from repro.serve import ServeResult
+from repro.runtime import CedrRuntime, PerfCounters, RuntimeConfig, to_chrome_trace
 from repro.runtime.logbook import (
     INCIDENT_KINDS,
     SCHEMA_VERSION,
     AppRecord,
     Logbook,
-    Table,
     TaskRecord,
 )
 
-GOLDEN = Path(__file__).parent / "golden_logbook_v5.json"
-GOLDEN_V4 = Path(__file__).parent / "golden_logbook_v4.json"
-GOLDEN_V3 = Path(__file__).parent / "golden_logbook_v3.json"
-GOLDEN_V2 = Path(__file__).parent / "golden_logbook_v2.json"
-
-#: columns v2 added on top of the v1 dump format.
-V2_TASK_COLUMNS = ("attempts", "cost_row", "cost_token", "successors")
-V2_APP_COLUMNS = ("cancelled", "failed")
-#: sections v5 added on top of the v4 dump format.
-V5_SECTIONS = ("charges", "makespan", "closed", "admissions", "in_system_hwm", "hold_hwm")
+GOLDEN = Path(__file__).parent / "golden_logbook_v6.json"
 
 
 def _golden_run():
@@ -83,7 +69,7 @@ def golden_runtime():
 
 def test_golden_file_is_current_schema():
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert dump["schema"] == SCHEMA_VERSION == 5
+    assert dump["schema"] == SCHEMA_VERSION == 6
     assert dump["tasks"] and dump["apps"] and dump["rounds"] and dump["incidents"]
     assert dump["calls"] and dump["late_timers"] == []
     # a batch run: charges and the stamped makespan, no admission rows
@@ -91,12 +77,14 @@ def test_golden_file_is_current_schema():
     assert sorted(dump["closed"]) == sorted(a["app_id"] for a in dump["apps"])
     assert dump["admissions"] == [] and dump["in_system_hwm"] == 0 and dump["hold_hwm"] == {}
     assert len(dump["releases"]) == sum(depth for _, depth, _, _ in dump["rounds"])
-    for col in V2_TASK_COLUMNS:
-        assert col in dump["tasks"][0]
-    for col in V2_APP_COLUMNS:
-        assert col in dump["apps"][0]
     assert all(len(row) == 4 for row in dump["rounds"])
     assert {row["kind"] for row in dump["incidents"]} == set(INCIDENT_KINDS)
+    header = dump["header"]
+    assert header["platform"] == "zcu102-2c1f0m" and header["scheduler"] == "etf"
+    assert header["pes"] == [["cpu0", "cpu"], ["cpu1", "cpu"], ["fft0", "fft"]]
+    assert [core["name"] for core in header["cores"]] == ["core0", "core1", "core2",
+                                                           "runtime-core"]
+    assert {t["cost_token"] for t in dump["tasks"]} == {header["cost_table"][0]}
 
 
 def test_golden_file_round_trips_exactly(tmp_path):
@@ -122,10 +110,8 @@ def _normalize_ids(dump):
     base = min(r["tid"] for r in dump["tasks"] + dump["incidents"] if r["tid"] >= 0)
     tmap = {base + i: i for i in range(10_000)}
     amap = {a: i for i, a in enumerate(sorted(r["app_id"] for r in dump["apps"]))}
-    kmap = {
-        k: i
-        for i, k in enumerate(sorted({r["cost_token"] for r in dump["tasks"]}))
-    }
+    token = dump["header"]["cost_table"][0]
+    kmap = {k: i for i, k in enumerate(sorted({token, *(r["cost_token"] for r in dump["tasks"])}))}
     out = json.loads(json.dumps(dump))  # deep copy through JSON
     for row in out["tasks"]:
         row["tid"] = tmap[row["tid"]]
@@ -136,8 +122,8 @@ def _normalize_ids(dump):
         row["app_id"] = amap[row["app_id"]]
     for row in out["incidents"]:
         row["tid"] = tmap.get(row["tid"], row["tid"])
-    if "closed" in out:
-        out["closed"] = [amap[a] for a in out["closed"]]
+    out["closed"] = [amap[a] for a in out["closed"]]
+    out["header"]["cost_table"][0] = kmap[token]
     return out
 
 
@@ -180,72 +166,17 @@ def test_offline_audit_checks_conservation_against_incident_rows():
     assert "retry attempts" in str(audit_logbook(Logbook.from_dict(cut)).violations[0])
 
 
-# --------------------------------------------------------------------- #
-# the back-compat fixtures: files schema-4, -3 and -2 builds wrote
-# --------------------------------------------------------------------- #
-
-def test_v4_golden_is_the_current_golden_without_the_schema_5_sections():
-    """Same run, written before the sections the result folds read: every
-    other row is unchanged, the missing sections load empty, and both
-    folds refuse the book on one line naming what is missing."""
-    v4 = json.loads(GOLDEN_V4.read_text(encoding="utf-8"))
-    v5 = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert v4["schema"] == 4 and "charges" not in v4
-    assert _normalize_ids(v4) == _normalize_ids(
-        {**{k: v for k, v in v5.items() if k not in V5_SECTIONS}, "schema": 4}
-    )
-    book = Logbook.load(GOLDEN_V4)
-    assert book.schema == 4 and book.charges == [] and book.closed == []
-    assert book.makespan is None and book.admissions == []
-    assert audit_logbook(book).ok
-    with pytest.raises(ValueError, match=r"^logbook schema 4 has no charges section"):
-        RunResult.from_logbook(book)
-    with pytest.raises(ValueError, match=r"^logbook schema 4 has no admissions section"):
-        ServeResult.from_logbook(book, None)
-
-
-def test_v3_golden_is_the_v4_golden_without_the_schema_4_columns():
-    """Same run, written before the ``releases`` / ``calls`` /
-    ``late_timers`` sections: every other row is unchanged, and the
-    missing sections load empty."""
-    v3 = json.loads(GOLDEN_V3.read_text(encoding="utf-8"))
-    v4 = json.loads(GOLDEN_V4.read_text(encoding="utf-8"))
-    assert v3["schema"] == 3 and "calls" not in v3
-    new = ("releases", "calls", "late_timers")
-    assert _normalize_ids(v3) == _normalize_ids(
-        {**{k: v for k, v in v4.items() if k not in new}, "schema": 3}
-    )
-    book = Logbook.load(GOLDEN_V3)
-    assert book.schema == 3
-    assert not book.releases and not book.calls and book.late_timers == []
-    assert audit_logbook(book).ok
-
-
-def test_v2_golden_loads_with_documented_defaults():
-    dump = json.loads(GOLDEN_V2.read_text(encoding="utf-8"))
-    assert dump["schema"] == 2 and "incidents" not in dump
-    book = Logbook.load(GOLDEN_V2)
-    assert book.schema == 2
-    assert len(book.tasks) == 48 and len(book.apps) == 2
-    # 2-column rounds: no recorded decision cost, decision began at dispatch
-    assert [(t, depth) for t, depth, _, _ in book.rounds] == [
-        tuple(row) for row in dump["rounds"]
-    ]
-    assert all(cost == 0.0 and t_begin == t for t, _, cost, t_begin in book.rounds)
-    assert book.incidents == []
-
-
-def test_v2_golden_audits_clean_with_conservation_skipped():
-    book = Logbook.load(GOLDEN_V2)
-    report = audit_logbook(book)
-    assert report.ok, report.summary()
-    assert report.tasks == 48 and report.apps == 2
-    # its incidents are unknown, not empty: retry attempts on a schema-2
-    # task row have nothing to be checked against and must not fire
-    rows = list(book.tasks)
-    rows[0] = TaskRecord(**{**vars(rows[0]), "attempts": 3})
-    book.tasks = Table(TaskRecord, rows)
-    assert audit_logbook(book).ok
+def test_offline_audit_checks_core_capacity_and_the_cost_table():
+    """The header carries what only the live runtime used to know: a core
+    that over-delivered, or a table that shrank, fails the offline audit."""
+    dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    dump["header"]["cores"][0]["delivered"] = 2 * dump["makespan"]
+    assert audit_logbook(Logbook.from_dict(dump)).codes == {"core-capacity"}
+    dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    dump["header"]["cost_table"][1] = 1
+    report = audit_logbook(Logbook.from_dict(dump))
+    assert report.codes == {"cost-row-fresh"}
+    assert "of a 1-row table" in str(report.violations[0])
 
 
 # --------------------------------------------------------------------- #
@@ -257,18 +188,42 @@ def test_save_load_round_trip_preserves_every_record(golden_runtime, tmp_path):
     path = tmp_path / "dump.json"
     assert book.save(path) == str(path)
     loaded = Logbook.load(path)
+    assert loaded.header == book.header
     assert list(loaded.tasks) == list(book.tasks)
     assert loaded.apps == book.apps
     assert list(loaded.rounds) == list(book.rounds)
     assert loaded.releases == book.releases and loaded.releases
-    assert loaded.incidents == book.incidents and loaded.incidents
+    assert list(loaded.incidents) == list(book.incidents) and loaded.incidents
     assert list(loaded.calls) == list(book.calls) and loaded.calls
     assert loaded.late_timers == book.late_timers
     assert loaded.charges == book.charges and loaded.charges
     assert loaded.makespan == book.makespan is not None
     assert loaded.closed == book.closed and loaded.closed
-    assert loaded.schema == SCHEMA_VERSION
     assert loaded.tasks_by_pe() == book.tasks_by_pe()
+
+
+def test_the_header_is_what_the_live_runtime_knew(golden_runtime):
+    platform, header = golden_runtime.platform, golden_runtime.logbook.header
+    assert header.platform == platform.config.name
+    assert header.scheduler == golden_runtime.scheduler.name
+    assert header.pes == [(pe.name, pe.kind.value) for pe in platform.pes]
+    cores = [*platform.worker_cores, platform.runtime_core]
+    assert [(c.name, c.speed, c.delivered, c.busy_time) for c in header.cores] == [
+        (c.name, c.speed, c.delivered, c.busy_time) for c in cores
+    ]
+    table = golden_runtime.cost_table
+    assert header.cost_table == (table.token, table.n_rows)
+
+
+def test_every_view_of_a_saved_dump_equals_the_live_one(golden_runtime, tmp_path):
+    """The trace, the Gantt chart and the audit read the book alone, so a
+    dump loaded in another process shows exactly what the live run did."""
+    live = golden_runtime.logbook
+    loaded = Logbook.load(live.save(tmp_path / "dump.json"))
+    assert to_chrome_trace(loaded) == to_chrome_trace(live)
+    assert render_gantt(loaded) == render_gantt(live)
+    assert audit_logbook(loaded) == audit_logbook(live)
+    assert audit_logbook(live).ok
 
 
 def test_loaded_successors_are_tuples(golden_runtime, tmp_path):
@@ -280,48 +235,8 @@ def test_loaded_successors_are_tuples(golden_runtime, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# schema tolerance: old dumps load, newer dumps refuse
+# one schema: any other dump is refused
 # --------------------------------------------------------------------- #
-
-def _as_v1(dump):
-    """Strip a v2 dump down to what a pre-audit build would have written."""
-    old = {
-        "tasks": [
-            {k: v for k, v in row.items() if k not in V2_TASK_COLUMNS}
-            for row in dump["tasks"]
-        ],
-        "apps": [
-            {k: v for k, v in row.items() if k not in V2_APP_COLUMNS}
-            for row in dump["apps"]
-        ],
-        "rounds": dump["rounds"],
-    }
-    return old  # note: no "schema" key - v1 predates versioning
-
-
-def test_v1_dump_loads_with_documented_defaults():
-    dump = _as_v1(json.loads(GOLDEN_V2.read_text(encoding="utf-8")))
-    book = Logbook.from_dict(dump)
-    assert len(book.tasks) == 48
-    for rec in book.tasks:
-        assert rec.attempts == 0
-        assert rec.cost_row == -1 and rec.cost_token == -1
-        assert rec.successors == ()
-    for app in book.apps.values():
-        assert app.cancelled is False and app.failed is False
-
-
-def test_v1_dump_audits_with_freshness_checks_skipped():
-    """Missing v2 columns must not manufacture violations: cost_row=-1
-    only fires when a live table token exists, and v1 offline views carry
-    a single (default) token."""
-    dump = _as_v1(json.loads(GOLDEN_V2.read_text(encoding="utf-8")))
-    report = audit_logbook(Logbook.from_dict(dump))
-    # causality/freshness data is gone, but nothing false-alarms...
-    assert "cost-row-fresh" not in report.codes
-    # ...except checks that genuinely need nothing beyond timestamps
-    assert report.ok, report.summary()
-
 
 def test_unknown_task_column_is_rejected():
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -337,99 +252,162 @@ def test_unknown_app_column_is_rejected():
         Logbook.from_dict(dump)
 
 
-@pytest.mark.parametrize("schema", [0, SCHEMA_VERSION + 1, "two", None])
-def test_unsupported_schema_versions_are_rejected(schema):
-    with pytest.raises(ValueError, match="unsupported logbook schema"):
-        Logbook.from_dict({"schema": schema, "tasks": [], "apps": []})
+@pytest.mark.parametrize("schema", [1, 2, 3, 4, 5, 7, 0, 6.0, True, "two", None])
+def test_any_other_schema_is_refused_on_one_line(schema):
+    dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    dump["schema"] = schema
+    with pytest.raises(ValueError) as err:
+        Logbook.from_dict(dump)
+    assert str(err.value) == f"unsupported logbook schema {schema!r} (this build reads 6 only)"
 
 
 def test_empty_dump_loads_as_empty_book():
-    book = Logbook.from_dict({"schema": SCHEMA_VERSION})
+    book = Logbook.from_dict(Logbook().serialize())
     assert not book.tasks and book.apps == {} and not book.rounds
-    assert book.incidents == []
+    assert not book.incidents and book.header == Logbook().header
+
+
+def dump_of(**sections):
+    """A dump of an empty book run on one ``cpu0`` PE, *sections* replaced."""
+    book = Logbook()
+    book.header.pes = [("cpu0", "cpu")]
+    return json.loads(json.dumps({**book.serialize(), **sections}, allow_nan=True))
+
+
+def header_of(**columns):
+    """The ``dump_of()`` header with *columns* replaced."""
+    core = {"name": "core0", "speed": 1.0, "delivered": 0.0, "busy_time": 0.0}
+    return {**dump_of()["header"], "cores": [core], **columns}
 
 
 #: valid JSON that is not a dump -> the one-line ValueError naming where
 _TASK = {"tid": 1, "app_id": 1, "api": "fft", "name": "t", "pe": "cpu0",
          "pe_kind": "cpu", "t_release": 0.0, "t_scheduled": 0.0,
-         "t_start": 0.0, "t_finish": 0.1}
-_APP = {"app_id": 1, "name": "a", "mode": "api", "t_arrival": 0.0}
+         "t_start": 0.0, "t_finish": 0.1, "attempts": 0, "cost_row": 0,
+         "cost_token": 0, "successors": []}
+_APP = {"app_id": 1, "name": "a", "mode": "api", "t_arrival": 0.0, "t_launch": 0.0,
+        "t_finish": None, "n_tasks": 0, "cancelled": False, "failed": False}
+_INCIDENT = {"t": 0.1, "kind": "fault", "detail": "", "pe": "", "tid": -1, "attempt": 0,
+             "seconds": 0.0}
+_ADMISSION = {"tenant": "a", "t_offered": 0.1, "t_admitted": 0.1, "app_id": 1,
+              "held": False, "degraded": False}
+_CORE = {"name": "core0", "speed": 1.0, "delivered": 0.0, "busy_time": 0.0}
+
+
+def _without(row, *names):
+    return {k: v for k, v in row.items() if k not in names}
+
+
 MALFORMED = [
     pytest.param([1, 2], "expected a JSON object, got list", id="not-an-object"),
-    pytest.param({"schema": 3, "tasks": {"tid": 1}},
+    pytest.param(_without(dump_of(), "releases"),
+                 r"^missing sections \['releases'\], unknown sections \[\]$",
+                 id="section-missing"),
+    pytest.param(_without(dump_of(), "header", "admissions"),
+                 r"^missing sections \['header', 'admissions'\]", id="sections-missing"),
+    pytest.param(dump_of(energy=[]), r"unknown sections \['energy'\]", id="section-unknown"),
+    pytest.param(dump_of(tasks={"tid": 1}),
                  "tasks: expected a list of rows, got dict", id="section-not-a-list"),
-    pytest.param({"schema": 2, "tasks": [{"tid": 1}]},
-                 r"tasks\[0\]: missing columns \['app_id', 'api', .*'t_finish'\], mistyped",
+    pytest.param(dump_of(tasks=[{"tid": 1}]),
+                 r"tasks\[0\]: missing columns \['app_id', 'api', .*'successors'\], mistyped",
                  id="task-missing-columns"),
-    pytest.param({"schema": 3, "tasks": [_TASK, [1, 2]]},
+    pytest.param(dump_of(tasks=[_TASK, [1, 2]]),
                  r"tasks\[1\]: expected an object, got list", id="task-row-not-an-object"),
-    pytest.param({"schema": 3, "tasks": [{**_TASK, "t_start": "noon", "tid": None}]},
+    pytest.param(dump_of(tasks=[{**_TASK, "t_start": "noon", "tid": None}]),
                  r"tasks\[0\]: missing columns \[\], mistyped columns \['tid', 't_start'\]",
                  id="task-mistyped"),
-    pytest.param({"schema": 3, "tasks": [{**_TASK, "successors": "2,3"}]},
+    pytest.param(dump_of(tasks=[{**_TASK, "successors": "2,3"}]),
                  r"tasks\[0\]: .*mistyped columns \['successors'\]", id="successors-mistyped"),
-    pytest.param({"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api"}]},
+    pytest.param(dump_of(tasks=[{**_TASK, "pe": "npu0", "pe_kind": "npu"}]),
+                 r"tasks\[0\]: PE 'npu0' of kind 'npu' is not a header PE",
+                 id="task-pe-not-in-header"),
+    pytest.param(dump_of(tasks=[_TASK, {**_TASK, "tid": 2, "pe_kind": "fft"}]),
+                 r"tasks\[1\]: PE 'cpu0' of kind 'fft' is not a header PE",
+                 id="task-pe-kind-disagrees"),
+    pytest.param(dump_of(apps=[_without(_APP, "t_arrival")]),
                  r"apps\[0\]: missing columns \['t_arrival'\]", id="app-missing-arrival"),
-    pytest.param({"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api",
-                                         "t_arrival": 0.0, "failed": "no"}]},
+    pytest.param(dump_of(apps=[{**_APP, "failed": "no"}]),
                  r"apps\[0\]: .*mistyped columns \['failed'\]", id="app-mistyped"),
-    pytest.param({"schema": 3, "rounds": [[0.1, 1, 0.0, 0.1], [0.2, 1, 0.0]]},
-                 r"rounds\[1\]: expected \[t, depth\] or \[t, depth, cost, t_begin\]",
+    pytest.param(dump_of(rounds=[[0.1, 1, 0.0, 0.1], [0.2, 1, 0.0]]),
+                 r"rounds\[1\]: expected \[t, depth, cost, t_begin\]",
                  id="round-three-columns"),
-    pytest.param({"schema": 3, "rounds": [[0.1, 1.5, 0.0, 0.1]]},
+    pytest.param(dump_of(rounds=[[0.1, 1]], releases=[0.0]),
+                 r"rounds\[0\]: expected \[t, depth, cost, t_begin\]", id="round-two-columns"),
+    pytest.param(dump_of(rounds=[[0.1, 1.5, 0.0, 0.1]]),
                  r"rounds\[0\]: .*integer depth", id="round-fractional-depth"),
-    pytest.param({"schema": 3, "rounds": [{"t": 0.1}]},
+    pytest.param(dump_of(rounds=[{"t": 0.1}]),
                  r"rounds\[0\]: expected", id="round-not-a-list"),
-    pytest.param({"schema": 4, "rounds": [[0.1, 2, 0.0, 0.1]], "releases": [0.0]},
+    pytest.param(dump_of(rounds=[[0.1, 2, 0.0, 0.1]], releases=[0.0]),
                  r"releases: 1 instants for the 2 tasks the rounds assigned",
                  id="releases-misaligned"),
-    pytest.param({"schema": 4, "calls": [{"api": "fft", "mode": "blocking", "t_call": 0.0}]},
+    pytest.param(dump_of(calls=[{"api": "fft", "mode": "blocking", "t_call": 0.0}]),
                  r"calls\[0\]: missing columns \['t_enter', 't_done'\]", id="call-missing-columns"),
-    pytest.param({"schema": 4, "late_timers": [0.1, "soon"]},
+    pytest.param(dump_of(late_timers=[0.1, "soon"]),
                  r"late_timers\[1\]: expected an instant", id="late-timer-not-an-instant"),
-    pytest.param({"schema": 5, "charges": [1e-6, None]},
+    pytest.param(dump_of(charges=[1e-6, None]),
                  r"charges\[1\]: expected a duration", id="charge-not-a-duration"),
-    pytest.param({"schema": 5, "closed": [3, 4.0]},
+    pytest.param(dump_of(closed=[3, 4.0]),
                  r"closed\[1\]: expected an app id", id="closed-not-an-id"),
-    pytest.param({"schema": 5, "makespan": "late"},
+    pytest.param(dump_of(makespan="late"),
                  r"makespan: expected an instant or null", id="makespan-mistyped"),
-    pytest.param({"schema": 5, "admissions": [{"tenant": "a", "t_offered": 0.1}]},
+    pytest.param(dump_of(admissions=[_without(_ADMISSION, "t_admitted", "app_id")]),
                  r"admissions\[0\]: missing columns \['t_admitted', 'app_id'\]",
                  id="admission-missing-columns"),
-    pytest.param({"schema": 5, "in_system_hwm": 2.5},
+    pytest.param(dump_of(in_system_hwm=2.5),
                  r"in_system_hwm: expected an integer", id="hwm-mistyped"),
-    pytest.param({"schema": 5, "hold_hwm": {"a": "3"}},
+    pytest.param(dump_of(hold_hwm={"a": "3"}),
                  r"hold_hwm\['a'\]: expected an integer", id="hold-hwm-mistyped"),
-    pytest.param({"schema": 3, "incidents": [{"kind": "fault"}]},
+    pytest.param(dump_of(incidents=[_without(_INCIDENT, "t")]),
                  r"incidents\[0\]: missing columns \['t'\]", id="incident-missing-t"),
-    pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "fault", "tid": "7"}]},
+    pytest.param(dump_of(incidents=[{**_INCIDENT, "tid": "7"}]),
                  r"incidents\[0\]: .*mistyped columns \['tid'\]", id="incident-mistyped"),
-    pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "meltdown"}]},
+    pytest.param(dump_of(incidents=[{**_INCIDENT, "kind": "meltdown"}]),
                  r"incidents\[0\]: unknown kind 'meltdown'", id="incident-unknown-kind"),
-    pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "fault", "severity": 9}]},
+    pytest.param(dump_of(incidents=[{**_INCIDENT, "severity": 9}]),
                  r"incidents\[0\]: Incident.*unknown columns \['severity'\]",
                  id="incident-unknown-column"),
+    # the header: every column, typed, its names unique, its loads >= 0
+    pytest.param(dump_of(header=_without(header_of(), "scheduler")),
+                 r"header: missing columns \['scheduler'\]", id="header-missing-scheduler"),
+    pytest.param(dump_of(header=[]), r"header: expected an object, got list",
+                 id="header-not-an-object"),
+    pytest.param(dump_of(header=header_of(pes=[["cpu0", "cpu"], ["fft0"]])),
+                 r"header: missing columns \[\], mistyped columns \['pes'\]",
+                 id="header-pe-not-a-pair"),
+    pytest.param(dump_of(header=header_of(cost_table=[0, "7"])),
+                 r"header: missing columns \[\], mistyped columns \['cost_table'\]",
+                 id="header-cost-table-mistyped"),
+    pytest.param(dump_of(header=header_of(pes=[["cpu0", "cpu"], ["cpu0", "cpu"]])),
+                 r"header.pes: repeated names \['cpu0'\]", id="header-pe-repeated"),
+    pytest.param(dump_of(header=header_of(cores=[_CORE, {**_CORE, "speed": 2.0}])),
+                 r"header.cores: repeated names \['core0'\]", id="header-core-repeated"),
+    *(pytest.param(dump_of(header=header_of(cores=[{**_CORE, column: -0.5}])),
+                   rf"header.cores\[0\]: negative columns \['{column}'\]",
+                   id=f"header-core-negative-{column}")
+      for column in ("speed", "delivered", "busy_time")),
+    pytest.param(dump_of(header=header_of(cores=[_without(_CORE, "busy_time")])),
+                 r"header.cores\[0\]: missing columns \['busy_time'\]",
+                 id="header-core-missing-busy-time"),
     # rows that used to load and audit ok while the numbers lied
-    *(pytest.param({"schema": 3, "tasks": [{**_TASK, "successors": [2, entry]}]},
+    *(pytest.param(dump_of(tasks=[{**_TASK, "successors": [2, entry]}]),
                    r"tasks\[0\]: missing columns \[\], mistyped columns \['successors'\]",
                    id=f"successor-{name}")
       for name, entry in (("string", "x"), ("null", None), ("float", 1.5), ("bool", True))),
-    pytest.param({"schema": 3, "tasks": [{**_TASK, "tid": True}]},
+    pytest.param(dump_of(tasks=[{**_TASK, "tid": True}]),
                  r"tasks\[0\]: missing columns \[\], mistyped columns \['tid'\]",
                  id="task-bool-tid"),
-    pytest.param({"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api",
-                                         "t_arrival": False}]},
+    pytest.param(dump_of(apps=[{**_APP, "t_arrival": False}]),
                  r"apps\[0\]: missing columns \[\], mistyped columns \['t_arrival'\]",
                  id="app-bool-arrival"),
-    pytest.param({"schema": 5, "apps": [_APP], "closed": [1, 1]},
+    pytest.param(dump_of(apps=[_APP], closed=[1, 1]),
                  r"closed\[1\]: expected an app still open, got 1", id="closed-twice"),
-    pytest.param({"schema": 5, "apps": [_APP], "closed": [2]},
+    pytest.param(dump_of(apps=[_APP], closed=[2]),
                  r"closed\[0\]: expected an app still open, got 2", id="closed-unknown-app"),
-    pytest.param({"schema": 5, "charges": [1e-6, -0.5]},
+    pytest.param(dump_of(charges=[1e-6, -0.5]),
                  r"charges\[1\]: expected a duration, got -0.5", id="charge-negative"),
-    pytest.param({"schema": 3, "rounds": [[0.1, 1, -0.5, 0.1]]},
+    pytest.param(dump_of(rounds=[[0.1, 1, -0.5, 0.1]], releases=[0.0]),
                  r"rounds\[0\]: negative decision cost -0.5", id="round-negative-cost"),
-    pytest.param({"schema": 5, "makespan": -0.5},
+    pytest.param(dump_of(makespan=-0.5),
                  r"makespan: expected an instant or null, got -0.5", id="makespan-negative"),
 ]
 
@@ -437,37 +415,38 @@ MALFORMED = [
 #: float column that type-checks can still hold no number at all
 _NAN, _INF = float("nan"), float("inf")
 NONFINITE = [
-    pytest.param({"schema": 3, "tasks": [{**_TASK, "t_finish": _NAN}]},
+    pytest.param(dump_of(tasks=[{**_TASK, "t_finish": _NAN}]),
                  r"tasks\[0\]: non-finite columns \['t_finish'\]", id="task-nan-finish"),
-    pytest.param({"schema": 3, "tasks": [{**_TASK, "t_start": _INF, "t_finish": _INF}]},
+    pytest.param(dump_of(tasks=[{**_TASK, "t_start": _INF, "t_finish": _INF}]),
                  r"tasks\[0\]: non-finite columns \['t_start', 't_finish'\]",
                  id="task-inf-instants"),
-    pytest.param({"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api",
-                                         "t_arrival": 0.0, "t_finish": -_INF}]},
+    pytest.param(dump_of(apps=[{**_APP, "t_finish": -_INF}]),
                  r"apps\[0\]: non-finite columns \['t_finish'\]", id="app-inf-finish"),
-    pytest.param({"schema": 3, "rounds": [[_NAN, 1, 0.0, 0.1]]},
+    pytest.param(dump_of(rounds=[[_NAN, 1, 0.0, 0.1]]),
                  r"rounds\[0\]: non-finite columns \['t'\]", id="round-nan-t"),
-    pytest.param({"schema": 3, "rounds": [[0.1, 1, 0.0, 0.1], [0.2, 1, _INF, 0.2]]},
+    pytest.param(dump_of(rounds=[[0.1, 1, 0.0, 0.1], [0.2, 1, _INF, 0.2]]),
                  r"rounds\[1\]: non-finite columns \['cost'\]", id="round-inf-cost"),
-    pytest.param({"schema": 2, "rounds": [[0.1, 1], [_NAN, 1]]},
-                 r"rounds\[1\]: non-finite columns \['t'\]", id="round-v2-nan-t"),
-    pytest.param({"schema": 4, "rounds": [[0.1, 1, 0.0, 0.1]], "releases": [_NAN]},
+    pytest.param(dump_of(rounds=[[0.1, 1, 0.0, 0.1], [0.2, 1, 0.0, _NAN]]),
+                 r"rounds\[1\]: non-finite columns \['t_begin'\]", id="round-nan-t-begin"),
+    pytest.param(dump_of(rounds=[[0.1, 1, 0.0, 0.1]], releases=[_NAN]),
                  r"releases\[0\]: expected an instant, got nan", id="release-nan"),
-    pytest.param({"schema": 4, "late_timers": [0.1, _INF]},
+    pytest.param(dump_of(late_timers=[0.1, _INF]),
                  r"late_timers\[1\]: expected an instant, got inf", id="late-timer-inf"),
-    pytest.param({"schema": 5, "charges": [_NAN]},
+    pytest.param(dump_of(charges=[_NAN]),
                  r"charges\[0\]: expected a duration, got nan", id="charge-nan"),
-    pytest.param({"schema": 5, "makespan": _INF},
+    pytest.param(dump_of(makespan=_INF),
                  r"makespan: expected an instant or null, got inf", id="makespan-inf"),
-    pytest.param({"schema": 3, "incidents": [{"t": 0.1, "kind": "recovery", "seconds": _NAN}]},
+    pytest.param(dump_of(incidents=[{**_INCIDENT, "kind": "recovery", "seconds": _NAN}]),
                  r"incidents\[0\]: non-finite columns \['seconds'\]", id="incident-nan-seconds"),
-    pytest.param({"schema": 4, "calls": [{"api": "fft", "mode": "blocking", "t_call": 0.0,
-                                          "t_enter": 0.0, "t_done": _INF}]},
+    pytest.param(dump_of(calls=[{"api": "fft", "mode": "blocking", "t_call": 0.0,
+                                 "t_enter": 0.0, "t_done": _INF}]),
                  r"calls\[0\]: non-finite columns \['t_done'\]", id="call-inf-done"),
-    pytest.param({"schema": 5, "admissions": [{"tenant": "a", "t_offered": 0.1,
-                                               "t_admitted": _NAN, "app_id": 1}]},
+    pytest.param(dump_of(admissions=[{**_ADMISSION, "t_admitted": _NAN}]),
                  r"admissions\[0\]: non-finite columns \['t_admitted'\]",
                  id="admission-nan-admitted"),
+    pytest.param(dump_of(header=header_of(cores=[{**_CORE, "delivered": _INF}])),
+                 r"header.cores\[0\]: non-finite columns \['delivered'\]",
+                 id="header-core-inf-delivered"),
 ]
 
 

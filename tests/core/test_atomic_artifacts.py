@@ -80,7 +80,7 @@ def test_chrome_trace_survives_a_failing_serialiser(runtime, tmp_path, monkeypat
     path.write_text(PREVIOUS, encoding="utf-8")
     monkeypatch.setattr(json, "dump", _boom)
     with pytest.raises(RuntimeError, match="part-way"):
-        write_chrome_trace(str(path), runtime)
+        write_chrome_trace(str(path), runtime.logbook)
     _assert_untouched(path)
 
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import PulseDoppler
-from repro.audit import audit_runtime
+from repro.audit import audit_logbook
 from repro.core import wait_all, wait_any
 from repro.dag import DagBuilder
 from repro.faults import FaultConfig
@@ -197,7 +197,7 @@ def test_random_api_call_mixes_run_correctly_audited(plan, seed, scheduler):
     for i, (api, _) in enumerate(calls):
         assert np.allclose(app.result[i], expected[api](), atol=1e-8)
     assert runtime.logbook.rounds and runtime.logbook.tasks
-    assert audit_runtime(runtime).ok
+    assert audit_logbook(runtime.logbook).ok
 
 
 # --------------------------------------------------------------------- #
@@ -233,7 +233,7 @@ def test_random_fault_streams_hold_the_invariant_catalog(
     runtime.seal()
     runtime.run()  # every round held to the contract; the fold at shutdown
 
-    report = audit_runtime(runtime)
+    report = audit_logbook(runtime.logbook)
     assert report.ok, report.summary()
     assert runtime.logbook.rounds
     # under faults the ledger still balances: losses == failed apps

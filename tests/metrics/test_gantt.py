@@ -24,7 +24,7 @@ def runtime():
 
 
 def test_gantt_has_one_row_per_pe(runtime):
-    chart = render_gantt(runtime, width=40)
+    chart = render_gantt(runtime.logbook, width=40)
     lines = chart.splitlines()
     pe_rows = [l for l in lines if "|" in l]
     assert len(pe_rows) == len(runtime.platform.pes)
@@ -34,7 +34,7 @@ def test_gantt_has_one_row_per_pe(runtime):
 
 
 def test_gantt_shows_both_apps_and_idle(runtime):
-    chart = render_gantt(runtime, width=60)
+    chart = render_gantt(runtime.logbook, width=60)
     assert "P" in chart.upper()
     assert "T" in chart.upper()
     assert "." in chart
@@ -44,17 +44,17 @@ def test_gantt_shows_both_apps_and_idle(runtime):
 
 def test_gantt_width_validation(runtime):
     with pytest.raises(ValueError):
-        render_gantt(runtime, width=4)
+        render_gantt(runtime.logbook, width=4)
 
 
 def test_gantt_window_validation(runtime):
     with pytest.raises(ValueError):
-        render_gantt(runtime, t_start=1.0, t_end=0.5)
+        render_gantt(runtime.logbook, t_start=1.0, t_end=0.5)
 
 
 def test_gantt_sub_window(runtime):
     makespan = runtime.logbook.makespan
-    chart = render_gantt(runtime, width=20, t_start=0.0, t_end=makespan / 2)
+    chart = render_gantt(runtime.logbook, width=20, t_start=0.0, t_end=makespan / 2)
     assert f"{makespan / 2 * 1e3:.1f} ms" in chart
 
 
@@ -64,7 +64,7 @@ def test_gantt_without_logs():
     rt.start()
     rt.seal()
     rt.run()
-    assert "no task records" in render_gantt(rt)
+    assert "no task records" in render_gantt(rt.logbook)
 
 
 def test_cli_gantt_flag(capsys):

@@ -7,7 +7,7 @@ cost noise (every segment rebuilt from the stored request), every stamped
 and charged value must equal what ``reference_plans`` derives per task from
 the public model - by ``float.hex()``.  (The two goldens those cells and the
 audit round-trip are compared against, ``golden_one_book.json`` and
-``golden_logbook_v3.json``, are untouched by the stores; their own tests
+``golden_logbook_v6.json``, are untouched by the stores; their own tests
 fail if a byte moves.)
 """
 

@@ -32,7 +32,7 @@ def finished_runtime():
 
 
 def test_trace_structure(finished_runtime):
-    trace = to_chrome_trace(finished_runtime)
+    trace = to_chrome_trace(finished_runtime.logbook)
     assert "traceEvents" in trace
     assert trace["otherData"]["apps"] == 2
     assert trace["otherData"]["scheduler"] == "eft"
@@ -41,7 +41,7 @@ def test_trace_structure(finished_runtime):
 
 
 def test_trace_has_one_task_event_per_logbook_record(finished_runtime):
-    trace = to_chrome_trace(finished_runtime)
+    trace = to_chrome_trace(finished_runtime.logbook)
     task_events = [e for e in trace["traceEvents"] if e.get("cat") == "task"]
     assert len(task_events) == len(finished_runtime.logbook.tasks)
     for e in task_events:
@@ -50,7 +50,7 @@ def test_trace_has_one_task_event_per_logbook_record(finished_runtime):
 
 
 def test_trace_app_spans_match_execution_times(finished_runtime):
-    trace = to_chrome_trace(finished_runtime)
+    trace = to_chrome_trace(finished_runtime.logbook)
     app_events = [e for e in trace["traceEvents"] if e.get("cat") == "app"]
     assert len(app_events) == 2
     for e in app_events:
@@ -60,7 +60,7 @@ def test_trace_app_spans_match_execution_times(finished_runtime):
 
 
 def test_trace_queue_wait_precedes_service(finished_runtime):
-    trace = to_chrome_trace(finished_runtime)
+    trace = to_chrome_trace(finished_runtime.logbook)
     by_task = {}
     for e in trace["traceEvents"]:
         if e.get("cat") in ("task", "queue"):
@@ -74,7 +74,7 @@ def test_trace_queue_wait_precedes_service(finished_runtime):
 
 def test_write_chrome_trace_roundtrip(finished_runtime, tmp_path):
     path = tmp_path / "run.trace.json"
-    out = write_chrome_trace(str(path), finished_runtime)
+    out = write_chrome_trace(str(path), finished_runtime.logbook)
     assert out == str(path)
     loaded = json.loads(path.read_text())
     assert loaded["displayTimeUnit"] == "ms"
@@ -82,7 +82,7 @@ def test_write_chrome_trace_roundtrip(finished_runtime, tmp_path):
 
 
 def test_trace_pe_tracks_are_named_and_sorted(finished_runtime):
-    trace = to_chrome_trace(finished_runtime)
+    trace = to_chrome_trace(finished_runtime.logbook)
     names = [e for e in trace["traceEvents"]
              if e["ph"] == "M" and e["name"] == "process_name"]
     pe_names = {e["args"]["name"] for e in names if e["pid"] < APP_PID}
@@ -94,7 +94,7 @@ def test_trace_pe_tracks_are_named_and_sorted(finished_runtime):
 
 
 def test_trace_counter_track_mirrors_scheduler_rounds(finished_runtime):
-    trace = to_chrome_trace(finished_runtime)
+    trace = to_chrome_trace(finished_runtime.logbook)
     rounds = finished_runtime.logbook.rounds
     tracks = {
         name: [e for e in trace["traceEvents"] if e["ph"] == "C" and e["name"] == name]
@@ -132,7 +132,7 @@ def test_trace_marks_faults_and_retries():
     runtime.seal()
     runtime.run()
 
-    trace = to_chrome_trace(runtime)
+    trace = to_chrome_trace(runtime.logbook)
     instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
     assert instants and all(e["cat"] == "fault" for e in instants)
     fault_marks = [e for e in instants if e["name"].startswith("fault:")]
@@ -162,6 +162,6 @@ def test_write_chrome_trace_is_strict_json(finished_runtime, tmp_path, monkeypat
     # bare NaN tokens that strict JSON parsers reject
     monkeypatch.setattr(finished_runtime.logbook, "makespan", float("nan"))
     path = tmp_path / "nan.trace.json"
-    write_chrome_trace(str(path), finished_runtime)
+    write_chrome_trace(str(path), finished_runtime.logbook)
     loaded = json.loads(path.read_text())
     assert loaded["otherData"]["makespan_ms"] is None

@@ -1,10 +1,18 @@
 """Arrival-generator registry: spec parsing, builtins, trace replay."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.runtime import Logbook
 from repro.serve import ArrivalSpec, arrival_rate, available_arrivals, make_arrival_stream
 from repro.simcore import child_rng
+
+
+def _dump(**sections):
+    """The text of an empty book's dump with *sections* replaced."""
+    return json.dumps({**Logbook().serialize(), **sections})
 
 
 def take(spec, n, seed=0, label="t"):
@@ -188,10 +196,12 @@ class TestTrace:
 
     @pytest.mark.parametrize("text,message", [
         ("[1, 2]", "expected a JSON object, got list"),
-        ('{"schema": 3, "apps": [{"app_id": 1, "name": "a", "mode": "api"}]}',
+        (_dump(apps=[{"app_id": 1, "name": "a", "mode": "api", "t_launch": 0.0,
+                      "t_finish": None, "n_tasks": 0, "cancelled": False, "failed": False}]),
          r"apps\[0\]: missing columns \['t_arrival'\]"),
-        ('{"schema": 3, "apps": {"t_arrival": 0.1}}', "apps: expected a list"),
-        ('{"schema": 3, "apps": []}', "at least one arrival instant"),
+        (_dump(apps={"t_arrival": 0.1}), "apps: expected a list"),
+        (_dump(apps=[]), "at least one arrival instant"),
+        ('{"schema": 5, "apps": []}', "unsupported logbook schema 5"),
         ("{nope", "Expecting property name"),
     ])
     def test_malformed_replay_file_is_one_valueerror(self, tmp_path, text, message):

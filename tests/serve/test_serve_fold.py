@@ -108,6 +108,10 @@ def test_one_row_per_offered_arrival(zcu_small, pd_small, tx_small):
     assert all(row.t_admitted >= row.t_offered for row in rows if row.held)
 
 
-def test_serve_fold_refuses_a_batch_only_book():
-    with pytest.raises(ValueError, match="no admissions section"):
-        ServeResult.from_logbook(Logbook.from_dict({"schema": 4}), None)
+def test_a_dump_without_admissions_is_refused():
+    """The serve fold reads the admission rows; a dump without the section
+    is refused when it loads, naming the section."""
+    dump = Logbook().serialize()
+    del dump["admissions"]
+    with pytest.raises(ValueError, match=r"missing sections \['admissions'\]"):
+        Logbook.from_dict(dump)
