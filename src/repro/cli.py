@@ -28,7 +28,8 @@ plugins appear everywhere at once.
 
 ``run``, ``serve`` and ``audit diff`` construct nothing themselves: their
 flags lower to a :class:`~repro.scenario.ScenarioSpec` (:func:`_lower`) and
-the spec's ``build_*`` methods are the one construction route.
+the spec's ``build_*`` methods are the one construction route; ``run``,
+``serve`` and ``scenario run`` print their trials by ``report_lines``.
 """
 
 from __future__ import annotations
@@ -400,43 +401,22 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     from repro.experiments import run_to_completion
-
+    from repro.scenario import report_lines
     from repro.telemetry import SampleCapError
 
     spec = _lower(args)
-    platform_cfg = spec.build_platform()
     # the finished runtime, not just its RunResult: trace, Gantt, logbook,
     # metrics, perf and energy outputs all read the live object (which is
     # also why this verb does not go through the sweep cache)
     try:
         runtime = run_to_completion(
-            platform_cfg, spec.build_workload(), spec.mode, spec.rate_mbps,
+            spec.build_platform(), spec.build_workload(), spec.mode, spec.rate_mbps,
             spec.scheduler, seed=spec.seed, execute=spec.execute,
             config=spec.build_config(), attribute_host_time=bool(args.perf_json),
         )
     except SampleCapError as exc:
         raise SystemExit(f"repro run {exc}") from None
-    result = RunResult.from_runtime(runtime)
-
-    print(f"platform  : {platform_cfg.name}  mode={args.mode}  "
-          f"scheduler={args.scheduler}  rate={args.rate:g} Mbps")
-    print(f"apps      : {result.n_apps} completed, {result.tasks_completed} tasks, "
-          f"makespan {result.makespan * 1e3:.2f} ms")
-    print(f"exec time : {result.mean_exec_time * 1e3:.2f} ms/app  "
-          f"(per app type: "
-          + ", ".join(f"{k} {result.mean_exec_time_of(k)*1e3:.2f}"
-                      for k in sorted(result.exec_times_by_app)) + ")")
-    print(f"overheads : runtime {result.runtime_overhead_per_app * 1e3:.3f} ms/app, "
-          f"scheduling {result.sched_overhead_per_app * 1e3:.3f} ms/app "
-          f"({result.sched_rounds} rounds, ready depth mean "
-          f"{result.ready_depth_mean:.1f} / max {result.ready_depth_max})")
-    print(f"placement : {result.pe_task_histogram}")
-    if spec.faults is not None:
-        print(f"faults    : {result.faults_injected} injected, "
-              f"{result.task_failures} task failures, {result.retries} retries, "
-              f"{result.tasks_lost} tasks lost, {result.n_failed} apps failed "
-              f"(goodput {result.goodput:.2f}, MTTR "
-              f"{result.mean_time_to_recovery * 1e3:.2f} ms)")
+    print(*report_lines(spec, [RunResult.from_runtime(runtime)]), sep="\n")
     if runtime.config.audit:  # --audit or $REPRO_AUDIT
         from repro.audit import audit_logbook
 
@@ -486,36 +466,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Run one open-stream service window and print the SLO ledger."""
-    from repro.scenario import run_scenario
+    from repro.scenario import report_lines, run_scenario
 
     spec = _lower(args)
-    serve = spec.build_serve()  # for the header lines below
-    (result,) = run_scenario(spec, trials=1, base_seed=spec.seed, n_jobs=1, cache=False)
-
-    print(f"platform  : {args.platform}  mode={args.mode}  "
-          f"scheduler={args.scheduler}  window {serve.duration:g} s")
-    print(f"arrivals  : {args.arrival} x {len(serve.tenants)} tenant(s), "
-          f"{serve.offered_rate:g} apps/s nominal offered load")
-    print(f"admission : {serve.admission.policy}, in-system cap "
-          f"{serve.admission.max_in_system}, queue cap "
-          f"{serve.admission.queue_cap}")
-    print(f"service   : {result.offered} offered, {result.admitted} admitted, "
-          f"{result.shed} shed, {result.degraded} degraded, "
-          f"{result.completed} completed "
-          f"({result.throughput:.1f} apps/s, {result.late_arrivals} late)")
-    print(f"slo       : p99 response {result.p99_response_s * 1e3:.2f} ms, "
-          f"{result.slo_violations} violations, "
-          f"goodput {result.goodput:.1f} apps/s within "
-          f"{args.slo_ms:g} ms")
-    print(f"drain     : graceful (every admitted app completed; "
-          f"makespan {result.run.makespan * 1e3:.2f} ms, in-system "
-          f"high-water {result.in_system_hwm})")
-    for t in result.tenants:
-        print(f"  {t.name:<10} offered {t.offered:>4}  admitted "
-              f"{t.admitted:>4}  shed {t.shed:>4}  held {t.held:>4}  "
-              f"completed {t.completed:>4}  p99 "
-              f"{t.p99_response_s * 1e3:8.2f} ms  violations "
-              f"{t.slo_violations:>4}")
+    results = run_scenario(spec, trials=1, base_seed=spec.seed, n_jobs=1, cache=False)
+    print(*report_lines(spec, results), sep="\n")
     return 0
 
 
@@ -660,10 +615,8 @@ def _cmd_scenario_list(args) -> int:
 
 
 def _cmd_scenario_run(args) -> int:
-    import dataclasses
-
     from repro.experiments import seed_invariant
-    from repro.scenario import run_scenario
+    from repro.scenario import report_lines, run_scenario
     from repro.telemetry import SampleCapError
 
     _check_counts(args, "scenario run")
@@ -684,43 +637,11 @@ def _cmd_scenario_run(args) -> int:
         spec.build_workload(), spec.execute, spec.build_config())
     print(f"scenario  : {spec.name} [{spec.kind}]  digest {spec.digest()[:12]}"
           f"  ({args.spec})")
-    print(f"platform  : {spec.platform}  mode={spec.mode}  "
-          f"scheduler={spec.scheduler}")
     print(f"trials    : {n} (base seed {base_seed}"
           + (", audited" if spec.audit else "") + ")"
           + ("; the cell cannot read its seed and runs once" if once else ""))
-
-    def mean(xs):
-        return sum(xs) / n
-
-    if spec.kind == "serve":
-        print(f"service   : {spec.serve.arrival} x {spec.serve.tenants} "
-              f"tenant(s), {spec.serve.duration:g} s window, "
-              f"admission {spec.serve.admission.policy}")
-        print(f"per trial : offered {mean([r.offered for r in results]):.1f}, "
-              f"admitted {mean([r.admitted for r in results]):.1f}, "
-              f"shed {mean([r.shed for r in results]):.1f}, "
-              f"completed {mean([r.completed for r in results]):.1f}")
-        print(f"slo       : p99 response "
-              f"{mean([r.p99_response_s for r in results]) * 1e3:.2f} ms, "
-              f"violations {mean([r.slo_violations for r in results]):.1f}, "
-              f"goodput {mean([r.goodput for r in results]):.1f} apps/s "
-              f"within {spec.serve.slo_ms:g} ms")
-    else:
-        print(f"workload  : {spec.preset or ','.join(f'{a.name}:{a.count}' for a in spec.apps)}"
-              f" @ {spec.rate_mbps:g} Mbps")
-        print(f"apps      : {results[0].n_apps} per trial, makespan mean "
-              f"{mean([r.makespan for r in results]) * 1e3:.2f} ms")
-        print(f"exec time : {mean([r.mean_exec_time for r in results]) * 1e3:.2f}"
-              f" ms/app")
-        print(f"overheads : runtime "
-              f"{mean([r.runtime_overhead_per_app for r in results]) * 1e3:.3f}"
-              f" ms/app, scheduling "
-              f"{mean([r.sched_overhead_per_app for r in results]) * 1e3:.3f}"
-              f" ms/app")
-    if cache:
-        print(f"cache     : {cache.stats.summary()} "
-              f"({cache.stats.stores} stored in {cache.root})")
+    print(*report_lines(spec, results), sep="\n")
+    _print_cache(cache)
     return 0
 
 
@@ -868,6 +789,13 @@ def _resolve_cache(args):
     return resolve_cache(None)
 
 
+def _print_cache(cache, lead: str = "") -> None:
+    """The ``cache :`` line of a command that ran through a sweep cache."""
+    if cache:
+        print(f"{lead}cache     : {cache.stats.summary()} "
+              f"({cache.stats.stores} stored in {cache.root})")
+
+
 #: the count flags of ``figure`` / ``scenario run``: dest -> (passes, what
 #: a passing value is); an unset flag (``None``) is not checked
 _COUNTS = {
@@ -911,9 +839,7 @@ def _cmd_figure(args) -> int:
                 os.environ.pop(AUDIT_ENV, None)
             else:
                 os.environ[AUDIT_ENV] = previous_audit
-    if cache:
-        print(f"\ncache     : {cache.stats.summary()} "
-              f"({cache.stats.stores} stored in {cache.root})")
+    _print_cache(cache, "\n")
     return code
 
 

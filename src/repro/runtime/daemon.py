@@ -346,6 +346,11 @@ class CedrRuntime:
                 time.perf_counter() - t0, self.engine.events_processed
             )
             self.counters.record_event_core(self.engine.event_core_stats())
+        # loads and table identity at this stop, drained or cut short (``until``)
+        platform, header = self.platform, self.logbook.header
+        header.cores = [CoreLoad(core.name, core.speed, core.delivered, core.busy_time)
+                        for core in (*platform.worker_cores, platform.runtime_core)]
+        header.cost_table = (self.cost_table.token, self.cost_table.n_rows)
         if self._drained:
             self.counters.unwatch_timers(self.engine)
         if self.config.audit and self._drained:
@@ -488,9 +493,6 @@ class CedrRuntime:
         book, platform = self.logbook, self.platform
         now = book.makespan = self.engine.now
         book.late_timers = list(self.engine.late_at)
-        book.header.cores = [CoreLoad(core.name, core.speed, core.delivered, core.busy_time)
-                             for core in (*platform.worker_cores, platform.runtime_core)]
-        book.header.cost_table = (self.cost_table.token, self.cost_table.n_rows)
         if self.config.telemetry:
             self.telemetry = CedrTelemetry.fold(book, self.config.telemetry)
         # Idle-poll accounting: the main loop spins whenever it is not doing

@@ -236,7 +236,8 @@ class CoreLoad:
 @dataclass
 class Header:
     """What the views read beside the rows: the names the daemon stamps as
-    it is built, the core loads and cost-table identity it stamps as it drains."""
+    it is built, the core loads and cost-table identity it stamps as it drains
+    (or as a run stops short, so a book saved then audits too)."""
 
     platform: str = ""
     #: the PEs in index order, as ``(name, kind)``.

@@ -9,7 +9,7 @@ canonical form content-addresses into the sweep cache alongside figure
 sweeps.  See docs/INTERNALS.md, "Plugin registries & scenario specs".
 """
 
-from .runner import run_scenario
+from .runner import report_lines, run_scenario
 from .spec import (
     AppCount,
     ScenarioError,
@@ -26,5 +26,6 @@ __all__ = [
     "ServeSection",
     "dump_toml",
     "load_scenario",
+    "report_lines",
     "run_scenario",
 ]

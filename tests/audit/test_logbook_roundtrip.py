@@ -179,6 +179,22 @@ def test_offline_audit_checks_core_capacity_and_the_cost_table():
     assert "of a 1-row table" in str(report.violations[0])
 
 
+def test_a_book_saved_from_a_run_cut_short_audits_its_real_cost_table(tmp_path):
+    """``run(until=...)`` stamps the table identity and core loads too, so a
+    book saved mid-run flags its unfinished app, not every task row."""
+    runtime = CedrRuntime(zcu102().build(seed=0),
+                          RuntimeConfig(scheduler="heft_rt", execute_kernels=False))
+    runtime.start()
+    runtime.submit(PulseDoppler().make_instance("api", np.random.default_rng(0)), at=0.0)
+    runtime.seal()
+    runtime.run(until=0.005)
+    book = Logbook.load(runtime.logbook.save(tmp_path / "cut.json"))
+    assert len(book.tasks) > 0 and book.makespan is None
+    assert book.header.cost_table == (runtime.cost_table.token, runtime.cost_table.n_rows)
+    codes = audit_logbook(book).codes
+    assert "app-accounting" in codes and "cost-row-fresh" not in codes
+
+
 # --------------------------------------------------------------------- #
 # save()/load() inverse on fresh runs
 # --------------------------------------------------------------------- #

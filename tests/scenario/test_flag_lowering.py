@@ -9,15 +9,18 @@ cases pin the flag -> spec-field mapping against the library API, which
 did not move.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.apps import APPS
 from repro.cli import _lower, build_parser, main
 from repro.experiments import cell_digest, run_once
 from repro.faults import FaultConfig, FaultKind
+from repro.metrics import RunResult
 from repro.platforms import jetson, zcu102, zcu102_biglittle
 from repro.runtime import RuntimeConfig
-from repro.scenario import load_scenario
+from repro.scenario import load_scenario, report_lines
 from repro.serve import (
     AdmissionConfig,
     ArrivalSpec,
@@ -113,10 +116,13 @@ def test_run_flags_lower_to_library_objects(flags, platform, config, mode, capsy
                 f"retries") in out
 
 
-def test_cli_default_is_its_declarative_twin(repo_root):
+@pytest.mark.no_auto_audit
+def test_cli_default_is_its_declarative_twin(repo_root, capsys):
     """``examples/scenarios/radar_zcu102.toml`` calls itself "the declarative
-    twin of the CLI default" (``repro run --timing-only``): same objects."""
-    twin = load_scenario(repo_root / "examples/scenarios/radar_zcu102.toml")
+    twin of the CLI default" (``repro run --timing-only``): same objects,
+    and after its ``trials :`` line ``scenario run`` prints what ``run`` does."""
+    path = repo_root / "examples/scenarios/radar_zcu102.toml"
+    twin = load_scenario(path)
     spec = _lower(build_parser().parse_args(["run", "--timing-only"]))
     assert spec.build_platform() == twin.build_platform() == ZCU
     assert _key(spec.build_workload()) == _key(twin.build_workload()) == _key(CLI_WORKLOAD)
@@ -124,6 +130,36 @@ def test_cli_default_is_its_declarative_twin(repo_root):
     assert (spec.mode, spec.rate_mbps, spec.scheduler) == (
         twin.mode, twin.rate_mbps, twin.scheduler
     )
+    assert main(["run", "--timing-only"]) == 0
+    flags = capsys.readouterr().out
+    assert main(["scenario", "run", str(path), "--trials", "1", "--no-cache"]) == 0
+    head, _, body = capsys.readouterr().out.partition("trials    : 1 (base seed 0)\n")
+    assert head.startswith("scenario  : radar-zcu102 [run]") and body == flags
+
+
+def test_several_trials_print_means_and_agreed_counts(repo_root):
+    """Over several trials each number is its mean; a count stays an integer
+    while every trial agrees on it, else prints its mean to one decimal."""
+    spec = load_scenario(repo_root / "examples/scenarios/radar_zcu102.toml")
+    one = RunResult(
+        n_apps=4, n_cancelled=0, exec_times=(0.1, 0.3),
+        exec_times_by_app={"PD": (0.1,), "TX": (0.3,)}, runtime_overhead_s=0.004,
+        sched_overhead_s=0.0, sched_rounds=10, ready_depth_mean=1.0, ready_depth_max=2,
+        makespan=0.2, tasks_completed=20, pe_task_histogram={"cpu0": 12, "fft0": 8},
+    )
+    two = dataclasses.replace(
+        one, exec_times=(0.2, 0.4), exec_times_by_app={"PD": (0.2,), "TX": (0.4,)},
+        sched_rounds=11, ready_depth_mean=2.0, makespan=0.3,
+        pe_task_histogram={"cpu0": 12, "fft0": 7, "cpu1": 1},
+    )
+    assert report_lines(spec, [one, two]) == [
+        "platform  : zcu102-3c1f0m  mode=api  scheduler=heft_rt  rate=200 Mbps",
+        "apps      : 4 completed, 20 tasks, makespan 250.00 ms",
+        "exec time : 250.00 ms/app  (per app type: PD 150.00, TX 350.00)",
+        "overheads : runtime 1.000 ms/app, scheduling 0.000 ms/app "
+        "(10.5 rounds, ready depth mean 1.5 / max 2)",
+        "placement : {'cpu0': 12, 'fft0': 7.5, 'cpu1': 0.5}",
+    ]
 
 
 def _serve_config(n_tenants: int, admission: AdmissionConfig) -> ServeConfig:

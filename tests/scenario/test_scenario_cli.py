@@ -81,7 +81,7 @@ def test_scenario_run_reports(good_spec, capsys):
     out = capsys.readouterr().out
     assert "cli-smoke [run]" in out
     assert "scheduler=etf" in out
-    assert "2 per trial" in out
+    assert "apps      : 2 completed, " in out
     assert "cache" not in out  # --no-cache silences the cache line
 
 
