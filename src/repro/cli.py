@@ -26,10 +26,11 @@ by the corresponding :mod:`repro.registry` registry, so argparse choices,
 ``repro list`` output, and dispatch are all one table, and third-party
 plugins appear everywhere at once.
 
-``run``, ``serve`` and ``audit diff`` construct nothing themselves: their
-flags lower to a :class:`~repro.scenario.ScenarioSpec` (:func:`_lower`) and
-the spec's ``build_*`` methods are the one construction route; ``run``,
-``serve`` and ``scenario run`` print their trials by ``report_lines``.
+``run`` and ``serve`` construct nothing themselves: their flags lower to a
+:class:`~repro.scenario.ScenarioSpec` (:func:`_lower`) and the spec's
+``build_*`` methods are the one construction route; ``run``, ``serve`` and
+``scenario run`` print their trials by ``report_lines``.  ``audit`` replays
+the invariant catalog over a saved logbook dump.
 """
 
 from __future__ import annotations
@@ -49,20 +50,6 @@ from repro.serve.admission import ADMISSION_POLICIES
 
 __all__ = ["main", "build_parser"]
 
-#: what ``audit diff`` lowers to where the document defaults do not apply:
-#: the oracle sweeps the figure grid, so its flag defaults and (per
-#: platform, not flags) its platform parameters match the figure configs
-AUDIT_DEFAULTS = {
-    "scheduler": "etf", "apps": "PD:1,TX:1", "trials": 2, "duration": 0.2,
-    "arrival": "poisson:rate=150", "admission": "block",
-    "platform_params": {
-        "zcu102": {"cpu": 3, "fft": 1},
-        "jetson": {"cpu": 3},
-        "zcu102-biglittle": {"cpu": 3, "fft": 1, "little": 4, "mmult": 0},
-    },
-}
-
-
 # --------------------------------------------------------------------- #
 # spec flags: declared and lowered from the key table
 # --------------------------------------------------------------------- #
@@ -76,17 +63,16 @@ def _add_spec_flags(parser, verb: str) -> None:
     lists = {"apps": ",".join(available_apps()),
              "arrivals": ", ".join(available_arrivals()),
              "fault_kinds": ",".join(available_fault_kinds())}
-    defaults = AUDIT_DEFAULTS if verb == "audit" else {}
     declared = set()
     for row in KEYS:
         if verb not in row.verbs or row.flag in declared:
             continue
         declared.add(row.flag)
-        help = ("diff only: " if verb == "audit" else "") + row.help.format(**lists)
+        help = row.help.format(**lists)
         if row.type == "bool":
             parser.add_argument(row.flag, action="store_true", help=help)
             continue
-        default = defaults.get(row.dest, row.default)
+        default = row.default
         if row.attr.startswith("platform_params."):
             default = None  # so _lower tells a given flag from an omitted one
         if row.type == "kinds":
@@ -106,10 +92,8 @@ def _lower(args):
     and ``RegistryError`` are both ``ValueError``) exits on one line."""
     from repro.scenario import ScenarioSpec
 
-    verb = args.command
-    kind = "serve" if verb == "serve" or getattr(args, "serve", False) else "run"
-    doc = {"scenario": {"name": "audit-diff" if verb == "audit" else "cli",
-                        "kind": kind}}
+    verb = kind = args.command  # "run" or "serve"
+    doc = {"scenario": {"name": "cli", "kind": kind}}
     accepted = PLATFORMS.get(args.platform).params
     for row in KEYS:
         if verb not in row.verbs or not row.in_scope(kind):
@@ -126,10 +110,6 @@ def _lower(args):
         doc["run"]["execute"] = not args.timing_only
         if not args.metrics_out and args.metrics_interval == 0.0:
             del doc["telemetry"]  # a bad interval stays, so the key's check sees it
-    if verb == "audit":
-        doc["platform"].update(AUDIT_DEFAULTS["platform_params"].get(args.platform, {}))
-        if kind == "run":
-            doc["workload"]["name"] = "audit-diff"  # an RNG label
     try:
         spec = ScenarioSpec.from_mapping(doc, source=f"repro {verb}")
     except ValueError as exc:
@@ -153,7 +133,6 @@ def _add_cache_options(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.audit import DEFAULT_VARIANTS
     from repro.experiments import available_figures
 
     parser = argparse.ArgumentParser(
@@ -206,29 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser(
         "audit",
-        help="audit a saved logbook, or diff paired sweep configurations",
-        description="With a logbook path: replay the invariant catalog "
-                    "over a saved run ('repro audit out/logbook.json'). "
-                    "With the literal target 'diff': run one sweep plain, "
-                    "then once per pairing (%s) and require bit-identical "
-                    "results." % ", ".join(DEFAULT_VARIANTS),
+        help="audit a saved logbook",
+        description="Replay the invariant catalog over a saved run "
+                    "('repro audit out/logbook.json').",
     )
     audit.set_defaults(func=_cmd_audit)
-    audit.add_argument("target",
-                       help="path to a logbook JSON dump, or 'diff' to run "
-                            "the differential oracle")
-    _add_spec_flags(audit, "audit")
-    audit.add_argument("--rates", type=int, default=4,
-                       help="diff only: injection-rate grid points")
-    audit.add_argument("--jobs", type=int, default=2,
-                       help="diff only: worker processes for the --jobs "
-                            "pairing")
-    audit.add_argument("--variants", default=None,
-                       help="diff only: comma list of pairings to run "
-                            "(default: all of %s)" % ",".join(DEFAULT_VARIANTS))
-    audit.add_argument("--serve", action="store_true",
-                       help="diff only: run the serve-mode oracle instead "
-                            "of the batch one (same pairings)")
+    audit.add_argument("target", help="path to a logbook JSON dump")
 
     tel = sub.add_parser(
         "telemetry",
@@ -244,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scenario documents (.toml/.json) name platform + "
                     "workload + scheduler + faults + admission + telemetry "
                     "+ seeds declaratively; 'run' executes one through the "
-                    "one run path (the run/serve/audit-diff flags lower to "
+                    "one run path (the run/serve flags lower to "
                     "the same spec).",
     )
     scn_sub = scenario.add_subparsers(dest="scenario_command", required=True)
@@ -505,9 +467,7 @@ def _cmd_telemetry(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    """Dispatch ``repro audit <logbook.json>`` / ``repro audit diff``."""
-    if args.target == "diff":
-        return _cmd_audit_diff(args)
+    """Replay the invariant catalog over ``repro audit <logbook.json>``."""
     from repro.audit import audit_logbook
     from repro.runtime import Logbook
 
@@ -522,41 +482,6 @@ def _cmd_audit(args) -> int:
     print(f"  task-conservation: checked against {len(logbook.incidents)} incident rows")
     for violation in report.violations:
         print(f"  - {violation}")
-    return 0 if report.ok else 1
-
-
-def _cmd_audit_diff(args) -> int:
-    """Run the differential oracle and print its per-variant verdicts."""
-    from repro.audit import DEFAULT_VARIANTS, diff_run, diff_serve
-    from repro.workload import paper_injection_rates
-
-    _check_counts(args, "audit diff")
-    variants = DEFAULT_VARIANTS
-    if args.variants is not None:
-        variants = tuple(
-            v.strip() for v in args.variants.split(",") if v.strip()
-        )
-        if not variants:
-            raise SystemExit("repro audit diff --variants names no pairing; "
-                             f"options: {','.join(DEFAULT_VARIANTS)}")
-        unknown = set(variants) - set(DEFAULT_VARIANTS)
-        if unknown:
-            raise SystemExit(
-                f"unknown variant(s) {sorted(unknown)}; "
-                f"options: {','.join(DEFAULT_VARIANTS)}"
-            )
-    spec = _lower(args)
-    grid = dict(trials=args.trials, base_seed=args.seed, jobs=args.jobs,
-                variants=variants, config=spec.build_config())
-    if args.serve:
-        report = diff_serve(spec.build_platform(), spec.build_serve(), **grid)
-    else:
-        report = diff_run(
-            spec.build_platform(), spec.build_workload(), spec.mode,
-            list(paper_injection_rates(n=args.rates)), spec.scheduler,
-            execute=spec.execute, **grid,
-        )
-    print(report.summary())
     return 0 if report.ok else 1
 
 
@@ -687,6 +612,7 @@ def _corpus_generate(args):
 def _cmd_corpus_generate(args) -> int:
     from pathlib import Path
 
+    _check_counts(args, "corpus generate")
     specs = _corpus_generate(args)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
@@ -703,6 +629,7 @@ def _cmd_corpus_generate(args) -> int:
 def _cmd_corpus_run(args) -> int:
     from repro.corpus import minimize_spec, run_corpus, write_artifacts
 
+    _check_counts(args, "corpus run")
     if args.specs is not None:
         paths = _scenario_paths([args.specs])
         if not paths:
@@ -717,7 +644,7 @@ def _cmd_corpus_run(args) -> int:
     try:
         report = run_corpus(specs, schedulers, n_jobs=args.jobs,
                             anomaly_factor=args.anomaly_factor, seed=seed)
-    except ValueError as exc:  # unknown scheduler, bad job count
+    except ValueError as exc:  # unknown scheduler, bad $REPRO_JOBS
         raise SystemExit(str(exc)) from None
     path = report.save(args.report)
     print(report.summary())
@@ -796,10 +723,11 @@ def _print_cache(cache, lead: str = "") -> None:
               f"({cache.stats.stores} stored in {cache.root})")
 
 
-#: the count flags of ``figure`` / ``scenario run``: dest -> (passes, what
-#: a passing value is); an unset flag (``None``) is not checked
+#: the count flags of ``figure`` / ``scenario run`` / ``corpus``: dest ->
+#: (passes, what a passing value is); an unset flag (``None``) is not checked
 _COUNTS = {
     "trials": CHECKS["at_least_1"],
+    "n": CHECKS["at_least_1"],
     "rates": (lambda v: v >= 2, "must be >= 2"),
     "seed": CHECKS["nonnegative"],
     "fault_seed": CHECKS["nonnegative"],

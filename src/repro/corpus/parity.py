@@ -29,7 +29,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.atomic import atomic_write
 from repro.audit import CATALOG, AuditError, AuditViolation
-from repro.experiments.common import resolve_jobs
+from repro.experiments.common import run_cells
 from repro.metrics import RunResult
 from repro.scenario import ScenarioSpec, run_scenario
 from repro.sched import SCHEDULERS
@@ -424,14 +424,7 @@ def run_corpus(
     else:
         names = SCHEDULERS.names()
     cells = [(spec, sched) for spec in specs for sched in names]
-    jobs = resolve_jobs(n_jobs)
-    if jobs > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_cell_worker, cells, chunksize=1))
-    else:
-        outcomes = [_cell_worker(cell) for cell in cells]
+    outcomes = run_cells(cells, n_jobs, cache=False, worker=_cell_worker)
     return CorpusReport(
         schedulers=names,
         cells=tuple(outcomes),

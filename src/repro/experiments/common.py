@@ -19,9 +19,11 @@ A run is a pure function of ``(platform, workload, mode, rate, scheduler,
 seed, execute, config)``: every random stream is a ``child_rng`` of ``seed``,
 and no state leaks between runs.  :func:`run_cells` (and :func:`run_trials` on
 top of it) therefore accept ``n_jobs`` and shard cells across a
-:class:`~concurrent.futures.ProcessPoolExecutor` - results are collected
-in grid order, so the output is **bit-identical** to the serial path (a
-property the determinism tests pin).  ``n_jobs=None`` reads the
+:class:`~concurrent.futures.ProcessPoolExecutor`, one cell per pool task -
+results are collected in grid order, so the output is **bit-identical** to
+the serial path (a property the determinism tests pin).  It is the one cell
+runner: figures, the serve tier and the corpus (``run_corpus``) all go
+through it.  ``n_jobs=None`` reads the
 ``REPRO_JOBS`` environment variable (default 1, i.e. serial); ``n_jobs<=-1``
 means one worker per CPU.  This is what makes the paper's full 29-rate x
 25-trial grids tractable - see EXPERIMENTS.md.
@@ -286,7 +288,8 @@ def run_cells(
     """Run grid cells, serially or across a process pool, in grid order.
 
     The one cached, sharded cell runner: batch sweeps use the defaults,
-    the serve tier passes its own picklable ``worker`` and cache ``codec``.
+    the serve tier passes its own picklable ``worker`` and cache ``codec``,
+    and the corpus its outcome worker with ``cache=False``.
     ``n_jobs`` / ``cache`` resolve as in :func:`resolve_jobs` /
     :func:`resolve_cache`.  With a cache, hits are satisfied in the parent
     before any sharding and only the missing cells reach the pool; the
@@ -335,16 +338,16 @@ def _simulate_cells(cells: list[tuple], n_jobs: int, worker) -> list:
 
     The executor path uses ``map`` so results come back in submission order
     regardless of completion order - determinism does not depend on worker
-    scheduling.
+    scheduling.  One cell goes per pool task: cell costs differ by orders of
+    magnitude (a corpus grid most of all), and a chunk of several cells can
+    leave one worker holding the slow ones while the others idle.
     """
     if n_jobs <= 1 or len(cells) <= 1:
         return [worker(c) for c in cells]
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(n_jobs, len(cells))
-    chunksize = max(1, len(cells) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, cells, chunksize=chunksize))
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(cells))) as pool:
+        return list(pool.map(worker, cells, chunksize=1))
 
 
 def trial_seeds(trials: int, base_seed: int = 0) -> list[int]:

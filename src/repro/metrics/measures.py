@@ -13,8 +13,9 @@ Three metrics drive every figure (Section III):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.daemon import CedrRuntime
     from repro.runtime.logbook import Logbook
 
-__all__ = ["RunResult"]
+__all__ = ["RunResult", "diff_results", "assert_identical"]
 
 
 @dataclass(frozen=True)
@@ -136,3 +137,63 @@ class RunResult:
         successfully despite injected faults; 1.0 in a fault-free run."""
         total = self.n_apps + self.n_failed
         return self.n_apps / total if total else 1.0
+
+
+def diff_results(a, b, *, ignore: Sequence[str] = ()) -> list[str]:
+    """Names of the fields where two results differ, bit-exactly.
+
+    Frozen-dataclass ``==`` answers *whether* two results drifted; this
+    answers *where*, which is what a failing determinism test needs to
+    print.  A field that is itself a :class:`RunResult` (a
+    ``ServeResult``'s ``run``) is descended into, so a serve drift names
+    the measurement (``run.makespan``) rather than ``run``.  ``ignore``
+    excludes top-level fields that differ by design (the ``telemetry``
+    export when comparing a run with a registry against a bare one).
+    """
+    names = [f.name for f in fields(a)]
+    unknown = set(ignore) - set(names)
+    if unknown:
+        raise KeyError(
+            f"ignore names unknown {type(a).__name__} fields: {sorted(unknown)}"
+        )
+    drifted: list[str] = []
+    for name in names:
+        va, vb = getattr(a, name), getattr(b, name)
+        if name in ignore or va == vb:
+            continue
+        if isinstance(va, RunResult):
+            drifted.extend(f"{name}.{sub}" for sub in diff_results(va, vb))
+        else:
+            drifted.append(name)
+    return drifted
+
+
+def assert_identical(
+    results: Sequence[Sequence[RunResult]],
+    labels: Sequence[str],
+    *,
+    ignore: Sequence[str] = (),
+) -> None:
+    """Assert several result lists are cell-wise bit-identical.
+
+    ``results[0]`` is the reference; every other list must match it cell
+    for cell.  The failure message names the variant, the cell, and the
+    drifted fields - the part the four hand-rolled ``assert a == b``
+    patterns never reported.
+    """
+    reference, ref_label = results[0], labels[0]
+    for candidate, label in zip(results[1:], labels[1:]):
+        assert len(candidate) == len(reference), (
+            f"{label} produced {len(candidate)} results, "
+            f"{ref_label} produced {len(reference)}"
+        )
+        for i, (a, b) in enumerate(zip(reference, candidate)):
+            drifted = diff_results(a, b, ignore=ignore)
+            assert not drifted, (
+                f"{label} drifted from {ref_label} at cell {i} in "
+                f"field(s) {drifted}: "
+                + "; ".join(
+                    f"{name}: {attrgetter(name)(a)!r} != {attrgetter(name)(b)!r}"
+                    for name in drifted[:3]
+                )
+            )

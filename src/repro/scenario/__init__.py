@@ -3,7 +3,7 @@
 A scenario is one TOML/JSON document naming platform + workload +
 scheduler + faults + admission + telemetry + seeds.  It is the one run
 path: ``repro scenario run spec.toml`` executes a document, and the
-flag verbs (``repro run`` / ``serve`` / ``audit diff``) lower their flags
+flag verbs (``repro run`` / ``serve``) lower their flags
 to the same :class:`ScenarioSpec` before anything is constructed.  Its
 canonical form content-addresses into the sweep cache alongside figure
 sweeps.  See docs/INTERNALS.md, "Plugin registries & scenario specs".

@@ -3,10 +3,9 @@
 A :class:`ScenarioSpec` names everything a run needs - platform, workload
 or serve tenants, scheduler, faults, admission, telemetry, seeds - as
 *data*, validated against the plugin registries.  It is the one
-construction route: ``repro run`` / ``repro serve`` / ``repro audit diff``
-lower their flags to a spec (``repro.cli._lower``) and only the builders
-below turn a spec into platform/workload/config objects, so a flag-path
-bug is a spec-path bug.  The builders produce objects equal to hand-built
+construction route: ``repro run`` / ``repro serve`` lower their flags to a
+spec (``repro.cli._lower``) and only the builders below turn a spec into
+platform/workload/config objects, so a flag-path bug is a spec-path bug.  The builders produce objects equal to hand-built
 library ones (``WorkloadSpec(...)``, ``ServeConfig(...)``), so a scenario
 cell and the same run spelled as ``repro run`` flags share one sweep-cache
 key.  Figure cells do not: they carry ``config=None`` where a spec cell

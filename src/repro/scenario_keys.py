@@ -2,7 +2,7 @@
 
 Every key a scenario document takes is one :class:`Key` row of :data:`KEYS`:
 section, type, document default, spec-side check and - for the keys
-``repro run`` / ``serve`` / ``audit diff`` expose - flag spelling and help.
+``repro run`` / ``serve`` expose - flag spelling and help.
 ``ScenarioSpec.from_mapping`` walks a document against the rows, ``canonical``
 emits them in row order, ``__post_init__`` runs their checks, and the CLI
 declares and lowers its spec flags from them.  The ``[faults]`` and
@@ -129,19 +129,18 @@ def _config_rows(section: str, cls, flags: dict) -> tuple[Key, ...]:
     )
 
 
-_R, _S, _A = ("run",), ("serve",), ("audit",)
+_R, _S = ("run",), ("serve",)
 _APPS = "comma list of NAME:COUNT (apps: {apps})"
 
 #: the table, in canonical-form order
 KEYS: tuple[Key, ...] = (
     Key("scenario", "name", "str", None, "name"),
     Key("scenario", "kind", "str", "run", "kind", ("run", "serve")),
-    Key("scenario", "seed", "int", 0, "seed", "nonnegative", flag="--seed", verbs=_R + _S + _A,
+    Key("scenario", "seed", "int", 0, "seed", "nonnegative", flag="--seed", verbs=_R + _S,
         help="base seed of the run's random streams"),
-    Key("scenario", "trials", "int", 1, "trials", "at_least_1", flag="--trials",
-        verbs=_A, help="trials per cell"),
+    Key("scenario", "trials", "int", 1, "trials", "at_least_1"),
     Key("platform", "name", "str", "zcu102", "platform", flag="--platform",
-        verbs=_R + _S + _A, help="registered platform", choices=available_platforms),
+        verbs=_R + _S, help="registered platform", choices=available_platforms),
     # platform parameters: the flag default is the platform's own, and a flag
     # reaches only the platforms that declare the parameter
     *(Key("platform", key, "int?", default, f"platform_params.{key}", flag=f"--{key}",
@@ -153,7 +152,7 @@ KEYS: tuple[Key, ...] = (
           ("little", 4, "LITTLE cores (zcu102-biglittle only)"),
           ("gpu", None, "GPU accelerators (jetson only)"))),
     Key("scheduler", "name", "str", "heft_rt", "scheduler", flag="--scheduler",
-        verbs=_R + _S + _A, help="registered scheduler"),
+        verbs=_R + _S, help="registered scheduler"),
     Key("engine", "audit", "bool", False, "audit", flag="--audit", verbs=_R + _S,
         help="fold the invariant catalog over the run's logbook at shutdown "
              "and fail on damage"),
@@ -164,16 +163,15 @@ KEYS: tuple[Key, ...] = (
     Key("workload", "name", "str", "cli", "workload_name"),
     Key("workload", "preset", "str", None, "preset", optional=True),
     Key("workload", "params", "params", (), "preset_params", optional=True),
-    Key("workload", "apps", "apps", "PD:2,TX:2", "apps", flag="--apps", verbs=_R + _A,
+    Key("workload", "apps", "apps", "PD:2,TX:2", "apps", flag="--apps", verbs=_R,
         help=_APPS),
     Key("workload", "arrival", "str", "periodic", "arrival"),
     Key("workload", "arrival_params", "params", (), "arrival_params", optional=True),
-    Key("run", "mode", "str", "api", "mode", MODES, flag="--mode", verbs=_R + _A,
+    Key("run", "mode", "str", "api", "mode", MODES, flag="--mode", verbs=_R,
         help="how applications reach the runtime"),
     Key("run", "rate_mbps", "float", 200.0, "rate_mbps", "positive", flag="--rate",
         verbs=_R, help="injection rate, Mbps"),
-    Key("run", "execute", "bool", True, "execute", flag="--execute", verbs=_A,
-        help="execute kernels functionally instead of timing-only"),
+    Key("run", "execute", "bool", True, "execute"),
     *_config_rows("faults", FaultConfig, {
         "rate": ("--fault-rate", _R, "per-PE faults per simulated second (0 = none)"),
         "seed": ("--fault-seed", _R, "fault-schedule seed (default: derive from --seed)"),
@@ -181,20 +179,20 @@ KEYS: tuple[Key, ...] = (
         "max_retries": ("--max-retries", _R, "per-task retries before the app fails"),
     }),
     Key("serve", "duration", "float", 0.5, "serve.duration", "positive",
-        flag="--duration", verbs=_S + _A, help="service window, simulated seconds"),
+        flag="--duration", verbs=_S, help="service window, simulated seconds"),
     Key("serve", "arrival", "str", "poisson:rate=100", "serve.arrival", flag="--arrival",
-        verbs=_S + _A, help="arrival process per tenant, KIND:k=v,... (kinds: "
+        verbs=_S, help="arrival process per tenant, KIND:k=v,... (kinds: "
                             "{arrivals}); each tenant draws an independent stream"),
     Key("serve", "tenants", "int", 1, "serve.tenants", "at_least_1", flag="--tenants",
         verbs=_S, help="number of identically configured tenants"),
     Key("serve", "slo_ms", "float", 50.0, "serve.slo_ms", "positive", flag="--slo-ms",
-        verbs=_S + _A, help="per-tenant response-time objective, ms"),
-    Key("serve", "mode", "str", "api", "mode", MODES, flag="--mode", verbs=_S + _A,
+        verbs=_S, help="per-tenant response-time objective, ms"),
+    Key("serve", "mode", "str", "api", "mode", MODES, flag="--mode", verbs=_S,
         help="how applications reach the runtime"),
     Key("serve", "apps", "apps", "PD:1,TX:1", "serve.apps", flag="--apps",
-        verbs=_S + _A, help="app mix cycled round-robin per tenant, " + _APPS),
+        verbs=_S, help="app mix cycled round-robin per tenant, " + _APPS),
     *_config_rows("serve.admission", AdmissionConfig, {
-        "policy": ("--admission", _S + _A, "policy for arrivals the system cannot take",
+        "policy": ("--admission", _S, "policy for arrivals the system cannot take",
                    lambda: ADMISSION_POLICIES),
         "max_in_system": ("--max-in-system", _S, "admitted-but-unfinished cap, all tenants"),
         "queue_cap": ("--queue-cap", _S, "per-tenant hold-queue bound (block policy)"),

@@ -17,7 +17,7 @@ with :func:`repro.simcore.child_rng`), it yields the exact same
 nondecreasing instant sequence on every call, in every process.
 Generators never read the engine clock, wall time, or any shared state -
 which is what keeps serve runs bit-identical across ``--jobs`` pools and
-cache hits (the differential oracle's serve variants prove it per run).
+cache hits (the serve determinism tests pin it).
 
 Two bit-identity subtleties are load-bearing and pinned by tests:
 

@@ -39,8 +39,8 @@ decisions read only controller state and virtual-clock signals, and the
 ledger is a fold of the run's logbook (:meth:`ServeResult.from_logbook`:
 one admission row per arrival, responses in termination order).
 :func:`serve_trials` therefore shards serve cells across the same process
-pool and content-addressed cache as the batch sweeps, bit-identically -
-``repro audit diff --serve`` proves it per run.
+pool and content-addressed cache as the batch sweeps, bit-identically
+(``tests/serve/test_driver.py::TestServeDeterminism`` pins it).
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class ServeResult:
     late_arrivals: int
     tenants: tuple[TenantStats, ...]
     #: the closed-batch result of the same run (makespan, overheads,
-    #: per-app execution times, PE histogram) - the oracle diffs this too.
+    #: per-app execution times, PE histogram) - ``diff_results`` diffs this too.
     run: RunResult
 
     @classmethod

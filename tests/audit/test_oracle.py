@@ -1,26 +1,19 @@
-"""Differential-oracle tests: paired configurations agree bit-for-bit.
+"""The result differ: ``diff_results`` / ``assert_identical`` (``repro.metrics``).
 
-``diff_results``/``assert_identical`` are the helpers the suite's
-bit-identity tests now build on; ``diff_run`` is the full paired-run
-driver behind ``repro audit diff``.  The small end-to-end grids here pin
-the real property on both platforms: serial, pooled, cached, telemetry-on,
-and audit-on sweeps all produce the same RunResults.
+They are the helpers the suite's bit-identity tests build on: they name
+the drifted fields, which a bare ``a == b`` never reports.  The serial /
+pooled and uncached / cold / warm grids that use them live in
+``tests/experiments/test_parallel_sweeps.py`` and ``test_sweep_cache.py``;
+here an audited run must also reproduce the unaudited one.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.audit import (
-    DEFAULT_VARIANTS,
-    OracleReport,
-    VariantOutcome,
-    assert_identical,
-    diff_results,
-    diff_run,
-)
 from repro.experiments import run_once
-from repro.platforms import jetson, zcu102
+from repro.metrics import assert_identical, diff_results
+from repro.platforms import zcu102
 from repro.runtime import RuntimeConfig
 from repro.workload import radar_comms_workload
 
@@ -101,60 +94,6 @@ def test_assert_identical_reports_length_mismatch(result_pair):
     a, b = result_pair
     with pytest.raises(AssertionError, match="1 results"):
         assert_identical([[a, b], [a]], ["serial", "cached"])
-
-
-# --------------------------------------------------------------------- #
-# report rendering
-# --------------------------------------------------------------------- #
-
-def test_variant_outcome_describe_both_ways():
-    ok = VariantOutcome(variant="jobs", cells=4)
-    assert ok.ok and "ok (4 cells" in ok.describe()
-    bad = VariantOutcome(
-        variant="cache", cells=4,
-        mismatches=((1, ("makespan",)),), notes=("cold pass short",),
-    )
-    assert not bad.ok
-    assert "FAIL" in bad.describe()
-    assert "cell 1: makespan" in bad.describe()
-    assert "cold pass short" in bad.describe()
-
-
-def test_oracle_report_summary_lists_every_variant():
-    report = OracleReport(
-        label="zcu102/tiny/api/etf", cells=4,
-        outcomes=(VariantOutcome("jobs", 4), VariantOutcome("cache", 4)),
-    )
-    assert report.ok
-    text = report.summary()
-    assert "4 cells x 2 variants" in text
-    assert "jobs" in text and "cache" in text
-
-
-# --------------------------------------------------------------------- #
-# diff_run end to end
-# --------------------------------------------------------------------- #
-
-def test_diff_run_rejects_unknown_variants():
-    with pytest.raises(KeyError, match="unknown oracle variant"):
-        diff_run(zcu102(n_cpu=3, n_fft=1), TINY, "api", [200.0], "etf",
-                 variants=("jobs", "warp"))
-
-
-@pytest.mark.parametrize("platform", [
-    pytest.param(zcu102(n_cpu=3, n_fft=1), id="zcu102"),
-    pytest.param(jetson(n_cpu=3, n_gpu=1), id="jetson"),
-])
-def test_diff_run_all_variants_bit_identical(platform):
-    """The acceptance grid: every paired configuration reproduces the
-    serial baseline exactly, on both platforms."""
-    report = diff_run(
-        platform, TINY, "api", [150.0, 400.0], "etf",
-        trials=2, base_seed=1, jobs=2, variants=DEFAULT_VARIANTS,
-    )
-    assert report.cells == 4
-    assert set(o.variant for o in report.outcomes) == set(DEFAULT_VARIANTS)
-    assert report.ok, report.summary()
 
 
 def test_audit_flip_matches_baseline_bit_for_bit(result_pair):

@@ -55,15 +55,18 @@ BAD_FLAG_LINES = [
     pytest.param(["run", "--fft", "9"], "0-8 FFT", id="run-fft-range"),
     pytest.param(["serve", "--slo-ms", "-5"], "slo_ms", id="serve-slo-negative"),
     pytest.param(["serve", "--duration", "inf"], "duration", id="serve-duration-inf"),
-    pytest.param(["audit", "diff", "--trials", "0"], "trials", id="audit-trials-0"),
-    pytest.param(["audit", "diff", "--jobs", "0"], "--jobs must be >= 1",
-                 id="audit-jobs-0"),
-    pytest.param(["audit", "diff", "--rates", "1"], "--rates must be >= 2",
-                 id="audit-rates-1"),
     pytest.param(["figure", "fig5", "--rates", "1"], "--rates must be >= 2",
                  id="figure-rates-1"),
-    pytest.param(["audit", "diff", "--variants", ","], "names no pairing",
-                 id="audit-variants-empty"),
+    pytest.param(["corpus", "run", "--n", "1", "--jobs", "0"],
+                 "repro corpus run --jobs must be >= 1", id="corpus-run-jobs-0"),
+    pytest.param(["corpus", "run", "--n", "1", "--seed", "-3"],
+                 "repro corpus run --seed must be finite and >= 0",
+                 id="corpus-run-seed-negative"),
+    pytest.param(["corpus", "run", "--n", "0"], "repro corpus run --n must be >= 1",
+                 id="corpus-run-n-0"),
+    pytest.param(["corpus", "generate", "--n", "1", "--seed", "-3"],
+                 "repro corpus generate --seed must be finite and >= 0",
+                 id="corpus-generate-seed-negative"),
 ]
 
 
@@ -77,7 +80,8 @@ def test_bad_flag_exits_on_one_line(argv, needle):
 def test_cli_import_stays_light():
     """``import repro.cli`` is all of a command's ``setup_s``: it must not
     drag in networkx (181 of 489 ms when ``repro.dag`` imported it; no
-    longer a dependency) nor the layers the verbs import on demand."""
+    longer a dependency) nor the layers the verbs import on demand.  Nor
+    may building the parser load the audit layer."""
     import subprocess
     import sys
     from pathlib import Path
@@ -95,6 +99,14 @@ def test_cli_import_stays_light():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import repro.cli; "
+        "repro.cli.build_parser(); print('repro.audit' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_parser_rejects_unknown_platform():

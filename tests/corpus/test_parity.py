@@ -1,5 +1,7 @@
 """Parity layer: cell outcomes, report schema, dominance, bit-identity."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.audit import CATALOG
@@ -11,6 +13,9 @@ from repro.corpus import (
     run_corpus,
 )
 from repro.corpus.parity import REPORT_SCHEMA
+from repro.scenario import load_scenario
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "corpus"
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +41,16 @@ def test_report_rerun_is_bit_identical(tiny_report):
     specs, report = tiny_report
     again = run_corpus(specs, ["rr", "etf"], seed=0)
     assert again.to_json() == report.to_json()
+
+
+def test_report_is_pool_invariant():
+    """Serial and pooled corpus runs write the same report: cells run one
+    per pool task through ``run_cells`` and come back in grid order."""
+    specs = [load_scenario(EXAMPLES / f"corpus-0-{i:04d}.json") for i in (0, 3, 5)]
+    assert {spec.kind for spec in specs} == {"run", "serve"}
+    serial = run_corpus(specs, ["rr", "etf"], n_jobs=1, seed=0)
+    pooled = run_corpus(specs, ["rr", "etf"], n_jobs=2, seed=0)
+    assert pooled.to_json() == serial.to_json()
 
 
 def test_report_json_round_trip(tiny_report):

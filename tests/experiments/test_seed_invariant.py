@@ -26,10 +26,10 @@ import pytest
 
 import repro.experiments.common as common
 from repro.apps import PulseDoppler
-from repro.audit import diff_results
 from repro.experiments import SweepCache, cell_digest, run_cells, run_once, seed_invariant
 from repro.experiments import figures
 from repro.faults import FaultConfig
+from repro.metrics import diff_results
 from repro.platforms import zcu102
 from repro.runtime import RuntimeConfig
 from repro.scenario import load_scenario
@@ -283,7 +283,6 @@ SEED_READERS = {
     ("child_rng", "runtime/daemon.py", "CedrRuntime.__init__"): 1,
     ("child_rng", "serve/driver.py", "ServeDriver.__init__"): 2,
     ("child_rng", "workload/workload.py", "WorkloadSpec.instantiate"): 2,
-    (".seed", "cli.py", "_cmd_audit_diff"): 1,
     (".seed", "cli.py", "_cmd_corpus_run"): 1,
     (".seed", "cli.py", "_cmd_run"): 1,
     (".seed", "cli.py", "_cmd_scenario_run"): 3,

@@ -9,12 +9,12 @@ misses, and the serial / parallel / cached paths all agree exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import pytest
 
 from repro.apps import PulseDoppler
-from repro.audit import diff_results
 from repro.experiments import (
     CACHE_ENV,
     SweepCache,
@@ -26,9 +26,11 @@ from repro.experiments import (
 )
 from repro.experiments.cache import DEFAULT_CACHE_DIR, UncacheableCell
 from repro.experiments.common import trial_seeds
+from repro.metrics import assert_identical, diff_results
 from repro.platforms import zcu102
 from repro.runtime import RuntimeConfig
 from repro.workload import WorkloadEntry, WorkloadSpec
+from test_parallel_sweeps import GRID_CELLS, SERVE_CELLS, rate_trial_grid, serve_grid
 
 
 def _workload(batch: int = 2, count: int = 1) -> WorkloadSpec:
@@ -147,7 +149,7 @@ def test_round_trip_hit_is_bit_identical(tmp_path):
     assert cache.put(cell, result) is True
     assert cache.stats.stores == 1
     loaded = cache.get(cell)
-    # field-by-field diff (repro.audit.oracle): names any drifted field
+    # field-by-field diff (repro.metrics): names any drifted field
     assert diff_results(loaded, result) == []
     assert cache.stats.hits == 1 and cache.stats.misses == 1
 
@@ -239,6 +241,31 @@ def test_cached_parallel_sweep_identical_to_cold_serial(tmp_path):
     warm = run_cells(cells, n_jobs=3, cache=warm_cache)
     assert warm_cache.stats.misses == 0
     assert warm == serial
+
+
+def _cache_passes(grid, tmp_path) -> None:
+    """*grid* uncached, then through a cold and a warm cache over one
+    directory: all three bit-identical, the cold pass missing and storing
+    every cell, the warm pass hitting every cell and simulating none."""
+    uncached = grid()
+    n = len(uncached)
+    cold, warm = SweepCache(tmp_path), SweepCache(tmp_path)
+    assert_identical([uncached, grid(cache=cold), grid(cache=warm)],
+                     ["uncached", "cold", "warm"])
+    assert cold.stats.misses == cold.stats.stores == n, cold.stats
+    assert warm.stats.hits == n and warm.stats.misses == 0, warm.stats
+
+
+@pytest.mark.parametrize("platform,mode,scheduler", GRID_CELLS)
+def test_rate_trial_grid_cold_and_warm_cache_are_bit_identical(
+        platform, mode, scheduler, tmp_path):
+    _cache_passes(functools.partial(rate_trial_grid, platform, mode, scheduler),
+                  tmp_path)
+
+
+@pytest.mark.parametrize("arrival,policy", SERVE_CELLS)
+def test_serve_cell_cold_and_warm_cache_are_bit_identical(arrival, policy, tmp_path):
+    _cache_passes(functools.partial(serve_grid, arrival, policy), tmp_path)
 
 
 # --------------------------------------------------------------------- #

@@ -23,9 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.api as libcedr
-from repro.audit.oracle import diff_results
 from repro.faults import FaultConfig
-from repro.metrics import RunResult
+from repro.metrics import RunResult, diff_results
 from repro.platforms import zcu102
 from repro.runtime import API_MODE, AppInstance, CedrRuntime, RuntimeConfig
 from repro.runtime.task import CompletionHandle

@@ -123,7 +123,7 @@ STRUCTURED = {
 
 
 def _flag_cases():
-    for verb in ("run", "serve", "audit"):
+    for verb in ("run", "serve"):
         for row in KEYS:
             if verb in row.verbs:
                 yield pytest.param(verb, row, id=f"{verb}-{row.flag}-{row.section}")
@@ -150,9 +150,7 @@ def _other_value(row, default):
 @pytest.mark.parametrize("verb,row", _flag_cases())
 def test_every_flag_reaches_its_key(verb, row):
     parser = build_parser()
-    argv = [verb] + (["diff"] if verb == "audit" else [])
-    if verb == "audit" and row.section.startswith("serve"):
-        argv.append("--serve")
+    argv = [verb]
     if row.section.startswith("platform") and row.key != "name":
         # a platform that declares the parameter
         argv += ["--platform", next(n for n in PLATFORMS.names()

@@ -219,11 +219,3 @@ def test_serve_flags_lower_to_library_objects(flags, serve, capsys):
     for tenant in result.tenants:
         assert f"  {tenant.name:<10} offered {tenant.offered:>4}" in out
 
-
-def test_audit_diff_lowers_with_the_figure_platform_params(capsys):
-    """``audit diff`` takes ``AUDIT_PLATFORM_PARAMS``, not the ``--fft``
-    family, and labels its workload "audit-diff" (an RNG label)."""
-    assert main(["audit", "diff", "--rates", "2", "--trials", "1",
-                 "--variants", "cache"]) == 0
-    out = capsys.readouterr().out
-    assert f"[{ZCU.name}/audit-diff/api/etf]: 2 cells x 1 variants" in out

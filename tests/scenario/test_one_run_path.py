@@ -1,12 +1,14 @@
 """The deletion stays deleted: one construction route, one submit loop, one
-cell runner, one oracle loop.
+cell runner, no differential oracle.
 
-``repro run`` / ``serve`` / ``audit diff`` used to build platform, workload,
-``RuntimeConfig`` and ``ServeConfig`` from argparse beside the spec builders
-that build the same objects, and a ``scenario`` oracle pairing (plus three CI
-commands) existed only to prove the two constructions agreed.  Flags now
-lower to a ``ScenarioSpec``; these checks fail the moment a second route,
-the pairing or one of the duplicate runners creeps back in.
+``repro run`` / ``serve`` (and the since-deleted ``audit diff``) used to build
+platform, workload, ``RuntimeConfig`` and ``ServeConfig`` from argparse beside
+the spec builders that build the same objects, and a ``scenario`` oracle
+pairing (plus three CI commands) existed only to prove the two constructions
+agreed.  Flags now lower to a ``ScenarioSpec``, and the oracle's last two
+pairings (pool jobs, cache) are tests of ``run_cells``; these checks fail the
+moment a second route, the oracle or one of the duplicate runners creeps
+back in.
 """
 
 from pathlib import Path
@@ -14,13 +16,10 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.audit.oracle
+import repro.audit
 import repro.cli
 import repro.serve.driver
-from repro.audit import DEFAULT_VARIANTS, diff_run, diff_serve
 from repro.cli import main
-from repro.platforms import zcu102
-from repro.workload import radar_comms_workload
 
 SRC = Path(repro.__file__).parent
 
@@ -54,7 +53,6 @@ def test_second_route_helpers_are_gone():
                  "_cmd_audit_diff_serve"):
         assert not hasattr(repro.cli, name), name
     assert not hasattr(repro.serve.driver, "_serve_cells")
-    assert not hasattr(repro.audit.oracle, "_compare_serve")
 
 
 def test_scenario_flag_is_an_argparse_error(capsys):
@@ -64,21 +62,17 @@ def test_scenario_flag_is_an_argparse_error(capsys):
     assert "unrecognized arguments: --scenario" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", ([], ["--serve"]), ids=("run", "serve"))
-def test_cli_rejects_the_scenario_variant(extra):
+def test_repro_audit_has_no_oracle():
+    for name in ("diff_run", "diff_serve", "OracleReport", "VariantOutcome",
+                 "DEFAULT_VARIANTS"):
+        assert not hasattr(repro.audit, name), name
+    assert not (SRC / "audit" / "oracle.py").exists()
+    assert not hasattr(repro.cli, "AUDIT_DEFAULTS")
+    assert not hasattr(repro.cli, "_cmd_audit_diff")
+
+
+def test_audit_diff_is_a_missing_dump():
+    """``diff`` is no longer a target: it is a dump path that is not there."""
     with pytest.raises(SystemExit) as err:
-        main(["audit", "diff", "--variants", "scenario", *extra])
-    assert "unknown variant(s) ['scenario']" in str(err.value)
-
-
-def test_oracle_drivers_take_no_scenario_template():
-    assert "scenario" not in DEFAULT_VARIANTS
-    platform = zcu102(n_cpu=3, n_fft=1)
-    with pytest.raises(TypeError, match="scenario"):
-        diff_run(platform, radar_comms_workload(), "api", [100.0], "etf",
-                 scenario=None)
-    with pytest.raises(TypeError, match="scenario"):
-        diff_serve(platform, None, scenario=None)
-    with pytest.raises(KeyError, match="unknown oracle variant"):
-        diff_run(platform, radar_comms_workload(), "api", [100.0], "etf",
-                 variants=("scenario",))
+        main(["audit", "diff"])
+    assert str(err.value.code) == "no logbook at 'diff'"

@@ -4,8 +4,8 @@ retired ``scenario`` oracle variant proved end to end), cache sharing."""
 import pytest
 
 from repro.apps import APPS
-from repro.audit import assert_identical
 from repro.experiments import SweepCache, run_trials
+from repro.metrics import assert_identical
 from repro.runtime import RuntimeConfig
 from repro.scenario import AppCount, ScenarioSpec, ServeSection, run_scenario
 from repro.serve import (

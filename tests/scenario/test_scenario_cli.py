@@ -125,6 +125,42 @@ def test_scenario_run_cold_then_warm_cache(good_spec, tmp_path, capsys):
     assert "1 hits, 0 misses" in warm
 
 
+@pytest.fixture(params=["run", "serve"])
+def pooled_spec(request, tmp_path, repo_root):
+    """A document whose trials are distinct cells (each reads its seed), so
+    ``--trials 2 --jobs 2`` runs them in a process pool."""
+    if request.param == "serve":
+        return repo_root / "examples/scenarios/serve_poisson.toml"
+    path = tmp_path / "poisson.toml"
+    path.write_text(GOOD_TOML.replace("[workload]", '[workload]\narrival = "poisson"'))
+    return path
+
+
+def _report(argv, capsys) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_scenario_run_report_is_pool_invariant(pooled_spec, capsys):
+    """The printed report of a pooled run is byte-identical to the serial one."""
+    args = ["scenario", "run", str(pooled_spec), "--trials", "2", "--no-cache"]
+    serial = _report(args + ["--jobs", "1"], capsys)
+    assert "trials    : 2 (base seed 0)\n" in serial
+    assert _report(args + ["--jobs", "2"], capsys) == serial
+
+
+def test_scenario_run_report_is_cache_invariant(pooled_spec, tmp_path, capsys):
+    """A cold and a warm cached run print the uncached report plus a cache line."""
+    args = ["scenario", "run", str(pooled_spec), "--trials", "2"]
+    uncached = _report(args + ["--no-cache"], capsys)
+    cached = args + ["--cache-dir", str(tmp_path / "cache")]
+    cold, warm = _report(cached, capsys), _report(cached, capsys)
+    assert "0 hits, 2 misses" in cold and "2 hits, 0 misses" in warm
+    for out in (cold, warm):
+        lines = [line for line in out.splitlines() if not line.startswith("cache ")]
+        assert lines == uncached.splitlines()
+
+
 def test_scenario_run_cache_flag_conflict(good_spec, tmp_path):
     with pytest.raises(SystemExit, match="conflicts"):
         main([

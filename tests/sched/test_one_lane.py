@@ -2,9 +2,10 @@
 
 A scheduling round used to be priced three ways - a single-task scalar
 lane, a batched NumPy lane over an ndarray mirror of the cost table, and a
-plain-callable path kept alive by ``RuntimeConfig.scalar_estimates`` so the
-oracle's ``scalar`` variant could prove the copies agreed.  These checks
-fail the moment a second lane, the mirror or a selector creeps back in.
+plain-callable path kept alive by ``RuntimeConfig.scalar_estimates`` so a
+differential oracle's ``scalar`` variant could prove the copies agreed.
+These checks fail the moment a second lane, the mirror or a selector creeps
+back in.
 """
 
 import ast
@@ -13,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.audit
 import repro.sched
 import repro.sched.base
-from repro.audit import DEFAULT_VARIANTS
-from repro.cli import main
 from repro.platforms import CostTable
 from repro.runtime import RuntimeConfig
 
@@ -65,12 +65,8 @@ def test_cost_table_keeps_no_array_mirror():
 def test_no_estimate_path_selector():
     names = {f.name for f in dataclasses.fields(RuntimeConfig)}
     assert "scalar_estimates" not in names
-    assert "scalar" not in DEFAULT_VARIANTS
-    assert DEFAULT_VARIANTS == ("jobs", "cache")
 
 
-@pytest.mark.parametrize("extra", ([], ["--serve"]), ids=("run", "serve"))
-def test_cli_rejects_the_scalar_variant(extra):
-    with pytest.raises(SystemExit) as err:
-        main(["audit", "diff", "--variants", "scalar", *extra])
-    assert "unknown variant(s) ['scalar']" in str(err.value)
+def test_no_oracle_to_pair_the_lanes():
+    for name in ("diff_run", "diff_serve", "DEFAULT_VARIANTS"):
+        assert not hasattr(repro.audit, name), name

@@ -23,8 +23,8 @@ from __future__ import annotations
 import pytest
 
 from reference_schedulers import REFERENCE, per_cell
-from repro.audit import diff_results
 from repro.experiments import run_once
+from repro.metrics import diff_results
 from repro.platforms import PE, PEDescriptor, PEKind, jetson, zcu102
 from repro.platforms.timing import CostTable, zcu102_timing
 from repro.runtime.task import Task

@@ -1,4 +1,4 @@
-"""CLI surfaces of the service tier: serve, audit diff --serve, figure."""
+"""CLI surfaces of the service tier: serve and the saturation figure."""
 
 import pytest
 
@@ -42,24 +42,6 @@ def test_serve_parser_defaults():
     assert args.admission == "shed"
     assert args.tenants == 1
     assert args.audit is False
-
-
-def test_audit_diff_serve(capsys):
-    rc = main([
-        "audit", "diff", "--serve", "--duration", "0.08",
-        "--arrival", "poisson:rate=150", "--trials", "1",
-        "--variants", "jobs,cache", "--apps", "PD:1",
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "serve[" in out
-    assert "jobs" in out and "cache" in out
-    assert "FAIL" not in out
-
-
-def test_audit_diff_serve_rejects_unknown_variants():
-    with pytest.raises(SystemExit, match="unknown variant"):
-        main(["audit", "diff", "--serve", "--variants", "telemetry"])
 
 
 def test_figure_saturation(capsys):

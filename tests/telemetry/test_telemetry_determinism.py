@@ -18,9 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.apps import PulseDoppler, WifiTx
-from repro.audit import assert_identical, diff_results
 from repro.experiments import run_once, run_trials
-from repro.metrics import RunResult
+from repro.metrics import RunResult, assert_identical, diff_results
 from repro.runtime import RuntimeConfig
 from repro.telemetry import TelemetryConfig
 from repro.workload import WorkloadEntry, WorkloadSpec
