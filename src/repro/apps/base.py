@@ -127,7 +127,7 @@ class CedrApplication(abc.ABC):
     def make_instance(
         self,
         mode: str,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         variant: Optional[Variant] = None,
         inputs: Optional[dict[str, Any]] = None,
         timing_only: bool = False,
@@ -137,8 +137,8 @@ class CedrApplication(abc.ABC):
         ``mode`` is ``"dag"`` or ``"api"``; ``variant`` defaults to the
         app's :attr:`default_variant`; fresh input data is synthesized from
         *rng* unless *inputs* is supplied or the run is *timing_only*
-        (``execute_kernels=False``), which gets :meth:`shape_inputs` and an
-        instance the runtime refuses to execute functionally.
+        (``execute_kernels=False``; *rng* may then be ``None``), which gets
+        :meth:`shape_inputs` and an instance the runtime will not execute.
         """
         variant = variant or self.default_variant
         timing_only = timing_only and inputs is None

@@ -154,8 +154,7 @@ def run_cell(spec: ScenarioSpec, scheduler: Optional[str] = None) -> CellOutcome
 
 
 def _cell_worker(cell: tuple[ScenarioSpec, str]) -> CellOutcome:
-    spec, scheduler = cell
-    return run_cell(spec, scheduler)
+    return run_cell(*cell)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import hashlib
 import json
 import math
 import os
@@ -148,6 +147,7 @@ def cell_digest(cell: tuple) -> tuple[str, Any]:
 
     Raises :class:`UncacheableCell` when the cell cannot be keyed.
     """
+    import hashlib  # here, not at the top: an uncached run never keys a cell
     key = [CACHE_SCHEMA, _canon(cell)]
     blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest(), key

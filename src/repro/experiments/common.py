@@ -187,14 +187,10 @@ def run_to_completion(
     happen before ``start()``.  ``scheduler`` and ``execute`` override
     the ``scheduler`` / ``execute_kernels`` of a passed ``config``.
     """
-    if config is None:
-        config = RuntimeConfig(scheduler=scheduler, execute_kernels=execute)
-    else:
-        config = replace(config, scheduler=scheduler, execute_kernels=execute)
+    config = replace(config or RuntimeConfig(), scheduler=scheduler, execute_kernels=execute)
     if not config.audit and audit_from_env():
         config = config.with_audit()
-    instance = platform.build(seed=seed)
-    runtime = CedrRuntime(instance, config)
+    runtime = CedrRuntime(platform.build(seed=seed), config)
     if attribute_host_time:
         runtime.counters.attribute_host_time()
     runtime.start()
@@ -218,12 +214,8 @@ def run_once(
     config: Optional[RuntimeConfig] = None,
 ) -> RunResult:
     """One complete simulated run; returns its measurements."""
-    return RunResult.from_runtime(
-        run_to_completion(
-            platform, workload, mode, rate_mbps, scheduler,
-            seed=seed, execute=execute, config=config,
-        )
-    )
+    return RunResult.from_runtime(run_to_completion(
+        platform, workload, mode, rate_mbps, scheduler, seed, execute, config))
 
 
 def _run_cell(cell: tuple) -> RunResult:

@@ -35,7 +35,6 @@ until ``build_*``.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import math
@@ -404,6 +403,7 @@ class ScenarioSpec:
 
     def digest(self) -> str:
         """Content address of the canonical form (sha256 hex)."""
+        import hashlib  # here, not at the top: `repro run` / `serve` take no digest
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

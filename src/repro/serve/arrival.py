@@ -12,8 +12,8 @@ Determinism contract
 --------------------
 
 Every generator is a **pure function of ``(spec, rng state)``**: given an
-:class:`ArrivalSpec` and a freshly seeded ``numpy`` Generator (derive one
-with :func:`repro.simcore.child_rng`), it yields the exact same
+:class:`ArrivalSpec` and a freshly seeded ``numpy`` Generator (from
+:func:`repro.simcore.child_rng`; ``None`` for a seed-free kind), it yields the exact same
 nondecreasing instant sequence on every call, in every process.
 Generators never read the engine clock, wall time, or any shared state -
 which is what keeps serve runs bit-identical across ``--jobs`` pools and
@@ -51,8 +51,8 @@ __all__ = [
     "arrival_rate",
 ]
 
-#: generator factory signature: (spec, seeded rng) -> nondecreasing instants
-ArrivalFn = Callable[["ArrivalSpec", np.random.Generator], Iterator[float]]
+#: (spec, seeded rng or None if SEED_FREE) -> instants; quoted: loads no numpy.random
+ArrivalFn = Callable[["ArrivalSpec", "Optional[np.random.Generator]"], Iterator[float]]
 
 #: the arrival-process registry - the first conforming client of
 #: :class:`repro.registry.Registry` (this module *was* the proof-of-pattern
@@ -177,13 +177,13 @@ def available_arrivals() -> tuple[str, ...]:
 
 
 def make_arrival_stream(
-    spec: ArrivalSpec, rng: np.random.Generator
+    spec: ArrivalSpec, rng: Optional[np.random.Generator]
 ) -> Iterator[float]:
     """Instantiate *spec* as an iterator of nondecreasing arrival instants.
 
-    *rng* must be freshly seeded for this stream (one
-    ``child_rng(seed, label)`` per stream, never shared) - that is what
-    makes the stream a pure function of ``(spec, seed, label)``.  Streams
+    *rng* is freshly seeded for this stream (one ``child_rng(seed, label)``
+    per stream, never shared), so the stream is pure in ``(spec, seed,
+    label)``; it is ``None`` for ``SEED_FREE_ARRIVALS``, which never draw.  Streams
     may be infinite (``periodic``, ``poisson``, ``bursty``, ``diurnal``,
     looped ``trace``); callers take what they need (``islice`` for a
     closed batch, pull-until-duration for serve).
@@ -234,7 +234,7 @@ def arrival_rate(spec: ArrivalSpec) -> float:
 
 
 @register_arrival("periodic")
-def _periodic(spec: ArrivalSpec, rng: np.random.Generator) -> Iterator[float]:
+def _periodic(spec: ArrivalSpec, rng: Optional[np.random.Generator]) -> Iterator[float]:
     """Deterministic fixed-period arrivals: instant *j* at ``phase + j*period``.
 
     The paper's injection process (Section III: each rate "defines a
@@ -364,7 +364,7 @@ def _trace_times(spec: ArrivalSpec) -> list[float]:
 
 
 @register_arrival("trace")
-def _trace(spec: ArrivalSpec, rng: np.random.Generator) -> Iterator[float]:
+def _trace(spec: ArrivalSpec, rng: Optional[np.random.Generator]) -> Iterator[float]:
     """Replay recorded arrival instants - from a logbook dump or a literal.
 
     ``path=out/logbook.json`` replays the ``t_arrival`` of every app in a

@@ -56,7 +56,7 @@ from repro.telemetry.registry import Histogram
 from repro.telemetry.runtime_metrics import LATENCY_BUCKETS
 
 from .admission import AdmissionConfig, AdmissionController
-from .arrival import ArrivalSpec, arrival_rate, make_arrival_stream
+from .arrival import SEED_FREE_ARRIVALS, ArrivalSpec, arrival_rate, make_arrival_stream
 
 __all__ = [
     "TenantSpec",
@@ -262,16 +262,16 @@ class ServeDriver:
         self.controller = AdmissionController(
             serve.admission, [(t.name, t.weight) for t in serve.tenants]
         )
-        #: per tenant, its arrival stream and its (app cycle, payload RNG):
-        #: no tallies - each arrival's fate is one logbook admission row
-        self._streams: dict[str, Iterator[float]] = {
-            t.name: make_arrival_stream(t.arrival, child_rng(seed, f"serve.arrivals.{t.name}"))
-            for t in serve.tenants
-        }
-        self._payloads = {
-            t.name: (cycle(t.apps), child_rng(seed, f"serve.apps.{t.name}"))
-            for t in serve.tenants
-        }
+        #: per tenant, its arrival stream and (app cycle, payload RNG), an RNG
+        #: nothing draws from being None; no tallies (an admission row each)
+        self._streams: dict[str, Iterator[float]] = {}
+        self._payloads = {}
+        for t in serve.tenants:
+            draws = t.arrival.kind not in SEED_FREE_ARRIVALS
+            rng = child_rng(seed, f"serve.arrivals.{t.name}") if draws else None
+            self._streams[t.name] = make_arrival_stream(t.arrival, rng)
+            rng = child_rng(seed, f"serve.apps.{t.name}") if runtime.config.execute_kernels else None
+            self._payloads[t.name] = (cycle(t.apps), rng)
         #: app_id -> (tenant name, offered instant) of admitted, unfinished apps
         self._records: dict[int, tuple[str, float]] = {}
         #: online p99 signal for admission backpressure: a telemetry
@@ -429,14 +429,10 @@ def serve_once(
     """
     from repro.experiments.common import audit_from_env
 
-    if config is None:
-        config = RuntimeConfig(scheduler=serve.scheduler, execute_kernels=False)
-    else:
-        config = config.with_scheduler(serve.scheduler)
+    config = (config or RuntimeConfig(execute_kernels=False)).with_scheduler(serve.scheduler)
     if not config.audit and audit_from_env():
         config = config.with_audit()
-    instance = platform.build(seed=seed)
-    runtime = CedrRuntime(instance, config)
+    runtime = CedrRuntime(platform.build(seed=seed), config)
     runtime.start()
     driver = ServeDriver(runtime, serve, seed)
     driver.arm()
@@ -446,8 +442,7 @@ def serve_once(
 
 def serve_cell(cell: tuple) -> ServeResult:
     """Picklable pool-worker entry for one (serve config, seed) cell."""
-    platform, serve, seed, config = cell
-    return serve_once(platform, serve, seed=seed, config=config)
+    return serve_once(*cell)  # (platform, serve config, seed, runtime config)
 
 
 def serve_codec():

@@ -495,6 +495,21 @@ class Engine:
                     if until_stop:
                         return self.now
                     instants += 1
+                elif compute_at <= next_at:
+                    # a head above ``work_epsilon`` but within half an ulp of ``now``
+                    # completes at ``now``: no advance makes it due, so collect it here
+                    for core, at in zip(cores, comp):
+                        if at <= next_at:
+                            pending = core._pending
+                            pending.sort()
+                            due = [e for e in pending if e[0] <= core._head + work_epsilon]
+                            for entry in due:
+                                entry[2].cpu_time += entry[3]
+                            resumes += due
+                            del pending[: len(due)]
+                            core._head = pending[0][0] if pending else inf
+                            core._completion_dirty = True
+                            dirty.append(core._cpos)
 
                 # ---- batched same-instant timer drain: every timer due at
                 # the reached instant fires before any completed or woken

@@ -21,7 +21,7 @@ from itertools import islice
 from repro.apps import CedrApplication, LaneDetection, PulseDoppler, Variant, WifiTx
 from repro.registry import Registry
 from repro.runtime.app import AppInstance
-from repro.serve.arrival import ARRIVALS, make_arrival_stream
+from repro.serve.arrival import ARRIVALS, SEED_FREE_ARRIVALS, make_arrival_stream
 from repro.simcore import child_rng
 
 from .injection import stream_spec
@@ -103,9 +103,9 @@ class WorkloadSpec:
         Input data is synthesized from a per-(seed, stream) RNG so trials
         with different seeds see different noise/payloads but the same
         structure; Poisson gaps draw from a separate per-stream stream so
-        arrival randomness never perturbs payload synthesis.  A
-        *timing_only* run (``execute_kernels=False``) reads shapes alone, so
-        its instances carry zero-storage stand-ins instead of payloads.
+        arrival randomness never perturbs payload synthesis.  A stream nothing
+        reads is not built (``None``): a *timing_only* run's payloads (its
+        instances carry stand-ins) and a ``SEED_FREE_ARRIVALS`` process's.
         """
         out: list[tuple[AppInstance, float]] = []
         for entry in self.entries:
@@ -117,10 +117,9 @@ class WorkloadSpec:
                 self.arrival_process, entry.app.frame_mb, rate_mbps,
                 extra=self.arrival_params,
             )
-            arrival_rng = child_rng(seed, f"arrivals.{self.name}.{entry.app.name}")
-            arrivals = list(
-                islice(make_arrival_stream(spec, arrival_rng), entry.count)
-            )
+            arrival_rng = None if self.arrival_process in SEED_FREE_ARRIVALS else child_rng(
+                seed, f"arrivals.{self.name}.{entry.app.name}")
+            arrivals = list(islice(make_arrival_stream(spec, arrival_rng), entry.count))
             if len(arrivals) < entry.count:
                 raise ValueError(
                     f"arrival process {self.arrival_process!r} produced only "
@@ -128,7 +127,7 @@ class WorkloadSpec:
                     f"{entry.app.name!r} (finite trace shorter than the "
                     f"workload - add loop= or shrink the stream)"
                 )
-            rng = child_rng(seed, f"workload.{self.name}.{entry.app.name}")
+            rng = None if timing_only else child_rng(seed, f"workload.{self.name}.{entry.app.name}")
             for j, t in enumerate(arrivals):
                 inst = entry.app.make_instance(
                     mode, rng, variant=entry.variant, timing_only=timing_only

@@ -20,6 +20,7 @@ from repro.experiments.common import run_once
 from repro.platforms import zcu102
 from repro.runtime import CedrRuntime, RuntimeConfig, TimingOnlyAppError
 from repro.serve import ArrivalSpec, ServeConfig, ServeDriver, TenantSpec, serve_once
+from repro.simcore import child_rng
 from repro.workload import WorkloadEntry, WorkloadSpec
 
 APPS = available_apps()
@@ -179,8 +180,15 @@ def test_serve_once_parity(monkeypatch, zcu_small, mode):
     lean = serve_once(zcu_small, serve, seed=5)
     assert lean.completed > len(apps)
 
+    # a timing-only driver builds no payload stream: draw from the one a
+    # synthesizing driver would build, at the same label
+    payload_rngs = {}
+
     def synthesizing(self, tenant):
-        apps, payload_rng = self._payloads[tenant]
+        apps, _ = self._payloads[tenant]
+        if tenant not in payload_rngs:
+            payload_rngs[tenant] = child_rng(5, f"serve.apps.{tenant}")
+        payload_rng = payload_rngs[tenant]
         app = next(apps)
         return app.make_instance(self.serve.mode, payload_rng, inputs=app.make_input(payload_rng))
 

@@ -80,8 +80,10 @@ def test_bad_flag_exits_on_one_line(argv, needle):
 def test_cli_import_stays_light():
     """``import repro.cli`` is all of a command's ``setup_s``: it must not
     drag in networkx (181 of 489 ms when ``repro.dag`` imported it; no
-    longer a dependency) nor the layers the verbs import on demand.  Nor
-    may building the parser load the audit layer."""
+    longer a dependency) nor the layers the verbs import on demand, nor
+    ``numpy.random`` and OpenSSL's ``_hashlib`` (5.6 MiB; only a run that
+    draws or keys a cache needs them).  Nor may building the parser load
+    the audit layer."""
     import subprocess
     import sys
     from pathlib import Path
@@ -90,7 +92,7 @@ def test_cli_import_stays_light():
 
     src = str(Path(repro.__file__).parents[1])
     heavy = ["networkx", "repro.scenario", "repro.experiments", "repro.audit",
-             "repro.corpus", "concurrent.futures"]
+             "repro.corpus", "concurrent.futures", "numpy.random", "_hashlib"]
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import repro.cli; "
         f"print([m for m in {heavy!r} if m in sys.modules])"
