@@ -38,6 +38,33 @@ Quickstart::
     print(app.result)           # radar Detection(range, velocity)
 """
 
+from importlib import import_module
+
 __version__ = "1.0.0"
 
-__all__ = ["__version__"]
+__all__ = ["__version__", "surface"]
+
+
+def surface(namespace: dict, table: dict[str, tuple[str, ...]], eager: tuple[str, ...] = ()):
+    """``(__getattr__, __dir__, __all__)`` of a package that declares its
+    public surface once: *table* maps each submodule to the names it exports
+    (a submodule exporting none is itself the export).  Only the *eager*
+    submodules are imported now; any other name imports its submodule on
+    first access (PEP 562) and is then cached in *namespace*, so importing
+    the package costs only the modules every run importing it executes."""
+    package = namespace["__name__"]
+    owners = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        module = owners.get(name, name if name in table else None)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = import_module(f"{package}.{module}")
+        namespace[name] = value = getattr(value, name) if name in owners else value
+        return value
+
+    for module in eager:
+        for name in table[module]:
+            __getattr__(name)
+    exported = [*owners, *(module for module, names in table.items() if not names)]
+    return __getattr__, lambda: sorted({*namespace, *exported}), exported

@@ -7,29 +7,14 @@ non-kernel/CPU side, TM is the GEMM workload that exercises the MMULT
 accelerator).
 """
 
-from .base import CedrApplication, Variant, chunk_slices, work_for_elems
-from .lane_detection import LaneDetection
-from .pulse_doppler import PulseDoppler
-from .registry import APPS, AppEntry, available_apps, make_app, register_app
-from .temporal_mitigation import TemporalMitigation, TMResult
-from .wifi_rx import RxResult, WifiRx
-from .wifi_tx import WifiTx
+from repro import surface
 
-__all__ = [
-    "APPS",
-    "AppEntry",
-    "register_app",
-    "make_app",
-    "available_apps",
-    "CedrApplication",
-    "Variant",
-    "chunk_slices",
-    "work_for_elems",
-    "PulseDoppler",
-    "WifiTx",
-    "WifiRx",
-    "RxResult",
-    "LaneDetection",
-    "TemporalMitigation",
-    "TMResult",
-]
+__getattr__, __dir__, __all__ = surface(globals(), {
+    "registry": ("APPS", "AppEntry", "register_app", "make_app", "available_apps"),
+    "base": ("CedrApplication", "Variant", "chunk_slices", "work_for_elems"),
+    "pulse_doppler": ("PulseDoppler",),
+    "wifi_tx": ("WifiTx",),
+    "wifi_rx": ("WifiRx", "RxResult"),
+    "lane_detection": ("LaneDetection",),
+    "temporal_mitigation": ("TemporalMitigation", "TMResult"),
+})

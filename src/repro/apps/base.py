@@ -25,12 +25,14 @@ tractable - see DESIGN.md's scale note.
 from __future__ import annotations
 
 import abc
-from typing import Any, Generator, Literal, Optional
+from typing import TYPE_CHECKING, Any, Generator, Literal, Optional
 
 import numpy as np
 
-from repro.dag import DagProgram
 from repro.runtime.app import API_MODE, DAG_MODE, AppInstance
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dag import DagProgram
 
 __all__ = ["CedrApplication", "Variant", "chunk_slices", "stand_in", "work_for_elems"]
 

@@ -22,16 +22,20 @@ saturate the eight FFT accelerators of the Fig. 9/10 ZCU102 configuration.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
 from repro.core.handles import wait_all
-from repro.dag import DagBuilder, DagProgram
 from repro.kernels import vision
 from repro.kernels.conv2d import conv2d_fft, next_pow2
 
 from .base import CedrApplication, Variant, chunk_slices, stand_in, work_for_elems
+from .registry import AppEntry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dag import DagBuilder, DagProgram
 
 __all__ = ["LaneDetection"]
 
@@ -289,6 +293,8 @@ class LaneDetection(CedrApplication):
         return {"rgb": inputs["rgb"]}
 
     def dag_program(self) -> DagProgram:
+        from repro.dag import DagBuilder
+
         b = DagBuilder("LD")
 
         def to_gray(st):
@@ -310,3 +316,8 @@ class LaneDetection(CedrApplication):
 
         b.cpu("post", post, work_for_elems(self.height * self.width * 6), after=emph_done)
         return b.build()
+
+
+#: ``APPS["LD"]``, CLI-sized (see :mod:`repro.apps.registry`)
+APP_ENTRY = AppEntry("LD", partial(LaneDetection, height=135, width=240, batch=32),
+                     "Lane detection vision pipeline")

@@ -16,15 +16,19 @@ inflate baseline CEDR's ready queue.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
 from repro.core.handles import wait_all
-from repro.dag import DagBuilder, DagProgram
 from repro.kernels import radar
 
 from .base import CedrApplication, Variant, chunk_slices, stand_in, work_for_elems
+from .registry import AppEntry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dag import DagProgram
 
 __all__ = ["PulseDoppler"]
 
@@ -150,6 +154,8 @@ class PulseDoppler(CedrApplication):
         return state
 
     def dag_program(self) -> DagProgram:
+        from repro.dag import DagBuilder
+
         geom = self.geom
         n_pulses, n_fast = geom.n_pulses, geom.n_fast
         slices = chunk_slices(n_pulses, self.batch)
@@ -207,3 +213,7 @@ class PulseDoppler(CedrApplication):
 
         b.cpu("detect", detect, work_for_elems(n_pulses * n_fast), after=dop_names)
         return b.build()
+
+
+#: ``APPS["PD"]``, CLI-sized (see :mod:`repro.apps.registry`)
+APP_ENTRY = AppEntry("PD", partial(PulseDoppler, batch=8), "Pulse-Doppler radar (FFT-heavy)")

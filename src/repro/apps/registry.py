@@ -16,17 +16,12 @@ usable in ``repro run --apps``, serve tenant mixes, and scenario specs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.registry import Registry
 
-from .base import CedrApplication
-from .lane_detection import LaneDetection
-from .pulse_doppler import PulseDoppler
-from .temporal_mitigation import TemporalMitigation
-from .wifi_rx import WifiRx
-from .wifi_tx import WifiTx
+if TYPE_CHECKING:  # pragma: no cover
+    from .base import CedrApplication
 
 __all__ = [
     "APPS",
@@ -71,23 +66,11 @@ def available_apps() -> tuple[str, ...]:
     return APPS.names()
 
 
-# CLI-sized defaults: small batches keep interactive runs snappy; the
-# figure drivers construct the paper-sized apps directly.  Partials keep
-# each class's own signature visible, which is what the scenario layer
-# validates parameter overrides against.
-
-register_app("PD", summary="Pulse-Doppler radar (FFT-heavy)")(
-    partial(PulseDoppler, batch=8)
-)
-register_app("TX", summary="WiFi transmitter baseband chain")(
-    partial(WifiTx, batch=5)
-)
-register_app("RX", summary="WiFi receiver baseband chain (CPU-heavy)")(
-    partial(WifiRx, batch=5)
-)
-register_app("LD", summary="Lane detection vision pipeline")(
-    partial(LaneDetection, height=135, width=240, batch=32)
-)
-register_app("TM", summary="Temporal interference mitigation (GEMM/MMULT)")(
-    partial(TemporalMitigation, n_blocks=32)
-)
+# the builtins, CLI-sized (small batches keep interactive runs snappy; the
+# figure drivers construct the paper-sized apps directly): each is its
+# module's ``APP_ENTRY``, so listing the names imports no application.
+# Factories are partials, keeping each class's own signature visible,
+# which is what the scenario layer validates parameter overrides against.
+for _name, _module in (("LD", "lane_detection"), ("PD", "pulse_doppler"), ("RX", "wifi_rx"),
+                       ("TM", "temporal_mitigation"), ("TX", "wifi_tx")):
+    APPS.register(_name, ref=f"repro.apps.{_module}:APP_ENTRY")

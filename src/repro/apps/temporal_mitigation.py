@@ -24,13 +24,17 @@ cancellation actually works (>=20 dB suppression at the default SNR).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
-from repro.dag import DagBuilder, DagProgram
 
 from .base import CedrApplication, Variant, stand_in, work_for_elems
+from .registry import AppEntry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dag import DagProgram
 
 __all__ = ["TemporalMitigation", "TMResult"]
 
@@ -211,6 +215,8 @@ class TemporalMitigation(CedrApplication):
         return dict(inputs)
 
     def dag_program(self) -> DagProgram:
+        from repro.dag import DagBuilder
+
         L, N = self.n_lags, self.block_len
         b_ = DagBuilder("TM")
         final_names = []
@@ -250,3 +256,8 @@ class TemporalMitigation(CedrApplication):
 
         b_.cpu("assemble", assemble, work_for_elems(self.n_blocks * N), after=final_names)
         return b_.build()
+
+
+#: ``APPS["TM"]``, CLI-sized (see :mod:`repro.apps.registry`)
+APP_ENTRY = AppEntry("TM", partial(TemporalMitigation, n_blocks=32),
+                     "Temporal interference mitigation (GEMM/MMULT)")

@@ -21,17 +21,21 @@ its keep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
 from repro.core.handles import wait_all
-from repro.dag import DagBuilder, DagProgram
 from repro.kernels import wifi
 from repro.kernels.fft import fft as cpu_fft
 from repro.kernels.fft import ifft as cpu_ifft
 
 from .base import CedrApplication, Variant, chunk_slices, work_for_elems
+from .registry import AppEntry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dag import DagProgram
 
 __all__ = ["WifiRx", "RxResult"]
 
@@ -199,6 +203,8 @@ class WifiRx(CedrApplication):
         return state
 
     def dag_program(self) -> DagProgram:
+        from repro.dag import DagBuilder
+
         slices = chunk_slices(self.n_packets, self.batch)
 
         b = DagBuilder("RX")
@@ -224,3 +230,7 @@ class WifiRx(CedrApplication):
         b.cpu("assemble", assemble,
               work_for_elems(self.n_packets * self.payload_bits), after=decode_names)
         return b.build()
+
+
+#: ``APPS["RX"]``, CLI-sized (see :mod:`repro.apps.registry`)
+APP_ENTRY = AppEntry("RX", partial(WifiRx, batch=5), "WiFi receiver baseband chain (CPU-heavy)")

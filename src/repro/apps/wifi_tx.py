@@ -12,16 +12,20 @@ inflates its ready queue relative to the API form.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
 from repro.core.handles import wait_all
-from repro.dag import DagBuilder, DagProgram
 from repro.kernels import wifi
 from repro.kernels.fft import ifft as cpu_ifft
 
 from .base import CedrApplication, Variant, chunk_slices, stand_in, work_for_elems
+from .registry import AppEntry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dag import DagProgram
 
 __all__ = ["WifiTx"]
 
@@ -132,6 +136,8 @@ class WifiTx(CedrApplication):
         return {f"bits_{i}": bits[sl] for i, sl in enumerate(slices)}
 
     def dag_program(self) -> DagProgram:
+        from repro.dag import DagBuilder
+
         n = wifi.N_SUBCARRIERS
         slices = chunk_slices(self.n_packets, self.batch)
 
@@ -164,3 +170,7 @@ class WifiTx(CedrApplication):
 
         b.cpu("assemble", assemble, work_for_elems(self.n_packets * (n + self.cp_len)), after=cp_names)
         return b.build()
+
+
+#: ``APPS["TX"]``, CLI-sized (see :mod:`repro.apps.registry`)
+APP_ENTRY = AppEntry("TX", partial(WifiTx, batch=5), "WiFi transmitter baseband chain")

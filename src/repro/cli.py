@@ -41,12 +41,11 @@ import sys
 from typing import Optional, Sequence
 
 from repro.apps import available_apps
-from repro.metrics import RunResult
-from repro.platforms import PLATFORMS, available_platforms, estimate_energy
-from repro.runtime.trace import write_chrome_trace
+from repro.platforms import PLATFORMS, available_platforms
 from repro.sched import available_schedulers
 from repro.scenario_keys import CHECKS, KEYS
 from repro.serve.admission import ADMISSION_POLICIES
+from repro.telemetry.config import SampleCapError
 
 __all__ = ["main", "build_parser"]
 
@@ -132,6 +131,18 @@ def _add_cache_options(parser) -> None:
                         help="cache directory (implies --cache)")
 
 
+def _add_logbook_option(parser) -> None:
+    parser.add_argument("--logbook", metavar="PATH", default=None,
+                        help="write the run's logbook dump (schema-versioned "
+                             "JSON) to PATH; audit it later with "
+                             "'repro audit PATH'")
+
+
+def _save_logbook(book, path) -> None:
+    path = book.save(path)
+    print(f"logbook   : wrote {path} (audit offline with 'repro audit {path}')")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments import available_figures
 
@@ -166,10 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics-out", metavar="BASE", default=None,
                      help="enable telemetry and write BASE.json + BASE.prom "
                           "(Prometheus exposition format) at shutdown")
-    run.add_argument("--logbook", metavar="PATH", default=None,
-                     help="write the run's logbook dump (schema-versioned "
-                          "JSON) to PATH; audit it later with "
-                          "'repro audit PATH'")
+    _add_logbook_option(run)
 
     serve = sub.add_parser(
         "serve",
@@ -182,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(func=_cmd_serve)
     _add_spec_flags(serve, "serve")
+    _add_logbook_option(serve)
 
     audit = sub.add_parser(
         "audit",
@@ -363,8 +372,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     from repro.experiments import run_to_completion
+    from repro.metrics import RunResult
     from repro.scenario import report_lines
-    from repro.telemetry import SampleCapError
 
     spec = _lower(args)
     # the finished runtime, not just its RunResult: trace, Gantt, logbook,
@@ -388,9 +397,7 @@ def _cmd_run(args) -> int:
         print(f"audit     : ok ({report.invariants_checked} invariants over "
               f"{report.tasks} tasks, {report.apps} apps)")
     if args.logbook:
-        path = runtime.logbook.save(args.logbook)
-        print(f"logbook   : wrote {path} (audit offline with "
-              f"'repro audit {path}')")
+        _save_logbook(runtime.logbook, args.logbook)
     if args.metrics_out:
         from repro.telemetry import write_metrics
 
@@ -410,12 +417,16 @@ def _cmd_run(args) -> int:
               f"{counters.wall_seconds * 1e3:.1f} ms wall "
               f"({counters.events_per_wall_sec:,.0f} events/s)")
     if args.energy:
+        from repro.platforms.energy import estimate_energy
+
         energy = estimate_energy(runtime.platform)
         print(f"energy    : {energy.total_j:.2f} J "
               f"(cpu {energy.cpu_j:.2f} + little {energy.little_j:.2f} + "
               f"accel {energy.accel_j:.2f} + static {energy.static_j:.2f}), "
               f"avg {energy.average_power_w:.2f} W")
     if args.trace:
+        from repro.runtime.trace import write_chrome_trace
+
         path = write_chrome_trace(args.trace, runtime.logbook)
         print(f"trace     : wrote {path} (open in chrome://tracing or Perfetto)")
     if args.gantt:
@@ -427,12 +438,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Run one open-stream service window and print the SLO ledger."""
-    from repro.scenario import report_lines, run_scenario
+    """Run one open-stream service window and print the SLO ledger: the
+    trial ``run_scenario(spec, trials=1)`` runs, with the runtime kept."""
+    from repro.scenario import report_lines
+    from repro.serve import serve_to_completion
 
     spec = _lower(args)
-    results = run_scenario(spec, trials=1, base_seed=spec.seed, n_jobs=1, cache=False)
-    print(*report_lines(spec, results), sep="\n")
+    driver = serve_to_completion(spec.build_platform(), spec.build_serve(), spec.seed,
+                                 spec.build_config())
+    print(*report_lines(spec, [driver.result()]), sep="\n")
+    if args.logbook:
+        _save_logbook(driver.runtime.logbook, args.logbook)
     return 0
 
 
@@ -542,7 +558,6 @@ def _cmd_scenario_list(args) -> int:
 def _cmd_scenario_run(args) -> int:
     from repro.experiments import seed_invariant
     from repro.scenario import report_lines, run_scenario
-    from repro.telemetry import SampleCapError
 
     _check_counts(args, "scenario run")
     spec = _load_spec(args.spec)

@@ -8,26 +8,12 @@ synchronization surface, and ``ModuleSet`` the per-platform accelerator
 module configuration.
 """
 
-from .api import CedrClient
-from .handles import CedrRequest, ImmediateRequest, Request, wait_all, wait_any
-from .modules import STANDARD_MODULES, Module, ModuleSet, build_api_map
-from .spec import API_SPECS, ApiSpec, payload_bytes
-from .standalone import StandaloneCedr, run_standalone
+from repro import surface
 
-__all__ = [
-    "CedrClient",
-    "StandaloneCedr",
-    "run_standalone",
-    "Request",
-    "CedrRequest",
-    "ImmediateRequest",
-    "wait_all",
-    "wait_any",
-    "ApiSpec",
-    "API_SPECS",
-    "payload_bytes",
-    "Module",
-    "ModuleSet",
-    "STANDARD_MODULES",
-    "build_api_map",
-]
+__getattr__, __dir__, __all__ = surface(globals(), {
+    "api": ("CedrClient",),
+    "standalone": ("StandaloneCedr", "run_standalone"),
+    "handles": ("Request", "CedrRequest", "ImmediateRequest", "wait_all", "wait_any"),
+    "spec": ("ApiSpec", "API_SPECS", "payload_bytes"),
+    "modules": ("Module", "ModuleSet", "STANDARD_MODULES", "build_api_map"),
+})

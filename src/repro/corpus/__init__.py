@@ -12,19 +12,10 @@ delta-debugging minimizer that shrinks the spec while the failure still
 reproduces.  See docs/INTERNALS.md, "The adversarial scenario corpus".
 """
 
-from .generator import CorpusConfig, generate_corpus, generate_spec
-from .minimize import MinimizeResult, minimize_spec, write_artifacts
-from .parity import CellOutcome, CorpusReport, run_cell, run_corpus
+from repro import surface
 
-__all__ = [
-    "CellOutcome",
-    "CorpusConfig",
-    "CorpusReport",
-    "MinimizeResult",
-    "generate_corpus",
-    "generate_spec",
-    "minimize_spec",
-    "run_cell",
-    "run_corpus",
-    "write_artifacts",
-]
+__getattr__, __dir__, __all__ = surface(globals(), {
+    "parity": ("CellOutcome", "CorpusReport", "run_cell", "run_corpus"),
+    "generator": ("CorpusConfig", "generate_corpus", "generate_spec"),
+    "minimize": ("MinimizeResult", "minimize_spec", "write_artifacts"),
+})

@@ -9,10 +9,12 @@ the panels.  Cells are exactly the tuples :func:`run_once` (or
 ``serve_cell``) takes, batch ones with ``config=None``;
 ``tests/experiments/test_figure_cells.py`` pins their digests.
 
-Rows register through :func:`register_figure` into :data:`FIGURES`, so the
-argparse choices, ``repro list`` and the dispatch table are the same thing;
-third-party figures plug in the same way (or via the ``repro.figures``
-entry-point group) with a ``(args) -> int`` renderer.
+Each row's :class:`~repro.experiments.registry.FigureEntry` is the module
+attribute its id names, the target of the id's ref in :data:`~repro.
+experiments.registry.FIGURES`, so the argparse choices, ``repro list`` and
+the dispatch table are the same thing and listing them imports nothing
+here; third-party figures plug in through :func:`register_figure` (or the
+``repro.figures`` entry-point group) with a ``(args) -> int`` renderer.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.metrics import (
     saturated_mean,
 )
 from repro.platforms import jetson, zcu102
-from repro.registry import Registry
 from repro.runtime import RuntimeConfig
 from repro.sched import paper_schedulers
 from repro.serve import AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
@@ -44,12 +45,9 @@ from repro.workload import (
 )
 
 from .common import _run_cell, run_cells, seed_invariant, trial_seeds
+from .registry import FigureEntry
 
 __all__ = [
-    "FIGURES",
-    "FigureEntry",
-    "register_figure",
-    "available_figures",
     "run_figure",
     "saturated_reduction",
     "SATURATION_MBPS",
@@ -77,43 +75,6 @@ RESILIENCE_RATE_MBPS = 200.0
 OFFERED_LOADS = (25.0, 50.0, 100.0, 150.0, 200.0, 300.0, 450.0)
 #: saturation: service window per cell (simulated seconds)
 SATURATION_DURATION = 0.4
-
-
-# --------------------------------------------------------------------------- #
-# the registry (plug-in surface)
-# --------------------------------------------------------------------------- #
-
-#: renderer signature: parsed ``repro figure`` namespace -> exit code
-RenderFn = Callable[..., int]
-
-
-@dataclass(frozen=True)
-class FigureEntry:
-    """One registered figure: renderer + one-line description."""
-
-    name: str
-    render: RenderFn
-    summary: str = ""
-
-
-FIGURES: Registry[FigureEntry] = Registry(
-    "figure", entry_point_group="repro.figures"
-)
-
-
-def register_figure(name: str, *, summary: str = ""):
-    """Decorator registering a ``(args) -> int`` CLI renderer."""
-
-    def deco(render: RenderFn) -> RenderFn:
-        FIGURES.register(name, FigureEntry(name, render, summary))
-        return render
-
-    return deco
-
-
-def available_figures() -> tuple[str, ...]:
-    """Registered figure names, sorted."""
-    return FIGURES.names()
 
 
 # --------------------------------------------------------------------------- #
@@ -454,5 +415,7 @@ def _render(row: _Row, args) -> int:
     return 0
 
 
+# each row's entry is the module attribute named by its id: the
+# ``repro.experiments.figures:<id>`` ref of repro.experiments.registry
 for _row in _TABLE.values():
-    register_figure(_row.name, summary=_row.summary)(partial(_render, _row))
+    globals()[_row.name] = FigureEntry(_row.name, partial(_render, _row), _row.summary)

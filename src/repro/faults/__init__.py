@@ -8,34 +8,12 @@ retries, PE quarantine/revival) lives in the runtime daemon and workers.
 See docs/INTERNALS.md, "Fault model & recovery".
 """
 
-from .inject import FaultInjector
-from .registry import (
-    FAULT_KINDS,
-    FaultKindEntry,
-    available_fault_kinds,
-    register_fault_kind,
-)
-from .model import (
-    DEFAULT_FAULT_KINDS,
-    FaultConfig,
-    FaultKind,
-    FaultSpec,
-    TaskLostError,
-    fault_stream,
-    preview_schedule,
-)
+from repro import surface
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultKindEntry",
-    "register_fault_kind",
-    "available_fault_kinds",
-    "FaultConfig",
-    "FaultKind",
-    "FaultSpec",
-    "FaultInjector",
-    "TaskLostError",
-    "DEFAULT_FAULT_KINDS",
-    "fault_stream",
-    "preview_schedule",
-]
+__getattr__, __dir__, __all__ = surface(globals(), {
+    "registry": ("FAULT_KINDS", "FaultKindEntry", "register_fault_kind",
+                 "available_fault_kinds"),
+    "model": ("FaultConfig", "FaultKind", "FaultSpec", "TaskLostError", "DEFAULT_FAULT_KINDS",
+              "fault_stream", "preview_schedule"),
+    "inject": ("FaultInjector",),
+})

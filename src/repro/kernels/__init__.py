@@ -5,6 +5,9 @@ baseband, Pulse-Doppler radar, lane-detection vision); ``registry`` maps
 (API, PE kind) pairs onto concrete implementations for the runtime.
 """
 
-from . import conv2d, fft, mmult, radar, registry, vision, wifi, zip_
+from repro import surface
 
-__all__ = ["fft", "zip_", "mmult", "conv2d", "wifi", "radar", "vision", "registry"]
+__getattr__, __dir__, __all__ = surface(globals(), {
+    "fft": (), "zip_": (), "mmult": (), "conv2d": (), "wifi": (), "radar": (), "vision": (),
+    "registry": (),
+})

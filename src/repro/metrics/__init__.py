@@ -1,21 +1,10 @@
 """Measurement, trial statistics, and figure-series reporting."""
 
-from .gantt import render_gantt
-from .measures import RunResult, assert_identical, diff_results
-from .report import FigureSeries, Series, format_series_table, print_series_table
-from .stats import TrialStats, aggregate_trials, detect_knee, saturated_mean
+from repro import surface
 
-__all__ = [
-    "RunResult",
-    "diff_results",
-    "assert_identical",
-    "render_gantt",
-    "TrialStats",
-    "aggregate_trials",
-    "saturated_mean",
-    "detect_knee",
-    "Series",
-    "FigureSeries",
-    "format_series_table",
-    "print_series_table",
-]
+__getattr__, __dir__, __all__ = surface(globals(), {
+    "measures": ("RunResult", "diff_results", "assert_identical"),
+    "gantt": ("render_gantt",),
+    "stats": ("TrialStats", "aggregate_trials", "saturated_mean", "detect_knee"),
+    "report": ("Series", "FigureSeries", "format_series_table", "print_series_table"),
+})

@@ -14,10 +14,10 @@ apps       ``repro.apps.APPS``                          ``repro.apps``
 workloads  ``repro.workload.WORKLOADS``                 ``repro.workloads``
 faults     ``repro.faults.FAULT_KINDS``                 ``repro.fault_kinds``
 arrivals   ``repro.serve.arrival.ARRIVALS``             ``repro.arrivals``
-figures    ``repro.experiments.figures.FIGURES``        ``repro.figures``
+figures    ``repro.experiments.FIGURES``                ``repro.figures``
 ========== ============================================ ==================
 
-Three properties matter:
+Four properties matter:
 
 * **In-process registration** is a one-liner (``REG.register(name, obj)``
   or the decorator form) and duplicate names fail loudly - two plugins
@@ -28,6 +28,12 @@ Three properties matter:
   ``in``) never scans.  So importing :mod:`repro` never pays for plugin
   resolution (a tier-1 test imports every package in a fresh interpreter
   and checks), and a broken third-party distribution only warns.
+* **A builtin is a ref until it is used**: ``REG.register(name,
+  ref="module:attr")`` enters *name* now and imports ``module`` on the
+  first ``get`` / ``items()``, like an entry point (``names()`` never
+  imports).  A registration made while that import runs (the module's own
+  ``register_*`` call) replaces the ref and is not a duplicate; the entry
+  is then what it registered, else ``attr``.  Any other is.
 * **Unknown names are diagnosable**: the error lists every available
   entry and suggests the nearest match ("did you mean 'etf'?").  It
   subclasses both :class:`KeyError` and :class:`ValueError` so the
@@ -45,6 +51,10 @@ __all__ = ["Registry", "RegistryError"]
 T = TypeVar("T")
 
 _MISSING = object()
+
+
+class _Ref(str):
+    """A builtin entry not imported yet: ``"module:attr"``."""
 
 
 def did_you_mean(key: str, known: list[str]) -> str:
@@ -93,6 +103,8 @@ class Registry(Generic[T]):
         self._entries: dict[str, T] = {}
         # lazy: flipped false on the first lookup that scans entry points
         self._pending_discovery = entry_point_group is not None
+        #: names whose ref's module is being imported (may register them)
+        self._importing: set[str] = set()
 
     # ------------------------------------------------------------------ #
     # registration
@@ -101,21 +113,25 @@ class Registry(Generic[T]):
     def _key(self, name: str) -> str:
         return self._normalize(str(name))
 
-    def register(self, name: str, obj: T = _MISSING, *, replace: bool = False):
+    def register(self, name: str, obj: T = _MISSING, *, replace: bool = False,
+                 ref: Optional[str] = None):
         """Add *obj* under *name*; duplicate names raise ``ValueError``.
 
         Usable directly (``REG.register("rr", RoundRobin)``) or as a
         decorator (``@REG.register("rr")``).  ``replace=True`` swaps an
         existing entry - test fixtures use it; plugins should not.
+        ``ref="module:attr"`` registers a builtin lazily (module docstring).
         """
-        if obj is _MISSING:
+        if ref is not None:
+            obj = _Ref(ref)
+        elif obj is _MISSING:
             def deco(obj: T) -> T:
                 self.register(name, obj, replace=replace)
                 return obj
 
             return deco
         key = self._key(name)
-        if not replace and key in self._entries:
+        if not replace and key in self._entries and key not in self._importing:
             raise ValueError(f"{self.kind} {key!r} registered twice")
         self._entries[key] = obj
         return obj
@@ -139,9 +155,26 @@ class Registry(Generic[T]):
         if key not in self._entries:
             self.discover()
         try:
-            return self._entries[key]
+            entry = self._entries[key]
         except KeyError:
             raise RegistryError(self._unknown(key)) from None
+        return self._load(key, entry) if type(entry) is _Ref else entry
+
+    def _load(self, key: str, ref: _Ref) -> T:
+        """Import a ref's module; keep what it registered, else its attr."""
+        from importlib import import_module
+
+        module, _, attr = ref.partition(":")
+        self._importing.add(key)
+        try:
+            obj = import_module(module)
+        finally:
+            self._importing.discard(key)
+        if self._entries.get(key) is ref:
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+            self._entries[key] = obj
+        return self._entries[key]
 
     def create(self, name: str, /, **kwargs) -> T:
         """Look up *name* and call it: ``get(name)(**kwargs)``.
@@ -157,9 +190,8 @@ class Registry(Generic[T]):
         return tuple(sorted(self._entries))
 
     def items(self) -> tuple[tuple[str, T], ...]:
-        """(name, entry) pairs, name-sorted."""
-        self.discover()
-        return tuple(sorted(self._entries.items()))
+        """(name, entry) pairs, name-sorted (refs imported)."""
+        return tuple((name, self.get(name)) for name in self.names())
 
     def __contains__(self, name: str) -> bool:
         key = self._key(name)

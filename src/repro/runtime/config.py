@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.faults.model import FaultConfig
-from repro.telemetry import TelemetryConfig
+from repro.telemetry.config import TelemetryConfig
 
 __all__ = ["RuntimeCosts", "RuntimeConfig"]
 

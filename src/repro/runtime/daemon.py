@@ -60,14 +60,13 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
 
-from repro.faults import FaultInjector, TaskLostError
+from repro.faults.model import TaskLostError
 from repro.platforms import PE, PEKind, PlatformInstance
 from repro.platforms.timing import CostTable
 from repro.sched import SCHEDULERS, Scheduler
 from repro.sched.heft_rt import upward_ranks
 from repro.simcore import Block, Compute, Request, SimThread, child_rng
 from repro.simcore.errors import SimStateError
-from repro.telemetry import CedrTelemetry
 
 from .app import DAG_MODE, AppInstance, TimingOnlyAppError
 from .config import RuntimeConfig
@@ -78,7 +77,9 @@ from .worker import SHUTDOWN, worker_body
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dag.app import DagProgram
+    from repro.faults.inject import FaultInjector
     from repro.simcore import Engine
+    from repro.telemetry.runtime_metrics import CedrTelemetry
 
 __all__ = ["CedrRuntime", "EventQueue"]
 
@@ -233,11 +234,11 @@ class CedrRuntime:
         self._drained = False
         #: fault injection + recovery state; ``None`` whenever the config
         #: carries no active fault model (the bit-identical fast path).
-        self.faults: Optional[FaultInjector] = (
-            FaultInjector(self, config.faults)
-            if config.faults is not None and config.faults.active
-            else None
-        )
+        self.faults: Optional[FaultInjector] = None
+        if config.faults is not None and config.faults.active:
+            from repro.faults.inject import FaultInjector
+
+            self.faults = FaultInjector(self, config.faults)
         #: ready tasks with no *live* candidate PE, waiting for a revival.
         self._parked: list[Task] = []
         #: tasks sitting in a retry-backoff timer (failure seen, not yet
@@ -494,6 +495,8 @@ class CedrRuntime:
         now = book.makespan = self.engine.now
         book.late_timers = list(self.engine.late_at)
         if self.config.telemetry:
+            from repro.telemetry.runtime_metrics import CedrTelemetry
+
             self.telemetry = CedrTelemetry.fold(book, self.config.telemetry)
         # Idle-poll accounting: the main loop spins whenever it is not doing
         # bookkeeping or scheduling.  The runtime core is reserved, so this

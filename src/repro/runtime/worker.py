@@ -37,9 +37,8 @@ pre-fault worker.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
-from repro.kernels.registry import implementation_for
 from repro.platforms.pe import CPU_ONLY_API, PEKind
 from repro.simcore import AcquireDevice, Compute, Request, Sleep
 
@@ -73,7 +72,8 @@ def _rebuilt(request: Compute, slow: float, noisy: bool, runtime: "CedrRuntime")
     return Compute(work)
 
 
-def _execute_functional(runtime: "CedrRuntime", task: Task, pe: "PE") -> Any:
+def _execute_functional(runtime: "CedrRuntime", task: Task, pe: "PE",
+                        implementation_for: Callable) -> Any:
     """Run the task's actual kernel (or cpu_op callable) and return result
     (``execute_kernels`` runs only)."""
     if task.api == CPU_ONLY_API:
@@ -109,6 +109,8 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
     post = runtime.events.post
     faults = runtime.faults.config if runtime.faults is not None else None
     executes = runtime.config.execute_kernels
+    if executes:  # a timing-only run never imports a kernel
+        from repro.kernels.registry import implementation_for
     noisy = runtime.noise_rng is not None
     # the two bookkeeping charges and the device grab are constants: one
     # shared request each
@@ -219,7 +221,8 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
                 post(("task_failed", (task, pe, my_epoch, failure)))
                 continue
 
-        result = _execute_functional(runtime, task, pe) if executes else None
+        result = (_execute_functional(runtime, task, pe, implementation_for)
+                  if executes else None)
         task.result = result
         task.t_finish = engine.now
         task.state = _DONE

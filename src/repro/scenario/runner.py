@@ -4,11 +4,12 @@ There is deliberately nothing scenario-specific about *execution*: a run
 scenario goes through :func:`repro.experiments.run_trials` and a serve
 scenario through :func:`repro.serve.serve_trials`, with the platform,
 workload, and :class:`~repro.runtime.RuntimeConfig` built by the spec's
-own builders - the only construction route there is (``repro serve`` is
-``run_scenario(lowered_spec, trials=1)[0]``).  The builders produce
-objects equal to hand-built library ones, so a scenario and the same run
-spelled as flags share content-addressed cache cells.  Figure cells carry
-``config=None`` instead of the resolved config, so their keys differ.
+own builders - the only construction route there is (``repro serve`` runs
+the one trial ``run_scenario(lowered_spec, trials=1)`` runs).  The
+builders produce objects equal to hand-built library ones, so a scenario
+and the same run spelled as flags share content-addressed cache cells.
+Figure cells carry ``config=None`` instead of the resolved config, so
+their keys differ.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.experiments import run_trials
-from repro.serve import serve_trials
 
 from .spec import ScenarioSpec, load_scenario
 
@@ -49,6 +49,8 @@ def run_scenario(
     platform = spec.build_platform()
     config = spec.build_config()
     if spec.kind == "serve":
+        from repro.serve import serve_trials
+
         return serve_trials(
             platform,
             spec.build_serve(),

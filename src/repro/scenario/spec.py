@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.apps import APPS, make_app
 from repro.atomic import atomic_write
@@ -51,9 +51,12 @@ from repro.registry import did_you_mean
 from repro.runtime import RuntimeConfig
 from repro.scenario_keys import KEYS, SECTIONS, coerce
 from repro.sched import SCHEDULERS
-from repro.serve import AdmissionConfig, ArrivalSpec, ServeConfig, TenantSpec
+from repro.serve import AdmissionConfig, ArrivalSpec
 from repro.telemetry import TelemetryConfig
 from repro.workload import WORKLOADS, WorkloadEntry, WorkloadSpec, make_workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.serve import ServeConfig
 
 __all__ = [
     "AppCount",
@@ -465,6 +468,8 @@ class ScenarioSpec:
         )
 
     def build_serve(self) -> ServeConfig:
+        from repro.serve import ServeConfig, TenantSpec
+
         if self.kind != "serve":
             raise ScenarioError(f"scenario {self.name!r} is run-kind")
         serve = self.serve

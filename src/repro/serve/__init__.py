@@ -7,46 +7,12 @@ SLO accounting and graceful drain on duration expiry.  See
 docs/INTERNALS.md, "Service mode & admission control".
 """
 
-from .admission import (
-    ADMISSION_POLICIES,
-    AdmissionConfig,
-    AdmissionController,
-    TokenBucket,
-)
-from .arrival import (
-    ArrivalSpec,
-    arrival_rate,
-    available_arrivals,
-    make_arrival_stream,
-    register_arrival,
-)
-from .driver import (
-    ServeConfig,
-    ServeDriver,
-    ServeResult,
-    TenantSpec,
-    TenantStats,
-    serve_codec,
-    serve_once,
-    serve_trials,
-)
+from repro import surface
 
-__all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionConfig",
-    "AdmissionController",
-    "ArrivalSpec",
-    "ServeConfig",
-    "ServeDriver",
-    "ServeResult",
-    "TenantSpec",
-    "TenantStats",
-    "TokenBucket",
-    "arrival_rate",
-    "available_arrivals",
-    "make_arrival_stream",
-    "register_arrival",
-    "serve_codec",
-    "serve_once",
-    "serve_trials",
-]
+__getattr__, __dir__, __all__ = surface(globals(), {
+    "admission": ("ADMISSION_POLICIES", "AdmissionConfig", "AdmissionController", "TokenBucket"),
+    "arrival": ("ArrivalSpec", "arrival_rate", "available_arrivals", "make_arrival_stream",
+                "register_arrival"),
+    "driver": ("ServeConfig", "ServeDriver", "ServeResult", "TenantSpec", "TenantStats",
+               "serve_codec", "serve_once", "serve_to_completion", "serve_trials"),
+})

@@ -65,6 +65,7 @@ __all__ = [
     "ServeResult",
     "ServeDriver",
     "serve_once",
+    "serve_to_completion",
     "serve_cell",
     "serve_trials",
     "serve_codec",
@@ -414,19 +415,16 @@ class ServeDriver:
 # --------------------------------------------------------------------- #
 
 
-def serve_once(
+def serve_to_completion(
     platform: Any,
     serve: ServeConfig,
     seed: int = 0,
     config: Optional[RuntimeConfig] = None,
-) -> ServeResult:
-    """One complete service run; the serve analogue of ``run_once``.
-
-    Pure function of its arguments: build the platform, start a runtime,
-    arm the driver, run to graceful drain, collect the ledger.  Honours
-    ``$REPRO_AUDIT`` exactly like the batch path so audited CI sweeps
-    cover serve cells too.
-    """
+) -> ServeDriver:
+    """Build a runtime, arm the driver and run to graceful drain; returns the
+    finished driver (``repro serve`` keeps it to save ``driver.runtime``'s
+    logbook).  Honours ``$REPRO_AUDIT`` exactly like the batch path so
+    audited CI sweeps cover serve cells too."""
     from repro.experiments.common import audit_from_env
 
     config = (config or RuntimeConfig(execute_kernels=False)).with_scheduler(serve.scheduler)
@@ -437,7 +435,18 @@ def serve_once(
     driver = ServeDriver(runtime, serve, seed)
     driver.arm()
     runtime.run()
-    return driver.result()
+    return driver
+
+
+def serve_once(
+    platform: Any,
+    serve: ServeConfig,
+    seed: int = 0,
+    config: Optional[RuntimeConfig] = None,
+) -> ServeResult:
+    """One complete service run, reduced to its ledger; the serve analogue
+    of ``run_once`` and a pure function of its arguments."""
+    return serve_to_completion(platform, serve, seed, config).result()
 
 
 def serve_cell(cell: tuple) -> ServeResult:

@@ -7,40 +7,13 @@ docs/INTERNALS.md ("Telemetry") for metric names, bucket ladders, the fold
 and the determinism contract.
 """
 
-from .exporters import (
-    to_json_dict,
-    to_prometheus_text,
-    write_json,
-    write_metrics,
-    write_prometheus,
-)
-from .registry import Counter, Gauge, Histogram, MetricFamily, MetricRegistry
-from .runtime_metrics import (
-    DEPTH_BUCKETS,
-    LATENCY_BUCKETS,
-    MAX_SAMPLES,
-    RECOVERY_BUCKETS,
-    CedrTelemetry,
-    SampleCapError,
-    TelemetryConfig,
-)
+from repro import surface
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricRegistry",
-    "CedrTelemetry",
-    "TelemetryConfig",
-    "SampleCapError",
-    "MAX_SAMPLES",
-    "LATENCY_BUCKETS",
-    "DEPTH_BUCKETS",
-    "RECOVERY_BUCKETS",
-    "to_prometheus_text",
-    "to_json_dict",
-    "write_prometheus",
-    "write_json",
-    "write_metrics",
-]
+__getattr__, __dir__, __all__ = surface(globals(), {
+    "config": ("TelemetryConfig", "SampleCapError", "MAX_SAMPLES"),
+    "registry": ("Counter", "Gauge", "Histogram", "MetricFamily", "MetricRegistry"),
+    "runtime_metrics": ("CedrTelemetry", "LATENCY_BUCKETS", "DEPTH_BUCKETS",
+                        "RECOVERY_BUCKETS"),
+    "exporters": ("to_prometheus_text", "to_json_dict", "write_prometheus", "write_json",
+                  "write_metrics"),
+})

@@ -55,19 +55,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import le, sub
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
+from .config import MAX_SAMPLES, SampleCapError, TelemetryConfig
 from .registry import MetricRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime import Logbook
 
-__all__ = [
-    "TelemetryConfig", "CedrTelemetry", "SampleCapError", "MAX_SAMPLES",
-    "LATENCY_BUCKETS", "DEPTH_BUCKETS", "RECOVERY_BUCKETS",
-]
+__all__ = ["CedrTelemetry", "LATENCY_BUCKETS", "DEPTH_BUCKETS", "RECOVERY_BUCKETS"]
 
 #: latency ladder (seconds): 1-2.5-5 steps per decade, 1 us .. 1 s.
 LATENCY_BUCKETS: tuple[float, ...] = (
@@ -86,11 +83,6 @@ DEPTH_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 #: first-failure -> successful-completion ladder (seconds).
 RECOVERY_BUCKETS: tuple[float, ...] = (1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0, 10.0)
 
-#: the most periodic samples one fold takes: an interval that would take
-#: more is refused before the first sample (see :class:`SampleCapError`)
-MAX_SAMPLES = 100_000
-
-
 def _stream(step: Callable, instants: Iterable[float], rows: Iterable) -> list:
     """``[instants, rows, step, cursor]``, *rows* stably sorted by *instants*."""
     instants, rows = list(instants), list(rows)
@@ -98,34 +90,6 @@ def _stream(step: Callable, instants: Iterable[float], rows: Iterable) -> list:
         order = sorted(range(len(instants)), key=instants.__getitem__)
         instants, rows = [instants[k] for k in order], [rows[k] for k in order]
     return [instants, rows, step, 0]
-
-
-class SampleCapError(ValueError):
-    """A sampling interval too fine for the run: more than :data:`MAX_SAMPLES`
-    samples between start and makespan."""
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Per-run telemetry knobs (attach to ``RuntimeConfig.telemetry``;
-    ``None`` there means no registry).
-
-    ``sample_interval_s > 0`` asks the fold for a flattened snapshot of the
-    registry every interval of simulated time, appended to
-    :attr:`CedrTelemetry.samples`.  Snapshots are a function of the run
-    record alone, so they are bit-identical between serial and process-
-    pool (``--jobs``) sweeps.  ``0`` takes no periodic samples; the final
-    sample at the makespan is always taken.
-    """
-
-    sample_interval_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.sample_interval_s < math.inf:  # NaN fails both
-            raise ValueError(
-                f"sample_interval_s must be finite and >= 0, "
-                f"got {self.sample_interval_s}"
-            )
 
 
 class CedrTelemetry:

@@ -14,17 +14,18 @@ paper's two workloads are provided as constructors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from itertools import islice
+from typing import TYPE_CHECKING, Optional
 
-from repro.apps import CedrApplication, LaneDetection, PulseDoppler, Variant, WifiTx
 from repro.registry import Registry
 from repro.runtime.app import AppInstance
 from repro.serve.arrival import ARRIVALS, SEED_FREE_ARRIVALS, make_arrival_stream
 from repro.simcore import child_rng
 
 from .injection import stream_spec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps import CedrApplication, LaneDetection, PulseDoppler, Variant, WifiTx
 
 __all__ = [
     "WORKLOADS",
@@ -146,6 +147,8 @@ def radar_comms_workload(
     variant: Optional[Variant] = None,
 ) -> WorkloadSpec:
     """The Fig. 5-8 workload: 5 instances each of Pulse Doppler and WiFi TX."""
+    from repro.apps import PulseDoppler, WifiTx
+
     return WorkloadSpec(
         name="radar-comms",
         entries=(
@@ -166,6 +169,8 @@ def autonomous_vehicle_workload(
 ) -> WorkloadSpec:
     """The Fig. 9-10 workload: one long-latency Lane Detection instance with
     dynamically arriving Pulse Doppler and WiFi TX instances."""
+    from repro.apps import LaneDetection, PulseDoppler, WifiTx
+
     return WorkloadSpec(
         name="autonomous-vehicle",
         entries=(
@@ -185,6 +190,8 @@ def av_workload_scaled(ld_batch: int = 64, app_batch: int = 4) -> WorkloadSpec:
     batch=1 sweeps expensive, and the Fig. 9/10 trends are insensitive to
     PD/TX granularity.
     """
+    from repro.apps import LaneDetection, PulseDoppler, WifiTx
+
     return autonomous_vehicle_workload(
         ld=LaneDetection(batch=ld_batch),
         pd=PulseDoppler(batch=app_batch),

@@ -7,7 +7,11 @@ process-pool stack (``concurrent.futures`` -> ``multiprocessing``,
 nor ``difflib`` (did-you-mean hints).  Together they were ~4 MiB of every
 process's peak RSS.  A run that draws no random number builds no random
 stream, so it loads neither ``numpy.random`` nor the ``secrets`` -> ``hmac``
--> OpenSSL ``_hashlib`` stack that imports (~5 MiB more).  Each check runs in
+-> OpenSSL ``_hashlib`` stack that imports (~5 MiB more).  Nor does it compile
+``repro``'s own off-path modules: the applications, kernels, schedulers'
+neighbours and subsystems a timing-only PD/TX batch never calls (the
+package roots declare their surface lazily, the app and figure registries
+hold ``module:attr`` refs).  Each check runs in
 a fresh interpreter and is compared with a baseline interpreter that imports
 only numpy and what the check itself uses, so a module the environment loads
 anyway (a ``.pth`` hook, say) cancels out.
@@ -114,3 +118,40 @@ def test_data_carriers_are_the_setdiff_plan():
     assert np.array_equal(DATA_CARRIERS, expected)
     assert DATA_CARRIERS.dtype == expected.dtype == np.int64
     assert len(DATA_CARRIERS) == 64
+
+
+#: repro's own modules a timing-only PD/TX batch never calls into
+OFF_PATH = tuple(f"repro.{m}" for m in (
+    "apps.lane_detection", "apps.wifi_rx", "apps.temporal_mitigation", "kernels.vision",
+    "telemetry.registry", "telemetry.runtime_metrics", "telemetry.exporters",
+    "faults.inject", "serve.driver", "experiments.figures", "dag.collapse", "dag.io",
+    "metrics.gantt", "runtime.trace", "platforms.energy", "core.standalone", "core.modules",
+))
+
+
+def cli_loads(*argv: str) -> set[str]:
+    """The :data:`OFF_PATH` modules loaded after ``repro.cli.main(argv)``
+    (after ``import repro.cli`` alone when *argv* is empty)."""
+    call = f"assert repro.cli.main({list(argv)!r}) == 0" if argv else ""
+    return loaded_heavy(f"import repro.cli\n{call}", OFF_PATH)
+
+
+def test_cli_and_a_timing_only_batch_compile_no_off_path_module():
+    """``import repro.cli`` and the benchmark's ``batch_api`` cell as ``repro
+    run`` executes it load none of the off-path modules."""
+    assert cli_loads() == set()
+    assert cli_loads("run", "--apps", "PD:5,TX:5", "--mode", "api", "--scheduler", "rr",
+                     "--rate", "200", "--timing-only") == set()
+
+
+def test_commands_load_the_modules_they_use(tmp_path):
+    """The positive controls: telemetry, faults, serve and a figure each load
+    their own off-path modules, so the guard above is not vacuous."""
+    base = ("run", "--apps", "PD:1,TX:1", "--timing-only")
+    metrics = cli_loads(*base, "--metrics-out", str(tmp_path / "m"))
+    assert {"repro.telemetry.registry", "repro.telemetry.runtime_metrics",
+            "repro.telemetry.exporters"} <= metrics
+    assert "repro.faults.inject" in cli_loads(*base, "--fault-rate", "200")
+    assert "repro.serve.driver" in cli_loads("serve", "--duration", "0.05")
+    assert "repro.experiments.figures" in cli_loads("figure", "fig5", "--rates", "2",
+                                                   "--no-cache")

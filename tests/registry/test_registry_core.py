@@ -184,14 +184,17 @@ def test_registries_without_group_never_scan(monkeypatch):
 
 
 def test_importing_repro_discovers_nothing():
-    """Importing the packages (the CLI included) leaves every entry-point
-    registry's discovery pending and ``importlib.metadata`` unloaded: module
-    level code looks names up only by hit (a membership test or ``get`` of a
-    builtin), never by ``names()`` or a miss."""
+    """Importing the packages (the CLI included) and every name their lazy
+    surfaces export leaves every entry-point registry's discovery pending
+    and ``importlib.metadata`` unloaded: module level code looks names up
+    only by hit (a membership test or ``get`` of a builtin), never by
+    ``names()`` or a miss."""
     src = str(Path(repro.__file__).parents[1])
     code = (
         f"import json, sys; sys.path.insert(0, {src!r})\n"
         "import repro.experiments, repro.scenario, repro.corpus, repro.serve, repro.cli\n"
+        "for pkg in (repro.experiments, repro.scenario, repro.corpus, repro.serve):\n"
+        "    [getattr(pkg, name) for name in pkg.__all__]\n"
         "from repro.registry import Registry\n"
         "regs = {id(r): r for m in list(sys.modules.values())"
         " if m and m.__name__.startswith('repro')"
@@ -206,3 +209,127 @@ def test_importing_repro_discovers_nothing():
     n_grouped, scanned, metadata_loaded = json.loads(out.stdout)
     assert n_grouped == 7  # the seven axes of the table in repro.registry
     assert scanned == [] and not metadata_loaded
+
+
+# --------------------------------------------------------------------- #
+# module:attr refs: builtins registered without importing them
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def plugin_module(tmp_path, monkeypatch):
+    """Write ``refmod_<n>.py`` on ``sys.path``; returns a writer of such modules."""
+    monkeypatch.syspath_prepend(str(tmp_path))
+    written = []
+
+    def write(body: str) -> str:
+        name = f"refmod_{len(written)}_{tmp_path.name}"
+        (tmp_path / f"{name}.py").write_text(body)
+        written.append(name)
+        return name
+
+    yield write
+    for name in written:
+        sys.modules.pop(name, None)
+
+
+def test_names_imports_no_ref(plugin_module):
+    module = plugin_module("ENTRY = 'widget'\n")
+    reg = Registry("widget")
+    reg.register("w", ref=f"{module}:ENTRY")
+    assert reg.names() == ("w",) and "w" in reg and len(reg) == 1
+    assert module not in sys.modules
+
+
+def test_get_imports_a_ref_once_and_caches_the_entry(plugin_module):
+    module = plugin_module("import builtins\nbuiltins.refmod_imports += 1\nENTRY = object()\n")
+    import builtins
+
+    builtins.refmod_imports = 0
+    try:
+        reg = Registry("widget")
+        reg.register("w", ref=f"{module}:ENTRY")
+        entry = reg.get("w")
+        assert entry is sys.modules[module].ENTRY
+        assert reg.get("w") is entry and reg.items() == (("w", entry),)
+        del sys.modules[module]  # a cached entry never goes back to the module
+        assert reg.get("w") is entry
+        assert builtins.refmod_imports == 1
+    finally:
+        del builtins.refmod_imports
+
+
+def test_a_module_registering_its_own_ref_is_no_duplicate(plugin_module):
+    """The module's ``register_*`` call at import replaces its ref (and wins
+    over ``attr``); any other registration of the name still raises, before
+    the import (a plug-in taking a builtin's name) and after it."""
+    reg = Registry("widget")
+    sys.modules["refmod_registry"] = type(sys)("refmod_registry")
+    sys.modules["refmod_registry"].REG = reg
+    try:
+        module = plugin_module(
+            "from refmod_registry import REG\n"
+            "ENTRY = 'attr'\n"
+            "REG.register('w', 'registered')\n"
+        )
+        reg.register("w", ref=f"{module}:ENTRY")
+        with pytest.raises(ValueError, match="widget 'w' registered twice"):
+            reg.register("w", "early")
+        assert reg.get("w") == "registered"
+        with pytest.raises(ValueError, match="widget 'w' registered twice"):
+            reg.register("w", "again")
+    finally:
+        del sys.modules["refmod_registry"]
+
+
+def test_an_entry_point_does_not_shadow_a_builtin_ref(monkeypatch):
+    monkeypatch.setattr(
+        "importlib.metadata.entry_points",
+        lambda *, group: [_FakePoint("pd", obj="FROM_EP")],
+    )
+    from repro.apps import APPS
+
+    assert APPS.discover() == 0  # the builtin name is taken; nothing loads
+    assert APPS.get("PD").name == "PD" and APPS.get("pd").summary.startswith("Pulse")
+
+
+def test_a_ref_miss_keeps_the_did_you_mean_text():
+    from repro.apps import APPS
+    from repro.experiments import FIGURES
+
+    with pytest.raises(RegistryError) as err:
+        APPS.get("PDD")
+    assert str(err.value) == (
+        "unknown application 'PDD'; available: LD, PD, RX, TM, TX (did you mean 'PD'?)"
+    )
+    with pytest.raises(RegistryError, match=r"available: fig10a, .* \(did you mean 'fig5'\?\)"):
+        FIGURES.get("fig55")
+
+
+def test_listing_builtins_imports_no_app_or_figure_module():
+    """``build_parser`` lists the app and figure ids from refs alone."""
+    src = str(Path(repro.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from repro.cli import build_parser\n"
+        "build_parser()\n"
+        "from repro.apps import available_apps\n"
+        "from repro.experiments import available_figures\n"
+        "assert available_apps() == ('LD', 'PD', 'RX', 'TM', 'TX'), available_apps()\n"
+        "assert len(available_figures()) == 8\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('repro.apps.', 'repro.kernels.'))"
+        " or m == 'repro.experiments.figures'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout.replace("'", '"')) == ["repro.apps.registry"]
+
+
+def test_every_builtin_ref_resolves_under_its_own_name():
+    """The ids written in the ref tables and the entries they name agree."""
+    from repro.apps import APPS
+    from repro.experiments import FIGURES
+
+    assert [entry.name for _, entry in APPS.items()] == list(APPS.names())
+    assert [entry.name for _, entry in FIGURES.items()] == list(FIGURES.names())

@@ -3,7 +3,8 @@
 A stdlib-only survey (``ast`` + the import graph) of ``src/repro``: it lists
 every ``__all__`` name, public top-level ``def`` / ``class`` and public
 method that no *other* module under ``src/repro`` references, a package
-``__init__`` re-export (its ``from .x import y`` lines and ``__all__``) not
+``__init__`` re-export (its ``from .x import y`` lines and ``__all__``, or
+its ``surface(globals(), {"x": ("y", ...)})`` table, read as both) not
 counting as a reference.  A top-level name is referenced by a module that
 imports its defining module - directly or through re-exporting packages -
 and mentions the identifier; a method by any other module that reads the
@@ -41,11 +42,27 @@ def _load_modules():
 
 def _is_all_assign(node):
     return isinstance(node, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        isinstance(t, ast.Name) and t.id == "__all__"
+        for target in node.targets for t in getattr(target, "elts", [target])
     )
 
 
+def _surface(tree):
+    """``(node, {submodule: names})`` of a package's ``surface(...)`` table,
+    or ``(None, {})``."""
+    for node in tree.body:
+        call = getattr(node, "value", None)
+        if _is_all_assign(node) and isinstance(call, ast.Call) and (
+            getattr(call.func, "id", "") == "surface"
+        ):
+            return node, ast.literal_eval(call.args[1])
+    return None, {}
+
+
 def _all_names(tree):
+    _, table = _surface(tree)
+    if table:  # the table's names, and each submodule that exports none
+        return {n for module, names in table.items() for n in (names or (module,))}
     for node in tree.body:
         if _is_all_assign(node):
             return {e.value for e in getattr(node.value, "elts", ()) if isinstance(e, ast.Constant)}
@@ -100,6 +117,9 @@ def _imported_modules(module, tree, is_init, modules):
                 base = ".".join(anchor + ([base] if base else []))
             found.add(base)
             found.update(f"{base}.{alias.name}" for alias in node.names)
+    for submodule, names in _surface(tree)[1].items():  # a table entry re-exports
+        found.add(f"{package}.{submodule}")
+        found.update(f"{package}.{submodule}.{name}" for name in names)
     return {name for name in found if name in modules}
 
 
@@ -107,7 +127,7 @@ def _mentions(tree, is_init):
     """Identifiers a module mentions; a package ``__init__``'s re-exports
     (its import lines and ``__all__``) are not mentions."""
     skip = set()
-    if is_init:
+    if is_init:  # the surface table is an ``__all__`` assignment too
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) or _is_all_assign(node):
                 skip.update(id(sub) for sub in ast.walk(node))
