@@ -5,33 +5,10 @@ performance-counter readings - and writes it out when the shutdown IPC
 command arrives "for later offline analysis by the user".  :class:`Logbook`
 is that log: append-only tables, one row per *entity* (a completed task is
 one :class:`TaskRecord` row carrying its four instants, not four events).
-The row tables - ``tasks``, ``rounds``, ``incidents`` and ``calls`` - are
-:class:`Table` columns, not row objects:
-
-===============  ======================================  ====================
-``tasks``        one :class:`TaskRecord` per completion  written by workers
-``apps``         one :class:`AppRecord` per submission   opened / closed by
-                                                         the daemon
-``rounds``       one :class:`Round` per scheduling        written by the
-                 round                                   daemon
-``releases``     the ``t_release`` of each task a        written by the
-                 round assigned, round after round       daemon
-``incidents``    one :class:`Incident` per fault-layer   written by the
-                 event (see :data:`INCIDENT_KINDS`)      injector, daemon and
-                                                         workers
-``calls``        one :class:`CallRecord` per libCEDR     written by the
-                 call, when it settles                   libCEDR client
-``late_timers``  the instant of each ``call_at`` the     copied from the
-                 engine clamped to now                   engine at shutdown
-``charges``      each runtime-core bookkeeping charge    written by the
-                 in seconds, then the idle-poll term     daemon
-``makespan``     the instant the daemon drained          stamped at shutdown
-``closed``       app ids in termination order            the daemon
-``admissions``   one :class:`AdmissionRecord` per        the serve driver,
-                 offered arrival; ``*_hwm`` stamps       which stamps at seal
-``header``       the :class:`Header`: platform, PEs,     the daemon, as it is
-                 scheduler, core loads, cost table       built and drains
-===============  ======================================  ====================
+Its sections, who writes each, and every column's domain are declared
+once, in :class:`Dump` and the record classes it lists.  The row tables -
+``tasks``, ``rounds``, ``incidents`` and ``calls`` - are :class:`Table`
+columns, not row objects.
 
 Daemon, workers, the libCEDR client, the fault injector and the serve
 driver record each happening exactly once, here.  Everything else -
@@ -46,7 +23,8 @@ The dump stands alone and round-trips: :meth:`Logbook.load` rebuilds a
 logbook from a saved dump, so ``repro audit <logbook.json>`` replays the
 invariant catalog (:mod:`repro.audit`) and every view reads a run that
 finished in another process, or last week, as it read the live one.  It
-reads one schema (:data:`SCHEMA_VERSION`), with every section and column.
+reads one schema (:data:`SCHEMA_VERSION`), with every section and column,
+and refuses a value outside its column's declared domain.
 """
 
 from __future__ import annotations
@@ -55,10 +33,12 @@ import json
 import math
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Optional
+from typing import (TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Optional, Union,
+                    get_args, get_origin, get_type_hints)
 
 from repro.atomic import atomic_write
 
@@ -74,7 +54,9 @@ __all__ = [
     "CallRecord",
     "AdmissionRecord",
     "CoreLoad",
+    "HeaderPE",
     "Header",
+    "Dump",
     "Round",
     "Table",
     "INCIDENT_KINDS",
@@ -84,15 +66,6 @@ __all__ = [
 
 #: the one on-disk dump format this build writes and reads.
 SCHEMA_VERSION = 6
-
-#: a dump's sections beside ``schema``, each required: the lists of rows,
-#: then the header and the stamps
-_ROW_SECTIONS = ("tasks", "apps", "rounds", "releases", "incidents", "calls",
-                 "late_timers", "charges", "closed", "admissions")
-_SECTIONS = ("header", *_ROW_SECTIONS, "makespan", "in_system_hwm", "hold_hwm")
-
-#: a column's declaration that the loader refuses a negative value in it
-_NONNEGATIVE = {"nonnegative": True}
 
 #: the fault layer's closed event taxonomy (:attr:`Incident.kind`).
 INCIDENT_KINDS = (
@@ -107,6 +80,14 @@ INCIDENT_KINDS = (
     "recovery",     # a failed task completed; tid, seconds since first failure
 )
 
+#: A column's domain beyond its type, declared in its ``field(metadata=...)``
+#: (a positional row's ``domains``): ``nonnegative``; ``choices``, the values
+#: it may take; ``unique`` in its list; ``refers``, naming a row of that list
+#: by the row's first column (first two, paired ``with`` a column) or ``none``.
+_NONNEGATIVE = {"nonnegative": True}
+_UNIQUE = {"unique": True}
+_APP = {"refers": "apps"}
+
 
 @dataclass(unsafe_hash=True)
 class TaskRecord:
@@ -114,10 +95,10 @@ class TaskRecord:
     ``Logbook.tasks`` yields (see :class:`Table`); compares and hashes by value."""
 
     tid: int
-    app_id: int
+    app_id: int = field(metadata=_APP)
     api: str
     name: str
-    pe: str
+    pe: str = field(metadata={"refers": "header.pes", "with": "pe_kind"})
     pe_kind: str
     t_release: float
     t_scheduled: float
@@ -146,9 +127,9 @@ class TaskRecord:
 class AppRecord:
     """Lifecycle of one submitted application instance."""
 
-    app_id: int
+    app_id: int = field(metadata=_UNIQUE)
     name: str
-    mode: str
+    mode: str = field(metadata={"choices": ("api", "dag")})
     t_arrival: float
     t_launch: float = 0.0
     t_finish: Optional[float] = None
@@ -173,11 +154,11 @@ class Incident:
     columns are set depends on ``kind``."""
 
     t: float
-    kind: str
+    kind: str = field(metadata={"choices": INCIDENT_KINDS})
     #: fault kind (``fault``) or detection kind (``failure``: "transient",
     #: "hang", "failstop", "watchdog").
     detail: str = ""
-    pe: str = ""
+    pe: str = field(default="", metadata={"refers": "header.pes", "none": ""})
     tid: int = -1
     attempt: int = 0
     #: first-failure -> completion interval (``recovery``).
@@ -196,8 +177,7 @@ class CallRecord:
     """
 
     api: str
-    #: ``"blocking"`` or ``"nonblocking"``.
-    mode: str
+    mode: str = field(metadata={"choices": ("blocking", "nonblocking")})
     #: the application thread entered the call.
     t_call: float
     #: the call counted as in flight: ``t_call`` for a blocking call, the
@@ -216,7 +196,7 @@ class AdmissionRecord:
     tenant: str
     t_offered: float
     t_admitted: Optional[float]
-    app_id: int
+    app_id: int = field(metadata={**_APP, "none": -1})
     held: bool = False
     degraded: bool = False
 
@@ -225,12 +205,17 @@ class AdmissionRecord:
 class CoreLoad:
     """Capacity accounting of one processor-sharing core as the run drained."""
 
-    name: str
+    name: str = field(metadata=_UNIQUE)
     speed: float = field(metadata=_NONNEGATIVE)
     #: dedicated-core-seconds actually delivered to threads.
     delivered: float = field(metadata=_NONNEGATIVE)
     #: wall seconds the core had at least one runnable thread.
     busy_time: float = field(metadata=_NONNEGATIVE)
+
+
+#: one PE as the header names it, a ``[name, kind]`` pair in the dump.
+HeaderPE = NamedTuple("HeaderPE", [("name", str), ("kind", str)])
+HeaderPE.domains = {"name": _UNIQUE}
 
 
 @dataclass
@@ -241,7 +226,7 @@ class Header:
 
     platform: str = ""
     #: the PEs in index order, as ``(name, kind)``.
-    pes: list[tuple[str, str]] = field(default_factory=list)
+    pes: list[HeaderPE] = field(default_factory=list)
     scheduler: str = ""
     #: the worker cores, then the runtime core.
     cores: list[CoreLoad] = field(default_factory=list)
@@ -253,6 +238,35 @@ class Header:
 #: (``t_begin`` plus the decision ``cost`` in seconds as the runtime core
 #: delivered it) and the ready batch ``depth`` the heuristic saw.
 Round = NamedTuple("Round", [("t", float), ("depth", int), ("cost", float), ("t_begin", float)])
+Round.domains = {"cost": _NONNEGATIVE}
+
+
+@dataclass
+class Dump:
+    """The dump's sections beside ``schema``, in the order they are written,
+    and who writes them: the one declaration of the format.  A section of
+    rows is a list of its record; each other section is a column here."""
+
+    header: Header
+    tasks: list[TaskRecord]             # the workers, one per completion
+    apps: list[AppRecord]               # the daemon, opened then closed
+    rounds: list[Round]                 # the daemon, one per scheduling round
+    #: the ``t_release`` of each task a round assigned, in assignment order:
+    #: round *k*'s ``depth`` entries follow round *k - 1*'s
+    releases: list[float]
+    incidents: list[Incident]           # the injector, the daemon and workers
+    calls: list[CallRecord]             # the libCEDR client, as calls settle
+    #: each ``call_at`` instant the engine clamped to now, copied at shutdown
+    late_timers: list[float]
+    #: each runtime-core bookkeeping charge's ``work``, then the idle-poll term
+    charges: list[float] = field(metadata=_NONNEGATIVE)
+    makespan: Optional[float] = field(metadata=_NONNEGATIVE)    # as the daemon drains
+    #: app ids in termination order (``t_finish`` can tie); an app closes once
+    closed: list[int] = field(metadata={**_APP, **_UNIQUE})
+    admissions: list[AdmissionRecord]   # the serve driver, one per arrival
+    #: the admission controller's high-water marks, stamped at seal
+    in_system_hwm: int = field(metadata=_NONNEGATIVE)
+    hold_hwm: dict[str, int] = field(metadata=_NONNEGATIVE)
 
 
 class Table:
@@ -312,108 +326,136 @@ class Table:
         return self.row(*(store[i * k + j] for store, j, k in self._at))
 
 
-#: JSON types a dump column may hold, keyed by the record classes' field
-#: annotations.
-_SEQ = (list, tuple)
-_COLUMN_TYPES = {
-    "int": int, "float": (int, float), "str": str, "bool": bool,
-    "Optional[float]": (int, float, type(None)), "tuple[int, ...]": _SEQ,
-    "list[tuple[str, str]]": _SEQ, "list[CoreLoad]": _SEQ, "tuple[int, int]": _SEQ,
-}
+@cache
+def _columns(cls: type) -> tuple[tuple[str, Any, Any, Any, Optional[type]], ...]:
+    """``(name, type, domain, origin, record)`` of each column of record
+    class *cls*: the annotation's type and its generic origin, the declared
+    domain, and the record class the column holds (one or a list), if any."""
+    domains = {f.name: f.metadata for f in fields(cls)} if is_dataclass(cls) else cls.domains
+    columns = []
+    for name, kind in get_type_hints(cls).items():
+        origin = get_origin(kind)
+        record = get_args(kind)[0] if origin is list else kind
+        record = record if is_dataclass(record) or hasattr(record, "_fields") else None
+        columns.append((name, kind, domains.get(name, {}), origin, record))
+    return tuple(columns)
 
 
-def _mistyped(value: Any, kind: str) -> bool:
-    """Whether *value* cannot fill a column of annotation *kind*: ``True``
-    is an ``int`` to ``isinstance``, so only a bool column takes a bool; a
-    successor list holds task ids only, a header PE is ``[name, kind]`` and
-    the cost table ``[token, n_rows]``; an integer fits ``array('q')``."""
-    if type(value) is bool:
-        return kind != "bool"
-    if kind == "tuple[int, ...]" and isinstance(value, _SEQ):
-        return any(type(tid) is not int for tid in value)
-    if kind == "list[tuple[str, str]]" and isinstance(value, _SEQ):
-        return any(not isinstance(pe, _SEQ) or [type(s) for s in pe] != [str, str]
-                   for pe in value)
-    if kind == "tuple[int, int]" and isinstance(value, _SEQ):
-        return [type(v) for v in value] != [int, int]
-    if kind == "int" and type(value) is int:
-        return not -(1 << 63) <= value < 1 << 63
-    return not isinstance(value, _COLUMN_TYPES[kind])
+def _fits(value: Any, kind: Any) -> bool:
+    """Whether JSON *value* can fill a column of type *kind*: ``True`` is an
+    ``int`` to ``isinstance``, so only a bool column takes a bool, and an
+    integer must fit ``array('q')``."""
+    if kind is float:
+        return type(value) in (int, float)
+    if kind is int:
+        return type(value) is int and -(1 << 63) <= value < 1 << 63
+    if kind in (str, bool, type(None)):
+        return type(value) is kind
+    args = get_args(kind)
+    if get_origin(kind) is Union:
+        return any(_fits(value, k) for k in args)
+    if isinstance(value, (list, tuple)) and args[-1] is Ellipsis:
+        args = args[:1] * len(value)
+    return isinstance(value, (list, tuple)) and len(value) == len(args) and all(
+        map(_fits, value, args))
 
 
-def _load_record(cls, where: str, row: Any) -> list:
-    """The values, in field order, of the dump row at *where* for record
-    class *cls* (what a :class:`Table` appends, or ``cls(*values)``); a JSON
-    list comes back a tuple.
-
-    Missing, unknown (a *newer* dump than this code: silently dropping
-    columns would let an audit pass on data it never saw), mistyped,
-    non-finite and (where a column is declared ``_NONNEGATIVE``) negative
-    columns are named.
-    """
-    if not isinstance(row, dict):
-        raise ValueError(f"{where}: expected an object, got {type(row).__name__}")
-    columns = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(row) - set(columns))
-    if unknown:
-        raise ValueError(
-            f"{where}: {cls.__name__} dump carries unknown columns {unknown}; "
-            f"refusing to audit a newer schema than this build understands"
-        )
-    missing = [n for n in columns if n not in row]
-    mistyped = [n for n, v in row.items() if _mistyped(v, columns[n].type)]
+def _check(where: str, cells: list, missing: Optional[list] = None) -> None:
+    """Refuse, on one line naming *where* and the columns, a cell ``(name,
+    value, type, domain)`` outside its type, finiteness, sign or ``choices``;
+    a JSON object row's *missing* columns are named with the mistyped ones."""
+    mistyped = [name for name, value, kind, _ in cells if not _fits(value, kind)]
     if missing or mistyped:
-        raise ValueError(f"{where}: missing columns {missing}, mistyped columns {mistyped}")
-    _refuse_nonfinite(where, row.items())
-    negative = [n for n, v in row.items() if columns[n].metadata.get("nonnegative") and v < 0]
-    if negative:
-        raise ValueError(f"{where}: negative columns {negative}")
-    return [tuple(row[n]) if type(row[n]) is list else row[n] for n in columns]
+        head = "" if missing is None else f"missing columns {missing}, "
+        raise ValueError(f"{where}: {head}mistyped columns {mistyped}")
+    nonfinite = [n for n, v, _, _ in cells if type(v) is float and not math.isfinite(v)]
+    negative = [n for n, v, _, d in cells if "nonnegative" in d and v is not None and v < 0]
+    for problem, bad in (("non-finite", nonfinite), ("negative", negative)):
+        if bad:
+            raise ValueError(f"{where}: {problem} columns {bad}")
+    for name, value, _, domain in cells:
+        if "choices" in domain and value not in domain["choices"]:
+            raise ValueError(f"{where}: unknown {name} {value!r}")
 
 
-def _refuse_nonfinite(where: str, columns: Iterable[tuple[str, Any]]) -> None:
-    """The one-line error naming each ``(name, value)`` column that holds a
-    NaN or an infinity (``json.loads`` accepts both)."""
-    bad = [name for name, value in columns if type(value) is float and not math.isfinite(value)]
-    if bad:
-        raise ValueError(f"{where}: non-finite columns {bad}")
+def _load_row(cls: type, where: str, row: Any, lists: dict) -> list:
+    """The values, in field order, of the row of record class *cls* at
+    *where* (``""``: the dump, whose columns are sections), checked against
+    the declared domains.  A positional row (a :class:`~typing.NamedTuple`)
+    is a JSON list, any other a JSON object; unknown columns (a *newer* dump:
+    dropping them would let an audit pass on data it never saw) are refused.
+    A list or object column's entries are named ``where.name[i]`` and kept
+    in *lists* for :func:`_check_names`."""
+    columns = _columns(cls)
+    names = [name for name, *_ in columns]
+    if hasattr(cls, "_fields"):
+        if not isinstance(row, (list, tuple)) or len(row) != len(names):
+            raise ValueError(f"{where}: expected [{', '.join(names)}], got {row!r}")
+        row, missing = dict(zip(names, row)), None
+    elif not isinstance(row, dict):
+        raise ValueError(f"{where}: expected an object, got {type(row).__name__}")
+    else:
+        unknown = sorted(set(row) - set(names))
+        missing = [name for name in names if name not in row]
+        if not where and (missing or unknown):
+            raise ValueError(f"missing sections {missing}, unknown sections {unknown}")
+        if unknown:
+            raise ValueError(f"{where}: {cls.__name__} dump carries unknown columns {unknown}; "
+                             "refusing to audit a newer schema than this build understands")
+    cells = [(name, row[name], kind, domain) for name, kind, domain, origin, record in columns
+             if name in row and origin not in (list, dict) and not record]
+    for at, group in [(where, cells)] if where else [(cell[0], [cell]) for cell in cells]:
+        _check(at, group, missing if where else None)
+    values = []
+    for name, kind, domain, origin, record in columns:
+        value, at = row[name], f"{where}.{name}" if where else name
+        if record is kind:
+            value = record(*_load_row(record, at, value, lists))
+        elif origin in (list, dict):
+            if not isinstance(value, origin):
+                what = "a list of rows" if origin is list else "an object"
+                raise ValueError(f"{at}: expected {what}, got {type(value).__name__}")
+            if record:
+                rows = [_load_row(record, f"{at}[{i}]", r, lists) for i, r in enumerate(value)]
+                lists[at] = (_columns(record), rows)
+                # the dump's own lists stay values, which a Table appends as they are
+                value = [record(*r) for r in rows] if where else rows
+            else:
+                entries = list(value.items() if origin is dict else enumerate(value))
+                for key, entry in entries:
+                    _check(f"{at}[{key!r}]", [(name, entry, get_args(kind)[-1], domain)])
+                lists[at] = (((name, kind, domain, origin, None),), [(e,) for _, e in entries])
+                value = origin(value)
+        elif type(value) is list:
+            value = tuple(value)
+        values.append(value)
+    return values
 
 
-def _load_round(where: str, row: Any) -> tuple[float, int, float, float]:
-    """A round row: ``[t, depth, cost, t_begin]``."""
-    if not (isinstance(row, list) and len(row) == 4 and type(row[1]) is int
-            and abs(row[1]) < 1 << 63 and all(type(v) in (int, float) for v in row)):
-        raise ValueError(f"{where}: expected [t, depth, cost, t_begin] "
-                         f"with an integer depth, got {row!r}")
-    _refuse_nonfinite(where, zip(Round._fields, row))
-    t, depth, cost, t_begin = row
-    if cost < 0:
-        raise ValueError(f"{where}: negative decision cost {cost!r}")
-    return (float(t), depth, float(cost), float(t_begin))
-
-
-def _load_header(header: Any) -> Header:
-    """The dump's :class:`Header`, its PE and core names each unique."""
-    platform, pes, scheduler, cores, cost_table = _load_record(Header, "header", header)
-    cores = [CoreLoad(*_load_record(CoreLoad, f"header.cores[{i}]", row))
-             for i, row in enumerate(cores)]
-    for where, names in (("pes", [name for name, _ in pes]), ("cores", [c.name for c in cores])):
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise ValueError(f"header.{where}: repeated names {repeated}")
-    return Header(platform, [tuple(pe) for pe in pes], scheduler, cores, cost_table)
-
-
-def _typed(where: str, value: Any, types: tuple, what: str, nonnegative: bool = False) -> Any:
-    """*value*, if its exact type is one of *types* and it is not a NaN, an
-    infinity or (when *nonnegative*) below zero; else the one-line error."""
-    if (
-        type(value) not in types
-        or (type(value) is float and not math.isfinite(value))
-        or (nonnegative and value is not None and value < 0)
-    ):
-        raise ValueError(f"{where}: expected {what}, got {value!r}")
-    return value
+def _check_names(lists: dict) -> None:
+    """The domains that read other rows, once every section has loaded: a
+    ``unique`` column repeats no earlier row of its list, and a ``refers``
+    one names a row of the list it refers to, or is its ``none``."""
+    for name, (columns, rows) in lists.items():
+        for j, (column, _, domain, _, _) in enumerate(columns):
+            pair, refers = domain.get("with"), domain.get("refers")
+            if pair:
+                k = [c for c, *_ in columns].index(pair)
+                column, values = f"({column}, {pair})", [(row[j], row[k]) for row in rows]
+            elif refers or "unique" in domain:
+                values = [row[j] for row in rows]
+            else:
+                continue
+            if refers:
+                known = {tuple(row[:2]) if pair else row[0] for row in lists[refers][1]}
+                known.update([domain["none"]] if "none" in domain else [])
+            seen: set = set()
+            for i, value in enumerate(values):
+                if "unique" in domain and value in seen:
+                    raise ValueError(f"{name}[{i}]: {column} {value!r} repeats an earlier row")
+                if refers and value not in known:
+                    raise ValueError(f"{name}[{i}]: {column} {value!r} names no {refers} row")
+                seen.add(value)
 
 
 class Logbook:
@@ -425,20 +467,14 @@ class Logbook:
         #: keyed by app id; insertion order is arrival order.
         self.apps: dict[int, AppRecord] = {}
         self.rounds = Table(Round)
-        #: the ``t_release`` of each task a round assigned, in assignment
-        #: order, rounds in order: a round assigns its whole ready batch,
-        #: so round *k*'s ``depth`` entries follow round *k - 1*'s.
         self.releases = array("d")
         self.incidents = Table(Incident)
         self.calls = Table(CallRecord)
         self.late_timers: list[float] = []
-        #: each bookkeeping charge's ``work``, then the idle-poll term
         self.charges: list[float] = []
-        self.makespan: Optional[float] = None  # stamped as the daemon drains
-        #: app ids in termination order (``t_finish`` can tie)
+        self.makespan: Optional[float] = None
         self.closed: list[int] = []
         self.admissions: list[AdmissionRecord] = []
-        #: the admission controller's high-water marks, stamped at seal
         self.in_system_hwm = 0
         self.hold_hwm: dict[str, int] = {}
 
@@ -504,27 +540,22 @@ class Logbook:
     # ------------------------------------------------------------------ #
 
     def serialize(self) -> dict[str, Any]:
-        """JSON-compatible dump (what CEDR writes at shutdown)."""
-        def rows(table: Table) -> list[dict[str, Any]]:
-            return [dict(zip(table.names, row)) for row in table.values()]
-
-        return {
-            "schema": SCHEMA_VERSION,
-            "header": asdict(self.header),
-            "tasks": rows(self.tasks),
-            "apps": [asdict(a) for a in self.apps.values()],
-            "rounds": [list(row) for row in self.rounds.values()],
-            "releases": list(self.releases),
-            "incidents": rows(self.incidents),
-            "calls": rows(self.calls),
-            "late_timers": list(self.late_timers),
-            "charges": list(self.charges),
-            "makespan": self.makespan,
-            "closed": list(self.closed),
-            "admissions": [asdict(a) for a in self.admissions],
-            "in_system_hwm": self.in_system_hwm,
-            "hold_hwm": dict(self.hold_hwm),
-        }
+        """JSON-compatible dump (what CEDR writes at shutdown): the sections
+        of :class:`Dump`, in order."""
+        dump: dict[str, Any] = {"schema": SCHEMA_VERSION}
+        for name, _, _, _, record in _columns(Dump):
+            value = getattr(self, name)
+            if isinstance(value, Table):
+                value = [list(row) if hasattr(value.row, "_fields")
+                         else dict(zip(value.names, row)) for row in value.values()]
+            elif is_dataclass(value):
+                value = asdict(value)
+            elif record:        # the admissions, and the apps keyed by app id
+                value = [asdict(row) for row in (value.values() if name == "apps" else value)]
+            elif isinstance(value, (list, array, dict)):
+                value = dict(value) if isinstance(value, dict) else list(value)
+            dump[name] = value
+        return dump
 
     def save(self, path) -> str:
         """Write :meth:`serialize` as JSON to *path* (the shutdown dump)."""
@@ -537,8 +568,10 @@ class Logbook:
     def from_dict(cls, dump: Any) -> "Logbook":
         """Rebuild a logbook from a :meth:`serialize` dump.
 
-        Raises :class:`ValueError` naming the section, row and columns of
-        the first thing that is not a dump of :data:`SCHEMA_VERSION`.
+        Every section is checked against its declaration in :class:`Dump`:
+        raises :class:`ValueError` naming the section, row and column of
+        the first value outside its column's domain, or the first thing
+        that is not a dump of :data:`SCHEMA_VERSION`.
         """
         if not isinstance(dump, dict):
             raise ValueError("not a logbook dump: expected a JSON object, "
@@ -547,61 +580,19 @@ class Logbook:
         if type(schema) is not int or schema != SCHEMA_VERSION:
             raise ValueError(f"unsupported logbook schema {schema!r} "
                              f"(this build reads {SCHEMA_VERSION} only)")
-        missing = [name for name in _SECTIONS if name not in dump]
-        unknown = sorted(set(dump) - {"schema", *_SECTIONS})
-        if missing or unknown:
-            raise ValueError(f"missing sections {missing}, unknown sections {unknown}")
-        for name in _ROW_SECTIONS:
-            if not isinstance(dump[name], list):
-                raise ValueError(f"{name}: expected a list of rows, "
-                                 f"got {type(dump[name]).__name__}")
-        book = cls()
-        book.header = _load_header(dump["header"])
-        for name, row_type in (("tasks", TaskRecord), ("incidents", Incident),
-                               ("calls", CallRecord)):
-            for i, row in enumerate(dump[name]):
-                getattr(book, name).append(_load_record(row_type, f"{name}[{i}]", row))
-        pes = set(book.header.pes)
-        for i, pe in enumerate(zip(book.tasks.column("pe"), book.tasks.column("pe_kind"))):
-            if pe not in pes:
-                raise ValueError(f"tasks[{i}]: PE {pe[0]!r} of kind {pe[1]!r} is not a header PE")
-        for i, kind in enumerate(book.incidents.column("kind")):
-            if kind not in INCIDENT_KINDS:
-                raise ValueError(f"incidents[{i}]: unknown kind {kind!r}")
-        for i, row in enumerate(dump["apps"]):
-            record = AppRecord(*_load_record(AppRecord, f"apps[{i}]", row))
-            if record.app_id in book.apps:
-                raise ValueError(f"apps[{i}]: app id {record.app_id} repeats an earlier row")
-            book.apps[record.app_id] = record
-        for i, row in enumerate(dump["rounds"]):
-            book.rounds.append(_load_round(f"rounds[{i}]", row))
-        for name in ("releases", "late_timers", "charges"):
-            what = "a duration" if name == "charges" else "an instant"
-            for i, t in enumerate(dump[name]):
-                getattr(book, name).append(float(_typed(
-                    f"{name}[{i}]", t, (int, float), what, nonnegative=name == "charges"
-                )))
-        book.closed = [_typed(f"closed[{i}]", app_id, (int,), "an app id")
-                       for i, app_id in enumerate(dump["closed"])]
-        seen: set[int] = set()  # an app terminates once, after it arrived
-        for i, app_id in enumerate(book.closed):
-            if app_id not in book.apps or app_id in seen:
-                raise ValueError(f"closed[{i}]: expected an app still open, got {app_id}")
-            seen.add(app_id)
-        book.admissions = [
-            AdmissionRecord(*_load_record(AdmissionRecord, f"admissions[{i}]", row))
-            for i, row in enumerate(dump["admissions"])
-        ]
-        makespan = _typed("makespan", dump["makespan"], (int, float, type(None)),
-                          "an instant or null", nonnegative=True)
-        book.makespan = None if makespan is None else float(makespan)
-        book.in_system_hwm = _typed("in_system_hwm", dump["in_system_hwm"], (int,),
-                                    "an integer >= 0", nonnegative=True)
-        holds = _typed("hold_hwm", dump["hold_hwm"], (dict,), "tenant -> integer")
-        book.hold_hwm = {
-            name: _typed(f"hold_hwm[{name!r}]", n, (int,), "an integer >= 0", nonnegative=True)
-            for name, n in holds.items()
-        }
+        book, lists = cls(), {}
+        values = _load_row(Dump, "", {k: v for k, v in dump.items() if k != "schema"}, lists)
+        _check_names(lists)
+        for (name, _, _, _, record), value in zip(_columns(Dump), values):
+            target = getattr(book, name)
+            if isinstance(target, Table):
+                value = Table(record, value)
+            elif isinstance(target, array):
+                value = array(target.typecode, value)
+            elif isinstance(value, list) and record:    # the admissions; the apps by app id
+                value = [record(*row) for row in value]
+                value = {app.app_id: app for app in value} if name == "apps" else value
+            setattr(book, name, value)
         assigned = sum(book.rounds.column("depth"))
         if len(book.releases) != assigned:
             raise ValueError(f"releases: {len(book.releases)} instants for the {assigned} "

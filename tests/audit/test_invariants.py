@@ -318,8 +318,9 @@ def test_cost_row_fresh_fires_offline_on_mixed_tokens():
     """A dump carries its table's identity in the header, so a loaded book
     is checked as the live one was: a row priced by another table is stale."""
     a, b = rec(1, cost_token=TOKEN), rec(2, cost_token=TOKEN + 1, pe="cpu1")
-    book = make_book([a, b])
-    book.header.pes = [("cpu0", "cpu"), ("cpu1", "cpu")]
+    app = AppRecord(app_id=1, name="app", mode="api", t_arrival=0.0, t_finish=0.1, n_tasks=2)
+    book = make_book([a, b], [app])
+    book.header.pes, book.closed = [("cpu0", "cpu"), ("cpu1", "cpu")], [1]
     report = audit_logbook(Logbook.from_dict(json.loads(json.dumps(book.serialize()))))
     assert report.codes == {"cost-row-fresh"}
     assert "stale cost token 8 (table token 7)" in str(report.violations[0])

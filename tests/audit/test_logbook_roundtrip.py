@@ -11,7 +11,9 @@ from ``_golden_run``) if the format ever changes, and bump
 :data:`SCHEMA_VERSION` when you do.
 """
 
+import copy
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +29,15 @@ from repro.runtime.logbook import (
     INCIDENT_KINDS,
     SCHEMA_VERSION,
     AppRecord,
+    Dump,
     Logbook,
     TaskRecord,
+    _columns,
 )
 
 GOLDEN = Path(__file__).parent / "golden_logbook_v6.json"
+#: non-blocking calls, incidents and late timers, from another cell
+FOLD_FIXTURE = Path(__file__).parents[1] / "telemetry" / "fold_fixture_logbook.json"
 
 
 def _golden_run():
@@ -63,6 +69,26 @@ def golden_runtime():
     return _golden_run()
 
 
+@pytest.fixture(scope="module")
+def block_dump(tmp_path_factory):
+    """A fresh ``block``-policy serve dump: shed and held admission rows and
+    both high-water marks, the sections the batch golden leaves empty."""
+    from repro.cli import main
+
+    path = tmp_path_factory.mktemp("serve") / "block.json"
+    main(["serve", "--admission", "block", "--duration", "0.1", "--max-in-system", "2",
+          "--queue-cap", "3", "--tenants", "2", "--logbook", str(path)])
+    return path
+
+
+@pytest.fixture(scope="module")
+def real_dumps(block_dump):
+    """The batch golden, the telemetry fold fixture and a block serve dump,
+    by path: between them they fill every section."""
+    return {path: json.loads(path.read_text(encoding="utf-8"))
+            for path in (GOLDEN, FOLD_FIXTURE, block_dump)}
+
+
 # --------------------------------------------------------------------- #
 # the golden file: current schema, byte for byte
 # --------------------------------------------------------------------- #
@@ -87,15 +113,16 @@ def test_golden_file_is_current_schema():
     assert {t["cost_token"] for t in dump["tasks"]} == {header["cost_table"][0]}
 
 
-def test_golden_file_round_trips_exactly(tmp_path):
+def test_golden_file_round_trips_exactly(tmp_path, real_dumps):
     """load() then serialize() reproduces the on-disk dump structure, and
-    save() the file byte for byte."""
-    dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    book = Logbook.load(GOLDEN)
-    out = book.serialize()
-    # JSON has no tuples: compare through a json round trip
-    assert json.loads(json.dumps(out)) == dump
-    assert Path(book.save(tmp_path / "again.json")).read_bytes() == GOLDEN.read_bytes()
+    save() the file byte for byte, on every section of a real dump."""
+    for name, *_ in _columns(Dump):
+        assert any(dump[name] for dump in real_dumps.values()), name
+    for path, dump in real_dumps.items():
+        book = Logbook.load(path)
+        # JSON has no tuples: compare through a json round trip
+        assert json.loads(json.dumps(book.serialize())) == dump
+        assert Path(book.save(tmp_path / "again.json")).read_bytes() == path.read_bytes()
 
 
 def _normalize_ids(dump):
@@ -334,11 +361,11 @@ MALFORMED = [
                  id="task-mistyped"),
     pytest.param(dump_of(tasks=[{**_TASK, "successors": "2,3"}]),
                  r"tasks\[0\]: .*mistyped columns \['successors'\]", id="successors-mistyped"),
-    pytest.param(dump_of(tasks=[{**_TASK, "pe": "npu0", "pe_kind": "npu"}]),
-                 r"tasks\[0\]: PE 'npu0' of kind 'npu' is not a header PE",
+    pytest.param(dump_of(tasks=[{**_TASK, "pe": "npu0", "pe_kind": "npu"}], apps=[_APP]),
+                 r"tasks\[0\]: \(pe, pe_kind\) \('npu0', 'npu'\) names no header.pes row",
                  id="task-pe-not-in-header"),
-    pytest.param(dump_of(tasks=[_TASK, {**_TASK, "tid": 2, "pe_kind": "fft"}]),
-                 r"tasks\[1\]: PE 'cpu0' of kind 'fft' is not a header PE",
+    pytest.param(dump_of(tasks=[_TASK, {**_TASK, "tid": 2, "pe_kind": "fft"}], apps=[_APP]),
+                 r"tasks\[1\]: \(pe, pe_kind\) \('cpu0', 'fft'\) names no header.pes row",
                  id="task-pe-kind-disagrees"),
     pytest.param(dump_of(apps=[_without(_APP, "t_arrival")]),
                  r"apps\[0\]: missing columns \['t_arrival'\]", id="app-missing-arrival"),
@@ -350,7 +377,7 @@ MALFORMED = [
     pytest.param(dump_of(rounds=[[0.1, 1]], releases=[0.0]),
                  r"rounds\[0\]: expected \[t, depth, cost, t_begin\]", id="round-two-columns"),
     pytest.param(dump_of(rounds=[[0.1, 1.5, 0.0, 0.1]]),
-                 r"rounds\[0\]: .*integer depth", id="round-fractional-depth"),
+                 r"rounds\[0\]: mistyped columns \['depth'\]", id="round-fractional-depth"),
     pytest.param(dump_of(rounds=[{"t": 0.1}]),
                  r"rounds\[0\]: expected", id="round-not-a-list"),
     pytest.param(dump_of(rounds=[[0.1, 2, 0.0, 0.1]], releases=[0.0]),
@@ -359,20 +386,21 @@ MALFORMED = [
     pytest.param(dump_of(calls=[{"api": "fft", "mode": "blocking", "t_call": 0.0}]),
                  r"calls\[0\]: missing columns \['t_enter', 't_done'\]", id="call-missing-columns"),
     pytest.param(dump_of(late_timers=[0.1, "soon"]),
-                 r"late_timers\[1\]: expected an instant", id="late-timer-not-an-instant"),
+                 r"late_timers\[1\]: mistyped columns \['late_timers'\]",
+                 id="late-timer-not-an-instant"),
     pytest.param(dump_of(charges=[1e-6, None]),
-                 r"charges\[1\]: expected a duration", id="charge-not-a-duration"),
+                 r"charges\[1\]: mistyped columns \['charges'\]", id="charge-not-a-duration"),
     pytest.param(dump_of(closed=[3, 4.0]),
-                 r"closed\[1\]: expected an app id", id="closed-not-an-id"),
+                 r"closed\[1\]: mistyped columns \['closed'\]", id="closed-not-an-id"),
     pytest.param(dump_of(makespan="late"),
-                 r"makespan: expected an instant or null", id="makespan-mistyped"),
+                 r"makespan: mistyped columns \['makespan'\]", id="makespan-mistyped"),
     pytest.param(dump_of(admissions=[_without(_ADMISSION, "t_admitted", "app_id")]),
                  r"admissions\[0\]: missing columns \['t_admitted', 'app_id'\]",
                  id="admission-missing-columns"),
     pytest.param(dump_of(in_system_hwm=2.5),
-                 r"in_system_hwm: expected an integer", id="hwm-mistyped"),
+                 r"in_system_hwm: mistyped columns \['in_system_hwm'\]", id="hwm-mistyped"),
     pytest.param(dump_of(hold_hwm={"a": "3"}),
-                 r"hold_hwm\['a'\]: expected an integer", id="hold-hwm-mistyped"),
+                 r"hold_hwm\['a'\]: mistyped columns \['hold_hwm'\]", id="hold-hwm-mistyped"),
     pytest.param(dump_of(incidents=[_without(_INCIDENT, "t")]),
                  r"incidents\[0\]: missing columns \['t'\]", id="incident-missing-t"),
     pytest.param(dump_of(incidents=[{**_INCIDENT, "tid": "7"}]),
@@ -388,15 +416,16 @@ MALFORMED = [
     pytest.param(dump_of(header=[]), r"header: expected an object, got list",
                  id="header-not-an-object"),
     pytest.param(dump_of(header=header_of(pes=[["cpu0", "cpu"], ["fft0"]])),
-                 r"header: missing columns \[\], mistyped columns \['pes'\]",
+                 r"header.pes\[1\]: expected \[name, kind\], got \['fft0'\]",
                  id="header-pe-not-a-pair"),
     pytest.param(dump_of(header=header_of(cost_table=[0, "7"])),
                  r"header: missing columns \[\], mistyped columns \['cost_table'\]",
                  id="header-cost-table-mistyped"),
     pytest.param(dump_of(header=header_of(pes=[["cpu0", "cpu"], ["cpu0", "cpu"]])),
-                 r"header.pes: repeated names \['cpu0'\]", id="header-pe-repeated"),
+                 r"header.pes\[1\]: name 'cpu0' repeats an earlier row", id="header-pe-repeated"),
     pytest.param(dump_of(header=header_of(cores=[_CORE, {**_CORE, "speed": 2.0}])),
-                 r"header.cores: repeated names \['core0'\]", id="header-core-repeated"),
+                 r"header.cores\[1\]: name 'core0' repeats an earlier row",
+                 id="header-core-repeated"),
     *(pytest.param(dump_of(header=header_of(cores=[{**_CORE, column: -0.5}])),
                    rf"header.cores\[0\]: negative columns \['{column}'\]",
                    id=f"header-core-negative-{column}")
@@ -416,15 +445,28 @@ MALFORMED = [
                  r"apps\[0\]: missing columns \[\], mistyped columns \['t_arrival'\]",
                  id="app-bool-arrival"),
     pytest.param(dump_of(apps=[_APP], closed=[1, 1]),
-                 r"closed\[1\]: expected an app still open, got 1", id="closed-twice"),
+                 r"closed\[1\]: closed 1 repeats an earlier row", id="closed-twice"),
     pytest.param(dump_of(apps=[_APP], closed=[2]),
-                 r"closed\[0\]: expected an app still open, got 2", id="closed-unknown-app"),
+                 r"closed\[0\]: closed 2 names no apps row", id="closed-unknown-app"),
     pytest.param(dump_of(charges=[1e-6, -0.5]),
-                 r"charges\[1\]: expected a duration, got -0.5", id="charge-negative"),
+                 r"charges\[1\]: negative columns \['charges'\]", id="charge-negative"),
     pytest.param(dump_of(rounds=[[0.1, 1, -0.5, 0.1]], releases=[0.0]),
-                 r"rounds\[0\]: negative decision cost -0.5", id="round-negative-cost"),
+                 r"rounds\[0\]: negative columns \['cost'\]", id="round-negative-cost"),
     pytest.param(dump_of(makespan=-0.5),
-                 r"makespan: expected an instant or null, got -0.5", id="makespan-negative"),
+                 r"makespan: negative columns \['makespan'\]", id="makespan-negative"),
+    # references and value sets, each declared on its column
+    pytest.param(dump_of(tasks=[_TASK], apps=[{**_APP, "app_id": 2}]),
+                 r"tasks\[0\]: app_id 1 names no apps row", id="task-app-unknown"),
+    pytest.param(dump_of(apps=[_APP], admissions=[{**_ADMISSION, "app_id": 7}]),
+                 r"admissions\[0\]: app_id 7 names no apps row", id="admission-app-unknown"),
+    pytest.param(dump_of(incidents=[{**_INCIDENT, "pe": "npu0"}]),
+                 r"incidents\[0\]: pe 'npu0' names no header.pes row",
+                 id="incident-pe-unknown"),
+    pytest.param(dump_of(calls=[{"api": "fft", "mode": "async", "t_call": 0.0,
+                                 "t_enter": 0.0, "t_done": 0.1}]),
+                 r"calls\[0\]: unknown mode 'async'", id="call-mode-unknown"),
+    pytest.param(dump_of(apps=[{**_APP, "mode": "batch"}]),
+                 r"apps\[0\]: unknown mode 'batch'", id="app-mode-unknown"),
 ]
 
 #: ``json.loads`` reads ``NaN`` / ``Infinity`` (and ``1e400``) as floats, so a
@@ -445,13 +487,13 @@ NONFINITE = [
     pytest.param(dump_of(rounds=[[0.1, 1, 0.0, 0.1], [0.2, 1, 0.0, _NAN]]),
                  r"rounds\[1\]: non-finite columns \['t_begin'\]", id="round-nan-t-begin"),
     pytest.param(dump_of(rounds=[[0.1, 1, 0.0, 0.1]], releases=[_NAN]),
-                 r"releases\[0\]: expected an instant, got nan", id="release-nan"),
+                 r"releases\[0\]: non-finite columns \['releases'\]", id="release-nan"),
     pytest.param(dump_of(late_timers=[0.1, _INF]),
-                 r"late_timers\[1\]: expected an instant, got inf", id="late-timer-inf"),
+                 r"late_timers\[1\]: non-finite columns \['late_timers'\]", id="late-timer-inf"),
     pytest.param(dump_of(charges=[_NAN]),
-                 r"charges\[0\]: expected a duration, got nan", id="charge-nan"),
+                 r"charges\[0\]: non-finite columns \['charges'\]", id="charge-nan"),
     pytest.param(dump_of(makespan=_INF),
-                 r"makespan: expected an instant or null, got inf", id="makespan-inf"),
+                 r"makespan: non-finite columns \['makespan'\]", id="makespan-inf"),
     pytest.param(dump_of(incidents=[{**_INCIDENT, "kind": "recovery", "seconds": _NAN}]),
                  r"incidents\[0\]: non-finite columns \['seconds'\]", id="incident-nan-seconds"),
     pytest.param(dump_of(calls=[{"api": "fft", "mode": "blocking", "t_call": 0.0,
@@ -484,7 +526,7 @@ def test_malformed_dumps_are_rejected_by_name(dump, message, tmp_path, capsys):
 @pytest.mark.parametrize("path,column", [
     pytest.param(("tasks", 3, "t_finish"), r"tasks\[3\]: non-finite columns \['t_finish'\]",
                  id="task-finish"),
-    pytest.param(("charges", 0), r"charges\[0\]: expected a duration, got nan", id="charge"),
+    pytest.param(("charges", 0), r"charges\[0\]: non-finite columns \['charges'\]", id="charge"),
     pytest.param(("rounds", 0, 0), r"rounds\[0\]: non-finite columns \['t'\]", id="round-t"),
 ])
 def test_a_nan_in_a_real_dump_is_refused_not_audited(path, column):
@@ -501,13 +543,14 @@ def test_a_nan_in_a_real_dump_is_refused_not_audited(path, column):
 
 @pytest.mark.parametrize("mutate,message", [
     pytest.param(lambda d: d["apps"].append(dict(d["apps"][1])),
-                 r"apps\[3\]: app id 1 repeats an earlier row", id="duplicate-app"),
+                 r"apps\[3\]: app_id 1 repeats an earlier row", id="duplicate-app"),
     pytest.param(lambda d: d["incidents"][6].update(seconds=-1e-3),
                  r"incidents\[6\]: negative columns \['seconds'\]", id="negative-recovery"),
     pytest.param(lambda d: d.update(in_system_hwm=-1),
-                 r"in_system_hwm: expected an integer >= 0, got -1", id="negative-in-system-hwm"),
+                 r"in_system_hwm: negative columns \['in_system_hwm'\]",
+                 id="negative-in-system-hwm"),
     pytest.param(lambda d: d.update(hold_hwm={"radar": -2}),
-                 r"hold_hwm\['radar'\]: expected an integer >= 0, got -2", id="negative-hold-hwm"),
+                 r"hold_hwm\['radar'\]: negative columns \['hold_hwm'\]", id="negative-hold-hwm"),
     pytest.param(lambda d: d["tasks"][32].update(attempts=-1),
                  r"tasks\[32\]: negative columns \['attempts'\]", id="negative-attempts"),
 ])
@@ -525,6 +568,79 @@ def test_a_mutated_golden_is_refused_on_one_line(mutate, message, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["audit", str(path)])
     assert "\n" not in str(err.value)
+
+
+def _sites(cls=Dump, path=""):
+    """``(path, record, column, type, domain)`` of every declared column of
+    every dump section: *path* is ``""`` for the dump's own columns, a
+    record's (``header``) or a list's (``tasks``, ``header.cores``), whose
+    rows are *record* (``None`` for a list of plain entries)."""
+    for column, kind, domain, origin, record in _columns(cls):
+        at = f"{path}.{column}" if path else column
+        if record is not None:
+            yield from _sites(record, at)
+        elif not path and origin in (list, dict):
+            yield at, None, column, typing.get_args(kind)[-1], domain
+        else:
+            yield path, None if path in ("", "header") else cls, column, kind, domain
+
+
+def _violations(kind, domain):
+    """``(label, value)`` pairs outside the column's declared domain; a
+    ``unique`` column gets a copy of its list's first row appended."""
+    bases = set(typing.get_args(kind)) or {typing.get_origin(kind) or kind}
+    cases = [("bool", True)] if bool not in bases else []
+    cases += [("string", "x")] if str not in bases else []
+    cases += [("nan", float("nan")), ("inf", float("inf"))] if float in bases else []
+    cases += [("negative", -1)] if domain.get("nonnegative") else []
+    if "refers" in domain:
+        cases.append(("unknown-name", "no-such-name" if str in bases else 987654321))
+    cases += [("unknown-choice", "no-such-choice")] if "choices" in domain else []
+    return cases + ([("repeated", None)] if domain.get("unique") else [])
+
+
+_SITES = [(path, record, column, label, value)
+          for path, record, column, kind, domain in _sites()
+          for label, value in _violations(kind, domain)]
+
+
+@pytest.mark.parametrize("path,record,column,label,value", [
+    pytest.param(path, record, column, label, value,
+                 id=f"{path}.{column}-{label}" if path not in ("", column) else f"{column}-{label}")
+    for path, record, column, label, value in _SITES
+])
+def test_every_declared_domain_is_refused_by_name(path, record, column, label, value,
+                                                  real_dumps):
+    """Walks the declaration, not a list of cases: for each property of each
+    column's domain, one violating value planted in a real dump (the first
+    whose section has a row) is refused on one line naming ``section[i]``
+    and the column.  A column declared later is covered with no new line."""
+    keys = path.split(".") if path else []
+
+    def at(dump):
+        for key in keys:
+            dump = dump[key]
+        return dump
+
+    dump = copy.deepcopy(next(d for d in real_dumps.values() if at(d) or path in ("", "header")))
+    if path in ("", "header"):       # a column of the dump, or of its header
+        where, (holder, key) = path or column, (at(dump), column)
+    else:
+        rows = at(dump)
+        first = next(iter(rows)) if isinstance(rows, dict) else 0
+        where = f"{path}[{first!r}]"
+        holder, key = (rows, first) if record is None else (rows[first], column)
+        if hasattr(record, "_fields"):       # a positional row: a JSON list
+            key = record._fields.index(column)
+    if label == "repeated":
+        rows.append(copy.deepcopy(rows[0]))
+        where = f"{path}[{len(rows) - 1}]"
+    else:
+        holder[key] = value
+    with pytest.raises(ValueError) as err:
+        Logbook.from_dict(dump)
+    message = str(err.value)
+    assert "\n" not in message and message.startswith(f"{where}: ") and column in message
 
 
 def test_save_refuses_a_non_finite_value(tmp_path):
