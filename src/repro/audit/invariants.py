@@ -317,14 +317,10 @@ def _check_queue_accounting(book: Logbook) -> Iterator[AuditViolation]:
 
 
 def _check_cost_row_fresh(book: Logbook) -> Iterator[AuditViolation]:
-    tasks, (token, n_rows) = book.tasks, book.header.cost_table
-    rows, tokens = tasks.column("cost_row"), tasks.column("cost_token")
-    for i, (row, row_token) in enumerate(zip(rows, tokens)):
+    tasks, n_rows = book.tasks, book.header.cost_rows
+    for i, row in enumerate(tasks.column("cost_row")):
         if row < 0:
             what = "completed without an interned cost row"
-        elif row_token != token:
-            what = (f"carries stale cost token {row_token} (table token {token}) - "
-                    f"its estimates came from another table")
         elif row >= n_rows:
             what = f"points at cost row {row} of a {n_rows}-row table"
         else:
@@ -392,8 +388,7 @@ CATALOG: tuple[Invariant, ...] = (
     ),
     Invariant(
         "cost-row-fresh",
-        "every completion's (cost_row, cost_token) is valid in the run's "
-        "one cost table",
+        "every completion's cost_row is a row of the run's one cost table",
         _check_cost_row_fresh,
     ),
 )

@@ -149,7 +149,6 @@ class CedrClient:
             if copy is not None:
                 yield copy  # stage operand buffers
             row, rank = runtime.intern_shape(api, params)
-            table = runtime.cost_table  # the table that just interned it
             table.copy[row] = copy
         else:
             if copy is not None:
@@ -164,7 +163,7 @@ class CedrClient:
             completion=CompletionHandle(self.engine, self._signal_latency),
             rank=rank,
             cost_row=row,
-            cost_token=table.token,
+            tid=next(runtime.tids),
         )
         self._app.tasks_total += 1
         yield push

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.platforms.pe import CPU_ONLY_API
 from repro.runtime.task import Task
@@ -79,26 +79,26 @@ class DagProgram:
 
     def instantiate(
         self, app_id: int, initial_state: Mapping[str, Any] | None = None,
-        stamps: Sequence[tuple[float, int, int]] | None = None,
+        stamps: Sequence[tuple[float, int]] | None = None, tids: Iterator[int] | None = None,
     ) -> tuple[list[Task], list[Task], dict[str, Any]]:
         """Build the task graph for one submission.
 
         Returns ``(all_tasks, head_tasks, state)`` where heads have no
         unmet dependencies and go straight to the ready queue; ``all_tasks``
         is in topological order.  *stamps*, the runtime's plan, gives each
-        node's task its ``(rank, cost_row, cost_token)``; without it they
-        are the unstamped ``(0.0, -1, -1)``.
+        node's task its ``(rank, cost_row)``, and *tids*, the runtime's
+        counter, its task id; without them they are ``(0.0, -1)`` and -1.
         """
         state: dict[str, Any] = dict(initial_state or {})
         template = self._template
-        # positional: Task's fields in declaration order, up to cost_token
+        # positional: Task's fields in declaration order, up to tid
         tasks = [
             Task(
                 api, params, app_id, name, None, input_keys, output_key, cpu_fn, [], n_deps,
-                None, rank, row, token,
+                None, rank, row, tid,
             )
-            for (api, params, name, input_keys, output_key, cpu_fn, n_deps, _), (rank, row, token)
-            in zip(template, stamps or repeat((0.0, -1, -1)))
+            for (api, params, name, input_keys, output_key, cpu_fn, n_deps, _), (rank, row), tid
+            in zip(template, stamps or repeat((0.0, -1)), tids or repeat(-1))
         ]
         for task, node in zip(tasks, template):
             if node[7]:

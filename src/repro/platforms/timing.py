@@ -39,7 +39,6 @@ the GPU provides the real speedup the paper's Jetson figures show.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -227,10 +226,6 @@ class TimingModel:
 
 
 
-#: per-process CostTable serials; tasks stamp the serial of the table that
-#: interned them so a stale row id from another table is never trusted.
-_table_tokens = itertools.count()
-
 #: :attr:`CostTable.copy` entry of a row no libCEDR call has priced yet.
 UNPRICED = object()
 
@@ -260,9 +255,9 @@ class CostTable:
     ``estimate(task, pe)``, the :class:`~repro.sched.base.Scheduler`
     estimate interface.
 
-    Row ids are cached on the tasks themselves (``task.cost_row``), guarded
-    by a per-table token (``task.cost_token``) so a task interned by one
-    runtime's table is safely re-interned by another's.
+    Row ids are cached on the tasks themselves (``task.cost_row``, ``-1``
+    until interned).  A runtime builds one table and its tasks never leave
+    it, so a stamped row is always this table's.
     """
 
     def __init__(self, timing: TimingModel, pes: Sequence[PE]) -> None:
@@ -278,7 +273,6 @@ class CostTable:
                     "CostTable requires index-aligned PE lists"
                 )
         self.n_pes = len(self.pes)
-        self.token = next(_table_tokens)
         #: shape key ``(api, tuple(sorted(params.items())))`` -> row id.
         #: Read it with ``.get``; only :meth:`row` adds to it.
         self.row_ids: dict[tuple, int] = {}
@@ -354,28 +348,27 @@ class CostTable:
 
     def task_row(self, task) -> int:
         """Row id for *task*, interning and stamping it on first sight."""
-        if task.cost_token != self.token:
+        if task.cost_row < 0:
             task.cost_row = self.row(task.api, task.params)
-            task.cost_token = self.token
         return task.cost_row
 
     # -- reads: one row, or one cell ------------------------------------- #
 
     def scalar_row(self, task) -> tuple[tuple[float, ...], tuple[int, ...]]:
         """``(est, cols)`` of one task - what a scheduling round reads."""
-        if task.cost_token != self.token:
+        if task.cost_row < 0:
             self.task_row(task)
         return self._rows[task.cost_row]
 
     def lookup(self, task, pe_index: int) -> float:
         """Scalar estimate by PE index (one tuple probe once interned)."""
-        if task.cost_token != self.token:
+        if task.cost_row < 0:
             self.task_row(task)
         return self._rows[task.cost_row][0][pe_index]
 
     def __call__(self, task, pe: PE) -> float:
         """EstimateFn-compatible scalar form used by the schedulers."""
-        if task.cost_token != self.token:
+        if task.cost_row < 0:
             self.task_row(task)
         return self._rows[task.cost_row][0][pe.index]
 

@@ -9,7 +9,6 @@ same record carries lifecycle bookkeeping used by the metrics layer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
@@ -20,8 +19,6 @@ __all__ = ["AppInstance", "TimingOnlyAppError", "DAG_MODE", "API_MODE"]
 
 DAG_MODE = "dag"
 API_MODE = "api"
-
-_app_ids = itertools.count()
 
 
 class TimingOnlyAppError(ValueError):
@@ -58,7 +55,9 @@ class AppInstance:
     timing_only: bool = False
 
     # runtime-assigned lifecycle fields
-    app_id: int = field(default_factory=lambda: next(_app_ids))
+    #: the submission index :meth:`CedrRuntime.submit` gives it; ``-1``
+    #: until submitted
+    app_id: int = -1
     t_arrival: float = 0.0
     t_launch: float = 0.0
     t_finish: Optional[float] = None

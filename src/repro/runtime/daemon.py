@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import repeat
+from itertools import count
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
@@ -170,7 +170,10 @@ class CedrRuntime:
         self.cost_scale = 1.2 / platform.timing.cpu_clock_ghz
         self.events = EventQueue(self.engine)
         self.ready: list[Task] = []
+        #: the submitted applications, keyed by app id: submission order
         self.apps: dict[int, AppInstance] = {}
+        #: the run's task ids, issued as tasks are built (dense from 0)
+        self.tids = count()
         self.mailboxes: dict[int, EventQueue] = {}
         self.inflight: dict[int, int] = {}
         #: the metric registry, folded from the logbook at shutdown when the
@@ -191,7 +194,6 @@ class CedrRuntime:
             child_rng(self.engine.seed, "cost-noise") if config.cost_noise_sigma > 0 else None
         )
         self._noise_sigma = config.cost_noise_sigma
-        self._submitted = 0
         self._sealed = False
         self._started = False
         self._last_round_at = -float("inf")
@@ -223,10 +225,9 @@ class CedrRuntime:
             self._charges.setdefault(us, Compute(us * scale * 1e-6))
             for us in (costs.dep_update_us, costs.queue_push_us)
         )
-        #: ``id(program)`` -> ``(program, table token, stamps)``: what
-        #: :meth:`_dag_plan` derived on the program's first arrival.  The
-        #: entry keeps the program alive, so its id cannot be reused; the
-        #: token drops plans of a replaced table.
+        #: ``id(program)`` -> ``(program, stamps)``: what :meth:`_dag_plan`
+        #: derived on the program's first arrival.  The entry keeps the
+        #: program alive, so its id cannot be reused.
         self._dag_plans: dict[int, tuple] = {}
         self.daemon_thread: Optional[SimThread] = None
         #: True once the daemon drained cleanly (shutdown bookkeeping ran);
@@ -282,6 +283,10 @@ class CedrRuntime:
     def submit(self, app: AppInstance, at: float) -> None:
         """Schedule *app* to arrive over IPC at simulated time ``at``.
 
+        The runtime numbers *app* by submission order (``app_id`` is its
+        index in :attr:`apps`); an instance that already carries an id
+        belongs to a run and is refused.
+
         Open-stream submissions (the service tier, trace replays, releases
         from an admission hold queue) may pass an ``at`` that is already in
         the past.  Those are admitted *now* through the engine's
@@ -298,7 +303,9 @@ class CedrRuntime:
             raise RuntimeError("runtime already sealed; no further submissions")
         if app.timing_only and self.config.execute_kernels:
             raise TimingOnlyAppError(app.name)
-        self._submitted += 1
+        if app.app_id >= 0:
+            raise ValueError(f"app {app.name}#{app.app_id} was already submitted to a runtime")
+        app.app_id = len(self.apps)
         self.apps[app.app_id] = app
 
         def _arrive(app=app) -> None:
@@ -329,7 +336,7 @@ class CedrRuntime:
                 f"cancel() supports DAG-mode applications only; "
                 f"{app.name}#{app.app_id} is {app.mode}-mode"
             )
-        if app.app_id not in self.apps:
+        if self.apps.get(app.app_id) is not app:
             raise KeyError(f"app {app.app_id} was never submitted to this runtime")
         self.engine.call_at(at, lambda: self.events.post(("cancel", app)))
 
@@ -347,11 +354,11 @@ class CedrRuntime:
                 time.perf_counter() - t0, self.engine.events_processed
             )
             self.counters.record_event_core(self.engine.event_core_stats())
-        # loads and table identity at this stop, drained or cut short (``until``)
+        # loads and table size at this stop, drained or cut short (``until``)
         platform, header = self.platform, self.logbook.header
         header.cores = [CoreLoad(core.name, core.speed, core.delivered, core.busy_time)
                         for core in (*platform.worker_cores, platform.runtime_core)]
-        header.cost_table = (self.cost_table.token, self.cost_table.n_rows)
+        header.cost_rows = self.cost_table.n_rows
         if self._drained:
             self.counters.unwatch_timers(self.engine)
         if self.config.audit and self._drained:
@@ -391,7 +398,7 @@ class CedrRuntime:
         execution estimate over supporting PEs)``.
 
         The profiling-table lookup a task pays once, at creation: the row id
-        is stamped on the task (``cost_row``/``cost_token``) and the mean -
+        is stamped on the task (``cost_row``) and the mean -
         computed with the row - seeds its HEFT_RT rank.
         """
         row = self.cost_table.row(api, params)
@@ -473,7 +480,7 @@ class CedrRuntime:
                 )
             if (
                 self._sealed
-                and len(self.logbook.closed) == self._submitted
+                and len(self.logbook.closed) == len(self.apps)
                 and not self._work_in_flight()
                 and self._retry_limbo == 0
                 and not self._parked
@@ -517,7 +524,9 @@ class CedrRuntime:
                 costs.dag_parse_base_us + costs.dag_parse_per_node_us * app.dag.n_nodes
             )
             plan = self._dag_plan(app.dag)
-            tasks, heads, state = app.dag.instantiate(app.app_id, app.initial_state, plan)
+            tasks, heads, state = app.dag.instantiate(
+                app.app_id, app.initial_state, plan, self.tids
+            )
             app.state = state
             app.tasks_total = len(tasks)
             app.t_launch = self.engine.now
@@ -534,24 +543,23 @@ class CedrRuntime:
             thread = self.engine.spawn(self._app_thread(app), name=f"app-{app.app_id}-{app.name}")
             self.counters.watch_thread(thread, "app")
 
-    def _dag_plan(self, program: "DagProgram") -> tuple[tuple[float, int, int], ...]:
+    def _dag_plan(self, program: "DagProgram") -> tuple[tuple[float, int], ...]:
         """Per node of *program*, in topological order, the ``(rank,
-        cost_row, cost_token)`` its task is built with.
+        cost_row)`` its task is built with.
 
         Rows and upward ranks depend on the program and the cost table
         only, so the program's first arrival interns its shapes (in
         topological order, which fixes the row ids) and ranks its nodes.
         """
-        token = self.cost_table.token
         plan = self._dag_plans.get(id(program))
-        if plan is None or plan[1] != token:
+        if plan is None:
             template = program._template
             rows, means = zip(*[self.intern_shape(node[0], node[1]) for node in template])
             nodes = range(len(template))
             ranks = upward_ranks(nodes, means.__getitem__, lambda i: template[i][7])
-            stamps = tuple(zip([ranks[i] for i in nodes], rows, repeat(token)))
-            plan = self._dag_plans[id(program)] = (program, token, stamps)
-        return plan[2]
+            stamps = tuple(zip([ranks[i] for i in nodes], rows))
+            plan = self._dag_plans[id(program)] = (program, stamps)
+        return plan[1]
 
     def _app_thread(self, app: AppInstance) -> Generator[Request, Any, None]:
         # Imported here: repro.core builds on the runtime package, so a

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: the one on-disk dump format this build writes and reads.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: the fault layer's closed event taxonomy (:attr:`Incident.kind`).
 INCIDENT_KINDS = (
@@ -106,10 +106,9 @@ class TaskRecord:
     t_finish: float
     #: retry attempts the fault layer charged before this completion.
     attempts: int = field(default=0, metadata=_NONNEGATIVE)
-    #: interned cost-table row + the table token guarding it (see
-    #: :class:`repro.platforms.timing.CostTable`); ``-1`` = never interned.
+    #: interned row of the run's :class:`repro.platforms.timing.CostTable`;
+    #: ``-1`` = never interned.
     cost_row: int = -1
-    cost_token: int = -1
     #: tids of DAG successors released by this completion (empty for API
     #: calls) - what the causality invariant checks ordering against.
     successors: tuple[int, ...] = ()
@@ -221,7 +220,7 @@ HeaderPE.domains = {"name": _UNIQUE}
 @dataclass
 class Header:
     """What the views read beside the rows: the names the daemon stamps as
-    it is built, the core loads and cost-table identity it stamps as it drains
+    it is built, the core loads and cost-table size it stamps as it drains
     (or as a run stops short, so a book saved then audits too)."""
 
     platform: str = ""
@@ -230,8 +229,8 @@ class Header:
     scheduler: str = ""
     #: the worker cores, then the runtime core.
     cores: list[CoreLoad] = field(default_factory=list)
-    #: the cost table's ``(token, n_rows)``.
-    cost_table: tuple[int, int] = (-1, 0)
+    #: the rows the run's cost table interned.
+    cost_rows: int = field(default=0, metadata=_NONNEGATIVE)
 
 
 #: one scheduling round (a ``Logbook.rounds`` row): the dispatch instant ``t``
@@ -487,7 +486,7 @@ class Logbook:
         one call per store of :attr:`tasks`, each in field order - ``fromlist``
         for the arrays, where ``extend`` converts item by item at twice the cost."""
         pe, successors, tasks = task.pe.desc, task.successors, self.tasks
-        tasks.ints.fromlist([task.tid, task.app_id, task.attempts, task.cost_row, task.cost_token])
+        tasks.ints.fromlist([task.tid, task.app_id, task.attempts, task.cost_row])
         tasks.objs.extend((  # ``.value`` is a Python-level enum.property
             task.api, task.name, pe.name, pe.kind._value_,
             tuple([s.tid for s in successors]) if successors else (),

@@ -16,7 +16,6 @@ sleeps on and the worker signals.
 from __future__ import annotations
 
 import enum
-import itertools
 from copy import copy
 from dataclasses import dataclass, field
 from functools import partial
@@ -29,8 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore import Engine, SimThread
 
 __all__ = ["TaskState", "Task", "CompletionHandle"]
-
-_task_ids = itertools.count()
 
 #: what a waiter yields in :meth:`CompletionHandle.wait`; a ``Block``
 #: carries no state, so every wait shares this one
@@ -160,7 +157,7 @@ class CompletionHandle:
                 callback()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Task:
     """One schedulable unit plus its lifecycle bookkeeping.
 
@@ -171,7 +168,8 @@ class Task:
     ``input_keys``/``output_key`` or an arbitrary ``cpu_fn``.
 
     Slotted: one is built per kernel call and read on every hop of its
-    lifecycle, so it takes no attribute beyond the fields below.
+    lifecycle, so it takes no attribute beyond the fields below.  A task
+    is its own identity (``eq=False``): it hashes and compares by object.
     """
 
     api: str
@@ -194,17 +192,16 @@ class Task:
     #: for API-mode calls (set at parse/enqueue time).
     rank: float = 0.0
     #: interned row id in the runtime's columnar
-    #: :class:`~repro.platforms.timing.CostTable`, valid only while
-    #: ``cost_token`` matches the interning table's token (the daemon stamps
-    #: both when the task first enters the ready queue).
+    #: :class:`~repro.platforms.timing.CostTable`; ``-1`` until interned.
     cost_row: int = -1
-    cost_token: int = -1
+    #: the task id its runtime issued, dense from 0 in creation order;
+    #: ``-1`` for a task no runtime built.
+    tid: int = -1
     #: execution estimate used when this task was assigned to its PE
     #: (drives the PE's outstanding-backlog accounting).
     est_used: float = 0.0
 
     state: TaskState = TaskState.CREATED
-    tid: int = field(default_factory=_task_ids.__next__)
     pe: Optional["PE"] = None
     result: Any = None
 
@@ -228,12 +225,6 @@ class Task:
     t_scheduled: float = 0.0
     t_start: float = 0.0
     t_finish: float = 0.0
-
-    def __hash__(self) -> int:
-        return self.tid
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
     @property
     def queue_wait(self) -> float:

@@ -117,6 +117,7 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
     dispatch = Compute(costs.worker_dispatch_us * 1e-6 * runtime.cost_scale)
     signal = Compute(costs.completion_signal_us * 1e-6 * runtime.cost_scale)
     acquire = None if is_cpu else AcquireDevice(pe.device)
+    work = runtime.cost_table.work
 
     while True:
         # CEDR workers busy-poll their queues: an idle worker occupies a full
@@ -161,13 +162,10 @@ def worker_body(runtime: "CedrRuntime", pe: "PE") -> Generator[Request, Any, Non
         task.state = _RUNNING
         task.t_start = engine.now
 
-        # this PE's requests for the task's shape, read from its interned
-        # row; a stretched or jittered attempt rebuilds each segment from
-        # them at the instant the segment starts
-        table = runtime.cost_table
-        if task.cost_token != table.token:
-            table.task_row(task)
-        requests = table.work[task.cost_row][pe.index]
+        # this PE's requests for the task's shape, read from the row the
+        # round's lookup stamped; a stretched or jittered attempt rebuilds
+        # each segment from them at the instant the segment starts
+        requests = work[task.cost_row][pe.index]
         slow = pe.fault_slow_factor if faults is not None else 1.0
         perturbed = noisy or slow != 1.0
         if is_cpu:

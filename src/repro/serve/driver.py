@@ -352,17 +352,18 @@ class ServeDriver:
         self, tenant: str, offered_at: float, instance: Any = None,
         held: bool = False, degraded: bool = False,
     ) -> None:
-        """Write the arrival's admission row; submit *instance* unless shed (None)."""
+        """Submit *instance* unless shed (None), then write the arrival's
+        admission row with the app id the submission gave it."""
         now = self.engine.now
-        app_id = -1 if instance is None else instance.app_id
+        app_id = -1
+        if instance is not None:
+            self.runtime.submit(instance, at=now)
+            app_id = instance.app_id
+            self.controller.admitted(tenant)
+            self._records[app_id] = (tenant, offered_at)
         self.runtime.logbook.record_admission(
             tenant, offered_at, None if instance is None else now, app_id, held, degraded
         )
-        if instance is None:
-            return
-        self.controller.admitted(tenant)
-        self._records[app_id] = (tenant, offered_at)
-        self.runtime.submit(instance, at=now)
 
     def _drain_holds(self) -> None:
         for tenant, (instance, offered_at) in self.controller.release():

@@ -27,7 +27,7 @@ from repro.platforms import jetson, zcu102
 from repro.runtime import CedrRuntime, Logbook, RuntimeConfig
 from repro.workload import radar_comms_workload
 
-GOLDEN = Path(__file__).parent / "golden_logbook_v6.json"
+GOLDEN = Path(__file__).parent / "golden_logbook_v7.json"
 
 
 def _runtime(audit, scheduler="etf", faults=None, seed=9):

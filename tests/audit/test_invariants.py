@@ -9,7 +9,6 @@ is the audit layer's own audit.
 """
 
 import dataclasses
-import json
 from array import array
 
 import numpy as np
@@ -29,8 +28,7 @@ from repro.runtime.logbook import (
     TaskRecord,
 )
 
-TOKEN = 7       # the synthetic run's one cost-table token
-N_ROWS = 64     # and its table size
+N_ROWS = 64     # the synthetic run's cost-table size
 
 
 def rec(tid, **kw):
@@ -38,18 +36,18 @@ def rec(tid, **kw):
     base = dict(
         tid=tid, app_id=1, api="fft", name=f"t{tid}", pe="cpu0", pe_kind="cpu",
         t_release=0.0, t_scheduled=0.0, t_start=0.0, t_finish=0.1,
-        attempts=0, cost_row=tid, cost_token=TOKEN, successors=(),
+        attempts=0, cost_row=tid, successors=(),
     )
     base.update(kw)
     return TaskRecord(**base)
 
 
 def make_book(tasks, apps=(), *, rounds=(), releases=None, incidents=(), cores=(),
-              cost_table=(TOKEN, N_ROWS), **stamps):
-    """A book of synthetic records whose header holds the cost table and
-    *cores*; *releases* default to one per task the rounds assigned."""
+              cost_rows=N_ROWS, **stamps):
+    """A book of synthetic records whose header holds the cost-table size
+    and *cores*; *releases* default to one per task the rounds assigned."""
     book = Logbook()
-    book.header.cores, book.header.cost_table = list(cores), cost_table
+    book.header.cores, book.header.cost_rows = list(cores), cost_rows
     book.tasks, book.rounds = Table(TaskRecord, tasks), Table(Round, rounds)
     book.apps = {app.app_id: app for app in apps}
     book.incidents = Table(Incident, incidents)
@@ -294,13 +292,6 @@ def test_queue_accounting_fires_on_a_round_short_of_releases():
     assert "saw 3 ready tasks but assigned 2" in str(report.violations[0])
 
 
-def test_cost_row_fresh_fires_on_stale_token():
-    stale = rec(1, cost_token=TOKEN - 1)
-    report = audit_logbook(make_book([stale]))
-    assert report.codes == {"cost-row-fresh"}
-    assert "stale cost token" in str(report.violations[0])
-
-
 def test_cost_row_fresh_fires_on_uninterned_row():
     bad = rec(1, cost_row=-1)
     report = audit_logbook(make_book([bad]))
@@ -312,18 +303,6 @@ def test_cost_row_fresh_fires_on_out_of_range_row():
     bad = rec(1, cost_row=N_ROWS)
     report = audit_logbook(make_book([bad]))
     assert report.codes == {"cost-row-fresh"}
-
-
-def test_cost_row_fresh_fires_offline_on_mixed_tokens():
-    """A dump carries its table's identity in the header, so a loaded book
-    is checked as the live one was: a row priced by another table is stale."""
-    a, b = rec(1, cost_token=TOKEN), rec(2, cost_token=TOKEN + 1, pe="cpu1")
-    app = AppRecord(app_id=1, name="app", mode="api", t_arrival=0.0, t_finish=0.1, n_tasks=2)
-    book = make_book([a, b], [app])
-    book.header.pes, book.closed = [("cpu0", "cpu"), ("cpu1", "cpu")], [1]
-    report = audit_logbook(Logbook.from_dict(json.loads(json.dumps(book.serialize()))))
-    assert report.codes == {"cost-row-fresh"}
-    assert "stale cost token 8 (table token 7)" in str(report.violations[0])
 
 
 # --------------------------------------------------------------------- #
@@ -417,8 +396,8 @@ def test_real_logbook_with_lost_task_fails(real_run):
     assert "app-accounting" in report.codes
 
 
-def test_real_logbook_with_stale_cost_token_fails(real_run):
+def test_real_logbook_with_out_of_range_cost_row_fails(real_run):
     tasks = list(real_run.logbook.tasks)
-    tasks[0] = dataclasses.replace(tasks[0], cost_token=tasks[0].cost_token + 1)
+    tasks[0] = dataclasses.replace(tasks[0], cost_row=real_run.logbook.header.cost_rows)
     report = audit_logbook(_rebuild(real_run, tasks))
     assert report.codes == {"cost-row-fresh"}

@@ -4,7 +4,7 @@
 dump written by another process (or another week), and the trace and the
 Gantt chart read one too, so the dump format is a contract: it must
 round-trip losslessly, carry everything a view reads, version itself, and
-*refuse* any other schema.  ``golden_logbook_v6.json`` pins the schema
+*refuse* any other schema.  ``golden_logbook_v7.json`` pins the schema
 byte-for-byte on a faulty run (every incident kind present) - regenerate it
 deliberately (``python tests/audit/test_logbook_roundtrip.py`` rewrites it
 from ``_golden_run``) if the format ever changes, and bump
@@ -35,7 +35,7 @@ from repro.runtime.logbook import (
     _columns,
 )
 
-GOLDEN = Path(__file__).parent / "golden_logbook_v6.json"
+GOLDEN = Path(__file__).parent / "golden_logbook_v7.json"
 #: non-blocking calls, incidents and late timers, from another cell
 FOLD_FIXTURE = Path(__file__).parents[1] / "telemetry" / "fold_fixture_logbook.json"
 
@@ -95,7 +95,7 @@ def real_dumps(block_dump):
 
 def test_golden_file_is_current_schema():
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert dump["schema"] == SCHEMA_VERSION == 6
+    assert dump["schema"] == SCHEMA_VERSION == 7
     assert dump["tasks"] and dump["apps"] and dump["rounds"] and dump["incidents"]
     assert dump["calls"] and dump["late_timers"] == []
     # a batch run: charges and the stamped makespan, no admission rows
@@ -110,7 +110,7 @@ def test_golden_file_is_current_schema():
     assert header["pes"] == [["cpu0", "cpu"], ["cpu1", "cpu"], ["fft0", "fft"]]
     assert [core["name"] for core in header["cores"]] == ["core0", "core1", "core2",
                                                            "runtime-core"]
-    assert {t["cost_token"] for t in dump["tasks"]} == {header["cost_table"][0]}
+    assert {t["cost_row"] for t in dump["tasks"]} <= set(range(header["cost_rows"]))
 
 
 def test_golden_file_round_trips_exactly(tmp_path, real_dumps):
@@ -125,42 +125,14 @@ def test_golden_file_round_trips_exactly(tmp_path, real_dumps):
         assert Path(book.save(tmp_path / "again.json")).read_bytes() == path.read_bytes()
 
 
-def _normalize_ids(dump):
-    """Rebase task/app ids and the cost token to run-relative values.
-
-    tids, app_ids, and cost-table tokens come from process-global counters
-    (their *absolute* values depend on how many runtimes ran earlier in the
-    process); everything else in a dump is a pure function of the run.
-    """
-    # tids are handed out in creation order within the run, so rebasing on
-    # the smallest one keeps incident rows of never-completed tasks aligned
-    base = min(r["tid"] for r in dump["tasks"] + dump["incidents"] if r["tid"] >= 0)
-    tmap = {base + i: i for i in range(10_000)}
-    amap = {a: i for i, a in enumerate(sorted(r["app_id"] for r in dump["apps"]))}
-    token = dump["header"]["cost_table"][0]
-    kmap = {k: i for i, k in enumerate(sorted({token, *(r["cost_token"] for r in dump["tasks"])}))}
-    out = json.loads(json.dumps(dump))  # deep copy through JSON
-    for row in out["tasks"]:
-        row["tid"] = tmap[row["tid"]]
-        row["app_id"] = amap[row["app_id"]]
-        row["cost_token"] = kmap[row["cost_token"]]
-        row["successors"] = [tmap.get(s, s) for s in row["successors"]]
-    for row in out["apps"]:
-        row["app_id"] = amap[row["app_id"]]
-    for row in out["incidents"]:
-        row["tid"] = tmap.get(row["tid"], row["tid"])
-    out["closed"] = [amap[a] for a in out["closed"]]
-    out["header"]["cost_table"][0] = kmap[token]
-    return out
-
-
 def test_golden_file_matches_a_fresh_simulation(golden_runtime):
-    """The dump is a pure function of the run (modulo process-global id
-    counters, rebased here): re-simulating regenerates it exactly.  A
-    mismatch means either determinism broke or the schema changed without
-    a golden-file regeneration + version bump."""
-    fresh = _normalize_ids(golden_runtime.logbook.serialize())
-    assert fresh == _normalize_ids(json.loads(GOLDEN.read_text(encoding="utf-8")))
+    """The dump is a pure function of the run - its ids too, which the
+    runtime issues from 0 - so re-simulating in this process, after any
+    number of other runs, regenerates the file byte for byte.  A mismatch
+    means either determinism broke or the schema changed without a
+    golden-file regeneration + version bump."""
+    text = json.dumps(golden_runtime.logbook.serialize(), indent=2, allow_nan=False)
+    assert text == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_golden_file_audits_clean_offline():
@@ -200,14 +172,14 @@ def test_offline_audit_checks_core_capacity_and_the_cost_table():
     dump["header"]["cores"][0]["delivered"] = 2 * dump["makespan"]
     assert audit_logbook(Logbook.from_dict(dump)).codes == {"core-capacity"}
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    dump["header"]["cost_table"][1] = 1
+    dump["header"]["cost_rows"] = 1
     report = audit_logbook(Logbook.from_dict(dump))
     assert report.codes == {"cost-row-fresh"}
     assert "of a 1-row table" in str(report.violations[0])
 
 
 def test_a_book_saved_from_a_run_cut_short_audits_its_real_cost_table(tmp_path):
-    """``run(until=...)`` stamps the table identity and core loads too, so a
+    """``run(until=...)`` stamps the table size and core loads too, so a
     book saved mid-run flags its unfinished app, not every task row."""
     runtime = CedrRuntime(zcu102().build(seed=0),
                           RuntimeConfig(scheduler="heft_rt", execute_kernels=False))
@@ -217,7 +189,7 @@ def test_a_book_saved_from_a_run_cut_short_audits_its_real_cost_table(tmp_path):
     runtime.run(until=0.005)
     book = Logbook.load(runtime.logbook.save(tmp_path / "cut.json"))
     assert len(book.tasks) > 0 and book.makespan is None
-    assert book.header.cost_table == (runtime.cost_table.token, runtime.cost_table.n_rows)
+    assert book.header.cost_rows == runtime.cost_table.n_rows
     codes = audit_logbook(book).codes
     assert "app-accounting" in codes and "cost-row-fresh" not in codes
 
@@ -254,8 +226,7 @@ def test_the_header_is_what_the_live_runtime_knew(golden_runtime):
     assert [(c.name, c.speed, c.delivered, c.busy_time) for c in header.cores] == [
         (c.name, c.speed, c.delivered, c.busy_time) for c in cores
     ]
-    table = golden_runtime.cost_table
-    assert header.cost_table == (table.token, table.n_rows)
+    assert header.cost_rows == golden_runtime.cost_table.n_rows
 
 
 def test_every_view_of_a_saved_dump_equals_the_live_one(golden_runtime, tmp_path):
@@ -295,13 +266,13 @@ def test_unknown_app_column_is_rejected():
         Logbook.from_dict(dump)
 
 
-@pytest.mark.parametrize("schema", [1, 2, 3, 4, 5, 7, 0, 6.0, True, "two", None])
+@pytest.mark.parametrize("schema", [1, 2, 3, 4, 5, 6, 8, 0, 7.0, True, "two", None])
 def test_any_other_schema_is_refused_on_one_line(schema):
     dump = json.loads(GOLDEN.read_text(encoding="utf-8"))
     dump["schema"] = schema
     with pytest.raises(ValueError) as err:
         Logbook.from_dict(dump)
-    assert str(err.value) == f"unsupported logbook schema {schema!r} (this build reads 6 only)"
+    assert str(err.value) == f"unsupported logbook schema {schema!r} (this build reads 7 only)"
 
 
 def test_empty_dump_loads_as_empty_book():
@@ -327,7 +298,7 @@ def header_of(**columns):
 _TASK = {"tid": 1, "app_id": 1, "api": "fft", "name": "t", "pe": "cpu0",
          "pe_kind": "cpu", "t_release": 0.0, "t_scheduled": 0.0,
          "t_start": 0.0, "t_finish": 0.1, "attempts": 0, "cost_row": 0,
-         "cost_token": 0, "successors": []}
+         "successors": []}
 _APP = {"app_id": 1, "name": "a", "mode": "api", "t_arrival": 0.0, "t_launch": 0.0,
         "t_finish": None, "n_tasks": 0, "cancelled": False, "failed": False}
 _INCIDENT = {"t": 0.1, "kind": "fault", "detail": "", "pe": "", "tid": -1, "attempt": 0,
@@ -418,9 +389,9 @@ MALFORMED = [
     pytest.param(dump_of(header=header_of(pes=[["cpu0", "cpu"], ["fft0"]])),
                  r"header.pes\[1\]: expected \[name, kind\], got \['fft0'\]",
                  id="header-pe-not-a-pair"),
-    pytest.param(dump_of(header=header_of(cost_table=[0, "7"])),
-                 r"header: missing columns \[\], mistyped columns \['cost_table'\]",
-                 id="header-cost-table-mistyped"),
+    pytest.param(dump_of(header=header_of(cost_rows="7")),
+                 r"header: missing columns \[\], mistyped columns \['cost_rows'\]",
+                 id="header-cost-rows-mistyped"),
     pytest.param(dump_of(header=header_of(pes=[["cpu0", "cpu"], ["cpu0", "cpu"]])),
                  r"header.pes\[1\]: name 'cpu0' repeats an earlier row", id="header-pe-repeated"),
     pytest.param(dump_of(header=header_of(cores=[_CORE, {**_CORE, "speed": 2.0}])),

@@ -1,5 +1,7 @@
 """DagBuilder and parse/instantiate tests."""
 
+from itertools import count
+
 import numpy as np
 import pytest
 
@@ -64,9 +66,11 @@ def test_instantiate_copies_initial_state():
 
 def test_instantiate_twice_gives_fresh_tasks():
     program = small_builder().build()
-    tasks1, _, _ = program.instantiate(0)
-    tasks2, _, _ = program.instantiate(1)
-    assert {t.tid for t in tasks1}.isdisjoint({t.tid for t in tasks2})
+    tids = count()  # the runtime's counter, shared by its instances
+    tasks1, _, _ = program.instantiate(0, tids=tids)
+    tasks2, _, _ = program.instantiate(1, tids=tids)
+    assert not {id(t) for t in tasks1} & {id(t) for t in tasks2}
+    assert [t.tid for t in tasks1 + tasks2] == list(range(len(tasks1) + len(tasks2)))
 
 
 def test_duplicate_after_entries_count_once():

@@ -251,8 +251,8 @@ def test_pe_death_retriages_parked_tasks_by_support_row():
     interned row's supporting columns, like the pre-round partition."""
     runtime = build_runtime(FaultConfig(rate=1.0, seed=0), n_cpu=2, n_fft=1)
     main = lambda lib: iter(())  # never runs: the apps are only registered
-    keeps = AppInstance(name="keeps", mode="api", frame_mb=0.1, main_factory=main)
-    loses = AppInstance(name="loses", mode="api", frame_mb=0.1, main_factory=main)
+    keeps = AppInstance(name="keeps", mode="api", frame_mb=0.1, main_factory=main, app_id=0)
+    loses = AppInstance(name="loses", mode="api", frame_mb=0.1, main_factory=main, app_id=1)
     runtime.apps.update({keeps.app_id: keeps, loses.app_id: loses})
     engine = runtime.engine
     on_fft = Task(api="fft", params={"n": 64, "batch": 1}, app_id=keeps.app_id,

@@ -12,6 +12,7 @@ The parity tests compare by ``float.hex()``.
 from __future__ import annotations
 
 import math
+from itertools import count
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def reference_graph(program) -> list[tuple]:
 def reference_ranks(program, timing, pes) -> list[float]:
     """Upward ranks of *program*'s nodes in topological order: the sweep
     over a freshly instantiated graph with per-task row means."""
-    tasks, _, _ = program.instantiate(app_id=-1)
+    tasks, _, _ = program.instantiate(app_id=-1, tids=count())  # tid order is topo order
     return [
         rank
         for _, rank in sorted(

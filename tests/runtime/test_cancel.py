@@ -78,6 +78,31 @@ def test_cancel_unsubmitted_app_rejected():
     runtime.run()
 
 
+def test_cancel_another_runtimes_app_rejected():
+    """App ids are per run: another runtime's app 0 is not this one's app 0."""
+    mine, theirs = start_runtime(), start_runtime()
+    submit_pd(mine)
+    stranger = submit_pd(theirs)
+    assert stranger.app_id in mine.apps
+    with pytest.raises(KeyError, match="never submitted to this runtime"):
+        mine.cancel(stranger, at=0.0)
+    for runtime in (mine, theirs):
+        runtime.seal()
+        runtime.run()
+
+
+def test_submit_refuses_an_instance_another_run_numbered():
+    """Renumbering a submitted instance would corrupt its first run's record."""
+    first, second = start_runtime(), start_runtime()
+    app = submit_pd(first)
+    with pytest.raises(ValueError, match=r"^app PD#0 was already submitted to a runtime$"):
+        second.submit(app, at=0.0)
+    assert app.app_id == 0 and first.apps == {0: app} and second.apps == {}
+    for runtime in (first, second):
+        runtime.seal()
+        runtime.run()
+
+
 def test_run_result_excludes_cancelled_apps():
     runtime = start_runtime()
     victim = submit_pd(runtime, seed=3)

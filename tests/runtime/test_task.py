@@ -2,9 +2,12 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from repro.apps import PulseDoppler
 from repro.platforms import zcu102
+from repro.runtime import CedrRuntime, RuntimeConfig
 from repro.runtime.task import CompletionHandle, Task, TaskState
 from repro.simcore import Compute, Engine
 
@@ -20,7 +23,7 @@ def test_task_defaults():
 #: declaration order: moving one would silently shift the values it gets
 POSITIONAL = (
     "api", "params", "app_id", "name", "payload", "input_keys", "output_key", "cpu_fn",
-    "successors", "n_deps", "completion", "rank", "cost_row", "cost_token",
+    "successors", "n_deps", "completion", "rank", "cost_row", "tid",
 )
 
 
@@ -32,12 +35,29 @@ def test_positional_fields_keep_their_order():
     assert task.state is TaskState.CREATED and task.est_used == 0.0
 
 
+def _tids_of_a_run() -> tuple[list[int], int]:
+    """The tids one API and one DAG Pulse Doppler run recorded, sorted, and
+    the next tid its runtime would have issued."""
+    runtime = CedrRuntime(zcu102().build(seed=0), RuntimeConfig(execute_kernels=False))
+    runtime.start()
+    rng = np.random.default_rng(0)
+    for mode in ("api", "dag"):
+        runtime.submit(PulseDoppler(batch=8).make_instance(mode, rng, timing_only=True), at=0.0)
+    runtime.seal()
+    runtime.run()
+    return sorted(runtime.logbook.tasks.column("tid")), next(runtime.tids)
+
+
 def test_task_ids_unique():
+    """Each runtime issues its tids dense from 0, so a second runtime in the
+    same process numbers its tasks exactly as the first did; a task no
+    runtime built carries -1 and is still only equal to itself."""
+    tids, issued = _tids_of_a_run()
+    assert tids == list(range(issued)) and issued > 0
+    assert _tids_of_a_run() == (tids, issued)
     a = Task(api="fft", params={}, app_id=0)
     b = Task(api="fft", params={}, app_id=0)
-    assert a.tid != b.tid
-    assert a != b
-    assert len({a, b}) == 2
+    assert a.tid == b.tid == -1 and a != b and len({a, b}) == 2
 
 
 def test_add_successor_bumps_deps():

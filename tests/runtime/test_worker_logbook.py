@@ -106,19 +106,19 @@ def test_record_task_fills_every_column_in_field_order():
     from repro.platforms import PE, PEDescriptor
     from repro.runtime import Task
 
-    succ = Task(api="zip", params={"n": 8}, app_id=3)
+    succ = Task(api="zip", params={"n": 8}, app_id=3, tid=11)
     task = Task(
         api="fft", params={"n": 64}, app_id=3, name="node", attempts=2,
-        cost_row=5, cost_token=9, t_release=0.1, t_scheduled=0.2, t_start=0.3, t_finish=0.4,
+        cost_row=5, tid=9, t_release=0.1, t_scheduled=0.2, t_start=0.3, t_finish=0.4,
     )
     task.add_successor(succ)
     task.pe = PE(index=1, desc=PEDescriptor(name="fft0", kind=PEKind.FFT, clock_ghz=0.3))
     book = Logbook()
     book.record_task(task)
     want = TaskRecord(
-        tid=task.tid, app_id=3, api="fft", name="node", pe="fft0", pe_kind="fft",
+        tid=9, app_id=3, api="fft", name="node", pe="fft0", pe_kind="fft",
         t_release=0.1, t_scheduled=0.2, t_start=0.3, t_finish=0.4, attempts=2,
-        cost_row=5, cost_token=9, successors=(succ.tid,),
+        cost_row=5, successors=(11,),
     )
     (row,) = book.tasks
     assert row == want and hash(row) == hash(want)

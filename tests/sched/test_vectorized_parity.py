@@ -193,28 +193,3 @@ def test_cost_table_requires_aligned_indices():
     desc = PEDescriptor(name="cpu9", kind=PEKind.CPU, clock_ghz=1.0)
     with pytest.raises(ValueError, match="index-aligned"):
         CostTable(zcu102_timing(), [PE(index=9, desc=desc)])
-
-
-def test_stale_row_from_another_table_reinterned():
-    """A task interned by one runtime's table is re-interned by another's
-    (the per-table token guards against trusting foreign row ids)."""
-    instance_a = zcu102(n_cpu=3, n_fft=1).build(seed=0)
-    instance_b = jetson(n_cpu=4).build(seed=0)
-    table_a = CostTable(instance_a.timing, instance_a.pes)
-    table_b = CostTable(instance_b.timing, instance_b.pes)
-    task = Task(api="fft", params={"n": 128, "batch": 1}, app_id=0)
-    # intern a few extra rows in A so the row ids cannot happen to coincide
-    table_a.row("zip", {"n": 64})
-    table_a.row("zip", {"n": 128})
-    row_a = table_a.task_row(task)
-    est_a = table_a.lookup(task, 0)
-    row_b = table_b.task_row(task)
-    est_b = table_b.lookup(task, 0)
-    assert task.cost_token == table_b.token
-    assert est_a == instance_a.timing.estimate("fft", {"n": 128, "batch": 1},
-                                               instance_a.pes[0])
-    assert est_b == instance_b.timing.estimate("fft", {"n": 128, "batch": 1},
-                                               instance_b.pes[0])
-    # and going back to A re-interns again rather than trusting B's stamp
-    assert table_a.task_row(task) == row_a
-    assert row_b == 0

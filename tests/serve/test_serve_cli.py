@@ -1,7 +1,5 @@
 """CLI surfaces of the service tier: serve and the saturation figure."""
 
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -60,44 +58,32 @@ def test_figure_saturation(capsys):
     assert "saturation knee" in out
 
 
-def _fresh(tmp_path, body: str) -> str:
-    """Run *body* in a fresh interpreter (app ids and cost-table tokens are
-    per-process counters, so two runs in one process number differently)."""
-    import repro
-
-    src = str(Path(repro.__file__).parents[1])
-    return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
-                           + body], capture_output=True, text=True, check=True,
-                          cwd=tmp_path).stdout
-
-
-def test_serve_logbook_dump_is_the_drivers_book(tmp_path):
+def test_serve_logbook_dump_is_the_drivers_book(tmp_path, capsys):
     """``repro serve --logbook`` saves the run record the way ``repro run``
     does: the dump loads, audits clean offline, and is byte-identical to the
-    book of the same service window driven by hand at the same seed."""
-    from repro.runtime import Logbook
+    book of the same service window driven by hand at the same seed - in
+    the same process, since the runtime issues every id a dump carries."""
+    from repro.runtime import CedrRuntime, Logbook
+    from repro.scenario import ScenarioSpec
+    from repro.serve import ServeDriver
 
-    argv = ["serve", "--duration", "0.1", "--arrival", "poisson:rate=150", "--apps", "PD:1,TX:1"]
-    out = _fresh(tmp_path, f"from repro.cli import main\nmain({argv + ['--logbook', 'cli.json']!r})")
-    assert "logbook   : wrote cli.json (audit offline with 'repro audit cli.json')" in out
-    assert len(Logbook.load(tmp_path / "cli.json").tasks) > 0
-    assert main(["audit", str(tmp_path / "cli.json")]) == 0
-    _fresh(tmp_path, """
-from repro.runtime import CedrRuntime
-from repro.scenario import ScenarioSpec
-from repro.serve import ServeDriver
-spec = ScenarioSpec.from_mapping({
-    "scenario": {"name": "by-hand", "kind": "serve"},
-    "serve": {"duration": 0.1, "arrival": "poisson:rate=150", "apps": "PD:1,TX:1"},
-})
-serve = spec.build_serve()
-runtime = CedrRuntime(spec.build_platform().build(seed=spec.seed),
-                      spec.build_config().with_scheduler(serve.scheduler))
-runtime.start()
-driver = ServeDriver(runtime, serve, spec.seed)
-driver.arm()
-runtime.run()
-driver.result()
-runtime.logbook.save("by_hand.json")
-""")
-    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "by_hand.json").read_bytes()
+    cli = tmp_path / "cli.json"
+    main(["serve", "--duration", "0.1", "--arrival", "poisson:rate=150", "--apps", "PD:1,TX:1",
+          "--logbook", str(cli)])
+    out = capsys.readouterr().out
+    assert f"logbook   : wrote {cli} (audit offline with 'repro audit {cli}')" in out
+    assert len(Logbook.load(cli).tasks) > 0
+    assert main(["audit", str(cli)]) == 0
+    spec = ScenarioSpec.from_mapping({
+        "scenario": {"name": "by-hand", "kind": "serve"},
+        "serve": {"duration": 0.1, "arrival": "poisson:rate=150", "apps": "PD:1,TX:1"},
+    })
+    serve = spec.build_serve()
+    runtime = CedrRuntime(spec.build_platform().build(seed=spec.seed),
+                          spec.build_config().with_scheduler(serve.scheduler))
+    runtime.start()
+    driver = ServeDriver(runtime, serve, spec.seed)
+    driver.arm()
+    runtime.run()
+    driver.result()
+    assert cli.read_bytes() == Path(runtime.logbook.save(tmp_path / "by_hand.json")).read_bytes()

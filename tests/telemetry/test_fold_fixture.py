@@ -9,8 +9,11 @@ sections are kept byte for byte (:data:`FOLD_ROWS_SHA256` pins them): a
 re-run of the cell today differs from them by ulps.  The dump's
 ``makespan`` is the export's final sample instant; the ``header`` and the
 ``charges``, ``closed``, ``admissions`` and ``*_hwm`` sections come from a
-re-run of the cell on the schema 6 build (its app ids and cost-table token
-equal the recorded ones).  The cell, on ``zcu102(n_cpu=2,
+re-run of the cell on the schema 6 build (its app ids equal the recorded
+ones).  Schema 7 dropped the tasks' ``cost_token`` column and turned the
+header's ``cost_table: [token, rows]`` into ``cost_rows``; the file was
+rewritten by exactly that, so the rows pinned below are the recorded ones
+less that column.  The cell, on ``zcu102(n_cpu=2,
 n_fft=1).build(seed=32)`` under etf, timing-only, sampled every 20 ms:
 
 * faults at 40/s/PE (transient, hang, slowdown), ``max_retries=1``, plus a
@@ -39,7 +42,7 @@ BOOK = Logbook.load(HERE / "fold_fixture_logbook.json")
 
 #: the recorded rows, as ``json.dumps({section: rows}, sort_keys=True)``
 FOLD_ROWS = ("tasks", "apps", "rounds", "releases", "incidents", "calls", "late_timers")
-FOLD_ROWS_SHA256 = "3f1ed72ad39790caff34950335feae318bd06b762d80f39854ef42f09556bea8"
+FOLD_ROWS_SHA256 = "6892ea3c9708c3a76e119a8784ed3c5ab2eabaf196ed9b22551dcb4a05b2b9e2"
 
 
 def _fold() -> CedrTelemetry:
