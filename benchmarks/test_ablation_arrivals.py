@@ -17,6 +17,7 @@ import numpy as np
 from repro.apps import PulseDoppler, WifiTx
 from repro.experiments import run_trials
 from repro.platforms import zcu102
+from repro.runtime import RuntimeConfig
 from repro.workload import WorkloadEntry, WorkloadSpec
 
 RATE = 60.0  # transition region: neither serial nor fully saturated
@@ -41,7 +42,8 @@ def test_bursty_arrivals_destroy_predictability(benchmark):
         out = {}
         for process in ("periodic", "poisson"):
             out[process] = run_trials(
-                platform, make_workload(process), "api", RATE, "heft_rt",
+                platform, make_workload(process), "api", RATE,
+                RuntimeConfig(scheduler="heft_rt", execute_kernels=False),
                 trials=TRIALS, base_seed=11,
             )
         return out

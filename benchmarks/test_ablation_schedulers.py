@@ -11,6 +11,7 @@ accelerator-management threads.
 
 from repro.experiments import run_once
 from repro.platforms import zcu102
+from repro.runtime import RuntimeConfig
 from repro.workload import av_workload_scaled
 
 ALL_SCHEDULERS = ("rr", "eft", "etf", "heft_rt", "met", "random")
@@ -23,7 +24,8 @@ def test_scheduler_repertoire(benchmark, ld_batch):
 
     def sweep():
         return {
-            name: run_once(platform, workload, "api", RATE, name, seed=1)
+            name: run_once(platform, workload, "api", RATE, 1,
+                           RuntimeConfig(scheduler=name, execute_kernels=False))
             for name in ALL_SCHEDULERS
         }
 

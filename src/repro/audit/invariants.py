@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.platforms.pe import SUPPORT_MATRIX
@@ -67,9 +68,14 @@ class AuditViolation(Exception):
         )
         super().__init__(f"[{code}]{where} {message}")
         self.code = code
+        self.message = message
         self.tid = tid
         self.pe = pe
         self.t = t
+
+    def __reduce__(self):
+        # by field, so one raised in a pool worker reaches the parent whole
+        return partial(type(self), tid=self.tid, pe=self.pe, t=self.t), (self.code, self.message)
 
 
 class AuditError(Exception):
@@ -81,6 +87,9 @@ class AuditError(Exception):
             f"audit failed with {len(violations)} violation(s):\n{lines}"
         )
         self.violations = violations
+
+    def __reduce__(self):
+        return type(self), (self.violations,)
 
 
 # --------------------------------------------------------------------- #

@@ -347,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_options(fig)
     fig.add_argument("--audit", action="store_true",
                      help="run every sweep cell with the shutdown audit on "
-                          "(sets $REPRO_AUDIT so --jobs worker processes "
-                          "inherit it); any invariant violation fails the "
-                          "figure")
+                          "(part of each cell's config, so audited cells are "
+                          "simulated, not read from an unaudited cache); any "
+                          "invariant violation fails the figure")
     return parser
 
 
@@ -382,13 +382,12 @@ def _cmd_run(args) -> int:
     try:
         runtime = run_to_completion(
             spec.build_platform(), spec.build_workload(), spec.mode, spec.rate_mbps,
-            spec.scheduler, seed=spec.seed, execute=spec.execute,
-            config=spec.build_config(), attribute_host_time=bool(args.perf_json),
+            spec.seed, spec.build_config(), attribute_host_time=bool(args.perf_json),
         )
     except SampleCapError as exc:
         raise SystemExit(f"repro run {exc}") from None
     print(*report_lines(spec, [RunResult.from_runtime(runtime)]), sep="\n")
-    if runtime.config.audit:  # --audit or $REPRO_AUDIT
+    if runtime.config.audit:
         from repro.audit import audit_logbook
 
         # the run's shutdown fold passed; fold again for what it covered, so
@@ -574,7 +573,7 @@ def _cmd_scenario_run(args) -> int:
         raise SystemExit(f"repro scenario run {exc}") from None
     n = len(results)
     once = n > 1 and spec.kind == "run" and seed_invariant(
-        spec.build_workload(), spec.execute, spec.build_config())
+        spec.build_workload(), spec.build_config())
     print(f"scenario  : {spec.name} [{spec.kind}]  digest {spec.digest()[:12]}"
           f"  ({args.spec})")
     print(f"trials    : {n} (base seed {base_seed}"
@@ -760,28 +759,17 @@ def _check_counts(args, verb: str) -> None:
 
 
 def _cmd_figure(args) -> int:
-    import os
-
-    from repro.experiments import AUDIT_ENV, FIGURES, configure_cache
+    from repro.experiments import FIGURES, configure_cache
 
     _check_counts(args, "figure")
     cache = _resolve_cache(args)
     # pin the handle process-wide so every cell the figure runs goes through
     # it (and its hit/miss counters), then restore on the way out
     previous_cache = configure_cache(cache)
-    previous_audit = os.environ.get(AUDIT_ENV)
-    if args.audit:
-        # the env var (not a config edit) so --jobs pool workers inherit it
-        os.environ[AUDIT_ENV] = "1"
     try:
         code = FIGURES.get(args.id).render(args)
     finally:
         configure_cache(previous_cache)
-        if args.audit:
-            if previous_audit is None:
-                os.environ.pop(AUDIT_ENV, None)
-            else:
-                os.environ[AUDIT_ENV] = previous_audit
     _print_cache(cache, "\n")
     return code
 

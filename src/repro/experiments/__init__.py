@@ -11,8 +11,7 @@ from repro import surface
 __getattr__, __dir__, __all__ = surface(globals(), {
     "registry": ("FIGURES", "FigureEntry", "register_figure", "available_figures"),
     "common": ("run_to_completion", "run_once", "run_cells", "run_trials", "seed_invariant",
-               "resolve_jobs", "configure_cache", "resolve_cache", "CACHE_ENV", "AUDIT_ENV",
-               "audit_from_env"),
+               "resolve_jobs", "configure_cache", "resolve_cache", "CACHE_ENV"),
     "cache": ("SweepCache", "CacheStats", "cell_digest"),
     "figures": ("run_figure", "saturated_reduction", "SATURATION_MBPS", "ZCU_RATE_MBPS",
                 "JETSON_RATE_MBPS", "FAULT_RATES", "RESILIENCE_RATE_MBPS", "OFFERED_LOADS",

@@ -1,7 +1,7 @@
 """Content-addressed cache of sweep cells: never simulate the same run twice.
 
 A grid cell is a pure function of its inputs - ``(platform, workload, mode,
-rate, scheduler, seed, execute, config)`` fully determine the
+rate, seed, config)`` fully determine the
 :class:`~repro.metrics.RunResult` (every random stream is keyed on
 ``seed``; nothing leaks between runs).  That purity is what makes parallel
 sweeps bit-identical to serial ones, and it equally makes every cell

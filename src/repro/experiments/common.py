@@ -1,22 +1,23 @@
 """Shared experiment machinery: single runs, trials, and grids of cells.
 
 Every figure funnels through :func:`run_once`: build the platform, start a
-CEDR runtime with the requested scheduler/mode, submit the workload at the
-requested injection rate, run the simulation to completion, and extract a
-:class:`~repro.metrics.RunResult`.  A figure is a list of such cells
-(:mod:`repro.experiments.figures`) handed to :func:`run_cells`.
+CEDR runtime with the cell's :class:`~repro.runtime.RuntimeConfig` (its
+scheduler, kernel execution and audit), submit the workload in the requested
+mode at the requested injection rate, run the simulation to completion, and
+extract a :class:`~repro.metrics.RunResult`.  A figure is a list of such
+cells (:mod:`repro.experiments.figures`) handed to :func:`run_cells`.
 
-Figure sweeps run timing-only (``execute=False``): kernels are not
+Figure sweeps run timing-only (``execute_kernels=False``): kernels are not
 numerically evaluated, which changes nothing about queueing or contention
 (all costs come from the timing model) but keeps full sweeps fast.
-Integration tests run the same paths with ``execute=True`` to pin the
-functional behaviour.
+Integration tests run the same paths with ``execute_kernels=True`` to pin
+the functional behaviour.
 
 Parallel sweeps
 ---------------
 
-A run is a pure function of ``(platform, workload, mode, rate, scheduler,
-seed, execute, config)``: every random stream is a ``child_rng`` of ``seed``,
+A run is a pure function of its cell ``(platform, workload, mode, rate,
+seed, config)``: every random stream is a ``child_rng`` of ``seed``,
 and no state leaks between runs.  :func:`run_cells` (and :func:`run_trials` on
 top of it) therefore accept ``n_jobs`` and shard cells across a
 :class:`~concurrent.futures.ProcessPoolExecutor`, one cell per pool task -
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import replace
 from typing import Any, Callable, Optional, Union
 
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCodec, SweepCache
@@ -65,20 +65,10 @@ __all__ = [
     "resolve_jobs",
     "configure_cache",
     "resolve_cache",
-    "audit_from_env",
 ]
 
 #: environment variable holding the default worker-process count
 JOBS_ENV = "REPRO_JOBS"
-
-#: environment variable forcing the shutdown audit on for every run
-#: ("1"/"true"/a path -> on, ""/"0"/"false"/"off"/"no" -> defer to the
-#: per-run config).  Applied *inside* :func:`run_once`, after the cell
-#: tuple is formed: worker processes inherit it through the pool
-#: environment, and cache digests stay stable because cells still carry
-#: the original config (the audit only reads the book, so a cached result
-#: is the same bits an audited simulation would produce).
-AUDIT_ENV = "REPRO_AUDIT"
 
 #: environment variable enabling the sweep cache ("1"/"true" -> default
 #: directory, any other non-empty value -> that directory, ""/"0" -> off)
@@ -160,21 +150,13 @@ def resolve_cache(cache: CacheArg = None) -> Optional[SweepCache]:
     return SweepCache(raw)
 
 
-def audit_from_env() -> bool:
-    """Whether ``REPRO_AUDIT`` asks for the shutdown audit."""
-    raw = os.environ.get(AUDIT_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "off", "no")
-
-
 def run_to_completion(
     platform: PlatformConfig,
     workload: WorkloadSpec,
     mode: str,
     rate_mbps: float,
-    scheduler: str,
-    seed: int = 0,
-    execute: bool = False,
-    config: Optional[RuntimeConfig] = None,
+    seed: int,
+    config: RuntimeConfig,
     *,
     attribute_host_time: bool = False,
 ) -> CedrRuntime:
@@ -184,12 +166,9 @@ def run_to_completion(
     the runtime to its :class:`RunResult`; ``repro run`` keeps the live
     object because its trace/Gantt/logbook/metrics/perf outputs read it.
     ``attribute_host_time`` arms the per-role host-time split, which has to
-    happen before ``start()``.  ``scheduler`` and ``execute`` override
-    the ``scheduler`` / ``execute_kernels`` of a passed ``config``.
+    happen before ``start()``.  ``config`` names the scheduler, kernel
+    execution and audit; nothing else does.
     """
-    config = replace(config or RuntimeConfig(), scheduler=scheduler, execute_kernels=execute)
-    if not config.audit and audit_from_env():
-        config = config.with_audit()
     runtime = CedrRuntime(platform.build(seed=seed), config)
     if attribute_host_time:
         runtime.counters.attribute_host_time()
@@ -208,32 +187,25 @@ def run_once(
     workload: WorkloadSpec,
     mode: str,
     rate_mbps: float,
-    scheduler: str,
-    seed: int = 0,
-    execute: bool = False,
-    config: Optional[RuntimeConfig] = None,
+    seed: int,
+    config: RuntimeConfig,
 ) -> RunResult:
     """One complete simulated run; returns its measurements."""
-    return RunResult.from_runtime(run_to_completion(
-        platform, workload, mode, rate_mbps, scheduler, seed, execute, config))
+    return RunResult.from_runtime(
+        run_to_completion(platform, workload, mode, rate_mbps, seed, config))
 
 
 def _run_cell(cell: tuple) -> RunResult:
-    """Picklable worker entry: one (rate, seed) grid cell.
+    """Picklable worker entry: one ``(platform, workload, mode, rate, seed,
+    config)`` grid cell - exactly :func:`run_once`'s arguments.
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can ship it
     to worker processes under any start method.
     """
-    platform, workload, mode, rate, scheduler, seed, execute, config = cell
-    return run_once(
-        platform, workload, mode, rate, scheduler,
-        seed=seed, execute=execute, config=config,
-    )
+    return run_once(*cell)
 
 
-def seed_invariant(
-    workload: WorkloadSpec, execute: bool, config: Optional[RuntimeConfig]
-) -> bool:
+def seed_invariant(workload: WorkloadSpec, config: RuntimeConfig) -> bool:
     """Whether a batch cell with these parts gives the same result at every seed.
 
     A seed reaches a batch run through four ``child_rng`` streams: arrivals,
@@ -242,10 +214,8 @@ def seed_invariant(
     A timing-only cell with ``SEED_FREE_ARRIVALS``, no cost noise and faults
     off or pinned draws from none of them.
     """
-    if execute or workload.arrival_process not in SEED_FREE_ARRIVALS:
+    if config.execute_kernels or workload.arrival_process not in SEED_FREE_ARRIVALS:
         return False
-    if config is None:
-        return True
     faults = config.faults
     return config.cost_noise_sigma == 0 and (
         faults is None or faults.rate == 0 or faults.seed is not None
@@ -259,11 +229,11 @@ def _stand_ins(cells: list[tuple]) -> list[int]:
     by ``==`` (platforms and configs hold dicts, so a cell does not hash)."""
     stand_in = list(range(len(cells)))
     buckets: dict[tuple, list[int]] = {}
-    for i in sorted(stand_in, key=lambda i: cells[i][5]):
+    for i in sorted(stand_in, key=lambda i: cells[i][4]):
         cell = cells[i]
-        if seed_invariant(cell[1], cell[6], cell[7]):
-            rest, bucket = cell[:5] + cell[6:], buckets.setdefault(cell[2:5], [])
-            stand_in[i] = next((j for j in bucket if cells[j][:5] + cells[j][6:] == rest), i)
+        if seed_invariant(cell[1], cell[5]):
+            rest, bucket = cell[:4] + cell[5:], buckets.setdefault(cell[2:4], [])
+            stand_in[i] = next((j for j in bucket if cells[j][:4] + cells[j][5:] == rest), i)
             if stand_in[i] == i:
                 bucket.append(i)
     return stand_in
@@ -352,11 +322,9 @@ def run_trials(
     workload: WorkloadSpec,
     mode: str,
     rate_mbps: float,
-    scheduler: str,
+    config: RuntimeConfig,
     trials: int = 3,
     base_seed: int = 0,
-    execute: bool = False,
-    config: Optional[RuntimeConfig] = None,
     n_jobs: Optional[int] = None,
     cache: CacheArg = None,
 ) -> list[RunResult]:
@@ -369,7 +337,7 @@ def run_trials(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     cells = [
-        (platform, workload, mode, rate_mbps, scheduler, seed, execute, config)
+        (platform, workload, mode, rate_mbps, seed, config)
         for seed in trial_seeds(trials, base_seed)
     ]
     return run_cells(cells, n_jobs, cache)

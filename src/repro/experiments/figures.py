@@ -6,7 +6,8 @@ saturation figures.  A row names its panels, series axis, default x values
 and a cell builder; :func:`run_figure` runs every cell of a row in one
 :func:`run_cells` call and reduces each (series, x) chunk of trials into
 the panels.  Cells are exactly the tuples :func:`run_once` (or
-``serve_cell``) takes, batch ones with ``config=None``;
+``serve_cell``) takes, each with the full :class:`~repro.runtime.
+RuntimeConfig` of its run (scheduler, timing-only, faults, audit);
 ``tests/experiments/test_figure_cells.py`` pins their digests.
 
 Each row's :class:`~repro.experiments.registry.FigureEntry` is the module
@@ -91,18 +92,23 @@ _JETSON_3CPU = jetson(n_cpu=3, n_gpu=1)
 _JETSON_7CPU = jetson(n_cpu=7)
 
 
-def _batch(platform, workload, mode, rate, scheduler, seed, config=None) -> tuple:
-    """One :func:`run_once` cell; figure sweeps run timing-only."""
-    return (platform, workload, mode, rate, scheduler, seed, False, config)
+def _config(scheduler, opts, faults=None) -> RuntimeConfig:
+    """A figure cell's config: figure sweeps run timing-only."""
+    return RuntimeConfig(scheduler=scheduler, execute_kernels=False, faults=faults,
+                         audit=opts["audit"])
+
+
+def _batch(platform, workload, mode, rate, scheduler, seed, opts) -> tuple:
+    """One :func:`run_once` cell."""
+    return (platform, workload, mode, rate, seed, _config(scheduler, opts))
 
 
 def _resilience_cell(_, scheduler, fault_rate, seed, opts) -> tuple:
     fault_rate = float(fault_rate)
     faults = (FaultConfig(rate=fault_rate, seed=opts["fault_seed"])
               if fault_rate > 0.0 else None)
-    config = RuntimeConfig(scheduler=scheduler, faults=faults)
-    return _batch(_ZCU_1FFT, _RADAR, "api", RESILIENCE_RATE_MBPS, scheduler,
-                  seed, config)
+    return (_ZCU_1FFT, _RADAR, "api", RESILIENCE_RATE_MBPS, seed,
+            _config(scheduler, opts, faults))
 
 
 def _saturation_cell(_, policy, load, seed, opts) -> tuple:
@@ -116,7 +122,7 @@ def _saturation_cell(_, policy, load, seed, opts) -> tuple:
         duration=opts["duration"],
         admission=AdmissionConfig(policy=policy),
     )
-    return (_ZCU_1FFT, serve, seed, None)
+    return (_ZCU_1FFT, serve, seed, _config("heft_rt", opts))
 
 
 def _trial_mean(chunk, metric: str) -> float:
@@ -243,7 +249,7 @@ _TABLE = {row.name: row for row in (
                 y_fmt="{:10.4f}"),),
         _RATES,
         lambda _, mode, rate, seed, opts: _batch(
-            _ZCU_1FFT, _RADAR, mode, float(rate), "rr", seed),
+            _ZCU_1FFT, _RADAR, mode, float(rate), "rr", seed, opts),
         series=(("DAG-based", "dag"), ("API-based", "api")),
         rate_axis=True, footer=_fig5_footer,
     ),
@@ -255,7 +261,7 @@ _TABLE = {row.name: row for row in (
                    "scheduling overhead per app (s)", "sched_overhead", "{:10.3f}"),
         _RATES,
         lambda mode, scheduler, rate, seed, opts: _batch(
-            _ZCU_1FFT_1MMULT, _RADAR, mode, float(rate), scheduler, seed),
+            _ZCU_1FFT_1MMULT, _RADAR, mode, float(rate), scheduler, seed, opts),
         groups=("dag", "api"), rate_axis=True,
     ),
     _Row(
@@ -264,7 +270,7 @@ _TABLE = {row.name: row for row in (
                  "exec_time", "{:10.2f}"),
         _RATES,
         lambda mode, scheduler, rate, seed, opts: _batch(
-            _JETSON_3CPU, _RADAR, mode, float(rate), scheduler, seed),
+            _JETSON_3CPU, _RADAR, mode, float(rate), scheduler, seed, opts),
         groups=("dag", "api"), rate_axis=True,
     ),
     _Row(
@@ -279,7 +285,7 @@ _TABLE = {row.name: row for row in (
         ),
         tuple(float(r) for r in paper_injection_rates(n=6)),
         lambda platform, scheduler, rate, seed, opts: _batch(
-            platform, _AV, "api", float(rate), scheduler, seed),
+            platform, _AV, "api", float(rate), scheduler, seed, opts),
         groups=(_ZCU_8FFT, _JETSON_7CPU), rate_axis=True,
     ),
     _Row(
@@ -289,7 +295,7 @@ _TABLE = {row.name: row for row in (
                 "FFT accelerator count", _EXEC, "exec_time"),),
         (0, 1, 2, 4, 8),
         lambda _, scheduler, n_fft, seed, opts: _batch(
-            zcu102(n_cpu=3, n_fft=n_fft), _AV, "api", ZCU_RATE_MBPS, scheduler, seed),
+            zcu102(n_cpu=3, n_fft=n_fft), _AV, "api", ZCU_RATE_MBPS, scheduler, seed, opts),
     ),
     _Row(
         "fig10b", "CPU-pool scalability (Jetson cores)",
@@ -298,7 +304,7 @@ _TABLE = {row.name: row for row in (
                 "CPU worker count", _EXEC, "exec_time"),),
         (1, 2, 3, 4, 5, 6, 7),
         lambda _, scheduler, n_cpu, seed, opts: _batch(
-            jetson(n_cpu=n_cpu, n_gpu=1), _AV, "api", JETSON_RATE_MBPS, scheduler, seed),
+            jetson(n_cpu=n_cpu, n_gpu=1), _AV, "api", JETSON_RATE_MBPS, scheduler, seed, opts),
     ),
     _Row(
         "resilience", "goodput/MTTR under fault injection",
@@ -334,11 +340,11 @@ _TABLE = {row.name: row for row in (
 )}
 
 
-def _grid(row: _Row, xs, trials, seed, schedulers, fault_seed, duration) -> tuple:
+def _grid(row: _Row, xs, trials, seed, schedulers, fault_seed, duration, audit) -> tuple:
     """``(xs, opts, series, cells)`` of one run of *row*; cells in (series,
     x, trial) order."""
     xs = tuple(row.xs if xs is None else xs)
-    opts = {"fault_seed": fault_seed,
+    opts = {"fault_seed": fault_seed, "audit": audit,
             "duration": SATURATION_DURATION if duration is None else duration}
     pairs = row.series or [
         (s.upper(), s)
@@ -362,6 +368,7 @@ def run_figure(
     n_jobs: Optional[int] = None,
     fault_seed: Optional[int] = None,
     duration: Optional[float] = None,
+    audit: bool = False,
 ) -> dict[str, FigureSeries]:
     """Regenerate one figure of the table; returns {panel id: FigureSeries}.
 
@@ -369,14 +376,17 @@ def run_figure(
     CPU counts, fault rates or offered loads), ``schedulers`` the paper's
     four.  ``fault_seed`` (resilience) pins one fault schedule across
     trials instead of deriving it from each trial seed; ``duration``
-    (saturation) is the service window per cell.
+    (saturation) is the service window per cell.  ``audit`` runs every
+    cell with the shutdown audit on; it is part of each cell's config, so
+    an audited cell has its own cache key and is simulated, not looked up.
     """
     if name not in _TABLE:
         raise KeyError(f"no figure-table row {name!r}; have {sorted(_TABLE)}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     row = _TABLE[name]
-    xs, opts, series, cells = _grid(row, xs, trials, seed, schedulers, fault_seed, duration)
+    xs, opts, series, cells = _grid(row, xs, trials, seed, schedulers, fault_seed, duration,
+                                    audit)
     results = run_cells(cells, n_jobs, worker=row.worker, codec=row.codec)
     chunks = [results[i:i + trials] for i in range(0, len(results), trials)]
     panels = {}
@@ -396,15 +406,16 @@ def _render(row: _Row, args) -> int:
     after a line counting the cells whose trials run once."""
     xs = paper_injection_rates(n=args.rates) if row.rate_axis else None
     if args.trials > 1 and row.worker is _run_cell:
-        *_, cells = _grid(row, xs, 1, args.seed, None, args.fault_seed, args.duration)
-        once = sum(seed_invariant(c[1], c[6], c[7]) for c in cells)
+        *_, cells = _grid(row, xs, 1, args.seed, None, args.fault_seed, args.duration,
+                          args.audit)
+        once = sum(seed_invariant(c[1], c[5]) for c in cells)
         if once:
             print(f"trials    : {args.trials} seeds per cell; {once} of {len(cells)} "
                   f"cells cannot read their seed and run once")
     panels = run_figure(
         row.name, xs=xs,
         trials=args.trials, seed=args.seed, n_jobs=args.jobs,
-        fault_seed=args.fault_seed, duration=args.duration,
+        fault_seed=args.fault_seed, duration=args.duration, audit=args.audit,
     )
     print("\n\n".join(
         format_series_table(panels[p.id], y_scale=p.y_scale, y_fmt=p.y_fmt)

@@ -124,10 +124,6 @@ class TimingModel:
     gpu_zip_cycles_per_elem: float = 0.12
     gpu_teardown_us: float = 5.0
 
-    #: log-normal cost jitter; nothing draws from it (a runtime's jitter is
-    #: ``RuntimeConfig.cost_noise_sigma``), but sweep-cache keys encode it.
-    noise_sigma: float = 0.0
-
     # ------------------------------------------------------------------ #
 
     def cpu_seconds(self, api: str, params: Mapping[str, float]) -> float:

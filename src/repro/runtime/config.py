@@ -13,7 +13,7 @@ API-vs-DAG reduction (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.faults.model import FaultConfig
@@ -72,6 +72,8 @@ class RuntimeCosts:
 class RuntimeConfig:
     """Per-run configuration of the CEDR daemon.
 
+    The one place a run names its scheduler, kernel execution and audit:
+    the batch and serve runners take a config and nothing beside it.
     ``scheduler`` is a name resolved through ``repro.sched.SCHEDULERS``.
     ``execute_kernels=False`` turns off functional kernel execution for
     timing-only sweeps (results become ``None``; all queueing behaviour is
@@ -108,10 +110,3 @@ class RuntimeConfig:
     #: scheduler contract (queue accounting, PE support) is checked at
     #: every round whatever this says.
     audit: bool = False
-
-    def with_audit(self) -> "RuntimeConfig":
-        """Copy of this config with the shutdown audit switched on."""
-        return replace(self, audit=True)
-
-    def with_scheduler(self, name: str) -> "RuntimeConfig":
-        return replace(self, scheduler=name)

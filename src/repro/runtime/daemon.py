@@ -382,7 +382,11 @@ class CedrRuntime:
         the ready queue (paper: 'pushing tasks to the ready queue ... is
         handled by the application thread').  The libCEDR submit path has
         stamped the task's cost row; one that arrives unstamped is interned
-        by the round that schedules it."""
+        by the round that schedules it.  Its tid must come from
+        ``self.tids``: a hand-built task's ``-1`` is refused."""
+        if task.tid < 0:
+            raise ValueError(f"task {task.name or task.api!r} of app {task.app_id} has no "
+                             f"tid: number it with next(runtime.tids)")
         task.state = _READY
         task.t_release = self.engine.now
         self.ready.append(task)

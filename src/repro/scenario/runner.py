@@ -7,9 +7,8 @@ workload, and :class:`~repro.runtime.RuntimeConfig` built by the spec's
 own builders - the only construction route there is (``repro serve`` runs
 the one trial ``run_scenario(lowered_spec, trials=1)`` runs).  The
 builders produce objects equal to hand-built library ones, so a scenario
-and the same run spelled as flags share content-addressed cache cells.
-Figure cells carry ``config=None`` instead of the resolved config, so
-their keys differ.
+and the same run spelled as flags - or as a figure cell, which carries the
+same resolved config - share content-addressed cache cells.
 """
 
 from __future__ import annotations
@@ -51,28 +50,10 @@ def run_scenario(
     if spec.kind == "serve":
         from repro.serve import serve_trials
 
-        return serve_trials(
-            platform,
-            spec.build_serve(),
-            trials=trials,
-            base_seed=base_seed,
-            config=config,
-            n_jobs=n_jobs,
-            cache=cache,
-        )
-    return run_trials(
-        platform,
-        spec.build_workload(),
-        spec.mode,
-        spec.rate_mbps,
-        spec.scheduler,
-        trials=trials,
-        base_seed=base_seed,
-        execute=spec.execute,
-        config=config,
-        n_jobs=n_jobs,
-        cache=cache,
-    )
+        return serve_trials(platform, spec.build_serve(), config, trials, base_seed,
+                            n_jobs, cache)
+    return run_trials(platform, spec.build_workload(), spec.mode, spec.rate_mbps, config,
+                      trials, base_seed, n_jobs, cache)
 
 
 def report_lines(spec: ScenarioSpec, results: Sequence) -> list[str]:

@@ -7,9 +7,9 @@ construction route: ``repro run`` / ``repro serve`` lower their flags to a
 spec (``repro.cli._lower``) and only the builders below turn a spec into
 platform/workload/config objects, so a flag-path bug is a spec-path bug.  The builders produce objects equal to hand-built
 library ones (``WorkloadSpec(...)``, ``ServeConfig(...)``), so a scenario
-cell and the same run spelled as ``repro run`` flags share one sweep-cache
-key.  Figure cells do not: they carry ``config=None`` where a spec cell
-carries the equal resolved ``RuntimeConfig``.
+cell, the same run spelled as ``repro run`` flags and the equal figure
+cell share one sweep-cache key: every cell carries its resolved
+``RuntimeConfig``.
 
 A document is one TOML (or JSON) table per section; every key, its type,
 default and check is one row of the key table,
@@ -490,7 +490,6 @@ class ScenarioSpec:
             duration=serve.duration,
             admission=serve.admission,
             mode=self.mode,
-            scheduler=self.scheduler,
         )
 
     def describe(self) -> str:

@@ -99,13 +99,15 @@ class TenantSpec:
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """One service run: tenants, duration, admission, execution knobs."""
+    """One service run: tenants, duration, admission, submission mode.
+
+    The scheduler, kernel execution and audit are the run's
+    :class:`~repro.runtime.RuntimeConfig`, handed beside it."""
 
     tenants: tuple[TenantSpec, ...]
     duration: float
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     mode: str = "api"
-    scheduler: str = "heft_rt"
 
     def __post_init__(self) -> None:
         if not self.tenants:
@@ -419,18 +421,12 @@ class ServeDriver:
 def serve_to_completion(
     platform: Any,
     serve: ServeConfig,
-    seed: int = 0,
-    config: Optional[RuntimeConfig] = None,
+    seed: int,
+    config: RuntimeConfig,
 ) -> ServeDriver:
     """Build a runtime, arm the driver and run to graceful drain; returns the
     finished driver (``repro serve`` keeps it to save ``driver.runtime``'s
-    logbook).  Honours ``$REPRO_AUDIT`` exactly like the batch path so
-    audited CI sweeps cover serve cells too."""
-    from repro.experiments.common import audit_from_env
-
-    config = (config or RuntimeConfig(execute_kernels=False)).with_scheduler(serve.scheduler)
-    if not config.audit and audit_from_env():
-        config = config.with_audit()
+    logbook)."""
     runtime = CedrRuntime(platform.build(seed=seed), config)
     runtime.start()
     driver = ServeDriver(runtime, serve, seed)
@@ -442,8 +438,8 @@ def serve_to_completion(
 def serve_once(
     platform: Any,
     serve: ServeConfig,
-    seed: int = 0,
-    config: Optional[RuntimeConfig] = None,
+    seed: int,
+    config: RuntimeConfig,
 ) -> ServeResult:
     """One complete service run, reduced to its ledger; the serve analogue
     of ``run_once`` and a pure function of its arguments."""
@@ -465,9 +461,9 @@ def serve_codec():
 def serve_trials(
     platform: Any,
     serve: ServeConfig,
+    config: RuntimeConfig,
     trials: int = 2,
     base_seed: int = 0,
-    config: Optional[RuntimeConfig] = None,
     n_jobs: Optional[int] = None,
     cache: Any = None,
 ) -> list[ServeResult]:

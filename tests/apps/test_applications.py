@@ -95,7 +95,7 @@ def test_pd_fft_beyond_the_accelerator_envelope_runs_on_cpus(rng, mode):
     the accelerator.  rr spreads over every candidate, audited."""
     app = PulseDoppler(geom=PDGeometry(n_fast=4096, n_pulses=16), batch=4)
     platform = zcu102(n_cpu=3, n_fft=1).build(seed=0)
-    config = RuntimeConfig(scheduler="rr", execute_kernels=False).with_audit()
+    config = RuntimeConfig(scheduler="rr", execute_kernels=False, audit=True)
     runtime = CedrRuntime(platform, config)
     runtime.start()
     runtime.submit(app.make_instance(mode, rng, timing_only=True), at=0.0)

@@ -160,11 +160,10 @@ def test_run_once_parity(monkeypatch, name, mode, scheduler):
     platform = zcu102(n_cpu=3, n_fft=1, n_mmult=1)
     entries = (WorkloadEntry(app, 2),)
     frames = record_inputs(monkeypatch, app)
-    lean = run_once(platform, WorkloadSpec("parity", entries), mode, 200.0, scheduler, seed=3)
+    config = RuntimeConfig(scheduler=scheduler, execute_kernels=False)
+    lean = run_once(platform, WorkloadSpec("parity", entries), mode, 200.0, 3, config)
     assert not frames
-    full = run_once(
-        platform, SynthesizingWorkload("parity", entries), mode, 200.0, scheduler, seed=3
-    )
+    full = run_once(platform, SynthesizingWorkload("parity", entries), mode, 200.0, 3, config)
     assert len(frames) == 2
     assert hexed(lean) == hexed(full)
 
@@ -177,7 +176,8 @@ def test_serve_once_parity(monkeypatch, zcu_small, mode):
         duration=1.0,
         mode=mode,
     )
-    lean = serve_once(zcu_small, serve, seed=5)
+    config = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
+    lean = serve_once(zcu_small, serve, 5, config)
     assert lean.completed > len(apps)
 
     # a timing-only driver builds no payload stream: draw from the one a
@@ -193,7 +193,7 @@ def test_serve_once_parity(monkeypatch, zcu_small, mode):
         return app.make_instance(self.serve.mode, payload_rng, inputs=app.make_input(payload_rng))
 
     monkeypatch.setattr(ServeDriver, "_next_instance", synthesizing)
-    assert hexed(serve_once(zcu_small, serve, seed=5)) == hexed(lean)
+    assert hexed(serve_once(zcu_small, serve, 5, config)) == hexed(lean)
 
 
 # --------------------------------------------------------------------- #

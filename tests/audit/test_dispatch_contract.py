@@ -198,10 +198,8 @@ def test_audited_run_bit_identical_to_unaudited():
     flipping the flag changes not one field of the result."""
     platform = zcu102(n_cpu=3, n_fft=1)
     workload = radar_comms_workload(n_pd=2, n_tx=2)
-    plain = run_once(platform, workload, "api", 150.0, "etf", seed=4)
-    audited = run_once(
-        platform, workload, "api", 150.0, "etf", seed=4,
-        config=RuntimeConfig(scheduler="etf", execute_kernels=False,
-                             audit=True),
-    )
+    plain = run_once(platform, workload, "api", 150.0, 4,
+                     RuntimeConfig(scheduler="etf", execute_kernels=False))
+    audited = run_once(platform, workload, "api", 150.0, 4,
+                       RuntimeConfig(scheduler="etf", execute_kernels=False, audit=True))
     assert plain == audited

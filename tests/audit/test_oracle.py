@@ -18,12 +18,13 @@ from repro.runtime import RuntimeConfig
 from repro.workload import radar_comms_workload
 
 TINY = radar_comms_workload(n_pd=1, n_tx=1)
+EFT = RuntimeConfig(scheduler="eft", execute_kernels=False)
 
 
 @pytest.fixture(scope="module")
 def result_pair():
-    a = run_once(zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, "eft", seed=2)
-    b = run_once(zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, "eft", seed=2)
+    a = run_once(zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, 2, EFT)
+    b = run_once(zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, 2, EFT)
     return a, b
 
 
@@ -69,8 +70,9 @@ def test_diff_results_descends_into_a_serve_results_run(pd_small, zcu_small):
         ),
         duration=0.05,
     )
-    a = serve_once(zcu_small, serve, seed=1)
-    assert diff_results(a, serve_once(zcu_small, serve, seed=1)) == []
+    config = dataclasses.replace(EFT, scheduler="heft_rt")
+    a = serve_once(zcu_small, serve, 1, config)
+    assert diff_results(a, serve_once(zcu_small, serve, 1, config)) == []
     first, *rest = a.tenants
     drifted = dataclasses.replace(
         a,
@@ -100,8 +102,6 @@ def test_audit_flip_matches_baseline_bit_for_bit(result_pair):
     """An audited run reproduces the unaudited one exactly (the audit
     only observes)."""
     plain, _ = result_pair
-    audited = run_once(
-        zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, "eft", seed=2,
-        config=RuntimeConfig(scheduler="eft", execute_kernels=False).with_audit(),
-    )
+    audited = run_once(zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, 2,
+                       dataclasses.replace(EFT, audit=True))
     assert_identical([[plain], [audited]], ["plain", "audited"])

@@ -40,11 +40,11 @@ _original_runtime_init = CedrRuntime.__init__
 def _auto_audit(request, monkeypatch):
     """Force the shutdown audit on for every runtime in the suite.
 
-    In-process only: runtimes built inside ``--jobs`` worker processes keep
-    their cell's config (their results are diffed bit-exactly against
-    audited in-process runs by the determinism tests, which is its own
-    check).  The audit reads the book and raises - it never mutates - so
-    forcing it on cannot change any result a test asserts about.
+    ``--jobs`` worker processes are forked from the patched process, so
+    the runtimes they build are audited too; a test that needs a worker
+    to keep its cell's own audit flag opts out with ``no_auto_audit``.
+    The audit reads the book and raises - it never mutates - so forcing it
+    on cannot change any result a test asserts about.
     """
     if request.node.get_closest_marker("no_auto_audit"):
         yield

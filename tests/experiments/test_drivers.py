@@ -1,6 +1,7 @@
 """Experiment-runner tests on miniature grids (fast, shape-focused)."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ TINY = WorkloadSpec(
     "tiny",
     (WorkloadEntry(PulseDoppler(batch=32), 2), WorkloadEntry(WifiTx(batch=20), 2)),
 )
+RR = RuntimeConfig(scheduler="rr", execute_kernels=False)
 
 #: the mini-grid panels (``FigureSeries.as_dict()``) each figure produced
 #: before figures became table rows
@@ -37,47 +39,46 @@ def as_dicts(panels):
 
 
 def test_run_once_returns_complete_result(zcu_small):
-    r = run_once(zcu_small, TINY, "dag", 100.0, "rr", seed=0)
+    r = run_once(zcu_small, TINY, "dag", 100.0, 0, RR)
     assert r.n_apps == 4
     assert r.makespan > 0
 
 
 def test_run_once_is_deterministic(zcu_small):
-    a = run_once(zcu_small, TINY, "api", 100.0, "eft", seed=5)
-    b = run_once(zcu_small, TINY, "api", 100.0, "eft", seed=5)
+    eft = RuntimeConfig(scheduler="eft", execute_kernels=False)
+    a = run_once(zcu_small, TINY, "api", 100.0, 5, eft)
+    b = run_once(zcu_small, TINY, "api", 100.0, 5, eft)
     assert a.exec_times == b.exec_times
     assert a.runtime_overhead_s == b.runtime_overhead_s
 
 
 def test_run_trials_vary_with_seed(zcu_small):
-    results = run_trials(zcu_small, TINY, "api", 100.0, "rr", trials=2, base_seed=0)
+    results = run_trials(zcu_small, TINY, "api", 100.0, RR, trials=2, base_seed=0)
     assert len(results) == 2
     # different seeds -> different synthesized inputs -> identical timing
     # model, but arrival jitter-free workloads still deterministic per seed
     with pytest.raises(ValueError):
-        run_trials(zcu_small, TINY, "api", 100.0, "rr", trials=0)
+        run_trials(zcu_small, TINY, "api", 100.0, RR, trials=0)
 
 
 def test_run_cells_rate_grid_shapes(zcu_small):
     rates = [50.0, 500.0]
-    results = run_cells([(zcu_small, TINY, "api", r, "rr", 0, False, None) for r in rates])
+    results = run_cells([(zcu_small, TINY, "api", r, 0, RR) for r in rates])
     ys = [aggregate_trials([r])["exec_time"].mean for r in results]
     assert len(ys) == 2
     assert all(y > 0 for y in ys)
     assert set(aggregate_trials(results)) >= {"exec_time", "runtime_overhead", "sched_overhead"}
 
 
-def test_cell_execute_overrides_config():
-    """A cell's ``execute`` wins over its config's ``execute_kernels``, as
-    its ``scheduler`` does: a resilience-figure cell (``execute=False``
-    with a fault config) runs timing-only, and gives the same result as
-    the kernel-executing run."""
-    cell = (zcu102(n_cpu=3, n_fft=1), radar_comms_workload(), "api", 200.0, "rr")
-    config = RuntimeConfig(scheduler="rr", faults=FaultConfig(rate=10.0))
-    runtime = run_to_completion(*cell, seed=0, execute=False, config=config)
-    assert runtime.config.execute_kernels is False
+def test_config_alone_sets_kernel_execution():
+    """The cell's config is the one place kernel execution is set: a
+    resilience-figure cell (timing-only, with a fault config) runs its apps
+    timing-only, and gives the same result as the kernel-executing run."""
+    cell = (zcu102(n_cpu=3, n_fft=1), radar_comms_workload(), "api", 200.0, 0)
+    config = RuntimeConfig(scheduler="rr", execute_kernels=False, faults=FaultConfig(rate=10.0))
+    runtime = run_to_completion(*cell, config)
     assert all(app.timing_only for app in runtime.apps.values())
-    executed = run_once(*cell, seed=0, execute=True, config=config)
+    executed = run_once(*cell, replace(config, execute_kernels=True))
     assert RunResult.from_runtime(runtime) == executed
 
 

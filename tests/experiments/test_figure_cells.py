@@ -2,10 +2,16 @@
 
 ``golden_figure_cells.json`` holds, per figure, the ``cell_digest`` of each
 cell ``repro figure <id> --rates 3 --trials 2`` (fig9 at ``--rates 6``)
-built when every figure still had its own driver module.  A digest is the
-sweep-cache key, so this pins every cached result of every figure without
-simulating anything: ``run_cells`` is replaced by a recorder that answers
-each cell with a stub result the reducers can read.
+built when every figure still had its own driver module.  The pins moved
+once since, by transform only, when a cell became ``(platform, workload,
+mode, rate, seed, config)``: each old cell's scheduler and kernel
+execution were folded into its config (a ``config=None`` cell took the
+config its row now builds), ``ServeConfig`` lost its scheduler and
+``TimingModel`` its unread ``noise_sigma``, and the new rows had to hand
+exactly the transformed cells.  A digest is the sweep-cache key, so this
+pins every cached result of every figure without simulating anything:
+``run_cells`` is replaced by a recorder that answers each cell with a stub
+result the reducers can read.
 """
 
 import json
@@ -17,6 +23,7 @@ import pytest
 import repro.experiments.figures as figures
 from repro.cli import main
 from repro.experiments import available_figures, cell_digest
+from repro.scenario import load_scenario
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_figure_cells.json").read_text())
 
@@ -63,3 +70,14 @@ def test_fig9_honours_rates(handed, capsys):
     for panel in panels:
         rows = [ln for ln in panel.splitlines() if re.match(r"\s+\d+\.\d \|", ln)]
         assert len(rows) == 2, panel
+
+
+def test_a_scenario_spelling_a_figure_cell_shares_its_key():
+    """Figure cells carry their resolved config, as spec-built cells do, so
+    the fig5 cell document and the fig5 row's cell are one cache entry."""
+    spec = load_scenario(Path(__file__).parents[2] / "examples/scenarios/fig5_cell_zcu102.toml")
+    opts = {"fault_seed": None, "audit": False, "duration": None}
+    figure_cell = figures._TABLE["fig5"].cell(None, spec.mode, spec.rate_mbps, spec.seed, opts)
+    spec_cell = (spec.build_platform(), spec.build_workload(), spec.mode, spec.rate_mbps,
+                 spec.seed, spec.build_config())
+    assert cell_digest(spec_cell) == cell_digest(figure_cell)

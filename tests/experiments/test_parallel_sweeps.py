@@ -89,7 +89,7 @@ def test_parallel_sweep_identical_to_serial():
     platform = zcu102(n_cpu=3, n_fft=1)
     workload = radar_comms_workload()
     cells = [
-        (platform, workload, "api", rate, "rr", seed, False, None)
+        (platform, workload, "api", rate, seed, RuntimeConfig(execute_kernels=False))
         for rate in (10.0, 100.0, 300.0)
         for seed in trial_seeds(2, 7)
     ]
@@ -109,12 +109,9 @@ def test_parallel_trials_identical_to_serial():
     never reported."""
     platform = zcu102(n_cpu=3, n_fft=1)
     workload = radar_comms_workload()
-    serial = run_trials(
-        platform, workload, "dag", 200.0, "heft_rt", trials=3, base_seed=0, n_jobs=1
-    )
-    parallel = run_trials(
-        platform, workload, "dag", 200.0, "heft_rt", trials=3, base_seed=0, n_jobs=3
-    )
+    config = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
+    serial = run_trials(platform, workload, "dag", 200.0, config, trials=3, n_jobs=1)
+    parallel = run_trials(platform, workload, "dag", 200.0, config, trials=3, n_jobs=3)
     assert_identical([serial, parallel], ["serial", "jobs=3"])
 
 
@@ -131,7 +128,8 @@ def test_single_cell_grid_stays_serial():
 
         mp.setattr("concurrent.futures.ProcessPoolExecutor", _Boom)
         result = run_trials(
-            platform, workload, "api", 200.0, "rr", trials=1, n_jobs=8
+            platform, workload, "api", 200.0, RuntimeConfig(execute_kernels=False),
+            trials=1, n_jobs=8,
         )
     assert len(result) == 1
 
@@ -216,8 +214,8 @@ def rate_trial_grid(platform, mode: str = "api", scheduler: str = "etf",
         result
         for rate in (150.0, 400.0)
         for result in run_trials(
-            platform, TINY, mode, rate, scheduler, trials=2, base_seed=1,
-            config=config, n_jobs=n_jobs, cache=cache,
+            platform, TINY, mode, rate, config, trials=2, base_seed=1,
+            n_jobs=n_jobs, cache=cache,
         )
     ]
 
@@ -237,8 +235,8 @@ def serve_grid(arrival: str = "poisson", policy: str = "block",
         duration=0.1,
         admission=AdmissionConfig(policy=policy, max_in_system=6, queue_cap=4),
     )
-    config = RuntimeConfig(scheduler=serve.scheduler, execute_kernels=False)
-    return serve_trials(zcu102(n_cpu=3, n_fft=1), serve, trials=2, config=config,
+    config = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
+    return serve_trials(zcu102(n_cpu=3, n_fft=1), serve, config, trials=2,
                         n_jobs=n_jobs, cache=cache)
 
 

@@ -37,8 +37,7 @@ def faulty_run():
         rate=200.0, kinds=(FaultKind.TRANSIENT, FaultKind.HANG, FaultKind.SLOWDOWN)
     )
     config = RuntimeConfig(scheduler="etf", execute_kernels=False, faults=faults)
-    return run_once(jetson(n_cpu=3, n_gpu=1), workload, "api", 200.0, "etf",
-                    seed=7, config=config)
+    return run_once(jetson(n_cpu=3, n_gpu=1), workload, "api", 200.0, 7, config)
 
 
 def block_serve():
@@ -53,7 +52,8 @@ def block_serve():
         duration=0.2,
         admission=AdmissionConfig(policy="block", max_in_system=4, queue_cap=6),
     )
-    return serve_once(zcu102(n_cpu=3, n_fft=1), serve, seed=2)
+    return serve_once(zcu102(n_cpu=3, n_fft=1), serve, 2,
+                      RuntimeConfig(scheduler="heft_rt", execute_kernels=False))
 
 
 CASES = {"run/1": (faulty_run, RUN_CODEC), "serve/1": (block_serve, serve_codec())}

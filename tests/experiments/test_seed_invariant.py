@@ -41,18 +41,22 @@ SEEDS = (0, 1000, 2000)
 
 
 def _figure_cell(fig, group, key, x, fault_seed=None) -> tuple:
-    opts = {"fault_seed": fault_seed, "duration": figures.SATURATION_DURATION}
+    opts = {"fault_seed": fault_seed, "audit": False, "duration": figures.SATURATION_DURATION}
     return figures._TABLE[fig].cell(group, key, x, 0, opts)
 
 
 def _spec_cell(path: Path) -> tuple:
     spec = load_scenario(path)
-    return (spec.build_platform(), spec.build_workload(), spec.mode, spec.rate_mbps,
-            spec.scheduler, 0, spec.execute, spec.build_config())
+    return (spec.build_platform(), spec.build_workload(), spec.mode, spec.rate_mbps, 0,
+            spec.build_config())
 
 
 #: shared, as a sweep shares its workload: applications compare by identity
 SMALL = WorkloadSpec(name="seed-test", entries=(WorkloadEntry(PulseDoppler(batch=2), 2),))
+
+
+def _timing_only(**fields) -> RuntimeConfig:
+    return RuntimeConfig(execute_kernels=False, **fields)
 
 
 def _small_cell(**overrides) -> tuple:
@@ -60,19 +64,18 @@ def _small_cell(**overrides) -> tuple:
     parts = {
         "platform": zcu102(n_cpu=2, n_fft=1),
         "workload": SMALL,
-        "mode": "api", "rate": 200.0, "scheduler": "rr", "seed": 0,
-        "execute": False, "config": None,
+        "mode": "api", "rate": 200.0, "seed": 0, "config": _timing_only(),
     }
     parts.update(overrides)
     return tuple(parts.values())
 
 
 def _trials(cell: tuple, seeds=SEEDS) -> list[tuple]:
-    return [cell[:5] + (seed,) + cell[6:] for seed in seeds]
+    return [cell[:4] + (seed,) + cell[5:] for seed in seeds]
 
 
 def _invariant(cell: tuple) -> bool:
-    return seed_invariant(cell[1], cell[6], cell[7])
+    return seed_invariant(cell[1], cell[5])
 
 
 # --------------------------------------------------------------------- #
@@ -93,13 +96,9 @@ ORACLE = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE))
 def test_admitted_cell_is_bit_identical_at_every_seed(name):
-    platform, workload, mode, rate, scheduler, _, execute, config = ORACLE[name]()
-    assert seed_invariant(workload, execute, config)
-    first, *rest = (
-        run_once(platform, workload, mode, rate, scheduler,
-                 seed=seed, execute=execute, config=config)
-        for seed in SEEDS
-    )
+    platform, workload, mode, rate, _, config = ORACLE[name]()
+    assert seed_invariant(workload, config)
+    first, *rest = (run_once(platform, workload, mode, rate, seed, config) for seed in SEEDS)
     for seed, result in zip(SEEDS[1:], rest):
         assert diff_results(first, result) == [], f"{name} drifts at seed {seed}"
 
@@ -114,8 +113,7 @@ def simulated(monkeypatch):
     """The seeds ``_run_cell`` simulates at; each result is a fresh dict."""
     seeds = []
 
-    def fake(platform, workload, mode, rate, scheduler, seed=0, execute=False,
-             config=None):
+    def fake(platform, workload, mode, rate, seed, config):
         seeds.append(seed)
         return {"seed": seed}
 
@@ -126,10 +124,10 @@ def simulated(monkeypatch):
 REFUSED = {
     "poisson": lambda: _small_cell(workload=dataclasses.replace(
         SMALL, arrival_process="poisson")),
-    "cost-noise": lambda: _small_cell(config=RuntimeConfig(cost_noise_sigma=0.1)),
+    "cost-noise": lambda: _small_cell(config=_timing_only(cost_noise_sigma=0.1)),
     "unpinned-faults": lambda: _small_cell(
-        config=RuntimeConfig(faults=FaultConfig(rate=10.0))),
-    "execute": lambda: _small_cell(execute=True),
+        config=_timing_only(faults=FaultConfig(rate=10.0))),
+    "execute": lambda: _small_cell(config=RuntimeConfig(execute_kernels=True)),
     "resilience-no-fault-seed": lambda: _figure_cell("resilience", None, "etf", 20.0),
 }
 
@@ -144,9 +142,9 @@ def test_refused_cell_simulates_every_trial(name, simulated):
 
 
 @pytest.mark.parametrize("config", [
-    None,
-    RuntimeConfig(faults=FaultConfig(rate=10.0, seed=5)),
-    RuntimeConfig(faults=FaultConfig(rate=0.0)),
+    _timing_only(),
+    _timing_only(faults=FaultConfig(rate=10.0, seed=5)),
+    _timing_only(faults=FaultConfig(rate=0.0)),
 ], ids=["plain", "pinned-faults", "zero-rate-faults"])
 def test_admitted_cell_simulates_once_at_its_lowest_seed(config, simulated):
     cells = _trials(_small_cell(config=config), (2000, 0, 1000))
@@ -197,9 +195,9 @@ def counted(monkeypatch):
     seeds = []
     real = common.run_once
 
-    def counting(*args, seed=0, **kwargs):
-        seeds.append(seed)
-        return real(*args, seed=seed, **kwargs)
+    def counting(*cell):
+        seeds.append(cell[4])
+        return real(*cell)
 
     monkeypatch.setattr(common, "run_once", counting)
     return seeds
@@ -237,7 +235,7 @@ def test_pool_gets_only_the_unique_cells_and_equals_serial(monkeypatch):
 
 
 def test_slots_of_one_collapsed_cell_do_not_alias(counted):
-    config = RuntimeConfig(telemetry=TelemetryConfig())
+    config = _timing_only(telemetry=TelemetryConfig())
     results = run_cells(_trials(_small_cell(config=config)), cache=False)
     assert counted == [0]
     assert results[0].telemetry is not None
@@ -254,7 +252,7 @@ def test_collapsed_telemetry_slots_are_bit_equal_and_independent(counted):
     pinned fault seed: one simulation, every other slot its own unpickled
     copy, equal to the float bit (``repr``) and sharing no dict."""
     cell = _spec_cell(ROOT / "examples/scenarios/jetson_faults.toml")
-    assert cell[7].telemetry == TelemetryConfig(0.01) and cell[7].faults.seed is not None
+    assert cell[5].telemetry == TelemetryConfig(0.01) and cell[5].faults.seed is not None
     cells = _trials(cell, (0, 1000, 2000, 3000))
     results = run_cells(cells, n_jobs=1, cache=False)
     assert counted == [0]

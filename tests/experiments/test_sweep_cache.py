@@ -40,22 +40,21 @@ def _workload(batch: int = 2, count: int = 1) -> WorkloadSpec:
     )
 
 
+#: the cells' config: round-robin, timing-only
+RR = RuntimeConfig(scheduler="rr", execute_kernels=False)
+
+
 def _cell(**overrides) -> tuple:
     base = {
         "platform": zcu102(n_cpu=2, n_fft=1),
         "workload": _workload(),
         "mode": "api",
         "rate": 200.0,
-        "scheduler": "rr",
         "seed": 0,
-        "execute": False,
-        "config": None,
+        "config": RR,
     }
     base.update(overrides)
-    return (
-        base["platform"], base["workload"], base["mode"], base["rate"],
-        base["scheduler"], base["seed"], base["execute"], base["config"],
-    )
+    return tuple(base.values())
 
 
 # --------------------------------------------------------------------- #
@@ -76,10 +75,11 @@ def test_digest_is_stable():
     ("workload-count", {"workload": _workload(count=2)}),
     ("mode", {"mode": "dag"}),
     ("rate", {"rate": 250.0}),
-    ("scheduler", {"scheduler": "etf"}),
+    ("scheduler", {"config": dataclasses.replace(RR, scheduler="etf")}),
     ("seed", {"seed": 1}),
-    ("execute", {"execute": True}),
-    ("config", {"config": RuntimeConfig(scheduler="rr", sched_period_s=0.002)}),
+    ("execute", {"config": dataclasses.replace(RR, execute_kernels=True)}),
+    ("config", {"config": dataclasses.replace(RR, sched_period_s=0.002)}),
+    ("audit", {"config": dataclasses.replace(RR, audit=True)}),
 ])
 def test_digest_sensitive_to_every_cell_field(field_name, overrides):
     """Any observable difference in any cell component changes the digest."""
@@ -118,7 +118,7 @@ def test_memo_state_does_not_perturb_digest():
     (TimingModel carries no memo any more; see test_timing.py.)"""
     cell = _cell(mode="dag")
     before = cell_digest(cell)[0]
-    run_once(*cell[:5], seed=0)
+    run_once(*cell)
     program = cell[1].entries[0].app._dag_cache[1]
     assert program._template  # the derived state actually filled
     assert cell_digest(cell)[0] == before
@@ -131,7 +131,7 @@ def test_uncacheable_cell_raises_and_counts(tmp_path):
     cache = SweepCache(tmp_path)
     assert cache.get(cell) is None
     assert cache.stats.uncacheable == 1 and cache.stats.misses == 1
-    result = run_once(*_cell()[:5], seed=0)
+    result = run_once(*_cell())
     assert cache.put(cell, result) is False
     assert cache.stats.uncacheable == 2 and cache.stats.stores == 0
 
@@ -145,7 +145,7 @@ def test_round_trip_hit_is_bit_identical(tmp_path):
     cell = _cell()
     assert cache.get(cell) is None
     assert cache.stats.misses == 1 and cache.stats.hits == 0
-    result = run_once(*cell[:5], seed=0, execute=False, config=None)
+    result = run_once(*cell)
     assert cache.put(cell, result) is True
     assert cache.stats.stores == 1
     loaded = cache.get(cell)
@@ -157,7 +157,7 @@ def test_round_trip_hit_is_bit_identical(tmp_path):
 def test_telemetry_results_stay_uncached(tmp_path):
     cache = SweepCache(tmp_path)
     cell = _cell()
-    result = run_once(*cell[:5], seed=0)
+    result = run_once(*cell)
     tainted = dataclasses.replace(result, telemetry={"metrics": {}})
     assert cache.put(cell, tainted) is False
     assert cache.stats.uncacheable == 1
@@ -167,7 +167,7 @@ def test_telemetry_results_stay_uncached(tmp_path):
 def test_corrupted_entry_recovers_to_miss(tmp_path):
     cache = SweepCache(tmp_path)
     cell = _cell()
-    result = run_once(*cell[:5], seed=0)
+    result = run_once(*cell)
     cache.put(cell, result)
     [entry] = list(tmp_path.glob("*.json"))
     entry.write_text("{ not json", encoding="utf-8")
@@ -184,7 +184,7 @@ def test_mismatched_key_degrades_to_miss(tmp_path):
     the stored canonical key is re-checked on load."""
     cache = SweepCache(tmp_path)
     cell = _cell()
-    cache.put(cell, run_once(*cell[:5], seed=0))
+    cache.put(cell, run_once(*cell))
     [entry] = list(tmp_path.glob("*.json"))
     payload = json.loads(entry.read_text(encoding="utf-8"))
     payload["key"] = ["something", "else"]
@@ -200,7 +200,7 @@ def test_mismatched_key_degrades_to_miss(tmp_path):
 def _grid(platform, workload, rates, trials=2) -> list[tuple]:
     """The (rate, trial) cells of one api/rr sweep, rate-major."""
     return [
-        (platform, workload, "api", rate, "rr", seed, False, None)
+        (platform, workload, "api", rate, seed, RR)
         for rate in rates
         for seed in trial_seeds(trials)
     ]

@@ -52,10 +52,8 @@ def test_five_app_mix_audited_and_cached(platform, tmp_path):
     def sweep(cache=False):
         out = []
         for rate in RATES:
-            out.extend(run_trials(
-                platform, workload, "dag", rate, "etf",
-                trials=1, base_seed=3, config=config, cache=cache,
-            ))
+            out.extend(run_trials(platform, workload, "dag", rate, config,
+                                  trials=1, base_seed=3, cache=cache))
         return out
 
     uncached = sweep()

@@ -22,7 +22,8 @@ from repro.workload import WorkloadEntry, WorkloadSpec
 @pytest.fixture(scope="module")
 def tiny_result():
     wl = WorkloadSpec("tiny", (WorkloadEntry(PulseDoppler(batch=32), 2),))
-    return run_once(zcu102(n_cpu=3, n_fft=1), wl, "api", 200.0, "rr", seed=0)
+    return run_once(zcu102(n_cpu=3, n_fft=1), wl, "api", 200.0, 0,
+                    RuntimeConfig(scheduler="rr", execute_kernels=False))
 
 
 def test_run_result_fields(tiny_result):

@@ -85,10 +85,9 @@ def test_biglittle_relieves_management_contention():
     from repro.workload import radar_comms_workload
 
     wl = radar_comms_workload()
-    base = run_once(zcu102(n_cpu=3, n_fft=8), wl, "api", 1000.0, "rr", seed=1)
-    bl = run_once(
-        zcu102_biglittle(n_big=3, n_little=4, n_fft=8), wl, "api", 1000.0, "rr", seed=1
-    )
+    config = RuntimeConfig(scheduler="rr", execute_kernels=False)
+    base = run_once(zcu102(n_cpu=3, n_fft=8), wl, "api", 1000.0, 1, config)
+    bl = run_once(zcu102_biglittle(n_big=3, n_little=4, n_fft=8), wl, "api", 1000.0, 1, config)
     assert bl.mean_exec_time < base.mean_exec_time
 
 

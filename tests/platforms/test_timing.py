@@ -40,7 +40,6 @@ def test_replaced_model_prices_with_its_own_coefficients():
     assert dataclasses.replace(base, fabric_setup_us=36.0).accel_parts(
         *shape, PEKind.FFT
     ).setup == 2 * accel.setup
-    assert dataclasses.replace(base, noise_sigma=0.1).cpu_seconds(*shape) == slow
     assert not [f.name for f in dataclasses.fields(base) if not f.compare]  # no memo field
 
 

@@ -53,9 +53,7 @@ def run_cell(name, **overrides):
     config = RuntimeConfig(
         scheduler=scheduler, execute_kernels=False, **{**extra, **overrides}
     )
-    return run_to_completion(
-        platform, WORKLOAD, mode, 200.0, scheduler, seed=seed, config=config
-    )
+    return run_to_completion(platform, WORKLOAD, mode, 200.0, seed, config)
 
 
 def record(name, runtime=None):

@@ -31,7 +31,6 @@ SERVE = ServeConfig(
                         apps=(PulseDoppler(batch=16), WifiTx(n_packets=20, batch=4)),
                         slo_s=0.05),),
     duration=0.5,
-    scheduler="heft_rt",
 )
 
 

@@ -44,7 +44,7 @@ def dag_cell():
         name="derived-once", entries=(WorkloadEntry(PD(), 3), WorkloadEntry(TX(), 3))
     )
     config = RuntimeConfig(scheduler="etf", execute_kernels=False)
-    return run_to_completion(ZCU, workload, "dag", 200.0, "etf", seed=5, config=config)
+    return run_to_completion(ZCU, workload, "dag", 200.0, 5, config)
 
 
 def api_cell():

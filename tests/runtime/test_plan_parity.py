@@ -39,7 +39,7 @@ def _run(name):
         return run_cell(name)
     platform, mode, scheduler, seed, extra = NOISY[name]
     config = RuntimeConfig(scheduler=scheduler, execute_kernels=False, **extra)
-    return run_to_completion(platform, WORKLOAD, mode, 200.0, scheduler, seed=seed, config=config)
+    return run_to_completion(platform, WORKLOAD, mode, 200.0, seed, config)
 
 
 @pytest.fixture

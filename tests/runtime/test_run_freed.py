@@ -18,6 +18,7 @@ them.
 
 import gc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,8 @@ WORKLOAD = WorkloadSpec(
 )
 #: a forced transient on every PE and no retry budget: the first task to
 #: complete anywhere is lost and fails its application
-LOSES_A_TASK = RuntimeConfig(faults=FaultConfig(
+RR = RuntimeConfig(scheduler="rr", execute_kernels=False)
+LOSES_A_TASK = replace(RR, faults=FaultConfig(
     script=tuple(FaultSpec(at=0.0, pe=pe, kind=FaultKind.TRANSIENT)
                  for pe in ("cpu0", "cpu1", "cpu2", "fft0")),
     max_retries=0,
@@ -80,31 +82,32 @@ def run_freed(cell):
 
 
 def test_batch_api_cell_is_freed():
-    result = run_freed(lambda: run_once(ZCU, WORKLOAD, "api", 200.0, "rr", seed=1))
+    result = run_freed(lambda: run_once(ZCU, WORKLOAD, "api", 200.0, 1, RR))
     assert result.n_apps == 4
 
 
 def test_dag_cell_is_freed():
-    result = run_freed(lambda: run_once(ZCU, WORKLOAD, "dag", 200.0, "etf", seed=2))
+    result = run_freed(lambda: run_once(ZCU, WORKLOAD, "dag", 200.0, 2,
+                                        replace(RR, scheduler="etf")))
     assert result.n_apps == 4
 
 
 def test_perf_json_armed_cell_is_freed():
     snapshot = run_freed(lambda: run_to_completion(
-        ZCU, WORKLOAD, "api", 200.0, "rr", seed=4, attribute_host_time=True
+        ZCU, WORKLOAD, "api", 200.0, 4, RR, attribute_host_time=True
     ).counters.snapshot())
     assert snapshot["host_ns_by_role"]["timers"] > 0
     assert snapshot["resumes_by_role"]["timers"] == snapshot["event_core"]["timers_fired"]
 
 
 def test_serve_cell_is_freed():
-    result = run_freed(lambda: serve_once(ZCU, SERVE, seed=1))
+    result = run_freed(lambda: serve_once(ZCU, SERVE, 1, replace(RR, scheduler="heft_rt")))
     assert result.completed > 0
 
 
 def test_faulty_api_cell_that_loses_a_task_is_freed():
     result = run_freed(
-        lambda: run_once(ZCU, WORKLOAD, "api", 200.0, "rr", seed=3, config=LOSES_A_TASK)
+        lambda: run_once(ZCU, WORKLOAD, "api", 200.0, 3, LOSES_A_TASK)
     )
     assert result.tasks_lost >= 1 and result.n_failed >= 1
 

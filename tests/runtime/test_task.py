@@ -60,6 +60,19 @@ def test_task_ids_unique():
     assert a.tid == b.tid == -1 and a != b and len({a, b}) == 2
 
 
+def test_push_ready_from_app_refuses_a_task_no_runtime_numbered():
+    """A hand-built task keeps its ``-1`` tid, and every completion of such
+    tasks would be recorded under that one tid (the audit's
+    ``exactly-once`` fails); the push names the task and its app instead."""
+    runtime = CedrRuntime(zcu102().build(seed=0), RuntimeConfig(execute_kernels=False))
+    runtime.start()
+    with pytest.raises(ValueError, match=r"task 'fft0' of app 3 has no tid"):
+        runtime.push_ready_from_app(Task(api="fft", params={"n": 256}, app_id=3, name="fft0"))
+    numbered = Task(api="fft", params={"n": 256}, app_id=3, tid=next(runtime.tids))
+    runtime.push_ready_from_app(numbered)
+    assert list(runtime.ready) == [numbered]
+
+
 def test_add_successor_bumps_deps():
     a = Task(api="fft", params={}, app_id=0)
     b = Task(api="zip", params={}, app_id=0)

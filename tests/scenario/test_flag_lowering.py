@@ -96,10 +96,7 @@ def test_run_flags_lower_to_library_objects(flags, platform, config, mode, capsy
     assert _key(spec.build_workload()) == _key(CLI_WORKLOAD)
     assert spec.build_config() == config
 
-    result = run_once(
-        platform, CLI_WORKLOAD, mode, 200.0, "heft_rt",
-        seed=0, execute=config.execute_kernels, config=config,
-    )
+    result = run_once(platform, CLI_WORKLOAD, mode, 200.0, 0, config)
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert f"platform  : {platform.name}  mode={mode}  " in out
@@ -175,7 +172,6 @@ def _serve_config(n_tenants: int, admission: AdmissionConfig) -> ServeConfig:
         duration=0.5,
         admission=admission,
         mode="api",
-        scheduler="heft_rt",
     )
 
 
@@ -207,7 +203,7 @@ def test_serve_flags_lower_to_library_objects(flags, serve, capsys):
     ]
     assert [t.name for t in spec.build_serve().tenants] == expected_names
 
-    result = serve_once(ZCU, serve, seed=0, config=config)
+    result = serve_once(ZCU, serve, 0, config)
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert (f"service   : {result.offered} offered, {result.admitted} admitted, "

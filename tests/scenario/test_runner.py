@@ -52,10 +52,7 @@ def _spec() -> ScenarioSpec:
 
 def test_run_scenario_bit_identical_to_flag_path():
     platform, workload, config = _flag_objects()
-    flag_results = run_trials(
-        platform, workload, "api", RATE, "etf",
-        trials=TRIALS, base_seed=0, execute=False, config=config,
-    )
+    flag_results = run_trials(platform, workload, "api", RATE, config, trials=TRIALS)
     scenario_results = run_scenario(_spec())
     assert_identical(
         [flag_results, scenario_results], ["flags", "scenario"]
@@ -78,10 +75,7 @@ def test_run_scenario_shares_cache_with_flag_path(tmp_path):
     # the cache for the declarative one - content addressing is free
     platform, workload, config = _flag_objects()
     cache = SweepCache(tmp_path)
-    run_trials(
-        platform, workload, "api", RATE, "etf",
-        trials=TRIALS, base_seed=0, execute=False, config=config, cache=cache,
-    )
+    run_trials(platform, workload, "api", RATE, config, trials=TRIALS, cache=cache)
     assert cache.stats.stores == TRIALS
     warm = SweepCache(tmp_path)
     results = run_scenario(_spec(), cache=warm)
@@ -118,13 +112,10 @@ def test_serve_scenario_bit_identical_to_flag_path():
         duration=0.2,
         admission=AdmissionConfig(policy="block"),
         mode="api",
-        scheduler="heft_rt",
     )
     platform = make_platform("zcu102", cpu=3, fft=1)
     config = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
-    flag_results = serve_trials(
-        platform, serve, trials=TRIALS, base_seed=0, config=config,
-    )
+    flag_results = serve_trials(platform, serve, config, trials=TRIALS)
     spec = ScenarioSpec(
         name="parity-serve",
         kind="serve",

@@ -27,6 +27,7 @@ from repro.experiments import run_once
 from repro.metrics import diff_results
 from repro.platforms import PE, PEDescriptor, PEKind, jetson, zcu102
 from repro.platforms.timing import CostTable, zcu102_timing
+from repro.runtime import RuntimeConfig
 from repro.runtime.task import Task
 from repro.sched import SCHEDULERS, SchedulerError
 from repro.workload import radar_comms_workload
@@ -138,11 +139,13 @@ def test_whole_run_matches_the_reference_scheduler(sched_name, mode):
     """Same workload, production class vs reference class: same RunResult."""
     platform = zcu102(n_cpu=3, n_fft=1)
     workload = radar_comms_workload(n_pd=1, n_tx=1)
-    production = run_once(platform, workload, mode, 200.0, sched_name, seed=2)
+    production = run_once(platform, workload, mode, 200.0, 2,
+                          RuntimeConfig(scheduler=sched_name, execute_kernels=False))
     local_name = f"reference-{sched_name}"
     SCHEDULERS.register(local_name, REFERENCE[sched_name])
     try:
-        reference = run_once(platform, workload, mode, 200.0, local_name, seed=2)
+        reference = run_once(platform, workload, mode, 200.0, 2,
+                             RuntimeConfig(scheduler=local_name, execute_kernels=False))
     finally:
         SCHEDULERS.unregister(local_name)
     assert production.tasks_completed > 0

@@ -16,6 +16,10 @@ from repro.serve import (
 )
 
 
+#: the serve cells' runtime config
+HEFT = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
+
+
 def config(pd_small, tx_small, *, rate=150.0, duration=0.2, **admission):
     return ServeConfig(
         tenants=(
@@ -56,7 +60,7 @@ class TestServeConfig:
 class TestGracefulDrain:
     def test_every_admitted_app_completes(self, zcu_small, pd_small, tx_small):
         serve = config(pd_small, tx_small)
-        result = serve_once(zcu_small, serve, seed=1)
+        result = serve_once(zcu_small, serve, 1, HEFT)
         assert result.offered > 0
         assert result.offered == result.admitted + result.shed
         for t in result.tenants:
@@ -74,7 +78,7 @@ class TestGracefulDrain:
             ),),
             duration=0.05,   # first arrival is phased past the window
         )
-        result = serve_once(zcu_small, serve, seed=0)
+        result = serve_once(zcu_small, serve, 0, HEFT)
         assert result.offered == result.admitted == result.completed == 0
         assert result.throughput == 0.0
         assert result.p99_response_s == 0.0
@@ -83,7 +87,7 @@ class TestGracefulDrain:
     def test_block_policy_releases_every_hold(self, zcu_small, pd_small, tx_small):
         serve = config(pd_small, tx_small, rate=400.0,
                        policy="block", max_in_system=4, queue_cap=6)
-        result = serve_once(zcu_small, serve, seed=2)
+        result = serve_once(zcu_small, serve, 2, HEFT)
         held = sum(t.held for t in result.tenants)
         assert held > 0
         # every held arrival was eventually admitted (never stranded)
@@ -95,9 +99,7 @@ class TestGracefulDrain:
 
     def test_finish_hook_slot_is_exclusive(self, zcu_small, pd_small, tx_small):
         platform = zcu_small.build(seed=0)
-        runtime = CedrRuntime(
-            platform, RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
-        )
+        runtime = CedrRuntime(platform, HEFT)
         runtime.on_app_finished = lambda app: None
         driver = ServeDriver(runtime, config(pd_small, tx_small), seed=0)
         with pytest.raises(RuntimeError, match="already has an on_app_finished"):
@@ -117,7 +119,7 @@ class TestGracefulDrain:
         def serve_on_fresh_runtime():
             runtime = CedrRuntime(
                 zcu_small.build(seed=1),
-                RuntimeConfig(scheduler=serve.scheduler, execute_kernels=False),
+                HEFT,
             )
             runtime.start()
             driver = ServeDriver(runtime, serve, seed=1)
@@ -131,13 +133,11 @@ class TestGracefulDrain:
         first = serve_on_fresh_runtime()
         assert first.completed > 0
         assert serve_on_fresh_runtime() == first
-        assert serve_once(zcu_small, serve, seed=1) == first
+        assert serve_once(zcu_small, serve, 1, HEFT) == first
 
     def test_result_requires_a_finished_run(self, zcu_small, pd_small, tx_small):
         platform = zcu_small.build(seed=0)
-        runtime = CedrRuntime(
-            platform, RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
-        )
+        runtime = CedrRuntime(platform, HEFT)
         runtime.start()
         driver = ServeDriver(runtime, config(pd_small, tx_small), seed=0)
         driver.arm()
@@ -148,7 +148,7 @@ class TestGracefulDrain:
 class TestSloAccounting:
     def test_violations_match_response_times(self, zcu_small, pd_small, tx_small):
         serve = config(pd_small, tx_small, rate=250.0)
-        result = serve_once(zcu_small, serve, seed=3)
+        result = serve_once(zcu_small, serve, 3, HEFT)
         for t, spec in zip(result.tenants, serve.tenants):
             expected = sum(1 for r in t.response_times if r > spec.slo_s)
             assert t.slo_violations == expected
@@ -158,7 +158,7 @@ class TestSloAccounting:
     def test_degraded_completions_are_excluded(self, zcu_small, pd_small, tx_small):
         serve = config(pd_small, tx_small, rate=400.0,
                        policy="degrade", max_in_system=2)
-        result = serve_once(zcu_small, serve, seed=4)
+        result = serve_once(zcu_small, serve, 4, HEFT)
         assert result.shed == 0
         assert result.admitted == result.offered
         assert result.degraded > 0
@@ -167,7 +167,7 @@ class TestSloAccounting:
             assert t.slo_violations <= t.completed - t.degraded + t.failed
 
     def test_p99_is_exact_nearest_rank(self, zcu_small, pd_small, tx_small):
-        result = serve_once(zcu_small, config(pd_small, tx_small), seed=5)
+        result = serve_once(zcu_small, config(pd_small, tx_small), 5, HEFT)
         merged = sorted(
             r for t in result.tenants for r in t.response_times
         )
@@ -188,7 +188,7 @@ class TestOverloadBound:
             duration=0.1,
             admission=AdmissionConfig(policy="shed", max_in_system=6, queue_cap=3),
         )
-        capacity = serve_once(zcu_small, probe, seed=0).throughput
+        capacity = serve_once(zcu_small, probe, 0, HEFT).throughput
         assert capacity > 0
         serve = dataclasses.replace(
             probe,
@@ -199,7 +199,7 @@ class TestOverloadBound:
             duration=0.3,
             admission=AdmissionConfig(policy="block", max_in_system=6, queue_cap=3),
         )
-        result = serve_once(zcu_small, serve, seed=1)
+        result = serve_once(zcu_small, serve, 1, HEFT)
         tenant = result.tenants[0]
         assert result.in_system_hwm <= 6
         assert tenant.hold_hwm <= 3
@@ -210,7 +210,7 @@ class TestOverloadBound:
 class TestServeDeterminism:
     def test_trials_vary_by_seed_only(self, zcu_small, pd_small, tx_small):
         serve = config(pd_small, tx_small, duration=0.1)
-        a, b = serve_trials(zcu_small, serve, trials=2, base_seed=0)
+        a, b = serve_trials(zcu_small, serve, HEFT, trials=2, base_seed=0)
         assert a != b            # different seeds, different streams
-        again_a, again_b = serve_trials(zcu_small, serve, trials=2, base_seed=0)
+        again_a, again_b = serve_trials(zcu_small, serve, HEFT, trials=2, base_seed=0)
         assert (a, b) == (again_a, again_b)

@@ -8,6 +8,7 @@ import pytest
 from repro.experiments import SweepCache, run_figure
 from repro.metrics import detect_knee
 from repro.experiments.cache import RUN_CODEC
+from repro.runtime import RuntimeConfig
 from repro.serve import ArrivalSpec, ServeConfig, TenantSpec, serve_codec, serve_once
 
 LOADS = (40.0, 120.0, 360.0)
@@ -64,7 +65,8 @@ class TestServeCodec:
             ),),
             duration=0.1,
         )
-        return serve, serve_once(zcu_small, serve, seed=seed)
+        config = RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
+        return serve, serve_once(zcu_small, serve, seed, config)
 
     def test_round_trip_is_exact(self, zcu_small, pd_small):
         codec = serve_codec()

@@ -79,8 +79,7 @@ def test_serve_logbook_dump_is_the_drivers_book(tmp_path, capsys):
         "serve": {"duration": 0.1, "arrival": "poisson:rate=150", "apps": "PD:1,TX:1"},
     })
     serve = spec.build_serve()
-    runtime = CedrRuntime(spec.build_platform().build(seed=spec.seed),
-                          spec.build_config().with_scheduler(serve.scheduler))
+    runtime = CedrRuntime(spec.build_platform().build(seed=spec.seed), spec.build_config())
     runtime.start()
     driver = ServeDriver(runtime, serve, spec.seed)
     driver.arm()

@@ -40,8 +40,8 @@ def two_tenants(pd, tx, rate, **admission):
 def drive(platform, serve, seed, config=None, batch_apps=()):
     """One serve run (``serve_once`` by hand, to keep the runtime); the
     *batch_apps* are submitted beside the driver as ``(instance, at)``."""
-    config = config or RuntimeConfig(execute_kernels=False)
-    runtime = CedrRuntime(platform.build(seed=seed), config.with_scheduler(serve.scheduler))
+    config = config or RuntimeConfig(scheduler="heft_rt", execute_kernels=False)
+    runtime = CedrRuntime(platform.build(seed=seed), config)
     runtime.start()
     for instance, at in batch_apps:
         runtime.submit(instance, at=at)

@@ -17,7 +17,7 @@ def run_metered(platform, workload=PD1, interval=0.0, faults=None, seed=3):
         scheduler="eft", execute_kernels=False, faults=faults,
         telemetry=TelemetryConfig(sample_interval_s=interval),
     )
-    return run_once(platform, workload, "api", 200.0, "eft", seed=seed, config=config)
+    return run_once(platform, workload, "api", 200.0, seed, config)
 
 
 def _series(result, name):

@@ -13,6 +13,7 @@ Two pins:
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,10 +33,8 @@ TINY = WorkloadSpec(
     (WorkloadEntry(PulseDoppler(batch=8), 1), WorkloadEntry(WifiTx(batch=5), 1)),
 )
 
-INSTRUMENTED = RuntimeConfig(
-    scheduler="eft", execute_kernels=False,
-    telemetry=TelemetryConfig(sample_interval_s=0.005),
-)
+PLAIN = RuntimeConfig(scheduler="eft", execute_kernels=False)
+INSTRUMENTED = replace(PLAIN, telemetry=TelemetryConfig(sample_interval_s=0.005))
 
 
 def _dump(result) -> str:
@@ -43,10 +42,8 @@ def _dump(result) -> str:
 
 
 def test_snapshots_bit_identical_serial_vs_process_pool(zcu_small):
-    serial = run_trials(zcu_small, TINY, "api", 200.0, "eft",
-                        trials=2, base_seed=0, config=INSTRUMENTED, n_jobs=1)
-    pooled = run_trials(zcu_small, TINY, "api", 200.0, "eft",
-                        trials=2, base_seed=0, config=INSTRUMENTED, n_jobs=2)
+    serial = run_trials(zcu_small, TINY, "api", 200.0, INSTRUMENTED, trials=2, n_jobs=1)
+    pooled = run_trials(zcu_small, TINY, "api", 200.0, INSTRUMENTED, trials=2, n_jobs=2)
     assert_identical([serial, pooled], ["serial", "pooled"])
     for s, p in zip(serial, pooled):
         assert s.telemetry is not None
@@ -57,12 +54,9 @@ def test_snapshots_bit_identical_serial_vs_process_pool(zcu_small):
 def test_recording_never_perturbs_the_run(zcu_small):
     """Without periodic samples an instrumented run is bit-identical to a
     plain one in every non-telemetry field."""
-    plain = run_once(zcu_small, TINY, "api", 200.0, "eft", seed=3)
-    metered = run_once(
-        zcu_small, TINY, "api", 200.0, "eft", seed=3,
-        config=RuntimeConfig(scheduler="eft", execute_kernels=False,
-                             telemetry=TelemetryConfig(sample_interval_s=0.0)),
-    )
+    plain = run_once(zcu_small, TINY, "api", 200.0, 3, PLAIN)
+    metered = run_once(zcu_small, TINY, "api", 200.0, 3,
+                       replace(PLAIN, telemetry=TelemetryConfig(sample_interval_s=0.0)))
     assert plain.telemetry is None
     assert metered.telemetry is not None
     assert diff_results(plain, metered, ignore=("telemetry",)) == []
@@ -74,9 +68,8 @@ def test_sampling_never_perturbs_the_run(zcu_small, cell):
     sampled run is the unsampled run bit for bit.  The timer sampler moved
     the ``jetson-etf-faulty`` makespan by 7 ulp and added 32 timers."""
     if cell == "tiny":
-        plain = run_once(zcu_small, TINY, "api", 200.0, "eft", seed=3)
-        sampled = run_once(zcu_small, TINY, "api", 200.0, "eft", seed=3,
-                           config=INSTRUMENTED)
+        plain = run_once(zcu_small, TINY, "api", 200.0, 3, PLAIN)
+        sampled = run_once(zcu_small, TINY, "api", 200.0, 3, INSTRUMENTED)
     else:  # the one-book cell: faults, 10 ms sampling
         plain = RunResult.from_runtime(run_cell(cell, telemetry=None))
         sampled = RunResult.from_runtime(run_cell(cell))
@@ -85,6 +78,6 @@ def test_sampling_never_perturbs_the_run(zcu_small, cell):
 
 
 def test_repeated_instrumented_runs_reproduce(zcu_small):
-    a = run_once(zcu_small, TINY, "api", 200.0, "eft", seed=3, config=INSTRUMENTED)
-    b = run_once(zcu_small, TINY, "api", 200.0, "eft", seed=3, config=INSTRUMENTED)
+    a = run_once(zcu_small, TINY, "api", 200.0, 3, INSTRUMENTED)
+    b = run_once(zcu_small, TINY, "api", 200.0, 3, INSTRUMENTED)
     assert _dump(a) == _dump(b)

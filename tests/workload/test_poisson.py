@@ -89,12 +89,14 @@ def test_poisson_payloads_match_periodic_payloads():
 def test_poisson_workload_runs_end_to_end():
     from repro.experiments import run_once
     from repro.platforms import zcu102
+    from repro.runtime import RuntimeConfig
 
     wl = WorkloadSpec(
         "bursty",
         (WorkloadEntry(PulseDoppler(batch=32), 3), WorkloadEntry(WifiTx(batch=20), 3)),
         arrival_process="poisson",
     )
-    result = run_once(zcu102(n_cpu=3, n_fft=1), wl, "api", 150.0, "rr", seed=2)
+    result = run_once(zcu102(n_cpu=3, n_fft=1), wl, "api", 150.0, 2,
+                      RuntimeConfig(scheduler="rr", execute_kernels=False))
     assert result.n_apps == 6
     assert result.mean_exec_time > 0
